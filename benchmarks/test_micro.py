@@ -158,9 +158,9 @@ PAR_BUFFER_SHARDS = 8
 #: an *upper* bound: it caps the wall-clock ratio of two concurrent
 #: snapshot-batch streams to one stream (1.0 = perfect overlap of the
 #: lock-free read phases, 2.0 = fully serialized).  CI's parallel smoke
-#: sets ``REPRO_EPOCH_OVERLAP_MIN=1.9``; unset or non-positive means
+#: sets ``REPRO_EPOCH_OVERLAP_MAX=1.9``; unset or non-positive means
 #: "measure and report only".  The bar is only meaningful on 2+ cores.
-EPOCH_OVERLAP_MAX = float(os.environ.get("REPRO_EPOCH_OVERLAP_MIN", "0"))
+EPOCH_OVERLAP_MAX = float(os.environ.get("REPRO_EPOCH_OVERLAP_MAX", "0"))
 #: The tracing-overhead bar is opt-in and an *upper* bound on the
 #: wall-clock ratio of a traced batched pass to the untraced pass
 #: (1.0 = free instrumentation).  CI's parallel smoke sets
@@ -433,7 +433,7 @@ def test_epoch_snapshot_overlap(batch_suite, batch_workload):
     overlap: the concurrent wall must stay well below 2x the single-stream
     wall.  Measured with the same protocol ``run_perf_snapshot`` records
     as the ``concurrent_batches`` phase; the bar is enforced only when
-    ``REPRO_EPOCH_OVERLAP_MIN`` is set (CI's multi-core parallel smoke
+    ``REPRO_EPOCH_OVERLAP_MAX`` is set (CI's multi-core parallel smoke
     sets 1.9) and the host has 2+ cores — on one core nothing can overlap.
     """
     odyssey = _converged_engine(batch_suite, batch_workload)
@@ -450,7 +450,7 @@ def test_epoch_snapshot_overlap(batch_suite, batch_workload):
         assert ratio <= EPOCH_OVERLAP_MAX, (
             f"two concurrent snapshot-batch streams took {ratio:.2f}x the "
             f"single-stream wall — above the {EPOCH_OVERLAP_MAX:g}x bar "
-            f"(REPRO_EPOCH_OVERLAP_MIN); the read phase is serializing"
+            f"(REPRO_EPOCH_OVERLAP_MAX); the read phase is serializing"
         )
 
 

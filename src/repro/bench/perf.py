@@ -150,7 +150,7 @@ def measure_concurrent_batches(
     serialized engine pushes it toward ``threads``.
 
     Shared with the acceptance-bar smoke in ``benchmarks/test_micro.py``
-    (the ``REPRO_EPOCH_OVERLAP_MIN`` bar) so CI and the ``BENCH_*.json``
+    (the ``REPRO_EPOCH_OVERLAP_MAX`` bar) so CI and the ``BENCH_*.json``
     trajectory measure the same thing.
     """
 

@@ -524,9 +524,7 @@ class BatchExecutor:
                     needed[dataset_id] = needed0[(query.index, dataset_id)]
                 else:
                     # The tree was refined mid-replay; the scalar walk gives
-                    # the same leaves in the same order without forcing a
-                    # snapshot rebuild that the next refinement would
-                    # invalidate again.
+                    # the same leaves in the same order as the snapshot.
                     needed[dataset_id] = tree.leaves_overlapping(
                         extended[(query.index, dataset_id)]
                     )

@@ -5,12 +5,12 @@ every query, which is why top-level operations serialize on the
 QueryProcessor's gate lock.  This module decouples *readers* from that
 lock: every completed adaptation publishes an immutable
 :class:`EngineEpoch` — a copy-on-write capture of the partition trees'
-leaf state, the merge-file map and per-combination statistics — and a
-snapshot reader pins the current epoch by refcount, runs overlap
-resolution, page decode and filtering entirely against the pinned
-capture, and only re-enters the gate for the short writer phase (the
-in-order replay of statistics, refinement and merging that
-:mod:`repro.core.parallel` already runs single-threaded).
+leaf state and the merge-file map — and a snapshot reader pins the
+current epoch by refcount, runs overlap resolution, page decode and
+filtering entirely against the pinned capture, and only re-enters the
+gate for the short writer phase (the in-order replay of statistics,
+refinement and merging that :mod:`repro.core.parallel` already runs
+single-threaded).
 
 Three mechanisms make a pinned epoch readable while adaptation runs:
 
@@ -19,7 +19,10 @@ under the gate) snapshots each tree's leaf runs
 (:meth:`~repro.core.partition.PartitionTree.epoch_snapshot`) and a frozen
 copy of the merge directory, reusing the previous epoch's captures for
 any tree or directory whose version counter is unchanged — at
-convergence, publishing is a dictionary copy, not a rebuild.
+convergence, publishing is a dictionary copy, not a rebuild.  A changed
+tree's capture comes from summaries the tree splices as it refines, and
+a changed directory hands out the copies it took of the infos as they
+were registered, so a publish costs what changed, not what exists.
 
 **Retained pre-images (undo pages).**  The paper's in-place refinement
 overwrites partition pages, and merge eviction deletes files; both would
@@ -71,16 +74,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
     from repro.core.merge import MergeDirectory
     from repro.core.partition import PartitionTree
     from repro.core.query_processor import QueryProcessor
-    from repro.core.statistics import StatisticsCollector
     from repro.storage.disk import Disk
-
-
-@dataclass(frozen=True, slots=True)
-class EpochStatistics:
-    """Immutable per-epoch summary of the statistics collector."""
-
-    queries_seen: int
-    combination_counts: dict[frozenset[int], int]
 
 
 class EngineEpoch:
@@ -104,7 +98,6 @@ class EngineEpoch:
         "directory",
         "directory_version",
         "merge_files",
-        "statistics",
         "retained",
         "refcount",
         "next",
@@ -117,14 +110,12 @@ class EngineEpoch:
         directory: "MergeDirectory",
         directory_version: int,
         merge_files: dict[frozenset[int], PagedFile],
-        statistics: EpochStatistics,
     ) -> None:
         self.epoch_id = epoch_id
         self.trees = trees
         self.directory = directory
         self.directory_version = directory_version
         self.merge_files = merge_files
-        self.statistics = statistics
         self.retained: dict[tuple[str, int], bytes] = {}
         self.refcount = 0
         self.next: EngineEpoch | None = None
@@ -221,7 +212,6 @@ class EpochManager:
         self,
         trees: dict[int, "PartitionTree"],
         directory: "MergeDirectory",
-        statistics: "StatisticsCollector",
     ) -> EngineEpoch:
         """Capture the live state into a new epoch and make it current.
 
@@ -254,13 +244,6 @@ class EpochManager:
             directory=frozen,
             directory_version=directory.version,
             merge_files=merge_files,
-            statistics=EpochStatistics(
-                queries_seen=statistics.queries_seen,
-                combination_counts={
-                    combination: stats.count
-                    for combination, stats in statistics.combinations().items()
-                },
-            ),
         )
         self._next_id += 1
         if prev is not None:

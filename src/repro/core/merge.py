@@ -35,6 +35,8 @@ class MergeFileInfo:
 
     ``entries`` maps a partition key to the per-dataset segment
     (:class:`~repro.storage.pagedfile.StoredRun`) inside the merge file.
+    The per-dataset mappings are replaced, never mutated, when a segment
+    is added, so a copy of ``entries`` may share them.
     """
 
     combination: Combination
@@ -42,6 +44,15 @@ class MergeFileInfo:
     entries: dict[PartitionKey, dict[int, StoredRun]] = field(default_factory=dict)
     created_at: int = 0
     last_used: int = 0
+    _total_pages: int | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self._total_pages is None:
+            self._total_pages = sum(
+                run.n_pages
+                for per_dataset in self.entries.values()
+                for run in per_dataset.values()
+            )
 
     @property
     def n_partitions(self) -> int:
@@ -50,10 +61,8 @@ class MergeFileInfo:
 
     @property
     def total_pages(self) -> int:
-        """Total pages occupied by all segments of the file."""
-        return sum(
-            run.n_pages for per_dataset in self.entries.values() for run in per_dataset.values()
-        )
+        """Total pages occupied by all segments (kept in step by :meth:`add_segment`)."""
+        return self._total_pages
 
     def has_segment(self, key: PartitionKey, dataset_id: int) -> bool:
         """Whether the file stores the given dataset's copy of a partition."""
@@ -66,24 +75,29 @@ class MergeFileInfo:
 
     def add_segment(self, key: PartitionKey, dataset_id: int, run: StoredRun) -> None:
         """Record a newly written segment."""
-        self.entries.setdefault(key, {})[dataset_id] = run
+        per_dataset = dict(self.entries.get(key, ()))
+        replaced = per_dataset.get(dataset_id)
+        if replaced is not None:
+            self._total_pages -= replaced.n_pages
+        per_dataset[dataset_id] = run
+        self.entries[key] = per_dataset
+        self._total_pages += run.n_pages
 
     def copy(self) -> "MergeFileInfo":
-        """An entry-level deep copy for epoch snapshots.
+        """An independent copy for epoch snapshots.
 
-        The ``entries`` mapping and its per-dataset inner dicts are
-        copied (``add_segment`` mutates them in place on the live info);
-        the :class:`~repro.storage.pagedfile.StoredRun` values are frozen
-        and shared.
+        ``add_segment`` rebinds keys of the live ``entries`` mapping, so
+        that mapping is copied; the per-dataset mappings (never mutated)
+        and the frozen :class:`~repro.storage.pagedfile.StoredRun` values
+        are shared, and the page count is carried over.
         """
         return MergeFileInfo(
             combination=self.combination,
             file_name=self.file_name,
-            entries={
-                key: dict(per_dataset) for key, per_dataset in self.entries.items()
-            },
+            entries=dict(self.entries),
             created_at=self.created_at,
             last_used=self.last_used,
+            _total_pages=self._total_pages,
         )
 
 
@@ -123,18 +137,29 @@ class MergeDirectory:
     after extending it in place, so any observable change to the merge
     map bumps the version.  The epoch layer uses it for copy-on-write:
     an epoch's frozen directory copy is reused as long as the version is
-    unchanged.
+    unchanged.  Registration is also where the directory keeps its own
+    books, so neither needs a pass over the files later: the frozen copy
+    of the registered info and the running page total.
     """
 
     def __init__(self) -> None:
         self._files: dict[Combination, MergeFileInfo] = {}
         self._version = 0
+        # Each info as of its latest registration; same order as _files.
+        self._frozen: dict[Combination, MergeFileInfo] = {}
+        self._total_pages = 0
 
     # -- registration ----------------------------------------------------- #
 
     def register(self, info: MergeFileInfo) -> None:
         """Add or replace the merge file of a combination."""
-        self._files[info.combination] = info
+        combination = info.combination
+        previous = self._frozen.get(combination)
+        if previous is not None:
+            self._total_pages -= previous.total_pages
+        self._files[combination] = info
+        self._frozen[combination] = info.copy()
+        self._total_pages += info.total_pages
         self._version += 1
 
     def remove(self, combination: Combination) -> MergeFileInfo:
@@ -143,6 +168,7 @@ class MergeDirectory:
             info = self._files.pop(combination)
         except KeyError:
             raise KeyError(f"no merge file for combination {sorted(combination)}") from None
+        self._total_pages -= self._frozen.pop(combination).total_pages
         self._version += 1
         return info
 
@@ -154,15 +180,19 @@ class MergeDirectory:
     def freeze(self) -> "MergeDirectory":
         """An immutable-by-convention snapshot copy of the directory.
 
-        Every info is deep-copied at the entry level
-        (:meth:`MergeFileInfo.copy`), so later in-place ``add_segment``
+        It holds the copy (:meth:`MergeFileInfo.copy`) taken of every info
+        when it was last registered, so later in-place ``add_segment``
         mutations of the live infos are invisible to holders of the
-        frozen copy.  The copy keeps the live version so staleness checks
-        compare directly.
+        frozen copy, and infos not registered since the previous freeze
+        are shared with it, not copied again.  (``last_used`` of a frozen
+        info is therefore as of its registration — LRU order is a concern
+        of the live directory alone.)  The copy keeps the live version so
+        staleness checks compare directly.
         """
         frozen = MergeDirectory()
-        for info in self._files.values():
-            frozen._files[info.combination] = info.copy()
+        frozen._files = dict(self._frozen)
+        frozen._frozen = dict(self._frozen)
+        frozen._total_pages = self._total_pages
         frozen._version = self._version
         return frozen
 
@@ -183,8 +213,11 @@ class MergeDirectory:
         return list(self._files.values())
 
     def total_pages(self) -> int:
-        """Total pages occupied by every merge file (the space budget metric)."""
-        return sum(info.total_pages for info in self._files.values())
+        """Total pages occupied by every merge file (the space budget metric).
+
+        A running count, as of each file's latest :meth:`register`.
+        """
+        return self._total_pages
 
     def lru_order(self) -> list[MergeFileInfo]:
         """Merge files ordered from least to most recently used."""

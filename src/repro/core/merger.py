@@ -22,7 +22,7 @@ append-only, as in the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Collection, Mapping
 
 from repro.core.config import OdysseyConfig
 from repro.core.cost import AdaptiveMergePolicy, MergeCostModel
@@ -56,6 +56,12 @@ class Merger:
         statistics: StatisticsCollector,
         dimension: int,
     ) -> None:
+        if statistics.hot_key_min_hits != config.merge_partition_min_hits:
+            raise ValueError(
+                "the statistics collector must track hot keys at "
+                f"merge_partition_min_hits={config.merge_partition_min_hits}, "
+                f"not {statistics.hot_key_min_hits}"
+            )
         self._disk = disk
         self._config = config
         self._directory = directory
@@ -115,15 +121,18 @@ class Merger:
         stats = self._statistics.combination_stats(combination)
         if stats is None:
             return MergeOutcome(skipped_reason="combination never queried")
-        candidate_keys = self._qualifying_keys(combination, stats, trees)
-        if not self._trigger(combination, stats.count, candidate_keys, trees):
+        # Both policies need more than ``mt`` retrievals, so a cold
+        # combination is dismissed before any key is derived.
+        if stats.count <= self._config.merge_threshold:
+            return MergeOutcome(skipped_reason="below merge threshold")
+        if self._adaptive_policy is not None and not self._adaptive_policy.should_merge(
+            combination, stats.count, self._qualifying_keys(combination, stats, trees), trees
+        ):
             return MergeOutcome(skipped_reason="below merge threshold")
         existing = self._directory.get(combination)
-        new_keys = [
-            key
-            for key in sorted(candidate_keys)
-            if existing is None or key not in existing.entries
-        ]
+        # Whatever an evicted file held is unmerged again: no special case.
+        merged = existing.entries if existing is not None else ()
+        new_keys = sorted(self._qualifying_keys(combination, stats, trees, merged))
         if not new_keys:
             return MergeOutcome(skipped_reason="nothing new to merge")
 
@@ -158,54 +167,46 @@ class Merger:
             evicted_combinations=tuple(evicted),
         )
 
-    def _trigger(
-        self,
-        combination: Combination,
-        count: int,
-        keys: set[PartitionKey],
-        trees: Mapping[int, PartitionTree],
-    ) -> bool:
-        if self._adaptive_policy is not None:
-            return self._adaptive_policy.should_merge(combination, count, keys, trees)
-        return count > self._config.merge_threshold
-
     def _qualifying_keys(
         self,
         combination: Combination,
-        stats: "CombinationStats",
+        stats: CombinationStats,
         trees: Mapping[int, PartitionTree],
+        merged: Collection[PartitionKey] = (),
     ) -> set[PartitionKey]:
         """Partition keys worth copying into the combination's merge file.
 
         A key qualifies when
 
+        * it has been retrieved by at least ``merge_partition_min_hits``
+          queries of this combination (``stats.hot_keys``, kept by the
+          collector as it counts);
         * it is a *leaf* with the same key (and therefore the same
           refinement level) in every member dataset — the paper's "only
           merge partitions at the same level of refinement";
-        * it has been retrieved by at least ``merge_partition_min_hits``
-          queries of this combination; and
+        * it is not in ``merged`` already; and
         * (if ``merge_only_converged``) it is no longer a refinement
           candidate for the combination's typical query volume, so its
           copy will not be superseded by refined originals.
+
+        All but the last are set algebra over summaries their owners keep
+        up to date as they change (set-to-set operations, and
+        ``difference`` with a dict, probe with stored hashes); only the
+        few survivors reach the per-key volume test.
         """
-        min_hits = self._config.merge_partition_min_hits
+        if not all(dataset_id in trees for dataset_id in combination):
+            return set()
+        keys = stats.hot_keys
+        for dataset_id in combination:
+            keys = keys & trees[dataset_id].leaf_keys
+        keys = keys.difference(merged)
         avg_query_volume = stats.average_query_volume()
-        qualifying: set[PartitionKey] = set()
-        for key in stats.all_partition_keys():
-            if stats.key_hits.get(key, 0) < min_hits:
-                continue
-            if not all(
-                dataset_id in trees and trees[dataset_id].has_leaf(key)
-                for dataset_id in combination
-            ):
-                continue
-            if self._config.merge_only_converged and avg_query_volume > 0:
-                sample_tree = trees[next(iter(combination))]
-                node = sample_tree.node(key)
-                if node.volume() > self._config.refinement_threshold * avg_query_volume:
-                    continue
-            qualifying.add(key)
-        return qualifying
+        if self._config.merge_only_converged and avg_query_volume > 0:
+            # Equal keys are the same region in every tree: ask any one.
+            sample_tree = trees[next(iter(combination))]
+            limit = self._config.refinement_threshold * avg_query_volume
+            keys = {key for key in keys if sample_tree.node(key).volume() <= limit}
+        return keys
 
     # ------------------------------------------------------------------ #
     # Space budget

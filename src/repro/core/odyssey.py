@@ -111,7 +111,9 @@ class SpaceOdyssey(MultiDatasetIndex):
         # configuration fails at construction, not on the first query.
         self._config.splits_per_dimension(catalog.dimension)
         self._disk: Disk = catalog.datasets()[0].disk
-        self._statistics = StatisticsCollector()
+        self._statistics = StatisticsCollector(
+            hot_key_min_hits=self._config.merge_partition_min_hits
+        )
         self._directory = MergeDirectory()
         self._adaptor = Adaptor(self._config)
         self._merger = Merger(

@@ -20,7 +20,7 @@ across datasets and merge only partitions at the same refinement level
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import AbstractSet, Iterator, Sequence
 
 import numpy as np
 
@@ -44,12 +44,13 @@ def partition_file_name(dataset_name: str) -> str:
     return f"odyssey/{dataset_name}.partitions"
 
 
-@dataclass
+@dataclass(eq=False)
 class PartitionNode:
     """One node of a partition tree.
 
     A node is either a *leaf* (it owns a stored group of objects, possibly
-    empty) or an *internal* node with exactly ``ppl`` children.
+    empty) or an *internal* node with exactly ``ppl`` children.  Nodes are
+    unique per key per tree, so they compare (and hash) by identity.
     """
 
     key: PartitionKey
@@ -57,7 +58,7 @@ class PartitionNode:
     run: StoredRun | None = None
     children: list["PartitionNode"] | None = None
     hit_count: int = 0
-    _volume: float | None = field(default=None, repr=False, compare=False)
+    _volume: float | None = field(default=None, repr=False)
 
     @property
     def level(self) -> int:
@@ -100,7 +101,6 @@ class TreeEpochSnapshot:
 
     version: int
     snapshot: LeafSnapshot
-    runs: tuple[StoredRun | None, ...]
     run_by_key: dict[PartitionKey, StoredRun | None]
     max_extent: tuple[float, ...]
     universe: Box
@@ -109,6 +109,11 @@ class TreeEpochSnapshot:
     def run_of(self, leaf: PartitionNode) -> StoredRun | None:
         """The leaf's stored run as of the capture (not the live one)."""
         return self.run_by_key[leaf.key]
+
+    @property
+    def runs(self) -> tuple[StoredRun | None, ...]:
+        """The captured runs, parallel to ``snapshot.leaves``."""
+        return tuple(self.run_by_key[leaf.key] for leaf in self.snapshot.leaves)
 
     def overlapping_batch(self, boxes: Sequence[Box]) -> list[list[PartitionNode]]:
         """Frozen-state :meth:`PartitionTree.leaves_overlapping_batch`.
@@ -140,8 +145,8 @@ class LeafSnapshot:
     the same order* as the scalar walk — the property the batched query
     engine relies on to stay bit-identical with sequential execution.
     ``version`` records the tree structure version the snapshot was taken
-    at; the tree invalidates the cached snapshot whenever a refinement or
-    the initial partitioning changes the leaf set.
+    at; the tree replaces it with a spliced successor whenever a
+    refinement changes the leaf set.
     """
 
     version: int
@@ -173,7 +178,14 @@ class PartitionTree:
         self._max_extent: tuple[float, ...] = (0.0,) * dataset.dimension
         self._n_objects = 0
         self._version = 0
-        self._leaf_snapshot: LeafSnapshot | None = None
+        # Read-side summaries maintained at write time (install/refine), so
+        # no query ever re-walks the tree: the search-order snapshot, each
+        # leaf's run by key, and the leaf keys as a real set (set-to-set
+        # algebra reuses stored hashes; a dict's key view re-hashes).
+        no_corners = np.empty((0, dataset.dimension), dtype=np.float64)
+        self._leaf_snapshot = LeafSnapshot(version=0, leaves=(), lo=no_corners, hi=no_corners)
+        self._run_by_key: dict[PartitionKey, StoredRun | None] = {}
+        self._leaf_keys: set[PartitionKey] = set()
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -222,7 +234,7 @@ class PartitionTree:
     @property
     def n_partitions(self) -> int:
         """Number of leaf partitions currently in the tree."""
-        return sum(1 for node in self._nodes.values() if node.is_leaf)
+        return len(self._leaf_keys)
 
     @property
     def version(self) -> int:
@@ -245,8 +257,12 @@ class PartitionTree:
 
     def has_leaf(self, key: PartitionKey) -> bool:
         """Whether ``key`` names an existing *leaf* partition."""
-        node = self._nodes.get(key)
-        return node is not None and node.is_leaf
+        return key in self._leaf_keys
+
+    @property
+    def leaf_keys(self) -> AbstractSet[PartitionKey]:
+        """The keys of all current leaves: the tree's live set — do not mutate."""
+        return self._leaf_keys
 
     def leaves(self) -> Iterator[PartitionNode]:
         """Iterate over all leaf partitions."""
@@ -308,7 +324,7 @@ class PartitionTree:
         self._root_children = children
         self._max_extent = max_extent
         self._n_objects = n_objects
-        self._bump_version()
+        self._splice(0, 0, children)
 
     def replace_with_children(
         self, parent: PartitionNode, runs: list[StoredRun]
@@ -326,12 +342,33 @@ class PartitionTree:
             self._nodes[node.key] = node
         parent.children = children
         parent.run = None
-        self._bump_version()
+        # The search stack visits an internal node's children exactly
+        # where it used to visit the node itself.
+        slot = self._leaf_snapshot.leaves.index(parent)
+        del self._run_by_key[parent.key]
+        self._leaf_keys.remove(parent.key)
+        self._splice(slot, slot + 1, children)
         return children
 
-    def _bump_version(self) -> None:
+    def _splice(self, start: int, stop: int, children: list[PartitionNode]) -> None:
+        """Put ``children`` in place of slots ``[start, stop)`` of the search order.
+
+        Bumps the structure version, replaces the leaf snapshot with a
+        spliced successor — array and tuple concatenations, never a walk
+        over the tree — and enters the children into the key summaries.
+        """
+        leaves = children[::-1]  # the search stack pops the last child first
+        lo, hi = boxes_to_arrays([leaf.box for leaf in leaves])
+        old = self._leaf_snapshot
         self._version += 1
-        self._leaf_snapshot = None
+        self._leaf_snapshot = LeafSnapshot(
+            version=self._version,
+            leaves=old.leaves[:start] + tuple(leaves) + old.leaves[stop:],
+            lo=np.concatenate((old.lo[:start], lo, old.lo[stop:])),
+            hi=np.concatenate((old.hi[:start], hi, old.hi[stop:])),
+        )
+        self._run_by_key.update((leaf.key, leaf.run) for leaf in leaves)
+        self._leaf_keys.update(leaf.key for leaf in leaves)
 
     # ------------------------------------------------------------------ #
     # Search
@@ -358,24 +395,19 @@ class PartitionTree:
     def leaf_snapshot(self) -> LeafSnapshot:
         """Leaves in scalar-search order, with their MBR corners as arrays.
 
-        The snapshot is cached and rebuilt lazily after structural changes
-        (the per-partition MBR arrays the vectorized overlap kernels
-        consume); :attr:`version` ties a snapshot to the structure it was
-        taken from.
+        The leaves are ordered as the explicit-stack walk of
+        :meth:`leaves_overlapping` visits them when nothing is pruned.
+        Pruning a node from a stack DFS removes its whole subtree without
+        reordering the remaining visits, so the scalar result for any
+        query box is exactly this sequence filtered by the overlap
+        predicate — which is what lets the vectorized path reproduce the
+        scalar order.  The snapshot is built by the initial partitioning
+        and spliced by every refinement, never re-derived from the tree;
+        :attr:`version` ties it to the structure it describes.
         """
         if not self.is_initialized:
             raise RuntimeError("partition tree has not been initialised yet")
-        snapshot = self._leaf_snapshot
-        if snapshot is None or snapshot.version != self._version:
-            leaves = self._leaves_in_search_order()
-            lo, hi = boxes_to_arrays(
-                [leaf.box for leaf in leaves], dimension=self._universe.dimension
-            )
-            snapshot = LeafSnapshot(
-                version=self._version, leaves=tuple(leaves), lo=lo, hi=hi
-            )
-            self._leaf_snapshot = snapshot
-        return snapshot
+        return self._leaf_snapshot
 
     def epoch_snapshot(self) -> TreeEpochSnapshot:
         """Capture the tree's full read state for an engine epoch.
@@ -384,38 +416,18 @@ class PartitionTree:
         refinement), so the captured runs are consistent with the
         captured leaf set.  The result shares the cached
         :class:`LeafSnapshot` and the live node objects but freezes every
-        leaf's run — see :class:`TreeEpochSnapshot`.
+        leaf's run — see :class:`TreeEpochSnapshot`.  The runs come from
+        the by-key summary the tree keeps in step with its snapshot, so
+        the capture is one dictionary copy, not a walk over the leaves.
         """
-        snapshot = self.leaf_snapshot()
         return TreeEpochSnapshot(
             version=self._version,
-            snapshot=snapshot,
-            runs=tuple(leaf.run for leaf in snapshot.leaves),
-            run_by_key={leaf.key: leaf.run for leaf in snapshot.leaves},
+            snapshot=self.leaf_snapshot(),
+            run_by_key=dict(self._run_by_key),
             max_extent=self._max_extent,
             universe=self._universe,
             file=self._file,
         )
-
-    def _leaves_in_search_order(self) -> list[PartitionNode]:
-        """All leaves in the visitation order of :meth:`leaves_overlapping`.
-
-        Uses the same explicit stack as the scalar walk but without the
-        overlap filter.  Because pruning a node from a stack DFS removes
-        its whole subtree without reordering the remaining visits, the
-        scalar result for any query box is exactly this sequence filtered
-        by the overlap predicate — which is what lets the vectorized path
-        reproduce the scalar order.
-        """
-        order: list[PartitionNode] = []
-        stack: list[PartitionNode] = list(self._root_children or [])
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                order.append(node)
-            else:
-                stack.extend(node.children or [])
-        return order
 
     def leaves_overlapping_vectorized(self, box: Box) -> list[PartitionNode]:
         """Vectorized :meth:`leaves_overlapping`: one kernel call over the snapshot.

@@ -265,7 +265,7 @@ class QueryProcessor:
         """
         if self._epochs is not None:
             with maybe_span(self._tracer, "epoch.publish"):
-                self._epochs.publish(self._trees, self._directory, self._statistics)
+                self._epochs.publish(self._trees, self._directory)
 
     # ------------------------------------------------------------------ #
     # Query execution

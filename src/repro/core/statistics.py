@@ -34,6 +34,10 @@ class CombinationStats:
     #: (counting a key once per query, regardless of how many member
     #: datasets it was read from).
     key_hits: Counter = field(default_factory=Counter)
+    #: The keys whose ``key_hits`` reached the collector's
+    #: ``hot_key_min_hits`` — maintained as the hits are counted, so the
+    #: merger never rescans the key history.
+    hot_keys: set[PartitionKey] = field(default_factory=set)
     #: Sum of the query volumes seen for this combination (for the running
     #: average the merger's convergence check uses).
     total_query_volume: float = 0.0
@@ -54,9 +58,17 @@ class CombinationStats:
 
 
 class StatisticsCollector:
-    """Tracks combinations and partition accesses across the query stream."""
+    """Tracks combinations and partition accesses across the query stream.
 
-    def __init__(self) -> None:
+    ``hot_key_min_hits`` is the per-combination hit count at which a
+    partition key enters :attr:`CombinationStats.hot_keys` (the merger's
+    ``merge_partition_min_hits``).
+    """
+
+    def __init__(self, hot_key_min_hits: int = 1) -> None:
+        if hot_key_min_hits < 1:
+            raise ValueError("hot_key_min_hits must be >= 1")
+        self._hot_key_min_hits = hot_key_min_hits
         self._combinations: dict[Combination, CombinationStats] = {}
         self._partition_hits: Counter[tuple[int, PartitionKey]] = Counter()
         self._queries_seen = 0
@@ -109,13 +121,22 @@ class StatisticsCollector:
             stats.partitions[dataset_id].update(key_set)
             for key in key_set:
                 self._partition_hits[(dataset_id, key)] += 1
-        stats.key_hits.update(query_keys)
+        key_hits = stats.key_hits
+        key_hits.update(query_keys)
+        # A key turns hot in the one query that brings it to the threshold.
+        threshold = self._hot_key_min_hits
+        stats.hot_keys.update(key for key in query_keys if key_hits[key] == threshold)
         self._queries_seen += 1
         return stats
 
     # ------------------------------------------------------------------ #
     # Lookup
     # ------------------------------------------------------------------ #
+
+    @property
+    def hot_key_min_hits(self) -> int:
+        """Hits after which a key counts as hot for its combination."""
+        return self._hot_key_min_hits
 
     @property
     def queries_seen(self) -> int:

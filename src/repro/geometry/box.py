@@ -237,21 +237,28 @@ class Box:
         centre-based object assignment.
         """
         counts = self._normalize_counts(cells_per_dim)
-        children: list[Box] = []
-        for coords in itertools.product(*(range(c) for c in counts)):
-            lo = []
-            hi = []
-            for axis, cell in enumerate(coords):
-                step = self.side(axis) / counts[axis]
-                lo.append(self.lo[axis] + cell * step)
-                hi.append(self.lo[axis] + (cell + 1) * step)
-            # Snap the last cell to the exact upper bound so floating point
-            # error can never leave a sliver of space uncovered.
-            for axis, cell in enumerate(coords):
-                if cell == counts[axis] - 1:
-                    hi[axis] = self.hi[axis]
-            children.append(Box(tuple(lo), tuple(hi)))
-        return children
+        # Per-axis cell edges, computed once.  The last cell snaps to the
+        # exact upper bound so floating point error can never leave a
+        # sliver of space uncovered.
+        lows: list[list[float]] = []
+        highs: list[list[float]] = []
+        for axis, count in enumerate(counts):
+            low = self.lo[axis]
+            step = self.side(axis) / count
+            lows.append([low + cell * step for cell in range(count)])
+            highs.append([low + (cell + 1) * step for cell in range(count - 1)] + [self.hi[axis]])
+        return [
+            Box._trusted(lo, hi)
+            for lo, hi in zip(itertools.product(*lows), itertools.product(*highs))
+        ]
+
+    @classmethod
+    def _trusted(cls, lo: tuple[float, ...], hi: tuple[float, ...]) -> "Box":
+        """Build a box whose corners are valid by construction (no checks)."""
+        box = object.__new__(cls)
+        object.__setattr__(box, "lo", lo)
+        object.__setattr__(box, "hi", hi)
+        return box
 
     def child_index(self, point: Sequence[float], cells_per_dim: Sequence[int] | int) -> int:
         """Row-major index of the grid child (see :meth:`split_grid`) containing ``point``."""

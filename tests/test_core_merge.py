@@ -26,6 +26,12 @@ def info(ids, entries=None, last_used=0) -> MergeFileInfo:
     return result
 
 
+def recomputed_pages(merged: MergeFileInfo) -> int:
+    return sum(
+        stored.n_pages for per_dataset in merged.entries.values() for stored in per_dataset.values()
+    )
+
+
 class TestMergeFileInfo:
     def test_segments_and_pages(self):
         merged = info(
@@ -37,6 +43,25 @@ class TestMergeFileInfo:
         assert merged.has_segment((0,), 1)
         assert not merged.has_segment((0,), 3)
         assert merged.segment((0,), 2).n_pages == 3
+
+    def test_running_page_count_equals_the_recomputed_sum(self):
+        merged = info([1, 2, 3])
+        assert merged.total_pages == 0
+        steps = [((0,), 1, run(2)), ((0,), 2, run(3)), ((1,), 1, run(1)), ((0,), 1, run(5))]
+        for key, dataset_id, stored in steps:  # the last one replaces a segment
+            merged.add_segment(key, dataset_id, stored)
+            assert merged.total_pages == recomputed_pages(merged)
+        assert merged.total_pages == 9
+        copy = merged.copy()
+        assert copy.total_pages == 9 and copy.entries == merged.entries
+        merged.add_segment((2,), 3, run(4))
+        assert (merged.total_pages, copy.total_pages) == (13, 9)
+        assert recomputed_pages(copy) == 9
+        # Entries handed to the constructor are counted too.
+        rebuilt = MergeFileInfo(
+            combination=merged.combination, file_name=merged.file_name, entries=merged.entries
+        )
+        assert rebuilt.total_pages == 13
 
     def test_merge_file_name_is_stable(self):
         assert merge_file_name(frozenset({3, 1, 2})) == merge_file_name(frozenset({2, 3, 1}))
@@ -60,6 +85,27 @@ class TestMergeDirectory:
         directory.register(info([1, 2, 3], entries=[((0,), 1, run(2))]))
         directory.register(info([4, 5, 6], entries=[((0,), 4, run(5))]))
         assert directory.total_pages() == 7
+
+    def test_running_total_follows_register_and_remove(self):
+        def recomputed() -> int:
+            return sum(recomputed_pages(entry) for entry in directory.all_files())
+
+        directory = MergeDirectory()
+        first = info([1, 2, 3], entries=[((0,), 1, run(2))])
+        directory.register(first)
+        directory.register(info([4, 5, 6], entries=[((0,), 4, run(5))]))
+        # The merger extends an info in place, then registers it again.
+        first.add_segment((1,), 2, run(3))
+        directory.register(first)
+        assert directory.total_pages() == recomputed() == 10
+        # Replacing a combination's info counts the new one only.
+        directory.register(info([4, 5, 6], entries=[((0,), 4, run(1))]))
+        assert directory.total_pages() == recomputed() == 6
+        directory.remove(frozenset({1, 2, 3}))
+        assert directory.total_pages() == recomputed() == 1
+        assert directory.freeze().total_pages() == 1
+        directory.remove(frozenset({4, 5, 6}))
+        assert directory.total_pages() == 0
 
     def test_lru_order(self):
         directory = MergeDirectory()

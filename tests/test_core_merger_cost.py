@@ -129,7 +129,9 @@ class TestMergerTriggers:
 
     def test_merging_disabled(self, setup, disk):
         catalog, _, trees, statistics, directory, _ = setup
-        config = OdysseyConfig(partitions_per_level=8, enable_merging=False)
+        config = OdysseyConfig(
+            partitions_per_level=8, enable_merging=False, merge_partition_min_hits=1
+        )
         merger = Merger(disk, config, directory, statistics, dimension=3)
         outcome = merger.maybe_merge(frozenset({0, 1, 2}), trees)
         assert outcome.skipped_reason == "merging disabled"

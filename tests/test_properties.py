@@ -8,7 +8,9 @@ These cover the invariants DESIGN.md commits to:
   in-place page reuse;
 * every index (Grid, R-tree, FLAT, Space Odyssey) answers exactly like the
   brute-force oracle on randomly generated data and query sequences;
-* the partition tree never loses objects across arbitrary refinement;
+* the partition tree never loses objects across arbitrary refinement, and
+  its spliced leaf snapshot, leaf-key set and run summaries equal a fresh
+  walk after any refinement sequence;
 * the vectorized box-intersection kernels agree with the scalar
   :meth:`Box.intersects` on random boxes, including degenerate
   zero-extent ones;
@@ -22,6 +24,7 @@ These cover the invariants DESIGN.md commits to:
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -44,6 +47,8 @@ from repro.storage.codec import FixedRecordCodec
 from repro.storage.cost_model import DiskModel
 from repro.storage.disk import Disk
 from repro.storage.pagedfile import PagedFile
+
+from tests.test_incremental_bookkeeping import check_tree
 
 UNIVERSE = Box((0.0, 0.0, 0.0), (100.0, 100.0, 100.0))
 
@@ -110,6 +115,24 @@ class TestBoxProperties:
         assert sum(child.volume() for child in children) == pytest.approx(
             box.volume(), rel=1e-6, abs=1e-9
         )
+
+    @given(
+        st.one_of(boxes(), maybe_degenerate_boxes()),
+        st.lists(st.integers(min_value=1, max_value=4), min_size=3, max_size=3),
+    )
+    def test_split_grid_children_equal_validated_reference(self, box: Box, counts):
+        """The trusted constructor builds, bit for bit, what validation would accept."""
+        reference = []
+        for coords in itertools.product(*(range(c) for c in counts)):
+            lo, hi = [], []
+            for axis, cell in enumerate(coords):
+                step = box.side(axis) / counts[axis]
+                lo.append(box.lo[axis] + cell * step)
+                hi.append(box.lo[axis] + (cell + 1) * step)
+                if cell == counts[axis] - 1:
+                    hi[axis] = box.hi[axis]  # the last cell snaps to the bound
+            reference.append(Box(tuple(lo), tuple(hi)))  # validated
+        assert box.split_grid(counts) == reference
 
     @given(boxes(), boxes(), st.integers(min_value=1, max_value=5))
     def test_grid_cells_overlapping_is_superset_of_exact(
@@ -348,6 +371,31 @@ class TestPartitionTreeProperties:
         for leaf in tree.leaves():
             for obj in tree.read_partition(leaf):
                 assert leaf.box.contains_point(obj.center)
+
+    @given(
+        object_lists(min_size=1, max_size=80),
+        st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=7),
+    )
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_spliced_snapshot_equals_the_walk(self, objects, picks):
+        """Any refinement sequence: the spliced summaries equal a fresh walk.
+
+        Each pick refines one current leaf (empty ones included), chosen by
+        position in search order, so splices land at the head, the tail
+        and inside earlier splices.
+        """
+        objects = _dedupe(objects)
+        disk = Disk(model=DiskModel(), buffer_pages=0)
+        dataset = Dataset.create(disk, 0, "prop_splice", objects, UNIVERSE)
+        adaptor = Adaptor(OdysseyConfig(partitions_per_level=8))
+        tree = adaptor.create_tree(dataset)
+        adaptor.initialize(tree)
+        check_tree(tree)
+        for pick in picks:
+            leaves = tree.leaf_snapshot().leaves
+            adaptor.refine(tree, leaves[pick % len(leaves)])
+            check_tree(tree)
+        assert tree.total_stored_objects() == len(objects)
 
 
 class TestVectorizedKernelProperties:
