@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 import time
 
+import numpy as np
 import pytest
 
 from repro.baselines.grid import GridIndex
@@ -34,6 +35,7 @@ from repro.data.generator import NeuroscienceDatasetGenerator, brain_universe
 from repro.data.spatial_object import spatial_object_codec
 from repro.data.suite import build_benchmark_suite
 from repro.geometry.box import Box
+from repro.geometry.vectorized import intersect_mask, intersect_matrix
 from repro.storage.codec import decode_page, encode_page
 from repro.storage.cost_model import DiskModel
 from repro.storage.disk import Disk
@@ -452,6 +454,40 @@ def test_epoch_snapshot_overlap(batch_suite, batch_workload):
             f"single-stream wall — above the {EPOCH_OVERLAP_MAX:g}x bar "
             f"(REPRO_EPOCH_OVERLAP_MAX); the read phase is serializing"
         )
+
+
+@pytest.mark.benchmark(group="micro-batch")
+def test_batch_overlap_kernel_beats_one_mask_per_window():
+    """One ``intersect_matrix`` call must cost < 0.5x one ``intersect_mask`` per window.
+
+    A host-independent ratio at leaf-snapshot size and layout (3 000
+    column-major MBRs, 32 windows): the batch engine's only reason to
+    resolve a combination group's windows together is that one kernel call
+    is cheaper than 32.  With the kernels reducing over ``d`` it was not
+    (1.05x); accumulating over the long axis it is ~0.25x.
+    """
+    rng = np.random.default_rng(5)
+    lo = np.asfortranarray(rng.random((3_000, 3)))
+    hi = np.asfortranarray(lo + 0.05)
+    q_lo = rng.random((BATCH_SIZE, 3))
+    q_hi = q_lo + 0.1
+
+    def one_by_one():
+        return [intersect_mask(q_lo[i], q_hi[i], lo, hi) for i in range(BATCH_SIZE)]
+
+    def together():
+        return intersect_matrix(q_lo, q_hi, lo, hi)
+
+    assert np.array_equal(np.array(one_by_one()), together())
+    rounds = range(20)  # one matrix call is ~50 us: time twenty per sample
+    masks_seconds = best_of(5, lambda: timed(lambda: [one_by_one() for _ in rounds]))
+    matrix_seconds = best_of(5, lambda: timed(lambda: [together() for _ in rounds]))
+    ratio = matrix_seconds / masks_seconds
+    print(
+        f"\noverlap kernels at n=3000: {BATCH_SIZE} masks {masks_seconds / 20 * 1e6:.0f} us, "
+        f"one matrix {matrix_seconds / 20 * 1e6:.0f} us, ratio {ratio:.2f}x"
+    )
+    assert ratio < 0.5, f"intersect_matrix costs {ratio:.2f}x {BATCH_SIZE} intersect_mask calls"
 
 
 @pytest.mark.benchmark(group="micro-batch")

@@ -59,11 +59,10 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.core.merge import RoutingDecision, choose_route
 from repro.core.partition import PartitionNode
-from repro.core.query_processor import QueryProcessor, QueryReport
-from repro.data.columnar import DecodedGroup
+from repro.core.query_processor import QueryProcessor, QueryReport, run_start
+from repro.data.columnar import DecodedGroup, filter_groups
 from repro.data.spatial_object import SpatialObject
 from repro.geometry.box import Box
-from repro.geometry.vectorized import box_to_arrays, intersect_mask
 from repro.obs.trace import maybe_span
 from repro.storage.buffer import BufferCounters
 from repro.storage.pagedfile import PagedFile, StoredRun
@@ -240,13 +239,6 @@ class BatchExecutor:
         """The merge directory routing decisions are made against."""
         return self._processor.directory
 
-    @staticmethod
-    def _run_start(run: StoredRun | None) -> int:
-        """Sort key: where a stored run starts on disk (0 when empty)."""
-        if run is None or not run.extents:
-            return 0
-        return run.extents[0].start
-
     def run(self, batch: QueryBatch) -> BatchResult:
         """Execute the batch; equivalent to sequential execution in order."""
         processor = self._processor
@@ -391,38 +383,26 @@ class BatchExecutor:
         """
         decision = decisions[query.requested]
         info = decision.merge_info
-        merge_plan: list[tuple[int, PartitionNode]] = []
-        individual_plan: list[tuple[int, PartitionNode, StoredRun | None]] = []
-        for dataset_id in sorted(query.requested):
-            for leaf in needed0[(query.index, dataset_id)]:
-                use_merge = (
-                    info is not None
-                    and dataset_id in decision.covered_datasets
-                    and info.has_segment(leaf.key, dataset_id)
-                )
-                if use_merge:
-                    merge_plan.append((dataset_id, leaf))
-                else:
-                    individual_plan.append(
-                        (dataset_id, leaf, self._leaf_run(dataset_id, leaf))
-                    )
+        merge_plan: list[tuple[int, StoredRun]] = []
         entries: list[tuple[int, PagedFile[SpatialObject], StoredRun]] = []
-        if merge_plan and info is not None:
+        for dataset_id in sorted(query.requested):
+            covered = info is not None and dataset_id in decision.covered_datasets
+            runs: list[StoredRun] = []
+            for leaf in needed0[(query.index, dataset_id)]:
+                if covered and info.has_segment(leaf.key, dataset_id):
+                    merge_plan.append((dataset_id, info.segment(leaf.key, dataset_id)))
+                else:
+                    run = self._leaf_run(dataset_id, leaf)
+                    if run is not None and run.n_records:
+                        runs.append(run)
+            if runs:
+                file = self._tree_file(dataset_id)
+                runs.sort(key=run_start)
+                entries.extend((dataset_id, file, run) for run in runs)
+        if merge_plan:
             merge_file = self._merge_file(info)
-            merge_plan.sort(
-                key=lambda item: QueryProcessor._segment_start(
-                    info, item[1].key, item[0]
-                )
-            )
-            for dataset_id, leaf in merge_plan:
-                entries.append(
-                    (dataset_id, merge_file, info.segment(leaf.key, dataset_id))
-                )
-        individual_plan.sort(key=lambda item: (item[0], self._run_start(item[2])))
-        for dataset_id, leaf, run in individual_plan:
-            if run is None or run.n_records == 0:
-                continue
-            entries.append((dataset_id, self._tree_file(dataset_id), run))
+            merge_plan.sort(key=lambda item: run_start(item[1]))
+            entries[:0] = [(dataset_id, merge_file, run) for dataset_id, run in merge_plan]
         return entries
 
     def _filter_one_query(
@@ -439,17 +419,14 @@ class BatchExecutor:
         hits come back in the same order no matter which thread — or how
         many threads — execute the queries of a batch.
         """
-        q_lo, q_hi = box_to_arrays(query.box)
-        hits: list[SpatialObject] = []
-        count = 0
-        for dataset_id, file, run in self._query_plan(query, needed0, decisions):
-            group = read_set.read(file, run)
-            mask = (group.dataset_ids == dataset_id) & intersect_mask(
-                q_lo, q_hi, group.lo, group.hi
-            )
-            hits.extend(group.materialize(mask))
-            count += group.n_records
-        return hits, count
+        return filter_groups(
+            [
+                (dataset_id, read_set.read(file, run))
+                for dataset_id, file, run in self._query_plan(query, needed0, decisions)
+            ],
+            query.box.lo,
+            query.box.hi,
+        )
 
     def _read_and_filter(
         self,
@@ -507,18 +484,16 @@ class BatchExecutor:
         for query in queries:
             requested = query.requested
             cache_start = pool.counters()
-            report = QueryReport(
-                query_index=processor.queries_executed,
-                requested=tuple(sorted(requested)),
-            )
+            ordered = tuple(sorted(requested))
+            report = QueryReport(query_index=processor.queries_executed, requested=ordered)
             statistics.tick()
             report.initialized_datasets = [
                 dataset_id
-                for dataset_id in sorted(requested)
+                for dataset_id in ordered
                 if first_touch.get(dataset_id) == query.index
             ]
             needed: dict[int, list[PartitionNode]] = {}
-            for dataset_id in sorted(requested):
+            for dataset_id in ordered:
                 tree = trees[dataset_id]
                 if tree.version == versions0[dataset_id]:
                     needed[dataset_id] = needed0[(query.index, dataset_id)]
@@ -534,25 +509,23 @@ class BatchExecutor:
             if info is not None:
                 merger.mark_used(info.combination)
             accessed_keys: dict[int, set] = {}
-            for dataset_id in sorted(requested):
-                keys = set()
-                for leaf in needed[dataset_id]:
-                    keys.add(leaf.key)
+            for dataset_id in ordered:
+                leaves = needed[dataset_id]
+                accessed_keys[dataset_id] = {leaf.key for leaf in leaves}
+                for leaf in leaves:
                     leaf.hit_count += 1
-                    report.partitions_read += 1
-                    if (
-                        info is not None
-                        and dataset_id in decision.covered_datasets
-                        and info.has_segment(leaf.key, dataset_id)
-                    ):
-                        report.partitions_from_merge += 1
-                accessed_keys[dataset_id] = keys
+                report.partitions_read += len(leaves)
+                if info is not None and dataset_id in decision.covered_datasets:
+                    report.partitions_from_merge += sum(
+                        info.has_segment(leaf.key, dataset_id) for leaf in leaves
+                    )
             report.objects_examined = examined[query.index]
             report.results = len(results[query.index])
-            for dataset_id in sorted(requested):
+            for dataset_id in ordered:
                 tree = trees[dataset_id]
                 for leaf in needed[dataset_id]:
-                    if adaptor.maybe_refine(tree, leaf, query.box).refined:
+                    # A leaf without records is never a refinement candidate.
+                    if leaf.n_objects and adaptor.maybe_refine(tree, leaf, query.box).refined:
                         report.refinements += 1
             statistics.record_query(
                 requested, accessed_keys, query_volume=query.box.volume()

@@ -72,15 +72,10 @@ from repro.core.batch import (
 )
 from repro.core.partition import PartitionNode
 from repro.core.query_processor import QueryProcessor
-from repro.data.columnar import DecodedGroup
+from repro.data.columnar import DecodedGroup, filter_groups
 from repro.data.spatial_object import SpatialObject
 from repro.geometry.box import Box
-from repro.geometry.vectorized import (
-    box_to_arrays,
-    boxes_to_arrays,
-    intersect_mask,
-    intersect_matrix,
-)
+from repro.geometry.vectorized import boxes_to_arrays, intersect_matrix
 from repro.obs.trace import maybe_span
 from repro.storage.buffer import BufferCounters
 from repro.storage.codec import decode_page_array
@@ -474,20 +469,15 @@ def _decode_worker_group(task, source, handles) -> DecodedGroup:
 
 def _filter_staged_query(task, handles) -> list[SpatialObject]:
     """Decode + filter one query's plan over staged pages (worker side)."""
-    q_lo = task["q_lo"]
-    q_hi = task["q_hi"]
     groups: dict = {}
-    hits: list[SpatialObject] = []
+    plan = []
     for dataset_id, source in task["plan"]:
         group = groups.get(source)
         if group is None:
             group = _decode_worker_group(task, source, handles)
             groups[source] = group
-        mask = (group.dataset_ids == dataset_id) & intersect_mask(
-            q_lo, q_hi, group.lo, group.hi
-        )
-        hits.extend(group.materialize(mask))
-    return hits
+        plan.append((dataset_id, group))
+    return filter_groups(plan, task["q_lo"], task["q_hi"])[0]
 
 
 def _filter_query_task(task):
@@ -747,10 +737,9 @@ class ProcessExecutor(ParallelExecutor):
         try:
             futures = []
             for query in batch.queries:
-                q_lo, q_hi = box_to_arrays(query.box)
                 task = {
-                    "q_lo": q_lo,
-                    "q_hi": q_hi,
+                    "q_lo": query.box.lo,
+                    "q_hi": query.box.hi,
                     "dtype": dtype,
                     "dimension": catalog.dimension,
                     "page_size": page_size,

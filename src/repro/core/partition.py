@@ -123,16 +123,7 @@ class TreeEpochSnapshot:
         the live tree would have returned at capture time — without
         touching the live tree's snapshot cache.
         """
-        boxes = list(boxes)
-        if not boxes:
-            return []
-        snapshot = self.snapshot
-        if not snapshot.leaves:
-            return [[] for _ in boxes]
-        q_lo, q_hi = boxes_to_arrays(boxes, dimension=self.universe.dimension)
-        matrix = intersect_matrix(q_lo, q_hi, snapshot.lo, snapshot.hi)
-        leaves = snapshot.leaves
-        return [[leaves[j] for j in np.nonzero(row)[0]] for row in matrix]
+        return self.snapshot.overlapping_batch(boxes)
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,12 +138,32 @@ class LeafSnapshot:
     ``version`` records the tree structure version the snapshot was taken
     at; the tree replaces it with a spliced successor whenever a
     refinement changes the leaf set.
+
+    ``lo`` and ``hi`` have shape ``(n, d)`` in **column-major** layout
+    (fixed where the snapshot is built, :meth:`PartitionTree._splice`), so
+    the per-axis slices the overlap kernels walk are contiguous; every
+    consumer — live tree, pinned epoch, process workers — shares these
+    arrays as they are.
     """
 
     version: int
     leaves: tuple[PartitionNode, ...]
     lo: np.ndarray
     hi: np.ndarray
+
+    def overlapping_batch(self, boxes: Sequence[Box]) -> list[list[PartitionNode]]:
+        """The leaves intersecting each of ``boxes``: one kernel call for all."""
+        boxes = list(boxes)
+        if not boxes:
+            return []
+        if not self.leaves:
+            return [[] for _ in boxes]
+        q_lo, q_hi = boxes_to_arrays(boxes, dimension=self.lo.shape[1])
+        leaves = self.leaves
+        return [
+            [leaves[j] for j in np.nonzero(row)[0].tolist()]
+            for row in intersect_matrix(q_lo, q_hi, self.lo, self.hi)
+        ]
 
 
 class PartitionTree:
@@ -356,6 +367,8 @@ class PartitionTree:
         Bumps the structure version, replaces the leaf snapshot with a
         spliced successor — array and tuple concatenations, never a walk
         over the tree — and enters the children into the key summaries.
+        This is the one place the snapshot's corner arrays are laid out:
+        column-major, whatever the concatenation produced.
         """
         leaves = children[::-1]  # the search stack pops the last child first
         lo, hi = boxes_to_arrays([leaf.box for leaf in leaves])
@@ -364,8 +377,8 @@ class PartitionTree:
         self._leaf_snapshot = LeafSnapshot(
             version=self._version,
             leaves=old.leaves[:start] + tuple(leaves) + old.leaves[stop:],
-            lo=np.concatenate((old.lo[:start], lo, old.lo[stop:])),
-            hi=np.concatenate((old.hi[:start], hi, old.hi[stop:])),
+            lo=np.asfortranarray(np.concatenate((old.lo[:start], lo, old.lo[stop:]))),
+            hi=np.asfortranarray(np.concatenate((old.hi[:start], hi, old.hi[stop:]))),
         )
         self._run_by_key.update((leaf.key, leaf.run) for leaf in leaves)
         self._leaf_keys.update(leaf.key for leaf in leaves)
@@ -440,14 +453,9 @@ class PartitionTree:
         snapshot = self.leaf_snapshot()
         if not snapshot.leaves:
             return []
-        mask = intersect_mask(
-            np.asarray(box.lo, dtype=np.float64),
-            np.asarray(box.hi, dtype=np.float64),
-            snapshot.lo,
-            snapshot.hi,
-        )
         leaves = snapshot.leaves
-        return [leaves[j] for j in np.nonzero(mask)[0]]
+        mask = intersect_mask(box.lo, box.hi, snapshot.lo, snapshot.hi)
+        return [leaves[j] for j in np.nonzero(mask)[0].tolist()]
 
     def leaves_overlapping_batch(self, boxes: Sequence[Box]) -> list[list[PartitionNode]]:
         """Leaf partitions intersecting each of ``boxes``, resolved in one kernel call.
@@ -455,18 +463,7 @@ class PartitionTree:
         Returns one list per input box, each ordered identically to what
         :meth:`leaves_overlapping` would return for that box.
         """
-        boxes = list(boxes)
-        if not boxes:
-            return []
-        snapshot = self.leaf_snapshot()
-        if not snapshot.leaves:
-            return [[] for _ in boxes]
-        q_lo, q_hi = boxes_to_arrays(boxes, dimension=self._universe.dimension)
-        matrix = intersect_matrix(q_lo, q_hi, snapshot.lo, snapshot.hi)
-        leaves = snapshot.leaves
-        return [
-            [leaves[j] for j in np.nonzero(row)[0]] for row in matrix
-        ]
+        return self.leaf_snapshot().overlapping_batch(boxes)
 
     def read_partition(self, node: PartitionNode) -> list[SpatialObject]:
         """Read one leaf partition's objects from the partition file."""

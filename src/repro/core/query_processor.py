@@ -33,17 +33,21 @@ from repro.core.merge import MergeDirectory, RouteKind, choose_route
 from repro.core.merger import Merger
 from repro.core.partition import PartitionKey, PartitionNode, PartitionTree
 from repro.core.statistics import StatisticsCollector
-from repro.data.columnar import DecodedGroup
+from repro.data.columnar import DecodedGroup, filter_groups
 from repro.data.dataset import DatasetCatalog
 from repro.data.spatial_object import SpatialObject
 from repro.geometry.box import Box
-from repro.geometry.vectorized import box_to_arrays, intersect_mask
 from repro.obs.trace import maybe_span
 from repro.storage.buffer import BufferCounters
 from repro.storage.pagedfile import PagedFile, StoredRun
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
     from repro.core.batch import BatchResult
+
+
+def run_start(run: StoredRun) -> int:
+    """First page of a stored run (0 when empty), for on-disk-order planning."""
+    return run.extents[0].start if run.extents else 0
 
 
 @dataclass
@@ -296,16 +300,15 @@ class QueryProcessor:
             raise ValueError("a query must request at least one dataset")
         for dataset_id in requested:
             self._catalog.get(dataset_id)  # validates the id
-        report = QueryReport(
-            query_index=self._queries_executed, requested=tuple(sorted(requested))
-        )
+        ordered = tuple(sorted(requested))
+        report = QueryReport(query_index=self._queries_executed, requested=ordered)
         columnar = self._config.columnar
         cache_start = self._disk.buffer_pool.counters()
         retries_start = self._disk.stats.retries
         self._statistics.tick()
 
         # 1. Lazy initialisation of partition trees (in-situ first touch).
-        for dataset_id in sorted(requested):
+        for dataset_id in ordered:
             if dataset_id not in self._trees:
                 with maybe_span(self._tracer, "query.init_tree", dataset=dataset_id):
                     tree = self._adaptor.create_tree(self._catalog.get(dataset_id))
@@ -318,7 +321,7 @@ class QueryProcessor:
         # leaf-MBR arrays in one kernel call; leaves and their order are
         # identical to the scalar DFS walk.
         needed: dict[int, list[PartitionNode]] = {}
-        for dataset_id in sorted(requested):
+        for dataset_id in ordered:
             tree = self._trees[dataset_id]
             extended = box.expand(tree.max_extent).clamp(tree.universe)
             needed[dataset_id] = (
@@ -337,92 +340,72 @@ class QueryProcessor:
         # executed in on-disk order: merge-file segments in the order they
         # appear in the merge file (so co-located partitions are streamed
         # sequentially, which is the whole point of merging) and individual
-        # partitions in partition-file order per dataset.
-        results: list[SpatialObject] = []
-        examined = 0
+        # partitions in partition-file order per dataset.  Hit counts and
+        # statistics see every overlapped leaf; only leaves that hold
+        # records are planned, read and later offered for refinement.
         accessed_keys: dict[int, set[PartitionKey]] = {}
-        merge_plan: list[tuple[int, PartitionNode]] = []
-        individual_plan: list[tuple[int, PartitionNode]] = []
+        occupied: dict[int, list[PartitionNode]] = {}
+        merge_plan: list[tuple[int, StoredRun]] = []
+        plan: list[tuple[int, PagedFile[SpatialObject], StoredRun]] = []
         info = decision.merge_info
-        for dataset_id in sorted(requested):
-            keys: set[PartitionKey] = set()
-            for leaf in needed[dataset_id]:
-                keys.add(leaf.key)
+        for dataset_id in ordered:
+            leaves = needed[dataset_id]
+            accessed_keys[dataset_id] = {leaf.key for leaf in leaves}
+            for leaf in leaves:
                 leaf.hit_count += 1
-                report.partitions_read += 1
-                use_merge = (
-                    info is not None
-                    and dataset_id in decision.covered_datasets
-                    and info.has_segment(leaf.key, dataset_id)
+            report.partitions_read += len(leaves)
+            held = occupied[dataset_id] = [leaf for leaf in leaves if leaf.n_objects]
+            if info is not None and dataset_id in decision.covered_datasets:
+                merge_plan.extend(
+                    (dataset_id, info.segment(leaf.key, dataset_id))
+                    for leaf in leaves
+                    if info.has_segment(leaf.key, dataset_id)
                 )
-                if use_merge:
-                    merge_plan.append((dataset_id, leaf))
-                else:
-                    individual_plan.append((dataset_id, leaf))
-            accessed_keys[dataset_id] = keys
+                held = [leaf for leaf in held if not info.has_segment(leaf.key, dataset_id)]
+            file = self._trees[dataset_id].file
+            plan.extend(
+                (dataset_id, file, run)
+                for run in sorted((leaf.run for leaf in held), key=run_start)
+            )
+        if merge_plan:
+            merge_file = self._merger.merge_file(info.combination)
+            merge_plan.sort(key=lambda item: run_start(item[1]))
+            report.partitions_from_merge = len(merge_plan)
+            plan[:0] = [(dataset_id, merge_file, run) for dataset_id, run in merge_plan]
 
         if columnar:
-            # Vectorized filtering: each stored group decodes into columnar
-            # arrays, dataset membership and window overlap become one mask,
-            # and SpatialObject instances exist only for the final hits.
+            # Vectorized filtering: the query's stored groups decode into
+            # columnar arrays, dataset membership and window overlap become
+            # one mask over all of them, and SpatialObject instances exist
+            # only for the final hits.
             dimension = self._catalog.dimension
-            q_lo, q_hi = box_to_arrays(box)
-
-            def _filter_run(
-                file: PagedFile[SpatialObject], run: StoredRun | None, dataset_id: int
-            ) -> int:
-                if run is None or run.n_records == 0:
-                    return 0
-                group = DecodedGroup.from_records(file.read_group_array(run), dimension)
-                mask = (group.dataset_ids == dataset_id) & intersect_mask(
-                    q_lo, q_hi, group.lo, group.hi
-                )
-                results.extend(group.materialize(mask))
-                return group.n_records
-
+            results, examined = filter_groups(
+                [
+                    (dataset_id, DecodedGroup.from_records(file.read_group_array(run), dimension))
+                    for dataset_id, file, run in plan
+                    if run.n_records
+                ],
+                box.lo,
+                box.hi,
+            )
         else:
-
-            def _filter(objects: list[SpatialObject], dataset_id: int) -> int:
-                count = 0
-                for obj in objects:
-                    count += 1
+            results = []
+            examined = 0
+            for dataset_id, file, run in plan:
+                for obj in file.read_group(run):
+                    examined += 1
                     if obj.dataset_id == dataset_id and obj.intersects(box):
                         results.append(obj)
-                return count
-
-        if merge_plan and info is not None:
-            merge_file = self._merger.merge_file(info.combination)
-            merge_plan.sort(
-                key=lambda item: self._segment_start(info, item[1].key, item[0])
-            )
-            for dataset_id, leaf in merge_plan:
-                report.partitions_from_merge += 1
-                segment = info.segment(leaf.key, dataset_id)
-                if columnar:
-                    examined += _filter_run(merge_file, segment, dataset_id)
-                else:
-                    examined += _filter(merge_file.read_group(segment), dataset_id)
-        individual_plan.sort(key=lambda item: (item[0], self._partition_start(item[1])))
-        for dataset_id, leaf in individual_plan:
-            if columnar:
-                examined += _filter_run(
-                    self._trees[dataset_id].file, leaf.run, dataset_id
-                )
-            else:
-                examined += _filter(
-                    self._trees[dataset_id].read_partition(leaf), dataset_id
-                )
         tree_disk = self._catalog.get(next(iter(requested))).disk
         tree_disk.charge_cpu_records(examined)
         report.objects_examined = examined
         report.results = len(results)
 
         # 5. Refinement of over-sized hit partitions.
-        for dataset_id in sorted(requested):
+        for dataset_id in ordered:
             tree = self._trees[dataset_id]
-            for leaf in needed[dataset_id]:
-                outcome = self._adaptor.maybe_refine(tree, leaf, box)
-                if outcome.refined:
+            for leaf in occupied[dataset_id]:
+                if self._adaptor.maybe_refine(tree, leaf, box).refined:
                     report.refinements += 1
 
         # 6. Statistics and merging.
@@ -529,16 +512,3 @@ class QueryProcessor:
     def commit_batch(self, prepared) -> "BatchResult":
         """Apply a prepared batch's writer phase (gate-held, in order)."""
         return prepared.executor.commit(prepared)
-
-    @staticmethod
-    def _segment_start(info, key: PartitionKey, dataset_id: int) -> int:
-        """First page of a merge-file segment (for on-disk-order planning)."""
-        run = info.segment(key, dataset_id)
-        return run.extents[0].start if run.extents else 0
-
-    @staticmethod
-    def _partition_start(leaf: PartitionNode) -> int:
-        """First page of a leaf partition (for on-disk-order planning)."""
-        if leaf.run is None or not leaf.run.extents:
-            return 0
-        return leaf.run.extents[0].start

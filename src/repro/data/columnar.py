@@ -7,17 +7,21 @@ query engines filter with — ``oids``/``dataset_ids`` vectors and the MBR
 corner matrices — and materialises :class:`~repro.data.spatial_object.SpatialObject`
 instances only for the rows a query actually hits.
 
-Both the sequential query processor and the batched executor consume this
-one surface, so there is a single bytes→columns→objects path in the
-library.
+Every columnar engine — sequential, batched, epoch, process workers —
+filters through :func:`filter_groups`, so there is a single
+bytes→columns→objects path in the library and it costs one mask and one
+materialisation per query, however many groups the query reads.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
 from repro.data.spatial_object import SpatialObject
 from repro.geometry.box import Box
+from repro.geometry.vectorized import intersect_mask
 
 
 class DecodedGroup:
@@ -29,12 +33,9 @@ class DecodedGroup:
     the rows that survived the mask — conversion work is proportional to
     the rows *selected*, never to the group size, so a partition that a
     query window merely grazes costs (almost) nothing to skip.
-    Materialised objects are cached per row: a record selected several
-    times (duplicate or overlapping query windows within a batch) is
-    constructed once.
     """
 
-    __slots__ = ("oids", "dataset_ids", "lo", "hi", "_objects")
+    __slots__ = ("oids", "dataset_ids", "lo", "hi")
 
     def __init__(
         self,
@@ -47,7 +48,6 @@ class DecodedGroup:
         self.dataset_ids = dataset_ids
         self.lo = lo
         self.hi = hi
-        self._objects: dict[int, SpatialObject] = {}
 
     @classmethod
     def from_records(cls, records: np.ndarray, dimension: int) -> "DecodedGroup":
@@ -65,24 +65,61 @@ class DecodedGroup:
         return len(self.oids)
 
     def materialize(self, mask: np.ndarray) -> list[SpatialObject]:
-        """The records selected by ``mask`` as regular spatial objects."""
+        """The records selected by ``mask`` as regular spatial objects.
+
+        Stored corners are validated here, for the selected rows only and
+        in one vectorized test (``lo <= hi`` is false for an inverted *or*
+        a NaN corner); a bad row is then rebuilt through the checking
+        :class:`Box` constructor so it raises that constructor's error.
+        """
         rows = np.nonzero(mask)[0]
         if not len(rows):
             return []
-        objects = self._objects
-        missing = [row for row in rows.tolist() if row not in objects]
-        if missing:
-            # Bulk ndarray->list conversion of just the missing rows beats
-            # per-element casts without ever touching unselected records.
-            selection = np.asarray(missing)
-            for row, oid, dataset_id, lo, hi in zip(
-                missing,
-                self.oids[selection].tolist(),
-                self.dataset_ids[selection].tolist(),
-                self.lo[selection].tolist(),
-                self.hi[selection].tolist(),
-            ):
-                objects[row] = SpatialObject(
-                    oid=oid, dataset_id=dataset_id, box=Box(tuple(lo), tuple(hi))
-                )
-        return [objects[row] for row in rows.tolist()]
+        lo = self.lo[rows]
+        hi = self.hi[rows]
+        valid = lo <= hi
+        if not valid.all():
+            bad = np.nonzero(~valid)[0][0]
+            Box(tuple(lo[bad].tolist()), tuple(hi[bad].tolist()))
+        # Bulk ndarray->list conversion of just the selected rows beats
+        # per-element casts without ever touching unselected records.
+        trusted = Box._trusted
+        return [
+            SpatialObject(oid=oid, dataset_id=dataset_id, box=trusted(tuple(low), tuple(high)))
+            for oid, dataset_id, low, high in zip(
+                self.oids[rows].tolist(),
+                self.dataset_ids[rows].tolist(),
+                lo.tolist(),
+                hi.tolist(),
+            )
+        ]
+
+
+def filter_groups(
+    plan: Sequence[tuple[int, DecodedGroup]], q_lo: Sequence[float], q_hi: Sequence[float]
+) -> tuple[list[SpatialObject], int]:
+    """Filter one query's decoded groups with one mask and one materialisation.
+
+    ``plan`` lists ``(owner dataset id, group)`` in read order; a row is a
+    hit when it belongs to its entry's owner dataset (merge files and Ain1
+    groups interleave datasets) and its MBR intersects the closed window
+    ``[q_lo, q_hi]``.  The groups are concatenated with a per-row owner
+    vector, so hits come back in plan order, rows ascending within a group
+    — exactly the order of filtering group by group — together with the
+    number of records examined.
+    """
+    if not plan:
+        return [], 0
+    groups = [group for _, group in plan]
+    merged = DecodedGroup(
+        oids=np.concatenate([group.oids for group in groups]),
+        dataset_ids=np.concatenate([group.dataset_ids for group in groups]),
+        lo=np.concatenate([group.lo for group in groups]),
+        hi=np.concatenate([group.hi for group in groups]),
+    )
+    owners = np.repeat(
+        [dataset_id for dataset_id, _ in plan], [len(group.oids) for group in groups]
+    )
+    mask = intersect_mask(q_lo, q_hi, merged.lo, merged.hi)
+    mask &= merged.dataset_ids == owners
+    return merged.materialize(mask), len(owners)

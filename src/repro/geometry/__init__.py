@@ -15,7 +15,6 @@ from repro.geometry.random_boxes import (
     sample_boxes,
 )
 from repro.geometry.vectorized import (
-    box_to_arrays,
     boxes_to_arrays,
     grid_child_indices,
     intersect_mask,
@@ -24,7 +23,6 @@ from repro.geometry.vectorized import (
 
 __all__ = [
     "Box",
-    "box_to_arrays",
     "boxes_to_arrays",
     "grid_child_indices",
     "intersect_mask",

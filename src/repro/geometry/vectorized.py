@@ -19,6 +19,13 @@ Three shapes of the same predicate are provided:
   overlap tests of a whole query batch in one shot;
 * :func:`boxes_to_arrays` — the bridge from ``Box`` objects to the corner
   arrays the kernels consume.
+
+Both predicates accumulate one axis at a time over the *long* axis (the
+``n`` candidates), never a reduction over ``d``: reducing a C-ordered
+``(n, 3)`` array along its length-3 axis costs several times the
+arithmetic.  They accept any layout; a column-major candidate family
+(the leaf snapshots of :mod:`repro.core.partition`) makes every per-axis
+slice contiguous.
 """
 
 from __future__ import annotations
@@ -53,23 +60,15 @@ def boxes_to_arrays(
     return lo, hi
 
 
-def box_to_arrays(box: Box) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(d,)`` corner arrays of one box."""
-    return (
-        np.asarray(box.lo, dtype=np.float64),
-        np.asarray(box.hi, dtype=np.float64),
-    )
-
-
 def intersect_mask(
-    lo: np.ndarray, hi: np.ndarray, los: np.ndarray, his: np.ndarray
+    lo: Sequence[float], hi: Sequence[float], los: np.ndarray, his: np.ndarray
 ) -> np.ndarray:
     """Closed-box intersection of one box against many.
 
     Parameters
     ----------
     lo, hi:
-        Corners of the single box, shape ``(d,)``.
+        Corners of the single box: ``d`` coordinates each (array or tuple).
     los, his:
         Corners of the ``n`` candidate boxes, shape ``(n, d)``.
 
@@ -78,7 +77,12 @@ def intersect_mask(
     A boolean array of shape ``(n,)``; entry ``i`` is ``True`` exactly when
     ``Box(lo, hi).intersects(Box(los[i], his[i]))`` would be.
     """
-    return ((lo <= his) & (los <= hi)).all(axis=1)
+    mask = los[:, 0] <= hi[0]
+    mask &= his[:, 0] >= lo[0]
+    for axis in range(1, los.shape[1]):
+        mask &= los[:, axis] <= hi[axis]
+        mask &= his[:, axis] >= lo[axis]
+    return mask
 
 
 def grid_child_indices(
@@ -138,7 +142,9 @@ def intersect_matrix(
     exactly when box ``i`` of the first family intersects box ``j`` of the
     second under the closed-box semantics of :meth:`Box.intersects`.
     """
-    overlap = (a_lo[:, None, :] <= b_hi[None, :, :]) & (
-        b_lo[None, :, :] <= a_hi[:, None, :]
-    )
-    return overlap.all(axis=2)
+    matrix = b_lo[:, 0] <= a_hi[:, 0, None]
+    matrix &= b_hi[:, 0] >= a_lo[:, 0, None]
+    for axis in range(1, b_lo.shape[1]):
+        matrix &= b_lo[:, axis] <= a_hi[:, axis, None]
+        matrix &= b_hi[:, axis] >= a_lo[:, axis, None]
+    return matrix

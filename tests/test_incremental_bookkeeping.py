@@ -123,6 +123,12 @@ def check_tree(tree: PartitionTree, tag: str = "") -> None:
     assert all(a is b for a, b in zip(snapshot.leaves, leaves)), tag
     lo, hi = boxes_to_arrays([leaf.box for leaf in leaves], dimension=tree.universe.dimension)
     assert np.array_equal(snapshot.lo, lo) and np.array_equal(snapshot.hi, hi), tag
+    # One layout, fixed where the snapshot is spliced: (n, d) column-major,
+    # so the overlap kernels' per-axis slices are contiguous.
+    for corners in (snapshot.lo, snapshot.hi):
+        assert corners.shape == lo.shape and corners.dtype == np.float64, tag
+        assert corners.flags.f_contiguous, tag
+        assert all(corners[:, axis].flags.c_contiguous for axis in range(lo.shape[1])), tag
     keys = {leaf.key for leaf in leaves}
     assert tree.leaf_keys == keys, tag
     assert tree.n_partitions == len(leaves), tag

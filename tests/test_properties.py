@@ -398,6 +398,55 @@ class TestPartitionTreeProperties:
         assert tree.total_stored_objects() == len(objects)
 
 
+def reference_mask(lo, hi, los, his) -> np.ndarray:
+    """The kernel's former expression: a reduce over the length-``d`` axis."""
+    return ((lo <= his) & (los <= hi)).all(axis=1)
+
+
+def reference_matrix(a_lo, a_hi, b_lo, b_hi) -> np.ndarray:
+    """``intersect_matrix``'s former expression (reduce over ``d``)."""
+    overlap = (a_lo[:, None, :] <= b_hi[None, :, :]) & (b_lo[None, :, :] <= a_hi[:, None, :])
+    return overlap.all(axis=2)
+
+
+def corner_layouts(family: list[Box], dimension: int):
+    """The same corners as C-ordered, column-major and strided record fields."""
+    lo, hi = boxes_to_arrays(family, dimension=dimension)
+    records = np.zeros(len(family), dtype=spatial_object_codec(dimension).dtype)
+    records["lo"], records["hi"] = lo, hi
+    return {
+        "c": (lo, hi),
+        "column-major": (np.asfortranarray(lo), np.asfortranarray(hi)),
+        "record fields": (
+            records["lo"].reshape(-1, dimension),
+            records["hi"].reshape(-1, dimension),
+        ),
+    }
+
+
+@st.composite
+def kernel_cases(draw):
+    """``(d, windows, candidates)``: d in 1..4, m in {0, 1, 32}, n in {0, 1, many}.
+
+    Sides may be zero, and a few corners are snapped onto another box's
+    corner so that touching boxes (equal coordinates) actually occur.
+    """
+    dimension = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.sampled_from([0, 1, 32]))
+    n = draw(st.sampled_from([0, 1, draw(st.integers(min_value=2, max_value=40))]))
+    family = []
+    for _ in range(m + n):
+        lo = tuple(draw(coordinates) for _ in range(dimension))
+        family.append(Box(lo, tuple(low + draw(degenerate_extents) for low in lo)))
+    for _ in range(draw(st.integers(min_value=0, max_value=4)) if len(family) > 1 else 0):
+        i = draw(st.integers(min_value=0, max_value=len(family) - 1))
+        j = draw(st.integers(min_value=0, max_value=len(family) - 1))
+        side = family[i].extents
+        lo = family[j].hi  # box i starts exactly where box j ends
+        family[i] = Box(lo, tuple(low + extent for low, extent in zip(lo, side)))
+    return dimension, family[:m], family[m:]
+
+
 class TestVectorizedKernelProperties:
     """The NumPy kernels must agree with scalar Box.intersects exactly."""
 
@@ -432,6 +481,29 @@ class TestVectorizedKernelProperties:
         for i, box in enumerate(family):
             row = intersect_mask(np.asarray(box.lo), np.asarray(box.hi), lo, hi)
             assert (row == matrix[i]).all()
+
+    @given(kernel_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_kernels_agree_with_scalar_and_reduce_reference_in_every_layout(self, case):
+        """Long-axis accumulation == scalar predicate == the old reduce over ``d``.
+
+        On C-ordered, column-major and strided structured-field inputs;
+        the window may be given as arrays or as the box's own tuples.
+        """
+        dimension, windows, candidates = case
+        scalar = [[w.intersects(c) for c in candidates] for w in windows]
+        q_lo, q_hi = boxes_to_arrays(windows, dimension=dimension)
+        for name, (los, his) in corner_layouts(candidates, dimension).items():
+            matrix = intersect_matrix(q_lo, q_hi, los, his)
+            assert matrix.dtype == np.bool_ and matrix.shape == (len(windows), len(candidates)), name
+            assert matrix.tolist() == scalar, name
+            assert np.array_equal(matrix, reference_matrix(q_lo, q_hi, los, his)), name
+            for i, window in enumerate(windows):
+                for lo, hi in ((q_lo[i], q_hi[i]), (window.lo, window.hi)):
+                    mask = intersect_mask(lo, hi, los, his)
+                    assert mask.dtype == np.bool_ and mask.shape == (len(candidates),), name
+                    assert mask.tolist() == scalar[i], name
+                assert np.array_equal(mask, reference_mask(q_lo[i], q_hi[i], los, his)), name
 
 
 class TestBatchProperties:
