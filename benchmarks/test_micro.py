@@ -11,7 +11,8 @@ the library itself.
 
 from __future__ import annotations
 
-import os
+import gc
+import statistics
 import time
 
 import numpy as np
@@ -20,12 +21,6 @@ import pytest
 from repro.baselines.grid import GridIndex
 from repro.baselines.rtree import STRRTree
 from repro.baselines.str_packing import str_sort_tile
-from repro.bench.perf import (
-    best_of,
-    measure_concurrent_batches,
-    sequential_pass,
-    timed,
-)
 from repro.bench.runner import generate_workload
 from repro.core.adaptor import Adaptor
 from repro.core.config import OdysseyConfig
@@ -135,40 +130,21 @@ def test_initial_partitioning_wall_time(benchmark, universe, objects):
 # decodes records with per-record ``struct.unpack`` and filters in Python
 # loops.  Two acceptance bars are enforced:
 #
-# * sequential columnar execution >= 1.5x the scalar path (this PR);
-# * query_batch at batch size 32 >= 2x the scalar path (the batched PR).
+# * sequential columnar execution >= 1.5x the scalar path (measured 5.5x);
+# * query_batch at batch size 32 >= 2x the scalar path (measured 5.9x);
+#
+# and a third bounds what observing that work may cost:
+#
+# * a traced batched pass <= 1.25x the untraced pass (measured 1.07x).
+#
+# The bars are constants, always on.  Every other wall-clock question
+# (how fast, how much faster than the parent) goes through perfbench.
 
 BATCH_WORKLOAD_SEED = 23
 BATCH_SIZE = 32
-#: The acceptance bars; override on noisy shared runners (e.g. CI sets
-#: lower bars because wall-clock ratios wobble under noisy neighbours).
-BATCH_SPEEDUP_MIN = float(os.environ.get("REPRO_BATCH_SPEEDUP_MIN", "2.0"))
-SEQ_SPEEDUP_MIN = float(os.environ.get("REPRO_SEQ_SPEEDUP_MIN", "1.5"))
-#: The thread-parallel bar is opt-in (``REPRO_PAR_SPEEDUP_MIN=1.3`` on
-#: dedicated multi-core hardware, a laxer value in CI): thread fan-out
-#: cannot beat the serial batch on a single core, so unlike the two bars
-#: above there is no meaningful host-independent default.  Unset or
-#: non-positive means "measure and report, assert correctness only".
-PAR_SPEEDUP_MIN = float(os.environ.get("REPRO_PAR_SPEEDUP_MIN", "0"))
-#: The process-pool bar is opt-in the same way (``REPRO_PROC_SPEEDUP_MIN=2``
-#: on CI's multi-core parallel smoke): process fan-out pays fork/IPC
-#: overhead that only multi-core decode+filter work can amortise.
-PROC_SPEEDUP_MIN = float(os.environ.get("REPRO_PROC_SPEEDUP_MIN", "0"))
-PAR_WORKERS = 4
-PAR_BUFFER_SHARDS = 8
-#: The epoch-overlap bar is likewise opt-in and, unlike the speedup bars,
-#: an *upper* bound: it caps the wall-clock ratio of two concurrent
-#: snapshot-batch streams to one stream (1.0 = perfect overlap of the
-#: lock-free read phases, 2.0 = fully serialized).  CI's parallel smoke
-#: sets ``REPRO_EPOCH_OVERLAP_MAX=1.9``; unset or non-positive means
-#: "measure and report only".  The bar is only meaningful on 2+ cores.
-EPOCH_OVERLAP_MAX = float(os.environ.get("REPRO_EPOCH_OVERLAP_MAX", "0"))
-#: The tracing-overhead bar is opt-in and an *upper* bound on the
-#: wall-clock ratio of a traced batched pass to the untraced pass
-#: (1.0 = free instrumentation).  CI's parallel smoke sets
-#: ``REPRO_OBS_OVERHEAD_MAX=1.25``; unset or non-positive means
-#: "measure and report only".
-OBS_OVERHEAD_MAX = float(os.environ.get("REPRO_OBS_OVERHEAD_MAX", "0"))
+SEQ_SPEEDUP_MIN = 1.5
+BATCH_SPEEDUP_MIN = 2.0
+OBS_OVERHEAD_MAX = 1.25
 
 #: The scalar reference configuration used as the speedup baseline.
 SCALAR_CONFIG = OdysseyConfig(columnar=False)
@@ -199,6 +175,21 @@ def batch_workload(batch_suite):
             ids_distribution="uniform",
         )
     )
+
+
+def timed(fn) -> float:
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
+def best_of(repeats: int, fn) -> float:
+    return min(fn() for _ in range(repeats))
+
+
+def sequential_pass(odyssey: SpaceOdyssey, workload) -> None:
+    for query in workload:
+        odyssey.query(query.box, query.dataset_ids)
 
 
 def _converged_engine(
@@ -298,162 +289,50 @@ def test_batched_execution_speedup(batch_suite, batch_workload):
 def test_tracing_overhead(batch_suite, batch_workload):
     """Per-phase tracing must not materially slow the batched engine.
 
-    The same converged engine runs the 64-query workload batched, first
-    untraced, then with a tracer attached (ample ring capacity so no
-    eviction churn); best-of-three each, interleaved warm-ups.  The
-    telemetry contract is observation-only, so beyond wall clock the
-    test also checks the traced pass returned work and recorded spans.
-    The ratio bar is enforced only when ``REPRO_OBS_OVERHEAD_MAX`` is
-    set — single-run ratios near 1.0 wobble under noisy neighbours.
+    The same converged engine runs the 64-query workload batched with
+    and without a tracer attached (ample ring capacity so no eviction
+    churn).  The ratio is the median over nine (untraced, traced) pairs
+    of passes run back to back, each from a collected heap.  Pairing is
+    what makes the constant bar hold on a shared host whose speed moves
+    by a third for seconds at a time: the ratio of two consecutive
+    best-of-five blocks left the bar in one run of twenty (1.27x), the
+    paired median stayed within 1.01–1.15x over thirty.  The telemetry
+    contract is observation-only, so beyond wall clock the test also
+    checks the traced pass recorded spans.
     """
     engine = _converged_engine(batch_suite, batch_workload)
+    spans = 0
 
     def run_batched() -> float:
+        gc.collect()
         start = time.perf_counter()
         for offset in range(0, len(batch_workload), BATCH_SIZE):
             engine.query_batch(batch_workload[offset : offset + BATCH_SIZE])
         return time.perf_counter() - start
 
-    run_batched()  # warm the untraced path
-    untraced_seconds = best_of(3, run_batched)
-    tracer = engine.enable_tracing(capacity=65536)
-    try:
-        run_batched()  # warm the traced path (span allocation, ring)
-        traced_seconds = best_of(3, run_batched)
-        spans = len(tracer) + tracer.evicted
-    finally:
-        engine.disable_tracing()
-    ratio = traced_seconds / untraced_seconds
+    def run_traced() -> float:
+        nonlocal spans
+        tracer = engine.enable_tracing(capacity=65536)
+        try:
+            return run_batched()
+        finally:
+            spans = len(tracer) + tracer.evicted
+            engine.disable_tracing()
+
+    run_batched(), run_traced()  # warm both paths
+    pairs = [(run_batched(), run_traced()) for _ in range(9)]
+    ratio = statistics.median(traced / untraced for untraced, traced in pairs)
+    untraced_seconds, traced_seconds = map(min, zip(*pairs))
     print(
         f"\ntracing overhead: untraced {untraced_seconds * 1e3:.1f} ms, "
-        f"traced {traced_seconds * 1e3:.1f} ms, ratio {ratio:.3f}x "
+        f"traced {traced_seconds * 1e3:.1f} ms, paired ratio {ratio:.3f}x "
         f"({spans} spans recorded)"
     )
     assert spans > 0, "traced pass recorded no spans"
-    if OBS_OVERHEAD_MAX > 0:
-        assert ratio <= OBS_OVERHEAD_MAX, (
-            f"tracing overhead ratio {ratio:.3f}x is above the "
-            f"{OBS_OVERHEAD_MAX:g}x acceptance bar"
-        )
-
-
-@pytest.mark.benchmark(group="micro-batch")
-def test_parallel_batch_speedup(batch_suite, batch_workload):
-    """workers=4 batched execution vs workers=1, over a sharded buffer pool.
-
-    Always checks correctness (the parallel pass must return the same
-    per-query hit counts as the serial batch — the full bit-identity
-    oracle lives in ``tests/``); the wall-clock bar is enforced only when
-    ``REPRO_PAR_SPEEDUP_MIN`` is set, because thread fan-out can only win
-    on multi-core hosts (CI's parallel smoke job sets the bar; a 1-core
-    container cannot).
-    """
-    engines = {
-        workers: SpaceOdyssey(
-            batch_suite.fork(buffer_shards=PAR_BUFFER_SHARDS).catalog
-        )
-        for workers in (1, PAR_WORKERS)
-    }
-
-    def run_pass(workers: int) -> list[int]:
-        counts: list[int] = []
-        for offset in range(0, len(batch_workload), BATCH_SIZE):
-            result = engines[workers].query_batch(
-                batch_workload[offset : offset + BATCH_SIZE], workers=workers
-            )
-            counts.extend(result.hit_counts())
-        return counts
-
-    # Converge both engines (identically, per the differential oracle),
-    # cross-checking answers on the way, then time best-of-three passes.
-    assert run_pass(1) == run_pass(PAR_WORKERS)
-    serial_seconds = best_of(3, lambda: timed(lambda: run_pass(1)))
-    parallel_seconds = best_of(3, lambda: timed(lambda: run_pass(PAR_WORKERS)))
-    speedup = serial_seconds / parallel_seconds
-    print(
-        f"\nparallel batch({BATCH_SIZE}): workers=1 {serial_seconds * 1e3:.1f} ms, "
-        f"workers={PAR_WORKERS} {parallel_seconds * 1e3:.1f} ms, "
-        f"speedup {speedup:.2f}x (cpus={os.cpu_count()})"
+    assert ratio <= OBS_OVERHEAD_MAX, (
+        f"tracing overhead ratio {ratio:.3f}x is above the "
+        f"{OBS_OVERHEAD_MAX:g}x acceptance bar"
     )
-    if PAR_SPEEDUP_MIN > 0:
-        assert speedup >= PAR_SPEEDUP_MIN, (
-            f"parallel speedup {speedup:.2f}x at workers={PAR_WORKERS} is below "
-            f"the {PAR_SPEEDUP_MIN:g}x bar (REPRO_PAR_SPEEDUP_MIN)"
-        )
-
-
-@pytest.mark.benchmark(group="micro-batch")
-def test_process_batch_speedup(batch_suite, batch_workload):
-    """workers=4 process-pool execution vs workers=1, same protocol.
-
-    Always checks correctness (identical per-query hit counts); the
-    wall-clock bar is enforced only when ``REPRO_PROC_SPEEDUP_MIN`` is
-    set — the process pool escapes the GIL entirely, but forking,
-    page staging and hit serialization only pay off on multi-core hosts
-    with real decode + filter work per batch.
-    """
-    engines = {
-        workers: SpaceOdyssey(
-            batch_suite.fork(buffer_shards=PAR_BUFFER_SHARDS).catalog
-        )
-        for workers in (1, PAR_WORKERS)
-    }
-
-    def run_pass(workers: int) -> list[int]:
-        counts: list[int] = []
-        for offset in range(0, len(batch_workload), BATCH_SIZE):
-            result = engines[workers].query_batch(
-                batch_workload[offset : offset + BATCH_SIZE],
-                workers=workers,
-                executor="process",
-            )
-            counts.extend(result.hit_counts())
-        return counts
-
-    assert run_pass(1) == run_pass(PAR_WORKERS)
-    serial_seconds = best_of(3, lambda: timed(lambda: run_pass(1)))
-    process_seconds = best_of(3, lambda: timed(lambda: run_pass(PAR_WORKERS)))
-    speedup = serial_seconds / process_seconds
-    print(
-        f"\nprocess batch({BATCH_SIZE}): workers=1 {serial_seconds * 1e3:.1f} ms, "
-        f"workers={PAR_WORKERS} {process_seconds * 1e3:.1f} ms, "
-        f"speedup {speedup:.2f}x (cpus={os.cpu_count()})"
-    )
-    if PROC_SPEEDUP_MIN > 0:
-        assert speedup >= PROC_SPEEDUP_MIN, (
-            f"process speedup {speedup:.2f}x at workers={PAR_WORKERS} is below "
-            f"the {PROC_SPEEDUP_MIN:g}x bar (REPRO_PROC_SPEEDUP_MIN)"
-        )
-
-
-@pytest.mark.benchmark(group="micro-batch")
-def test_epoch_snapshot_overlap(batch_suite, batch_workload):
-    """Two concurrent ``snapshot=True`` batch streams vs one stream.
-
-    The epoch read path pins an immutable snapshot and resolves, reads and
-    filters without the engine gate, so two streams should genuinely
-    overlap: the concurrent wall must stay well below 2x the single-stream
-    wall.  Measured with the same protocol ``run_perf_snapshot`` records
-    as the ``concurrent_batches`` phase; the bar is enforced only when
-    ``REPRO_EPOCH_OVERLAP_MAX`` is set (CI's multi-core parallel smoke
-    sets 1.9) and the host has 2+ cores — on one core nothing can overlap.
-    """
-    odyssey = _converged_engine(batch_suite, batch_workload)
-    single_seconds, concurrent_seconds = measure_concurrent_batches(
-        odyssey, batch_workload, batch_size=BATCH_SIZE, repeats=3, threads=2
-    )
-    ratio = concurrent_seconds / single_seconds
-    print(
-        f"\nepoch overlap: single stream {single_seconds * 1e3:.1f} ms, "
-        f"2 concurrent streams {concurrent_seconds * 1e3:.1f} ms, "
-        f"ratio {ratio:.2f} (cpus={os.cpu_count()})"
-    )
-    if EPOCH_OVERLAP_MAX > 0 and (os.cpu_count() or 1) >= 2:
-        assert ratio <= EPOCH_OVERLAP_MAX, (
-            f"two concurrent snapshot-batch streams took {ratio:.2f}x the "
-            f"single-stream wall — above the {EPOCH_OVERLAP_MAX:g}x bar "
-            f"(REPRO_EPOCH_OVERLAP_MAX); the read phase is serializing"
-        )
 
 
 @pytest.mark.benchmark(group="micro-batch")

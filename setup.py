@@ -1,10 +1,15 @@
-"""Legacy setup shim.
+"""Packaging metadata (there is no ``pyproject.toml``).
 
-The project is fully described by ``pyproject.toml``; this file exists only
-so that editable installs work in environments whose packaging toolchain
-predates PEP 660 editable wheels (``pip install -e . --no-use-pep517``).
+The repo runs from a checkout with ``PYTHONPATH=src``; this file only
+makes ``pip install -e .`` work.  No console script is declared — the
+command line is ``python -m repro.cli``.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+)

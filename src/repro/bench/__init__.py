@@ -11,15 +11,11 @@
   timings;
 * :mod:`repro.bench.experiments` — the experiment definitions for
   Figure 4a–d and Figure 5a–c;
-* :mod:`repro.bench.reporting` — text tables and JSON dumps;
-* :mod:`repro.bench.perf` — wall-clock perf snapshots
-  (``repro bench --json BENCH_<scale>.json``) tracking the library's own
-  execution speed across commits.
+* :mod:`repro.bench.reporting` — text tables and JSON dumps.
 """
 
 from repro.bench.approaches import APPROACHES, make_approach
 from repro.bench.experiments import figure4, figure5a, figure5b, figure5c
-from repro.bench.perf import run_perf_snapshot, save_snapshot
 from repro.bench.runner import ApproachResult, QueryTiming, run_approach
 from repro.bench.scales import SCALES, ExperimentScale
 
@@ -35,6 +31,4 @@ __all__ = [
     "figure5c",
     "make_approach",
     "run_approach",
-    "run_perf_snapshot",
-    "save_snapshot",
 ]

@@ -23,27 +23,15 @@ Same, with each batch fanned across four worker threads::
 
     python -m repro.cli fig5b --scale small --batch-size 32 --workers 4
 
-Record a machine-readable wall-clock performance snapshot (including a
-parallel-batch worker sweep and the open-loop serving phase)::
-
-    python -m repro.cli bench --scale small --json BENCH_small.json --workers 1,2,4
-
-Same snapshot with the fault-tolerance phase (a seeded fault campaign
-under the retry layer plus a timed crash/recovery drill)::
-
-    python -m repro.cli bench --scale small --faults
-
-Benchmark the multi-tenant serving frontend alone — open-loop arrivals
-through the dynamic batcher, reporting sustained QPS and p50/p99 latency::
-
-    python -m repro.cli serve-bench --scale small --rate 500 --clients 8
-
 Run a short traced workload and export the engine's telemetry snapshot
 (all subsystem counters, gauges and latency histograms) as JSON or
 Prometheus text, optionally with the span trace::
 
     python -m repro.cli stats --format prometheus
     python -m repro.cli stats --output stats.json --trace trace.json
+
+Every figure is in *simulated* seconds (the disk cost model).  Wall-clock
+performance is measured by ``perfbench/run.py`` alone, not from here.
 """
 
 from __future__ import annotations
@@ -52,7 +40,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.bench import experiments, perf, reporting
+from repro.bench import experiments, reporting
 from repro.bench.scales import SCALES
 
 
@@ -61,20 +49,6 @@ def _positive_int(value: str) -> int:
     if number < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return number
-
-
-def _positive_int_list(value: str) -> tuple[int, ...]:
-    try:
-        numbers = tuple(int(part) for part in value.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be comma-separated positive integers, got {value!r}"
-        ) from None
-    if not numbers or any(number < 1 for number in numbers):
-        raise argparse.ArgumentTypeError(
-            f"must be comma-separated positive integers, got {value!r}"
-        )
-    return numbers
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -112,7 +86,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro-bench",
+        prog="python -m repro.cli",
         description="Reproduce the evaluation of 'Space Odyssey' (ExploreDB/PODS 2016)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -143,125 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(fig5b)
     fig5c = sub.add_parser("fig5c", help="Figure 5c: effect of merging")
     _add_common(fig5c)
-
-    bench = sub.add_parser(
-        "bench",
-        help="measure a wall-clock perf snapshot and write BENCH_<scale>.json",
-    )
-    bench.add_argument(
-        "--scale",
-        default="small",
-        choices=sorted(SCALES),
-        help="experiment scale preset (default: small)",
-    )
-    bench.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="output path of the JSON snapshot (default: BENCH_<scale>.json)",
-    )
-    bench.add_argument(
-        "--queries",
-        type=_positive_int,
-        default=64,
-        help="number of workload queries in the measured passes (default: 64)",
-    )
-    bench.add_argument(
-        "--batch-size",
-        type=_positive_int,
-        default=32,
-        help="chunk size of the batched steady-state pass (default: 32)",
-    )
-    bench.add_argument(
-        "--repeats",
-        type=_positive_int,
-        default=3,
-        help=(
-            "seed-repeated passes per steady-state phase; the snapshot "
-            "records best-of in wall_seconds plus mean ± std in each "
-            "phase's stats block (default: 3)"
-        ),
-    )
-    bench.add_argument(
-        "--workers",
-        type=_positive_int_list,
-        default=(1, 2, 4),
-        metavar="K1,K2,...",
-        help=(
-            "comma-separated worker counts for the parallel-batch sweep "
-            "recorded in the snapshot (default: 1,2,4)"
-        ),
-    )
-    bench.add_argument(
-        "--executor",
-        choices=("thread", "process"),
-        default="thread",
-        help=(
-            "pool flavour of the worker sweep: 'thread' shares the "
-            "engine's memory, 'process' decodes and filters pages in "
-            "worker processes outside the GIL (default: thread)"
-        ),
-    )
-    bench.add_argument(
-        "--compression",
-        choices=("zlib", "zstd"),
-        default=None,
-        help=(
-            "compress the raw dataset files' pages at build time; every "
-            "phase then measures reads of compressed pages (default: off)"
-        ),
-    )
-    bench.add_argument(
-        "--concurrent-threads",
-        type=int,
-        default=2,
-        metavar="N",
-        help=(
-            "threads of the concurrent_batches (epoch-overlap) phase: each "
-            "runs the chunked workload through query_batch(snapshot=True) "
-            "at once against one shared engine (default: 2; 0 skips)"
-        ),
-    )
-    bench.add_argument(
-        "--no-serve",
-        action="store_true",
-        help="skip the open-loop serving phase of the snapshot",
-    )
-    bench.add_argument(
-        "--faults",
-        action="store_true",
-        help=(
-            "add the fault-tolerance phase: a seeded fault campaign under "
-            "the retry layer (faults injected / retries / corrupt reads "
-            "detected / client-visible errors) plus a timed crash/recovery "
-            "drill, recorded in the snapshot"
-        ),
-    )
-    bench.add_argument(
-        "--serve-rate",
-        type=float,
-        default=None,
-        metavar="QPS",
-        help=(
-            "offered rate of the serving phase (default: 70%% of the "
-            "measured batch-mode capacity)"
-        ),
-    )
-    bench.add_argument(
-        "--serve-clients",
-        type=_positive_int,
-        default=4,
-        help="concurrent client threads of the serving phase (default: 4)",
-    )
-    bench.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help=(
-            "dump the observability phase's span trace (per-phase query "
-            "tracing of the batched pass) to this JSON file"
-        ),
-    )
 
     stats = sub.add_parser(
         "stats",
@@ -305,79 +160,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="also dump the probe run's span trace to this JSON file",
-    )
-
-    serve_bench = sub.add_parser(
-        "serve-bench",
-        help=(
-            "open-loop benchmark of the multi-tenant serving frontend "
-            "(dynamic batching; reports sustained QPS and p50/p99 latency)"
-        ),
-    )
-    serve_bench.add_argument(
-        "--scale",
-        default="small",
-        choices=sorted(SCALES),
-        help="experiment scale preset (default: small)",
-    )
-    serve_bench.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="optional output path of the JSON serve snapshot",
-    )
-    serve_bench.add_argument(
-        "--queries",
-        type=_positive_int,
-        default=64,
-        help="distinct workload queries (default: 64)",
-    )
-    serve_bench.add_argument(
-        "--repeats",
-        type=_positive_int,
-        default=4,
-        help="times the workload is repeated through the service (default: 4)",
-    )
-    serve_bench.add_argument(
-        "--rate",
-        type=float,
-        default=None,
-        metavar="QPS",
-        help=(
-            "offered arrival rate; default derives from measured batch "
-            "capacity at --utilization"
-        ),
-    )
-    serve_bench.add_argument(
-        "--utilization",
-        type=float,
-        default=0.7,
-        help="fraction of measured capacity to offer when --rate is absent "
-        "(default: 0.7)",
-    )
-    serve_bench.add_argument(
-        "--clients",
-        type=_positive_int,
-        default=4,
-        help="concurrent client threads (default: 4)",
-    )
-    serve_bench.add_argument(
-        "--max-batch",
-        type=_positive_int,
-        default=32,
-        help="size trigger of the dynamic batcher (default: 32)",
-    )
-    serve_bench.add_argument(
-        "--max-delay-ms",
-        type=float,
-        default=5.0,
-        help="deadline trigger of the dynamic batcher in ms (default: 5)",
-    )
-    serve_bench.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help="worker threads per drained batch (default: 1)",
     )
 
     everything = sub.add_parser("all", help="run every figure and write JSON results")
@@ -450,14 +232,10 @@ def _run_stats(args) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point of the ``repro-bench`` console script."""
+    """Entry point of ``python -m repro.cli``."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if (
-        args.command not in ("bench", "serve-bench")
-        and getattr(args, "workers", 1) > 1
-        and args.batch_size == 1
-    ):
+    if getattr(args, "workers", 1) > 1 and args.batch_size == 1:
         parser.error("--workers > 1 requires --batch-size > 1 (nothing to fan out)")
 
     if args.command == "fig4":
@@ -490,46 +268,8 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(reporting.format_figure5c_summary(result))
         _maybe_save(result, args.output)
-    elif args.command == "bench":
-        snapshot = perf.run_perf_snapshot(
-            args.scale,
-            n_queries=args.queries,
-            batch_size=args.batch_size,
-            repeats=args.repeats,
-            workers=args.workers,
-            concurrent_threads=args.concurrent_threads,
-            serve=not args.no_serve,
-            serve_rate_qps=args.serve_rate,
-            serve_clients=args.serve_clients,
-            faults=args.faults,
-            compression=args.compression,
-            executor=args.executor,
-            trace_path=args.trace,
-        )
-        print(perf.format_snapshot_summary(snapshot))
-        path = perf.save_snapshot(
-            snapshot, args.json or perf.default_snapshot_path(args.scale)
-        )
-        print(f"\nperf snapshot written to {path}")
     elif args.command == "stats":
         _run_stats(args)
-    elif args.command == "serve-bench":
-        snapshot = perf.run_serve_snapshot(
-            args.scale,
-            n_queries=args.queries,
-            serve_repeats=args.repeats,
-            rate_qps=args.rate,
-            utilization=args.utilization,
-            n_clients=args.clients,
-            max_batch=args.max_batch,
-            max_delay_ms=args.max_delay_ms,
-            workers=args.workers if args.workers > 1 else None,
-        )
-        print(f"serve snapshot — scale: {snapshot['scale']}\n")
-        print(perf.format_serve_phase(snapshot["serve"]))
-        if args.json:
-            path = perf.save_snapshot(snapshot, args.json)
-            print(f"\nserve snapshot written to {path}")
     elif args.command == "all":
         output_dir = Path(args.output_dir)
         batch = args.batch_size

@@ -8,13 +8,8 @@ a dedicated dispatcher coalesces them with size and deadline triggers
 or exceptions back through per-request futures — with per-client results
 guaranteed identical to issuing the same queries sequentially in arrival
 order (see :mod:`repro.serve.service` for the contract).
-
-:mod:`repro.serve.loadgen` measures the service the way serving systems
-are judged: sustained QPS and p50/p99 latency under an open-loop arrival
-process.
 """
 
-from repro.serve.loadgen import LatencySummary, OpenLoopReport, run_open_loop
 from repro.serve.service import (
     QueryService,
     ServiceClosed,
@@ -24,12 +19,9 @@ from repro.serve.service import (
 )
 
 __all__ = [
-    "LatencySummary",
-    "OpenLoopReport",
     "QueryService",
     "ServiceClosed",
     "ServiceDegraded",
     "ServiceStats",
     "Submission",
-    "run_open_loop",
 ]

@@ -160,108 +160,3 @@ class TestReporting:
         path = reporting.save_json(result, tmp_path / "out" / "result.json")
         assert path.exists()
         assert json.loads(path.read_text())["approach"] == "Grid-1fE"
-
-
-class TestPerfFormatting:
-    @staticmethod
-    def _snapshot(scalar_qps):
-        phase = lambda qps: {"wall_seconds": 0.0, "queries_per_second": qps}
-        return {
-            "scale": "tiny",
-            "n_queries": 4,
-            "batch_size": 2,
-            "phases": {
-                "build": phase(None),
-                "first_touch": phase(10.0),
-                "steady_scalar": phase(scalar_qps),
-                "steady_columnar": phase(12.0),
-                "steady_batch": phase(15.0),
-            },
-            "speedups": {
-                "sequential_columnar_vs_scalar": None,
-                "batch_vs_scalar": None,
-            },
-            "pages": {"raw": 1, "partitions": 0, "merge": 0},
-        }
-
-    def test_zero_qps_prints_as_zero_not_missing(self):
-        """Regression: truthiness treated a legitimate 0.0 q/s as absent."""
-        from repro.bench.perf import format_snapshot_summary
-
-        text = format_snapshot_summary(self._snapshot(0.0))
-        scalar_line = next(
-            line for line in text.splitlines() if line.startswith("steady_scalar")
-        )
-        assert scalar_line.rstrip().endswith("0.0")
-        assert "-" not in scalar_line
-
-    def test_missing_qps_still_prints_placeholder(self):
-        from repro.bench.perf import format_snapshot_summary
-
-        text = format_snapshot_summary(self._snapshot(None))
-        scalar_line = next(
-            line for line in text.splitlines() if line.startswith("steady_scalar")
-        )
-        assert scalar_line.rstrip().endswith("-")
-
-    def test_format_serve_phase_digest(self):
-        from repro.bench.perf import format_serve_phase
-
-        phase = {
-            "offered_qps": 100.0,
-            "sustained_qps": 99.5,
-            "completed": 200,
-            "queries": 200,
-            "n_clients": 4,
-            "latency_ms": {"p50_ms": 3.0, "p99_ms": 9.0, "max_ms": 12.0},
-            "max_batch": 16,
-            "max_delay_ms": 5.0,
-            "batches": 20,
-            "mean_batch_size": 10.0,
-            "size_flushes": 12,
-            "deadline_flushes": 7,
-            "drain_flushes": 1,
-        }
-        text = format_serve_phase(phase)
-        assert "sustained 99.5 q/s" in text
-        assert "p99 9.00 ms" in text
-        assert "12 size / 7 deadline / 1 drain" in text
-
-    def test_concurrent_batches_phase_formats(self):
-        from repro.bench.perf import format_snapshot_summary
-
-        snapshot = self._snapshot(10.0)
-        snapshot["phases"]["concurrent_batches"] = {
-            "batch_size": 2,
-            "threads": 2,
-            "single_seconds": 0.10,
-            "concurrent_seconds": 0.13,
-            "overlap_ratio": 1.3,
-            "queries_per_second": 61.5,
-        }
-        text = format_snapshot_summary(snapshot)
-        assert "epoch overlap" in text
-        assert "1.30x" in text
-        assert "2.0 = serialized" in text
-
-
-class TestConcurrentBatchesMeasurement:
-    def test_measure_concurrent_batches_protocol(self, micro_suite, micro_workload):
-        """The shared timing protocol runs both passes and returns sane
-        walls (the acceptance *bar* lives in ``benchmarks/test_micro.py``;
-        here only the measurement machinery is exercised)."""
-        from repro.core.odyssey import SpaceOdyssey
-        from repro.bench.perf import measure_concurrent_batches, sequential_pass
-
-        workload = list(micro_workload)[:6]
-        engine = SpaceOdyssey(micro_suite.fork().catalog)
-        sequential_pass(engine, workload)  # converge
-        single, concurrent = measure_concurrent_batches(
-            engine, workload, batch_size=3, repeats=1, threads=2
-        )
-        assert single > 0
-        assert concurrent > 0
-        # Afterwards the engine has quiesced: no pinned epochs survive the
-        # measurement and the chain has collapsed to the current epoch.
-        assert engine.epochs.pinned_total() == 0
-        assert engine.epochs.chain_length() == 1

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from repro.bench import experiments, reporting
 from repro.bench.scales import SCALES
-from repro.cli import main
+from repro.cli import _build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -120,88 +124,6 @@ class TestCLI:
         payload = json.loads(output.read_text())
         assert payload["ids_distribution"] == "heavy_hitter"
 
-    def test_bench_command_writes_snapshot(self, capsys, tmp_path, micro_scale, monkeypatch):
-        monkeypatch.setitem(SCALES, "micro", micro_scale)
-        output = tmp_path / "BENCH_micro.json"
-        exit_code = main(
-            [
-                "bench",
-                "--scale",
-                "micro",
-                "--queries",
-                "8",
-                "--repeats",
-                "1",
-                "--json",
-                str(output),
-            ]
-        )
-        assert exit_code == 0
-        out = capsys.readouterr().out
-        assert "perf snapshot" in out
-        payload = json.loads(output.read_text())
-        assert payload["kind"] == "repro-perf-snapshot"
-        assert payload["scale"] == "micro"
-        for phase in ("build", "first_touch", "steady_scalar", "steady_columnar", "steady_batch"):
-            assert payload["phases"][phase]["wall_seconds"] >= 0
-        assert payload["speedups"]["sequential_columnar_vs_scalar"] > 0
-        assert payload["pages"]["raw"] > 0
-        serve = payload["phases"]["steady_serve"]
-        assert serve["completed"] == serve["queries"] > 0
-        assert serve["failed"] == 0
-        assert serve["sustained_qps"] > 0
-        assert serve["latency_ms"]["p99_ms"] >= serve["latency_ms"]["p50_ms"] >= 0
-        assert "serving (open loop)" in out
-
-    def test_bench_command_no_serve_skips_phase(self, capsys, tmp_path, micro_scale, monkeypatch):
-        monkeypatch.setitem(SCALES, "micro", micro_scale)
-        output = tmp_path / "BENCH_micro.json"
-        exit_code = main(
-            ["bench", "--scale", "micro", "--queries", "8", "--repeats", "1",
-             "--no-serve", "--json", str(output)]
-        )
-        assert exit_code == 0
-        payload = json.loads(output.read_text())
-        assert "steady_serve" not in payload["phases"]
-        assert "serving (open loop)" not in capsys.readouterr().out
-
-    def test_serve_bench_command_writes_snapshot(self, capsys, tmp_path, micro_scale, monkeypatch):
-        monkeypatch.setitem(SCALES, "micro", micro_scale)
-        output = tmp_path / "SERVE_micro.json"
-        exit_code = main(
-            [
-                "serve-bench",
-                "--scale",
-                "micro",
-                "--queries",
-                "8",
-                "--repeats",
-                "2",
-                "--rate",
-                "400",
-                "--clients",
-                "2",
-                "--json",
-                str(output),
-            ]
-        )
-        assert exit_code == 0
-        out = capsys.readouterr().out
-        assert "serving (open loop)" in out
-        payload = json.loads(output.read_text())
-        assert payload["kind"] == "repro-serve-snapshot"
-        assert payload["scale"] == "micro"
-        serve = payload["serve"]
-        assert serve["completed"] == serve["queries"] == 16
-        assert serve["failed"] == 0
-        assert serve["n_clients"] == 2
-        assert serve["offered_qps"] == 400
-        assert serve["batches"] >= 1
-        assert (
-            serve["size_flushes"] + serve["deadline_flushes"] + serve["drain_flushes"]
-            == serve["batches"]
-        )
-
     def test_unknown_command_fails(self):
         with pytest.raises(SystemExit):
             main(["figure9000"])
@@ -209,3 +131,101 @@ class TestCLI:
     def test_unknown_scale_fails(self):
         with pytest.raises(SystemExit):
             main(["fig5a", "--scale", "galactic"])
+
+
+# --------------------------------------------------------------------------- #
+# The command line, CI and the docs name only what exists
+# --------------------------------------------------------------------------- #
+
+REPO = Path(__file__).resolve().parents[1]
+CI_YML = REPO / ".github" / "workflows" / "ci.yml"
+#: Every file that quotes command lines or environment knobs at a reader.
+QUOTING_FILES = (
+    REPO / "README.md",
+    REPO / ".claude" / "skills" / "verify" / "SKILL.md",
+    CI_YML,
+    REPO / "src" / "repro" / "cli.py",
+)
+SUBCOMMANDS = {"fig4", "fig5a", "fig5b", "fig5c", "stats", "all"}
+
+
+def _quoted_cli_commands(text: str) -> list[list[str]]:
+    """Argument lists of every ``python -m repro.cli ...`` line in ``text``.
+
+    Continuation lines (a trailing backslash, or the ``--option`` lines of
+    a folded YAML scalar) are joined; ``{a,b}`` in the subcommand slot
+    expands to one command per alternative.
+    """
+    commands = []
+    lines = text.splitlines()
+    for number, line in enumerate(lines):
+        match = re.search(r"python -m repro\.cli((?:[ \t]+[^\s`]+)*)", line)
+        if match is None:
+            continue
+        quoted = match.group(1).rstrip("\\ ")
+        for follow in lines[number + 1 :]:
+            if not follow.strip().startswith("--"):
+                break
+            quoted += " " + follow.strip().rstrip("\\ ")
+        argv = shlex.split(quoted, comments=True)
+        if argv:
+            subcommands = argv[0].strip("{}").split(",")
+            commands.extend([subcommand, *argv[1:]] for subcommand in subcommands)
+    return commands
+
+
+class TestOneInstrument:
+    def test_subcommand_set_is_exact(self):
+        (sub,) = (
+            action
+            for action in _build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert set(sub.choices) == SUBCOMMANDS
+
+    @pytest.mark.parametrize("retired", ["bench", "serve-bench"])
+    def test_retired_commands_are_usage_errors(self, retired, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([retired])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", QUOTING_FILES, ids=lambda path: path.name)
+    def test_quoted_command_lines_parse(self, path):
+        text = path.read_text()
+        commands = _quoted_cli_commands(text)
+        assert commands, f"{path.name} quotes no `python -m repro.cli` line"
+        parser = _build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"{path.name} quotes a command that does not parse: {argv}")
+        # Prose mentions without the interpreter prefix name real commands too.
+        assert set(re.findall(r"`repro\.cli ([a-z0-9-]+)", text)) <= SUBCOMMANDS
+
+    def test_quoted_environment_knobs_are_read(self):
+        read = set()
+        for root in ("src", "tests", "benchmarks"):
+            for source in (REPO / root).rglob("*.py"):
+                read.update(
+                    re.findall(
+                        r"os\.environ(?:\.get)?[\[(]\s*\"(REPRO_[A-Z_]+)\"",
+                        source.read_text(),
+                    )
+                )
+        for path in QUOTING_FILES:
+            quoted = set(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
+            assert quoted <= read, f"{path.name} names knobs nothing reads: {quoted - read}"
+
+    def test_ci_workflow_loads_as_yaml(self):
+        yaml = pytest.importorskip("yaml")
+        workflow = yaml.safe_load(CI_YML.read_text())
+        assert set(workflow["jobs"]) == {"tests", "deep-oracles"}
+        for job in workflow["jobs"].values():
+            assert all("run" in step or "uses" in step for step in job["steps"])
+
+    def test_ci_workflow_names_existing_test_files(self):
+        named = re.findall(r"\b(?:tests|benchmarks)/[\w/]+\.py", CI_YML.read_text())
+        assert named
+        assert [path for path in named if not (REPO / path).exists()] == []

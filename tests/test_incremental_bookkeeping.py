@@ -21,7 +21,7 @@ equals its reference.  The references deliberately read only primary
 state (node objects, ``key_hits``, the live infos), never a summary.
 
 A quick grid of configurations runs in tier-1; ``REPRO_FUZZ_ITERATIONS=N``
-adds N randomly derived scenarios (CI's parallel-smoke job sets 25).
+adds N randomly derived scenarios (CI's deep-oracles job sets 25).
 """
 
 from __future__ import annotations
