@@ -10,13 +10,19 @@ on-disk bytes from the same query sequence).  Recovery exploits it: the
 durable manifest is not a physical redo log but a **logical query log**.
 
 At every commit point (each :meth:`QueryProcessor.execute`, and each
-batch's gated writer phase) the engine appends a manifest to a
-:class:`~repro.storage.journal.ManifestJournal`: the catalog and disk
-geometry, the configuration, and the full ordered list of committed
-queries.  The journal is checksummed and torn-tail tolerant, so a crash
-mid-commit simply re-exposes the previous commit point.
+batch's gated writer phase) the engine commits its manifest — the
+catalog and disk geometry, the configuration, and the ordered list of
+committed queries — to a :class:`~repro.storage.journal.ManifestJournal`.
+The journal writes the whole manifest only when it compacts; a commit
+appends just the queries committed since the previous record and the
+running committed count, so journaling a query costs one small record,
+not the history.  The journal is checksummed and torn-tail tolerant, so
+a crash mid-commit simply re-exposes the previous commit point.
 
-:func:`recover` rebuilds an engine from the last intact manifest:
+:func:`recover` rebuilds an engine from the last intact manifest (the
+journal's last intact base with every intact, contiguous delta folded
+in; a journal written before deltas existed, every record a full
+version-1 manifest, reads the same way):
 
 1. re-open the raw dataset files (they are append-once and never touched
    after creation, so they survive any crash intact);
@@ -46,7 +52,7 @@ from typing import TYPE_CHECKING, Iterable
 from repro.core.config import OdysseyConfig
 from repro.data.dataset import Dataset, DatasetCatalog, raw_file_name
 from repro.geometry.box import Box
-from repro.storage.backend import FileSystemBackend, StorageBackend
+from repro.storage.backend import FileSystemBackend, StorageBackend, flat_file_name
 from repro.storage.cost_model import DiskModel
 from repro.storage.disk import Disk
 from repro.storage.journal import ManifestJournal
@@ -55,7 +61,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
     from repro.core.odyssey import SpaceOdyssey
 
 #: Manifest schema version (bumped on incompatible layout changes).
-MANIFEST_VERSION = 1
+#: Version 2 journals a base plus per-commit deltas; a version-1 journal,
+#: which holds one full manifest per commit, is still read.
+MANIFEST_VERSION = 2
+READABLE_VERSIONS = (1, MANIFEST_VERSION)
 
 #: Silent unless the embedding application configures handlers (e.g. via
 #: :func:`repro.obs.configure_json_logging`).
@@ -113,18 +122,6 @@ def _encode_catalog(catalog: DatasetCatalog) -> dict:
     }
 
 
-def build_manifest(
-    catalog: DatasetCatalog, config: OdysseyConfig, queries: list[dict]
-) -> dict:
-    """The complete manifest for the given committed query log."""
-    return {
-        "version": MANIFEST_VERSION,
-        "config": asdict(config),
-        "catalog": _encode_catalog(catalog),
-        "queries": queries,
-    }
-
-
 class DurabilityLog:
     """Tracks the committed query log and journals the manifest.
 
@@ -142,8 +139,12 @@ class DurabilityLog:
         committed: list[dict] | None = None,
     ) -> None:
         self._journal = journal
-        self._catalog = catalog
-        self._config = config
+        # Catalog and config are immutable: the header never changes.
+        self._header = {
+            "version": MANIFEST_VERSION,
+            "config": asdict(config),
+            "catalog": _encode_catalog(catalog),
+        }
         self._committed: list[dict] = list(committed or [])
 
     @property
@@ -158,7 +159,7 @@ class DurabilityLog:
 
     def manifest(self) -> dict:
         """The manifest describing the current committed state."""
-        return build_manifest(self._catalog, self._config, list(self._committed))
+        return {**self._header, "queries": list(self._committed)}
 
     def record(self, entries: Iterable[tuple[Box, Iterable[int]]]) -> None:
         """Extend the log with newly committed queries and journal it.
@@ -170,22 +171,18 @@ class DurabilityLog:
         if not appended:
             return
         self._committed.extend(appended)
-        self._journal.commit(self.manifest())
+        self.checkpoint()
 
     def checkpoint(self) -> None:
         """Journal the current state now (used for the initial commit)."""
-        self._journal.commit(self.manifest())
+        # The journal only reads the queries it does not cover yet, so it
+        # is handed the live list, not a copy of the history.
+        self._journal.commit({**self._header, "queries": self._committed})
 
 
 # ---------------------------------------------------------------------- #
 # Recovery
 # ---------------------------------------------------------------------- #
-
-
-def _sanitized(name: str) -> str:
-    # Mirror of FileSystemBackend._path's flattening, so raw files can be
-    # recognised in that backend's listing too.
-    return "".join(c if c.isalnum() or c in "._-" else "_" for c in name)
 
 
 def _rebuild_disk(manifest_catalog: dict, backend: StorageBackend | None) -> Disk:
@@ -207,7 +204,8 @@ def _rebuild_disk(manifest_catalog: dict, backend: StorageBackend | None) -> Dis
 
 
 def _wipe_derived_files(disk: Disk, raw_names: set[str]) -> list[str]:
-    keep = raw_names | {_sanitized(name) for name in raw_names}
+    # A filesystem backend lists files under their flattened names.
+    keep = raw_names | {flat_file_name(name) for name in raw_names}
     dropped = []
     for name in disk.list_files():
         if name not in keep:
@@ -260,7 +258,7 @@ def recover(
             f"journal {journal.path} holds no intact manifest; nothing was "
             "ever durably committed, so rebuild the engine from scratch"
         )
-    if manifest.get("version") != MANIFEST_VERSION:
+    if manifest.get("version") not in READABLE_VERSIONS:
         raise RecoveryError(
             f"unsupported manifest version {manifest.get('version')!r}"
         )
@@ -279,7 +277,9 @@ def recover(
     # first torn record).  Atomically rewriting the file down to the
     # manifest being recovered from truncates the tail; a crash during
     # the rewrite leaves either the old or the new journal, both of which
-    # expose this same manifest.
+    # expose this same manifest.  (The new base is in today's layout
+    # whatever the version read, so the deltas that follow it belong.)
+    manifest["version"] = MANIFEST_VERSION
     journal.rewrite(manifest)
 
     config = OdysseyConfig(**manifest["config"])

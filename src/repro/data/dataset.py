@@ -94,12 +94,17 @@ class Dataset:
 
     @classmethod
     def open(cls, disk: Disk, dataset_id: int, name: str, universe: Box) -> "Dataset":
-        """Attach to an existing raw file (counts objects with one scan)."""
+        """Attach to an existing raw file (counts objects with one scan).
+
+        The count runs over :meth:`PagedFile.scan_arrays`: the sequential
+        runs, disk charges and per-page CRC checks of :meth:`scan`
+        without building an object per record just to drop it.
+        """
         codec = spatial_object_codec(universe.dimension)
         file: PagedFile[SpatialObject] = PagedFile(disk, raw_file_name(name), codec)
         if not file.exists():
             raise ValueError(f"no raw file for dataset {name!r}")
-        count = sum(1 for _ in file.scan())
+        count = sum(len(chunk) for chunk in file.scan_arrays())
         return cls(
             dataset_id=dataset_id,
             name=name,

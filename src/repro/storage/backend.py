@@ -9,7 +9,12 @@ costs, caching or records.  Two implementations are provided:
   memory makes the simulation fast and hermetic.
 * :class:`FileSystemBackend` — pages live in real files under a directory,
   one file per logical file.  Useful for inspecting on-disk layouts produced
-  by the indexes and for running the library against real storage.
+  by the indexes and for running the library against real storage.  A page
+  access costs one ``pread``/``pwrite`` on a descriptor the backend keeps
+  per file (at most :data:`MAX_OPEN_FILES`, least recently used closed
+  first; released by ``delete``, ``close()`` and finalisation) — never an
+  ``open`` per page.  :func:`flat_file_name` is the one place logical
+  names are flattened into host file names.
 
 Failures are raised through the taxonomy of :mod:`repro.storage.errors`
 (all subclasses of the seed-era :class:`StorageError`): a missing file is
@@ -25,7 +30,10 @@ bug, not an I/O fault.
 from __future__ import annotations
 
 import os
+import threading
+import weakref
 from abc import ABC, abstractmethod
+from collections import OrderedDict
 from pathlib import Path
 
 from repro.storage.errors import (
@@ -41,11 +49,13 @@ __all__ = [
     "CorruptPageError",
     "FileSystemBackend",
     "InMemoryBackend",
+    "MAX_OPEN_FILES",
     "MissingFileError",
     "MissingPageError",
     "StorageBackend",
     "StorageError",
     "TransientIOError",
+    "flat_file_name",
 ]
 
 
@@ -181,26 +191,103 @@ class InMemoryBackend(StorageBackend):
             )
 
 
+#: Most page-file descriptors one :class:`FileSystemBackend` keeps open.
+#: A constant, not an option: every default ``RLIMIT_NOFILE`` leaves room
+#: for a dozen backends at this cap, and a workload that rotates through
+#: more files than this merely pays the re-open the seed paid per page.
+MAX_OPEN_FILES = 64
+
+
+def flat_file_name(name: str) -> str:
+    """The flat host file stem a logical file name is stored under.
+
+    Logical names are arbitrary identifiers (dataset names, combination
+    keys); everything outside ``[A-Za-z0-9._-]`` becomes ``_``.  This is
+    also the name :meth:`FileSystemBackend.list_files` reports.
+    """
+    return "".join(c if c.isalnum() or c in "._-" else "_" for c in name)
+
+
+def _close_all(descriptors: "OrderedDict[str, int]") -> None:
+    while descriptors:
+        _path, fd = descriptors.popitem()
+        try:
+            os.close(fd)
+        except OSError:
+            pass
+
+
+def _pwrite_all(fd: int, data: bytes, offset: int) -> None:
+    written = os.pwrite(fd, data, offset)
+    while written < len(data):  # a short write: rare on regular files, legal
+        written += os.pwrite(fd, data[written:], offset + written)
+
+
 class FileSystemBackend(StorageBackend):
     """Pages stored in real files under ``root`` (one OS file per logical file).
 
-    Logical file names are sanitised into flat file names so callers may use
-    arbitrary identifiers (dataset names, combination keys).
+    Logical file names are flattened by :func:`flat_file_name` so callers
+    may use arbitrary identifiers.  A name is resolved to its path once,
+    and each page file is accessed through one long-lived descriptor
+    (``os.pread``/``os.pwrite``/``os.fstat``) opened on first use.  At
+    most :data:`MAX_OPEN_FILES` descriptors are held, the least recently
+    used closed first; they are released by :meth:`delete` (that file's),
+    by :meth:`close` and when the backend is garbage-collected.
     """
 
     def __init__(self, root: str | os.PathLike[str], page_size: int = PAGE_SIZE) -> None:
         super().__init__(page_size)
         self._root = Path(root)
         self._root.mkdir(parents=True, exist_ok=True)
+        self._paths: dict[str, str] = {}
+        # path -> descriptor, least recently used first.  Keyed by path,
+        # not name: two names may flatten to the same file.
+        self._descriptors: OrderedDict[str, int] = OrderedDict()
+        self._lock = threading.Lock()
+        self._finalizer = weakref.finalize(self, _close_all, self._descriptors)
 
     @property
     def root(self) -> Path:
         """The directory the page files live under."""
         return self._root
 
-    def _path(self, name: str) -> Path:
-        safe = "".join(c if c.isalnum() or c in "._-" else "_" for c in name)
-        return self._root / f"{safe}.pages"
+    def close(self) -> None:
+        """Release every open descriptor.
+
+        The backend stays usable: the next access re-opens what it needs.
+        """
+        with self._lock:
+            _close_all(self._descriptors)
+
+    def _path(self, name: str) -> str:
+        path = self._paths.get(name)
+        if path is None:
+            path = self._paths[name] = str(self._root / f"{flat_file_name(name)}.pages")
+        return path
+
+    def _keep(self, path: str, fd: int) -> None:
+        descriptors = self._descriptors
+        descriptors[path] = fd
+        if len(descriptors) > MAX_OPEN_FILES:
+            _oldest, evicted = descriptors.popitem(last=False)
+            os.close(evicted)
+
+    def _fd(self, name: str) -> int:
+        """The file's descriptor (lock held), opening it if need be."""
+        path = self._path(name)
+        descriptors = self._descriptors
+        fd = descriptors.get(path)
+        if fd is not None:
+            descriptors.move_to_end(path)
+            return fd
+        try:
+            fd = os.open(path, os.O_RDWR)
+        except FileNotFoundError:
+            raise MissingFileError(f"no such file: {name!r}") from None
+        except OSError as error:
+            raise TransientIOError(f"open failed for {name!r}: {error}") from error
+        self._keep(path, fd)
+        return fd
 
     def page_file_path(self, name: str) -> Path:
         """The real on-disk file holding a logical file's pages.
@@ -212,22 +299,33 @@ class FileSystemBackend(StorageBackend):
         detected exactly as it is through :meth:`read`).  Raises
         :class:`MissingFileError` when the file does not exist.
         """
-        return self._require(name)
+        path = self._path(name)
+        if not os.path.exists(path):
+            raise MissingFileError(f"no such file: {name!r}")
+        return Path(path)
 
     def create(self, name: str) -> None:
         path = self._path(name)
-        if path.exists():
-            raise StorageError(f"file already exists: {name!r}")
-        path.touch()
+        with self._lock:
+            try:
+                fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o666)
+            except FileExistsError:
+                raise StorageError(f"file already exists: {name!r}") from None
+            self._keep(path, fd)
 
     def delete(self, name: str) -> None:
         path = self._path(name)
-        if not path.exists():
-            raise MissingFileError(f"no such file: {name!r}")
-        path.unlink()
+        with self._lock:
+            fd = self._descriptors.pop(path, None)
+            if fd is not None:
+                os.close(fd)
+            try:
+                os.unlink(path)
+            except FileNotFoundError:
+                raise MissingFileError(f"no such file: {name!r}") from None
 
     def exists(self, name: str) -> bool:
-        return self._path(name).exists()
+        return os.path.exists(self._path(name))
 
     def clone(self) -> "FileSystemBackend":
         import shutil
@@ -242,62 +340,56 @@ class FileSystemBackend(StorageBackend):
         return sorted(p.stem for p in self._root.glob("*.pages"))
 
     def num_pages(self, name: str) -> int:
-        path = self._require(name)
-        return path.stat().st_size // self._page_size
+        with self._lock:
+            return os.fstat(self._fd(name)).st_size // self._page_size
 
     def read(self, name: str, page_no: int) -> bytes:
-        path = self._require(name)
-        if page_no < 0:
-            raise MissingPageError(f"page {page_no} out of range for {name!r}")
-        try:
-            with path.open("rb") as handle:
-                handle.seek(page_no * self._page_size)
-                data = handle.read(self._page_size)
-        except OSError as error:
-            raise TransientIOError(f"read failed for {name!r}: {error}") from error
+        page_size = self._page_size
+        with self._lock:
+            fd = self._fd(name)
+            if page_no < 0:
+                raise MissingPageError(f"page {page_no} out of range for {name!r}")
+            try:
+                data = os.pread(fd, page_size, page_no * page_size)
+                if len(data) == page_size:
+                    return data
+                total = os.fstat(fd).st_size // page_size
+            except OSError as error:
+                raise TransientIOError(f"read failed for {name!r}: {error}") from error
         if not data:
-            total = path.stat().st_size // self._page_size
             raise MissingPageError(
                 f"page {page_no} out of range for {name!r} with {total} pages"
             )
-        if len(data) < self._page_size:
-            # A trailing partial page means the OS file was truncated out
-            # from under us (a torn write, or something that is not a page
-            # store); surface it instead of returning short bytes.
-            raise CorruptPageError(
-                f"short page {page_no} in {name!r}: got {len(data)} of "
-                f"{self._page_size} bytes"
-            )
-        return data
+        # A trailing partial page means the OS file was truncated out
+        # from under us (a torn write, or something that is not a page
+        # store); surface it instead of returning short bytes.
+        raise CorruptPageError(
+            f"short page {page_no} in {name!r}: got {len(data)} of "
+            f"{page_size} bytes"
+        )
 
     def write(self, name: str, page_no: int, data: bytes) -> None:
-        path = self._require(name)
-        total = path.stat().st_size // self._page_size
-        if not 0 <= page_no < total:
-            raise MissingPageError(
-                f"page {page_no} out of range for {name!r} with {total} pages"
-            )
-        data = self._check_page_data(data)
-        try:
-            with path.open("r+b") as handle:
-                handle.seek(page_no * self._page_size)
-                handle.write(data)
-        except OSError as error:
-            raise TransientIOError(f"write failed for {name!r}: {error}") from error
+        with self._lock:
+            fd = self._fd(name)
+            total = os.fstat(fd).st_size // self._page_size
+            if not 0 <= page_no < total:
+                raise MissingPageError(
+                    f"page {page_no} out of range for {name!r} with {total} pages"
+                )
+            data = self._check_page_data(data)
+            try:
+                _pwrite_all(fd, data, page_no * self._page_size)
+            except OSError as error:
+                raise TransientIOError(f"write failed for {name!r}: {error}") from error
 
     def append(self, name: str, data: bytes) -> int:
-        path = self._require(name)
-        data = self._check_page_data(data)
-        try:
-            with path.open("ab") as handle:
-                page_no = handle.tell() // self._page_size
-                handle.write(data)
-        except OSError as error:
-            raise TransientIOError(f"append failed for {name!r}: {error}") from error
-        return page_no
+        with self._lock:
+            fd = self._fd(name)
+            data = self._check_page_data(data)
+            try:
+                end = os.fstat(fd).st_size
+                _pwrite_all(fd, data, end)
+            except OSError as error:
+                raise TransientIOError(f"append failed for {name!r}: {error}") from error
+        return end // self._page_size
 
-    def _require(self, name: str) -> Path:
-        path = self._path(name)
-        if not path.exists():
-            raise MissingFileError(f"no such file: {name!r}")
-        return path

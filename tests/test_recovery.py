@@ -12,6 +12,9 @@ contract holds from each.
 
 from __future__ import annotations
 
+import json
+import struct
+import zlib
 from dataclasses import replace
 
 import pytest
@@ -19,7 +22,7 @@ import pytest
 from repro.bench.runner import generate_workload
 from repro.core.config import OdysseyConfig
 from repro.core.odyssey import SpaceOdyssey
-from repro.core.recovery import RecoveryError, recover
+from repro.core.recovery import MANIFEST_VERSION, RecoveryError, encode_query, recover
 from repro.data.dataset import Dataset, DatasetCatalog
 from repro.data.spatial_object import spatial_object_codec
 from repro.data.suite import BenchmarkSuite, build_benchmark_suite
@@ -335,8 +338,6 @@ class TestRecoveryEdgeCases:
             recover(tmp_path / "journal.log")
 
     def test_wholly_torn_journal_raises(self, tmp_path):
-        import struct
-
         path = tmp_path / "journal.log"
         path.write_bytes(struct.pack("<II", 100, 0) + b"torn")
         with pytest.raises(RecoveryError, match="no intact manifest"):
@@ -358,6 +359,67 @@ class TestRecoveryEdgeCases:
         recovered = SpaceOdyssey.recover(path, backend=survivor)
         assert recovered.summary().queries_executed == 4
         assert_matches_reference(recovered, reference, committed=4)
+
+    def test_delta_that_does_not_continue_its_base_is_the_torn_tail(
+        self, base_suite, reference, tmp_path
+    ):
+        workload = reference[0]
+        path = tmp_path / "journal.log"
+        engine = SpaceOdyssey(base_suite.fork().catalog, CONFIG, journal=path)
+        for query in workload[:5]:
+            engine.query(query.box, query.dataset_ids)
+        survivor = engine.disk.backend.clone()
+        del engine
+
+        # A well-formed, checksummed delta from some other history: its
+        # count says it follows 8 queries, this journal holds 5.
+        stray = {"committed": 9, "queries": [encode_query(workload[5].box, [0, 1])]}
+        with path.open("ab") as handle:
+            handle.write(ManifestJournal._encode(stray))
+
+        recovered = SpaceOdyssey.recover(path, backend=survivor)
+        assert recovered.summary().queries_executed == 5
+        assert_matches_reference(recovered, reference, committed=5)
+
+    def test_version_1_journal_recovers(self, base_suite, reference, tmp_path):
+        # The layout before deltas: every commit appended one full
+        # manifest.  Built here byte for byte, not written by today's code.
+        workload = reference[0]
+        committed = 7
+        engine = SpaceOdyssey(
+            base_suite.fork().catalog, CONFIG, journal=tmp_path / "today.log"
+        )
+        for query in workload[:committed]:
+            engine.query(query.box, query.dataset_ids)
+        today = engine.journal.read_last()
+        survivor = engine.disk.backend.clone()
+        summary = engine.summary()
+        del engine
+
+        def framed(record: dict) -> bytes:
+            payload = json.dumps(record, separators=(",", ":"), sort_keys=True).encode()
+            return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+
+        path = tmp_path / "v1.log"
+        path.write_bytes(
+            b"".join(
+                framed({**today, "version": 1, "queries": today["queries"][:n]})
+                for n in range(committed + 1)
+            )
+        )
+        assert all("committed" not in r for r in ManifestJournal(path).records())
+
+        recovered = SpaceOdyssey.recover(path, backend=survivor)
+        assert recovered.summary() == summary
+        # The log it keeps writing is today's: one base, then deltas.
+        first, *rest = recovered.journal.records()
+        assert first["version"] == MANIFEST_VERSION and rest == []
+        assert_matches_reference(recovered, reference, committed=committed)
+        first, *rest = recovered.journal.records()
+        assert len(first["queries"]) == committed
+        assert [r["committed"] for r in rest] == list(
+            range(committed + 1, len(workload) + 1)
+        )
 
     def test_unsupported_manifest_version_raises(self, tmp_path):
         path = tmp_path / "journal.log"
