@@ -15,6 +15,11 @@ incremental index:
 
 Both operations also maintain the per-dataset ``maxExtent`` needed by the
 query-window extension technique.
+
+A split costs what it moves — the parent's records and the children that
+receive some, not ``ppl`` of everything: one sorted assignment, pages and
+runs only for occupied children, no candidates chosen for a level the
+budget will not run (``tests/test_refine_path.py`` counts).
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from repro.core.partition import PartitionNode, PartitionTree
 from repro.data.dataset import Dataset
 from repro.data.spatial_object import SpatialObject
 from repro.geometry.box import Box
-from repro.geometry.vectorized import grid_child_indices
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,41 +102,21 @@ class Adaptor:
         )
 
     def _initialize_columnar(self, tree: PartitionTree) -> None:
-        """Array-native first touch: scan chunks, vectorized assignment."""
+        """Array-native first touch: scan chunks, one sorted split of the whole file."""
         dataset = tree.dataset
-        universe = tree.universe
-        ppl = tree.partitions_per_level
-        chunks_per_child: list[list[np.ndarray]] = [[] for _ in range(ppl)]
+        empty = np.empty(0, dtype=tree.file.dtype)
+        records = np.concatenate([empty, *dataset.scan_arrays()])
         max_extent = np.zeros(dataset.dimension, dtype=np.float64)
-        n_objects = 0
-        empty = None
-        for chunk in dataset.scan_arrays():
-            empty = chunk[:0] if empty is None else empty
-            n_objects += len(chunk)
-            np.maximum(
-                max_extent, (chunk["hi"] - chunk["lo"]).max(axis=0), out=max_extent
-            )
-            centers = (chunk["lo"] + chunk["hi"]) / 2.0
-            indices = grid_child_indices(
-                centers, universe.lo, universe.hi, tree.splits_per_dim
-            )
-            for child in np.unique(indices):
-                chunks_per_child[child].append(chunk[indices == child])
-        if empty is None:
-            empty = np.empty(0, dtype=tree.file.dtype)
-        groups = [
-            parts[0]
-            if len(parts) == 1
-            else (np.concatenate(parts) if parts else empty)
-            for parts in chunks_per_child
-        ]
+        if len(records):
+            max_extent = (records["hi"] - records["lo"]).max(axis=0)
+        groups = tree.assign_array_to_children(tree.universe, records)
         runs = tree.file.write_groups_array(groups)
-        dataset.disk.charge_cpu_records(n_objects)
+        dataset.disk.charge_cpu_records(len(records))
         tree.install_first_level(
             groups=groups,
             runs=runs,
             max_extent=tuple(max_extent.tolist()),
-            n_objects=n_objects,
+            n_objects=len(records),
         )
 
     # ------------------------------------------------------------------ #
@@ -171,7 +155,7 @@ class Adaptor:
 
         levels = 0
         current: list[PartitionNode] = [node]
-        while levels < self._config.refine_levels_per_query:
+        while True:
             next_round: list[PartitionNode] = []
             for leaf in current:
                 if (
@@ -185,6 +169,8 @@ class Adaptor:
             if not next_round:
                 break
             levels += 1
+            if levels == self._config.refine_levels_per_query:
+                break  # budget spent: nobody needs the next level's candidates
             # Only the children that the query actually overlaps are
             # candidates for further refinement within the same query.
             current = [child for child in next_round if child.box.intersects(query)]

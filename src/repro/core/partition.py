@@ -15,6 +15,12 @@ same per-level split factor, equal keys denote the *same spatial region* in
 every dataset — this is what lets the Merger recognise "the same partition"
 across datasets and merge only partitions at the same refinement level
 (equal key length).
+
+Few of the ``ppl`` children of a split receive a record, so nothing here is
+paid per child *slot* beyond creating the nodes: records are split by one
+sort (:meth:`PartitionTree.assign_array_to_children`) and
+:meth:`PartitionTree._splice` builds the successor snapshot and the key
+summaries with a fixed number of bulk operations.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ def partition_file_name(dataset_name: str) -> str:
     return f"odyssey/{dataset_name}.partitions"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class PartitionNode:
     """One node of a partition tree.
 
@@ -166,6 +172,16 @@ class LeafSnapshot:
         ]
 
 
+def _spliced(old: np.ndarray, start: int, stop: int, rows: np.ndarray) -> np.ndarray:
+    """``old`` with rows ``[start, stop)`` replaced by ``rows``: a fresh column-major array."""
+    end = start + len(rows)
+    out = np.empty((end + len(old) - stop, old.shape[1]), dtype=old.dtype, order="F")
+    out[:start] = old[:start]
+    out[start:end] = rows
+    out[end:] = old[stop:]
+    return out
+
+
 class PartitionTree:
     """The incremental index of one dataset.
 
@@ -180,6 +196,12 @@ class PartitionTree:
         self._dataset = dataset
         self._splits = splits_per_dim
         self._universe = dataset.universe
+        # Index into a (d, splits) array of per-axis cell edges that gathers
+        # the (ppl, d) corners of a region's children in search order (the
+        # stack pops the last child first); see `_splice`.
+        shape = (splits_per_dim,) * dataset.dimension
+        cells = np.indices(shape).reshape(len(shape), -1).T[::-1]
+        self._child_corners = (np.arange(len(shape)), cells)
         codec = spatial_object_codec(dataset.dimension)
         self._file: PagedFile[SpatialObject] = PagedFile(
             dataset.disk, partition_file_name(dataset.name), codec
@@ -301,18 +323,21 @@ class PartitionTree:
     ) -> list[np.ndarray]:
         """Columnar :meth:`assign_to_children` over structured record arrays.
 
-        Object centres are compared against the child grid in one kernel
-        call; each child receives the records assigned to it *in record
-        order*, so the resulting groups are byte-identical to the scalar
-        assignment.
+        One kernel call gives every record's child, one *stable* sort by
+        child reorders the records once, and one ``bincount`` says where
+        each child starts: the groups are consecutive read-only slices of
+        that one array.  Inside a child the records keep record order, so
+        the groups are byte-identical to the scalar assignment; the cost is
+        that of the records moved, whatever ``ppl`` is.
         """
-        if not len(records):
-            return [records[:0] for _ in range(self.partitions_per_level)]
         centers = (records["lo"] + records["hi"]) / 2.0
         indices = grid_child_indices(
             centers, parent_box.lo, parent_box.hi, self._splits
         )
-        return [records[indices == child] for child in range(self.partitions_per_level)]
+        ordered = records[np.argsort(indices, kind="stable")]
+        ordered.setflags(write=False)
+        ends = np.cumsum(np.bincount(indices, minlength=self.partitions_per_level)).tolist()
+        return [ordered[start:end] for start, end in zip([0] + ends, ends)]
 
     def install_first_level(
         self,
@@ -324,18 +349,11 @@ class PartitionTree:
         """Install the level-1 partitions produced by the initial raw scan."""
         if self.is_initialized:
             raise RuntimeError("partition tree is already initialised")
-        if len(groups) != self.partitions_per_level or len(runs) != self.partitions_per_level:
-            raise ValueError("expected one group and one run per first-level partition")
-        child_boxes = self._universe.split_grid(self._splits)
-        children: list[PartitionNode] = []
-        for index, (box, run) in enumerate(zip(child_boxes, runs)):
-            node = PartitionNode(key=(index,), box=box, run=run)
-            children.append(node)
-            self._nodes[node.key] = node
-        self._root_children = children
+        if len(groups) != self.partitions_per_level:
+            raise ValueError("expected one group per first-level partition")
+        self._root_children = self._splice(0, 0, (), self._universe, runs)
         self._max_extent = max_extent
         self._n_objects = n_objects
-        self._splice(0, 0, children)
 
     def replace_with_children(
         self, parent: PartitionNode, runs: list[StoredRun]
@@ -343,45 +361,46 @@ class PartitionTree:
         """Turn a leaf into an internal node whose children own ``runs``."""
         if not parent.is_leaf:
             raise ValueError(f"partition {parent.key!r} is not a leaf")
-        if len(runs) != self.partitions_per_level:
-            raise ValueError("expected one run per child partition")
-        child_boxes = parent.box.split_grid(self._splits)
-        children: list[PartitionNode] = []
-        for index, (box, run) in enumerate(zip(child_boxes, runs)):
-            node = PartitionNode(key=parent.key + (index,), box=box, run=run)
-            children.append(node)
-            self._nodes[node.key] = node
-        parent.children = children
-        parent.run = None
         # The search stack visits an internal node's children exactly
         # where it used to visit the node itself.
         slot = self._leaf_snapshot.leaves.index(parent)
+        parent.children = self._splice(slot, slot + 1, parent.key, parent.box, runs)
+        parent.run = None
         del self._run_by_key[parent.key]
         self._leaf_keys.remove(parent.key)
-        self._splice(slot, slot + 1, children)
-        return children
+        return parent.children
 
-    def _splice(self, start: int, stop: int, children: list[PartitionNode]) -> None:
-        """Put ``children`` in place of slots ``[start, stop)`` of the search order.
+    def _splice(
+        self, start: int, stop: int, prefix: PartitionKey, box: Box, runs: Sequence[StoredRun]
+    ) -> list[PartitionNode]:
+        """Put the children of ``box`` in place of slots ``[start, stop)`` of the search order.
 
-        Bumps the structure version, replaces the leaf snapshot with a
-        spliced successor — array and tuple concatenations, never a walk
-        over the tree — and enters the children into the key summaries.
-        This is the one place the snapshot's corner arrays are laid out:
-        column-major, whatever the concatenation produced.
+        Creates the ``ppl`` child nodes (keys ``prefix + (i,)``, owning
+        ``runs``), bumps the structure version, replaces the leaf snapshot
+        with a spliced successor and enters the children into the key
+        summaries — a fixed number of ``ppl``-sized operations, never a
+        walk over the tree.  The children's corners are gathered, last
+        child first, from the grid edges their boxes are built from (the
+        same floats), and this is the one place the snapshot's corner
+        arrays are laid out: written into a fresh column-major buffer.
         """
-        leaves = children[::-1]  # the search stack pops the last child first
-        lo, hi = boxes_to_arrays([leaf.box for leaf in leaves])
+        if len(runs) != self.partitions_per_level:
+            raise ValueError("expected one run per child partition")
+        keys = [prefix + (index,) for index in range(len(runs))]
+        children = list(map(PartitionNode, keys, box.split_grid(self._splits), runs))
+        lows, highs = box.grid_edges(self._splits)
         old = self._leaf_snapshot
         self._version += 1
         self._leaf_snapshot = LeafSnapshot(
             version=self._version,
-            leaves=old.leaves[:start] + tuple(leaves) + old.leaves[stop:],
-            lo=np.asfortranarray(np.concatenate((old.lo[:start], lo, old.lo[stop:]))),
-            hi=np.asfortranarray(np.concatenate((old.hi[:start], hi, old.hi[stop:]))),
+            leaves=old.leaves[:start] + tuple(children[::-1]) + old.leaves[stop:],
+            lo=_spliced(old.lo, start, stop, np.array(lows)[self._child_corners]),
+            hi=_spliced(old.hi, start, stop, np.array(highs)[self._child_corners]),
         )
-        self._run_by_key.update((leaf.key, leaf.run) for leaf in leaves)
-        self._leaf_keys.update(leaf.key for leaf in leaves)
+        self._nodes.update(zip(keys, children))
+        self._run_by_key.update(zip(keys, runs))
+        self._leaf_keys.update(keys)
+        return children
 
     # ------------------------------------------------------------------ #
     # Search

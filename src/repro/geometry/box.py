@@ -228,6 +228,25 @@ class Box:
     # Space-oriented splitting
     # ------------------------------------------------------------------ #
 
+    def grid_edges(
+        self, cells_per_dim: Sequence[int] | int
+    ) -> tuple[list[list[float]], list[list[float]]]:
+        """Per-axis cell edges of the regular grid: ``(lows, highs)``.
+
+        Cell ``c`` along axis ``a`` spans ``[lows[a][c], highs[a][c]]``; the
+        last cell snaps to the exact upper bound so floating point error can
+        never leave a sliver of space uncovered.  :meth:`split_grid` builds
+        its children from these floats and nothing else.
+        """
+        lows: list[list[float]] = []
+        highs: list[list[float]] = []
+        for axis, count in enumerate(self._normalize_counts(cells_per_dim)):
+            low = self.lo[axis]
+            step = self.side(axis) / count
+            lows.append([low + cell * step for cell in range(count)])
+            highs.append([low + (cell + 1) * step for cell in range(count - 1)] + [self.hi[axis]])
+        return lows, highs
+
     def split_grid(self, cells_per_dim: Sequence[int] | int) -> list["Box"]:
         """Split the box into a regular grid of child boxes.
 
@@ -236,17 +255,7 @@ class Box:
         child containing it, which the partition trees use for cheap
         centre-based object assignment.
         """
-        counts = self._normalize_counts(cells_per_dim)
-        # Per-axis cell edges, computed once.  The last cell snaps to the
-        # exact upper bound so floating point error can never leave a
-        # sliver of space uncovered.
-        lows: list[list[float]] = []
-        highs: list[list[float]] = []
-        for axis, count in enumerate(counts):
-            low = self.lo[axis]
-            step = self.side(axis) / count
-            lows.append([low + cell * step for cell in range(count)])
-            highs.append([low + (cell + 1) * step for cell in range(count - 1)] + [self.hi[axis]])
+        lows, highs = self.grid_edges(cells_per_dim)
         return [
             Box._trusted(lo, hi)
             for lo, hi in zip(itertools.product(*lows), itertools.product(*highs))

@@ -9,7 +9,10 @@ an R-tree leaf or a merge-file segment is one group.
 The write path supports the paper's *in-place refinement*: when a partition
 is split, the pages it used to occupy are handed back to
 :meth:`PagedFile.write_groups` for reuse, and only the overflow is appended
-at the end of the file (Section 3.1.2 of the paper).
+at the end of the file (Section 3.1.2 of the paper).  Most children of a
+split are empty: a group without records is checked like any other but is
+never encoded and never gets a run of its own (all share one empty
+:class:`StoredRun`), so the write costs what the occupied groups cost.
 
 Columnar surface
 ----------------
@@ -111,6 +114,10 @@ class StoredRun:
         for extent in self.extents:
             pages.extend(extent.pages())
         return pages
+
+
+#: The run of every group that holds no records (runs are immutable values).
+_EMPTY_RUN = StoredRun(extents=(), n_records=0)
 
 
 @dataclass(slots=True)
@@ -290,7 +297,7 @@ class PagedFile(Generic[RecordT]):
     def _append_pages(self, pages: list[bytes], n_records: int) -> StoredRun:
         self._ensure_created()
         if not n_records:
-            return StoredRun(extents=(), n_records=0)
+            return _EMPTY_RUN
         first = self._disk.append_run(self._name, pages)
         return StoredRun(extents=(PageExtent(first, len(pages)),), n_records=n_records)
 
@@ -301,19 +308,20 @@ class PagedFile(Generic[RecordT]):
     ) -> list[StoredRun]:
         """The shared write core: place encoded pages, reused extents first.
 
-        Groups whose pages do not all fit in the reused extents remember how
-        many pages overflowed as a plain ``(group index, missing)`` pair;
-        after one bulk append at the end of the file the missing pages are
-        dealt back out in group order.
+        Groups that hold no records arrive with no pages and share
+        :data:`_EMPTY_RUN`, so a split into ``ppl`` children costs what its
+        occupied children cost.  A group whose pages do not all fit in the
+        reused extents remembers how many are missing; after one bulk
+        append at the end of the file the missing pages are dealt back out
+        in group order, and only then is each group's run built — once.
         """
         self._ensure_created()
         allocator = _PageAllocator(free_pages=[p for ext in reuse for p in ext.pages()])
-        runs: list[StoredRun] = []
+        runs: list[StoredRun] = [_EMPTY_RUN] * len(encoded)
         pending_appends: list[bytes] = []
-        overflows: list[tuple[int, int]] = []  # (group index, missing page count)
+        placed: list[tuple[int, int, list[int], int]] = []  # (group, records, slots, missing)
         for index, (pages, n_records) in enumerate(encoded):
             if not n_records:
-                runs.append(StoredRun(extents=(), n_records=0))
                 continue
             assigned: list[int] = []
             missing = 0
@@ -325,19 +333,12 @@ class PagedFile(Generic[RecordT]):
                 else:
                     self._disk.write_page(self._name, slot, page_bytes)
                     assigned.append(slot)
-            runs.append(StoredRun(extents=tuple(coalesce_pages(assigned)), n_records=n_records))
-            if missing:
-                overflows.append((index, missing))
-        if pending_appends:
-            cursor = self._disk.append_run(self._name, pending_appends)
-            for index, missing in overflows:
-                new_pages = list(range(cursor, cursor + missing))
-                cursor += missing
-                old_run = runs[index]
-                runs[index] = StoredRun(
-                    extents=tuple(coalesce_pages(old_run.page_numbers() + new_pages)),
-                    n_records=old_run.n_records,
-                )
+            placed.append((index, n_records, assigned, missing))
+        cursor = self._disk.append_run(self._name, pending_appends) if pending_appends else 0
+        for index, n_records, assigned, missing in placed:
+            assigned.extend(range(cursor, cursor + missing))
+            cursor += missing
+            runs[index] = StoredRun(extents=tuple(coalesce_pages(assigned)), n_records=n_records)
         return runs
 
     # ------------------------------------------------------------------ #
@@ -489,6 +490,8 @@ class PagedFile(Generic[RecordT]):
             self._disk.create_file(self._name)
 
     def _encode_group(self, records: Sequence[RecordT]) -> list[bytes]:
+        if not len(records):
+            return []
         if self._compression is not None:
             packed = b"".join(self._codec.pack(record) for record in records)
             return paginate_bytes_compressed(
@@ -507,6 +510,8 @@ class PagedFile(Generic[RecordT]):
                 f"array dtype {records.dtype} does not match the file's "
                 f"record dtype {dtype}"
             )
+        if not len(records):
+            return []  # checked like any group, but there is nothing to encode
         if self._compression is not None:
             return paginate_bytes_compressed(
                 records.tobytes(),

@@ -2,14 +2,46 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
-from repro.core.adaptor import Adaptor
+from repro.core.adaptor import Adaptor, RefinementOutcome
 from repro.core.config import OdysseyConfig
 from repro.core.partition import PartitionTree, partition_file_name
 from repro.geometry.box import Box
+from repro.storage.disk import Disk
 
 from tests.conftest import make_dataset
+
+
+def reference_maybe_refine(adaptor: Adaptor, tree, node, query: Box) -> RefinementOutcome:
+    """The former ``Adaptor.maybe_refine`` loop: candidates filtered after every level."""
+    config = adaptor.config
+    if (
+        not node.is_leaf
+        or node.n_objects == 0
+        or node.level >= config.max_depth
+        or not adaptor.should_refine(node, query)
+    ):
+        return RefinementOutcome(refined=False)
+    levels = 0
+    current = [node]
+    while levels < config.refine_levels_per_query:
+        next_round = []
+        for leaf in current:
+            if (
+                leaf.is_leaf
+                and leaf.n_objects
+                and leaf.level < config.max_depth
+                and adaptor.should_refine(leaf, query)
+            ):
+                next_round.extend(adaptor.refine(tree, leaf))
+        if not next_round:
+            break
+        levels += 1
+        current = [child for child in next_round if child.box.intersects(query)]
+    return RefinementOutcome(refined=levels > 0, levels=levels)
 
 
 @pytest.fixture
@@ -208,6 +240,59 @@ class TestMaybeRefine:
         assert outcome.refined
         assert outcome.levels == 2
         assert tree.depth == 3
+
+    @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "scalar"])
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_multiple_levels_match_the_reference_loop(self, universe, model, levels, columnar):
+        """Several levels in one query: same splits, order and bytes as the reference loop.
+
+        ``maybe_refine`` stops before choosing candidates for a level its
+        budget will never run; the reference filters after every level, the
+        last included.  Two engines over identical data must refine the
+        same partitions in the same order, reuse the same pages and end
+        with byte-identical partition files.
+        """
+        config = OdysseyConfig(
+            partitions_per_level=8, refine_levels_per_query=levels, columnar=columnar
+        )
+        state = []
+        for refine_some in (Adaptor.maybe_refine, reference_maybe_refine):
+            disk = Disk(model=model, buffer_pages=0)
+            adaptor = Adaptor(config)
+            tree = adaptor.create_tree(
+                make_dataset(disk, universe, dataset_id=0, count=600, seed=17)
+            )
+            adaptor.initialize(tree)
+            order, outcomes = [], []
+
+            def recording_refine(tree, node, order=order, refine=adaptor.refine):
+                order.append(node.key)
+                return refine(tree, node)
+
+            adaptor.refine = recording_refine
+            for corner in (False, True, False):
+                # Inside the fullest leaf, then across the eight leaves that
+                # meet at the universe's centre, then the fullest leaf again.
+                fullest = max(tree.leaves(), key=lambda node: node.n_objects)
+                center = universe.center if corner else fullest.box.center
+                query = Box.cube(center, 4.0 if corner else 0.5)
+                for node in tree.leaves_overlapping(query):
+                    outcome = refine_some(adaptor, tree, node, query)
+                    outcomes.append((outcome.refined, outcome.levels))
+            name = partition_file_name(tree.dataset.name)
+            pages = b"".join(disk.backend.read(name, page) for page in range(disk.num_pages(name)))
+            state.append(
+                (
+                    outcomes,
+                    order,
+                    [(leaf.key, leaf.run) for leaf in tree.leaf_snapshot().leaves],
+                    hashlib.sha256(pages).hexdigest(),
+                )
+            )
+            assert outcomes[0] == (True, levels) and len(outcomes) >= 10
+            assert tree.depth >= levels + 1
+            assert tree.total_stored_objects() == tree.dataset.n_objects
+        assert state[0] == state[1]
 
     def test_refinement_disabled(self, dataset):
         config = OdysseyConfig(partitions_per_level=8, refine_levels_per_query=0)

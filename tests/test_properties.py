@@ -11,6 +11,10 @@ These cover the invariants DESIGN.md commits to:
 * the partition tree never loses objects across arbitrary refinement, and
   its spliced leaf snapshot, leaf-key set and run summaries equal a fresh
   walk after any refinement sequence;
+* the sorted split of a partition's records equals the mask-per-child
+  split it replaced and the scalar assignment, for centres on cell edges,
+  outside the parent, all in one child, and a zero-width axis — and its
+  groups are read-only views;
 * the vectorized box-intersection kernels agree with the scalar
   :meth:`Box.intersects` on random boxes, including degenerate
   zero-extent ones;
@@ -42,6 +46,7 @@ from repro.core.odyssey import SpaceOdyssey
 from repro.data.dataset import Dataset, DatasetCatalog
 from repro.data.spatial_object import SpatialObject, spatial_object_codec
 from repro.geometry.box import Box
+from repro.core.partition import PartitionTree
 from repro.geometry.vectorized import boxes_to_arrays, intersect_mask, intersect_matrix
 from repro.storage.codec import FixedRecordCodec
 from repro.storage.cost_model import DiskModel
@@ -49,6 +54,7 @@ from repro.storage.disk import Disk
 from repro.storage.pagedfile import PagedFile
 
 from tests.test_incremental_bookkeeping import check_tree
+from tests.test_refine_path import reference_assign_array
 
 UNIVERSE = Box((0.0, 0.0, 0.0), (100.0, 100.0, 100.0))
 
@@ -133,6 +139,14 @@ class TestBoxProperties:
                     hi[axis] = box.hi[axis]  # the last cell snaps to the bound
             reference.append(Box(tuple(lo), tuple(hi)))  # validated
         assert box.split_grid(counts) == reference
+
+    @given(st.one_of(boxes(), maybe_degenerate_boxes()), st.integers(min_value=1, max_value=4))
+    def test_grid_edges_are_the_corners_of_the_children(self, box: Box, cells: int):
+        """Row-major products of the per-axis edges: the floats of ``split_grid``."""
+        lows, highs = box.grid_edges(cells)
+        children = box.split_grid(cells)
+        assert [child.lo for child in children] == list(itertools.product(*lows))
+        assert [child.hi for child in children] == list(itertools.product(*highs))
 
     @given(boxes(), boxes(), st.integers(min_value=1, max_value=5))
     def test_grid_cells_overlapping_is_superset_of_exact(
@@ -396,6 +410,74 @@ class TestPartitionTreeProperties:
             adaptor.refine(tree, leaves[pick % len(leaves)])
             check_tree(tree)
         assert tree.total_stored_objects() == len(objects)
+
+
+@st.composite
+def split_cases(draw):
+    """``(splits, parent box, objects)`` aimed at the child grid's boundaries.
+
+    The parent may have a zero-width axis; a centre coordinate is an exact
+    cell edge, a point anywhere inside, or a point outside the parent
+    (clamped to the border cell); one mode puts every record in one child
+    and one draws no record at all.
+    """
+    splits = draw(st.sampled_from([2, 3, 4]))
+    lo = tuple(draw(st.floats(min_value=-50.0, max_value=50.0)) for _ in range(3))
+    sides = [draw(st.sampled_from([0.0, 1.0, 7.5, 33.3])) for _ in range(3)]
+    parent = Box(lo, tuple(low + side for low, side in zip(lo, sides)))
+    lows, highs = parent.grid_edges(splits)
+    mode = draw(st.sampled_from(["mixed", "mixed", "one child", "empty"]))
+    n = 0 if mode == "empty" else draw(st.integers(min_value=1, max_value=70))
+    corner = tuple(draw(st.sampled_from(edges)) for edges in lows)
+    objects = []
+    for oid in range(n):
+        if mode == "one child":
+            center = corner
+        else:
+            center = tuple(
+                draw(
+                    st.one_of(
+                        st.sampled_from(lows[axis] + highs[axis]),
+                        st.floats(
+                            min_value=lo[axis] - 5.0, max_value=lo[axis] + sides[axis] + 5.0
+                        ),
+                    )
+                )
+                for axis in range(3)
+            )
+        half = draw(st.sampled_from([0.0, 0.25, 1.0]))
+        box = Box(tuple(c - half for c in center), tuple(c + half for c in center))
+        objects.append(SpatialObject(oid=oid, dataset_id=0, box=box))
+    return splits, parent, objects
+
+
+class TestSortedSplitProperties:
+    """One kernel, one stable sort, one bincount == a mask per child == the scalar loop."""
+
+    @given(split_cases())
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_sorted_split_equals_mask_split_and_scalar_assignment(self, case):
+        splits, parent, objects = case
+        disk = Disk(model=DiskModel(), buffer_pages=0)
+        # The tree only lends its split factor; the records never touch its dataset.
+        tree = PartitionTree(Dataset.create(disk, 0, "prop_split", [], UNIVERSE), splits)
+        staging = PagedFile(disk, "prop_split_staging.dat", spatial_object_codec(3))
+        records = staging.read_group_array(staging.append_group(objects))
+        groups = tree.assign_array_to_children(parent, records)
+        assert len(groups) == splits**3
+        assert sum(len(group) for group in groups) == len(objects)
+        masked = reference_assign_array(parent, records, splits, splits**3)
+        scalar = tree.assign_to_children(parent, objects)
+        for group, by_mask, by_loop in zip(groups, masked, scalar):
+            assert group.dtype == records.dtype
+            assert group.tobytes() == by_mask.tobytes()
+            assert group["oid"].tolist() == [obj.oid for obj in by_loop]
+            # Children are read-only views of one reordered array.
+            assert not group.flags.writeable and not group.flags.owndata
+            with pytest.raises(ValueError):
+                group["oid"] = 0
+            with pytest.raises(ValueError):
+                group.setflags(write=True)
 
 
 def reference_mask(lo, hi, los, his) -> np.ndarray:

@@ -205,3 +205,32 @@ class TestPageCompression:
         from repro.storage.codec import COMPRESSION_CODECS, preferred_compression
 
         assert preferred_compression() in COMPRESSION_CODECS
+
+
+class TestArraySurfaceChecksEveryGroup:
+    """Skipping the encode of an empty group must not skip its checks."""
+
+    @pytest.mark.parametrize("compression", [None, "zlib"])
+    def test_wrong_dtype_raises_even_for_an_empty_group(self, compression):
+        import numpy as np
+
+        from repro.storage.cost_model import DiskModel
+        from repro.storage.disk import Disk
+        from repro.storage.pagedfile import PagedFile
+
+        codec = spatial_object_codec(3)
+        disk = Disk(model=DiskModel(), buffer_pages=4)
+        file = PagedFile(disk, "typed.dat", codec, compression=compression)
+        good = np.zeros(5, dtype=codec.dtype)
+        good["hi"] = 1.0
+        wrong_and_empty = np.empty(0, dtype=spatial_object_codec(2).dtype)
+        with pytest.raises(TypeError, match="dtype"):
+            file.write_groups_array([good, wrong_and_empty])
+        with pytest.raises(TypeError, match="dtype"):
+            file.append_group_array(wrong_and_empty)
+        # Rejected before anything was written: no page reached the file.
+        assert file.num_pages() == 0
+        runs = file.write_groups_array([good[:0], good, good[:0]])
+        assert [run.n_records for run in runs] == [0, 5, 0]
+        assert runs[0] is runs[2] and runs[0].extents == ()
+        assert file.read_group_array(runs[1]).tobytes() == good.tobytes()
