@@ -4,9 +4,9 @@
 This example extends ``batched_exploration.py`` with the thread-parallel
 executor (:meth:`SpaceOdyssey.query_batch` with ``workers=K``): the batch's
 read-only phases — overlap resolution per combination group, page decode +
-vectorized filtering per query — fan out across K threads over a sharded
-buffer pool, while statistics, refinement and merging replay through a
-single deterministic writer phase.  Results, reports, adaptive state and
+vectorized filtering per query — fan out across K threads, while
+statistics, refinement and merging replay through a single deterministic
+writer phase.  Results, reports, adaptive state and
 on-disk bytes are bit-identical at every worker count; only the wall
 clock changes.
 
@@ -27,19 +27,16 @@ BATCH_SIZE = 32
 
 
 def main() -> None:
-    # 1. The synthetic neuroscience benchmark on a disk whose buffer pool
-    #    is split into 8 lock-striped shards — concurrent readers stripe
-    #    their cache contention instead of serializing on one lock.
+    # 1. The synthetic neuroscience benchmark.
     suite = build_benchmark_suite(
         n_datasets=8,
         objects_per_dataset=8_000,
         seed=42,
         buffer_pages=0,
-        buffer_shards=8,
     )
     catalog = suite.catalog
     print(f"datasets: {len(catalog)}, total objects: {catalog.total_objects():,}")
-    print(f"host cpus: {os.cpu_count()}, buffer shards: 8, batch size: {BATCH_SIZE}")
+    print(f"host cpus: {os.cpu_count()}, batch size: {BATCH_SIZE}")
 
     # 2. A dashboard-style sweep: many windows over a few combinations.
     microcircuits = suite.generator.microcircuit_centers

@@ -32,14 +32,12 @@ QUERIES_PER_CLIENT = 24
 
 
 def main() -> None:
-    # 1. A shared engine over the synthetic neuroscience suite, with a
-    #    sharded buffer pool so the batch workers stripe cache contention.
+    # 1. A shared engine over the synthetic neuroscience suite.
     suite = build_benchmark_suite(
         n_datasets=6,
         objects_per_dataset=4_000,
         seed=7,
         buffer_pages=0,
-        buffer_shards=8,
     )
     odyssey = SpaceOdyssey(suite.catalog, OdysseyConfig())
     print(f"datasets: {len(suite.catalog)}, objects: {suite.catalog.total_objects():,}")

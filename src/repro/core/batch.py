@@ -376,10 +376,9 @@ class BatchExecutor:
         deterministic functions of ``(query, needed0, decisions)``:
         merge-file segments first (sorted by segment start), then
         individual partition runs (sorted by dataset, then run start).
-        Both the serial/thread executors (which read the plan through a
-        :class:`BatchReadSet`) and the process executor (which stages the
-        plan's pages for its workers) consume this one plan builder, so
-        every engine reads the same groups in the same order.
+        Every batched executor reads the plan through a
+        :class:`BatchReadSet`, so every engine reads the same groups in the
+        same order.
         """
         decision = decisions[query.requested]
         info = decision.merge_info

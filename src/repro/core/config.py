@@ -82,21 +82,11 @@ class OdysseyConfig:
         (:mod:`repro.core.epoch`) — every adaptation publishes a new
         immutable ``EngineEpoch`` and destructive page writes retain
         pre-images for pinned readers, enabling
-        ``query_batch(..., snapshot=True)`` and the serving frontend's
-        pipelined dispatch (the read phase of batch N+1 overlaps the
-        writer phase of batch N).  Epoch bookkeeping changes no charged
-        I/O, no results and no on-disk bytes; set to false to strip the
-        machinery entirely (snapshot reads then raise ``RuntimeError``).
-    batch_executor:
-        Implementation switch, not a paper parameter: the default executor
-        ``query_batch(..., workers=K)`` fans out on when no per-call
-        ``executor=`` is given.  ``"thread"`` (the default) runs the
-        thread-pool executor; ``"process"`` runs the process-pool executor
-        (:class:`~repro.core.parallel.ProcessExecutor`) whose workers
-        decode and filter pages over shared-memory/mmap buffers outside
-        the GIL.  Both are bit-identical to the serial batch engine in
-        results, reports, adaptive state and on-disk bytes (enforced by
-        ``tests/test_engine_fuzz.py``).
+        ``query_batch(..., snapshot=True)``, whose read phase runs against
+        a pinned epoch without holding the engine's gate.  Epoch
+        bookkeeping changes no charged I/O, no results and no on-disk
+        bytes; set to false to strip the machinery entirely (snapshot
+        reads then raise ``RuntimeError``).
     """
 
     refinement_threshold: float = 4.0
@@ -112,7 +102,6 @@ class OdysseyConfig:
     adaptive_merge_threshold: bool = False
     columnar: bool = True
     snapshot_reads: bool = True
-    batch_executor: str = "thread"
 
     def __post_init__(self) -> None:
         if self.refinement_threshold <= 0:
@@ -131,8 +120,6 @@ class OdysseyConfig:
             raise ValueError("max_depth must be >= 1")
         if self.merge_partition_min_hits < 1:
             raise ValueError("merge_partition_min_hits must be >= 1")
-        if self.batch_executor not in ("thread", "process"):
-            raise ValueError("batch_executor must be 'thread' or 'process'")
 
     def splits_per_dimension(self, dimension: int) -> int:
         """Per-dimension split count such that ``splits**dimension == ppl``.

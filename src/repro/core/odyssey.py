@@ -232,7 +232,6 @@ class SpaceOdyssey(MultiDatasetIndex):
         *,
         workers: int | None = None,
         snapshot: bool = False,
-        executor: str | None = None,
     ) -> "BatchResult":
         """Execute a batch of range queries together (see :mod:`repro.core.batch`).
 
@@ -255,21 +254,7 @@ class SpaceOdyssey(MultiDatasetIndex):
         filtering per query, while all adaptive updates replay through the
         same single-threaded deterministic writer phase — results (hit
         order included), reports, adaptive state and on-disk bytes are
-        bit-identical to ``workers=1``.  Pair it with a sharded buffer
-        pool (``Disk(buffer_shards=...)``) on multi-core hosts.
-
-        ``executor="process"`` swaps the thread pool for a *process* pool
-        (:class:`~repro.core.parallel.ProcessExecutor`): workers decode
-        and filter page bytes outside the GIL, reading them zero-copy
-        from an ``mmap`` of the page files (plain filesystem backend) or
-        from a shared-memory staging block the parent fills through the
-        normal charged read path (any other backend).  The deterministic
-        writer replay never leaves the parent process, so this mode is
-        bit-identical to the others as well.  ``executor=None`` defers
-        to ``OdysseyConfig.batch_executor`` (default ``"thread"``).
-        Process workers pay a real serialization cost per hit, so this
-        mode wins when decode + filter dominate — large pages,
-        compression enabled, or CPU-heavy filtering.
+        bit-identical to ``workers=1``.
 
         ``snapshot=True`` executes through the epoch-snapshot engine
         (:mod:`repro.core.epoch`, requires
@@ -285,7 +270,7 @@ class SpaceOdyssey(MultiDatasetIndex):
         fans this batch's reads across ``K`` threads.
         """
         return self._processor.execute_batch(
-            queries, workers=workers, snapshot=snapshot, executor=executor
+            queries, workers=workers, snapshot=snapshot
         )
 
     def prepare_batch(self, queries, *, workers: int | None = None):
@@ -294,9 +279,10 @@ class SpaceOdyssey(MultiDatasetIndex):
         Returns a :class:`~repro.core.epoch.PreparedBatch` whose results
         are fully materialized against a pinned epoch.  Pass it to
         :meth:`commit_batch` to apply CPU charges and the in-order
-        adaptive replay (and publish the next epoch).  The serving
-        frontend uses this split to pipeline: the dispatcher prepares
-        batch N+1 while the writer thread commits batch N.
+        adaptive replay (and publish the next epoch).  Between the two
+        calls the engine's gate is free, so other batches may read and
+        commit; ``query_batch(..., snapshot=True)`` runs the same two
+        phases back to back.
         """
         return self._processor.prepare_batch(queries, workers=workers)
 
@@ -316,7 +302,6 @@ class SpaceOdyssey(MultiDatasetIndex):
         max_delay_ms: float = 5.0,
         workers: int | None = None,
         max_pending: int | None = None,
-        pipeline: bool | None = None,
         **degradation,
     ) -> "QueryService":
         """Start a multi-tenant serving frontend over this engine.
@@ -334,13 +319,6 @@ class SpaceOdyssey(MultiDatasetIndex):
         afterwards, and direct ``query``/``query_batch`` calls made while
         the service runs simply interleave through the gate lock.
 
-        ``pipeline`` controls two-batch pipelining over the
-        epoch-snapshot engine (the dispatcher prepares batch N+1's
-        lock-free read phase while a writer thread commits batch N).  It
-        defaults to on whenever ``OdysseyConfig.snapshot_reads`` is
-        enabled; per-client results remain identical to sequential
-        arrival-order replay either way.
-
         Extra keyword arguments (``batch_retries``, ``retry_backoff_ms``,
         ``breaker_threshold``, ``breaker_cooldown_ms``) tune the
         service's graceful-degradation machinery; see
@@ -354,7 +332,6 @@ class SpaceOdyssey(MultiDatasetIndex):
             max_delay_ms=max_delay_ms,
             workers=workers,
             max_pending=max_pending,
-            pipeline=pipeline,
             **degradation,
         )
         # Weakly tracked so telemetry() can aggregate serving counters

@@ -148,7 +148,7 @@ class LeafSnapshot:
     ``lo`` and ``hi`` have shape ``(n, d)`` in **column-major** layout
     (fixed where the snapshot is built, :meth:`PartitionTree._splice`), so
     the per-axis slices the overlap kernels walk are contiguous; every
-    consumer — live tree, pinned epoch, process workers — shares these
+    consumer — live tree, pinned epoch, batch worker threads — shares these
     arrays as they are.
     """
 

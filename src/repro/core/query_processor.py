@@ -425,7 +425,6 @@ class QueryProcessor:
         queries,
         workers: int | None = None,
         snapshot: bool = False,
-        executor: str | None = None,
     ) -> "BatchResult":
         """Execute a batch of queries through the batched engine.
 
@@ -434,17 +433,11 @@ class QueryProcessor:
         :meth:`execute` once per query in order (hit order within a
         result and ``QueryReport.objects_examined`` may differ).
 
-        ``workers`` selects a parallel executor
+        ``workers`` selects the thread-parallel executor
         (:mod:`repro.core.parallel`): ``None`` or ``1`` runs the serial
         batch engine; ``K > 1`` fans the read-only phases across ``K``
-        workers with results, reports, adaptive state and on-disk bytes
-        bit-identical to the serial batch.  ``executor`` picks the pool
-        flavour — ``"thread"`` shares the engine's memory and relies on
-        NumPy releasing the GIL; ``"process"`` ships page bytes to worker
-        processes over shared memory (or lets them ``mmap`` the page
-        files of a plain filesystem backend) so decode + filter scale
-        past the GIL.  ``None`` defers to
-        ``OdysseyConfig.batch_executor``.
+        threads with results, reports, adaptive state and on-disk bytes
+        bit-identical to the serial batch.
 
         ``snapshot=True`` routes through the epoch executor
         (:mod:`repro.core.epoch`): the read phase runs against a pinned
@@ -452,21 +445,12 @@ class QueryProcessor:
         writer phase serializes — so concurrent batches overlap their
         reads.  In isolation the epoch executor is bit-identical to the
         batch executor (reports and ``objects_examined`` included);
-        requires ``OdysseyConfig(snapshot_reads=True)``.  Snapshot reads
-        are thread-only (the epoch object graph is not shipped across
-        processes); combining ``snapshot=True`` with
-        ``executor="process"`` raises ``ValueError``.
+        requires ``OdysseyConfig(snapshot_reads=True)``.
         """
         from repro.core.batch import BatchExecutor, QueryBatch
 
-        if executor is None:
-            executor = self._config.batch_executor
-        if executor not in ("thread", "process"):
-            raise ValueError("executor must be 'thread' or 'process'")
         batch = queries if isinstance(queries, QueryBatch) else QueryBatch(queries)
         if snapshot:
-            if executor == "process":
-                raise ValueError("snapshot reads do not support executor='process'")
             if self._epochs is None:
                 raise RuntimeError(
                     "snapshot reads require OdysseyConfig(snapshot_reads=True)"
@@ -476,14 +460,9 @@ class QueryProcessor:
             return EpochExecutor(self, workers).run(batch)
         with self._gate:
             if workers is not None and workers != 1:
-                if executor == "process":
-                    from repro.core.parallel import ProcessExecutor
+                from repro.core.parallel import ParallelExecutor
 
-                    result = ProcessExecutor(self, workers).run(batch)
-                else:
-                    from repro.core.parallel import ParallelExecutor
-
-                    result = ParallelExecutor(self, workers).run(batch)
+                result = ParallelExecutor(self, workers).run(batch)
             else:
                 result = BatchExecutor(self).run(batch)
             self.publish_epoch()
@@ -495,9 +474,7 @@ class QueryProcessor:
 
         Pins the current epoch, resolves overlaps, reads and filters every
         query against the pinned snapshot — all without the gate — and
-        returns an opaque prepared batch for :meth:`commit_batch`.  The
-        serving dispatcher uses this split to overlap the read phase of
-        batch N+1 with the writer phase of batch N.
+        returns an opaque prepared batch for :meth:`commit_batch`.
         """
         if self._epochs is None:
             raise RuntimeError(

@@ -66,6 +66,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
 MANIFEST_VERSION = 2
 READABLE_VERSIONS = (1, MANIFEST_VERSION)
 
+#: Header keys of retired options, ignored when an older journal carries
+#: them.  A journal written over a sharded buffer pool (``buffer_shards``)
+#: comes back as one pool of the same ``buffer_pages``; the batch
+#: executor switch (``batch_executor``) has no replacement.
+_RETIRED_KEYS = {"config": ("batch_executor",), "catalog": ("buffer_shards",)}
+
 #: Silent unless the embedding application configures handlers (e.g. via
 #: :func:`repro.obs.configure_json_logging`).
 logger = logging.getLogger("repro.recovery")
@@ -105,7 +111,6 @@ def _encode_catalog(catalog: DatasetCatalog) -> dict:
         store = {"kind": "filesystem", "root": str(backend.root)}
     else:
         store = {"kind": "memory"}
-    pool = disk.buffer_pool
     return {
         "datasets": [
             {
@@ -117,8 +122,7 @@ def _encode_catalog(catalog: DatasetCatalog) -> dict:
         ],
         "store": store,
         "model": asdict(disk.model),
-        "buffer_pages": pool.capacity_pages,
-        "buffer_shards": getattr(pool, "n_shards", 1),
+        "buffer_pages": disk.buffer_pool.capacity_pages,
     }
 
 
@@ -199,7 +203,6 @@ def _rebuild_disk(manifest_catalog: dict, backend: StorageBackend | None) -> Dis
         backend=backend,
         model=model,
         buffer_pages=manifest_catalog["buffer_pages"],
-        buffer_shards=manifest_catalog["buffer_shards"],
     )
 
 
@@ -280,6 +283,9 @@ def recover(
     # expose this same manifest.  (The new base is in today's layout
     # whatever the version read, so the deltas that follow it belong.)
     manifest["version"] = MANIFEST_VERSION
+    for section, keys in _RETIRED_KEYS.items():
+        for key in keys:
+            manifest[section].pop(key, None)
     journal.rewrite(manifest)
 
     config = OdysseyConfig(**manifest["config"])

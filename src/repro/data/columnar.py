@@ -7,7 +7,7 @@ query engines filter with — ``oids``/``dataset_ids`` vectors and the MBR
 corner matrices — and materialises :class:`~repro.data.spatial_object.SpatialObject`
 instances only for the rows a query actually hits.
 
-Every columnar engine — sequential, batched, epoch, process workers —
+Every columnar engine — sequential, batched, thread-parallel, epoch —
 filters through :func:`filter_groups`, so there is a single
 bytes→columns→objects path in the library and it costs one mask and one
 materialisation per query, however many groups the query reads.

@@ -42,7 +42,6 @@ class BenchmarkSuite:
         self,
         buffer_pages: int | None = None,
         model: DiskModel | None = None,
-        buffer_shards: int | None = None,
     ) -> "BenchmarkSuite":
         """An independent copy of the suite with byte-identical raw files.
 
@@ -50,7 +49,7 @@ class BenchmarkSuite:
         suite for every approach it runs, so each run gets its own disk
         (fresh I/O accounting, fresh buffer pool, no file-name clashes)
         without paying for data generation again.  The buffer pool's page
-        budget and shard count carry over unless overridden.
+        budget carries over unless overridden.
         """
         new_disk = Disk(
             backend=self.disk.backend.clone(),
@@ -59,11 +58,6 @@ class BenchmarkSuite:
                 buffer_pages
                 if buffer_pages is not None
                 else self.disk.buffer_pool.capacity_pages
-            ),
-            buffer_shards=(
-                buffer_shards
-                if buffer_shards is not None
-                else getattr(self.disk.buffer_pool, "n_shards", 1)
             ),
         )
         datasets = [
@@ -97,7 +91,6 @@ def build_benchmark_suite(
     disk: Disk | None = None,
     buffer_pages: int = 4096,
     model: DiskModel | None = None,
-    buffer_shards: int = 1,
     compression: str | None = None,
 ) -> BenchmarkSuite:
     """Create the multi-dataset benchmark universe used by the experiments.
@@ -118,7 +111,7 @@ def build_benchmark_suite(
     if objects_per_dataset < 1:
         raise ValueError("objects_per_dataset must be >= 1")
     if disk is None:
-        disk = Disk(model=model, buffer_pages=buffer_pages, buffer_shards=buffer_shards)
+        disk = Disk(model=model, buffer_pages=buffer_pages)
     universe = brain_universe(dimension=dimension)
     generator = NeuroscienceDatasetGenerator(universe=universe, seed=seed)
     datasets = generator.generate_datasets(

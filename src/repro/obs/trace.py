@@ -4,9 +4,8 @@ A :class:`Tracer` is engine-scoped (one per :class:`~repro.core.odyssey.
 SpaceOdyssey` when enabled).  Spans nest implicitly through a per-thread
 stack — ``start_span`` inside an open span becomes its child — and
 explicitly across threads: pool workers pass ``parent=`` because a fresh
-executor thread has an empty stack.  Worker *processes* cannot carry
-span objects at all, so they ship plain ``(name, start, duration)``
-timing tuples back over the pool and the parent grafts them with
+executor thread has an empty stack.  An already-measured span (an
+instantaneous :meth:`Tracer.event`, for one) is grafted with
 :meth:`Tracer.record_completed`.
 
 Completed spans land in a ``deque(maxlen=capacity)`` ring buffer under a
@@ -176,11 +175,10 @@ class Tracer:
         duration_s: float = 0.0,
         **attributes,
     ) -> Span:
-        """Graft an already-measured span (e.g. a process-worker timing).
+        """Graft an already-measured span onto ``parent``.
 
-        The span never touches the thread stack: workers measure with
-        ``perf_counter`` in their own process and the parent records the
-        result here, parented onto the phase span that dispatched them.
+        The span never touches the thread stack, so it may be recorded
+        from any thread after the fact.
         """
         span = Span(
             name=name,

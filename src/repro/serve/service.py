@@ -10,23 +10,6 @@ thread-parallel executor (``workers=K``).  Every submission gets its own
 :class:`~concurrent.futures.Future`, so results *and* exceptions route
 back to the client that submitted them.
 
-Pipelined dispatch
-------------------
-When the engine has epoch-snapshot reads enabled
-(``OdysseyConfig.snapshot_reads``, the default), the service pipelines
-two batches: the dispatcher runs each batch's *lock-free read phase*
-(:meth:`~repro.core.odyssey.SpaceOdyssey.prepare_batch`, pinned to a
-published epoch) and hands the prepared batch to a dedicated writer
-thread, which applies the *writer phases* — CPU charges plus the
-in-order adaptive replay under the engine's gate — strictly in arrival
-order.  The read phase of batch N+1 therefore overlaps the writer phase
-of batch N.  Per-client results are unchanged: a snapshot read returns
-exact answers (they depend only on the data and the query window), and
-the writer thread commits batches in the same arrival order the
-sequential dispatcher would have, so the adaptive state evolves
-identically.  Disable with ``pipeline=False`` to get the classic
-one-batch-at-a-time dispatcher.
-
 Determinism contract
 --------------------
 Submissions are assigned a global **arrival sequence number** and queued
@@ -54,11 +37,11 @@ preserved.
 Under storage faults the service degrades gracefully instead of hanging
 or crash-looping:
 
-* **Transient errors retry with backoff.**  A *read-only* phase (the
-  pipelined ``prepare_batch``) that fails with a transient storage error
-  (:func:`repro.storage.errors.is_transient`) is retried in place up to
-  ``batch_retries`` times with bounded exponential backoff.  In the
-  sequential fallback each individual query gets the same treatment.
+* **Transient errors retry with backoff.**  A batch that raises is
+  replayed query by query (above); each query of that replay that fails
+  with a transient storage error (:func:`repro.storage.errors.is_transient`)
+  is retried in place up to ``batch_retries`` times with bounded
+  exponential backoff before its error is surfaced.
   (The backend usually absorbs transient faults itself via
   :class:`~repro.storage.retry.RetryingBackend`; service-level retry is
   the second line of defence once the backend's budget is exhausted.)
@@ -225,17 +208,10 @@ class QueryService:
         Optional backpressure bound: with a value, :meth:`submit` blocks
         once this many queries are queued undispatched (the queue is
         bounded).  ``None`` (default) never blocks.
-    pipeline:
-        Two-batch pipelining over the epoch-snapshot engine (see the
-        module docstring).  ``None`` (default) enables it exactly when
-        the engine has ``snapshot_reads``; ``True`` requires it
-        (``ValueError`` otherwise); ``False`` forces the classic
-        dispatcher.
     batch_retries:
-        How many times transiently-failed work is retried at the service
-        level (read-only prepare phases, and each query of a sequential
-        fallback) before the failure is surfaced.  ``0`` disables
-        service-level retry.
+        How many times each query of a sequential fallback is retried at
+        the service level after a transient failure before the failure is
+        surfaced.  ``0`` disables service-level retry.
     retry_backoff_ms:
         Base delay of the exponential backoff between service-level
         retries (doubled per attempt, capped at ``retry_backoff_max_ms``).
@@ -264,7 +240,6 @@ class QueryService:
         max_delay_ms: float = 5.0,
         workers: int | None = None,
         max_pending: int | None = None,
-        pipeline: bool | None = None,
         batch_retries: int = 2,
         retry_backoff_ms: float = 1.0,
         retry_backoff_max_ms: float = 100.0,
@@ -290,14 +265,7 @@ class QueryService:
             raise ValueError("breaker_threshold must be >= 1 (or None)")
         if breaker_cooldown_ms < 0:
             raise ValueError("breaker_cooldown_ms must be non-negative")
-        if pipeline is None:
-            pipeline = odyssey.config.snapshot_reads
-        elif pipeline and not odyssey.config.snapshot_reads:
-            raise ValueError(
-                "pipeline=True requires OdysseyConfig(snapshot_reads=True)"
-            )
         self._odyssey = odyssey
-        self._pipeline = pipeline
         self._max_batch = max_batch
         self._max_delay_s = max_delay_ms / 1000.0
         self._workers = workers
@@ -311,9 +279,8 @@ class QueryService:
         # An injected ``sleep`` stub (tests) is honoured as-is.
         self._abort_event = threading.Event()
         self._sleep = self._abort_event.wait if sleep is time.sleep else sleep
-        # Breaker state: touched only by the executing thread (dispatcher
-        # or writer) except for the read-only `healthy` property, which
-        # tolerates a stale glimpse.
+        # Breaker state: touched only by the dispatcher thread, except for
+        # the read-only `healthy` property, which tolerates a stale glimpse.
         self._consecutive_failed_batches = 0
         self._breaker_open_until: float | None = None
         self._queue: Queue = Queue(maxsize=max_pending or 0)
@@ -326,17 +293,6 @@ class QueryService:
         self._stats_lock = threading.Lock()
         self._stats = ServiceStats()
         self._latency = Histogram("serve.latency_seconds")
-        self._writer: threading.Thread | None = None
-        if self._pipeline:
-            # Depth 2: the dispatcher may finish preparing batch N+1
-            # while the writer still holds batch N — any deeper and read
-            # phases would race ever further ahead of the committed
-            # adaptive state for no extra overlap.
-            self._write_queue: Queue = Queue(maxsize=2)
-            self._writer = threading.Thread(
-                target=self._write_loop, name="odyssey-serve-writer", daemon=True
-            )
-            self._writer.start()
         self._dispatcher = threading.Thread(
             target=self._run, name="odyssey-serve-dispatcher", daemon=True
         )
@@ -402,11 +358,6 @@ class QueryService:
     def odyssey(self) -> SpaceOdyssey:
         """The engine being served."""
         return self._odyssey
-
-    @property
-    def pipelined(self) -> bool:
-        """Whether dispatch is pipelined over the epoch-snapshot engine."""
-        return self._pipeline
 
     @property
     def healthy(self) -> bool:
@@ -476,47 +427,15 @@ class QueryService:
         # (the sentinel is the last thing a closing service enqueues);
         # with abort, _dispatch already failed everything it saw, and
         # nothing can follow the sentinel.
-        if self._writer is not None:
-            self._write_queue.put(_SHUTDOWN)
-            self._writer.join()
 
     def _dispatch(self, batch: list[Submission], reason: str) -> None:
-        """Execute one coalesced batch and resolve its futures.
-
-        In pipelined mode this only runs the lock-free read phase and
-        hands the prepared batch to the writer thread (bounded queue, so
-        the dispatcher stays at most two batches ahead); otherwise it
-        drains the batch through ``query_batch`` right here.
-        """
+        """Execute one coalesced batch through ``query_batch`` and resolve
+        its futures."""
         if self._abort:
             error = ServiceClosed("service closed before this query was executed")
             for submission in batch:
                 self._resolve(submission, error=error)
             self._note_batch(batch, reason, fallbacks=0)
-            return
-        if self._pipeline:
-            prepared = None
-            if not self._breaker_is_open():
-                with maybe_span(
-                    self._odyssey.tracer,
-                    "serve.prepare",
-                    queries=len(batch),
-                    flush=reason,
-                ):
-                    try:
-                        prepared = self._retry_transient(
-                            lambda: self._odyssey.prepare_batch(
-                                [(s.box, s.dataset_ids) for s in batch],
-                                workers=self._workers,
-                            )
-                        )
-                    except BaseException:
-                        # A failed read phase (e.g. an unknown dataset id —
-                        # ids are validated before any work) leaves no state
-                        # behind; the writer replays the batch sequentially
-                        # for failure isolation, keeping arrival order.
-                        prepared = None
-            self._write_queue.put((batch, reason, prepared))
             return
         if self._shed_if_degraded(batch, reason):
             return
@@ -543,37 +462,6 @@ class QueryService:
                 span.attributes.update(fallback=bool(fallbacks), failed=failed)
         self._breaker_record(failed)
         self._note_batch(batch, reason, fallbacks=fallbacks)
-
-    def _write_loop(self) -> None:
-        """Writer thread: commit prepared batches strictly in arrival order."""
-        while True:
-            item = self._write_queue.get()
-            if item is _SHUTDOWN:
-                break
-            batch, reason, prepared = item
-            if self._shed_if_degraded(batch, reason):
-                continue
-            fallbacks = 0
-            failed = 0
-            with maybe_span(
-                self._odyssey.tracer, "serve.commit", queries=len(batch), flush=reason
-            ) as span:
-                if prepared is None:
-                    fallbacks = 1
-                    failed = self._replay_sequentially(batch)
-                else:
-                    try:
-                        result = self._odyssey.commit_batch(prepared)
-                    except BaseException:
-                        fallbacks = 1
-                        failed = self._replay_sequentially(batch)
-                    else:
-                        for submission, hits in zip(batch, result.results):
-                            self._resolve(submission, hits=hits)
-                if span is not None:
-                    span.attributes.update(fallback=bool(fallbacks), failed=failed)
-            self._breaker_record(failed)
-            self._note_batch(batch, reason, fallbacks=fallbacks)
 
     def _replay_sequentially(self, batch: list[Submission]) -> int:
         """The failure-isolation fallback: one engine call per submission.

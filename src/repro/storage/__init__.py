@@ -21,7 +21,7 @@ substrate that the rest of the library is built on:
 """
 
 from repro.storage.backend import FileSystemBackend, InMemoryBackend, StorageBackend
-from repro.storage.buffer import BufferCounters, BufferPool, ShardedBufferPool
+from repro.storage.buffer import BufferCounters, BufferPool
 from repro.storage.codec import FixedRecordCodec, RecordCodec, page_intact, verify_page
 from repro.storage.cost_model import AccessKind, DiskModel, IOStats
 from repro.storage.disk import Disk
@@ -64,7 +64,6 @@ __all__ = [
     "RetryCounters",
     "RetryPolicy",
     "RetryingBackend",
-    "ShardedBufferPool",
     "SimulatedCrash",
     "StorageBackend",
     "StorageError",

@@ -289,21 +289,6 @@ class FileSystemBackend(StorageBackend):
         self._keep(path, fd)
         return fd
 
-    def page_file_path(self, name: str) -> Path:
-        """The real on-disk file holding a logical file's pages.
-
-        The process-parallel executor hands this path to its workers,
-        which ``mmap`` the file read-only and decode pages as
-        ``np.frombuffer`` views straight over the mapping (the per-page
-        CRC trailer is verified on every access, so a torn write is
-        detected exactly as it is through :meth:`read`).  Raises
-        :class:`MissingFileError` when the file does not exist.
-        """
-        path = self._path(name)
-        if not os.path.exists(path):
-            raise MissingFileError(f"no such file: {name!r}")
-        return Path(path)
-
     def create(self, name: str) -> None:
         path = self._path(name)
         with self._lock:

@@ -33,36 +33,17 @@ can never alias a decoding of the live page.
 
 Lock ordering
 -------------
-The pool sits strictly *below* the :class:`~repro.storage.disk.Disk` in
-the lock hierarchy: the disk calls into the pool (``invalidate_file``
-runs under the disk lock, byte-layer get/put run under it too) but no
-pool method ever calls back into the disk, so disk-lock → shard-lock is
-the only nesting that occurs and a cycle is impossible.  Within the
-sharded pool, the multi-shard operations (``invalidate_file``, ``clear``,
-``__len__``, ``shard_counters``) all acquire shard locks one at a time in
-ascending index order and never hold two shard locks at once — so they
-cannot deadlock against each other or against single-shard operations.
-
-Sharding
---------
-:class:`ShardedBufferPool` splits the page budget over N independent
-:class:`BufferPool` shards, each guarded by its own lock, with pages routed
-to shards by a deterministic hash of ``(file_name, page_no)``.  It exists
-for the thread-parallel batch executor (:mod:`repro.core.parallel`): with
-lock striping, concurrent readers touching different pages never contend
-on one global cache lock.  Routing uses ``zlib.crc32`` rather than Python's
-``hash`` so shard assignment — and therefore eviction behaviour and the
-simulated I/O trace — is reproducible run-to-run regardless of
-``PYTHONHASHSEED``.  Note that per-shard LRU is not globally identical to
-one big LRU: a sharded pool of the same total capacity may evict different
-pages than ``BufferPool`` would, so differential tests always compare
-engines running the *same* pool configuration.
+The pool has no lock of its own and sits strictly *below* the
+:class:`~repro.storage.disk.Disk`: the disk calls into the byte layer
+under the disk lock, and no pool method ever calls back into the disk.
+The decoded-array layer is consulted outside the disk lock; each of its
+operations is a single dictionary access guarded by the identity check
+above, so a concurrent reader can miss a decoding but never receive a
+wrong one.
 """
 
 from __future__ import annotations
 
-import threading
-import zlib
 from dataclasses import dataclass, fields
 from collections import OrderedDict
 from typing import Any
@@ -288,183 +269,3 @@ class BufferPool:
             decoded_evictions=self._decoded_evictions,
             decoded_invalidations=self._decoded_invalidations,
         )
-
-
-class ShardedBufferPool:
-    """N lock-striped :class:`BufferPool` shards behind the pool interface.
-
-    The page budget is distributed as evenly as possible over the shards
-    (the first ``capacity_pages % n_shards`` shards get one extra page);
-    every page deterministically belongs to one shard, so all
-    invalidation, counting and LRU bookkeeping for it happens under that
-    shard's lock only.  The facade exposes the same surface as
-    :class:`BufferPool` — byte layer, decoded-array layer, aggregated
-    counters — so the :class:`~repro.storage.disk.Disk` and
-    :class:`~repro.storage.pagedfile.PagedFile` use either interchangeably.
-
-    The effective shard count is clamped to ``min(n_shards,
-    capacity_pages)`` (and to one shard for the capacity-zero pool):
-    splitting fewer pages than shards would leave the tail shards with
-    capacity 0, and a zero-capacity :class:`BufferPool` never caches —
-    pages routed there would silently miss forever.  Clamping guarantees
-    every shard holds at least one page, trading a little lock striping
-    for never disabling caching by accident; :attr:`n_shards` reports the
-    effective count.
-    """
-
-    def __init__(self, capacity_pages: int, n_shards: int = 8) -> None:
-        if capacity_pages < 0:
-            raise ValueError("capacity_pages must be non-negative")
-        if n_shards < 1:
-            raise ValueError("n_shards must be >= 1")
-        self._capacity = capacity_pages
-        n_shards = max(1, min(n_shards, capacity_pages))
-        base, extra = divmod(capacity_pages, n_shards)
-        self._shards = [
-            BufferPool(base + (1 if index < extra else 0)) for index in range(n_shards)
-        ]
-        self._locks = [threading.Lock() for _ in range(n_shards)]
-
-    # -- routing ----------------------------------------------------------- #
-
-    def shard_of(self, file_name: str, page_no: int) -> int:
-        """The shard index one page belongs to (deterministic run-to-run)."""
-        return (zlib.crc32(file_name.encode()) + page_no * 2654435761) % len(
-            self._shards
-        )
-
-    # -- core operations --------------------------------------------------- #
-
-    def get(self, file_name: str, page_no: int) -> bytes | None:
-        """Return the cached page or ``None``; refreshes LRU position on hit."""
-        index = self.shard_of(file_name, page_no)
-        with self._locks[index]:
-            return self._shards[index].get(file_name, page_no)
-
-    def put(self, file_name: str, page_no: int, data: bytes) -> None:
-        """Insert or refresh a page in its shard, evicting LRU pages if full."""
-        index = self.shard_of(file_name, page_no)
-        with self._locks[index]:
-            self._shards[index].put(file_name, page_no, data)
-
-    def get_decoded(self, file_name: str, page_no: int, page_bytes: bytes) -> Any | None:
-        """The cached decoding of exactly ``page_bytes``, or ``None``."""
-        index = self.shard_of(file_name, page_no)
-        with self._locks[index]:
-            return self._shards[index].get_decoded(file_name, page_no, page_bytes)
-
-    def put_decoded(
-        self, file_name: str, page_no: int, page_bytes: bytes, value: Any
-    ) -> None:
-        """Attach the decoding of ``page_bytes`` to its shard's byte page."""
-        index = self.shard_of(file_name, page_no)
-        with self._locks[index]:
-            self._shards[index].put_decoded(file_name, page_no, page_bytes, value)
-
-    def invalidate_file(self, file_name: str) -> None:
-        """Drop every cached page of one file, across all shards.
-
-        Shard locks are taken one at a time in ascending index order —
-        never two at once — matching ``clear``/``__len__``/
-        ``shard_counters`` (see the module docstring's lock-ordering
-        section), so concurrent readers iterating the same shards cannot
-        deadlock against an invalidation.
-        """
-        for lock, shard in zip(self._locks, self._shards):
-            with lock:
-                shard.invalidate_file(file_name)
-
-    def invalidate_page(self, file_name: str, page_no: int) -> None:
-        """Drop one page from both layers of its shard."""
-        index = self.shard_of(file_name, page_no)
-        with self._locks[index]:
-            self._shards[index].invalidate_page(file_name, page_no)
-
-    def clear(self) -> None:
-        """Drop every cached page in every shard."""
-        for lock, shard in zip(self._locks, self._shards):
-            with lock:
-                shard.clear()
-
-    # -- introspection ----------------------------------------------------- #
-
-    @property
-    def capacity_pages(self) -> int:
-        """Total page budget across all shards."""
-        return self._capacity
-
-    @property
-    def n_shards(self) -> int:
-        """Number of lock-striped shards."""
-        return len(self._shards)
-
-    def __len__(self) -> int:
-        # Like every other facade method, read shard state only under the
-        # shard's lock — an unlocked read races with concurrent mutation.
-        # Locks are acquired one at a time in ascending index order (the
-        # same discipline as invalidate_file/clear/shard_counters), and
-        # never nested, so introspection can run concurrently with an
-        # invalidation without any deadlock surface.
-        total = 0
-        for lock, shard in zip(self._locks, self._shards):
-            with lock:
-                total += len(shard)
-        return total
-
-    def __contains__(self, key: tuple[str, int]) -> bool:
-        # Single-shard lookup under that shard's lock only; nests under
-        # nothing and holds nothing while returning.
-        file_name, page_no = key
-        index = self.shard_of(file_name, page_no)
-        with self._locks[index]:
-            return key in self._shards[index]
-
-    @property
-    def hits(self) -> int:
-        """Successful byte-layer lookups, summed over shards."""
-        return sum(shard.hits for shard in self._shards)
-
-    @property
-    def misses(self) -> int:
-        """Failed byte-layer lookups, summed over shards."""
-        return sum(shard.misses for shard in self._shards)
-
-    @property
-    def evictions(self) -> int:
-        """Pages evicted under capacity pressure, summed over shards."""
-        return sum(shard.evictions for shard in self._shards)
-
-    @property
-    def decoded_hits(self) -> int:
-        """Decoded-array lookups served from the cache, summed over shards."""
-        return sum(shard.decoded_hits for shard in self._shards)
-
-    @property
-    def decoded_misses(self) -> int:
-        """Decoded-array lookups that had to decode, summed over shards."""
-        return sum(shard.decoded_misses for shard in self._shards)
-
-    @property
-    def decoded_evictions(self) -> int:
-        """Decoded arrays dropped with their byte page, summed over shards."""
-        return sum(shard.decoded_evictions for shard in self._shards)
-
-    @property
-    def decoded_invalidations(self) -> int:
-        """Decoded arrays dropped by file invalidation, summed over shards."""
-        return sum(shard.decoded_invalidations for shard in self._shards)
-
-    def shard_counters(self) -> list[BufferCounters]:
-        """Per-shard counter snapshots (each taken under its shard's lock)."""
-        snapshots = []
-        for lock, shard in zip(self._locks, self._shards):
-            with lock:
-                snapshots.append(shard.counters())
-        return snapshots
-
-    def counters(self) -> BufferCounters:
-        """An aggregated snapshot of all shards' counters."""
-        total = BufferCounters()
-        for snapshot in self.shard_counters():
-            total = total + snapshot
-        return total

@@ -332,8 +332,8 @@ def decode_page_array(dtype: np.dtype, data) -> np.ndarray:
     matter how many records the page holds (compressed pages additionally
     pay one decompression pass into fresh immutable bytes).  Values are
     bit-identical to what :func:`decode_page` produces through the scalar
-    codec.  ``data`` may be any buffer (bytes, a shared-memory slice or an
-    ``mmap`` view); the result is always read-only.
+    codec.  ``data`` may be any buffer (bytes, a ``bytearray`` or a
+    ``memoryview``); the result is always read-only.
     """
     verify_page(data)
     count, codec_id = page_header_fields(data)
@@ -348,7 +348,7 @@ def decode_page_array(dtype: np.dtype, data) -> np.ndarray:
     decoded = np.frombuffer(data, dtype=dtype, count=count, offset=PAGE_HEADER.size)
     if decoded.flags.writeable:
         # bytes-backed views are born read-only; views over writable
-        # buffers (shared memory, a writable mmap) must be frozen too so
+        # buffers (a bytearray, a writable memoryview) must be frozen too so
         # no caller can corrupt the shared page image in place.
         decoded.setflags(write=False)
     return decoded

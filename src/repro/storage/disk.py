@@ -25,10 +25,10 @@ concurrent readers (the thread-parallel batch executor of
 pool's byte layer.  The lock covers only the cheap bookkeeping + page-copy
 work; page *decoding* and filtering happen outside it (in
 :class:`~repro.storage.pagedfile.PagedFile`), which is where parallel
-wall-clock time is actually spent.  With ``buffer_shards > 1`` the pool is
-a lock-striped :class:`~repro.storage.buffer.ShardedBufferPool`, so the
-decoded-array layer — accessed outside the disk lock — stripes its
-contention across shards too.
+wall-clock time is actually spent.  The pool's decoded-array layer is
+consulted outside the lock; its lookups verify byte identity (see
+:mod:`repro.storage.buffer`), so a race can cost a re-decode but never a
+stale answer.
 
 Snapshot sinks (MVCC pre-images)
 --------------------------------
@@ -48,10 +48,10 @@ for the pages that still come from the live file.
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.storage.backend import InMemoryBackend, StorageBackend, StorageError
-from repro.storage.buffer import BufferPool, ShardedBufferPool
+from repro.storage.buffer import BufferPool
 from repro.storage.cost_model import AccessKind, DiskModel, IOStats
 
 
@@ -67,12 +67,6 @@ class Disk:
         parameters.
     buffer_pages:
         Capacity of the LRU buffer pool in pages.  ``0`` disables caching.
-    buffer_shards:
-        Number of lock-striped buffer-pool shards.  ``1`` (the default)
-        keeps the single global-LRU :class:`BufferPool` — bit-identical to
-        the pre-sharding behaviour; larger values use a
-        :class:`~repro.storage.buffer.ShardedBufferPool` so concurrent
-        readers stripe their cache contention.
     """
 
     def __init__(
@@ -80,7 +74,6 @@ class Disk:
         backend: StorageBackend | None = None,
         model: DiskModel | None = None,
         buffer_pages: int = 0,
-        buffer_shards: int = 1,
     ) -> None:
         self._model = model or DiskModel()
         self._backend = backend or InMemoryBackend(page_size=self._model.page_size)
@@ -89,13 +82,7 @@ class Disk:
                 "backend and model disagree on page size: "
                 f"{self._backend.page_size} vs {self._model.page_size}"
             )
-        if buffer_shards < 1:
-            raise ValueError("buffer_shards must be >= 1")
-        self._buffer: BufferPool | ShardedBufferPool = (
-            ShardedBufferPool(buffer_pages, buffer_shards)
-            if buffer_shards > 1
-            else BufferPool(buffer_pages)
-        )
+        self._buffer = BufferPool(buffer_pages)
         self._stats = IOStats()
         self._head: tuple[str, int] | None = None
         self._lock = threading.RLock()
@@ -133,31 +120,6 @@ class Disk:
         """Page size in bytes."""
         return self._model.page_size
 
-    def mmap_descriptor(self, name: str) -> tuple[str, int] | None:
-        """``(path, page_size)`` for zero-copy page access, if available.
-
-        The process-parallel executor ships this descriptor to its worker
-        processes, which ``mmap`` the file read-only and decode pages
-        straight over the mapping.  Only a *plain*
-        :class:`~repro.storage.backend.FileSystemBackend` qualifies:
-        wrapped backends (fault injection, retry layers) must keep every
-        read on the normal :meth:`read_run` path so their semantics are
-        preserved, and in-memory backends have no file to map — those
-        cases return ``None`` and the executor stages page bytes through
-        shared memory instead.  mmap reads bypass the cost accounting and
-        the buffer pool (a documented deviation of the process engine:
-        the simulated I/O trace is already execution-order-dependent for
-        any parallel mode and never feeds back into results or adaptive
-        decisions).
-        """
-        from repro.storage.backend import FileSystemBackend
-
-        if type(self._backend) is not FileSystemBackend:
-            return None
-        if not self.file_exists(name):
-            return None
-        return str(self._backend.page_file_path(name)), self.page_size
-
     @property
     def stats(self) -> IOStats:
         """The cumulative I/O statistics — a **live view**.
@@ -186,8 +148,8 @@ class Disk:
         self._tracer = tracer
 
     @property
-    def buffer_pool(self) -> BufferPool | ShardedBufferPool:
-        """The LRU buffer pool (sharded when ``buffer_shards > 1``)."""
+    def buffer_pool(self) -> BufferPool:
+        """The LRU buffer pool."""
         return self._buffer
 
     def clear_cache(self) -> None:

@@ -12,7 +12,7 @@ import threading
 import pytest
 
 from repro.bench.runner import generate_workload
-from repro.core.batch import BatchExecutor, BatchReadSet, QueryBatch
+from repro.core.batch import BatchReadSet, QueryBatch
 from repro.core.config import OdysseyConfig
 from repro.core.odyssey import SpaceOdyssey
 from repro.core.parallel import ParallelExecutor, ParallelReadSet, default_workers
@@ -177,113 +177,3 @@ class TestParallelReadSet:
         distinct = {id(group) for group in seen}
         assert len(distinct) == len(runs)
 
-
-class TestProcessExecutor:
-    def _compare(self, serial_engine, process_engine, workload, workers=3):
-        serial_result = serial_engine.query_batch(workload)
-        process_result = process_engine.query_batch(
-            workload, workers=workers, executor="process"
-        )
-        assert process_result.results == serial_result.results  # order included
-        for expected, actual in zip(serial_result.reports, process_result.reports):
-            for field in REPORT_FIELDS + ("objects_examined",):
-                assert getattr(actual, field) == getattr(expected, field)
-        assert process_result.group_reads == serial_result.group_reads
-        assert (
-            process_result.group_reads_deduped == serial_result.group_reads_deduped
-        )
-        assert adaptive_state(process_engine) == adaptive_state(serial_engine)
-        assert disk_files(process_engine) == disk_files(serial_engine)
-
-    def test_bit_identical_to_serial_batch(self, suite):
-        """In-memory backend: workers read the shared-memory staging block."""
-        workload = _workload(suite)
-        serial = SpaceOdyssey(suite.fork().catalog, MERGE_CONFIG)
-        process = SpaceOdyssey(suite.fork().catalog, MERGE_CONFIG)
-        self._compare(serial, process, workload)
-
-    def test_bit_identical_on_filesystem_backend(self, tmp_path):
-        """Filesystem backend: workers mmap the page files zero-copy."""
-        from repro.data.suite import build_benchmark_suite
-        from repro.storage.backend import FileSystemBackend
-
-        fs_suite = build_benchmark_suite(
-            n_datasets=3,
-            objects_per_dataset=250,
-            seed=19,
-            disk=Disk(
-                backend=FileSystemBackend(tmp_path / "pages"),
-                model=DiskModel(seek_time_s=1e-4),
-                buffer_pages=64,
-            ),
-        )
-        workload = _workload(fs_suite, n=16)
-        serial = SpaceOdyssey(fs_suite.fork().catalog, MERGE_CONFIG)
-        process = SpaceOdyssey(fs_suite.fork().catalog, MERGE_CONFIG)
-        # Sanity: the mmap fast path is actually available on this backend.
-        raw = process.catalog.datasets()[0].file.name
-        assert process.disk.mmap_descriptor(raw) is not None
-        self._compare(serial, process, workload)
-
-    def test_workers_one_uses_serial_engine(self, suite):
-        from repro.core import parallel as parallel_mod
-        from repro.core.parallel import ProcessExecutor
-
-        engine = SpaceOdyssey(suite.fork().catalog, MERGE_CONFIG)
-        workload = _workload(suite, n=6)
-        before = dict(parallel_mod._pools)
-        result = engine.query_batch(workload, workers=1, executor="process")
-        assert len(result.results) == len(workload)
-        assert parallel_mod._pools == before  # no pool was started
-
-    def test_snapshot_with_process_executor_rejected(self, suite):
-        engine = SpaceOdyssey(suite.fork().catalog, MERGE_CONFIG)
-        with pytest.raises(ValueError, match="snapshot"):
-            engine.query_batch(
-                _workload(suite, n=4), snapshot=True, executor="process", workers=2
-            )
-
-    def test_unknown_executor_rejected(self, suite):
-        engine = SpaceOdyssey(suite.fork().catalog, MERGE_CONFIG)
-        with pytest.raises(ValueError, match="executor"):
-            engine.query_batch(_workload(suite, n=4), workers=2, executor="fiber")
-
-    def test_config_default_executor(self, suite):
-        """``OdysseyConfig.batch_executor`` picks the pool when executor=None."""
-        from dataclasses import replace
-
-        config = replace(MERGE_CONFIG, batch_executor="process")
-        workload = _workload(suite, n=12)
-        serial = SpaceOdyssey(suite.fork().catalog, MERGE_CONFIG)
-        process = SpaceOdyssey(suite.fork().catalog, config)
-        serial_result = serial.query_batch(workload)
-        process_result = process.query_batch(workload, workers=3)
-        assert process_result.results == serial_result.results
-        assert adaptive_state(process) == adaptive_state(serial)
-        with pytest.raises(ValueError, match="batch_executor"):
-            OdysseyConfig(batch_executor="fiber")
-
-    def test_broken_pool_falls_back_to_threads(self, suite, monkeypatch):
-        """A dead pool reruns the batch on the thread executor, bit-identically."""
-        from concurrent.futures.process import BrokenProcessPool
-
-        from repro.core import parallel as parallel_mod
-
-        class _DeadPool:
-            def submit(self, *args, **kwargs):
-                raise BrokenProcessPool("worker died")
-
-        monkeypatch.setattr(
-            parallel_mod, "_process_pool", lambda workers: _DeadPool()
-        )
-        discarded = []
-        monkeypatch.setattr(parallel_mod, "_discard_pool", discarded.append)
-        workload = _workload(suite)
-        serial = SpaceOdyssey(suite.fork().catalog, MERGE_CONFIG)
-        process = SpaceOdyssey(suite.fork().catalog, MERGE_CONFIG)
-        serial_result = serial.query_batch(workload)
-        process_result = process.query_batch(workload, workers=3, executor="process")
-        assert discarded == [3]
-        assert process_result.results == serial_result.results
-        assert adaptive_state(process) == adaptive_state(serial)
-        assert disk_files(process) == disk_files(serial)

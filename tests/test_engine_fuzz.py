@@ -1,36 +1,33 @@
-"""Randomized differential fuzz harness: six engines, one truth.
+"""Randomized differential fuzz harness: five engines, one truth.
 
 For each seed, a pseudo-random generator derives an entire scenario —
-suite shape (dimension, dataset count and sizes, buffer pool budget and
-shard count), engine configuration (merge knobs, refinement threshold) and
-workload (length, combination sizes, range/ids distributions) — and the
-same query sequence is executed through all six execution paths:
+suite shape (dimension, dataset count and sizes, buffer pool budget),
+engine configuration (merge knobs, refinement threshold) and workload
+(length, combination sizes, range/ids distributions) — and the same
+query sequence is executed through all five execution paths:
 
 * **scalar** — the seed per-record reference (``columnar=False``, ``query``);
 * **columnar** — the vectorized sequential engine (``query``);
 * **batch** — ``query_batch`` in random-size chunks, serial executor;
-* **parallel** — ``query_batch`` in the same chunks, ``workers`` threads;
+* **thread** — ``query_batch`` in the same chunks, ``workers`` threads;
 * **epoch** — ``query_batch(..., snapshot=True)`` in the same chunks:
   the MVCC read path of :mod:`repro.core.epoch`, pinned to a published
-  epoch and read lock-free;
-* **process** — ``query_batch(..., executor="process")`` in the same
-  chunks: page decode + filtering in worker *processes* over
-  shared-memory staged pages (:class:`~repro.core.parallel.ProcessExecutor`).
+  epoch and read lock-free.
 
-Agreement is asserted at the strength each pair guarantees:
+The three batched engines form one table (:func:`batched_engines`), and
+agreement is asserted at the strength each pair guarantees:
 
 * scalar vs columnar: byte-identical hits *in the same order*, identical
   reports including ``objects_examined``;
-* batch vs parallel, batch vs epoch, batch vs process: identical hits
-  *in the same order*, identical reports including ``objects_examined``
-  (all four read the
+* every batched engine vs batch: identical hits *in the same order*,
+  identical reports including ``objects_examined`` (all of them read the
   same start-of-batch trees through the same deterministic plans — for
   the epoch engine, in isolation the pinned snapshot IS start-of-batch
   state and every pre-image overlay lookup misses);
 * columnar vs batch: identical hit *sets* per query (batching may reorder
   within a result list) and identical reports except ``objects_examined``
   (the one documented batching deviation);
-* all six: identical post-run adaptive state and byte-identical on-disk
+* all five: identical post-run adaptive state and byte-identical on-disk
   files.
 
 Every assertion message carries the scenario seed, so a failure is
@@ -48,6 +45,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -84,7 +82,6 @@ def _random_scenario(rng: random.Random) -> dict:
         "objects_per_dataset": rng.randint(150, 450),
         "suite_seed": rng.randint(0, 2**31),
         "buffer_pages": rng.choice((0, 32, 256)),
-        "buffer_shards": rng.choice((1, 4)),
         "config": OdysseyConfig(
             refinement_threshold=rng.choice((2.0, 4.0)),
             merge_threshold=rng.choice((1, 2)),
@@ -107,33 +104,9 @@ def _random_scenario(rng: random.Random) -> dict:
     }
 
 
-def run_fuzz_scenario(
-    seed: int, compression: str | None = None, traced: bool = False
-) -> None:
-    """Derive the scenario for ``seed``, run all six engines, assert agreement.
-
-    ``traced=True`` enables full per-phase tracing on the four batch-path
-    engines (batch, parallel, epoch, process) while scalar and columnar
-    stay untraced — every cross-engine equality below then doubles as a
-    proof that telemetry observes without perturbing: traced engines must
-    match the untraced references bit-for-bit (hits, reports, adaptive
-    state, on-disk bytes).
-    """
-    rng = random.Random(seed)
-    scenario = _random_scenario(rng)
-    tag = f"fuzz seed {seed} ({scenario['dimension']}-D, {scenario['n_queries']} queries)"
-
-    suite = build_benchmark_suite(
-        n_datasets=scenario["n_datasets"],
-        objects_per_dataset=scenario["objects_per_dataset"],
-        seed=scenario["suite_seed"],
-        dimension=scenario["dimension"],
-        buffer_pages=scenario["buffer_pages"],
-        buffer_shards=scenario["buffer_shards"],
-        model=DiskModel(seek_time_s=1e-4),
-        compression=compression,
-    )
-    workload = list(
+def _scenario_workload(suite, scenario: dict) -> list:
+    """The scenario's query sequence over ``suite``."""
+    return list(
         generate_workload(
             suite.universe,
             suite.catalog.dataset_ids(),
@@ -147,66 +120,62 @@ def run_fuzz_scenario(
             ids_distribution=scenario["ids_distribution"],
         )
     )
-    config = scenario["config"]
 
-    scalar = SpaceOdyssey(suite.fork().catalog, replace(config, columnar=False))
-    columnar = SpaceOdyssey(suite.fork().catalog, config)
-    batch = SpaceOdyssey(suite.fork().catalog, config)
-    parallel = SpaceOdyssey(suite.fork().catalog, config)
-    epoch = SpaceOdyssey(suite.fork().catalog, config)
-    process = SpaceOdyssey(suite.fork().catalog, config)
-    tracers = {}
-    if traced:
-        for engine in (batch, parallel, epoch, process):
-            tracers[engine] = engine.enable_tracing(capacity=512)
 
-    scalar_hits, scalar_reports = [], []
-    columnar_hits, columnar_reports = [], []
-    for query in workload:
-        scalar_hits.append(scalar.query(query.box, query.dataset_ids))
-        scalar_reports.append(scalar.last_report)
-        columnar_hits.append(columnar.query(query.box, query.dataset_ids))
-        columnar_reports.append(columnar.last_report)
+def batched_engines(fork, config: OdysseyConfig, workers: int) -> list[tuple]:
+    """The batched engines of the oracle as ``(name, engine, run_chunk)``.
 
-    batch_hits, batch_reports = [], []
-    parallel_hits, parallel_reports = [], []
-    epoch_hits, epoch_reports = [], []
-    process_hits, process_reports = [], []
-    chunk_size = scenario["batch_size"]
-    for start in range(0, len(workload), chunk_size):
-        chunk = workload[start : start + chunk_size]
-        serial_result = batch.query_batch(chunk)
-        batch_hits.extend(serial_result.results)
-        batch_reports.extend(serial_result.reports)
-        parallel_result = parallel.query_batch(chunk, workers=scenario["workers"])
-        parallel_hits.extend(parallel_result.results)
-        parallel_reports.extend(parallel_result.reports)
-        epoch_result = epoch.query_batch(
-            chunk, snapshot=True, workers=scenario["workers"]
-        )
-        epoch_hits.extend(epoch_result.results)
-        epoch_reports.extend(epoch_result.reports)
-        process_result = process.query_batch(
-            chunk, workers=scenario["workers"], executor="process"
-        )
-        process_hits.extend(process_result.results)
-        process_reports.extend(process_result.reports)
+    Each engine runs on its own ``fork()`` of the suite; ``run_chunk``
+    executes one chunk of the workload and returns its ``BatchResult``.
+    The first row, the serial batch executor, is the reference the other
+    rows are held to.
+    """
+    table = []
+    for name, options in (
+        ("batch", {}),
+        ("thread", {"workers": workers}),
+        ("epoch", {"snapshot": True, "workers": workers}),
+    ):
+        engine = SpaceOdyssey(fork().catalog, config)
+        table.append((name, engine, partial(engine.query_batch, **options)))
+    return table
 
-    for index in range(len(workload)):
+
+def run_engines(scalar, columnar, batched, workload, chunk_size: int) -> dict:
+    """Each engine's ``(hits, reports)`` over ``workload``, by name.
+
+    Scalar and columnar issue one query at a time; every batched engine
+    runs the workload in chunks of ``chunk_size``.
+    """
+    runs = {}
+    for name, engine in (("scalar", scalar), ("columnar", columnar)):
+        hits, reports = [], []
+        for query in workload:
+            hits.append(engine.query(query.box, query.dataset_ids))
+            reports.append(engine.last_report)
+        runs[name] = hits, reports
+    for name, _engine, run_chunk in batched:
+        hits, reports = [], []
+        for start in range(0, len(workload), chunk_size):
+            result = run_chunk(workload[start : start + chunk_size])
+            hits.extend(result.results)
+            reports.extend(result.reports)
+        runs[name] = hits, reports
+    return runs
+
+
+def assert_oracle(tag: str, scalar, columnar, batched, runs: dict) -> None:
+    """Every agreement the engines guarantee (see the module docstring).
+
+    ``runs`` maps each engine's name to its ``(hits, reports)``.
+    """
+    scalar_hits, scalar_reports = runs["scalar"]
+    columnar_hits, columnar_reports = runs["columnar"]
+    _, batch, _ = batched[0]
+    batch_hits, batch_reports = runs["batch"]
+    for index in range(len(scalar_hits)):
         assert scalar_hits[index] == columnar_hits[index], (
             f"{tag}: scalar vs columnar hits differ (order included) "
-            f"for query {index}"
-        )
-        assert batch_hits[index] == parallel_hits[index], (
-            f"{tag}: batch vs parallel hits differ (order included) "
-            f"for query {index}"
-        )
-        assert batch_hits[index] == epoch_hits[index], (
-            f"{tag}: batch vs epoch hits differ (order included) "
-            f"for query {index}"
-        )
-        assert batch_hits[index] == process_hits[index], (
-            f"{tag}: batch vs process hits differ (order included) "
             f"for query {index}"
         )
         assert packed_hits(columnar, columnar_hits[index]) == packed_hits(
@@ -216,29 +185,25 @@ def run_fuzz_scenario(
             assert getattr(scalar_reports[index], field) == getattr(
                 columnar_reports[index], field
             ), f"{tag}: scalar vs columnar report field {field!r} differs for query {index}"
-            assert getattr(batch_reports[index], field) == getattr(
-                parallel_reports[index], field
-            ), f"{tag}: batch vs parallel report field {field!r} differs for query {index}"
-            assert getattr(batch_reports[index], field) == getattr(
-                epoch_reports[index], field
-            ), f"{tag}: batch vs epoch report field {field!r} differs for query {index}"
-            assert getattr(batch_reports[index], field) == getattr(
-                process_reports[index], field
-            ), f"{tag}: batch vs process report field {field!r} differs for query {index}"
         for field in REPORT_FIELDS:
             assert getattr(columnar_reports[index], field) == getattr(
                 batch_reports[index], field
             ), f"{tag}: columnar vs batch report field {field!r} differs for query {index}"
+        for name, _engine, _run in batched[1:]:
+            hits, reports = runs[name]
+            assert hits[index] == batch_hits[index], (
+                f"{tag}: batch vs {name} hits differ (order included) "
+                f"for query {index}"
+            )
+            for field in STRICT_REPORT_FIELDS:
+                assert getattr(reports[index], field) == getattr(
+                    batch_reports[index], field
+                ), f"{tag}: batch vs {name} report field {field!r} differs for query {index}"
 
     reference_state = adaptive_state(scalar)
     reference_files = disk_files(scalar)
-    for name, engine in (
-        ("columnar", columnar),
-        ("batch", batch),
-        ("parallel", parallel),
-        ("epoch", epoch),
-        ("process", process),
-    ):
+    others = [("columnar", columnar)] + [(name, engine) for name, engine, _ in batched]
+    for name, engine in others:
         assert adaptive_state(engine) == reference_state, (
             f"{tag}: {name} adaptive state diverged from scalar"
         )
@@ -246,13 +211,52 @@ def run_fuzz_scenario(
             f"{tag}: {name} on-disk bytes diverged from scalar"
         )
 
-    if traced:
-        for engine, tracer in tracers.items():
-            spans = tracer.finished()
-            assert spans, f"{tag}: a traced engine recorded no spans"
-            assert any(span.name == "batch" for span in spans), (
-                f"{tag}: traced engine is missing its batch root spans"
-            )
+
+def run_fuzz_scenario(
+    seed: int, compression: str | None = None, traced: bool = False
+) -> None:
+    """Derive the scenario for ``seed``, run all five engines, assert agreement.
+
+    ``traced=True`` enables full per-phase tracing on the batched engines
+    while scalar and columnar stay untraced — every cross-engine equality
+    then doubles as a proof that telemetry observes without perturbing:
+    traced engines must match the untraced references bit-for-bit (hits,
+    reports, adaptive state, on-disk bytes).
+    """
+    rng = random.Random(seed)
+    scenario = _random_scenario(rng)
+    tag = f"fuzz seed {seed} ({scenario['dimension']}-D, {scenario['n_queries']} queries)"
+
+    suite = build_benchmark_suite(
+        n_datasets=scenario["n_datasets"],
+        objects_per_dataset=scenario["objects_per_dataset"],
+        seed=scenario["suite_seed"],
+        dimension=scenario["dimension"],
+        buffer_pages=scenario["buffer_pages"],
+        model=DiskModel(seek_time_s=1e-4),
+        compression=compression,
+    )
+    workload = _scenario_workload(suite, scenario)
+    config = scenario["config"]
+
+    scalar = SpaceOdyssey(suite.fork().catalog, replace(config, columnar=False))
+    columnar = SpaceOdyssey(suite.fork().catalog, config)
+    batched = batched_engines(suite.fork, config, scenario["workers"])
+    tracers = (
+        [engine.enable_tracing(capacity=512) for _, engine, _ in batched]
+        if traced
+        else []
+    )
+
+    runs = run_engines(scalar, columnar, batched, workload, scenario["batch_size"])
+    assert_oracle(tag, scalar, columnar, batched, runs)
+
+    for tracer in tracers:
+        spans = tracer.finished()
+        assert spans, f"{tag}: a traced engine recorded no spans"
+        assert any(span.name == "batch" for span in spans), (
+            f"{tag}: traced engine is missing its batch root spans"
+        )
 
 
 @pytest.mark.parametrize("seed", QUICK_SEEDS)
@@ -263,19 +267,18 @@ def test_fuzz_quick(seed):
 
 @pytest.mark.parametrize("seed", QUICK_SEEDS[:2])
 def test_fuzz_compressed_raw_files(seed):
-    """The same six-engine oracle over zlib-compressed raw dataset files.
+    """The same five-engine oracle over zlib-compressed raw dataset files.
 
     Every fork shares the master's compressed bytes, so the per-page
     codec header must decode identically through the scalar path, the
-    columnar path, the buffer pool's decoded layer and the process
-    executor's staged buffers.
+    columnar path and the buffer pool's decoded layer.
     """
     run_fuzz_scenario(seed, compression="zlib")
 
 
 @pytest.mark.parametrize("seed", QUICK_SEEDS[:2])
 def test_fuzz_traced(seed):
-    """The six-engine oracle with tracing fully enabled on the batch paths.
+    """The five-engine oracle with tracing fully enabled on the batch paths.
 
     The observation-only contract of :mod:`repro.obs`: a traced engine is
     bit-identical to an untraced one.  Scalar and columnar stay untraced
@@ -296,7 +299,7 @@ def test_fuzz_deep(seed):
 
 
 # ---------------------------------------------------------------------- #
-# Fault campaign: the same six-engine oracle under injected storage faults
+# Fault campaign: the same five-engine oracle under injected storage faults
 # ---------------------------------------------------------------------- #
 
 #: Seeds fault-fuzzed in every tier-1 run.
@@ -317,10 +320,11 @@ def run_fault_campaign(seed: int) -> None:
     read/write errors, in-flight bit-flips, torn in-place writes) under a
     :class:`~repro.storage.retry.RetryingBackend`.  The contract: the
     retry layer absorbs every injected fault (zero client-visible
-    errors), and all six engines still produce bit-identical hits,
-    adaptive state and on-disk bytes — fault placement differs per engine
-    (thread scheduling consumes the fault RNG in different orders), so
-    this proves transient faults cannot perturb logical state.
+    errors), and all five engines still produce bit-identical hits,
+    reports, adaptive state and on-disk bytes — fault placement differs
+    per engine (thread scheduling consumes the fault RNG in different
+    orders), so this proves transient faults cannot perturb logical
+    state.
     """
     from repro.storage.faults import FaultInjectingBackend, FaultPlan
     from repro.storage.retry import RetryingBackend, RetryPolicy
@@ -337,23 +341,9 @@ def run_fault_campaign(seed: int) -> None:
         seed=scenario["suite_seed"],
         dimension=scenario["dimension"],
         buffer_pages=scenario["buffer_pages"],
-        buffer_shards=scenario["buffer_shards"],
         model=DiskModel(seek_time_s=1e-4),
     )
-    workload = list(
-        generate_workload(
-            suite.universe,
-            suite.catalog.dataset_ids(),
-            scenario["n_queries"],
-            seed=scenario["workload_seed"],
-            datasets_per_query=min(
-                scenario["datasets_per_query"], scenario["n_datasets"]
-            ),
-            volume_fraction=scenario["volume_fraction"],
-            ranges=scenario["ranges"],
-            ids_distribution=scenario["ids_distribution"],
-        )
-    )
+    workload = _scenario_workload(suite, scenario)
     config = scenario["config"]
     plan = FaultPlan(
         seed=seed,
@@ -374,47 +364,15 @@ def run_fault_campaign(seed: int) -> None:
 
     scalar = SpaceOdyssey(faulty_fork().catalog, replace(config, columnar=False))
     columnar = SpaceOdyssey(faulty_fork().catalog, config)
-    batch = SpaceOdyssey(faulty_fork().catalog, config)
-    parallel = SpaceOdyssey(faulty_fork().catalog, config)
-    epoch = SpaceOdyssey(faulty_fork().catalog, config)
-    process = SpaceOdyssey(faulty_fork().catalog, config)
-    engines = (
-        ("scalar", scalar),
-        ("columnar", columnar),
-        ("batch", batch),
-        ("parallel", parallel),
-        ("epoch", epoch),
-        ("process", process),
-    )
+    batched = batched_engines(faulty_fork, config, scenario["workers"])
 
-    scalar_hits, columnar_hits = [], []
-    for query in workload:
-        scalar_hits.append(scalar.query(query.box, query.dataset_ids))
-        columnar_hits.append(columnar.query(query.box, query.dataset_ids))
-
-    batch_hits, parallel_hits, epoch_hits = [], [], []
-    process_hits = []
-    chunk_size = scenario["batch_size"]
-    for start in range(0, len(workload), chunk_size):
-        chunk = workload[start : start + chunk_size]
-        batch_hits.extend(batch.query_batch(chunk).results)
-        parallel_hits.extend(
-            parallel.query_batch(chunk, workers=scenario["workers"]).results
-        )
-        epoch_hits.extend(
-            epoch.query_batch(
-                chunk, snapshot=True, workers=scenario["workers"]
-            ).results
-        )
-        process_hits.extend(
-            process.query_batch(
-                chunk, workers=scenario["workers"], executor="process"
-            ).results
-        )
+    runs = run_engines(scalar, columnar, batched, workload, scenario["batch_size"])
 
     # Disarm before the byte-level comparison, like restarting on healthy
     # hardware; the retry layer has already proven it absorbs everything.
     injected = 0
+    engines = [("scalar", scalar), ("columnar", columnar)]
+    engines += [(name, engine) for name, engine, _ in batched]
     for name, engine in engines:
         retrying = engine.disk.backend
         fault = retrying.inner
@@ -430,33 +388,7 @@ def run_fault_campaign(seed: int) -> None:
             f"{tag}: {name} exhausted a retry budget (client-visible error)"
         )
     assert injected > 0, f"{tag}: the campaign injected no faults at all"
-
-    for index in range(len(workload)):
-        assert scalar_hits[index] == columnar_hits[index], (
-            f"{tag}: scalar vs columnar hits differ for query {index}"
-        )
-        assert batch_hits[index] == parallel_hits[index], (
-            f"{tag}: batch vs parallel hits differ for query {index}"
-        )
-        assert batch_hits[index] == epoch_hits[index], (
-            f"{tag}: batch vs epoch hits differ for query {index}"
-        )
-        assert batch_hits[index] == process_hits[index], (
-            f"{tag}: batch vs process hits differ for query {index}"
-        )
-        assert packed_hits(columnar, columnar_hits[index]) == packed_hits(
-            batch, batch_hits[index]
-        ), f"{tag}: columnar vs batch hit bytes differ for query {index}"
-
-    reference_state = adaptive_state(scalar)
-    reference_files = disk_files(scalar)
-    for name, engine in engines[1:]:
-        assert adaptive_state(engine) == reference_state, (
-            f"{tag}: {name} adaptive state diverged under faults"
-        )
-        assert disk_files(engine) == reference_files, (
-            f"{tag}: {name} on-disk bytes diverged under faults"
-        )
+    assert_oracle(tag, scalar, columnar, batched, runs)
 
 
 @pytest.mark.parametrize("seed", FAULT_QUICK_SEEDS)

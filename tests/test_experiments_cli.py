@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -229,3 +232,69 @@ class TestOneInstrument:
         named = re.findall(r"\b(?:tests|benchmarks)/[\w/]+\.py", CI_YML.read_text())
         assert named
         assert [path for path in named if not (REPO / path).exists()] == []
+
+
+class TestRetiredModes:
+    """The process executor, the sharded buffer pool and the two-in-flight
+    serving pipeline are gone: naming one of their options is a
+    ``TypeError``, never a silently ignored knob."""
+
+    @pytest.fixture(scope="class")
+    def suite(self):
+        from repro.data.suite import build_benchmark_suite
+
+        return build_benchmark_suite(n_datasets=2, objects_per_dataset=200, seed=3)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "config_batch_executor",
+            "query_batch_executor",
+            "serve_pipeline",
+            "service_pipeline",
+            "disk_buffer_shards",
+            "suite_buffer_shards",
+            "fork_buffer_shards",
+        ],
+    )
+    def test_retired_option_raises_type_error(self, suite, call):
+        from repro.core.config import OdysseyConfig
+        from repro.core.odyssey import SpaceOdyssey
+        from repro.data.suite import build_benchmark_suite
+        from repro.serve.service import QueryService
+        from repro.storage.disk import Disk
+
+        engine = SpaceOdyssey(suite.fork().catalog)
+        calls = {
+            "config_batch_executor": lambda: OdysseyConfig(batch_executor="thread"),
+            "query_batch_executor": lambda: engine.query_batch(
+                [(suite.universe, [0])], executor="thread"
+            ),
+            "serve_pipeline": lambda: engine.serve(pipeline=False),
+            "service_pipeline": lambda: QueryService(engine, pipeline=False),
+            "disk_buffer_shards": lambda: Disk(buffer_shards=2),
+            "suite_buffer_shards": lambda: build_benchmark_suite(
+                n_datasets=1, objects_per_dataset=10, buffer_shards=2
+            ),
+            "fork_buffer_shards": lambda: suite.fork(buffer_shards=2),
+        }
+        with pytest.raises(TypeError):
+            calls[call]()
+        assert engine.summary().queries_executed == 0
+
+    def test_batches_load_no_process_machinery(self):
+        script = (
+            "import sys\n"
+            "from repro import SpaceOdyssey, build_benchmark_suite\n"
+            "suite = build_benchmark_suite(n_datasets=2, objects_per_dataset=200, seed=3)\n"
+            "SpaceOdyssey(suite.catalog).query_batch([(suite.universe, [0, 1])])\n"
+            "print(sorted({'multiprocessing.shared_memory', 'mmap'} & set(sys.modules)))\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        )
+        assert completed.stdout.strip() == "[]"

@@ -1,8 +1,8 @@
 """Unit and integration tests for the telemetry layer (:mod:`repro.obs`).
 
 Covers the three layers the module promises — tracing, the metrics
-registry, exporters — plus the wiring: trace structure across all six
-execution modes (span parentage, process-worker grafting, ring-buffer
+registry, exporters — plus the wiring: trace structure across all five
+execution modes (span parentage, worker-thread parenting, ring-buffer
 eviction), registry adapter invariants (snapshot totals reconcile
 exactly with the legacy subsystem counters they adopt), exporter golden
 outputs, the disk stats snapshot satellite, service latency digests,
@@ -523,7 +523,7 @@ class TestEngineTelemetry:
 
 
 # ---------------------------------------------------------------------- #
-# Trace structure across all six execution modes
+# Trace structure across all five execution modes
 # ---------------------------------------------------------------------- #
 
 
@@ -566,12 +566,9 @@ class TestTraceStructure:
         run_batched("batch")
         run_batched("parallel", workers=2)
         run_batched("epoch", snapshot=True, workers=2)
-        run_batched("process", workers=2, executor="process")
         return runs
 
-    @pytest.mark.parametrize(
-        "mode", ["scalar", "columnar", "batch", "parallel", "epoch", "process"]
-    )
+    @pytest.mark.parametrize("mode", ["scalar", "columnar", "batch", "parallel", "epoch"])
     def test_parentage_is_closed_and_consistent(self, traced_runs, mode):
         spans = traced_runs[mode].finished()
         assert spans, f"{mode}: no spans recorded"
@@ -588,19 +585,14 @@ class TestTraceStructure:
                 assert "route" in span.attributes
                 assert "hits" in span.attributes
 
-    @pytest.mark.parametrize("mode", ["batch", "parallel", "epoch", "process"])
+    @pytest.mark.parametrize("mode", ["batch", "parallel", "epoch"])
     def test_batch_modes_nest_phases_under_roots(self, traced_runs, mode):
         spans = traced_runs[mode].finished()
         by_id = {span.span_id: span for span in spans}
         roots = [span for span in spans if span.name == "batch"]
         assert roots, f"{mode}: missing batch root spans"
         executors = {span.attributes["executor"] for span in roots}
-        expected = {
-            "batch": "serial",
-            "parallel": "thread",
-            "epoch": "epoch",
-            "process": "process",
-        }[mode]
+        expected = {"batch": "serial", "parallel": "thread", "epoch": "epoch"}[mode]
         assert executors == {expected}
         phases = [
             span for span in spans if span.name in ("batch.overlap", "batch.read_filter")
@@ -621,20 +613,6 @@ class TestTraceStructure:
         assert len(filters) == len(workload)
         for span in filters:
             assert by_id[span.parent_id].name == "batch.read_filter"
-
-    def test_process_workers_graft_timing_spans(self, traced_runs, workload):
-        spans = traced_runs["process"].finished()
-        by_id = {span.span_id: span for span in spans}
-        grafted = [span for span in spans if span.name == "query.filter"]
-        assert len(grafted) == len(workload)
-        for span in grafted:
-            assert "pid" in span.attributes, "worker timing lost its pid"
-            assert by_id[span.parent_id].name == "batch.read_filter"
-        worker_overlap = [
-            span for span in spans if span.name == "batch.overlap.worker"
-        ]
-        for span in worker_overlap:
-            assert by_id[span.parent_id].name == "batch.overlap"
 
     def test_epoch_mode_records_prepare_and_commit(self, traced_runs):
         spans = traced_runs["epoch"].finished()

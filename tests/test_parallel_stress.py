@@ -6,7 +6,7 @@ serializes top-level ``query``/``query_batch`` calls, with thread
 parallelism living *inside* a batch.  These tests hammer that contract:
 
 * N threads issue interleaved ``query`` and ``query_batch(workers=K)``
-  calls against one shared engine over a sharded buffer pool;
+  calls against one shared engine and its buffer pool;
 * no call may raise and no internal structure may corrupt — every
   bookkeeping invariant that ties the pool, the disk accounting and the
   engine counters together must hold afterwards;
@@ -26,7 +26,6 @@ from repro.bench.runner import generate_workload
 from repro.core.config import OdysseyConfig
 from repro.core.odyssey import SpaceOdyssey
 from repro.data.suite import build_benchmark_suite
-from repro.storage.buffer import BufferCounters
 from repro.storage.cost_model import DiskModel
 
 from tests.test_batch_differential import packed_hits
@@ -42,7 +41,6 @@ def stress_suite():
         objects_per_dataset=700,
         seed=29,
         buffer_pages=192,
-        buffer_shards=4,
         model=DiskModel(seek_time_s=1e-4),
     )
 
@@ -112,12 +110,8 @@ def test_interleaved_query_and_batch_threads(stress_suite):
     assert sum(len(per_thread) for per_thread in answers) == total_queries
     assert engine.summary().queries_executed == total_queries
 
-    # --- no corruption: pool, disk accounting and shards stay consistent --- #
+    # --- no corruption: pool and disk accounting stay consistent --- #
     pool = engine.disk.buffer_pool
-    aggregated = BufferCounters()
-    for shard_snapshot in pool.shard_counters():
-        aggregated = aggregated + shard_snapshot
-    assert aggregated == pool.counters(), "shard counters do not sum to the totals"
     # Every byte-layer lookup went through the disk, so the pool's totals
     # must reconcile exactly with the sequential I/O accounting: hits with
     # recorded cache hits, misses with pages read from the backend.
@@ -172,122 +166,3 @@ def test_concurrent_batches_on_one_engine_match_serial_totals(stress_suite):
             assert packed_hits(engine, hits) == packed_hits(serial, expected)
     assert engine.summary().queries_executed == len(workload)
 
-
-def test_interleaved_process_batches(stress_suite):
-    """Process-pool batches interleave with thread batches and single queries."""
-    config = OdysseyConfig(
-        merge_threshold=1,
-        min_merge_combination=2,
-        merge_partition_min_hits=1,
-        merge_only_converged=False,
-    )
-    engine = SpaceOdyssey(stress_suite.fork().catalog, config)
-    workloads = [_thread_workload(stress_suite, t) for t in range(N_THREADS)]
-    answers: list[list[tuple]] = [[] for _ in range(N_THREADS)]
-    errors: list[BaseException] = []
-    barrier = threading.Barrier(N_THREADS)
-
-    def worker(thread_index: int) -> None:
-        try:
-            barrier.wait(timeout=30)
-            workload = workloads[thread_index]
-            for start in range(0, len(workload), 3):
-                chunk = workload[start : start + 3]
-                style = (thread_index + start) % 3
-                if style == 0:
-                    result = engine.query_batch(chunk, workers=2, executor="process")
-                    answers[thread_index].extend(zip(chunk, result.results))
-                elif style == 1:
-                    result = engine.query_batch(chunk, workers=2)
-                    answers[thread_index].extend(zip(chunk, result.results))
-                else:
-                    for query in chunk:
-                        hits = engine.query(query.box, query.dataset_ids)
-                        answers[thread_index].append((query, hits))
-        except BaseException as exc:  # pragma: no cover - failure path
-            errors.append(exc)
-
-    threads = [
-        threading.Thread(target=worker, args=(index,), name=f"proc-stress-{index}")
-        for index in range(N_THREADS)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=180)
-        assert not thread.is_alive(), "stress thread hung"
-    assert not errors, f"stress threads raised: {errors!r}"
-
-    total_queries = N_THREADS * QUERIES_PER_THREAD
-    assert engine.summary().queries_executed == total_queries
-    pool = engine.disk.buffer_pool
-    assert pool.hits == engine.disk.stats.cache_hits
-    assert pool.misses == engine.disk.stats.pages_read
-
-    replay = SpaceOdyssey(stress_suite.fork().catalog, config)
-    for thread_index in range(N_THREADS):
-        for query, hits in answers[thread_index]:
-            expected = replay.query(query.box, query.dataset_ids)
-            assert packed_hits(engine, hits) == packed_hits(replay, expected), (
-                f"thread {thread_index} got wrong hits for {query!r}"
-            )
-
-
-def test_process_batches_under_fault_campaign(stress_suite):
-    """Process batches over a faulty backend: retries absorb every fault.
-
-    Staging reads go through the normal charged read path in the parent,
-    so the retry layer sees (and absorbs) every injected fault before a
-    single byte crosses the process boundary — zero client-visible
-    errors, and the fault run's answers, adaptive state and on-disk bytes
-    are bit-identical to a clean serial run of the same chunks.
-    """
-    from repro.storage.faults import FaultInjectingBackend, FaultPlan
-    from repro.storage.retry import RetryingBackend, RetryPolicy
-
-    from tests.test_batch_differential import adaptive_state, disk_files
-    from tests.test_recovery import fork_with
-
-    config = OdysseyConfig(
-        merge_threshold=1,
-        min_merge_combination=2,
-        merge_partition_min_hits=1,
-        merge_only_converged=False,
-    )
-    plan = FaultPlan(
-        seed=23,
-        read_error_rate=0.03,
-        write_error_rate=0.03,
-        corrupt_read_rate=0.02,
-        torn_write_rate=0.02,
-    )
-    policy = RetryPolicy(max_attempts=8, seed=23)
-    faulty = fork_with(
-        stress_suite,
-        lambda backend: RetryingBackend(
-            FaultInjectingBackend(backend, plan), policy, sleep=lambda _s: None
-        ),
-    )
-    engine = SpaceOdyssey(faulty.catalog, config)
-    clean = SpaceOdyssey(stress_suite.fork().catalog, config)
-    workload = _thread_workload(stress_suite, 1)
-    for start in range(0, len(workload), 3):
-        chunk = workload[start : start + 3]
-        faulty_result = engine.query_batch(chunk, workers=2, executor="process")
-        clean_result = clean.query_batch(chunk)
-        assert faulty_result.results == clean_result.results  # order included
-
-    retrying = engine.disk.backend
-    fault = retrying.inner
-    fault.disarm()
-    counters = fault.counters()
-    injected = (
-        counters.transient_read_errors
-        + counters.transient_write_errors
-        + counters.reads_corrupted
-        + counters.torn_writes
-    )
-    assert injected > 0, "the campaign injected no faults at all"
-    assert retrying.counters().exhausted == 0, "a retry budget was exhausted"
-    assert adaptive_state(engine) == adaptive_state(clean)
-    assert disk_files(engine) == disk_files(clean)

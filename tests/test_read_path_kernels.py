@@ -275,7 +275,7 @@ def test_reference_loop_and_fused_filter_agree_on_interleaved_groups():
 
 UNIVERSE = Box((0.0, 0.0, 0.0), (100.0, 100.0, 100.0))
 BAD_ROW = 17
-ENGINES = ["scalar", "columnar", "batch", "thread", "epoch", "process"]
+ENGINES = ["scalar", "columnar", "batch", "thread", "epoch"]
 
 
 def corrupt_catalog(kind: str):
@@ -313,14 +313,13 @@ def corrupt_catalog(kind: str):
 
 
 def run_queries(engine: SpaceOdyssey, mode: str, queries):
-    """The answers of ``queries`` through one of the six execution modes."""
+    """The answers of ``queries`` through one of the five execution modes."""
     if mode in ("scalar", "columnar"):
         return [engine.query(box, ids) for box, ids in queries]
     options = {
         "batch": {},
         "thread": {"workers": 2},
         "epoch": {"snapshot": True},
-        "process": {"workers": 2, "executor": "process"},
     }[mode]
     return engine.query_batch(queries, **options).results
 

@@ -71,7 +71,6 @@ def fork_with(suite: BenchmarkSuite, wrap) -> BenchmarkSuite:
         backend=wrap(suite.disk.backend.clone()),
         model=suite.disk.model,
         buffer_pages=suite.disk.buffer_pool.capacity_pages,
-        buffer_shards=getattr(suite.disk.buffer_pool, "n_shards", 1),
     )
     datasets = [
         Dataset(
@@ -110,6 +109,12 @@ def reference(base_suite):
         hits.append(engine.query(query.box, query.dataset_ids))
         snapshots.append((adaptive_state(engine), disk_files(engine)))
     return workload, engine, snapshots, hits
+
+
+def framed(record: dict) -> bytes:
+    """One journal record, framed byte for byte by hand (not by today's code)."""
+    payload = json.dumps(record, separators=(",", ":"), sort_keys=True).encode()
+    return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
 
 
 def assert_matches_reference(recovered, reference, committed: int) -> None:
@@ -396,10 +401,6 @@ class TestRecoveryEdgeCases:
         summary = engine.summary()
         del engine
 
-        def framed(record: dict) -> bytes:
-            payload = json.dumps(record, separators=(",", ":"), sort_keys=True).encode()
-            return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
-
         path = tmp_path / "v1.log"
         path.write_bytes(
             b"".join(
@@ -415,6 +416,56 @@ class TestRecoveryEdgeCases:
         first, *rest = recovered.journal.records()
         assert first["version"] == MANIFEST_VERSION and rest == []
         assert_matches_reference(recovered, reference, committed=committed)
+        first, *rest = recovered.journal.records()
+        assert len(first["queries"]) == committed
+        assert [r["committed"] for r in rest] == list(
+            range(committed + 1, len(workload) + 1)
+        )
+
+    def test_version_2_journal_of_a_sharded_pool_recovers(
+        self, base_suite, reference, tmp_path
+    ):
+        # An older version-2 header also named two retired options: the
+        # pool's shard count in the catalog and the batch executor in the
+        # config.  Recovery ignores both; the sharded pool comes back as
+        # one pool of the same ``buffer_pages``.
+        workload = reference[0]
+        committed = 7
+        engine = SpaceOdyssey(
+            base_suite.fork().catalog, CONFIG, journal=tmp_path / "today.log"
+        )
+        for query in workload[:committed]:
+            engine.query(query.box, query.dataset_ids)
+        today = engine.journal.read_last()
+        survivor = engine.disk.backend.clone()
+        summary = engine.summary()
+        del engine
+        assert "buffer_shards" not in today["catalog"]
+        assert "batch_executor" not in today["config"]
+
+        header = {
+            **today,
+            "catalog": {**today["catalog"], "buffer_shards": 4},
+            "config": {**today["config"], "batch_executor": "thread"},
+        }
+        queries = today["queries"]
+        path = tmp_path / "sharded.log"
+        path.write_bytes(
+            framed({**header, "queries": queries[:3]})
+            + b"".join(
+                framed({"committed": n, "queries": [queries[n - 1]]})
+                for n in range(4, committed + 1)
+            )
+        )
+        assert ManifestJournal(path).read_last()["catalog"]["buffer_shards"] == 4
+
+        recovered = SpaceOdyssey.recover(path, backend=survivor)
+        assert recovered.summary() == summary
+        assert recovered.disk.buffer_pool.capacity_pages == 64
+        first, *rest = recovered.journal.records()
+        assert "buffer_shards" not in first["catalog"] and rest == []
+        assert_matches_reference(recovered, reference, committed=committed)
+        # The next commits continue that base as deltas.
         first, *rest = recovered.journal.records()
         assert len(first["queries"]) == committed
         assert [r["committed"] for r in rest] == list(

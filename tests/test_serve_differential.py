@@ -41,7 +41,6 @@ def _serve_and_replay(
     max_batch: int,
     max_delay_ms: float,
     workers: int | None,
-    pipeline: bool | None = None,
 ) -> None:
     """Serve per-client workloads concurrently, then replay in seq order."""
     served = SpaceOdyssey(suite.fork().catalog, config)
@@ -53,7 +52,6 @@ def _serve_and_replay(
         max_batch=max_batch,
         max_delay_ms=max_delay_ms,
         workers=workers,
-        pipeline=pipeline,
     ) as service:
 
         def client(index: int) -> None:
@@ -108,15 +106,10 @@ def _split_workload(workload, n_clients: int):
     return [queries[index::n_clients] for index in range(n_clients)]
 
 
-@pytest.mark.parametrize(
-    "n_clients,max_batch,workers,pipeline",
-    [(1, 4, None, None), (4, 8, 2, None), (4, 8, 2, False)],
-)
+@pytest.mark.parametrize("n_clients,max_batch,workers", [(1, 4, None), (4, 8, 2)])
 def test_uniform_serving_matches_sequential_arrival_order(
-    serve_suite, n_clients, max_batch, workers, pipeline
+    serve_suite, n_clients, max_batch, workers
 ):
-    """``pipeline=None`` runs the (default) pipelined dispatcher;
-    ``pipeline=False`` keeps the classic one-batch-at-a-time path covered."""
     workload = generate_workload(
         serve_suite.universe,
         serve_suite.catalog.dataset_ids(),
@@ -133,7 +126,6 @@ def test_uniform_serving_matches_sequential_arrival_order(
         max_batch=max_batch,
         max_delay_ms=2.0,
         workers=workers,
-        pipeline=pipeline,
     )
 
 
@@ -166,39 +158,3 @@ def test_merge_heavy_serving_matches_sequential_arrival_order(serve_suite):
         workers=2,
     )
 
-
-def test_concurrent_in_flight_batches_match_sequential_arrival_order(serve_suite):
-    """The pipelined dispatcher keeps two batches in flight — one in its
-    lock-free read phase while the writer thread commits the previous one
-    — and per-client results must still equal sequential arrival-order
-    replay.  Tiny batches with no coalescing delay maximise the number of
-    overlapping batch pairs; the merge-heavy config makes the overlapped
-    read phases actually cross refinement overwrites and merge evictions
-    (the MVCC overlay at work), not just quiescent state."""
-    workload = generate_workload(
-        serve_suite.universe,
-        serve_suite.catalog.dataset_ids(),
-        60,
-        seed=403,
-        volume_fraction=5e-3,
-        datasets_per_query=2,
-        ranges="clustered",
-        ids_distribution="heavy_hitter",
-    )
-    config = OdysseyConfig(
-        refinement_threshold=2.0,
-        merge_threshold=1,
-        min_merge_combination=2,
-        merge_partition_min_hits=1,
-        merge_only_converged=False,
-        merge_space_budget_pages=6,
-    )
-    _serve_and_replay(
-        serve_suite,
-        _split_workload(workload, 4),
-        config,
-        max_batch=3,
-        max_delay_ms=0.0,
-        workers=None,
-        pipeline=True,
-    )

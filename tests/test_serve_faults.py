@@ -1,12 +1,11 @@
 """Graceful degradation and shutdown semantics of the serving frontend.
 
 A ``FlakyEngine`` delegating wrapper injects failures at exact engine
-entry points (``query``, ``query_batch``, ``prepare_batch``), so every
-scenario is deterministic: transient errors must be retried with backoff,
-repeated failures must open the circuit breaker (typed ``ServiceDegraded``
-shed, never a hang), a cooled-down breaker must close again on a
-successful probe, and ``close()``/``submit()`` must behave deterministically
-for both the classic and the pipelined dispatcher.
+entry points (``query``, ``query_batch``), so every scenario is
+deterministic: transient errors must be retried with backoff, repeated
+failures must open the circuit breaker (typed ``ServiceDegraded`` shed,
+never a hang), a cooled-down breaker must close again on a successful
+probe, and ``close()``/``submit()`` must behave deterministically.
 """
 
 from __future__ import annotations
@@ -31,16 +30,14 @@ class FlakyEngine:
 
     ``transient_query_failures`` — the next N ``query`` calls raise
     :class:`TransientIOError` (then delegate).
-    ``transient_prepare_failures`` — same for ``prepare_batch``.
     ``batch_error`` — while set, every ``query_batch`` call raises it.
-    ``armed_error`` — while set, ``query``/``query_batch``/``prepare_batch``
-    all raise it (a persistently broken engine).
+    ``armed_error`` — while set, ``query`` and ``query_batch`` both raise
+    it (a persistently broken engine).
     """
 
     def __init__(self, engine: SpaceOdyssey) -> None:
         self._engine = engine
         self.transient_query_failures = 0
-        self.transient_prepare_failures = 0
         self.batch_error: BaseException | None = None
         self.armed_error: BaseException | None = None
         self.engine_calls = 0
@@ -65,18 +62,6 @@ class FlakyEngine:
         self.engine_calls += 1
         return self._engine.query_batch(queries, workers=workers)
 
-    def prepare_batch(self, queries, workers=None):
-        if self.armed_error is not None:
-            raise self.armed_error
-        if self.transient_prepare_failures > 0:
-            self.transient_prepare_failures -= 1
-            raise TransientIOError("injected transient prepare fault")
-        self.engine_calls += 1
-        return self._engine.prepare_batch(queries, workers=workers)
-
-    def commit_batch(self, prepared):
-        return self._engine.commit_batch(prepared)
-
 
 BOX = Box((100.0, 100.0, 100.0), (1000.0, 1000.0, 1000.0))
 
@@ -98,23 +83,21 @@ def service(target, **kwargs) -> QueryService:
 
 
 # ---------------------------------------------------------------------- #
-# Shutdown semantics (both dispatchers)
+# Shutdown semantics
 # ---------------------------------------------------------------------- #
 
 
 class TestCloseSemantics:
-    @pytest.mark.parametrize("pipeline", [False, True])
-    def test_close_is_idempotent(self, engine, pipeline):
-        svc = service(engine, pipeline=pipeline)
+    def test_close_is_idempotent(self, engine):
+        svc = service(engine)
         svc.query(BOX, (0,))
         svc.close()
         svc.close()  # second close is a no-op, not an error
         svc.close(drain=False)  # ...in either mode
         assert svc.closed
 
-    @pytest.mark.parametrize("pipeline", [False, True])
-    def test_submit_after_close_raises_deterministically(self, engine, pipeline):
-        svc = service(engine, pipeline=pipeline)
+    def test_submit_after_close_raises_deterministically(self, engine):
+        svc = service(engine)
         svc.close()
         for _ in range(3):
             with pytest.raises(ServiceClosed):
@@ -123,7 +106,7 @@ class TestCloseSemantics:
         assert stats.submitted == stats.completed + stats.failed + stats.cancelled
 
     def test_engine_usable_after_close(self, engine):
-        svc = service(engine, pipeline=False)
+        svc = service(engine)
         expected = hit_keys(svc.query(BOX, (0, 1)))
         svc.close()
         assert hit_keys(engine.query(BOX, (0, 1))) == expected
@@ -143,7 +126,7 @@ class TestTransientRetry:
         flaky.transient_query_failures = 2
         sleeps: list[float] = []
         svc = service(
-            flaky, pipeline=False, batch_retries=2, retry_backoff_ms=1.0,
+            flaky, batch_retries=2, retry_backoff_ms=1.0,
             sleep=sleeps.append,
         )
         with svc:
@@ -156,23 +139,11 @@ class TestTransientRetry:
         assert sleeps == [0.001, 0.002]  # exponential backoff between retries
         assert svc.healthy
 
-    def test_pipelined_prepare_retries_transient_faults(self, engine):
-        flaky = FlakyEngine(engine)
-        flaky.transient_prepare_failures = 2
-        svc = service(flaky, pipeline=True, batch_retries=2)
-        with svc:
-            hits = svc.query(BOX, (0,))
-        assert hit_keys(hits) == hit_keys(engine.query(BOX, (0,)))
-        stats = svc.stats
-        assert stats.retries == 2
-        assert stats.failed == 0
-        assert stats.fallbacks == 0  # prepare recovered; no sequential replay
-
     def test_retry_budget_exhaustion_surfaces_the_error(self, engine):
         flaky = FlakyEngine(engine)
         flaky.batch_error = TransientIOError("batch path down")
         flaky.transient_query_failures = 10
-        svc = service(flaky, pipeline=False, batch_retries=2)
+        svc = service(flaky, batch_retries=2)
         with svc:
             submission = svc.submit(BOX, (0,))
             error = submission.exception(timeout=10)
@@ -187,7 +158,7 @@ class TestTransientRetry:
         flaky.transient_query_failures = 3
         sleeps: list[float] = []
         svc = service(
-            flaky, pipeline=False, batch_retries=3, retry_backoff_ms=100.0,
+            flaky, batch_retries=3, retry_backoff_ms=100.0,
             retry_backoff_max_ms=150.0, sleep=sleeps.append,
         )
         with svc:
@@ -207,7 +178,7 @@ class TestTransientRetry:
         flaky.batch_error = TransientIOError("batch path down")
         flaky.transient_query_failures = 100
         svc = QueryService(
-            flaky, pipeline=False, max_delay_ms=0.0, batch_retries=10,
+            flaky, max_delay_ms=0.0, batch_retries=10,
             retry_backoff_ms=60_000.0, retry_backoff_max_ms=60_000.0,
         )
         submission = svc.submit(BOX, (0,))
@@ -224,7 +195,7 @@ class TestTransientRetry:
     def test_non_transient_errors_are_not_retried(self, engine):
         flaky = FlakyEngine(engine)
         flaky.armed_error = ValueError("bad dataset id")
-        svc = service(flaky, pipeline=False, batch_retries=5)
+        svc = service(flaky, batch_retries=5)
         with svc:
             error = svc.submit(BOX, (0,)).exception(timeout=10)
         assert isinstance(error, ValueError)
@@ -237,13 +208,11 @@ class TestTransientRetry:
 
 
 class TestCircuitBreaker:
-    @pytest.mark.parametrize("pipeline", [False, True])
-    def test_breaker_opens_and_sheds_with_typed_error(self, engine, pipeline):
+    def test_breaker_opens_and_sheds_with_typed_error(self, engine):
         flaky = FlakyEngine(engine)
         flaky.armed_error = ValueError("engine on fire")
         svc = service(
             flaky,
-            pipeline=pipeline,
             batch_retries=0,
             breaker_threshold=2,
             breaker_cooldown_ms=60_000.0,  # stays open for the whole test
@@ -271,7 +240,6 @@ class TestCircuitBreaker:
         flaky.armed_error = ValueError("engine on fire")
         svc = service(
             flaky,
-            pipeline=False,
             batch_retries=0,
             breaker_threshold=2,
             breaker_cooldown_ms=0.0,  # half-open immediately
@@ -289,7 +257,7 @@ class TestCircuitBreaker:
     def test_breaker_disabled_never_sheds(self, engine):
         flaky = FlakyEngine(engine)
         flaky.armed_error = ValueError("engine on fire")
-        svc = service(flaky, pipeline=False, batch_retries=0, breaker_threshold=None)
+        svc = service(flaky, batch_retries=0, breaker_threshold=None)
         with svc:
             errors = [svc.submit(BOX, (0,)).exception(timeout=10) for _ in range(6)]
         assert all(isinstance(error, ValueError) for error in errors)

@@ -1,12 +1,10 @@
-"""Unit tests for the LRU buffer pool, its decoded-array layer and sharding."""
+"""Unit tests for the LRU buffer pool and its decoded-array layer."""
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
-from repro.storage.buffer import BufferCounters, BufferPool, ShardedBufferPool
+from repro.storage.buffer import BufferCounters, BufferPool
 
 
 class TestBasicOperations:
@@ -220,197 +218,14 @@ class TestDecodedLayer:
             decoded_misses=1,
             decoded_evictions=1,
         )
+        assert (snapshot.hits, snapshot.evictions, snapshot.decoded_hits) == (
+            pool.hits,
+            pool.evictions,
+            pool.decoded_hits,
+        )
         pool.get("f", 2)
         delta = pool.counters().delta_since(snapshot)
         assert delta == BufferCounters(hits=1)
-
-
-class TestShardedBufferPool:
-    def test_routing_is_deterministic_and_spreads(self):
-        pool = ShardedBufferPool(64, n_shards=4)
-        assert all(
-            pool.shard_of("f", page) == pool.shard_of("f", page) for page in range(50)
-        )
-        used = {pool.shard_of("f", page) for page in range(50)}
-        assert len(used) > 1, "pages should spread over shards"
-
-    def test_capacity_split_sums_to_total(self):
-        pool = ShardedBufferPool(10, n_shards=4)
-        assert pool.capacity_pages == 10
-        assert pool.n_shards == 4
-        for page in range(40):
-            pool.put("f", page, bytes([page]))
-        assert len(pool) <= 10
-
-    def test_put_get_contains_roundtrip(self):
-        pool = ShardedBufferPool(16, n_shards=4)
-        pool.put("f", 3, b"payload")
-        assert ("f", 3) in pool
-        assert pool.get("f", 3) == b"payload"
-        assert pool.hits == 1
-        assert pool.get("g", 3) is None
-        assert pool.misses == 1
-
-    def test_decoded_layer_per_shard(self):
-        pool = ShardedBufferPool(16, n_shards=4)
-        page = b"bytes"
-        pool.put("f", 5, page)
-        pool.put_decoded("f", 5, page, "decoded")
-        assert pool.get_decoded("f", 5, page) == "decoded"
-        assert pool.get_decoded("f", 6, page) is None
-        assert pool.decoded_hits == 1 and pool.decoded_misses == 1
-
-    def test_invalidate_file_covers_all_shards(self):
-        pool = ShardedBufferPool(64, n_shards=4)
-        for page in range(20):
-            pool.put("f", page, b"x")
-            pool.put("g", page, b"y")
-        pool.invalidate_file("f")
-        assert all(pool.get("f", page) is None for page in range(20))
-        assert all(pool.get("g", page) == b"y" for page in range(20))
-        pool.clear()
-        assert len(pool) == 0
-
-    def test_aggregated_counters_sum_over_shards(self):
-        pool = ShardedBufferPool(8, n_shards=3)
-        for page in range(30):
-            pool.put("f", page, bytes([page]))
-            pool.get("f", page)
-        per_shard = pool.shard_counters()
-        total = BufferCounters()
-        for snapshot in per_shard:
-            total = total + snapshot
-        assert total == pool.counters()
-        assert pool.counters().hits == pool.hits
-        assert pool.counters().evictions == pool.evictions > 0
-
-    def test_zero_capacity_disables_caching(self):
-        pool = ShardedBufferPool(0, n_shards=4)
-        pool.put("f", 0, b"x")
-        assert pool.get("f", 0) is None
-        assert len(pool) == 0
-
-    def test_invalid_shard_count_rejected(self):
-        with pytest.raises(ValueError):
-            ShardedBufferPool(8, n_shards=0)
-        with pytest.raises(ValueError):
-            ShardedBufferPool(-1, n_shards=2)
-
-    def test_tiny_capacity_clamps_shard_count(self):
-        """Regression: capacity < n_shards used to give the tail shards
-        capacity 0, so pages routed there silently never cached."""
-        pool = ShardedBufferPool(2, n_shards=8)
-        assert pool.capacity_pages == 2
-        assert pool.n_shards == 2  # clamped: every shard holds >= 1 page
-        # A page must always be cacheable right after it is put, whatever
-        # shard it routes to — with a 0-capacity shard this get() missed.
-        for page in range(20):
-            pool.put("f", page, bytes([page]))
-            assert pool.get("f", page) == bytes([page]), f"page {page} never cached"
-        assert len(pool) <= pool.capacity_pages
-
-    def test_single_page_pool_keeps_one_shard(self):
-        pool = ShardedBufferPool(1, n_shards=16)
-        assert pool.n_shards == 1
-        pool.put("f", 7, b"x")
-        assert pool.get("f", 7) == b"x"
-
-    def test_invalidation_counter_aggregates_over_shards(self):
-        pool = ShardedBufferPool(32, n_shards=4)
-        for page in range(8):
-            data = b"x" + bytes([page])
-            pool.put("f", page, data)
-            pool.put_decoded("f", page, data, f"d{page}")
-        pool.invalidate_file("f")
-        assert pool.decoded_invalidations == 8
-        assert pool.counters().decoded_invalidations == 8
-        assert pool.decoded_evictions == 0
-
-
-class TestConcurrentIntrospection:
-    def test_len_and_contains_race_mutating_threads(self):
-        """Regression: __len__/__contains__ read shard state without the
-        shard locks, racing the thread-parallel executor's mutations."""
-        pool = ShardedBufferPool(64, n_shards=4)
-        stop = threading.Event()
-        errors: list[BaseException] = []
-
-        def mutate(name: str) -> None:
-            try:
-                page = 0
-                while not stop.is_set():
-                    pool.put(name, page % 200, b"x")
-                    if page % 17 == 0:
-                        pool.invalidate_file(name)
-                    if page % 53 == 0:
-                        pool.clear()
-                    page += 1
-            except BaseException as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        workers = [
-            threading.Thread(target=mutate, args=(name,), daemon=True)
-            for name in ("f", "g")
-        ]
-        for worker in workers:
-            worker.start()
-        try:
-            for round_no in range(3000):
-                size = len(pool)
-                assert 0 <= size <= pool.capacity_pages
-                ("f", round_no % 200) in pool  # must never raise
-        except BaseException as exc:  # pragma: no cover - failure path
-            errors.append(exc)
-        finally:
-            stop.set()
-            for worker in workers:
-                worker.join(timeout=30)
-        assert not errors, f"concurrent introspection raised: {errors!r}"
-
-    def test_multi_shard_operations_take_locks_in_index_order(self):
-        """Regression: the documented lock ordering for multi-shard
-        operations (``invalidate_file``, ``clear``, ``__len__``,
-        ``__contains__``) is one shard lock at a time, in ascending shard
-        index order, never nested — so two of them can never deadlock
-        against each other.  Observe the acquisition order directly."""
-        pool = ShardedBufferPool(64, n_shards=4)
-        for page in range(16):
-            pool.put("f", page, b"x")
-        acquired: list[int] = []
-
-        class OrderRecordingLock:
-            def __init__(self, index: int, inner) -> None:
-                self._index = index
-                self._inner = inner
-
-            def __enter__(self):
-                acquired.append(self._index)
-                return self._inner.__enter__()
-
-            def __exit__(self, *exc):
-                return self._inner.__exit__(*exc)
-
-            def acquire(self, *args, **kwargs):
-                acquired.append(self._index)
-                return self._inner.acquire(*args, **kwargs)
-
-            def release(self):
-                return self._inner.release()
-
-        pool._locks = [
-            OrderRecordingLock(index, lock) for index, lock in enumerate(pool._locks)
-        ]
-        for operation in (
-            lambda: len(pool),
-            lambda: ("f", 3) in pool,
-            lambda: pool.invalidate_file("f"),
-            lambda: pool.clear(),
-        ):
-            acquired.clear()
-            operation()
-            assert acquired == sorted(acquired), (
-                f"shard locks acquired out of index order: {acquired}"
-            )
 
 
 class TestInvalidatePage:
@@ -433,15 +248,6 @@ class TestInvalidatePage:
         pool = BufferPool(4)
         pool.invalidate_page("f", 0)  # nothing cached: must not raise
         assert pool.decoded_invalidations == 0
-
-    def test_sharded_pool_routes_to_the_owning_shard(self):
-        pool = ShardedBufferPool(16, 4)
-        for page_no in range(8):
-            pool.put("f", page_no, b"x%d" % page_no)
-        pool.invalidate_page("f", 3)
-        assert pool.get("f", 3) is None
-        for page_no in (0, 1, 2, 4, 5, 6, 7):
-            assert pool.get("f", page_no) is not None
 
 
 class TestDiskFailedReadInvalidation:
@@ -567,8 +373,8 @@ class TestDiskFailedReadInvalidation:
 
 class TestDecodedArrayImmutability:
     """Arrays served from the decoded layer (and every other array read
-    path) are shared between callers — buffer-pool cache hits, batch read
-    sets, even process-executor mmap views all alias the same memory.  A
+    path) are shared between callers — buffer-pool cache hits and batch
+    read sets alias the same memory.  A
     caller mutating one in place would silently corrupt every other
     reader's view of the page, so the storage layer hands them out with
     ``writeable=False`` and in-place writes must raise."""
