@@ -35,6 +35,8 @@ from repro.storage.codec import decode_page, encode_page
 from repro.storage.cost_model import DiskModel
 from repro.storage.disk import Disk
 
+from tests.scalar_reference import ScalarOdyssey
+
 
 @pytest.fixture(scope="module")
 def universe() -> Box:
@@ -126,12 +128,12 @@ def test_initial_partitioning_wall_time(benchmark, universe, objects):
 # adaptive engine first (one full pass of the workload pays initial
 # partitioning and refinement), then measures the same workload again.
 # The common baseline of every speedup assertion is the *scalar reference
-# path* (``OdysseyConfig(columnar=False)``) — the seed implementation that
-# decodes records with per-record ``struct.unpack`` and filters in Python
-# loops.  Two acceptance bars are enforced:
+# engine* (``tests.scalar_reference.ScalarOdyssey``) — the seed
+# implementation that decodes records with per-record ``struct.unpack`` and
+# filters in Python loops.  Two acceptance bars are enforced:
 #
-# * sequential columnar execution >= 1.5x the scalar path (measured 5.5x);
-# * query_batch at batch size 32 >= 2x the scalar path (measured 5.9x);
+# * sequential columnar execution >= 1.5x the scalar path (measured 6.2x);
+# * query_batch at batch size 32 >= 2x the scalar path (measured 6.5x);
 #
 # and a third bounds what observing that work may cost:
 #
@@ -145,9 +147,6 @@ BATCH_SIZE = 32
 SEQ_SPEEDUP_MIN = 1.5
 BATCH_SPEEDUP_MIN = 2.0
 OBS_OVERHEAD_MAX = 1.25
-
-#: The scalar reference configuration used as the speedup baseline.
-SCALAR_CONFIG = OdysseyConfig(columnar=False)
 
 
 @pytest.fixture(scope="module")
@@ -192,11 +191,9 @@ def sequential_pass(odyssey: SpaceOdyssey, workload) -> None:
         odyssey.query(query.box, query.dataset_ids)
 
 
-def _converged_engine(
-    batch_suite, batch_workload, config: OdysseyConfig | None = None
-) -> SpaceOdyssey:
+def _converged_engine(batch_suite, batch_workload, engine_class=SpaceOdyssey) -> SpaceOdyssey:
     """A fresh engine whose adaptive state has settled on the workload."""
-    odyssey = SpaceOdyssey(batch_suite.fork().catalog, config)
+    odyssey = engine_class(batch_suite.fork().catalog)
     sequential_pass(odyssey, batch_workload)
     return odyssey
 
@@ -222,13 +219,13 @@ def test_sequential_columnar_speedup(batch_suite, batch_workload):
     """The columnar sequential path must be >= 1.5x the scalar reference.
 
     Both engines start from identical converged state (forks of the same
-    suite, warmed by one pass with their own configuration — the two
-    configurations produce byte-identical adaptive state, which the
-    differential oracle in ``tests/test_columnar_differential.py``
-    enforces); the timed region is a full sequential pass over the
-    64-query uniform workload, best of three.
+    suite, each warmed by one pass — the reference and the engine produce
+    byte-identical adaptive state, which the differential oracle in
+    ``tests/test_columnar_differential.py`` enforces); the timed region is
+    a full sequential pass over the 64-query uniform workload, best of
+    three.
     """
-    scalar = _converged_engine(batch_suite, batch_workload, SCALAR_CONFIG)
+    scalar = _converged_engine(batch_suite, batch_workload, ScalarOdyssey)
     columnar = _converged_engine(batch_suite, batch_workload)
 
     # Interleave a warm-up of each path before timing.
@@ -253,13 +250,13 @@ def test_batched_execution_speedup(batch_suite, batch_workload):
 
     Both engines start from identical converged state (forks of the same
     suite, warmed by one pass); the timed region is a full pass over the
-    64-query uniform workload.  The baseline runs the scalar reference
-    configuration — the per-query execution model the batched engine was
-    measured against when its bar was set (the sequential path itself is
-    now columnar and covered by its own bar above).  Best-of-three timings
-    keep the comparison robust against scheduler noise.
+    64-query uniform workload.  The baseline is the scalar reference
+    engine — the per-query execution model the batched engine was measured
+    against when its bar was set (the sequential path itself is columnar
+    and covered by its own bar above).  Best-of-three timings keep the
+    comparison robust against scheduler noise.
     """
-    sequential = _converged_engine(batch_suite, batch_workload, SCALAR_CONFIG)
+    sequential = _converged_engine(batch_suite, batch_workload, ScalarOdyssey)
     batched = _converged_engine(batch_suite, batch_workload)
 
     def run_batched() -> float:

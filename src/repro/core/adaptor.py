@@ -31,7 +31,6 @@ import numpy as np
 from repro.core.config import OdysseyConfig
 from repro.core.partition import PartitionNode, PartitionTree
 from repro.data.dataset import Dataset
-from repro.data.spatial_object import SpatialObject
 from repro.geometry.box import Box
 
 
@@ -70,39 +69,12 @@ class Adaptor:
         This is the expensive first query the paper describes: the raw data
         is read sequentially, objects are assigned to the ``ppl`` uniform
         first-level partitions, and the partitions are written out
-        sequentially to the partition file.
-
-        The columnar path consumes the raw scan in structured-array chunks
-        and assigns whole chunks with one vectorized centre test; the
-        resulting partition file is byte-identical to the scalar path's.
+        sequentially to the partition file.  The scan arrives in
+        structured-array chunks and the whole file is split by one sorted
+        assignment (:meth:`PartitionTree.assign_array_to_children`).
         """
         if tree.is_initialized:
             raise RuntimeError(f"dataset {tree.dataset.name!r} is already initialised")
-        if self._config.columnar:
-            self._initialize_columnar(tree)
-            return
-        dataset = tree.dataset
-        groups: list[list[SpatialObject]] = [[] for _ in range(tree.partitions_per_level)]
-        max_extent = [0.0] * dataset.dimension
-        n_objects = 0
-        for obj in dataset.scan():
-            index = tree.universe.child_index(obj.center, tree.splits_per_dim)
-            groups[index].append(obj)
-            n_objects += 1
-            for axis, extent in enumerate(obj.box.extents):
-                if extent > max_extent[axis]:
-                    max_extent[axis] = extent
-        runs = tree.file.write_groups(groups)
-        dataset.disk.charge_cpu_records(n_objects)
-        tree.install_first_level(
-            groups=groups,
-            runs=runs,
-            max_extent=tuple(max_extent),
-            n_objects=n_objects,
-        )
-
-    def _initialize_columnar(self, tree: PartitionTree) -> None:
-        """Array-native first touch: scan chunks, one sorted split of the whole file."""
         dataset = tree.dataset
         empty = np.empty(0, dtype=tree.file.dtype)
         records = np.concatenate([empty, *dataset.scan_arrays()])
@@ -179,23 +151,16 @@ class Adaptor:
     def refine(self, tree: PartitionTree, node: PartitionNode) -> list[PartitionNode]:
         """Split one leaf partition into ``ppl`` children, in place.
 
-        Reads the partition, reassigns its objects to the child regions by
+        Reads the partition, reassigns its records to the child regions by
         centre, and writes the children back reusing the parent's pages
-        (appending any overflow pages at the end of the partition file).
-        The columnar path performs the read, the assignment and the write
-        on structured arrays; pages and runs are byte-identical either way.
+        (appending any overflow pages at the end of the partition file) —
+        read, assignment and write all on structured arrays.
         """
         if not node.is_leaf:
             raise ValueError(f"partition {node.key!r} is not a leaf")
         reuse = node.run.extents if node.run is not None else ()
-        if self._config.columnar:
-            records = tree.read_partition_array(node)
-            array_groups = tree.assign_array_to_children(node.box, records)
-            runs = tree.file.write_groups_array(array_groups, reuse=reuse)
-            tree.dataset.disk.charge_cpu_records(len(records))
-        else:
-            objects = tree.read_partition(node)
-            groups = tree.assign_to_children(node.box, objects)
-            runs = tree.file.write_groups(groups, reuse=reuse)
-            tree.dataset.disk.charge_cpu_records(len(objects))
+        records = tree.read_partition_array(node)
+        groups = tree.assign_array_to_children(node.box, records)
+        runs = tree.file.write_groups_array(groups, reuse=reuse)
+        tree.dataset.disk.charge_cpu_records(len(records))
         return tree.replace_with_children(node, runs)

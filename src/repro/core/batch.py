@@ -30,12 +30,12 @@ A batch runs in four phases:
    is a vectorized mask; ``SpatialObject`` instances are materialised only
    for actual hits.
 4. **Replay of adaptive updates** — statistics, refinement and merging are
-   applied once per batch, afterwards, by replaying the per-query pipeline
-   in submission order against the evolving trees.  Because refinement
-   decisions depend only on (tree state, query window) and both start from
-   the same state, the replay reproduces the sequential evolution exactly
-   — same refinements in the same order, same page reuse, same merge files,
-   same eviction decisions.
+   applied once per batch, afterwards, by replaying the sequential writer
+   half (``QueryProcessor.commit_query``) in submission order against the
+   evolving trees.  Because refinement decisions depend only on (tree
+   state, query window) and both start from the same state, the replay
+   reproduces the sequential evolution exactly — same refinements in the
+   same order, same page reuse, same merge files, same eviction decisions.
 
 Why the reads may be coarser than sequential reads
 --------------------------------------------------
@@ -59,7 +59,7 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.core.merge import RoutingDecision, choose_route
 from repro.core.partition import PartitionNode
-from repro.core.query_processor import QueryProcessor, QueryReport, run_start
+from repro.core.query_processor import QueryProcessor, QueryReport, plan_reads
 from repro.data.columnar import DecodedGroup, filter_groups
 from repro.data.spatial_object import SpatialObject
 from repro.geometry.box import Box
@@ -245,11 +245,6 @@ class BatchExecutor:
         queries = batch.queries
         if not queries:
             return BatchResult(results=[], reports=[])
-        catalog = processor.catalog
-        for query in queries:
-            for dataset_id in query.requested:
-                catalog.get(dataset_id)  # validates every id before any work
-
         tracer = processor.tracer
         with maybe_span(
             tracer, "batch", queries=len(queries), executor=self._executor_name
@@ -259,7 +254,7 @@ class BatchExecutor:
             with maybe_span(tracer, "batch.overlap"):
                 extended = self._extended_windows(queries)
                 needed0, versions0 = self._resolve_overlaps(batch, extended)
-            read_set = BatchReadSet(catalog.dimension)
+            read_set = BatchReadSet(processor.catalog.dimension)
             with maybe_span(tracer, "batch.read_filter"):
                 results, examined, cache_deltas = self._read_and_filter(
                     batch, needed0, read_set
@@ -292,17 +287,13 @@ class BatchExecutor:
         so the replay phase can attribute initialisations to the right
         :class:`QueryReport`, exactly as sequential execution would.
         """
-        processor = self._processor
-        trees = processor.live_trees
+        trees = self._processor.live_trees
         first_touch: dict[int, int] = {}
         for query in queries:
             for dataset_id in sorted(query.requested):
-                if dataset_id not in trees and dataset_id not in first_touch:
-                    first_touch[dataset_id] = query.index
-        for dataset_id in first_touch:  # dict preserves first-touch order
-            tree = processor.adaptor.create_tree(processor.catalog.get(dataset_id))
-            processor.adaptor.initialize(tree)
-            trees[dataset_id] = tree
+                if dataset_id not in trees:
+                    first_touch.setdefault(dataset_id, query.index)
+        self._processor.initialize_trees(first_touch)  # in first-touch order
         return first_touch
 
     # ------------------------------------------------------------------ #
@@ -364,46 +355,6 @@ class BatchExecutor:
             for combination in batch.groups()
         }
 
-    def _query_plan(
-        self,
-        query: BatchQuery,
-        needed0: dict[tuple[int, int], list[PartitionNode]],
-        decisions: dict[frozenset[int], RoutingDecision],
-    ) -> list[tuple[int, PagedFile[SpatialObject], StoredRun]]:
-        """One query's read plan: ``(dataset_id, file, run)`` in collect order.
-
-        The plan construction and the on-disk-order sorting are
-        deterministic functions of ``(query, needed0, decisions)``:
-        merge-file segments first (sorted by segment start), then
-        individual partition runs (sorted by dataset, then run start).
-        Every batched executor reads the plan through a
-        :class:`BatchReadSet`, so every engine reads the same groups in the
-        same order.
-        """
-        decision = decisions[query.requested]
-        info = decision.merge_info
-        merge_plan: list[tuple[int, StoredRun]] = []
-        entries: list[tuple[int, PagedFile[SpatialObject], StoredRun]] = []
-        for dataset_id in sorted(query.requested):
-            covered = info is not None and dataset_id in decision.covered_datasets
-            runs: list[StoredRun] = []
-            for leaf in needed0[(query.index, dataset_id)]:
-                if covered and info.has_segment(leaf.key, dataset_id):
-                    merge_plan.append((dataset_id, info.segment(leaf.key, dataset_id)))
-                else:
-                    run = self._leaf_run(dataset_id, leaf)
-                    if run is not None and run.n_records:
-                        runs.append(run)
-            if runs:
-                file = self._tree_file(dataset_id)
-                runs.sort(key=run_start)
-                entries.extend((dataset_id, file, run) for run in runs)
-        if merge_plan:
-            merge_file = self._merge_file(info)
-            merge_plan.sort(key=lambda item: run_start(item[1]))
-            entries[:0] = [(dataset_id, merge_file, run) for dataset_id, run in merge_plan]
-        return entries
-
     def _filter_one_query(
         self,
         query: BatchQuery,
@@ -413,16 +364,18 @@ class BatchExecutor:
     ) -> tuple[list[SpatialObject], int]:
         """One query's retrieval and filtering against the start-of-batch trees.
 
-        Returns ``(hits, records examined)``.  The plan and the per-group
-        collect order are deterministic (see :meth:`_query_plan`), so the
-        hits come back in the same order no matter which thread — or how
-        many threads — execute the queries of a batch.
+        Returns ``(hits, records examined)``.  The plan (the sequential
+        planner, through the read-state hooks) and the per-group collect
+        order are deterministic, so the hits come back in the same order no
+        matter which thread — or how many threads — execute the queries.
         """
+        overlapped = [(d, needed0[(query.index, d)]) for d in sorted(query.requested)]
+        plan = plan_reads(
+            overlapped, decisions[query.requested], self._leaf_run, self._tree_file,
+            self._merge_file,
+        )
         return filter_groups(
-            [
-                (dataset_id, read_set.read(file, run))
-                for dataset_id, file, run in self._query_plan(query, needed0, decisions)
-            ],
+            [(dataset_id, read_set.read(file, run)) for dataset_id, file, run in plan],
             query.box.lo,
             query.box.hi,
         )
@@ -469,70 +422,38 @@ class BatchExecutor:
 
         Works on the *current* trees: the leaves each query retrieved are
         re-resolved whenever a tree was refined since overlap resolution,
-        which makes every hit count, refinement decision, statistics update
-        and merge trigger identical to sequential execution.
+        and each query goes through the sequential writer half, which makes
+        every hit count, refinement decision, statistics update and merge
+        trigger identical to sequential execution.
         """
         processor = self._processor
-        adaptor = processor.adaptor
         statistics = processor.statistics
         directory = processor.directory
-        merger = processor.merger
         trees = processor.live_trees
         pool = processor.catalog.datasets()[0].disk.buffer_pool
         reports: list[QueryReport] = []
         for query in queries:
-            requested = query.requested
             cache_start = pool.counters()
-            ordered = tuple(sorted(requested))
+            ordered = tuple(sorted(query.requested))
             report = QueryReport(query_index=processor.queries_executed, requested=ordered)
             statistics.tick()
             report.initialized_datasets = [
-                dataset_id
-                for dataset_id in ordered
-                if first_touch.get(dataset_id) == query.index
+                dataset_id for dataset_id in ordered if first_touch.get(dataset_id) == query.index
             ]
-            needed: dict[int, list[PartitionNode]] = {}
+            overlapped: dict[int, list[PartitionNode]] = {}
             for dataset_id in ordered:
                 tree = trees[dataset_id]
                 if tree.version == versions0[dataset_id]:
-                    needed[dataset_id] = needed0[(query.index, dataset_id)]
+                    overlapped[dataset_id] = needed0[(query.index, dataset_id)]
                 else:
-                    # The tree was refined mid-replay; the scalar walk gives
-                    # the same leaves in the same order as the snapshot.
-                    needed[dataset_id] = tree.leaves_overlapping(
+                    overlapped[dataset_id] = tree.leaves_overlapping_vectorized(
                         extended[(query.index, dataset_id)]
                     )
-            decision = choose_route(directory, requested)
+            decision = choose_route(directory, query.requested)
             report.route = decision.kind.value
-            info = decision.merge_info
-            if info is not None:
-                merger.mark_used(info.combination)
-            accessed_keys: dict[int, set] = {}
-            for dataset_id in ordered:
-                leaves = needed[dataset_id]
-                accessed_keys[dataset_id] = {leaf.key for leaf in leaves}
-                for leaf in leaves:
-                    leaf.hit_count += 1
-                report.partitions_read += len(leaves)
-                if info is not None and dataset_id in decision.covered_datasets:
-                    report.partitions_from_merge += sum(
-                        info.has_segment(leaf.key, dataset_id) for leaf in leaves
-                    )
             report.objects_examined = examined[query.index]
             report.results = len(results[query.index])
-            for dataset_id in ordered:
-                tree = trees[dataset_id]
-                for leaf in needed[dataset_id]:
-                    # A leaf without records is never a refinement candidate.
-                    if leaf.n_objects and adaptor.maybe_refine(tree, leaf, query.box).refined:
-                        report.refinements += 1
-            statistics.record_query(
-                requested, accessed_keys, query_volume=query.box.volume()
-            )
-            merge_outcome = merger.maybe_merge(requested, trees)
-            report.merged = merge_outcome.merged
-            report.merge_new_partitions = merge_outcome.new_partitions
-            report.evicted_merge_files = len(merge_outcome.evicted_combinations)
+            processor.commit_query(query.box, query.requested, overlapped, decision, report)
             report.cache = cache_deltas[query.index] + pool.counters().delta_since(
                 cache_start
             )

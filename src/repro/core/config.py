@@ -65,17 +65,6 @@ class OdysseyConfig:
         When true, the merger uses the cost model of
         :mod:`repro.core.cost` to adapt the merge threshold at run time
         (the paper lists this as future work; disabled by default).
-    columnar:
-        Implementation switch, not a paper parameter: when true (the
-        default) the engine runs its columnar-native hot path — pages
-        decode into NumPy structured arrays, query filtering and partition
-        assignment are vectorized masks, and partition/merge files are
-        written straight from arrays.  When false the engine runs the
-        original per-record scalar path.  Both paths are bit-identical in
-        results, reports and on-disk bytes (the differential oracle in
-        ``tests/test_columnar_differential.py`` enforces this); the scalar
-        path is kept as the reference implementation and performance
-        baseline.
     snapshot_reads:
         Implementation switch, not a paper parameter: when true (the
         default) the engine maintains MVCC-style epoch snapshots
@@ -100,7 +89,6 @@ class OdysseyConfig:
     merge_partition_min_hits: int = 2
     merge_only_converged: bool = True
     adaptive_merge_threshold: bool = False
-    columnar: bool = True
     snapshot_reads: bool = True
 
     def __post_init__(self) -> None:

@@ -456,9 +456,6 @@ class EpochExecutor(ParallelExecutor):
         if not queries:
             return PreparedBatch(executor=self, batch=batch, epoch_id=-1)
         catalog = processor.catalog
-        for query in queries:
-            for dataset_id in query.requested:
-                catalog.get(dataset_id)  # validates every id before any work
         manager = processor.epochs
         tracer = processor.tracer
         with maybe_span(tracer, "epoch.prepare", queries=len(queries)) as prep:

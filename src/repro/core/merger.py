@@ -143,17 +143,10 @@ class Merger:
             last_used=self._statistics.logical_clock,
         )
         file = self.merge_file(combination)
-        columnar = self._config.columnar
         for key in new_keys:
             for dataset_id in sorted(combination):
                 tree = trees[dataset_id]
-                node = tree.node(key)
-                if columnar:
-                    # Copy the partition merge-file-wards without leaving
-                    # columnar form: array read, array append, same bytes.
-                    run = file.append_group_array(tree.read_partition_array(node))
-                else:
-                    run = file.append_group(tree.read_partition(node))
+                run = file.append_group_array(tree.read_partition_array(tree.node(key)))
                 info.add_segment(key, dataset_id, run)
                 self._partitions_merged += 1
         info.last_used = self._statistics.logical_clock

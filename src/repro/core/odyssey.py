@@ -19,12 +19,10 @@ Batched execution
 -----------------
 When several exploration queries are available at once (a dashboard
 refresh, a scripted sweep, a replayed trace), :meth:`SpaceOdyssey.query_batch`
-executes them together through :mod:`repro.core.batch`: partition overlap
-tests are resolved for the whole batch with vectorized NumPy kernels, page
-reads are deduplicated through a shared read set, and object filtering is
-a columnar mask instead of a per-object Python loop.  Results and the
-post-batch adaptive state are guaranteed identical to issuing the same
-queries sequentially in order::
+executes them together through :mod:`repro.core.batch`: overlap tests are
+resolved per combination with one kernel call and page reads are
+deduplicated across the batch.  Results and the post-batch adaptive state
+are identical to issuing the same queries sequentially in order::
 
     batch = odyssey.query_batch([
         (region_a, [0, 2, 5]),

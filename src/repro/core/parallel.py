@@ -145,9 +145,6 @@ class ParallelExecutor(BatchExecutor):
         processor = self._processor
         queries = batch.queries
         catalog = processor.catalog
-        for query in queries:
-            for dataset_id in query.requested:
-                catalog.get(dataset_id)  # validates every id before any work
 
         tracer = processor.tracer
         with maybe_span(

@@ -136,11 +136,12 @@ class TreeEpochSnapshot:
 class LeafSnapshot:
     """An immutable view of a tree's leaves with their MBRs as NumPy arrays.
 
-    ``leaves`` are ordered exactly as the scalar depth-first search of
-    :meth:`PartitionTree.leaves_overlapping` visits them, so a vectorized
-    overlap test that filters this sequence produces the *same leaves in
-    the same order* as the scalar walk — the property the batched query
-    engine relies on to stay bit-identical with sequential execution.
+    ``leaves`` are in *search order* — the order an explicit-stack
+    depth-first walk from the first-level partitions visits them, a node's
+    children pushed in index order and popped last first — so an overlap
+    test that filters this sequence yields the leaves that walk would, in
+    its order, whatever the query window.  Every engine resolves overlaps
+    this way, which is what keeps them bit-identical.
     ``version`` records the tree structure version the snapshot was taken
     at; the tree replaces it with a spliced successor whenever a
     refinement changes the leaf set.
@@ -305,30 +306,16 @@ class PartitionTree:
     # Structure building (called by the Adaptor)
     # ------------------------------------------------------------------ #
 
-    def child_box(self, parent_box: Box, child_index: int) -> Box:
-        """The region of one child of a partition."""
-        return parent_box.split_grid(self._splits)[child_index]
-
-    def assign_to_children(
-        self, parent_box: Box, objects: list[SpatialObject]
-    ) -> list[list[SpatialObject]]:
-        """Distribute objects to the ``ppl`` children of a region by centre."""
-        groups: list[list[SpatialObject]] = [[] for _ in range(self.partitions_per_level)]
-        for obj in objects:
-            groups[parent_box.child_index(obj.center, self._splits)].append(obj)
-        return groups
-
     def assign_array_to_children(
         self, parent_box: Box, records: np.ndarray
     ) -> list[np.ndarray]:
-        """Columnar :meth:`assign_to_children` over structured record arrays.
+        """Distribute structured records to the ``ppl`` children of a region by centre.
 
         One kernel call gives every record's child, one *stable* sort by
         child reorders the records once, and one ``bincount`` says where
         each child starts: the groups are consecutive read-only slices of
-        that one array.  Inside a child the records keep record order, so
-        the groups are byte-identical to the scalar assignment; the cost is
-        that of the records moved, whatever ``ppl`` is.
+        that one array.  Inside a child the records keep record order; the
+        cost is that of the records moved, whatever ``ppl`` is.
         """
         centers = (records["lo"] + records["hi"]) / 2.0
         indices = grid_child_indices(
@@ -341,7 +328,7 @@ class PartitionTree:
 
     def install_first_level(
         self,
-        groups: list[list[SpatialObject]],
+        groups: Sequence[np.ndarray],
         runs: list[StoredRun],
         max_extent: tuple[float, ...],
         n_objects: int,
@@ -406,36 +393,17 @@ class PartitionTree:
     # Search
     # ------------------------------------------------------------------ #
 
-    def leaves_overlapping(self, box: Box) -> list[PartitionNode]:
-        """All leaf partitions whose region intersects ``box``."""
-        if not self.is_initialized:
-            raise RuntimeError("partition tree has not been initialised yet")
-        results: list[PartitionNode] = []
-        stack: list[PartitionNode] = [
-            node for node in self._root_children or [] if node.box.intersects(box)
-        ]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                results.append(node)
-            else:
-                stack.extend(
-                    child for child in node.children or [] if child.box.intersects(box)
-                )
-        return results
-
     def leaf_snapshot(self) -> LeafSnapshot:
-        """Leaves in scalar-search order, with their MBR corners as arrays.
+        """Leaves in search order, with their MBR corners as arrays.
 
-        The leaves are ordered as the explicit-stack walk of
-        :meth:`leaves_overlapping` visits them when nothing is pruned.
-        Pruning a node from a stack DFS removes its whole subtree without
-        reordering the remaining visits, so the scalar result for any
-        query box is exactly this sequence filtered by the overlap
-        predicate — which is what lets the vectorized path reproduce the
-        scalar order.  The snapshot is built by the initial partitioning
-        and spliced by every refinement, never re-derived from the tree;
-        :attr:`version` ties it to the structure it describes.
+        The leaves are ordered as an explicit-stack depth-first walk visits
+        them when nothing is pruned.  Pruning a node from a stack walk
+        removes its whole subtree without reordering the remaining visits,
+        so the walk's result for any query box is exactly this sequence
+        filtered by the overlap predicate.  The snapshot is built by the
+        initial partitioning and spliced by every refinement, never
+        re-derived from the tree; :attr:`version` ties it to the structure
+        it describes.
         """
         if not self.is_initialized:
             raise RuntimeError("partition tree has not been initialised yet")
@@ -462,12 +430,11 @@ class PartitionTree:
         )
 
     def leaves_overlapping_vectorized(self, box: Box) -> list[PartitionNode]:
-        """Vectorized :meth:`leaves_overlapping`: one kernel call over the snapshot.
+        """The leaf partitions intersecting ``box``, in search order.
 
-        Returns exactly the leaves (in exactly the order) the scalar DFS
-        walk produces, by filtering the cached search-order snapshot with
-        one :func:`~repro.geometry.vectorized.intersect_mask` call — the
-        sequential engine's per-query overlap test.
+        One :func:`~repro.geometry.vectorized.intersect_mask` call filters
+        the cached search-order snapshot — the sequential engine's
+        per-query overlap test, and the batch replay's after a refinement.
         """
         snapshot = self.leaf_snapshot()
         if not snapshot.leaves:
@@ -479,21 +446,13 @@ class PartitionTree:
     def leaves_overlapping_batch(self, boxes: Sequence[Box]) -> list[list[PartitionNode]]:
         """Leaf partitions intersecting each of ``boxes``, resolved in one kernel call.
 
-        Returns one list per input box, each ordered identically to what
-        :meth:`leaves_overlapping` would return for that box.
+        Returns one list per input box, each what
+        :meth:`leaves_overlapping_vectorized` returns for that box.
         """
         return self.leaf_snapshot().overlapping_batch(boxes)
 
-    def read_partition(self, node: PartitionNode) -> list[SpatialObject]:
-        """Read one leaf partition's objects from the partition file."""
-        if not node.is_leaf:
-            raise ValueError(f"partition {node.key!r} is not a leaf")
-        if node.run is None or node.run.n_records == 0:
-            return []
-        return self._file.read_group(node.run)
-
     def read_partition_array(self, node: PartitionNode) -> np.ndarray:
-        """Columnar :meth:`read_partition`: the leaf's records as a structured array."""
+        """Read one leaf partition's records from the partition file, as a structured array."""
         if not node.is_leaf:
             raise ValueError(f"partition {node.key!r} is not a leaf")
         if node.run is None or node.run.n_records == 0:

@@ -19,19 +19,24 @@ For every range query ``Q = {A; DS_1, ..., DS_N}`` the processor
 A :class:`QueryReport` describing what happened is kept for the last query
 so that tests, examples and the benchmark harness can introspect behaviour
 without re-deriving it from disk counters.
+
+The batched executors (:mod:`repro.core.batch`) share the pieces: the
+query check, the first-touch routine (step 1), the read planner (step 4)
+and the writer half (steps 5–6, :meth:`QueryProcessor.commit_query`).
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from repro.core.adaptor import Adaptor
 from repro.core.config import OdysseyConfig
-from repro.core.merge import MergeDirectory, RouteKind, choose_route
+from repro.core.merge import MergeDirectory, MergeFileInfo, RouteKind, RoutingDecision
+from repro.core.merge import choose_route
 from repro.core.merger import Merger
-from repro.core.partition import PartitionKey, PartitionNode, PartitionTree
+from repro.core.partition import PartitionNode, PartitionTree
 from repro.core.statistics import StatisticsCollector
 from repro.data.columnar import DecodedGroup, filter_groups
 from repro.data.dataset import DatasetCatalog
@@ -42,12 +47,55 @@ from repro.storage.buffer import BufferCounters
 from repro.storage.pagedfile import PagedFile, StoredRun
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
-    from repro.core.batch import BatchResult
+    from repro.core.batch import BatchResult, QueryBatch
 
 
 def run_start(run: StoredRun) -> int:
     """First page of a stored run (0 when empty), for on-disk-order planning."""
     return run.extents[0].start if run.extents else 0
+
+
+def plan_reads(
+    overlapped: Iterable[tuple[int, Sequence[PartitionNode]]],
+    decision: RoutingDecision,
+    leaf_run: Callable[[int, PartitionNode], StoredRun | None],
+    tree_file: Callable[[int], PagedFile[SpatialObject]],
+    merge_file: Callable[[MergeFileInfo], PagedFile[SpatialObject]],
+) -> list[tuple[int, PagedFile[SpatialObject], StoredRun]]:
+    """One query's ``(dataset_id, file, run)`` reads, in on-disk order (step 4).
+
+    ``overlapped`` pairs each requested dataset, ascending, with its
+    overlapped leaves.  Merge-file segments come first in merge-file order
+    (co-located partitions stream sequentially: the point of merging),
+    then each dataset's uncovered runs that hold records, in partition-file
+    order.  The callables locate runs and files — live, or a pinned epoch.
+    """
+    info = decision.merge_info
+    merged: list[tuple[int, StoredRun]] = []
+    plan: list[tuple[int, PagedFile[SpatialObject], StoredRun]] = []
+    for dataset_id, leaves in overlapped:
+        covered = info is not None and dataset_id in decision.covered_datasets
+        runs: list[StoredRun] = []
+        for leaf in leaves:
+            if covered and info.has_segment(leaf.key, dataset_id):
+                merged.append((dataset_id, info.segment(leaf.key, dataset_id)))
+            else:
+                run = leaf_run(dataset_id, leaf)
+                if run is not None and run.n_records:
+                    runs.append(run)
+        if runs:
+            runs.sort(key=run_start)
+            file = tree_file(dataset_id)
+            plan.extend((dataset_id, file, run) for run in runs)
+    if merged:
+        merged.sort(key=lambda item: run_start(item[1]))
+        file = merge_file(info)
+        plan[:0] = [(dataset_id, file, run) for dataset_id, run in merged]
+    return plan
+
+
+def _live_run(dataset_id: int, leaf: PartitionNode) -> StoredRun | None:
+    return leaf.run
 
 
 @dataclass
@@ -120,7 +168,6 @@ class QueryProcessor:
         merger: Merger,
     ) -> None:
         self._catalog = catalog
-        self._config = config
         self._adaptor = adaptor
         self._statistics = statistics
         self._directory = directory
@@ -172,16 +219,6 @@ class QueryProcessor:
         return self._catalog
 
     @property
-    def config(self) -> OdysseyConfig:
-        """The engine configuration."""
-        return self._config
-
-    @property
-    def adaptor(self) -> Adaptor:
-        """The Adaptor performing initial partitioning and refinement."""
-        return self._adaptor
-
-    @property
     def statistics(self) -> StatisticsCollector:
         """The statistics collector."""
         return self._statistics
@@ -205,6 +242,71 @@ class QueryProcessor:
         """Record that one query finished (advances counters, keeps report)."""
         self._queries_executed += 1
         self._last_report = report
+
+    def check_query(self, box: Box, dataset_ids: Iterable[int]) -> frozenset[int]:
+        """Refuse a malformed query before anything changes; returns the requested ids."""
+        if not isinstance(box, Box):
+            raise TypeError(f"a query window must be a Box, not {type(box).__name__}")
+        dimension = self._catalog.dimension
+        if box.dimension != dimension:
+            raise ValueError(f"a {box.dimension}-D window cannot query {dimension}-D datasets")
+        requested = frozenset(dataset_ids)
+        if not requested:
+            raise ValueError("a query must request at least one dataset")
+        for dataset_id in requested:
+            self._catalog.get(dataset_id)  # validates the id
+        return requested
+
+    def initialize_trees(self, dataset_ids: Iterable[int]) -> list[int]:
+        """Step 1, first touch: build the missing trees, in order; returns their ids."""
+        initialized = []
+        for dataset_id in dataset_ids:
+            if dataset_id not in self._trees:
+                with maybe_span(self._tracer, "query.init_tree", dataset=dataset_id):
+                    tree = self._adaptor.create_tree(self._catalog.get(dataset_id))
+                    self._adaptor.initialize(tree)
+                    self._trees[dataset_id] = tree
+                initialized.append(dataset_id)
+        return initialized
+
+    def commit_query(
+        self,
+        box: Box,
+        requested: frozenset[int],
+        overlapped: Mapping[int, Sequence[PartitionNode]],
+        decision: RoutingDecision,
+        report: QueryReport,
+    ) -> None:
+        """Steps 5–6, the writer half of one query, against the *current* state.
+
+        Every leaf in ``overlapped`` (per requested dataset) counts a hit and
+        enters the statistics; leaves holding records are offered for
+        refinement; then the merger gets its chance.  Fills ``report``.
+        """
+        info = decision.merge_info
+        if info is not None:
+            self._merger.mark_used(info.combination)
+        accessed_keys = {}
+        for dataset_id, leaves in overlapped.items():
+            accessed_keys[dataset_id] = {leaf.key for leaf in leaves}
+            for leaf in leaves:
+                leaf.hit_count += 1
+            report.partitions_read += len(leaves)
+            if info is not None and dataset_id in decision.covered_datasets:
+                report.partitions_from_merge += sum(
+                    info.has_segment(leaf.key, dataset_id) for leaf in leaves
+                )
+        for dataset_id, leaves in overlapped.items():
+            tree = self._trees[dataset_id]
+            for leaf in leaves:
+                # A leaf without records is never a refinement candidate.
+                if leaf.n_objects and self._adaptor.maybe_refine(tree, leaf, box).refined:
+                    report.refinements += 1
+        self._statistics.record_query(requested, accessed_keys, query_volume=box.volume())
+        merge_outcome = self._merger.maybe_merge(requested, self._trees)
+        report.merged = merge_outcome.merged
+        report.merge_new_partitions = merge_outcome.new_partitions
+        report.evicted_merge_files = len(merge_outcome.evicted_combinations)
 
     # ------------------------------------------------------------------ #
     # Telemetry (observation only)
@@ -295,130 +397,63 @@ class QueryProcessor:
             return results
 
     def _execute(self, box: Box, dataset_ids: Iterable[int]) -> list[SpatialObject]:
-        requested = frozenset(dataset_ids)
-        if not requested:
-            raise ValueError("a query must request at least one dataset")
-        for dataset_id in requested:
-            self._catalog.get(dataset_id)  # validates the id
+        requested = self.check_query(box, dataset_ids)
         ordered = tuple(sorted(requested))
         report = QueryReport(query_index=self._queries_executed, requested=ordered)
-        columnar = self._config.columnar
         cache_start = self._disk.buffer_pool.counters()
         retries_start = self._disk.stats.retries
         self._statistics.tick()
+        report.initialized_datasets = self.initialize_trees(ordered)
 
-        # 1. Lazy initialisation of partition trees (in-situ first touch).
-        for dataset_id in ordered:
-            if dataset_id not in self._trees:
-                with maybe_span(self._tracer, "query.init_tree", dataset=dataset_id):
-                    tree = self._adaptor.create_tree(self._catalog.get(dataset_id))
-                    self._adaptor.initialize(tree)
-                    self._trees[dataset_id] = tree
-                report.initialized_datasets.append(dataset_id)
-
-        # 2. Locate the leaf partitions each dataset must read.  The
-        # columnar path tests the query window against the tree's cached
-        # leaf-MBR arrays in one kernel call; leaves and their order are
-        # identical to the scalar DFS walk.
-        needed: dict[int, list[PartitionNode]] = {}
+        # 2. The overlapped leaves, in search order: one kernel call per tree.
+        overlapped: dict[int, list[PartitionNode]] = {}
         for dataset_id in ordered:
             tree = self._trees[dataset_id]
             extended = box.expand(tree.max_extent).clamp(tree.universe)
-            needed[dataset_id] = (
-                tree.leaves_overlapping_vectorized(extended)
-                if columnar
-                else tree.leaves_overlapping(extended)
-            )
+            overlapped[dataset_id] = tree.leaves_overlapping_vectorized(extended)
 
-        # 3. Routing: merge file vs individual partition files.
+        # 3-4. Route and plan; the planned groups decode into columnar arrays,
+        # one window+dataset mask filters them all, and only hits become objects.
         decision = choose_route(self._directory, requested)
         report.route = decision.kind.value
-        if decision.merge_info is not None:
-            self._merger.mark_used(decision.merge_info.combination)
-
-        # 4. Retrieval and filtering.  Reads are planned first and then
-        # executed in on-disk order: merge-file segments in the order they
-        # appear in the merge file (so co-located partitions are streamed
-        # sequentially, which is the whole point of merging) and individual
-        # partitions in partition-file order per dataset.  Hit counts and
-        # statistics see every overlapped leaf; only leaves that hold
-        # records are planned, read and later offered for refinement.
-        accessed_keys: dict[int, set[PartitionKey]] = {}
-        occupied: dict[int, list[PartitionNode]] = {}
-        merge_plan: list[tuple[int, StoredRun]] = []
-        plan: list[tuple[int, PagedFile[SpatialObject], StoredRun]] = []
-        info = decision.merge_info
-        for dataset_id in ordered:
-            leaves = needed[dataset_id]
-            accessed_keys[dataset_id] = {leaf.key for leaf in leaves}
-            for leaf in leaves:
-                leaf.hit_count += 1
-            report.partitions_read += len(leaves)
-            held = occupied[dataset_id] = [leaf for leaf in leaves if leaf.n_objects]
-            if info is not None and dataset_id in decision.covered_datasets:
-                merge_plan.extend(
-                    (dataset_id, info.segment(leaf.key, dataset_id))
-                    for leaf in leaves
-                    if info.has_segment(leaf.key, dataset_id)
-                )
-                held = [leaf for leaf in held if not info.has_segment(leaf.key, dataset_id)]
-            file = self._trees[dataset_id].file
-            plan.extend(
-                (dataset_id, file, run)
-                for run in sorted((leaf.run for leaf in held), key=run_start)
-            )
-        if merge_plan:
-            merge_file = self._merger.merge_file(info.combination)
-            merge_plan.sort(key=lambda item: run_start(item[1]))
-            report.partitions_from_merge = len(merge_plan)
-            plan[:0] = [(dataset_id, merge_file, run) for dataset_id, run in merge_plan]
-
-        if columnar:
-            # Vectorized filtering: the query's stored groups decode into
-            # columnar arrays, dataset membership and window overlap become
-            # one mask over all of them, and SpatialObject instances exist
-            # only for the final hits.
-            dimension = self._catalog.dimension
-            results, examined = filter_groups(
-                [
-                    (dataset_id, DecodedGroup.from_records(file.read_group_array(run), dimension))
-                    for dataset_id, file, run in plan
-                    if run.n_records
-                ],
-                box.lo,
-                box.hi,
-            )
-        else:
-            results = []
-            examined = 0
-            for dataset_id, file, run in plan:
-                for obj in file.read_group(run):
-                    examined += 1
-                    if obj.dataset_id == dataset_id and obj.intersects(box):
-                        results.append(obj)
-        tree_disk = self._catalog.get(next(iter(requested))).disk
-        tree_disk.charge_cpu_records(examined)
+        plan = plan_reads(
+            overlapped.items(), decision, _live_run, self._tree_file, self._merge_file
+        )
+        dimension = self._catalog.dimension
+        results, examined = filter_groups(
+            [
+                (dataset_id, DecodedGroup.from_records(file.read_group_array(run), dimension))
+                for dataset_id, file, run in plan
+                if run.n_records
+            ],
+            box.lo,
+            box.hi,
+        )
+        self._disk.charge_cpu_records(examined)
         report.objects_examined = examined
         report.results = len(results)
 
-        # 5. Refinement of over-sized hit partitions.
-        for dataset_id in ordered:
-            tree = self._trees[dataset_id]
-            for leaf in occupied[dataset_id]:
-                if self._adaptor.maybe_refine(tree, leaf, box).refined:
-                    report.refinements += 1
-
-        # 6. Statistics and merging.
-        self._statistics.record_query(requested, accessed_keys, query_volume=box.volume())
-        merge_outcome = self._merger.maybe_merge(requested, self._trees)
-        report.merged = merge_outcome.merged
-        report.merge_new_partitions = merge_outcome.new_partitions
-        report.evicted_merge_files = len(merge_outcome.evicted_combinations)
+        # 5-6. Refinement, statistics and merging.
+        self.commit_query(box, requested, overlapped, decision, report)
         report.cache = self._disk.buffer_pool.counters().delta_since(cache_start)
         report.retries = self._disk.stats.retries - retries_start
-
         self.note_executed(report)
         return results
+
+    def _tree_file(self, dataset_id: int) -> PagedFile[SpatialObject]:
+        return self._trees[dataset_id].file
+
+    def _merge_file(self, info: MergeFileInfo) -> PagedFile[SpatialObject]:
+        return self._merger.merge_file(info.combination)
+
+    def _checked_batch(self, queries) -> "QueryBatch":
+        """``queries`` as a :class:`QueryBatch`, every entry checked up front."""
+        from repro.core.batch import QueryBatch
+
+        batch = queries if isinstance(queries, QueryBatch) else QueryBatch(queries)
+        for query in batch:
+            self.check_query(query.box, query.requested)
+        return batch
 
     def execute_batch(
         self,
@@ -447,9 +482,9 @@ class QueryProcessor:
         batch executor (reports and ``objects_examined`` included);
         requires ``OdysseyConfig(snapshot_reads=True)``.
         """
-        from repro.core.batch import BatchExecutor, QueryBatch
+        from repro.core.batch import BatchExecutor
 
-        batch = queries if isinstance(queries, QueryBatch) else QueryBatch(queries)
+        batch = self._checked_batch(queries)
         if snapshot:
             if self._epochs is None:
                 raise RuntimeError(
@@ -480,11 +515,9 @@ class QueryProcessor:
             raise RuntimeError(
                 "snapshot reads require OdysseyConfig(snapshot_reads=True)"
             )
-        from repro.core.batch import QueryBatch
         from repro.core.epoch import EpochExecutor
 
-        batch = queries if isinstance(queries, QueryBatch) else QueryBatch(queries)
-        return EpochExecutor(self, workers).prepare(batch)
+        return EpochExecutor(self, workers).prepare(self._checked_batch(queries))
 
     def commit_batch(self, prepared) -> "BatchResult":
         """Apply a prepared batch's writer phase (gate-held, in order)."""

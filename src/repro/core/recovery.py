@@ -5,7 +5,7 @@ Space Odyssey's adaptive state — partition trees, merge files, statistics
 raw dataset files and the ordered sequence of executed queries.  The
 engines prove this continuously (the differential oracles in
 ``tests/test_batch_differential.py`` and ``tests/test_engine_fuzz.py``
-show all five execution modes produce bit-identical adaptive state and
+show all four execution modes produce bit-identical adaptive state and
 on-disk bytes from the same query sequence).  Recovery exploits it: the
 durable manifest is not a physical redo log but a **logical query log**.
 
@@ -69,8 +69,9 @@ READABLE_VERSIONS = (1, MANIFEST_VERSION)
 #: Header keys of retired options, ignored when an older journal carries
 #: them.  A journal written over a sharded buffer pool (``buffer_shards``)
 #: comes back as one pool of the same ``buffer_pages``; the batch
-#: executor switch (``batch_executor``) has no replacement.
-_RETIRED_KEYS = {"config": ("batch_executor",), "catalog": ("buffer_shards",)}
+#: executor switch (``batch_executor``) and the per-record engine switch
+#: (``columnar``) have no replacement — every engine computes the same state.
+_RETIRED_KEYS = {"config": ("batch_executor", "columnar"), "catalog": ("buffer_shards",)}
 
 #: Silent unless the embedding application configures handlers (e.g. via
 #: :func:`repro.obs.configure_json_logging`).

@@ -1,0 +1,283 @@
+"""The per-record reference engine: the seed implementation, kept as a model.
+
+The engine in ``src/`` is columnar end to end — pages decode into NumPy
+structured arrays, overlap resolution, filtering and partition assignment
+are array kernels, and partition and merge files are written straight from
+arrays.  This module keeps the original per-record path it replaced
+(ROADMAP ground rule iv), and the differential, fuzz, kernel-guard and
+refine-path tests hold every engine to it:
+
+* :func:`leaves_overlapping` — the explicit-stack depth-first walk whose
+  visiting order *defines* the search order of every leaf snapshot;
+* :func:`assign_to_children` and :func:`read_partition` — a split and a
+  partition read on ``SpatialObject`` instances;
+* :class:`ScalarAdaptor`, :class:`ScalarMerger` and :class:`ScalarProcessor`
+  — first touch, refinement, merge copies and the whole per-query pipeline
+  over the scalar storage surface (``Dataset.scan``, ``PagedFile.read_group``,
+  ``write_groups``, ``append_group``), with a Python loop as the filter;
+* :class:`ScalarOdyssey` — a :class:`~repro.core.odyssey.SpaceOdyssey`
+  whose adaptor, merger and query processor are those three.
+
+Nothing here is reachable from ``src/``: no option, hook or environment
+variable selects it.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Mapping
+
+from repro.core.adaptor import Adaptor
+from repro.core.merge import MergeFileInfo, choose_route, merge_file_name
+from repro.core.merger import Merger, MergeOutcome
+from repro.core.odyssey import SpaceOdyssey
+from repro.core.partition import PartitionKey, PartitionNode, PartitionTree
+from repro.core.query_processor import QueryProcessor, QueryReport, run_start
+from repro.data.spatial_object import SpatialObject
+from repro.geometry.box import Box
+from repro.obs.trace import maybe_span
+from repro.storage.pagedfile import PagedFile, StoredRun
+
+# ---------------------------------------------------------------------- #
+# Tree walks on objects
+# ---------------------------------------------------------------------- #
+
+
+def leaves_overlapping(tree: PartitionTree, box: Box) -> list[PartitionNode]:
+    """All leaf partitions whose region intersects ``box``, by a stack walk.
+
+    The first-level partitions are pushed in index order and popped last
+    first, and so is every internal node's children: the order this walk
+    visits leaves is the search order the leaf snapshot is kept in.
+    """
+    if not tree.is_initialized:
+        raise RuntimeError("partition tree has not been initialised yet")
+    roots = (tree.node((index,)) for index in range(tree.partitions_per_level))
+    stack = [node for node in roots if node.box.intersects(box)]
+    results: list[PartitionNode] = []
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            results.append(node)
+        else:
+            stack.extend(child for child in node.children if child.box.intersects(box))
+    return results
+
+
+def assign_to_children(
+    tree: PartitionTree, parent_box: Box, objects: list[SpatialObject]
+) -> list[list[SpatialObject]]:
+    """Distribute objects to the ``ppl`` children of a region by centre."""
+    groups: list[list[SpatialObject]] = [[] for _ in range(tree.partitions_per_level)]
+    for obj in objects:
+        groups[parent_box.child_index(obj.center, tree.splits_per_dim)].append(obj)
+    return groups
+
+
+def read_partition(tree: PartitionTree, node: PartitionNode) -> list[SpatialObject]:
+    """Read one leaf partition's objects from the partition file."""
+    if not node.is_leaf:
+        raise ValueError(f"partition {node.key!r} is not a leaf")
+    if node.run is None or node.run.n_records == 0:
+        return []
+    return tree.file.read_group(node.run)
+
+
+# ---------------------------------------------------------------------- #
+# The per-record components
+# ---------------------------------------------------------------------- #
+
+
+class ScalarAdaptor(Adaptor):
+    """First touch and refinement one ``SpatialObject`` at a time."""
+
+    def initialize(self, tree: PartitionTree) -> None:
+        if tree.is_initialized:
+            raise RuntimeError(f"dataset {tree.dataset.name!r} is already initialised")
+        dataset = tree.dataset
+        groups: list[list[SpatialObject]] = [[] for _ in range(tree.partitions_per_level)]
+        max_extent = [0.0] * dataset.dimension
+        n_objects = 0
+        for obj in dataset.scan():
+            index = tree.universe.child_index(obj.center, tree.splits_per_dim)
+            groups[index].append(obj)
+            n_objects += 1
+            for axis, extent in enumerate(obj.box.extents):
+                if extent > max_extent[axis]:
+                    max_extent[axis] = extent
+        runs = tree.file.write_groups(groups)
+        dataset.disk.charge_cpu_records(n_objects)
+        tree.install_first_level(
+            groups=groups, runs=runs, max_extent=tuple(max_extent), n_objects=n_objects
+        )
+
+    def refine(self, tree: PartitionTree, node: PartitionNode) -> list[PartitionNode]:
+        if not node.is_leaf:
+            raise ValueError(f"partition {node.key!r} is not a leaf")
+        reuse = node.run.extents if node.run is not None else ()
+        objects = read_partition(tree, node)
+        runs = tree.file.write_groups(assign_to_children(tree, node.box, objects), reuse=reuse)
+        tree.dataset.disk.charge_cpu_records(len(objects))
+        return tree.replace_with_children(node, runs)
+
+
+class ScalarMerger(Merger):
+    """Merge copies through the per-record surface: read objects, append objects."""
+
+    def maybe_merge(
+        self, combination: frozenset[int], trees: Mapping[int, PartitionTree]
+    ) -> MergeOutcome:
+        if not self._config.enable_merging:
+            return MergeOutcome(skipped_reason="merging disabled")
+        if len(combination) < self._config.min_merge_combination:
+            return MergeOutcome(skipped_reason="combination too small")
+        stats = self._statistics.combination_stats(combination)
+        if stats is None:
+            return MergeOutcome(skipped_reason="combination never queried")
+        if stats.count <= self._config.merge_threshold:
+            return MergeOutcome(skipped_reason="below merge threshold")
+        if self._adaptive_policy is not None and not self._adaptive_policy.should_merge(
+            combination, stats.count, self._qualifying_keys(combination, stats, trees), trees
+        ):
+            return MergeOutcome(skipped_reason="below merge threshold")
+        existing = self._directory.get(combination)
+        merged = existing.entries if existing is not None else ()
+        new_keys = sorted(self._qualifying_keys(combination, stats, trees, merged))
+        if not new_keys:
+            return MergeOutcome(skipped_reason="nothing new to merge")
+        info = existing or MergeFileInfo(
+            combination=combination,
+            file_name=merge_file_name(combination),
+            created_at=self._statistics.logical_clock,
+            last_used=self._statistics.logical_clock,
+        )
+        file = self.merge_file(combination)
+        for key in new_keys:
+            for dataset_id in sorted(combination):
+                tree = trees[dataset_id]
+                run = file.append_group(read_partition(tree, tree.node(key)))
+                info.add_segment(key, dataset_id, run)
+                self._partitions_merged += 1
+        info.last_used = self._statistics.logical_clock
+        self._directory.register(info)
+        self._merges_performed += 1
+        evicted = self._enforce_budget(protect=combination)
+        return MergeOutcome(
+            merged=True,
+            combination=combination,
+            new_partitions=len(new_keys),
+            evicted_combinations=tuple(evicted),
+        )
+
+
+class ScalarProcessor(QueryProcessor):
+    """The seed per-query pipeline: stack walk, inline plan, Python filter loop."""
+
+    def _execute(self, box: Box, dataset_ids: Iterable[int]) -> list[SpatialObject]:
+        requested = frozenset(dataset_ids)
+        if not requested:
+            raise ValueError("a query must request at least one dataset")
+        for dataset_id in requested:
+            self._catalog.get(dataset_id)
+        ordered = tuple(sorted(requested))
+        report = QueryReport(query_index=self.queries_executed, requested=ordered)
+        cache_start = self._disk.buffer_pool.counters()
+        retries_start = self._disk.stats.retries
+        self._statistics.tick()
+
+        # 1. Lazy initialisation of partition trees (in-situ first touch).
+        for dataset_id in ordered:
+            if dataset_id not in self._trees:
+                with maybe_span(self._tracer, "query.init_tree", dataset=dataset_id):
+                    tree = self._adaptor.create_tree(self._catalog.get(dataset_id))
+                    self._adaptor.initialize(tree)
+                    self._trees[dataset_id] = tree
+                report.initialized_datasets.append(dataset_id)
+
+        # 2. The leaf partitions each dataset must read.
+        needed: dict[int, list[PartitionNode]] = {}
+        for dataset_id in ordered:
+            tree = self._trees[dataset_id]
+            extended = box.expand(tree.max_extent).clamp(tree.universe)
+            needed[dataset_id] = leaves_overlapping(tree, extended)
+
+        # 3. Routing: merge file vs individual partition files.
+        decision = choose_route(self._directory, requested)
+        report.route = decision.kind.value
+        if decision.merge_info is not None:
+            self._merger.mark_used(decision.merge_info.combination)
+
+        # 4. Retrieval in on-disk order, then a filter loop over objects.
+        accessed_keys: dict[int, set[PartitionKey]] = {}
+        occupied: dict[int, list[PartitionNode]] = {}
+        merge_plan: list[tuple[int, StoredRun]] = []
+        plan: list[tuple[int, PagedFile[SpatialObject], StoredRun]] = []
+        info = decision.merge_info
+        for dataset_id in ordered:
+            leaves = needed[dataset_id]
+            accessed_keys[dataset_id] = {leaf.key for leaf in leaves}
+            for leaf in leaves:
+                leaf.hit_count += 1
+            report.partitions_read += len(leaves)
+            held = occupied[dataset_id] = [leaf for leaf in leaves if leaf.n_objects]
+            if info is not None and dataset_id in decision.covered_datasets:
+                merge_plan.extend(
+                    (dataset_id, info.segment(leaf.key, dataset_id))
+                    for leaf in leaves
+                    if info.has_segment(leaf.key, dataset_id)
+                )
+                held = [leaf for leaf in held if not info.has_segment(leaf.key, dataset_id)]
+            file = self._trees[dataset_id].file
+            plan.extend(
+                (dataset_id, file, run)
+                for run in sorted((leaf.run for leaf in held), key=run_start)
+            )
+        if merge_plan:
+            merge_file = self._merger.merge_file(info.combination)
+            merge_plan.sort(key=lambda item: run_start(item[1]))
+            report.partitions_from_merge = len(merge_plan)
+            plan[:0] = [(dataset_id, merge_file, run) for dataset_id, run in merge_plan]
+        results: list[SpatialObject] = []
+        examined = 0
+        for dataset_id, file, run in plan:
+            for obj in file.read_group(run):
+                examined += 1
+                if obj.dataset_id == dataset_id and obj.intersects(box):
+                    results.append(obj)
+        self._disk.charge_cpu_records(examined)
+        report.objects_examined = examined
+        report.results = len(results)
+
+        # 5. Refinement of over-sized hit partitions.
+        for dataset_id in ordered:
+            tree = self._trees[dataset_id]
+            for leaf in occupied[dataset_id]:
+                if self._adaptor.maybe_refine(tree, leaf, box).refined:
+                    report.refinements += 1
+
+        # 6. Statistics and merging.
+        self._statistics.record_query(requested, accessed_keys, query_volume=box.volume())
+        merge_outcome = self._merger.maybe_merge(requested, self._trees)
+        report.merged = merge_outcome.merged
+        report.merge_new_partitions = merge_outcome.new_partitions
+        report.evicted_merge_files = len(merge_outcome.evicted_combinations)
+        report.cache = self._disk.buffer_pool.counters().delta_since(cache_start)
+        report.retries = self._disk.stats.retries - retries_start
+        self.note_executed(report)
+        return results
+
+
+class ScalarOdyssey(SpaceOdyssey):
+    """A Space Odyssey engine that runs the per-record reference path.
+
+    The three scalar classes add no state, so the components the facade
+    wires up are re-classed in place: one adaptive state, wired as usual,
+    computed the seed's way.  Sequential ``query()`` runs the reference
+    pipeline; the batched paths are the engine's own and are not part of
+    the reference.
+    """
+
+    def __init__(self, catalog, config=None) -> None:
+        super().__init__(catalog, config)
+        self._adaptor.__class__ = ScalarAdaptor
+        self._merger.__class__ = ScalarMerger
+        self._processor.__class__ = ScalarProcessor

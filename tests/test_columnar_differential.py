@@ -1,11 +1,11 @@
 """Differential oracle: the columnar sequential engine must be
 indistinguishable from the seed scalar path.
 
-The engine keeps the original per-record implementation behind
-``OdysseyConfig(columnar=False)`` as a reference.  For randomized mixed
-workloads, two engines over byte-identical forks of the same suite execute
-the same query sequence — one scalar, one columnar — and every observable
-must agree:
+The original per-record implementation lives on as the test-side reference
+engine (:class:`tests.scalar_reference.ScalarOdyssey`).  For randomized
+mixed workloads, two engines over byte-identical forks of the same suite
+execute the same query sequence — the reference and the engine — and every
+observable must agree:
 
 * byte-identical hits per query *in the same order* (the columnar filter
   materialises hits in record order, exactly like the scalar loop);
@@ -25,8 +25,6 @@ counters exposed through ``QueryReport.cache``.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -41,6 +39,7 @@ from repro.storage.disk import Disk
 from repro.storage.pagedfile import PagedFile
 
 from tests.conftest import make_random_objects
+from tests.scalar_reference import ScalarOdyssey
 from tests.test_batch_differential import (
     REPORT_FIELDS,
     adaptive_state,
@@ -54,9 +53,9 @@ def run_differential(
     workload,
     config: OdysseyConfig,
 ) -> None:
-    """Execute the workload scalar and columnar; assert total agreement."""
-    scalar = SpaceOdyssey(suite.fork().catalog, replace(config, columnar=False))
-    columnar = SpaceOdyssey(suite.fork().catalog, replace(config, columnar=True))
+    """Execute the workload on the reference and the engine; assert total agreement."""
+    scalar = ScalarOdyssey(suite.fork().catalog, config)
+    columnar = SpaceOdyssey(suite.fork().catalog, config)
     for index, query in enumerate(workload):
         expected = scalar.query(query.box, query.dataset_ids)
         actual = columnar.query(query.box, query.dataset_ids)
@@ -168,7 +167,7 @@ def test_degenerate_and_duplicate_queries_match_scalar(suite):
     config = OdysseyConfig(
         merge_threshold=1, merge_partition_min_hits=1, merge_only_converged=False
     )
-    scalar = SpaceOdyssey(suite.fork().catalog, replace(config, columnar=False))
+    scalar = ScalarOdyssey(suite.fork().catalog, config)
     columnar = SpaceOdyssey(suite.fork().catalog, config)
     for box, ids in queries:
         assert columnar.query(box, ids) == scalar.query(box, ids)

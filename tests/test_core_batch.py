@@ -23,6 +23,7 @@ from repro.geometry.box import Box
 from repro.workload.query import RangeQuery
 
 from tests.conftest import make_catalog, make_dataset, make_random_objects
+from tests.scalar_reference import leaves_overlapping, read_partition
 
 
 class TestQueryBatch:
@@ -99,7 +100,7 @@ class TestLeafSnapshot:
                 adaptor.refine(tree, leaf)
         batched = tree.leaves_overlapping_batch(queries)
         for box, leaves in zip(queries, batched):
-            scalar = tree.leaves_overlapping(box)
+            scalar = leaves_overlapping(tree, box)
             assert [l.key for l in leaves] == [l.key for l in scalar]
 
     def test_uninitialised_tree_raises(self, disk, universe):
@@ -133,7 +134,7 @@ class TestColumnarDecode:
         read_set = BatchReadSet(universe.dimension)
         leaf = max(tree.leaves(), key=lambda node: node.n_objects)
         group = read_set.read(tree.file, leaf.run)
-        expected = tree.read_partition(leaf)
+        expected = read_partition(tree, leaf)
         assert group.n_records == len(expected)
         materialized = group.materialize(np.ones(group.n_records, dtype=bool))
         assert materialized == expected

@@ -13,6 +13,7 @@ from repro.core.statistics import StatisticsCollector
 from repro.storage.cost_model import DiskModel
 
 from tests.conftest import make_catalog
+from tests.scalar_reference import read_partition
 
 
 @pytest.fixture
@@ -111,7 +112,8 @@ class TestMergerTriggers:
         info = directory.get(combo)
         file = merger.merge_file(combo)
         for dataset_id in combo:
-            original = {o.key() for o in trees[dataset_id].read_partition(trees[dataset_id].node(leaf.key))}
+            tree = trees[dataset_id]
+            original = {o.key() for o in read_partition(tree, tree.node(leaf.key))}
             copied = {o.key() for o in file.read_group(info.segment(leaf.key, dataset_id))}
             assert copied == original
 

@@ -67,6 +67,62 @@ class TestBasics:
         )
 
 
+class TestRejectedQueriesChangeNothing:
+    """A malformed query is refused before any state changes.
+
+    Nothing of a rejected query is journaled, so if it ticked the logical
+    clock or initialised a tree, a recovered engine (and its LRU
+    ``last_used``/``created_at`` stamps) would diverge from the one that
+    crashed.
+    """
+
+    BAD_WINDOWS = [
+        pytest.param(((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), TypeError, id="tuple"),
+        pytest.param(Box((0.0, 0.0), (1.0, 1.0)), ValueError, id="2-D-box"),
+    ]
+
+    @pytest.fixture
+    def engine(self, catalog, config, tmp_path):
+        engine = SpaceOdyssey(catalog, config, journal=tmp_path / "journal.log")
+        engine.query(Box.cube((50.0, 50.0, 50.0), 10.0), [2])
+        return engine
+
+    @staticmethod
+    def state(engine):
+        return (
+            engine.statistics.logical_clock,
+            sorted(engine.trees),
+            engine.disk.stats.pages_written,
+            engine.summary().queries_executed,
+            engine.journal.path.read_bytes(),
+        )
+
+    @pytest.mark.parametrize("window,error", BAD_WINDOWS)
+    def test_query(self, engine, window, error):
+        before = self.state(engine)
+        with pytest.raises(error):
+            engine.query(window, [0, 1])
+        assert self.state(engine) == before
+
+    @pytest.mark.parametrize("window,error", BAD_WINDOWS)
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda engine, batch: engine.query_batch(batch),
+            lambda engine, batch: engine.query_batch(batch, workers=2),
+            lambda engine, batch: engine.query_batch(batch, snapshot=True),
+            lambda engine, batch: engine.prepare_batch(batch),
+        ],
+        ids=["batch", "thread", "snapshot", "prepare"],
+    )
+    def test_query_batch(self, engine, window, error, run):
+        before = self.state(engine)
+        valid = (Box.cube((20.0, 20.0, 20.0), 10.0), [0, 1])
+        with pytest.raises(error):
+            run(engine, [valid, (window, [0, 1])])
+        assert self.state(engine) == before
+
+
 class TestLazyInitialization:
     def test_first_query_initialises_only_requested_datasets(self, odyssey, universe):
         odyssey.query(Box.cube((50.0, 50.0, 50.0), 10.0), [1])

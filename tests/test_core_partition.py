@@ -13,6 +13,7 @@ from repro.geometry.box import Box
 from repro.storage.disk import Disk
 
 from tests.conftest import make_dataset
+from tests.scalar_reference import ScalarAdaptor, leaves_overlapping, read_partition
 
 
 def reference_maybe_refine(adaptor: Adaptor, tree, node, query: Box) -> RefinementOutcome:
@@ -72,7 +73,7 @@ class TestInitialization:
         assert not tree.is_initialized
         assert tree.n_partitions == 0
         with pytest.raises(RuntimeError):
-            tree.leaves_overlapping(dataset.universe)
+            tree.leaves_overlapping_vectorized(dataset.universe)
 
     def test_first_level_created(self, tree, config):
         assert tree.is_initialized
@@ -87,7 +88,7 @@ class TestInitialization:
 
     def test_objects_in_correct_partitions(self, tree):
         for leaf in tree.leaves():
-            for obj in tree.read_partition(leaf):
+            for obj in read_partition(tree, leaf):
                 assert leaf.box.contains_point(obj.center)
 
     def test_partitions_cover_universe(self, tree, universe):
@@ -119,12 +120,13 @@ class TestInitialization:
 class TestSearch:
     def test_leaves_overlapping_small_query(self, tree):
         query = Box.cube((25.0, 25.0, 25.0), 10.0)
-        leaves = tree.leaves_overlapping(query)
+        leaves = tree.leaves_overlapping_vectorized(query)
         assert leaves
+        assert leaves == leaves_overlapping(tree, query)
         assert all(leaf.box.intersects(query) for leaf in leaves)
 
     def test_leaves_overlapping_universe_returns_all(self, tree, universe):
-        assert len(tree.leaves_overlapping(universe)) == tree.n_partitions
+        assert len(tree.leaves_overlapping_vectorized(universe)) == tree.n_partitions
 
     def test_node_lookup(self, tree):
         leaf = next(tree.leaves())
@@ -152,16 +154,16 @@ class TestRefinement:
 
     def test_refine_preserves_objects(self, adaptor, tree):
         leaf = max(tree.leaves(), key=lambda node: node.n_objects)
-        before = {o.key() for o in tree.read_partition(leaf)}
+        before = {o.key() for o in read_partition(tree, leaf)}
         children = adaptor.refine(tree, leaf)
-        after = {o.key() for child in children for o in tree.read_partition(child)}
+        after = {o.key() for child in children for o in read_partition(tree, child)}
         assert after == before
 
     def test_refine_assigns_children_by_center(self, adaptor, tree):
         leaf = max(tree.leaves(), key=lambda node: node.n_objects)
         children = adaptor.refine(tree, leaf)
         for child in children:
-            for obj in tree.read_partition(child):
+            for obj in read_partition(tree, child):
                 assert child.box.contains_point(obj.center)
 
     def test_refine_reuses_pages_in_place(self, adaptor, tree):
@@ -241,9 +243,11 @@ class TestMaybeRefine:
         assert outcome.levels == 2
         assert tree.depth == 3
 
-    @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "scalar"])
+    @pytest.mark.parametrize("adaptor_class", [Adaptor, ScalarAdaptor], ids=["columnar", "scalar"])
     @pytest.mark.parametrize("levels", [2, 3])
-    def test_multiple_levels_match_the_reference_loop(self, universe, model, levels, columnar):
+    def test_multiple_levels_match_the_reference_loop(
+        self, universe, model, levels, adaptor_class
+    ):
         """Several levels in one query: same splits, order and bytes as the reference loop.
 
         ``maybe_refine`` stops before choosing candidates for a level its
@@ -252,13 +256,11 @@ class TestMaybeRefine:
         same partitions in the same order, reuse the same pages and end
         with byte-identical partition files.
         """
-        config = OdysseyConfig(
-            partitions_per_level=8, refine_levels_per_query=levels, columnar=columnar
-        )
+        config = OdysseyConfig(partitions_per_level=8, refine_levels_per_query=levels)
         state = []
         for refine_some in (Adaptor.maybe_refine, reference_maybe_refine):
             disk = Disk(model=model, buffer_pages=0)
-            adaptor = Adaptor(config)
+            adaptor = adaptor_class(config)
             tree = adaptor.create_tree(
                 make_dataset(disk, universe, dataset_id=0, count=600, seed=17)
             )
@@ -276,7 +278,7 @@ class TestMaybeRefine:
                 fullest = max(tree.leaves(), key=lambda node: node.n_objects)
                 center = universe.center if corner else fullest.box.center
                 query = Box.cube(center, 4.0 if corner else 0.5)
-                for node in tree.leaves_overlapping(query):
+                for node in leaves_overlapping(tree, query):
                     outcome = refine_some(adaptor, tree, node, query)
                     outcomes.append((outcome.refined, outcome.levels))
             name = partition_file_name(tree.dataset.name)

@@ -1,12 +1,14 @@
-"""Randomized differential fuzz harness: five engines, one truth.
+"""Randomized differential fuzz harness: four engines and the reference, one truth.
 
 For each seed, a pseudo-random generator derives an entire scenario —
 suite shape (dimension, dataset count and sizes, buffer pool budget),
 engine configuration (merge knobs, refinement threshold) and workload
 (length, combination sizes, range/ids distributions) — and the same
-query sequence is executed through all five execution paths:
+query sequence is executed through the engine's four execution paths and
+the test-side reference:
 
-* **scalar** — the seed per-record reference (``columnar=False``, ``query``);
+* **scalar** — the seed per-record reference
+  (:class:`tests.scalar_reference.ScalarOdyssey`, ``query``);
 * **columnar** — the vectorized sequential engine (``query``);
 * **batch** — ``query_batch`` in random-size chunks, serial executor;
 * **thread** — ``query_batch`` in the same chunks, ``workers`` threads;
@@ -27,8 +29,8 @@ agreement is asserted at the strength each pair guarantees:
 * columnar vs batch: identical hit *sets* per query (batching may reorder
   within a result list) and identical reports except ``objects_examined``
   (the one documented batching deviation);
-* all five: identical post-run adaptive state and byte-identical on-disk
-  files.
+* the reference and all four engines: identical post-run adaptive state
+  and byte-identical on-disk files.
 
 Every assertion message carries the scenario seed, so a failure is
 reproduced with ``run_fuzz_scenario(seed)`` in a REPL or by grepping the
@@ -44,7 +46,6 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -55,6 +56,7 @@ from repro.core.odyssey import SpaceOdyssey
 from repro.data.suite import build_benchmark_suite
 from repro.storage.cost_model import DiskModel
 
+from tests.scalar_reference import ScalarOdyssey
 from tests.test_batch_differential import (
     REPORT_FIELDS,
     adaptive_state,
@@ -215,7 +217,7 @@ def assert_oracle(tag: str, scalar, columnar, batched, runs: dict) -> None:
 def run_fuzz_scenario(
     seed: int, compression: str | None = None, traced: bool = False
 ) -> None:
-    """Derive the scenario for ``seed``, run all five engines, assert agreement.
+    """Derive the scenario for ``seed``, run every engine, assert agreement.
 
     ``traced=True`` enables full per-phase tracing on the batched engines
     while scalar and columnar stay untraced — every cross-engine equality
@@ -239,7 +241,7 @@ def run_fuzz_scenario(
     workload = _scenario_workload(suite, scenario)
     config = scenario["config"]
 
-    scalar = SpaceOdyssey(suite.fork().catalog, replace(config, columnar=False))
+    scalar = ScalarOdyssey(suite.fork().catalog, config)
     columnar = SpaceOdyssey(suite.fork().catalog, config)
     batched = batched_engines(suite.fork, config, scenario["workers"])
     tracers = (
@@ -267,7 +269,7 @@ def test_fuzz_quick(seed):
 
 @pytest.mark.parametrize("seed", QUICK_SEEDS[:2])
 def test_fuzz_compressed_raw_files(seed):
-    """The same five-engine oracle over zlib-compressed raw dataset files.
+    """The same oracle over zlib-compressed raw dataset files.
 
     Every fork shares the master's compressed bytes, so the per-page
     codec header must decode identically through the scalar path, the
@@ -278,7 +280,7 @@ def test_fuzz_compressed_raw_files(seed):
 
 @pytest.mark.parametrize("seed", QUICK_SEEDS[:2])
 def test_fuzz_traced(seed):
-    """The five-engine oracle with tracing fully enabled on the batch paths.
+    """The oracle with tracing fully enabled on the batch paths.
 
     The observation-only contract of :mod:`repro.obs`: a traced engine is
     bit-identical to an untraced one.  Scalar and columnar stay untraced
@@ -299,7 +301,7 @@ def test_fuzz_deep(seed):
 
 
 # ---------------------------------------------------------------------- #
-# Fault campaign: the same five-engine oracle under injected storage faults
+# Fault campaign: the same oracle under injected storage faults
 # ---------------------------------------------------------------------- #
 
 #: Seeds fault-fuzzed in every tier-1 run.
@@ -320,11 +322,11 @@ def run_fault_campaign(seed: int) -> None:
     read/write errors, in-flight bit-flips, torn in-place writes) under a
     :class:`~repro.storage.retry.RetryingBackend`.  The contract: the
     retry layer absorbs every injected fault (zero client-visible
-    errors), and all five engines still produce bit-identical hits,
-    reports, adaptive state and on-disk bytes — fault placement differs
-    per engine (thread scheduling consumes the fault RNG in different
-    orders), so this proves transient faults cannot perturb logical
-    state.
+    errors), and the reference and all four engines still produce
+    bit-identical hits, reports, adaptive state and on-disk bytes — fault
+    placement differs per engine (thread scheduling consumes the fault RNG
+    in different orders), so this proves transient faults cannot perturb
+    logical state.
     """
     from repro.storage.faults import FaultInjectingBackend, FaultPlan
     from repro.storage.retry import RetryingBackend, RetryPolicy
@@ -362,7 +364,7 @@ def run_fault_campaign(seed: int) -> None:
             ),
         )
 
-    scalar = SpaceOdyssey(faulty_fork().catalog, replace(config, columnar=False))
+    scalar = ScalarOdyssey(faulty_fork().catalog, config)
     columnar = SpaceOdyssey(faulty_fork().catalog, config)
     batched = batched_engines(faulty_fork, config, scenario["workers"])
 

@@ -235,9 +235,9 @@ class TestOneInstrument:
 
 
 class TestRetiredModes:
-    """The process executor, the sharded buffer pool and the two-in-flight
-    serving pipeline are gone: naming one of their options is a
-    ``TypeError``, never a silently ignored knob."""
+    """The process executor, the sharded buffer pool, the two-in-flight
+    serving pipeline and the per-record engine switch are gone: naming one
+    of their options is a ``TypeError``, never a silently ignored knob."""
 
     @pytest.fixture(scope="class")
     def suite(self):
@@ -249,6 +249,7 @@ class TestRetiredModes:
         "call",
         [
             "config_batch_executor",
+            "config_columnar",
             "query_batch_executor",
             "serve_pipeline",
             "service_pipeline",
@@ -267,6 +268,7 @@ class TestRetiredModes:
         engine = SpaceOdyssey(suite.fork().catalog)
         calls = {
             "config_batch_executor": lambda: OdysseyConfig(batch_executor="thread"),
+            "config_columnar": lambda: OdysseyConfig(columnar=False),
             "query_batch_executor": lambda: engine.query_batch(
                 [(suite.universe, [0])], executor="thread"
             ),

@@ -51,9 +51,10 @@ DEEP_ITERATIONS = int(os.environ.get("REPRO_FUZZ_ITERATIONS", "0"))
 
 
 def reference_leaves_in_search_order(tree: PartitionTree) -> list[PartitionNode]:
-    """All leaves in the visitation order of ``leaves_overlapping``.
+    """All leaves in the visitation order of the reference stack walk.
 
-    The same explicit stack as the scalar walk, without the overlap filter.
+    The same explicit stack as ``tests.scalar_reference.leaves_overlapping``,
+    without the overlap filter.
     """
     order: list[PartitionNode] = []
     stack: list[PartitionNode] = list(tree._root_children or [])

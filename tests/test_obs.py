@@ -1,7 +1,7 @@
 """Unit and integration tests for the telemetry layer (:mod:`repro.obs`).
 
 Covers the three layers the module promises — tracing, the metrics
-registry, exporters — plus the wiring: trace structure across all five
+registry, exporters — plus the wiring: trace structure across all four
 execution modes (span parentage, worker-thread parenting, ring-buffer
 eviction), registry adapter invariants (snapshot totals reconcile
 exactly with the legacy subsystem counters they adopt), exporter golden
@@ -523,7 +523,7 @@ class TestEngineTelemetry:
 
 
 # ---------------------------------------------------------------------- #
-# Trace structure across all five execution modes
+# Trace structure across all four execution modes
 # ---------------------------------------------------------------------- #
 
 
@@ -546,15 +546,11 @@ class TestTraceStructure:
         config = OdysseyConfig()
         runs = {}
 
-        def run_sequential(name, engine_config):
-            engine = SpaceOdyssey(suite.fork().catalog, engine_config)
-            tracer = engine.enable_tracing(capacity=8192)
-            for query in workload:
-                engine.query(query.box, query.dataset_ids)
-            runs[name] = tracer
-
-        run_sequential("scalar", OdysseyConfig(columnar=False))
-        run_sequential("columnar", config)
+        engine = SpaceOdyssey(suite.fork().catalog, config)
+        tracer = engine.enable_tracing(capacity=8192)
+        for query in workload:
+            engine.query(query.box, query.dataset_ids)
+        runs["columnar"] = tracer
 
         def run_batched(name, **kwargs):
             engine = SpaceOdyssey(suite.fork().catalog, config)
@@ -568,7 +564,7 @@ class TestTraceStructure:
         run_batched("epoch", snapshot=True, workers=2)
         return runs
 
-    @pytest.mark.parametrize("mode", ["scalar", "columnar", "batch", "parallel", "epoch"])
+    @pytest.mark.parametrize("mode", ["columnar", "batch", "parallel", "epoch"])
     def test_parentage_is_closed_and_consistent(self, traced_runs, mode):
         spans = traced_runs[mode].finished()
         assert spans, f"{mode}: no spans recorded"
@@ -576,14 +572,13 @@ class TestTraceStructure:
         _check_parentage(spans, mode)
 
     def test_sequential_modes_emit_query_spans(self, traced_runs, workload):
-        for mode in ("scalar", "columnar"):
-            spans = traced_runs[mode].finished()
-            queries = [span for span in spans if span.name == "query"]
-            assert len(queries) == len(workload)
-            for span in queries:
-                assert span.parent_id is None  # each query is its own trace
-                assert "route" in span.attributes
-                assert "hits" in span.attributes
+        spans = traced_runs["columnar"].finished()
+        queries = [span for span in spans if span.name == "query"]
+        assert len(queries) == len(workload)
+        for span in queries:
+            assert span.parent_id is None  # each query is its own trace
+            assert "route" in span.attributes
+            assert "hits" in span.attributes
 
     @pytest.mark.parametrize("mode", ["batch", "parallel", "epoch"])
     def test_batch_modes_nest_phases_under_roots(self, traced_runs, mode):

@@ -53,6 +53,7 @@ from repro.storage.cost_model import DiskModel
 from repro.storage.disk import Disk
 from repro.storage.pagedfile import PagedFile
 
+from tests.scalar_reference import assign_to_children, leaves_overlapping, read_partition
 from tests.test_incremental_bookkeeping import check_tree
 from tests.test_refine_path import reference_assign_array
 
@@ -378,12 +379,12 @@ class TestPartitionTreeProperties:
         tree = adaptor.create_tree(dataset)
         adaptor.initialize(tree)
         for query in queries:
-            for leaf in tree.leaves_overlapping(query):
+            for leaf in leaves_overlapping(tree, query):
                 adaptor.maybe_refine(tree, leaf, query)
         assert tree.total_stored_objects() == len(objects)
         # Every object is stored in the leaf whose region contains its centre.
         for leaf in tree.leaves():
-            for obj in tree.read_partition(leaf):
+            for obj in read_partition(tree, leaf):
                 assert leaf.box.contains_point(obj.center)
 
     @given(
@@ -467,7 +468,7 @@ class TestSortedSplitProperties:
         assert len(groups) == splits**3
         assert sum(len(group) for group in groups) == len(objects)
         masked = reference_assign_array(parent, records, splits, splits**3)
-        scalar = tree.assign_to_children(parent, objects)
+        scalar = assign_to_children(tree, parent, objects)
         for group, by_mask, by_loop in zip(groups, masked, scalar):
             assert group.dtype == records.dtype
             assert group.tobytes() == by_mask.tobytes()

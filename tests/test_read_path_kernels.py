@@ -36,6 +36,7 @@ from repro.storage.cost_model import DiskModel
 from repro.storage.disk import Disk
 from repro.storage.pagedfile import PagedFile
 
+from tests.scalar_reference import ScalarOdyssey, leaves_overlapping
 from tests.test_incremental_bookkeeping import make_suite, mixed_workload
 
 CONFIG = OdysseyConfig(partitions_per_level=8, refinement_threshold=2.0, merge_threshold=1)
@@ -49,10 +50,10 @@ CONFIG = OdysseyConfig(partitions_per_level=8, refinement_threshold=2.0, merge_t
 def reference_query(engine: SpaceOdyssey, box: Box, dataset_ids):
     """``(hits, examined, groups read)`` by one mask + one materialise per group.
 
-    Reads the engine's current state without changing it: the scalar tree
-    walk, the route, merge segments in merge-file order and then partition
-    runs in partition-file order, a reduce-over-``d`` mask per stored group
-    and a validated ``Box`` per hit.
+    Reads the engine's current state without changing it: the reference
+    stack walk, the route, merge segments in merge-file order and then
+    partition runs in partition-file order, a reduce-over-``d`` mask per
+    stored group and a validated ``Box`` per hit.
     """
     requested = frozenset(dataset_ids)
     trees = engine.trees
@@ -62,7 +63,7 @@ def reference_query(engine: SpaceOdyssey, box: Box, dataset_ids):
     for dataset_id in sorted(requested):
         tree = trees[dataset_id]
         extended = box.expand(tree.max_extent).clamp(tree.universe)
-        for leaf in tree.leaves_overlapping(extended):
+        for leaf in leaves_overlapping(tree, extended):
             if (
                 info is not None
                 and dataset_id in decision.covered_datasets
@@ -313,7 +314,7 @@ def corrupt_catalog(kind: str):
 
 
 def run_queries(engine: SpaceOdyssey, mode: str, queries):
-    """The answers of ``queries`` through one of the five execution modes."""
+    """The answers of ``queries`` through one of the engines (or the reference)."""
     if mode in ("scalar", "columnar"):
         return [engine.query(box, ids) for box, ids in queries]
     options = {
@@ -345,8 +346,9 @@ def test_selected_inverted_box_raises_on_every_engine(mode):
             grazing.append((window, (0, 1)))
     grazing = grazing[:6]
     assert len(grazing) == 6
-    config = OdysseyConfig(partitions_per_level=8, columnar=mode != "scalar")
-    engine = SpaceOdyssey(catalog, config)
+    engine = (ScalarOdyssey if mode == "scalar" else SpaceOdyssey)(
+        catalog, OdysseyConfig(partitions_per_level=8)
+    )
     if mode == "scalar":
         # The per-record decoder validates every box it builds: first touch.
         with pytest.raises(ValueError, match="inverted box"):

@@ -472,6 +472,43 @@ class TestRecoveryEdgeCases:
             range(committed + 1, len(workload) + 1)
         )
 
+    def test_version_2_journal_of_the_per_record_engine_recovers(
+        self, base_suite, reference, tmp_path
+    ):
+        # A version-2 header written while ``OdysseyConfig`` still had the
+        # ``columnar`` switch, by an engine running the per-record path.
+        # Every engine computes the same state, so recovery ignores the key.
+        workload = reference[0]
+        committed = 7
+        engine = SpaceOdyssey(
+            base_suite.fork().catalog, CONFIG, journal=tmp_path / "today.log"
+        )
+        for query in workload[:committed]:
+            engine.query(query.box, query.dataset_ids)
+        today = engine.journal.read_last()
+        survivor = engine.disk.backend.clone()
+        summary = engine.summary()
+        del engine
+        assert "columnar" not in today["config"]
+
+        header = {**today, "config": {**today["config"], "columnar": False}}
+        queries = today["queries"]
+        path = tmp_path / "scalar.log"
+        path.write_bytes(
+            framed({**header, "queries": queries[:3]})
+            + b"".join(
+                framed({"committed": n, "queries": [queries[n - 1]]})
+                for n in range(4, committed + 1)
+            )
+        )
+        assert ManifestJournal(path).read_last()["config"]["columnar"] is False
+
+        recovered = SpaceOdyssey.recover(path, backend=survivor)
+        assert recovered.summary() == summary
+        first, *rest = recovered.journal.records()
+        assert "columnar" not in first["config"] and rest == []
+        assert_matches_reference(recovered, reference, committed=committed)
+
     def test_unsupported_manifest_version_raises(self, tmp_path):
         path = tmp_path / "journal.log"
         ManifestJournal(path).commit({"version": 999, "queries": []})

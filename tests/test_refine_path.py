@@ -39,6 +39,7 @@ from repro.storage import pagedfile as pagedfile_module
 from repro.storage.disk import Disk
 from repro.storage.pagedfile import StoredRun
 
+from tests.scalar_reference import ScalarAdaptor, ScalarOdyssey
 from tests.test_incremental_bookkeeping import check_tree, make_suite
 
 DEEP_ITERATIONS = int(os.environ.get("REPRO_FUZZ_ITERATIONS", "0"))
@@ -98,8 +99,9 @@ class RefineGuard:
         self._count(Disk, "append_run", "append_run")
         self._count(Disk, "write_page", "write_page")
         self._wrap(PartitionTree, "assign_array_to_children", self._assign)
-        self._wrap(Adaptor, "refine", self._refine)
-        self._wrap(Adaptor, "initialize", self._initialize)
+        for adaptor_class in (Adaptor, ScalarAdaptor):
+            self._wrap(adaptor_class, "refine", self._refine)
+            self._wrap(adaptor_class, "initialize", self._initialize)
         self._wrap(Adaptor, "maybe_refine", self._maybe_refine)
         self._wrap(Box, "intersects", self._intersects)
 
@@ -138,8 +140,7 @@ class RefineGuard:
     def _split_costs(self, tree, children, before: Counter, tag: str) -> None:
         spent = self.counts - before
         occupied, pages = self._occupancy(tree, children)
-        columnar = spent["grid"] > 0
-        if columnar:
+        if spent["grid"]:  # the engine's sorted split (the reference loops)
             assert spent["grid"] == 1, tag
             assert spent["groups_encoded"] == occupied, tag
             assert spent["pages_encoded"] == pages, tag
@@ -195,8 +196,8 @@ def guard(monkeypatch) -> RefineGuard:
     return RefineGuard(monkeypatch)
 
 
-def cold_start(seed: int, *, ppl: int, levels: int, columnar: bool, n_triples: int = 28):
-    """A fresh engine and a seeded sequence of Zipf triples on clustered ranges.
+def cold_start(seed: int, *, ppl: int, levels: int, scalar: bool, n_triples: int = 28):
+    """A fresh engine (or the reference) and seeded Zipf triples on clustered ranges.
 
     Windows are sized so that partitions of the first ``levels`` levels are
     well above the refinement threshold whatever ``ppl`` is.
@@ -208,7 +209,6 @@ def cold_start(seed: int, *, ppl: int, levels: int, columnar: bool, n_triples: i
         refinement_threshold=2.0,
         refine_levels_per_query=levels,
         merge_threshold=1,
-        columnar=columnar,
     )
     triples = generate_workload(
         suite.universe,
@@ -223,7 +223,7 @@ def cold_start(seed: int, *, ppl: int, levels: int, columnar: bool, n_triples: i
         cluster_centers=suite.generator.microcircuit_centers[:3],
     )
     queries = [(query.box, tuple(query.dataset_ids)) for query in triples]
-    return SpaceOdyssey(suite.catalog, config), queries
+    return (ScalarOdyssey if scalar else SpaceOdyssey)(suite.catalog, config), queries
 
 
 # ---------------------------------------------------------------------- #
@@ -234,7 +234,7 @@ def cold_start(seed: int, *, ppl: int, levels: int, columnar: bool, n_triples: i
 @pytest.mark.parametrize("ppl", [8, 64])
 def test_a_refinement_costs_what_it_moves(guard, ppl):
     """Per split: one kernel, encodes and runs per *occupied* child, <= 1 append."""
-    engine, queries = cold_start(61 + ppl, ppl=ppl, levels=1, columnar=True)
+    engine, queries = cold_start(61 + ppl, ppl=ppl, levels=1, scalar=False)
     for box, ids in queries:
         engine.query(box, ids)
     assert guard.initializations == len(engine.trees)
@@ -245,11 +245,11 @@ def test_a_refinement_costs_what_it_moves(guard, ppl):
     assert engine.summary().merges_performed > 0, "the scenario never merged"
 
 
-@pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "scalar"])
-def test_multi_level_refinement_still_filters_by_the_query(guard, columnar):
+@pytest.mark.parametrize("scalar", [False, True], ids=["columnar", "scalar"])
+def test_multi_level_refinement_still_filters_by_the_query(guard, scalar):
     """A budget of two levels: the first split's children are filtered, the second's never."""
     ppl = 8
-    engine, queries = cold_start(67, ppl=ppl, levels=2, columnar=columnar)
+    engine, queries = cold_start(67, ppl=ppl, levels=2, scalar=scalar)
     for box, ids in queries:
         engine.query(box, ids)
     for levels, filtered in guard.outcomes:
@@ -266,7 +266,7 @@ def test_deep_refine_guard(guard, iteration):
         rng.randrange(10_000),
         ppl=rng.choice([8, 64]),
         levels=levels,
-        columnar=rng.random() < 0.8,
+        scalar=rng.random() >= 0.8,
         n_triples=rng.randrange(16, 48),
     )
     for box, ids in queries:
