@@ -136,13 +136,13 @@ def run_approach(
         :attr:`ApproachResult.query_timings`.
     workers:
         Thread count for batched chunks: values above 1 are forwarded to
-        ``query_batch(chunk, workers=...)`` (Space Odyssey's parallel
-        executor) and require ``batch_size > 1``.  Results, reports and
+        ``query_batch(chunk, workers=...)`` (Space Odyssey's batch
+        executor on threads) and require ``batch_size > 1``.  Results, reports and
         adaptive state are identical to ``workers=1``, but the simulated
         I/O *timings* may vary slightly run-to-run: threads fetch pages
         in scheduler-dependent order, which shifts head-position
         classification and cache hit patterns (see
-        :mod:`repro.core.parallel`).  For strictly deterministic
+        :mod:`repro.core.batch`).  For strictly deterministic
         simulated figures — the paper-reproduction numbers — keep
         ``workers=1``.
     """

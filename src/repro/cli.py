@@ -78,7 +78,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default=1,
         help=(
             "threads per batch (requires --batch-size > 1; Space Odyssey "
-            "uses its thread-parallel batch executor; results are "
+            "runs its batch read phases on threads; results are "
             "identical, simulated timings may wobble slightly; default: 1)"
         ),
     )

@@ -20,8 +20,8 @@ The package mirrors the architecture of Figure 1 in the paper:
 
 Batched execution
 -----------------
-On top of the per-query pipeline, :mod:`repro.core.batch` provides a
-batched execution engine (:class:`~repro.core.batch.QueryBatch`,
+On top of the per-query pipeline, :mod:`repro.core.batch` provides one
+batch executor (:class:`~repro.core.batch.QueryBatch`,
 :meth:`SpaceOdyssey.query_batch <repro.core.odyssey.SpaceOdyssey.query_batch>`)
 that amortises work across a group of queries: queries are grouped by
 requested dataset combination, partition overlap tests are resolved for
@@ -30,16 +30,14 @@ the whole batch with the vectorized kernels of
 shared read set layered on the buffer pool, and statistics, refinement and
 merging are applied once per batch — with per-query results and the
 post-batch adaptive state guaranteed identical to sequential execution.
-:mod:`repro.core.parallel` fans the read-only phases of a batch across a
-thread pool (``query_batch(..., workers=K)``) while keeping the adaptive
-updates in a single deterministic writer phase, bit-identical to the
-serial batch.
+Two choices change how its read phases run, not what they return: on a
+thread pool (``query_batch(..., workers=K)``) and against a pinned epoch
+snapshot (``snapshot=True``, :mod:`repro.core.epoch`).
 """
 
 from repro.core.batch import BatchResult, QueryBatch
 from repro.core.config import OdysseyConfig
 from repro.core.odyssey import SpaceOdyssey
-from repro.core.parallel import ParallelExecutor
 from repro.core.partition import PartitionNode, PartitionTree
 from repro.core.query_processor import QueryReport
 from repro.core.recovery import DurabilityLog, RecoveryError
@@ -49,7 +47,6 @@ __all__ = [
     "BatchResult",
     "DurabilityLog",
     "OdysseyConfig",
-    "ParallelExecutor",
     "PartitionNode",
     "PartitionTree",
     "QueryBatch",

@@ -1,18 +1,19 @@
-"""Batched execution: amortising work across a group of exploration queries.
+"""Batched execution: one pipeline that amortises work across a group of queries.
 
 The paper's setting is a *sequence* of exploratory queries, yet the
 sequential :class:`~repro.core.query_processor.QueryProcessor` pays every
 cost — partition overlap tests, page decoding, object filtering — once per
-query.  This module executes a whole batch at once while guaranteeing that
-results **and** the post-batch adaptive state (partition trees, statistics,
-merge directory, file bytes) are identical to running the same queries
-sequentially in order.
+query.  :class:`BatchExecutor` executes a whole batch at once while
+guaranteeing that results **and** the post-batch adaptive state (partition
+trees, statistics, merge directory, file bytes) are identical to running
+the same queries sequentially in order.
 
 Execution model
 ---------------
-A batch runs in four phases:
+A batch runs the Query Processor's per-query pipeline in four phases.
+:meth:`BatchExecutor.prepare` is the read half:
 
-1. **Initialisation** — every requested dataset whose partition tree does
+1. **First touch** — every requested dataset whose partition tree does
    not exist yet is initialised up front, in the order sequential execution
    would have first touched it.  Initialisation only depends on the raw
    dataset, so doing it early changes no observable state.
@@ -20,22 +21,53 @@ A batch runs in four phases:
    combination and, per (group, dataset), the partition overlap tests of
    all the group's query windows are resolved in a single call to the
    vectorized :func:`~repro.geometry.vectorized.intersect_matrix` kernel
-   over the tree's cached per-partition MBR arrays
-   (:meth:`~repro.core.partition.PartitionTree.leaf_snapshot`).
-3. **Retrieval and filtering** — partitions are read through a
-   :class:`BatchReadSet`, a shared read set layered on the existing buffer
-   pool: each distinct stored group is fetched and decoded once per batch
-   (into columnar NumPy arrays, not per-record Python objects) no matter
-   how many queries need it.  Filtering against the original query window
-   is a vectorized mask; ``SpatialObject`` instances are materialised only
-   for actual hits.
-4. **Replay of adaptive updates** — statistics, refinement and merging are
-   applied once per batch, afterwards, by replaying the sequential writer
-   half (``QueryProcessor.commit_query``) in submission order against the
-   evolving trees.  Because refinement decisions depend only on (tree
-   state, query window) and both start from the same state, the replay
-   reproduces the sequential evolution exactly — same refinements in the
-   same order, same page reuse, same merge files, same eviction decisions.
+   over the tree's per-partition MBR arrays.
+3. **Retrieval and filtering** — routing is decided once per combination,
+   and partitions are read through a :class:`BatchReadSet`, a shared read
+   set layered on the buffer pool: each distinct stored group is fetched
+   and decoded once per batch (into columnar NumPy arrays, not per-record
+   Python objects) no matter how many queries need it.  Filtering against
+   the original query window is one vectorized mask per query;
+   ``SpatialObject`` instances are materialised only for actual hits.
+
+:meth:`BatchExecutor.commit` is the write half, under the engine gate:
+
+4. **Ordered commit** — the simulated CPU charges for the records each
+   query examined, in submission order, then statistics, refinement and
+   merging, replayed through the sequential writer half
+   (``QueryProcessor.commit_query``) in submission order against the
+   evolving trees; then the next epoch is published and the batch
+   journaled.  Because refinement decisions depend only on (tree state,
+   query window) and both start from the same state, the replay reproduces
+   the sequential evolution exactly — same refinements in the same order,
+   same page reuse, same merge files, same eviction decisions.  Nothing a
+   commit owns changes before it runs, so a batch whose read half raises
+   leaves the CPU clock, the query count, the statistics, the trees (past
+   first touch) and the journal as they were.
+
+Two choices
+-----------
+The phases are written once; two constructor arguments choose how the read
+half runs.
+
+* **Where reads resolve.**  Live (``snapshot=False``): the processor's
+  trees, merge directory and merge files, with the gate held by the caller
+  for the whole batch.  Pinned (``snapshot=True``): the current
+  :class:`~repro.core.epoch.EngineEpoch`, read with no lock held, so only
+  the commit serialises and concurrent batches overlap their reads; pages
+  overwritten or deleted since the pin come from the epoch's retained
+  pre-images.  In isolation the pinned epoch *is* the start-of-batch state,
+  so both give the same bytes.
+* **How phases 2–3 run.**  Inline (``workers`` ``None`` or 1), or on a
+  :class:`~concurrent.futures.ThreadPoolExecutor` of ``workers`` threads:
+  one task per combination group for overlaps, one per query for retrieval
+  and filtering, with group reads deduplicated through the thread-safe
+  :class:`~repro.core.parallel.ParallelReadSet`.  Both phases only read
+  start-of-batch state and every task is a deterministic function of it,
+  so results (hit order included), reports, adaptive state and on-disk
+  bytes do not depend on the thread count; only the simulated I/O *trace*
+  (head position, buffer hits) may, and it never feeds back into results
+  or decisions.
 
 Why the reads may be coarser than sequential reads
 --------------------------------------------------
@@ -54,12 +86,15 @@ never reads *more* pages than the equivalent sequential run
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from repro.core.merge import RoutingDecision, choose_route
+from repro.core.epoch import EngineEpoch
+from repro.core.merge import choose_route
 from repro.core.partition import PartitionNode
-from repro.core.query_processor import QueryProcessor, QueryReport, plan_reads
+from repro.core.query_processor import QueryProcessor, QueryReport, _live_run, plan_reads
 from repro.data.columnar import DecodedGroup, filter_groups
 from repro.data.spatial_object import SpatialObject
 from repro.geometry.box import Box
@@ -174,13 +209,20 @@ class BatchReadSet:
     (:meth:`~repro.storage.pagedfile.PagedFile.read_group_array`, so cost
     accounting, the buffer pool and the decoded-array cache behave exactly
     as for sequential reads); later requests for the same group from other
-    queries of the batch are free.  The set lives for a single batch only:
-    batch reads all complete before any write of the replay phase, so no
-    invalidation is ever needed.
+    queries of the batch are free.  With ``lookup`` — a pinned epoch's
+    :meth:`~repro.core.epoch.EngineEpoch.lookup_page` — pages go through
+    :meth:`~repro.storage.pagedfile.PagedFile.read_group_array_at` instead,
+    so pages destroyed since the pin are served from their retained
+    pre-images.  The set lives for a single batch only: batch reads all
+    complete before any write of the commit phase, so no invalidation is
+    ever needed.
     """
 
-    def __init__(self, dimension: int) -> None:
+    def __init__(
+        self, dimension: int, lookup: Callable[[str, int], bytes | None] | None = None
+    ) -> None:
         self._dimension = dimension
+        self._lookup = lookup
         self._groups: dict[tuple, DecodedGroup] = {}
         self.group_reads = 0
         self.dedup_hits = 0
@@ -198,226 +240,354 @@ class BatchReadSet:
         return group
 
     def _load(self, file: PagedFile[SpatialObject], run: StoredRun) -> DecodedGroup:
-        """Fetch and decode one group (overridden by the epoch read set)."""
-        return DecodedGroup.from_records(file.read_group_array(run), self._dimension)
+        """Fetch and decode one group: live, or as of the pinned epoch."""
+        if self._lookup is None:
+            records = file.read_group_array(run)
+        else:
+            records = file.read_group_array_at(run, self._lookup)
+        return DecodedGroup.from_records(records, self._dimension)
+
+
+@dataclass
+class PreparedBatch:
+    """What the read half of one batch produced; the commit's whole input.
+
+    Produced by :meth:`BatchExecutor.prepare` and consumed exactly once by
+    :meth:`BatchExecutor.commit` (or :meth:`QueryProcessor.commit_batch`).
+    A snapshot batch's epoch (``epoch_id``; ``-1`` for live reads) is
+    already unpinned — every read is materialised into ``results``.
+    """
+
+    executor: "BatchExecutor"
+    batch: QueryBatch
+    epoch_id: int = -1
+    first_touch: dict[int, int] = field(default_factory=dict)
+    extended: dict[tuple[int, int], Box] = field(default_factory=dict)
+    needed0: dict[tuple[int, int], list[PartitionNode]] = field(default_factory=dict)
+    versions0: dict[int, int] = field(default_factory=dict)
+    results: list[list[SpatialObject]] = field(default_factory=list)
+    examined: list[int] = field(default_factory=list)
+    cache_deltas: list[BufferCounters] = field(default_factory=list)
+    group_reads: int = 0
+    dedup_hits: int = 0
+
+
+def _each(pool: ThreadPoolExecutor | None, task: Callable, items: Iterable) -> list:
+    """``task`` over ``items``, results in item order: inline or on ``pool``."""
+    if pool is None:
+        return [task(item) for item in items]
+    return list(pool.map(task, items))
+
+
+def _extended_windows(
+    queries: Sequence[BatchQuery], trees: Mapping
+) -> dict[tuple[int, int], Box]:
+    """Per (query, dataset) extended-and-clamped query windows."""
+    extended: dict[tuple[int, int], Box] = {}
+    for query in queries:
+        for dataset_id in query.requested:
+            tree = trees[dataset_id]
+            extended[(query.index, dataset_id)] = query.box.expand(
+                tree.max_extent
+            ).clamp(tree.universe)
+    return extended
 
 
 class BatchExecutor:
-    """Runs one :class:`QueryBatch` against a query processor's live state.
+    """Runs one :class:`QueryBatch`: ``commit(prepare(batch))``.
 
-    See the module docstring for the four-phase execution model and the
-    sequential-identity guarantee.
+    ``workers`` (``None`` or 1 runs the read phases inline) and
+    ``snapshot`` (read a pinned epoch instead of the live state) are the
+    two choices of the module docstring; every combination is
+    bit-identical in isolation.  A live batch must run with the processor's
+    gate held (:meth:`QueryProcessor.execute_batch` holds it); a snapshot
+    batch takes the gate itself, only where it writes.
     """
 
-    #: Label carried on the batch root span (overridden by subclasses).
-    _executor_name = "serial"
-
-    def __init__(self, processor: QueryProcessor) -> None:
+    def __init__(
+        self, processor: QueryProcessor, workers: int | None = None, snapshot: bool = False
+    ) -> None:
+        if workers is not None and workers < 1:
+            raise ValueError("workers must be >= 1")
         self._processor = processor
-
-    # ------------------------------------------------------------------ #
-    # Read-state hooks
-    # ------------------------------------------------------------------ #
-    # The retrieval phase reaches engine state only through these four
-    # hooks, so a subclass can redirect the whole read path at a pinned
-    # immutable epoch (repro.core.epoch.EpochExecutor) while reusing the
-    # planning, dedup, filtering and replay machinery unchanged.
-
-    def _leaf_run(self, dataset_id: int, leaf: PartitionNode) -> StoredRun | None:
-        """The stored run to read for one leaf (live: the leaf's own run)."""
-        return leaf.run
-
-    def _tree_file(self, dataset_id: int) -> PagedFile[SpatialObject]:
-        """The partition file of one dataset."""
-        return self._processor.live_trees[dataset_id].file
-
-    def _merge_file(self, info) -> PagedFile[SpatialObject]:
-        """The open merge file behind a directory entry."""
-        return self._processor.merger.merge_file(info.combination)
-
-    def _route_directory(self):
-        """The merge directory routing decisions are made against."""
-        return self._processor.directory
+        self._workers = workers or 1
+        self._snapshot = snapshot
 
     def run(self, batch: QueryBatch) -> BatchResult:
         """Execute the batch; equivalent to sequential execution in order."""
-        processor = self._processor
-        queries = batch.queries
-        if not queries:
-            return BatchResult(results=[], reports=[])
-        tracer = processor.tracer
+        if self._snapshot:
+            label = "epoch"
+        else:
+            label = "thread" if self._workers > 1 else "serial"
         with maybe_span(
-            tracer, "batch", queries=len(queries), executor=self._executor_name
+            self._processor.tracer,
+            "batch",
+            queries=len(batch),
+            executor=label,
+            workers=self._workers,
         ) as span:
-            with maybe_span(tracer, "batch.init_trees"):
-                first_touch = self._initialize_trees(queries)
-            with maybe_span(tracer, "batch.overlap"):
-                extended = self._extended_windows(queries)
-                needed0, versions0 = self._resolve_overlaps(batch, extended)
-            read_set = BatchReadSet(processor.catalog.dimension)
-            with maybe_span(tracer, "batch.read_filter"):
-                results, examined, cache_deltas = self._read_and_filter(
-                    batch, needed0, read_set
-                )
-            with maybe_span(tracer, "batch.replay"):
-                reports = self._replay_updates(
-                    queries, first_touch, extended, needed0, versions0, results,
-                    examined, cache_deltas,
-                )
+            result = self.commit(self.prepare(batch))
             if span is not None:
                 span.attributes.update(
-                    group_reads=read_set.group_reads,
-                    dedup_hits=read_set.dedup_hits,
+                    group_reads=result.group_reads, dedup_hits=result.group_reads_deduped
                 )
-        return BatchResult(
-            results=results,
-            reports=reports,
-            group_reads=read_set.group_reads,
-            group_reads_deduped=read_set.dedup_hits,
-        )
+        return result
 
     # ------------------------------------------------------------------ #
-    # Phase 1 — lazy initialisation
+    # The read half: phases 1-3
     # ------------------------------------------------------------------ #
 
-    def _initialize_trees(self, queries: Sequence[BatchQuery]) -> dict[int, int]:
-        """Initialise missing trees in sequential first-touch order.
+    def prepare(self, batch: QueryBatch) -> PreparedBatch:
+        """First touch, overlap resolution, routing, retrieval and filtering."""
+        processor = self._processor
+        if not batch.queries:
+            return PreparedBatch(executor=self, batch=batch)
+        # Only a snapshot batch's read half is a span of its own: it runs
+        # outside the gate its commit takes.
+        with maybe_span(
+            processor.tracer if self._snapshot else None, "epoch.prepare", queries=len(batch)
+        ) as span:
+            first_touch, epoch = self._first_touch(batch.queries)
+            if span is not None:
+                span.attributes["epoch"] = epoch.epoch_id
+            try:
+                return self._read(batch, first_touch, epoch)
+            finally:
+                if epoch is not None:
+                    processor.epochs.unpin(epoch)
 
-        Returns ``dataset_id -> index of the query that first touched it``
-        so the replay phase can attribute initialisations to the right
-        :class:`QueryReport`, exactly as sequential execution would.
-        """
-        trees = self._processor.live_trees
-        first_touch: dict[int, int] = {}
-        for query in queries:
-            for dataset_id in sorted(query.requested):
-                if dataset_id not in trees:
-                    first_touch.setdefault(dataset_id, query.index)
-        self._processor.initialize_trees(first_touch)  # in first-touch order
-        return first_touch
-
-    # ------------------------------------------------------------------ #
-    # Phase 2 — vectorized overlap resolution
-    # ------------------------------------------------------------------ #
-
-    def _extended_windows(
+    def _first_touch(
         self, queries: Sequence[BatchQuery]
-    ) -> dict[tuple[int, int], Box]:
-        """Per (query, dataset) extended-and-clamped query windows."""
-        trees = self._processor.live_trees
-        extended: dict[tuple[int, int], Box] = {}
-        for query in queries:
-            for dataset_id in query.requested:
-                tree = trees[dataset_id]
-                extended[(query.index, dataset_id)] = query.box.expand(
-                    tree.max_extent
-                ).clamp(tree.universe)
-        return extended
+    ) -> tuple[dict[int, int], EngineEpoch | None]:
+        """Phase 1: build missing trees in sequential first-touch order.
+
+        Returns ``dataset_id -> index of the query that first touched it``,
+        so the commit attributes each initialisation to the right
+        :class:`QueryReport` exactly as sequential execution would, and the
+        epoch to read (pinned; ``None`` for live reads).  A snapshot batch
+        takes the gate only when its pinned epoch lacks a requested tree:
+        initialisation writes the partition file.
+        """
+        processor = self._processor
+        if self._snapshot:
+            epoch = processor.epochs.pin()
+            if all(d in epoch.trees for query in queries for d in query.requested):
+                return {}, epoch
+            processor.epochs.unpin(epoch)
+        with processor.gate:  # re-entrant: a live batch's caller holds it already
+            with maybe_span(processor.tracer, "batch.init_trees"):
+                trees = processor.live_trees
+                first_touch: dict[int, int] = {}
+                for query in queries:
+                    for dataset_id in sorted(query.requested):
+                        if dataset_id not in trees:
+                            first_touch.setdefault(dataset_id, query.index)
+                processor.initialize_trees(first_touch)  # in first-touch order
+            if not self._snapshot:
+                return first_touch, None
+            processor.publish_epoch()
+            return first_touch, processor.epochs.pin()
+
+    def _read(
+        self, batch: QueryBatch, first_touch: dict[int, int], epoch: EngineEpoch | None
+    ) -> PreparedBatch:
+        """Phases 2-3 against the live state (``epoch`` is ``None``) or a pinned epoch."""
+        processor = self._processor
+        queries = batch.queries
+        tracer = processor.tracer
+        if epoch is None:
+            trees, directory, lookup = processor.live_trees, processor.directory, None
+        else:
+            trees, directory, lookup = epoch.trees, epoch.directory, epoch.lookup_page
+        pooled = self._workers > 1 and len(queries) > 1
+        with (
+            ThreadPoolExecutor(self._workers, thread_name_prefix="repro-batch")
+            if pooled
+            else nullcontext()
+        ) as pool:
+            with maybe_span(tracer, "batch.overlap"):
+                extended = _extended_windows(queries, trees)
+                needed0, versions0 = self._resolve_overlaps(batch, extended, trees, pool)
+            plan = self._planner(batch, needed0, trees, directory, epoch)
+            if pool is None:
+                read_set = BatchReadSet(processor.catalog.dimension, lookup)
+            else:
+                from repro.core.parallel import ParallelReadSet
+
+                read_set = ParallelReadSet(processor.catalog.dimension, lookup)
+            with maybe_span(tracer, "batch.read_filter") as phase:
+                outputs = self._read_and_filter(queries, plan, read_set, pool, phase)
+        results, examined, cache_deltas = (list(column) for column in zip(*outputs))
+        return PreparedBatch(
+            executor=self,
+            batch=batch,
+            epoch_id=-1 if epoch is None else epoch.epoch_id,
+            first_touch=first_touch,
+            extended=extended,
+            needed0=needed0,
+            versions0=versions0,
+            results=results,
+            examined=examined,
+            cache_deltas=cache_deltas,
+            group_reads=read_set.group_reads,
+            dedup_hits=read_set.dedup_hits,
+        )
 
     def _resolve_overlaps(
-        self, batch: QueryBatch, extended: dict[tuple[int, int], Box]
+        self,
+        batch: QueryBatch,
+        extended: dict[tuple[int, int], Box],
+        trees: Mapping,
+        pool: ThreadPoolExecutor | None,
     ) -> tuple[dict[tuple[int, int], list[PartitionNode]], dict[int, int]]:
-        """Overlap tests for the whole batch, one kernel call per (group, dataset).
+        """Phase 2: one kernel call per (combination, dataset), one task per group.
 
         Returns the per-(query, dataset) overlapping leaves against the
-        start-of-batch trees, plus each tree's structure version at
-        resolution time (so the replay phase knows when the lists are still
-        valid for reuse).
+        start-of-batch trees — live, or the pinned epoch's frozen MBR
+        arrays, which the live trees' refinements never touch — plus each
+        tree's structure version then, so the commit knows when a list is
+        still valid for reuse.
         """
-        trees = self._processor.live_trees
-        needed0: dict[tuple[int, int], list[PartitionNode]] = {}
-        versions0: dict[int, int] = {}
-        for combination, group in batch.groups().items():
+        groups = batch.groups()
+        versions0 = {d: trees[d].version for combination in groups for d in combination}
+
+        def resolve(item) -> dict[tuple[int, int], list[PartitionNode]]:
+            combination, group = item
+            resolved: dict[tuple[int, int], list[PartitionNode]] = {}
             for dataset_id in sorted(combination):
                 tree = trees[dataset_id]
-                versions0[dataset_id] = tree.version
                 windows = [extended[(query.index, dataset_id)] for query in group]
-                per_query = tree.leaves_overlapping_batch(windows)
+                if self._snapshot:
+                    per_query = tree.overlapping_batch(windows)
+                else:
+                    per_query = tree.leaves_overlapping_batch(windows)
                 for query, leaves in zip(group, per_query):
-                    needed0[(query.index, dataset_id)] = leaves
+                    resolved[(query.index, dataset_id)] = leaves
+            return resolved
+
+        needed0: dict[tuple[int, int], list[PartitionNode]] = {}
+        for resolved in _each(pool, resolve, groups.items()):  # in group order
+            needed0.update(resolved)
         return needed0, versions0
 
-    # ------------------------------------------------------------------ #
-    # Phase 3 — retrieval through the shared read set, vectorized filtering
-    # ------------------------------------------------------------------ #
-
-    def _route_decisions(
-        self, batch: QueryBatch
-    ) -> dict[frozenset[int], RoutingDecision]:
-        """Routing resolved once per combination.
-
-        The merge directory cannot change between retrieval and the replay
-        phase, so all reads of the batch see the same directory state.
-        """
-        directory = self._route_directory()
-        return {
-            combination: choose_route(directory, combination)
-            for combination in batch.groups()
-        }
-
-    def _filter_one_query(
-        self,
-        query: BatchQuery,
-        needed0: dict[tuple[int, int], list[PartitionNode]],
-        decisions: dict[frozenset[int], RoutingDecision],
-        read_set: BatchReadSet,
-    ) -> tuple[list[SpatialObject], int]:
-        """One query's retrieval and filtering against the start-of-batch trees.
-
-        Returns ``(hits, records examined)``.  The plan (the sequential
-        planner, through the read-state hooks) and the per-group collect
-        order are deterministic, so the hits come back in the same order no
-        matter which thread — or how many threads — execute the queries.
-        """
-        overlapped = [(d, needed0[(query.index, d)]) for d in sorted(query.requested)]
-        plan = plan_reads(
-            overlapped, decisions[query.requested], self._leaf_run, self._tree_file,
-            self._merge_file,
-        )
-        return filter_groups(
-            [(dataset_id, read_set.read(file, run)) for dataset_id, file, run in plan],
-            query.box.lo,
-            query.box.hi,
-        )
-
-    def _read_and_filter(
+    def _planner(
         self,
         batch: QueryBatch,
         needed0: dict[tuple[int, int], list[PartitionNode]],
-        read_set: BatchReadSet,
-    ) -> tuple[list[list[SpatialObject]], list[int], list[BufferCounters]]:
-        """Read every needed group once, filter each query with one mask each."""
-        processor = self._processor
-        disk = processor.catalog.datasets()[0].disk
-        pool = disk.buffer_pool
-        decisions = self._route_decisions(batch)
-        results: list[list[SpatialObject]] = [[] for _ in batch.queries]
-        examined: list[int] = [0 for _ in batch.queries]
-        cache_deltas: list[BufferCounters] = [BufferCounters() for _ in batch.queries]
-        for query in batch.queries:
-            cache_start = pool.counters()
-            hits, count = self._filter_one_query(query, needed0, decisions, read_set)
-            disk.charge_cpu_records(count)
-            results[query.index] = hits
-            examined[query.index] = count
-            cache_deltas[query.index] = pool.counters().delta_since(cache_start)
-        return results, examined, cache_deltas
+        trees: Mapping,
+        directory,
+        epoch: EngineEpoch | None,
+    ) -> Callable[[BatchQuery], list[tuple[int, PagedFile[SpatialObject], StoredRun]]]:
+        """Each query's reads in on-disk order, through the sequential planner.
 
-    # ------------------------------------------------------------------ #
-    # Phase 4 — replay of the adaptive per-query pipeline
-    # ------------------------------------------------------------------ #
+        Routing is decided once per combination: the merge directory cannot
+        change before the commit, so every read of the batch sees one
+        directory state.
+        """
+        decisions = {
+            combination: choose_route(directory, combination) for combination in batch.groups()
+        }
+        if epoch is None:
+            # Opened here, single-threaded: the merger's handle cache is not
+            # for pool threads to fill.
+            merger = self._processor.merger
+            merge_files = {
+                info.combination: merger.merge_file(info.combination)
+                for info in (decision.merge_info for decision in decisions.values())
+                if info is not None
+            }
+            leaf_run = _live_run
+        else:
+            merge_files = epoch.merge_files
 
-    def _replay_updates(
+            def leaf_run(dataset_id: int, leaf: PartitionNode) -> StoredRun | None:
+                return trees[dataset_id].run_of(leaf)
+
+        def tree_file(dataset_id: int) -> PagedFile[SpatialObject]:
+            return trees[dataset_id].file
+
+        def merge_file(info) -> PagedFile[SpatialObject]:
+            return merge_files[info.combination]
+
+        def plan(query: BatchQuery) -> list[tuple[int, PagedFile[SpatialObject], StoredRun]]:
+            overlapped = [(d, needed0[(query.index, d)]) for d in sorted(query.requested)]
+            return plan_reads(
+                overlapped, decisions[query.requested], leaf_run, tree_file, merge_file
+            )
+
+        return plan
+
+    def _read_and_filter(
         self,
         queries: Sequence[BatchQuery],
-        first_touch: dict[int, int],
-        extended: dict[tuple[int, int], Box],
-        needed0: dict[tuple[int, int], list[PartitionNode]],
-        versions0: dict[int, int],
-        results: list[list[SpatialObject]],
-        examined: list[int],
-        cache_deltas: list[BufferCounters],
-    ) -> list[QueryReport]:
+        plan: Callable[[BatchQuery], list],
+        read_set: BatchReadSet,
+        pool: ThreadPoolExecutor | None,
+        phase,
+    ) -> list[tuple[list[SpatialObject], int, BufferCounters]]:
+        """Phase 3: every query's planned groups through the read set, one mask each.
+
+        Returns ``(hits, records examined, buffer-pool delta)`` per query,
+        in submission order.  The plan (the sequential planner) and the
+        collect order are deterministic, so the hits come back in the same
+        order no matter which thread runs a query.  A pooled task records a
+        ``query.filter`` span parented explicitly on ``phase``: worker
+        threads have empty span stacks, so implicit nesting cannot apply
+        across the pool boundary.
+        """
+        buffer_pool = self._processor.catalog.datasets()[0].disk.buffer_pool
+        tracer = None if pool is None else self._processor.tracer
+
+        def work(query: BatchQuery) -> tuple[list[SpatialObject], int, BufferCounters]:
+            with maybe_span(tracer, "query.filter", parent=phase, query=query.index) as span:
+                cache_start = buffer_pool.counters()
+                hits, count = filter_groups(
+                    [(d, read_set.read(file, run)) for d, file, run in plan(query)],
+                    query.box.lo,
+                    query.box.hi,
+                )
+                if span is not None:
+                    span.attributes.update(hits=len(hits), examined=count)
+                return hits, count, buffer_pool.counters().delta_since(cache_start)
+
+        return _each(pool, work, queries)
+
+    # ------------------------------------------------------------------ #
+    # The write half: phase 4
+    # ------------------------------------------------------------------ #
+
+    def commit(self, prepared: PreparedBatch) -> BatchResult:
+        """The ordered commit, under the gate; publishes and journals the batch.
+
+        CPU charges for the examined records apply first, in submission
+        order — one float sum whatever the read half's choices — then the
+        replay.  Concurrent snapshot batches commit in gate-acquisition
+        (arrival) order, so the adaptive state evolves exactly as
+        sequential execution.
+        """
+        processor = self._processor
+        queries = prepared.batch.queries
+        disk = processor.catalog.datasets()[0].disk
+        with maybe_span(
+            processor.tracer,
+            "epoch.commit" if self._snapshot else "batch.replay",
+            queries=len(queries),
+            epoch=prepared.epoch_id,
+        ):
+            with processor.gate:
+                for query in queries:
+                    disk.charge_cpu_records(prepared.examined[query.index])
+                reports = self._replay_updates(prepared)
+                processor.publish_epoch()
+                processor.commit_durable((query.box, query.requested) for query in queries)
+        return BatchResult(
+            results=prepared.results,
+            reports=reports,
+            group_reads=prepared.group_reads,
+            group_reads_deduped=prepared.dedup_hits,
+        )
+
+    def _replay_updates(self, prepared: PreparedBatch) -> list[QueryReport]:
         """Apply statistics, refinement and merging in sequential order.
 
         Works on the *current* trees: the leaves each query retrieved are
@@ -432,29 +602,31 @@ class BatchExecutor:
         trees = processor.live_trees
         pool = processor.catalog.datasets()[0].disk.buffer_pool
         reports: list[QueryReport] = []
-        for query in queries:
+        for query in prepared.batch.queries:
             cache_start = pool.counters()
             ordered = tuple(sorted(query.requested))
             report = QueryReport(query_index=processor.queries_executed, requested=ordered)
             statistics.tick()
             report.initialized_datasets = [
-                dataset_id for dataset_id in ordered if first_touch.get(dataset_id) == query.index
+                dataset_id
+                for dataset_id in ordered
+                if prepared.first_touch.get(dataset_id) == query.index
             ]
             overlapped: dict[int, list[PartitionNode]] = {}
             for dataset_id in ordered:
                 tree = trees[dataset_id]
-                if tree.version == versions0[dataset_id]:
-                    overlapped[dataset_id] = needed0[(query.index, dataset_id)]
+                if tree.version == prepared.versions0[dataset_id]:
+                    overlapped[dataset_id] = prepared.needed0[(query.index, dataset_id)]
                 else:
                     overlapped[dataset_id] = tree.leaves_overlapping_vectorized(
-                        extended[(query.index, dataset_id)]
+                        prepared.extended[(query.index, dataset_id)]
                     )
             decision = choose_route(directory, query.requested)
             report.route = decision.kind.value
-            report.objects_examined = examined[query.index]
-            report.results = len(results[query.index])
+            report.objects_examined = prepared.examined[query.index]
+            report.results = len(prepared.results[query.index])
             processor.commit_query(query.box, query.requested, overlapped, decision, report)
-            report.cache = cache_deltas[query.index] + pool.counters().delta_since(
+            report.cache = prepared.cache_deltas[query.index] + pool.counters().delta_since(
                 cache_start
             )
             processor.note_executed(report)

@@ -5,12 +5,12 @@ every query, which is why top-level operations serialize on the
 QueryProcessor's gate lock.  This module decouples *readers* from that
 lock: every completed adaptation publishes an immutable
 :class:`EngineEpoch` — a copy-on-write capture of the partition trees'
-leaf state and the merge-file map — and a snapshot reader pins the
-current epoch by refcount, runs overlap resolution, page decode and
-filtering entirely against the pinned capture, and only re-enters the
-gate for the short writer phase (the in-order replay of statistics,
-refinement and merging that :mod:`repro.core.parallel` already runs
-single-threaded).
+leaf state and the merge-file map.  A snapshot batch
+(:class:`~repro.core.batch.BatchExecutor` with ``snapshot=True``) pins
+the current epoch by refcount, runs overlap resolution, page decode and
+filtering entirely against the pinned capture, and only takes the gate
+for its commit (the in-order replay of statistics, refinement and
+merging every batch runs).
 
 Three mechanisms make a pinned epoch readable while adaptation runs:
 
@@ -42,38 +42,30 @@ a pre-image can never land in an epoch a pinned reader cannot reach.
 the chain is pruned from its head whenever the oldest epochs are
 unpinned and superseded, so retained pages and captures are freed as
 soon as no reader can need them (and a pinned epoch is never freed).
+:meth:`EpochManager.gauges` is the one reading of the chain.
 
 Correctness story: query answers are exact functions of the data and the
 query window — refinement state only changes *how* data is read — so a
 reader pinned to a slightly older epoch returns bit-identical hits.  The
-writer phases of concurrent batches still serialize on the gate in
-arrival order, so the adaptive state evolves exactly as sequential
-execution.  In isolation, :class:`EpochExecutor` is bit-identical to the
-serial batch executor, reports and ``objects_examined`` included; the
-five-engine fuzz oracle (``tests/test_engine_fuzz.py``) enforces this.
+commits of concurrent batches still serialize on the gate in arrival
+order, so the adaptive state evolves exactly as sequential execution.
+In isolation a snapshot batch is bit-identical to a live one, reports and
+``objects_examined`` included; the fuzz oracle
+(``tests/test_engine_fuzz.py``) enforces this.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.core.batch import BatchResult, QueryBatch
-from repro.core.parallel import ParallelExecutor, ParallelReadSet
-from repro.core.partition import PartitionNode, TreeEpochSnapshot
-from repro.data.columnar import DecodedGroup
-from repro.data.spatial_object import SpatialObject, spatial_object_codec
-from repro.geometry.box import Box
-from repro.obs.trace import maybe_span
-from repro.storage.buffer import BufferCounters
-from repro.storage.pagedfile import PagedFile, StoredRun
+from repro.core.partition import TreeEpochSnapshot
+from repro.data.spatial_object import spatial_object_codec
+from repro.storage.pagedfile import PagedFile
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
     from repro.core.merge import MergeDirectory
     from repro.core.partition import PartitionTree
-    from repro.core.query_processor import QueryProcessor
     from repro.storage.disk import Disk
 
 
@@ -138,10 +130,6 @@ class EngineEpoch:
                 return data
             epoch = epoch.next
         return None
-
-    def retained_pages(self) -> int:
-        """Number of pre-image pages this epoch currently retains."""
-        return len(self.retained)
 
 
 class EpochManager:
@@ -265,46 +253,6 @@ class EpochManager:
         """The latest published epoch."""
         return self._current
 
-    def chain_length(self) -> int:
-        """Number of epochs currently kept alive (head to current)."""
-        with self._lock:
-            count = 0
-            epoch = self._head
-            while epoch is not None:
-                count += 1
-                epoch = epoch.next
-            return count
-
-    def pinned_total(self) -> int:
-        """Sum of refcounts over all live epochs."""
-        with self._lock:
-            total = 0
-            epoch = self._head
-            while epoch is not None:
-                total += epoch.refcount
-                epoch = epoch.next
-            return total
-
-    def retained_total(self) -> int:
-        """Total retained pre-image pages over all live epochs."""
-        with self._lock:
-            total = 0
-            epoch = self._head
-            while epoch is not None:
-                total += len(epoch.retained)
-                epoch = epoch.next
-            return total
-
-    def retained_bytes_total(self) -> int:
-        """Total bytes of retained pre-images over all live epochs."""
-        with self._lock:
-            total = 0
-            epoch = self._head
-            while epoch is not None:
-                total += sum(len(data) for data in epoch.retained.values())
-                epoch = epoch.next
-            return total
-
     def gauges(self) -> dict[str, int]:
         """Retention gauges in one consistent reading (one lock hold).
 
@@ -330,279 +278,3 @@ class EpochManager:
                 "retained_pages": pages,
                 "retained_bytes": size,
             }
-
-
-class EpochReadSet(ParallelReadSet):
-    """A read set whose group fetches resolve against a pinned epoch.
-
-    Identical dedup and counter semantics to the parallel read set; only
-    the load goes through
-    :meth:`~repro.storage.pagedfile.PagedFile.read_group_array_at` with
-    the epoch's pre-image overlay, so pages overwritten or deleted since
-    the pin are served from retained bytes.  When the overlay has
-    nothing for a run the read — charging, buffer pool and decoded-array
-    cache included — is identical to the live path.
-    """
-
-    def __init__(self, dimension: int, epoch: EngineEpoch) -> None:
-        super().__init__(dimension)
-        self._epoch = epoch
-
-    def _load(self, file: PagedFile[SpatialObject], run: StoredRun) -> DecodedGroup:
-        return DecodedGroup.from_records(
-            file.read_group_array_at(run, self._epoch.lookup_page), self._dimension
-        )
-
-
-@dataclass
-class PreparedBatch:
-    """Everything the lock-free read phase of one snapshot batch produced.
-
-    Produced by :meth:`EpochExecutor.prepare`; consumed exactly once by
-    :meth:`EpochExecutor.commit` (or
-    :meth:`QueryProcessor.commit_batch`).  The epoch itself is already
-    unpinned — all reads are materialized into ``results``.
-    """
-
-    executor: "EpochExecutor"
-    batch: QueryBatch
-    epoch_id: int
-    first_touch: dict[int, int] = field(default_factory=dict)
-    extended: dict[tuple[int, int], Box] = field(default_factory=dict)
-    needed0: dict[tuple[int, int], list[PartitionNode]] = field(default_factory=dict)
-    versions0: dict[int, int] = field(default_factory=dict)
-    results: list[list[SpatialObject]] = field(default_factory=list)
-    examined: list[int] = field(default_factory=list)
-    cache_deltas: list[BufferCounters] = field(default_factory=list)
-    group_reads: int = 0
-    dedup_hits: int = 0
-
-
-class EpochExecutor(ParallelExecutor):
-    """Snapshot-read batch execution: lock-free reads, gated writer phase.
-
-    Subclasses the parallel executor and redirects its read-state hooks
-    (leaf runs, partition/merge files, routing directory, window
-    extension) at a pinned :class:`EngineEpoch`, so planning, read-set
-    dedup, vectorized filtering and the ordered replay are all reused
-    unchanged.  ``workers=None`` runs the read phase serially (the batch
-    still overlaps with other batches' writer phases); ``workers=K > 1``
-    additionally fans this batch's reads across ``K`` threads.
-
-    In isolation — no concurrent writers between pin and commit — the
-    pinned epoch equals the start-of-batch live state, every overlay
-    lookup misses, and execution is bit-identical to
-    :class:`~repro.core.batch.BatchExecutor` (reports and
-    ``objects_examined`` included).
-    """
-
-    _executor_name = "epoch"
-
-    def __init__(self, processor: "QueryProcessor", workers: int | None = None) -> None:
-        # None means "serial reads" here (matching query_batch), not
-        # default_workers(): snapshot batches overlap each other, so the
-        # intra-batch fan-out is opt-in.
-        super().__init__(processor, workers=1 if workers is None else workers)
-        self._epoch: EngineEpoch | None = None
-
-    # -- read-state hooks: everything resolves against the pinned epoch ---- #
-
-    def _leaf_run(self, dataset_id: int, leaf: PartitionNode) -> StoredRun | None:
-        return self._epoch.trees[dataset_id].run_of(leaf)
-
-    def _tree_file(self, dataset_id: int) -> PagedFile[SpatialObject]:
-        return self._epoch.trees[dataset_id].file
-
-    def _merge_file(self, info) -> PagedFile[SpatialObject]:
-        return self._epoch.merge_files[info.combination]
-
-    def _route_directory(self):
-        return self._epoch.directory
-
-    def _extended_windows(self, queries) -> dict[tuple[int, int], Box]:
-        trees = self._epoch.trees
-        extended: dict[tuple[int, int], Box] = {}
-        for query in queries:
-            for dataset_id in query.requested:
-                snapshot = trees[dataset_id]
-                extended[(query.index, dataset_id)] = query.box.expand(
-                    snapshot.max_extent
-                ).clamp(snapshot.universe)
-        return extended
-
-    # -- the two phases ----------------------------------------------------- #
-
-    def run(self, batch: QueryBatch) -> BatchResult:
-        """Execute the batch: lock-free read phase, then gated writer phase."""
-        with maybe_span(
-            self._processor.tracer,
-            "batch",
-            queries=len(batch),
-            executor=self._executor_name,
-            workers=self._workers,
-        ):
-            return self.commit(self.prepare(batch))
-
-    def prepare(self, batch: QueryBatch) -> PreparedBatch:
-        """The lock-free read phase: pin, resolve, read, filter, unpin.
-
-        The gate is taken only if a requested dataset has no partition
-        tree yet (initialisation writes the partition file); after the
-        init is published, the fresh epoch is pinned and the read phase
-        proceeds lock-free.
-        """
-        processor = self._processor
-        queries = batch.queries
-        if not queries:
-            return PreparedBatch(executor=self, batch=batch, epoch_id=-1)
-        catalog = processor.catalog
-        manager = processor.epochs
-        tracer = processor.tracer
-        with maybe_span(tracer, "epoch.prepare", queries=len(queries)) as prep:
-            epoch = manager.pin()
-            first_touch: dict[int, int] = {}
-            involved = {d for query in queries for d in query.requested}
-            if any(dataset_id not in epoch.trees for dataset_id in involved):
-                manager.unpin(epoch)
-                with processor.gate:
-                    with maybe_span(tracer, "batch.init_trees"):
-                        first_touch = self._initialize_trees(queries)
-                    processor.publish_epoch()
-                epoch = manager.pin()
-            if prep is not None:
-                prep.attributes["epoch"] = epoch.epoch_id
-            self._epoch = epoch
-            try:
-                with maybe_span(tracer, "batch.overlap"):
-                    extended = self._extended_windows(queries)
-                    needed0, versions0 = self._resolve_overlaps_epoch(batch, extended)
-                decisions = self._route_decisions(batch)
-                read_set = EpochReadSet(catalog.dimension, epoch)
-                with maybe_span(tracer, "batch.read_filter") as phase:
-                    if self._workers == 1 or len(batch) < 2:
-                        results, examined, cache_deltas = self._read_and_filter_pinned(
-                            batch, needed0, decisions, read_set
-                        )
-                    else:
-                        with ThreadPoolExecutor(
-                            max_workers=self._workers, thread_name_prefix="repro-epoch"
-                        ) as executor:
-                            results, examined, cache_deltas = (
-                                self._read_and_filter_parallel(
-                                    batch,
-                                    needed0,
-                                    decisions,
-                                    read_set,
-                                    executor,
-                                    tracer=tracer,
-                                    parent=phase,
-                                )
-                            )
-                return PreparedBatch(
-                    executor=self,
-                    batch=batch,
-                    epoch_id=epoch.epoch_id,
-                    first_touch=first_touch,
-                    extended=extended,
-                    needed0=needed0,
-                    versions0=versions0,
-                    results=results,
-                    examined=examined,
-                    cache_deltas=cache_deltas,
-                    group_reads=read_set.group_reads,
-                    dedup_hits=read_set.dedup_hits,
-                )
-            finally:
-                self._epoch = None
-                manager.unpin(epoch)
-
-    def commit(self, prepared: PreparedBatch) -> BatchResult:
-        """The writer phase: CPU charges and the ordered adaptive replay.
-
-        Runs under the gate, so concurrent batches' writer phases apply
-        in gate-acquisition (arrival) order — the adaptive state evolves
-        exactly as sequential execution — and publishes the next epoch
-        on the way out.
-        """
-        processor = self._processor
-        batch = prepared.batch
-        queries = batch.queries
-        if not queries:
-            return BatchResult(results=[], reports=[])
-        disk = processor.catalog.datasets()[0].disk
-        with maybe_span(
-            processor.tracer,
-            "epoch.commit",
-            queries=len(queries),
-            epoch=prepared.epoch_id,
-        ):
-            with processor.gate:
-                for query in queries:
-                    disk.charge_cpu_records(prepared.examined[query.index])
-                reports = self._replay_updates(
-                    queries,
-                    prepared.first_touch,
-                    prepared.extended,
-                    prepared.needed0,
-                    prepared.versions0,
-                    prepared.results,
-                    prepared.examined,
-                    prepared.cache_deltas,
-                )
-                processor.publish_epoch()
-                processor.commit_durable((q.box, q.requested) for q in queries)
-        return BatchResult(
-            results=prepared.results,
-            reports=reports,
-            group_reads=prepared.group_reads,
-            group_reads_deduped=prepared.dedup_hits,
-        )
-
-    # -- epoch-local phase implementations ---------------------------------- #
-
-    def _resolve_overlaps_epoch(
-        self, batch: QueryBatch, extended: dict[tuple[int, int], Box]
-    ) -> tuple[dict[tuple[int, int], list[PartitionNode]], dict[int, int]]:
-        """Overlap resolution against the pinned epoch's frozen MBR arrays.
-
-        Same kernel, same order as the live resolution — but through
-        :meth:`TreeEpochSnapshot.overlapping_batch`, which never touches
-        the live tree's mutable snapshot cache.
-        """
-        trees = self._epoch.trees
-        needed0: dict[tuple[int, int], list[PartitionNode]] = {}
-        versions0: dict[int, int] = {}
-        for combination, group in batch.groups().items():
-            for dataset_id in sorted(combination):
-                snapshot = trees[dataset_id]
-                versions0[dataset_id] = snapshot.version
-                windows = [extended[(query.index, dataset_id)] for query in group]
-                per_query = snapshot.overlapping_batch(windows)
-                for query, leaves in zip(group, per_query):
-                    needed0[(query.index, dataset_id)] = leaves
-        return needed0, versions0
-
-    def _read_and_filter_pinned(
-        self,
-        batch: QueryBatch,
-        needed0: dict[tuple[int, int], list[PartitionNode]],
-        decisions,
-        read_set: EpochReadSet,
-    ) -> tuple[list[list[SpatialObject]], list[int], list[BufferCounters]]:
-        """Serial read phase without CPU charging (deferred to commit).
-
-        CPU charges belong to the writer phase so they apply in arrival
-        order — the same position (and therefore the identical float
-        sum) the parallel executor gives them.
-        """
-        pool = self._processor.catalog.datasets()[0].disk.buffer_pool
-        results: list[list[SpatialObject]] = [[] for _ in batch.queries]
-        examined: list[int] = [0 for _ in batch.queries]
-        cache_deltas: list[BufferCounters] = [BufferCounters() for _ in batch.queries]
-        for query in batch.queries:
-            cache_start = pool.counters()
-            hits, count = self._filter_one_query(query, needed0, decisions, read_set)
-            results[query.index] = hits
-            examined[query.index] = count
-            cache_deltas[query.index] = pool.counters().delta_since(cache_start)
-        return results, examined, cache_deltas

@@ -246,41 +246,35 @@ class SpaceOdyssey(MultiDatasetIndex):
         may differ because the batch reads against start-of-batch trees
         (see :mod:`repro.core.batch`).
 
-        ``workers=K`` (``K > 1``) executes the batch through the
-        thread-parallel engine (:mod:`repro.core.parallel`): overlap
-        resolution fans out per combination group and page decode +
-        filtering per query, while all adaptive updates replay through the
-        same single-threaded deterministic writer phase — results (hit
-        order included), reports, adaptive state and on-disk bytes are
-        bit-identical to ``workers=1``.
-
-        ``snapshot=True`` executes through the epoch-snapshot engine
-        (:mod:`repro.core.epoch`, requires
-        ``OdysseyConfig(snapshot_reads=True)``, the default): the read
-        phase runs lock-free against a pinned epoch, so it overlaps with
-        other batches' writer phases; only the short in-order adaptive
-        replay takes the gate.  In isolation a snapshot batch is
-        bit-identical to the serial batch executor; under concurrency
-        per-batch results stay exact (answers depend only on the data
-        and the query window) while writer phases serialize in arrival
-        order.  Here ``workers`` defaults to *serial* reads — the
-        overlap is between batches — and ``workers=K > 1`` additionally
-        fans this batch's reads across ``K`` threads.
+        Two choices change how the batch's read phases run, never what it
+        returns (see :mod:`repro.core.batch`); results (hit order
+        included), reports, adaptive state and on-disk bytes are
+        bit-identical across them in isolation.  ``workers=K`` (``K > 1``)
+        runs overlap resolution (per combination group) and page decode +
+        filtering (per query) on ``K`` threads.  ``snapshot=True`` reads a
+        pinned epoch snapshot (:mod:`repro.core.epoch`; requires
+        ``OdysseyConfig(snapshot_reads=True)``, the default) with no lock
+        held, so the reads overlap other batches' commits; under
+        concurrency per-batch results stay exact (answers depend only on
+        the data and the query window) while commits serialize in arrival
+        order.  Either way the commit — CPU charges, then statistics,
+        refinement and merging in submission order — runs single-threaded
+        under the engine's gate.
         """
         return self._processor.execute_batch(
             queries, workers=workers, snapshot=snapshot
         )
 
     def prepare_batch(self, queries, *, workers: int | None = None):
-        """Run a batch's lock-free snapshot read phase; defer the writer phase.
+        """Run a snapshot batch's lock-free read half; defer its commit.
 
-        Returns a :class:`~repro.core.epoch.PreparedBatch` whose results
+        Returns a :class:`~repro.core.batch.PreparedBatch` whose results
         are fully materialized against a pinned epoch.  Pass it to
         :meth:`commit_batch` to apply CPU charges and the in-order
         adaptive replay (and publish the next epoch).  Between the two
         calls the engine's gate is free, so other batches may read and
         commit; ``query_batch(..., snapshot=True)`` runs the same two
-        phases back to back.
+        halves back to back.
         """
         return self._processor.prepare_batch(queries, workers=workers)
 
@@ -309,7 +303,7 @@ class SpaceOdyssey(MultiDatasetIndex):
         dedicated dispatcher coalesces submissions into batches (flushing
         at ``max_batch`` queries or after ``max_delay_ms``, whichever
         fires first), drains each batch through :meth:`query_batch`
-        (``workers=K`` selects the thread-parallel executor), and resolves
+        (``workers=K`` runs its read phases on threads), and resolves
         each submission's future with its hits or exception.  Per-client
         results are identical to issuing the same queries sequentially in
         arrival order.  Close the service (or use it as a context

@@ -20,7 +20,7 @@ A :class:`QueryReport` describing what happened is kept for the last query
 so that tests, examples and the benchmark harness can introspect behaviour
 without re-deriving it from disk counters.
 
-The batched executors (:mod:`repro.core.batch`) share the pieces: the
+The batch executor (:mod:`repro.core.batch`) shares the pieces: the
 query check, the first-touch routine (step 1), the read planner (step 4)
 and the writer half (steps 5–6, :meth:`QueryProcessor.commit_query`).
 """
@@ -142,8 +142,8 @@ class QueryProcessor:
     every query's answer is exact regardless of that order (results depend
     only on the data and the query window, never on refinement state).
     Parallelism lives *inside* a batch: ``execute_batch(..., workers=K)``
-    fans the read-only phases of one batch across ``K`` threads while the
-    gate is held (see :mod:`repro.core.parallel`).
+    fans the read phases of one batch across ``K`` threads while the
+    gate is held (see :mod:`repro.core.batch`).
 
     With ``OdysseyConfig(snapshot_reads=True)`` (the default) the gate
     additionally becomes a pure *writer* lock for the epoch read path
@@ -151,7 +151,7 @@ class QueryProcessor:
     immutable :class:`~repro.core.epoch.EngineEpoch` on completion, and
     ``execute_batch(..., snapshot=True)`` — or the
     :meth:`prepare_batch`/:meth:`commit_batch` pair — runs its whole read
-    phase against a pinned epoch without holding the gate, so concurrent
+    half against a pinned epoch without holding the gate, so concurrent
     batches overlap their reads and only their short writer phases
     serialize.  Because answers are exact regardless of refinement state
     (see above), a reader pinned to a slightly older epoch still returns
@@ -316,7 +316,7 @@ class QueryProcessor:
     def tracer(self):
         """The attached :class:`~repro.obs.trace.Tracer` (or ``None``).
 
-        Shared with the batch/parallel/epoch executors; tracing is
+        Shared with the batch executor; tracing is
         observation only and never feeds back into any decision.
         """
         return self._tracer
@@ -468,57 +468,40 @@ class QueryProcessor:
         :meth:`execute` once per query in order (hit order within a
         result and ``QueryReport.objects_examined`` may differ).
 
-        ``workers`` selects the thread-parallel executor
-        (:mod:`repro.core.parallel`): ``None`` or ``1`` runs the serial
-        batch engine; ``K > 1`` fans the read-only phases across ``K``
-        threads with results, reports, adaptive state and on-disk bytes
-        bit-identical to the serial batch.
-
-        ``snapshot=True`` routes through the epoch executor
-        (:mod:`repro.core.epoch`): the read phase runs against a pinned
-        immutable epoch *without* holding the gate, and only the short
-        writer phase serializes — so concurrent batches overlap their
-        reads.  In isolation the epoch executor is bit-identical to the
-        batch executor (reports and ``objects_examined`` included);
-        requires ``OdysseyConfig(snapshot_reads=True)``.
+        ``workers=K > 1`` runs the read phases on ``K`` threads;
+        ``snapshot=True`` runs them against a pinned immutable epoch
+        *without* holding the gate, so that only the commit serializes and
+        concurrent batches overlap their reads (requires
+        ``OdysseyConfig(snapshot_reads=True)``).  Every combination is
+        bit-identical to the serial batch in isolation, reports and
+        ``objects_examined`` included.
         """
         from repro.core.batch import BatchExecutor
 
         batch = self._checked_batch(queries)
+        if snapshot and self._epochs is None:
+            raise RuntimeError("snapshot reads require OdysseyConfig(snapshot_reads=True)")
+        executor = BatchExecutor(self, workers, snapshot)
         if snapshot:
-            if self._epochs is None:
-                raise RuntimeError(
-                    "snapshot reads require OdysseyConfig(snapshot_reads=True)"
-                )
-            from repro.core.epoch import EpochExecutor
-
-            return EpochExecutor(self, workers).run(batch)
+            return executor.run(batch)
         with self._gate:
-            if workers is not None and workers != 1:
-                from repro.core.parallel import ParallelExecutor
-
-                result = ParallelExecutor(self, workers).run(batch)
-            else:
-                result = BatchExecutor(self).run(batch)
-            self.publish_epoch()
-            self.commit_durable((q.box, q.requested) for q in batch.queries)
-            return result
+            return executor.run(batch)
 
     def prepare_batch(self, queries, workers: int | None = None):
-        """Run the lock-free read phase of a snapshot batch.
+        """Run the lock-free read half of a snapshot batch.
 
         Pins the current epoch, resolves overlaps, reads and filters every
         query against the pinned snapshot — all without the gate — and
-        returns an opaque prepared batch for :meth:`commit_batch`.
+        returns a :class:`~repro.core.batch.PreparedBatch` for
+        :meth:`commit_batch`.
         """
         if self._epochs is None:
-            raise RuntimeError(
-                "snapshot reads require OdysseyConfig(snapshot_reads=True)"
-            )
-        from repro.core.epoch import EpochExecutor
+            raise RuntimeError("snapshot reads require OdysseyConfig(snapshot_reads=True)")
+        from repro.core.batch import BatchExecutor
 
-        return EpochExecutor(self, workers).prepare(self._checked_batch(queries))
+        executor = BatchExecutor(self, workers, snapshot=True)
+        return executor.prepare(self._checked_batch(queries))
 
     def commit_batch(self, prepared) -> "BatchResult":
-        """Apply a prepared batch's writer phase (gate-held, in order)."""
+        """Apply a prepared batch's commit (gate-held, in order)."""
         return prepared.executor.commit(prepared)

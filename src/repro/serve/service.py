@@ -5,8 +5,8 @@ a dedicated dispatcher thread coalesces them into batches — flushing on
 whichever of two triggers fires first, a **size** trigger (``max_batch``
 queued queries) or a **deadline** trigger (the oldest queued query has
 waited ``max_delay_ms``) — and drains each batch through
-:meth:`~repro.core.odyssey.SpaceOdyssey.query_batch`, optionally with the
-thread-parallel executor (``workers=K``).  Every submission gets its own
+:meth:`~repro.core.odyssey.SpaceOdyssey.query_batch`, optionally with its
+read phases on ``workers=K`` threads.  Every submission gets its own
 :class:`~concurrent.futures.Future`, so results *and* exceptions route
 back to the client that submitted them.
 
@@ -72,7 +72,7 @@ import itertools
 import threading
 import time
 from concurrent.futures import Future, InvalidStateError
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from queue import Empty, Queue
 from typing import Iterable
 
@@ -562,7 +562,7 @@ class QueryService:
                 fallbacks=fallbacks,
             )
             if len(batch) > self._stats.max_batch_size:
-                self._stats = _replace_max(self._stats, len(batch))
+                self._stats = replace(self._stats, max_batch_size=len(batch))
 
     def _resolve(
         self,
@@ -590,13 +590,6 @@ class QueryService:
 
 def _bump(stats: ServiceStats, **increments: int) -> ServiceStats:
     """A copy of ``stats`` with the given counters incremented."""
-    values = {f.name: getattr(stats, f.name) for f in fields(stats)}
-    for name, delta in increments.items():
-        values[name] += delta
-    return ServiceStats(**values)
-
-
-def _replace_max(stats: ServiceStats, size: int) -> ServiceStats:
-    values = {f.name: getattr(stats, f.name) for f in fields(stats)}
-    values["max_batch_size"] = size
-    return ServiceStats(**values)
+    return replace(
+        stats, **{name: getattr(stats, name) + delta for name, delta in increments.items()}
+    )

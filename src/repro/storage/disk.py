@@ -19,8 +19,8 @@ cached read would not move a real disk arm.
 Thread safety
 -------------
 Every page access and every cost charge runs under one internal lock, so
-concurrent readers (the thread-parallel batch executor of
-:mod:`repro.core.parallel`) can never corrupt the head position, the
+concurrent readers (the threaded read phases of
+:mod:`repro.core.batch`) can never corrupt the head position, the
 :class:`~repro.storage.cost_model.IOStats` accumulators or the buffer
 pool's byte layer.  The lock covers only the cheap bookkeeping + page-copy
 work; page *decoding* and filtering happen outside it (in

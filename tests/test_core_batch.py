@@ -211,3 +211,80 @@ class TestQueryBatchExecution:
         result = odyssey.query_batch(workload)
         assert len(result) == 6
         assert odyssey.summary().queries_executed == 6
+
+
+class TestFailedReadHalf:
+    """A batch whose read half raises commits nothing, in every mode.
+
+    Every tree is initialised first, so the failed batch has no first
+    touch to do: its only effects could be the commit's — CPU charges,
+    the query count, refinement and statistics, the journal.
+    """
+
+    @pytest.mark.parametrize(
+        "options", [{}, {"workers": 2}, {"snapshot": True}], ids=["serial", "thread", "snapshot"]
+    )
+    def test_failed_batch_leaves_commit_state_unchanged(
+        self, suite, tmp_path, monkeypatch, options
+    ):
+        from repro.bench.runner import generate_workload
+        from repro.data.columnar import DecodedGroup
+
+        from tests.test_batch_differential import adaptive_state, packed_hits
+
+        workload = list(
+            generate_workload(
+                suite.universe,
+                suite.catalog.dataset_ids(),
+                4,
+                seed=29,
+                datasets_per_query=2,
+                volume_fraction=5e-2,
+            )
+        )
+
+        def engine(name):
+            odyssey = SpaceOdyssey(suite.fork().catalog, journal=tmp_path / name)
+            odyssey.query(suite.universe, suite.catalog.dataset_ids())
+            return odyssey
+
+        decode = DecodedGroup.from_records
+        calls = {"made": 0, "fail_at": None}
+
+        def counted(records, dimension):
+            calls["made"] += 1
+            if calls["made"] == calls["fail_at"]:
+                raise RuntimeError("injected decode failure")
+            return decode(records, dimension)
+
+        monkeypatch.setattr(DecodedGroup, "from_records", staticmethod(counted))
+        reference = engine("reference.log")
+        calls["made"] = 0
+        expected = reference.query_batch(workload, **options)
+        batch_decodes = calls["made"]
+        assert batch_decodes >= 4, "the batch must read several groups"
+
+        odyssey = engine("failing.log")
+        before = (
+            odyssey.disk.stats.cpu_seconds,
+            odyssey.summary(),
+            adaptive_state(odyssey),
+            (tmp_path / "failing.log").read_bytes(),
+        )
+        calls["made"], calls["fail_at"] = 0, batch_decodes  # the batch's last decode
+        with pytest.raises(RuntimeError, match="injected decode failure"):
+            odyssey.query_batch(workload, **options)
+        after = (
+            odyssey.disk.stats.cpu_seconds,
+            odyssey.summary(),
+            adaptive_state(odyssey),
+            (tmp_path / "failing.log").read_bytes(),
+        )
+        assert after == before
+
+        calls["fail_at"] = None
+        result = odyssey.query_batch(workload, **options)
+        assert [packed_hits(odyssey, hits) for hits in result] == [
+            packed_hits(reference, hits) for hits in expected
+        ]
+        assert odyssey.disk.stats.cpu_seconds == reference.disk.stats.cpu_seconds

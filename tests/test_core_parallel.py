@@ -1,8 +1,8 @@
-"""Unit tests for the thread-parallel batch executor.
+"""Unit tests for batches whose read phases run on threads.
 
 The heavy equivalence checking lives in the fuzz harness
-(``tests/test_engine_fuzz.py``); this file covers the executor's API
-surface and the thread-safe read set directly.
+(``tests/test_engine_fuzz.py``); this file covers ``query_batch(workers=)``
+and the thread-safe read set directly.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from repro.bench.runner import generate_workload
 from repro.core.batch import BatchReadSet, QueryBatch
 from repro.core.config import OdysseyConfig
 from repro.core.odyssey import SpaceOdyssey
-from repro.core.parallel import ParallelExecutor, ParallelReadSet, default_workers
+from repro.core.parallel import ParallelReadSet
 from repro.data.spatial_object import spatial_object_codec
 from repro.storage.cost_model import DiskModel
 from repro.storage.disk import Disk
@@ -81,24 +81,30 @@ class TestParallelExecutor:
         assert parallel.disk.stats.cpu_seconds == serial.disk.stats.cpu_seconds
 
     def test_workers_one_uses_serial_engine(self, suite):
-        executor = ParallelExecutor(
-            SpaceOdyssey(suite.fork().catalog)._processor, workers=1
-        )
-        assert executor.workers == 1
-        # A single-query batch short-circuits too, whatever the worker count.
-        assert ParallelExecutor(
-            SpaceOdyssey(suite.fork().catalog)._processor, workers=8
-        ).workers == 8
+        workload = _workload(suite, n=4)
+        for workers, label, filters in ((None, "serial", 0), (1, "serial", 0), (8, "thread", 4)):
+            odyssey = SpaceOdyssey(suite.fork().catalog)
+            tracer = odyssey.enable_tracing()
+            odyssey.query_batch(workload, workers=workers)
+            # A single-query batch never fans out, whatever the worker count.
+            odyssey.query_batch(workload[:1], workers=workers)
+            spans = tracer.finished()
+            roots = [span for span in spans if span.name == "batch"]
+            assert {span.attributes["executor"] for span in roots} == {label}
+            assert sum(span.name == "query.filter" for span in spans) == filters
 
     def test_invalid_workers_rejected(self, suite):
         odyssey = SpaceOdyssey(suite.fork().catalog)
+        workload = _workload(suite, n=2)
         with pytest.raises(ValueError):
             odyssey.query_batch([], workers=0)
         with pytest.raises(ValueError):
-            ParallelExecutor(odyssey._processor, workers=-2)
-
-    def test_default_workers_positive_and_bounded(self):
-        assert 1 <= default_workers() <= 8
+            odyssey.query_batch(workload, workers=-2)
+        with pytest.raises(ValueError):
+            odyssey.query_batch(workload, workers=0, snapshot=True)
+        with pytest.raises(ValueError):
+            odyssey.prepare_batch(workload, workers=0)
+        assert odyssey.summary().queries_executed == 0
 
     def test_empty_and_single_query_batches(self, suite):
         odyssey = SpaceOdyssey(suite.fork().catalog)

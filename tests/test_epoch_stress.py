@@ -93,7 +93,7 @@ class TestStaleButConsistent:
         assert any(v > 1 for v in versions.values()), (
             f"scenario did not refine (versions {versions}); the test needs churn"
         )
-        assert manager.retained_total() > 0, (
+        assert manager.gauges()["retained_pages"] > 0, (
             "refinement overwrote no pages? retention should have pre-images"
         )
         # The pinned snapshot must replay byte-identically via the overlay.
@@ -106,8 +106,8 @@ class TestStaleButConsistent:
                 f"from pin-time content"
             )
         manager.unpin(pinned)
-        assert manager.chain_length() == 1
-        assert manager.retained_total() == 0
+        assert manager.gauges()["live_epochs"] == 1
+        assert manager.gauges()["retained_pages"] == 0
 
     def test_pin_survives_merge_file_eviction(self):
         """Merge segments of a pinned epoch stay readable after eviction
@@ -148,8 +148,8 @@ class TestStaleButConsistent:
                     segments += 1
         assert segments > 0, "pinned directory had no segments to verify"
         manager.unpin(pinned)
-        assert manager.chain_length() == 1
-        assert manager.retained_total() == 0
+        assert manager.gauges()["live_epochs"] == 1
+        assert manager.gauges()["retained_pages"] == 0
 
 
 class TestConcurrentStress:
@@ -219,12 +219,12 @@ class TestConcurrentStress:
         assert not any(thread.is_alive() for thread in threads), "stress hung"
         assert not errors, f"concurrent stress raised: {errors!r}"
 
-        manager = engine.epochs
-        assert manager.pinned_total() == 0, "a pin leaked"
-        assert manager.chain_length() == 1, (
-            f"epoch chain not released: {manager.chain_length()} epochs alive"
+        gauges = engine.epochs.gauges()
+        assert gauges["pinned_readers"] == 0, "a pin leaked"
+        assert gauges["live_epochs"] == 1, (
+            f"epoch chain not released: {gauges['live_epochs']} epochs alive"
         )
-        assert manager.retained_total() == 0, "retained pre-image pages leaked"
+        assert gauges["retained_pages"] == 0, "retained pre-image pages leaked"
 
 
 class TestRefcountDiscipline:
@@ -239,13 +239,13 @@ class TestRefcountDiscipline:
             engine.query(query.box, query.dataset_ids)
         # The pinned epoch anchors the chain: everything from it forward
         # stays alive, no matter how many epochs were published since.
-        assert manager.chain_length() >= 5
+        assert manager.gauges()["live_epochs"] >= 5
         current = manager.pin()
         manager.unpin(old)
-        assert manager.chain_length() == 1, "chain must collapse to current"
+        assert manager.gauges()["live_epochs"] == 1, "chain must collapse to current"
         manager.unpin(current)
-        assert manager.chain_length() == 1
-        assert manager.pinned_total() == 0
+        gauges = manager.gauges()
+        assert gauges["live_epochs"] == 1 and gauges["pinned_readers"] == 0
 
     def test_unbalanced_unpin_rejected(self):
         suite = _churny_suite(objects=300)

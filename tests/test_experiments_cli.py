@@ -237,7 +237,9 @@ class TestOneInstrument:
 class TestRetiredModes:
     """The process executor, the sharded buffer pool, the two-in-flight
     serving pipeline and the per-record engine switch are gone: naming one
-    of their options is a ``TypeError``, never a silently ignored knob."""
+    of their options is a ``TypeError``, never a silently ignored knob.
+    The thread and epoch executor subclasses are gone too: one batch
+    executor takes both choices as arguments."""
 
     @pytest.fixture(scope="class")
     def suite(self):
@@ -283,6 +285,16 @@ class TestRetiredModes:
         with pytest.raises(TypeError):
             calls[call]()
         assert engine.summary().queries_executed == 0
+
+    def test_core_exports_no_executor_subclasses(self):
+        import repro.core
+        import repro.core.epoch
+        import repro.core.parallel
+
+        assert "ParallelExecutor" not in repro.core.__all__
+        assert not hasattr(repro.core, "ParallelExecutor")
+        assert not hasattr(repro.core.parallel, "ParallelExecutor")
+        assert not hasattr(repro.core.epoch, "EpochExecutor")
 
     def test_batches_load_no_process_machinery(self):
         script = (

@@ -727,12 +727,13 @@ class TestEpochProperties:
                 epoch = epoch.next
             for pin in pins:
                 assert id(pin) in alive, "a pinned epoch was pruned"
-            assert manager.pinned_total() == len(pins)
+            assert manager.gauges()["pinned_readers"] == len(pins)
         while pins:
             manager.unpin(pins.pop())
-        assert manager.chain_length() == 1
-        assert manager.pinned_total() == 0
-        assert manager.retained_total() == 0
+        gauges = manager.gauges()
+        assert gauges["live_epochs"] == 1
+        assert gauges["pinned_readers"] == 0
+        assert gauges["retained_pages"] == 0
 
 
 def _dedupe(objects: list[SpatialObject]) -> list[SpatialObject]:
