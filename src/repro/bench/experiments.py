@@ -156,21 +156,12 @@ def figure4(
     scale: str | ExperimentScale = "small",
     datasets_queried: tuple[int, ...] = (1, 3, 5, 7, 9),
     approaches: tuple[str, ...] = FIGURE4_APPROACHES,
-    batch_size: int = 1,
-    workers: int = 1,
 ) -> Figure4Result:
     """Reproduce one panel of Figure 4.
 
     Panel (a): ``ids_distribution="zipf"``, clustered ranges.
     Panel (b): ``"heavy_hitter"``.  Panel (c): ``"self_similar"``.
     Panel (d): ``"uniform"`` with ``ranges="uniform"``.
-
-    ``batch_size`` executes the workload in chunks of that many queries
-    (approaches with a ``query_batch`` method use their batched engine);
-    ``workers`` threads execute each chunk when above 1.  Results are
-    identical at any worker count, but parallel page fetches may shift
-    the simulated I/O timings slightly run-to-run — keep ``workers=1``
-    for strictly deterministic figure numbers.
     """
     scale = get_scale(scale)
     valid_ks = tuple(k for k in datasets_queried if 1 <= k <= scale.n_datasets)
@@ -200,9 +191,7 @@ def figure4(
         for approach_name in approaches:
             suite = master_suite.fork()
             approach = make_approach(approach_name, suite, scale)
-            run = run_approach(
-                approach, workload, suite.disk, batch_size=batch_size, workers=workers
-            )
+            run = run_approach(approach, workload, suite.disk)
             point.cells[approach_name] = Figure4Cell(
                 approach=approach_name,
                 indexing_seconds=run.indexing_seconds,
@@ -272,8 +261,6 @@ def _figure5_panel(
     approaches: tuple[str, ...],
     datasets_per_query: int = 5,
     n_cluster_centers: int | None = None,
-    batch_size: int = 1,
-    workers: int = 1,
 ) -> Figure5Result:
     scale = get_scale(scale)
     datasets_per_query = min(datasets_per_query, scale.n_datasets)
@@ -297,9 +284,7 @@ def _figure5_panel(
     for approach_name in approaches:
         suite = master_suite.fork()
         approach = make_approach(approach_name, suite, scale)
-        run = run_approach(
-            approach, workload, suite.disk, batch_size=batch_size, workers=workers
-        )
+        run = run_approach(approach, workload, suite.disk)
         result.series[approach_name] = Figure5Series(
             approach=approach_name,
             indexing_seconds=run.indexing_seconds,
@@ -311,8 +296,6 @@ def _figure5_panel(
 def figure5a(
     scale: str | ExperimentScale = "small",
     approaches: tuple[str, ...] = FIGURE5_APPROACHES,
-    batch_size: int = 1,
-    workers: int = 1,
 ) -> Figure5Result:
     """Figure 5a: clustered ranges, self-similar dataset ids, 5 datasets per query."""
     return _figure5_panel(
@@ -321,16 +304,12 @@ def figure5a(
         ids_distribution="self_similar",
         scale=scale,
         approaches=approaches,
-        batch_size=batch_size,
-        workers=workers,
     )
 
 
 def figure5b(
     scale: str | ExperimentScale = "small",
     approaches: tuple[str, ...] = FIGURE5_APPROACHES,
-    batch_size: int = 1,
-    workers: int = 1,
 ) -> Figure5Result:
     """Figure 5b: uniform ranges, uniform dataset ids, 5 datasets per query."""
     return _figure5_panel(
@@ -339,8 +318,6 @@ def figure5b(
         ids_distribution="uniform",
         scale=scale,
         approaches=approaches,
-        batch_size=batch_size,
-        workers=workers,
     )
 
 
@@ -386,8 +363,6 @@ class Figure5cResult:
 def figure5c(
     scale: str | ExperimentScale = "small",
     datasets_per_query: int = 5,
-    batch_size: int = 1,
-    workers: int = 1,
 ) -> Figure5cResult:
     """Figure 5c: isolate the effect of merging partitions queried together.
 
@@ -425,9 +400,7 @@ def figure5c(
         suite = master_suite.fork()
         approach_name = "Odyssey" if enable_merging else "Odyssey-NoMerge"
         approach = make_approach(approach_name, suite, scale)
-        run = run_approach(
-            approach, workload, suite.disk, batch_size=batch_size, workers=workers
-        )
+        run = run_approach(approach, workload, suite.disk)
         runs[enable_merging] = [
             timing.simulated_seconds
             for timing in run.query_timings

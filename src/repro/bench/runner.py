@@ -10,15 +10,6 @@ The runner reproduces the paper's measurement methodology:
   clock of the simulation itself is also recorded, but carries no meaning
   for the reproduction).
 
-Batched execution adds one axis: with ``batch_size > 1`` the workload is
-cut into chunks and each chunk is executed through the approach's
-``query_batch`` method when it has one (Space Odyssey's batched engine);
-approaches without batch support fall back to per-query execution within
-the chunk.  The buffer pool is then dropped once per *batch* rather than
-once per query — amortising the cache drop is part of what batching buys —
-and a batch's simulated time is attributed evenly to its queries so the
-aggregate figures stay comparable.
-
 Workload generation for benchmarks and tests goes through
 :func:`generate_workload`, which takes an **explicit seed** so that any
 run — differential test, cost regression, micro-benchmark — is
@@ -106,10 +97,8 @@ def run_approach(
     *,
     clear_cache_before_queries: bool = True,
     validate_against: MultiDatasetIndex | None = None,
-    batch_size: int = 1,
-    workers: int = 1,
 ) -> ApproachResult:
-    """Build (if needed) and run every query of the workload.
+    """Build (if needed) and run every query of the workload, one at a time.
 
     Parameters
     ----------
@@ -121,121 +110,54 @@ def run_approach(
         The simulated disk all structures live on (its statistics are used
         to attribute costs).
     clear_cache_before_queries:
-        Drop the buffer pool before every query (or, with ``batch_size >
-        1``, before every batch), as the paper does.  Leave enabled for
-        experiments; tests may disable it to exercise caching.
+        Drop the buffer pool before every query, as the paper does.  Leave
+        enabled for experiments; tests may disable it to exercise caching.
     validate_against:
         Optional oracle; when given, each query's answer is compared and
-        mismatches counted (the oracle's own I/O is excluded from timing by
-        snapshotting around it).
-    batch_size:
-        Execute the workload in chunks of this many queries.  Chunks go
-        through the approach's ``query_batch`` method when it exists;
-        otherwise queries of a chunk run one at a time.  A batch's
-        simulated time is split evenly over its queries in
-        :attr:`ApproachResult.query_timings`.
-    workers:
-        Thread count for batched chunks: values above 1 are forwarded to
-        ``query_batch(chunk, workers=...)`` (Space Odyssey's batch
-        executor on threads) and require ``batch_size > 1``.  Results, reports and
-        adaptive state are identical to ``workers=1``, but the simulated
-        I/O *timings* may vary slightly run-to-run: threads fetch pages
-        in scheduler-dependent order, which shifts head-position
-        classification and cache hit patterns (see
-        :mod:`repro.core.batch`).  For strictly deterministic
-        simulated figures — the paper-reproduction numbers — keep
-        ``workers=1``.
+        mismatches counted.  The oracle's own I/O is measured around each
+        call and subtracted from :attr:`ApproachResult.querying_io`, field
+        by field.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if workers > 1 and batch_size == 1:
-        raise ValueError("workers > 1 requires batch_size > 1 (nothing to fan out)")
     result = ApproachResult(approach=approach.name)
     wall_start = time.perf_counter()
 
     before_build = disk.stats_snapshot()
     approach.build()
-    after_build = disk.stats_snapshot()
-    build_delta = after_build.delta_since(before_build)
+    build_delta = disk.stats_snapshot().delta_since(before_build)
     result.indexing_seconds = build_delta.simulated_seconds
     result.indexing_io = build_delta
 
-    queries = list(workload)
-    batched = batch_size > 1 and callable(getattr(approach, "query_batch", None))
     querying_start = disk.stats_snapshot()
-    for start in range(0, len(queries), batch_size):
-        chunk = queries[start : start + batch_size]
+    oracle_io: list[IOStats] = []
+    for query in workload:
         if clear_cache_before_queries:
             disk.clear_cache()
             disk.reset_head()
-        if batched:
-            before = disk.stats_snapshot()
-            batch_result = (
-                approach.query_batch(chunk, workers=workers)
-                if workers > 1
-                else approach.query_batch(chunk)
+        before = disk.stats_snapshot()
+        answer = approach.query(query.box, query.dataset_ids)
+        delta = disk.stats_snapshot().delta_since(before)
+        result.query_timings.append(
+            QueryTiming(
+                qid=query.qid,
+                simulated_seconds=delta.simulated_seconds,
+                n_results=len(answer),
+                n_datasets=query.n_datasets,
             )
-            delta = disk.stats_snapshot().delta_since(before)
-            share = delta.simulated_seconds / len(chunk)
-            answers = list(batch_result.results)
-            for query, answer in zip(chunk, answers):
-                result.query_timings.append(
-                    QueryTiming(
-                        qid=query.qid,
-                        simulated_seconds=share,
-                        n_results=len(answer),
-                        n_datasets=query.n_datasets,
-                    )
-                )
-        else:
-            answers = []
-            for query in chunk:
-                before = disk.stats_snapshot()
-                answers.append(approach.query(query.box, query.dataset_ids))
-                delta = disk.stats_snapshot().delta_since(before)
-                result.query_timings.append(
-                    QueryTiming(
-                        qid=query.qid,
-                        simulated_seconds=delta.simulated_seconds,
-                        n_results=len(answers[-1]),
-                        n_datasets=query.n_datasets,
-                    )
-                )
-        for answer in answers:
-            result.total_results += len(answer)
+        )
+        result.total_results += len(answer)
         if validate_against is not None:
-            for query, answer in zip(chunk, answers):
-                oracle_before = disk.stats_snapshot()
-                expected = validate_against.query(query.box, query.dataset_ids)
-                oracle_delta = disk.stats_snapshot().delta_since(oracle_before)
-                # Remove the oracle's I/O from the approach's accounting by
-                # rebasing the querying snapshot.
-                querying_start = _shift_snapshot(querying_start, oracle_delta)
-                if result_keys(answer) != result_keys(expected):
-                    result.validation_failures += 1
-    querying_delta = disk.stats_snapshot().delta_since(querying_start)
-    result.querying_io = querying_delta
+            oracle_before = disk.stats_snapshot()
+            expected = validate_against.query(query.box, query.dataset_ids)
+            oracle_io.append(disk.stats_snapshot().delta_since(oracle_before))
+            if result_keys(answer) != result_keys(expected):
+                result.validation_failures += 1
+    querying_io = disk.stats_snapshot().delta_since(querying_start)
+    for foreign in oracle_io:
+        querying_io = querying_io.delta_since(foreign)
+    result.querying_io = querying_io
     result.querying_seconds = sum(t.simulated_seconds for t in result.query_timings)
     result.wall_seconds = time.perf_counter() - wall_start
     return result
-
-
-def _shift_snapshot(snapshot: IOStats, delta: IOStats) -> IOStats:
-    """Advance a snapshot by ``delta`` so foreign I/O is excluded from totals."""
-    return IOStats(
-        pages_read=snapshot.pages_read + delta.pages_read,
-        pages_written=snapshot.pages_written + delta.pages_written,
-        seeks=snapshot.seeks + delta.seeks,
-        cache_hits=snapshot.cache_hits + delta.cache_hits,
-        io_seconds=snapshot.io_seconds + delta.io_seconds,
-        cpu_seconds=snapshot.cpu_seconds + delta.cpu_seconds,
-        reads_by_kind={
-            key: snapshot.reads_by_kind.get(key, 0) + delta.reads_by_kind.get(key, 0)
-            for key in delta.reads_by_kind
-        },
-    )
 
 
 def brute_force_oracle(catalog: DatasetCatalog) -> MultiDatasetIndex:

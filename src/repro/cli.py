@@ -15,14 +15,6 @@ Run everything the paper reports::
 
     python -m repro.cli all --scale small --output-dir results/
 
-Execute workloads through the batched engine, 32 queries at a time::
-
-    python -m repro.cli fig5b --scale small --batch-size 32
-
-Same, with each batch fanned across four worker threads::
-
-    python -m repro.cli fig5b --scale small --batch-size 32 --workers 4
-
 Run a short traced workload and export the engine's telemetry snapshot
 (all subsystem counters, gauges and latency histograms) as JSON or
 Prometheus text, optionally with the span trace::
@@ -62,25 +54,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--output",
         default=None,
         help="optional path of a JSON file to write the raw result to",
-    )
-    parser.add_argument(
-        "--batch-size",
-        type=_positive_int,
-        default=1,
-        help=(
-            "execute the workload in batches of this many queries "
-            "(Space Odyssey uses its vectorized batch engine; default: 1)"
-        ),
-    )
-    parser.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help=(
-            "threads per batch (requires --batch-size > 1; Space Odyssey "
-            "runs its batch read phases on threads; results are "
-            "identical, simulated timings may wobble slightly; default: 1)"
-        ),
     )
 
 
@@ -165,18 +138,6 @@ def _build_parser() -> argparse.ArgumentParser:
     everything = sub.add_parser("all", help="run every figure and write JSON results")
     everything.add_argument("--scale", default="small", choices=sorted(SCALES))
     everything.add_argument("--output-dir", default="results", help="directory for JSON results")
-    everything.add_argument(
-        "--batch-size",
-        type=_positive_int,
-        default=1,
-        help="execute every workload in batches of this many queries (default: 1)",
-    )
-    everything.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help="threads per batch for every workload (default: 1)",
-    )
     return parser
 
 
@@ -235,8 +196,6 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point of ``python -m repro.cli``."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "workers", 1) > 1 and args.batch_size == 1:
-        parser.error("--workers > 1 requires --batch-size > 1 (nothing to fan out)")
 
     if args.command == "fig4":
         ks = tuple(int(part) for part in args.datasets_queried.split(",") if part.strip())
@@ -245,59 +204,33 @@ def main(argv: list[str] | None = None) -> int:
             ranges=args.ranges,
             scale=args.scale,
             datasets_queried=ks,
-            batch_size=args.batch_size,
-            workers=args.workers,
         )
         print(reporting.format_figure4_table(result))
         _maybe_save(result, args.output)
     elif args.command == "fig5a":
-        result = experiments.figure5a(
-            scale=args.scale, batch_size=args.batch_size, workers=args.workers
-        )
+        result = experiments.figure5a(scale=args.scale)
         print(reporting.format_figure5_summary(result))
         _maybe_save(result, args.output)
     elif args.command == "fig5b":
-        result = experiments.figure5b(
-            scale=args.scale, batch_size=args.batch_size, workers=args.workers
-        )
+        result = experiments.figure5b(scale=args.scale)
         print(reporting.format_figure5_summary(result))
         _maybe_save(result, args.output)
     elif args.command == "fig5c":
-        result = experiments.figure5c(
-            scale=args.scale, batch_size=args.batch_size, workers=args.workers
-        )
+        result = experiments.figure5c(scale=args.scale)
         print(reporting.format_figure5c_summary(result))
         _maybe_save(result, args.output)
     elif args.command == "stats":
         _run_stats(args)
     elif args.command == "all":
         output_dir = Path(args.output_dir)
-        batch = args.batch_size
-        workers = args.workers
         panels = {
-            "fig4a": lambda: experiments.figure4(
-                "zipf", "clustered", args.scale, batch_size=batch, workers=workers
-            ),
-            "fig4b": lambda: experiments.figure4(
-                "heavy_hitter", "clustered", args.scale, batch_size=batch,
-                workers=workers,
-            ),
-            "fig4c": lambda: experiments.figure4(
-                "self_similar", "clustered", args.scale, batch_size=batch,
-                workers=workers,
-            ),
-            "fig4d": lambda: experiments.figure4(
-                "uniform", "uniform", args.scale, batch_size=batch, workers=workers
-            ),
-            "fig5a": lambda: experiments.figure5a(
-                args.scale, batch_size=batch, workers=workers
-            ),
-            "fig5b": lambda: experiments.figure5b(
-                args.scale, batch_size=batch, workers=workers
-            ),
-            "fig5c": lambda: experiments.figure5c(
-                args.scale, batch_size=batch, workers=workers
-            ),
+            "fig4a": lambda: experiments.figure4("zipf", "clustered", args.scale),
+            "fig4b": lambda: experiments.figure4("heavy_hitter", "clustered", args.scale),
+            "fig4c": lambda: experiments.figure4("self_similar", "clustered", args.scale),
+            "fig4d": lambda: experiments.figure4("uniform", "uniform", args.scale),
+            "fig5a": lambda: experiments.figure5a(args.scale),
+            "fig5b": lambda: experiments.figure5b(args.scale),
+            "fig5c": lambda: experiments.figure5c(args.scale),
         }
         for name, runner in panels.items():
             print(f"=== {name} ===")

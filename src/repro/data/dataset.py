@@ -8,6 +8,11 @@ lazily, the first time a query touches the dataset.
 A :class:`DatasetCatalog` is the tiny in-memory catalog the query engines
 share: it maps dataset identifiers to datasets and knows the common universe
 (all of the paper's datasets describe subsets of the same brain volume).
+
+Raw files are the only files that may be compressed (``compression="zlib"``
+in :meth:`Dataset.create`): they are written once and only read back.  A
+zlib page holds one page's records, and readers follow each page's header,
+so :meth:`Dataset.open` counts plain, zlib and formerly packed pages alike.
 """
 
 from __future__ import annotations
@@ -49,12 +54,12 @@ class Dataset:
     ) -> "Dataset":
         """Write ``objects`` sequentially into a new raw file and register it.
 
-        ``compression`` (see :data:`repro.storage.codec.COMPRESSION_CODECS`)
-        compresses the raw file's pages as they are written — raw dataset
-        files are written once and only ever read back, the pattern page
-        compression is built for.  Raises ``ValueError`` if an object lies
-        outside ``universe`` or carries a different ``dataset_id`` — raw
-        files are per dataset.
+        ``compression`` is ``None`` or ``"zlib"``: each raw page's records
+        are stored as one zlib payload where that fits the page (see
+        :func:`repro.storage.codec.paginate_bytes_compressed`); the file
+        occupies the same pages either way.  Raises ``ValueError`` if an
+        object lies outside ``universe`` or carries a different
+        ``dataset_id`` — raw files are per dataset.
         """
         codec = spatial_object_codec(universe.dimension)
         file: PagedFile[SpatialObject] = PagedFile(

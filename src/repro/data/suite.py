@@ -3,7 +3,9 @@
 `build_benchmark_suite` materialises the reproduction's stand-in for the
 paper's ten Human Brain Project datasets: ``n_datasets`` synthetic
 neuroscience datasets of ``objects_per_dataset`` objects each, written as
-raw files onto a caller-supplied (or freshly created) simulated disk.
+raw files onto a caller-supplied (or freshly created) simulated disk,
+optionally as zlib pages (``compression="zlib"``), which hold the same
+records per page as plain ones.
 """
 
 from __future__ import annotations
@@ -100,11 +102,11 @@ def build_benchmark_suite(
     every approach (the paper caps all techniques at the same 1 GB budget);
     with 4 KB pages the default of 4096 pages is a 16 MB budget, which keeps
     the same "data much larger than memory" regime at the reduced scale.
-    ``compression`` compresses the raw dataset files' pages as they are
-    written (``"zlib"``, or ``"zstd"`` when the interpreter ships a zstd
-    module); since every fork shares the master's bytes, all engines read
-    the same compressed pages and the per-page codec header keeps old
-    uncompressed files readable side by side.
+    ``compression`` (``None`` or ``"zlib"``) compresses the raw dataset
+    files' pages as they are written, one page's records per zlib page;
+    since every fork shares the master's bytes, all engines read the same
+    compressed pages and the per-page codec header keeps uncompressed
+    files readable side by side.
     """
     if n_datasets < 1:
         raise ValueError("n_datasets must be >= 1")

@@ -309,6 +309,16 @@ class Box:
             hi_cell = min(max(hi_cell, 0), counts[axis] - 1)
             if query.hi[axis] < self.lo[axis] or query.lo[axis] > self.hi[axis]:
                 return
+            # The division can round past a cell edge the query touches;
+            # widen to the edges :meth:`grid_edges` gives the children.
+            step = side / counts[axis]
+            while lo_cell > 0 and self.lo[axis] + lo_cell * step >= query.lo[axis]:
+                lo_cell -= 1
+            while (
+                hi_cell < counts[axis] - 1
+                and self.lo[axis] + (hi_cell + 1) * step <= query.hi[axis]
+            ):
+                hi_cell += 1
             ranges.append(range(lo_cell, hi_cell + 1))
         for coords in itertools.product(*ranges):
             index = 0

@@ -5,9 +5,9 @@ The observability layer has three parts, all zero-dependency:
 * :mod:`repro.obs.trace` — a :class:`Tracer` producing nested spans into
   a bounded thread-safe ring buffer, with explicit cross-thread
   parentage and grafting of worker-process timings;
-* :mod:`repro.obs.metrics` — counters, gauges, mergeable log-bucketed
-  histograms and a :class:`MetricsRegistry` that adopts every existing
-  subsystem counter family into one atomic :class:`EngineSnapshot`;
+* :mod:`repro.obs.metrics` — mergeable log-bucketed histograms and a
+  :class:`MetricsRegistry` that adopts every existing subsystem counter
+  family into one atomic :class:`EngineSnapshot`;
 * :mod:`repro.obs.export` — JSON and Prometheus-text exporters plus
   trace dumps, and :mod:`repro.obs.logs` — structured JSON logging over
   the stdlib (off by default).
@@ -29,9 +29,7 @@ from repro.obs.export import (
 )
 from repro.obs.logs import JsonLogFormatter, configure_json_logging
 from repro.obs.metrics import (
-    Counter,
     EngineSnapshot,
-    Gauge,
     Histogram,
     HistogramSummary,
     MetricsRegistry,
@@ -39,9 +37,7 @@ from repro.obs.metrics import (
 from repro.obs.trace import Span, Tracer, maybe_span
 
 __all__ = [
-    "Counter",
     "EngineSnapshot",
-    "Gauge",
     "Histogram",
     "HistogramSummary",
     "JsonLogFormatter",

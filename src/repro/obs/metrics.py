@@ -1,6 +1,6 @@
-"""Metrics: counters, gauges, mergeable histograms and the registry.
+"""Metrics: mergeable histograms and the registry of adapters.
 
-The registry does not *own* most of the engine's numbers — they already
+The registry does not *own* the engine's numbers — they already
 live in per-subsystem accumulators (``IOStats``, ``BufferCounters``,
 ``ServiceStats``, retry/fault counters, epoch bookkeeping).  Instead it
 adopts each family through a lightweight adapter: a callable returning a
@@ -8,7 +8,7 @@ flat ``name -> value`` mapping, read at snapshot time.  That keeps the
 hot paths untouched (no double counting, no extra locks) while
 :meth:`MetricsRegistry.snapshot` still yields one coherent
 :class:`EngineSnapshot` whose totals reconcile exactly with the legacy
-counters they adapt.
+counters they adapt.  It has no write-side counters or gauges of its own.
 
 :class:`Histogram` uses fixed log-spaced bucket bounds so that two
 histograms with the same layout merge by adding bucket counts — the
@@ -23,60 +23,6 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
-
-
-class Counter:
-    """A monotonically increasing named value (thread-safe)."""
-
-    __slots__ = ("name", "_lock", "_value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._lock = threading.Lock()
-        self._value = 0
-
-    def inc(self, amount: int | float = 1) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> int | float:
-        with self._lock:
-            return self._value
-
-
-class Gauge:
-    """A point-in-time named value: either set directly or computed.
-
-    ``Gauge("x", callback=fn)`` reads ``fn()`` at observation time,
-    which is how live engine state (epoch chain length, pinned readers)
-    is surfaced without the engine pushing updates.
-    """
-
-    __slots__ = ("name", "_lock", "_value", "_callback")
-
-    def __init__(
-        self, name: str, *, callback: Callable[[], int | float] | None = None
-    ) -> None:
-        self.name = name
-        self._lock = threading.Lock()
-        self._value: int | float = 0
-        self._callback = callback
-
-    def set(self, value: int | float) -> None:
-        if self._callback is not None:
-            raise RuntimeError("callback gauges cannot be set")
-        with self._lock:
-            self._value = value
-
-    @property
-    def value(self) -> int | float:
-        if self._callback is not None:
-            return self._callback()
-        with self._lock:
-            return self._value
 
 
 def log_bucket_bounds(
@@ -251,9 +197,6 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._counter_sources: list[tuple[str, Callable[[], Mapping]]] = []
         self._gauge_sources: list[tuple[str, Callable[[], Mapping]]] = []
-        self._counters: list[Counter] = []
-        self._gauges: list[Gauge] = []
-        self._histograms: list[Histogram] = []
         self._histogram_sources: list[tuple[str, Callable[[], Histogram | None]]] = []
 
     def add_counter_source(
@@ -267,26 +210,6 @@ class MetricsRegistry:
         """Adopt an existing point-in-time family under ``prefix``."""
         with self._lock:
             self._gauge_sources.append((prefix, source))
-
-    def counter(self, name: str) -> Counter:
-        metric = Counter(name)
-        with self._lock:
-            self._counters.append(metric)
-        return metric
-
-    def gauge(self, name: str, *, callback=None) -> Gauge:
-        metric = Gauge(name, callback=callback)
-        with self._lock:
-            self._gauges.append(metric)
-        return metric
-
-    def histogram(
-        self, name: str, bounds: tuple[float, ...] | None = None
-    ) -> Histogram:
-        metric = Histogram(name, bounds)
-        with self._lock:
-            self._histograms.append(metric)
-        return metric
 
     def add_histogram_source(
         self, name: str, source: Callable[[], Histogram | None]
@@ -305,34 +228,25 @@ class MetricsRegistry:
                 into[name] = value
 
     def snapshot(self) -> EngineSnapshot:
-        """Read every source and metric into one :class:`EngineSnapshot`."""
+        """Read every source into one :class:`EngineSnapshot`."""
         with self._lock:
             counter_sources = list(self._counter_sources)
             gauge_sources = list(self._gauge_sources)
-            counters = list(self._counters)
-            gauges = list(self._gauges)
-            histograms = list(self._histograms)
             histogram_sources = list(self._histogram_sources)
 
         counter_values: dict = {}
-        for metric in counters:
-            counter_values[metric.name] = metric.value
         for prefix, source in counter_sources:
             try:
                 self._flatten(prefix, source(), counter_values)
             except Exception:
                 continue
         gauge_values: dict = {}
-        for metric in gauges:
-            gauge_values[metric.name] = metric.value
         for prefix, source in gauge_sources:
             try:
                 self._flatten(prefix, source(), gauge_values)
             except Exception:
                 continue
         histogram_values: dict = {}
-        for metric in histograms:
-            histogram_values[metric.name] = metric.to_dict()
         for name, source in histogram_sources:
             try:
                 histogram = source()

@@ -41,10 +41,15 @@ compressed record bytes | zero padding | checksum trailer`` — still exactly
 ``page_size`` bytes, and the trailer checksum covers the compressed payload
 and padding, so :func:`verify_page` and fault detection are unchanged.
 
-The preferred codec is ``zstd`` when an implementation is importable;
-otherwise the stdlib ``zlib`` is used (always available, keeps the
-reproduction dependency-free).  Decoding always honours the codec id
-recorded in the page, independent of what the writer preferred.
+The one codec is the stdlib ``zlib`` (codec id 1), and a zlib page holds
+at most the records a plain page holds.  Packing several pages' worth of
+records into one compressed page is gone: a page costs one positioning
+operation whatever it holds, so compression could only save pages by
+packing, and on the neuroscience data a page compresses by ≈1.3x, short
+of the 2x the smallest packing needs.  Decoding still honours whatever
+the header says — a zlib page carrying more than one page's records
+(written by the former packing encoder) reads like any other, and an
+unknown codec id raises :class:`~repro.storage.errors.CorruptPageError`.
 """
 
 from __future__ import annotations
@@ -78,56 +83,17 @@ _CODEC_ID_MASK = 0x7F00_0000
 #: Length prefix of a compressed payload (uint32, little endian).
 _COMPRESSED_LEN = struct.Struct("<I")
 
+#: Codec id of a zlib page, the one codec pages are written with.
 _CODEC_ZLIB = 1
-_CODEC_ZSTD = 2
-
-try:  # pragma: no cover - zstd wheel not present on this image
-    import zstandard as _zstd_mod
-except ImportError:  # pragma: no cover - the default path
-    try:
-        from compression import zstd as _zstd_mod  # Python 3.14+ stdlib
-    except ImportError:
-        _zstd_mod = None
-
-#: Compression codec names accepted by the encode surfaces.
-COMPRESSION_CODECS = ("zlib",) + (("zstd",) if _zstd_mod is not None else ())
-
-
-def preferred_compression() -> str:
-    """The best compression codec available on this interpreter."""
-    return "zstd" if _zstd_mod is not None else "zlib"
-
-
-def _codec_id(name: str) -> int:
-    if name == "zlib":
-        return _CODEC_ZLIB
-    if name == "zstd":
-        if _zstd_mod is None:
-            raise ValueError("zstd compression requested but no zstd module is available")
-        return _CODEC_ZSTD
-    raise ValueError(f"unknown compression codec {name!r} (expected 'zlib' or 'zstd')")
-
-
-def _compress(codec_id: int, data: bytes) -> bytes:
-    if codec_id == _CODEC_ZLIB:
-        return zlib.compress(data, 6)
-    if hasattr(_zstd_mod, "ZstdCompressor"):  # pragma: no cover - zstandard wheel
-        return _zstd_mod.ZstdCompressor().compress(data)
-    return _zstd_mod.compress(data)  # pragma: no cover - stdlib compression.zstd
 
 
 def _decompress(codec_id: int, data: bytes) -> bytes:
-    if codec_id == _CODEC_ZLIB:
-        return zlib.decompress(data)
-    if codec_id == _CODEC_ZSTD:  # pragma: no cover - zstd wheel not present here
-        if _zstd_mod is None:
-            raise CorruptPageError(
-                "page is zstd-compressed but no zstd module is available"
-            )
-        if hasattr(_zstd_mod, "ZstdDecompressor"):
-            return _zstd_mod.ZstdDecompressor().decompress(data)
-        return _zstd_mod.decompress(data)
-    raise CorruptPageError(f"page header carries unknown compression codec id {codec_id}")
+    if codec_id != _CODEC_ZLIB:
+        raise CorruptPageError(
+            f"page header carries unknown compression codec id {codec_id}"
+        )
+    return zlib.decompress(data)
+
 
 try:  # pragma: no cover - exercised only where the wheel is installed
     from crc32c import crc32c as _checksum
@@ -377,76 +343,45 @@ def paginate_array(records: np.ndarray, page_size: int) -> list[bytes]:
     ]
 
 
-def _seal_compressed_page(
-    raw: bytes, count: int, codec_id: int, page_size: int
-) -> bytes | None:
-    """Try to pack ``count`` records (``raw`` bytes) into one compressed page.
-
-    Returns the sealed page, or ``None`` when the compressed payload does
-    not fit in the page budget (incompressible data).
-    """
-    budget = page_size - PAGE_HEADER.size - _COMPRESSED_LEN.size - PAGE_TRAILER.size
-    compressed = _compress(codec_id, raw)
-    if len(compressed) > budget:
-        return None
-    word = count | PAGE_FLAG_COMPRESSED | (codec_id << _CODEC_ID_SHIFT)
-    payload = bytearray(PAGE_HEADER.pack(word))
-    payload.extend(_COMPRESSED_LEN.pack(len(compressed)))
-    payload.extend(compressed)
-    return _seal_page(payload, page_size)
-
-
 def paginate_bytes_compressed(
     data: bytes, record_size: int, page_size: int, compression: str
 ) -> list[bytes]:
-    """Split a packed record payload into compressed pages.
+    """Split a packed record payload into zlib pages, one page's records each.
 
     ``data`` is the concatenation of fixed-size record encodings (what the
     scalar codec packs, or ``records.tobytes()`` from the array surface —
-    both produce identical bytes).  Each page greedily packs the largest
-    record count, from a deterministic ladder of multiples of the
-    uncompressed page capacity, whose compressed payload fits the page;
-    when even one capacity's worth of records does not compress into the
-    budget (incompressible data), that chunk is stored as a plain
-    uncompressed page — the per-page flag bits let readers mix freely.
-    The packing is a pure function of the input bytes, so every clone of a
+    both produce identical bytes).  It is cut into chunks of the plain page
+    capacity and each chunk is compressed once: it becomes a zlib page when
+    the compressed payload fits the page budget, otherwise the plain page
+    :func:`encode_page` would write — the per-page flag bits let readers
+    mix both.  A zlib page thus holds exactly the records a plain page
+    would, so compression never changes how many pages a group occupies.
+    The pages are a pure function of the input bytes, so every clone of a
     dataset produces byte-identical files.
     """
-    codec_id = _codec_id(compression)
-    capacity = records_per_page(record_size, page_size)
-    total = len(data) // record_size
-    if len(data) != total * record_size:
+    if compression != "zlib":
+        raise ValueError(f"unknown compression codec {compression!r} (expected 'zlib')")
+    if len(data) % record_size:
         raise ValueError(
             f"payload of {len(data)} bytes is not a whole number of "
             f"{record_size}-byte records"
         )
+    chunk = records_per_page(record_size, page_size) * record_size
+    budget = page_size - PAGE_HEADER.size - _COMPRESSED_LEN.size - PAGE_TRAILER.size
+    flags = PAGE_FLAG_COMPRESSED | (_CODEC_ZLIB << _CODEC_ID_SHIFT)
     pages: list[bytes] = []
-    position = 0
-    while position < total:
-        remaining = total - position
-        taken = None
-        for factor in (8, 4, 2, 1):
-            count = min(remaining, capacity * factor)
-            if count > PAGE_COUNT_MASK:
-                continue
-            start = position * record_size
-            raw = data[start : start + count * record_size]
-            page = _seal_compressed_page(raw, count, codec_id, page_size)
-            if page is not None:
-                taken = (count, page)
-                break
-            if count <= capacity:
-                break  # smaller factors repeat the same count
-        if taken is None:
-            count = min(remaining, capacity)
-            start = position * record_size
+    for start in range(0, len(data), chunk):
+        raw = data[start : start + chunk]
+        count = len(raw) // record_size
+        compressed = zlib.compress(raw, 6)
+        if len(compressed) > budget:
             payload = bytearray(PAGE_HEADER.pack(count))
-            payload.extend(data[start : start + count * record_size])
-            pages.append(_seal_page(payload, page_size))
+            payload.extend(raw)
         else:
-            count, page = taken
-            pages.append(page)
-        position += count
+            payload = bytearray(PAGE_HEADER.pack(count | flags))
+            payload.extend(_COMPRESSED_LEN.pack(len(compressed)))
+            payload.extend(compressed)
+        pages.append(_seal_page(payload, page_size))
     return pages
 
 

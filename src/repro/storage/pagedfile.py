@@ -26,6 +26,16 @@ surfaces produce and consume byte-identical pages, so scalar and columnar
 callers can be mixed freely on the same file.  Array reads are backed by the
 buffer pool's decoded-array layer: a page whose bytes are cached is decoded
 at most once.
+
+Compression
+-----------
+``PagedFile(..., compression="zlib")`` writes each page's records as one
+zlib payload when it fits the page, else as a plain page
+(:func:`~repro.storage.codec.paginate_bytes_compressed`).  Either way a page
+holds at most :attr:`PagedFile.records_per_page` records, so a compressed
+group occupies exactly the pages a plain one does.  Reads follow each
+page's own header, so files written by the former packing encoder (zlib
+pages carrying several pages' worth of records) still decode.
 """
 
 from __future__ import annotations
@@ -36,7 +46,6 @@ from typing import Generic, Iterable, Iterator, Sequence, TypeVar
 import numpy as np
 
 from repro.storage.codec import (
-    COMPRESSION_CODECS,
     RecordCodec,
     decode_page,
     decode_page_array,
@@ -172,11 +181,8 @@ class PagedFile(Generic[RecordT]):
         codec: RecordCodec[RecordT],
         compression: str | None = None,
     ) -> None:
-        if compression is not None and compression not in COMPRESSION_CODECS:
-            raise ValueError(
-                f"unsupported compression {compression!r}; available codecs: "
-                f"{', '.join(COMPRESSION_CODECS)}"
-            )
+        if compression not in (None, "zlib"):
+            raise ValueError(f"unsupported compression {compression!r} (expected 'zlib')")
         self._disk = disk
         self._name = name
         self._codec = codec
@@ -210,11 +216,11 @@ class PagedFile(Generic[RecordT]):
 
     @property
     def records_per_page(self) -> int:
-        """Maximum number of records per *uncompressed* page.
+        """Maximum number of records per page, compressed or not.
 
-        Compressed pages may pack more; this nominal capacity is what the
-        reuse arithmetic of :meth:`write_groups` and :meth:`pages_needed`
-        is based on.
+        A zlib page holds at most what a plain page holds, so this capacity
+        is exact for compressed files too; the reuse arithmetic of
+        :meth:`write_groups` and :meth:`pages_needed` is based on it.
         """
         return self._records_per_page
 
@@ -245,7 +251,11 @@ class PagedFile(Generic[RecordT]):
             self._disk.delete_file(self._name)
 
     def pages_needed(self, n_records: int) -> int:
-        """How many pages a group of ``n_records`` records occupies."""
+        """How many pages a group of ``n_records`` records occupies.
+
+        Exact for every page this class writes, compressed or not (a zlib
+        page holds at most :attr:`records_per_page` records).
+        """
         if n_records <= 0:
             return 0
         return -(-n_records // self._records_per_page)

@@ -134,6 +134,43 @@ class TestRunner:
         )
         assert result.validation_failures == 0
 
+    def test_validation_keeps_build_retries_out_of_querying_io(
+        self, micro_suite, micro_scale, micro_workload
+    ):
+        """Transient faults during ``build()`` only, behind a retrying
+        backend: their retries are indexing I/O, and subtracting the
+        oracle's I/O must not hand them to the querying phase."""
+        from repro.storage.faults import FaultInjectingBackend, FaultPlan
+        from repro.storage.retry import RetryingBackend, RetryPolicy
+
+        from tests.test_recovery import fork_with
+
+        injector = {}
+
+        def wrap(backend):
+            injector["faults"] = FaultInjectingBackend(
+                backend, FaultPlan(seed=1, read_error_rate=0.2)
+            )
+            return RetryingBackend(
+                injector["faults"], RetryPolicy(max_attempts=16, seed=1), sleep=lambda _s: None
+            )
+
+        suite = fork_with(micro_suite, wrap)
+        approach = make_approach("Grid-1fE", suite, micro_scale)
+        build = approach.build
+
+        def build_then_disarm():
+            build()
+            injector["faults"].disarm()
+
+        approach.build = build_then_disarm
+        result = run_approach(
+            approach, micro_workload, suite.disk, validate_against=BruteForceScan(suite.catalog)
+        )
+        assert result.indexing_io.retries > 0
+        assert result.querying_io.retries == 0
+        assert result.validation_failures == 0
+
     def test_queries_answered_within_budget(self, micro_suite, micro_scale, micro_workload):
         suite = micro_suite.fork()
         approach = make_approach("Odyssey", suite, micro_scale)

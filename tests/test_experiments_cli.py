@@ -239,7 +239,8 @@ class TestRetiredModes:
     serving pipeline and the per-record engine switch are gone: naming one
     of their options is a ``TypeError``, never a silently ignored knob.
     The thread and epoch executor subclasses are gone too: one batch
-    executor takes both choices as arguments."""
+    executor takes both choices as arguments.  The figure commands run
+    one query at a time and take no batch or thread flags."""
 
     @pytest.fixture(scope="class")
     def suite(self):
@@ -285,6 +286,15 @@ class TestRetiredModes:
         with pytest.raises(TypeError):
             calls[call]()
         assert engine.summary().queries_executed == 0
+
+    @pytest.mark.parametrize("flag", ["--workers", "--batch-size"])
+    def test_figures_take_no_batch_or_thread_flags(self, flag, capsys):
+        # The figures run the paper's methodology: one query at a time.
+        value = "2" if flag == "--workers" else "4"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fig5b", flag, value])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_core_exports_no_executor_subclasses(self):
         import repro.core

@@ -23,10 +23,9 @@ from repro.core.config import OdysseyConfig
 from repro.core.odyssey import SpaceOdyssey
 from repro.data.suite import build_benchmark_suite
 from repro.geometry.box import Box
+import repro.obs
 from repro.obs import (
-    Counter,
     EngineSnapshot,
-    Gauge,
     Histogram,
     JsonLogFormatter,
     MetricsRegistry,
@@ -171,25 +170,6 @@ class TestMaybeSpan:
 # ---------------------------------------------------------------------- #
 
 
-class TestCounterGauge:
-    def test_counter_only_goes_up(self):
-        counter = Counter("c")
-        counter.inc()
-        counter.inc(2)
-        assert counter.value == 3
-        with pytest.raises(ValueError):
-            counter.inc(-1)
-
-    def test_gauge_set_and_callback(self):
-        gauge = Gauge("g")
-        gauge.set(7)
-        assert gauge.value == 7
-        live = Gauge("live", callback=lambda: 41 + 1)
-        assert live.value == 42
-        with pytest.raises(RuntimeError):
-            live.set(1)
-
-
 class TestHistogram:
     def test_observe_summary_and_percentiles(self):
         histogram = Histogram("h", bounds=(1.0, 2.0, 4.0))
@@ -262,20 +242,21 @@ class TestMetricsRegistry:
         registry.add_counter_source("good", lambda: {"x": 1})
         assert registry.snapshot().counters == {"good.x": 1}
 
-    def test_owned_metrics_and_histogram_sources(self):
+    def test_histogram_sources_are_adopted(self):
         registry = MetricsRegistry()
-        counter = registry.counter("own.counter")
-        counter.inc(5)
-        registry.gauge("own.gauge", callback=lambda: 9)
-        histogram = registry.histogram("own.hist", bounds=(1.0,))
-        histogram.observe(0.5)
         external = Histogram("ext", bounds=(1.0,))
         registry.add_histogram_source("ext", lambda: external)
+        registry.add_histogram_source("gone", lambda: None)
+        external.observe(0.5)
         snapshot = registry.snapshot()
-        assert snapshot.counters["own.counter"] == 5
-        assert snapshot.gauges["own.gauge"] == 9
-        assert snapshot.histograms["own.hist"]["count"] == 1
-        assert snapshot.histograms["ext"]["count"] == 0
+        assert snapshot.histograms["ext"]["count"] == 1
+        assert "gone" not in snapshot.histograms
+
+    def test_registry_owns_no_write_side_metrics(self):
+        # The registry adopts existing counters; it creates none of its own.
+        for name in ("counter", "gauge", "histogram"):
+            assert not hasattr(MetricsRegistry, name)
+        assert not {"Counter", "Gauge"} & set(repro.obs.__all__)
 
 
 # ---------------------------------------------------------------------- #

@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.flat import FLATIndex
@@ -150,6 +150,13 @@ class TestBoxProperties:
         assert [child.hi for child in children] == list(itertools.product(*highs))
 
     @given(boxes(), boxes(), st.integers(min_value=1, max_value=5))
+    # The query's low corner lies on a cell edge that the division
+    # (0.995 - 0.985) / 0.03 * 3 rounds past.
+    @example(
+        Box((0.985, 0.0, 0.0), (1.015, 0.5, 0.5)),
+        Box((0.995, 0.0, 0.0), (1.005, 0.5, 0.5)),
+        3,
+    )
     def test_grid_cells_overlapping_is_superset_of_exact(
         self, box: Box, query: Box, cells: int
     ):
