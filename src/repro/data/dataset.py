@@ -9,6 +9,13 @@ A :class:`DatasetCatalog` is the tiny in-memory catalog the query engines
 share: it maps dataset identifiers to datasets and knows the common universe
 (all of the paper's datasets describe subsets of the same brain volume).
 
+A raw file is written once, from one structured array of
+:func:`~repro.data.spatial_object.spatial_object_dtype`: the generators
+build that array directly, and an iterable of
+:class:`~repro.data.spatial_object.SpatialObject` is packed into one by
+the codec first.  :func:`check_records` validates every row in one
+vectorised pass and :meth:`PagedFile.append_group_array` writes them all.
+
 Raw files are the only files that may be compressed (``compression="zlib"``
 in :meth:`Dataset.create`): they are written once and only read back.  A
 zlib page holds one page's records, and readers follow each page's header,
@@ -20,8 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro.data.spatial_object import SpatialObject, spatial_object_codec
 from repro.geometry.box import Box
+from repro.geometry.vectorized import intersect_mask
 from repro.storage.disk import Disk
 from repro.storage.pagedfile import PagedFile
 
@@ -29,6 +39,42 @@ from repro.storage.pagedfile import PagedFile
 def raw_file_name(name: str) -> str:
     """Conventional name of a dataset's raw file on the disk."""
     return f"raw/{name}.dat"
+
+
+def check_records(records: np.ndarray, dataset_id: int, universe: Box) -> None:
+    """Raise if any record may not be written to a raw file of ``dataset_id``.
+
+    ``records`` must have the universe's spatial-object dtype (else
+    ``TypeError``, as :meth:`PagedFile.append_group_array` raises).  Each
+    row must then have valid corners, carry ``dataset_id`` and intersect
+    ``universe``.  The rows are tested in one vectorised pass; the
+    ``ValueError`` names the first failing row's ``oid``, and a NaN or
+    inverted corner is rebuilt through the checking :class:`Box`
+    constructor, so the message carries that constructor's text.
+    """
+    dtype = spatial_object_codec(universe.dimension).dtype
+    if records.dtype != dtype:
+        raise TypeError(
+            f"array dtype {records.dtype} does not match the file's record dtype {dtype}"
+        )
+    lo = records["lo"]
+    hi = records["hi"]
+    ok = records["dataset_id"] == dataset_id
+    ok &= intersect_mask(universe.lo, universe.hi, lo, hi)
+    for axis in range(universe.dimension):
+        ok &= lo[:, axis] <= hi[:, axis]  # false for an inverted or a NaN corner
+    if ok.all():
+        return
+    row = int(np.argmin(ok))
+    oid = int(records["oid"][row])
+    try:
+        Box(tuple(lo[row].tolist()), tuple(hi[row].tolist()))
+    except ValueError as exc:
+        raise ValueError(f"object {oid}: {exc}") from None
+    carried = int(records["dataset_id"][row])
+    if carried != dataset_id:
+        raise ValueError(f"object {oid} carries dataset_id {carried}, expected {dataset_id}")
+    raise ValueError(f"object {oid} lies outside the universe")
 
 
 @dataclass
@@ -48,18 +94,25 @@ class Dataset:
         disk: Disk,
         dataset_id: int,
         name: str,
-        objects: Iterable[SpatialObject],
+        objects: np.ndarray | Iterable[SpatialObject],
         universe: Box,
         compression: str | None = None,
     ) -> "Dataset":
         """Write ``objects`` sequentially into a new raw file and register it.
 
-        ``compression`` is ``None`` or ``"zlib"``: each raw page's records
-        are stored as one zlib payload where that fits the page (see
+        ``objects`` is a structured array of the universe's spatial-object
+        dtype (what the generators build) or an iterable of
+        :class:`SpatialObject`, which the codec packs into such an array
+        first.  The records are checked by :func:`check_records` before
+        anything is written, so a ``ValueError`` (an object outside
+        ``universe``, another ``dataset_id`` — raw files are per dataset —
+        or a NaN or inverted corner) leaves no file behind; then one
+        :meth:`PagedFile.append_group_array` writes them all, creating
+        the file even when there are none.  ``compression`` is ``None`` or
+        ``"zlib"``: each raw page's records are stored as one zlib payload
+        where that fits the page (see
         :func:`repro.storage.codec.paginate_bytes_compressed`); the file
-        occupies the same pages either way.  Raises ``ValueError`` if an
-        object lies outside ``universe`` or carries a different
-        ``dataset_id`` — raw files are per dataset.
+        occupies the same pages either way.
         """
         codec = spatial_object_codec(universe.dimension)
         file: PagedFile[SpatialObject] = PagedFile(
@@ -67,32 +120,17 @@ class Dataset:
         )
         if file.exists():
             raise ValueError(f"dataset file already exists for {name!r}")
-        count = 0
-        batch: list[SpatialObject] = []
-        batch_size = file.records_per_page * 64
-        for obj in objects:
-            if obj.dataset_id != dataset_id:
-                raise ValueError(
-                    f"object {obj.oid} carries dataset_id {obj.dataset_id}, "
-                    f"expected {dataset_id}"
-                )
-            if not universe.intersects(obj.box):
-                raise ValueError(f"object {obj.oid} lies outside the universe")
-            batch.append(obj)
-            count += 1
-            if len(batch) >= batch_size:
-                file.append_group(batch)
-                batch = []
-        if batch:
-            file.append_group(batch)
-        if count == 0:
-            # Materialise an empty file so scans and builds behave uniformly.
-            file.append_group([])
+        if isinstance(objects, np.ndarray):
+            records = objects
+        else:
+            records = np.frombuffer(b"".join(map(codec.pack, objects)), dtype=codec.dtype)
+        check_records(records, dataset_id, universe)
+        file.append_group_array(records)
         return cls(
             dataset_id=dataset_id,
             name=name,
             universe=universe,
-            n_objects=count,
+            n_objects=len(records),
             disk=disk,
             file=file,
         )

@@ -11,24 +11,35 @@ becoming one spatial object (its MBR).
 Two simpler generators are provided for tests and ablations:
 :class:`UniformBoxGenerator` (no spatial skew) and
 :class:`ClusteredBoxGenerator` (pure Gaussian blobs, no arbour structure).
+
+Every generator builds a dataset as one structured array of
+:func:`~repro.data.spatial_object.spatial_object_dtype`
+(:meth:`~_BaseGenerator.object_array`), which :meth:`Dataset.create
+<repro.data.dataset.Dataset.create>` writes with one
+``append_group_array``; :meth:`~_BaseGenerator.objects` iterates the same
+rows as :class:`~repro.data.spatial_object.SpatialObject` instances.  The
+random stream is the contract: every draw is a scalar ``Generator`` call
+in the order the per-object path made it, so a seed still names the raw
+bytes that path wrote.  Only what no draw depends on is vectorised:
+centres, extents, ``from_center`` and ``clamp`` run as whole-array NumPy
+with the same IEEE operations in the same order
+(``tests/generator_reference.py`` keeps the per-object path and
+``tests/test_data_generator.py`` compares the bytes).
 """
 
 from __future__ import annotations
 
+import itertools
 import zlib
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from repro.data.dataset import Dataset
-from repro.data.spatial_object import SpatialObject
+from repro.data.dataset import Dataset, check_records
+from repro.data.spatial_object import SpatialObject, spatial_object_dtype
 from repro.geometry.box import Box
 from repro.storage.disk import Disk
-
-
-def _clip_point(point: np.ndarray, universe: Box) -> np.ndarray:
-    return np.clip(point, np.asarray(universe.lo), np.asarray(universe.hi))
 
 
 def derived_rng(seed: int, *parts: int | str) -> np.random.Generator:
@@ -67,7 +78,7 @@ class GeneratorProfile:
 
 
 class _BaseGenerator:
-    """Common plumbing: RNG handling and object materialisation."""
+    """Common plumbing: RNG handling and the whole-array object geometry."""
 
     def __init__(self, universe: Box, seed: int, profile: GeneratorProfile | None = None) -> None:
         self._universe = universe
@@ -82,29 +93,63 @@ class _BaseGenerator:
     def _rng(self, dataset_id: int) -> np.random.Generator:
         return derived_rng(self._seed, "dataset", dataset_id)
 
-    def _object_at(
+    def _jitter_range(self) -> tuple[float, float]:
+        """Bounds of the per-axis extent jitter every object draws."""
+        jitter = self._profile.extent_jitter
+        return 1.0 - jitter, 1.0 + jitter
+
+    def _records(
         self,
-        rng: np.random.Generator,
-        oid: int,
         dataset_id: int,
-        center: np.ndarray,
-        extent_scale: float = 1.0,
-    ) -> SpatialObject:
-        dim = self._universe.dimension
-        universe_extents = np.asarray(self._universe.extents)
-        jitter = rng.uniform(
-            1.0 - self._profile.extent_jitter, 1.0 + self._profile.extent_jitter, size=dim
+        centers: np.ndarray,
+        jitter: np.ndarray,
+        extent_scale: np.ndarray | float = 1.0,
+    ) -> np.ndarray:
+        """The records of objects centred at ``centers`` (one row each).
+
+        Row by row this is the per-object construction — clip the centre,
+        ``extents = universe extents * fraction * jitter * scale``,
+        ``Box.from_center``, ``Box.clamp`` to the universe — as the same
+        IEEE operations in the same order over whole arrays.  The clamp
+        keeps Python's ``min``/``max`` tie rule (the first argument wins),
+        which ``np.minimum``/``np.maximum`` do not promise for signed zeros.
+        """
+        universe = self._universe
+        u_lo = np.asarray(universe.lo)
+        u_hi = np.asarray(universe.hi)
+        extents = (
+            np.asarray(universe.extents) * self._profile.object_extent_fraction * jitter * extent_scale
         )
-        extents = universe_extents * self._profile.object_extent_fraction * jitter * extent_scale
-        center = _clip_point(center, self._universe)
-        box = Box.from_center(tuple(float(c) for c in center), tuple(float(e) for e in extents))
-        return SpatialObject(oid=oid, dataset_id=dataset_id, box=box.clamp(self._universe))
+        centers = np.clip(centers, u_lo, u_hi)
+        half = extents / 2.0
+        lo = centers - half
+        lo = np.where(u_lo > lo, u_lo, lo)
+        lo = np.where(u_hi < lo, u_hi, lo)
+        hi = centers + half
+        hi = np.where(u_hi < hi, u_hi, hi)
+        hi = np.where(u_lo > hi, u_lo, hi)
+        records = np.empty(len(centers), dtype=spatial_object_dtype(universe.dimension))
+        records["oid"] = np.arange(len(centers))
+        records["dataset_id"] = dataset_id
+        records["lo"] = lo
+        records["hi"] = hi
+        return records
 
     # -- public API ------------------------------------------------------- #
 
-    def objects(self, dataset_id: int, count: int) -> Iterator[SpatialObject]:
-        """Yield ``count`` objects for the dataset (implemented by subclasses)."""
+    def object_array(self, dataset_id: int, count: int) -> np.ndarray:
+        """The dataset's ``count`` objects as one structured array (by subclasses)."""
         raise NotImplementedError
+
+    def objects(self, dataset_id: int, count: int) -> Iterator[SpatialObject]:
+        """Yield the rows of :meth:`object_array` as objects."""
+        records = self.object_array(dataset_id, count)
+        check_records(records, dataset_id, self._universe)
+        trusted = Box._trusted
+        for oid, lo, hi in zip(
+            records["oid"].tolist(), records["lo"].tolist(), records["hi"].tolist()
+        ):
+            yield SpatialObject(oid=oid, dataset_id=dataset_id, box=trusted(tuple(lo), tuple(hi)))
 
     def create_dataset(
         self,
@@ -119,7 +164,7 @@ class _BaseGenerator:
             disk=disk,
             dataset_id=dataset_id,
             name=name,
-            objects=self.objects(dataset_id, count),
+            objects=self.object_array(dataset_id, count),
             universe=self._universe,
             compression=compression,
         )
@@ -128,14 +173,19 @@ class _BaseGenerator:
 class UniformBoxGenerator(_BaseGenerator):
     """Objects placed uniformly at random in the universe (no skew)."""
 
-    def objects(self, dataset_id: int, count: int) -> Iterator[SpatialObject]:
-        """Yield ``count`` uniformly placed objects."""
+    def object_array(self, dataset_id: int, count: int) -> np.ndarray:
+        """``count`` uniformly placed objects."""
         rng = self._rng(dataset_id)
         lo = np.asarray(self._universe.lo)
         hi = np.asarray(self._universe.hi)
+        dim = self._universe.dimension
+        low, high = self._jitter_range()
+        centers = np.empty((count, dim))
+        jitter = np.empty((count, dim))
         for oid in range(count):
-            center = rng.uniform(lo, hi)
-            yield self._object_at(rng, oid, dataset_id, center)
+            centers[oid] = rng.uniform(lo, hi)
+            jitter[oid] = rng.uniform(low, high, size=dim)
+        return self._records(dataset_id, centers, jitter)
 
 
 class ClusteredBoxGenerator(_BaseGenerator):
@@ -168,14 +218,19 @@ class ClusteredBoxGenerator(_BaseGenerator):
         """The shared cluster centres (``n_clusters`` × ``dimension``)."""
         return self._centers.copy()
 
-    def objects(self, dataset_id: int, count: int) -> Iterator[SpatialObject]:
-        """Yield ``count`` objects drawn around the shared cluster centres."""
+    def object_array(self, dataset_id: int, count: int) -> np.ndarray:
+        """``count`` objects drawn around the shared cluster centres."""
         rng = self._rng(dataset_id)
+        dim = self._universe.dimension
         sigma = np.asarray(self._universe.extents) * self._sigma_fraction
+        low, high = self._jitter_range()
+        centers = np.empty((count, dim))
+        jitter = np.empty((count, dim))
         for oid in range(count):
             cluster = int(rng.integers(self._n_clusters))
-            center = rng.normal(self._centers[cluster], sigma)
-            yield self._object_at(rng, oid, dataset_id, center)
+            centers[oid] = rng.normal(self._centers[cluster], sigma)
+            jitter[oid] = rng.uniform(low, high, size=dim)
+        return self._records(dataset_id, centers, jitter)
 
 
 class NeuroscienceDatasetGenerator(_BaseGenerator):
@@ -231,43 +286,85 @@ class NeuroscienceDatasetGenerator(_BaseGenerator):
         """Shared microcircuit centres (hot regions of the tissue)."""
         return self._centers.copy()
 
-    def objects(self, dataset_id: int, count: int) -> Iterator[SpatialObject]:
-        """Yield ``count`` segment objects grown from synthetic neurons."""
+    def object_array(self, dataset_id: int, count: int) -> np.ndarray:
+        """``count`` segment objects grown from synthetic neurons.
+
+        The draws come first, in the walk's order: per neuron the
+        microcircuit, the soma and its jitter, then per segment the tip it
+        grows from, its direction, its jitter and whether it branches.  No
+        draw depends on the geometry (the frontier's length is one plus
+        the branches so far), so the walk itself runs afterwards over
+        plain floats, and everything else over whole arrays.
+        """
         rng = self._rng(dataset_id)
-        dim = self._universe.dimension
-        extents = np.asarray(self._universe.extents)
+        universe = self._universe
+        dim = universe.dimension
+        extents = np.asarray(universe.extents)
         sigma = extents * self._sigma_fraction
-        step = extents * self._step_fraction
+        low, high = self._jitter_range()
+        draws = np.empty((count, dim))  # somata, then segment directions
+        jitter = np.empty((count, dim))
+        neurons: list[tuple[int, int]] = []  # (soma row, segments)
+        tips: list[int] = []
+        branches: list[bool] = []
         oid = 0
         while oid < count:
             # Start a new neuron: soma near a microcircuit centre.
             circuit = int(rng.integers(self._n_microcircuits))
-            soma = rng.normal(self._centers[circuit], sigma)
-            soma = _clip_point(soma, self._universe)
-            # The soma itself is a (slightly larger) object.
-            yield self._object_at(rng, oid, dataset_id, soma, extent_scale=2.0)
+            draws[oid] = rng.normal(self._centers[circuit], sigma)
+            jitter[oid] = rng.uniform(low, high, size=dim)
             oid += 1
+            segments = min(self._segments_per_neuron, count - oid)
+            neurons.append((oid - 1, segments))
             # Grow the arbour with a branching random walk.
-            frontier: list[np.ndarray] = [soma.copy()]
-            segments_left = min(self._segments_per_neuron, count - oid)
-            for _ in range(segments_left):
-                if not frontier:
-                    break
-                tip_index = int(rng.integers(len(frontier)))
-                tip = frontier[tip_index]
-                direction = rng.normal(0.0, 1.0, size=dim)
-                norm = np.linalg.norm(direction)
-                if norm == 0:
-                    direction = np.ones(dim)
-                    norm = np.linalg.norm(direction)
-                direction /= norm
-                new_tip = _clip_point(tip + direction * step, self._universe)
-                midpoint = (tip + new_tip) / 2.0
-                yield self._object_at(rng, oid, dataset_id, midpoint)
+            frontier_size = 1
+            for _ in range(segments):
+                tips.append(int(rng.integers(frontier_size)))
+                draws[oid] = rng.normal(0.0, 1.0, size=dim)
+                jitter[oid] = rng.uniform(low, high, size=dim)
                 oid += 1
+                branched = rng.uniform() < self._branch_probability
+                branches.append(branched)
+                frontier_size += branched
+
+        soma_rows = np.array([row for row, _ in neurons], dtype=np.intp)
+        is_segment = np.ones(count, dtype=bool)
+        is_segment[soma_rows] = False
+        somata = np.clip(draws[soma_rows], np.asarray(universe.lo), np.asarray(universe.hi))
+        # Unit directions; ``np.linalg.norm`` of one vector is this dot product.
+        directions = draws[is_segment]
+        norm = np.sqrt(np.vecdot(directions, directions))
+        zero = norm == 0
+        if zero.any():
+            directions[zero] = 1.0
+            norm = np.sqrt(np.vecdot(directions, directions))
+        directions /= norm[:, None]
+
+        # The walk, one float at a time: ``min(max(v, lo), hi)`` is the value
+        # ``np.clip`` gives (ties keep ``v``, NaN propagates).
+        step = (extents * self._step_fraction).tolist()
+        bounds = list(zip(universe.lo, universe.hi))
+        walk = zip(tips, directions.tolist(), branches)
+        midpoints: list[list[float]] = []
+        for soma, (_, segments) in zip(somata.tolist(), neurons):
+            frontier = [soma]
+            for tip_index, direction, branched in itertools.islice(walk, segments):
+                tip = frontier[tip_index]
+                new_tip = [
+                    min(max(t + d * s, b_lo), b_hi)
+                    for t, d, s, (b_lo, b_hi) in zip(tip, direction, step, bounds)
+                ]
+                midpoints.append([(t + n) / 2.0 for t, n in zip(tip, new_tip)])
                 frontier[tip_index] = new_tip
-                if rng.uniform() < self._branch_probability:
-                    frontier.append(new_tip.copy())
+                if branched:
+                    frontier.append(new_tip)
+
+        centers = np.empty((count, dim))
+        centers[soma_rows] = somata
+        centers[is_segment] = np.array(midpoints, dtype=np.float64).reshape(-1, dim)
+        scale = np.ones((count, 1))
+        scale[soma_rows] = 2.0  # the soma is a (slightly larger) object
+        return self._records(dataset_id, centers, jitter, scale)
 
     def generate_datasets(
         self,

@@ -5,7 +5,10 @@ paper's ten Human Brain Project datasets: ``n_datasets`` synthetic
 neuroscience datasets of ``objects_per_dataset`` objects each, written as
 raw files onto a caller-supplied (or freshly created) simulated disk,
 optionally as zlib pages (``compression="zlib"``), which hold the same
-records per page as plain ones.
+records per page as plain ones.  Each dataset is generated as one
+structured array and written by one ``append_group_array`` call — no
+per-object ``Box`` or ``SpatialObject`` is built — and a seed names the
+same raw bytes as the per-object path did.
 """
 
 from __future__ import annotations

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.data.dataset import Dataset, DatasetCatalog, raw_file_name
-from repro.data.spatial_object import SpatialObject
+from repro.data.spatial_object import SpatialObject, spatial_object_codec
 from repro.geometry.box import Box
+from repro.storage.pagedfile import PagedFile
 
 from tests.conftest import make_catalog, make_dataset, make_object, make_random_objects
 
@@ -69,6 +71,78 @@ class TestDatasetCreate:
 
     def test_raw_file_name_convention(self):
         assert raw_file_name("abc") == "raw/abc.dat"
+
+
+def packed_array(objects, dimension: int = 3) -> np.ndarray:
+    codec = spatial_object_codec(dimension)
+    return np.frombuffer(b"".join(codec.pack(obj) for obj in objects), dtype=codec.dtype)
+
+
+class TestDatasetCreateFromArray:
+    """``Dataset.create`` given a structured array, as the generators call it."""
+
+    def test_array_and_objects_write_the_same_pages(self, disk, universe):
+        objects = make_random_objects(universe, 500, dataset_id=1, seed=3)
+        from_objects = Dataset.create(disk, 1, "objects", objects, universe)
+        from_array = Dataset.create(disk, 1, "array", packed_array(objects), universe)
+        assert from_array.n_objects == 500
+        assert from_array.read_all() == from_objects.read_all()
+        def pages(dataset):
+            return [disk.backend.read(dataset.file.name, p) for p in range(dataset.size_pages())]
+
+        assert pages(from_array) == pages(from_objects)
+
+    def test_empty_array_creates_an_empty_file(self, disk, universe):
+        dataset = Dataset.create(disk, 0, "empty", packed_array([]), universe)
+        assert dataset.n_objects == 0
+        assert dataset.file.exists()
+        assert dataset.read_all() == []
+
+    @pytest.mark.parametrize(
+        "bad, expected",
+        [
+            (
+                SpatialObject(7, 2, Box((1.0,) * 3, (2.0,) * 3)),
+                "object 7 carries dataset_id 2, expected 0",
+            ),
+            (
+                SpatialObject(7, 0, Box((200.0,) * 3, (201.0,) * 3)),
+                "object 7 lies outside the universe",
+            ),
+            (
+                SpatialObject(7, 0, Box._trusted((1.0, float("nan"), 1.0), (2.0,) * 3)),
+                "object 7: NaN coordinate on axis 1",
+            ),
+            (
+                SpatialObject(7, 0, Box._trusted((1.0, 1.0, 3.0), (2.0,) * 3)),
+                "object 7: inverted box on axis 2: lo=3.0 > hi=2.0",
+            ),
+        ],
+        ids=["dataset_id", "outside", "nan", "inverted"],
+    )
+    def test_bad_row_raises_the_object_path_error(self, disk, universe, bad, expected):
+        objects = make_random_objects(universe, 200, dataset_id=0, seed=4)
+        objects[7] = bad
+        objects[150] = SpatialObject(150, 5, objects[150].box)  # a later bad row
+        with pytest.raises(ValueError) as from_objects:
+            Dataset.create(disk, 0, "objects", objects, universe)
+        with pytest.raises(ValueError) as from_array:
+            Dataset.create(disk, 0, "array", packed_array(objects), universe)
+        assert str(from_objects.value) == str(from_array.value) == expected
+        assert not disk.file_exists(raw_file_name("objects"))
+        assert not disk.file_exists(raw_file_name("array"))
+
+    def test_wrong_dtype_raises_the_array_surface_error(self, disk, universe):
+        records = packed_array(make_random_objects(Box.unit(2), 5, seed=1), dimension=2)
+        with pytest.raises(TypeError) as from_file:
+            PagedFile(disk, "probe", spatial_object_codec(3)).append_group_array(records)
+        with pytest.raises(TypeError) as from_create:
+            Dataset.create(disk, 0, "array", records, universe)
+        assert str(from_create.value) == str(from_file.value)
+        assert not disk.file_exists(raw_file_name("array"))
+        # The object path's form of the same mistake: objects of another dimension.
+        with pytest.raises(ValueError, match="object has dimension 2, codec expects 3"):
+            Dataset.create(disk, 0, "objects", make_random_objects(Box.unit(2), 5), universe)
 
 
 class TestDatasetCatalog:
