@@ -5,9 +5,9 @@ This example puts the engine behind :class:`repro.QueryService` — the
 inference-server-style frontend from ``repro/serve/``.  Client threads
 submit individual range queries; the service coalesces them into batches
 (flushing on whichever fires first: ``max_batch`` queries or a
-``max_delay_ms`` deadline), drains each batch through
-``SpaceOdyssey.query_batch(..., workers=K)`` on one dispatcher thread,
-and routes every answer back through its per-request future.
+``max_delay_ms`` deadline), drains each batch inline through one
+``SpaceOdyssey.query_batch`` call on one dispatcher thread, and routes
+every answer back through its per-request future.
 
 The determinism contract: whatever the thread interleaving, each client
 receives byte-for-byte the answers it would get by issuing the same
@@ -56,7 +56,7 @@ def main() -> None:
     #    batches their arrivals and answers through per-request futures.
     answers: dict[int, list[int]] = {}
     recorded: dict[int, list] = {index: [] for index in range(N_CLIENTS)}
-    with odyssey.serve(max_batch=16, max_delay_ms=3.0, workers=2) as service:
+    with odyssey.serve(max_batch=16, max_delay_ms=3.0) as service:
 
         def client(index: int) -> None:
             counts = []

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.baselines.interface import MultiDatasetIndex, result_keys
-from repro.data.dataset import DatasetCatalog
 from repro.geometry.box import Box
 from repro.storage.cost_model import IOStats
 from repro.storage.disk import Disk
@@ -158,13 +157,6 @@ def run_approach(
     result.querying_seconds = sum(t.simulated_seconds for t in result.query_timings)
     result.wall_seconds = time.perf_counter() - wall_start
     return result
-
-
-def brute_force_oracle(catalog: DatasetCatalog) -> MultiDatasetIndex:
-    """Convenience constructor for the validation oracle."""
-    from repro.baselines.interface import BruteForceScan
-
-    return BruteForceScan(catalog)
 
 
 def generate_workload(

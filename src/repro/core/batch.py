@@ -36,9 +36,10 @@ A batch runs the Query Processor's per-query pipeline in four phases.
    query examined, in submission order, then statistics, refinement and
    merging, replayed through the sequential writer half
    (``QueryProcessor.commit_query``) in submission order against the
-   evolving trees; then the next epoch is published and the batch
-   journaled.  Because refinement decisions depend only on (tree state,
-   query window) and both start from the same state, the replay reproduces
+   evolving trees; then the next epoch is published (once a snapshot read
+   started the epoch layer) and the batch journaled.  Because refinement
+   decisions depend only on (tree state, query window) and both start
+   from the same state, the replay reproduces
    the sequential evolution exactly — same refinements in the same order,
    same page reuse, same merge files, same eviction decisions.  Nothing a
    commit owns changes before it runs, so a batch whose read half raises
@@ -364,13 +365,14 @@ class BatchExecutor:
         Returns ``dataset_id -> index of the query that first touched it``,
         so the commit attributes each initialisation to the right
         :class:`QueryReport` exactly as sequential execution would, and the
-        epoch to read (pinned; ``None`` for live reads).  A snapshot batch
-        takes the gate only when its pinned epoch lacks a requested tree:
-        initialisation writes the partition file.
+        epoch to read (pinned by :meth:`QueryProcessor.pin_epoch`; ``None``
+        for live reads).  A snapshot batch takes the gate only when its
+        pinned epoch lacks a requested tree: initialisation writes the
+        partition file.
         """
         processor = self._processor
         if self._snapshot:
-            epoch = processor.epochs.pin()
+            epoch = processor.pin_epoch()
             if all(d in epoch.trees for query in queries for d in query.requested):
                 return {}, epoch
             processor.epochs.unpin(epoch)
@@ -386,7 +388,7 @@ class BatchExecutor:
             if not self._snapshot:
                 return first_touch, None
             processor.publish_epoch()
-            return first_touch, processor.epochs.pin()
+            return first_touch, processor.pin_epoch()
 
     def _read(
         self, batch: QueryBatch, first_touch: dict[int, int], epoch: EngineEpoch | None

@@ -65,17 +65,6 @@ class OdysseyConfig:
         When true, the merger uses the cost model of
         :mod:`repro.core.cost` to adapt the merge threshold at run time
         (the paper lists this as future work; disabled by default).
-    snapshot_reads:
-        Implementation switch, not a paper parameter: when true (the
-        default) the engine maintains MVCC-style epoch snapshots
-        (:mod:`repro.core.epoch`) — every adaptation publishes a new
-        immutable ``EngineEpoch`` and destructive page writes retain
-        pre-images for pinned readers, enabling
-        ``query_batch(..., snapshot=True)``, whose read phase runs against
-        a pinned epoch without holding the engine's gate.  Epoch
-        bookkeeping changes no charged I/O, no results and no on-disk
-        bytes; set to false to strip the machinery entirely (snapshot
-        reads then raise ``RuntimeError``).
     """
 
     refinement_threshold: float = 4.0
@@ -89,7 +78,6 @@ class OdysseyConfig:
     merge_partition_min_hits: int = 2
     merge_only_converged: bool = True
     adaptive_merge_threshold: bool = False
-    snapshot_reads: bool = True
 
     def __post_init__(self) -> None:
         if self.refinement_threshold <= 0:

@@ -5,7 +5,9 @@ every query, which is why top-level operations serialize on the
 QueryProcessor's gate lock.  This module decouples *readers* from that
 lock: every completed adaptation publishes an immutable
 :class:`EngineEpoch` — a copy-on-write capture of the partition trees'
-leaf state and the merge-file map.  A snapshot batch
+leaf state and the merge-file map — once the engine's first snapshot
+read has built the :class:`EpochManager`; before it nothing publishes or
+retains a page.  A snapshot batch
 (:class:`~repro.core.batch.BatchExecutor` with ``snapshot=True``) pins
 the current epoch by refcount, runs overlap resolution, page decode and
 filtering entirely against the pinned capture, and only takes the gate
@@ -135,10 +137,11 @@ class EngineEpoch:
 class EpochManager:
     """Publishes, pins and garbage-collects :class:`EngineEpoch` chains.
 
-    Registered as a snapshot sink on the disk at construction, so every
-    destructive page write feeds :meth:`retain`.  ``publish`` must only
-    be called under the processor's gate (it is the writer phase's last
-    step); ``pin``/``unpin`` are safe from any thread.
+    Built by the engine's first snapshot read; registered as a snapshot
+    sink on the disk at construction, so every later destructive page
+    write feeds :meth:`retain`.  ``publish`` must only be called under the
+    processor's gate (it is the writer phase's last step);
+    ``pin``/``unpin`` are safe from any thread.
     """
 
     def __init__(self, disk: "Disk", dimension: int) -> None:

@@ -123,7 +123,6 @@ class SpaceOdyssey(MultiDatasetIndex):
         )
         self._processor = QueryProcessor(
             catalog=catalog,
-            config=self._config,
             adaptor=self._adaptor,
             statistics=self._statistics,
             directory=self._directory,
@@ -252,14 +251,13 @@ class SpaceOdyssey(MultiDatasetIndex):
         bit-identical across them in isolation.  ``workers=K`` (``K > 1``)
         runs overlap resolution (per combination group) and page decode +
         filtering (per query) on ``K`` threads.  ``snapshot=True`` reads a
-        pinned epoch snapshot (:mod:`repro.core.epoch`; requires
-        ``OdysseyConfig(snapshot_reads=True)``, the default) with no lock
-        held, so the reads overlap other batches' commits; under
-        concurrency per-batch results stay exact (answers depend only on
-        the data and the query window) while commits serialize in arrival
-        order.  Either way the commit — CPU charges, then statistics,
-        refinement and merging in submission order — runs single-threaded
-        under the engine's gate.
+        pinned epoch snapshot (:mod:`repro.core.epoch`; the first one starts
+        the epoch layer) with no lock held, so the reads overlap other
+        batches' commits; under concurrency per-batch results stay exact
+        (answers depend only on the data and the query window) while
+        commits serialize in arrival order.  Either way the commit — CPU
+        charges, then statistics, refinement and merging in submission
+        order — runs single-threaded under the engine's gate.
         """
         return self._processor.execute_batch(
             queries, workers=workers, snapshot=snapshot
@@ -284,7 +282,8 @@ class SpaceOdyssey(MultiDatasetIndex):
 
     @property
     def epochs(self):
-        """The :class:`~repro.core.epoch.EpochManager` (``None`` if disabled)."""
+        """The :class:`~repro.core.epoch.EpochManager`, or ``None`` until the
+        first snapshot read; reading it never starts the epoch layer."""
         return self._processor.epochs
 
     def serve(
@@ -292,7 +291,6 @@ class SpaceOdyssey(MultiDatasetIndex):
         *,
         max_batch: int = 32,
         max_delay_ms: float = 5.0,
-        workers: int | None = None,
         max_pending: int | None = None,
         **degradation,
     ) -> "QueryService":
@@ -302,9 +300,9 @@ class SpaceOdyssey(MultiDatasetIndex):
         threads call ``submit(box, dataset_ids)`` concurrently, a
         dedicated dispatcher coalesces submissions into batches (flushing
         at ``max_batch`` queries or after ``max_delay_ms``, whichever
-        fires first), drains each batch through :meth:`query_batch`
-        (``workers=K`` runs its read phases on threads), and resolves
-        each submission's future with its hits or exception.  Per-client
+        fires first), drains each batch inline through one
+        :meth:`query_batch` call under the gate, and resolves each
+        submission's future with its hits or exception.  Per-client
         results are identical to issuing the same queries sequentially in
         arrival order.  Close the service (or use it as a context
         manager) to drain and release it; the engine stays fully usable
@@ -322,7 +320,6 @@ class SpaceOdyssey(MultiDatasetIndex):
             self,
             max_batch=max_batch,
             max_delay_ms=max_delay_ms,
-            workers=workers,
             max_pending=max_pending,
             **degradation,
         )

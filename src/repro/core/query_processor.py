@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from repro.core.adaptor import Adaptor
-from repro.core.config import OdysseyConfig
 from repro.core.merge import MergeDirectory, MergeFileInfo, RouteKind, RoutingDecision
 from repro.core.merge import choose_route
 from repro.core.merger import Merger
@@ -48,6 +47,7 @@ from repro.storage.pagedfile import PagedFile, StoredRun
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
     from repro.core.batch import BatchResult, QueryBatch
+    from repro.core.epoch import EngineEpoch
 
 
 def run_start(run: StoredRun) -> int:
@@ -145,23 +145,21 @@ class QueryProcessor:
     fans the read phases of one batch across ``K`` threads while the
     gate is held (see :mod:`repro.core.batch`).
 
-    With ``OdysseyConfig(snapshot_reads=True)`` (the default) the gate
-    additionally becomes a pure *writer* lock for the epoch read path
-    (:mod:`repro.core.epoch`): every gated operation publishes an
-    immutable :class:`~repro.core.epoch.EngineEpoch` on completion, and
-    ``execute_batch(..., snapshot=True)`` — or the
-    :meth:`prepare_batch`/:meth:`commit_batch` pair — runs its whole read
-    half against a pinned epoch without holding the gate, so concurrent
-    batches overlap their reads and only their short writer phases
-    serialize.  Because answers are exact regardless of refinement state
-    (see above), a reader pinned to a slightly older epoch still returns
-    exact hits.
+    Snapshot reads make the gate a pure *writer* lock for the epoch read
+    path (:mod:`repro.core.epoch`): ``execute_batch(..., snapshot=True)``
+    — or the :meth:`prepare_batch`/:meth:`commit_batch` pair — runs its
+    whole read half against a pinned immutable
+    :class:`~repro.core.epoch.EngineEpoch` without holding the gate, so
+    concurrent batches overlap their reads and only their short writer
+    phases serialize.  Because answers are exact regardless of refinement
+    state (see above), a reader pinned to a slightly older epoch still
+    returns exact hits.  The first snapshot read starts the epoch layer
+    (:meth:`pin_epoch`); from then on every gated operation publishes.
     """
 
     def __init__(
         self,
         catalog: DatasetCatalog,
-        config: OdysseyConfig,
         adaptor: Adaptor,
         statistics: StatisticsCollector,
         directory: MergeDirectory,
@@ -180,12 +178,6 @@ class QueryProcessor:
         self._durability = None
         self._tracer = None
         self._epochs = None
-        if config.snapshot_reads:
-            from repro.core.epoch import EpochManager
-
-            self._epochs = EpochManager(self._disk, catalog.dimension)
-            with self._gate:
-                self.publish_epoch()
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -359,19 +351,35 @@ class QueryProcessor:
 
     @property
     def epochs(self):
-        """The :class:`~repro.core.epoch.EpochManager`, or ``None`` when
-        ``snapshot_reads`` is disabled."""
+        """The :class:`~repro.core.epoch.EpochManager`, or ``None`` until
+        the first snapshot read."""
         return self._epochs
 
     def publish_epoch(self) -> None:
         """Capture and publish a new epoch from the current adaptive state.
 
         Must be called with the gate held (every caller in this module
-        is); a no-op when snapshot reads are disabled.
+        is); a no-op before the first snapshot read.
         """
         if self._epochs is not None:
             with maybe_span(self._tracer, "epoch.publish"):
                 self._epochs.publish(self._trees, self._directory)
+
+    def pin_epoch(self) -> "EngineEpoch":
+        """Pin the current epoch for a snapshot read (balance with ``unpin``).
+
+        The first call, under the gate, builds the epoch manager (the
+        disk's snapshot sink) and publishes the current state; before it
+        nothing publishes or retains a page.
+        """
+        if self._epochs is None:
+            with self._gate:
+                if self._epochs is None:
+                    from repro.core.epoch import EpochManager
+
+                    self._epochs = EpochManager(self._disk, self._catalog.dimension)
+                    self.publish_epoch()
+        return self._epochs.pin()
 
     # ------------------------------------------------------------------ #
     # Query execution
@@ -471,16 +479,14 @@ class QueryProcessor:
         ``workers=K > 1`` runs the read phases on ``K`` threads;
         ``snapshot=True`` runs them against a pinned immutable epoch
         *without* holding the gate, so that only the commit serializes and
-        concurrent batches overlap their reads (requires
-        ``OdysseyConfig(snapshot_reads=True)``).  Every combination is
+        concurrent batches overlap their reads (see :meth:`pin_epoch`).
+        Every combination is
         bit-identical to the serial batch in isolation, reports and
         ``objects_examined`` included.
         """
         from repro.core.batch import BatchExecutor
 
         batch = self._checked_batch(queries)
-        if snapshot and self._epochs is None:
-            raise RuntimeError("snapshot reads require OdysseyConfig(snapshot_reads=True)")
         executor = BatchExecutor(self, workers, snapshot)
         if snapshot:
             return executor.run(batch)
@@ -495,8 +501,6 @@ class QueryProcessor:
         returns a :class:`~repro.core.batch.PreparedBatch` for
         :meth:`commit_batch`.
         """
-        if self._epochs is None:
-            raise RuntimeError("snapshot reads require OdysseyConfig(snapshot_reads=True)")
         from repro.core.batch import BatchExecutor
 
         executor = BatchExecutor(self, workers, snapshot=True)

@@ -67,11 +67,13 @@ MANIFEST_VERSION = 2
 READABLE_VERSIONS = (1, MANIFEST_VERSION)
 
 #: Header keys of retired options, ignored when an older journal carries
-#: them.  A journal written over a sharded buffer pool (``buffer_shards``)
-#: comes back as one pool of the same ``buffer_pages``; the batch
-#: executor switch (``batch_executor``) and the per-record engine switch
-#: (``columnar``) have no replacement — every engine computes the same state.
-_RETIRED_KEYS = {"config": ("batch_executor", "columnar"), "catalog": ("buffer_shards",)}
+#: them.  A sharded buffer pool comes back as one pool of the same
+#: ``buffer_pages``; the batch executor, per-record engine and epoch
+#: switches have no replacement — every engine computes the same state.
+_RETIRED_KEYS = {
+    "config": ("batch_executor", "columnar", "snapshot_reads"),
+    "catalog": ("buffer_shards",),
+}
 
 #: Silent unless the embedding application configures handlers (e.g. via
 #: :func:`repro.obs.configure_json_logging`).

@@ -4,9 +4,9 @@ Many concurrent clients submit range queries to a :class:`QueryService`;
 a dedicated dispatcher thread coalesces them into batches — flushing on
 whichever of two triggers fires first, a **size** trigger (``max_batch``
 queued queries) or a **deadline** trigger (the oldest queued query has
-waited ``max_delay_ms``) — and drains each batch through
-:meth:`~repro.core.odyssey.SpaceOdyssey.query_batch`, optionally with its
-read phases on ``workers=K`` threads.  Every submission gets its own
+waited ``max_delay_ms``) — and drains each batch inline through one
+:meth:`~repro.core.odyssey.SpaceOdyssey.query_batch` call.  Every
+submission gets its own
 :class:`~concurrent.futures.Future`, so results *and* exceptions route
 back to the client that submitted them.
 
@@ -200,10 +200,6 @@ class QueryService:
         this long, even if the batch is not full.  ``0`` disables
         coalescing delay entirely (every flush is whatever is already
         queued the moment the dispatcher looks).
-    workers:
-        Worker threads per drained batch, passed through to
-        ``query_batch(..., workers=K)``; ``None`` or ``1`` uses the serial
-        batch engine.
     max_pending:
         Optional backpressure bound: with a value, :meth:`submit` blocks
         once this many queries are queued undispatched (the queue is
@@ -238,7 +234,6 @@ class QueryService:
         *,
         max_batch: int = 32,
         max_delay_ms: float = 5.0,
-        workers: int | None = None,
         max_pending: int | None = None,
         batch_retries: int = 2,
         retry_backoff_ms: float = 1.0,
@@ -251,8 +246,6 @@ class QueryService:
             raise ValueError("max_batch must be >= 1")
         if max_delay_ms < 0:
             raise ValueError("max_delay_ms must be non-negative")
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be >= 1")
         if max_pending is not None and max_pending < 1:
             raise ValueError("max_pending must be >= 1 (or None)")
         if batch_retries < 0:
@@ -268,7 +261,6 @@ class QueryService:
         self._odyssey = odyssey
         self._max_batch = max_batch
         self._max_delay_s = max_delay_ms / 1000.0
-        self._workers = workers
         self._batch_retries = batch_retries
         self._retry_backoff_s = retry_backoff_ms / 1000.0
         self._retry_backoff_max_s = retry_backoff_max_ms / 1000.0
@@ -445,9 +437,7 @@ class QueryService:
             self._odyssey.tracer, "serve.batch", queries=len(batch), flush=reason
         ) as span:
             try:
-                result = self._odyssey.query_batch(
-                    [(s.box, s.dataset_ids) for s in batch], workers=self._workers
-                )
+                result = self._odyssey.query_batch([(s.box, s.dataset_ids) for s in batch])
             except BaseException:
                 # Failure isolation: replay the batch sequentially (same
                 # arrival order) so only the offending queries fail.  The

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Generic, Iterable, Protocol, Sequence, TypeVar
+from typing import Generic, Protocol, Sequence, TypeVar
 
 import numpy as np
 
@@ -384,19 +384,3 @@ def paginate_bytes_compressed(
         pages.append(_seal_page(payload, page_size))
     return pages
 
-
-def paginate(
-    codec: RecordCodec[RecordT], records: Iterable[RecordT], page_size: int
-) -> list[bytes]:
-    """Split a record stream into encoded pages (all full except possibly the last)."""
-    capacity = records_per_page(codec.record_size, page_size)
-    pages: list[bytes] = []
-    batch: list[RecordT] = []
-    for record in records:
-        batch.append(record)
-        if len(batch) == capacity:
-            pages.append(encode_page(codec, batch, page_size))
-            batch = []
-    if batch:
-        pages.append(encode_page(codec, batch, page_size))
-    return pages

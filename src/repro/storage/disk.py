@@ -33,16 +33,20 @@ stale answer.
 Snapshot sinks (MVCC pre-images)
 --------------------------------
 The epoch layer (:mod:`repro.core.epoch`) registers a *snapshot sink* via
-:meth:`Disk.add_snapshot_sink`.  Before a page is overwritten in place
-(:meth:`write_page` on an existing page) or a file is deleted
+:meth:`Disk.add_snapshot_sink` when the engine's first snapshot read
+starts it; until then a disk has no sink and a destructive write reads
+nothing extra.  Once one is registered, before a page is overwritten in
+place (:meth:`write_page` on an existing page) or a file is deleted
 (:meth:`delete_file`), the disk hands each sink the page's *pre-image*
 bytes — still under the disk lock, so retention is atomic with the
 destructive write.  Appends never destroy data and are not retained.
 Pre-image capture is pure bookkeeping: it reads the backend directly and
-charges nothing, so it cannot perturb the simulated I/O trace, and
-snapshot readers replay those retained bytes through
-:meth:`read_run_at` — same lock, same charging rules as :meth:`read_run`
-for the pages that still come from the live file.
+charges nothing, so it cannot perturb the simulated I/O trace.
+
+Every read — :meth:`read_page`, :meth:`read_run` and the pinned
+:meth:`read_run_at` — is one page loop; a pinned read only adds the
+snapshot's overlay ``lookup`` in front of the buffer pool, so the pages
+that still come from the live file are charged exactly as live reads.
 """
 
 from __future__ import annotations
@@ -170,6 +174,7 @@ class Disk:
         """Register an object whose ``retain(name, page_no, data)`` is
         called — under the disk lock — with the pre-image of every page
         about to be destroyed by an in-place overwrite or a file delete.
+        The engine registers one on its first snapshot read.
         """
         with self._lock:
             self._snapshot_sinks.append(sink)
@@ -226,23 +231,7 @@ class Disk:
 
     def read_page(self, name: str, page_no: int) -> bytes:
         """Read one page, charging a seek if the head is elsewhere."""
-        with self._lock:
-            cached = self._buffer.get(name, page_no)
-            if cached is not None:
-                self._stats.record_cache_hit()
-                return cached
-            kind = self._classify(name, page_no)
-            try:
-                data = self._backend.read(name, page_no)
-            except StorageError:
-                # Nothing was read: make sure no layer of the pool keeps
-                # an entry for a page we just failed to materialise.
-                self._buffer.invalidate_page(name, page_no)
-                raise
-            self._charge_read(kind, 1)
-            self._advance_head(name, page_no)
-            self._buffer.put(name, page_no, data)
-            return data
+        return self._read_pages(name, page_no, 1)[0]
 
     def read_run(self, name: str, start: int, count: int) -> list[bytes]:
         """Read ``count`` consecutive pages starting at ``start``.
@@ -252,39 +241,7 @@ class Disk:
         free and do not break the sequential charging of the rest (the real
         disk would stream through them anyway).
         """
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        with self._lock:
-            pages: list[bytes] = []
-            uncached = 0
-            first_uncached: int | None = None
-            for offset in range(count):
-                page_no = start + offset
-                cached = self._buffer.get(name, page_no)
-                if cached is not None:
-                    self._stats.record_cache_hit()
-                    pages.append(cached)
-                    continue
-                try:
-                    data = self._backend.read(name, page_no)
-                except StorageError:
-                    self._buffer.invalidate_page(name, page_no)
-                    raise
-                if first_uncached is None:
-                    first_uncached = page_no
-                uncached += 1
-                pages.append(data)
-                self._buffer.put(name, page_no, data)
-            if uncached:
-                assert first_uncached is not None
-                kind = self._classify(name, first_uncached)
-                self._charge_read(kind, uncached)
-                self._advance_head(name, start + count - 1)
-            if self._tracer is not None:
-                self._tracer.event(
-                    "disk.read_run", file=name, pages=count, uncached=uncached
-                )
-            return pages
+        return self._read_pages(name, start, count, event="disk.read_run")
 
     def read_run_at(self, name: str, start: int, count: int, lookup) -> list[bytes]:
         """Read a run as of a pinned snapshot.
@@ -293,13 +250,27 @@ class Disk:
         pre-image overlay: when it returns bytes, the page was overwritten
         or deleted after the snapshot was taken and the pre-image is used
         verbatim; when it returns ``None`` the live page is read with
-        exactly :meth:`read_run`'s charging (cache hits recorded, one
-        positioning plus sequential transfers for the uncached pages).
-        Overlay-served pages are snapshot bookkeeping — free, uncharged
-        and not counted as cache hits — because the live I/O trace must
-        not be perturbed by a reader pinned to the past.  The whole run,
-        overlay consultation included, happens under the disk lock so a
-        concurrent overwrite can never interleave with it (no torn runs).
+        exactly :meth:`read_run`'s charging.  Overlay-served pages are
+        snapshot bookkeeping — free, uncharged and not counted as cache
+        hits — because the live I/O trace must not be perturbed by a
+        reader pinned to the past.  The whole run, overlay consultation
+        included, happens under the disk lock so a concurrent overwrite can
+        never interleave with it (no torn runs).
+        """
+        return self._read_pages(name, start, count, lookup, "disk.read_run_at")
+
+    def _read_pages(
+        self, name: str, start: int, count: int, lookup=None, event: str | None = None
+    ) -> list[bytes]:
+        """The one page loop behind every read, under the disk lock.
+
+        Per page: the overlay ``lookup`` (pinned reads only), then the
+        buffer pool (a hit is free and recorded), then the backend.  The
+        uncached pages are charged together after the loop, as one
+        positioning operation at the first of them plus sequential
+        transfers, and the head moves to the run's last page.  A failed
+        backend read leaves no pool entry for that page and charges
+        nothing.  ``event`` names the tracer event the read records.
         """
         if count < 0:
             raise ValueError("count must be non-negative")
@@ -307,12 +278,12 @@ class Disk:
             pages: list[bytes] = []
             uncached = 0
             first_uncached: int | None = None
-            for offset in range(count):
-                page_no = start + offset
-                retained = lookup(name, page_no)
-                if retained is not None:
-                    pages.append(retained)
-                    continue
+            for page_no in range(start, start + count):
+                if lookup is not None:
+                    retained = lookup(name, page_no)
+                    if retained is not None:
+                        pages.append(retained)
+                        continue
                 cached = self._buffer.get(name, page_no)
                 if cached is not None:
                     self._stats.record_cache_hit()
@@ -321,6 +292,8 @@ class Disk:
                 try:
                     data = self._backend.read(name, page_no)
                 except StorageError:
+                    # Nothing was read: make sure no layer of the pool keeps
+                    # an entry for a page we just failed to materialise.
                     self._buffer.invalidate_page(name, page_no)
                     raise
                 if first_uncached is None:
@@ -329,14 +302,10 @@ class Disk:
                 pages.append(data)
                 self._buffer.put(name, page_no, data)
             if uncached:
-                assert first_uncached is not None
-                kind = self._classify(name, first_uncached)
-                self._charge_read(kind, uncached)
+                self._charge_read(self._classify(name, first_uncached), uncached)
                 self._advance_head(name, start + count - 1)
-            if self._tracer is not None:
-                self._tracer.event(
-                    "disk.read_run_at", file=name, pages=count, uncached=uncached
-                )
+            if event is not None and self._tracer is not None:
+                self._tracer.event(event, file=name, pages=count, uncached=uncached)
             return pages
 
     def write_page(self, name: str, page_no: int, data: bytes) -> None:

@@ -126,11 +126,6 @@ class FaultInjectingBackend(StorageBackend):
         """Whether faults are currently being injected."""
         return self._armed
 
-    @property
-    def mutations_seen(self) -> int:
-        """Mutating operations (writes + appends) observed so far."""
-        return self._mutations
-
     def counters(self) -> FaultCounters:
         """A snapshot of the injected-fault counters."""
         return FaultCounters(

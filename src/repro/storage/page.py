@@ -10,10 +10,3 @@ from __future__ import annotations
 
 #: Default page size in bytes (4 KB, as in the paper's experimental setup).
 PAGE_SIZE: int = 4096
-
-
-def empty_page(page_size: int = PAGE_SIZE) -> bytes:
-    """A zero-filled page of ``page_size`` bytes."""
-    if page_size <= 0:
-        raise ValueError("page_size must be positive")
-    return bytes(page_size)

@@ -25,7 +25,9 @@ per-record Python objects), and :meth:`PagedFile.append_group_array` /
 surfaces produce and consume byte-identical pages, so scalar and columnar
 callers can be mixed freely on the same file.  Array reads are backed by the
 buffer pool's decoded-array layer: a page whose bytes are cached is decoded
-at most once.
+at most once.  Every group read — scalar, array, or array as of a pinned
+snapshot (:meth:`PagedFile.read_group_array_at`) — walks the run through
+one reader and ends in one record-count check.
 
 Compression
 -----------
@@ -41,7 +43,7 @@ pages carrying several pages' worth of records) still decode.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generic, Iterable, Iterator, Sequence, TypeVar
+from typing import Generic, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -358,22 +360,9 @@ class PagedFile(Generic[RecordT]):
     def read_group(self, run: StoredRun) -> list[RecordT]:
         """Read back one group of records."""
         records: list[RecordT] = []
-        for extent in run.extents:
-            for page_bytes in self._disk.read_run(self._name, extent.start, extent.count):
-                records.extend(decode_page(self._codec, page_bytes))
-        if len(records) < run.n_records:
-            raise ValueError(
-                f"group in {self._name!r} is corrupt: expected {run.n_records} "
-                f"records, decoded {len(records)}"
-            )
-        return records[: run.n_records]
-
-    def read_groups(self, runs: Iterable[StoredRun]) -> list[RecordT]:
-        """Read several groups and concatenate their records."""
-        records: list[RecordT] = []
-        for run in runs:
-            records.extend(self.read_group(run))
-        return records
+        for _page_no, page_bytes in self._run_pages(run):
+            records.extend(decode_page(self._codec, page_bytes))
+        return self._checked(records, run)
 
     def read_page_records(self, page_no: int) -> list[RecordT]:
         """Decode all records stored in one page.
@@ -405,21 +394,7 @@ class PagedFile(Generic[RecordT]):
         pages are cached in the buffer pool's decoded-array layer, so a
         group whose pages are byte-cached is served without re-decoding.
         """
-        dtype = self._require_dtype()
-        parts: list[np.ndarray] = []
-        for extent in run.extents:
-            pages = self._disk.read_run(self._name, extent.start, extent.count)
-            for offset, page_bytes in enumerate(pages):
-                decoded = self._decode_page_cached(extent.start + offset, page_bytes)
-                if len(decoded):
-                    parts.append(decoded)
-        records = _frozen_concat(parts, dtype)
-        if len(records) < run.n_records:
-            raise ValueError(
-                f"group in {self._name!r} is corrupt: expected {run.n_records} "
-                f"records, decoded {len(records)}"
-            )
-        return records[: run.n_records]
+        return self._read_array(run)
 
     def scan_arrays(self, chunk_pages: int = 256) -> Iterator[np.ndarray]:
         """Yield the file's records in columnar chunks (one sequential pass).
@@ -467,15 +442,33 @@ class PagedFile(Generic[RecordT]):
         run, reads, charging and decoding are identical to
         :meth:`read_group_array`.
         """
+        return self._read_array(run, lookup)
+
+    def _read_array(self, run: StoredRun, lookup=None) -> np.ndarray:
+        """The array read of one group, live or through a snapshot ``lookup``."""
         dtype = self._require_dtype()
         parts: list[np.ndarray] = []
+        for page_no, page_bytes in self._run_pages(run, lookup):
+            decoded = self._decode_page_cached(page_no, page_bytes)
+            if len(decoded):
+                parts.append(decoded)
+        return self._checked(_frozen_concat(parts, dtype), run)
+
+    def _run_pages(self, run: StoredRun, lookup=None) -> Iterator[tuple[int, bytes]]:
+        """``(page number, bytes)`` of a group's pages, one disk run per extent.
+
+        Live reads go through :meth:`Disk.read_run`; with a snapshot
+        ``lookup`` they go through :meth:`Disk.read_run_at`.
+        """
         for extent in run.extents:
-            pages = self._disk.read_run_at(self._name, extent.start, extent.count, lookup)
-            for offset, page_bytes in enumerate(pages):
-                decoded = self._decode_page_cached(extent.start + offset, page_bytes)
-                if len(decoded):
-                    parts.append(decoded)
-        records = _frozen_concat(parts, dtype)
+            if lookup is None:
+                pages = self._disk.read_run(self._name, extent.start, extent.count)
+            else:
+                pages = self._disk.read_run_at(self._name, extent.start, extent.count, lookup)
+            yield from enumerate(pages, extent.start)
+
+    def _checked(self, records, run: StoredRun):
+        """The group's first ``run.n_records`` records; fewer decoded is corruption."""
         if len(records) < run.n_records:
             raise ValueError(
                 f"group in {self._name!r} is corrupt: expected {run.n_records} "

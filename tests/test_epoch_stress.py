@@ -32,6 +32,7 @@ import pytest
 
 from repro.bench.runner import generate_workload
 from repro.core.config import OdysseyConfig
+from repro.core.epoch import EpochManager
 from repro.core.odyssey import SpaceOdyssey
 from repro.data.suite import build_benchmark_suite
 from repro.storage.cost_model import DiskModel
@@ -67,6 +68,12 @@ def _workload(suite, n_queries: int, seed: int = 3, datasets_per_query: int = 2)
 CONFIG = OdysseyConfig(refinement_threshold=2.0, merge_threshold=1)
 
 
+def _start_epochs(engine: SpaceOdyssey, query) -> EpochManager:
+    """Run ``query`` as the engine's first snapshot read, which starts its epochs."""
+    engine.query_batch([query], snapshot=True)
+    return engine.epochs
+
+
 class TestStaleButConsistent:
     def test_pinned_epoch_serves_pre_adaptation_state(self):
         """Leaf runs of a pinned epoch decode to the records captured at
@@ -74,8 +81,7 @@ class TestStaleButConsistent:
         suite = _churny_suite()
         workload = _workload(suite, 40)
         engine = SpaceOdyssey(suite.fork().catalog, CONFIG)
-        engine.query(workload[0].box, workload[0].dataset_ids)  # init trees
-        manager = engine.epochs
+        manager = _start_epochs(engine, workload[0])  # also initialises the trees
         pinned = manager.pin()
         # Capture every pinned leaf run's records through the live path
         # (nothing has mutated yet, so this IS the pinned content).
@@ -124,10 +130,10 @@ class TestStaleButConsistent:
             merge_space_budget_pages=8,
         )
         engine = SpaceOdyssey(suite.fork().catalog, config)
-        manager = engine.epochs
+        manager = _start_epochs(engine, workload[0])
         pinned = None
         evictions_at_pin = 0
-        for query in workload:
+        for query in workload[1:]:
             engine.query(query.box, query.dataset_ids)
             if pinned is None and len(engine.merge_directory) > 0:
                 pinned = manager.pin()  # holds a merge file that will die
@@ -219,6 +225,8 @@ class TestConcurrentStress:
         assert not any(thread.is_alive() for thread in threads), "stress hung"
         assert not errors, f"concurrent stress raised: {errors!r}"
 
+        # The readers' first snapshot reads raced to start the epochs: one won.
+        assert engine.disk._snapshot_sinks == [engine.epochs]
         gauges = engine.epochs.gauges()
         assert gauges["pinned_readers"] == 0, "a pin leaked"
         assert gauges["live_epochs"] == 1, (
@@ -232,8 +240,7 @@ class TestRefcountDiscipline:
         suite = _churny_suite(objects=600)
         workload = _workload(suite, 10)
         engine = SpaceOdyssey(suite.fork().catalog, CONFIG)
-        engine.query(workload[0].box, workload[0].dataset_ids)
-        manager = engine.epochs
+        manager = _start_epochs(engine, workload[0])
         old = manager.pin()
         for query in workload[1:5]:
             engine.query(query.box, query.dataset_ids)
@@ -250,21 +257,84 @@ class TestRefcountDiscipline:
     def test_unbalanced_unpin_rejected(self):
         suite = _churny_suite(objects=300)
         engine = SpaceOdyssey(suite.fork().catalog, CONFIG)
-        manager = engine.epochs
+        manager = _start_epochs(engine, _workload(suite, 1)[0])
         epoch = manager.pin()
         manager.unpin(epoch)
         with pytest.raises(RuntimeError):
             manager.unpin(epoch)
 
-    def test_snapshot_reads_disabled_strips_machinery(self):
-        suite = _churny_suite(objects=300)
-        workload = _workload(suite, 4)
-        config = OdysseyConfig(snapshot_reads=False)
-        engine = SpaceOdyssey(suite.fork().catalog, config)
+
+
+class TestLazyEpochs:
+    def test_no_epoch_machinery_until_a_snapshot_read(self, monkeypatch):
+        """Live reads of every kind start nothing: no manager, no sink, no
+        publish, and no backend read beyond the charged reads and the
+        post-write re-caches.  The first snapshot read starts the epochs,
+        and from then on every commit publishes."""
+        suite = _churny_suite(objects=600)
+        workload = _workload(suite, 40)
+        engine = SpaceOdyssey(suite.fork().catalog, CONFIG)
+        disk = engine.disk
+        published: list[int] = []
+        publish = EpochManager.publish
+
+        def recording_publish(manager, trees, directory):
+            epoch = publish(manager, trees, directory)
+            published.append(epoch.epoch_id)
+            return epoch
+
+        monkeypatch.setattr(EpochManager, "publish", recording_publish)
+        backend_reads = []
+        backend_class = type(disk.backend)
+        read = backend_class.read
+
+        def counting_read(backend, name, page_no):
+            backend_reads.append((name, page_no))
+            return read(backend, name, page_no)
+
+        monkeypatch.setattr(backend_class, "read", counting_read)
+        start = disk.stats_snapshot()
+        for query in workload[:10]:
+            engine.query(query.box, query.dataset_ids)
+        engine.query_batch(workload[10:15])
+        engine.query_batch(workload[15:20], workers=2)
+        with engine.serve(max_batch=4, max_delay_ms=1) as service:
+            for submission in [service.submit(q.box, q.dataset_ids) for q in workload[20:25]]:
+                submission.result(timeout=60)
+        summary = engine.summary()
+        assert summary.queries_executed == 25
+        first_level = len(engine.trees) * CONFIG.partitions_per_level
+        assert summary.total_partitions > first_level, (
+            "the scenario never refined; the guard needs in-place overwrites"
+        )
         assert engine.epochs is None
-        result = engine.query_batch(workload)  # classic path still works
-        assert len(result.results) == len(workload)
-        with pytest.raises(RuntimeError):
-            engine.query_batch(workload, snapshot=True)
-        with pytest.raises(RuntimeError):
-            engine.prepare_batch(workload)
+        assert disk._snapshot_sinks == []
+        assert published == []
+        io = disk.stats_snapshot().delta_since(start)
+        assert len(backend_reads) == io.pages_read + io.pages_written
+
+        engine.query_batch(workload[25:28], snapshot=True)
+        manager = engine.epochs
+        assert manager is not None
+        assert disk._snapshot_sinks == [manager]
+        assert published and published == sorted(set(published))
+
+        def assert_published_since(last_id: int) -> int:
+            assert published[-1] > last_id
+            assert published == sorted(set(published))
+            return published[-1]
+
+        last = published[-1]
+        engine.query(workload[28].box, workload[28].dataset_ids)
+        last = assert_published_since(last)
+        engine.query_batch(workload[29:32])
+        last = assert_published_since(last)
+        engine.query_batch(workload[32:35], workers=2)
+        last = assert_published_since(last)
+        with engine.serve(max_batch=4, max_delay_ms=1) as service:
+            service.query(workload[35].box, workload[35].dataset_ids, timeout=60)
+        last = assert_published_since(last)
+        prepared = engine.prepare_batch(workload[36:38])
+        engine.commit_batch(prepared)
+        assert_published_since(last)
+        assert manager.current.epoch_id == published[-1]

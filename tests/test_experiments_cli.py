@@ -236,8 +236,9 @@ class TestOneInstrument:
 
 class TestRetiredModes:
     """The process executor, the sharded buffer pool, the two-in-flight
-    serving pipeline and the per-record engine switch are gone: naming one
-    of their options is a ``TypeError``, never a silently ignored knob.
+    serving pipeline, the per-record engine switch, the epoch switch and
+    the serving thread fan-out are gone: naming one of their options is a
+    ``TypeError``, never a silently ignored knob.
     The thread and epoch executor subclasses are gone too: one batch
     executor takes both choices as arguments.  The figure commands run
     one query at a time and take no batch or thread flags."""
@@ -253,9 +254,12 @@ class TestRetiredModes:
         [
             "config_batch_executor",
             "config_columnar",
+            "config_snapshot_reads",
             "query_batch_executor",
             "serve_pipeline",
             "service_pipeline",
+            "serve_workers",
+            "service_workers",
             "disk_buffer_shards",
             "suite_buffer_shards",
             "fork_buffer_shards",
@@ -272,11 +276,14 @@ class TestRetiredModes:
         calls = {
             "config_batch_executor": lambda: OdysseyConfig(batch_executor="thread"),
             "config_columnar": lambda: OdysseyConfig(columnar=False),
+            "config_snapshot_reads": lambda: OdysseyConfig(snapshot_reads=False),
             "query_batch_executor": lambda: engine.query_batch(
                 [(suite.universe, [0])], executor="thread"
             ),
             "serve_pipeline": lambda: engine.serve(pipeline=False),
             "service_pipeline": lambda: QueryService(engine, pipeline=False),
+            "serve_workers": lambda: engine.serve(workers=2),
+            "service_workers": lambda: QueryService(engine, workers=2),
             "disk_buffer_shards": lambda: Disk(buffer_shards=2),
             "suite_buffer_shards": lambda: build_benchmark_suite(
                 n_datasets=1, objects_per_dataset=10, buffer_shards=2

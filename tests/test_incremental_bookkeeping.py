@@ -248,12 +248,23 @@ def mixed_workload(suite, seed: int, n_triples: int, n_pairs: int, dataset_ids=N
     return queries
 
 
+def start_epochs(engine: SpaceOdyssey, query) -> None:
+    """Run ``query`` as a snapshot read: the engine's epochs, which the
+    checker compares with the live state, start with the first one."""
+    engine.query_batch([query], snapshot=True)
+
+
 def run_checked(
     engine: SpaceOdyssey, queries, tag: str, batch_every: int = 0
 ) -> BookkeepingChecker:
-    """Run ``queries`` one by one (or in small batches), checking after each step."""
+    """Run ``queries`` one by one (or in small batches), checking after each step.
+
+    The first query is a snapshot read, so every check covers the epochs.
+    """
     checker = BookkeepingChecker(engine, tag)
+    start_epochs(engine, queries[0])
     checker.check()
+    queries = queries[1:]
     if batch_every:
         for start in range(0, len(queries), batch_every):
             chunk = queries[start : start + batch_every]
@@ -326,7 +337,8 @@ def test_tight_budget_forces_evictions_and_remerges():
     merged_again = 0
     checker = BookkeepingChecker(engine, f"bookkeeping budget seed {seed}")
     evicted: set = set()
-    for box, ids in queries:
+    start_epochs(engine, queries[0])
+    for box, ids in queries[1:]:
         engine.query(box, ids)
         checker.check()
         report = engine.last_report

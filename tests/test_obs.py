@@ -423,8 +423,11 @@ class TestEngineTelemetry:
 
     def test_epoch_gauges_quiescent_and_pinned(self, suite, workload):
         engine = SpaceOdyssey(suite.fork().catalog)
-        for query in workload[:3]:
+        assert "epoch.live_epochs" not in engine.telemetry().gauges
+        assert engine.epochs is None  # telemetry observes; it never starts the epochs
+        for query in workload[:2]:
             engine.query(query.box, query.dataset_ids)
+        engine.query_batch(workload[2:3], snapshot=True)  # starts the epochs
         manager = engine.epochs
         gauges = manager.gauges()
         assert gauges == {

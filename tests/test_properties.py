@@ -701,10 +701,12 @@ class TestEpochProperties:
             DatasetCatalog([dataset]),
             OdysseyConfig(partitions_per_level=8, refinement_threshold=2.0),
         )
+        assert engine.epochs is None
+        engine.query_batch([(windows[0], [0])], snapshot=True)  # starts the epochs
         manager = engine.epochs
         pins = []
         last_id = manager.current.epoch_id
-        window_index = 0
+        window_index = 1
         for op in ops:
             if op == "query":
                 window = windows[window_index % len(windows)]

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import replace
 
 import pytest
 
@@ -196,19 +195,6 @@ class TestRecoveryParity:
 
         recovered = SpaceOdyssey.recover(path, backend=engine.disk.backend.clone())
         assert recovered.summary().queries_executed == len(workload)
-        assert adaptive_state(recovered) == adaptive_state(engine)
-        assert disk_files(recovered) == disk_files(engine)
-
-    def test_recover_with_snapshot_reads_disabled(self, base_suite, tmp_path):
-        config = replace(CONFIG, snapshot_reads=False)
-        workload = make_workload(base_suite, n=6)
-        path = tmp_path / "journal.log"
-        engine = SpaceOdyssey(base_suite.fork().catalog, config, journal=path)
-        for query in workload:
-            engine.query(query.box, query.dataset_ids)
-
-        recovered = SpaceOdyssey.recover(path, backend=engine.disk.backend.clone())
-        assert recovered.config == config
         assert adaptive_state(recovered) == adaptive_state(engine)
         assert disk_files(recovered) == disk_files(engine)
 
@@ -507,6 +493,47 @@ class TestRecoveryEdgeCases:
         assert recovered.summary() == summary
         first, *rest = recovered.journal.records()
         assert "columnar" not in first["config"] and rest == []
+        assert_matches_reference(recovered, reference, committed=committed)
+
+    @pytest.mark.parametrize("snapshot_reads", [False, True])
+    def test_version_2_journal_with_the_epoch_switch_recovers(
+        self, base_suite, reference, tmp_path, snapshot_reads
+    ):
+        # A version-2 header written while ``OdysseyConfig`` still had the
+        # epoch switch, either way.  Epochs now start with the first
+        # snapshot read, so recovery ignores the key and replays into an
+        # engine that has none.
+        workload = reference[0]
+        committed = 7
+        engine = SpaceOdyssey(
+            base_suite.fork().catalog, CONFIG, journal=tmp_path / "today.log"
+        )
+        for query in workload[:committed]:
+            engine.query(query.box, query.dataset_ids)
+        today = engine.journal.read_last()
+        survivor = engine.disk.backend.clone()
+        summary = engine.summary()
+        del engine
+        assert "snapshot_reads" not in today["config"]
+
+        header = {**today, "config": {**today["config"], "snapshot_reads": snapshot_reads}}
+        queries = today["queries"]
+        path = tmp_path / "epochs.log"
+        path.write_bytes(
+            framed({**header, "queries": queries[:3]})
+            + b"".join(
+                framed({"committed": n, "queries": [queries[n - 1]]})
+                for n in range(4, committed + 1)
+            )
+        )
+        assert ManifestJournal(path).read_last()["config"]["snapshot_reads"] is snapshot_reads
+
+        recovered = SpaceOdyssey.recover(path, backend=survivor)
+        assert recovered.summary() == summary
+        assert recovered.config == CONFIG
+        assert recovered.epochs is None
+        first, *rest = recovered.journal.records()
+        assert "snapshot_reads" not in first["config"] and rest == []
         assert_matches_reference(recovered, reference, committed=committed)
 
     def test_unsupported_manifest_version_raises(self, tmp_path):

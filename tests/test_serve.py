@@ -60,8 +60,6 @@ class TestSubmission:
         with pytest.raises(ValueError):
             QueryService(engine, max_delay_ms=-1)
         with pytest.raises(ValueError):
-            QueryService(engine, workers=0)
-        with pytest.raises(ValueError):
             QueryService(engine, max_pending=0)
 
 
@@ -193,7 +191,7 @@ class TestConcurrentClients:
         errors: list[BaseException] = []
         barrier = threading.Barrier(n_clients)
 
-        with engine.serve(max_batch=8, max_delay_ms=2, workers=2) as service:
+        with engine.serve(max_batch=8, max_delay_ms=2) as service:
 
             def client(index: int) -> None:
                 try:

@@ -40,7 +40,6 @@ def _serve_and_replay(
     *,
     max_batch: int,
     max_delay_ms: float,
-    workers: int | None,
 ) -> None:
     """Serve per-client workloads concurrently, then replay in seq order."""
     served = SpaceOdyssey(suite.fork().catalog, config)
@@ -48,11 +47,7 @@ def _serve_and_replay(
     errors: list[BaseException] = []
     barrier = threading.Barrier(len(workloads))
 
-    with served.serve(
-        max_batch=max_batch,
-        max_delay_ms=max_delay_ms,
-        workers=workers,
-    ) as service:
+    with served.serve(max_batch=max_batch, max_delay_ms=max_delay_ms) as service:
 
         def client(index: int) -> None:
             try:
@@ -106,10 +101,8 @@ def _split_workload(workload, n_clients: int):
     return [queries[index::n_clients] for index in range(n_clients)]
 
 
-@pytest.mark.parametrize("n_clients,max_batch,workers", [(1, 4, None), (4, 8, 2)])
-def test_uniform_serving_matches_sequential_arrival_order(
-    serve_suite, n_clients, max_batch, workers
-):
+@pytest.mark.parametrize("n_clients,max_batch", [(1, 4), (4, 8)])
+def test_uniform_serving_matches_sequential_arrival_order(serve_suite, n_clients, max_batch):
     workload = generate_workload(
         serve_suite.universe,
         serve_suite.catalog.dataset_ids(),
@@ -125,7 +118,6 @@ def test_uniform_serving_matches_sequential_arrival_order(
         OdysseyConfig(),
         max_batch=max_batch,
         max_delay_ms=2.0,
-        workers=workers,
     )
 
 
@@ -155,6 +147,5 @@ def test_merge_heavy_serving_matches_sequential_arrival_order(serve_suite):
         config,
         max_batch=8,
         max_delay_ms=1.0,
-        workers=2,
     )
 

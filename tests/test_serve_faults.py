@@ -54,13 +54,13 @@ class FlakyEngine:
         self.engine_calls += 1
         return self._engine.query(box, dataset_ids)
 
-    def query_batch(self, queries, workers=None):
+    def query_batch(self, queries):
         if self.armed_error is not None:
             raise self.armed_error
         if self.batch_error is not None:
             raise self.batch_error
         self.engine_calls += 1
-        return self._engine.query_batch(queries, workers=workers)
+        return self._engine.query_batch(queries)
 
 
 BOX = Box((100.0, 100.0, 100.0), (1000.0, 1000.0, 1000.0))

@@ -19,7 +19,6 @@ from repro.storage.codec import (
     encode_page,
     page_checksum,
     page_header_fields,
-    paginate,
     paginate_bytes_compressed,
     records_per_page,
 )
@@ -32,6 +31,15 @@ from repro.storage.pagedfile import PageExtent, PagedFile, StoredRun
 @pytest.fixture
 def int_codec() -> FixedRecordCodec[int]:
     return FixedRecordCodec("<q", lambda value: (value,), lambda fields: fields[0])
+
+
+def encode_chunks(codec, records: list, page_size: int) -> list[bytes]:
+    """``records`` as plain pages: one ``encode_page`` per page-sized chunk."""
+    capacity = records_per_page(codec.record_size, page_size)
+    return [
+        encode_page(codec, records[start : start + capacity], page_size)
+        for start in range(0, len(records), capacity)
+    ]
 
 
 class TestFixedRecordCodec:
@@ -85,16 +93,19 @@ class TestPagePacking:
         with pytest.raises(ValueError):
             encode_page(int_codec, too_many, 256)
 
-    def test_paginate_fills_pages(self, int_codec):
+    def test_page_chunks_roundtrip(self, int_codec):
         capacity = records_per_page(8, 256)
         records = list(range(capacity * 2 + 3))
-        pages = paginate(int_codec, records, 256)
+        pages = encode_chunks(int_codec, records, 256)
         assert len(pages) == 3
+        assert [page_header_fields(page)[0] for page in pages] == [capacity, capacity, 3]
         decoded = [record for page in pages for record in decode_page(int_codec, page)]
         assert decoded == records
 
-    def test_paginate_empty(self, int_codec):
-        assert paginate(int_codec, [], 256) == []
+    def test_empty_page_roundtrip(self, int_codec):
+        page = encode_page(int_codec, [], 256)
+        assert page_header_fields(page) == (0, 0)
+        assert decode_page(int_codec, page) == []
 
 
 class TestPageCompression:
@@ -122,7 +133,7 @@ class TestPageCompression:
     def test_a_zlib_page_holds_one_page_of_records(self, int_codec):
         records = list(range(2000))  # small ints: highly compressible
         data = b"".join(int_codec.pack(r) for r in records)
-        plain = paginate(int_codec, records, 256)
+        plain = encode_chunks(int_codec, records, 256)
         compressed = paginate_bytes_compressed(data, int_codec.record_size, 256, "zlib")
         fields = [page_header_fields(page) for page in compressed]
         assert {codec_id for _, codec_id in fields} == {1}

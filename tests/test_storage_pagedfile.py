@@ -79,11 +79,6 @@ class TestAppendAndRead:
         run_b = int_file.append_group([3, 4])
         assert set(run_a.page_numbers()).isdisjoint(run_b.page_numbers())
 
-    def test_read_groups_concatenates(self, int_file):
-        run_a = int_file.append_group([1, 2])
-        run_b = int_file.append_group([3])
-        assert sorted(int_file.read_groups([run_a, run_b])) == [1, 2, 3]
-
     def test_scan_returns_everything(self, int_file):
         int_file.append_group(list(range(100)))
         int_file.append_group(list(range(100, 150)))
