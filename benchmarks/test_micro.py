@@ -20,7 +20,7 @@ import pytest
 
 from repro.baselines.grid import GridIndex
 from repro.baselines.rtree import STRRTree
-from repro.baselines.str_packing import str_sort_tile
+from repro.baselines.str_packing import record_centers, str_sort_tile
 from repro.bench.runner import generate_workload
 from repro.core.adaptor import Adaptor
 from repro.core.config import OdysseyConfig
@@ -68,9 +68,10 @@ def test_encode_decode_page(benchmark, objects):
 
 
 @pytest.mark.benchmark(group="micro-str")
-def test_str_sort_tile_5k_objects(benchmark, objects):
-    leaves = benchmark(lambda: str_sort_tile(objects, leaf_capacity=63))
-    assert sum(len(leaf) for leaf in leaves) == len(objects)
+def test_str_sort_tile_5k_objects(benchmark, universe):
+    centers = record_centers(NeuroscienceDatasetGenerator(universe, seed=3).object_array(0, 5_000))
+    leaves = benchmark(lambda: str_sort_tile(centers, leaf_capacity=63))
+    assert sum(len(leaf) for leaf in leaves) == len(centers)
 
 
 @pytest.mark.benchmark(group="micro-generator")

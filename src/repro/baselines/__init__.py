@@ -16,6 +16,15 @@ indexes, each wrapped in one or both of two multi-dataset strategies:
 The strategies are *one-for-each* (1fE: one index per dataset, probe the
 queried ones) and *all-in-one* (Ain1: one index over all objects, filter by
 dataset id), implemented in :mod:`repro.baselines.strategies`.
+
+All of them run on the engine's record surface: builds read raw files with
+``Dataset.scan_arrays``, leaves, nodes and links are structured arrays
+written with ``append_group_array`` and read back page by page as arrays,
+and every test of a page, a region or a record set is ``intersect_mask``.
+An index answers with the selected records; the approach builds a
+``SpatialObject`` only for the rows it returns.  The per-object
+implementations they replaced are kept in ``tests/baseline_reference.py``
+as the reference models.
 """
 
 from repro.baselines.flat import FLATIndex

@@ -27,23 +27,38 @@ Implementation notes
 * Because regions tile the space, the set of regions intersecting any box is
   face-connected, so a breadth-first crawl from the seed cannot miss any of
   them.
+* Leaves, seed-tree nodes and adjacency links are structured arrays: the
+  tiling sorts centre columns, the pages are written with
+  ``append_group_array``, and a query tests the regions, each seed page and
+  the crawled leaves with ``intersect_mask``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from repro.baselines.interface import SingleCollectionIndex
-from repro.baselines.rtree import NodeEntry, node_entry_codec
-from repro.baselines.str_packing import charge_external_sort, group_consecutive
+import numpy as np
+
+from repro.baselines.interface import (
+    SingleCollectionIndex,
+    concat_records,
+    intersecting,
+    max_extents,
+    scan_records,
+)
+from repro.baselines.rtree import build_upper_levels, node_entry_dtype
+from repro.baselines.str_packing import charge_external_sort, record_centers, sort_rows
 from repro.data.dataset import Dataset
-from repro.data.spatial_object import SpatialObject, spatial_object_codec
+from repro.data.spatial_object import spatial_object_codec
 from repro.geometry.box import Box
-from repro.storage.codec import FixedRecordCodec, records_per_page
+from repro.geometry.vectorized import boxes_to_arrays, intersect_mask
+from repro.storage.codec import ArrayCodec, records_per_page
 from repro.storage.disk import Disk
 from repro.storage.pagedfile import PagedFile
+
+#: One directed neighbourhood link between two leaf regions (16 bytes).
+ADJACENCY_DTYPE = np.dtype([("leaf", "<i8"), ("neighbor", "<i8")])
 
 
 # --------------------------------------------------------------------------- #
@@ -52,44 +67,41 @@ from repro.storage.pagedfile import PagedFile
 
 
 def tile_with_regions(
-    objects: Sequence[SpatialObject],
+    centers: np.ndarray,
     leaf_capacity: int,
     universe: Box,
-) -> list[tuple[list[SpatialObject], Box]]:
-    """STR-tile ``objects`` and compute a covering region per leaf.
+) -> list[tuple[np.ndarray, Box]]:
+    """STR-tile rows by their ``(n, d)`` ``centers`` and give each leaf a region.
 
-    The regions partition ``universe`` exactly (no gaps, no overlaps except
-    shared faces) and every object's centre lies inside its leaf's region.
-    Splits are placed halfway between the bordering objects' centres.
+    Each leaf is an array of row indices.  The regions partition
+    ``universe`` exactly (no gaps, no overlaps except shared faces) and
+    every row's centre lies inside its leaf's region.  Splits are placed
+    halfway between the bordering rows' centres.
     """
     if leaf_capacity < 1:
         raise ValueError("leaf_capacity must be >= 1")
-    objects = list(objects)
-    if not objects:
-        return [([], universe)]
+    if not len(centers):
+        return [(np.empty(0, dtype=np.intp), universe)]
     dimension = universe.dimension
 
-    def tile(chunk: list[SpatialObject], axis: int, region: Box) -> Iterator[tuple[list[SpatialObject], Box]]:
+    def tile(rows: np.ndarray, axis: int, region: Box) -> Iterator[tuple[np.ndarray, Box]]:
         remaining_dims = dimension - axis
-        if len(chunk) <= leaf_capacity or remaining_dims == 0:
-            yield chunk, region
+        if len(rows) <= leaf_capacity or remaining_dims == 0:
+            yield rows, region
             return
-        chunk.sort(key=lambda obj: obj.center[axis])
-        n_leaves = -(-len(chunk) // leaf_capacity)
+        rows = sort_rows(rows, centers, axis)
+        n_leaves = -(-len(rows) // leaf_capacity)
         if axis == dimension - 1:
             slabs = n_leaves
         else:
             slabs = max(1, round(n_leaves ** (1.0 / remaining_dims)))
-        slab_size = -(-len(chunk) // slabs)
-        pieces: list[list[SpatialObject]] = [
-            chunk[start : start + slab_size] for start in range(0, len(chunk), slab_size)
-        ]
-        pieces = [piece for piece in pieces if piece]
+        slab_size = -(-len(rows) // slabs)
+        pieces = [rows[start : start + slab_size] for start in range(0, len(rows), slab_size)]
         # Region boundaries along this axis: midpoints between the last
         # centre of one slab and the first centre of the next.
         cuts: list[float] = [region.lo[axis]]
         for left, right in zip(pieces, pieces[1:]):
-            boundary = (left[-1].center[axis] + right[0].center[axis]) / 2.0
+            boundary = (centers[left[-1], axis].item() + centers[right[0], axis].item()) / 2.0
             boundary = min(max(boundary, region.lo[axis]), region.hi[axis])
             boundary = max(boundary, cuts[-1])
             cuts.append(boundary)
@@ -105,29 +117,7 @@ def tile_with_regions(
             else:
                 yield from tile(piece, axis + 1, sub_region)
 
-    return list(tile(objects, 0, universe))
-
-
-# --------------------------------------------------------------------------- #
-# Adjacency records
-# --------------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True, slots=True)
-class AdjacencyRecord:
-    """One directed neighbourhood link between two leaf regions."""
-
-    leaf: int
-    neighbor: int
-
-
-def adjacency_codec() -> FixedRecordCodec[AdjacencyRecord]:
-    """Codec for neighbourhood links (16 bytes per link)."""
-    return FixedRecordCodec(
-        "<qq",
-        lambda rec: (rec.leaf, rec.neighbor),
-        lambda fields: AdjacencyRecord(leaf=fields[0], neighbor=fields[1]),
-    )
+    return list(tile(np.arange(len(centers)), 0, universe))
 
 
 def compute_region_adjacency(regions: Sequence[Box], bins_per_dim: int = 16) -> dict[int, set[int]]:
@@ -184,20 +174,14 @@ class FLATIndex(SingleCollectionIndex):
         self._dimension = universe.dimension
         self._build_memory_pages = build_memory_pages
         obj_codec = spatial_object_codec(self._dimension)
-        self._leaf_file: PagedFile[SpatialObject] = PagedFile(
-            disk, f"flat/{name}.leaves", obj_codec
-        )
-        self._adj_file: PagedFile[AdjacencyRecord] = PagedFile(
-            disk, f"flat/{name}.adjacency", adjacency_codec()
-        )
-        self._seed_file: PagedFile[NodeEntry] = PagedFile(
-            disk, f"flat/{name}.seeds", node_entry_codec(self._dimension)
-        )
+        self._leaf_file = PagedFile(disk, f"flat/{name}.leaves", obj_codec)
+        self._adj_file = PagedFile(disk, f"flat/{name}.adjacency", ArrayCodec(ADJACENCY_DTYPE))
+        seed_codec = ArrayCodec(node_entry_dtype(self._dimension))
+        self._seed_file = PagedFile(disk, f"flat/{name}.seeds", seed_codec)
         self._leaf_capacity = records_per_page(obj_codec.record_size, disk.page_size)
-        self._fanout = records_per_page(
-            node_entry_codec(self._dimension).record_size, disk.page_size
-        )
+        self._fanout = records_per_page(seed_codec.record_size, disk.page_size)
         self._regions: list[Box] = []
+        self._region_lo, self._region_hi = boxes_to_arrays([], self._dimension)
         self._leaf_pages: list[int] = []
         self._adjacency: dict[int, set[int]] = {}
         self._max_extent: tuple[float, ...] = (0.0,) * self._dimension
@@ -248,133 +232,108 @@ class FLATIndex(SingleCollectionIndex):
         """Bulk load FLAT: pack leaves, compute neighbourhoods, build seeds."""
         if self._built:
             raise RuntimeError("FLAT is already built")
-        objects: list[SpatialObject] = []
-        raw_pages = 0
-        for dataset in datasets:
-            objects.extend(dataset.scan())
-            raw_pages += dataset.size_pages()
-        self._n_objects = len(objects)
-        max_extent = [0.0] * self._dimension
-        for obj in objects:
-            for axis, extent in enumerate(obj.box.extents):
-                if extent > max_extent[axis]:
-                    max_extent[axis] = extent
-        self._max_extent = tuple(max_extent)
+        records, raw_pages = scan_records(datasets, self._leaf_file.dtype)
+        self._n_objects = len(records)
+        self._max_extent = max_extents(records)
         # Phase 1: external STR sort + leaf packing (same cost as the R-tree).
         charge_external_sort(
             self._disk,
             data_pages=raw_pages,
             memory_pages=self._build_memory_pages,
             n_phases=self._dimension,
-            records=len(objects),
+            records=len(records),
         )
-        tiles = tile_with_regions(objects, self._leaf_capacity, self._universe)
+        tiles = tile_with_regions(record_centers(records), self._leaf_capacity, self._universe)
         self._regions = [region for _, region in tiles]
-        for leaf_objects, _ in tiles:
-            run = self._leaf_file.append_group(leaf_objects)
-            if run.extents:
-                self._leaf_pages.append(run.extents[0].start)
-            else:
-                # Empty leaf (only possible for an empty collection): mark it
-                # with a sentinel so region/page lists stay aligned without
-                # ever reading a non-existent page.
-                self._leaf_pages.append(-1)
+        self._region_lo, self._region_hi = boxes_to_arrays(self._regions)
+        for rows, _ in tiles:
+            run = self._leaf_file.append_group_array(records[rows])
+            # An empty leaf (only possible for an empty collection) gets a
+            # sentinel so region/page lists stay aligned without ever
+            # reading a non-existent page.
+            self._leaf_pages.append(run.extents[0].start if run.extents else -1)
         # Phase 2: neighbourhood computation.  FLAT re-reads the packed
         # leaves to derive the region graph and writes the adjacency pages.
         for page in self._leaf_pages:
             if page >= 0:
-                self._leaf_file.read_page_records(page)
+                self._leaf_file.read_page_array(page)
         self._adjacency = compute_region_adjacency(self._regions)
-        links = [
-            AdjacencyRecord(leaf=leaf, neighbor=neighbor)
-            for leaf, neighbors in self._adjacency.items()
-            for neighbor in sorted(neighbors)
-        ]
+        links = np.array(
+            [
+                (leaf, neighbor)
+                for leaf, neighbors in self._adjacency.items()
+                for neighbor in sorted(neighbors)
+            ],
+            dtype=ADJACENCY_DTYPE,
+        )
         pair_checks = sum(len(n) for n in self._adjacency.values()) + len(self._regions)
         self._disk.charge_cpu_records(pair_checks * 4)
-        if links:
-            self._adj_file.append_group(links)
+        if len(links):
+            self._adj_file.append_group_array(links)
         # Phase 3: the seed index — a small STR-style tree over the regions.
-        entries = [
-            NodeEntry(child_page=page, child_is_leaf=True, box=region)
-            for page, region in zip(self._leaf_pages, self._regions)
-        ]
-        if not entries:
-            self._root_page = None
-            self._built = True
-            return
-        while len(entries) > 1:
-            next_entries: list[NodeEntry] = []
-            for group in group_consecutive(entries, self._fanout):
-                run = self._seed_file.append_group(group)
-                page = run.extents[0].start
-                next_entries.append(
-                    NodeEntry(
-                        child_page=page,
-                        child_is_leaf=False,
-                        box=Box.bounding([entry.box for entry in group]),
-                    )
-                )
-            entries = next_entries
-        root = entries[0]
-        self._root_page = root.child_page
-        self._root_is_leaf_level = root.child_is_leaf
+        entries = np.zeros(len(self._leaf_pages), dtype=self._seed_file.dtype)
+        entries["child_page"] = self._leaf_pages
+        entries["is_leaf"] = 1
+        entries["lo"] = self._region_lo
+        entries["hi"] = self._region_hi
+        root, _ = build_upper_levels(self._seed_file, entries, self._fanout)
+        self._root_page = int(root["child_page"])
+        self._root_is_leaf_level = bool(root["is_leaf"])
         self._built = True
 
     # ------------------------------------------------------------------ #
     # Query
     # ------------------------------------------------------------------ #
 
-    def query(self, box: Box) -> list[SpatialObject]:
-        """Seed-and-crawl range search."""
+    def query_records(self, box: Box) -> np.ndarray:
+        """Seed-and-crawl range search.
+
+        One mask tests every region against the extended window; the crawl
+        then reads leaves breadth first from the seed, and the leaves it
+        read are filtered together, so hits come in crawl order.
+        """
         if not self._built:
             raise RuntimeError("FLAT must be built before querying")
-        if self._root_page is None or not self._regions:
-            return []
         extended = box.expand(self._max_extent).clamp(self._universe)
-        seed = self._find_seed(extended)
-        if seed is None:
-            return []
-        results: list[SpatialObject] = []
+        in_window = intersect_mask(
+            extended.lo, extended.hi, self._region_lo, self._region_hi
+        ).tolist()
+        seed = self._find_seed(extended, in_window)
+        leaves: list[np.ndarray] = []
         examined = 0
-        visited: set[int] = set()
-        frontier: deque[int] = deque([seed])
-        visited.add(seed)
-        while frontier:
-            leaf = frontier.popleft()
-            leaf_page = self._leaf_pages[leaf]
-            leaf_objects = (
-                self._leaf_file.read_page_records(leaf_page) if leaf_page >= 0 else []
-            )
-            for obj in leaf_objects:
-                examined += 1
-                if obj.intersects(box):
-                    results.append(obj)
-            for neighbor in self._adjacency.get(leaf, ()):  # crawl the links
-                if neighbor in visited:
-                    continue
-                examined += 1
-                if self._regions[neighbor].intersects(extended):
-                    visited.add(neighbor)
-                    frontier.append(neighbor)
-        self._disk.charge_cpu_records(examined)
-        return results
+        if seed is not None:
+            visited = {seed}
+            frontier: deque[int] = deque([seed])
+            while frontier:
+                leaf = frontier.popleft()
+                leaf_page = self._leaf_pages[leaf]
+                if leaf_page >= 0:
+                    records = self._leaf_file.read_page_array(leaf_page)
+                    leaves.append(records)
+                    examined += len(records)
+                for neighbor in self._adjacency.get(leaf, ()):  # crawl the links
+                    if neighbor in visited:
+                        continue
+                    examined += 1
+                    if in_window[neighbor]:
+                        visited.add(neighbor)
+                        frontier.append(neighbor)
+            self._disk.charge_cpu_records(examined)
+        return intersecting(concat_records(leaves, self._leaf_file.dtype), box)
 
-    def _find_seed(self, extended: Box) -> int | None:
+    def _find_seed(self, extended: Box, in_window: list[bool]) -> int | None:
         """Locate one region intersecting the extended query via the seed tree."""
         if self._root_is_leaf_level:
             # A single leaf: the root entry points directly at it.
-            return 0 if self._regions[0].intersects(extended) else None
-        page_to_leaf = {page: index for index, page in enumerate(self._leaf_pages)}
+            return 0 if in_window[0] else None
         stack: list[int] = [self._root_page]
         while stack:
-            page = stack.pop()
-            for entry in self._seed_file.read_page_records(page):
-                if not entry.box.intersects(extended):
-                    continue
-                if entry.child_is_leaf:
-                    return page_to_leaf[entry.child_page]
-                stack.append(entry.child_page)
+            entries = self._seed_file.read_page_array(stack.pop())
+            hits = intersecting(entries, extended)
+            for child_page, is_leaf in zip(hits["child_page"].tolist(), hits["is_leaf"].tolist()):
+                if is_leaf:
+                    return self._leaf_pages.index(child_page)
+                stack.append(child_page)
         return None
 
     # ------------------------------------------------------------------ #
@@ -387,6 +346,7 @@ class FLATIndex(SingleCollectionIndex):
         self._adj_file.delete()
         self._seed_file.delete()
         self._regions = []
+        self._region_lo, self._region_hi = boxes_to_arrays([], self._dimension)
         self._leaf_pages = []
         self._adjacency = {}
         self._root_page = None

@@ -10,29 +10,30 @@ technique Space Odyssey uses).
 Build behaviour follows the paper: objects are assigned to cells in memory
 and flushed to disk whenever the memory buffer fills up, so a cell may end
 up scattered over several page runs (the price of a bounded build memory
-budget).
+budget).  Each buffer is assigned with ``grid_child_indices`` and written
+with one stable argsort by cell; a query reads its cells' runs as
+structured arrays and filters them with one mask.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.baselines.interface import SingleCollectionIndex
+import numpy as np
+
+from repro.baselines.interface import (
+    SingleCollectionIndex,
+    concat_records,
+    intersecting,
+    max_extents,
+)
+from repro.baselines.str_packing import record_centers
 from repro.data.dataset import Dataset
-from repro.data.spatial_object import SpatialObject, spatial_object_codec
+from repro.data.spatial_object import spatial_object_codec
 from repro.geometry.box import Box
+from repro.geometry.vectorized import grid_child_indices
 from repro.storage.disk import Disk
 from repro.storage.pagedfile import PagedFile, StoredRun
-
-
-@dataclass
-class _CellState:
-    """Where one grid cell's objects live on disk."""
-
-    runs: list[StoredRun] = field(default_factory=list)
-    n_objects: int = 0
 
 
 class GridIndex(SingleCollectionIndex):
@@ -79,8 +80,8 @@ class GridIndex(SingleCollectionIndex):
             raise ValueError("cells_per_dim entries must be >= 1")
         self._build_buffer_objects = build_buffer_objects
         codec = spatial_object_codec(universe.dimension)
-        self._file: PagedFile[SpatialObject] = PagedFile(disk, f"grid/{name}.cells", codec)
-        self._cells: dict[int, _CellState] = {}
+        self._file = PagedFile(disk, f"grid/{name}.cells", codec)
+        self._cells: dict[int, list[StoredRun]] = {}  # cell -> runs, in flush order
         self._max_extent: tuple[float, ...] = (0.0,) * universe.dimension
         self._built = False
         self._n_objects = 0
@@ -136,61 +137,60 @@ class GridIndex(SingleCollectionIndex):
         Cells are buffered in memory and flushed (appended to the cell
         file) whenever ``build_buffer_objects`` objects are pending, so the
         build makes a single sequential pass over the input and mostly
-        sequential writes to the output.
+        sequential writes to the output.  A flush happens as soon as the
+        buffer fills, before the next chunk of the scan is read.
         """
         if self._built:
             raise RuntimeError("grid is already built")
-        buffer: dict[int, list[SpatialObject]] = defaultdict(list)
-        buffered = 0
-        max_extent = [0.0] * self._universe.dimension
+        buffer = np.empty(0, dtype=self._file.dtype)
+        max_extent = (0.0,) * self._universe.dimension
         for dataset in datasets:
-            for obj in dataset.scan():
-                cell = self._universe.child_index(obj.center, self._cells_per_dim)
-                buffer[cell].append(obj)
-                buffered += 1
-                self._n_objects += 1
-                for axis, extent in enumerate(obj.box.extents):
-                    if extent > max_extent[axis]:
-                        max_extent[axis] = extent
-                if buffered >= self._build_buffer_objects:
-                    self._flush(buffer)
-                    buffer = defaultdict(list)
-                    buffered = 0
-        if buffered:
+            for chunk in dataset.scan_arrays():
+                self._n_objects += len(chunk)
+                max_extent = tuple(map(max, max_extent, max_extents(chunk)))
+                buffer = np.concatenate([buffer, chunk])
+                while len(buffer) >= self._build_buffer_objects:
+                    self._flush(buffer[: self._build_buffer_objects])
+                    buffer = buffer[self._build_buffer_objects :]
+        if len(buffer):
             self._flush(buffer)
         self._disk.charge_cpu_records(self._n_objects)
-        self._max_extent = tuple(max_extent)
+        self._max_extent = max_extent
         self._built = True
 
-    def _flush(self, buffer: dict[int, list[SpatialObject]]) -> None:
-        for cell in sorted(buffer):
-            run = self._file.append_group(buffer[cell])
-            state = self._cells.setdefault(cell, _CellState())
-            state.runs.append(run)
-            state.n_objects += run.n_records
+    def _flush(self, records: np.ndarray) -> None:
+        """Append one buffer's records, cell by cell in ascending cell order."""
+        cells = grid_child_indices(
+            record_centers(records), self._universe.lo, self._universe.hi, self._cells_per_dim
+        )
+        order = np.argsort(cells, kind="stable")
+        cells = cells[order]
+        records = records[order]
+        bounds = np.flatnonzero(np.diff(cells)) + 1
+        for start, end in zip([0, *bounds.tolist()], [*bounds.tolist(), len(cells)]):
+            run = self._file.append_group_array(records[start:end])
+            self._cells.setdefault(int(cells[start]), []).append(run)
 
     # ------------------------------------------------------------------ #
     # Query
     # ------------------------------------------------------------------ #
 
-    def query(self, box: Box) -> list[SpatialObject]:
-        """Read every cell the extended query overlaps and filter exactly."""
+    def query_records(self, box: Box) -> np.ndarray:
+        """Read every cell the extended query overlaps and filter exactly.
+
+        Cells are read in row-major order and each cell's runs in flush
+        order; the records read are filtered together at the end.
+        """
         if not self._built:
             raise RuntimeError("grid must be built before querying")
         extended = box.expand(self._max_extent).clamp(self._universe)
-        results: list[SpatialObject] = []
-        examined = 0
+        parts: list[np.ndarray] = []
         for cell in self._universe.grid_cells_overlapping(extended, self._cells_per_dim):
-            state = self._cells.get(cell)
-            if state is None:
-                continue
-            for run in state.runs:
-                for obj in self._file.read_group(run):
-                    examined += 1
-                    if obj.intersects(box):
-                        results.append(obj)
-        self._disk.charge_cpu_records(examined)
-        return results
+            for run in self._cells.get(cell, ()):
+                parts.append(self._file.read_group_array(run))
+        records = concat_records(parts, self._file.dtype)
+        self._disk.charge_cpu_records(len(records))
+        return intersecting(records, box)
 
     # ------------------------------------------------------------------ #
     # Maintenance

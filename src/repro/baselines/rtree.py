@@ -11,47 +11,77 @@ Build cost = one sequential scan of the raw data + the external-sort passes
 STR needs (one sort phase per dimension, charged through
 :func:`repro.baselines.str_packing.charge_external_sort`) + sequential
 writes of the leaf and node pages.
+
+Leaves and nodes are structured arrays end to end: a leaf is a slice of the
+scanned records, a node page is an array of :func:`node_entry_dtype`, and a
+query tests each page it reads with one ``intersect_mask``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from repro.baselines.interface import SingleCollectionIndex
-from repro.baselines.str_packing import charge_external_sort, group_consecutive, str_sort_tile
+import numpy as np
+
+from repro.baselines.interface import (
+    SingleCollectionIndex,
+    concat_records,
+    intersecting,
+    scan_records,
+)
+from repro.baselines.str_packing import charge_external_sort, record_centers, str_sort_tile
 from repro.data.dataset import Dataset
-from repro.data.spatial_object import SpatialObject, spatial_object_codec
+from repro.data.spatial_object import spatial_object_codec
 from repro.geometry.box import Box
-from repro.storage.codec import FixedRecordCodec, records_per_page
+from repro.storage.codec import ArrayCodec, records_per_page
 from repro.storage.disk import Disk
 from repro.storage.pagedfile import PagedFile
 
 
-@dataclass(frozen=True, slots=True)
-class NodeEntry:
-    """One entry of an internal node: a child page reference and its MBR."""
+def node_entry_dtype(dimension: int) -> np.dtype:
+    """One internal-node entry: child page, leaf flag and the child's MBR.
 
-    child_page: int
-    child_is_leaf: bool
-    box: Box
+    The layout is the ``struct`` format ``<qq`` + ``d`` × 2·dimension
+    (64 bytes in 3-D): ``is_leaf`` is 1 when the child is a leaf page.
+    """
+    return np.dtype(
+        [
+            ("child_page", "<i8"),
+            ("is_leaf", "<i8"),
+            ("lo", "<f8", (dimension,)),
+            ("hi", "<f8", (dimension,)),
+        ]
+    )
 
 
-def node_entry_codec(dimension: int) -> FixedRecordCodec[NodeEntry]:
-    """Fixed-size codec for internal-node entries (64 bytes in 3-D)."""
-    fmt = "<qq" + "d" * (2 * dimension)
+def build_upper_levels(
+    file: PagedFile, entries: np.ndarray, fanout: int
+) -> tuple[np.ndarray, int]:
+    """Write node pages bottom-up until one entry is left; return it and the levels.
 
-    def to_fields(entry: NodeEntry) -> tuple:
-        return (entry.child_page, 1 if entry.child_is_leaf else 0, *entry.box.lo, *entry.box.hi)
+    ``entries`` point at the level below in packing order; consecutive
+    runs of ``fanout`` entries become one node page each, whose entry one
+    level up carries the page number and the bounding box of its children.
+    """
+    levels = 0
+    while len(entries) > 1:
+        groups = [entries[start : start + fanout] for start in range(0, len(entries), fanout)]
+        pages = [file.append_group_array(group).extents[0].start for group in groups]
+        entries = node_entries(entries.dtype, pages, groups, is_leaf=False)
+        levels += 1
+    return entries[0], levels
 
-    def from_fields(fields: tuple) -> NodeEntry:
-        child_page, is_leaf = fields[0], bool(fields[1])
-        coords = fields[2:]
-        lo = tuple(coords[:dimension])
-        hi = tuple(coords[dimension:])
-        return NodeEntry(child_page=child_page, child_is_leaf=is_leaf, box=Box(lo, hi))
 
-    return FixedRecordCodec(fmt, to_fields, from_fields)
+def node_entries(
+    dtype: np.dtype, pages: list[int], children: list[np.ndarray], is_leaf: bool
+) -> np.ndarray:
+    """One entry per child page: its page number, leaf flag and bounding box."""
+    entries = np.zeros(len(pages), dtype=dtype)
+    entries["child_page"] = pages
+    entries["is_leaf"] = int(is_leaf)
+    entries["lo"] = [child["lo"].min(axis=0) for child in children]
+    entries["hi"] = [child["hi"].max(axis=0) for child in children]
+    return entries
 
 
 class STRRTree(SingleCollectionIndex):
@@ -83,16 +113,11 @@ class STRRTree(SingleCollectionIndex):
         self._dimension = universe.dimension
         self._build_memory_pages = build_memory_pages
         obj_codec = spatial_object_codec(self._dimension)
-        self._leaf_file: PagedFile[SpatialObject] = PagedFile(
-            disk, f"rtree/{name}.leaves", obj_codec
-        )
-        self._node_file: PagedFile[NodeEntry] = PagedFile(
-            disk, f"rtree/{name}.nodes", node_entry_codec(self._dimension)
-        )
+        self._leaf_file = PagedFile(disk, f"rtree/{name}.leaves", obj_codec)
+        node_codec = ArrayCodec(node_entry_dtype(self._dimension))
+        self._node_file = PagedFile(disk, f"rtree/{name}.nodes", node_codec)
         self._leaf_capacity = records_per_page(obj_codec.record_size, disk.page_size)
-        self._fanout = records_per_page(
-            node_entry_codec(self._dimension).record_size, disk.page_size
-        )
+        self._fanout = records_per_page(node_codec.record_size, disk.page_size)
         self._root_page: int | None = None
         self._root_is_leaf = False
         self._height = 0
@@ -136,82 +161,56 @@ class STRRTree(SingleCollectionIndex):
         """Bulk load the tree from the raw files of ``datasets``."""
         if self._built:
             raise RuntimeError("R-tree is already built")
-        objects: list[SpatialObject] = []
-        raw_pages = 0
-        for dataset in datasets:
-            objects.extend(dataset.scan())
-            raw_pages += dataset.size_pages()
-        self._n_objects = len(objects)
+        records, raw_pages = scan_records(datasets, self._leaf_file.dtype)
+        self._n_objects = len(records)
         charge_external_sort(
             self._disk,
             data_pages=raw_pages,
             memory_pages=self._build_memory_pages,
             n_phases=self._dimension,
-            records=len(objects),
+            records=len(records),
         )
-        leaves = str_sort_tile(objects, self._leaf_capacity, self._dimension)
-        entries: list[NodeEntry] = []
-        for leaf in leaves:
-            run = self._leaf_file.append_group(leaf)
-            page = run.extents[0].start
-            entries.append(
-                NodeEntry(
-                    child_page=page,
-                    child_is_leaf=True,
-                    box=Box.bounding([obj.box for obj in leaf]),
-                )
-            )
+        leaves = [records[rows] for rows in str_sort_tile(record_centers(records), self._leaf_capacity)]
         self._height = 1
-        if not entries:
-            self._root_page = None
-            self._built = True
-            return
-        while len(entries) > 1:
-            next_entries: list[NodeEntry] = []
-            for group in group_consecutive(entries, self._fanout):
-                run = self._node_file.append_group(group)
-                page = run.extents[0].start
-                next_entries.append(
-                    NodeEntry(
-                        child_page=page,
-                        child_is_leaf=False,
-                        box=Box.bounding([entry.box for entry in group]),
-                    )
-                )
-            entries = next_entries
-            self._height += 1
-        root = entries[0]
-        self._root_page = root.child_page
-        self._root_is_leaf = root.child_is_leaf
+        if leaves:
+            pages = [self._leaf_file.append_group_array(leaf).extents[0].start for leaf in leaves]
+            entries = node_entries(self._node_file.dtype, pages, leaves, is_leaf=True)
+            root, levels = build_upper_levels(self._node_file, entries, self._fanout)
+            self._height += levels
+            self._root_page = int(root["child_page"])
+            self._root_is_leaf = bool(root["is_leaf"])
         self._built = True
 
     # ------------------------------------------------------------------ #
     # Query
     # ------------------------------------------------------------------ #
 
-    def query(self, box: Box) -> list[SpatialObject]:
-        """Standard R-tree range search: descend every intersecting subtree."""
+    def query_records(self, box: Box) -> np.ndarray:
+        """Standard R-tree range search: descend every intersecting subtree.
+
+        Nodes are visited depth first from an explicit stack, children
+        pushed in entry order; the visited leaves are filtered together
+        at the end, so hits come in leaf-visit order.
+        """
         if not self._built:
             raise RuntimeError("R-tree must be built before querying")
-        if self._root_page is None:
-            return []
-        results: list[SpatialObject] = []
+        leaves: list[np.ndarray] = []
         examined = 0
-        stack: list[tuple[int, bool]] = [(self._root_page, self._root_is_leaf)]
+        stack: list[tuple[int, bool]] = []
+        if self._root_page is not None:
+            stack.append((self._root_page, self._root_is_leaf))
         while stack:
             page, is_leaf = stack.pop()
             if is_leaf:
-                for obj in self._leaf_file.read_page_records(page):
-                    examined += 1
-                    if obj.intersects(box):
-                        results.append(obj)
+                records = self._leaf_file.read_page_array(page)
+                leaves.append(records)
             else:
-                for entry in self._node_file.read_page_records(page):
-                    examined += 1
-                    if entry.box.intersects(box):
-                        stack.append((entry.child_page, entry.child_is_leaf))
+                records = self._node_file.read_page_array(page)
+                hits = intersecting(records, box)
+                stack.extend(zip(hits["child_page"].tolist(), hits["is_leaf"].tolist()))
+            examined += len(records)
         self._disk.charge_cpu_records(examined)
-        return results
+        return intersecting(concat_records(leaves, self._leaf_file.dtype), box)
 
     # ------------------------------------------------------------------ #
     # Maintenance

@@ -5,7 +5,14 @@ sorting the objects along each dimension and tiling them into equal-size
 slabs, producing leaves that are nearly square and nearly full.  Both the
 R-tree and FLAT baselines use this packing.
 
-The sort itself runs in memory here (the simulation holds the objects), but
+The packing works on columns: :func:`record_centers` turns a structured
+array of spatial-object records into an ``(n, d)`` matrix of MBR centres,
+and :func:`str_sort_tile` returns each leaf as an array of row indices into
+it.  Every sort is a stable ``np.argsort`` of one centre column, so rows
+with equal centres keep their input order, as a stable per-object sort
+keeps them.
+
+The sort itself runs in memory here (the simulation holds the records), but
 at the paper's scale it would be an *external* multi-pass sort, which is a
 large part of why FLAT and the R-tree are so much slower to build than the
 simple Grid.  :func:`charge_external_sort` therefore charges the disk model
@@ -16,52 +23,59 @@ size would perform, keeping the build-time comparison honest.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
 
-from repro.data.spatial_object import SpatialObject
+import numpy as np
+
+from repro.storage.cost_model import AccessKind
 from repro.storage.disk import Disk
 
 
-def str_sort_tile(
-    objects: Sequence[SpatialObject],
-    leaf_capacity: int,
-    dimension: int | None = None,
-) -> list[list[SpatialObject]]:
-    """Pack ``objects`` into STR leaves of at most ``leaf_capacity`` objects.
+def record_centers(records: np.ndarray) -> np.ndarray:
+    """MBR centres of spatial-object records, shape ``(n, d)``.
 
+    ``(lo + hi) / 2.0`` per coordinate: the values ``Box.center`` computes.
+    """
+    return (records["lo"] + records["hi"]) / 2.0
+
+
+def sort_rows(rows: np.ndarray, centers: np.ndarray, axis: int) -> np.ndarray:
+    """``rows`` ordered by their centre on ``axis``; ties keep their order."""
+    return rows[np.argsort(centers[rows, axis], kind="stable")]
+
+
+def str_sort_tile(centers: np.ndarray, leaf_capacity: int) -> list[np.ndarray]:
+    """Pack rows into STR leaves of at most ``leaf_capacity`` rows.
+
+    ``centers`` is the ``(n, d)`` centre matrix of the records to pack.
     The classic recursive formulation: sort by the first dimension's centre,
     cut into vertical slabs of equal leaf count, then recurse on the
-    remaining dimensions within each slab.  Returns the leaves in packing
-    order, which is spatially coherent — consecutive leaves are close to
-    each other, so grouping them bottom-up yields a well-shaped tree.
+    remaining dimensions within each slab.  Returns the leaves, as row
+    indices into ``centers``, in packing order, which is spatially coherent
+    — consecutive leaves are close to each other, so grouping them
+    bottom-up yields a well-shaped tree.
     """
     if leaf_capacity < 1:
         raise ValueError("leaf_capacity must be >= 1")
-    objects = list(objects)
-    if not objects:
-        return []
-    if dimension is None:
-        dimension = objects[0].dimension
+    dimension = centers.shape[1]
 
-    def tile(chunk: list[SpatialObject], axis: int) -> list[list[SpatialObject]]:
-        if len(chunk) <= leaf_capacity:
-            return [chunk]
-        chunk.sort(key=lambda obj: obj.center[axis])
+    def tile(rows: np.ndarray, axis: int) -> list[np.ndarray]:
+        if len(rows) <= leaf_capacity:
+            return [rows]
+        rows = sort_rows(rows, centers, axis)
         if axis == dimension - 1:
-            return [
-                chunk[start : start + leaf_capacity]
-                for start in range(0, len(chunk), leaf_capacity)
-            ]
-        n_leaves = math.ceil(len(chunk) / leaf_capacity)
+            return [rows[start : start + leaf_capacity] for start in range(0, len(rows), leaf_capacity)]
+        n_leaves = math.ceil(len(rows) / leaf_capacity)
         remaining_dims = dimension - axis
         slabs = math.ceil(n_leaves ** (1.0 / remaining_dims))
-        slab_size = math.ceil(len(chunk) / slabs)
-        leaves: list[list[SpatialObject]] = []
-        for start in range(0, len(chunk), slab_size):
-            leaves.extend(tile(chunk[start : start + slab_size], axis + 1))
+        slab_size = math.ceil(len(rows) / slabs)
+        leaves: list[np.ndarray] = []
+        for start in range(0, len(rows), slab_size):
+            leaves.extend(tile(rows[start : start + slab_size], axis + 1))
         return leaves
 
-    return [leaf for leaf in tile(objects, 0) if leaf]
+    if not len(centers):
+        return []
+    return tile(np.arange(len(centers)), 0)
 
 
 def external_sort_passes(data_pages: int, memory_pages: int) -> int:
@@ -103,8 +117,6 @@ def charge_external_sort(
     if data_pages <= 0:
         return
     passes = external_sort_passes(data_pages, memory_pages)
-    from repro.storage.cost_model import AccessKind  # local import to avoid cycle at module load
-
     for _ in range(n_phases * passes):
         read_seconds = disk.model.access_time_s(AccessKind.RANDOM, data_pages)
         write_seconds = disk.model.access_time_s(AccessKind.RANDOM, data_pages)
@@ -113,25 +125,3 @@ def charge_external_sort(
     if records:
         comparisons = int(records * max(1.0, math.log2(max(records, 2))))
         disk.charge_cpu_records(comparisons * n_phases)
-
-
-def leaf_mbr(objects: Sequence[SpatialObject]):
-    """Minimum bounding box of a leaf's objects."""
-    from repro.geometry.box import Box
-
-    return Box.bounding([obj.box for obj in objects])
-
-
-def group_consecutive(items: Sequence, group_size: int) -> list[list]:
-    """Group a sequence into consecutive chunks of at most ``group_size``.
-
-    Because STR leaves are produced in spatially coherent order, grouping
-    consecutive entries is how the upper levels of the bulk-loaded tree are
-    formed.
-    """
-    if group_size < 1:
-        raise ValueError("group_size must be >= 1")
-    return [list(items[start : start + group_size]) for start in range(0, len(items), group_size)]
-
-
-SortKey = Callable[[SpatialObject], float]

@@ -11,6 +11,10 @@ evaluates two ways of using them when there are many datasets:
   datasets that were not requested — insensitive to how many datasets are
   queried, but always pays for the full structure.
 
+Both receive the records their indexes select and build a
+:class:`~repro.data.spatial_object.SpatialObject` only for the rows they
+return.  A dataset requested twice is answered once.
+
 Space Odyssey is described by the paper as a hybrid of the two: per-dataset
 adaptive indexes (like 1fE) plus merged hot areas (like Ain1).
 """
@@ -19,9 +23,17 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from repro.baselines.interface import MultiDatasetIndex, SingleCollectionIndex
+import numpy as np
+
+from repro.baselines.interface import (
+    MultiDatasetIndex,
+    SingleCollectionIndex,
+    concat_records,
+    distinct,
+    to_objects,
+)
 from repro.data.dataset import DatasetCatalog
-from repro.data.spatial_object import SpatialObject
+from repro.data.spatial_object import SpatialObject, spatial_object_dtype
 from repro.geometry.box import Box
 
 #: Builds a fresh single-collection index with a unique name.
@@ -64,14 +76,18 @@ class OneForEach(MultiDatasetIndex):
         self._built = True
 
     def query(self, box: Box, dataset_ids: Iterable[int]) -> list[SpatialObject]:
-        """Probe the index of every requested dataset and union the answers."""
+        """Probe the index of every requested dataset once and union the answers.
+
+        Answers come dataset by dataset, in first-occurrence order of the
+        requested ids.
+        """
         if not self._built:
             raise RuntimeError(f"{self.name} must be built before querying")
-        results: list[SpatialObject] = []
-        for dataset_id in dataset_ids:
+        parts: list[np.ndarray] = []
+        for dataset_id in distinct(dataset_ids):
             self._catalog.get(dataset_id)  # validate the id
-            results.extend(self._indexes[dataset_id].query(box))
-        return results
+            parts.append(self._indexes[dataset_id].query_records(box))
+        return to_objects(concat_records(parts, spatial_object_dtype(self._catalog.dimension)))
 
     def drop(self) -> None:
         """Drop every per-dataset index."""
@@ -118,10 +134,11 @@ class AllInOne(MultiDatasetIndex):
         """Probe the combined index and filter out non-requested datasets."""
         if not self._built or self._index is None:
             raise RuntimeError(f"{self.name} must be built before querying")
-        requested = set(dataset_ids)
+        requested = distinct(dataset_ids)
         for dataset_id in requested:
             self._catalog.get(dataset_id)  # validate the id
-        return [obj for obj in self._index.query(box) if obj.dataset_id in requested]
+        records = self._index.query_records(box)
+        return to_objects(records[np.isin(records["dataset_id"], requested)])
 
     def drop(self) -> None:
         """Drop the combined index."""

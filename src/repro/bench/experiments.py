@@ -105,11 +105,17 @@ def build_workload(
 
 @dataclass(frozen=True, slots=True)
 class Figure4Cell:
-    """One bar of Figure 4: one approach at one x-axis position."""
+    """One bar of Figure 4: one approach at one x-axis position.
+
+    The bar is in simulated seconds; the wall clock of the same build and
+    queries rides along (``*_wall_seconds``).
+    """
 
     approach: str
     indexing_seconds: float
     querying_seconds: float
+    indexing_wall_seconds: float = 0.0
+    querying_wall_seconds: float = 0.0
 
     @property
     def total_seconds(self) -> float:
@@ -196,6 +202,8 @@ def figure4(
                 approach=approach_name,
                 indexing_seconds=run.indexing_seconds,
                 querying_seconds=run.querying_seconds,
+                indexing_wall_seconds=run.indexing_wall_seconds,
+                querying_wall_seconds=run.querying_wall_seconds,
             )
             if approach_name == "Grid-1fE":
                 grid_indexing_seconds = run.indexing_seconds
@@ -216,11 +224,17 @@ def figure4(
 
 @dataclass
 class Figure5Series:
-    """The per-query time series of one approach."""
+    """The per-query time series of one approach (simulated seconds).
+
+    The wall clock of the build and of all queries rides along
+    (``*_wall_seconds``).
+    """
 
     approach: str
     indexing_seconds: float
     per_query_seconds: list[float]
+    indexing_wall_seconds: float = 0.0
+    querying_wall_seconds: float = 0.0
 
     @property
     def total_seconds(self) -> float:
@@ -289,6 +303,8 @@ def _figure5_panel(
             approach=approach_name,
             indexing_seconds=run.indexing_seconds,
             per_query_seconds=run.per_query_seconds(),
+            indexing_wall_seconds=run.indexing_wall_seconds,
+            querying_wall_seconds=run.querying_wall_seconds,
         )
     return result
 

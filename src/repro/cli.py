@@ -22,8 +22,11 @@ Prometheus text, optionally with the span trace::
     python -m repro.cli stats --format prometheus
     python -m repro.cli stats --output stats.json --trace trace.json
 
-Every figure is in *simulated* seconds (the disk cost model).  Wall-clock
-performance is measured by ``perfbench/run.py`` alone, not from here.
+Every figure is in *simulated* seconds (the disk cost model); the wall
+clock of the same builds and queries is printed and saved next to it
+(``indexing_wall_seconds`` and ``querying_wall_seconds`` in the JSON), as
+one run's measurement with no repetition.  Wall-clock performance claims
+about the engine are measured by ``perfbench/run.py``.
 """
 
 from __future__ import annotations

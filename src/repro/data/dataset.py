@@ -3,7 +3,9 @@
 A :class:`Dataset` models exactly what Space Odyssey starts from: a raw,
 *unindexed* file of spatial objects sitting on disk.  Static baselines read
 the whole file to build their index up front; Space Odyssey reads it once,
-lazily, the first time a query touches the dataset.
+lazily, the first time a query touches the dataset.  Both read it the same
+way, through :meth:`Dataset.scan_arrays`: the raw file is only ever read as
+structured-array chunks, never as per-object records.
 
 A :class:`DatasetCatalog` is the tiny in-memory catalog the query engines
 share: it maps dataset identifiers to datasets and knows the common universe
@@ -139,9 +141,9 @@ class Dataset:
     def open(cls, disk: Disk, dataset_id: int, name: str, universe: Box) -> "Dataset":
         """Attach to an existing raw file (counts objects with one scan).
 
-        The count runs over :meth:`PagedFile.scan_arrays`: the sequential
-        runs, disk charges and per-page CRC checks of :meth:`scan`
-        without building an object per record just to drop it.
+        The count runs over :meth:`PagedFile.scan_arrays`: one sequential
+        pass with its disk charges and per-page CRC checks, without building
+        an object per record just to drop it.
         """
         codec = spatial_object_codec(universe.dimension)
         file: PagedFile[SpatialObject] = PagedFile(disk, raw_file_name(name), codec)
@@ -170,39 +172,17 @@ class Dataset:
         """Number of pages the raw file occupies."""
         return self.file.num_pages()
 
-    def scan(self) -> Iterator[SpatialObject]:
-        """Sequentially scan the raw file, yielding every object.
+    def scan_arrays(self) -> Iterator[np.ndarray]:
+        """Sequentially scan the raw file in structured-array chunks.
 
         This is the in-situ access path: it charges one sequential pass of
         the whole file to the disk model, exactly what Space Odyssey pays on
         the first query that touches the dataset and what static indexes pay
-        (at least once) during their build.
-        """
-        return self.file.scan()
-
-    def scan_arrays(self) -> "Iterator":
-        """Columnar :meth:`scan`: yield the raw records in structured-array chunks.
-
-        Same sequential pass and disk charging as :meth:`scan`, but each
-        chunk arrives as one NumPy structured array instead of per-object
-        Python instances — the access path of the columnar first-touch
-        initialisation.
+        (at least once) during their build.  Each chunk arrives as one NumPy
+        structured array of up to 256 pages' records, not as per-object
+        Python instances.
         """
         return self.file.scan_arrays()
-
-    def read_all(self) -> list[SpatialObject]:
-        """Scan the raw file into a list."""
-        return list(self.scan())
-
-    def range_query_scan(self, box: Box) -> list[SpatialObject]:
-        """Answer a range query by brute-force scanning the raw file.
-
-        Used as the correctness oracle in tests and as the degenerate
-        "no index" baseline.
-        """
-        matches = [obj for obj in self.scan() if obj.intersects(box)]
-        self.disk.charge_cpu_records(self.n_objects)
-        return matches
 
 
 class DatasetCatalog:

@@ -251,9 +251,10 @@ class Box:
         """Split the box into a regular grid of child boxes.
 
         The children are returned in row-major order of their integer grid
-        coordinates; :meth:`child_index` maps a point to the index of the
-        child containing it, which the partition trees use for cheap
-        centre-based object assignment.
+        coordinates; :func:`~repro.geometry.vectorized.grid_child_indices`
+        maps points to the index of the child containing each, which the
+        partition trees and the Grid baseline use for cheap centre-based
+        object assignment.
         """
         lows, highs = self.grid_edges(cells_per_dim)
         return [
@@ -268,23 +269,6 @@ class Box:
         object.__setattr__(box, "lo", lo)
         object.__setattr__(box, "hi", hi)
         return box
-
-    def child_index(self, point: Sequence[float], cells_per_dim: Sequence[int] | int) -> int:
-        """Row-major index of the grid child (see :meth:`split_grid`) containing ``point``."""
-        counts = self._normalize_counts(cells_per_dim)
-        if len(point) != self.dimension:
-            raise ValueError("point dimensionality mismatch")
-        index = 0
-        for axis, coord in enumerate(point):
-            side = self.side(axis)
-            if side == 0:
-                cell = 0
-            else:
-                offset = (coord - self.lo[axis]) / side
-                cell = int(offset * counts[axis])
-                cell = min(max(cell, 0), counts[axis] - 1)
-            index = index * counts[axis] + cell
-        return index
 
     def grid_cells_overlapping(
         self, query: "Box", cells_per_dim: Sequence[int] | int

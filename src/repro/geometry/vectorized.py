@@ -86,9 +86,12 @@ def intersect_mask(
 
 
 def grid_child_indices(
-    points: np.ndarray, lo: Sequence[float], hi: Sequence[float], cells_per_dim: int
+    points: np.ndarray,
+    lo: Sequence[float],
+    hi: Sequence[float],
+    cells_per_dim: int | Sequence[int],
 ) -> np.ndarray:
-    """Row-major grid-cell index of each point, exactly as :meth:`Box.child_index`.
+    """Row-major index of the :meth:`Box.split_grid` child containing each point.
 
     Parameters
     ----------
@@ -97,30 +100,34 @@ def grid_child_indices(
     lo, hi:
         Corners of the box being split, length ``d``.
     cells_per_dim:
-        Number of grid cells along every axis.
+        Number of grid cells along every axis, or one count per axis.
 
     Returns
     -------
-    An ``(n,)`` int64 array; entry ``i`` equals
-    ``Box(lo, hi).child_index(points[i], cells_per_dim)`` bit-for-bit — the
-    same IEEE operation order (offset division, truncation toward zero,
-    clamping) so that vectorized partition assignment places every object
-    in the same child as the scalar path.
+    An ``(n,)`` int64 array.  Per axis, a point's cell is its offset from
+    ``lo`` divided by the side, times the count, truncated toward zero and
+    clamped to the border cells (a zero side is one cell) — the IEEE
+    operation order of the per-point reference ``child_index`` in
+    ``tests/scalar_reference.py``, so every point lands in the same cell.
     """
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
+    dimension = points.shape[1]
+    counts = (
+        (cells_per_dim,) * dimension if isinstance(cells_per_dim, int) else tuple(cells_per_dim)
+    )
     indices = np.zeros(n, dtype=np.int64)
-    for axis in range(points.shape[1]):
+    for axis, count in enumerate(counts):
         side = hi[axis] - lo[axis]
         if side == 0:
             cells = np.zeros(n, dtype=np.int64)
         else:
             offset = (points[:, axis] - lo[axis]) / side
-            # astype truncates toward zero, matching int() in the scalar path;
-            # the clamp then maps any out-of-range center to the border cell.
-            cells = (offset * cells_per_dim).astype(np.int64)
-            np.clip(cells, 0, cells_per_dim - 1, out=cells)
-        indices = indices * cells_per_dim + cells
+            # astype truncates toward zero, as int() does per point; the
+            # clamp then maps any out-of-range center to the border cell.
+            cells = (offset * count).astype(np.int64)
+            np.clip(cells, 0, count - 1, out=cells)
+        indices = indices * count + cells
     return indices
 
 

@@ -16,17 +16,21 @@ the page is caught.  The checksum is CRC-32C when the optional ``crc32c``
 module is available, falling back to ``zlib.crc32`` (both C-speed; the
 fallback keeps the reproduction dependency-free).
 
-Two decoding surfaces share this page format:
+Every file in the library is read through the *array* surface
+(:func:`decode_page_array`, :func:`encode_page_array`,
+:func:`paginate_array`): whole pages move between bytes and NumPy
+structured arrays in one ``np.frombuffer`` / ``tobytes`` call, without
+materialising per-record Python objects.  A codec exposes the record
+``dtype`` (:attr:`RecordCodec.dtype`); :class:`ArrayCodec` is a codec that
+is nothing more.
 
-* the *scalar* surface (:func:`encode_page` / :func:`decode_page`) packs and
-  unpacks one Python record object at a time through a
-  :class:`RecordCodec`;
-* the *array* surface (:func:`encode_page_array` / :func:`decode_page_array`)
-  moves whole pages between bytes and NumPy structured arrays in one
-  ``np.frombuffer`` / ``tobytes`` call, without materialising per-record
-  Python objects.  A codec that exposes a :attr:`RecordCodec.dtype` whose
-  layout mirrors its ``struct`` format byte-for-byte guarantees both
-  surfaces read and write identical bytes.
+The per-record functions over the same page format stay for writers that
+hold record objects and for the per-record reference models of the test
+suite: :func:`encode_page` packs one page through a
+:class:`FixedRecordCodec` (``PagedFile.append_group`` uses it), and
+:func:`decode_page` unpacks one.  A codec whose ``dtype`` mirrors its
+``struct`` format byte for byte guarantees both read and write identical
+bytes.
 
 Optional page compression
 -------------------------
@@ -215,6 +219,20 @@ class FixedRecordCodec(Generic[RecordT]):
     def unpack(self, data: bytes) -> RecordT:
         """Decode one record."""
         return self._from_fields(self._struct.unpack(data))
+
+
+class ArrayCodec:
+    """The codec of a file written and read only through the array surface.
+
+    It declares the record ``dtype`` (and so the record size) and nothing
+    else: the file's pages go through :func:`paginate_array` and
+    :func:`decode_page_array`, never through a per-record ``pack`` or
+    ``unpack``.  The baselines' node and adjacency files use it.
+    """
+
+    def __init__(self, dtype: np.dtype) -> None:
+        self.dtype = dtype
+        self.record_size = dtype.itemsize
 
 
 def records_per_page(record_size: int, page_size: int) -> int:

@@ -52,7 +52,7 @@ that still come from the live file are charged exactly as live reads.
 from __future__ import annotations
 
 import threading
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.storage.backend import InMemoryBackend, StorageBackend, StorageError
 from repro.storage.buffer import BufferPool
@@ -367,14 +367,6 @@ class Disk:
             self._buffer.put(name, page_no, self._backend.read(name, page_no))
         except StorageError:
             self._buffer.invalidate_page(name, page_no)
-
-    def scan_pages(self, name: str) -> Iterator[bytes]:
-        """Yield every page of a file in order (charged as one sequential run)."""
-        total = self.num_pages(name)
-        chunk = 256
-        for start in range(0, total, chunk):
-            count = min(chunk, total - start)
-            yield from self.read_run(name, start, count)
 
     # ------------------------------------------------------------------ #
     # CPU accounting

@@ -8,26 +8,26 @@ an R-tree leaf or a merge-file segment is one group.
 
 The write path supports the paper's *in-place refinement*: when a partition
 is split, the pages it used to occupy are handed back to
-:meth:`PagedFile.write_groups` for reuse, and only the overflow is appended
-at the end of the file (Section 3.1.2 of the paper).  Most children of a
-split are empty: a group without records is checked like any other but is
-never encoded and never gets a run of its own (all share one empty
-:class:`StoredRun`), so the write costs what the occupied groups cost.
+:meth:`PagedFile.write_groups_array` for reuse, and only the overflow is
+appended at the end of the file (Section 3.1.2 of the paper).  Most
+children of a split are empty: a group without records is checked like any
+other but is never encoded and never gets a run of its own (all share one
+empty :class:`StoredRun`), so the write costs what the occupied groups cost.
 
-Columnar surface
-----------------
-When the codec declares a structured ``dtype`` mirroring its byte layout
-(spatial-object codecs do), the file additionally exposes an *array-native*
-surface: :meth:`PagedFile.read_group_array` and :meth:`PagedFile.scan_arrays`
-decode pages straight into NumPy structured arrays (``np.frombuffer``, no
-per-record Python objects), and :meth:`PagedFile.append_group_array` /
-:meth:`PagedFile.write_groups_array` encode straight from arrays.  Both
-surfaces produce and consume byte-identical pages, so scalar and columnar
-callers can be mixed freely on the same file.  Array reads are backed by the
-buffer pool's decoded-array layer: a page whose bytes are cached is decoded
-at most once.  Every group read — scalar, array, or array as of a pinned
-snapshot (:meth:`PagedFile.read_group_array_at`) — walks the run through
-one reader and ends in one record-count check.
+Array surface
+-------------
+Records are read as NumPy structured arrays of the codec's ``dtype``:
+:meth:`PagedFile.read_group_array`, the page-addressed
+:meth:`PagedFile.read_page_array` and :meth:`PagedFile.scan_arrays` decode
+pages with ``np.frombuffer`` (no per-record Python objects), and
+:meth:`PagedFile.append_group_array` / :meth:`PagedFile.write_groups_array`
+encode straight from arrays.  Reads are backed by the buffer pool's
+decoded-array layer: a page whose bytes are cached is decoded at most once.
+Every group read — live, or as of a pinned snapshot
+(:meth:`PagedFile.read_group_array_at`) — walks the run through one reader
+and ends in one record-count check.  The one per-record entry point left is
+:meth:`PagedFile.append_group`, which packs record objects through the
+codec into the same page bytes the array surface writes.
 
 Compression
 -----------
@@ -49,7 +49,6 @@ import numpy as np
 
 from repro.storage.codec import (
     RecordCodec,
-    decode_page,
     decode_page_array,
     encode_page,
     paginate_array,
@@ -222,7 +221,7 @@ class PagedFile(Generic[RecordT]):
 
         A zlib page holds at most what a plain page holds, so this capacity
         is exact for compressed files too; the reuse arithmetic of
-        :meth:`write_groups` and :meth:`pages_needed` is based on it.
+        :meth:`write_groups_array` and :meth:`pages_needed` is based on it.
         """
         return self._records_per_page
 
@@ -274,66 +273,33 @@ class PagedFile(Generic[RecordT]):
         """Append one group encoded straight from a structured array."""
         return self._append_pages(self._encode_group_array(records), len(records))
 
-    def write_groups(
-        self,
-        groups: Sequence[Sequence[RecordT]],
-        reuse: Sequence[PageExtent] = (),
-    ) -> list[StoredRun]:
-        """Write several groups, reusing the given page extents first.
-
-        This implements the paper's in-place refinement: the pages of the
-        partition being split are reused for its children, and any overflow
-        is appended at the end of the file.  Groups never share pages, so
-        each resulting :class:`StoredRun` can be read independently.
-        """
-        return self._write_encoded_groups(
-            [(self._encode_group(records), len(records)) for records in groups], reuse
-        )
-
     def write_groups_array(
         self,
         groups: Sequence[np.ndarray],
         reuse: Sequence[PageExtent] = (),
     ) -> list[StoredRun]:
-        """Array-native :meth:`write_groups`: groups are structured arrays.
+        """Write several groups of structured records, reusing the given extents first.
 
-        Page bytes, allocation order and the resulting runs are identical
-        to encoding the equivalent record objects through
-        :meth:`write_groups`.
-        """
-        return self._write_encoded_groups(
-            [(self._encode_group_array(records), len(records)) for records in groups],
-            reuse,
-        )
+        This implements the paper's in-place refinement: the pages of the
+        partition being split are reused for its children, and any overflow
+        is appended at the end of the file.  Groups never share pages, so
+        each resulting :class:`StoredRun` can be read independently.
 
-    def _append_pages(self, pages: list[bytes], n_records: int) -> StoredRun:
-        self._ensure_created()
-        if not n_records:
-            return _EMPTY_RUN
-        first = self._disk.append_run(self._name, pages)
-        return StoredRun(extents=(PageExtent(first, len(pages)),), n_records=n_records)
-
-    def _write_encoded_groups(
-        self,
-        encoded: Sequence[tuple[list[bytes], int]],
-        reuse: Sequence[PageExtent],
-    ) -> list[StoredRun]:
-        """The shared write core: place encoded pages, reused extents first.
-
-        Groups that hold no records arrive with no pages and share
+        Groups that hold no records get no pages and share
         :data:`_EMPTY_RUN`, so a split into ``ppl`` children costs what its
         occupied children cost.  A group whose pages do not all fit in the
         reused extents remembers how many are missing; after one bulk
         append at the end of the file the missing pages are dealt back out
         in group order, and only then is each group's run built — once.
         """
+        encoded = [self._encode_group_array(records) for records in groups]
         self._ensure_created()
         allocator = _PageAllocator(free_pages=[p for ext in reuse for p in ext.pages()])
-        runs: list[StoredRun] = [_EMPTY_RUN] * len(encoded)
+        runs: list[StoredRun] = [_EMPTY_RUN] * len(groups)
         pending_appends: list[bytes] = []
         placed: list[tuple[int, int, list[int], int]] = []  # (group, records, slots, missing)
-        for index, (pages, n_records) in enumerate(encoded):
-            if not n_records:
+        for index, pages in enumerate(encoded):
+            if not pages:
                 continue
             assigned: list[int] = []
             missing = 0
@@ -345,7 +311,7 @@ class PagedFile(Generic[RecordT]):
                 else:
                     self._disk.write_page(self._name, slot, page_bytes)
                     assigned.append(slot)
-            placed.append((index, n_records, assigned, missing))
+            placed.append((index, len(groups[index]), assigned, missing))
         cursor = self._disk.append_run(self._name, pending_appends) if pending_appends else 0
         for index, n_records, assigned, missing in placed:
             assigned.extend(range(cursor, cursor + missing))
@@ -353,54 +319,43 @@ class PagedFile(Generic[RecordT]):
             runs[index] = StoredRun(extents=tuple(coalesce_pages(assigned)), n_records=n_records)
         return runs
 
+    def _append_pages(self, pages: list[bytes], n_records: int) -> StoredRun:
+        self._ensure_created()
+        if not n_records:
+            return _EMPTY_RUN
+        first = self._disk.append_run(self._name, pages)
+        return StoredRun(extents=(PageExtent(first, len(pages)),), n_records=n_records)
+
     # ------------------------------------------------------------------ #
     # Reading
-    # ------------------------------------------------------------------ #
-
-    def read_group(self, run: StoredRun) -> list[RecordT]:
-        """Read back one group of records."""
-        records: list[RecordT] = []
-        for _page_no, page_bytes in self._run_pages(run):
-            records.extend(decode_page(self._codec, page_bytes))
-        return self._checked(records, run)
-
-    def read_page_records(self, page_no: int) -> list[RecordT]:
-        """Decode all records stored in one page.
-
-        Index structures that address whole-page groups by page number
-        (R-tree nodes, FLAT leaves) use this instead of carrying a
-        :class:`StoredRun` around; the per-page record-count header makes
-        the page self-describing.
-        """
-        page_bytes = self._disk.read_page(self._name, page_no)
-        return decode_page(self._codec, page_bytes)
-
-    def scan(self) -> Iterator[RecordT]:
-        """Yield every record in the file in page order (one sequential pass)."""
-        if not self.exists():
-            return
-        for page_bytes in self._disk.scan_pages(self._name):
-            yield from decode_page(self._codec, page_bytes)
-
-    # ------------------------------------------------------------------ #
-    # Array-native reading
     # ------------------------------------------------------------------ #
 
     def read_group_array(self, run: StoredRun) -> np.ndarray:
         """Read one group as a structured array (zero-copy page decoding).
 
-        Disk accesses and cost accounting are identical to
-        :meth:`read_group`; only the bytes→records step changes.  Decoded
+        Each extent of the run is one :meth:`Disk.read_run`.  Decoded
         pages are cached in the buffer pool's decoded-array layer, so a
         group whose pages are byte-cached is served without re-decoding.
         """
         return self._read_array(run)
 
+    def read_page_array(self, page_no: int) -> np.ndarray:
+        """Decode all records stored in one page as a structured array.
+
+        Index structures that address whole-page groups by page number
+        (R-tree nodes, FLAT leaves and seeds) use this instead of carrying
+        a :class:`StoredRun` around; the per-page record-count header makes
+        the page self-describing.
+        """
+        self._require_dtype()
+        return self._decode_page_cached(page_no, self._disk.read_page(self._name, page_no))
+
     def scan_arrays(self, chunk_pages: int = 256) -> Iterator[np.ndarray]:
         """Yield the file's records in columnar chunks (one sequential pass).
 
-        Each yielded array concatenates up to ``chunk_pages`` pages; disk
-        charging matches :meth:`scan` (sequential runs of the same size).
+        Each yielded array concatenates up to ``chunk_pages`` pages, read
+        with one :meth:`Disk.read_run`, so a file is charged as one
+        positioning operation per chunk plus sequential transfers.
         """
         dtype = self._require_dtype()
         if not self.exists():
@@ -445,30 +400,24 @@ class PagedFile(Generic[RecordT]):
         return self._read_array(run, lookup)
 
     def _read_array(self, run: StoredRun, lookup=None) -> np.ndarray:
-        """The array read of one group, live or through a snapshot ``lookup``."""
+        """The array read of one group, live or through a snapshot ``lookup``.
+
+        One :meth:`Disk.read_run` per extent (:meth:`Disk.read_run_at`
+        with a ``lookup``); the group is its first ``run.n_records``
+        records, and fewer decoded is corruption.
+        """
         dtype = self._require_dtype()
         parts: list[np.ndarray] = []
-        for page_no, page_bytes in self._run_pages(run, lookup):
-            decoded = self._decode_page_cached(page_no, page_bytes)
-            if len(decoded):
-                parts.append(decoded)
-        return self._checked(_frozen_concat(parts, dtype), run)
-
-    def _run_pages(self, run: StoredRun, lookup=None) -> Iterator[tuple[int, bytes]]:
-        """``(page number, bytes)`` of a group's pages, one disk run per extent.
-
-        Live reads go through :meth:`Disk.read_run`; with a snapshot
-        ``lookup`` they go through :meth:`Disk.read_run_at`.
-        """
         for extent in run.extents:
             if lookup is None:
                 pages = self._disk.read_run(self._name, extent.start, extent.count)
             else:
                 pages = self._disk.read_run_at(self._name, extent.start, extent.count, lookup)
-            yield from enumerate(pages, extent.start)
-
-    def _checked(self, records, run: StoredRun):
-        """The group's first ``run.n_records`` records; fewer decoded is corruption."""
+            for page_no, page_bytes in enumerate(pages, extent.start):
+                decoded = self._decode_page_cached(page_no, page_bytes)
+                if len(decoded):
+                    parts.append(decoded)
+        records = _frozen_concat(parts, dtype)
         if len(records) < run.n_records:
             raise ValueError(
                 f"group in {self._name!r} is corrupt: expected {run.n_records} "

@@ -13,10 +13,19 @@ refine-path tests hold every engine to it:
   partition read on ``SpatialObject`` instances;
 * :class:`ScalarAdaptor`, :class:`ScalarMerger` and :class:`ScalarProcessor`
   — first touch, refinement, merge copies and the whole per-query pipeline
-  over the scalar storage surface (``Dataset.scan``, ``PagedFile.read_group``,
-  ``write_groups``, ``append_group``), with a Python loop as the filter;
+  over the per-record storage surface below, with a Python loop as the
+  filter;
 * :class:`ScalarOdyssey` — a :class:`~repro.core.odyssey.SpaceOdyssey`
   whose adaptor, merger and query processor are those three.
+
+The per-record storage surface left ``src/`` with the baselines' move onto
+arrays; its helpers live here and every reference reads through them:
+:func:`scan_objects` (a dataset's raw file, one sequential pass),
+:func:`read_group`, :func:`read_page_records` and :func:`write_groups`,
+each charging the disk exactly as the array surface does, and
+:func:`child_index`, the per-point grid-cell assignment that
+``grid_child_indices`` vectorises.  ``tests/baseline_reference.py`` holds
+the per-object baselines on the same helpers.
 
 Nothing here is reachable from ``src/``: no option, hook or environment
 variable selects it.
@@ -24,7 +33,9 @@ variable selects it.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from repro.core.adaptor import Adaptor
 from repro.core.merge import MergeFileInfo, choose_route, merge_file_name
@@ -35,7 +46,86 @@ from repro.core.query_processor import QueryProcessor, QueryReport, run_start
 from repro.data.spatial_object import SpatialObject
 from repro.geometry.box import Box
 from repro.obs.trace import maybe_span
-from repro.storage.pagedfile import PagedFile, StoredRun
+from repro.storage import codec as page_codec
+from repro.storage.pagedfile import PageExtent, PagedFile, StoredRun
+
+# ---------------------------------------------------------------------- #
+# The per-record storage surface
+# ---------------------------------------------------------------------- #
+
+#: Pages per sequential read of a raw-file scan (as ``scan_arrays``).
+SCAN_CHUNK_PAGES = 256
+
+
+def scan_objects(dataset) -> Iterator[SpatialObject]:
+    """Yield a dataset's raw objects in page order, decoding page by page.
+
+    The pages are read lazily, one ``read_run`` of up to
+    :data:`SCAN_CHUNK_PAGES` pages when the previous chunk is used up, so
+    a consumer that writes between objects interleaves its writes with the
+    scan's reads exactly as a consumer of ``scan_arrays`` chunks does.
+    """
+    file = dataset.file
+    if not file.exists():
+        return
+    total = file.num_pages()
+    for start in range(0, total, SCAN_CHUNK_PAGES):
+        count = min(SCAN_CHUNK_PAGES, total - start)
+        for page_bytes in file.disk.read_run(file.name, start, count):
+            yield from page_codec.decode_page(file.codec, page_bytes)
+
+
+def read_group(file: PagedFile, run: StoredRun) -> list:
+    """Read one group's records as objects: one ``read_run`` per extent."""
+    records: list = []
+    for extent in run.extents:
+        for page_bytes in file.disk.read_run(file.name, extent.start, extent.count):
+            records.extend(page_codec.decode_page(file.codec, page_bytes))
+    if len(records) < run.n_records:
+        raise ValueError(
+            f"group in {file.name!r} is corrupt: expected {run.n_records} "
+            f"records, decoded {len(records)}"
+        )
+    return records[: run.n_records]
+
+
+def read_page_records(file: PagedFile, page_no: int) -> list:
+    """Decode every record of one page as objects (one ``read_page``)."""
+    return page_codec.decode_page(file.codec, file.disk.read_page(file.name, page_no))
+
+
+def write_groups(
+    file: PagedFile, groups: Sequence[Sequence], reuse: Sequence[PageExtent] = ()
+) -> list[StoredRun]:
+    """Write groups of record objects, reusing ``reuse`` first.
+
+    Each object is packed by the file's codec; the packed bytes are the
+    rows ``write_groups_array`` places, so pages and runs are the ones the
+    array path writes for the same records.
+    """
+    arrays = [
+        np.frombuffer(b"".join(map(file.codec.pack, group)), dtype=file.dtype)
+        for group in groups
+    ]
+    return file.write_groups_array(arrays, reuse)
+
+
+def child_index(box: Box, point: Sequence[float], cells_per_dim: Sequence[int] | int) -> int:
+    """Row-major index of the ``box.split_grid`` child containing ``point``."""
+    counts = (cells_per_dim,) * box.dimension if isinstance(cells_per_dim, int) else cells_per_dim
+    if len(point) != box.dimension:
+        raise ValueError("point dimensionality mismatch")
+    index = 0
+    for axis, coord in enumerate(point):
+        side = box.side(axis)
+        if side == 0:
+            cell = 0
+        else:
+            offset = (coord - box.lo[axis]) / side
+            cell = int(offset * counts[axis])
+            cell = min(max(cell, 0), counts[axis] - 1)
+        index = index * counts[axis] + cell
+    return index
 
 # ---------------------------------------------------------------------- #
 # Tree walks on objects
@@ -69,7 +159,7 @@ def assign_to_children(
     """Distribute objects to the ``ppl`` children of a region by centre."""
     groups: list[list[SpatialObject]] = [[] for _ in range(tree.partitions_per_level)]
     for obj in objects:
-        groups[parent_box.child_index(obj.center, tree.splits_per_dim)].append(obj)
+        groups[child_index(parent_box, obj.center, tree.splits_per_dim)].append(obj)
     return groups
 
 
@@ -79,7 +169,7 @@ def read_partition(tree: PartitionTree, node: PartitionNode) -> list[SpatialObje
         raise ValueError(f"partition {node.key!r} is not a leaf")
     if node.run is None or node.run.n_records == 0:
         return []
-    return tree.file.read_group(node.run)
+    return read_group(tree.file, node.run)
 
 
 # ---------------------------------------------------------------------- #
@@ -97,14 +187,14 @@ class ScalarAdaptor(Adaptor):
         groups: list[list[SpatialObject]] = [[] for _ in range(tree.partitions_per_level)]
         max_extent = [0.0] * dataset.dimension
         n_objects = 0
-        for obj in dataset.scan():
-            index = tree.universe.child_index(obj.center, tree.splits_per_dim)
+        for obj in scan_objects(dataset):
+            index = child_index(tree.universe, obj.center, tree.splits_per_dim)
             groups[index].append(obj)
             n_objects += 1
             for axis, extent in enumerate(obj.box.extents):
                 if extent > max_extent[axis]:
                     max_extent[axis] = extent
-        runs = tree.file.write_groups(groups)
+        runs = write_groups(tree.file, groups)
         dataset.disk.charge_cpu_records(n_objects)
         tree.install_first_level(
             groups=groups, runs=runs, max_extent=tuple(max_extent), n_objects=n_objects
@@ -115,7 +205,7 @@ class ScalarAdaptor(Adaptor):
             raise ValueError(f"partition {node.key!r} is not a leaf")
         reuse = node.run.extents if node.run is not None else ()
         objects = read_partition(tree, node)
-        runs = tree.file.write_groups(assign_to_children(tree, node.box, objects), reuse=reuse)
+        runs = write_groups(tree.file, assign_to_children(tree, node.box, objects), reuse=reuse)
         tree.dataset.disk.charge_cpu_records(len(objects))
         return tree.replace_with_children(node, runs)
 
@@ -239,7 +329,7 @@ class ScalarProcessor(QueryProcessor):
         results: list[SpatialObject] = []
         examined = 0
         for dataset_id, file, run in plan:
-            for obj in file.read_group(run):
+            for obj in read_group(file, run):
                 examined += 1
                 if obj.dataset_id == dataset_id and obj.intersects(box):
                     results.append(obj)

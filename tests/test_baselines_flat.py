@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.baselines.flat import (
@@ -13,6 +14,11 @@ from repro.baselines.interface import result_keys
 from repro.geometry.box import Box
 
 from tests.conftest import make_dataset, make_random_objects
+from tests.scalar_reference import scan_objects
+
+
+def centers_of(objects) -> np.ndarray:
+    return np.array([obj.center for obj in objects], dtype=np.float64).reshape(len(objects), 3)
 
 
 @pytest.fixture
@@ -23,32 +29,32 @@ def dataset(disk, universe):
 class TestTileWithRegions:
     def test_regions_partition_universe(self, universe):
         objects = make_random_objects(universe, 500, seed=1)
-        tiles = tile_with_regions(objects, leaf_capacity=40, universe=universe)
+        tiles = tile_with_regions(centers_of(objects), leaf_capacity=40, universe=universe)
         regions = [region for _, region in tiles]
         total = sum(region.volume() for region in regions)
         assert total == pytest.approx(universe.volume(), rel=1e-9)
 
     def test_every_object_center_in_its_region(self, universe):
         objects = make_random_objects(universe, 500, seed=2)
-        tiles = tile_with_regions(objects, leaf_capacity=40, universe=universe)
-        for leaf_objects, region in tiles:
-            for obj in leaf_objects:
-                assert region.contains_point(obj.center)
+        tiles = tile_with_regions(centers_of(objects), leaf_capacity=40, universe=universe)
+        for rows, region in tiles:
+            for row in rows:
+                assert region.contains_point(objects[row].center)
 
     def test_all_objects_assigned_once(self, universe):
         objects = make_random_objects(universe, 300, seed=3)
-        tiles = tile_with_regions(objects, leaf_capacity=25, universe=universe)
-        assigned = [o.oid for leaf_objects, _ in tiles for o in leaf_objects]
-        assert sorted(assigned) == sorted(o.oid for o in objects)
+        tiles = tile_with_regions(centers_of(objects), leaf_capacity=25, universe=universe)
+        assigned = [row for rows, _ in tiles for row in rows.tolist()]
+        assert sorted(assigned) == list(range(len(objects)))
 
     def test_empty_input_covers_universe(self, universe):
-        tiles = tile_with_regions([], leaf_capacity=10, universe=universe)
+        tiles = tile_with_regions(centers_of([]), leaf_capacity=10, universe=universe)
         assert len(tiles) == 1
         assert tiles[0][1] == universe
 
     def test_leaf_capacity_respected(self, universe):
         objects = make_random_objects(universe, 400, seed=4)
-        tiles = tile_with_regions(objects, leaf_capacity=30, universe=universe)
+        tiles = tile_with_regions(centers_of(objects), leaf_capacity=30, universe=universe)
         # The last axis tiles exactly by capacity, so no leaf exceeds it.
         assert all(len(leaf) <= 30 for leaf, _ in tiles)
 
@@ -86,7 +92,7 @@ class TestFLATIndex:
     def test_query_matches_bruteforce(self, disk, universe, dataset):
         flat = FLATIndex(disk, "f", universe)
         flat.build([dataset])
-        raw = dataset.read_all()
+        raw = list(scan_objects(dataset))
         for center, side in [
             ((50.0, 50.0, 50.0), 20.0),
             ((10.0, 10.0, 90.0), 12.0),

@@ -9,6 +9,7 @@ from repro.baselines.interface import result_keys
 from repro.geometry.box import Box
 
 from tests.conftest import make_dataset
+from tests.scalar_reference import scan_objects
 
 
 @pytest.fixture
@@ -40,7 +41,7 @@ class TestBuild:
         grid = GridIndex(disk, "g", universe, cells_per_dim=4)
         grid.build([dataset])
         expected = tuple(
-            max(o.box.extents[axis] for o in dataset.read_all()) for axis in range(3)
+            max(o.box.extents[axis] for o in scan_objects(dataset)) for axis in range(3)
         )
         assert grid.max_extent == pytest.approx(expected)
 
@@ -49,7 +50,7 @@ class TestBuild:
         grid.build([dataset])
         # with a 50-object buffer and 500 objects there must be several flushes,
         # so at least one cell is split over multiple runs
-        assert any(len(state.runs) > 1 for state in grid._cells.values())
+        assert any(len(runs) > 1 for runs in grid._cells.values())
 
     def test_invalid_configuration(self, disk, universe):
         with pytest.raises(ValueError):
@@ -67,7 +68,7 @@ class TestQuery:
         grid.build([dataset])
         for center, side in [((50.0, 50.0, 50.0), 20.0), ((10.0, 90.0, 30.0), 15.0)]:
             query = Box.cube(center, side)
-            expected = {o.key() for o in dataset.read_all() if o.intersects(query)}
+            expected = {o.key() for o in scan_objects(dataset) if o.intersects(query)}
             assert result_keys(grid.query(query)) == expected
 
     def test_query_covering_universe_returns_all(self, disk, universe, dataset):
@@ -106,7 +107,7 @@ class TestQuery:
         query = Box.cube((50.0, 50.0, 50.0), 40.0)
         expected = {
             o.key()
-            for o in ds_a.read_all() + ds_b.read_all()
+            for o in [*scan_objects(ds_a), *scan_objects(ds_b)]
             if o.intersects(query)
         }
         assert result_keys(grid.query(query)) == expected

@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+import numpy as np
+
 from repro.baselines.interface import result_keys
-from repro.baselines.rtree import NodeEntry, STRRTree, node_entry_codec
+from repro.baselines.rtree import STRRTree, node_entry_dtype
 from repro.geometry.box import Box
 
+from tests.baseline_reference import NodeEntry, node_entry_codec
 from tests.conftest import make_dataset
+from tests.scalar_reference import scan_objects
 
 
 @pytest.fixture
@@ -16,17 +20,21 @@ def dataset(disk, universe):
     return make_dataset(disk, universe, dataset_id=0, count=800, seed=13)
 
 
-class TestNodeEntryCodec:
-    def test_roundtrip(self):
-        codec = node_entry_codec(3)
-        entry = NodeEntry(child_page=42, child_is_leaf=True, box=Box((0.0, 1.0, 2.0), (3.0, 4.0, 5.0)))
-        assert codec.unpack(codec.pack(entry)) == entry
+class TestNodeEntryDtype:
+    """The node-entry dtype mirrors the ``<qq`` + ``d``×2d struct layout byte for byte."""
 
-    def test_internal_entry_roundtrip(self):
-        codec = node_entry_codec(2)
+    def test_leaf_entry_layout(self):
+        entry = NodeEntry(child_page=42, child_is_leaf=True, box=Box((0.0, 1.0, 2.0), (3.0, 4.0, 5.0)))
+        row = np.frombuffer(node_entry_codec(3).pack(entry), dtype=node_entry_dtype(3))[0]
+        assert (row["child_page"], row["is_leaf"]) == (42, 1)
+        assert row["lo"].tolist() == [0.0, 1.0, 2.0] and row["hi"].tolist() == [3.0, 4.0, 5.0]
+
+    def test_internal_entry_layout(self):
         entry = NodeEntry(child_page=7, child_is_leaf=False, box=Box((0.0, 0.0), (1.0, 1.0)))
-        decoded = codec.unpack(codec.pack(entry))
-        assert decoded.child_is_leaf is False
+        row = np.zeros(1, dtype=node_entry_dtype(2))
+        row["child_page"] = 7
+        row["hi"] = (1.0, 1.0)
+        assert row.tobytes() == node_entry_codec(2).pack(entry)
 
 
 class TestBuild:
@@ -77,7 +85,7 @@ class TestQuery:
     def test_query_matches_bruteforce(self, disk, universe, dataset):
         tree = STRRTree(disk, "r", universe)
         tree.build([dataset])
-        raw = dataset.read_all()
+        raw = list(scan_objects(dataset))
         for center, side in [((50.0, 50.0, 50.0), 25.0), ((20.0, 80.0, 40.0), 10.0), ((5.0, 5.0, 5.0), 3.0)]:
             query = Box.cube(center, side)
             expected = {o.key() for o in raw if o.intersects(query)}
@@ -94,7 +102,7 @@ class TestQuery:
         # The universe is [0, 100]^3, so a far-away degenerate query is legal
         # only inside the coordinate space; use a thin slab between objects.
         result = tree.query(Box((0.0, 0.0, 0.0), (0.0001, 0.0001, 0.0001)))
-        raw = dataset.read_all()
+        raw = list(scan_objects(dataset))
         expected = {o.key() for o in raw if o.intersects(Box((0.0, 0.0, 0.0), (0.0001, 0.0001, 0.0001)))}
         assert result_keys(result) == expected
 

@@ -2,19 +2,21 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.baselines.str_packing import (
     charge_external_sort,
     external_sort_passes,
-    group_consecutive,
-    leaf_mbr,
+    record_centers,
     str_sort_tile,
 )
+from repro.data.spatial_object import spatial_object_codec
 from repro.geometry.box import Box
 from repro.storage.cost_model import DiskModel
 from repro.storage.disk import Disk
 
+from tests.baseline_reference import str_sort_tile as reference_str_sort_tile
 from tests.conftest import make_random_objects
 
 
@@ -23,36 +25,58 @@ def universe() -> Box:
     return Box((0.0, 0.0, 0.0), (100.0, 100.0, 100.0))
 
 
+def packed(objects) -> np.ndarray:
+    codec = spatial_object_codec(3)
+    return np.frombuffer(b"".join(map(codec.pack, objects)), dtype=codec.dtype)
+
+
+def centers(objects) -> np.ndarray:
+    return record_centers(packed(objects)).reshape(len(objects), 3)
+
+
 class TestStrSortTile:
-    def test_all_objects_packed_exactly_once(self, universe):
-        objects = make_random_objects(universe, 400, seed=1)
-        leaves = str_sort_tile(objects, leaf_capacity=20)
-        packed = [o for leaf in leaves for o in leaf]
-        assert sorted(o.oid for o in packed) == sorted(o.oid for o in objects)
+    def test_all_rows_packed_exactly_once(self, universe):
+        leaves = str_sort_tile(centers(make_random_objects(universe, 400, seed=1)), leaf_capacity=20)
+        assert sorted(row for leaf in leaves for row in leaf.tolist()) == list(range(400))
 
     def test_leaf_capacity_respected(self, universe):
-        objects = make_random_objects(universe, 333, seed=2)
-        leaves = str_sort_tile(objects, leaf_capacity=25)
+        leaves = str_sort_tile(centers(make_random_objects(universe, 333, seed=2)), leaf_capacity=25)
         assert all(1 <= len(leaf) <= 25 for leaf in leaves)
 
     def test_small_input_single_leaf(self, universe):
-        objects = make_random_objects(universe, 5, seed=3)
-        leaves = str_sort_tile(objects, leaf_capacity=10)
+        leaves = str_sort_tile(centers(make_random_objects(universe, 5, seed=3)), leaf_capacity=10)
         assert len(leaves) == 1
 
     def test_empty_input(self):
-        assert str_sort_tile([], leaf_capacity=10) == []
+        assert str_sort_tile(np.empty((0, 3)), leaf_capacity=10) == []
 
     def test_invalid_capacity(self, universe):
         with pytest.raises(ValueError):
-            str_sort_tile(make_random_objects(universe, 5), leaf_capacity=0)
+            str_sort_tile(centers(make_random_objects(universe, 5)), leaf_capacity=0)
 
     def test_leaves_are_spatially_coherent(self, universe):
         # STR leaves should have much smaller MBRs than the universe.
-        objects = make_random_objects(universe, 1000, seed=4)
-        leaves = str_sort_tile(objects, leaf_capacity=50)
-        avg_volume = sum(leaf_mbr(leaf).volume() for leaf in leaves) / len(leaves)
-        assert avg_volume < universe.volume() / len(leaves) * 8
+        records = packed(make_random_objects(universe, 1000, seed=4))
+        leaves = str_sort_tile(record_centers(records), leaf_capacity=50)
+        volumes = [
+            np.prod(records["hi"][leaf].max(axis=0) - records["lo"][leaf].min(axis=0))
+            for leaf in leaves
+        ]
+        assert sum(volumes) / len(leaves) < universe.volume() / len(leaves) * 8
+
+    @pytest.mark.parametrize("leaf_capacity", [1, 7, 63])
+    def test_leaves_match_the_per_object_sort_including_ties(self, universe, leaf_capacity):
+        # Half the objects repeat a centre: only a stable sort keeps the
+        # per-object order of equal keys.
+        objects = make_random_objects(universe, 300, seed=5)
+        objects += [
+            type(obj)(oid=1000 + obj.oid, dataset_id=0, box=obj.box) for obj in objects[:150]
+        ]
+        leaves = str_sort_tile(centers(objects), leaf_capacity)
+        expected = reference_str_sort_tile(objects, leaf_capacity)
+        assert [[objects[row].oid for row in leaf.tolist()] for leaf in leaves] == [
+            [obj.oid for obj in leaf] for leaf in expected
+        ]
 
 
 class TestExternalSortPasses:
@@ -94,12 +118,3 @@ class TestChargeExternalSort:
         disk = Disk(model=DiskModel(), buffer_pages=0)
         charge_external_sort(disk, 0, 16)
         assert disk.stats.simulated_seconds == 0
-
-
-class TestGroupConsecutive:
-    def test_grouping(self):
-        assert group_consecutive([1, 2, 3, 4, 5], 2) == [[1, 2], [3, 4], [5]]
-
-    def test_invalid_group_size(self):
-        with pytest.raises(ValueError):
-            group_consecutive([1], 0)

@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import sys
+import types
+from collections import Counter
+
 import pytest
 
 from repro.baselines.grid import GridIndex
 from repro.baselines.interface import BruteForceScan, result_keys
 from repro.baselines.strategies import AllInOne, OneForEach
+from repro.bench.approaches import APPROACHES, make_approach
+from repro.bench.scales import get_scale
+from repro.data.spatial_object import SpatialObject
+from repro.geometry import vectorized
 from repro.geometry.box import Box
+from repro.storage import codec as codec_module
+from repro.storage.codec import FixedRecordCodec
 
 from tests.conftest import make_catalog
 
@@ -138,3 +148,86 @@ class TestAllInOne:
 
 def universe_box(catalog) -> Box:
     return catalog.universe
+
+
+# --------------------------------------------------------------------------- #
+# Every approach on one record surface
+# --------------------------------------------------------------------------- #
+
+
+def figure_approach(name: str, suite):
+    if name == "BruteForce":
+        return BruteForceScan(suite.catalog)
+    return make_approach(name, suite, get_scale("tiny"))
+
+
+@pytest.mark.parametrize("name", [*APPROACHES, "BruteForce"])
+def test_repeated_dataset_ids_are_answered_once(master_suite, name):
+    approach = figure_approach(name, master_suite.fork())
+    approach.build()
+    universe = master_suite.universe
+    once = [obj.key() for obj in approach.query(universe, [0, 2])]
+    assert len(once) == master_suite.catalog.get(0).n_objects + master_suite.catalog.get(2).n_objects
+    assert [obj.key() for obj in approach.query(universe, [0, 2, 0, 2, 2])] == once
+
+
+class CallCounter:
+    """Counts calls of named callables wherever ``repro`` modules bound them."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.counts: Counter = Counter()
+        self._monkeypatch = monkeypatch
+
+    def count(self, label: str, owner, attribute: str) -> None:
+        original = getattr(owner, attribute)
+
+        def wrapper(*args, **kwargs):
+            self.counts[label] += 1
+            return original(*args, **kwargs)
+
+        owners = [owner]
+        if isinstance(owner, types.ModuleType):
+            owners += [
+                module
+                for module_name, module in sys.modules.items()
+                if module_name.startswith("repro.") and getattr(module, attribute, None) is original
+            ]
+        for target in owners:
+            self._monkeypatch.setattr(target, attribute, wrapper)
+
+
+GUARDED = [
+    "FLAT-1fE",
+    "FLAT-Ain1",
+    "RTree-1fE",
+    "RTree-Ain1",
+    "Grid-1fE",
+    "Grid-Ain1",
+    "BruteForce",
+]
+
+
+@pytest.mark.parametrize("name", GUARDED)
+def test_baselines_decode_no_record_and_build_only_returned_objects(master_suite, monkeypatch, name):
+    """Builds and queries read pages as arrays, test them with ``intersect_mask``
+    and build a ``SpatialObject`` only for a returned row."""
+    suite = master_suite.fork()
+    approach = figure_approach(name, suite)
+    calls = CallCounter(monkeypatch)
+    calls.count("decode_page", codec_module, "decode_page")
+    calls.count("unpack", FixedRecordCodec, "unpack")
+    calls.count("intersect_mask", vectorized, "intersect_mask")
+    calls.count("objects", SpatialObject, "__init__")
+    approach.build()
+    assert calls.counts["objects"] == 0
+    universe = suite.universe
+    for fraction, ids in [(0.01, [0]), (0.2, [1, 3]), (2.0, [0, 1, 2, 3])]:
+        masks = calls.counts["intersect_mask"]
+        built = calls.counts["objects"]
+        window = Box.cube(universe.center, universe.side(0) * fraction).clamp(universe)
+        answer = approach.query(window, ids)
+        assert calls.counts["intersect_mask"] > masks
+        assert calls.counts["objects"] - built == len(answer)
+    assert len(answer) == suite.catalog.total_objects()
+    assert calls.counts["decode_page"] == 0
+    assert calls.counts["unpack"] == 0

@@ -39,7 +39,7 @@ from repro.storage.disk import Disk
 from repro.storage.pagedfile import PagedFile
 
 from tests.conftest import make_random_objects
-from tests.scalar_reference import ScalarOdyssey
+from tests.scalar_reference import ScalarOdyssey, read_group
 from tests.test_batch_differential import (
     REPORT_FIELDS,
     adaptive_state,
@@ -211,7 +211,7 @@ class TestArraySurface:
         scalar_file = PagedFile(disk_a, "f.dat", codec)
         array_file = PagedFile(disk_b, "f.dat", codec)
         groups = [objects[:70], [], objects[70:]]
-        scalar_runs = scalar_file.write_groups(groups)
+        scalar_runs = [scalar_file.append_group(group) for group in groups]
         source = object_file
         run = source.append_group(objects)
         records = source.read_group_array(run)
@@ -246,7 +246,7 @@ class TestArraySurface:
         run = object_file.append_group(objects)
         records = object_file.read_group_array(run)
         run2 = object_file.append_group_array(records)
-        assert object_file.read_group(run2) == objects
+        assert read_group(object_file, run2) == objects
 
 
 class TestDecodedCache:
@@ -265,9 +265,7 @@ class TestDecodedCache:
         run = object_file.append_group(objects)
         first = object_file.read_group_array(run)
         # Rewrite the group in place: same pages, different record order.
-        reversed_run = object_file.write_groups(
-            [list(reversed(objects))], reuse=run.extents
-        )[0]
+        reversed_run = object_file.write_groups_array([first[::-1]], reuse=run.extents)[0]
         again = object_file.read_group_array(reversed_run)
         assert again["oid"].tolist() == list(reversed(first["oid"].tolist()))
 

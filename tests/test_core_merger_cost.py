@@ -13,7 +13,7 @@ from repro.core.statistics import StatisticsCollector
 from repro.storage.cost_model import DiskModel
 
 from tests.conftest import make_catalog
-from tests.scalar_reference import read_partition
+from tests.scalar_reference import read_group, read_partition
 
 
 @pytest.fixture
@@ -114,7 +114,7 @@ class TestMergerTriggers:
         for dataset_id in combo:
             tree = trees[dataset_id]
             original = {o.key() for o in read_partition(tree, tree.node(leaf.key))}
-            copied = {o.key() for o in file.read_group(info.segment(leaf.key, dataset_id))}
+            copied = {o.key() for o in read_group(file, info.segment(leaf.key, dataset_id))}
             assert copied == original
 
     def test_key_missing_in_one_dataset_not_merged(self, setup):

@@ -11,6 +11,7 @@ from repro.geometry.box import Box
 from repro.storage.pagedfile import PagedFile
 
 from tests.conftest import make_catalog, make_dataset, make_object, make_random_objects
+from tests.scalar_reference import scan_objects
 
 
 class TestDatasetCreate:
@@ -18,7 +19,7 @@ class TestDatasetCreate:
         objects = make_random_objects(universe, 500, dataset_id=1, seed=3)
         dataset = Dataset.create(disk, 1, "ds1", objects, universe)
         assert dataset.n_objects == 500
-        scanned = dataset.read_all()
+        scanned = list(scan_objects(dataset))
         assert {o.key() for o in scanned} == {o.key() for o in objects}
 
     def test_create_rejects_wrong_dataset_id(self, disk, universe):
@@ -41,7 +42,7 @@ class TestDatasetCreate:
     def test_empty_dataset(self, disk, universe):
         dataset = Dataset.create(disk, 0, "empty", [], universe)
         assert dataset.n_objects == 0
-        assert dataset.read_all() == []
+        assert list(scan_objects(dataset)) == []
         assert dataset.size_pages() >= 0
 
     def test_open_existing(self, disk, universe):
@@ -57,17 +58,18 @@ class TestDatasetCreate:
         dataset = make_dataset(disk, universe, count=400)
         disk.reset_head()
         before = disk.stats_snapshot()
-        dataset.read_all()
+        assert sum(len(chunk) for chunk in dataset.scan_arrays()) == 400
         delta = disk.stats.delta_since(before)
         assert delta.pages_read == dataset.size_pages()
         assert delta.seeks == 1  # one sequential pass
 
-    def test_range_query_scan_is_correct(self, disk, universe):
-        dataset = make_dataset(disk, universe, count=300, seed=5)
-        query = Box.cube((50.0, 50.0, 50.0), 30.0)
-        expected = {o.key() for o in dataset.read_all() if o.intersects(query)}
-        got = {o.key() for o in dataset.range_query_scan(query)}
-        assert got == expected
+    def test_scan_arrays_match_the_objects_written(self, disk, universe):
+        objects = make_random_objects(universe, 300, seed=5)
+        dataset = Dataset.create(disk, 0, "arrays", objects, universe)
+        records = np.concatenate(list(dataset.scan_arrays()))
+        assert records["oid"].tolist() == [o.oid for o in objects]
+        assert records["lo"].tolist() == [list(o.box.lo) for o in objects]
+        assert records["hi"].tolist() == [list(o.box.hi) for o in objects]
 
     def test_raw_file_name_convention(self):
         assert raw_file_name("abc") == "raw/abc.dat"
@@ -86,7 +88,7 @@ class TestDatasetCreateFromArray:
         from_objects = Dataset.create(disk, 1, "objects", objects, universe)
         from_array = Dataset.create(disk, 1, "array", packed_array(objects), universe)
         assert from_array.n_objects == 500
-        assert from_array.read_all() == from_objects.read_all()
+        assert list(scan_objects(from_array)) == list(scan_objects(from_objects))
         def pages(dataset):
             return [disk.backend.read(dataset.file.name, p) for p in range(dataset.size_pages())]
 
@@ -96,7 +98,7 @@ class TestDatasetCreateFromArray:
         dataset = Dataset.create(disk, 0, "empty", packed_array([]), universe)
         assert dataset.n_objects == 0
         assert dataset.file.exists()
-        assert dataset.read_all() == []
+        assert list(scan_objects(dataset)) == []
 
     @pytest.mark.parametrize(
         "bad, expected",

@@ -31,6 +31,7 @@ from repro.geometry.box import Box
 from repro.storage.disk import Disk
 
 from tests.generator_reference import REFERENCE, reference_suite_disk
+from tests.scalar_reference import scan_objects
 
 DEEP_ITERATIONS = int(os.environ.get("REPRO_FUZZ_ITERATIONS", "0"))
 
@@ -160,8 +161,8 @@ class TestBenchmarkSuite:
     def test_suite_is_deterministic(self):
         a = build_benchmark_suite(n_datasets=2, objects_per_dataset=80, seed=9)
         b = build_benchmark_suite(n_datasets=2, objects_per_dataset=80, seed=9)
-        objs_a = a.catalog.get(0).read_all()
-        objs_b = b.catalog.get(0).read_all()
+        objs_a = list(scan_objects(a.catalog.get(0)))
+        objs_b = list(scan_objects(b.catalog.get(0)))
         assert objs_a == objs_b
 
     def test_fork_creates_independent_copy(self):
@@ -178,8 +179,8 @@ class TestBenchmarkSuite:
     def test_fork_preserves_data(self):
         suite = build_benchmark_suite(n_datasets=1, objects_per_dataset=70, seed=4)
         fork = suite.fork()
-        assert {o.key() for o in fork.catalog.get(0).read_all()} == {
-            o.key() for o in suite.catalog.get(0).read_all()
+        assert {o.key() for o in scan_objects(fork.catalog.get(0))} == {
+            o.key() for o in scan_objects(suite.catalog.get(0))
         }
 
     def test_invalid_arguments(self):

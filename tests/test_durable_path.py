@@ -29,12 +29,13 @@ from repro.core.odyssey import SpaceOdyssey
 from repro.data.dataset import Dataset
 from repro.data.suite import build_benchmark_suite
 from repro.storage import backend as backend_module
-from repro.storage import pagedfile as pagedfile_module
+from repro.storage import codec as codec_module
 from repro.storage.backend import MAX_OPEN_FILES, FileSystemBackend
 from repro.storage.cost_model import DiskModel
 from repro.storage.disk import Disk
 from repro.storage.journal import ManifestJournal
 
+from tests.scalar_reference import scan_objects
 from tests.test_recovery import make_workload
 
 CONFIG = OdysseyConfig(merge_threshold=1, min_merge_combination=2)
@@ -116,16 +117,16 @@ class TestCostsPerChange:
         suite = fs_suite(tmp_path / "pages", buffer_pages=4)
         dataset = suite.datasets[0]
         scalar_decodes = [0]
-        real_decode = pagedfile_module.decode_page
+        real_decode = codec_module.decode_page
 
         def counting_decode(*args, **kwargs):
             scalar_decodes[0] += 1
             return real_decode(*args, **kwargs)
 
-        monkeypatch.setattr(pagedfile_module, "decode_page", counting_decode)
+        monkeypatch.setattr(codec_module, "decode_page", counting_decode)
 
         scalar = suite.fork()
-        scalar_count = sum(1 for _ in scalar.datasets[0].file.scan())
+        scalar_count = sum(1 for _ in scan_objects(scalar.datasets[0]))
         assert scalar_decodes[0] == dataset.size_pages() > 1
         charged = scalar.disk.stats_snapshot()
 

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from repro.geometry.box import Box
+from repro.geometry.vectorized import grid_child_indices
 
 
 class TestConstruction:
@@ -169,13 +170,13 @@ class TestGridSplitting:
     def test_child_index_consistent_with_split(self):
         box = Box((0.0, 0.0, 0.0), (8.0, 8.0, 8.0))
         children = box.split_grid(2)
-        for index, child in enumerate(children):
-            assert box.child_index(child.center, 2) == index
+        centers = [child.center for child in children]
+        assert grid_child_indices(centers, box.lo, box.hi, 2).tolist() == list(range(8))
+        assert grid_child_indices(centers, box.lo, box.hi, (2, 2, 2)).tolist() == list(range(8))
 
     def test_child_index_clamps_boundary_points(self):
         box = Box((0.0,), (1.0,))
-        assert box.child_index((1.0,), 4) == 3
-        assert box.child_index((-0.5,), 4) == 0
+        assert grid_child_indices([(1.0,), (-0.5,)], box.lo, box.hi, 4).tolist() == [3, 0]
 
     def test_grid_cells_overlapping_matches_bruteforce(self):
         box = Box((0.0, 0.0), (10.0, 10.0))

@@ -53,7 +53,13 @@ from repro.storage.cost_model import DiskModel
 from repro.storage.disk import Disk
 from repro.storage.pagedfile import PagedFile
 
-from tests.scalar_reference import assign_to_children, leaves_overlapping, read_partition
+from tests.scalar_reference import (
+    assign_to_children,
+    leaves_overlapping,
+    read_group,
+    read_partition,
+    write_groups,
+)
 from tests.test_incremental_bookkeeping import check_tree
 from tests.test_refine_path import reference_assign_array
 
@@ -181,7 +187,7 @@ class TestCodecProperties:
         disk = Disk(model=DiskModel(), buffer_pages=0)
         file: PagedFile[int] = PagedFile(disk, "prop.dat", codec)
         run = file.append_group(records)
-        assert sorted(file.read_group(run)) == sorted(records)
+        assert sorted(read_group(file, run)) == sorted(records)
 
 
 def degenerate_spatial_objects():
@@ -215,7 +221,7 @@ class TestArrayCodecProperties:
         codec = file.codec
         assert len(records) == len(objects)
         assert records.tobytes() == b"".join(codec.pack(obj) for obj in objects)
-        assert file.read_group(run) == objects
+        assert read_group(file, run) == objects
 
     @given(
         st.lists(
@@ -234,7 +240,7 @@ class TestArrayCodecProperties:
         parent = scalar_file.append_group(list(range_objects(120)))
         array_parent = array_file.append_group(list(range_objects(120)))
         assert parent == array_parent
-        scalar_runs = scalar_file.write_groups(groups, reuse=parent.extents)
+        scalar_runs = write_groups(scalar_file, groups, reuse=parent.extents)
         staging = PagedFile(
             Disk(model=DiskModel(), buffer_pages=0), "staging.dat", codec
         )
@@ -279,14 +285,15 @@ class TestWriteGroupsProperties:
     )
     @settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
     def test_groups_roundtrip_with_reuse(self, groups: list[list[int]]):
-        codec = FixedRecordCodec("<q", lambda v: (v,), lambda f: f[0])
+        codec = FixedRecordCodec("<q", lambda v: (v,), lambda f: f[0], dtype=np.dtype("<i8"))
         disk = Disk(model=DiskModel(), buffer_pages=0)
         file: PagedFile[int] = PagedFile(disk, "prop2.dat", codec)
         parent = file.append_group(list(range(500)))
-        runs = file.write_groups(groups, reuse=parent.extents)
+        arrays = [np.array(group, dtype="<i8") for group in groups]
+        runs = file.write_groups_array(arrays, reuse=parent.extents)
         assert len(runs) == len(groups)
         for group, run in zip(groups, runs):
-            assert sorted(file.read_group(run)) == sorted(group)
+            assert file.read_group_array(run).tolist() == group
         # No two groups share a page.
         seen: set[int] = set()
         for run in runs:

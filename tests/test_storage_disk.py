@@ -101,13 +101,13 @@ class TestCostAccounting:
         disk.read_page("g", 0)
         assert disk.stats.delta_since(before).seeks == 2
 
-    def test_scan_pages_is_sequential(self, disk, model):
+    def test_whole_file_run_is_sequential(self, disk, model):
         disk.create_file("f")
         for i in range(20):
             disk.append_page("f", bytes([i]))
         disk.reset_head()
         before = disk.stats_snapshot()
-        pages = list(disk.scan_pages("f"))
+        pages = disk.read_run("f", 0, 20)
         delta = disk.stats.delta_since(before)
         assert len(pages) == 20
         assert delta.seeks == 1

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.data.columnar import DecodedGroup
 from repro.data.spatial_object import spatial_object_codec
 from repro.storage.codec import FixedRecordCodec
 from repro.storage.cost_model import DiskModel
@@ -21,8 +23,12 @@ def disk() -> Disk:
 
 @pytest.fixture
 def int_file(disk) -> PagedFile[int]:
-    codec = FixedRecordCodec("<q", lambda v: (v,), lambda f: f[0])
+    codec = FixedRecordCodec("<q", lambda v: (v,), lambda f: f[0], dtype=np.dtype("<i8"))
     return PagedFile(disk, "ints.dat", codec)
+
+
+def ints(*values) -> np.ndarray:
+    return np.array(values, dtype="<i8")
 
 
 class TestPageExtent:
@@ -61,36 +67,36 @@ class TestAppendAndRead:
     def test_roundtrip_small_group(self, int_file):
         run = int_file.append_group([1, 2, 3])
         assert run.n_records == 3
-        assert int_file.read_group(run) == [1, 2, 3]
+        assert int_file.read_group_array(run).tolist() == [1, 2, 3]
 
     def test_roundtrip_multi_page_group(self, int_file):
         records = list(range(2000))
         run = int_file.append_group(records)
         assert run.n_pages == int_file.pages_needed(2000)
-        assert sorted(int_file.read_group(run)) == records
+        assert int_file.read_group_array(run).tolist() == records
 
     def test_empty_group(self, int_file):
         run = int_file.append_group([])
         assert run.n_records == 0
-        assert int_file.read_group(run) == []
+        assert int_file.read_group_array(run).tolist() == []
 
     def test_groups_do_not_share_pages(self, int_file):
         run_a = int_file.append_group([1, 2])
-        run_b = int_file.append_group([3, 4])
+        run_b = int_file.append_group_array(ints(3, 4))
         assert set(run_a.page_numbers()).isdisjoint(run_b.page_numbers())
 
     def test_scan_returns_everything(self, int_file):
         int_file.append_group(list(range(100)))
-        int_file.append_group(list(range(100, 150)))
-        assert sorted(int_file.scan()) == list(range(150))
+        int_file.append_group_array(np.arange(100, 150, dtype="<i8"))
+        assert np.concatenate(list(int_file.scan_arrays())).tolist() == list(range(150))
 
     def test_scan_missing_file_is_empty(self, int_file):
-        assert list(int_file.scan()) == []
+        assert list(int_file.scan_arrays()) == []
 
-    def test_read_page_records(self, int_file):
+    def test_read_page_array(self, int_file):
         run = int_file.append_group([7, 8, 9])
         page = run.extents[0].start
-        assert int_file.read_page_records(page) == [7, 8, 9]
+        assert int_file.read_page_array(page).tolist() == [7, 8, 9]
 
     def test_delete(self, int_file):
         int_file.append_group([1])
@@ -99,12 +105,16 @@ class TestAppendAndRead:
         assert int_file.num_pages() == 0
 
 
+def read_back(file: PagedFile, runs) -> list[list[int]]:
+    return [file.read_group_array(run).tolist() for run in runs]
+
+
 class TestWriteGroupsInPlace:
     def test_reuses_parent_pages_first(self, int_file):
         parent = int_file.append_group(list(range(2500)))  # five pages (511/page)
         pages_before = int_file.num_pages()
-        groups = [list(range(i * 10, i * 10 + 10)) for i in range(4)]
-        runs = int_file.write_groups(groups, reuse=parent.extents)
+        groups = [np.arange(i * 10, i * 10 + 10, dtype="<i8") for i in range(4)]
+        runs = int_file.write_groups_array(groups, reuse=parent.extents)
         # Four small groups (one page each) fit in the reused pages: no growth.
         assert int_file.num_pages() == pages_before
         reused_pages = set(parent.page_numbers())
@@ -116,32 +126,28 @@ class TestWriteGroupsInPlace:
         pages_before = int_file.num_pages()
         # Children together need more pages than the parent had (each group
         # occupies whole pages, so 10 groups of 300 records need ~10x).
-        groups = [list(range(300)) for _ in range(10)]
-        runs = int_file.write_groups(groups, reuse=parent.extents)
+        groups = [np.arange(300, dtype="<i8") for _ in range(10)]
+        runs = int_file.write_groups_array(groups, reuse=parent.extents)
         assert int_file.num_pages() > pages_before
-        for group, run in zip(groups, runs):
-            assert sorted(int_file.read_group(run)) == sorted(group)
+        assert read_back(int_file, runs) == [group.tolist() for group in groups]
 
     def test_content_preserved_across_rewrite(self, int_file):
-        parent_records = list(range(1000))
-        parent = int_file.append_group(parent_records)
+        parent_records = np.arange(1000, dtype="<i8")
+        parent = int_file.append_group_array(parent_records)
         groups = [parent_records[:400], parent_records[400:750], parent_records[750:]]
-        runs = int_file.write_groups(groups, reuse=parent.extents)
-        recovered = sorted(
-            record for run in runs for record in int_file.read_group(run)
-        )
-        assert recovered == parent_records
+        runs = int_file.write_groups_array(groups, reuse=parent.extents)
+        recovered = [record for group in read_back(int_file, runs) for record in group]
+        assert recovered == parent_records.tolist()
 
     def test_empty_groups_get_empty_runs(self, int_file):
-        runs = int_file.write_groups([[], [1, 2], []])
+        runs = int_file.write_groups_array([ints(), ints(1, 2), ints()])
         assert runs[0].n_records == 0
         assert runs[2].n_records == 0
-        assert int_file.read_group(runs[1]) == [1, 2]
+        assert int_file.read_group_array(runs[1]).tolist() == [1, 2]
 
     def test_without_reuse_behaves_like_append(self, int_file):
-        runs = int_file.write_groups([[1], [2, 3]])
-        assert int_file.read_group(runs[0]) == [1]
-        assert sorted(int_file.read_group(runs[1])) == [2, 3]
+        runs = int_file.write_groups_array([ints(1), ints(2, 3)])
+        assert read_back(int_file, runs) == [[1], [2, 3]]
 
     def test_reuse_overflow_split_assigns_exact_pages(self, int_file):
         """A group straddling the reuse boundary gets reused pages first and
@@ -151,22 +157,21 @@ class TestWriteGroupsInPlace:
         tail_start = int_file.num_pages()
         # Three one-page groups: the first reuses page 0, the second reuses
         # page 1, the third finds the free list empty and overflows entirely.
-        groups = [list(range(400)), list(range(400, 800)), list(range(800, 1200))]
-        runs = int_file.write_groups(groups, reuse=parent.extents)
+        groups = [np.arange(start, start + 400, dtype="<i8") for start in (0, 400, 800)]
+        runs = int_file.write_groups_array(groups, reuse=parent.extents)
         assert runs[0].page_numbers() == [0]
         assert runs[1].page_numbers() == [1]
         assert runs[2].page_numbers() == [tail_start]
-        for group, run in zip(groups, runs):
-            assert int_file.read_group(run) == group
+        assert read_back(int_file, runs) == [group.tolist() for group in groups]
 
     def test_single_group_split_between_reuse_and_overflow(self, int_file):
         """One group larger than the reused extents combines both kinds of pages."""
         parent = int_file.append_group(list(range(511)))  # exactly one page
         tail_start = int_file.num_pages()
-        records = list(range(1500))  # needs three pages
-        (run,) = int_file.write_groups([records], reuse=parent.extents)
+        records = np.arange(1500, dtype="<i8")  # needs three pages
+        (run,) = int_file.write_groups_array([records], reuse=parent.extents)
         assert run.page_numbers() == [0, tail_start, tail_start + 1]
-        assert int_file.read_group(run) == records
+        assert int_file.read_group_array(run).tolist() == records.tolist()
 
 
 class TestSpatialObjectFile:
@@ -175,5 +180,5 @@ class TestSpatialObjectFile:
         objects = make_random_objects(universe, 200, dataset_id=4, seed=1)
         file = PagedFile(disk, "objs.dat", spatial_object_codec(3))
         run = file.append_group(objects)
-        read_back = file.read_group(run)
-        assert {o.key() for o in read_back} == {o.key() for o in objects}
+        records = file.read_group_array(run)
+        assert DecodedGroup.from_records(records, 3).materialize(np.ones(200, bool)) == objects

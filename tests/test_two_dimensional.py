@@ -22,6 +22,8 @@ from repro.geometry.box import Box
 from repro.storage.cost_model import DiskModel
 from repro.storage.disk import Disk
 
+from tests.scalar_reference import scan_objects
+
 UNIVERSE_2D = Box((0.0, 0.0), (100.0, 100.0))
 
 
@@ -65,7 +67,7 @@ def test_codec_2d_roundtrip():
 
 def test_static_indexes_2d_match_bruteforce(disk, catalog):
     dataset = catalog.get(0)
-    raw = dataset.read_all()
+    raw = list(scan_objects(dataset))
     indexes = [
         GridIndex(disk, "g2", UNIVERSE_2D, cells_per_dim=8),
         STRRTree(disk, "r2", UNIVERSE_2D),
