@@ -595,11 +595,10 @@ class BatchExecutor:
         Works on the *current* trees: the leaves each query retrieved are
         re-resolved whenever a tree was refined since overlap resolution,
         and each query goes through the sequential writer half, which makes
-        every hit count, refinement decision, statistics update and merge
+        every refinement decision, statistics update, LRU stamp and merge
         trigger identical to sequential execution.
         """
         processor = self._processor
-        statistics = processor.statistics
         directory = processor.directory
         trees = processor.live_trees
         pool = processor.catalog.datasets()[0].disk.buffer_pool
@@ -608,7 +607,6 @@ class BatchExecutor:
             cache_start = pool.counters()
             ordered = tuple(sorted(query.requested))
             report = QueryReport(query_index=processor.queries_executed, requested=ordered)
-            statistics.tick()
             report.initialized_datasets = [
                 dataset_id
                 for dataset_id in ordered

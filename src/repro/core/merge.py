@@ -42,7 +42,6 @@ class MergeFileInfo:
     combination: Combination
     file_name: str
     entries: dict[PartitionKey, dict[int, StoredRun]] = field(default_factory=dict)
-    created_at: int = 0
     last_used: int = 0
     _total_pages: int | None = field(default=None, repr=False, compare=False)
 
@@ -95,7 +94,6 @@ class MergeFileInfo:
             combination=self.combination,
             file_name=self.file_name,
             entries=dict(self.entries),
-            created_at=self.created_at,
             last_used=self.last_used,
             _total_pages=self._total_pages,
         )

@@ -74,7 +74,6 @@ class Merger:
                 MergeCostModel(disk.model), config.merge_threshold
             )
         self._merges_performed = 0
-        self._partitions_merged = 0
         self._evictions = 0
 
     # ------------------------------------------------------------------ #
@@ -85,11 +84,6 @@ class Merger:
     def merges_performed(self) -> int:
         """Number of merge operations (file creations or extensions)."""
         return self._merges_performed
-
-    @property
-    def partitions_merged(self) -> int:
-        """Total partition copies written into merge files."""
-        return self._partitions_merged
 
     @property
     def evictions(self) -> int:
@@ -136,19 +130,13 @@ class Merger:
         if not new_keys:
             return MergeOutcome(skipped_reason="nothing new to merge")
 
-        info = existing or MergeFileInfo(
-            combination=combination,
-            file_name=merge_file_name(combination),
-            created_at=self._statistics.logical_clock,
-            last_used=self._statistics.logical_clock,
-        )
+        info = existing or MergeFileInfo(combination, merge_file_name(combination))
         file = self.merge_file(combination)
         for key in new_keys:
             for dataset_id in sorted(combination):
                 tree = trees[dataset_id]
                 run = file.append_group_array(tree.read_partition_array(tree.node(key)))
                 info.add_segment(key, dataset_id, run)
-                self._partitions_merged += 1
         info.last_used = self._statistics.logical_clock
         self._directory.register(info)
         self._merges_performed += 1

@@ -63,7 +63,6 @@ class PartitionNode:
     box: Box
     run: StoredRun | None = None
     children: list["PartitionNode"] | None = None
-    hit_count: int = 0
     _volume: float | None = field(default=None, repr=False)
 
     @property
@@ -213,12 +212,11 @@ class PartitionTree:
         self._n_objects = 0
         self._version = 0
         # Read-side summaries maintained at write time (install/refine), so
-        # no query ever re-walks the tree: the search-order snapshot, each
-        # leaf's run by key, and the leaf keys as a real set (set-to-set
-        # algebra reuses stored hashes; a dict's key view re-hashes).
+        # no query ever re-walks the tree: the search-order snapshot and the
+        # leaf keys as a real set (set-to-set algebra reuses stored hashes;
+        # a dict's key view re-hashes).
         no_corners = np.empty((0, dataset.dimension), dtype=np.float64)
         self._leaf_snapshot = LeafSnapshot(version=0, leaves=(), lo=no_corners, hi=no_corners)
-        self._run_by_key: dict[PartitionKey, StoredRun | None] = {}
         self._leaf_keys: set[PartitionKey] = set()
 
     # ------------------------------------------------------------------ #
@@ -353,7 +351,6 @@ class PartitionTree:
         slot = self._leaf_snapshot.leaves.index(parent)
         parent.children = self._splice(slot, slot + 1, parent.key, parent.box, runs)
         parent.run = None
-        del self._run_by_key[parent.key]
         self._leaf_keys.remove(parent.key)
         return parent.children
 
@@ -385,7 +382,6 @@ class PartitionTree:
             hi=_spliced(old.hi, start, stop, np.array(highs)[self._child_corners]),
         )
         self._nodes.update(zip(keys, children))
-        self._run_by_key.update(zip(keys, runs))
         self._leaf_keys.update(keys)
         return children
 
@@ -416,14 +412,14 @@ class PartitionTree:
         refinement), so the captured runs are consistent with the
         captured leaf set.  The result shares the cached
         :class:`LeafSnapshot` and the live node objects but freezes every
-        leaf's run — see :class:`TreeEpochSnapshot`.  The runs come from
-        the by-key summary the tree keeps in step with its snapshot, so
-        the capture is one dictionary copy, not a walk over the leaves.
+        leaf's run — see :class:`TreeEpochSnapshot` — read off the
+        snapshot's leaves, so a split pays for no by-key summary.
         """
+        snapshot = self.leaf_snapshot()
         return TreeEpochSnapshot(
             version=self._version,
-            snapshot=self.leaf_snapshot(),
-            run_by_key=dict(self._run_by_key),
+            snapshot=snapshot,
+            run_by_key={leaf.key: leaf.run for leaf in snapshot.leaves},
             max_extent=self._max_extent,
             universe=self._universe,
             file=self._file,

@@ -271,18 +271,16 @@ class QueryProcessor:
     ) -> None:
         """Steps 5–6, the writer half of one query, against the *current* state.
 
-        Every leaf in ``overlapped`` (per requested dataset) counts a hit and
-        enters the statistics; leaves holding records are offered for
-        refinement; then the merger gets its chance.  Fills ``report``.
+        The keys of every leaf in ``overlapped`` (per requested dataset)
+        enter the statistics, which advances the logical clock; leaves
+        holding records are offered for refinement; the merge file read
+        (if any) is stamped as used; then the merger gets its chance.
+        Fills ``report``.
         """
         info = decision.merge_info
-        if info is not None:
-            self._merger.mark_used(info.combination)
-        accessed_keys = {}
+        keys = set()
         for dataset_id, leaves in overlapped.items():
-            accessed_keys[dataset_id] = {leaf.key for leaf in leaves}
-            for leaf in leaves:
-                leaf.hit_count += 1
+            keys.update(leaf.key for leaf in leaves)
             report.partitions_read += len(leaves)
             if info is not None and dataset_id in decision.covered_datasets:
                 report.partitions_from_merge += sum(
@@ -294,7 +292,9 @@ class QueryProcessor:
                 # A leaf without records is never a refinement candidate.
                 if leaf.n_objects and self._adaptor.maybe_refine(tree, leaf, box).refined:
                     report.refinements += 1
-        self._statistics.record_query(requested, accessed_keys, query_volume=box.volume())
+        self._statistics.record_query(requested, keys, query_volume=box.volume())
+        if info is not None:
+            self._merger.mark_used(info.combination)
         merge_outcome = self._merger.maybe_merge(requested, self._trees)
         report.merged = merge_outcome.merged
         report.merge_new_partitions = merge_outcome.new_partitions
@@ -410,7 +410,6 @@ class QueryProcessor:
         report = QueryReport(query_index=self._queries_executed, requested=ordered)
         cache_start = self._disk.buffer_pool.counters()
         retries_start = self._disk.stats.retries
-        self._statistics.tick()
         report.initialized_datasets = self.initialize_trees(ordered)
 
         # 2. The overlapped leaves, in search order: one kernel call per tree.

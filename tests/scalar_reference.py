@@ -234,19 +234,13 @@ class ScalarMerger(Merger):
         new_keys = sorted(self._qualifying_keys(combination, stats, trees, merged))
         if not new_keys:
             return MergeOutcome(skipped_reason="nothing new to merge")
-        info = existing or MergeFileInfo(
-            combination=combination,
-            file_name=merge_file_name(combination),
-            created_at=self._statistics.logical_clock,
-            last_used=self._statistics.logical_clock,
-        )
+        info = existing or MergeFileInfo(combination, merge_file_name(combination))
         file = self.merge_file(combination)
         for key in new_keys:
             for dataset_id in sorted(combination):
                 tree = trees[dataset_id]
                 run = file.append_group(read_partition(tree, tree.node(key)))
                 info.add_segment(key, dataset_id, run)
-                self._partitions_merged += 1
         info.last_used = self._statistics.logical_clock
         self._directory.register(info)
         self._merges_performed += 1
@@ -272,7 +266,6 @@ class ScalarProcessor(QueryProcessor):
         report = QueryReport(query_index=self.queries_executed, requested=ordered)
         cache_start = self._disk.buffer_pool.counters()
         retries_start = self._disk.stats.retries
-        self._statistics.tick()
 
         # 1. Lazy initialisation of partition trees (in-situ first touch).
         for dataset_id in ordered:
@@ -293,20 +286,16 @@ class ScalarProcessor(QueryProcessor):
         # 3. Routing: merge file vs individual partition files.
         decision = choose_route(self._directory, requested)
         report.route = decision.kind.value
-        if decision.merge_info is not None:
-            self._merger.mark_used(decision.merge_info.combination)
 
         # 4. Retrieval in on-disk order, then a filter loop over objects.
-        accessed_keys: dict[int, set[PartitionKey]] = {}
+        accessed_keys: set[PartitionKey] = set()
         occupied: dict[int, list[PartitionNode]] = {}
         merge_plan: list[tuple[int, StoredRun]] = []
         plan: list[tuple[int, PagedFile[SpatialObject], StoredRun]] = []
         info = decision.merge_info
         for dataset_id in ordered:
             leaves = needed[dataset_id]
-            accessed_keys[dataset_id] = {leaf.key for leaf in leaves}
-            for leaf in leaves:
-                leaf.hit_count += 1
+            accessed_keys.update(leaf.key for leaf in leaves)
             report.partitions_read += len(leaves)
             held = occupied[dataset_id] = [leaf for leaf in leaves if leaf.n_objects]
             if info is not None and dataset_id in decision.covered_datasets:
@@ -344,8 +333,10 @@ class ScalarProcessor(QueryProcessor):
                 if self._adaptor.maybe_refine(tree, leaf, box).refined:
                     report.refinements += 1
 
-        # 6. Statistics and merging.
+        # 6. Statistics (the logical clock's one advance), the LRU stamp, merging.
         self._statistics.record_query(requested, accessed_keys, query_volume=box.volume())
+        if info is not None:
+            self._merger.mark_used(info.combination)
         merge_outcome = self._merger.maybe_merge(requested, self._trees)
         report.merged = merge_outcome.merged
         report.merge_new_partitions = merge_outcome.new_partitions

@@ -49,13 +49,17 @@ def packed_hits(odyssey: SpaceOdyssey, hits) -> frozenset[bytes]:
 
 
 def adaptive_state(odyssey: SpaceOdyssey):
-    """A comparable snapshot of everything the adaptive machinery mutated."""
+    """A comparable snapshot of everything the adaptive machinery mutated.
+
+    The statistics are compared as the merger reads them: per combination
+    the count, the key hits, the hot keys and the query volume, plus the
+    logical clock the LRU stamps are taken from.
+    """
     trees = {}
     for dataset_id, tree in sorted(odyssey.trees.items()):
         leaves = sorted(
             (
                 leaf.key,
-                leaf.hit_count,
                 leaf.n_objects,
                 leaf.run.extents if leaf.run is not None else (),
             )
@@ -74,14 +78,13 @@ def adaptive_state(odyssey: SpaceOdyssey):
         merge_files[tuple(sorted(info.combination))] = (
             info.file_name,
             entries,
-            info.created_at,
             info.last_used,
         )
     combinations = {
         tuple(sorted(combo)): (
             stats.count,
             dict(stats.key_hits),
-            {d: frozenset(keys) for d, keys in stats.partitions.items()},
+            frozenset(stats.hot_keys),
             stats.total_query_volume,
         )
         for combo, stats in odyssey.statistics.combinations().items()
@@ -90,8 +93,8 @@ def adaptive_state(odyssey: SpaceOdyssey):
         trees,
         merge_files,
         combinations,
+        odyssey.statistics.logical_clock,
         odyssey.merger.merges_performed,
-        odyssey.merger.partitions_merged,
         odyssey.merger.evictions,
         odyssey.summary(),
     )

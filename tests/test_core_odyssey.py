@@ -8,6 +8,7 @@ from repro.baselines.interface import BruteForceScan, result_keys
 from repro.core.config import OdysseyConfig
 from repro.core.odyssey import SpaceOdyssey
 from repro.geometry.box import Box
+from repro.storage.pagedfile import PagedFile
 from repro.workload import ClusteredRangeGenerator, CombinationGenerator, WorkloadBuilder
 
 from tests.conftest import make_catalog
@@ -68,17 +69,24 @@ class TestBasics:
 
 
 class TestRejectedQueriesChangeNothing:
-    """A malformed query is refused before any state changes.
+    """A malformed query is refused, and a failed read aborts, before any state changes.
 
-    Nothing of a rejected query is journaled, so if it ticked the logical
-    clock or initialised a tree, a recovered engine (and its LRU
-    ``last_used``/``created_at`` stamps) would diverge from the one that
-    crashed.
+    Nothing of a query that never commits is journaled, so if it advanced
+    the logical clock or initialised a tree, a recovered engine (and its
+    LRU ``last_used`` stamps) would diverge from the one that crashed.
     """
 
     BAD_WINDOWS = [
         pytest.param(((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), TypeError, id="tuple"),
         pytest.param(Box((0.0, 0.0), (1.0, 1.0)), ValueError, id="2-D-box"),
+    ]
+    BATCH_RUNS = [
+        pytest.param(lambda engine, batch: engine.query_batch(batch), id="batch"),
+        pytest.param(lambda engine, batch: engine.query_batch(batch, workers=2), id="thread"),
+        pytest.param(
+            lambda engine, batch: engine.query_batch(batch, snapshot=True), id="snapshot"
+        ),
+        pytest.param(lambda engine, batch: engine.prepare_batch(batch), id="prepare"),
     ]
 
     @pytest.fixture
@@ -105,21 +113,33 @@ class TestRejectedQueriesChangeNothing:
         assert self.state(engine) == before
 
     @pytest.mark.parametrize("window,error", BAD_WINDOWS)
-    @pytest.mark.parametrize(
-        "run",
-        [
-            lambda engine, batch: engine.query_batch(batch),
-            lambda engine, batch: engine.query_batch(batch, workers=2),
-            lambda engine, batch: engine.query_batch(batch, snapshot=True),
-            lambda engine, batch: engine.prepare_batch(batch),
-        ],
-        ids=["batch", "thread", "snapshot", "prepare"],
-    )
+    @pytest.mark.parametrize("run", BATCH_RUNS)
     def test_query_batch(self, engine, window, error, run):
         before = self.state(engine)
         valid = (Box.cube((20.0, 20.0, 20.0), 10.0), [0, 1])
         with pytest.raises(error):
             run(engine, [valid, (window, [0, 1])])
+        assert self.state(engine) == before
+
+    @pytest.mark.parametrize(
+        "run",
+        [pytest.param(lambda engine, batch: engine.query(*batch[0]), id="query"), *BATCH_RUNS],
+    )
+    def test_failed_read(self, engine, run, monkeypatch):
+        """A read that raises leaves the clock where it was, on every path.
+
+        Dataset 2 is initialised by the fixture, so first touch writes
+        nothing and the read is the first thing that can fail.
+        """
+
+        def failing_read(*args, **kwargs):
+            raise OSError("injected read failure")
+
+        monkeypatch.setattr(PagedFile, "read_group_array", failing_read)
+        monkeypatch.setattr(PagedFile, "read_group_array_at", failing_read)
+        before = self.state(engine)
+        with pytest.raises(OSError, match="injected read failure"):
+            run(engine, [(Box.cube((50.0, 50.0, 50.0), 40.0), [2])])
         assert self.state(engine) == before
 
 

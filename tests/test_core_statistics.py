@@ -10,72 +10,50 @@ from repro.core.statistics import StatisticsCollector
 class TestRecording:
     def test_combination_counting(self):
         stats = StatisticsCollector()
-        stats.record_query({1, 2, 3}, {1: [(0,)], 2: [(0,)], 3: [(1,)]})
-        stats.record_query({1, 2, 3}, {1: [(2,)], 2: [(0,)], 3: [(1,)]})
-        stats.record_query({1, 2}, {1: [(0,)], 2: [(0,)]})
-        assert stats.combination_count([1, 2, 3]) == 2
-        assert stats.combination_count([2, 1]) == 1  # order-insensitive
-        assert stats.combination_count([9]) == 0
-        assert stats.queries_seen == 3
+        stats.record_query({1, 2, 3}, [(0,), (1,)])
+        stats.record_query({1, 2, 3}, [(2,), (0,), (1,)])
+        stats.record_query({1, 2}, [(0,)])
+        assert stats.combination_stats([1, 2, 3]).count == 2
+        assert stats.combination_stats([2, 1]).count == 1  # order-insensitive
+        assert stats.combination_stats([9]) is None
+        assert sum(combo.count for combo in stats.combinations().values()) == 3
 
-    def test_partition_accumulation(self):
+    def test_key_hits_accumulate_per_combination(self):
         stats = StatisticsCollector()
-        stats.record_query({1, 2}, {1: [(0,), (1,)], 2: [(0,)]})
-        stats.record_query({1, 2}, {1: [(2,)], 2: [(0,)]})
+        stats.record_query({1, 2}, [(0,), (1,), (0,)])
+        stats.record_query({1, 2}, [(2,), (0,)])
+        stats.record_query({1}, [(1,)])
         combo = stats.combination_stats({1, 2})
         assert combo is not None
-        assert combo.partitions[1] == {(0,), (1,), (2,)}
-        assert combo.partitions[2] == {(0,)}
-        assert combo.all_partition_keys() == {(0,), (1,), (2,)}
+        assert combo.key_hits == {(0,): 2, (1,): 1, (2,): 1}
+        assert stats.combination_stats({1}).key_hits == {(1,): 1}
 
     def test_key_hits_counted_per_query(self):
         stats = StatisticsCollector()
-        stats.record_query({1, 2}, {1: [(0,)], 2: [(0,)]})
-        stats.record_query({1, 2}, {1: [(0,)], 2: [(1,)]})
+        stats.record_query({1, 2}, [(0,), (0,)])
+        stats.record_query({1, 2}, [(0,), (1,)])
         combo = stats.combination_stats({1, 2})
         assert combo.key_hits[(0,)] == 2  # counted once per query, not per dataset
         assert combo.key_hits[(1,)] == 1
 
     def test_query_volume_average(self):
         stats = StatisticsCollector()
-        stats.record_query({1}, {1: []}, query_volume=2.0)
-        stats.record_query({1}, {1: []}, query_volume=4.0)
+        stats.record_query({1}, [], query_volume=2.0)
+        stats.record_query({1}, [], query_volume=4.0)
         assert stats.combination_stats({1}).average_query_volume() == pytest.approx(3.0)
 
     def test_empty_combination_rejected(self):
+        stats = StatisticsCollector()
         with pytest.raises(ValueError):
-            StatisticsCollector().record_query(set(), {})
-
-    def test_partition_hit_counts(self):
-        stats = StatisticsCollector()
-        stats.record_query({1}, {1: [(0,), (1,)]})
-        stats.record_query({1, 2}, {1: [(0,)], 2: [(0,)]})
-        assert stats.partition_hit_count(1, (0,)) == 2
-        assert stats.partition_hit_count(1, (1,)) == 1
-        assert stats.partition_hit_count(2, (5,)) == 0
+            stats.record_query(set(), [])
+        assert stats.logical_clock == 0
 
 
-class TestRankings:
-    def test_hottest_combinations(self):
-        stats = StatisticsCollector()
-        for _ in range(5):
-            stats.record_query({1, 2}, {1: [], 2: []})
-        stats.record_query({3}, {3: []})
-        hottest = stats.hottest_combinations(limit=1)
-        assert hottest == [(frozenset({1, 2}), 5)]
-
-    def test_hottest_partitions(self):
-        stats = StatisticsCollector()
-        for _ in range(3):
-            stats.record_query({1}, {1: [(7,)]})
-        stats.record_query({1}, {1: [(8,)]})
-        ((key, count),) = stats.hottest_partitions(limit=1)
-        assert key == (1, (7,))
-        assert count == 3
-
-    def test_logical_clock(self):
+class TestLogicalClock:
+    def test_the_clock_counts_recorded_queries(self):
         stats = StatisticsCollector()
         assert stats.logical_clock == 0
-        assert stats.tick() == 1
-        assert stats.tick() == 2
+        stats.record_query({1, 2}, [(0,)])
+        assert stats.logical_clock == 1
+        stats.record_query({3}, [])
         assert stats.logical_clock == 2

@@ -77,8 +77,8 @@ def reference_qualifying_keys(config, combination, stats, trees) -> set:
     min_hits = config.merge_partition_min_hits
     avg_query_volume = stats.average_query_volume()
     qualifying = set()
-    for key in stats.all_partition_keys():
-        if stats.key_hits.get(key, 0) < min_hits:
+    for key, hits in stats.key_hits.items():
+        if hits < min_hits:
             continue
         if not all(
             dataset_id in trees and reference_has_leaf(trees[dataset_id], key)
@@ -102,7 +102,6 @@ def reference_directory(directory) -> dict:
     return {
         info.combination: (
             info.file_name,
-            info.created_at,
             {key: dict(per_dataset) for key, per_dataset in info.entries.items()},
             sum(run.n_pages for per in info.entries.values() for run in per.values()),
         )
@@ -174,9 +173,9 @@ class BookkeepingChecker:
             self.candidates_seen += len(candidates)
         directory = engine.merge_directory
         reference = reference_directory(directory)
-        assert directory.total_pages() == sum(entry[3] for entry in reference.values()), tag
+        assert directory.total_pages() == sum(entry[2] for entry in reference.values()), tag
         for info in directory.all_files():
-            assert info.total_pages == reference[info.combination][3], tag
+            assert info.total_pages == reference[info.combination][2], tag
         frozen = directory.freeze()
         assert frozen.version == directory.version, tag
         assert [info.combination for info in frozen.all_files()] == list(reference), tag
