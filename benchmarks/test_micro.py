@@ -425,8 +425,8 @@ def test_refinement_wall_time(benchmark, universe, objects, disk):
     def refine_hottest():
         tree = adaptor.create_tree(dataset)
         adaptor.initialize(tree)
-        leaf = max(tree.leaves(), key=lambda node: node.n_objects)
-        return adaptor.refine(tree, leaf)
+        adaptor.refine(tree, int(np.argmax(tree.leaf_snapshot().n_records)))
+        return tree
 
-    children = benchmark.pedantic(refine_hottest, rounds=3, iterations=1)
-    assert children
+    tree = benchmark.pedantic(refine_hottest, rounds=3, iterations=1)
+    assert tree.depth == 2

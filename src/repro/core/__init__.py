@@ -38,7 +38,7 @@ snapshot (``snapshot=True``, :mod:`repro.core.epoch`).
 from repro.core.batch import BatchResult, QueryBatch
 from repro.core.config import OdysseyConfig
 from repro.core.odyssey import SpaceOdyssey
-from repro.core.partition import PartitionNode, PartitionTree
+from repro.core.partition import PartitionTree
 from repro.core.query_processor import QueryReport
 from repro.core.recovery import DurabilityLog, RecoveryError
 from repro.core.statistics import StatisticsCollector
@@ -47,7 +47,6 @@ __all__ = [
     "BatchResult",
     "DurabilityLog",
     "OdysseyConfig",
-    "PartitionNode",
     "PartitionTree",
     "QueryBatch",
     "QueryReport",

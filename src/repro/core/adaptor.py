@@ -18,8 +18,11 @@ query-window extension technique.
 
 A split costs what it moves — the parent's records and the children that
 receive some, not ``ppl`` of everything: one sorted assignment, pages and
-runs only for occupied children, no candidates chosen for a level the
-budget will not run (``tests/test_refine_path.py`` counts).
+runs only for occupied children, a table row and nothing else for an
+empty one, no candidates chosen for a level the budget will not run
+(``tests/test_refine_path.py`` counts).  Leaves are rows of the tree's
+leaf table, so which of a query's leaves to refine is one expression over
+its columns (:meth:`Adaptor.candidates`).
 """
 
 from __future__ import annotations
@@ -29,9 +32,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import OdysseyConfig
-from repro.core.partition import PartitionNode, PartitionTree
+from repro.core.partition import LeafSnapshot, PartitionTree
 from repro.data.dataset import Dataset
 from repro.geometry.box import Box
+from repro.geometry.vectorized import intersect_mask
+
+
+def oversized(volume, query_volume: float, threshold: float):
+    """The paper's refinement rule, ``V_partition / V_query > rt`` (scalars or arrays).
+
+    The one predicate both sides of convergence read: the Adaptor refines
+    a partition that is oversized for a query, and the Merger copies only
+    partitions that are not oversized for a combination's average query.
+    """
+    return volume / query_volume > threshold
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,83 +98,86 @@ class Adaptor:
         groups = tree.assign_array_to_children(tree.universe, records)
         runs = tree.file.write_groups_array(groups)
         dataset.disk.charge_cpu_records(len(records))
-        tree.install_first_level(
-            groups=groups,
-            runs=runs,
-            max_extent=tuple(max_extent.tolist()),
-            n_objects=len(records),
-        )
+        tree.install_first_level(runs, tuple(max_extent.tolist()), len(records))
 
     # ------------------------------------------------------------------ #
     # Refinement
     # ------------------------------------------------------------------ #
 
-    def should_refine(self, node: PartitionNode, query: Box) -> bool:
-        """The paper's refinement rule: ``V_partition / V_query > rt``."""
-        return self._should_refine(node, query.volume())
+    def candidates(self, table: LeafSnapshot, rows, query: Box) -> list[int]:
+        """The rows among ``rows`` that ``query`` makes :meth:`maybe_refine` split.
 
-    def _should_refine(self, node: PartitionNode, query_volume: float) -> bool:
-        if query_volume <= 0:
-            return False
-        return node.volume() / query_volume > self._config.refinement_threshold
+        One expression over the table's columns: the leaf is
+        :func:`oversized` for the query, holds records and lies above
+        ``max_depth``.  The volume test runs first, on every row: in a
+        converged region no leaf passes it, and the rest is then skipped.
+        In the order of ``rows``.
+        """
+        config = self._config
+        query_volume = query.volume()
+        if config.refine_levels_per_query == 0 or query_volume <= 0:
+            return []
+        rows = np.asarray(rows, dtype=np.int64)
+        rows = rows[oversized(table.volume[rows], query_volume, config.refinement_threshold)]
+        if not len(rows):
+            return []
+        return rows[(table.n_records[rows] > 0) & (table.level[rows] < config.max_depth)].tolist()
 
-    def maybe_refine(
-        self, tree: PartitionTree, node: PartitionNode, query: Box
-    ) -> RefinementOutcome:
-        """Refine ``node`` (up to ``refine_levels_per_query`` levels) if warranted.
+    def maybe_refine(self, tree: PartitionTree, row: int, query: Box) -> RefinementOutcome:
+        """Refine the leaf at ``row`` (up to ``refine_levels_per_query`` levels) if warranted.
 
         Empty partitions are never refined: splitting a partition with no
         objects only creates bookkeeping and disk traffic without ever
-        reducing the data a future query must read.
+        reducing the data a future query must read.  Deeper levels refine
+        the children the query overlaps in child-index order, which is
+        descending row order, so a split never moves a row still to come
+        in its level.
         """
-        if self._config.refine_levels_per_query == 0:
+        config = self._config
+        if config.refine_levels_per_query == 0:
             return RefinementOutcome(refined=False, reason="refinement disabled")
-        if not node.is_leaf:
-            return RefinementOutcome(refined=False, reason="not a leaf")
-        if node.n_objects == 0:
+        table = tree.leaf_snapshot()
+        if table.n_records[row] == 0:
             return RefinementOutcome(refined=False, reason="empty partition")
-        if node.level >= self._config.max_depth:
+        if table.level[row] >= config.max_depth:
             return RefinementOutcome(refined=False, reason="max depth reached")
         query_volume = query.volume()
-        if not self._should_refine(node, query_volume):
+        if query_volume <= 0 or not oversized(
+            table.volume[row], query_volume, config.refinement_threshold
+        ):
             return RefinementOutcome(refined=False, reason="below refinement threshold")
 
-        levels = 0
-        current: list[PartitionNode] = [node]
-        while True:
-            next_round: list[PartitionNode] = []
+        ppl = tree.partitions_per_level
+        levels, current = 0, [row]
+        while current:
+            # A child row recorded before later splits of its level is
+            # stored minus the rows added so far, and moves down by all.
+            added, children = 0, []
             for leaf in current:
-                if (
-                    not leaf.is_leaf
-                    or leaf.n_objects == 0
-                    or leaf.level >= self._config.max_depth
-                    or not self._should_refine(leaf, query_volume)
-                ):
-                    continue
-                next_round.extend(self.refine(tree, leaf))
-            if not next_round:
-                break
+                self.refine(tree, leaf)
+                added += ppl - 1
+                children.extend(range(leaf + ppl - 1 - added, leaf - 1 - added, -1))
             levels += 1
-            if levels == self._config.refine_levels_per_query:
+            if levels == config.refine_levels_per_query:
                 break  # budget spent: nobody needs the next level's candidates
-            # Only the children that the query actually overlaps are
-            # candidates for further refinement within the same query.
-            current = [child for child in next_round if child.box.intersects(query)]
-        return RefinementOutcome(refined=levels > 0, levels=levels)
+            # Only the children that the query overlaps refine further.
+            table, rows = tree.leaf_snapshot(), np.array(children) + added
+            overlapping = rows[intersect_mask(query.lo, query.hi, table.lo[rows], table.hi[rows])]
+            current = self.candidates(table, overlapping, query)
+        return RefinementOutcome(refined=True, levels=levels)
 
-    def refine(self, tree: PartitionTree, node: PartitionNode) -> list[PartitionNode]:
-        """Split one leaf partition into ``ppl`` children, in place.
+    def refine(self, tree: PartitionTree, row: int) -> None:
+        """Split the leaf at ``row`` into ``ppl`` children, in place.
 
         Reads the partition, reassigns its records to the child regions by
         centre, and writes the children back reusing the parent's pages
         (appending any overflow pages at the end of the partition file) —
-        read, assignment and write all on structured arrays.
+        read, assignment and write all on structured arrays.  The children
+        take rows ``[row, row + ppl)`` of the tree's next table.
         """
-        if not node.is_leaf:
-            raise ValueError(f"partition {node.key!r} is not a leaf")
-        reuse = node.run.extents if node.run is not None else ()
-        records = tree.read_partition_array(node)
-        groups = tree.assign_array_to_children(node.box, records)
-        runs = tree.file.write_groups_array(groups, reuse=reuse)
+        table = tree.leaf_snapshot()
+        records = tree.read_partition_array(table.keys[row])
+        groups = tree.assign_array_to_children(table.box(row), records)
+        runs = tree.file.write_groups_array(groups, reuse=table.runs[row].extents)
         tree.dataset.disk.charge_cpu_records(len(records))
-        return tree.replace_with_children(node, runs)
+        tree.replace_with_children(row, runs)

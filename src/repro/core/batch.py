@@ -92,10 +92,12 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from repro.core.epoch import EngineEpoch
 from repro.core.merge import choose_route
-from repro.core.partition import PartitionNode
-from repro.core.query_processor import QueryProcessor, QueryReport, _live_run, plan_reads
+from repro.core.partition import LeafSnapshot
+from repro.core.query_processor import QueryProcessor, QueryReport, plan_reads
 from repro.data.columnar import DecodedGroup, filter_groups
 from repro.data.spatial_object import SpatialObject
 from repro.geometry.box import Box
@@ -264,8 +266,8 @@ class PreparedBatch:
     epoch_id: int = -1
     first_touch: dict[int, int] = field(default_factory=dict)
     extended: dict[tuple[int, int], Box] = field(default_factory=dict)
-    needed0: dict[tuple[int, int], list[PartitionNode]] = field(default_factory=dict)
-    versions0: dict[int, int] = field(default_factory=dict)
+    needed0: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
+    tables0: dict[int, LeafSnapshot] = field(default_factory=dict)
     results: list[list[SpatialObject]] = field(default_factory=list)
     examined: list[int] = field(default_factory=list)
     cache_deltas: list[BufferCounters] = field(default_factory=list)
@@ -409,8 +411,8 @@ class BatchExecutor:
         ) as pool:
             with maybe_span(tracer, "batch.overlap"):
                 extended = _extended_windows(queries, trees)
-                needed0, versions0 = self._resolve_overlaps(batch, extended, trees, pool)
-            plan = self._planner(batch, needed0, trees, directory, epoch)
+                needed0, tables0 = self._resolve_overlaps(batch, extended, trees, pool)
+            plan = self._planner(batch, needed0, tables0, directory, epoch)
             if pool is None:
                 read_set = BatchReadSet(processor.catalog.dimension, lookup)
             else:
@@ -427,7 +429,7 @@ class BatchExecutor:
             first_touch=first_touch,
             extended=extended,
             needed0=needed0,
-            versions0=versions0,
+            tables0=tables0,
             results=results,
             examined=examined,
             cache_deltas=cache_deltas,
@@ -441,21 +443,25 @@ class BatchExecutor:
         extended: dict[tuple[int, int], Box],
         trees: Mapping,
         pool: ThreadPoolExecutor | None,
-    ) -> tuple[dict[tuple[int, int], list[PartitionNode]], dict[int, int]]:
+    ) -> tuple[dict[tuple[int, int], np.ndarray], dict[int, LeafSnapshot]]:
         """Phase 2: one kernel call per (combination, dataset), one task per group.
 
-        Returns the per-(query, dataset) overlapping leaves against the
-        start-of-batch trees — live, or the pinned epoch's frozen MBR
-        arrays, which the live trees' refinements never touch — plus each
-        tree's structure version then, so the commit knows when a list is
-        still valid for reuse.
+        Returns the per-(query, dataset) overlapping rows against the
+        start-of-batch trees — live, or the pinned epoch's frozen tables,
+        which the live trees' refinements never touch — plus each tree's
+        table then, which the rows index: the commit reuses the rows while
+        a tree is still at that table's version.
         """
         groups = batch.groups()
-        versions0 = {d: trees[d].version for combination in groups for d in combination}
+        tables0 = {
+            d: trees[d].snapshot if self._snapshot else trees[d].leaf_snapshot()
+            for combination in groups
+            for d in combination
+        }
 
-        def resolve(item) -> dict[tuple[int, int], list[PartitionNode]]:
+        def resolve(item) -> dict[tuple[int, int], np.ndarray]:
             combination, group = item
-            resolved: dict[tuple[int, int], list[PartitionNode]] = {}
+            resolved: dict[tuple[int, int], np.ndarray] = {}
             for dataset_id in sorted(combination):
                 tree = trees[dataset_id]
                 windows = [extended[(query.index, dataset_id)] for query in group]
@@ -467,16 +473,16 @@ class BatchExecutor:
                     resolved[(query.index, dataset_id)] = leaves
             return resolved
 
-        needed0: dict[tuple[int, int], list[PartitionNode]] = {}
+        needed0: dict[tuple[int, int], np.ndarray] = {}
         for resolved in _each(pool, resolve, groups.items()):  # in group order
             needed0.update(resolved)
-        return needed0, versions0
+        return needed0, tables0
 
     def _planner(
         self,
         batch: QueryBatch,
-        needed0: dict[tuple[int, int], list[PartitionNode]],
-        trees: Mapping,
+        needed0: dict[tuple[int, int], np.ndarray],
+        tables0: Mapping[int, LeafSnapshot],
         directory,
         epoch: EngineEpoch | None,
     ) -> Callable[[BatchQuery], list[tuple[int, PagedFile[SpatialObject], StoredRun]]]:
@@ -498,12 +504,10 @@ class BatchExecutor:
                 for info in (decision.merge_info for decision in decisions.values())
                 if info is not None
             }
-            leaf_run = _live_run
+            trees = self._processor.live_trees
         else:
             merge_files = epoch.merge_files
-
-            def leaf_run(dataset_id: int, leaf: PartitionNode) -> StoredRun | None:
-                return trees[dataset_id].run_of(leaf)
+            trees = epoch.trees
 
         def tree_file(dataset_id: int) -> PagedFile[SpatialObject]:
             return trees[dataset_id].file
@@ -512,10 +516,10 @@ class BatchExecutor:
             return merge_files[info.combination]
 
         def plan(query: BatchQuery) -> list[tuple[int, PagedFile[SpatialObject], StoredRun]]:
-            overlapped = [(d, needed0[(query.index, d)]) for d in sorted(query.requested)]
-            return plan_reads(
-                overlapped, decisions[query.requested], leaf_run, tree_file, merge_file
-            )
+            overlapped = [
+                (d, tables0[d], needed0[(query.index, d)]) for d in sorted(query.requested)
+            ]
+            return plan_reads(overlapped, decisions[query.requested], tree_file, merge_file)
 
         return plan
 
@@ -592,7 +596,7 @@ class BatchExecutor:
     def _replay_updates(self, prepared: PreparedBatch) -> list[QueryReport]:
         """Apply statistics, refinement and merging in sequential order.
 
-        Works on the *current* trees: the leaves each query retrieved are
+        Works on the *current* trees: the rows each query retrieved are
         re-resolved whenever a tree was refined since overlap resolution,
         and each query goes through the sequential writer half, which makes
         every refinement decision, statistics update, LRU stamp and merge
@@ -612,10 +616,10 @@ class BatchExecutor:
                 for dataset_id in ordered
                 if prepared.first_touch.get(dataset_id) == query.index
             ]
-            overlapped: dict[int, list[PartitionNode]] = {}
+            overlapped: dict[int, np.ndarray] = {}
             for dataset_id in ordered:
                 tree = trees[dataset_id]
-                if tree.version == prepared.versions0[dataset_id]:
+                if tree.version == prepared.tables0[dataset_id].version:
                     overlapped[dataset_id] = prepared.needed0[(query.index, dataset_id)]
                 else:
                     overlapped[dataset_id] = tree.leaves_overlapping_vectorized(

@@ -62,11 +62,8 @@ class MergeCostModel:
             tree = trees.get(dataset_id)
             if tree is None:
                 continue
-            for key in keys:
-                if tree.has_leaf(key):
-                    node = tree.node(key)
-                    if node.run is not None:
-                        total_pages += node.run.n_pages
+            runs = tree.occupied_runs
+            total_pages += sum(runs[key].n_pages for key in keys if key in runs)
         transfer = self._model.page_transfer_time_s
         # Copying: read + write every page, plus one positioning per dataset
         # segment read and one for the (appending) write.

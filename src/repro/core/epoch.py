@@ -17,13 +17,13 @@ merging every batch runs).
 Three mechanisms make a pinned epoch readable while adaptation runs:
 
 **Copy-on-write capture.**  :meth:`EpochManager.publish` (always called
-under the gate) snapshots each tree's leaf runs
-(:meth:`~repro.core.partition.PartitionTree.epoch_snapshot`) and a frozen
+under the gate) captures each tree's immutable leaf table, runs included
+(:meth:`~repro.core.partition.PartitionTree.epoch_snapshot`), and a frozen
 copy of the merge directory, reusing the previous epoch's captures for
 any tree or directory whose version counter is unchanged — at
 convergence, publishing is a dictionary copy, not a rebuild.  A changed
-tree's capture comes from summaries the tree splices as it refines, and
-a changed directory hands out the copies it took of the infos as they
+tree's capture is the table the tree spliced as it refined, and a
+changed directory hands out the copies it took of the infos as they
 were registered, so a publish costs what changed, not what exists.
 
 **Retained pre-images (undo pages).**  The paper's in-place refinement
@@ -216,7 +216,7 @@ class EpochManager:
         epoch_trees: dict[int, TreeEpochSnapshot] = {}
         for dataset_id, tree in trees.items():
             previous = prev.trees.get(dataset_id) if prev is not None else None
-            if previous is not None and previous.version == tree.version:
+            if previous is not None and previous.snapshot.version == tree.version:
                 epoch_trees[dataset_id] = previous
             else:
                 epoch_trees[dataset_id] = tree.epoch_snapshot()

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Mapping
 
+from repro.core.adaptor import oversized
 from repro.core.config import OdysseyConfig
 from repro.core.cost import AdaptiveMergePolicy, MergeCostModel
 from repro.core.merge import MergeDirectory, MergeFileInfo, merge_file_name
@@ -134,8 +135,7 @@ class Merger:
         file = self.merge_file(combination)
         for key in new_keys:
             for dataset_id in sorted(combination):
-                tree = trees[dataset_id]
-                run = file.append_group_array(tree.read_partition_array(tree.node(key)))
+                run = file.append_group_array(trees[dataset_id].read_partition_array(key))
                 info.add_segment(key, dataset_id, run)
         info.last_used = self._statistics.logical_clock
         self._directory.register(info)
@@ -167,7 +167,8 @@ class Merger:
           merge partitions at the same level of refinement";
         * it is not in ``merged`` already; and
         * (if ``merge_only_converged``) it is no longer a refinement
-          candidate for the combination's typical query volume, so its
+          candidate for the combination's typical query volume — the
+          negation of the Adaptor's own rule, :func:`oversized` — so its
           copy will not be superseded by refined originals.
 
         All but the last are set algebra over summaries their owners keep
@@ -184,9 +185,9 @@ class Merger:
         avg_query_volume = stats.average_query_volume()
         if self._config.merge_only_converged and avg_query_volume > 0:
             # Equal keys are the same region in every tree: ask any one.
-            sample_tree = trees[next(iter(combination))]
-            limit = self._config.refinement_threshold * avg_query_volume
-            keys = {key for key in keys if sample_tree.node(key).volume() <= limit}
+            volume = trees[next(iter(combination))].volume
+            rt, average = self._config.refinement_threshold, avg_query_volume
+            keys = {key for key in keys if not oversized(volume(key), average, rt)}
         return keys
 
     # ------------------------------------------------------------------ #

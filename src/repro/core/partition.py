@@ -16,17 +16,26 @@ every dataset — this is what lets the Merger recognise "the same partition"
 across datasets and merge only partitions at the same refinement level
 (equal key length).
 
-Few of the ``ppl`` children of a split receive a record, so nothing here is
-paid per child *slot* beyond creating the nodes: records are split by one
-sort (:meth:`PartitionTree.assign_array_to_children`) and
-:meth:`PartitionTree._splice` builds the successor snapshot and the key
-summaries with a fixed number of bulk operations.
+The leaf table
+--------------
+A tree keeps no node objects.  Its state is one immutable
+:class:`LeafSnapshot`: a table with one row per leaf, in search order, whose
+columns are the key, the stored run, the record count, the level, the
+volume and the corners.  Internal nodes exist only as key prefixes.  A
+split replaces one row by ``ppl`` rows built from the grid edges of the
+parent's corners (:meth:`PartitionTree._splice`), so an empty child costs
+a row and nothing else, and overlap kernels, refinement candidates and
+read plans are expressions over columns at row indices.  Records are split
+by one sort (:meth:`PartitionTree.assign_array_to_children`).  Two key
+summaries are spliced alongside the table for lookups by key: the set of
+leaf keys and the runs of the leaves that hold records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import AbstractSet, Iterator, Sequence
+import math
+from dataclasses import dataclass
+from typing import AbstractSet, Mapping, Sequence
 
 import numpy as np
 
@@ -50,132 +59,85 @@ def partition_file_name(dataset_name: str) -> str:
     return f"odyssey/{dataset_name}.partitions"
 
 
-@dataclass(eq=False, slots=True)
-class PartitionNode:
-    """One node of a partition tree.
+@dataclass(frozen=True, slots=True)
+class LeafSnapshot:
+    """A tree's leaves as one immutable table: one row per leaf, in search order.
 
-    A node is either a *leaf* (it owns a stored group of objects, possibly
-    empty) or an *internal* node with exactly ``ppl`` children.  Nodes are
-    unique per key per tree, so they compare (and hash) by identity.
+    Rows are in *search order* — the order an explicit-stack depth-first
+    walk from the first-level partitions visits the leaves, a node's
+    children pushed in index order and popped last first — so an overlap
+    test that filters the rows yields the leaves that walk would, in its
+    order, whatever the query window.  Every engine resolves overlaps this
+    way, which is what keeps them bit-identical.  ``version`` records the
+    tree structure version the table was spliced at; a refinement replaces
+    the table with a successor and never changes this one.
+
+    The columns, all of length ``n``: ``keys`` and ``runs`` (tuples of
+    :data:`PartitionKey` and :class:`~repro.storage.pagedfile.StoredRun`),
+    ``n_records`` and ``level`` (integers), ``volume`` (each region's
+    volume, equal bit for bit to ``Box.volume()`` of its corners) and the
+    corners ``lo``/``hi`` of shape ``(n, d)`` in **column-major** layout
+    (fixed in :meth:`PartitionTree._splice`), so the per-axis slices the
+    overlap kernels walk are contiguous.  Every consumer — live tree,
+    pinned epoch, batch worker threads — shares these arrays as they are.
     """
 
-    key: PartitionKey
-    box: Box
-    run: StoredRun | None = None
-    children: list["PartitionNode"] | None = None
-    _volume: float | None = field(default=None, repr=False)
+    version: int
+    keys: tuple[PartitionKey, ...]
+    runs: tuple[StoredRun, ...]
+    n_records: np.ndarray
+    level: np.ndarray
+    volume: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
 
-    @property
-    def level(self) -> int:
-        """Depth of the node (level 1 = the first, coarsest partitions)."""
-        return len(self.key)
+    def __len__(self) -> int:
+        return len(self.keys)
 
-    @property
-    def is_leaf(self) -> bool:
-        """Whether the node currently stores objects itself."""
-        return self.children is None
+    def box(self, row: int) -> Box:
+        """The region of one row, built from its corners (the grid-edge floats)."""
+        return Box(tuple(self.lo[row].tolist()), tuple(self.hi[row].tolist()))
 
-    @property
-    def n_objects(self) -> int:
-        """Number of objects stored in the node (0 for internal nodes)."""
-        if self.run is None:
-            return 0
-        return self.run.n_records
-
-    def volume(self) -> float:
-        """Volume of the region the node covers (cached; the box never changes)."""
-        if self._volume is None:
-            self._volume = self.box.volume()
-        return self._volume
+    def overlapping_batch(self, boxes: Sequence[Box]) -> list[np.ndarray]:
+        """The rows intersecting each of ``boxes``: one kernel call for all."""
+        boxes = list(boxes)
+        if not boxes:
+            return []
+        q_lo, q_hi = boxes_to_arrays(boxes, dimension=self.lo.shape[1])
+        return [np.flatnonzero(row) for row in intersect_matrix(q_lo, q_hi, self.lo, self.hi)]
 
 
 @dataclass(frozen=True, slots=True)
 class TreeEpochSnapshot:
     """A full immutable capture of one tree's read state for an epoch.
 
-    :class:`LeafSnapshot` freezes the leaf *set* and MBR arrays but shares
-    the (mutable) :class:`PartitionNode` objects — a later refinement
-    nulls a captured leaf's ``run`` in place.  The epoch capture therefore
-    also freezes every leaf's :class:`~repro.storage.pagedfile.StoredRun`
-    at capture time, keyed by partition key (keys are permanent and never
-    reassigned), plus everything a reader needs without touching the live
-    tree: the window-extension parameters and the partition file handle.
-    Captured under the adaptation lock, so all fields are mutually
-    consistent.
+    The leaf table (:class:`LeafSnapshot`) is immutable and a refinement
+    replaces it rather than changing it, so the capture simply holds the
+    table of the moment — runs included — plus everything a reader needs
+    without touching the live tree: the window-extension parameters and
+    the partition file handle.  Captured under the adaptation lock, so all
+    fields are mutually consistent.
     """
 
-    version: int
     snapshot: LeafSnapshot
-    run_by_key: dict[PartitionKey, StoredRun | None]
     max_extent: tuple[float, ...]
     universe: Box
     file: PagedFile
 
-    def run_of(self, leaf: PartitionNode) -> StoredRun | None:
-        """The leaf's stored run as of the capture (not the live one)."""
-        return self.run_by_key[leaf.key]
-
-    @property
-    def runs(self) -> tuple[StoredRun | None, ...]:
-        """The captured runs, parallel to ``snapshot.leaves``."""
-        return tuple(self.run_by_key[leaf.key] for leaf in self.snapshot.leaves)
-
-    def overlapping_batch(self, boxes: Sequence[Box]) -> list[list[PartitionNode]]:
+    def overlapping_batch(self, boxes: Sequence[Box]) -> list[np.ndarray]:
         """Frozen-state :meth:`PartitionTree.leaves_overlapping_batch`.
 
-        Runs the same ``intersect_matrix`` kernel over the captured MBR
-        arrays, so it returns exactly the leaves (in exactly the order)
-        the live tree would have returned at capture time — without
-        touching the live tree's snapshot cache.
+        Runs the same ``intersect_matrix`` kernel over the captured
+        table, so it returns exactly the rows the live tree would have
+        returned at capture time.
         """
         return self.snapshot.overlapping_batch(boxes)
-
-
-@dataclass(frozen=True, slots=True)
-class LeafSnapshot:
-    """An immutable view of a tree's leaves with their MBRs as NumPy arrays.
-
-    ``leaves`` are in *search order* — the order an explicit-stack
-    depth-first walk from the first-level partitions visits them, a node's
-    children pushed in index order and popped last first — so an overlap
-    test that filters this sequence yields the leaves that walk would, in
-    its order, whatever the query window.  Every engine resolves overlaps
-    this way, which is what keeps them bit-identical.
-    ``version`` records the tree structure version the snapshot was taken
-    at; the tree replaces it with a spliced successor whenever a
-    refinement changes the leaf set.
-
-    ``lo`` and ``hi`` have shape ``(n, d)`` in **column-major** layout
-    (fixed where the snapshot is built, :meth:`PartitionTree._splice`), so
-    the per-axis slices the overlap kernels walk are contiguous; every
-    consumer — live tree, pinned epoch, batch worker threads — shares these
-    arrays as they are.
-    """
-
-    version: int
-    leaves: tuple[PartitionNode, ...]
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def overlapping_batch(self, boxes: Sequence[Box]) -> list[list[PartitionNode]]:
-        """The leaves intersecting each of ``boxes``: one kernel call for all."""
-        boxes = list(boxes)
-        if not boxes:
-            return []
-        if not self.leaves:
-            return [[] for _ in boxes]
-        q_lo, q_hi = boxes_to_arrays(boxes, dimension=self.lo.shape[1])
-        leaves = self.leaves
-        return [
-            [leaves[j] for j in np.nonzero(row)[0].tolist()]
-            for row in intersect_matrix(q_lo, q_hi, self.lo, self.hi)
-        ]
 
 
 def _spliced(old: np.ndarray, start: int, stop: int, rows: np.ndarray) -> np.ndarray:
     """``old`` with rows ``[start, stop)`` replaced by ``rows``: a fresh column-major array."""
     end = start + len(rows)
-    out = np.empty((end + len(old) - stop, old.shape[1]), dtype=old.dtype, order="F")
+    out = np.empty((end + len(old) - stop,) + old.shape[1:], dtype=old.dtype, order="F")
     out[:start] = old[:start]
     out[start:end] = rows
     out[end:] = old[stop:]
@@ -186,8 +148,8 @@ class PartitionTree:
     """The incremental index of one dataset.
 
     The tree does not decide *when* to refine — that is the Adaptor's job —
-    but owns all structural bookkeeping: node lookup, overlap search, object
-    assignment and the partition file.
+    but owns all structural bookkeeping: the leaf table, the key
+    summaries, object assignment and the partition file.
     """
 
     def __init__(self, dataset: Dataset, splits_per_dim: int) -> None:
@@ -198,26 +160,41 @@ class PartitionTree:
         self._universe = dataset.universe
         # Index into a (d, splits) array of per-axis cell edges that gathers
         # the (ppl, d) corners of a region's children in search order (the
-        # stack pops the last child first); see `_splice`.
+        # stack pops the last child first), and the key suffixes of the
+        # children in that order; see `_splice`.  `_child_cells[i]` is the
+        # grid cell of child i (row-major), for lookups by key.
         shape = (splits_per_dim,) * dataset.dimension
-        cells = np.indices(shape).reshape(len(shape), -1).T[::-1]
-        self._child_corners = (np.arange(len(shape)), cells)
+        cells = np.indices(shape).reshape(len(shape), -1).T
+        self._child_cells = tuple(tuple(enumerate(cell)) for cell in cells.tolist())
+        self._child_corners = (np.arange(len(shape)), cells[::-1])
+        self._child_suffixes = tuple((index,) for index in range(len(cells) - 1, -1, -1))
         codec = spatial_object_codec(dataset.dimension)
         self._file: PagedFile[SpatialObject] = PagedFile(
             dataset.disk, partition_file_name(dataset.name), codec
         )
-        self._root_children: list[PartitionNode] | None = None
-        self._nodes: dict[PartitionKey, PartitionNode] = {}
         self._max_extent: tuple[float, ...] = (0.0,) * dataset.dimension
         self._n_objects = 0
         self._version = 0
         # Read-side summaries maintained at write time (install/refine), so
-        # no query ever re-walks the tree: the search-order snapshot and the
-        # leaf keys as a real set (set-to-set algebra reuses stored hashes;
-        # a dict's key view re-hashes).
+        # no query ever re-walks the tree: the search-order table, the leaf
+        # keys as a real set (set-to-set algebra reuses stored hashes; a
+        # dict's key view re-hashes) and the runs of the leaves that hold
+        # records, by key.
         no_corners = np.empty((0, dataset.dimension), dtype=np.float64)
-        self._leaf_snapshot = LeafSnapshot(version=0, leaves=(), lo=no_corners, hi=no_corners)
+        no_rows = np.empty(0, dtype=np.int64)
+        self._leaf_snapshot = LeafSnapshot(
+            version=0,
+            keys=(),
+            runs=(),
+            n_records=no_rows,
+            level=no_rows,
+            volume=np.empty(0, dtype=np.float64),
+            lo=no_corners,
+            hi=no_corners,
+        )
         self._leaf_keys: set[PartitionKey] = set()
+        self._occupied_runs: dict[PartitionKey, StoredRun] = {}
+        self._edges: dict[PartitionKey, tuple[list[list[float]], list[list[float]]]] = {}
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -251,7 +228,7 @@ class PartitionTree:
     @property
     def is_initialized(self) -> bool:
         """Whether the first-level partitioning has been performed."""
-        return self._root_children is not None
+        return self._version > 0  # the first-level splice is version 1
 
     @property
     def max_extent(self) -> tuple[float, ...]:
@@ -266,7 +243,7 @@ class PartitionTree:
     @property
     def n_partitions(self) -> int:
         """Number of leaf partitions currently in the tree."""
-        return len(self._leaf_keys)
+        return len(self._leaf_snapshot)
 
     @property
     def version(self) -> int:
@@ -276,29 +253,45 @@ class PartitionTree:
     @property
     def depth(self) -> int:
         """Deepest leaf level (0 when uninitialised)."""
-        if not self._nodes:
-            return 0
-        return max(node.level for node in self._nodes.values() if node.is_leaf)
-
-    def node(self, key: PartitionKey) -> PartitionNode:
-        """Look up a node by key."""
-        try:
-            return self._nodes[key]
-        except KeyError:
-            raise KeyError(f"no partition with key {key!r}") from None
-
-    def has_leaf(self, key: PartitionKey) -> bool:
-        """Whether ``key`` names an existing *leaf* partition."""
-        return key in self._leaf_keys
+        level = self._leaf_snapshot.level
+        return int(level.max()) if len(level) else 0
 
     @property
     def leaf_keys(self) -> AbstractSet[PartitionKey]:
         """The keys of all current leaves: the tree's live set — do not mutate."""
         return self._leaf_keys
 
-    def leaves(self) -> Iterator[PartitionNode]:
-        """Iterate over all leaf partitions."""
-        return (node for node in self._nodes.values() if node.is_leaf)
+    @property
+    def occupied_runs(self) -> Mapping[PartitionKey, StoredRun]:
+        """The runs of the leaves that hold records, by key: live — do not mutate."""
+        return self._occupied_runs
+
+    def volume(self, key: PartitionKey) -> float:
+        """The volume of the region ``key`` names, equal to its row's bit for bit.
+
+        Child ``i`` is cell ``i``, in row-major order, of its parent's
+        :meth:`Box.grid_edges` — the floats the rows are gathered from —
+        and its sides multiply left to right, as ``Box.volume()`` does.
+        """
+        lows, highs = self._grid_edges(key[:-1])
+        cells = self._child_cells[key[-1]]
+        return math.prod(highs[axis][cell] - lows[axis][cell] for axis, cell in cells)
+
+    def _grid_edges(self, prefix: PartitionKey) -> tuple[list[list[float]], list[list[float]]]:
+        """The grid edges of the region ``prefix`` names, from the universe down.
+
+        Remembered per prefix: the merger asks for the volumes of the same
+        few hundred keys query after query, and they share their parents.
+        """
+        edges = self._edges.get(prefix)
+        if edges is None:
+            box = self._universe
+            if prefix:
+                lows, highs = self._grid_edges(prefix[:-1])
+                cells = self._child_cells[prefix[-1]]
+                box = Box(tuple(lows[a][c] for a, c in cells), tuple(highs[a][c] for a, c in cells))
+            edges = self._edges[prefix] = box.grid_edges(self._splits)
+        return edges
 
     # ------------------------------------------------------------------ #
     # Structure building (called by the Adaptor)
@@ -325,78 +318,85 @@ class PartitionTree:
         return [ordered[start:end] for start, end in zip([0] + ends, ends)]
 
     def install_first_level(
-        self,
-        groups: Sequence[np.ndarray],
-        runs: list[StoredRun],
-        max_extent: tuple[float, ...],
-        n_objects: int,
+        self, runs: Sequence[StoredRun], max_extent: tuple[float, ...], n_objects: int
     ) -> None:
         """Install the level-1 partitions produced by the initial raw scan."""
         if self.is_initialized:
             raise RuntimeError("partition tree is already initialised")
-        if len(groups) != self.partitions_per_level:
-            raise ValueError("expected one group per first-level partition")
-        self._root_children = self._splice(0, 0, (), self._universe, runs)
+        self._splice(0, 0, (), self._universe, runs)
         self._max_extent = max_extent
         self._n_objects = n_objects
 
-    def replace_with_children(
-        self, parent: PartitionNode, runs: list[StoredRun]
-    ) -> list[PartitionNode]:
-        """Turn a leaf into an internal node whose children own ``runs``."""
-        if not parent.is_leaf:
-            raise ValueError(f"partition {parent.key!r} is not a leaf")
-        # The search stack visits an internal node's children exactly
-        # where it used to visit the node itself.
-        slot = self._leaf_snapshot.leaves.index(parent)
-        parent.children = self._splice(slot, slot + 1, parent.key, parent.box, runs)
-        parent.run = None
-        self._leaf_keys.remove(parent.key)
-        return parent.children
+    def replace_with_children(self, row: int, runs: Sequence[StoredRun]) -> None:
+        """Turn the leaf at ``row`` into ``ppl`` children owning ``runs`` (child order).
+
+        The search stack visits an internal node's children exactly where
+        it used to visit the node itself: they take rows ``[row, row +
+        ppl)``, the last child first, and every later row moves down by
+        ``ppl - 1``.
+        """
+        table = self._leaf_snapshot
+        key = table.keys[row]
+        self._splice(row, row + 1, key, table.box(row), runs)
+        self._leaf_keys.remove(key)
+        self._occupied_runs.pop(key, None)
 
     def _splice(
         self, start: int, stop: int, prefix: PartitionKey, box: Box, runs: Sequence[StoredRun]
-    ) -> list[PartitionNode]:
-        """Put the children of ``box`` in place of slots ``[start, stop)`` of the search order.
+    ) -> None:
+        """Put the children of ``box`` in place of rows ``[start, stop)`` of the table.
 
-        Creates the ``ppl`` child nodes (keys ``prefix + (i,)``, owning
-        ``runs``), bumps the structure version, replaces the leaf snapshot
-        with a spliced successor and enters the children into the key
-        summaries — a fixed number of ``ppl``-sized operations, never a
-        walk over the tree.  The children's corners are gathered, last
-        child first, from the grid edges their boxes are built from (the
-        same floats), and this is the one place the snapshot's corner
-        arrays are laid out: written into a fresh column-major buffer.
+        Builds the ``ppl`` child rows (keys ``prefix + (i,)``, owning
+        ``runs``), bumps the structure version, replaces the table with a
+        spliced successor and enters the children into the key summaries —
+        a fixed number of ``ppl``-sized operations, never a walk over the
+        tree, and no object per child beyond its key.  The children's
+        corners are gathered, last child first, from the grid edges of
+        ``box``, and this is the one place the table's corner arrays are
+        laid out: written into a fresh column-major buffer.  Volumes
+        multiply the per-axis sides left to right, ``math.prod``'s order,
+        so each equals ``Box.volume()`` of its corners.
         """
-        if len(runs) != self.partitions_per_level:
+        ppl = self.partitions_per_level
+        if len(runs) != ppl:
             raise ValueError("expected one run per child partition")
-        keys = [prefix + (index,) for index in range(len(runs))]
-        children = list(map(PartitionNode, keys, box.split_grid(self._splits), runs))
-        lows, highs = box.grid_edges(self._splits)
+        lo, hi = np.array(box.grid_edges(self._splits))[(slice(None),) + self._child_corners]
+        sides = hi - lo
+        volume = sides[:, 0].copy()
+        for axis in range(1, sides.shape[1]):
+            volume *= sides[:, axis]
+        keys = tuple(map(prefix.__add__, self._child_suffixes))
+        ordered = tuple(runs[::-1])
+        n_records = np.array([run.n_records for run in ordered], dtype=np.int64)
+        level = np.full(ppl, len(prefix) + 1, dtype=np.int64)
         old = self._leaf_snapshot
         self._version += 1
         self._leaf_snapshot = LeafSnapshot(
             version=self._version,
-            leaves=old.leaves[:start] + tuple(children[::-1]) + old.leaves[stop:],
-            lo=_spliced(old.lo, start, stop, np.array(lows)[self._child_corners]),
-            hi=_spliced(old.hi, start, stop, np.array(highs)[self._child_corners]),
+            keys=old.keys[:start] + keys + old.keys[stop:],
+            runs=old.runs[:start] + ordered + old.runs[stop:],
+            n_records=_spliced(old.n_records, start, stop, n_records),
+            level=_spliced(old.level, start, stop, level),
+            volume=_spliced(old.volume, start, stop, volume),
+            lo=_spliced(old.lo, start, stop, lo),
+            hi=_spliced(old.hi, start, stop, hi),
         )
-        self._nodes.update(zip(keys, children))
         self._leaf_keys.update(keys)
-        return children
+        occupied = np.flatnonzero(n_records).tolist()
+        self._occupied_runs.update((keys[child], ordered[child]) for child in occupied)
 
     # ------------------------------------------------------------------ #
     # Search
     # ------------------------------------------------------------------ #
 
     def leaf_snapshot(self) -> LeafSnapshot:
-        """Leaves in search order, with their MBR corners as arrays.
+        """The leaf table: leaves in search order, one row each.
 
-        The leaves are ordered as an explicit-stack depth-first walk visits
-        them when nothing is pruned.  Pruning a node from a stack walk
+        The rows are ordered as an explicit-stack depth-first walk visits
+        the leaves when nothing is pruned.  Pruning a node from a stack walk
         removes its whole subtree without reordering the remaining visits,
         so the walk's result for any query box is exactly this sequence
-        filtered by the overlap predicate.  The snapshot is built by the
+        filtered by the overlap predicate.  The table is built by the
         initial partitioning and spliced by every refinement, never
         re-derived from the tree; :attr:`version` ties it to the structure
         it describes.
@@ -409,53 +409,44 @@ class PartitionTree:
         """Capture the tree's full read state for an engine epoch.
 
         Must be called under the adaptation lock (no concurrent
-        refinement), so the captured runs are consistent with the
-        captured leaf set.  The result shares the cached
-        :class:`LeafSnapshot` and the live node objects but freezes every
-        leaf's run — see :class:`TreeEpochSnapshot` — read off the
-        snapshot's leaves, so a split pays for no by-key summary.
+        refinement).  The leaf table is immutable, so the capture holds
+        the current one as it is — see :class:`TreeEpochSnapshot`.
         """
-        snapshot = self.leaf_snapshot()
         return TreeEpochSnapshot(
-            version=self._version,
-            snapshot=snapshot,
-            run_by_key={leaf.key: leaf.run for leaf in snapshot.leaves},
+            snapshot=self.leaf_snapshot(),
             max_extent=self._max_extent,
             universe=self._universe,
             file=self._file,
         )
 
-    def leaves_overlapping_vectorized(self, box: Box) -> list[PartitionNode]:
-        """The leaf partitions intersecting ``box``, in search order.
+    def leaves_overlapping_vectorized(self, box: Box) -> np.ndarray:
+        """The rows of the leaves intersecting ``box``, in search order.
 
         One :func:`~repro.geometry.vectorized.intersect_mask` call filters
-        the cached search-order snapshot — the sequential engine's
-        per-query overlap test, and the batch replay's after a refinement.
+        the current table — the sequential engine's per-query overlap
+        test, and the batch replay's after a refinement.
         """
-        snapshot = self.leaf_snapshot()
-        if not snapshot.leaves:
-            return []
-        leaves = snapshot.leaves
-        mask = intersect_mask(box.lo, box.hi, snapshot.lo, snapshot.hi)
-        return [leaves[j] for j in np.nonzero(mask)[0].tolist()]
+        table = self.leaf_snapshot()
+        return np.flatnonzero(intersect_mask(box.lo, box.hi, table.lo, table.hi))
 
-    def leaves_overlapping_batch(self, boxes: Sequence[Box]) -> list[list[PartitionNode]]:
-        """Leaf partitions intersecting each of ``boxes``, resolved in one kernel call.
+    def leaves_overlapping_batch(self, boxes: Sequence[Box]) -> list[np.ndarray]:
+        """Rows of the leaves intersecting each of ``boxes``, in one kernel call.
 
-        Returns one list per input box, each what
+        Returns one array per input box, each what
         :meth:`leaves_overlapping_vectorized` returns for that box.
         """
         return self.leaf_snapshot().overlapping_batch(boxes)
 
-    def read_partition_array(self, node: PartitionNode) -> np.ndarray:
-        """Read one leaf partition's records from the partition file, as a structured array."""
-        if not node.is_leaf:
-            raise ValueError(f"partition {node.key!r} is not a leaf")
-        if node.run is None or node.run.n_records == 0:
+    def read_partition_array(self, key: PartitionKey) -> np.ndarray:
+        """Read one leaf partition's records, by key, as a structured array."""
+        if key not in self._leaf_keys:
+            raise ValueError(f"partition {key!r} is not a leaf")
+        run = self._occupied_runs.get(key)
+        if run is None:
             dtype = self._file.dtype
             assert dtype is not None  # spatial codecs always carry one
             return np.empty(0, dtype=dtype)
-        return self._file.read_group_array(node.run)
+        return self._file.read_group_array(run)
 
     # ------------------------------------------------------------------ #
     # Diagnostics
@@ -463,13 +454,4 @@ class PartitionTree:
 
     def total_stored_objects(self) -> int:
         """Sum of objects over all leaves (should equal :attr:`n_objects`)."""
-        return sum(node.n_objects for node in self.leaves())
-
-    def describe(self) -> dict[str, int]:
-        """A small structural summary used in reports and tests."""
-        return {
-            "n_objects": self._n_objects,
-            "n_partitions": self.n_partitions,
-            "depth": self.depth,
-            "file_pages": self._file.num_pages(),
-        }
+        return int(self._leaf_snapshot.n_records.sum())

@@ -29,13 +29,15 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+
+import numpy as np
 
 from repro.core.adaptor import Adaptor
 from repro.core.merge import MergeDirectory, MergeFileInfo, RouteKind, RoutingDecision
 from repro.core.merge import choose_route
 from repro.core.merger import Merger
-from repro.core.partition import PartitionNode, PartitionTree
+from repro.core.partition import LeafSnapshot, PartitionTree
 from repro.core.statistics import StatisticsCollector
 from repro.data.columnar import DecodedGroup, filter_groups
 from repro.data.dataset import DatasetCatalog
@@ -56,33 +58,32 @@ def run_start(run: StoredRun) -> int:
 
 
 def plan_reads(
-    overlapped: Iterable[tuple[int, Sequence[PartitionNode]]],
+    overlapped: Iterable[tuple[int, LeafSnapshot, np.ndarray]],
     decision: RoutingDecision,
-    leaf_run: Callable[[int, PartitionNode], StoredRun | None],
     tree_file: Callable[[int], PagedFile[SpatialObject]],
     merge_file: Callable[[MergeFileInfo], PagedFile[SpatialObject]],
 ) -> list[tuple[int, PagedFile[SpatialObject], StoredRun]]:
     """One query's ``(dataset_id, file, run)`` reads, in on-disk order (step 4).
 
-    ``overlapped`` pairs each requested dataset, ascending, with its
-    overlapped leaves.  Merge-file segments come first in merge-file order
-    (co-located partitions stream sequentially: the point of merging),
-    then each dataset's uncovered runs that hold records, in partition-file
-    order.  The callables locate runs and files — live, or a pinned epoch.
+    ``overlapped`` gives each requested dataset, ascending, with the leaf
+    table its rows index (live, or a pinned epoch's) and its overlapped
+    rows; only the rows that hold records are planned.  Merge-file
+    segments come first in merge-file order (co-located partitions stream
+    sequentially: the point of merging), then each dataset's uncovered
+    runs, in partition-file order.
     """
     info = decision.merge_info
     merged: list[tuple[int, StoredRun]] = []
     plan: list[tuple[int, PagedFile[SpatialObject], StoredRun]] = []
-    for dataset_id, leaves in overlapped:
+    for dataset_id, table, rows in overlapped:
         covered = info is not None and dataset_id in decision.covered_datasets
         runs: list[StoredRun] = []
-        for leaf in leaves:
-            if covered and info.has_segment(leaf.key, dataset_id):
-                merged.append((dataset_id, info.segment(leaf.key, dataset_id)))
+        for row in rows[table.n_records[rows] > 0].tolist():
+            key = table.keys[row]
+            if covered and info.has_segment(key, dataset_id):
+                merged.append((dataset_id, info.segment(key, dataset_id)))
             else:
-                run = leaf_run(dataset_id, leaf)
-                if run is not None and run.n_records:
-                    runs.append(run)
+                runs.append(table.runs[row])
         if runs:
             runs.sort(key=run_start)
             file = tree_file(dataset_id)
@@ -92,10 +93,6 @@ def plan_reads(
         file = merge_file(info)
         plan[:0] = [(dataset_id, file, run) for dataset_id, run in merged]
     return plan
-
-
-def _live_run(dataset_id: int, leaf: PartitionNode) -> StoredRun | None:
-    return leaf.run
 
 
 @dataclass
@@ -265,32 +262,36 @@ class QueryProcessor:
         self,
         box: Box,
         requested: frozenset[int],
-        overlapped: Mapping[int, Sequence[PartitionNode]],
+        overlapped: Mapping[int, np.ndarray],
         decision: RoutingDecision,
         report: QueryReport,
     ) -> None:
         """Steps 5–6, the writer half of one query, against the *current* state.
 
-        The keys of every leaf in ``overlapped`` (per requested dataset)
-        enter the statistics, which advances the logical clock; leaves
-        holding records are offered for refinement; the merge file read
-        (if any) is stamped as used; then the merger gets its chance.
-        Fills ``report``.
+        ``overlapped`` holds each requested dataset's overlapped rows of
+        its tree's current leaf table.  Their keys enter the statistics,
+        which advances the logical clock; the rows the Adaptor picks are
+        refined, in search order, each shifted by the rows the splits
+        before it added; the merge file read (if any) is stamped as used;
+        then the merger gets its chance.  Fills ``report``.
         """
         info = decision.merge_info
         keys = set()
-        for dataset_id, leaves in overlapped.items():
-            keys.update(leaf.key for leaf in leaves)
-            report.partitions_read += len(leaves)
+        for dataset_id, rows in overlapped.items():
+            table = self._trees[dataset_id].leaf_snapshot()
+            hit = [table.keys[row] for row in rows.tolist()]
+            keys.update(hit)
+            report.partitions_read += len(hit)
             if info is not None and dataset_id in decision.covered_datasets:
                 report.partitions_from_merge += sum(
-                    info.has_segment(leaf.key, dataset_id) for leaf in leaves
+                    info.has_segment(key, dataset_id) for key in hit
                 )
-        for dataset_id, leaves in overlapped.items():
+        for dataset_id, rows in overlapped.items():
             tree = self._trees[dataset_id]
-            for leaf in leaves:
-                # A leaf without records is never a refinement candidate.
-                if leaf.n_objects and self._adaptor.maybe_refine(tree, leaf, box).refined:
+            table = tree.leaf_snapshot()
+            for row in self._adaptor.candidates(table, rows, box):
+                shift = len(tree.leaf_snapshot()) - len(table)
+                if self._adaptor.maybe_refine(tree, row + shift, box).refined:
                     report.refinements += 1
         self._statistics.record_query(requested, keys, query_volume=box.volume())
         if info is not None:
@@ -412,8 +413,8 @@ class QueryProcessor:
         retries_start = self._disk.stats.retries
         report.initialized_datasets = self.initialize_trees(ordered)
 
-        # 2. The overlapped leaves, in search order: one kernel call per tree.
-        overlapped: dict[int, list[PartitionNode]] = {}
+        # 2. The overlapped rows, in search order: one kernel call per tree.
+        overlapped: dict[int, np.ndarray] = {}
         for dataset_id in ordered:
             tree = self._trees[dataset_id]
             extended = box.expand(tree.max_extent).clamp(tree.universe)
@@ -423,15 +424,13 @@ class QueryProcessor:
         # one window+dataset mask filters them all, and only hits become objects.
         decision = choose_route(self._directory, requested)
         report.route = decision.kind.value
-        plan = plan_reads(
-            overlapped.items(), decision, _live_run, self._tree_file, self._merge_file
-        )
+        tables = [(d, self._trees[d].leaf_snapshot(), rows) for d, rows in overlapped.items()]
+        plan = plan_reads(tables, decision, self._tree_file, self._merge_file)
         dimension = self._catalog.dimension
         results, examined = filter_groups(
             [
                 (dataset_id, DecodedGroup.from_records(file.read_group_array(run), dimension))
                 for dataset_id, file, run in plan
-                if run.n_records
             ],
             box.lo,
             box.hi,

@@ -287,20 +287,23 @@ class PagedFile(Generic[RecordT]):
 
         Groups that hold no records get no pages and share
         :data:`_EMPTY_RUN`, so a split into ``ppl`` children costs what its
-        occupied children cost.  A group whose pages do not all fit in the
-        reused extents remembers how many are missing; after one bulk
-        append at the end of the file the missing pages are dealt back out
-        in group order, and only then is each group's run built — once.
+        occupied children cost: the dtype is fetched once and compared per
+        group, and only occupied groups are encoded.  A group whose pages
+        do not all fit in the reused extents remembers how many are
+        missing; after one bulk append at the end of the file the missing
+        pages are dealt back out in group order, and only then is each
+        group's run built — once.
         """
-        encoded = [self._encode_group_array(records) for records in groups]
+        dtype = self._require_dtype()
+        for records in groups:
+            self._check_dtype(records, dtype)
+        encoded = [(i, self._paginate(group)) for i, group in enumerate(groups) if len(group)]
         self._ensure_created()
         allocator = _PageAllocator(free_pages=[p for ext in reuse for p in ext.pages()])
         runs: list[StoredRun] = [_EMPTY_RUN] * len(groups)
         pending_appends: list[bytes] = []
         placed: list[tuple[int, int, list[int], int]] = []  # (group, records, slots, missing)
-        for index, pages in enumerate(encoded):
-            if not pages:
-                continue
+        for index, pages in encoded:
             assigned: list[int] = []
             missing = 0
             for page_bytes in pages:
@@ -456,14 +459,21 @@ class PagedFile(Generic[RecordT]):
         return pages
 
     def _encode_group_array(self, records: np.ndarray) -> list[bytes]:
-        dtype = self._require_dtype()
+        self._check_dtype(records, self._require_dtype())
+        if not len(records):
+            return []  # checked like any group, but there is nothing to encode
+        return self._paginate(records)
+
+    @staticmethod
+    def _check_dtype(records: np.ndarray, dtype: np.dtype) -> None:
         if records.dtype != dtype:
             raise TypeError(
                 f"array dtype {records.dtype} does not match the file's "
                 f"record dtype {dtype}"
             )
-        if not len(records):
-            return []  # checked like any group, but there is nothing to encode
+
+    def _paginate(self, records: np.ndarray) -> list[bytes]:
+        """Encode a non-empty group's records into pages."""
         if self._compression is not None:
             return paginate_bytes_compressed(
                 records.tobytes(),

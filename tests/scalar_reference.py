@@ -7,8 +7,13 @@ arrays.  This module keeps the original per-record path it replaced
 (ROADMAP ground rule iv), and the differential, fuzz, kernel-guard and
 refine-path tests hold every engine to it:
 
+* :class:`ReferenceTree` — a partition tree of node objects, built from
+  keys alone: internal nodes are key prefixes and every region is found
+  from the universe through ``Box.grid_edges``.  It is the seed engine's
+  own tree, and :func:`reference_tree` derives one from an engine tree's
+  leaf keys to check the engine's leaf table against;
 * :func:`leaves_overlapping` — the explicit-stack depth-first walk whose
-  visiting order *defines* the search order of every leaf snapshot;
+  visiting order *defines* the search order of every leaf table;
 * :func:`assign_to_children` and :func:`read_partition` — a split and a
   partition read on ``SpatialObject`` instances;
 * :class:`ScalarAdaptor`, :class:`ScalarMerger` and :class:`ScalarProcessor`
@@ -16,7 +21,8 @@ refine-path tests hold every engine to it:
   over the per-record storage surface below, with a Python loop as the
   filter;
 * :class:`ScalarOdyssey` — a :class:`~repro.core.odyssey.SpaceOdyssey`
-  whose adaptor, merger and query processor are those three.
+  whose adaptor, merger and query processor are those three, on
+  :class:`ReferenceTree` objects.
 
 The per-record storage surface left ``src/`` with the baselines' move onto
 arrays; its helpers live here and every reference reads through them:
@@ -37,13 +43,13 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.adaptor import Adaptor
+from repro.core.adaptor import Adaptor, RefinementOutcome
 from repro.core.merge import MergeFileInfo, choose_route, merge_file_name
 from repro.core.merger import Merger, MergeOutcome
 from repro.core.odyssey import SpaceOdyssey
-from repro.core.partition import PartitionKey, PartitionNode, PartitionTree
+from repro.core.partition import PartitionKey, PartitionTree, partition_file_name
 from repro.core.query_processor import QueryProcessor, QueryReport, run_start
-from repro.data.spatial_object import SpatialObject
+from repro.data.spatial_object import SpatialObject, spatial_object_codec
 from repro.geometry.box import Box
 from repro.obs.trace import maybe_span
 from repro.storage import codec as page_codec
@@ -128,22 +134,201 @@ def child_index(box: Box, point: Sequence[float], cells_per_dim: Sequence[int] |
     return index
 
 # ---------------------------------------------------------------------- #
+# The reference tree: node objects, derived from keys
+# ---------------------------------------------------------------------- #
+
+#: The run of a leaf that holds no records.
+EMPTY_RUN = StoredRun(extents=(), n_records=0)
+
+
+def child_box(parent: Box, index: int, splits: int) -> Box:
+    """Child ``index`` of ``parent``'s regular grid (row-major), from its grid edges."""
+    lows, highs = parent.grid_edges(splits)
+    cells = np.unravel_index(index, (splits,) * parent.dimension)
+    return Box(
+        tuple(lows[axis][cell] for axis, cell in enumerate(cells)),
+        tuple(highs[axis][cell] for axis, cell in enumerate(cells)),
+    )
+
+
+class ReferenceNode:
+    """One node of a :class:`ReferenceTree`: a leaf owns a run, an internal node routes."""
+
+    __slots__ = ("key", "box", "run", "children")
+
+    def __init__(self, key: PartitionKey, box: Box, run: StoredRun | None = None) -> None:
+        self.key = key
+        self.box = box
+        self.run = run
+        self.children: list[ReferenceNode] | None = None
+
+    @property
+    def level(self) -> int:
+        return len(self.key)
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.children is None
+
+    @property
+    def n_objects(self) -> int:
+        return 0 if self.run is None else self.run.n_records
+
+    def volume(self) -> float:
+        return self.box.volume()
+
+
+class ReferenceTree:
+    """A partition tree of :class:`ReferenceNode` objects, one per key.
+
+    The seed engine's tree: :class:`ScalarAdaptor` installs and splits it
+    node by node, and :func:`reference_tree` builds one from the leaf keys
+    of an engine tree.  It offers the few read surfaces the engine's merger
+    and cost model use (``leaf_keys``, ``occupied_runs``, ``volume``),
+    each computed from the nodes.
+    """
+
+    def __init__(self, universe: Box, splits_per_dim: int, file: PagedFile | None = None,
+                 dataset=None) -> None:
+        self.universe = universe
+        self.splits_per_dim = splits_per_dim
+        self.file = file
+        self.dataset = dataset
+        self.nodes: dict[PartitionKey, ReferenceNode] = {}
+        self.max_extent: tuple[float, ...] = (0.0,) * universe.dimension
+        self.n_objects = 0
+
+    @classmethod
+    def from_keys(cls, universe: Box, splits_per_dim: int, runs: Mapping[PartitionKey, StoredRun],
+                  file: PagedFile | None = None) -> "ReferenceTree":
+        """The tree whose leaves are ``runs``' keys, each owning its run."""
+        tree = cls(universe, splits_per_dim, file)
+        for key in sorted(runs, key=len):
+            for depth in range(1, len(key) + 1):
+                prefix = key[:depth]
+                if prefix not in tree.nodes:
+                    parent = tree.nodes[prefix[:-1]].box if depth > 1 else universe
+                    tree.nodes[prefix] = ReferenceNode(
+                        prefix, child_box(parent, prefix[-1], splits_per_dim)
+                    )
+            tree.nodes[key].run = runs[key]
+        ppl = tree.partitions_per_level
+        for key, node in tree.nodes.items():
+            if key not in runs:
+                node.children = [tree.nodes[key + (index,)] for index in range(ppl)]
+        return tree
+
+    @property
+    def partitions_per_level(self) -> int:
+        return self.splits_per_dim**self.universe.dimension
+
+    @property
+    def is_initialized(self) -> bool:
+        return bool(self.nodes)
+
+    def node(self, key: PartitionKey) -> ReferenceNode:
+        return self.nodes[key]
+
+    def roots(self) -> list[ReferenceNode]:
+        return [self.nodes[(index,)] for index in range(self.partitions_per_level)]
+
+    def leaves(self) -> list[ReferenceNode]:
+        """Every leaf, in the order the stack walk visits them (search order)."""
+        order: list[ReferenceNode] = []
+        stack = self.roots() if self.nodes else []
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                order.append(node)
+            else:
+                stack.extend(node.children)
+        return order
+
+    def split(self, node: ReferenceNode, runs: Sequence[StoredRun]) -> list[ReferenceNode]:
+        """Give ``node`` (or the root, for ``None``) ``ppl`` children owning ``runs``."""
+        prefix, box = ((), self.universe) if node is None else (node.key, node.box)
+        children = [
+            ReferenceNode(prefix + (index,), child_box(box, index, self.splits_per_dim), run)
+            for index, run in enumerate(runs)
+        ]
+        self.nodes.update((child.key, child) for child in children)
+        if node is not None:
+            node.children, node.run = children, None
+        return children
+
+    # -- the surfaces the engine's merger and cost model read --------------- #
+
+    @property
+    def leaf_keys(self) -> set[PartitionKey]:
+        return {key for key, node in self.nodes.items() if node.is_leaf}
+
+    @property
+    def occupied_runs(self) -> dict[PartitionKey, StoredRun]:
+        return {key: node.run for key, node in self.nodes.items() if node.is_leaf and node.n_objects}
+
+    def volume(self, key: PartitionKey) -> float:
+        return self.nodes[key].volume()
+
+    def has_leaf(self, key: PartitionKey) -> bool:
+        node = self.nodes.get(key)
+        return node is not None and node.is_leaf
+
+    @property
+    def n_partitions(self) -> int:
+        return len(self.leaf_keys)
+
+    @property
+    def depth(self) -> int:
+        return max((node.level for node in self.nodes.values() if node.is_leaf), default=0)
+
+    def total_stored_objects(self) -> int:
+        return sum(node.n_objects for node in self.nodes.values() if node.is_leaf)
+
+
+def reference_tree(tree) -> ReferenceTree:
+    """A :class:`ReferenceTree` for ``tree``: itself, or derived from an engine tree's keys.
+
+    An engine :class:`~repro.core.partition.PartitionTree` contributes its
+    leaf-key set and its occupied-runs summary; structure, order, regions
+    and levels come from the keys alone.
+    """
+    if isinstance(tree, ReferenceTree):
+        return tree
+    runs = {key: tree.occupied_runs.get(key, EMPTY_RUN) for key in tree.leaf_keys}
+    return ReferenceTree.from_keys(tree.universe, tree.splits_per_dim, runs, tree.file)
+
+
+def row_of(tree: PartitionTree, key: PartitionKey) -> int:
+    """The row of ``key`` in an engine tree's current leaf table."""
+    return tree.leaf_snapshot().keys.index(key)
+
+
+def leaf_listing(tree) -> tuple:
+    """``(n_partitions, depth, sorted (key, records, extents))``: comparable across tree kinds."""
+    leaves = sorted(
+        (leaf.key, leaf.n_objects, leaf.run.extents) for leaf in reference_tree(tree).leaves()
+    )
+    return tree.n_partitions, tree.depth, tuple(leaves)
+
+
+# ---------------------------------------------------------------------- #
 # Tree walks on objects
 # ---------------------------------------------------------------------- #
 
 
-def leaves_overlapping(tree: PartitionTree, box: Box) -> list[PartitionNode]:
+def leaves_overlapping(tree, box: Box) -> list[ReferenceNode]:
     """All leaf partitions whose region intersects ``box``, by a stack walk.
 
     The first-level partitions are pushed in index order and popped last
     first, and so is every internal node's children: the order this walk
-    visits leaves is the search order the leaf snapshot is kept in.
+    visits leaves is the search order the leaf table is kept in.  An
+    engine tree is walked through :func:`reference_tree`.
     """
     if not tree.is_initialized:
         raise RuntimeError("partition tree has not been initialised yet")
-    roots = (tree.node((index,)) for index in range(tree.partitions_per_level))
-    stack = [node for node in roots if node.box.intersects(box)]
-    results: list[PartitionNode] = []
+    tree = reference_tree(tree)
+    stack = [node for node in tree.roots() if node.box.intersects(box)]
+    results: list[ReferenceNode] = []
     while stack:
         node = stack.pop()
         if node.is_leaf:
@@ -154,7 +339,7 @@ def leaves_overlapping(tree: PartitionTree, box: Box) -> list[PartitionNode]:
 
 
 def assign_to_children(
-    tree: PartitionTree, parent_box: Box, objects: list[SpatialObject]
+    tree, parent_box: Box, objects: list[SpatialObject]
 ) -> list[list[SpatialObject]]:
     """Distribute objects to the ``ppl`` children of a region by centre."""
     groups: list[list[SpatialObject]] = [[] for _ in range(tree.partitions_per_level)]
@@ -163,7 +348,7 @@ def assign_to_children(
     return groups
 
 
-def read_partition(tree: PartitionTree, node: PartitionNode) -> list[SpatialObject]:
+def read_partition(tree, node: ReferenceNode) -> list[SpatialObject]:
     """Read one leaf partition's objects from the partition file."""
     if not node.is_leaf:
         raise ValueError(f"partition {node.key!r} is not a leaf")
@@ -178,9 +363,18 @@ def read_partition(tree: PartitionTree, node: PartitionNode) -> list[SpatialObje
 
 
 class ScalarAdaptor(Adaptor):
-    """First touch and refinement one ``SpatialObject`` at a time."""
+    """First touch and refinement one ``SpatialObject`` at a time, on node trees."""
 
-    def initialize(self, tree: PartitionTree) -> None:
+    def create_tree(self, dataset) -> ReferenceTree:
+        file = PagedFile(
+            dataset.disk,
+            partition_file_name(dataset.name),
+            spatial_object_codec(dataset.dimension),
+        )
+        splits = self._config.splits_per_dimension(dataset.dimension)
+        return ReferenceTree(dataset.universe, splits, file, dataset)
+
+    def initialize(self, tree: ReferenceTree) -> None:
         if tree.is_initialized:
             raise RuntimeError(f"dataset {tree.dataset.name!r} is already initialised")
         dataset = tree.dataset
@@ -196,18 +390,58 @@ class ScalarAdaptor(Adaptor):
                     max_extent[axis] = extent
         runs = write_groups(tree.file, groups)
         dataset.disk.charge_cpu_records(n_objects)
-        tree.install_first_level(
-            groups=groups, runs=runs, max_extent=tuple(max_extent), n_objects=n_objects
-        )
+        tree.split(None, runs)
+        tree.max_extent = tuple(max_extent)
+        tree.n_objects = n_objects
 
-    def refine(self, tree: PartitionTree, node: PartitionNode) -> list[PartitionNode]:
+    def should_refine(self, node: ReferenceNode, query_volume: float) -> bool:
+        """The paper's rule on a node: ``V_partition / V_query > rt``."""
+        if query_volume <= 0:
+            return False
+        return node.volume() / query_volume > self._config.refinement_threshold
+
+    def maybe_refine(
+        self, tree: ReferenceTree, node: ReferenceNode, query: Box
+    ) -> RefinementOutcome:
+        """The seed loop: level by level, the children the query overlaps in index order."""
+        config = self._config
+        if config.refine_levels_per_query == 0:
+            return RefinementOutcome(refined=False, reason="refinement disabled")
+        if node.n_objects == 0:
+            return RefinementOutcome(refined=False, reason="empty partition")
+        if node.level >= config.max_depth:
+            return RefinementOutcome(refined=False, reason="max depth reached")
+        query_volume = query.volume()
+        if not self.should_refine(node, query_volume):
+            return RefinementOutcome(refined=False, reason="below refinement threshold")
+        levels = 0
+        current = [node]
+        while True:
+            next_round: list[ReferenceNode] = []
+            for leaf in current:
+                if (
+                    leaf.is_leaf
+                    and leaf.n_objects
+                    and leaf.level < config.max_depth
+                    and self.should_refine(leaf, query_volume)
+                ):
+                    next_round.extend(self.refine(tree, leaf))
+            if not next_round:
+                break
+            levels += 1
+            if levels == config.refine_levels_per_query:
+                break
+            current = [child for child in next_round if child.box.intersects(query)]
+        return RefinementOutcome(refined=levels > 0, levels=levels)
+
+    def refine(self, tree: ReferenceTree, node: ReferenceNode) -> list[ReferenceNode]:
         if not node.is_leaf:
             raise ValueError(f"partition {node.key!r} is not a leaf")
         reuse = node.run.extents if node.run is not None else ()
         objects = read_partition(tree, node)
         runs = write_groups(tree.file, assign_to_children(tree, node.box, objects), reuse=reuse)
         tree.dataset.disk.charge_cpu_records(len(objects))
-        return tree.replace_with_children(node, runs)
+        return tree.split(node, runs)
 
 
 class ScalarMerger(Merger):
@@ -277,7 +511,7 @@ class ScalarProcessor(QueryProcessor):
                 report.initialized_datasets.append(dataset_id)
 
         # 2. The leaf partitions each dataset must read.
-        needed: dict[int, list[PartitionNode]] = {}
+        needed: dict[int, list[ReferenceNode]] = {}
         for dataset_id in ordered:
             tree = self._trees[dataset_id]
             extended = box.expand(tree.max_extent).clamp(tree.universe)
@@ -289,7 +523,7 @@ class ScalarProcessor(QueryProcessor):
 
         # 4. Retrieval in on-disk order, then a filter loop over objects.
         accessed_keys: set[PartitionKey] = set()
-        occupied: dict[int, list[PartitionNode]] = {}
+        occupied: dict[int, list[ReferenceNode]] = {}
         merge_plan: list[tuple[int, StoredRun]] = []
         plan: list[tuple[int, PagedFile[SpatialObject], StoredRun]] = []
         info = decision.merge_info

@@ -9,7 +9,7 @@ one through ``query_batch()`` in chunks — and every observable must agree:
   objects, order-insensitively);
 * identical ``QueryReport``\\ s, field by field (``objects_examined`` is the
   one documented exception: the batch may examine coarser partitions);
-* identical post-run adaptive state: partition trees (leaf keys, hit
+* identical post-run adaptive state: partition trees (leaf keys, record
   counts, stored runs), merge directory contents, merger counters,
   statistics — and, strongest of all, byte-identical on-disk files.
 """
@@ -23,6 +23,8 @@ from repro.core.config import OdysseyConfig
 from repro.core.odyssey import SpaceOdyssey
 from repro.data.spatial_object import spatial_object_codec
 from repro.data.suite import BenchmarkSuite
+
+from tests.scalar_reference import leaf_listing
 
 #: QueryReport fields that must agree exactly between the two engines.
 REPORT_FIELDS = (
@@ -55,17 +57,9 @@ def adaptive_state(odyssey: SpaceOdyssey):
     the count, the key hits, the hot keys and the query volume, plus the
     logical clock the LRU stamps are taken from.
     """
-    trees = {}
-    for dataset_id, tree in sorted(odyssey.trees.items()):
-        leaves = sorted(
-            (
-                leaf.key,
-                leaf.n_objects,
-                leaf.run.extents if leaf.run is not None else (),
-            )
-            for leaf in tree.leaves()
-        )
-        trees[dataset_id] = (tree.n_partitions, tree.depth, tuple(leaves))
+    trees = {
+        dataset_id: leaf_listing(tree) for dataset_id, tree in sorted(odyssey.trees.items())
+    }
     merge_files = {}
     for info in odyssey.merge_directory.all_files():
         entries = {

@@ -23,7 +23,7 @@ from repro.geometry.box import Box
 from repro.workload.query import RangeQuery
 
 from tests.conftest import make_catalog, make_dataset, make_random_objects
-from tests.scalar_reference import leaves_overlapping, read_partition
+from tests.scalar_reference import leaves_overlapping, read_partition, reference_tree, row_of
 
 
 class TestQueryBatch:
@@ -71,18 +71,18 @@ class TestLeafSnapshot:
         first = tree.leaf_snapshot()
         assert tree.leaf_snapshot() is first
         assert first.version == tree.version
-        leaf = max(tree.leaves(), key=lambda node: node.n_objects)
-        adaptor.refine(tree, leaf)
+        adaptor.refine(tree, int(np.argmax(first.n_records)))
         second = tree.leaf_snapshot()
         assert second is not first
         assert second.version == tree.version > first.version
-        assert len(second.leaves) == len(first.leaves) + tree.partitions_per_level - 1
+        assert len(second) == len(first) + tree.partitions_per_level - 1
 
     def test_snapshot_arrays_match_leaf_boxes(self, disk, universe):
         tree, _ = self._tree(disk, universe)
         snapshot = tree.leaf_snapshot()
-        assert snapshot.lo.shape == (len(snapshot.leaves), universe.dimension)
-        for row, leaf in enumerate(snapshot.leaves):
+        assert snapshot.lo.shape == (len(snapshot), universe.dimension)
+        for row, leaf in enumerate(reference_tree(tree).leaves()):
+            assert snapshot.keys[row] == leaf.key
             assert tuple(snapshot.lo[row]) == leaf.box.lo
             assert tuple(snapshot.hi[row]) == leaf.box.hi
 
@@ -95,13 +95,15 @@ class TestLeafSnapshot:
             Box((10.0, 10.0, 10.0), (10.0, 10.0, 10.0)),  # degenerate point
         ]
         # Refine a few leaves so the tree has mixed depths.
-        for leaf in list(tree.leaves())[:3]:
-            if leaf.n_objects:
-                adaptor.refine(tree, leaf)
+        for key in tree.leaf_snapshot().keys[:3]:
+            row = row_of(tree, key)
+            if tree.leaf_snapshot().n_records[row]:
+                adaptor.refine(tree, row)
         batched = tree.leaves_overlapping_batch(queries)
-        for box, leaves in zip(queries, batched):
+        keys = tree.leaf_snapshot().keys
+        for box, rows in zip(queries, batched):
             scalar = leaves_overlapping(tree, box)
-            assert [l.key for l in leaves] == [l.key for l in scalar]
+            assert [keys[row] for row in rows] == [leaf.key for leaf in scalar]
 
     def test_uninitialised_tree_raises(self, disk, universe):
         dataset = make_dataset(disk, universe, count=10, seed=1)
@@ -132,7 +134,7 @@ class TestColumnarDecode:
         tree = adaptor.create_tree(dataset)
         adaptor.initialize(tree)
         read_set = BatchReadSet(universe.dimension)
-        leaf = max(tree.leaves(), key=lambda node: node.n_objects)
+        leaf = max(reference_tree(tree).leaves(), key=lambda node: node.n_objects)
         group = read_set.read(tree.file, leaf.run)
         expected = read_partition(tree, leaf)
         assert group.n_records == len(expected)

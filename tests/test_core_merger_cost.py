@@ -9,11 +9,13 @@ from repro.core.config import OdysseyConfig
 from repro.core.cost import AdaptiveMergePolicy, MergeCostModel
 from repro.core.merge import MergeDirectory
 from repro.core.merger import Merger
+from repro.core.odyssey import SpaceOdyssey
 from repro.core.statistics import StatisticsCollector
+from repro.geometry.box import Box
 from repro.storage.cost_model import DiskModel
 
 from tests.conftest import make_catalog
-from tests.scalar_reference import read_group, read_partition
+from tests.scalar_reference import read_group, read_partition, reference_tree, row_of
 
 
 @pytest.fixture
@@ -48,7 +50,7 @@ class TestMergerTriggers:
     def test_merges_after_threshold(self, setup):
         _, _, trees, statistics, directory, merger = setup
         combo = frozenset({0, 1, 2})
-        keys = [next(iter(trees[0].leaves())).key]
+        keys = [next(iter(reference_tree(trees[0]).leaves())).key]
         record_queries(statistics, trees, combo, keys, times=3)
         outcome = merger.maybe_merge(combo, trees)
         assert outcome.merged
@@ -57,7 +59,7 @@ class TestMergerTriggers:
     def test_below_threshold_skipped(self, setup):
         _, _, trees, statistics, directory, merger = setup
         combo = frozenset({0, 1, 2})
-        keys = [next(iter(trees[0].leaves())).key]
+        keys = [next(iter(reference_tree(trees[0]).leaves())).key]
         record_queries(statistics, trees, combo, keys, times=1)
         outcome = merger.maybe_merge(combo, trees)
         assert not outcome.merged
@@ -79,7 +81,7 @@ class TestMergerTriggers:
     def test_nothing_new_to_merge_is_noop(self, setup):
         _, _, trees, statistics, _, merger = setup
         combo = frozenset({0, 1, 2})
-        keys = [next(iter(trees[0].leaves())).key]
+        keys = [next(iter(reference_tree(trees[0]).leaves())).key]
         record_queries(statistics, trees, combo, keys, times=3)
         assert merger.maybe_merge(combo, trees).merged
         second = merger.maybe_merge(combo, trees)
@@ -89,7 +91,7 @@ class TestMergerTriggers:
     def test_extension_with_new_partitions(self, setup):
         _, _, trees, statistics, directory, merger = setup
         combo = frozenset({0, 1, 2})
-        leaves = list(trees[0].leaves())
+        leaves = list(reference_tree(trees[0]).leaves())
         record_queries(statistics, trees, combo, [leaves[0].key], times=3)
         merger.maybe_merge(combo, trees)
         record_queries(statistics, trees, combo, [leaves[1].key], times=3)
@@ -102,14 +104,14 @@ class TestMergerTriggers:
     def test_merge_content_matches_originals(self, setup):
         _, _, trees, statistics, directory, merger = setup
         combo = frozenset({0, 1, 2})
-        leaf = max(trees[0].leaves(), key=lambda n: n.n_objects)
+        leaf = max(reference_tree(trees[0]).leaves(), key=lambda n: n.n_objects)
         record_queries(statistics, trees, combo, [leaf.key], times=3)
         merger.maybe_merge(combo, trees)
         info = directory.get(combo)
         file = merger.merge_file(combo)
         for dataset_id in combo:
             tree = trees[dataset_id]
-            original = {o.key() for o in read_partition(tree, tree.node(leaf.key))}
+            original = {o.key() for o in read_partition(tree, reference_tree(tree).node(leaf.key))}
             copied = {o.key() for o in read_group(file, info.segment(leaf.key, dataset_id))}
             assert copied == original
 
@@ -118,9 +120,9 @@ class TestMergerTriggers:
         combo = frozenset({0, 1, 2})
         # Refine the key in dataset 0 so its level differs from the others.
         adaptor = Adaptor(OdysseyConfig(partitions_per_level=8))
-        leaf = max(trees[0].leaves(), key=lambda n: n.n_objects)
+        leaf = max(reference_tree(trees[0]).leaves(), key=lambda n: n.n_objects)
         key = leaf.key
-        adaptor.refine(trees[0], leaf)
+        adaptor.refine(trees[0], row_of(trees[0], key))
         record_queries(statistics, trees, combo, [key], times=3)
         outcome = merger.maybe_merge(combo, trees)
         assert not outcome.merged or key not in directory.get(combo).entries
@@ -147,7 +149,7 @@ class TestBudget:
             merge_space_budget_pages=2,
         )
         merger = Merger(disk, config, directory, statistics, dimension=3)
-        busiest = sorted(trees[0].leaves(), key=lambda n: n.n_objects, reverse=True)
+        busiest = sorted(reference_tree(trees[0]).leaves(), key=lambda n: n.n_objects, reverse=True)
         combo_a = frozenset({0, 1})
         combo_b = frozenset({1, 2})
         record_queries(statistics, trees, combo_a, [busiest[0].key], times=3)
@@ -165,7 +167,7 @@ class TestCostModel:
     def test_estimate_scales_with_combination_size(self, setup):
         _, _, trees, _, _, _ = setup
         model = MergeCostModel(DiskModel())
-        keys = {next(iter(trees[0].leaves())).key}
+        keys = {next(iter(reference_tree(trees[0]).leaves())).key}
         small = model.estimate(frozenset({0, 1}), keys, trees)
         large = model.estimate(frozenset({0, 1, 2}), keys, trees)
         assert large.per_query_benefit_s > small.per_query_benefit_s
@@ -173,7 +175,7 @@ class TestCostModel:
     def test_breakeven_positive(self, setup):
         _, _, trees, _, _, _ = setup
         model = MergeCostModel(DiskModel())
-        keys = {leaf.key for leaf in trees[0].leaves()}
+        keys = {leaf.key for leaf in reference_tree(trees[0]).leaves()}
         estimate = model.estimate(frozenset({0, 1, 2}), keys, trees)
         assert estimate.merge_cost_s > 0
         assert estimate.worthwhile_after >= 1
@@ -184,7 +186,7 @@ class TestCostModel:
             DiskModel(seek_time_s=1e-6, transfer_rate_bytes_per_s=4096 * 10)
         )
         policy = AdaptiveMergePolicy(cost_model, static_threshold=2)
-        keys = {leaf.key for leaf in trees[0].leaves() if leaf.n_objects > 0}
+        keys = {leaf.key for leaf in reference_tree(trees[0]).leaves() if leaf.n_objects > 0}
         combo = frozenset({0, 1, 2})
         # With an extremely slow disk and cheap seeks, the breakeven count is
         # large, so a small access count must not trigger merging.
@@ -195,3 +197,37 @@ class TestCostModel:
         _, _, trees, _, _, _ = setup
         policy = AdaptiveMergePolicy(MergeCostModel(DiskModel()), static_threshold=5)
         assert not policy.should_merge(frozenset({0, 1, 2}), 5, set(), trees)
+
+
+class TestConvergedRule:
+    def test_a_key_the_adaptor_keeps_is_merged_at_rt_3(self, disk):
+        """The merger's converged test is the negation of the Adaptor's rule.
+
+        Every level-1 region of this universe has volume ``v`` =
+        50.00000000000001 and the query has volume ``q`` =
+        16.666666666666668: ``v / q`` rounds to exactly 3.0, so the Adaptor
+        does not refine at ``rt = 3``, while ``3 * q`` rounds below ``v``, so
+        the former ``v <= rt * average`` test refused the copy as well — the
+        region was neither refined nor merged.
+        """
+        v, q = 50.00000000000001, 16.666666666666668
+        assert v / q == 3.0 and not v <= 3.0 * q
+        universe = Box((0.0, 0.0, 0.0), (2.0, 2.0, 2 * v))
+        catalog = make_catalog(disk, universe, n_datasets=3, count=120, seed=3)
+        config = OdysseyConfig(
+            partitions_per_level=8,
+            refinement_threshold=3.0,
+            merge_threshold=1,
+            merge_partition_min_hits=1,
+            merge_only_converged=True,
+        )
+        engine = SpaceOdyssey(catalog, config)
+        query = Box((0.0, 0.0, 0.0), (1.0, 1.0, q))
+        assert query.volume() == q
+        for _ in range(2):
+            engine.query(query, [0, 1, 2])
+        tree = engine.trees[0]
+        assert tree.depth == 1, "a region was refined"
+        assert tree.volume((0,)) == v
+        info = engine.merge_directory.get(frozenset({0, 1, 2}))
+        assert info is not None and (0,) in info.entries

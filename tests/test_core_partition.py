@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from repro.core.adaptor import Adaptor, RefinementOutcome
@@ -13,17 +14,24 @@ from repro.geometry.box import Box
 from repro.storage.disk import Disk
 
 from tests.conftest import make_dataset
-from tests.scalar_reference import ScalarAdaptor, leaves_overlapping, read_partition
+from tests.scalar_reference import (
+    ScalarAdaptor,
+    leaves_overlapping,
+    read_group,
+    read_partition,
+    reference_tree,
+)
 
 
-def reference_maybe_refine(adaptor: Adaptor, tree, node, query: Box) -> RefinementOutcome:
-    """The former ``Adaptor.maybe_refine`` loop: candidates filtered after every level."""
+def reference_maybe_refine(adaptor: ScalarAdaptor, tree, node, query: Box) -> RefinementOutcome:
+    """The former ``Adaptor.maybe_refine`` loop on nodes: candidates filtered after every level."""
     config = adaptor.config
+    volume = query.volume()
     if (
         not node.is_leaf
         or node.n_objects == 0
         or node.level >= config.max_depth
-        or not adaptor.should_refine(node, query)
+        or not adaptor.should_refine(node, volume)
     ):
         return RefinementOutcome(refined=False)
     levels = 0
@@ -35,7 +43,7 @@ def reference_maybe_refine(adaptor: Adaptor, tree, node, query: Box) -> Refineme
                 leaf.is_leaf
                 and leaf.n_objects
                 and leaf.level < config.max_depth
-                and adaptor.should_refine(leaf, query)
+                and adaptor.should_refine(leaf, volume)
             ):
                 next_round.extend(adaptor.refine(tree, leaf))
         if not next_round:
@@ -43,6 +51,33 @@ def reference_maybe_refine(adaptor: Adaptor, tree, node, query: Box) -> Refineme
         levels += 1
         current = [child for child in next_round if child.box.intersects(query)]
     return RefinementOutcome(refined=levels > 0, levels=levels)
+
+
+def fullest_row(tree: PartitionTree) -> int:
+    """The first row holding the most records."""
+    return int(np.argmax(tree.leaf_snapshot().n_records))
+
+
+def row_objects(tree: PartitionTree, row: int) -> list:
+    run = tree.leaf_snapshot().runs[row]
+    return read_group(tree.file, run) if run.n_records else []
+
+
+def refine_overlapped(adaptor, tree, query: Box) -> list[tuple[bool, int]]:
+    """Offer every leaf the query overlaps to ``maybe_refine``, in search order.
+
+    An engine tree goes by rows, each shifted by the rows earlier splits
+    added; a reference tree by its nodes.
+    """
+    if not isinstance(tree, PartitionTree):
+        outcomes = [adaptor.maybe_refine(tree, node, query) for node in leaves_overlapping(tree, query)]
+    else:
+        start = len(tree.leaf_snapshot())
+        outcomes = [
+            adaptor.maybe_refine(tree, row + len(tree.leaf_snapshot()) - start, query)
+            for row in tree.leaves_overlapping_vectorized(query).tolist()
+        ]
+    return [(outcome.refined, outcome.levels) for outcome in outcomes]
 
 
 @pytest.fixture
@@ -87,15 +122,14 @@ class TestInitialization:
         assert tree.total_stored_objects() == dataset.n_objects
 
     def test_objects_in_correct_partitions(self, tree):
-        for leaf in tree.leaves():
+        for leaf in reference_tree(tree).leaves():
             for obj in read_partition(tree, leaf):
                 assert leaf.box.contains_point(obj.center)
 
     def test_partitions_cover_universe(self, tree, universe):
-        leaves = list(tree.leaves())
-        assert Box.bounding([leaf.box for leaf in leaves]) == universe
-        total = sum(leaf.box.volume() for leaf in leaves)
-        assert total == pytest.approx(universe.volume())
+        table = tree.leaf_snapshot()
+        assert Box.bounding([table.box(row) for row in range(len(table))]) == universe
+        assert table.volume.sum() == pytest.approx(universe.volume())
 
     def test_max_extent_positive(self, tree):
         assert all(extent > 0 for extent in tree.max_extent)
@@ -120,90 +154,103 @@ class TestInitialization:
 class TestSearch:
     def test_leaves_overlapping_small_query(self, tree):
         query = Box.cube((25.0, 25.0, 25.0), 10.0)
-        leaves = tree.leaves_overlapping_vectorized(query)
-        assert leaves
-        assert leaves == leaves_overlapping(tree, query)
-        assert all(leaf.box.intersects(query) for leaf in leaves)
+        table = tree.leaf_snapshot()
+        rows = tree.leaves_overlapping_vectorized(query).tolist()
+        assert rows
+        assert [table.keys[row] for row in rows] == [
+            leaf.key for leaf in leaves_overlapping(tree, query)
+        ]
+        assert all(table.box(row).intersects(query) for row in rows)
 
     def test_leaves_overlapping_universe_returns_all(self, tree, universe):
         assert len(tree.leaves_overlapping_vectorized(universe)) == tree.n_partitions
 
-    def test_node_lookup(self, tree):
-        leaf = next(tree.leaves())
-        assert tree.node(leaf.key) is leaf
-        assert tree.has_leaf(leaf.key)
-        with pytest.raises(KeyError):
-            tree.node((99, 99))
-
-    def test_describe(self, tree):
-        summary = tree.describe()
-        assert summary["n_objects"] == tree.n_objects
-        assert summary["n_partitions"] == tree.n_partitions
-        assert summary["depth"] == 1
+    def test_key_lookup(self, tree):
+        table = tree.leaf_snapshot()
+        key = table.keys[0]
+        assert key in tree.leaf_keys
+        assert tree.volume(key) == table.volume[0] == table.box(0).volume()
+        assert (99, 99) not in tree.leaf_keys
+        with pytest.raises(ValueError):
+            tree.read_partition_array((99, 99))
 
 
 class TestRefinement:
     def test_refine_splits_leaf_into_children(self, adaptor, tree):
-        leaf = max(tree.leaves(), key=lambda node: node.n_objects)
-        n_before = leaf.n_objects
-        children = adaptor.refine(tree, leaf)
-        assert len(children) == tree.partitions_per_level
-        assert not leaf.is_leaf
-        assert sum(child.n_objects for child in children) == n_before
+        row = fullest_row(tree)
+        parent = tree.leaf_snapshot().keys[row]
+        n_before = int(tree.leaf_snapshot().n_records[row])
+        adaptor.refine(tree, row)
+        table = tree.leaf_snapshot()
+        children = slice(row, row + tree.partitions_per_level)
+        assert table.keys[children] == tuple(parent + (i,) for i in reversed(range(8)))
+        assert parent not in tree.leaf_keys
+        assert int(table.n_records[children].sum()) == n_before
         assert tree.depth == 2
 
     def test_refine_preserves_objects(self, adaptor, tree):
-        leaf = max(tree.leaves(), key=lambda node: node.n_objects)
-        before = {o.key() for o in read_partition(tree, leaf)}
-        children = adaptor.refine(tree, leaf)
-        after = {o.key() for child in children for o in read_partition(tree, child)}
+        row = fullest_row(tree)
+        before = {o.key() for o in row_objects(tree, row)}
+        adaptor.refine(tree, row)
+        after = {
+            o.key() for child in range(row, row + 8) for o in row_objects(tree, child)
+        }
         assert after == before
 
     def test_refine_assigns_children_by_center(self, adaptor, tree):
-        leaf = max(tree.leaves(), key=lambda node: node.n_objects)
-        children = adaptor.refine(tree, leaf)
-        for child in children:
-            for obj in read_partition(tree, child):
-                assert child.box.contains_point(obj.center)
+        row = fullest_row(tree)
+        adaptor.refine(tree, row)
+        table = tree.leaf_snapshot()
+        for child in range(row, row + 8):
+            for obj in row_objects(tree, child):
+                assert table.box(child).contains_point(obj.center)
 
     def test_refine_reuses_pages_in_place(self, adaptor, tree):
-        leaf = max(tree.leaves(), key=lambda node: node.n_objects)
+        row = fullest_row(tree)
         pages_before = tree.file.num_pages()
-        parent_pages = set(leaf.run.page_numbers())
-        children = adaptor.refine(tree, leaf)
-        child_pages = {p for child in children if child.run for p in child.run.page_numbers()}
+        parent_pages = set(tree.leaf_snapshot().runs[row].page_numbers())
+        adaptor.refine(tree, row)
+        runs = tree.leaf_snapshot().runs[row : row + 8]
+        child_pages = {page for run in runs for page in run.page_numbers()}
         # The parent's pages are reused by the children (in-place update).
         assert parent_pages & child_pages
         # The file grows by at most the extra pages needed for per-child slack.
         assert tree.file.num_pages() >= pages_before
 
-    def test_refine_non_leaf_fails(self, adaptor, tree):
-        leaf = max(tree.leaves(), key=lambda node: node.n_objects)
-        adaptor.refine(tree, leaf)
-        with pytest.raises(ValueError):
-            adaptor.refine(tree, leaf)
+    def test_refine_moves_later_rows_down(self, adaptor, tree):
+        row = fullest_row(tree)
+        old = tree.leaf_snapshot()
+        adaptor.refine(tree, row)
+        new = tree.leaf_snapshot()
+        assert len(new) == len(old) + 7
+        assert new.keys[:row] == old.keys[:row]
+        assert new.keys[row + 8 :] == old.keys[row + 1 :]
+        assert new.runs[row + 8 :] == old.runs[row + 1 :]
+        assert np.array_equal(new.lo[row + 8 :], old.lo[row + 1 :])
 
     def test_total_objects_invariant_after_many_refinements(self, adaptor, tree, dataset):
         for _ in range(3):
-            leaf = max(tree.leaves(), key=lambda node: node.n_objects)
-            if leaf.n_objects == 0:
+            row = fullest_row(tree)
+            if tree.leaf_snapshot().n_records[row] == 0:
                 break
-            adaptor.refine(tree, leaf)
+            adaptor.refine(tree, row)
         assert tree.total_stored_objects() == dataset.n_objects
 
 
 class TestMaybeRefine:
     def test_refines_when_ratio_exceeds_threshold(self, adaptor, tree):
-        leaf = max(tree.leaves(), key=lambda node: node.n_objects)
-        tiny_query = Box.cube(leaf.box.center, leaf.box.side(0) / 10.0)
-        outcome = adaptor.maybe_refine(tree, leaf, tiny_query)
+        row = fullest_row(tree)
+        box = tree.leaf_snapshot().box(row)
+        tiny_query = Box.cube(box.center, box.side(0) / 10.0)
+        outcome = adaptor.maybe_refine(tree, row, tiny_query)
         assert outcome.refined
         assert outcome.levels == 1
 
     def test_does_not_refine_below_threshold(self, adaptor, tree):
-        leaf = max(tree.leaves(), key=lambda node: node.n_objects)
-        big_query = Box.cube(leaf.box.center, leaf.box.side(0))
-        outcome = adaptor.maybe_refine(tree, leaf, big_query)
+        row = fullest_row(tree)
+        box = tree.leaf_snapshot().box(row)
+        big_query = Box.cube(box.center, box.side(0))
+        outcome = adaptor.maybe_refine(tree, row, big_query)
         assert not outcome.refined
         assert outcome.reason == "below refinement threshold"
 
@@ -217,8 +264,8 @@ class TestMaybeRefine:
         dataset = Dataset.create(disk, 0, "corner_ds", objects, universe)
         tree = adaptor.create_tree(dataset)
         adaptor.initialize(tree)
-        empty_leaf = next(leaf for leaf in tree.leaves() if leaf.n_objects == 0)
-        outcome = adaptor.maybe_refine(tree, empty_leaf, Box.cube((90.0, 90.0, 90.0), 1.0))
+        empty_row = int(np.flatnonzero(tree.leaf_snapshot().n_records == 0)[0])
+        outcome = adaptor.maybe_refine(tree, empty_row, Box.cube((90.0, 90.0, 90.0), 1.0))
         assert not outcome.refined
         assert outcome.reason == "empty partition"
 
@@ -227,8 +274,10 @@ class TestMaybeRefine:
         adaptor = Adaptor(config)
         tree = adaptor.create_tree(dataset)
         adaptor.initialize(tree)
-        leaf = max(tree.leaves(), key=lambda node: node.n_objects)
-        outcome = adaptor.maybe_refine(tree, leaf, Box.cube(leaf.box.center, 0.01))
+        row = fullest_row(tree)
+        outcome = adaptor.maybe_refine(
+            tree, row, Box.cube(tree.leaf_snapshot().box(row).center, 0.01)
+        )
         assert not outcome.refined
         assert outcome.reason == "max depth reached"
 
@@ -237,8 +286,10 @@ class TestMaybeRefine:
         adaptor = Adaptor(config)
         tree = adaptor.create_tree(dataset)
         adaptor.initialize(tree)
-        leaf = max(tree.leaves(), key=lambda node: node.n_objects)
-        outcome = adaptor.maybe_refine(tree, leaf, Box.cube(leaf.box.center, 0.5))
+        row = fullest_row(tree)
+        outcome = adaptor.maybe_refine(
+            tree, row, Box.cube(tree.leaf_snapshot().box(row).center, 0.5)
+        )
         assert outcome.refined
         assert outcome.levels == 2
         assert tree.depth == 3
@@ -252,42 +303,49 @@ class TestMaybeRefine:
 
         ``maybe_refine`` stops before choosing candidates for a level its
         budget will never run; the reference filters after every level, the
-        last included.  Two engines over identical data must refine the
-        same partitions in the same order, reuse the same pages and end
-        with byte-identical partition files.
+        last included, on the node tree of ``tests/scalar_reference.py``.
+        The engine goes by rows, deeper levels in child-index order; two
+        engines over identical data must refine the same partitions in the
+        same order, reuse the same pages and end with byte-identical
+        partition files.
         """
         config = OdysseyConfig(partitions_per_level=8, refine_levels_per_query=levels)
         state = []
-        for refine_some in (Adaptor.maybe_refine, reference_maybe_refine):
+        for adaptor, reference in ((adaptor_class(config), False), (ScalarAdaptor(config), True)):
             disk = Disk(model=model, buffer_pages=0)
-            adaptor = adaptor_class(config)
             tree = adaptor.create_tree(
                 make_dataset(disk, universe, dataset_id=0, count=600, seed=17)
             )
             adaptor.initialize(tree)
             order, outcomes = [], []
 
-            def recording_refine(tree, node, order=order, refine=adaptor.refine):
-                order.append(node.key)
-                return refine(tree, node)
+            def recording_refine(tree, leaf, order=order, refine=adaptor.refine):
+                if isinstance(tree, PartitionTree):
+                    order.append(tree.leaf_snapshot().keys[leaf])
+                else:
+                    order.append(leaf.key)
+                return refine(tree, leaf)
 
             adaptor.refine = recording_refine
             for corner in (False, True, False):
                 # Inside the fullest leaf, then across the eight leaves that
                 # meet at the universe's centre, then the fullest leaf again.
-                fullest = max(tree.leaves(), key=lambda node: node.n_objects)
+                fullest = max(reference_tree(tree).leaves(), key=lambda n: (n.n_objects, n.key))
                 center = universe.center if corner else fullest.box.center
                 query = Box.cube(center, 4.0 if corner else 0.5)
-                for node in leaves_overlapping(tree, query):
-                    outcome = refine_some(adaptor, tree, node, query)
-                    outcomes.append((outcome.refined, outcome.levels))
+                if reference:
+                    for node in leaves_overlapping(tree, query):
+                        outcome = reference_maybe_refine(adaptor, tree, node, query)
+                        outcomes.append((outcome.refined, outcome.levels))
+                else:
+                    outcomes.extend(refine_overlapped(adaptor, tree, query))
             name = partition_file_name(tree.dataset.name)
             pages = b"".join(disk.backend.read(name, page) for page in range(disk.num_pages(name)))
             state.append(
                 (
                     outcomes,
                     order,
-                    [(leaf.key, leaf.run) for leaf in tree.leaf_snapshot().leaves],
+                    [(leaf.key, leaf.run) for leaf in reference_tree(tree).leaves()],
                     hashlib.sha256(pages).hexdigest(),
                 )
             )
@@ -301,6 +359,8 @@ class TestMaybeRefine:
         adaptor = Adaptor(config)
         tree = adaptor.create_tree(dataset)
         adaptor.initialize(tree)
-        leaf = max(tree.leaves(), key=lambda node: node.n_objects)
-        outcome = adaptor.maybe_refine(tree, leaf, Box.cube(leaf.box.center, 0.01))
+        row = fullest_row(tree)
+        outcome = adaptor.maybe_refine(
+            tree, row, Box.cube(tree.leaf_snapshot().box(row).center, 0.01)
+        )
         assert not outcome.refined

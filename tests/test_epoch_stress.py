@@ -87,7 +87,7 @@ class TestStaleButConsistent:
         # (nothing has mutated yet, so this IS the pinned content).
         captured = {}
         for dataset_id, snapshot in pinned.trees.items():
-            for leaf_index, run in enumerate(snapshot.runs):
+            for leaf_index, run in enumerate(snapshot.snapshot.runs):
                 if run is not None and run.n_records:
                     captured[(dataset_id, leaf_index)] = snapshot.file.read_group_array(
                         run
@@ -105,7 +105,7 @@ class TestStaleButConsistent:
         # The pinned snapshot must replay byte-identically via the overlay.
         for (dataset_id, leaf_index), expected in captured.items():
             snapshot = pinned.trees[dataset_id]
-            run = snapshot.runs[leaf_index]
+            run = snapshot.snapshot.runs[leaf_index]
             got = snapshot.file.read_group_array_at(run, pinned.lookup_page)
             assert np.array_equal(got, expected), (
                 f"dataset {dataset_id} leaf {leaf_index}: pinned read diverged "

@@ -6,19 +6,25 @@ from history:
 
 * the merger's candidate keys: set algebra over the collector's hot-key
   sets and the trees' leaf-key sets;
-* every tree's :class:`~repro.core.partition.LeafSnapshot`, spliced by
-  each refinement;
-* the per-tree epoch capture (``runs`` / ``run_by_key``), read from
-  summaries spliced alongside the snapshot;
+* every tree's leaf table (:class:`~repro.core.partition.LeafSnapshot`),
+  spliced by each refinement, with its key summaries (the leaf-key set
+  and the runs of occupied leaves by key);
+* the per-tree epoch capture, which holds the table of its moment;
 * the frozen merge directory, which re-copies only re-registered infos,
   and the directory's running page count.
 
-This module owns the *from-scratch* versions the engine used to run on
-every query — the stack walk over the whole tree, the rescan of a
-combination's whole key history, the full deep copy — and asserts, after
-every query of seeded random workloads, that each incremental summary
-equals its reference.  The references deliberately read only primary
-state (node objects, ``key_hits``, the live infos), never a summary.
+This module owns the *from-scratch* versions — a node tree derived from
+a tree's key and run summaries (``tests/scalar_reference.py``), the
+rescan of a combination's whole key history, the full deep copy — and
+asserts, after every query of seeded random workloads, that each
+incremental summary equals its reference.  The node tree is built from
+the key summaries, so it checks the table's columns for consistency with
+them, not the leaf set itself; that set is checked independently by
+``tests/test_properties.py::TestSpliceProperties`` (the engine against a
+node-by-node refinement) and the differential suite
+``tests/test_columnar_differential.py`` (answers, adaptive state and page
+bytes against the scalar engine).  The other references read only
+primary state (``key_hits``, the live infos), never a table column.
 
 A quick grid of configurations runs in tier-1; ``REPRO_FUZZ_ITERATIONS=N``
 adds N randomly derived scenarios (CI's deep-oracles job sets 25).
@@ -37,10 +43,12 @@ from repro.bench.runner import generate_workload
 from repro.core import partition as partition_module
 from repro.core.config import OdysseyConfig
 from repro.core.odyssey import SpaceOdyssey
-from repro.core.partition import PartitionNode, PartitionTree
+from repro.core.partition import PartitionTree
 from repro.data.suite import build_benchmark_suite
 from repro.geometry.vectorized import boxes_to_arrays
 from repro.storage.cost_model import DiskModel
+
+from tests.scalar_reference import reference_tree
 
 DEEP_ITERATIONS = int(os.environ.get("REPRO_FUZZ_ITERATIONS", "0"))
 
@@ -50,44 +58,27 @@ DEEP_ITERATIONS = int(os.environ.get("REPRO_FUZZ_ITERATIONS", "0"))
 # ---------------------------------------------------------------------- #
 
 
-def reference_leaves_in_search_order(tree: PartitionTree) -> list[PartitionNode]:
-    """All leaves in the visitation order of the reference stack walk.
-
-    The same explicit stack as ``tests.scalar_reference.leaves_overlapping``,
-    without the overlap filter.
-    """
-    order: list[PartitionNode] = []
-    stack: list[PartitionNode] = list(tree._root_children or [])
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            order.append(node)
-        else:
-            stack.extend(node.children or [])
-    return order
-
-
-def reference_has_leaf(tree: PartitionTree, key) -> bool:
-    node = tree._nodes.get(key)
-    return node is not None and node.is_leaf
-
-
 def reference_qualifying_keys(config, combination, stats, trees) -> set:
-    """The merger's candidate keys, rescanning the combination's key history."""
+    """The merger's candidate keys, rescanning the combination's key history.
+
+    A key is kept unless the Adaptor would refine it for the
+    combination's average query: ``volume / average > rt``, on the
+    region of the reference tree.
+    """
     min_hits = config.merge_partition_min_hits
     avg_query_volume = stats.average_query_volume()
+    if not all(dataset_id in trees for dataset_id in combination):
+        return set()
+    references = {dataset_id: reference_tree(trees[dataset_id]) for dataset_id in combination}
     qualifying = set()
     for key, hits in stats.key_hits.items():
         if hits < min_hits:
             continue
-        if not all(
-            dataset_id in trees and reference_has_leaf(trees[dataset_id], key)
-            for dataset_id in combination
-        ):
+        if not all(reference.has_leaf(key) for reference in references.values()):
             continue
         if config.merge_only_converged and avg_query_volume > 0:
-            node = trees[next(iter(combination))].node(key)
-            if node.volume() > config.refinement_threshold * avg_query_volume:
+            node = references[next(iter(combination))].node(key)
+            if node.volume() / avg_query_volume > config.refinement_threshold:
                 continue
         qualifying.add(key)
     return qualifying
@@ -115,28 +106,40 @@ def reference_directory(directory) -> dict:
 
 
 def check_tree(tree: PartitionTree, tag: str = "") -> None:
-    """Every summary of one tree against the walk over its nodes."""
-    leaves = reference_leaves_in_search_order(tree)
-    snapshot = tree.leaf_snapshot()
-    assert snapshot.version == tree.version, tag
-    assert len(snapshot.leaves) == len(leaves), tag
-    assert all(a is b for a, b in zip(snapshot.leaves, leaves)), tag
+    """Every column of one tree's leaf table against the node tree of its keys.
+
+    Keys, runs, record counts, levels, corners and volumes (bit for bit:
+    ``Box.volume()`` of each region found from the universe through the
+    grid edges), in the reference walk's order; then the reductions and
+    the lookups by key.  The node tree comes from ``leaf_keys`` and
+    ``occupied_runs``, so the leaf set is not checked here.
+    """
+    leaves = reference_tree(tree).leaves()
+    table = tree.leaf_snapshot()
+    assert table.version == tree.version, tag
+    assert len(table) == len(leaves), tag
+    assert table.keys == tuple(leaf.key for leaf in leaves), tag
+    assert table.runs == tuple(leaf.run for leaf in leaves), tag
+    assert table.n_records.tolist() == [leaf.run.n_records for leaf in leaves], tag
+    assert table.level.tolist() == [leaf.level for leaf in leaves], tag
+    assert table.volume.tolist() == [leaf.box.volume() for leaf in leaves], tag
     lo, hi = boxes_to_arrays([leaf.box for leaf in leaves], dimension=tree.universe.dimension)
-    assert np.array_equal(snapshot.lo, lo) and np.array_equal(snapshot.hi, hi), tag
-    # One layout, fixed where the snapshot is spliced: (n, d) column-major,
+    assert np.array_equal(table.lo, lo) and np.array_equal(table.hi, hi), tag
+    # One layout, fixed where the table is spliced: (n, d) column-major,
     # so the overlap kernels' per-axis slices are contiguous.
-    for corners in (snapshot.lo, snapshot.hi):
+    for corners in (table.lo, table.hi):
         assert corners.shape == lo.shape and corners.dtype == np.float64, tag
         assert corners.flags.f_contiguous, tag
         assert all(corners[:, axis].flags.c_contiguous for axis in range(lo.shape[1])), tag
-    keys = {leaf.key for leaf in leaves}
-    assert tree.leaf_keys == keys, tag
+    assert table.n_records.dtype == table.level.dtype == np.int64, tag
+    assert table.volume.dtype == np.float64, tag
     assert tree.n_partitions == len(leaves), tag
-    assert all(tree.has_leaf(key) == (key in keys) for key in tree._nodes), tag
+    assert tree.depth == max(leaf.level for leaf in leaves), tag
+    assert all(run.n_records for run in tree.occupied_runs.values()), tag
+    for leaf in leaves[:: max(1, len(leaves) // 16)]:
+        assert tree.volume(leaf.key) == leaf.box.volume(), tag
     capture = tree.epoch_snapshot()
-    assert capture.version == tree.version and capture.snapshot is snapshot, tag
-    assert capture.runs == tuple(leaf.run for leaf in leaves), tag
-    assert capture.run_by_key == {leaf.key: leaf.run for leaf in leaves}, tag
+    assert capture.snapshot is table, tag
 
 
 class BookkeepingChecker:
@@ -191,11 +194,7 @@ class BookkeepingChecker:
         assert set(epoch.merge_files) == set(reference), tag
         for dataset_id, tree in trees.items():
             capture = epoch.trees[dataset_id]
-            leaves = reference_leaves_in_search_order(tree)
-            assert capture.version == tree.version, tag
             assert capture.snapshot is tree.leaf_snapshot(), tag
-            assert capture.runs == tuple(leaf.run for leaf in leaves), tag
-            assert capture.run_by_key == {leaf.key: leaf.run for leaf in leaves}, tag
 
 
 # ---------------------------------------------------------------------- #

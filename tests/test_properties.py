@@ -9,8 +9,11 @@ These cover the invariants DESIGN.md commits to:
 * every index (Grid, R-tree, FLAT, Space Odyssey) answers exactly like the
   brute-force oracle on randomly generated data and query sequences;
 * the partition tree never loses objects across arbitrary refinement, and
-  its spliced leaf snapshot, leaf-key set and run summaries equal a fresh
-  walk after any refinement sequence;
+  every column of its spliced leaf table, its leaf-key set and its
+  occupied-runs map equal the node tree of ``tests/scalar_reference.py``
+  after any sequence of splits and refining queries (2-D and 3-D, ``ppl``
+  4, 8 and 64, one to three levels per query, a zero-width axis), with
+  byte-identical partition files;
 * the sorted split of a partition's records equals the mask-per-child
   split it replaced and the scalar assignment, for centres on cell edges,
   outside the parent, all in one child, and a zero-width axis — and its
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -53,17 +57,23 @@ from repro.storage.cost_model import DiskModel
 from repro.storage.disk import Disk
 from repro.storage.pagedfile import PagedFile
 
+from tests.conftest import make_random_objects
 from tests.scalar_reference import (
+    ScalarAdaptor,
     assign_to_children,
+    leaf_listing,
     leaves_overlapping,
     read_group,
     read_partition,
+    reference_tree,
     write_groups,
 )
 from tests.test_incremental_bookkeeping import check_tree
 from tests.test_refine_path import reference_assign_array
 
 UNIVERSE = Box((0.0, 0.0, 0.0), (100.0, 100.0, 100.0))
+#: Deep mode (CI's deep-oracles job sets 25) draws more splice cases.
+DEEP_ITERATIONS = int(os.environ.get("REPRO_FUZZ_ITERATIONS", "0"))
 
 coordinates = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
 extents = st.floats(min_value=0.01, max_value=10.0, allow_nan=False)
@@ -393,11 +403,12 @@ class TestPartitionTreeProperties:
         tree = adaptor.create_tree(dataset)
         adaptor.initialize(tree)
         for query in queries:
-            for leaf in leaves_overlapping(tree, query):
-                adaptor.maybe_refine(tree, leaf, query)
+            start = len(tree.leaf_snapshot())
+            for row in tree.leaves_overlapping_vectorized(query).tolist():
+                adaptor.maybe_refine(tree, row + len(tree.leaf_snapshot()) - start, query)
         assert tree.total_stored_objects() == len(objects)
         # Every object is stored in the leaf whose region contains its centre.
-        for leaf in tree.leaves():
+        for leaf in reference_tree(tree).leaves():
             for obj in read_partition(tree, leaf):
                 assert leaf.box.contains_point(obj.center)
 
@@ -421,10 +432,91 @@ class TestPartitionTreeProperties:
         adaptor.initialize(tree)
         check_tree(tree)
         for pick in picks:
-            leaves = tree.leaf_snapshot().leaves
-            adaptor.refine(tree, leaves[pick % len(leaves)])
+            adaptor.refine(tree, pick % len(tree.leaf_snapshot()))
             check_tree(tree)
         assert tree.total_stored_objects() == len(objects)
+
+
+@st.composite
+def splice_cases(draw):
+    """A tree shape, a level budget and a sequence of splits and queries.
+
+    2-D or 3-D, ``ppl`` 4, 8 or 64, one to three refinement levels per
+    query, and possibly one zero-width axis (every volume is then zero, so
+    only direct splits change the tree).  A step is a direct split of the
+    picked row (empty ones included) or a query window around a picked
+    record's centre, sized as a fraction of the universe.
+    """
+    dimension, ppl = draw(st.sampled_from([(2, 4), (2, 64), (3, 8), (3, 64)]))
+    lo, hi = [0.0] * dimension, [100.0] * dimension
+    if draw(st.sampled_from([False, False, True])):
+        axis = draw(st.integers(0, dimension - 1))
+        lo[axis] = hi[axis] = 50.0
+    fractions = st.sampled_from([0.01, 0.04, 0.1, 0.3])
+    steps = st.tuples(st.booleans(), st.integers(0, 10_000), fractions)
+    return (
+        Box(tuple(lo), tuple(hi)),
+        ppl,
+        draw(st.integers(1, 3)),
+        draw(st.integers(1, 200)),
+        draw(st.integers(0, 2**16)),
+        draw(st.lists(steps, min_size=1, max_size=6)),
+    )
+
+
+class TestSpliceProperties:
+    @given(splice_cases())
+    @settings(
+        max_examples=40 + 8 * DEEP_ITERATIONS,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_the_table_equals_the_node_tree_after_every_step(self, case):
+        """Splits and queries: the table equals the reference node tree, bytes included.
+
+        The engine splits rows and offers a query's candidates in search
+        order, each shifted by the rows earlier splits added; the
+        reference (``ScalarAdaptor``) does the same on node objects.  After
+        every step every column equals the node tree derived from the
+        engine's keys (``check_tree``: volumes bit for bit), the two trees
+        list the same leaves with the same runs, and the partition files
+        are byte-identical at the end.
+        """
+        universe, ppl, levels, count, seed, steps = case
+        config = OdysseyConfig(
+            partitions_per_level=ppl, refinement_threshold=2.0, refine_levels_per_query=levels
+        )
+        trees = []
+        for adaptor in (Adaptor(config), ScalarAdaptor(config)):
+            disk = Disk(model=DiskModel(), buffer_pages=0)
+            objects = make_random_objects(universe, count, seed=seed)
+            tree = adaptor.create_tree(Dataset.create(disk, 0, "splice", objects, universe))
+            adaptor.initialize(tree)
+            trees.append((adaptor, tree, disk))
+        (engine, tree, disk), (scalar, reference, reference_disk) = trees
+        centres = [obj.center for obj in objects]
+        for split, pick, fraction in steps:
+            if split:
+                row = pick % len(tree.leaf_snapshot())
+                key = tree.leaf_snapshot().keys[row]
+                engine.refine(tree, row)
+                scalar.refine(reference, reference.node(key))
+            else:
+                sides = [side * fraction for side in universe.extents]
+                window = Box.from_center(centres[pick % count], sides).clamp(universe)
+                table = tree.leaf_snapshot()
+                for row in engine.candidates(table, tree.leaves_overlapping_vectorized(window), window):
+                    engine.maybe_refine(tree, row + len(tree.leaf_snapshot()) - len(table), window)
+                for node in leaves_overlapping(reference, window):
+                    scalar.maybe_refine(reference, node, window)
+            check_tree(tree)
+            assert leaf_listing(tree) == leaf_listing(reference)
+        assert tree.total_stored_objects() == count
+        name = tree.file.name
+        assert [disk.backend.read(name, page) for page in range(disk.num_pages(name))] == [
+            reference_disk.backend.read(name, page)
+            for page in range(reference_disk.num_pages(name))
+        ]
 
 
 @st.composite
@@ -726,10 +818,7 @@ class TestEpochProperties:
                 # The fresh capture equals the live tree at capture time.
                 tree = engine.trees[0]
                 capture = current.trees[0]
-                assert capture.version == tree.version
-                assert capture.runs == tuple(
-                    leaf.run for leaf in tree.leaf_snapshot().leaves
-                )
+                assert capture.snapshot is tree.leaf_snapshot()
             elif op == "pin":
                 pins.append(manager.pin())
             elif pins:

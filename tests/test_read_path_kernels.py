@@ -36,7 +36,7 @@ from repro.storage.cost_model import DiskModel
 from repro.storage.disk import Disk
 from repro.storage.pagedfile import PagedFile
 
-from tests.scalar_reference import ScalarOdyssey, leaves_overlapping
+from tests.scalar_reference import ScalarOdyssey, leaves_overlapping, reference_tree
 from tests.test_incremental_bookkeeping import make_suite, mixed_workload
 
 CONFIG = OdysseyConfig(partitions_per_level=8, refinement_threshold=2.0, merge_threshold=1)
@@ -136,10 +136,11 @@ def calls(monkeypatch) -> Counter:
     )
     maybe_refine = Adaptor.maybe_refine
 
-    def checked_maybe_refine(self, tree, node, query):
+    def checked_maybe_refine(self, tree, row, query):
         counts["maybe_refine"] += 1
-        assert node.n_objects > 0, f"maybe_refine entered for empty leaf {node.key}"
-        return maybe_refine(self, tree, node, query)
+        table = tree.leaf_snapshot()
+        assert table.n_records[row] > 0, f"maybe_refine entered for empty leaf {table.keys[row]}"
+        return maybe_refine(self, tree, row, query)
 
     monkeypatch.setattr(Adaptor, "maybe_refine", checked_maybe_refine)
     return counts
@@ -367,7 +368,9 @@ def test_selected_inverted_box_raises_on_every_engine(mode):
             }
             assert {(hit.dataset_id, hit.oid) for hit in hits} == expected
     tree = engine.trees[0]
-    holder = next(leaf for leaf in tree.leaves() if leaf.box.contains_point(centre.tolist()))
+    holder = next(
+        leaf for leaf in reference_tree(tree).leaves() if leaf.box.contains_point(centre.tolist())
+    )
     assert holder.n_objects and holder.level > 1, (
         "no query read (and refined) the group that holds the bad row"
     )

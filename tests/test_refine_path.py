@@ -2,16 +2,18 @@
 
 One refinement costs what it moves — the parent's records and the children
 that receive some — plus a fixed number of ``ppl``-sized array operations:
-one ``grid_child_indices`` call, one stable sort, pages encoded only for
-children that hold records, one run built per such child (the empty ones
-share a single run), at most one bulk ``append_run``, and no candidate
+one ``grid_child_indices`` call, one stable sort, one dtype lookup for the
+write, pages encoded only for children that hold records, one run built
+per such child (the empty ones share a single run), at most one bulk
+``append_run``, a row of the leaf table and no object for an empty child
+(at most two boxes per split, both the parent's), and no candidate
 filtering for a refinement level the budget will never run.  A per-child
-mask, an encode per child *slot* or a run object per empty child is a
+mask, an encode per child *slot*, a box or run object per empty child is a
 regression these counts catch without a stopwatch.
 
 The module also keeps the code this path replaced as its reference models
 (ROADMAP ground rule iv) — the mask-per-child assignment and the
-``concatenate`` + ``asfortranarray`` snapshot splice — and compares the
+``concatenate`` + ``asfortranarray`` corner splice — and compares the
 engine with them on every refinement of seeded cold-start runs on Zipf
 triples.  A quick grid runs in tier-1; ``REPRO_FUZZ_ITERATIONS=N`` adds N
 randomly derived scenarios (CI's deep-oracles job sets 25).
@@ -27,19 +29,20 @@ import numpy as np
 import pytest
 
 from repro.bench.runner import generate_workload
+from repro.core import adaptor as adaptor_module
 from repro.core import partition as partition_module
 from repro.core.adaptor import Adaptor
 from repro.core.config import OdysseyConfig
 from repro.core.odyssey import SpaceOdyssey
-from repro.core.partition import LeafSnapshot, PartitionNode, PartitionTree
+from repro.core.partition import LeafSnapshot, PartitionTree
 from repro.geometry.box import Box
 from repro.geometry.vectorized import boxes_to_arrays, grid_child_indices
 from repro.storage import codec as codec_module
 from repro.storage import pagedfile as pagedfile_module
 from repro.storage.disk import Disk
-from repro.storage.pagedfile import StoredRun
+from repro.storage.pagedfile import PagedFile, StoredRun
 
-from tests.scalar_reference import ScalarAdaptor, ScalarOdyssey
+from tests.scalar_reference import ScalarAdaptor, ScalarOdyssey, child_box
 from tests.test_incremental_bookkeeping import check_tree, make_suite
 
 DEEP_ITERATIONS = int(os.environ.get("REPRO_FUZZ_ITERATIONS", "0"))
@@ -62,13 +65,12 @@ def reference_assign_array(
 
 
 def reference_splice(
-    old: LeafSnapshot, start: int, stop: int, children: list[PartitionNode]
-) -> tuple[tuple[PartitionNode, ...], np.ndarray, np.ndarray]:
+    old: LeafSnapshot, start: int, stop: int, parent: Box, splits: int, ppl: int
+) -> tuple[np.ndarray, np.ndarray]:
     """The former splice: corners read back from the child boxes, two copies each."""
-    leaves = children[::-1]  # the search stack pops the last child first
-    lo, hi = boxes_to_arrays([leaf.box for leaf in leaves])
+    children = [child_box(parent, index, splits) for index in reversed(range(ppl))]
+    lo, hi = boxes_to_arrays(children)  # the search stack pops the last child first
     return (
-        old.leaves[:start] + tuple(leaves) + old.leaves[stop:],
         np.asfortranarray(np.concatenate((old.lo[:start], lo, old.lo[stop:]))),
         np.asfortranarray(np.concatenate((old.hi[:start], hi, old.hi[stop:]))),
     )
@@ -94,16 +96,24 @@ class RefineGuard:
         self._patch = monkeypatch.setattr
         self._count(partition_module, "grid_child_indices", "grid")
         self._count(pagedfile_module, "paginate_array", "groups_encoded")
+        self._count(PagedFile, "_paginate", "encode_entries")
+        self._count(PagedFile, "_encode_group_array", "slot_encode_entries")
+        self._in_write = 0
+        self._wrap(PagedFile, "_require_dtype", self._dtype_lookup)
+        self._wrap(PagedFile, "write_groups_array", self._write_groups)
         self._count(codec_module, "encode_page_array", "pages_encoded")
         self._count(StoredRun, "__post_init__", "runs_built")
+        self._count(Box, "__post_init__", "boxes_built")
+        self._count(Box, "_trusted", "boxes_built")
         self._count(Disk, "append_run", "append_run")
         self._count(Disk, "write_page", "write_page")
         self._wrap(PartitionTree, "assign_array_to_children", self._assign)
         for adaptor_class in (Adaptor, ScalarAdaptor):
             self._wrap(adaptor_class, "refine", self._refine)
             self._wrap(adaptor_class, "initialize", self._initialize)
-        self._wrap(Adaptor, "maybe_refine", self._maybe_refine)
+            self._wrap(adaptor_class, "maybe_refine", self._maybe_refine)
         self._wrap(Box, "intersects", self._intersects)
+        self._wrap(adaptor_module, "intersect_mask", self._filter_rows)
 
     def _wrap(self, owner, name, replacement) -> None:
         original = getattr(owner, name)
@@ -130,56 +140,85 @@ class RefineGuard:
             assert not group.flags.writeable
         return groups
 
-    def _occupancy(self, tree, children) -> tuple[int, int]:
-        occupied = [child for child in children if child.n_objects]
-        self.empty_children += len(children) - len(occupied)
-        # Every empty child owns the one shared run.
-        assert len({id(child.run) for child in children if not child.n_objects}) <= 1
-        return len(occupied), sum(tree.file.pages_needed(c.n_objects) for c in occupied)
+    def _dtype_lookup(self, original, file):
+        if self._in_write:
+            self.counts["write_dtype_checks"] += 1
+        return original(file)
 
-    def _split_costs(self, tree, children, before: Counter, tag: str) -> None:
+    def _write_groups(self, original, file, *args, **kwargs):
+        self._in_write += 1
+        try:
+            return original(file, *args, **kwargs)
+        finally:
+            self._in_write -= 1
+
+    def _occupancy(self, tree, runs) -> tuple[int, int]:
+        occupied = [run for run in runs if run.n_records]
+        self.empty_children += len(runs) - len(occupied)
+        # Every empty child owns the one shared run.
+        assert len({id(run) for run in runs if not run.n_records}) <= 1
+        return len(occupied), sum(tree.file.pages_needed(run.n_records) for run in occupied)
+
+    def _split_costs(self, tree, runs, before: Counter, tag: str) -> None:
         spent = self.counts - before
-        occupied, pages = self._occupancy(tree, children)
+        occupied, pages = self._occupancy(tree, runs)
         if spent["grid"]:  # the engine's sorted split (the reference loops)
             assert spent["grid"] == 1, tag
-            assert spent["groups_encoded"] == occupied, tag
+            assert spent["groups_encoded"] == spent["encode_entries"] == occupied, tag
+            assert spent["slot_encode_entries"] == 0, tag
             assert spent["pages_encoded"] == pages, tag
+            # One dtype lookup for the write of all the children.
+            assert spent["write_dtype_checks"] == 1, tag
+            # The parent's box, for the assignment and for the grid edges.
+            assert spent["boxes_built"] <= 2, tag
         assert spent["runs_built"] <= occupied + 1, tag
         assert spent["append_run"] <= 1, tag
         assert spent["write_page"] <= pages, tag
         self.overflowed += spent["append_run"]
 
-    def _refine(self, original, adaptor, tree, node):
-        tag = f"refine {tree.dataset.name} {node.key}"
+    def _refine(self, original, adaptor, tree, leaf):
+        if not isinstance(tree, PartitionTree):  # the reference's node tree
+            before = Counter(self.counts)
+            children = original(adaptor, tree, leaf)
+            self.refinements += 1
+            self._split_costs(tree, [child.run for child in children], before, f"refine {leaf.key}")
+            return children
         old = tree.leaf_snapshot()
-        slot = old.leaves.index(node)
+        tag = f"refine {tree.dataset.name} {old.keys[leaf]}"
+        ppl = tree.partitions_per_level
+        lo, hi = reference_splice(old, leaf, leaf + 1, old.box(leaf), tree.splits_per_dim, ppl)
         before = Counter(self.counts)
-        children = original(adaptor, tree, node)
-        self.refinements += 1
-        self._split_costs(tree, children, before, tag)
-        leaves, lo, hi = reference_splice(old, slot, slot + 1, children)
+        result = original(adaptor, tree, leaf)
         new = tree.leaf_snapshot()
+        self.refinements += 1
+        self._split_costs(tree, new.runs[leaf : leaf + ppl], before, tag)
         assert new.version == old.version + 1, tag
-        assert new.leaves == leaves, tag
+        assert new.keys == (
+            old.keys[:leaf]
+            + tuple(old.keys[leaf] + (index,) for index in reversed(range(ppl)))
+            + old.keys[leaf + 1 :]
+        ), tag
         for spliced, reference in ((new.lo, lo), (new.hi, hi)):
             assert np.array_equal(spliced, reference), tag
             assert spliced.flags.f_contiguous and spliced.dtype == reference.dtype, tag
         check_tree(tree, tag)
-        return children
+        return result
 
     def _initialize(self, original, adaptor, tree):
         before = Counter(self.counts)
         original(adaptor, tree)
         self.initializations += 1
-        children = [tree.node((index,)) for index in range(tree.partitions_per_level)]
-        self._split_costs(tree, children, before, f"initialize {tree.dataset.name}")
-        check_tree(tree)
+        if isinstance(tree, PartitionTree):
+            self._split_costs(tree, tree.leaf_snapshot().runs, before, "initialize")
+            check_tree(tree)
+        else:
+            self._split_costs(tree, [node.run for node in tree.roots()], before, "initialize")
 
-    def _maybe_refine(self, original, adaptor, tree, node, query):
+    def _maybe_refine(self, original, adaptor, tree, leaf, query):
         filtered = self.second_level_filters
         self._in_maybe_refine += 1
         try:
-            outcome = original(adaptor, tree, node, query)
+            outcome = original(adaptor, tree, leaf, query)
         finally:
             self._in_maybe_refine -= 1
         self.outcomes.append((outcome.levels, self.second_level_filters - filtered))
@@ -189,6 +228,11 @@ class RefineGuard:
         if self._in_maybe_refine:
             self.second_level_filters += 1
         return original(box, other)
+
+    def _filter_rows(self, original, lo, hi, los, his):
+        if self._in_maybe_refine:
+            self.second_level_filters += len(los)
+        return original(lo, hi, los, his)
 
 
 @pytest.fixture
@@ -243,6 +287,7 @@ def test_a_refinement_costs_what_it_moves(guard, ppl):
     assert guard.overflowed > 0, "no split ever appended overflow pages"
     assert guard.second_level_filters == 0, "maybe_refine filtered candidates for a level it never runs"
     assert engine.summary().merges_performed > 0, "the scenario never merged"
+    assert not hasattr(partition_module, "PartitionNode"), "leaves are rows, not node objects"
 
 
 @pytest.mark.parametrize("scalar", [False, True], ids=["columnar", "scalar"])
