@@ -30,7 +30,7 @@ the whole batch with the vectorized kernels of
 shared read set layered on the buffer pool, and statistics, refinement and
 merging are applied once per batch — with per-query results and the
 post-batch adaptive state guaranteed identical to sequential execution.
-Two choices change how its read phases run, not what they return: on a
+Two choices change how its read half runs, not what it returns: reads on a
 thread pool (``query_batch(..., workers=K)``) and against a pinned epoch
 snapshot (``snapshot=True``, :mod:`repro.core.epoch`).
 """

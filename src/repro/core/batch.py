@@ -17,18 +17,22 @@ A batch runs the Query Processor's per-query pipeline in four phases.
    not exist yet is initialised up front, in the order sequential execution
    would have first touched it.  Initialisation only depends on the raw
    dataset, so doing it early changes no observable state.
-2. **Overlap resolution** — queries are grouped by requested dataset
-   combination and, per (group, dataset), the partition overlap tests of
-   all the group's query windows are resolved in a single call to the
-   vectorized :func:`~repro.geometry.vectorized.intersect_matrix` kernel
-   over the tree's per-partition MBR arrays.
-3. **Retrieval and filtering** — routing is decided once per combination,
-   and partitions are read through a :class:`BatchReadSet`, a shared read
-   set layered on the buffer pool: each distinct stored group is fetched
-   and decoded once per batch (into columnar NumPy arrays, not per-record
-   Python objects) no matter how many queries need it.  Filtering against
-   the original query window is one vectorized mask per query;
-   ``SpatialObject`` instances are materialised only for actual hits.
+2. **Overlap resolution** — per requested dataset, the windows of every
+   query that requests it are extended and clamped as one ``(m, d)`` pair
+   of corner arrays, and their partition overlap tests are resolved in a
+   single call to the vectorized
+   :func:`~repro.geometry.vectorized.intersect_matrix` kernel over the
+   tree's leaf table.
+3. **Retrieval and filtering** — routing is decided once per combination
+   and every query's reads are planned in on-disk order; each query then
+   reads its groups, in plan order, through a :class:`BatchReadSet`, a
+   shared read set layered on the buffer pool: each distinct stored group
+   is fetched and decoded once per batch (into columnar NumPy arrays, not
+   per-record Python objects) no matter how many queries need it.  The
+   batch's groups are then filtered together against the original query
+   windows (:func:`~repro.data.columnar.filter_groups`): one vectorized
+   mask over per-row windows, one materialisation of ``SpatialObject``
+   instances for the actual hits, split per query.
 
 :meth:`BatchExecutor.commit` is the write half, under the engine gate:
 
@@ -59,16 +63,16 @@ half runs.
   overwritten or deleted since the pin come from the epoch's retained
   pre-images.  In isolation the pinned epoch *is* the start-of-batch state,
   so both give the same bytes.
-* **How phases 2–3 run.**  Inline (``workers`` ``None`` or 1), or on a
-  :class:`~concurrent.futures.ThreadPoolExecutor` of ``workers`` threads:
-  one task per combination group for overlaps, one per query for retrieval
-  and filtering, with group reads deduplicated through the thread-safe
-  :class:`~repro.core.parallel.ParallelReadSet`.  Both phases only read
-  start-of-batch state and every task is a deterministic function of it,
-  so results (hit order included), reports, adaptive state and on-disk
-  bytes do not depend on the thread count; only the simulated I/O *trace*
-  (head position, buffer hits) may, and it never feeds back into results
-  or decisions.
+* **How phase 3's reads run.**  Inline (``workers`` ``None`` or 1), or on
+  a :class:`~concurrent.futures.ThreadPoolExecutor` of ``workers``
+  threads: one task per query, with group reads deduplicated through the
+  thread-safe :class:`~repro.core.parallel.ParallelReadSet`.  Overlaps,
+  planning and the filter always run inline — each is a few array calls
+  for the whole batch.  The reads only touch start-of-batch state and
+  every task is a deterministic function of it, so results (hit order
+  included), reports, adaptive state and on-disk bytes do not depend on
+  the thread count; only the simulated I/O *trace* (head position, buffer
+  hits) may, and it never feeds back into results or decisions.
 
 Why the reads may be coarser than sequential reads
 --------------------------------------------------
@@ -265,7 +269,7 @@ class PreparedBatch:
     batch: QueryBatch
     epoch_id: int = -1
     first_touch: dict[int, int] = field(default_factory=dict)
-    extended: dict[tuple[int, int], Box] = field(default_factory=dict)
+    extended: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     needed0: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
     tables0: dict[int, LeafSnapshot] = field(default_factory=dict)
     results: list[list[SpatialObject]] = field(default_factory=list)
@@ -282,24 +286,28 @@ def _each(pool: ThreadPoolExecutor | None, task: Callable, items: Iterable) -> l
     return list(pool.map(task, items))
 
 
-def _extended_windows(
-    queries: Sequence[BatchQuery], trees: Mapping
-) -> dict[tuple[int, int], Box]:
-    """Per (query, dataset) extended-and-clamped query windows."""
-    extended: dict[tuple[int, int], Box] = {}
-    for query in queries:
-        for dataset_id in query.requested:
-            tree = trees[dataset_id]
-            extended[(query.index, dataset_id)] = query.box.expand(
-                tree.max_extent
-            ).clamp(tree.universe)
-    return extended
+def _extended_windows(tree, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(m, d)`` query windows extended by the tree's maximum extent, clamped to its universe.
+
+    Row for row the floats of ``Box.expand(max_extent).clamp(universe)``,
+    bit for bit: the same IEEE subtraction and addition, then Python's
+    ``max``/``min`` written as ``np.where`` (``np.maximum`` may return the
+    other of two equal zeros).
+    """
+    extent = np.asarray(tree.max_extent, dtype=np.float64)
+    u_lo = np.asarray(tree.universe.lo, dtype=np.float64)
+    u_hi = np.asarray(tree.universe.hi, dtype=np.float64)
+    lo = lo - extent
+    lo = np.where(u_lo > lo, u_lo, lo)
+    hi = hi + extent
+    hi = np.where(u_hi < hi, u_hi, hi)
+    return np.where(u_hi < lo, u_hi, lo), np.where(u_lo > hi, u_lo, hi)
 
 
 class BatchExecutor:
     """Runs one :class:`QueryBatch`: ``commit(prepare(batch))``.
 
-    ``workers`` (``None`` or 1 runs the read phases inline) and
+    ``workers`` (``None`` or 1 runs the reads inline) and
     ``snapshot`` (read a pinned epoch instead of the live state) are the
     two choices of the module docstring; every combination is
     bit-identical in isolation.  A live batch must run with the processor's
@@ -404,24 +412,27 @@ class BatchExecutor:
         else:
             trees, directory, lookup = epoch.trees, epoch.directory, epoch.lookup_page
         pooled = self._workers > 1 and len(queries) > 1
-        with (
-            ThreadPoolExecutor(self._workers, thread_name_prefix="repro-batch")
-            if pooled
-            else nullcontext()
-        ) as pool:
-            with maybe_span(tracer, "batch.overlap"):
-                extended = _extended_windows(queries, trees)
-                needed0, tables0 = self._resolve_overlaps(batch, extended, trees, pool)
-            plan = self._planner(batch, needed0, tables0, directory, epoch)
-            if pool is None:
-                read_set = BatchReadSet(processor.catalog.dimension, lookup)
-            else:
-                from repro.core.parallel import ParallelReadSet
+        q_lo = np.array([query.box.lo for query in queries], dtype=np.float64)
+        q_hi = np.array([query.box.hi for query in queries], dtype=np.float64)
+        with maybe_span(tracer, "batch.overlap"):
+            extended, needed0, tables0 = self._resolve_overlaps(queries, q_lo, q_hi, trees)
+        plans = self._plans(batch, needed0, tables0, directory, epoch)
+        if pooled:
+            from repro.core.parallel import ParallelReadSet
 
-                read_set = ParallelReadSet(processor.catalog.dimension, lookup)
-            with maybe_span(tracer, "batch.read_filter") as phase:
-                outputs = self._read_and_filter(queries, plan, read_set, pool, phase)
-        results, examined, cache_deltas = (list(column) for column in zip(*outputs))
+            read_set = ParallelReadSet(processor.catalog.dimension, lookup)
+        else:
+            read_set = BatchReadSet(processor.catalog.dimension, lookup)
+        with maybe_span(tracer, "batch.read_filter") as phase:
+            with (
+                ThreadPoolExecutor(self._workers, thread_name_prefix="repro-batch")
+                if pooled
+                else nullcontext()
+            ) as pool:
+                reads = self._read_groups(plans, read_set, pool, phase)
+            results, examined = filter_groups(
+                [entry for entries, _ in reads for entry in entries], q_lo, q_hi
+            )
         return PreparedBatch(
             executor=self,
             batch=batch,
@@ -432,131 +443,116 @@ class BatchExecutor:
             tables0=tables0,
             results=results,
             examined=examined,
-            cache_deltas=cache_deltas,
+            cache_deltas=[delta for _, delta in reads],
             group_reads=read_set.group_reads,
             dedup_hits=read_set.dedup_hits,
         )
 
     def _resolve_overlaps(
-        self,
-        batch: QueryBatch,
-        extended: dict[tuple[int, int], Box],
-        trees: Mapping,
-        pool: ThreadPoolExecutor | None,
-    ) -> tuple[dict[tuple[int, int], np.ndarray], dict[int, LeafSnapshot]]:
-        """Phase 2: one kernel call per (combination, dataset), one task per group.
+        self, queries: Sequence[BatchQuery], q_lo: np.ndarray, q_hi: np.ndarray, trees: Mapping
+    ) -> tuple[
+        dict[int, tuple[np.ndarray, np.ndarray]],
+        dict[tuple[int, int], np.ndarray],
+        dict[int, LeafSnapshot],
+    ]:
+        """Phase 2: per requested dataset, one window array and one kernel call.
 
-        Returns the per-(query, dataset) overlapping rows against the
-        start-of-batch trees — live, or the pinned epoch's frozen tables,
-        which the live trees' refinements never touch — plus each tree's
-        table then, which the rows index: the commit reuses the rows while
-        a tree is still at that table's version.
+        Returns each dataset's extended windows (one row per query that
+        requests it, in submission order), the per-(query, dataset)
+        overlapping rows against the start-of-batch trees — live, or the
+        pinned epoch's frozen tables, which the live trees' refinements
+        never touch — and each tree's table then, which the rows index:
+        the commit reuses the rows while a tree is still at that table's
+        version.
         """
-        groups = batch.groups()
-        tables0 = {
-            d: trees[d].snapshot if self._snapshot else trees[d].leaf_snapshot()
-            for combination in groups
-            for d in combination
-        }
-
-        def resolve(item) -> dict[tuple[int, int], np.ndarray]:
-            combination, group = item
-            resolved: dict[tuple[int, int], np.ndarray] = {}
-            for dataset_id in sorted(combination):
-                tree = trees[dataset_id]
-                windows = [extended[(query.index, dataset_id)] for query in group]
-                if self._snapshot:
-                    per_query = tree.overlapping_batch(windows)
-                else:
-                    per_query = tree.leaves_overlapping_batch(windows)
-                for query, leaves in zip(group, per_query):
-                    resolved[(query.index, dataset_id)] = leaves
-            return resolved
-
+        requesting: dict[int, list[int]] = {}
+        for query in queries:
+            for dataset_id in query.requested:
+                requesting.setdefault(dataset_id, []).append(query.index)
+        extended: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         needed0: dict[tuple[int, int], np.ndarray] = {}
-        for resolved in _each(pool, resolve, groups.items()):  # in group order
-            needed0.update(resolved)
-        return needed0, tables0
+        tables0: dict[int, LeafSnapshot] = {}
+        for dataset_id, indices in requesting.items():
+            tree = trees[dataset_id]
+            lo, hi = extended[dataset_id] = _extended_windows(tree, q_lo[indices], q_hi[indices])
+            if self._snapshot:
+                tables0[dataset_id] = tree.snapshot
+                per_window = tree.overlapping_batch(lo, hi)
+            else:
+                tables0[dataset_id] = tree.leaf_snapshot()
+                per_window = tree.leaves_overlapping_batch(lo, hi)
+            needed0.update(zip([(index, dataset_id) for index in indices], per_window))
+        return extended, needed0, tables0
 
-    def _planner(
+    def _plans(
         self,
         batch: QueryBatch,
         needed0: dict[tuple[int, int], np.ndarray],
         tables0: Mapping[int, LeafSnapshot],
         directory,
         epoch: EngineEpoch | None,
-    ) -> Callable[[BatchQuery], list[tuple[int, PagedFile[SpatialObject], StoredRun]]]:
+    ) -> list[list[tuple[int, PagedFile[SpatialObject], StoredRun]]]:
         """Each query's reads in on-disk order, through the sequential planner.
 
         Routing is decided once per combination: the merge directory cannot
         change before the commit, so every read of the batch sees one
-        directory state.
+        directory state.  Planned inline, before any read: the merger's
+        handle cache is not for pool threads to fill.
         """
         decisions = {
             combination: choose_route(directory, combination) for combination in batch.groups()
         }
         if epoch is None:
-            # Opened here, single-threaded: the merger's handle cache is not
-            # for pool threads to fill.
-            merger = self._processor.merger
-            merge_files = {
-                info.combination: merger.merge_file(info.combination)
-                for info in (decision.merge_info for decision in decisions.values())
-                if info is not None
-            }
-            trees = self._processor.live_trees
+            trees, merger = self._processor.live_trees, self._processor.merger
+
+            def merge_file(info) -> PagedFile[SpatialObject]:
+                return merger.merge_file(info.combination)
+
         else:
-            merge_files = epoch.merge_files
             trees = epoch.trees
+
+            def merge_file(info) -> PagedFile[SpatialObject]:
+                return epoch.merge_files[info.combination]
 
         def tree_file(dataset_id: int) -> PagedFile[SpatialObject]:
             return trees[dataset_id].file
 
-        def merge_file(info) -> PagedFile[SpatialObject]:
-            return merge_files[info.combination]
+        return [
+            plan_reads(
+                [(d, tables0[d], needed0[(query.index, d)]) for d in sorted(query.requested)],
+                decisions[query.requested],
+                tree_file,
+                merge_file,
+            )
+            for query in batch.queries
+        ]
 
-        def plan(query: BatchQuery) -> list[tuple[int, PagedFile[SpatialObject], StoredRun]]:
-            overlapped = [
-                (d, tables0[d], needed0[(query.index, d)]) for d in sorted(query.requested)
-            ]
-            return plan_reads(overlapped, decisions[query.requested], tree_file, merge_file)
-
-        return plan
-
-    def _read_and_filter(
+    def _read_groups(
         self,
-        queries: Sequence[BatchQuery],
-        plan: Callable[[BatchQuery], list],
+        plans: Sequence[list[tuple[int, PagedFile[SpatialObject], StoredRun]]],
         read_set: BatchReadSet,
         pool: ThreadPoolExecutor | None,
         phase,
-    ) -> list[tuple[list[SpatialObject], int, BufferCounters]]:
-        """Phase 3: every query's planned groups through the read set, one mask each.
+    ) -> list[tuple[list[tuple[int, int, DecodedGroup]], BufferCounters]]:
+        """Phase 3's reads: every query's planned groups through the read set.
 
-        Returns ``(hits, records examined, buffer-pool delta)`` per query,
-        in submission order.  The plan (the sequential planner) and the
-        collect order are deterministic, so the hits come back in the same
-        order no matter which thread runs a query.  A pooled task records a
-        ``query.filter`` span parented explicitly on ``phase``: worker
-        threads have empty span stacks, so implicit nesting cannot apply
-        across the pool boundary.
+        Returns, per query in submission order, its ``(query index, owner,
+        group)`` entries in plan order and its buffer-pool delta.  A pooled
+        task records a ``query.read`` span parented explicitly on
+        ``phase``: worker threads have empty span stacks, so implicit
+        nesting cannot apply across the pool boundary.
         """
         buffer_pool = self._processor.catalog.datasets()[0].disk.buffer_pool
         tracer = None if pool is None else self._processor.tracer
 
-        def work(query: BatchQuery) -> tuple[list[SpatialObject], int, BufferCounters]:
-            with maybe_span(tracer, "query.filter", parent=phase, query=query.index) as span:
+        def work(item) -> tuple[list[tuple[int, int, DecodedGroup]], BufferCounters]:
+            index, plan = item
+            with maybe_span(tracer, "query.read", parent=phase, query=index):
                 cache_start = buffer_pool.counters()
-                hits, count = filter_groups(
-                    [(d, read_set.read(file, run)) for d, file, run in plan(query)],
-                    query.box.lo,
-                    query.box.hi,
-                )
-                if span is not None:
-                    span.attributes.update(hits=len(hits), examined=count)
-                return hits, count, buffer_pool.counters().delta_since(cache_start)
+                entries = [(index, d, read_set.read(file, run)) for d, file, run in plan]
+                return entries, buffer_pool.counters().delta_since(cache_start)
 
-        return _each(pool, work, queries)
+        return _each(pool, work, enumerate(plans))
 
     # ------------------------------------------------------------------ #
     # The write half: phase 4
@@ -607,6 +603,7 @@ class BatchExecutor:
         trees = processor.live_trees
         pool = processor.catalog.datasets()[0].disk.buffer_pool
         reports: list[QueryReport] = []
+        window = dict.fromkeys(prepared.extended, -1)  # each dataset's row in `extended`
         for query in prepared.batch.queries:
             cache_start = pool.counters()
             ordered = tuple(sorted(query.requested))
@@ -619,11 +616,14 @@ class BatchExecutor:
             overlapped: dict[int, np.ndarray] = {}
             for dataset_id in ordered:
                 tree = trees[dataset_id]
+                window[dataset_id] += 1
                 if tree.version == prepared.tables0[dataset_id].version:
                     overlapped[dataset_id] = prepared.needed0[(query.index, dataset_id)]
                 else:
+                    lo, hi = prepared.extended[dataset_id]
+                    row = window[dataset_id]
                     overlapped[dataset_id] = tree.leaves_overlapping_vectorized(
-                        prepared.extended[(query.index, dataset_id)]
+                        Box(tuple(lo[row].tolist()), tuple(hi[row].tolist()))
                     )
             decision = choose_route(directory, query.requested)
             report.route = decision.kind.value

@@ -249,8 +249,8 @@ class SpaceOdyssey(MultiDatasetIndex):
         returns (see :mod:`repro.core.batch`); results (hit order
         included), reports, adaptive state and on-disk bytes are
         bit-identical across them in isolation.  ``workers=K`` (``K > 1``)
-        runs overlap resolution (per combination group) and page decode +
-        filtering (per query) on ``K`` threads.  ``snapshot=True`` reads a
+        runs the page reads and decodes (per query) on ``K`` threads.
+        ``snapshot=True`` reads a
         pinned epoch snapshot (:mod:`repro.core.epoch`; the first one starts
         the epoch layer) with no lock held, so the reads overlap other
         batches' commits; under concurrency per-batch results stay exact

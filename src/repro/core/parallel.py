@@ -1,10 +1,9 @@
-"""The thread-safe read set of batches whose read phases run on threads.
+"""The thread-safe read set of batches whose reads run on threads.
 
 :class:`~repro.core.batch.BatchExecutor` with ``workers=K > 1`` runs
-overlap resolution and retrieval + filtering on a thread pool (see
-:mod:`repro.core.batch`); its tasks share one :class:`ParallelReadSet`, so
-a stored group that several queries need is still fetched and decoded
-once per batch.
+each query's reads on a thread pool (see :mod:`repro.core.batch`); its
+tasks share one :class:`ParallelReadSet`, so a stored group that several
+queries need is still fetched and decoded once per batch.
 """
 
 from __future__ import annotations

@@ -42,12 +42,7 @@ import numpy as np
 from repro.data.dataset import Dataset
 from repro.data.spatial_object import SpatialObject, spatial_object_codec
 from repro.geometry.box import Box
-from repro.geometry.vectorized import (
-    boxes_to_arrays,
-    grid_child_indices,
-    intersect_mask,
-    intersect_matrix,
-)
+from repro.geometry.vectorized import grid_child_indices, intersect_mask, intersect_matrix
 from repro.storage.pagedfile import PagedFile, StoredRun
 
 #: A partition's identity: child indices along the path from the root.
@@ -98,13 +93,9 @@ class LeafSnapshot:
         """The region of one row, built from its corners (the grid-edge floats)."""
         return Box(tuple(self.lo[row].tolist()), tuple(self.hi[row].tolist()))
 
-    def overlapping_batch(self, boxes: Sequence[Box]) -> list[np.ndarray]:
-        """The rows intersecting each of ``boxes``: one kernel call for all."""
-        boxes = list(boxes)
-        if not boxes:
-            return []
-        q_lo, q_hi = boxes_to_arrays(boxes, dimension=self.lo.shape[1])
-        return [np.flatnonzero(row) for row in intersect_matrix(q_lo, q_hi, self.lo, self.hi)]
+    def overlapping_batch(self, lo: np.ndarray, hi: np.ndarray) -> list[np.ndarray]:
+        """The rows intersecting each ``(m, d)`` window row: one kernel call for all."""
+        return [np.flatnonzero(row) for row in intersect_matrix(lo, hi, self.lo, self.hi)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,14 +115,14 @@ class TreeEpochSnapshot:
     universe: Box
     file: PagedFile
 
-    def overlapping_batch(self, boxes: Sequence[Box]) -> list[np.ndarray]:
+    def overlapping_batch(self, lo: np.ndarray, hi: np.ndarray) -> list[np.ndarray]:
         """Frozen-state :meth:`PartitionTree.leaves_overlapping_batch`.
 
         Runs the same ``intersect_matrix`` kernel over the captured
         table, so it returns exactly the rows the live tree would have
         returned at capture time.
         """
-        return self.snapshot.overlapping_batch(boxes)
+        return self.snapshot.overlapping_batch(lo, hi)
 
 
 def _spliced(old: np.ndarray, start: int, stop: int, rows: np.ndarray) -> np.ndarray:
@@ -429,13 +420,14 @@ class PartitionTree:
         table = self.leaf_snapshot()
         return np.flatnonzero(intersect_mask(box.lo, box.hi, table.lo, table.hi))
 
-    def leaves_overlapping_batch(self, boxes: Sequence[Box]) -> list[np.ndarray]:
-        """Rows of the leaves intersecting each of ``boxes``, in one kernel call.
+    def leaves_overlapping_batch(self, lo: np.ndarray, hi: np.ndarray) -> list[np.ndarray]:
+        """Rows of the leaves intersecting each window, in one kernel call.
 
-        Returns one array per input box, each what
-        :meth:`leaves_overlapping_vectorized` returns for that box.
+        ``lo``/``hi`` hold one window per row, shape ``(m, d)``.  Returns
+        one array per window, each what :meth:`leaves_overlapping_vectorized`
+        returns for that window's box.
         """
-        return self.leaf_snapshot().overlapping_batch(boxes)
+        return self.leaf_snapshot().overlapping_batch(lo, hi)
 
     def read_partition_array(self, key: PartitionKey) -> np.ndarray:
         """Read one leaf partition's records, by key, as a structured array."""

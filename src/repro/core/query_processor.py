@@ -139,7 +139,7 @@ class QueryProcessor:
     every query's answer is exact regardless of that order (results depend
     only on the data and the query window, never on refinement state).
     Parallelism lives *inside* a batch: ``execute_batch(..., workers=K)``
-    fans the read phases of one batch across ``K`` threads while the
+    fans the reads of one batch across ``K`` threads while the
     gate is held (see :mod:`repro.core.batch`).
 
     Snapshot reads make the gate a pure *writer* lock for the epoch read
@@ -420,20 +420,21 @@ class QueryProcessor:
             extended = box.expand(tree.max_extent).clamp(tree.universe)
             overlapped[dataset_id] = tree.leaves_overlapping_vectorized(extended)
 
-        # 3-4. Route and plan; the planned groups decode into columnar arrays,
-        # one window+dataset mask filters them all, and only hits become objects.
+        # 3-4. Route and plan; the planned groups decode into columnar arrays
+        # and go through the batch filter as a batch of one: one window+dataset
+        # mask filters them all, and only hits become objects.
         decision = choose_route(self._directory, requested)
         report.route = decision.kind.value
         tables = [(d, self._trees[d].leaf_snapshot(), rows) for d, rows in overlapped.items()]
         plan = plan_reads(tables, decision, self._tree_file, self._merge_file)
         dimension = self._catalog.dimension
-        results, examined = filter_groups(
+        (results,), (examined,) = filter_groups(
             [
-                (dataset_id, DecodedGroup.from_records(file.read_group_array(run), dimension))
+                (0, dataset_id, DecodedGroup.from_records(file.read_group_array(run), dimension))
                 for dataset_id, file, run in plan
             ],
-            box.lo,
-            box.hi,
+            [box.lo],
+            [box.hi],
         )
         self._disk.charge_cpu_records(examined)
         report.objects_examined = examined
@@ -474,8 +475,8 @@ class QueryProcessor:
         :meth:`execute` once per query in order (hit order within a
         result and ``QueryReport.objects_examined`` may differ).
 
-        ``workers=K > 1`` runs the read phases on ``K`` threads;
-        ``snapshot=True`` runs them against a pinned immutable epoch
+        ``workers=K > 1`` runs the reads on ``K`` threads;
+        ``snapshot=True`` runs the read half against a pinned immutable epoch
         *without* holding the gate, so that only the commit serializes and
         concurrent batches overlap their reads (see :meth:`pin_epoch`).
         Every combination is

@@ -8,13 +8,15 @@ corner matrices — and materialises :class:`~repro.data.spatial_object.SpatialO
 instances only for the rows a query actually hits.
 
 Every columnar engine — sequential, batched, thread-parallel, epoch —
-filters through :func:`filter_groups`, so there is a single
-bytes→columns→objects path in the library and it costs one mask and one
-materialisation per query, however many groups the query reads.
+filters through :func:`filter_groups` (a sequential query is a batch of
+one), so there is a single bytes→columns→objects path in the library and
+it costs one mask and one materialisation per batch, however many groups
+and queries the batch holds.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -96,30 +98,44 @@ class DecodedGroup:
 
 
 def filter_groups(
-    plan: Sequence[tuple[int, DecodedGroup]], q_lo: Sequence[float], q_hi: Sequence[float]
-) -> tuple[list[SpatialObject], int]:
-    """Filter one query's decoded groups with one mask and one materialisation.
+    plan: Sequence[tuple[int, int, DecodedGroup]],
+    q_lo: np.ndarray | Sequence[Sequence[float]],
+    q_hi: np.ndarray | Sequence[Sequence[float]],
+) -> tuple[list[list[SpatialObject]], list[int]]:
+    """Filter a batch's decoded groups with one mask and one materialisation.
 
-    ``plan`` lists ``(owner dataset id, group)`` in read order; a row is a
-    hit when it belongs to its entry's owner dataset (merge files and Ain1
-    groups interleave datasets) and its MBR intersects the closed window
-    ``[q_lo, q_hi]``.  The groups are concatenated with a per-row owner
-    vector, so hits come back in plan order, rows ascending within a group
-    — exactly the order of filtering group by group — together with the
-    number of records examined.
+    ``q_lo``/``q_hi`` are the ``(m, d)`` windows of the batch's ``m``
+    queries (a lone query may pass ``[box.lo]``/``[box.hi]``); ``plan``
+    lists ``(query index, owner dataset id, group)`` in read order, query
+    indices ascending.  A row is a hit of its entry's query when it
+    belongs to the entry's owner dataset (merge files and Ain1 groups
+    interleave datasets) and its MBR intersects that query's closed
+    window.  The groups are concatenated with per-row owner and
+    query-index vectors, so each query's hits come back in its plan order,
+    rows ascending within a group — exactly the order of filtering group
+    by group — and ``bincount`` of the query index splits the hits and
+    counts the records each query examined.
     """
+    m = len(q_lo)
     if not plan:
-        return [], 0
-    groups = [group for _, group in plan]
+        return [[] for _ in range(m)], [0] * m
+    groups = [group for _, _, group in plan]
+    sizes = [group.n_records for group in groups]
     merged = DecodedGroup(
         oids=np.concatenate([group.oids for group in groups]),
         dataset_ids=np.concatenate([group.dataset_ids for group in groups]),
         lo=np.concatenate([group.lo for group in groups]),
         hi=np.concatenate([group.hi for group in groups]),
     )
-    owners = np.repeat(
-        [dataset_id for dataset_id, _ in plan], [len(group.oids) for group in groups]
-    )
-    mask = intersect_mask(q_lo, q_hi, merged.lo, merged.hi)
+    owners = np.repeat([owner for _, owner, _ in plan], sizes)
+    if m == 1:  # a lone query: its window broadcasts and every row is its own
+        mask = intersect_mask(q_lo[0], q_hi[0], merged.lo, merged.hi)
+        mask &= merged.dataset_ids == owners
+        return [merged.materialize(mask)], [len(owners)]
+    queries = np.repeat([query for query, _, _ in plan], sizes)
+    mask = intersect_mask(q_lo[queries], q_hi[queries], merged.lo, merged.hi)
     mask &= merged.dataset_ids == owners
-    return merged.materialize(mask), len(owners)
+    hits = merged.materialize(mask)
+    ends = list(accumulate(np.bincount(queries[mask], minlength=m).tolist()))
+    split = [hits[start:end] for start, end in zip([0] + ends, ends)]
+    return split, np.bincount(queries, minlength=m).tolist()

@@ -13,7 +13,8 @@ and degenerate boxes.
 
 Three shapes of the same predicate are provided:
 
-* :func:`intersect_mask` — one box against ``n`` boxes (``(n,)`` bools);
+* :func:`intersect_mask` — one box, or one box per row, against ``n``
+  boxes (``(n,)`` bools);
 * :func:`intersect_matrix` — ``m`` boxes against ``n`` boxes (``(m, n)``
   bools), the kernel the batch engine uses to resolve the partition
   overlap tests of a whole query batch in one shot;
@@ -61,22 +62,29 @@ def boxes_to_arrays(
 
 
 def intersect_mask(
-    lo: Sequence[float], hi: Sequence[float], los: np.ndarray, his: np.ndarray
+    lo: Sequence[float] | np.ndarray,
+    hi: Sequence[float] | np.ndarray,
+    los: np.ndarray,
+    his: np.ndarray,
 ) -> np.ndarray:
-    """Closed-box intersection of one box against many.
+    """Closed-box intersection of one box against many, or of ``n`` pairs.
 
     Parameters
     ----------
     lo, hi:
-        Corners of the single box: ``d`` coordinates each (array or tuple).
+        Corners of the single box — ``d`` coordinates each (array or
+        tuple) — or ``(n, d)`` arrays: one window per candidate row.
     los, his:
         Corners of the ``n`` candidate boxes, shape ``(n, d)``.
 
     Returns
     -------
     A boolean array of shape ``(n,)``; entry ``i`` is ``True`` exactly when
-    ``Box(lo, hi).intersects(Box(los[i], his[i]))`` would be.
+    ``Box(lo, hi).intersects(Box(los[i], his[i]))`` would be (with row
+    ``i`` of ``lo``/``hi`` for per-row windows).
     """
+    if isinstance(lo, np.ndarray):
+        lo, hi = lo.T, hi.T  # axis first: a coordinate, or a column of n
     mask = los[:, 0] <= hi[0]
     mask &= his[:, 0] >= lo[0]
     for axis in range(1, los.shape[1]):

@@ -72,7 +72,7 @@ import itertools
 import threading
 import time
 from concurrent.futures import Future, InvalidStateError
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from queue import Empty, Queue
 from typing import Iterable
 
@@ -282,8 +282,9 @@ class QueryService:
         self._seq = itertools.count()
         self._closed = False
         self._abort = False
+        # Plain integer counters; `stats` freezes them into a ServiceStats.
         self._stats_lock = threading.Lock()
-        self._stats = ServiceStats()
+        self._counts = {f.name: 0 for f in fields(ServiceStats) if f.name != "latency"}
         self._latency = Histogram("serve.latency_seconds")
         self._dispatcher = threading.Thread(
             target=self._run, name="odyssey-serve-dispatcher", daemon=True
@@ -314,7 +315,7 @@ class QueryService:
             )
             self._queue.put(submission)
         with self._stats_lock:
-            self._stats = _bump(self._stats, submitted=1)
+            self._counts["submitted"] += 1
         return submission
 
     def query(
@@ -330,9 +331,9 @@ class QueryService:
     def stats(self) -> ServiceStats:
         """A snapshot of the serving counters (latency digest included)."""
         with self._stats_lock:
-            stats = self._stats
+            counts = dict(self._counts)
         summary = self._latency.summary()
-        return replace(stats, latency=summary if summary.count else None)
+        return ServiceStats(**counts, latency=summary if summary.count else None)
 
     @property
     def latency_histogram(self) -> Histogram:
@@ -488,7 +489,7 @@ class QueryService:
                 if attempt >= self._batch_retries or not is_transient(exc):
                     raise
                 with self._stats_lock:
-                    self._stats = _bump(self._stats, retries=1)
+                    self._counts["retries"] += 1
                 self._sleep(
                     min(
                         self._retry_backoff_s * (2**attempt),
@@ -522,7 +523,7 @@ class QueryService:
         for submission in batch:
             self._resolve(submission, error=error)
         with self._stats_lock:
-            self._stats = _bump(self._stats, degraded=len(batch))
+            self._counts["degraded"] += len(batch)
         self._note_batch(batch, reason, fallbacks=0)
         return True
 
@@ -538,21 +539,16 @@ class QueryService:
         if self._consecutive_failed_batches >= self._breaker_threshold:
             self._breaker_open_until = time.monotonic() + self._breaker_cooldown_s
             with self._stats_lock:
-                self._stats = _bump(self._stats, breaker_opens=1)
+                self._counts["breaker_opens"] += 1
 
     def _note_batch(self, batch: list[Submission], reason: str, fallbacks: int) -> None:
+        counts = self._counts
         with self._stats_lock:
-            self._stats = _bump(
-                self._stats,
-                batches=1,
-                queries_batched=len(batch),
-                size_flushes=1 if reason == FLUSH_SIZE else 0,
-                deadline_flushes=1 if reason == FLUSH_DEADLINE else 0,
-                drain_flushes=1 if reason == FLUSH_DRAIN else 0,
-                fallbacks=fallbacks,
-            )
-            if len(batch) > self._stats.max_batch_size:
-                self._stats = replace(self._stats, max_batch_size=len(batch))
+            counts["batches"] += 1
+            counts["queries_batched"] += len(batch)
+            counts[f"{reason}_flushes"] += 1
+            counts["fallbacks"] += fallbacks
+            counts["max_batch_size"] = max(counts["max_batch_size"], len(batch))
 
     def _resolve(
         self,
@@ -575,11 +571,4 @@ class QueryService:
             outcome = "cancelled"
         self._latency.observe(time.perf_counter() - submission.submitted_at)
         with self._stats_lock:
-            self._stats = _bump(self._stats, **{outcome: 1})
-
-
-def _bump(stats: ServiceStats, **increments: int) -> ServiceStats:
-    """A copy of ``stats`` with the given counters incremented."""
-    return replace(
-        stats, **{name: getattr(stats, name) + delta for name, delta in increments.items()}
-    )
+            self._counts[outcome] += 1

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from collections import OrderedDict
+from operator import add, attrgetter, sub
 from typing import Any
 
 
@@ -75,20 +76,14 @@ class BufferCounters:
 
     def delta_since(self, earlier: "BufferCounters") -> "BufferCounters":
         """Counter increments between ``earlier`` and this snapshot."""
-        return BufferCounters(
-            **{
-                f.name: getattr(self, f.name) - getattr(earlier, f.name)
-                for f in fields(self)
-            }
-        )
+        return BufferCounters(*map(sub, _counters(self), _counters(earlier)))
 
     def __add__(self, other: "BufferCounters") -> "BufferCounters":
-        return BufferCounters(
-            **{
-                f.name: getattr(self, f.name) + getattr(other, f.name)
-                for f in fields(self)
-            }
-        )
+        return BufferCounters(*map(add, _counters(self), _counters(other)))
+
+
+#: Every field of a :class:`BufferCounters`, in field order, in one call.
+_counters = attrgetter(*(f.name for f in fields(BufferCounters)))
 
 
 class BufferPool:

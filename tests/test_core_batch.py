@@ -20,6 +20,7 @@ from repro.core.odyssey import SpaceOdyssey
 from repro.data.dataset import DatasetCatalog
 from repro.data.spatial_object import spatial_object_codec, spatial_object_dtype
 from repro.geometry.box import Box
+from repro.geometry.vectorized import boxes_to_arrays
 from repro.workload.query import RangeQuery
 
 from tests.conftest import make_catalog, make_dataset, make_random_objects
@@ -99,7 +100,7 @@ class TestLeafSnapshot:
             row = row_of(tree, key)
             if tree.leaf_snapshot().n_records[row]:
                 adaptor.refine(tree, row)
-        batched = tree.leaves_overlapping_batch(queries)
+        batched = tree.leaves_overlapping_batch(*boxes_to_arrays(queries))
         keys = tree.leaf_snapshot().keys
         for box, rows in zip(queries, batched):
             scalar = leaves_overlapping(tree, box)
@@ -111,7 +112,7 @@ class TestLeafSnapshot:
         with pytest.raises(RuntimeError):
             tree.leaf_snapshot()
         with pytest.raises(RuntimeError):
-            tree.leaves_overlapping_batch([Box.cube((1.0, 1.0, 1.0), 1.0)])
+            tree.leaves_overlapping_batch(*boxes_to_arrays([Box.cube((1.0, 1.0, 1.0), 1.0)]))
 
 
 class TestColumnarDecode:

@@ -423,13 +423,14 @@ def test_frozen_info_ignores_later_add_segment():
     assert combo not in directory.freeze() and combo in second
 
 
-def test_no_full_rebuild_after_initialisation(monkeypatch):
+def test_no_full_rebuild_after_initialisation():
     """Structural guard: once a tree exists, nothing walks or re-stacks all of it.
 
     The from-scratch snapshot build lives only in this file.  In the
     engine, the one place leaf boxes become arrays is the splice, ``ppl``
-    boxes at a time; a call with more is somebody re-deriving the snapshot
-    from the whole tree.
+    rows at a time from the parent's grid edges; the partition module does
+    not even import the ``Box``-to-array bridge, so nothing there can
+    re-derive the table from the whole tree.
     """
     seed = 59
     suite = make_suite(seed)
@@ -441,13 +442,7 @@ def test_no_full_rebuild_after_initialisation(monkeypatch):
     )
     engine = SpaceOdyssey(suite.catalog, config)
     assert not hasattr(PartitionTree, "_leaves_in_search_order")
-
-    def guarded(boxes, dimension=None):
-        if len(boxes) > config.partitions_per_level:
-            raise AssertionError(f"{len(boxes)} leaf boxes re-stacked at once")
-        return boxes_to_arrays(boxes, dimension)
-
-    monkeypatch.setattr(partition_module, "boxes_to_arrays", guarded)
+    assert not hasattr(partition_module, "boxes_to_arrays")
     snapshots = {}
     for box, ids in mixed_workload(suite, seed, n_triples=30, n_pairs=10):
         engine.query(box, ids)  # sequential path: window tests go through intersect_mask

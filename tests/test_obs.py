@@ -584,13 +584,14 @@ class TestTraceStructure:
                 ancestor = by_id[ancestor.parent_id]
             assert ancestor.span_id in root_ids
 
-    def test_thread_parallel_filter_spans_parented_to_phase(self, traced_runs, workload):
+    def test_thread_parallel_read_spans_parented_to_phase(self, traced_runs, workload):
         spans = traced_runs["parallel"].finished()
         by_id = {span.span_id: span for span in spans}
-        filters = [span for span in spans if span.name == "query.filter"]
-        assert len(filters) == len(workload)
-        for span in filters:
+        reads = [span for span in spans if span.name == "query.read"]
+        assert len(reads) == len(workload)
+        for span in reads:
             assert by_id[span.parent_id].name == "batch.read_filter"
+        assert not any(span.name == "query.filter" for span in spans)
 
     def test_epoch_mode_records_prepare_and_commit(self, traced_runs):
         spans = traced_runs["epoch"].finished()

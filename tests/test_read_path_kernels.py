@@ -1,29 +1,38 @@
-"""Structural guard for the read path: kernels per query, counted, not timed.
+"""Structural guard for the read path: kernels per query and per batch, counted, not timed.
 
-The read path of every columnar engine is a handful of array kernels per
-query — one overlap kernel per requested dataset, then *one* window+dataset
-mask and *one* materialisation over all the groups the query reads
-(:func:`repro.data.columnar.filter_groups`).  A new loop over groups, a
-per-leaf Python check or a per-object validity check is a regression these
-counts catch without a stopwatch.
+The read path of every columnar engine is a handful of array kernels —
+for a query, one overlap kernel per requested dataset, then *one*
+window+dataset mask and *one* materialisation over all the groups it
+reads (:func:`repro.data.columnar.filter_groups`, a query being a batch of
+one); for a batch, one ``intersect_matrix`` per requested dataset and one
+mask and one materialisation for the whole batch.  A new loop over groups
+or queries, a per-leaf Python check or a per-object validity check is a
+regression these counts catch without a stopwatch.
 
-The module also keeps the former per-group filter loop as the reference
-model (reduce-based mask, checked ``Box`` per hit) and requires the fused
-path to return its hits in its order with its ``objects_examined``, and it
-holds the stored-corruption regression: moving box validation from a
-``__post_init__`` per hit to one vectorised test must not have dropped it.
+The module also keeps the reference models the fused paths replaced: the
+per-group filter loop (reduce-based mask, checked ``Box`` per hit), the
+per-query filter loop of the batch engine and its ``Box.expand(...).clamp(...)``
+windows.  The fused paths must return the references' hits in their order
+with their ``objects_examined``, and the window arrays their corners bit
+for bit.  The module also holds the stored-corruption regression: moving
+box validation from a ``__post_init__`` per hit to one vectorised test
+must not have dropped it.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import partition as partition_module
 from repro.core.adaptor import Adaptor
+from repro.core.batch import _extended_windows
 from repro.core.config import OdysseyConfig
 from repro.core.merge import choose_route
 from repro.core.odyssey import SpaceOdyssey
@@ -32,6 +41,7 @@ from repro.data.columnar import DecodedGroup, filter_groups
 from repro.data.dataset import Dataset, DatasetCatalog, raw_file_name
 from repro.data.spatial_object import SpatialObject, spatial_object_codec
 from repro.geometry.box import Box
+from repro.geometry.vectorized import intersect_mask
 from repro.storage.cost_model import DiskModel
 from repro.storage.disk import Disk
 from repro.storage.pagedfile import PagedFile
@@ -101,6 +111,47 @@ def reference_query(engine: SpaceOdyssey, box: Box, dataset_ids):
                 )
             )
     return hits, examined, groups
+
+
+def reference_windows(boxes, tree) -> list[Box]:
+    """The batch engine's former windows: one validated ``Box`` per query."""
+    return [box.expand(tree.max_extent).clamp(tree.universe) for box in boxes]
+
+
+def reference_filter(plans, boxes) -> tuple[list[list[SpatialObject]], list[int]]:
+    """The batch engine's former per-query filter loop.
+
+    ``plans[i]`` lists query ``i``'s ``(owner, group)`` entries in read
+    order; each query concatenates its own groups and filters them with
+    one mask and one materialisation against its own window.
+    """
+    hits, examined = [], []
+    for plan, box in zip(plans, boxes):
+        if not plan:
+            hits.append([])
+            examined.append(0)
+            continue
+        groups = [group for _, group in plan]
+        merged = DecodedGroup(
+            oids=np.concatenate([group.oids for group in groups]),
+            dataset_ids=np.concatenate([group.dataset_ids for group in groups]),
+            lo=np.concatenate([group.lo for group in groups]),
+            hi=np.concatenate([group.hi for group in groups]),
+        )
+        owners = np.repeat([owner for owner, _ in plan], [group.n_records for group in groups])
+        mask = intersect_mask(box.lo, box.hi, merged.lo, merged.hi)
+        mask &= merged.dataset_ids == owners
+        hits.append(merged.materialize(mask))
+        examined.append(len(owners))
+    return hits, examined
+
+
+def batch_filter(plans, boxes) -> tuple[list[list[SpatialObject]], list[int]]:
+    """``plans``/``boxes`` as :func:`reference_filter` takes them, through the batch filter."""
+    entries = [(index, owner, group) for index, plan in enumerate(plans) for owner, group in plan]
+    q_lo = np.array([box.lo for box in boxes], dtype=np.float64)
+    q_hi = np.array([box.hi for box in boxes], dtype=np.float64)
+    return filter_groups(entries, q_lo, q_hi)
 
 
 # ---------------------------------------------------------------------- #
@@ -210,11 +261,9 @@ def test_sequential_query_is_a_handful_of_kernels(scenario, calls):
     assert engine.summary().total_partitions > 4 * 8, "the scenario never refined"
 
 
-@pytest.mark.parametrize(
-    "mode", ["batch", "thread", "snapshot", "prepare-commit"]
-)
-def test_batch_is_one_matrix_per_group_dataset_and_one_mask_per_query(scenario, calls, mode):
-    """Batches: one ``intersect_matrix`` per (combination, dataset), <= 1 mask per query."""
+@pytest.mark.parametrize("mode", ["batch", "thread", "snapshot", "prepare-commit"])
+def test_batch_is_one_matrix_per_dataset_one_mask_and_one_materialize(scenario, calls, mode):
+    """Batches: one ``intersect_matrix`` per requested dataset, <= 1 mask, <= 1 materialise."""
     suite, queries = scenario
     engine = SpaceOdyssey(suite.fork().catalog, CONFIG)
     explore(engine, queries)
@@ -227,13 +276,9 @@ def test_batch_is_one_matrix_per_group_dataset_and_one_mask_per_query(scenario, 
         else:
             options = {"thread": {"workers": 2}, "snapshot": {"snapshot": True}}.get(mode, {})
             result = engine.query_batch(chunk, **options)
-        combinations = {frozenset(ids) for _, ids in chunk}
-        assert calls["overlap_matrix"] == sum(len(c) for c in combinations), mode
+        assert calls["overlap_matrix"] == len({d for _, ids in chunk for d in ids}), mode
         assert calls["overlap_mask"] == 0, mode
-        with_groups = sum(1 for _, _, groups in expected if groups)
-        # (An empty merge segment is a planned, recordless group.)
-        assert with_groups <= calls["data_mask"] <= len(chunk), mode
-        assert calls["materialize"] <= calls["data_mask"], mode
+        assert calls["data_mask"] == 1 and calls["materialize"] <= 1, mode
         for hits, report, (expected_hits, examined, _) in zip(
             result.results, result.reports, expected
         ):
@@ -263,12 +308,105 @@ def test_reference_loop_and_fused_filter_agree_on_interleaved_groups():
             box = Box(tuple(g.lo[row].tolist()), tuple(g.hi[row].tolist()))
             if g.dataset_ids[row] == owner and box.intersects(window):
                 expected.append(SpatialObject(int(g.oids[row]), int(g.dataset_ids[row]), box))
-    hits, examined = filter_groups(plan, window.lo, window.hi)
+    (hits,), (examined,) = batch_filter([plan], [window])
     assert expected and hits == expected
     assert examined == 40
     assert all(type(hit.oid) is int and type(hit.box.lo[0]) is float for hit in hits)
-    assert filter_groups([], window.lo, window.hi) == ([], 0)
-    assert filter_groups([(0, group(0))], window.lo, window.hi) == ([], 0)
+    assert batch_filter([[]], [window]) == ([[]], [0])
+    assert batch_filter([[(0, group(0))]], [window]) == ([[]], [0])
+
+
+def _records(dimension: int, seed: int, n: int) -> DecodedGroup:
+    """``n`` records on an integer grid, so windows often touch them exactly."""
+    rng = np.random.default_rng(seed)
+    records = np.zeros(n, dtype=spatial_object_codec(dimension).dtype)
+    records["oid"] = rng.integers(0, 1_000, n)
+    records["dataset_id"] = rng.integers(0, 3, n)
+    records["lo"] = rng.integers(0, 10, (n, dimension)).astype(np.float64)
+    records["hi"] = records["lo"] + rng.integers(0, 3, (n, dimension))
+    return DecodedGroup.from_records(records, dimension)
+
+
+@st.composite
+def filter_batches(draw):
+    """Groups (some empty), and queries whose plans share and interleave them."""
+    dimension = draw(st.sampled_from([2, 3]))
+    sizes = draw(st.lists(st.sampled_from([0, 1, 4, 12]), min_size=1, max_size=5))
+    seed = draw(st.integers(0, 2**16))
+    groups = [_records(dimension, seed + index, n) for index, n in enumerate(sizes)]
+    entry = st.tuples(st.integers(0, 2), st.sampled_from(groups))
+    plans = draw(st.lists(st.lists(entry, max_size=4), min_size=1, max_size=5))
+    corner = st.integers(0, 11).map(float)
+    boxes = []
+    for _ in plans:
+        lo = draw(st.tuples(*[corner] * dimension))
+        side = draw(st.tuples(*[st.integers(0, 6).map(float)] * dimension))
+        boxes.append(Box(lo, tuple(a + b for a, b in zip(lo, side))))
+    return plans, boxes
+
+
+def _shared_interleaved_and_empty():
+    """One query with no plan, one empty group, one group in two queries under two owners."""
+    shared, empty, other = _records(2, 1, 12), _records(2, 2, 0), _records(2, 3, 4)
+    window = Box((0.0, 0.0), (11.0, 11.0))
+    return [[(0, shared), (1, empty), (2, other)], [], [(1, shared), (0, other)]], [window] * 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(filter_batches())
+@example(_shared_interleaved_and_empty())
+def test_batch_filter_equals_per_query_reference(batch):
+    """One mask over the batch returns each query's hits, in order, and its examined count."""
+    plans, boxes = batch
+    hits, examined = batch_filter(plans, boxes)
+    assert (hits, examined) == reference_filter(plans, boxes)
+    assert all(type(count) is int for count in examined)
+
+
+#: Finite coordinates, often a signed zero or a small integer so corners coincide.
+coordinate = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-1e6, 1e6, allow_nan=False)
+length = st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(0.0, 1e6)
+
+
+@st.composite
+def window_cases(draw):
+    """Universes (degenerate slabs allowed), extents (zeros allowed) and windows spilling past."""
+    dimension = draw(st.integers(1, 3))
+    u_lo = draw(st.tuples(*[coordinate] * dimension))
+    u_side = draw(st.tuples(*[length] * dimension))
+    universe = Box(u_lo, tuple(a + b for a, b in zip(u_lo, u_side)))
+    extent = draw(st.tuples(*[length] * dimension))
+    boxes = []
+    for _ in range(draw(st.integers(1, 5))):
+        lo = draw(st.tuples(*[coordinate | st.sampled_from(u_lo + universe.hi)] * dimension))
+        side = draw(st.tuples(*[length] * dimension))
+        boxes.append(Box(lo, tuple(a + b for a, b in zip(lo, side))))
+    return SimpleNamespace(max_extent=extent, universe=universe), boxes
+
+
+def _signed_zero_case():
+    """Window corners that equal the universe's up to the sign of zero."""
+    universe = Box((0.0, -0.0), (-0.0, 0.0))
+    boxes = [Box((-0.0, 0.0), (0.0, -0.0)), Box((-1.0, -0.0), (-0.0, 2.0))]
+    return SimpleNamespace(max_extent=(0.0, -0.0), universe=universe), boxes
+
+
+@settings(max_examples=200, deadline=None)
+@given(window_cases())
+@example(_signed_zero_case())
+def test_window_arrays_equal_box_corners_bit_for_bit(case):
+    """The batch's window arrays are the reference ``Box`` corners, sign of zero included."""
+    tree, boxes = case
+    lo, hi = _extended_windows(
+        tree,
+        np.array([box.lo for box in boxes], dtype=np.float64),
+        np.array([box.hi for box in boxes], dtype=np.float64),
+    )
+    reference = reference_windows(boxes, tree)
+    for corners, side in ((lo, "lo"), (hi, "hi")):
+        expected = np.array([getattr(box, side) for box in reference], dtype=np.float64)
+        assert corners.shape == expected.shape
+        assert corners.view(np.uint64).tolist() == expected.view(np.uint64).tolist(), side
 
 
 # ---------------------------------------------------------------------- #
@@ -393,8 +531,8 @@ def test_materialize_validates_exactly_the_selected_rows(kind, message):
     window = UNIVERSE
     if kind == "inverted":
         with pytest.raises(ValueError, match=message):
-            filter_groups([(0, group)], window.lo, window.hi)
+            batch_filter([[(0, group)]], [window])
     else:
         # No closed-box comparison with NaN holds: the mask never selects it.
-        hits, examined = filter_groups([(0, group)], window.lo, window.hi)
+        (hits,), (examined,) = batch_filter([[(0, group)]], [window])
         assert len(hits) == 299 and examined == 300

@@ -219,6 +219,49 @@ class TestConcurrentClients:
         assert stats.queries_batched == stats.submitted
         assert engine.summary().queries_executed == n_clients * per_client
 
+    def test_every_stats_snapshot_balances_under_concurrent_clients(self, suite, engine):
+        """``submitted == completed + failed + cancelled + pending`` in every snapshot.
+
+        Each client has at most one query outstanding, and the dispatcher
+        counts an outcome just after it resolves that query's future, so a
+        snapshot taken while the clients run has ``0 <= pending <= clients
+        + 1``; after ``close`` pending is zero.  One client's queries fail
+        (an unknown dataset).
+        """
+        n_clients, per_client = 4, 12
+        box = window(suite)
+        snapshots = []
+        done = threading.Event()
+
+        def client(index: int) -> None:
+            for _ in range(per_client):
+                submission = service.submit(box, [99] if index == 0 else [index, 0])
+                submission.exception(timeout=60)
+
+        def sampler() -> None:
+            while not done.is_set():
+                snapshots.append(service.stats)
+
+        # No breaker: a batch holding a bad query must not shed the others.
+        with engine.serve(max_batch=4, max_delay_ms=1, breaker_threshold=None) as service:
+            watcher = threading.Thread(target=sampler)
+            watcher.start()
+            clients = [threading.Thread(target=client, args=(i,)) for i in range(n_clients)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=120)
+                assert not thread.is_alive(), "client thread hung"
+            done.set()
+            watcher.join(timeout=30)
+        for stats in snapshots + [service.stats]:
+            resolved = stats.completed + stats.failed + stats.cancelled
+            assert 0 <= stats.submitted - resolved <= n_clients + 1
+        final = service.stats
+        assert final.submitted == final.completed + final.failed + final.cancelled
+        assert (final.submitted, final.failed) == (n_clients * per_client, per_client)
+        assert len(snapshots) > 1
+
     def test_direct_queries_interleave_with_the_service(self, suite, engine):
         box = window(suite)
         with engine.serve(max_batch=4, max_delay_ms=2) as service:

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.storage.buffer import BufferCounters, BufferPool
 
@@ -226,6 +230,24 @@ class TestDecodedLayer:
         pool.get("f", 2)
         delta = pool.counters().delta_since(snapshot)
         assert delta == BufferCounters(hits=1)
+
+
+counters = st.builds(
+    BufferCounters, *[st.integers(-(2**40), 2**40) for _ in fields(BufferCounters)]
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(counters, counters)
+def test_delta_and_sum_match_the_field_by_field_expression(later, earlier):
+    """``delta_since`` and ``+`` equal the per-field expression over ``dataclasses.fields``."""
+    names = [f.name for f in fields(BufferCounters)]
+    assert later.delta_since(earlier) == BufferCounters(
+        **{name: getattr(later, name) - getattr(earlier, name) for name in names}
+    )
+    assert later + earlier == BufferCounters(
+        **{name: getattr(later, name) + getattr(earlier, name) for name in names}
+    )
 
 
 class TestInvalidatePage:
