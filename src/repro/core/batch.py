@@ -269,7 +269,6 @@ class PreparedBatch:
     batch: QueryBatch
     epoch_id: int = -1
     first_touch: dict[int, int] = field(default_factory=dict)
-    extended: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     needed0: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
     tables0: dict[int, LeafSnapshot] = field(default_factory=dict)
     results: list[list[SpatialObject]] = field(default_factory=list)
@@ -415,7 +414,7 @@ class BatchExecutor:
         q_lo = np.array([query.box.lo for query in queries], dtype=np.float64)
         q_hi = np.array([query.box.hi for query in queries], dtype=np.float64)
         with maybe_span(tracer, "batch.overlap"):
-            extended, needed0, tables0 = self._resolve_overlaps(queries, q_lo, q_hi, trees)
+            needed0, tables0 = self._resolve_overlaps(queries, q_lo, q_hi, trees)
         plans = self._plans(batch, needed0, tables0, directory, epoch)
         if pooled:
             from repro.core.parallel import ParallelReadSet
@@ -438,7 +437,6 @@ class BatchExecutor:
             batch=batch,
             epoch_id=-1 if epoch is None else epoch.epoch_id,
             first_touch=first_touch,
-            extended=extended,
             needed0=needed0,
             tables0=tables0,
             results=results,
@@ -450,31 +448,24 @@ class BatchExecutor:
 
     def _resolve_overlaps(
         self, queries: Sequence[BatchQuery], q_lo: np.ndarray, q_hi: np.ndarray, trees: Mapping
-    ) -> tuple[
-        dict[int, tuple[np.ndarray, np.ndarray]],
-        dict[tuple[int, int], np.ndarray],
-        dict[int, LeafSnapshot],
-    ]:
+    ) -> tuple[dict[tuple[int, int], np.ndarray], dict[int, LeafSnapshot]]:
         """Phase 2: per requested dataset, one window array and one kernel call.
 
-        Returns each dataset's extended windows (one row per query that
-        requests it, in submission order), the per-(query, dataset)
-        overlapping rows against the start-of-batch trees — live, or the
-        pinned epoch's frozen tables, which the live trees' refinements
-        never touch — and each tree's table then, which the rows index:
-        the commit reuses the rows while a tree is still at that table's
-        version.
+        Returns the per-(query, dataset) overlapping rows against the
+        start-of-batch trees — live, or the pinned epoch's frozen tables,
+        which the live trees' refinements never touch — and each tree's
+        table then, which the rows index: the commit reuses the rows while
+        a tree is still at that table's version.
         """
         requesting: dict[int, list[int]] = {}
         for query in queries:
             for dataset_id in query.requested:
                 requesting.setdefault(dataset_id, []).append(query.index)
-        extended: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         needed0: dict[tuple[int, int], np.ndarray] = {}
         tables0: dict[int, LeafSnapshot] = {}
         for dataset_id, indices in requesting.items():
             tree = trees[dataset_id]
-            lo, hi = extended[dataset_id] = _extended_windows(tree, q_lo[indices], q_hi[indices])
+            lo, hi = _extended_windows(tree, q_lo[indices], q_hi[indices])
             if self._snapshot:
                 tables0[dataset_id] = tree.snapshot
                 per_window = tree.overlapping_batch(lo, hi)
@@ -482,7 +473,7 @@ class BatchExecutor:
                 tables0[dataset_id] = tree.leaf_snapshot()
                 per_window = tree.leaves_overlapping_batch(lo, hi)
             needed0.update(zip([(index, dataset_id) for index in indices], per_window))
-        return extended, needed0, tables0
+        return needed0, tables0
 
     def _plans(
         self,
@@ -603,7 +594,6 @@ class BatchExecutor:
         trees = processor.live_trees
         pool = processor.catalog.datasets()[0].disk.buffer_pool
         reports: list[QueryReport] = []
-        window = dict.fromkeys(prepared.extended, -1)  # each dataset's row in `extended`
         for query in prepared.batch.queries:
             cache_start = pool.counters()
             ordered = tuple(sorted(query.requested))
@@ -616,14 +606,11 @@ class BatchExecutor:
             overlapped: dict[int, np.ndarray] = {}
             for dataset_id in ordered:
                 tree = trees[dataset_id]
-                window[dataset_id] += 1
                 if tree.version == prepared.tables0[dataset_id].version:
                     overlapped[dataset_id] = prepared.needed0[(query.index, dataset_id)]
                 else:
-                    lo, hi = prepared.extended[dataset_id]
-                    row = window[dataset_id]
                     overlapped[dataset_id] = tree.leaves_overlapping_vectorized(
-                        Box(tuple(lo[row].tolist()), tuple(hi[row].tolist()))
+                        query.box.expand(tree.max_extent).clamp(tree.universe)
                     )
             decision = choose_route(directory, query.requested)
             report.route = decision.kind.value

@@ -133,6 +133,7 @@ def filter_groups(
         mask &= merged.dataset_ids == owners
         return [merged.materialize(mask)], [len(owners)]
     queries = np.repeat([query for query, _, _ in plan], sizes)
+    q_lo, q_hi = np.asarray(q_lo), np.asarray(q_hi)
     mask = intersect_mask(q_lo[queries], q_hi[queries], merged.lo, merged.hi)
     mask &= merged.dataset_ids == owners
     hits = merged.materialize(mask)

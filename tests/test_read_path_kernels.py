@@ -361,6 +361,10 @@ def test_batch_filter_equals_per_query_reference(batch):
     hits, examined = batch_filter(plans, boxes)
     assert (hits, examined) == reference_filter(plans, boxes)
     assert all(type(count) is int for count in examined)
+    # Window corners given as sequences rather than arrays, at any batch size.
+    entries = [(index, owner, group) for index, plan in enumerate(plans) for owner, group in plan]
+    as_lists = filter_groups(entries, [box.lo for box in boxes], [box.hi for box in boxes])
+    assert as_lists == (hits, examined)
 
 
 #: Finite coordinates, often a signed zero or a small integer so corners coincide.
