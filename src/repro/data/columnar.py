@@ -84,15 +84,19 @@ class DecodedGroup:
             bad = np.nonzero(~valid)[0][0]
             Box(tuple(lo[bad].tolist()), tuple(hi[bad].tolist()))
         # Bulk ndarray->list conversion of just the selected rows beats
-        # per-element casts without ever touching unselected records.
+        # per-element casts without ever touching unselected records.  The
+        # corners convert column by column and zip straight into tuples: a
+        # row-by-row ``tolist()`` would leave two short-lived lists per hit,
+        # which in a batch-sized call push the cyclic collector into an
+        # extra full collection mid-batch.
         trusted = Box._trusted
         return [
-            SpatialObject(oid=oid, dataset_id=dataset_id, box=trusted(tuple(low), tuple(high)))
+            SpatialObject(oid=oid, dataset_id=dataset_id, box=trusted(low, high))
             for oid, dataset_id, low, high in zip(
                 self.oids[rows].tolist(),
                 self.dataset_ids[rows].tolist(),
-                lo.tolist(),
-                hi.tolist(),
+                zip(*lo.T.tolist()),
+                zip(*hi.T.tolist()),
             )
         ]
 
