@@ -583,14 +583,14 @@ class BatchExecutor:
     def _replay_updates(self, prepared: PreparedBatch) -> list[QueryReport]:
         """Apply statistics, refinement and merging in sequential order.
 
-        Works on the *current* trees: the rows each query retrieved are
-        re-resolved whenever a tree was refined since overlap resolution,
-        and each query goes through the sequential writer half, which makes
-        every refinement decision, statistics update, LRU stamp and merge
-        trigger identical to sequential execution.
+        Works on the *current* trees: each query goes through the sequential
+        writer half, handed the rows it retrieved from every tree that has
+        not been refined since overlap resolution (the writer half
+        re-resolves the others), which makes every refinement decision,
+        statistics update, LRU stamp and merge trigger identical to
+        sequential execution.
         """
         processor = self._processor
-        directory = processor.directory
         trees = processor.live_trees
         pool = processor.catalog.datasets()[0].disk.buffer_pool
         reports: list[QueryReport] = []
@@ -603,23 +603,16 @@ class BatchExecutor:
                 for dataset_id in ordered
                 if prepared.first_touch.get(dataset_id) == query.index
             ]
-            overlapped: dict[int, np.ndarray] = {}
-            for dataset_id in ordered:
-                tree = trees[dataset_id]
-                if tree.version == prepared.tables0[dataset_id].version:
-                    overlapped[dataset_id] = prepared.needed0[(query.index, dataset_id)]
-                else:
-                    overlapped[dataset_id] = tree.leaves_overlapping_vectorized(
-                        query.box.expand(tree.max_extent).clamp(tree.universe)
-                    )
-            decision = choose_route(directory, query.requested)
-            report.route = decision.kind.value
             report.objects_examined = prepared.examined[query.index]
             report.results = len(prepared.results[query.index])
-            processor.commit_query(query.box, query.requested, overlapped, decision, report)
+            unmoved = {
+                dataset_id: prepared.needed0[(query.index, dataset_id)]
+                for dataset_id in ordered
+                if trees[dataset_id].version == prepared.tables0[dataset_id].version
+            }
+            processor.commit_query(query.box, query.requested, report, unmoved)
             report.cache = prepared.cache_deltas[query.index] + pool.counters().delta_since(
                 cache_start
             )
-            processor.note_executed(report)
             reports.append(report)
         return reports

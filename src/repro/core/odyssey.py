@@ -192,10 +192,12 @@ class SpaceOdyssey(MultiDatasetIndex):
 
         Re-opens the raw dataset files (which survive any crash intact),
         deletes every derived file (partition and merge files may be torn)
-        and deterministically replays the committed query log, yielding an
-        engine whose adaptive state, derived on-disk bytes and subsequent
-        answers are bit-identical to a never-crashed engine that executed
-        the same committed prefix.  See :mod:`repro.core.recovery`.
+        and deterministically replays the committed query log through the
+        writer half only — first touch, refinement, statistics, merging;
+        no answer is recomputed — yielding an engine whose adaptive state,
+        derived on-disk bytes and subsequent answers are bit-identical to a
+        never-crashed engine that executed the same committed prefix.  See
+        :mod:`repro.core.recovery`.
         """
         from repro.core.recovery import recover
 

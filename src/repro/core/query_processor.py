@@ -23,6 +23,8 @@ without re-deriving it from disk counters.
 The batch executor (:mod:`repro.core.batch`) shares the pieces: the
 query check, the first-touch routine (step 1), the read planner (step 4)
 and the writer half (steps 5–6, :meth:`QueryProcessor.commit_query`).
+Recovery replays a committed query through the check, the first touch
+and the writer half alone.
 """
 
 from __future__ import annotations
@@ -103,13 +105,22 @@ class QueryReport:
     decoded-array layer) attributed to this query; for batched execution
     the attribution is approximate (reads are shared across the batch) and
     the field is excluded from the batch-vs-sequential identity guarantee.
+
+    A query that recovery replays runs the writer half only: ``route``, the
+    partition counts, ``refinements`` and the merge fields are filled,
+    ``objects_examined`` and ``results`` stay 0 — as ``last_report`` shows
+    right after ``recover()``.
     """
 
     query_index: int
     requested: tuple[int, ...]
     route: str = RouteKind.NONE.value
     initialized_datasets: list[int] = field(default_factory=list)
+    #: Leaves the extended window overlaps, summed over the requested
+    #: datasets — empty leaves included, so this is not the number of
+    #: groups read (perfbench's ``core.partition.leaves_per_q``).
     partitions_read: int = 0
+    #: Of those, the leaves whose segment the routed merge file holds.
     partitions_from_merge: int = 0
     objects_examined: int = 0
     results: int = 0
@@ -258,48 +269,64 @@ class QueryProcessor:
                 initialized.append(dataset_id)
         return initialized
 
+    def _overlapped_rows(self, box: Box, dataset_id: int) -> np.ndarray:
+        """Step 2: the rows of the dataset's current leaf table its extended window overlaps."""
+        tree = self._trees[dataset_id]
+        return tree.leaves_overlapping_vectorized(box.expand(tree.max_extent).clamp(tree.universe))
+
     def commit_query(
         self,
         box: Box,
         requested: frozenset[int],
-        overlapped: Mapping[int, np.ndarray],
-        decision: RoutingDecision,
         report: QueryReport,
+        overlapped: Mapping[int, np.ndarray] | None = None,
+        decision: RoutingDecision | None = None,
     ) -> None:
-        """Steps 5–6, the writer half of one query, against the *current* state.
+        """The writer half of one query, under the gate, against the *current* state.
 
-        ``overlapped`` holds each requested dataset's overlapped rows of
-        its tree's current leaf table.  Their keys enter the statistics,
-        which advances the logical clock; the rows the Adaptor picks are
-        refined, in search order, each shifted by the rows the splits
-        before it added; the merge file read (if any) is stamped as used;
-        then the merger gets its chance.  Fills ``report``.
+        Resolves the rows ``overlapped`` lacks and routes unless given a
+        ``decision``, but reads no partition: recovery replays a query
+        through this alone.  The rows' keys enter the statistics, which
+        advances the logical clock; the rows the Adaptor picks are refined,
+        in search order, each shifted by the rows the splits before it
+        added; the merge file routed to (if any) is stamped as used; the
+        merger gets its chance; the query counts as executed.
         """
-        info = decision.merge_info
-        keys = set()
-        for dataset_id, rows in overlapped.items():
-            table = self._trees[dataset_id].leaf_snapshot()
-            hit = [table.keys[row] for row in rows.tolist()]
-            keys.update(hit)
-            report.partitions_read += len(hit)
-            if info is not None and dataset_id in decision.covered_datasets:
-                report.partitions_from_merge += sum(
-                    info.has_segment(key, dataset_id) for key in hit
-                )
-        for dataset_id, rows in overlapped.items():
-            tree = self._trees[dataset_id]
-            table = tree.leaf_snapshot()
-            for row in self._adaptor.candidates(table, rows, box):
-                shift = len(tree.leaf_snapshot()) - len(table)
-                if self._adaptor.maybe_refine(tree, row + shift, box).refined:
-                    report.refinements += 1
-        self._statistics.record_query(requested, keys, query_volume=box.volume())
-        if info is not None:
-            self._merger.mark_used(info.combination)
-        merge_outcome = self._merger.maybe_merge(requested, self._trees)
-        report.merged = merge_outcome.merged
-        report.merge_new_partitions = merge_outcome.new_partitions
-        report.evicted_merge_files = len(merge_outcome.evicted_combinations)
+        with self._gate:
+            given = overlapped or {}
+            overlapped = {
+                d: given[d] if d in given else self._overlapped_rows(box, d)
+                for d in sorted(requested)
+            }
+            if decision is None:
+                decision = choose_route(self._directory, requested)
+            report.route = decision.kind.value
+            info = decision.merge_info
+            keys = set()
+            for dataset_id, rows in overlapped.items():
+                table = self._trees[dataset_id].leaf_snapshot()
+                hit = [table.keys[row] for row in rows.tolist()]
+                keys.update(hit)
+                report.partitions_read += len(hit)
+                if info is not None and dataset_id in decision.covered_datasets:
+                    report.partitions_from_merge += sum(
+                        info.has_segment(key, dataset_id) for key in hit
+                    )
+            for dataset_id, rows in overlapped.items():
+                tree = self._trees[dataset_id]
+                table = tree.leaf_snapshot()
+                for row in self._adaptor.candidates(table, rows, box):
+                    shift = len(tree.leaf_snapshot()) - len(table)
+                    if self._adaptor.maybe_refine(tree, row + shift, box).refined:
+                        report.refinements += 1
+            self._statistics.record_query(requested, keys, query_volume=box.volume())
+            if info is not None:
+                self._merger.mark_used(info.combination)
+            merge_outcome = self._merger.maybe_merge(requested, self._trees)
+            report.merged = merge_outcome.merged
+            report.merge_new_partitions = merge_outcome.new_partitions
+            report.evicted_merge_files = len(merge_outcome.evicted_combinations)
+            self.note_executed(report)
 
     # ------------------------------------------------------------------ #
     # Telemetry (observation only)
@@ -414,17 +441,12 @@ class QueryProcessor:
         report.initialized_datasets = self.initialize_trees(ordered)
 
         # 2. The overlapped rows, in search order: one kernel call per tree.
-        overlapped: dict[int, np.ndarray] = {}
-        for dataset_id in ordered:
-            tree = self._trees[dataset_id]
-            extended = box.expand(tree.max_extent).clamp(tree.universe)
-            overlapped[dataset_id] = tree.leaves_overlapping_vectorized(extended)
+        overlapped = {dataset_id: self._overlapped_rows(box, dataset_id) for dataset_id in ordered}
 
         # 3-4. Route and plan; the planned groups decode into columnar arrays
         # and go through the batch filter as a batch of one: one window+dataset
         # mask filters them all, and only hits become objects.
         decision = choose_route(self._directory, requested)
-        report.route = decision.kind.value
         tables = [(d, self._trees[d].leaf_snapshot(), rows) for d, rows in overlapped.items()]
         plan = plan_reads(tables, decision, self._tree_file, self._merge_file)
         dimension = self._catalog.dimension
@@ -441,10 +463,9 @@ class QueryProcessor:
         report.results = len(results)
 
         # 5-6. Refinement, statistics and merging.
-        self.commit_query(box, requested, overlapped, decision, report)
+        self.commit_query(box, requested, report, overlapped, decision)
         report.cache = self._disk.buffer_pool.counters().delta_since(cache_start)
         report.retries = self._disk.stats.retries - retries_start
-        self.note_executed(report)
         return results
 
     def _tree_file(self, dataset_id: int) -> PagedFile[SpatialObject]:

@@ -29,17 +29,21 @@ version-1 manifest, reads the same way):
 2. **delete every derived file** — partition files and merge files may be
    torn by the crash, and all of them can be regenerated;
 3. construct a fresh engine and replay the committed queries in order
-   with journaling disabled.  Determinism makes the replayed state —
-   including on-disk partition and merge bytes — bit-identical to the
-   state of a never-crashed engine after the same committed prefix;
+   with journaling disabled, through the writer half only
+   (:meth:`QueryProcessor.commit_query` after the first touch): no
+   answer is recomputed, since answers never feed adaptation.
+   Determinism makes the replayed state — including on-disk partition
+   and merge bytes — bit-identical to the state of a never-crashed
+   engine after the same committed prefix;
 4. re-attach the journal so subsequent commits extend the same log.
 
 A crash *during* recovery is harmless: replay writes nothing to the
 journal, so recovery can simply be run again.
 
-The physical cost is replaying the committed workload; compacting the
-log against a checkpoint of the derived files is future work recorded in
-ROADMAP.md.
+The physical cost is replaying the committed workload's adaptation —
+first touches, refinements, merges — but none of its answer reads;
+compacting the log against a checkpoint of the derived files is future
+work recorded in ROADMAP.md.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from dataclasses import asdict
 from typing import TYPE_CHECKING, Iterable
 
 from repro.core.config import OdysseyConfig
+from repro.core.query_processor import QueryReport
 from repro.data.dataset import Dataset, DatasetCatalog, raw_file_name
 from repro.geometry.box import Box
 from repro.storage.backend import FileSystemBackend, StorageBackend, flat_file_name
@@ -313,8 +318,14 @@ def recover(
         for spec in specs
     ]
     engine = SpaceOdyssey(DatasetCatalog(datasets), config)
+    processor = engine._processor
     for entry in manifest["queries"]:
-        engine.query(_decode_box(entry), entry["ids"])
+        box = _decode_box(entry)
+        requested = processor.check_query(box, entry["ids"])
+        ordered = tuple(sorted(requested))
+        report = QueryReport(query_index=processor.queries_executed, requested=ordered)
+        report.initialized_datasets = processor.initialize_trees(ordered)
+        processor.commit_query(box, requested, report)
 
     engine.attach_journal(journal, committed=list(manifest["queries"]))
     logger.info(

@@ -12,19 +12,25 @@ contract holds from each.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 import zlib
+from collections import Counter
 
 import pytest
 
+import repro.core.batch as batch_module
+import repro.core.query_processor as query_processor_module
 from repro.bench.runner import generate_workload
 from repro.core.config import OdysseyConfig
 from repro.core.odyssey import SpaceOdyssey
 from repro.core.recovery import MANIFEST_VERSION, RecoveryError, encode_query, recover
-from repro.data.dataset import Dataset, DatasetCatalog
+from repro.data.columnar import DecodedGroup
+from repro.data.dataset import Dataset, DatasetCatalog, raw_file_name
 from repro.data.spatial_object import spatial_object_codec
 from repro.data.suite import BenchmarkSuite, build_benchmark_suite
+from repro.geometry.box import Box
 from repro.storage.backend import FileSystemBackend
 from repro.storage.cost_model import DiskModel
 from repro.storage.disk import Disk
@@ -33,7 +39,8 @@ from repro.storage.faults import FaultInjectingBackend, FaultPlan
 from repro.storage.journal import ManifestJournal
 from repro.storage.pagedfile import PagedFile
 
-from tests.test_batch_differential import adaptive_state, disk_files, packed_hits
+from tests.test_batch_differential import REPORT_FIELDS, adaptive_state, disk_files, packed_hits
+from tests.test_incremental_bookkeeping import check_tree
 
 CONFIG = OdysseyConfig(merge_threshold=1, min_merge_combination=2)
 
@@ -216,6 +223,124 @@ class TestRecoveryParity:
         again = SpaceOdyssey.recover(path, backend=survivor)
         assert adaptive_state(again) == state
         assert disk_files(again) == files
+
+
+# ---------------------------------------------------------------------- #
+# Replay applies the writer half only
+# ---------------------------------------------------------------------- #
+
+#: A merge-space budget of two pages: the 16-query workload below first
+#: touches every dataset, refines, merges three times and evicts once.
+EVICTING = OdysseyConfig(merge_threshold=1, min_merge_combination=2, merge_space_budget_pages=2)
+
+
+def reference_recover(path, survivor) -> SpaceOdyssey:
+    """The replay ``recover()`` did before it skipped the read half: wipe the
+    derived files, then one full ``query()`` per committed entry."""
+    manifest = ManifestJournal(path).read_last()
+    disk = Disk(
+        backend=survivor,
+        model=DiskModel(**manifest["catalog"]["model"]),
+        buffer_pages=manifest["catalog"]["buffer_pages"],
+    )
+    specs = manifest["catalog"]["datasets"]
+    raw = {raw_file_name(spec["name"]) for spec in specs}
+    for name in disk.list_files():
+        if name not in raw:
+            disk.delete_file(name)
+    datasets = [
+        Dataset.open(disk, spec["id"], spec["name"], universe=decode_box(spec["universe"]))
+        for spec in specs
+    ]
+    engine = SpaceOdyssey(DatasetCatalog(datasets), OdysseyConfig(**manifest["config"]))
+    for entry in manifest["queries"]:
+        engine.query(decode_box(entry), entry["ids"])
+    return engine
+
+
+def decode_box(data: dict) -> Box:
+    return Box(tuple(data["lo"]), tuple(data["hi"]))
+
+
+def leaf_tables(engine: SpaceOdyssey) -> dict:
+    """Every column ``check_tree`` compares, per dataset, after checking it."""
+    tables = {}
+    for dataset_id, tree in sorted(engine.trees.items()):
+        check_tree(tree, f"dataset {dataset_id}")
+        table = tree.leaf_snapshot()
+        tables[dataset_id] = (
+            table.keys,
+            table.runs,
+            table.n_records.tolist(),
+            table.level.tolist(),
+            table.volume.tolist(),
+            table.lo.tobytes(),
+            table.hi.tobytes(),
+        )
+    return tables
+
+
+def file_digests(engine: SpaceOdyssey) -> dict[str, str]:
+    """SHA-256 of every page file, pages in order."""
+    digests = {}
+    for name, pages in disk_files(engine).items():
+        digest = hashlib.sha256()
+        for page in pages:
+            digest.update(page)
+        digests[name] = digest.hexdigest()
+    return digests
+
+
+class TestWriterHalfReplay:
+    def test_recover_reads_no_answer_and_matches_the_query_replay(
+        self, base_suite, tmp_path, monkeypatch
+    ):
+        workload = make_workload(base_suite, n=16)
+        path = tmp_path / "journal.log"
+        engine = SpaceOdyssey(base_suite.fork().catalog, EVICTING, journal=path)
+        reports = []
+        for query in workload:
+            engine.query(query.box, query.dataset_ids)
+            reports.append(engine.last_report)
+        # The journal exercises every writer-half branch recovery replays.
+        assert sum(len(report.initialized_datasets) for report in reports) == 3
+        assert sum(report.refinements for report in reports) > 0
+        assert sum(report.merged for report in reports) > 0
+        assert sum(report.evicted_merge_files for report in reports) > 0
+        survivor = engine.disk.backend.clone()
+        del engine
+
+        counts: Counter = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module in (query_processor_module, batch_module):
+            for name in ("plan_reads", "filter_groups"):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        monkeypatch.setattr(
+            DecodedGroup, "materialize", counted("materialize", DecodedGroup.materialize)
+        )
+        recovered = SpaceOdyssey.recover(path, backend=survivor.clone())
+        assert counts == Counter(), f"recovery ran the read half: {dict(counts)}"
+
+        replayed = reference_recover(path, survivor.clone())
+        assert counts["plan_reads"] == len(workload)  # the counters do count
+        assert leaf_tables(recovered) == leaf_tables(replayed)
+        assert adaptive_state(recovered) == adaptive_state(replayed)
+        assert recovered.summary() == replayed.summary()
+        assert file_digests(recovered) == file_digests(replayed)
+
+        # The last replayed report: the writer half's fields, no answer.
+        report, reference = recovered.last_report, replayed.last_report
+        for name in REPORT_FIELDS:
+            if name != "results":
+                assert getattr(report, name) == getattr(reference, name), name
+        assert report.objects_examined == report.results == 0
 
 
 # ---------------------------------------------------------------------- #
