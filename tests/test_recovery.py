@@ -234,6 +234,10 @@ class TestRecoveryParity:
 EVICTING = OdysseyConfig(merge_threshold=1, min_merge_combination=2, merge_space_budget_pages=2)
 
 
+def decode_box(data: dict) -> Box:
+    return Box(tuple(data["lo"]), tuple(data["hi"]))
+
+
 def reference_recover(path, survivor) -> SpaceOdyssey:
     """The replay ``recover()`` did before it skipped the read half: wipe the
     derived files, then one full ``query()`` per committed entry."""
@@ -256,10 +260,6 @@ def reference_recover(path, survivor) -> SpaceOdyssey:
     for entry in manifest["queries"]:
         engine.query(decode_box(entry), entry["ids"])
     return engine
-
-
-def decode_box(data: dict) -> Box:
-    return Box(tuple(data["lo"]), tuple(data["hi"]))
 
 
 def leaf_tables(engine: SpaceOdyssey) -> dict:
