@@ -95,6 +95,9 @@ class Adaptor:
         max_extent = np.zeros(dataset.dimension, dtype=np.float64)
         if len(records):
             max_extent = (records["hi"] - records["lo"]).max(axis=0)
+            # Every extended window is valid by construction only if this holds.
+            if not (max_extent >= 0).all():
+                raise ValueError(f"dataset {dataset.name!r} stores a NaN or inverted box")
         groups = tree.assign_array_to_children(tree.universe, records)
         runs = tree.file.write_groups_array(groups)
         dataset.disk.charge_cpu_records(len(records))

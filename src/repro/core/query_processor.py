@@ -97,6 +97,23 @@ def plan_reads(
     return plan
 
 
+def _extended_window(tree, box: Box) -> Box:
+    """``box`` extended by the tree's maximum extent, clamped to its universe.
+
+    The floats of ``box.expand(tree.max_extent).clamp(tree.universe)``, bit
+    for bit: per axis the same IEEE subtraction or addition, then the same
+    Python ``max``/``min`` in the same order.  The corners are valid by
+    construction (a valid window, non-negative extents), so they skip the
+    two checking constructors; the batch's ``(m, d)`` counterpart is
+    :func:`repro.core.batch._extended_windows`.
+    """
+    extent, u_lo, u_hi = tree.max_extent, tree.universe.lo, tree.universe.hi
+    return Box._trusted(
+        tuple([min(max(low - e, a), b) for low, e, a, b in zip(box.lo, extent, u_lo, u_hi)]),
+        tuple([max(min(high + e, b), a) for high, e, a, b in zip(box.hi, extent, u_lo, u_hi)]),
+    )
+
+
 @dataclass
 class QueryReport:
     """Diagnostics of one executed query.
@@ -272,7 +289,7 @@ class QueryProcessor:
     def _overlapped_rows(self, box: Box, dataset_id: int) -> np.ndarray:
         """Step 2: the rows of the dataset's current leaf table its extended window overlaps."""
         tree = self._trees[dataset_id]
-        return tree.leaves_overlapping_vectorized(box.expand(tree.max_extent).clamp(tree.universe))
+        return tree.leaves_overlapping_vectorized(_extended_window(tree, box))
 
     def commit_query(
         self,

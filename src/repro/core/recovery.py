@@ -25,7 +25,10 @@ in; a journal written before deltas existed, every record a full
 version-1 manifest, reads the same way):
 
 1. re-open the raw dataset files (they are append-once and never touched
-   after creation, so they survive any crash intact);
+   after creation, so they survive any crash intact).  Opening reads no
+   page: a raw file is read when replay first touches its dataset, so a
+   log that touches k of n datasets reads k raw files, and a damaged raw
+   page raises its ``CorruptPageError`` at that first touch;
 2. **delete every derived file** — partition files and merge files may be
    torn by the crash, and all of them can be regenerated;
 3. construct a fresh engine and replay the committed queries in order

@@ -21,11 +21,18 @@ vectorised pass and :meth:`PagedFile.append_group_array` writes them all.
 Raw files are the only files that may be compressed (``compression="zlib"``
 in :meth:`Dataset.create`): they are written once and only read back.  A
 zlib page holds one page's records, and readers follow each page's header,
-so :meth:`Dataset.open` counts plain, zlib and formerly packed pages alike.
+so a dataset's object count reads plain, zlib and formerly packed pages alike.
+
+:meth:`Dataset.open` (what recovery calls per raw file) reads no page.  The
+object count of an opened dataset is taken by one scan the first time
+:attr:`Dataset.n_objects` is read, and kept; the engine itself never reads
+it, so a recovery that touches few datasets reads only those raw files, and
+a damaged raw page surfaces where the page is first read.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -79,16 +86,45 @@ def check_records(records: np.ndarray, dataset_id: int, universe: Box) -> None:
     raise ValueError(f"object {oid} lies outside the universe")
 
 
-@dataclass
+@dataclass(init=False)
 class Dataset:
-    """One raw spatial dataset stored as a paged file of object records."""
+    """One raw spatial dataset stored as a paged file of object records.
+
+    ``n_objects`` may be ``None`` (what :meth:`open` passes): the count is
+    then taken on first read.  It takes no part in equality.
+    """
 
     dataset_id: int
     name: str
     universe: Box
-    n_objects: int
     disk: Disk
     file: PagedFile[SpatialObject] = field(repr=False)
+
+    def __init__(
+        self,
+        dataset_id: int,
+        name: str,
+        universe: Box,
+        n_objects: int | None,
+        disk: Disk,
+        file: PagedFile[SpatialObject],
+    ) -> None:
+        self.dataset_id = dataset_id
+        self.name = name
+        self.universe = universe
+        self.disk = disk
+        self.file = file
+        self._n_objects = n_objects
+        self._count_lock = threading.Lock()
+
+    @property
+    def n_objects(self) -> int:
+        """Number of objects in the raw file (one scan on the first read if unknown)."""
+        if self._n_objects is None:
+            with self._count_lock:
+                if self._n_objects is None:
+                    self._n_objects = sum(len(chunk) for chunk in self.scan_arrays())
+        return self._n_objects
 
     @classmethod
     def create(
@@ -139,22 +175,21 @@ class Dataset:
 
     @classmethod
     def open(cls, disk: Disk, dataset_id: int, name: str, universe: Box) -> "Dataset":
-        """Attach to an existing raw file (counts objects with one scan).
+        """Attach to an existing raw file, reading none of its pages.
 
-        The count runs over :meth:`PagedFile.scan_arrays`: one sequential
-        pass with its disk charges and per-page CRC checks, without building
-        an object per record just to drop it.
+        :attr:`n_objects` is counted on its first read, over
+        :meth:`scan_arrays`: one sequential pass with its disk charges and
+        per-page CRC checks, without building an object per record.
         """
         codec = spatial_object_codec(universe.dimension)
         file: PagedFile[SpatialObject] = PagedFile(disk, raw_file_name(name), codec)
         if not file.exists():
             raise ValueError(f"no raw file for dataset {name!r}")
-        count = sum(len(chunk) for chunk in file.scan_arrays())
         return cls(
             dataset_id=dataset_id,
             name=name,
             universe=universe,
-            n_objects=count,
+            n_objects=None,
             disk=disk,
             file=file,
         )

@@ -18,7 +18,7 @@ from repro.geometry.box import Box
 from repro.storage.codec import FixedRecordCodec
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SpatialObject:
     """A volumetric object: an id, the dataset it belongs to, and its MBR.
 
@@ -35,6 +35,14 @@ class SpatialObject:
     oid: int
     dataset_id: int
     box: Box
+
+    def __init__(self, oid: int, dataset_id: int, box: Box) -> None:
+        # What the generated frozen ``__init__`` does (it validates
+        # nothing either), minus one ``object.__setattr__`` lookup per
+        # field: the slots' member descriptors set the fields directly.
+        _set_oid(self, oid)
+        _set_dataset_id(self, dataset_id)
+        _set_box(self, box)
 
     @property
     def center(self) -> tuple[float, ...]:
@@ -53,6 +61,11 @@ class SpatialObject:
     def intersects(self, box: Box) -> bool:
         """Whether the object's MBR intersects ``box``."""
         return self.box.intersects(box)
+
+
+_set_oid = SpatialObject.oid.__set__
+_set_dataset_id = SpatialObject.dataset_id.__set__
+_set_box = SpatialObject.box.__set__
 
 
 def spatial_object_codec(dimension: int) -> FixedRecordCodec[SpatialObject]:

@@ -264,10 +264,14 @@ class Box:
 
     @classmethod
     def _trusted(cls, lo: tuple[float, ...], hi: tuple[float, ...]) -> "Box":
-        """Build a box whose corners are valid by construction (no checks)."""
+        """Build a box whose corners are valid by construction (no checks).
+
+        The corners go straight into the slots through their member
+        descriptors, past the frozen ``__setattr__``.
+        """
         box = object.__new__(cls)
-        object.__setattr__(box, "lo", lo)
-        object.__setattr__(box, "hi", hi)
+        _set_lo(box, lo)
+        _set_hi(box, hi)
         return box
 
     def grid_cells_overlapping(
@@ -335,3 +339,7 @@ class Box:
         lo = ", ".join(f"{c:g}" for c in self.lo)
         hi = ", ".join(f"{c:g}" for c in self.hi)
         return f"Box([{lo}] .. [{hi}])"
+
+
+_set_lo = Box.lo.__set__
+_set_hi = Box.hi.__set__

@@ -135,14 +135,19 @@ class TestCostsPerChange:
         reopened = Dataset.open(
             fresh, dataset.dataset_id, dataset.name, universe=dataset.universe
         )
-        assert scalar_decodes[0] == 0
+        # Opening reads nothing; the first read of the count is one scan,
+        # and the count is kept.
+        assert fresh.stats_snapshot().pages_read == 0
         assert reopened.n_objects == scalar_count == dataset.n_objects
+        assert scalar_decodes[0] == 0
         stats = fresh.stats_snapshot()
         assert (stats.pages_read, stats.seeks, stats.io_seconds) == (
             charged.pages_read,
             charged.seeks,
             charged.io_seconds,
         )
+        assert reopened.n_objects == scalar_count
+        assert fresh.stats_snapshot() == stats
 
 
 # ---------------------------------------------------------------------- #

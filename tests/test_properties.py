@@ -3,6 +3,12 @@
 These cover the invariants DESIGN.md commits to:
 
 * geometric identities of :class:`Box`;
+* the read path's unchecked builders equal the checked ones they replaced:
+  the sequential and the batch extended windows are the floats of
+  ``Box.expand(...).clamp(...)`` bit for bit, and ``SpatialObject``'s own
+  ``__init__`` and ``Box._trusted`` behave like the generated ``__init__``
+  and the checking constructor (equality, hash, repr, frozenness,
+  ``dataclasses`` helpers, pickling);
 * binary codec round-trips;
 * PagedFile group writes never lose or duplicate records, with or without
   in-place page reuse;
@@ -31,9 +37,14 @@ These cover the invariants DESIGN.md commits to:
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import itertools
 import math
 import os
+import pickle
+import struct
+from dataclasses import make_dataclass
 
 import numpy as np
 import pytest
@@ -45,12 +56,14 @@ from repro.baselines.grid import GridIndex
 from repro.baselines.interface import result_keys
 from repro.baselines.rtree import STRRTree
 from repro.core.adaptor import Adaptor
+from repro.core.batch import _extended_windows
 from repro.core.config import OdysseyConfig
 from repro.core.odyssey import SpaceOdyssey
 from repro.data.dataset import Dataset, DatasetCatalog
 from repro.data.spatial_object import SpatialObject, spatial_object_codec
 from repro.geometry.box import Box
 from repro.core.partition import PartitionTree
+from repro.core.query_processor import _extended_window
 from repro.geometry.vectorized import boxes_to_arrays, intersect_mask, intersect_matrix
 from repro.storage.codec import FixedRecordCodec
 from repro.storage.cost_model import DiskModel
@@ -69,6 +82,7 @@ from tests.scalar_reference import (
     write_groups,
 )
 from tests.test_incremental_bookkeeping import check_tree
+from tests.test_read_path_kernels import signed_zero_window_case, window_cases
 from tests.test_refine_path import reference_assign_array
 
 UNIVERSE = Box((0.0, 0.0, 0.0), (100.0, 100.0, 100.0))
@@ -183,6 +197,100 @@ class TestBoxProperties:
         }
         listed = set(box.grid_cells_overlapping(query, cells))
         assert exact <= listed
+
+
+def packed(corner) -> list[bytes]:
+    """A corner's floats as their IEEE bytes, so that -0.0 and 0.0 differ."""
+    return [struct.pack("<d", value) for value in corner]
+
+
+#: The generated frozen ``__init__`` that :class:`SpatialObject`'s own
+#: replaced, kept as the reference model (same name, so reprs compare).
+GeneratedSpatialObject = make_dataclass(
+    "SpatialObject", [("oid", int), ("dataset_id", int), ("box", Box)], frozen=True, slots=True
+)
+
+
+class TestTrustedConstructionProperties:
+    """The read path's unchecked builders equal the checked ones they replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(window_cases())
+    @example(signed_zero_window_case())
+    def test_scalar_and_array_windows_equal_the_box_reference_bit_for_bit(self, case):
+        """Windows partly or wholly outside the universe, zero extents, degenerate boxes."""
+        tree, windows = case
+        lo, hi = _extended_windows(
+            tree,
+            np.array([window.lo for window in windows], dtype=np.float64),
+            np.array([window.hi for window in windows], dtype=np.float64),
+        )
+        for row, window in enumerate(windows):
+            expected = window.expand(tree.max_extent).clamp(tree.universe)
+            scalar = _extended_window(tree, window)
+            assert type(scalar) is Box
+            assert packed(scalar.lo) == packed(expected.lo)
+            assert packed(scalar.hi) == packed(expected.hi)
+            assert packed(lo[row].tolist()) == packed(expected.lo)
+            assert packed(hi[row].tolist()) == packed(expected.hi)
+
+    @given(
+        st.integers(-(2**63), 2**63 - 1),
+        st.integers(0, 2**31),
+        maybe_degenerate_boxes(),
+        st.integers(-(2**63), 2**63 - 1),
+    )
+    def test_spatial_object_init_matches_the_generated_one(self, oid, dataset_id, box, other):
+        obj = SpatialObject(oid, dataset_id, box)
+        reference = GeneratedSpatialObject(oid, dataset_id, box)
+        assert obj == SpatialObject(oid=oid, dataset_id=dataset_id, box=box)
+        assert (obj == SpatialObject(other, dataset_id, box)) == (
+            reference == GeneratedSpatialObject(other, dataset_id, box)
+        )
+        assert hash(obj) == hash(reference)
+        assert repr(obj) == repr(reference)
+        assert list(inspect.signature(SpatialObject).parameters) == list(
+            inspect.signature(GeneratedSpatialObject).parameters
+        )
+        assert [f.name for f in dataclasses.fields(obj)] == [
+            f.name for f in dataclasses.fields(reference)
+        ]
+        assert dataclasses.asdict(obj) == dataclasses.asdict(reference)
+        moved = dataclasses.replace(obj, oid=other)
+        assert type(moved) is SpatialObject
+        assert repr(moved) == repr(dataclasses.replace(reference, oid=other))
+        for instance in (obj, reference):
+            for name in ("oid", "dataset_id", "box"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(instance, name, getattr(instance, name))
+        restored = pickle.loads(pickle.dumps(obj))
+        assert type(restored) is SpatialObject
+        assert restored == obj and repr(restored) == repr(obj)
+
+    @given(maybe_degenerate_boxes(), maybe_degenerate_boxes())
+    def test_trusted_box_matches_the_checked_constructor(self, box, other):
+        trusted = Box._trusted(box.lo, box.hi)
+        checked = Box(box.lo, box.hi)
+        assert type(trusted) is Box
+        assert trusted == checked
+        assert (trusted == other) == (checked == other)
+        assert hash(trusted) == hash(checked)
+        assert repr(trusted) == repr(checked)
+        assert dataclasses.asdict(trusted) == dataclasses.asdict(checked)
+
+        def replaced(instance):
+            try:
+                return dataclasses.replace(instance, hi=other.hi)
+            except ValueError as exc:  # the checked constructor refuses the corners
+                return str(exc)
+
+        assert replaced(trusted) == replaced(checked)
+        for name in ("lo", "hi"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(trusted, name, getattr(trusted, name))
+        restored = pickle.loads(pickle.dumps(trusted))
+        assert type(restored) is Box
+        assert restored == checked and packed(restored.lo) == packed(checked.lo)
 
 
 class TestCodecProperties:

@@ -7,7 +7,9 @@ reads (:func:`repro.data.columnar.filter_groups`, a query being a batch of
 one); for a batch, one ``intersect_matrix`` per requested dataset and one
 mask and one materialisation for the whole batch.  A new loop over groups
 or queries, a per-leaf Python check or a per-object validity check is a
-regression these counts catch without a stopwatch.
+regression these counts catch without a stopwatch.  At a fixed point a
+query also validates no ``Box`` at all: windows and hits are built from
+floats that are valid by construction.
 
 The module also keeps the reference models the fused paths replaced: the
 per-group filter loop (reduce-based mask, checked ``Box`` per hit), the
@@ -261,6 +263,33 @@ def test_sequential_query_is_a_handful_of_kernels(scenario, calls):
     assert engine.summary().total_partitions > 4 * 8, "the scenario never refined"
 
 
+def test_fixed_point_query_validates_no_box(scenario, monkeypatch):
+    """At the fixed point ``query()`` runs no checking ``Box`` constructor.
+
+    Each requested tree's extended window is built from the query's corner
+    floats (formerly ``expand(...).clamp(...)``: two checked boxes per
+    tree) and every hit's box through ``Box._trusted``.
+    """
+    suite, queries = scenario
+    engine = SpaceOdyssey(suite.fork().catalog, CONFIG)
+    explore(engine, queries)
+    checked: Counter = Counter()
+    post_init = Box.__post_init__
+
+    def counted(self):
+        checked["boxes"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(Box, "__post_init__", counted)
+    hits = trees = 0
+    for box, ids in queries:
+        hits += len(engine.query(box, ids))
+        trees += len(set(ids))
+        assert engine.last_report.refinements == 0 and not engine.last_report.merged
+    assert hits > 0 and trees > len(queries)
+    assert checked["boxes"] == 0
+
+
 @pytest.mark.parametrize("mode", ["batch", "thread", "snapshot", "prepare-commit"])
 def test_batch_is_one_matrix_per_dataset_one_mask_and_one_materialize(scenario, calls, mode):
     """Batches: one ``intersect_matrix`` per requested dataset, <= 1 mask, <= 1 materialise."""
@@ -388,7 +417,7 @@ def window_cases(draw):
     return SimpleNamespace(max_extent=extent, universe=universe), boxes
 
 
-def _signed_zero_case():
+def signed_zero_window_case():
     """Window corners that equal the universe's up to the sign of zero."""
     universe = Box((0.0, -0.0), (-0.0, 0.0))
     boxes = [Box((-0.0, 0.0), (0.0, -0.0)), Box((-1.0, -0.0), (-0.0, 2.0))]
@@ -397,7 +426,7 @@ def _signed_zero_case():
 
 @settings(max_examples=200, deadline=None)
 @given(window_cases())
-@example(_signed_zero_case())
+@example(signed_zero_window_case())
 def test_window_arrays_equal_box_corners_bit_for_bit(case):
     """The batch's window arrays are the reference ``Box`` corners, sign of zero included."""
     tree, boxes = case
@@ -518,6 +547,18 @@ def test_selected_inverted_box_raises_on_every_engine(mode):
     )
     with pytest.raises(ValueError, match="inverted box on axis 1"):
         run_queries(engine, mode, [(selecting, (0, 1)), grazing[0]])
+
+
+@pytest.mark.parametrize("mode", ENGINES)
+def test_stored_nan_extent_raises_at_first_touch_on_every_engine(mode):
+    """A NaN corner makes the dataset's maximum extent NaN: the first touch
+    refuses it, so no engine extends a window by it."""
+    catalog, _ = corrupt_catalog("nan")
+    engine = (ScalarOdyssey if mode == "scalar" else SpaceOdyssey)(
+        catalog, OdysseyConfig(partitions_per_level=8)
+    )
+    with pytest.raises(ValueError, match="NaN"):
+        run_queries(engine, mode, [(Box((1.0, 1.0, 1.0), (2.0, 2.0, 2.0)), (0, 1))])
 
 
 @pytest.mark.parametrize("kind,message", [("inverted", "inverted box on axis 1"), ("nan", "NaN")])

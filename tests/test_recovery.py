@@ -23,6 +23,7 @@ import pytest
 import repro.core.batch as batch_module
 import repro.core.query_processor as query_processor_module
 from repro.bench.runner import generate_workload
+from repro.core.adaptor import Adaptor
 from repro.core.config import OdysseyConfig
 from repro.core.odyssey import SpaceOdyssey
 from repro.core.recovery import MANIFEST_VERSION, RecoveryError, encode_query, recover
@@ -34,7 +35,7 @@ from repro.geometry.box import Box
 from repro.storage.backend import FileSystemBackend
 from repro.storage.cost_model import DiskModel
 from repro.storage.disk import Disk
-from repro.storage.errors import SimulatedCrash
+from repro.storage.errors import CorruptPageError, SimulatedCrash
 from repro.storage.faults import FaultInjectingBackend, FaultPlan
 from repro.storage.journal import ManifestJournal
 from repro.storage.pagedfile import PagedFile
@@ -341,6 +342,79 @@ class TestWriterHalfReplay:
             if name != "results":
                 assert getattr(report, name) == getattr(reference, name), name
         assert report.objects_examined == report.results == 0
+
+
+class TestRawFilesReadAtFirstTouch:
+    """Opening a raw file reads nothing: replay reads the raw files it touches."""
+
+    @pytest.fixture
+    def journaled(self, base_suite, tmp_path):
+        """A journal whose queries touch datasets 0 and 1 of three; its survivor."""
+        path = tmp_path / "journal.log"
+        engine = SpaceOdyssey(base_suite.fork().catalog, CONFIG, journal=path)
+        for query in generate_workload(
+            base_suite.universe, [0, 1], 6, seed=5, datasets_per_query=2, volume_fraction=5e-3
+        ):
+            engine.query(query.box, query.dataset_ids)
+        survivor = engine.disk.backend.clone()
+        del engine
+        return path, survivor, base_suite.datasets
+
+    @staticmethod
+    def corrupt(survivor, dataset) -> None:
+        name = raw_file_name(dataset.name)
+        page = bytearray(survivor.read(name, 1))
+        page[200] ^= 0xFF
+        survivor.write(name, 1, bytes(page))
+
+    def test_recover_reads_only_the_raw_files_it_touches(self, journaled, monkeypatch):
+        path, survivor, datasets = journaled
+        reads: Counter = Counter()
+        real_read = type(survivor).read
+
+        def counting_read(self, name, page_no):
+            reads[name] += 1
+            return real_read(self, name, page_no)
+
+        monkeypatch.setattr(type(survivor), "read", counting_read)
+        recovered = recover(path, backend=survivor)
+        raw_names = [raw_file_name(dataset.name) for dataset in datasets]
+        touched = {name: survivor.num_pages(name) for name in raw_names[:2]}
+        assert {name: reads[name] for name in raw_names if reads[name]} == touched
+        assert sorted(recovered.trees) == [0, 1]
+
+    def test_corrupt_raw_page_of_an_untouched_dataset_does_not_stop_recovery(self, journaled):
+        path, survivor, datasets = journaled
+        intact = recover(path, backend=survivor.clone())
+        self.corrupt(survivor, datasets[2])
+        recovered = recover(path, backend=survivor)
+        assert recovered.summary() == intact.summary()
+        assert adaptive_state(recovered) == adaptive_state(intact)
+
+    def test_corrupt_raw_page_of_a_touched_dataset_raises_at_first_touch(
+        self, journaled, monkeypatch
+    ):
+        path, survivor, datasets = journaled
+        bad = datasets[0]
+        self.corrupt(survivor, bad)
+        opened = Dataset.open(Disk(backend=survivor.clone()), 0, bad.name, bad.universe)
+        with pytest.raises(CorruptPageError) as counted:
+            opened.n_objects
+        failed = []
+        initialize = Adaptor.initialize
+
+        def watched(self, tree):
+            try:
+                initialize(self, tree)
+            except CorruptPageError:
+                failed.append(tree.dataset.dataset_id)
+                raise
+
+        monkeypatch.setattr(Adaptor, "initialize", watched)
+        with pytest.raises(CorruptPageError) as replayed:
+            recover(path, backend=survivor)
+        assert failed == [0]
+        assert str(replayed.value) == str(counted.value)
 
 
 # ---------------------------------------------------------------------- #
