@@ -45,6 +45,7 @@ import os
 import pickle
 import struct
 from dataclasses import make_dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -82,7 +83,6 @@ from tests.scalar_reference import (
     write_groups,
 )
 from tests.test_incremental_bookkeeping import check_tree
-from tests.test_read_path_kernels import signed_zero_window_case, window_cases
 from tests.test_refine_path import reference_assign_array
 
 UNIVERSE = Box((0.0, 0.0, 0.0), (100.0, 100.0, 100.0))
@@ -199,6 +199,37 @@ class TestBoxProperties:
         assert exact <= listed
 
 
+#: Finite window coordinates, often a signed zero or a small integer so corners coincide.
+window_coordinate = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(
+    -1e6, 1e6, allow_nan=False
+)
+window_length = st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(0.0, 1e6)
+
+
+@st.composite
+def window_cases(draw):
+    """Universes (degenerate slabs allowed), extents (zeros allowed) and windows spilling past."""
+    dimension = draw(st.integers(1, 3))
+    u_lo = draw(st.tuples(*[window_coordinate] * dimension))
+    u_side = draw(st.tuples(*[window_length] * dimension))
+    universe = Box(u_lo, tuple(a + b for a, b in zip(u_lo, u_side)))
+    extent = draw(st.tuples(*[window_length] * dimension))
+    boxes = []
+    for _ in range(draw(st.integers(1, 5))):
+        corner = window_coordinate | st.sampled_from(u_lo + universe.hi)
+        lo = draw(st.tuples(*[corner] * dimension))
+        side = draw(st.tuples(*[window_length] * dimension))
+        boxes.append(Box(lo, tuple(a + b for a, b in zip(lo, side))))
+    return SimpleNamespace(max_extent=extent, universe=universe), boxes
+
+
+def signed_zero_window_case():
+    """Window corners that equal the universe's up to the sign of zero."""
+    universe = Box((0.0, -0.0), (-0.0, 0.0))
+    boxes = [Box((-0.0, 0.0), (0.0, -0.0)), Box((-1.0, -0.0), (-0.0, 2.0))]
+    return SimpleNamespace(max_extent=(0.0, -0.0), universe=universe), boxes
+
+
 def packed(corner) -> list[bytes]:
     """A corner's floats as their IEEE bytes, so that -0.0 and 0.0 differ."""
     return [struct.pack("<d", value) for value in corner]
@@ -225,6 +256,7 @@ class TestTrustedConstructionProperties:
             np.array([window.lo for window in windows], dtype=np.float64),
             np.array([window.hi for window in windows], dtype=np.float64),
         )
+        assert lo.shape == hi.shape == (len(windows), tree.universe.dimension)
         for row, window in enumerate(windows):
             expected = window.expand(tree.max_extent).clamp(tree.universe)
             scalar = _extended_window(tree, window)

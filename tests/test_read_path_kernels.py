@@ -12,20 +12,20 @@ query also validates no ``Box`` at all: windows and hits are built from
 floats that are valid by construction.
 
 The module also keeps the reference models the fused paths replaced: the
-per-group filter loop (reduce-based mask, checked ``Box`` per hit), the
-per-query filter loop of the batch engine and its ``Box.expand(...).clamp(...)``
-windows.  The fused paths must return the references' hits in their order
-with their ``objects_examined``, and the window arrays their corners bit
-for bit.  The module also holds the stored-corruption regression: moving
-box validation from a ``__post_init__`` per hit to one vectorised test
-must not have dropped it.
+per-group filter loop (reduce-based mask, checked ``Box`` per hit) and the
+per-query filter loop of the batch engine.  The fused paths must return
+the references' hits in their order with their ``objects_examined``
+(``tests/test_properties.py`` holds both window builders to the
+``Box.expand(...).clamp(...)`` corners bit for bit).  The module also
+holds the stored-corruption regression: moving box validation from a
+``__post_init__`` per hit to one vectorised test must not have dropped
+it, and a NaN extent is refused at first touch on every engine.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,7 +34,6 @@ from hypothesis import strategies as st
 
 from repro.core import partition as partition_module
 from repro.core.adaptor import Adaptor
-from repro.core.batch import _extended_windows
 from repro.core.config import OdysseyConfig
 from repro.core.merge import choose_route
 from repro.core.odyssey import SpaceOdyssey
@@ -113,11 +112,6 @@ def reference_query(engine: SpaceOdyssey, box: Box, dataset_ids):
                 )
             )
     return hits, examined, groups
-
-
-def reference_windows(boxes, tree) -> list[Box]:
-    """The batch engine's former windows: one validated ``Box`` per query."""
-    return [box.expand(tree.max_extent).clamp(tree.universe) for box in boxes]
 
 
 def reference_filter(plans, boxes) -> tuple[list[list[SpatialObject]], list[int]]:
@@ -394,52 +388,6 @@ def test_batch_filter_equals_per_query_reference(batch):
     entries = [(index, owner, group) for index, plan in enumerate(plans) for owner, group in plan]
     as_lists = filter_groups(entries, [box.lo for box in boxes], [box.hi for box in boxes])
     assert as_lists == (hits, examined)
-
-
-#: Finite coordinates, often a signed zero or a small integer so corners coincide.
-coordinate = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-1e6, 1e6, allow_nan=False)
-length = st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(0.0, 1e6)
-
-
-@st.composite
-def window_cases(draw):
-    """Universes (degenerate slabs allowed), extents (zeros allowed) and windows spilling past."""
-    dimension = draw(st.integers(1, 3))
-    u_lo = draw(st.tuples(*[coordinate] * dimension))
-    u_side = draw(st.tuples(*[length] * dimension))
-    universe = Box(u_lo, tuple(a + b for a, b in zip(u_lo, u_side)))
-    extent = draw(st.tuples(*[length] * dimension))
-    boxes = []
-    for _ in range(draw(st.integers(1, 5))):
-        lo = draw(st.tuples(*[coordinate | st.sampled_from(u_lo + universe.hi)] * dimension))
-        side = draw(st.tuples(*[length] * dimension))
-        boxes.append(Box(lo, tuple(a + b for a, b in zip(lo, side))))
-    return SimpleNamespace(max_extent=extent, universe=universe), boxes
-
-
-def signed_zero_window_case():
-    """Window corners that equal the universe's up to the sign of zero."""
-    universe = Box((0.0, -0.0), (-0.0, 0.0))
-    boxes = [Box((-0.0, 0.0), (0.0, -0.0)), Box((-1.0, -0.0), (-0.0, 2.0))]
-    return SimpleNamespace(max_extent=(0.0, -0.0), universe=universe), boxes
-
-
-@settings(max_examples=200, deadline=None)
-@given(window_cases())
-@example(signed_zero_window_case())
-def test_window_arrays_equal_box_corners_bit_for_bit(case):
-    """The batch's window arrays are the reference ``Box`` corners, sign of zero included."""
-    tree, boxes = case
-    lo, hi = _extended_windows(
-        tree,
-        np.array([box.lo for box in boxes], dtype=np.float64),
-        np.array([box.hi for box in boxes], dtype=np.float64),
-    )
-    reference = reference_windows(boxes, tree)
-    for corners, side in ((lo, "lo"), (hi, "hi")):
-        expected = np.array([getattr(box, side) for box in reference], dtype=np.float64)
-        assert corners.shape == expected.shape
-        assert corners.view(np.uint64).tolist() == expected.view(np.uint64).tolist(), side
 
 
 # ---------------------------------------------------------------------- #
