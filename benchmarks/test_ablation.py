@@ -1,9 +1,12 @@
-"""Ablation benchmarks for Space Odyssey's design choices (DESIGN.md §5).
+"""Ablation benchmarks for Space Odyssey's design choices.
 
 The paper fixes ``rt = 4``, ``ppl = 64`` and ``mt = 2``; these benchmarks
 sweep the parameters the paper calls out (and lists as open issues) and
 record the total simulated workload time for each setting, so the effect of
-every design choice can be quantified at reproduction scale.
+every design choice can be quantified at reproduction scale.  Simulated
+time is deterministic, so the ppl sweep also asserts the paper's reason
+for 64, at the scales where it holds: it converges faster than 8 and
+costs less in total.
 """
 
 from __future__ import annotations
@@ -39,21 +42,38 @@ def _run_odyssey(environment, config: OdysseyConfig) -> float:
     return result.total_seconds
 
 
+#: Scales at which ppl = 64 measured a lower simulated total than ppl = 8
+#: (ppl 8 / ppl 64, seconds): bench-tiny 0.0823 / 0.0642, tiny 0.1013 /
+#: 0.0791, small 0.4756 / 0.3853.  At ``medium`` (3.832 / 5.353) and
+#: ``paper`` (13.475 / 21.441) the order is reversed, so there the sweep
+#: only records both totals.
+PPL_64_COSTS_LESS_AT = frozenset({"bench-tiny", "tiny", "small"})
+
+
 @pytest.mark.benchmark(group="ablation-ppl")
-@pytest.mark.parametrize("ppl", [8, 64])
-def test_partitions_per_level(benchmark, environment, scale, ppl):
-    """ppl = 8 (plain Octree) vs the paper's 64 (faster convergence)."""
+def test_partitions_per_level(benchmark, environment, scale):
+    """The paper's ppl = 64 converges faster than a plain Octree's 8, so it
+    costs less -- asserted at the scales of ``PPL_64_COSTS_LESS_AT`` only."""
     base = odyssey_config_for(scale)
-    config = OdysseyConfig(
-        refinement_threshold=base.refinement_threshold,
-        partitions_per_level=ppl,
-        merge_threshold=base.merge_threshold,
-        min_merge_combination=base.min_merge_combination,
+    configs = {
+        ppl: OdysseyConfig(
+            refinement_threshold=base.refinement_threshold,
+            partitions_per_level=ppl,
+            merge_threshold=base.merge_threshold,
+            min_merge_combination=base.min_merge_combination,
+        )
+        for ppl in (8, 64)
+    }
+    totals = benchmark.pedantic(
+        lambda: {ppl: _run_odyssey(environment, config) for ppl, config in configs.items()},
+        rounds=1,
+        iterations=1,
     )
-    total = benchmark.pedantic(lambda: _run_odyssey(environment, config), rounds=1, iterations=1)
-    benchmark.extra_info["ppl"] = ppl
-    benchmark.extra_info["total_simulated_s"] = round(total, 4)
-    assert total > 0
+    for ppl, total in totals.items():
+        benchmark.extra_info[f"total_simulated_s_ppl{ppl}"] = round(total, 4)
+    assert totals[8] > 0 and totals[64] > 0
+    if scale.name in PPL_64_COSTS_LESS_AT:
+        assert totals[64] < totals[8]
 
 
 @pytest.mark.benchmark(group="ablation-rt")
@@ -74,17 +94,16 @@ def test_refinement_threshold(benchmark, environment, scale, rt):
 
 
 @pytest.mark.benchmark(group="ablation-merging")
-@pytest.mark.parametrize("merging", ["enabled", "disabled", "adaptive"])
+@pytest.mark.parametrize("merging", ["enabled", "disabled"])
 def test_merging_policy(benchmark, environment, scale, merging):
-    """Static merging (paper), no merging, and the cost-model extension."""
+    """Static merging (paper) and no merging; Figure 5c owns the verdict."""
     base = odyssey_config_for(scale)
     config = OdysseyConfig(
         refinement_threshold=base.refinement_threshold,
         partitions_per_level=base.partitions_per_level,
         merge_threshold=base.merge_threshold,
         min_merge_combination=base.min_merge_combination,
-        enable_merging=merging != "disabled",
-        adaptive_merge_threshold=merging == "adaptive",
+        enable_merging=merging == "enabled",
     )
     total = benchmark.pedantic(lambda: _run_odyssey(environment, config), rounds=1, iterations=1)
     benchmark.extra_info["merging"] = merging

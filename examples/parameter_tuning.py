@@ -4,8 +4,7 @@
 The paper fixes ``rt = 4``, ``ppl = 64`` and ``mt = 2`` and explicitly lists
 "a cost model that adapts the parameters at runtime" as future work.  This
 example sweeps the two structural parameters and compares the paper's static
-merging trigger with the cost-model-driven adaptive policy shipped as an
-extension in this reproduction (``OdysseyConfig.adaptive_merge_threshold``).
+merging trigger with no merging at all.
 
 For each configuration it reports, over the same exploration workload:
 
@@ -84,18 +83,9 @@ def main() -> None:
             evaluate(suite, workload, f"ppl={ppl}", OdysseyConfig(partitions_per_level=ppl))
         )
 
-    # 3. Merging policy: off, the paper's static trigger, and the adaptive
-    #    cost-model extension (the paper's "open issue").
+    # 3. Merging: off, and the paper's static trigger.
     rows.append(evaluate(suite, workload, "merging off", OdysseyConfig(enable_merging=False)))
     rows.append(evaluate(suite, workload, "merging static mt=2", OdysseyConfig()))
-    rows.append(
-        evaluate(
-            suite,
-            workload,
-            "merging adaptive",
-            OdysseyConfig(adaptive_merge_threshold=True),
-        )
-    )
 
     header = (
         f"{'configuration':<22}{'total sim. s':>14}{'partitions':>12}{'depth':>7}"
@@ -112,8 +102,8 @@ def main() -> None:
     print(
         "\nReading the table: a lower rt or higher ppl refines more aggressively "
         "(more partitions, deeper trees) which costs time up front and pays off "
-        "only if the same areas keep being queried; the adaptive merging policy "
-        "delays copies until the estimated break-even point is reached."
+        "only if the same areas keep being queried; merging copies a combination's "
+        "hot partitions once it has been retrieved more than mt times."
     )
 
 

@@ -36,7 +36,7 @@ class ExperimentScale:
     seek-bound and erase the indexing-vs-querying balance the figures rely
     on, so each preset picks a seek time that preserves the paper's ratio
     of "random accesses per query" cost to "full pass over a dataset" cost
-    as closely as the preset's data size allows (see DESIGN.md).
+    as closely as the preset's data size allows.
     """
 
     name: str

@@ -18,11 +18,10 @@ query-window extension technique.
 
 A split costs what it moves — the parent's records and the children that
 receive some, not ``ppl`` of everything: one sorted assignment, pages and
-runs only for occupied children, a table row and nothing else for an
-empty one, no candidates chosen for a level the budget will not run
-(``tests/test_refine_path.py`` counts).  Leaves are rows of the tree's
-leaf table, so which of a query's leaves to refine is one expression over
-its columns (:meth:`Adaptor.candidates`).
+runs only for occupied children, and a table row and nothing else for an
+empty one (``tests/test_refine_path.py`` counts).  Leaves are rows of the
+tree's leaf table, so which of a query's leaves to refine is one
+expression over its columns (:meth:`Adaptor.candidates`).
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from repro.core.config import OdysseyConfig
 from repro.core.partition import LeafSnapshot, PartitionTree
 from repro.data.dataset import Dataset
 from repro.geometry.box import Box
-from repro.geometry.vectorized import intersect_mask
 
 
 def oversized(volume, query_volume: float, threshold: float):
@@ -53,7 +51,6 @@ class RefinementOutcome:
     """What happened when a partition was considered for refinement."""
 
     refined: bool
-    levels: int = 0
     reason: str = ""
 
 
@@ -118,7 +115,7 @@ class Adaptor:
         """
         config = self._config
         query_volume = query.volume()
-        if config.refine_levels_per_query == 0 or query_volume <= 0:
+        if query_volume <= 0:
             return []
         rows = np.asarray(rows, dtype=np.int64)
         rows = rows[oversized(table.volume[rows], query_volume, config.refinement_threshold)]
@@ -127,18 +124,13 @@ class Adaptor:
         return rows[(table.n_records[rows] > 0) & (table.level[rows] < config.max_depth)].tolist()
 
     def maybe_refine(self, tree: PartitionTree, row: int, query: Box) -> RefinementOutcome:
-        """Refine the leaf at ``row`` (up to ``refine_levels_per_query`` levels) if warranted.
+        """Refine the leaf at ``row`` one level if warranted (Section 3.1).
 
         Empty partitions are never refined: splitting a partition with no
         objects only creates bookkeeping and disk traffic without ever
-        reducing the data a future query must read.  Deeper levels refine
-        the children the query overlaps in child-index order, which is
-        descending row order, so a split never moves a row still to come
-        in its level.
+        reducing the data a future query must read.
         """
         config = self._config
-        if config.refine_levels_per_query == 0:
-            return RefinementOutcome(refined=False, reason="refinement disabled")
         table = tree.leaf_snapshot()
         if table.n_records[row] == 0:
             return RefinementOutcome(refined=False, reason="empty partition")
@@ -149,25 +141,8 @@ class Adaptor:
             table.volume[row], query_volume, config.refinement_threshold
         ):
             return RefinementOutcome(refined=False, reason="below refinement threshold")
-
-        ppl = tree.partitions_per_level
-        levels, current = 0, [row]
-        while current:
-            # A child row recorded before later splits of its level is
-            # stored minus the rows added so far, and moves down by all.
-            added, children = 0, []
-            for leaf in current:
-                self.refine(tree, leaf)
-                added += ppl - 1
-                children.extend(range(leaf + ppl - 1 - added, leaf - 1 - added, -1))
-            levels += 1
-            if levels == config.refine_levels_per_query:
-                break  # budget spent: nobody needs the next level's candidates
-            # Only the children that the query overlaps refine further.
-            table, rows = tree.leaf_snapshot(), np.array(children) + added
-            overlapping = rows[intersect_mask(query.lo, query.hi, table.lo[rows], table.hi[rows])]
-            current = self.candidates(table, overlapping, query)
-        return RefinementOutcome(refined=True, levels=levels)
+        self.refine(tree, row)
+        return RefinementOutcome(refined=True)
 
     def refine(self, tree: PartitionTree, row: int) -> None:
         """Split the leaf at ``row`` into ``ppl`` children, in place.

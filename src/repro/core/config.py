@@ -39,10 +39,6 @@ class OdysseyConfig:
     enable_merging:
         Master switch for the merging machinery (Figure 5c runs Space
         Odyssey with merging disabled to isolate its effect).
-    refine_levels_per_query:
-        How many levels a hit partition may be refined per query.  The
-        paper refines one level per query; larger values converge faster at
-        a higher per-query cost (useful for ablations).
     max_depth:
         Safety bound on partition-tree depth, preventing runaway
         refinement for degenerate query volumes.
@@ -61,10 +57,6 @@ class OdysseyConfig:
         unconverged partitions whose copies would immediately be
         superseded by refined originals (another of the paper's open
         issues).
-    adaptive_merge_threshold:
-        When true, the merger uses the cost model of
-        :mod:`repro.core.cost` to adapt the merge threshold at run time
-        (the paper lists this as future work; disabled by default).
     """
 
     refinement_threshold: float = 4.0
@@ -73,14 +65,12 @@ class OdysseyConfig:
     min_merge_combination: int = 3
     merge_space_budget_pages: int | None = None
     enable_merging: bool = True
-    refine_levels_per_query: int = 1
     max_depth: int = 16
     merge_partition_min_hits: int = 2
     merge_only_converged: bool = True
-    adaptive_merge_threshold: bool = False
 
     def __post_init__(self) -> None:
-        if self.refinement_threshold <= 0:
+        if not self.refinement_threshold > 0:  # also rejects NaN
             raise ValueError("refinement_threshold must be positive")
         if self.partitions_per_level < 2:
             raise ValueError("partitions_per_level must be >= 2")
@@ -90,8 +80,6 @@ class OdysseyConfig:
             raise ValueError("min_merge_combination must be >= 1")
         if self.merge_space_budget_pages is not None and self.merge_space_budget_pages < 1:
             raise ValueError("merge_space_budget_pages must be >= 1 or None")
-        if self.refine_levels_per_query < 0:
-            raise ValueError("refine_levels_per_query must be non-negative")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         if self.merge_partition_min_hits < 1:

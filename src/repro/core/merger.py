@@ -26,7 +26,6 @@ from typing import Collection, Mapping
 
 from repro.core.adaptor import oversized
 from repro.core.config import OdysseyConfig
-from repro.core.cost import AdaptiveMergePolicy, MergeCostModel
 from repro.core.merge import MergeDirectory, MergeFileInfo, merge_file_name
 from repro.core.partition import PartitionKey, PartitionTree
 from repro.core.statistics import Combination, CombinationStats, StatisticsCollector
@@ -69,11 +68,6 @@ class Merger:
         self._statistics = statistics
         self._codec = spatial_object_codec(dimension)
         self._open_files: dict[Combination, PagedFile[SpatialObject]] = {}
-        self._adaptive_policy: AdaptiveMergePolicy | None = None
-        if config.adaptive_merge_threshold:
-            self._adaptive_policy = AdaptiveMergePolicy(
-                MergeCostModel(disk.model), config.merge_threshold
-            )
         self._merges_performed = 0
         self._evictions = 0
 
@@ -116,13 +110,7 @@ class Merger:
         stats = self._statistics.combination_stats(combination)
         if stats is None:
             return MergeOutcome(skipped_reason="combination never queried")
-        # Both policies need more than ``mt`` retrievals, so a cold
-        # combination is dismissed before any key is derived.
         if stats.count <= self._config.merge_threshold:
-            return MergeOutcome(skipped_reason="below merge threshold")
-        if self._adaptive_policy is not None and not self._adaptive_policy.should_merge(
-            combination, stats.count, self._qualifying_keys(combination, stats, trees), trees
-        ):
             return MergeOutcome(skipped_reason="below merge threshold")
         existing = self._directory.get(combination)
         # Whatever an evicted file held is unmerged again: no special case.

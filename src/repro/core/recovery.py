@@ -78,8 +78,17 @@ READABLE_VERSIONS = (1, MANIFEST_VERSION)
 #: them.  A sharded buffer pool comes back as one pool of the same
 #: ``buffer_pages``; the batch executor, per-record engine and epoch
 #: switches have no replacement — every engine computes the same state.
+#: A level budget above one or the adaptive merge trigger is dropped too:
+#: replay then runs the one policy left, whose adaptive state may differ
+#: from the journaling engine's but whose answers cannot.
 _RETIRED_KEYS = {
-    "config": ("batch_executor", "columnar", "snapshot_reads"),
+    "config": (
+        "batch_executor",
+        "columnar",
+        "snapshot_reads",
+        "refine_levels_per_query",
+        "adaptive_merge_threshold",
+    ),
     "catalog": ("buffer_shards",),
 }
 

@@ -183,9 +183,8 @@ class ReferenceTree:
 
     The seed engine's tree: :class:`ScalarAdaptor` installs and splits it
     node by node, and :func:`reference_tree` builds one from the leaf keys
-    of an engine tree.  It offers the few read surfaces the engine's merger
-    and cost model use (``leaf_keys``, ``occupied_runs``, ``volume``),
-    each computed from the nodes.
+    of an engine tree.  It offers the two read surfaces the engine's merger
+    uses (``leaf_keys``, ``volume``), each computed from the nodes.
     """
 
     def __init__(self, universe: Box, splits_per_dim: int, file: PagedFile | None = None,
@@ -261,10 +260,6 @@ class ReferenceTree:
     @property
     def leaf_keys(self) -> set[PartitionKey]:
         return {key for key, node in self.nodes.items() if node.is_leaf}
-
-    @property
-    def occupied_runs(self) -> dict[PartitionKey, StoredRun]:
-        return {key: node.run for key, node in self.nodes.items() if node.is_leaf and node.n_objects}
 
     def volume(self, key: PartitionKey) -> float:
         return self.nodes[key].volume()
@@ -403,36 +398,15 @@ class ScalarAdaptor(Adaptor):
     def maybe_refine(
         self, tree: ReferenceTree, node: ReferenceNode, query: Box
     ) -> RefinementOutcome:
-        """The seed loop: level by level, the children the query overlaps in index order."""
-        config = self._config
-        if config.refine_levels_per_query == 0:
-            return RefinementOutcome(refined=False, reason="refinement disabled")
+        """The seed rule on a node: split it one level when the query finds it oversized."""
         if node.n_objects == 0:
             return RefinementOutcome(refined=False, reason="empty partition")
-        if node.level >= config.max_depth:
+        if node.level >= self._config.max_depth:
             return RefinementOutcome(refined=False, reason="max depth reached")
-        query_volume = query.volume()
-        if not self.should_refine(node, query_volume):
+        if not self.should_refine(node, query.volume()):
             return RefinementOutcome(refined=False, reason="below refinement threshold")
-        levels = 0
-        current = [node]
-        while True:
-            next_round: list[ReferenceNode] = []
-            for leaf in current:
-                if (
-                    leaf.is_leaf
-                    and leaf.n_objects
-                    and leaf.level < config.max_depth
-                    and self.should_refine(leaf, query_volume)
-                ):
-                    next_round.extend(self.refine(tree, leaf))
-            if not next_round:
-                break
-            levels += 1
-            if levels == config.refine_levels_per_query:
-                break
-            current = [child for child in next_round if child.box.intersects(query)]
-        return RefinementOutcome(refined=levels > 0, levels=levels)
+        self.refine(tree, node)
+        return RefinementOutcome(refined=True)
 
     def refine(self, tree: ReferenceTree, node: ReferenceNode) -> list[ReferenceNode]:
         if not node.is_leaf:
@@ -458,10 +432,6 @@ class ScalarMerger(Merger):
         if stats is None:
             return MergeOutcome(skipped_reason="combination never queried")
         if stats.count <= self._config.merge_threshold:
-            return MergeOutcome(skipped_reason="below merge threshold")
-        if self._adaptive_policy is not None and not self._adaptive_policy.should_merge(
-            combination, stats.count, self._qualifying_keys(combination, stats, trees), trees
-        ):
             return MergeOutcome(skipped_reason="below merge threshold")
         existing = self._directory.get(combination)
         merged = existing.entries if existing is not None else ()

@@ -27,11 +27,11 @@ class TestValidation:
         "kwargs",
         [
             {"refinement_threshold": 0},
+            {"refinement_threshold": float("nan")},
             {"partitions_per_level": 1},
             {"merge_threshold": -1},
             {"min_merge_combination": 0},
             {"merge_space_budget_pages": 0},
-            {"refine_levels_per_query": -1},
             {"max_depth": 0},
             {"merge_partition_min_hits": 0},
         ],

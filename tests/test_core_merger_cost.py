@@ -1,18 +1,18 @@
-"""Unit tests for the Merger component and the merge cost model."""
+"""Unit tests for the Merger component."""
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 
 from repro.core.adaptor import Adaptor
 from repro.core.config import OdysseyConfig
-from repro.core.cost import AdaptiveMergePolicy, MergeCostModel
 from repro.core.merge import MergeDirectory
 from repro.core.merger import Merger
 from repro.core.odyssey import SpaceOdyssey
 from repro.core.statistics import StatisticsCollector
 from repro.geometry.box import Box
-from repro.storage.cost_model import DiskModel
 
 from tests.conftest import make_catalog
 from tests.scalar_reference import read_group, read_partition, reference_tree, row_of
@@ -64,6 +64,24 @@ class TestMergerTriggers:
         outcome = merger.maybe_merge(combo, trees)
         assert not outcome.merged
         assert outcome.skipped_reason == "below merge threshold"
+
+    @pytest.mark.parametrize("threshold", [0, 1, 2, 5])
+    def test_static_threshold_is_the_trigger(self, setup, disk, threshold):
+        """A combination merges on its ``mt + 1``-th retrieval, not before."""
+        _, config, trees, statistics, directory, _ = setup
+        merger = Merger(
+            disk, replace(config, merge_threshold=threshold), directory, statistics, dimension=3
+        )
+        combo = frozenset({0, 1, 2})
+        keys = [next(iter(reference_tree(trees[0]).leaves())).key]
+        record_queries(statistics, trees, combo, keys, times=threshold)
+        if threshold:
+            outcome = merger.maybe_merge(combo, trees)
+            assert not outcome.merged
+            assert outcome.skipped_reason == "below merge threshold"
+        record_queries(statistics, trees, combo, keys, times=1)
+        assert merger.maybe_merge(combo, trees).merged
+        assert directory.get(combo).n_partitions == len(keys)
 
     def test_small_combination_skipped(self, setup):
         _, _, trees, statistics, _, merger = setup
@@ -161,42 +179,6 @@ class TestBudget:
         if merger.evictions:
             assert directory.get(combo_b) is not None
             assert directory.get(combo_a) is None
-
-
-class TestCostModel:
-    def test_estimate_scales_with_combination_size(self, setup):
-        _, _, trees, _, _, _ = setup
-        model = MergeCostModel(DiskModel())
-        keys = {next(iter(reference_tree(trees[0]).leaves())).key}
-        small = model.estimate(frozenset({0, 1}), keys, trees)
-        large = model.estimate(frozenset({0, 1, 2}), keys, trees)
-        assert large.per_query_benefit_s > small.per_query_benefit_s
-
-    def test_breakeven_positive(self, setup):
-        _, _, trees, _, _, _ = setup
-        model = MergeCostModel(DiskModel())
-        keys = {leaf.key for leaf in reference_tree(trees[0]).leaves()}
-        estimate = model.estimate(frozenset({0, 1, 2}), keys, trees)
-        assert estimate.merge_cost_s > 0
-        assert estimate.worthwhile_after >= 1
-
-    def test_adaptive_policy_waits_for_breakeven(self, setup):
-        _, _, trees, _, _, _ = setup
-        cost_model = MergeCostModel(
-            DiskModel(seek_time_s=1e-6, transfer_rate_bytes_per_s=4096 * 10)
-        )
-        policy = AdaptiveMergePolicy(cost_model, static_threshold=2)
-        keys = {leaf.key for leaf in reference_tree(trees[0]).leaves() if leaf.n_objects > 0}
-        combo = frozenset({0, 1, 2})
-        # With an extremely slow disk and cheap seeks, the breakeven count is
-        # large, so a small access count must not trigger merging.
-        assert not policy.should_merge(combo, access_count=3, keys=keys, trees=trees)
-        assert policy.should_merge(combo, access_count=10_000_000, keys=keys, trees=trees)
-
-    def test_adaptive_policy_respects_static_minimum(self, setup):
-        _, _, trees, _, _, _ = setup
-        policy = AdaptiveMergePolicy(MergeCostModel(DiskModel()), static_threshold=5)
-        assert not policy.should_merge(frozenset({0, 1, 2}), 5, set(), trees)
 
 
 class TestConvergedRule:

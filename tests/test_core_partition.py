@@ -7,7 +7,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core.adaptor import Adaptor, RefinementOutcome
+from repro.core.adaptor import Adaptor
 from repro.core.config import OdysseyConfig
 from repro.core.partition import PartitionTree, partition_file_name
 from repro.geometry.box import Box
@@ -23,36 +23,6 @@ from tests.scalar_reference import (
 )
 
 
-def reference_maybe_refine(adaptor: ScalarAdaptor, tree, node, query: Box) -> RefinementOutcome:
-    """The former ``Adaptor.maybe_refine`` loop on nodes: candidates filtered after every level."""
-    config = adaptor.config
-    volume = query.volume()
-    if (
-        not node.is_leaf
-        or node.n_objects == 0
-        or node.level >= config.max_depth
-        or not adaptor.should_refine(node, volume)
-    ):
-        return RefinementOutcome(refined=False)
-    levels = 0
-    current = [node]
-    while levels < config.refine_levels_per_query:
-        next_round = []
-        for leaf in current:
-            if (
-                leaf.is_leaf
-                and leaf.n_objects
-                and leaf.level < config.max_depth
-                and adaptor.should_refine(leaf, volume)
-            ):
-                next_round.extend(adaptor.refine(tree, leaf))
-        if not next_round:
-            break
-        levels += 1
-        current = [child for child in next_round if child.box.intersects(query)]
-    return RefinementOutcome(refined=levels > 0, levels=levels)
-
-
 def fullest_row(tree: PartitionTree) -> int:
     """The first row holding the most records."""
     return int(np.argmax(tree.leaf_snapshot().n_records))
@@ -63,7 +33,7 @@ def row_objects(tree: PartitionTree, row: int) -> list:
     return read_group(tree.file, run) if run.n_records else []
 
 
-def refine_overlapped(adaptor, tree, query: Box) -> list[tuple[bool, int]]:
+def refine_overlapped(adaptor, tree, query: Box) -> list[bool]:
     """Offer every leaf the query overlaps to ``maybe_refine``, in search order.
 
     An engine tree goes by rows, each shifted by the rows earlier splits
@@ -77,7 +47,7 @@ def refine_overlapped(adaptor, tree, query: Box) -> list[tuple[bool, int]]:
             adaptor.maybe_refine(tree, row + len(tree.leaf_snapshot()) - start, query)
             for row in tree.leaves_overlapping_vectorized(query).tolist()
         ]
-    return [(outcome.refined, outcome.levels) for outcome in outcomes]
+    return [outcome.refined for outcome in outcomes]
 
 
 @pytest.fixture
@@ -244,7 +214,7 @@ class TestMaybeRefine:
         tiny_query = Box.cube(box.center, box.side(0) / 10.0)
         outcome = adaptor.maybe_refine(tree, row, tiny_query)
         assert outcome.refined
-        assert outcome.levels == 1
+        assert tree.depth == 2  # one level per query, however small the query
 
     def test_does_not_refine_below_threshold(self, adaptor, tree):
         row = fullest_row(tree)
@@ -281,37 +251,37 @@ class TestMaybeRefine:
         assert not outcome.refined
         assert outcome.reason == "max depth reached"
 
-    def test_multiple_levels_per_query(self, dataset):
-        config = OdysseyConfig(partitions_per_level=8, refine_levels_per_query=2)
-        adaptor = Adaptor(config)
-        tree = adaptor.create_tree(dataset)
-        adaptor.initialize(tree)
+    def test_the_next_level_waits_for_the_next_query(self, adaptor, tree):
         row = fullest_row(tree)
-        outcome = adaptor.maybe_refine(
-            tree, row, Box.cube(tree.leaf_snapshot().box(row).center, 0.5)
-        )
-        assert outcome.refined
-        assert outcome.levels == 2
+        tiny_query = Box.cube(tree.leaf_snapshot().box(row).center, 0.01)
+        assert adaptor.maybe_refine(tree, row, tiny_query).refined
+        assert tree.depth == 2
+        # The children would qualify too; each is split by a later call.
+        child = int(np.flatnonzero(tree.leaf_snapshot().level == 2)[0])
+        assert adaptor.maybe_refine(tree, child, tiny_query).refined
         assert tree.depth == 3
 
-    @pytest.mark.parametrize("adaptor_class", [Adaptor, ScalarAdaptor], ids=["columnar", "scalar"])
-    @pytest.mark.parametrize("levels", [2, 3])
-    def test_multiple_levels_match_the_reference_loop(
-        self, universe, model, levels, adaptor_class
-    ):
-        """Several levels in one query: same splits, order and bytes as the reference loop.
+    def test_zero_volume_query_does_not_refine(self, adaptor, tree):
+        row = fullest_row(tree)
+        center = tree.leaf_snapshot().box(row).center
+        outcome = adaptor.maybe_refine(tree, row, Box(center, center))
+        assert not outcome.refined
+        assert outcome.reason == "below refinement threshold"
 
-        ``maybe_refine`` stops before choosing candidates for a level its
-        budget will never run; the reference filters after every level, the
-        last included, on the node tree of ``tests/scalar_reference.py``.
-        The engine goes by rows, deeper levels in child-index order; two
-        engines over identical data must refine the same partitions in the
-        same order, reuse the same pages and end with byte-identical
-        partition files.
+    @pytest.mark.parametrize("threshold", [4.0, 1000.0])
+    def test_one_level_per_query_matches_the_reference(self, universe, model, threshold):
+        """Same splits, order and bytes as the per-node rule of the reference.
+
+        The engine goes by rows, each shifted by the rows earlier splits of
+        the query added; the reference by the nodes of
+        ``tests/scalar_reference.py``.  Two engines over identical data must
+        refine the same partitions in the same order, reuse the same pages
+        and end with byte-identical partition files.  The higher threshold
+        leaves some overlapped leaves below it.
         """
-        config = OdysseyConfig(partitions_per_level=8, refine_levels_per_query=levels)
+        config = OdysseyConfig(partitions_per_level=8, refinement_threshold=threshold)
         state = []
-        for adaptor, reference in ((adaptor_class(config), False), (ScalarAdaptor(config), True)):
+        for adaptor in (Adaptor(config), ScalarAdaptor(config)):
             disk = Disk(model=model, buffer_pages=0)
             tree = adaptor.create_tree(
                 make_dataset(disk, universe, dataset_id=0, count=600, seed=17)
@@ -333,12 +303,7 @@ class TestMaybeRefine:
                 fullest = max(reference_tree(tree).leaves(), key=lambda n: (n.n_objects, n.key))
                 center = universe.center if corner else fullest.box.center
                 query = Box.cube(center, 4.0 if corner else 0.5)
-                if reference:
-                    for node in leaves_overlapping(tree, query):
-                        outcome = reference_maybe_refine(adaptor, tree, node, query)
-                        outcomes.append((outcome.refined, outcome.levels))
-                else:
-                    outcomes.extend(refine_overlapped(adaptor, tree, query))
+                outcomes.extend(refine_overlapped(adaptor, tree, query))
             name = partition_file_name(tree.dataset.name)
             pages = b"".join(disk.backend.read(name, page) for page in range(disk.num_pages(name)))
             state.append(
@@ -349,18 +314,7 @@ class TestMaybeRefine:
                     hashlib.sha256(pages).hexdigest(),
                 )
             )
-            assert outcomes[0] == (True, levels) and len(outcomes) >= 10
-            assert tree.depth >= levels + 1
+            assert outcomes[0] and len(outcomes) >= 10
+            assert tree.depth >= 3
             assert tree.total_stored_objects() == tree.dataset.n_objects
         assert state[0] == state[1]
-
-    def test_refinement_disabled(self, dataset):
-        config = OdysseyConfig(partitions_per_level=8, refine_levels_per_query=0)
-        adaptor = Adaptor(config)
-        tree = adaptor.create_tree(dataset)
-        adaptor.initialize(tree)
-        row = fullest_row(tree)
-        outcome = adaptor.maybe_refine(
-            tree, row, Box.cube(tree.leaf_snapshot().box(row).center, 0.01)
-        )
-        assert not outcome.refined

@@ -236,8 +236,9 @@ class TestOneInstrument:
 
 class TestRetiredModes:
     """The process executor, the sharded buffer pool, the two-in-flight
-    serving pipeline, the per-record engine switch, the epoch switch and
-    the serving thread fan-out are gone: naming one of their options is a
+    serving pipeline, the per-record engine switch, the epoch switch, the
+    serving thread fan-out, the refinement level budget and the adaptive
+    merge trigger are gone: naming one of their options is a
     ``TypeError``, never a silently ignored knob.
     The thread and epoch executor subclasses are gone too: one batch
     executor takes both choices as arguments.  The figure commands run
@@ -255,6 +256,8 @@ class TestRetiredModes:
             "config_batch_executor",
             "config_columnar",
             "config_snapshot_reads",
+            "config_refine_levels_per_query",
+            "config_adaptive_merge_threshold",
             "query_batch_executor",
             "serve_pipeline",
             "service_pipeline",
@@ -277,6 +280,10 @@ class TestRetiredModes:
             "config_batch_executor": lambda: OdysseyConfig(batch_executor="thread"),
             "config_columnar": lambda: OdysseyConfig(columnar=False),
             "config_snapshot_reads": lambda: OdysseyConfig(snapshot_reads=False),
+            "config_refine_levels_per_query": lambda: OdysseyConfig(refine_levels_per_query=2),
+            "config_adaptive_merge_threshold": lambda: OdysseyConfig(
+                adaptive_merge_threshold=True
+            ),
             "query_batch_executor": lambda: engine.query_batch(
                 [(suite.universe, [0])], executor="thread"
             ),

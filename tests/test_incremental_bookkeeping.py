@@ -275,47 +275,29 @@ def run_checked(
     return checker
 
 
-GRID = list(itertools.product((1, 2), (1, 2), (True, False), (True, False)))
+GRID = list(itertools.product((2.0, 4.0), (1, 2), (1, 2), (True, False)))
 
 
-@pytest.mark.parametrize("levels,min_hits,converged,adaptive", GRID)
+@pytest.mark.parametrize("threshold,merge_threshold,min_hits,converged", GRID)
 def test_summaries_equal_references_after_every_query(
-    levels, min_hits, converged, adaptive, monkeypatch
+    threshold, merge_threshold, min_hits, converged
 ):
-    seed = 100 + GRID.index((levels, min_hits, converged, adaptive))
+    seed = 100 + GRID.index((threshold, merge_threshold, min_hits, converged))
     suite = make_suite(seed)
     config = OdysseyConfig(
         partitions_per_level=8,
-        refinement_threshold=2.0,
-        refine_levels_per_query=levels,
-        merge_threshold=1,
+        refinement_threshold=threshold,
+        merge_threshold=merge_threshold,
         merge_partition_min_hits=min_hits,
         merge_only_converged=converged,
-        adaptive_merge_threshold=adaptive,
     )
     engine = SpaceOdyssey(suite.catalog, config)
-    policy_calls = []
-    if adaptive:
-        # The policy must be handed exactly the reference key set.
-        policy = engine.merger._adaptive_policy
-        should_merge = policy.should_merge
-
-        def checked_should_merge(combination, access_count, keys, trees):
-            stats = engine.statistics.combination_stats(combination)
-            assert keys == reference_qualifying_keys(config, combination, stats, trees)
-            policy_calls.append(len(keys))
-            return should_merge(combination, access_count, keys, trees)
-
-        monkeypatch.setattr(policy, "should_merge", checked_should_merge)
     queries = mixed_workload(suite, seed, n_triples=32, n_pairs=8)
     checker = run_checked(engine, queries, f"bookkeeping seed {seed} {config}")
     summary = engine.summary()
     assert summary.total_partitions > 4 * 8, "the scenario never refined"
     assert checker.candidates_seen > 0, "every candidate set was empty"
-    if adaptive:
-        assert sum(policy_calls) > 0, "the adaptive policy never saw a key"
-    else:
-        assert summary.merges_performed > 0, "the scenario never merged"
+    assert summary.merges_performed > 0, "the scenario never merged"
 
 
 def test_tight_budget_forces_evictions_and_remerges():
@@ -378,7 +360,6 @@ def test_batched_and_snapshot_paths_keep_the_summaries():
     config = OdysseyConfig(
         partitions_per_level=8,
         refinement_threshold=2.0,
-        refine_levels_per_query=2,
         merge_threshold=1,
         merge_partition_min_hits=1,
         merge_space_budget_pages=6,
@@ -467,12 +448,10 @@ def run_random_scenario(seed: int) -> None:
     config = OdysseyConfig(
         partitions_per_level=8,
         refinement_threshold=rng.choice((2.0, 4.0)),
-        refine_levels_per_query=rng.choice((1, 2)),
         merge_threshold=rng.choice((1, 2)),
         min_merge_combination=rng.choice((2, 3)),
         merge_partition_min_hits=rng.choice((1, 2)),
         merge_only_converged=rng.choice((True, False)),
-        adaptive_merge_threshold=rng.random() < 0.3,
         merge_space_budget_pages=rng.choice((None, 4, 12)),
     )
     engine = SpaceOdyssey(suite.catalog, config)

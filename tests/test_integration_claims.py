@@ -1,9 +1,10 @@
-"""Integration tests for the paper's qualitative claims (DESIGN.md C1–C7).
+"""Integration tests for the paper's qualitative claims (C1–C7).
 
 These run miniature versions of the paper's experiments and check the
 *shape* of the results — who wins, in which order, where the crossovers are.
 Absolute values depend on the simulated disk model and the reduced scale
-and are reported (not asserted) in EXPERIMENTS.md.
+and are reported (not asserted) by the figure commands of the README's
+"Benchmarks" section.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class TestClaimC3QueryOrdering:
         At the reduced test scale the gap between FLAT and the Grid narrows
         (sparse data means most Grid cells are empty and free to skip), so
         the assertion allows a margin; the full separation is visible at the
-        ``small``/``medium`` scales and recorded in EXPERIMENTS.md.
+        ``small``/``medium`` scales (README, "Benchmarks").
         """
         flat = runs["FLAT-Ain1"].querying_seconds
         assert flat <= runs["Odyssey"].querying_seconds
@@ -162,7 +163,7 @@ class TestClaimC7MergingBenefit:
         """The full Figure 5c pipeline runs end to end and merging does not
         make the popular combination substantially slower even at the very
         small test scale (the positive ~15-25% gain appears at the
-        benchmark scales; see EXPERIMENTS.md)."""
+        benchmark scales; README, "Benchmarks")."""
         from repro.bench.experiments import figure5c
 
         result = figure5c(scale=scale.scaled(n_queries=60), datasets_per_query=3)

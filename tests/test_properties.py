@@ -1,6 +1,6 @@
 """Property-based tests (Hypothesis) for core data structures and invariants.
 
-These cover the invariants DESIGN.md commits to:
+These cover the engine's invariants:
 
 * geometric identities of :class:`Box`;
 * the read path's unchecked builders equal the checked ones they replaced:
@@ -18,7 +18,7 @@ These cover the invariants DESIGN.md commits to:
   every column of its spliced leaf table, its leaf-key set and its
   occupied-runs map equal the node tree of ``tests/scalar_reference.py``
   after any sequence of splits and refining queries (2-D and 3-D, ``ppl``
-  4, 8 and 64, one to three levels per query, a zero-width axis), with
+  4, 8 and 64, one level per query, a zero-width axis), with
   byte-identical partition files;
 * the sorted split of a partition's records equals the mask-per-child
   split it replaced and the scalar assignment, for centres on cell edges,
@@ -579,11 +579,10 @@ class TestPartitionTreeProperties:
 
 @st.composite
 def splice_cases(draw):
-    """A tree shape, a level budget and a sequence of splits and queries.
+    """A tree shape and a sequence of splits and queries.
 
-    2-D or 3-D, ``ppl`` 4, 8 or 64, one to three refinement levels per
-    query, and possibly one zero-width axis (every volume is then zero, so
-    only direct splits change the tree).  A step is a direct split of the
+    2-D or 3-D, ``ppl`` 4, 8 or 64, and possibly one zero-width axis
+    (every volume is then zero, so only direct splits change the tree).  A step is a direct split of the
     picked row (empty ones included) or a query window around a picked
     record's centre, sized as a fraction of the universe.
     """
@@ -597,7 +596,6 @@ def splice_cases(draw):
     return (
         Box(tuple(lo), tuple(hi)),
         ppl,
-        draw(st.integers(1, 3)),
         draw(st.integers(1, 200)),
         draw(st.integers(0, 2**16)),
         draw(st.lists(steps, min_size=1, max_size=6)),
@@ -622,10 +620,8 @@ class TestSpliceProperties:
         list the same leaves with the same runs, and the partition files
         are byte-identical at the end.
         """
-        universe, ppl, levels, count, seed, steps = case
-        config = OdysseyConfig(
-            partitions_per_level=ppl, refinement_threshold=2.0, refine_levels_per_query=levels
-        )
+        universe, ppl, count, seed, steps = case
+        config = OdysseyConfig(partitions_per_level=ppl, refinement_threshold=2.0)
         trees = []
         for adaptor in (Adaptor(config), ScalarAdaptor(config)):
             disk = Disk(model=DiskModel(), buffer_pages=0)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 import zlib
 from collections import Counter
@@ -694,6 +695,55 @@ class TestRecoveryEdgeCases:
         assert "columnar" not in first["config"] and rest == []
         assert_matches_reference(recovered, reference, committed=committed)
 
+    @pytest.mark.parametrize(
+        "retired",
+        [
+            {"refine_levels_per_query": 1, "adaptive_merge_threshold": False},
+            {"refine_levels_per_query": 2, "adaptive_merge_threshold": True},
+        ],
+        ids=["defaults", "turned_on"],
+    )
+    def test_version_2_journal_of_the_retired_policies_recovers(
+        self, base_suite, reference, tmp_path, retired
+    ):
+        # A version-2 header written while ``OdysseyConfig`` still had a
+        # level budget and the adaptive merge trigger: at their defaults,
+        # as every such journal names them, or both turned on.  Recovery
+        # drops the keys and replays under the one policy left: the
+        # adaptive state is that of a fresh engine running the same
+        # committed queries, and the answers never depended on it.
+        workload = reference[0]
+        committed = 7
+        engine = SpaceOdyssey(
+            base_suite.fork().catalog, CONFIG, journal=tmp_path / "today.log"
+        )
+        for query in workload[:committed]:
+            engine.query(query.box, query.dataset_ids)
+        today = engine.journal.read_last()
+        survivor = engine.disk.backend.clone()
+        summary = engine.summary()
+        del engine
+        assert not retired.keys() & today["config"].keys()
+
+        header = {**today, "config": {**today["config"], **retired}}
+        queries = today["queries"]
+        path = tmp_path / "policies.log"
+        path.write_bytes(
+            framed({**header, "queries": queries[:3]})
+            + b"".join(
+                framed({"committed": n, "queries": [queries[n - 1]]})
+                for n in range(4, committed + 1)
+            )
+        )
+        assert ManifestJournal(path).read_last()["config"].items() >= retired.items()
+
+        recovered = SpaceOdyssey.recover(path, backend=survivor)
+        assert recovered.summary() == summary
+        assert recovered.config == CONFIG
+        first, *rest = recovered.journal.records()
+        assert not retired.keys() & first["config"].keys() and rest == []
+        assert_matches_reference(recovered, reference, committed=committed)
+
     @pytest.mark.parametrize("snapshot_reads", [False, True])
     def test_version_2_journal_with_the_epoch_switch_recovers(
         self, base_suite, reference, tmp_path, snapshot_reads
@@ -734,6 +784,23 @@ class TestRecoveryEdgeCases:
         first, *rest = recovered.journal.records()
         assert "snapshot_reads" not in first["config"] and rest == []
         assert_matches_reference(recovered, reference, committed=committed)
+
+    def test_journal_with_a_nan_threshold_is_rejected(self, base_suite, tmp_path):
+        # ``json`` writes and reads NaN, so a journal can carry one; the
+        # configuration it rebuilds must refuse it like any other.
+        engine = SpaceOdyssey(base_suite.fork().catalog, CONFIG, journal=tmp_path / "ok.log")
+        query = make_workload(base_suite, n=1)[0]
+        engine.query(query.box, query.dataset_ids)
+        header = engine.journal.read_last()
+        survivor = engine.disk.backend.clone()
+        del engine
+        path = tmp_path / "nan.log"
+        path.write_bytes(
+            framed({**header, "config": {**header["config"], "refinement_threshold": math.nan}})
+        )
+        assert math.isnan(ManifestJournal(path).read_last()["config"]["refinement_threshold"])
+        with pytest.raises(ValueError, match="refinement_threshold"):
+            recover(path, backend=survivor)
 
     def test_unsupported_manifest_version_raises(self, tmp_path):
         path = tmp_path / "journal.log"

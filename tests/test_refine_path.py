@@ -6,9 +6,8 @@ one ``grid_child_indices`` call, one stable sort, one dtype lookup for the
 write, pages encoded only for children that hold records, one run built
 per such child (the empty ones share a single run), at most one bulk
 ``append_run``, a row of the leaf table and no object for an empty child
-(at most two boxes per split, both the parent's), and no candidate
-filtering for a refinement level the budget will never run.  A per-child
-mask, an encode per child *slot*, a box or run object per empty child is a
+(at most two boxes per split, both the parent's).  A per-child mask, an
+encode per child *slot*, a box or run object per empty child is a
 regression these counts catch without a stopwatch.
 
 The module also keeps the code this path replaced as its reference models
@@ -29,7 +28,6 @@ import numpy as np
 import pytest
 
 from repro.bench.runner import generate_workload
-from repro.core import adaptor as adaptor_module
 from repro.core import partition as partition_module
 from repro.core.adaptor import Adaptor
 from repro.core.config import OdysseyConfig
@@ -90,8 +88,8 @@ class RefineGuard:
         self.initializations = 0
         self.empty_children = 0
         self.overflowed = 0
-        self.second_level_filters = 0
-        self.outcomes: list[tuple[int, int]] = []  # (levels refined, children filtered) per call
+        self.candidate_filters = 0
+        self.outcomes: list[tuple[bool, int, int]] = []  # (refined, splits, filters) per call
         self._in_maybe_refine = 0
         self._patch = monkeypatch.setattr
         self._count(partition_module, "grid_child_indices", "grid")
@@ -113,7 +111,7 @@ class RefineGuard:
             self._wrap(adaptor_class, "initialize", self._initialize)
             self._wrap(adaptor_class, "maybe_refine", self._maybe_refine)
         self._wrap(Box, "intersects", self._intersects)
-        self._wrap(adaptor_module, "intersect_mask", self._filter_rows)
+        self._wrap(partition_module, "intersect_mask", self._filter_rows)
 
     def _wrap(self, owner, name, replacement) -> None:
         original = getattr(owner, name)
@@ -215,23 +213,29 @@ class RefineGuard:
             self._split_costs(tree, [node.run for node in tree.roots()], before, "initialize")
 
     def _maybe_refine(self, original, adaptor, tree, leaf, query):
-        filtered = self.second_level_filters
+        refinements, filtered = self.refinements, self.candidate_filters
         self._in_maybe_refine += 1
         try:
             outcome = original(adaptor, tree, leaf, query)
         finally:
             self._in_maybe_refine -= 1
-        self.outcomes.append((outcome.levels, self.second_level_filters - filtered))
+        self.outcomes.append(
+            (
+                outcome.refined,
+                self.refinements - refinements,
+                self.candidate_filters - filtered,
+            )
+        )
         return outcome
 
     def _intersects(self, original, box, other):
         if self._in_maybe_refine:
-            self.second_level_filters += 1
+            self.candidate_filters += 1
         return original(box, other)
 
     def _filter_rows(self, original, lo, hi, los, his):
         if self._in_maybe_refine:
-            self.second_level_filters += len(los)
+            self.candidate_filters += len(los)
         return original(lo, hi, los, his)
 
 
@@ -240,7 +244,7 @@ def guard(monkeypatch) -> RefineGuard:
     return RefineGuard(monkeypatch)
 
 
-def cold_start(seed: int, *, ppl: int, levels: int, scalar: bool, n_triples: int = 28):
+def cold_start(seed: int, *, ppl: int, scalar: bool, n_triples: int = 28, levels: int = 1):
     """A fresh engine (or the reference) and seeded Zipf triples on clustered ranges.
 
     Windows are sized so that partitions of the first ``levels`` levels are
@@ -251,7 +255,6 @@ def cold_start(seed: int, *, ppl: int, levels: int, scalar: bool, n_triples: int
     config = OdysseyConfig(
         partitions_per_level=ppl,
         refinement_threshold=2.0,
-        refine_levels_per_query=levels,
         merge_threshold=1,
     )
     triples = generate_workload(
@@ -278,44 +281,43 @@ def cold_start(seed: int, *, ppl: int, levels: int, scalar: bool, n_triples: int
 @pytest.mark.parametrize("ppl", [8, 64])
 def test_a_refinement_costs_what_it_moves(guard, ppl):
     """Per split: one kernel, encodes and runs per *occupied* child, <= 1 append."""
-    engine, queries = cold_start(61 + ppl, ppl=ppl, levels=1, scalar=False)
+    engine, queries = cold_start(61 + ppl, ppl=ppl, scalar=False)
     for box, ids in queries:
         engine.query(box, ids)
     assert guard.initializations == len(engine.trees)
     assert guard.refinements >= 8, "the scenario hardly refined"
     assert guard.empty_children > guard.refinements, "no empty children: nothing to skip"
     assert guard.overflowed > 0, "no split ever appended overflow pages"
-    assert guard.second_level_filters == 0, "maybe_refine filtered candidates for a level it never runs"
+    assert guard.candidate_filters == 0, "maybe_refine filtered candidates for a level it never runs"
     assert engine.summary().merges_performed > 0, "the scenario never merged"
     assert not hasattr(partition_module, "PartitionNode"), "leaves are rows, not node objects"
 
 
 @pytest.mark.parametrize("scalar", [False, True], ids=["columnar", "scalar"])
-def test_multi_level_refinement_still_filters_by_the_query(guard, scalar):
-    """A budget of two levels: the first split's children are filtered, the second's never."""
-    ppl = 8
-    engine, queries = cold_start(67, ppl=ppl, levels=2, scalar=scalar)
+def test_a_refining_query_splits_one_level(guard, scalar):
+    """Each ``maybe_refine`` call splits its leaf once or not at all, and
+    never looks for candidates among the children it made, though the
+    windows are small enough for those children to qualify too."""
+    engine, queries = cold_start(67, ppl=8, scalar=scalar, levels=2)
     for box, ids in queries:
         engine.query(box, ids)
-    for levels, filtered in guard.outcomes:
-        assert filtered == (ppl if levels else 0)
-    assert any(levels == 2 for levels, _ in guard.outcomes), "no query refined two levels"
+    assert any(refined for refined, _, _ in guard.outcomes), "no query refined"
+    for refined, splits, filtered in guard.outcomes:
+        assert splits == int(refined)
+        assert filtered == 0
 
 
 @pytest.mark.parametrize("iteration", range(DEEP_ITERATIONS))
 def test_deep_refine_guard(guard, iteration):
     """Deep mode: randomly derived cold starts, every split checked as above."""
     rng = random.Random(9_000 + iteration)
-    levels = rng.choice([1, 1, 2, 3])
     engine, queries = cold_start(
         rng.randrange(10_000),
         ppl=rng.choice([8, 64]),
-        levels=levels,
         scalar=rng.random() >= 0.8,
         n_triples=rng.randrange(16, 48),
     )
     for box, ids in queries:
         engine.query(box, ids)
     assert guard.refinements > 0
-    if levels == 1:
-        assert guard.second_level_filters == 0
+    assert guard.candidate_filters == 0
