@@ -104,17 +104,17 @@ class Adaptor:
     # Refinement
     # ------------------------------------------------------------------ #
 
-    def candidates(self, table: LeafSnapshot, rows, query: Box) -> list[int]:
-        """The rows among ``rows`` that ``query`` makes :meth:`maybe_refine` split.
+    def candidates(self, table: LeafSnapshot, rows, query_volume: float) -> list[int]:
+        """The rows among ``rows`` a query of ``query_volume`` makes :meth:`maybe_refine` split.
 
         One expression over the table's columns: the leaf is
         :func:`oversized` for the query, holds records and lies above
         ``max_depth``.  The volume test runs first, on every row: in a
         converged region no leaf passes it, and the rest is then skipped.
-        In the order of ``rows``.
+        In the order of ``rows``.  The caller computes the query's
+        ``Box.volume()`` once for every tree it requests.
         """
         config = self._config
-        query_volume = query.volume()
         if query_volume <= 0:
             return []
         rows = np.asarray(rows, dtype=np.int64)

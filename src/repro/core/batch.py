@@ -25,14 +25,17 @@ A batch runs the Query Processor's per-query pipeline in four phases.
    tree's leaf table.
 3. **Retrieval and filtering** — routing is decided once per combination
    and every query's reads are planned in on-disk order; each query then
-   reads its groups, in plan order, through a :class:`BatchReadSet`, a
-   shared read set layered on the buffer pool: each distinct stored group
-   is fetched and decoded once per batch (into columnar NumPy arrays, not
-   per-record Python objects) no matter how many queries need it.  The
-   batch's groups are then filtered together against the original query
-   windows (:func:`~repro.data.columnar.filter_groups`): one vectorized
-   mask over per-row windows, one materialisation of ``SpatialObject``
-   instances for the actual hits, split per query.
+   hands its whole plan to a :class:`BatchReadSet`, a shared read set
+   layered on the buffer pool, once: the groups no earlier query of the
+   batch read are one storage call
+   (:func:`~repro.storage.pagedfile.read_groups`), so each distinct stored
+   group is fetched and decoded once per batch (into structured NumPy
+   arrays, not per-record Python objects) no matter how many queries need
+   it.  The batch's records are then filtered together against the
+   original query windows (:func:`~repro.data.columnar.filter_groups`):
+   one concatenation, one split into columns, one vectorized mask over
+   per-row windows, one materialisation of ``SpatialObject`` instances
+   for the actual hits, split per query.
 
 :meth:`BatchExecutor.commit` is the write half, under the engine gate:
 
@@ -102,12 +105,12 @@ from repro.core.epoch import EngineEpoch
 from repro.core.merge import choose_route
 from repro.core.partition import LeafSnapshot
 from repro.core.query_processor import QueryProcessor, QueryReport, plan_reads
-from repro.data.columnar import DecodedGroup, filter_groups
+from repro.data.columnar import filter_groups
 from repro.data.spatial_object import SpatialObject
 from repro.geometry.box import Box
 from repro.obs.trace import maybe_span
 from repro.storage.buffer import BufferCounters
-from repro.storage.pagedfile import PagedFile, StoredRun
+from repro.storage.pagedfile import PagedFile, StoredRun, read_groups
 from repro.workload.query import RangeQuery
 
 
@@ -211,48 +214,34 @@ class BatchReadSet:
     """The shared read set of one batch, layered on the buffer pool.
 
     Keys are ``(file name, page extents, record count)`` — the identity of
-    a stored group.  The first request for a group goes through the shared
-    columnar storage surface
-    (:meth:`~repro.storage.pagedfile.PagedFile.read_group_array`, so cost
-    accounting, the buffer pool and the decoded-array cache behave exactly
-    as for sequential reads); later requests for the same group from other
-    queries of the batch are free.  With ``lookup`` — a pinned epoch's
-    :meth:`~repro.core.epoch.EngineEpoch.lookup_page` — pages go through
-    :meth:`~repro.storage.pagedfile.PagedFile.read_group_array_at` instead,
-    so pages destroyed since the pin are served from their retained
-    pre-images.  The set lives for a single batch only: batch reads all
-    complete before any write of the commit phase, so no invalidation is
-    ever needed.
+    a stored group.  :meth:`read` is entered once per query with its whole
+    plan: the groups no earlier query of the batch read go through one
+    call of the shared storage reader
+    (:func:`~repro.storage.pagedfile.read_groups`, so cost accounting, the
+    buffer pool and the decoded-array cache behave exactly as for
+    sequential reads); the rest are free.  With ``lookup`` — a pinned
+    epoch's :meth:`~repro.core.epoch.EngineEpoch.lookup_page` — pages
+    destroyed since the pin are served from their retained pre-images.
+    The set lives for a single batch only: batch reads all complete before
+    any write of the commit phase, so no invalidation is ever needed.
     """
 
-    def __init__(
-        self, dimension: int, lookup: Callable[[str, int], bytes | None] | None = None
-    ) -> None:
-        self._dimension = dimension
+    def __init__(self, lookup: Callable[[str, int], bytes | None] | None = None) -> None:
         self._lookup = lookup
-        self._groups: dict[tuple, DecodedGroup] = {}
+        self._groups: dict[tuple, np.ndarray] = {}
         self.group_reads = 0
         self.dedup_hits = 0
 
-    def read(self, file: PagedFile[SpatialObject], run: StoredRun) -> DecodedGroup:
-        """The decoded records of one stored group (cached per batch)."""
-        self.group_reads += 1
-        key = (file.name, run.extents, run.n_records)
-        group = self._groups.get(key)
-        if group is not None:
-            self.dedup_hits += 1
-            return group
-        group = self._load(file, run)
-        self._groups[key] = group
-        return group
-
-    def _load(self, file: PagedFile[SpatialObject], run: StoredRun) -> DecodedGroup:
-        """Fetch and decode one group: live, or as of the pinned epoch."""
-        if self._lookup is None:
-            records = file.read_group_array(run)
-        else:
-            records = file.read_group_array_at(run, self._lookup)
-        return DecodedGroup.from_records(records, self._dimension)
+    def read(self, plan: Sequence[tuple[int, PagedFile, StoredRun]]) -> list[np.ndarray]:
+        """The records of each ``(dataset, file, run)`` of one plan, in plan order."""
+        groups = self._groups
+        keys = [(file.name, run.extents, run.n_records) for _, file, run in plan]
+        missing = {key: (file, run) for key, (_, file, run) in zip(keys, plan) if key not in groups}
+        self.group_reads += len(keys)
+        self.dedup_hits += len(keys) - len(missing)
+        if missing:
+            groups.update(zip(missing, read_groups(list(missing.values()), self._lookup)))
+        return [groups[key] for key in keys]
 
 
 @dataclass
@@ -419,9 +408,9 @@ class BatchExecutor:
         if pooled:
             from repro.core.parallel import ParallelReadSet
 
-            read_set = ParallelReadSet(processor.catalog.dimension, lookup)
+            read_set = ParallelReadSet(lookup)
         else:
-            read_set = BatchReadSet(processor.catalog.dimension, lookup)
+            read_set = BatchReadSet(lookup)
         with maybe_span(tracer, "batch.read_filter") as phase:
             with (
                 ThreadPoolExecutor(self._workers, thread_name_prefix="repro-batch")
@@ -524,23 +513,24 @@ class BatchExecutor:
         read_set: BatchReadSet,
         pool: ThreadPoolExecutor | None,
         phase,
-    ) -> list[tuple[list[tuple[int, int, DecodedGroup]], BufferCounters]]:
-        """Phase 3's reads: every query's planned groups through the read set.
+    ) -> list[tuple[list[tuple[int, int, np.ndarray]], BufferCounters]]:
+        """Phase 3's reads: one read-set call per query, with its whole plan.
 
         Returns, per query in submission order, its ``(query index, owner,
-        group)`` entries in plan order and its buffer-pool delta.  A pooled
-        task records a ``query.read`` span parented explicitly on
+        records)`` entries in plan order and its buffer-pool delta.  A
+        pooled task records a ``query.read`` span parented explicitly on
         ``phase``: worker threads have empty span stacks, so implicit
         nesting cannot apply across the pool boundary.
         """
         buffer_pool = self._processor.catalog.datasets()[0].disk.buffer_pool
         tracer = None if pool is None else self._processor.tracer
 
-        def work(item) -> tuple[list[tuple[int, int, DecodedGroup]], BufferCounters]:
+        def work(item) -> tuple[list[tuple[int, int, np.ndarray]], BufferCounters]:
             index, plan = item
             with maybe_span(tracer, "query.read", parent=phase, query=index):
                 cache_start = buffer_pool.counters()
-                entries = [(index, d, read_set.read(file, run)) for d, file, run in plan]
+                records = read_set.read(plan)
+                entries = [(index, d, group) for (d, _, _), group in zip(plan, records)]
                 return entries, buffer_pool.counters().delta_since(cache_start)
 
         return _each(pool, work, enumerate(plans))

@@ -36,7 +36,7 @@ holds each page's value as of its publish).  A reader pinned at epoch
 ``e`` resolves a page by walking the chain ``e → e.next → ...`` and
 taking the first retained pre-image, falling back to the live page —
 :meth:`EngineEpoch.lookup_page`, consulted by
-:meth:`Disk.read_run_at` under the same lock that serializes retention.
+:meth:`Disk.read_runs` under the same lock that serializes retention.
 Publish links ``prev.next`` *before* switching the retention target, so
 a pre-image can never land in an epoch a pinned reader cannot reach.
 
@@ -122,7 +122,7 @@ class EngineEpoch:
         published, so that pre-image is exactly the page's value at pin
         time.  No retention anywhere on the chain means the live page is
         still the snapshot's page.  Called under the disk lock (from
-        :meth:`Disk.read_run_at`), which also serializes all retention.
+        :meth:`Disk.read_runs`), which also serializes all retention.
         """
         key = (name, page_no)
         epoch: EngineEpoch | None = self

@@ -9,50 +9,53 @@ queries need is still fetched and decoded once per batch.
 from __future__ import annotations
 
 import threading
-from typing import Callable
+from typing import Callable, Sequence
+
+import numpy as np
 
 from repro.core.batch import BatchReadSet
-from repro.data.columnar import DecodedGroup
 from repro.data.spatial_object import SpatialObject
-from repro.storage.pagedfile import PagedFile, StoredRun
+from repro.storage.pagedfile import PagedFile, StoredRun, read_groups
 
 
 class ParallelReadSet(BatchReadSet):
     """A :class:`BatchReadSet` safe for concurrent readers.
 
-    The dedup dictionary is guarded by one lock; decoding happens under a
-    *per-group* lock so two queries racing for the same stored group never
-    decode it twice (the loser blocks briefly, then counts a dedup hit),
-    while queries needing different groups decode fully in parallel.
-    Counter semantics match the serial read set exactly: ``group_reads``
-    is the number of :meth:`read` calls and ``dedup_hits`` is that count
-    minus the number of distinct groups, regardless of interleaving.
+    The dedup dictionary is guarded by one lock; each group is read under
+    a *per-group* lock, through the same storage reader as one-group
+    calls, so two queries racing for the same stored group never decode
+    it twice (the loser blocks briefly, then counts a dedup hit), while
+    queries needing different groups read in parallel.  Counter semantics
+    match the serial read set exactly: ``group_reads`` is the number of
+    plan entries read and ``dedup_hits`` is that count minus the number of
+    distinct groups, regardless of interleaving.
     """
 
-    def __init__(
-        self, dimension: int, lookup: Callable[[str, int], bytes | None] | None = None
-    ) -> None:
-        super().__init__(dimension, lookup)
+    def __init__(self, lookup: Callable[[str, int], bytes | None] | None = None) -> None:
+        super().__init__(lookup)
         self._registry_lock = threading.Lock()
         self._group_locks: dict[tuple, threading.Lock] = {}
 
-    def read(self, file: PagedFile[SpatialObject], run: StoredRun) -> DecodedGroup:
-        """The decoded records of one stored group (decoded exactly once)."""
+    def read(self, plan: Sequence[tuple[int, PagedFile, StoredRun]]) -> list[np.ndarray]:
+        """The records of each entry of one plan, each group decoded exactly once."""
+        return [self._read_one(file, run) for _, file, run in plan]
+
+    def _read_one(self, file: PagedFile[SpatialObject], run: StoredRun) -> np.ndarray:
         key = (file.name, run.extents, run.n_records)
         with self._registry_lock:
             self.group_reads += 1
-            group = self._groups.get(key)
-            if group is not None:
+            records = self._groups.get(key)
+            if records is not None:
                 self.dedup_hits += 1
-                return group
+                return records
             lock = self._group_locks.setdefault(key, threading.Lock())
         with lock:
-            group = self._groups.get(key)
-            if group is None:
-                group = self._load(file, run)
+            records = self._groups.get(key)
+            if records is None:
+                (records,) = read_groups(((file, run),), self._lookup)
                 with self._registry_lock:
-                    self._groups[key] = group
+                    self._groups[key] = records
             else:
                 with self._registry_lock:
                     self.dedup_hits += 1
-        return group
+        return records

@@ -41,13 +41,13 @@ from repro.core.merge import choose_route
 from repro.core.merger import Merger
 from repro.core.partition import LeafSnapshot, PartitionTree
 from repro.core.statistics import StatisticsCollector
-from repro.data.columnar import DecodedGroup, filter_groups
+from repro.data.columnar import filter_groups
 from repro.data.dataset import DatasetCatalog
 from repro.data.spatial_object import SpatialObject
 from repro.geometry.box import Box
 from repro.obs.trace import maybe_span
 from repro.storage.buffer import BufferCounters
-from repro.storage.pagedfile import PagedFile, StoredRun
+from repro.storage.pagedfile import PagedFile, StoredRun, read_groups
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
     from repro.core.batch import BatchResult, QueryBatch
@@ -329,14 +329,15 @@ class QueryProcessor:
                     report.partitions_from_merge += sum(
                         info.has_segment(key, dataset_id) for key in hit
                     )
+            volume = box.volume()
             for dataset_id, rows in overlapped.items():
                 tree = self._trees[dataset_id]
                 table = tree.leaf_snapshot()
-                for row in self._adaptor.candidates(table, rows, box):
+                for row in self._adaptor.candidates(table, rows, volume):
                     shift = len(tree.leaf_snapshot()) - len(table)
                     if self._adaptor.maybe_refine(tree, row + shift, box).refined:
                         report.refinements += 1
-            self._statistics.record_query(requested, keys, query_volume=box.volume())
+            self._statistics.record_query(requested, keys, query_volume=volume)
             if info is not None:
                 self._merger.mark_used(info.combination)
             merge_outcome = self._merger.maybe_merge(requested, self._trees)
@@ -460,18 +461,15 @@ class QueryProcessor:
         # 2. The overlapped rows, in search order: one kernel call per tree.
         overlapped = {dataset_id: self._overlapped_rows(box, dataset_id) for dataset_id in ordered}
 
-        # 3-4. Route and plan; the planned groups decode into columnar arrays
-        # and go through the batch filter as a batch of one: one window+dataset
-        # mask filters them all, and only hits become objects.
+        # 3-4. Route and plan; the plan's groups are one storage read, and
+        # their records go through the batch filter as a batch of one: one
+        # window+dataset mask filters them all, and only hits become objects.
         decision = choose_route(self._directory, requested)
         tables = [(d, self._trees[d].leaf_snapshot(), rows) for d, rows in overlapped.items()]
         plan = plan_reads(tables, decision, self._tree_file, self._merge_file)
-        dimension = self._catalog.dimension
+        records = read_groups([(file, run) for _, file, run in plan])
         (results,), (examined,) = filter_groups(
-            [
-                (0, dataset_id, DecodedGroup.from_records(file.read_group_array(run), dimension))
-                for dataset_id, file, run in plan
-            ],
+            [(0, dataset_id, group) for (dataset_id, _, _), group in zip(plan, records)],
             [box.lo],
             [box.hi],
         )

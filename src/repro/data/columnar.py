@@ -1,17 +1,19 @@
 """Columnar views of spatial-object groups.
 
 The storage layer decodes pages of spatial objects into NumPy structured
-arrays (:meth:`~repro.storage.pagedfile.PagedFile.read_group_array`); this
-module turns those records into the :class:`DecodedGroup` column bundle the
-query engines filter with — ``oids``/``dataset_ids`` vectors and the MBR
-corner matrices — and materialises :class:`~repro.data.spatial_object.SpatialObject`
-instances only for the rows a query actually hits.
+arrays (:func:`~repro.storage.pagedfile.read_groups`, one call per
+query's plan); this module turns those records into the
+:class:`DecodedGroup` column bundle the query engines filter with —
+``oids``/``dataset_ids`` vectors and the MBR corner matrices — and
+materialises :class:`~repro.data.spatial_object.SpatialObject` instances
+only for the rows a query actually hits.
 
 Every columnar engine — sequential, batched, thread-parallel, epoch —
 filters through :func:`filter_groups` (a sequential query is a batch of
 one), so there is a single bytes→columns→objects path in the library and
-it costs one mask and one materialisation per batch, however many groups
-and queries the batch holds.
+it costs one concatenation, one split into columns, one mask and one
+materialisation per batch, however many groups and queries the batch
+holds.
 """
 
 from __future__ import annotations
@@ -24,12 +26,14 @@ import numpy as np
 from repro.data.spatial_object import SpatialObject
 from repro.geometry.box import Box
 from repro.geometry.vectorized import intersect_mask
+from repro.storage.pagedfile import frozen_concat
 
 
 class DecodedGroup:
-    """One stored group decoded into columnar arrays.
+    """Stored records decoded into columnar arrays.
 
-    Holds the record fields as NumPy columns (``oids``, ``dataset_ids``
+    :func:`filter_groups` builds one for a whole batch's records.  Holds
+    the record fields as NumPy columns (``oids``, ``dataset_ids``
     and the MBR corner matrices) so queries can filter with one vectorized
     mask; :meth:`materialize` builds ``SpatialObject`` instances only for
     the rows that survived the mask — conversion work is proportional to
@@ -102,35 +106,33 @@ class DecodedGroup:
 
 
 def filter_groups(
-    plan: Sequence[tuple[int, int, DecodedGroup]],
+    plan: Sequence[tuple[int, int, np.ndarray]],
     q_lo: np.ndarray | Sequence[Sequence[float]],
     q_hi: np.ndarray | Sequence[Sequence[float]],
 ) -> tuple[list[list[SpatialObject]], list[int]]:
-    """Filter a batch's decoded groups with one mask and one materialisation.
+    """Filter a batch's stored groups with one mask and one materialisation.
 
     ``q_lo``/``q_hi`` are the ``(m, d)`` windows of the batch's ``m``
     queries (a lone query may pass ``[box.lo]``/``[box.hi]``); ``plan``
-    lists ``(query index, owner dataset id, group)`` in read order, query
-    indices ascending.  A row is a hit of its entry's query when it
-    belongs to the entry's owner dataset (merge files and Ain1 groups
-    interleave datasets) and its MBR intersects that query's closed
-    window.  The groups are concatenated with per-row owner and
-    query-index vectors, so each query's hits come back in its plan order,
-    rows ascending within a group — exactly the order of filtering group
-    by group — and ``bincount`` of the query index splits the hits and
-    counts the records each query examined.
+    lists ``(query index, owner dataset id, records)`` in read order,
+    query indices ascending, each ``records`` one group's structured
+    array.  A row is a hit of its entry's query when it belongs to the
+    entry's owner dataset (merge files and Ain1 groups interleave
+    datasets) and its MBR intersects that query's closed window.  The
+    groups' records are concatenated once (their bytes joined) and split
+    into columns once (:meth:`DecodedGroup.from_records`), with per-row
+    owner and query-index vectors, so each query's hits come back in its
+    plan order, rows ascending within a group — exactly the order of
+    filtering group by group — and ``bincount`` of the query index splits
+    the hits and counts the records each query examined.
     """
     m = len(q_lo)
     if not plan:
         return [[] for _ in range(m)], [0] * m
-    groups = [group for _, _, group in plan]
-    sizes = [group.n_records for group in groups]
-    merged = DecodedGroup(
-        oids=np.concatenate([group.oids for group in groups]),
-        dataset_ids=np.concatenate([group.dataset_ids for group in groups]),
-        lo=np.concatenate([group.lo for group in groups]),
-        hi=np.concatenate([group.hi for group in groups]),
-    )
+    parts = [records for _, _, records in plan]
+    dtype = parts[0].dtype
+    merged = DecodedGroup.from_records(frozen_concat(parts, dtype), dtype["lo"].shape[0])
+    sizes = [len(records) for records in parts]
     owners = np.repeat([owner for _, owner, _ in plan], sizes)
     if m == 1:  # a lone query: its window broadcasts and every row is its own
         mask = intersect_mask(q_lo[0], q_hi[0], merged.lo, merged.hi)

@@ -36,7 +36,8 @@ Lock ordering
 The pool has no lock of its own and sits strictly *below* the
 :class:`~repro.storage.disk.Disk`: the disk calls into the byte layer
 under the disk lock, and no pool method ever calls back into the disk.
-The decoded-array layer is consulted outside the disk lock; each of its
+Group reads consult the decoded-array layer under the disk lock;
+page-addressed reads consult it after releasing the lock.  Each of its
 operations is a single dictionary access guarded by the identity check
 above, so a concurrent reader can miss a decoding but never receive a
 wrong one.

@@ -22,11 +22,12 @@ Every page access and every cost charge runs under one internal lock, so
 concurrent readers (the threaded read phases of
 :mod:`repro.core.batch`) can never corrupt the head position, the
 :class:`~repro.storage.cost_model.IOStats` accumulators or the buffer
-pool's byte layer.  The lock covers only the cheap bookkeeping + page-copy
-work; page *decoding* and filtering happen outside it (in
-:class:`~repro.storage.pagedfile.PagedFile`), which is where parallel
-wall-clock time is actually spent.  The pool's decoded-array layer is
-consulted outside the lock; its lookups verify byte identity (see
+pool's byte layer.  A group read holds the lock for its whole plan: the
+group reader (:func:`~repro.storage.pagedfile.read_groups`) decodes each
+run's pages before :meth:`Disk.read_runs` reads the next run, so both
+pool layers see exactly the order of one read per group.  Filtering
+happens outside the lock.  Page-addressed reads consult the pool's decoded-array
+layer after the lock is released; its lookups verify byte identity (see
 :mod:`repro.storage.buffer`), so a race can cost a re-decode but never a
 stale answer.
 
@@ -43,16 +44,20 @@ destructive write.  Appends never destroy data and are not retained.
 Pre-image capture is pure bookkeeping: it reads the backend directly and
 charges nothing, so it cannot perturb the simulated I/O trace.
 
-Every read — :meth:`read_page`, :meth:`read_run` and the pinned
-:meth:`read_run_at` — is one page loop; a pinned read only adds the
-snapshot's overlay ``lookup`` in front of the buffer pool, so the pages
-that still come from the live file are charged exactly as live reads.
+Every read goes through one page loop, :meth:`Disk.read_runs`, which
+reads a sequence of runs under one lock acquisition and charges each run
+on its own; :meth:`read_page`, :meth:`read_run` and the pinned
+:meth:`read_run_at` are one-run calls into it, and a query's whole plan
+is one call (:func:`~repro.storage.pagedfile.read_groups`).  A pinned
+read only adds the snapshot's overlay ``lookup`` in front of the buffer
+pool, so the pages that still come from the live file are charged
+exactly as live reads.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.storage.backend import InMemoryBackend, StorageBackend, StorageError
 from repro.storage.buffer import BufferPool
@@ -231,7 +236,8 @@ class Disk:
 
     def read_page(self, name: str, page_no: int) -> bytes:
         """Read one page, charging a seek if the head is elsewhere."""
-        return self._read_pages(name, page_no, 1)[0]
+        ((data,),) = self.read_runs(((name, page_no, 1),))
+        return data
 
     def read_run(self, name: str, start: int, count: int) -> list[bytes]:
         """Read ``count`` consecutive pages starting at ``start``.
@@ -241,7 +247,8 @@ class Disk:
         free and do not break the sequential charging of the rest (the real
         disk would stream through them anyway).
         """
-        return self._read_pages(name, start, count, event="disk.read_run")
+        (pages,) = self.read_runs(((name, start, count),), event="disk.read_run")
+        return pages
 
     def read_run_at(self, name: str, start: int, count: int, lookup) -> list[bytes]:
         """Read a run as of a pinned snapshot.
@@ -257,56 +264,66 @@ class Disk:
         included, happens under the disk lock so a concurrent overwrite can
         never interleave with it (no torn runs).
         """
-        return self._read_pages(name, start, count, lookup, "disk.read_run_at")
+        (pages,) = self.read_runs(((name, start, count),), lookup, "disk.read_run_at")
+        return pages
 
-    def _read_pages(
-        self, name: str, start: int, count: int, lookup=None, event: str | None = None
-    ) -> list[bytes]:
-        """The one page loop behind every read, under the disk lock.
+    def read_runs(
+        self, runs: Iterable[tuple[str, int, int]], lookup=None, event: str | None = None
+    ) -> Iterator[list[bytes]]:
+        """The one page loop: yields the pages of each ``(name, start, count)`` run in turn.
 
-        Per page: the overlay ``lookup`` (pinned reads only), then the
-        buffer pool (a hit is free and recorded), then the backend.  The
-        uncached pages are charged together after the loop, as one
-        positioning operation at the first of them plus sequential
-        transfers, and the head moves to the run's last page.  A failed
-        backend read leaves no pool entry for that page and charges
-        nothing.  ``event`` names the tracer event the read records.
+        The disk lock is held from the first run to the last, so a caller
+        that works between runs (the group reader decodes each run's
+        pages before the next run is read) must exhaust or close the
+        iterator.  Per page: the overlay ``lookup`` (pinned reads only),
+        then the buffer pool (a hit is free and recorded), then the
+        backend.  Each run is charged on its own, after its pages: its
+        uncached pages as one positioning operation at the first of them
+        plus sequential transfers, and the head moves to the run's last
+        page — so a sequence of runs costs exactly what one
+        :meth:`read_run` per run costs.  A failed backend read leaves no
+        pool entry for that page, charges nothing for its run and leaves
+        the runs before it charged.  ``event`` names the tracer event each
+        run records.
         """
-        if count < 0:
-            raise ValueError("count must be non-negative")
+        pool, stats, backend = self._buffer, self._stats, self._backend
         with self._lock:
-            pages: list[bytes] = []
-            uncached = 0
-            first_uncached: int | None = None
-            for page_no in range(start, start + count):
-                if lookup is not None:
-                    retained = lookup(name, page_no)
-                    if retained is not None:
-                        pages.append(retained)
+            for name, start, count in runs:
+                if count < 0:
+                    raise ValueError("count must be non-negative")
+                pages: list[bytes] = []
+                uncached = 0
+                first_uncached = start
+                for page_no in range(start, start + count):
+                    if lookup is not None:
+                        retained = lookup(name, page_no)
+                        if retained is not None:
+                            pages.append(retained)
+                            continue
+                    cached = pool.get(name, page_no)
+                    if cached is not None:
+                        stats.record_cache_hit()
+                        pages.append(cached)
                         continue
-                cached = self._buffer.get(name, page_no)
-                if cached is not None:
-                    self._stats.record_cache_hit()
-                    pages.append(cached)
-                    continue
-                try:
-                    data = self._backend.read(name, page_no)
-                except StorageError:
-                    # Nothing was read: make sure no layer of the pool keeps
-                    # an entry for a page we just failed to materialise.
-                    self._buffer.invalidate_page(name, page_no)
-                    raise
-                if first_uncached is None:
-                    first_uncached = page_no
-                uncached += 1
-                pages.append(data)
-                self._buffer.put(name, page_no, data)
-            if uncached:
-                self._charge_read(self._classify(name, first_uncached), uncached)
-                self._advance_head(name, start + count - 1)
-            if event is not None and self._tracer is not None:
-                self._tracer.event(event, file=name, pages=count, uncached=uncached)
-            return pages
+                    try:
+                        data = backend.read(name, page_no)
+                    except StorageError:
+                        # Nothing was read: make sure no layer of the pool
+                        # keeps an entry for a page we just failed to
+                        # materialise.
+                        pool.invalidate_page(name, page_no)
+                        raise
+                    if not uncached:
+                        first_uncached = page_no
+                    uncached += 1
+                    pages.append(data)
+                    pool.put(name, page_no, data)
+                if uncached:
+                    self._charge_read(self._classify(name, first_uncached), uncached)
+                    self._advance_head(name, start + count - 1)
+                if event is not None and self._tracer is not None:
+                    self._tracer.event(event, file=name, pages=count, uncached=uncached)
+                yield pages
 
     def write_page(self, name: str, page_no: int, data: bytes) -> None:
         """Overwrite one page in place (write-through to the backend)."""

@@ -17,17 +17,20 @@ empty :class:`StoredRun`), so the write costs what the occupied groups cost.
 Array surface
 -------------
 Records are read as NumPy structured arrays of the codec's ``dtype``:
-:meth:`PagedFile.read_group_array`, the page-addressed
+the group reader :func:`read_groups`, the page-addressed
 :meth:`PagedFile.read_page_array` and :meth:`PagedFile.scan_arrays` decode
 pages with ``np.frombuffer`` (no per-record Python objects), and
 :meth:`PagedFile.append_group_array` / :meth:`PagedFile.write_groups_array`
 encode straight from arrays.  Reads are backed by the buffer pool's
 decoded-array layer: a page whose bytes are cached is decoded at most once.
-Every group read — live, or as of a pinned snapshot
-(:meth:`PagedFile.read_group_array_at`) — walks the run through one reader
-and ends in one record-count check.  The one per-record entry point left is
-:meth:`PagedFile.append_group`, which packs record objects through the
-codec into the same page bytes the array surface writes.
+Every group read — a query's whole plan, across files, live or as of a
+pinned snapshot — is one call of :func:`read_groups`: one
+:meth:`Disk.read_runs` page loop over every extent of every group, and one
+record-count check per group; :meth:`PagedFile.read_group_array` and
+:meth:`PagedFile.read_group_array_at` are one-group calls.  The one
+per-record entry point left is :meth:`PagedFile.append_group`, which packs
+record objects through the codec into the same page bytes the array
+surface writes.
 
 Compression
 -----------
@@ -42,6 +45,8 @@ pages carrying several pages' worth of records) still decode.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Generic, Iterator, Sequence, TypeVar
 
@@ -60,18 +65,21 @@ from repro.storage.disk import Disk
 RecordT = TypeVar("RecordT")
 
 
-@dataclass(frozen=True, slots=True)
-class PageExtent:
-    """A run of ``count`` consecutive pages starting at ``start``."""
+class PageExtent(namedtuple("PageExtent", ("start", "count"))):
+    """A run of ``count`` consecutive pages starting at ``start``.
 
-    start: int
-    count: int
+    A named tuple, so that hashing a stored group's extents — the batch
+    read set's key — costs no Python call per extent.
+    """
 
-    def __post_init__(self) -> None:
-        if self.start < 0:
+    __slots__ = ()
+
+    def __new__(cls, start: int, count: int) -> "PageExtent":
+        if start < 0:
             raise ValueError("start must be non-negative")
-        if self.count < 1:
+        if count < 1:
             raise ValueError("count must be positive")
+        return tuple.__new__(cls, (start, count))
 
     @property
     def end(self) -> int:
@@ -148,25 +156,70 @@ class _PageAllocator:
         return None
 
 
-def _frozen_concat(parts: Sequence[np.ndarray], dtype: np.dtype) -> np.ndarray:
-    """Concatenate decoded page arrays into one *read-only* array.
+def frozen_concat(parts: Sequence[np.ndarray], dtype: np.dtype) -> np.ndarray:
+    """Concatenate contiguous record arrays into one *read-only* array.
 
-    Single-page groups come back as read-only ``np.frombuffer`` views
-    straight from the decoded-array cache; multi-page groups concatenate
-    into a fresh buffer, which NumPy makes writable by default.  Freezing
-    that buffer too keeps the whole array surface immutable: the decoded
-    layer's cached views are shared across queries, engines and epochs,
-    and an in-place mutation anywhere must raise instead of silently
-    corrupting everyone's view of the page.
+    The parts' bytes are joined and viewed as ``dtype``: a structured
+    ``np.concatenate`` promotes the fields of every part, which costs more
+    than the copy.  A single part (a read-only page view from the
+    decoded-array cache) comes back as is.  The whole array surface stays
+    immutable: cached views are shared across queries, engines and
+    epochs, and an in-place mutation anywhere must raise instead of
+    silently corrupting everyone's view of the page.
     """
-    if not parts:
-        records = np.empty(0, dtype=dtype)
-    elif len(parts) == 1:
+    if len(parts) == 1:
         return parts[0]
-    else:
-        records = np.concatenate(parts)
-    records.setflags(write=False)
-    return records
+    return np.frombuffer(b"".join(parts), dtype=dtype)
+
+
+def _decode_cached(pool, name: str, dtype: np.dtype, page_no: int, page_bytes: bytes):
+    """One page's records through the buffer pool's decoded-array layer."""
+    decoded = pool.get_decoded(name, page_no, page_bytes)
+    if decoded is None:
+        decoded = decode_page_array(dtype, page_bytes)
+        pool.put_decoded(name, page_no, page_bytes, decoded)
+    return decoded
+
+
+def read_groups(
+    groups: Sequence[tuple["PagedFile", "StoredRun"]], lookup=None
+) -> list[np.ndarray]:
+    """The one group reader: the records of each ``(file, run)``, in order.
+
+    The files share one disk, and every extent of every group is one run
+    of one :meth:`Disk.read_runs` call (with a snapshot ``lookup``, pages
+    destroyed since the pin come from their pre-images).  Each run's pages
+    are decoded through the buffer pool's decoded-array layer before the
+    next run is read, as one read per group decoded one extent at a time,
+    so hits, decodings and evictions on both pool layers happen exactly as
+    with one read per group.  A group is its first ``run.n_records``
+    records, and fewer decoded is corruption.
+    """
+    if not groups:
+        return []
+    disk = groups[0][0].disk
+    pool = disk.buffer_pool
+    runs = [(file._name, start, count) for file, run in groups for start, count in run.extents]
+    event = "disk.read_run" if lookup is None else "disk.read_run_at"
+    arrays: list[np.ndarray] = []
+    with closing(disk.read_runs(runs, lookup, event)) as reads:
+        for file, run in groups:
+            name, dtype = file._name, file._dtype
+            if dtype is None:
+                file._require_dtype()  # raises
+            parts: list[np.ndarray] = []
+            for start, _ in run.extents:
+                for page_no, page_bytes in enumerate(next(reads), start):
+                    decoded = _decode_cached(pool, name, dtype, page_no, page_bytes)
+                    if len(decoded):
+                        parts.append(decoded)
+            records, n = frozen_concat(parts, dtype), run.n_records
+            if len(records) < n:
+                raise ValueError(
+                    f"group in {name!r} is corrupt: expected {n} records, decoded {len(records)}"
+                )
+            arrays.append(records if len(records) == n else records[:n])
+    return arrays
 
 
 class PagedFile(Generic[RecordT]):
@@ -336,11 +389,12 @@ class PagedFile(Generic[RecordT]):
     def read_group_array(self, run: StoredRun) -> np.ndarray:
         """Read one group as a structured array (zero-copy page decoding).
 
-        Each extent of the run is one :meth:`Disk.read_run`.  Decoded
-        pages are cached in the buffer pool's decoded-array layer, so a
-        group whose pages are byte-cached is served without re-decoding.
+        A one-group :func:`read_groups`: the run's extents are one
+        :meth:`Disk.read_runs`, and decoded pages are cached in the buffer
+        pool's decoded-array layer, so a group whose pages are byte-cached
+        is served without re-decoding.
         """
-        return self._read_array(run)
+        return read_groups(((self, run),))[0]
 
     def read_page_array(self, page_no: int) -> np.ndarray:
         """Decode all records stored in one page as a structured array.
@@ -351,7 +405,8 @@ class PagedFile(Generic[RecordT]):
         the page self-describing.
         """
         self._require_dtype()
-        return self._decode_page_cached(page_no, self._disk.read_page(self._name, page_no))
+        page_bytes = self._disk.read_page(self._name, page_no)
+        return _decode_cached(self._disk.buffer_pool, self._name, self._dtype, page_no, page_bytes)
 
     def scan_arrays(self, chunk_pages: int = 256) -> Iterator[np.ndarray]:
         """Yield the file's records in columnar chunks (one sequential pass).
@@ -366,18 +421,19 @@ class PagedFile(Generic[RecordT]):
         if chunk_pages < 1:
             raise ValueError("chunk_pages must be >= 1")
         total = self.num_pages()
+        pool = self._disk.buffer_pool
         for start in range(0, total, chunk_pages):
             count = min(chunk_pages, total - start)
             parts = [
-                self._decode_page_cached(start + offset, page_bytes)
-                for offset, page_bytes in enumerate(
-                    self._disk.read_run(self._name, start, count)
+                _decode_cached(pool, self._name, dtype, page_no, page_bytes)
+                for page_no, page_bytes in enumerate(
+                    self._disk.read_run(self._name, start, count), start
                 )
             ]
             parts = [part for part in parts if len(part)]
             if not parts:
                 continue
-            yield _frozen_concat(parts, dtype)
+            yield frozen_concat(parts, dtype)
 
     def _require_dtype(self) -> np.dtype:
         if self._dtype is None:
@@ -390,51 +446,17 @@ class PagedFile(Generic[RecordT]):
     def read_group_array_at(self, run: StoredRun, lookup) -> np.ndarray:
         """Snapshot variant of :meth:`read_group_array`.
 
-        Pages are fetched through :meth:`Disk.read_run_at`, so any page
+        Pages are fetched through the overlay ``lookup``, so any page
         overwritten or deleted since the snapshot was pinned is served
-        from the snapshot's retained pre-image (``lookup``) instead of the
-        live file.  Pre-image bytes are distinct objects from anything in
-        the buffer pool, so the identity-checked decoded layer decodes
-        them fresh and never caches them — a later live reader cannot be
-        served a stale decoding.  When the overlay has nothing for the
-        run, reads, charging and decoding are identical to
-        :meth:`read_group_array`.
+        from the snapshot's retained pre-image instead of the live file
+        (see :meth:`Disk.read_run_at`).  Pre-image bytes are distinct
+        objects from anything in the buffer pool, so the identity-checked
+        decoded layer decodes them fresh and never caches them — a later
+        live reader cannot be served a stale decoding.  When the overlay
+        has nothing for the run, reads, charging and decoding are
+        identical to :meth:`read_group_array`.
         """
-        return self._read_array(run, lookup)
-
-    def _read_array(self, run: StoredRun, lookup=None) -> np.ndarray:
-        """The array read of one group, live or through a snapshot ``lookup``.
-
-        One :meth:`Disk.read_run` per extent (:meth:`Disk.read_run_at`
-        with a ``lookup``); the group is its first ``run.n_records``
-        records, and fewer decoded is corruption.
-        """
-        dtype = self._require_dtype()
-        parts: list[np.ndarray] = []
-        for extent in run.extents:
-            if lookup is None:
-                pages = self._disk.read_run(self._name, extent.start, extent.count)
-            else:
-                pages = self._disk.read_run_at(self._name, extent.start, extent.count, lookup)
-            for page_no, page_bytes in enumerate(pages, extent.start):
-                decoded = self._decode_page_cached(page_no, page_bytes)
-                if len(decoded):
-                    parts.append(decoded)
-        records = _frozen_concat(parts, dtype)
-        if len(records) < run.n_records:
-            raise ValueError(
-                f"group in {self._name!r} is corrupt: expected {run.n_records} "
-                f"records, decoded {len(records)}"
-            )
-        return records[: run.n_records]
-
-    def _decode_page_cached(self, page_no: int, page_bytes: bytes) -> np.ndarray:
-        pool = self._disk.buffer_pool
-        decoded = pool.get_decoded(self._name, page_no, page_bytes)
-        if decoded is None:
-            decoded = decode_page_array(self._dtype, page_bytes)
-            pool.put_decoded(self._name, page_no, page_bytes, decoded)
-        return decoded
+        return read_groups(((self, run),), lookup)[0]
 
     # ------------------------------------------------------------------ #
     # Internals

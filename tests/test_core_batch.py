@@ -17,6 +17,7 @@ from repro.core.adaptor import Adaptor
 from repro.core.batch import BatchReadSet, QueryBatch
 from repro.core.config import OdysseyConfig
 from repro.core.odyssey import SpaceOdyssey
+from repro.data.columnar import DecodedGroup
 from repro.data.dataset import DatasetCatalog
 from repro.data.spatial_object import spatial_object_codec, spatial_object_dtype
 from repro.geometry.box import Box
@@ -134,16 +135,17 @@ class TestColumnarDecode:
         adaptor = Adaptor(OdysseyConfig(partitions_per_level=8))
         tree = adaptor.create_tree(dataset)
         adaptor.initialize(tree)
-        read_set = BatchReadSet(universe.dimension)
+        read_set = BatchReadSet()
         leaf = max(reference_tree(tree).leaves(), key=lambda node: node.n_objects)
-        group = read_set.read(tree.file, leaf.run)
+        (records,) = read_set.read([(0, tree.file, leaf.run)])
+        group = DecodedGroup.from_records(records, universe.dimension)
         expected = read_partition(tree, leaf)
         assert group.n_records == len(expected)
         materialized = group.materialize(np.ones(group.n_records, dtype=bool))
         assert materialized == expected
         pages_before = disk.stats.pages_read
-        again = read_set.read(tree.file, leaf.run)
-        assert again is group
+        (again,) = read_set.read([(0, tree.file, leaf.run)])
+        assert again is records
         assert disk.stats.pages_read == pages_before
         assert read_set.group_reads == 2
         assert read_set.dedup_hits == 1
@@ -231,7 +233,7 @@ class TestFailedReadHalf:
         self, suite, tmp_path, monkeypatch, options
     ):
         from repro.bench.runner import generate_workload
-        from repro.data.columnar import DecodedGroup
+        from repro.storage import pagedfile as pagedfile_module
 
         from tests.test_batch_differential import adaptive_state, packed_hits
 
@@ -249,23 +251,26 @@ class TestFailedReadHalf:
         def engine(name):
             odyssey = SpaceOdyssey(suite.fork().catalog, journal=tmp_path / name)
             odyssey.query(suite.universe, suite.catalog.dataset_ids())
+            assert odyssey.disk.buffer_pool.capacity_pages == 0  # every page read decodes
             return odyssey
 
-        decode = DecodedGroup.from_records
+        # The one group reader decodes every page a batch reads; the
+        # failure is injected at the batch's last page.
+        decode = pagedfile_module.decode_page_array
         calls = {"made": 0, "fail_at": None}
 
-        def counted(records, dimension):
+        def counted(dtype, data):
             calls["made"] += 1
             if calls["made"] == calls["fail_at"]:
                 raise RuntimeError("injected decode failure")
-            return decode(records, dimension)
+            return decode(dtype, data)
 
-        monkeypatch.setattr(DecodedGroup, "from_records", staticmethod(counted))
+        monkeypatch.setattr(pagedfile_module, "decode_page_array", counted)
         reference = engine("reference.log")
         calls["made"] = 0
         expected = reference.query_batch(workload, **options)
         batch_decodes = calls["made"]
-        assert batch_decodes >= 4, "the batch must read several groups"
+        assert batch_decodes >= 4, "the batch must read several pages"
 
         odyssey = engine("failing.log")
         before = (
@@ -274,7 +279,7 @@ class TestFailedReadHalf:
             adaptive_state(odyssey),
             (tmp_path / "failing.log").read_bytes(),
         )
-        calls["made"], calls["fail_at"] = 0, batch_decodes  # the batch's last decode
+        calls["made"], calls["fail_at"] = 0, batch_decodes  # the batch's last page
         with pytest.raises(RuntimeError, match="injected decode failure"):
             odyssey.query_batch(workload, **options)
         after = (

@@ -8,7 +8,7 @@ from repro.baselines.interface import BruteForceScan, result_keys
 from repro.core.config import OdysseyConfig
 from repro.core.odyssey import SpaceOdyssey
 from repro.geometry.box import Box
-from repro.storage.pagedfile import PagedFile
+from repro.storage import pagedfile as pagedfile_module
 from repro.workload import ClusteredRangeGenerator, CombinationGenerator, WorkloadBuilder
 
 from tests.conftest import make_catalog
@@ -129,14 +129,16 @@ class TestRejectedQueriesChangeNothing:
         """A read that raises leaves the clock where it was, on every path.
 
         Dataset 2 is initialised by the fixture, so first touch writes
-        nothing and the read is the first thing that can fail.
+        nothing and the read is the first thing that can fail.  Every
+        path reads through the one group reader, and with no buffer pool
+        it decodes every page it reads: the failure is injected there.
         """
 
-        def failing_read(*args, **kwargs):
+        def failing_decode(*args, **kwargs):
             raise OSError("injected read failure")
 
-        monkeypatch.setattr(PagedFile, "read_group_array", failing_read)
-        monkeypatch.setattr(PagedFile, "read_group_array_at", failing_read)
+        assert engine.disk.buffer_pool.capacity_pages == 0
+        monkeypatch.setattr(pagedfile_module, "decode_page_array", failing_decode)
         before = self.state(engine)
         with pytest.raises(OSError, match="injected read failure"):
             run(engine, [(Box.cube((50.0, 50.0, 50.0), 40.0), [2])])

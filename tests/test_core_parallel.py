@@ -154,25 +154,28 @@ class TestParallelReadSet:
 
     def test_counters_match_serial_read_set(self, stored_groups):
         file, runs = stored_groups
-        serial = BatchReadSet(3)
-        parallel = ParallelReadSet(3)
-        sequence = [runs[0], runs[1], runs[0], runs[2], runs[1], runs[0]]
-        for run in sequence:
-            serial.read(file, run)
-            parallel.read(file, run)
-        assert parallel.group_reads == serial.group_reads == len(sequence)
-        assert parallel.dedup_hits == serial.dedup_hits == len(sequence) - len(runs)
+        serial = BatchReadSet()
+        parallel = ParallelReadSet()
+        plans = [[runs[0], runs[1]], [runs[0], runs[2], runs[1]], [], [runs[0]]]
+        for plan in plans:
+            entries = [(0, file, run) for run in plan]
+            assert [
+                records.tobytes() for records in serial.read(entries)
+            ] == [records.tobytes() for records in parallel.read(entries)]
+        read = sum(len(plan) for plan in plans)
+        assert parallel.group_reads == serial.group_reads == read
+        assert parallel.dedup_hits == serial.dedup_hits == read - len(runs)
 
     def test_concurrent_reads_decode_each_group_once(self, stored_groups):
         file, runs = stored_groups
-        read_set = ParallelReadSet(3)
+        read_set = ParallelReadSet()
         seen = []
         barrier = threading.Barrier(6)
 
         def reader() -> None:
             barrier.wait(timeout=10)
             for run in runs:
-                seen.append(read_set.read(file, run))
+                seen.extend(read_set.read([(0, file, run)]))
 
         threads = [threading.Thread(target=reader) for _ in range(6)]
         for thread in threads:
@@ -181,7 +184,7 @@ class TestParallelReadSet:
             thread.join(timeout=30)
         assert read_set.group_reads == 6 * len(runs)
         assert read_set.dedup_hits == 6 * len(runs) - len(runs)
-        # Every reader got the same DecodedGroup instance per stored group.
+        # Every reader got the same records array per stored group.
         distinct = {id(group) for group in seen}
         assert len(distinct) == len(runs)
 

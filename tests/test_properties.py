@@ -641,7 +641,8 @@ class TestSpliceProperties:
                 sides = [side * fraction for side in universe.extents]
                 window = Box.from_center(centres[pick % count], sides).clamp(universe)
                 table = tree.leaf_snapshot()
-                for row in engine.candidates(table, tree.leaves_overlapping_vectorized(window), window):
+                rows = tree.leaves_overlapping_vectorized(window)
+                for row in engine.candidates(table, rows, window.volume()):
                     engine.maybe_refine(tree, row + len(tree.leaf_snapshot()) - len(table), window)
                 for node in leaves_overlapping(reference, window):
                     scalar.maybe_refine(reference, node, window)

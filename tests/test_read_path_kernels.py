@@ -7,9 +7,12 @@ reads (:func:`repro.data.columnar.filter_groups`, a query being a batch of
 one); for a batch, one ``intersect_matrix`` per requested dataset and one
 mask and one materialisation for the whole batch.  A new loop over groups
 or queries, a per-leaf Python check or a per-object validity check is a
-regression these counts catch without a stopwatch.  At a fixed point a
-query also validates no ``Box`` at all: windows and hits are built from
-floats that are valid by construction.
+regression these counts catch without a stopwatch.  The storage side is
+counted too: a query's plan is one call of the group reader and one page
+loop, a batch enters its read set once per request, the filter splits
+records into columns once, and a page is decoded only on a decoded-cache
+miss.  At a fixed point a query also validates no ``Box`` at all: windows
+and hits are built from floats that are valid by construction.
 
 The module also keeps the reference models the fused paths replaced: the
 per-group filter loop (reduce-based mask, checked ``Box`` per hit) and the
@@ -32,11 +35,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import batch as batch_module
+from repro.core import parallel as parallel_module
 from repro.core import partition as partition_module
+from repro.core import query_processor as query_processor_module
 from repro.core.adaptor import Adaptor
+from repro.core.batch import BatchReadSet
 from repro.core.config import OdysseyConfig
 from repro.core.merge import choose_route
 from repro.core.odyssey import SpaceOdyssey
+from repro.core.parallel import ParallelReadSet
 from repro.data import columnar as columnar_module
 from repro.data.columnar import DecodedGroup, filter_groups
 from repro.data.dataset import Dataset, DatasetCatalog, raw_file_name
@@ -44,6 +52,7 @@ from repro.data.spatial_object import SpatialObject, spatial_object_codec
 from repro.geometry.box import Box
 from repro.geometry.vectorized import intersect_mask
 from repro.storage.cost_model import DiskModel
+from repro.storage import pagedfile as pagedfile_module
 from repro.storage.disk import Disk
 from repro.storage.pagedfile import PagedFile
 
@@ -117,9 +126,10 @@ def reference_query(engine: SpaceOdyssey, box: Box, dataset_ids):
 def reference_filter(plans, boxes) -> tuple[list[list[SpatialObject]], list[int]]:
     """The batch engine's former per-query filter loop.
 
-    ``plans[i]`` lists query ``i``'s ``(owner, group)`` entries in read
-    order; each query concatenates its own groups and filters them with
-    one mask and one materialisation against its own window.
+    ``plans[i]`` lists query ``i``'s ``(owner, records)`` entries in read
+    order; each query decodes every group into columns, concatenates its
+    own groups column by column and filters them with one mask and one
+    materialisation against its own window.
     """
     hits, examined = [], []
     for plan, box in zip(plans, boxes):
@@ -127,7 +137,10 @@ def reference_filter(plans, boxes) -> tuple[list[list[SpatialObject]], list[int]
             hits.append([])
             examined.append(0)
             continue
-        groups = [group for _, group in plan]
+        groups = [
+            DecodedGroup.from_records(records, records.dtype["lo"].shape[0])
+            for _, records in plan
+        ]
         merged = DecodedGroup(
             oids=np.concatenate([group.oids for group in groups]),
             dataset_ids=np.concatenate([group.dataset_ids for group in groups]),
@@ -180,6 +193,24 @@ def calls(monkeypatch) -> Counter:
     )
     monkeypatch.setattr(
         DecodedGroup, "materialize", counted("materialize", DecodedGroup.materialize)
+    )
+    # The storage shape: one group-reader call per plan, one page loop per
+    # group-reader call, one read-set entry per request, one split into
+    # columns per filter, and a page decoded only on a decoded-cache miss.
+    for module in (query_processor_module, batch_module, parallel_module):
+        monkeypatch.setattr(module, "read_groups", counted("storage_read", module.read_groups))
+    monkeypatch.setattr(Disk, "read_runs", counted("page_loop", Disk.read_runs))
+    for cls in (BatchReadSet, ParallelReadSet):
+        monkeypatch.setattr(cls, "read", counted("read_set", cls.__dict__["read"]))
+    monkeypatch.setattr(
+        DecodedGroup,
+        "from_records",
+        staticmethod(counted("from_records", DecodedGroup.from_records)),
+    )
+    monkeypatch.setattr(
+        pagedfile_module,
+        "decode_page_array",
+        counted("decode", pagedfile_module.decode_page_array),
     )
     maybe_refine = Adaptor.maybe_refine
 
@@ -235,17 +266,25 @@ def test_sequential_query_is_a_handful_of_kernels(scenario, calls):
             else:
                 expected = None  # first touch: nothing to walk yet
             calls.clear()
+            pool = engine.disk.buffer_pool
+            decoded_before = pool.decoded_misses
             hits = engine.query(box, ids)
             report = engine.last_report
             assert calls["overlap_mask"] == len(set(ids)), tag
             assert calls["overlap_matrix"] == 0, tag
             assert calls["data_mask"] <= 1 and calls["materialize"] <= 1, tag
+            assert calls["storage_read"] == 1 and calls["read_set"] == 0, tag
+            assert calls["decode"] == pool.decoded_misses - decoded_before, tag
             from_merge += report.partitions_from_merge
             if expected is not None:
                 expected_hits, examined, groups = expected
                 assert hits == expected_hits, tag
                 assert report.objects_examined == examined, tag
                 assert calls["data_mask"] == (1 if groups else 0), tag
+                assert calls["from_records"] == (1 if groups else 0), tag
+                if not report.refinements and not report.merged:
+                    # Refining and merging read partitions of their own.
+                    assert calls["page_loop"] == (1 if groups else 0), tag
                 most_groups = max(most_groups, groups)
             if phase == "converged":
                 assert report.refinements == 0 and not report.merged, tag
@@ -294,6 +333,8 @@ def test_batch_is_one_matrix_per_dataset_one_mask_and_one_materialize(scenario, 
         chunk = queries[offset : offset + 16]
         expected = [reference_query(engine, box, ids) for box, ids in chunk]
         calls.clear()
+        pool = engine.disk.buffer_pool
+        decoded_before = pool.decoded_misses
         if mode == "prepare-commit":
             result = engine.commit_batch(engine.prepare_batch(chunk))
         else:
@@ -302,6 +343,12 @@ def test_batch_is_one_matrix_per_dataset_one_mask_and_one_materialize(scenario, 
         assert calls["overlap_matrix"] == len({d for _, ids in chunk for d in ids}), mode
         assert calls["overlap_mask"] == 0, mode
         assert calls["data_mask"] == 1 and calls["materialize"] <= 1, mode
+        assert calls["read_set"] == len(chunk), mode
+        assert calls["from_records"] == 1, mode
+        assert calls["decode"] == pool.decoded_misses - decoded_before, mode
+        if mode != "thread":  # the threads' read set reads group by group
+            assert calls["storage_read"] <= len(chunk), mode
+            assert calls["page_loop"] == calls["storage_read"], mode
         for hits, report, (expected_hits, examined, _) in zip(
             result.results, result.reports, expected
         ):
@@ -321,12 +368,13 @@ def test_reference_loop_and_fused_filter_agree_on_interleaved_groups():
         records["dataset_id"] = rng.integers(0, 3, n)
         records["lo"] = rng.random((n, 2)) * 10
         records["hi"] = records["lo"] + rng.random((n, 2))
-        return DecodedGroup.from_records(records, 2)
+        return records
 
     plan = [(1, group(9)), (0, group(0)), (2, group(1)), (1, group(30))]
     window = Box((2.0, 2.0), (7.0, 7.0))
     expected = []
-    for owner, g in plan:
+    for owner, records in plan:
+        g = DecodedGroup.from_records(records, 2)
         for row in range(g.n_records):
             box = Box(tuple(g.lo[row].tolist()), tuple(g.hi[row].tolist()))
             if g.dataset_ids[row] == owner and box.intersects(window):
@@ -339,7 +387,7 @@ def test_reference_loop_and_fused_filter_agree_on_interleaved_groups():
     assert batch_filter([[(0, group(0))]], [window]) == ([[]], [0])
 
 
-def _records(dimension: int, seed: int, n: int) -> DecodedGroup:
+def _records(dimension: int, seed: int, n: int) -> np.ndarray:
     """``n`` records on an integer grid, so windows often touch them exactly."""
     rng = np.random.default_rng(seed)
     records = np.zeros(n, dtype=spatial_object_codec(dimension).dtype)
@@ -347,7 +395,7 @@ def _records(dimension: int, seed: int, n: int) -> DecodedGroup:
     records["dataset_id"] = rng.integers(0, 3, n)
     records["lo"] = rng.integers(0, 10, (n, dimension)).astype(np.float64)
     records["hi"] = records["lo"] + rng.integers(0, 3, (n, dimension))
-    return DecodedGroup.from_records(records, dimension)
+    return records
 
 
 @st.composite
@@ -524,8 +572,8 @@ def test_materialize_validates_exactly_the_selected_rows(kind, message):
     window = UNIVERSE
     if kind == "inverted":
         with pytest.raises(ValueError, match=message):
-            batch_filter([[(0, group)]], [window])
+            batch_filter([[(0, arrays[0])]], [window])
     else:
         # No closed-box comparison with NaN holds: the mask never selects it.
-        (hits,), (examined,) = batch_filter([[(0, group)]], [window])
+        (hits,), (examined,) = batch_filter([[(0, arrays[0])]], [window])
         assert len(hits) == 299 and examined == 300
