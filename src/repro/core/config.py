@@ -4,6 +4,11 @@ The defaults are the parameters used in the paper's evaluation
 (Section 4.1): refinement threshold ``rt = 4``, ``ppl = 64`` partitions per
 level, merging threshold ``mt = 2``, and merging only for combinations of at
 least three datasets (Section 3.2.1).
+
+Which partitions a hot combination merges is not configurable: a partition
+qualifies once two queries of the combination retrieved it and it is no
+longer a refinement candidate for the combination's typical query volume
+(:mod:`repro.core.statistics` and :mod:`repro.core.merger` own that rule).
 """
 
 from __future__ import annotations
@@ -41,22 +46,8 @@ class OdysseyConfig:
         Odyssey with merging disabled to isolate its effect).
     max_depth:
         Safety bound on partition-tree depth, preventing runaway
-        refinement for degenerate query volumes.
-    merge_partition_min_hits:
-        A partition is copied into a merge file only after it has been
-        retrieved by at least this many queries of the combination.  This
-        (together with ``merge_only_converged``) is our answer to the
-        paper's open issue on merging partitions at the right moment: it
-        stops the merger from copying partitions that were touched once in
-        passing and never again.  Set to 1 for the paper's plain behaviour
-        of merging every retrieved partition.
-    merge_only_converged:
-        When true, a partition is merged only once it is no longer a
-        refinement candidate for this combination's typical query volume
-        (``V_partition <= rt * avg(V_query)``).  This avoids copying large
-        unconverged partitions whose copies would immediately be
-        superseded by refined originals (another of the paper's open
-        issues).
+        refinement for degenerate data (e.g. coincident centres) or query
+        volumes.  It is not a tuning knob: no figure or ablation sets it.
     """
 
     refinement_threshold: float = 4.0
@@ -66,8 +57,6 @@ class OdysseyConfig:
     merge_space_budget_pages: int | None = None
     enable_merging: bool = True
     max_depth: int = 16
-    merge_partition_min_hits: int = 2
-    merge_only_converged: bool = True
 
     def __post_init__(self) -> None:
         if not self.refinement_threshold > 0:  # also rejects NaN
@@ -82,8 +71,6 @@ class OdysseyConfig:
             raise ValueError("merge_space_budget_pages must be >= 1 or None")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
-        if self.merge_partition_min_hits < 1:
-            raise ValueError("merge_partition_min_hits must be >= 1")
 
     def splits_per_dimension(self, dimension: int) -> int:
         """Per-dimension split count such that ``splits**dimension == ppl``.

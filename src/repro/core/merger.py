@@ -5,6 +5,10 @@ times (and contains at least ``min_merge_combination`` datasets), the
 Merger copies the partitions those queries retrieved into the combination's
 append-only merge file:
 
+* one policy, with no setting, decides which (the repo's answer to the
+  paper's open issue of merging at the right moment): a partition that two
+  of the combination's queries retrieved, once its volume has converged
+  for their average query;
 * for every qualifying partition region it stores the objects of each
   member dataset as a separate, sequential segment, so future queries can
   read any subset of the merged datasets sequentially and skip the rest;
@@ -56,12 +60,6 @@ class Merger:
         statistics: StatisticsCollector,
         dimension: int,
     ) -> None:
-        if statistics.hot_key_min_hits != config.merge_partition_min_hits:
-            raise ValueError(
-                "the statistics collector must track hot keys at "
-                f"merge_partition_min_hits={config.merge_partition_min_hits}, "
-                f"not {statistics.hot_key_min_hits}"
-            )
         self._disk = disk
         self._config = config
         self._directory = directory
@@ -147,17 +145,16 @@ class Merger:
 
         A key qualifies when
 
-        * it has been retrieved by at least ``merge_partition_min_hits``
-          queries of this combination (``stats.hot_keys``, kept by the
-          collector as it counts);
+        * it has been retrieved by at least two queries of this combination
+          (``stats.hot_keys``, kept by the collector as it records);
         * it is a *leaf* with the same key (and therefore the same
           refinement level) in every member dataset — the paper's "only
           merge partitions at the same level of refinement";
         * it is not in ``merged`` already; and
-        * (if ``merge_only_converged``) it is no longer a refinement
-          candidate for the combination's typical query volume — the
-          negation of the Adaptor's own rule, :func:`oversized` — so its
-          copy will not be superseded by refined originals.
+        * it is no longer a refinement candidate for the combination's
+          typical query volume — the negation of the Adaptor's own rule,
+          :func:`oversized` — so its copy will not be superseded by refined
+          originals.
 
         All but the last are set algebra over summaries their owners keep
         up to date as they change (set-to-set operations, and
@@ -171,7 +168,7 @@ class Merger:
             keys = keys & trees[dataset_id].leaf_keys
         keys = keys.difference(merged)
         avg_query_volume = stats.average_query_volume()
-        if self._config.merge_only_converged and avg_query_volume > 0:
+        if avg_query_volume > 0:
             # Equal keys are the same region in every tree: ask any one.
             volume = trees[next(iter(combination))].volume
             rt, average = self._config.refinement_threshold, avg_query_volume

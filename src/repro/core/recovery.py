@@ -69,18 +69,22 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
     from repro.core.odyssey import SpaceOdyssey
 
 #: Manifest schema version (bumped on incompatible layout changes).
-#: Version 2 journals a base plus per-commit deltas; a version-1 journal,
-#: which holds one full manifest per commit, is still read.
-MANIFEST_VERSION = 2
-READABLE_VERSIONS = (1, MANIFEST_VERSION)
+#: Version 3 records a filesystem store's root relative to the journal's
+#: directory, so a store and its journal can be copied or moved together.
+#: Versions 1 and 2 (an absolute root; version 1 also holds one full
+#: manifest per commit instead of a base plus per-commit deltas) are still
+#: read, and their absolute root is honoured.
+MANIFEST_VERSION = 3
+READABLE_VERSIONS = (1, 2, MANIFEST_VERSION)
 
 #: Header keys of retired options, ignored when an older journal carries
 #: them.  A sharded buffer pool comes back as one pool of the same
 #: ``buffer_pages``; the batch executor, per-record engine and epoch
 #: switches have no replacement — every engine computes the same state.
-#: A level budget above one or the adaptive merge trigger is dropped too:
-#: replay then runs the one policy left, whose adaptive state may differ
-#: from the journaling engine's but whose answers cannot.
+#: A level budget above one, the adaptive merge trigger or a merge policy
+#: other than "hot once retrieved twice, only when converged" is dropped
+#: too: replay then runs the one policy left, whose adaptive state may
+#: differ from the journaling engine's but whose answers cannot.
 _RETIRED_KEYS = {
     "config": (
         "batch_executor",
@@ -88,6 +92,8 @@ _RETIRED_KEYS = {
         "snapshot_reads",
         "refine_levels_per_query",
         "adaptive_merge_threshold",
+        "merge_partition_min_hits",
+        "merge_only_converged",
     ),
     "catalog": ("buffer_shards",),
 }
@@ -121,16 +127,17 @@ def encode_query(box: Box, dataset_ids: Iterable[int]) -> dict:
     return entry
 
 
-def _encode_catalog(catalog: DatasetCatalog) -> dict:
-    disk = catalog.datasets()[0].disk
-    backend = disk.backend
+def _encode_store(backend: StorageBackend, journal_dir: str) -> dict:
     # Unwrap fault-injection / retry decorators to describe the real store.
     while hasattr(backend, "inner"):
         backend = backend.inner
     if isinstance(backend, FileSystemBackend):
-        store = {"kind": "filesystem", "root": str(backend.root)}
-    else:
-        store = {"kind": "memory"}
+        return {"kind": "filesystem", "root": os.path.relpath(backend.root, journal_dir)}
+    return {"kind": "memory"}
+
+
+def _encode_catalog(catalog: DatasetCatalog, journal_dir: str) -> dict:
+    disk = catalog.datasets()[0].disk
     return {
         "datasets": [
             {
@@ -140,7 +147,7 @@ def _encode_catalog(catalog: DatasetCatalog) -> dict:
             }
             for dataset in catalog.datasets()
         ],
-        "store": store,
+        "store": _encode_store(disk.backend, journal_dir),
         "model": asdict(disk.model),
         "buffer_pages": disk.buffer_pool.capacity_pages,
     }
@@ -167,7 +174,7 @@ class DurabilityLog:
         self._header = {
             "version": MANIFEST_VERSION,
             "config": asdict(config),
-            "catalog": _encode_catalog(catalog),
+            "catalog": _encode_catalog(catalog, _journal_dir(journal)),
         }
         self._committed: list[dict] = list(committed or [])
 
@@ -209,7 +216,13 @@ class DurabilityLog:
 # ---------------------------------------------------------------------- #
 
 
-def _rebuild_disk(manifest_catalog: dict, backend: StorageBackend | None) -> Disk:
+def _journal_dir(journal: ManifestJournal) -> str:
+    return os.path.dirname(os.path.abspath(journal.path))
+
+
+def _rebuild_disk(
+    manifest_catalog: dict, backend: StorageBackend | None, root_base: str
+) -> Disk:
     model = DiskModel(**manifest_catalog["model"])
     if backend is None:
         store = manifest_catalog["store"]
@@ -218,7 +231,9 @@ def _rebuild_disk(manifest_catalog: dict, backend: StorageBackend | None) -> Dis
                 "the crashed engine ran on an in-memory backend; pass the "
                 "surviving backend (or a Disk) to recover()"
             )
-        backend = FileSystemBackend(store["root"], page_size=model.page_size)
+        # An absolute root (versions 1 and 2) ignores ``root_base``.
+        root = os.path.normpath(os.path.join(root_base, store["root"]))
+        backend = FileSystemBackend(root, page_size=model.page_size)
     return Disk(
         backend=backend,
         model=model,
@@ -253,7 +268,10 @@ def recover(
         The journal file (or an already-open :class:`ManifestJournal`).
     backend / disk:
         Where the page bytes survived.  For a filesystem-backed engine
-        both may be omitted — the manifest records the root directory.
+        both may be omitted — the manifest records the root directory,
+        relative to the journal's own directory (absolute in journals of
+        versions 1 and 2), so a store copied or moved together with its
+        journal recovers from its new place.
         For an in-memory engine the surviving backend object must be
         passed (typically the fault injector's inner backend, or the
         injector itself disarmed).
@@ -295,23 +313,27 @@ def recover(
         },
     )
 
+    manifest_catalog = manifest["catalog"]
+    journal_dir = _journal_dir(journal)
+    if disk is None:
+        disk = _rebuild_disk(manifest_catalog, backend, journal_dir)
+
     # Heal the journal before re-using it: a torn tail left by the crash
     # would swallow every post-recovery append (records() stops at the
     # first torn record).  Atomically rewriting the file down to the
     # manifest being recovered from truncates the tail; a crash during
     # the rewrite leaves either the old or the new journal, both of which
     # expose this same manifest.  (The new base is in today's layout
-    # whatever the version read, so the deltas that follow it belong.)
+    # whatever the version read, naming the store recovery runs on, so
+    # the deltas that follow it belong.)
     manifest["version"] = MANIFEST_VERSION
     for section, keys in _RETIRED_KEYS.items():
         for key in keys:
             manifest[section].pop(key, None)
+    manifest_catalog["store"] = _encode_store(disk.backend, journal_dir)
     journal.rewrite(manifest)
 
     config = OdysseyConfig(**manifest["config"])
-    manifest_catalog = manifest["catalog"]
-    if disk is None:
-        disk = _rebuild_disk(manifest_catalog, backend)
 
     specs = manifest_catalog["datasets"]
     raw_names = {raw_file_name(spec["name"]) for spec in specs}

@@ -4,17 +4,18 @@ While queries execute, Space Odyssey records
 
 1. how often each *combination* of datasets ``C = {DS_1, ..., DS_N}`` is
    queried together, and
-2. how many of its queries retrieved each key.
+2. which keys its queries retrieved: the keys seen at least once, and the
+   *hot* keys, seen by two queries or more.
 
 The Merger consults these statistics to decide when a combination becomes
 hot enough (``> mt`` retrievals, ``|C| >= 3``) to copy its partitions into a
-merge file, and which partitions to include.  Nothing else is kept: a
-summary is maintained at write time only if a decision reads it.
+merge file, and which partitions to include (the hot keys).  Nothing else is
+kept: a summary is maintained at write time only if a decision reads it, so
+no per-key count is stored once the threshold of two is fixed.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -29,13 +30,12 @@ class CombinationStats:
     """Access statistics for one combination of datasets."""
 
     count: int = 0
-    #: How many queries of this combination retrieved each partition key
-    #: (counting a key once per query, regardless of how many member
-    #: datasets it was read from).
-    key_hits: Counter = field(default_factory=Counter)
-    #: The keys whose ``key_hits`` reached the collector's
-    #: ``hot_key_min_hits`` — maintained as the hits are counted, so the
-    #: merger never rescans the key history.
+    #: The keys retrieved by at least one query of this combination.
+    seen_keys: set[PartitionKey] = field(default_factory=set)
+    #: The keys retrieved by at least two queries of this combination (a
+    #: key counts once per query, however many member datasets it was read
+    #: from) — maintained as queries are recorded, so the merger never
+    #: rescans the key history.
     hot_keys: set[PartitionKey] = field(default_factory=set)
     #: Sum of the query volumes seen for this combination (for the running
     #: average the merger's convergence check uses).
@@ -49,17 +49,9 @@ class CombinationStats:
 
 
 class StatisticsCollector:
-    """Tracks combinations and partition accesses across the query stream.
+    """Tracks combinations and partition accesses across the query stream."""
 
-    ``hot_key_min_hits`` is the per-combination hit count at which a
-    partition key enters :attr:`CombinationStats.hot_keys` (the merger's
-    ``merge_partition_min_hits``).
-    """
-
-    def __init__(self, hot_key_min_hits: int = 1) -> None:
-        if hot_key_min_hits < 1:
-            raise ValueError("hot_key_min_hits must be >= 1")
-        self._hot_key_min_hits = hot_key_min_hits
+    def __init__(self) -> None:
         self._combinations: dict[Combination, CombinationStats] = {}
         self._logical_clock = 0
 
@@ -92,22 +84,15 @@ class StatisticsCollector:
         stats.count += 1
         stats.total_query_volume += max(query_volume, 0.0)
         query_keys = set(keys)
-        key_hits = stats.key_hits
-        key_hits.update(query_keys)
-        # A key turns hot in the one query that brings it to the threshold.
-        threshold = self._hot_key_min_hits
-        stats.hot_keys.update(key for key in query_keys if key_hits[key] == threshold)
+        # A key turns hot in the second query that retrieves it.
+        stats.hot_keys |= query_keys & stats.seen_keys
+        stats.seen_keys |= query_keys
         self._logical_clock += 1
         return stats
 
     # ------------------------------------------------------------------ #
     # Lookup
     # ------------------------------------------------------------------ #
-
-    @property
-    def hot_key_min_hits(self) -> int:
-        """Hits after which a key counts as hot for its combination."""
-        return self._hot_key_min_hits
 
     def combination_stats(self, combination: Iterable[int]) -> CombinationStats | None:
         """Full statistics of a combination, if it has ever been queried."""

@@ -34,9 +34,7 @@ def _run_batched(suite, workload, config, batch_size) -> tuple[IOStats, SpaceOdy
     return odyssey.disk.stats, odyssey
 
 
-MERGING_CONFIG = OdysseyConfig(
-    merge_threshold=1, merge_partition_min_hits=1, merge_only_converged=False
-)
+MERGING_CONFIG = OdysseyConfig(merge_threshold=1)
 
 
 @pytest.mark.parametrize("batch_size", [2, 5, 12, 64])
@@ -51,17 +49,22 @@ MERGING_CONFIG = OdysseyConfig(
 def test_batch_never_reads_more_pages(
     master_suite, batch_size, ranges, volume_fraction, seed
 ):
-    workload = generate_workload(
-        master_suite.universe,
-        master_suite.catalog.dataset_ids(),
-        24,
-        seed=seed,
-        datasets_per_query=3,
-        volume_fraction=volume_fraction,
-        ranges=ranges,
-        ids_distribution="zipf",
+    windows = list(
+        generate_workload(
+            master_suite.universe,
+            master_suite.catalog.dataset_ids(),
+            12,
+            seed=seed,
+            datasets_per_query=3,
+            volume_fraction=volume_fraction,
+            ranges=ranges,
+            ids_distribution="zipf",
+        )
     )
-    seq_stats, _ = _run_sequential(master_suite, workload, MERGING_CONFIG)
+    # Every window is visited twice, so its keys turn hot and merge.
+    workload = windows + windows
+    seq_stats, seq = _run_sequential(master_suite, workload, MERGING_CONFIG)
+    assert seq.summary().merges_performed > 0, "the workload never merged"
     batch_stats, _ = _run_batched(master_suite, workload, MERGING_CONFIG, batch_size)
     assert batch_stats.pages_read <= seq_stats.pages_read
     # Writes are replayed identically, so they must match exactly.
@@ -97,8 +100,6 @@ def test_batch_cost_bound_holds_under_eviction_pressure(master_suite, batch_size
     config = OdysseyConfig(
         merge_threshold=1,
         min_merge_combination=2,
-        merge_partition_min_hits=1,
-        merge_only_converged=False,
         merge_space_budget_pages=5,
     )
     seq_stats, seq = _run_sequential(master_suite, workload, config)

@@ -52,8 +52,9 @@ def run_differential(
     suite: BenchmarkSuite,
     workload,
     config: OdysseyConfig,
-) -> None:
-    """Execute the workload on the reference and the engine; assert total agreement."""
+) -> SpaceOdyssey:
+    """Execute the workload on the reference and the engine; assert total
+    agreement; return the engine."""
     scalar = ScalarOdyssey(suite.fork().catalog, config)
     columnar = SpaceOdyssey(suite.fork().catalog, config)
     for index, query in enumerate(workload):
@@ -71,6 +72,7 @@ def run_differential(
         assert getattr(columnar.disk.stats, attribute) == getattr(
             scalar.disk.stats, attribute
         ), f"simulated I/O differs: {attribute}"
+    return columnar
 
 
 @pytest.mark.parametrize("seed", [101, 202, 303])
@@ -81,13 +83,13 @@ def test_uniform_workload_matches_scalar(suite, seed):
         30,
         seed=seed,
         datasets_per_query=3,
-        volume_fraction=1e-3,
+        # Windows large enough to revisit populated leaves, so keys turn hot.
+        volume_fraction=5e-3,
         ids_distribution="zipf",
     )
-    config = OdysseyConfig(
-        merge_threshold=1, merge_partition_min_hits=1, merge_only_converged=False
-    )
-    run_differential(suite, workload, config)
+    config = OdysseyConfig(merge_threshold=1)
+    engine = run_differential(suite, workload, config)
+    assert engine.summary().merges_performed > 0, "the workload never merged"
 
 
 def test_clustered_workload_with_heavy_merging_matches_scalar(suite):
@@ -104,8 +106,6 @@ def test_clustered_workload_with_heavy_merging_matches_scalar(suite):
     config = OdysseyConfig(
         merge_threshold=1,
         min_merge_combination=2,
-        merge_partition_min_hits=1,
-        merge_only_converged=False,
     )
     run_differential(suite, workload, config)
 
@@ -124,8 +124,6 @@ def test_merge_evictions_match_scalar(suite):
     config = OdysseyConfig(
         merge_threshold=1,
         min_merge_combination=2,
-        merge_partition_min_hits=1,
-        merge_only_converged=False,
         merge_space_budget_pages=6,
     )
     run_differential(suite, workload, config)
@@ -142,9 +140,7 @@ def test_cached_disk_matches_scalar(suite):
         datasets_per_query=2,
         volume_fraction=5e-3,
     )
-    config = OdysseyConfig(
-        merge_threshold=1, merge_partition_min_hits=1, merge_only_converged=False
-    )
+    config = OdysseyConfig(merge_threshold=1)
     run_differential(cached, workload, config)
 
 
@@ -164,9 +160,7 @@ def test_degenerate_and_duplicate_queries_match_scalar(suite):
         (big, (0, 1, 2)),
         (point, (3,)),
     ]
-    config = OdysseyConfig(
-        merge_threshold=1, merge_partition_min_hits=1, merge_only_converged=False
-    )
+    config = OdysseyConfig(merge_threshold=1)
     scalar = ScalarOdyssey(suite.fork().catalog, config)
     columnar = SpaceOdyssey(suite.fork().catalog, config)
     for box, ids in queries:

@@ -33,7 +33,6 @@ class TestValidation:
             {"min_merge_combination": 0},
             {"merge_space_budget_pages": 0},
             {"max_depth": 0},
-            {"merge_partition_min_hits": 0},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

@@ -26,8 +26,6 @@ def setup(disk, universe):
         partitions_per_level=8,
         merge_threshold=1,
         min_merge_combination=3,
-        merge_partition_min_hits=1,
-        merge_only_converged=False,
     )
     adaptor = Adaptor(config)
     trees = {}
@@ -42,8 +40,11 @@ def setup(disk, universe):
 
 
 def record_queries(statistics, trees, combination, keys, times=3):
+    # Queries as large as the universe: every first-level leaf is converged
+    # for them, so the merger's convergence test never holds a key back.
+    volume = next(iter(trees.values())).universe.volume()
     for _ in range(times):
-        statistics.record_query(combination, keys, query_volume=1.0)
+        statistics.record_query(combination, keys, query_volume=volume)
 
 
 class TestMergerTriggers:
@@ -65,7 +66,7 @@ class TestMergerTriggers:
         assert not outcome.merged
         assert outcome.skipped_reason == "below merge threshold"
 
-    @pytest.mark.parametrize("threshold", [0, 1, 2, 5])
+    @pytest.mark.parametrize("threshold", [1, 2, 5])
     def test_static_threshold_is_the_trigger(self, setup, disk, threshold):
         """A combination merges on its ``mt + 1``-th retrieval, not before."""
         _, config, trees, statistics, directory, _ = setup
@@ -79,6 +80,23 @@ class TestMergerTriggers:
             outcome = merger.maybe_merge(combo, trees)
             assert not outcome.merged
             assert outcome.skipped_reason == "below merge threshold"
+        record_queries(statistics, trees, combo, keys, times=1)
+        assert merger.maybe_merge(combo, trees).merged
+        assert directory.get(combo).n_partitions == len(keys)
+
+    def test_threshold_zero_waits_for_a_hot_key(self, setup, disk):
+        """At ``mt = 0`` the first retrieval triggers the merger, but no key
+        is hot until a second query of the combination retrieved it."""
+        _, config, trees, statistics, directory, _ = setup
+        merger = Merger(
+            disk, replace(config, merge_threshold=0), directory, statistics, dimension=3
+        )
+        combo = frozenset({0, 1, 2})
+        keys = [next(iter(reference_tree(trees[0]).leaves())).key]
+        record_queries(statistics, trees, combo, keys, times=1)
+        outcome = merger.maybe_merge(combo, trees)
+        assert not outcome.merged
+        assert outcome.skipped_reason == "nothing new to merge"
         record_queries(statistics, trees, combo, keys, times=1)
         assert merger.maybe_merge(combo, trees).merged
         assert directory.get(combo).n_partitions == len(keys)
@@ -147,9 +165,7 @@ class TestMergerTriggers:
 
     def test_merging_disabled(self, setup, disk):
         catalog, _, trees, statistics, directory, _ = setup
-        config = OdysseyConfig(
-            partitions_per_level=8, enable_merging=False, merge_partition_min_hits=1
-        )
+        config = OdysseyConfig(partitions_per_level=8, enable_merging=False)
         merger = Merger(disk, config, directory, statistics, dimension=3)
         outcome = merger.maybe_merge(frozenset({0, 1, 2}), trees)
         assert outcome.skipped_reason == "merging disabled"
@@ -162,8 +178,6 @@ class TestBudget:
             partitions_per_level=8,
             merge_threshold=1,
             min_merge_combination=2,
-            merge_partition_min_hits=1,
-            merge_only_converged=False,
             merge_space_budget_pages=2,
         )
         merger = Merger(disk, config, directory, statistics, dimension=3)
@@ -200,8 +214,6 @@ class TestConvergedRule:
             partitions_per_level=8,
             refinement_threshold=3.0,
             merge_threshold=1,
-            merge_partition_min_hits=1,
-            merge_only_converged=True,
         )
         engine = SpaceOdyssey(catalog, config)
         query = Box((0.0, 0.0, 0.0), (1.0, 1.0, q))

@@ -22,8 +22,7 @@ def catalog(disk, universe):
 @pytest.fixture
 def config() -> OdysseyConfig:
     # ppl = 8 keeps the trees small for unit tests; the benchmark uses 64.
-    return OdysseyConfig(partitions_per_level=8, merge_threshold=1, min_merge_combination=3,
-                         merge_partition_min_hits=1, merge_only_converged=False)
+    return OdysseyConfig(partitions_per_level=8, merge_threshold=1, min_merge_combination=3)
 
 
 @pytest.fixture
@@ -214,9 +213,13 @@ class TestAdaptivity:
         assert costs[-1] < costs[0]
 
     def test_summary_reflects_progress(self, odyssey, universe):
-        for box in small_queries(universe, count=8):
+        # Each window four times: a window's leaves take two queries to
+        # refine to its volume and two more to turn hot.
+        windows = small_queries(universe, count=2)
+        for box in windows * 4:
             odyssey.query(box, [0, 1, 2])
         summary = odyssey.summary()
+        assert summary.merges_performed > 0
         assert summary.queries_executed == 8
         assert summary.datasets_initialized == 3
         assert summary.total_partitions >= 3 * odyssey.config.partitions_per_level
@@ -285,8 +288,6 @@ class TestSpaceBudget:
             partitions_per_level=8,
             merge_threshold=1,
             min_merge_combination=3,
-            merge_partition_min_hits=1,
-            merge_only_converged=False,
             merge_space_budget_pages=4,
         )
         odyssey = SpaceOdyssey(catalog, config)

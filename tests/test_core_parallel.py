@@ -32,8 +32,6 @@ from tests.test_batch_differential import (
 MERGE_CONFIG = OdysseyConfig(
     merge_threshold=1,
     min_merge_combination=2,
-    merge_partition_min_hits=1,
-    merge_only_converged=False,
 )
 
 
@@ -71,11 +69,13 @@ class TestParallelExecutor:
         assert disk_files(parallel) == disk_files(serial)
 
     def test_cpu_seconds_match_serial_batch(self, suite):
-        workload = _workload(suite, n=16)
+        windows = _workload(suite, n=16)
+        workload = windows + windows  # every window twice, so keys turn hot and merge
         serial = SpaceOdyssey(suite.fork().catalog, MERGE_CONFIG)
         parallel = SpaceOdyssey(suite.fork().catalog, MERGE_CONFIG)
         serial.query_batch(workload)
         parallel.query_batch(workload, workers=3)
+        assert serial.summary().merges_performed > 0, "the workload never merged"
         # The deterministic writer phase charges CPU in submission order,
         # so the accumulated float is the identical sum.
         assert parallel.disk.stats.cpu_seconds == serial.disk.stats.cpu_seconds

@@ -240,7 +240,10 @@ class TestMaybeRefine:
         assert outcome.reason == "empty partition"
 
     def test_respects_max_depth(self, dataset):
-        config = OdysseyConfig(partitions_per_level=8, max_depth=1)
+        # ``max_depth`` is a safety bound against runaway refinement on
+        # degenerate data (e.g. coincident centres), not a tuning knob: no
+        # figure or ablation sets it.
+        config =OdysseyConfig(partitions_per_level=8, max_depth=1)
         adaptor = Adaptor(config)
         tree = adaptor.create_tree(dataset)
         adaptor.initialize(tree)

@@ -18,23 +18,26 @@ class TestRecording:
         assert stats.combination_stats([9]) is None
         assert sum(combo.count for combo in stats.combinations().values()) == 3
 
-    def test_key_hits_accumulate_per_combination(self):
+    def test_keys_seen_and_hot_per_combination(self):
         stats = StatisticsCollector()
         stats.record_query({1, 2}, [(0,), (1,), (0,)])
         stats.record_query({1, 2}, [(2,), (0,)])
         stats.record_query({1}, [(1,)])
         combo = stats.combination_stats({1, 2})
         assert combo is not None
-        assert combo.key_hits == {(0,): 2, (1,): 1, (2,): 1}
-        assert stats.combination_stats({1}).key_hits == {(1,): 1}
+        assert combo.seen_keys == {(0,), (1,), (2,)}
+        assert combo.hot_keys == {(0,)}
+        assert stats.combination_stats({1}).seen_keys == {(1,)}
+        assert stats.combination_stats({1}).hot_keys == set()
 
-    def test_key_hits_counted_per_query(self):
+    def test_keys_counted_once_per_query(self):
         stats = StatisticsCollector()
         stats.record_query({1, 2}, [(0,), (0,)])
-        stats.record_query({1, 2}, [(0,), (1,)])
         combo = stats.combination_stats({1, 2})
-        assert combo.key_hits[(0,)] == 2  # counted once per query, not per dataset
-        assert combo.key_hits[(1,)] == 1
+        assert combo.hot_keys == set()  # counted once per query, not per dataset
+        stats.record_query({1, 2}, [(0,), (1,)])
+        assert combo.hot_keys == {(0,)}
+        assert combo.seen_keys == {(0,), (1,)}
 
     def test_query_volume_average(self):
         stats = StatisticsCollector()

@@ -75,6 +75,14 @@ DEEP_SEEDS = tuple(range(len(QUICK_SEEDS), len(QUICK_SEEDS) + DEEP_ITERATIONS))
 STRICT_REPORT_FIELDS = REPORT_FIELDS + ("objects_examined",)
 
 
+def after_retired_draws(rng: random.Random) -> random.Random:
+    """``rng`` after the two draws that once chose the retired merge-policy
+    settings, so every seed still derives the scenario it always has."""
+    rng.choice((1, 2))
+    rng.choice((True, False))
+    return rng
+
+
 def _random_scenario(rng: random.Random) -> dict:
     """One fully-derived scenario: suite, config and workload parameters."""
     dimension = rng.choice((2, 3, 3))  # 3-D weighted: the paper's setting
@@ -88,9 +96,7 @@ def _random_scenario(rng: random.Random) -> dict:
             refinement_threshold=rng.choice((2.0, 4.0)),
             merge_threshold=rng.choice((1, 2)),
             min_merge_combination=rng.choice((2, 3)),
-            merge_partition_min_hits=rng.choice((1, 2)),
-            merge_only_converged=rng.choice((True, False)),
-            merge_space_budget_pages=rng.choice((None, 8, 16)),
+            merge_space_budget_pages=after_retired_draws(rng).choice((None, 8, 16)),
             enable_merging=rng.random() > 0.15,
         ),
         "n_queries": rng.randint(10, 22),

@@ -120,13 +120,13 @@ class TestStaleButConsistent:
         deleted their merge file — the whole file is retained as
         pre-images, so the pinned merge map is never torn."""
         suite = _churny_suite(n_datasets=3)
-        workload = _workload(suite, 80, seed=5, datasets_per_query=2)
+        # Every window twice, so keys turn hot and merge files churn.
+        windows = _workload(suite, 40, seed=5, datasets_per_query=2)
+        workload = windows + windows
         config = OdysseyConfig(
             refinement_threshold=2.0,
             merge_threshold=1,
             min_merge_combination=2,
-            merge_partition_min_hits=1,
-            merge_only_converged=False,
             merge_space_budget_pages=8,
         )
         engine = SpaceOdyssey(suite.fork().catalog, config)

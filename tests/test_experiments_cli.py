@@ -237,9 +237,10 @@ class TestOneInstrument:
 class TestRetiredModes:
     """The process executor, the sharded buffer pool, the two-in-flight
     serving pipeline, the per-record engine switch, the epoch switch, the
-    serving thread fan-out, the refinement level budget and the adaptive
-    merge trigger are gone: naming one of their options is a
-    ``TypeError``, never a silently ignored knob.
+    serving thread fan-out, the refinement level budget, the adaptive
+    merge trigger and the two merge-policy settings (the hot-key hit count
+    and merging only converged partitions) are gone: naming one of their
+    options is a ``TypeError``, never a silently ignored knob.
     The thread and epoch executor subclasses are gone too: one batch
     executor takes both choices as arguments.  The figure commands run
     one query at a time and take no batch or thread flags."""
@@ -258,6 +259,8 @@ class TestRetiredModes:
             "config_snapshot_reads",
             "config_refine_levels_per_query",
             "config_adaptive_merge_threshold",
+            "config_merge_partition_min_hits",
+            "config_merge_only_converged",
             "query_batch_executor",
             "serve_pipeline",
             "service_pipeline",
@@ -284,6 +287,10 @@ class TestRetiredModes:
             "config_adaptive_merge_threshold": lambda: OdysseyConfig(
                 adaptive_merge_threshold=True
             ),
+            "config_merge_partition_min_hits": lambda: OdysseyConfig(
+                merge_partition_min_hits=1
+            ),
+            "config_merge_only_converged": lambda: OdysseyConfig(merge_only_converged=False),
             "query_batch_executor": lambda: engine.query_batch(
                 [(suite.universe, [0])], executor="thread"
             ),

@@ -60,8 +60,6 @@ def test_odyssey_on_filesystem_end_to_end(fs_disk, fs_catalog, tmp_path):
         partitions_per_level=8,
         merge_threshold=1,
         min_merge_combination=3,
-        merge_partition_min_hits=1,
-        merge_only_converged=False,
     )
     odyssey = SpaceOdyssey(fs_catalog, config)
     oracle = BruteForceScan(fs_catalog)

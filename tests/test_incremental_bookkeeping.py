@@ -4,6 +4,8 @@ The engine keeps four read-side summaries *incrementally* — each is
 updated where the state it describes changes, so no query re-derives it
 from history:
 
+* the collector's seen and hot keys per combination, each query's keys
+  folded in as set algebra;
 * the merger's candidate keys: set algebra over the collector's hot-key
   sets and the trees' leaf-key sets;
 * every tree's leaf table (:class:`~repro.core.partition.LeafSnapshot`),
@@ -14,8 +16,10 @@ from history:
   and the directory's running page count.
 
 This module owns the *from-scratch* versions — a node tree derived from
-a tree's key and run summaries (``tests/scalar_reference.py``), the
-rescan of a combination's whole key history, the full deep copy — and
+a tree's key and run summaries (``tests/scalar_reference.py``), a count
+of how many queries of a combination retrieved each key (recorded here
+from the keys each query hands the collector) and the rescan of that
+history, the full deep copy — and
 asserts, after every query of seeded random workloads, that each
 incremental summary equals its reference.  The node tree is built from
 the key summaries, so it checks the table's columns for consistency with
@@ -24,7 +28,7 @@ them, not the leaf set itself; that set is checked independently by
 node-by-node refinement) and the differential suite
 ``tests/test_columnar_differential.py`` (answers, adaptive state and page
 bytes against the scalar engine).  The other references read only
-primary state (``key_hits``, the live infos), never a table column.
+primary state (the recorded keys, the live infos), never a table column.
 
 A quick grid of configurations runs in tier-1; ``REPRO_FUZZ_ITERATIONS=N``
 adds N randomly derived scenarios (CI's deep-oracles job sets 25).
@@ -35,6 +39,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -49,6 +54,7 @@ from repro.geometry.vectorized import boxes_to_arrays
 from repro.storage.cost_model import DiskModel
 
 from tests.scalar_reference import reference_tree
+from tests.test_engine_fuzz import after_retired_draws
 
 DEEP_ITERATIONS = int(os.environ.get("REPRO_FUZZ_ITERATIONS", "0"))
 
@@ -58,25 +64,32 @@ DEEP_ITERATIONS = int(os.environ.get("REPRO_FUZZ_ITERATIONS", "0"))
 # ---------------------------------------------------------------------- #
 
 
-def reference_qualifying_keys(config, combination, stats, trees) -> set:
+#: How many queries of a combination must retrieve a key before it is hot.
+HOT_KEY_MIN_HITS = 2
+
+
+def reference_hot_keys(key_hits: Counter) -> set:
+    """The hot keys, from the per-key count of queries that retrieved them."""
+    return {key for key, hits in key_hits.items() if hits >= HOT_KEY_MIN_HITS}
+
+
+def reference_qualifying_keys(config, combination, stats, key_hits, trees) -> set:
     """The merger's candidate keys, rescanning the combination's key history.
 
-    A key is kept unless the Adaptor would refine it for the
-    combination's average query: ``volume / average > rt``, on the
-    region of the reference tree.
+    ``key_hits`` counts, per key, the queries of the combination that
+    retrieved it.  A hot key is kept unless the Adaptor would refine it
+    for the combination's average query: ``volume / average > rt``, on
+    the region of the reference tree.
     """
-    min_hits = config.merge_partition_min_hits
     avg_query_volume = stats.average_query_volume()
     if not all(dataset_id in trees for dataset_id in combination):
         return set()
     references = {dataset_id: reference_tree(trees[dataset_id]) for dataset_id in combination}
     qualifying = set()
-    for key, hits in stats.key_hits.items():
-        if hits < min_hits:
-            continue
+    for key in reference_hot_keys(key_hits):
         if not all(reference.has_leaf(key) for reference in references.values()):
             continue
-        if config.merge_only_converged and avg_query_volume > 0:
+        if avg_query_volume > 0:
             node = references[next(iter(combination))].node(key)
             if node.volume() / avg_query_volume > config.refinement_threshold:
                 continue
@@ -145,9 +158,12 @@ def check_tree(tree: PartitionTree, tag: str = "") -> None:
 class BookkeepingChecker:
     """Asserts every incremental summary of one engine against its reference.
 
-    Also remembers each frozen directory it has seen together with a deep
-    copy taken at that moment, so a later in-place ``add_segment`` on a
-    live info that leaked into an older frozen copy is caught.
+    Records the keys of every query the collector is handed, counting per
+    combination how many queries retrieved each key (the reference for
+    the collector's seen and hot keys).  Also remembers each frozen
+    directory it has seen together with a deep copy taken at that moment,
+    so a later in-place ``add_segment`` on a live info that leaked into an
+    older frozen copy is caught.
     """
 
     def __init__(self, engine: SpaceOdyssey, tag: str) -> None:
@@ -155,6 +171,17 @@ class BookkeepingChecker:
         self.tag = tag
         self._frozen_seen: list[tuple[object, dict]] = []
         self.candidates_seen = 0
+        self.key_hits: dict[frozenset, Counter] = {}
+        statistics = engine.statistics
+        record_query = statistics.record_query
+
+        def recording(combination, keys, query_volume=0.0):
+            keys = list(keys)
+            combo = frozenset(combination)
+            self.key_hits.setdefault(combo, Counter()).update(set(keys))
+            return record_query(combination, keys, query_volume)
+
+        statistics.record_query = recording
 
     def check(self) -> None:
         engine, tag = self.engine, self.tag
@@ -163,15 +190,15 @@ class BookkeepingChecker:
             check_tree(tree, tag)
         config = engine.config
         merger = engine.merger
-        for combination, stats in engine.statistics.combinations().items():
-            assert stats.hot_keys == {
-                key
-                for key, hits in stats.key_hits.items()
-                if hits >= config.merge_partition_min_hits
-            }, tag
+        combinations = engine.statistics.combinations()
+        assert combinations.keys() == self.key_hits.keys(), tag
+        for combination, stats in combinations.items():
+            key_hits = self.key_hits[combination]
+            assert stats.seen_keys == set(key_hits), tag
+            assert stats.hot_keys == reference_hot_keys(key_hits), tag
             candidates = merger._qualifying_keys(combination, stats, trees)
             assert candidates == reference_qualifying_keys(
-                config, combination, stats, trees
+                config, combination, stats, key_hits, trees
             ), f"{tag}: candidates of {sorted(combination)}"
             self.candidates_seen += len(candidates)
         directory = engine.merge_directory
@@ -275,21 +302,22 @@ def run_checked(
     return checker
 
 
-GRID = list(itertools.product((2.0, 4.0), (1, 2), (1, 2), (True, False)))
+#: ``(rt, mt, seed)``: four seeded workloads per threshold pair (the seeds
+#: the grid ran when it also crossed the retired merge-policy settings).
+GRID = [
+    (threshold, merge_threshold, 100 + 4 * cell + offset)
+    for cell, (threshold, merge_threshold) in enumerate(itertools.product((2.0, 4.0), (1, 2)))
+    for offset in range(4)
+]
 
 
-@pytest.mark.parametrize("threshold,merge_threshold,min_hits,converged", GRID)
-def test_summaries_equal_references_after_every_query(
-    threshold, merge_threshold, min_hits, converged
-):
-    seed = 100 + GRID.index((threshold, merge_threshold, min_hits, converged))
+@pytest.mark.parametrize("threshold,merge_threshold,seed", GRID)
+def test_summaries_equal_references_after_every_query(threshold, merge_threshold, seed):
     suite = make_suite(seed)
     config = OdysseyConfig(
         partitions_per_level=8,
         refinement_threshold=threshold,
         merge_threshold=merge_threshold,
-        merge_partition_min_hits=min_hits,
-        merge_only_converged=converged,
     )
     engine = SpaceOdyssey(suite.catalog, config)
     queries = mixed_workload(suite, seed, n_triples=32, n_pairs=8)
@@ -302,14 +330,12 @@ def test_summaries_equal_references_after_every_query(
 
 def test_tight_budget_forces_evictions_and_remerges():
     """Evicted keys are unmerged again, and frozen copies survive the eviction."""
-    seed = 7
+    seed = 8  # two combinations turn hot, so the budget evicts one of them
     suite = make_suite(seed)
     config = OdysseyConfig(
         partitions_per_level=8,
         refinement_threshold=2.0,
         merge_threshold=1,
-        merge_partition_min_hits=1,
-        merge_only_converged=False,
         merge_space_budget_pages=4,
     )
     engine = SpaceOdyssey(suite.catalog, config)
@@ -342,8 +368,6 @@ def test_member_dataset_first_touched_late():
         partitions_per_level=8,
         refinement_threshold=2.0,
         merge_threshold=1,
-        merge_partition_min_hits=1,
-        merge_only_converged=False,
     )
     engine = SpaceOdyssey(suite.catalog, config)
     early = mixed_workload(suite, seed, n_triples=18, n_pairs=4, dataset_ids=[0, 1, 2])
@@ -361,7 +385,6 @@ def test_batched_and_snapshot_paths_keep_the_summaries():
         partitions_per_level=8,
         refinement_threshold=2.0,
         merge_threshold=1,
-        merge_partition_min_hits=1,
         merge_space_budget_pages=6,
     )
     engine = SpaceOdyssey(suite.catalog, config)
@@ -419,7 +442,6 @@ def test_no_full_rebuild_after_initialisation():
         partitions_per_level=8,
         refinement_threshold=2.0,
         merge_threshold=1,
-        merge_partition_min_hits=1,
     )
     engine = SpaceOdyssey(suite.catalog, config)
     assert not hasattr(PartitionTree, "_leaves_in_search_order")
@@ -450,9 +472,7 @@ def run_random_scenario(seed: int) -> None:
         refinement_threshold=rng.choice((2.0, 4.0)),
         merge_threshold=rng.choice((1, 2)),
         min_merge_combination=rng.choice((2, 3)),
-        merge_partition_min_hits=rng.choice((1, 2)),
-        merge_only_converged=rng.choice((True, False)),
-        merge_space_budget_pages=rng.choice((None, 4, 12)),
+        merge_space_budget_pages=after_retired_draws(rng).choice((None, 4, 12)),
     )
     engine = SpaceOdyssey(suite.catalog, config)
     queries = mixed_workload(

@@ -64,8 +64,6 @@ def test_interleaved_query_and_batch_threads(stress_suite):
     config = OdysseyConfig(
         merge_threshold=1,
         min_merge_combination=2,
-        merge_partition_min_hits=1,
-        merge_only_converged=False,
     )
     engine = SpaceOdyssey(stress_suite.fork().catalog, config)
     workloads = [_thread_workload(stress_suite, t) for t in range(N_THREADS)]

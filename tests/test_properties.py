@@ -43,6 +43,7 @@ import itertools
 import math
 import os
 import pickle
+import random
 import struct
 from dataclasses import make_dataclass
 from types import SimpleNamespace
@@ -490,45 +491,58 @@ class TestIndexCorrectnessProperties:
         for query in queries:
             assert result_keys(index.query(query)) == _brute_force(objects, query)
 
-    @given(
-        st.lists(object_lists(min_size=1, max_size=60), min_size=2, max_size=3),
-        st.lists(boxes(), min_size=2, max_size=6),
-        st.randoms(use_true_random=False),
-    )
-    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_odyssey_matches_bruteforce_over_query_sequence(
-        self, per_dataset_objects, queries, rng
-    ):
-        disk = Disk(model=DiskModel(), buffer_pages=0)
-        datasets = []
-        all_objects: dict[int, list[SpatialObject]] = {}
-        for dataset_id, objects in enumerate(per_dataset_objects):
-            objects = [
-                SpatialObject(oid=o.oid, dataset_id=dataset_id, box=o.box)
-                for o in _dedupe(objects)
-            ]
-            all_objects[dataset_id] = objects
-            datasets.append(
-                Dataset.create(disk, dataset_id, f"prop_ody_{dataset_id}", objects, UNIVERSE)
-            )
-        catalog = DatasetCatalog(datasets)
-        odyssey = SpaceOdyssey(
-            catalog,
-            OdysseyConfig(
-                partitions_per_level=8,
-                merge_threshold=1,
-                min_merge_combination=2,
-                merge_partition_min_hits=1,
-                merge_only_converged=False,
-            ),
+    def test_odyssey_matches_bruteforce_over_query_sequence(self):
+        merges: list[int] = []
+
+        @given(
+            st.lists(object_lists(min_size=1, max_size=60), min_size=2, max_size=3),
+            st.lists(boxes(), min_size=2, max_size=6),
+            st.randoms(use_true_random=False),
         )
-        ids = list(all_objects)
-        for query in queries:
-            requested = rng.sample(ids, k=rng.randint(1, len(ids)))
-            expected = set()
-            for dataset_id in requested:
-                expected |= _brute_force(all_objects[dataset_id], query)
-            assert result_keys(odyssey.query(query, requested)) == expected
+        # Always one sequence that merges: objects packed around the centre,
+        # and a window over them that two datasets request together.
+        @example(
+            per_dataset_objects=[_lattice(dataset_id) for dataset_id in (0, 1)],
+            queries=[Box.from_center((50.0,) * 3, (10.0,) * 3)] * 2,
+            rng=_rng_requesting_every_dataset(2),
+        )
+        @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+        def check(per_dataset_objects, queries, rng):
+            disk = Disk(model=DiskModel(), buffer_pages=0)
+            datasets = []
+            all_objects: dict[int, list[SpatialObject]] = {}
+            for dataset_id, objects in enumerate(per_dataset_objects):
+                objects = [
+                    SpatialObject(oid=o.oid, dataset_id=dataset_id, box=o.box)
+                    for o in _dedupe(objects)
+                ]
+                all_objects[dataset_id] = objects
+                datasets.append(
+                    Dataset.create(disk, dataset_id, f"prop_ody_{dataset_id}", objects, UNIVERSE)
+                )
+            catalog = DatasetCatalog(datasets)
+            odyssey = SpaceOdyssey(
+                catalog,
+                OdysseyConfig(
+                    partitions_per_level=8,
+                    merge_threshold=1,
+                    min_merge_combination=2,
+                ),
+            )
+            ids = list(all_objects)
+            for query in queries:
+                requested = rng.sample(ids, k=rng.randint(1, len(ids)))
+                expected = set()
+                for dataset_id in requested:
+                    expected |= _brute_force(all_objects[dataset_id], query)
+                # Each window four times: its leaves take up to two queries
+                # to refine to its volume and two more to turn hot.
+                for _ in range(4):
+                    assert result_keys(odyssey.query(query, requested)) == expected
+            merges.append(odyssey.summary().merges_performed)
+
+        check()
+        assert sum(merges) > 0, "no query sequence merged"
 
 
 class TestPartitionTreeProperties:
@@ -835,55 +849,68 @@ class TestVectorizedKernelProperties:
 class TestBatchProperties:
     """query_batch must answer exactly like the brute-force oracle."""
 
-    @given(
-        st.lists(object_lists(min_size=1, max_size=60), min_size=2, max_size=3),
-        st.lists(st.one_of(boxes(), maybe_degenerate_boxes()), min_size=2, max_size=6),
-        st.randoms(use_true_random=False),
-    )
-    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_batch_matches_bruteforce(self, per_dataset_objects, windows, rng):
-        disk = Disk(model=DiskModel(), buffer_pages=0)
-        all_objects: dict[int, list[SpatialObject]] = {}
-        datasets = []
-        for dataset_id, objects in enumerate(per_dataset_objects):
-            objects = [
-                SpatialObject(oid=o.oid, dataset_id=dataset_id, box=o.box)
-                for o in _dedupe(objects)
-            ]
-            all_objects[dataset_id] = objects
-            datasets.append(
-                Dataset.create(disk, dataset_id, f"prop_batch_{dataset_id}", objects, UNIVERSE)
-            )
-        odyssey = SpaceOdyssey(
-            DatasetCatalog(datasets),
-            OdysseyConfig(
-                partitions_per_level=8,
-                merge_threshold=1,
-                min_merge_combination=2,
-                merge_partition_min_hits=1,
-                merge_only_converged=False,
-            ),
+    def test_batch_matches_bruteforce(self):
+        merges: list[int] = []
+
+        @given(
+            st.lists(object_lists(min_size=1, max_size=60), min_size=2, max_size=3),
+            st.lists(st.one_of(boxes(), maybe_degenerate_boxes()), min_size=2, max_size=6),
+            st.randoms(use_true_random=False),
         )
-        ids = list(all_objects)
-        queries: list[tuple[Box, list[int]]] = []
-        for window in windows:
-            # Mixed combinations; ~1 in 3 queries duplicates its predecessor
-            # so the shared read set and replay both see repeats.
-            if queries and rng.random() < 0.34:
-                queries.append(queries[-1])
-            else:
-                requested = rng.sample(ids, k=rng.randint(1, len(ids)))
-                queries.append((window, requested))
-        result = odyssey.query_batch(queries)
-        assert len(result) == len(queries)
-        for (window, requested), hits, report in zip(
-            queries, result.results, result.reports
-        ):
-            expected = set()
-            for dataset_id in requested:
-                expected |= _brute_force(all_objects[dataset_id], window)
-            assert result_keys(hits) == expected
-            assert report.results == len(hits)
+        # Always one batch that merges: one window over objects packed
+        # around the centre, six times, and a seed whose draws request both
+        # datasets in four of them.
+        @example(
+            per_dataset_objects=[_lattice(dataset_id) for dataset_id in (0, 1)],
+            windows=[Box.from_center((50.0,) * 3, (10.0,) * 3)] * 6,
+            rng=_rng_requesting_every_dataset(2),
+        )
+        @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+        def check(per_dataset_objects, windows, rng):
+            disk = Disk(model=DiskModel(), buffer_pages=0)
+            all_objects: dict[int, list[SpatialObject]] = {}
+            datasets = []
+            for dataset_id, objects in enumerate(per_dataset_objects):
+                objects = [
+                    SpatialObject(oid=o.oid, dataset_id=dataset_id, box=o.box)
+                    for o in _dedupe(objects)
+                ]
+                all_objects[dataset_id] = objects
+                datasets.append(
+                    Dataset.create(disk, dataset_id, f"prop_batch_{dataset_id}", objects, UNIVERSE)
+                )
+            odyssey = SpaceOdyssey(
+                DatasetCatalog(datasets),
+                OdysseyConfig(
+                    partitions_per_level=8,
+                    merge_threshold=1,
+                    min_merge_combination=2,
+                ),
+            )
+            ids = list(all_objects)
+            queries: list[tuple[Box, list[int]]] = []
+            for window in windows:
+                # Mixed combinations; ~1 in 3 queries duplicates its predecessor
+                # so the shared read set and replay both see repeats.
+                if queries and rng.random() < 0.34:
+                    queries.append(queries[-1])
+                else:
+                    requested = rng.sample(ids, k=rng.randint(1, len(ids)))
+                    queries.append((window, requested))
+            result = odyssey.query_batch(queries)
+            assert len(result) == len(queries)
+            for (window, requested), hits, report in zip(
+                queries, result.results, result.reports
+            ):
+                expected = set()
+                for dataset_id in requested:
+                    expected |= _brute_force(all_objects[dataset_id], window)
+                assert result_keys(hits) == expected
+                assert report.results == len(hits)
+            merges.append(odyssey.summary().merges_performed)
+
+        check()
+        assert sum(merges) > 0, "no batch merged"
 
     @given(
         object_lists(min_size=1, max_size=80),
@@ -976,6 +1003,28 @@ class TestEpochProperties:
         assert gauges["live_epochs"] == 1
         assert gauges["pinned_readers"] == 0
         assert gauges["retained_pages"] == 0
+
+
+def _lattice(dataset_id: int, side: int = 3) -> list[SpatialObject]:
+    """``side**3`` unit objects on a lattice around the universe's centre."""
+    return [
+        SpatialObject(
+            oid=index,
+            dataset_id=dataset_id,
+            box=Box.from_center((46.0 + 4 * i, 46.0 + 4 * j, 46.0 + 4 * k), (1.0,) * 3),
+        )
+        for index, (i, j, k) in enumerate(itertools.product(range(side), repeat=3))
+    ]
+
+
+def _rng_requesting_every_dataset(n_datasets: int) -> random.Random:
+    """A seeded RNG whose first ``sample(ids, randint(1, n))`` takes every id."""
+    seed = 0
+    while True:
+        rng = random.Random(seed)
+        if rng.randint(1, n_datasets) == n_datasets:
+            return random.Random(seed)
+        seed += 1
 
 
 def _dedupe(objects: list[SpatialObject]) -> list[SpatialObject]:

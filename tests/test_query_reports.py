@@ -23,8 +23,6 @@ def odyssey(disk, universe):
         partitions_per_level=8,
         merge_threshold=1,
         min_merge_combination=3,
-        merge_partition_min_hits=1,
-        merge_only_converged=False,
     )
     return SpaceOdyssey(catalog, config)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import shutil
 import struct
 import zlib
 from collections import Counter
@@ -225,6 +226,117 @@ class TestRecoveryParity:
         again = SpaceOdyssey.recover(path, backend=survivor)
         assert adaptive_state(again) == state
         assert disk_files(again) == files
+
+
+# ---------------------------------------------------------------------- #
+# A journaled store is relocatable
+# ---------------------------------------------------------------------- #
+
+
+def filesystem_suite(directory, seed: int = 3) -> BenchmarkSuite:
+    """A small suite whose page files live under ``directory / "pages"``."""
+    model = DiskModel(seek_time_s=1e-4)
+    disk = Disk(
+        backend=FileSystemBackend(directory / "pages", page_size=model.page_size),
+        model=model,
+        buffer_pages=64,
+    )
+    return build_benchmark_suite(n_datasets=2, objects_per_dataset=200, seed=seed, disk=disk)
+
+
+def tree_digests(directory) -> dict[str, str]:
+    """SHA-256 of every file under ``directory``, by relative path."""
+    return {
+        str(path.relative_to(directory)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file()
+    }
+
+
+class TestRelocatableStore:
+    def crash(self, directory, suite, workload, crash_on: int) -> None:
+        """Run a journaled engine on ``suite``, journal under ``directory``;
+        crash it mid-commit."""
+        armed = []
+
+        def tear_the_commit(point: str) -> None:
+            if armed and point == "journal.commit.torn":
+                raise SimulatedCrash(point)
+
+        journal = ManifestJournal(directory / "journal.log", crash_hook=tear_the_commit)
+        engine = SpaceOdyssey(suite.catalog, CONFIG, journal=journal)
+        for query in workload[:crash_on]:
+            engine.query(query.box, query.dataset_ids)
+        armed.append(True)
+        with pytest.raises(SimulatedCrash):
+            engine.query(workload[crash_on].box, workload[crash_on].dataset_ids)
+        del engine
+
+    def finish(self, engine, workload) -> tuple:
+        hits = [
+            packed_hits(engine, engine.query(query.box, query.dataset_ids))
+            for query in workload[engine.summary().queries_executed :]
+        ]
+        return engine.summary(), hits, file_digests(engine)
+
+    def test_a_copied_store_recovers_from_the_copy(self, tmp_path):
+        original = tmp_path / "store"
+        suite = filesystem_suite(original)
+        workload = make_workload(suite, n=10, seed=9)
+        self.crash(original, suite, workload, crash_on=6)
+        copy = tmp_path / "a-copy-of-the-store-at-a-longer-path"
+        shutil.copytree(original, copy)
+        before = tree_digests(original)
+
+        moved = SpaceOdyssey.recover(copy / "journal.log")
+        assert moved.summary().queries_executed == 6
+        assert str(moved.disk.backend.root) == str(copy / "pages")
+        outcome = self.finish(moved, workload)
+        assert tree_digests(original) == before, "recovering the copy wrote to the original"
+
+        in_place = SpaceOdyssey.recover(original / "journal.log")
+        assert self.finish(in_place, workload) == outcome
+
+    def test_journal_bytes_do_not_depend_on_the_directory(self, tmp_path):
+        journals = []
+        for name in ("a", "a-directory-with-a-much-longer-name"):
+            directory = tmp_path / name
+            suite = filesystem_suite(directory)
+            engine = SpaceOdyssey(suite.catalog, CONFIG, journal=directory / "journal.log")
+            for query in make_workload(suite, n=8, seed=9):
+                engine.query(query.box, query.dataset_ids)
+            assert engine.summary().merges_performed > 0
+            del engine
+            journals.append((directory / "journal.log").read_bytes())
+        assert journals[0] == journals[1]
+        assert ManifestJournal(tmp_path / "a" / "journal.log").read_last()["catalog"][
+            "store"
+        ] == {"kind": "filesystem", "root": "pages"}
+
+    def test_version_2_journal_keeps_its_absolute_root(self, tmp_path):
+        directory = tmp_path / "store"
+        suite = filesystem_suite(directory)
+        workload = make_workload(suite, n=6, seed=9)
+        engine = SpaceOdyssey(suite.catalog, CONFIG, journal=tmp_path / "today.log")
+        for query in workload:
+            engine.query(query.box, query.dataset_ids)
+        today = engine.journal.read_last()
+        summary = engine.summary()
+        del engine
+
+        root = str(directory / "pages")
+        catalog = {**today["catalog"], "store": {"kind": "filesystem", "root": root}}
+        path = tmp_path / "elsewhere" / "v2.log"
+        path.parent.mkdir()
+        path.write_bytes(framed({**today, "version": 2, "catalog": catalog}))
+
+        recovered = SpaceOdyssey.recover(path)
+        assert recovered.summary() == summary
+        assert str(recovered.disk.backend.root) == root
+        # The healed base is today's layout: the root relative to the journal.
+        first, *rest = recovered.journal.records()
+        assert first["version"] == MANIFEST_VERSION and rest == []
+        assert first["catalog"]["store"]["root"] == "../store/pages"
 
 
 # ---------------------------------------------------------------------- #
@@ -631,6 +743,7 @@ class TestRecoveryEdgeCases:
 
         header = {
             **today,
+            "version": 2,
             "catalog": {**today["catalog"], "buffer_shards": 4},
             "config": {**today["config"], "batch_executor": "thread"},
         }
@@ -677,7 +790,7 @@ class TestRecoveryEdgeCases:
         del engine
         assert "columnar" not in today["config"]
 
-        header = {**today, "config": {**today["config"], "columnar": False}}
+        header = {**today, "version": 2, "config": {**today["config"], "columnar": False}}
         queries = today["queries"]
         path = tmp_path / "scalar.log"
         path.write_bytes(
@@ -700,18 +813,21 @@ class TestRecoveryEdgeCases:
         [
             {"refine_levels_per_query": 1, "adaptive_merge_threshold": False},
             {"refine_levels_per_query": 2, "adaptive_merge_threshold": True},
+            {"merge_partition_min_hits": 2, "merge_only_converged": True},
+            {"merge_partition_min_hits": 1, "merge_only_converged": False},
         ],
-        ids=["defaults", "turned_on"],
+        ids=["defaults", "turned_on", "merge_policy_defaults", "merge_policy_every_key"],
     )
     def test_version_2_journal_of_the_retired_policies_recovers(
         self, base_suite, reference, tmp_path, retired
     ):
         # A version-2 header written while ``OdysseyConfig`` still had a
-        # level budget and the adaptive merge trigger: at their defaults,
-        # as every such journal names them, or both turned on.  Recovery
-        # drops the keys and replays under the one policy left: the
-        # adaptive state is that of a fresh engine running the same
-        # committed queries, and the answers never depended on it.
+        # level budget and the adaptive merge trigger, or (later) the
+        # hot-key hit count and the converged-only switch: at their
+        # defaults, as every such journal names them, or turned away from
+        # them.  Recovery drops the keys and replays under the one policy
+        # left: the adaptive state is that of a fresh engine running the
+        # same committed queries, and the answers never depended on it.
         workload = reference[0]
         committed = 7
         engine = SpaceOdyssey(
@@ -725,7 +841,7 @@ class TestRecoveryEdgeCases:
         del engine
         assert not retired.keys() & today["config"].keys()
 
-        header = {**today, "config": {**today["config"], **retired}}
+        header = {**today, "version": 2, "config": {**today["config"], **retired}}
         queries = today["queries"]
         path = tmp_path / "policies.log"
         path.write_bytes(
@@ -765,7 +881,11 @@ class TestRecoveryEdgeCases:
         del engine
         assert "snapshot_reads" not in today["config"]
 
-        header = {**today, "config": {**today["config"], "snapshot_reads": snapshot_reads}}
+        header = {
+            **today,
+            "version": 2,
+            "config": {**today["config"], "snapshot_reads": snapshot_reads},
+        }
         queries = today["queries"]
         path = tmp_path / "epochs.log"
         path.write_bytes(

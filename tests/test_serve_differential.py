@@ -137,8 +137,6 @@ def test_merge_heavy_serving_matches_sequential_arrival_order(serve_suite):
     config = OdysseyConfig(
         merge_threshold=1,
         min_merge_combination=2,
-        merge_partition_min_hits=1,
-        merge_only_converged=False,
         merge_space_budget_pages=6,
     )
     _serve_and_replay(

@@ -81,8 +81,7 @@ def test_static_indexes_2d_match_bruteforce(disk, catalog):
 
 
 def test_odyssey_2d_uses_quadtree_splitting(catalog):
-    config = OdysseyConfig(partitions_per_level=16, min_merge_combination=2, merge_threshold=1,
-                           merge_partition_min_hits=1, merge_only_converged=False)
+    config = OdysseyConfig(partitions_per_level=16, min_merge_combination=2, merge_threshold=1)
     odyssey = SpaceOdyssey(catalog, config)
     oracle = BruteForceScan(catalog)
     for query in QUERIES_2D * 2:

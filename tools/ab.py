@@ -5,8 +5,11 @@
                         [--seed-base N] [--out TABLE.md]
 
 PARENT and HEAD are exported with ``git archive`` into two sibling
-directories whose paths have the same length (a path length reaches the
-page files of the ``durable`` workload).  Each pair runs
+directories whose paths have the same length.  Since manifest version 3
+a journal names its store relative to itself, so no byte of a run depends
+on where the checkout lies; the equal lengths are kept for commits before
+it, whose ``durable`` journal bases record the absolute store path (and
+so ``write_amp`` and ``space_amp`` move with its length).  Each pair runs
 ``perfbench/run.py --trace 0`` once per side on one seed, alternating
 which side runs first; seeds are ``seed-base``, ``seed-base + 1``, ...
 (a fresh random base unless given, so the seeds are unseen).  The
