@@ -27,6 +27,7 @@ expression over its columns (:meth:`Adaptor.candidates`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -122,6 +123,37 @@ class Adaptor:
         if not len(rows):
             return []
         return rows[(table.n_records[rows] > 0) & (table.level[rows] < config.max_depth)].tolist()
+
+    def candidates_batch(
+        self, table: LeafSnapshot, rows: Sequence[np.ndarray], volumes: np.ndarray
+    ) -> list:
+        """:meth:`candidates` of every window of a batch on one tree, as one program.
+
+        Window ``i`` overlaps ``rows[i]`` and has query volume
+        ``volumes[i]``.  The windows' rows are laid end to end, each row is
+        tested against its own window's volume with the same expression
+        (a window without a positive volume refines nothing: its volume
+        becomes infinite), and the survivors are dealt back per window in
+        row order: bit for bit the per-window calls' answer, for one set
+        of array calls.  A window with no candidate gets an empty tuple.
+        """
+        config = self._config
+        picked: list = [()] * len(rows)
+        sizes = [len(window) for window in rows]
+        flat = np.concatenate(rows)
+        if not (volumes > 0).all():
+            volumes = np.where(volumes > 0, volumes, np.inf)
+        keep = oversized(table.volume[flat], volumes.repeat(sizes), config.refinement_threshold)
+        if not keep.any():
+            return picked
+        owner = np.arange(len(rows)).repeat(sizes)[keep]
+        flat = flat[keep]
+        keep = (table.n_records[flat] > 0) & (table.level[flat] < config.max_depth)
+        for window, row in zip(owner[keep].tolist(), flat[keep].tolist()):
+            if not picked[window]:
+                picked[window] = []
+            picked[window].append(row)
+        return picked
 
     def maybe_refine(self, tree: PartitionTree, row: int, query: Box) -> RefinementOutcome:
         """Refine the leaf at ``row`` one level if warranted (Section 3.1).

@@ -17,12 +17,13 @@ A batch runs the Query Processor's per-query pipeline in four phases.
    not exist yet is initialised up front, in the order sequential execution
    would have first touched it.  Initialisation only depends on the raw
    dataset, so doing it early changes no observable state.
-2. **Overlap resolution** — per requested dataset, the windows of every
-   query that requests it are extended and clamped as one ``(m, d)`` pair
-   of corner arrays, and their partition overlap tests are resolved in a
-   single call to the vectorized
-   :func:`~repro.geometry.vectorized.intersect_matrix` kernel over the
-   tree's leaf table.
+2. **Overlap resolution** — the windows of every (query, dataset) pair
+   are extended and clamped as one array program, and per requested
+   dataset their partition overlap tests are resolved in a single call to
+   the vectorized :func:`~repro.geometry.vectorized.intersect_matrix`
+   kernel over the tree's leaf table.  The rows each query would refine
+   come from one candidate program per tree
+   (:meth:`~repro.core.adaptor.Adaptor.candidates_batch`).
 3. **Retrieval and filtering** — routing is decided once per combination
    and every query's reads are planned in on-disk order; each query then
    hands its whole plan to a :class:`BatchReadSet`, a shared read set
@@ -43,8 +44,12 @@ A batch runs the Query Processor's per-query pipeline in four phases.
    query examined, in submission order, then statistics, refinement and
    merging, replayed through the sequential writer half
    (``QueryProcessor.commit_query``) in submission order against the
-   evolving trees; then the next epoch is published (once a snapshot read
-   started the epoch layer) and the batch journaled.  Because refinement
+   evolving trees, handed each tree's rows and candidates while the tree
+   is unrefined and each combination's route while the merge directory is
+   unchanged; then the next epoch is published (once a snapshot read
+   started the epoch layer) and the batch journaled.  Each query's
+   ``cache`` report comes from the buffer pool's counter tallies at its
+   read's and its commit's boundaries.  Because refinement
    decisions depend only on (tree state, query window) and both start
    from the same state, the replay reproduces
    the sequential evolution exactly — same refinements in the same order,
@@ -97,12 +102,14 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import add
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.epoch import EngineEpoch
-from repro.core.merge import choose_route
+from repro.core.merge import RoutingDecision, choose_route
 from repro.core.partition import LeafSnapshot
 from repro.core.query_processor import QueryProcessor, QueryReport, plan_reads
 from repro.data.columnar import filter_groups
@@ -260,9 +267,16 @@ class PreparedBatch:
     first_touch: dict[int, int] = field(default_factory=dict)
     needed0: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
     tables0: dict[int, LeafSnapshot] = field(default_factory=dict)
+    #: Per ``(query, dataset)``: the rows of ``needed0`` the query refines.
+    candidates0: dict[tuple[int, int], Sequence[int]] = field(default_factory=dict)
+    #: The route of each combination, decided at merge-directory version
+    #: ``route_version``.
+    routes: dict[frozenset[int], RoutingDecision] = field(default_factory=dict)
+    route_version: int = -1
     results: list[list[SpatialObject]] = field(default_factory=list)
     examined: list[int] = field(default_factory=list)
-    cache_deltas: list[BufferCounters] = field(default_factory=list)
+    #: Per query: the buffer pool's tally before and after its reads.
+    read_tallies: list[tuple[tuple[int, ...], tuple[int, ...]]] = field(default_factory=list)
     group_reads: int = 0
     dedup_hits: int = 0
 
@@ -274,17 +288,18 @@ def _each(pool: ThreadPoolExecutor | None, task: Callable, items: Iterable) -> l
     return list(pool.map(task, items))
 
 
-def _extended_windows(tree, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(m, d)`` query windows extended by the tree's maximum extent, clamped to its universe.
+def _extended_windows(
+    extent: np.ndarray, u_lo: np.ndarray, u_hi: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(m, d)`` query windows extended by maximum extents, clamped to universes.
 
-    Row for row the floats of ``Box.expand(max_extent).clamp(universe)``,
-    bit for bit: the same IEEE subtraction and addition, then Python's
-    ``max``/``min`` written as ``np.where`` (``np.maximum`` may return the
-    other of two equal zeros).
+    Row ``i`` of ``lo``/``hi`` is a window and row ``i`` of ``extent``,
+    ``u_lo`` and ``u_hi`` its tree's maximum extent and universe corners
+    (or one row for all windows).  Row for row the floats of
+    ``Box.expand(max_extent).clamp(universe)``, bit for bit: the same IEEE
+    subtraction and addition, then Python's ``max``/``min`` written as
+    ``np.where`` (``np.maximum`` may return the other of two equal zeros).
     """
-    extent = np.asarray(tree.max_extent, dtype=np.float64)
-    u_lo = np.asarray(tree.universe.lo, dtype=np.float64)
-    u_hi = np.asarray(tree.universe.hi, dtype=np.float64)
     lo = lo - extent
     lo = np.where(u_lo > lo, u_lo, lo)
     hi = hi + extent
@@ -403,8 +418,8 @@ class BatchExecutor:
         q_lo = np.array([query.box.lo for query in queries], dtype=np.float64)
         q_hi = np.array([query.box.hi for query in queries], dtype=np.float64)
         with maybe_span(tracer, "batch.overlap"):
-            needed0, tables0 = self._resolve_overlaps(queries, q_lo, q_hi, trees)
-        plans = self._plans(batch, needed0, tables0, directory, epoch)
+            needed0, tables0, candidates0 = self._resolve_overlaps(queries, q_lo, q_hi, trees)
+        plans, routes = self._plans(batch, needed0, tables0, directory, epoch)
         if pooled:
             from repro.core.parallel import ParallelReadSet
 
@@ -428,41 +443,74 @@ class BatchExecutor:
             first_touch=first_touch,
             needed0=needed0,
             tables0=tables0,
+            candidates0=candidates0,
+            routes=routes,
+            route_version=directory.version,
             results=results,
             examined=examined,
-            cache_deltas=[delta for _, delta in reads],
+            read_tallies=[tallies for _, tallies in reads],
             group_reads=read_set.group_reads,
             dedup_hits=read_set.dedup_hits,
         )
 
     def _resolve_overlaps(
         self, queries: Sequence[BatchQuery], q_lo: np.ndarray, q_hi: np.ndarray, trees: Mapping
-    ) -> tuple[dict[tuple[int, int], np.ndarray], dict[int, LeafSnapshot]]:
-        """Phase 2: per requested dataset, one window array and one kernel call.
+    ) -> tuple[
+        dict[tuple[int, int], np.ndarray],
+        dict[int, LeafSnapshot],
+        dict[tuple[int, int], Sequence[int]],
+    ]:
+        """Phase 2: all windows as one array program, one kernel call per dataset.
 
-        Returns the per-(query, dataset) overlapping rows against the
-        start-of-batch trees — live, or the pinned epoch's frozen tables,
-        which the live trees' refinements never touch — and each tree's
-        table then, which the rows index: the commit reuses the rows while
-        a tree is still at that table's version.
+        The extended windows of every ``(query, dataset)`` pair are built
+        together, grouped by dataset, and each dataset's block is one
+        overlap kernel over its tree's leaf table.  Returns the
+        per-(query, dataset) overlapping rows against the start-of-batch
+        trees — live, or the pinned epoch's frozen tables, which the live
+        trees' refinements never touch — each tree's table then, which the
+        rows index, and the rows each query would refine, from one
+        candidate program per tree (:meth:`Adaptor.candidates_batch`): the
+        commit reuses rows and candidates while a tree is still at that
+        table's version.
         """
         requesting: dict[int, list[int]] = {}
         for query in queries:
             for dataset_id in query.requested:
                 requesting.setdefault(dataset_id, []).append(query.index)
+        sources = [trees[dataset_id] for dataset_id in requesting]
+        # Per pair: its query's corners and its tree's extent and universe.
+        pairs = np.fromiter(chain.from_iterable(requesting.values()), dtype=np.intp)
+        which = np.repeat(np.arange(len(sources)), [len(q) for q in requesting.values()])
+        bounds = np.array(
+            [(s.max_extent, s.universe.lo, s.universe.hi) for s in sources], dtype=np.float64
+        )[which]
+        lo, hi = _extended_windows(
+            bounds[:, 0], bounds[:, 1], bounds[:, 2], q_lo[pairs], q_hi[pairs]
+        )
+        # Each query's Box.volume(): math.prod's left fold, per axis.
+        extents = q_hi - q_lo
+        volumes = extents[:, 0]
+        for axis in range(1, extents.shape[1]):
+            volumes = volumes * extents[:, axis]
+        adaptor = self._processor.adaptor
         needed0: dict[tuple[int, int], np.ndarray] = {}
         tables0: dict[int, LeafSnapshot] = {}
-        for dataset_id, indices in requesting.items():
-            tree = trees[dataset_id]
-            lo, hi = _extended_windows(tree, q_lo[indices], q_hi[indices])
+        candidates0: dict[tuple[int, int], Sequence[int]] = {}
+        stop = 0
+        for (dataset_id, indices), tree in zip(requesting.items(), sources):
+            start, stop = stop, stop + len(indices)
             if self._snapshot:
-                tables0[dataset_id] = tree.snapshot
-                per_window = tree.overlapping_batch(lo, hi)
+                table = tree.snapshot
+                per_window = tree.overlapping_batch(lo[start:stop], hi[start:stop])
             else:
-                tables0[dataset_id] = tree.leaf_snapshot()
-                per_window = tree.leaves_overlapping_batch(lo, hi)
-            needed0.update(zip([(index, dataset_id) for index in indices], per_window))
-        return needed0, tables0
+                table = tree.leaf_snapshot()
+                per_window = tree.leaves_overlapping_batch(lo[start:stop], hi[start:stop])
+            tables0[dataset_id] = table
+            pair_keys = [(index, dataset_id) for index in indices]
+            needed0.update(zip(pair_keys, per_window))
+            picked = adaptor.candidates_batch(table, per_window, volumes[indices])
+            candidates0.update(zip(pair_keys, picked))
+        return needed0, tables0, candidates0
 
     def _plans(
         self,
@@ -471,15 +519,18 @@ class BatchExecutor:
         tables0: Mapping[int, LeafSnapshot],
         directory,
         epoch: EngineEpoch | None,
-    ) -> list[list[tuple[int, PagedFile[SpatialObject], StoredRun]]]:
-        """Each query's reads in on-disk order, through the sequential planner.
+    ) -> tuple[
+        list[list[tuple[int, PagedFile[SpatialObject], StoredRun]]],
+        dict[frozenset[int], RoutingDecision],
+    ]:
+        """Each query's reads in on-disk order, and the route of each combination.
 
         Routing is decided once per combination: the merge directory cannot
         change before the commit, so every read of the batch sees one
         directory state.  Planned inline, before any read: the merger's
         handle cache is not for pool threads to fill.
         """
-        decisions = {
+        routes = {
             combination: choose_route(directory, combination) for combination in batch.groups()
         }
         if epoch is None:
@@ -497,15 +548,16 @@ class BatchExecutor:
         def tree_file(dataset_id: int) -> PagedFile[SpatialObject]:
             return trees[dataset_id].file
 
-        return [
+        plans = [
             plan_reads(
                 [(d, tables0[d], needed0[(query.index, d)]) for d in sorted(query.requested)],
-                decisions[query.requested],
+                routes[query.requested],
                 tree_file,
                 merge_file,
             )
             for query in batch.queries
         ]
+        return plans, routes
 
     def _read_groups(
         self,
@@ -513,25 +565,26 @@ class BatchExecutor:
         read_set: BatchReadSet,
         pool: ThreadPoolExecutor | None,
         phase,
-    ) -> list[tuple[list[tuple[int, int, np.ndarray]], BufferCounters]]:
+    ) -> list[tuple[list[tuple[int, int, np.ndarray]], tuple[tuple[int, ...], tuple[int, ...]]]]:
         """Phase 3's reads: one read-set call per query, with its whole plan.
 
         Returns, per query in submission order, its ``(query index, owner,
-        records)`` entries in plan order and its buffer-pool delta.  A
-        pooled task records a ``query.read`` span parented explicitly on
-        ``phase``: worker threads have empty span stacks, so implicit
-        nesting cannot apply across the pool boundary.
+        records)`` entries in plan order and the buffer pool's tally
+        (:attr:`~repro.storage.buffer.BufferPool.tally`) before and after
+        its read.  A pooled task records a ``query.read`` span parented
+        explicitly on ``phase``: worker threads have empty span stacks, so
+        implicit nesting cannot apply across the pool boundary.
         """
         buffer_pool = self._processor.catalog.datasets()[0].disk.buffer_pool
         tracer = None if pool is None else self._processor.tracer
 
-        def work(item) -> tuple[list[tuple[int, int, np.ndarray]], BufferCounters]:
+        def work(item):
             index, plan = item
             with maybe_span(tracer, "query.read", parent=phase, query=index):
-                cache_start = buffer_pool.counters()
+                start = buffer_pool.tally
                 records = read_set.read(plan)
                 entries = [(index, d, group) for (d, _, _), group in zip(plan, records)]
-                return entries, buffer_pool.counters().delta_since(cache_start)
+                return entries, (start, buffer_pool.tally)
 
         return _each(pool, work, enumerate(plans))
 
@@ -574,35 +627,46 @@ class BatchExecutor:
         """Apply statistics, refinement and merging in sequential order.
 
         Works on the *current* trees: each query goes through the sequential
-        writer half, handed the rows it retrieved from every tree that has
-        not been refined since overlap resolution (the writer half
-        re-resolves the others), which makes every refinement decision,
-        statistics update, LRU stamp and merge trigger identical to
-        sequential execution.
+        writer half, handed the rows it retrieved and the rows it refines
+        from every tree that has not been refined since overlap resolution
+        (the writer half re-resolves the others), and the route planned
+        for its combination while the merge directory is at the version it
+        was planned at (the writer half re-routes otherwise).  That makes
+        every refinement decision, statistics update, LRU stamp and merge
+        trigger identical to sequential execution.  A query's ``cache`` is
+        its read's tally difference plus its commit's, taken at the query
+        boundaries of the replay.
         """
         processor = self._processor
         trees = processor.live_trees
+        directory = processor.directory
         pool = processor.catalog.datasets()[0].disk.buffer_pool
+        first_touch, tables0 = prepared.first_touch, prepared.tables0
+        needed0, candidates0 = prepared.needed0, prepared.candidates0
         reports: list[QueryReport] = []
-        for query in prepared.batch.queries:
-            cache_start = pool.counters()
+        start = pool.tally
+        for query, (read_start, read_end) in zip(prepared.batch.queries, prepared.read_tallies):
+            index = query.index
             ordered = tuple(sorted(query.requested))
             report = QueryReport(query_index=processor.queries_executed, requested=ordered)
-            report.initialized_datasets = [
-                dataset_id
-                for dataset_id in ordered
-                if prepared.first_touch.get(dataset_id) == query.index
-            ]
-            report.objects_examined = prepared.examined[query.index]
-            report.results = len(prepared.results[query.index])
-            unmoved = {
-                dataset_id: prepared.needed0[(query.index, dataset_id)]
-                for dataset_id in ordered
-                if trees[dataset_id].version == prepared.tables0[dataset_id].version
-            }
-            processor.commit_query(query.box, query.requested, report, unmoved)
-            report.cache = prepared.cache_deltas[query.index] + pool.counters().delta_since(
-                cache_start
+            if first_touch:
+                report.initialized_datasets = [d for d in ordered if first_touch.get(d) == index]
+            report.objects_examined = prepared.examined[index]
+            report.results = len(prepared.results[index])
+            rows: dict[int, np.ndarray] = {}
+            picked: dict[int, Sequence[int]] = {}
+            for dataset_id in ordered:
+                if trees[dataset_id].version == tables0[dataset_id].version:
+                    rows[dataset_id] = needed0[(index, dataset_id)]
+                    picked[dataset_id] = candidates0[(index, dataset_id)]
+            decision = None
+            if directory.version == prepared.route_version:
+                decision = prepared.routes[query.requested]
+            processor.commit_query(query.box, query.requested, report, rows, decision, picked)
+            end = pool.tally
+            report.cache = BufferCounters.between(
+                map(add, read_start, start), map(add, read_end, end)
             )
+            start = end
             reports.append(report)
         return reports

@@ -33,7 +33,11 @@ class OdysseyConfig:
         Octree's 8.
     merge_threshold:
         ``mt`` — a combination of datasets becomes a merge candidate once
-        it has been retrieved strictly more than this many times.
+        it has been retrieved strictly more than this many times.  A
+        partition turns hot only in the second query that retrieves it,
+        so nothing can merge before a combination's second retrieval: the
+        effective trigger is ``max(mt, 1)``, and ``mt = 0`` runs exactly
+        as ``mt = 1``.  0 stays accepted because journals may carry it.
     min_merge_combination:
         Minimum combination size ``|C|`` eligible for merging; the paper
         merges only combinations of three or more datasets.

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from operator import attrgetter, itemgetter
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -54,11 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
     from repro.core.epoch import EngineEpoch
 
 
-def run_start(run: StoredRun) -> int:
-    """First page of a stored run (0 when empty), for on-disk-order planning."""
-    return run.extents[0].start if run.extents else 0
-
-
 def plan_reads(
     overlapped: Iterable[tuple[int, LeafSnapshot, np.ndarray]],
     decision: RoutingDecision,
@@ -75,26 +71,37 @@ def plan_reads(
     runs, in partition-file order.
     """
     info = decision.merge_info
-    merged: list[tuple[int, StoredRun]] = []
+    covered = decision.covered_datasets if info is not None else ()
+    merged: list[tuple[tuple, int, StoredRun]] = []
     plan: list[tuple[int, PagedFile[SpatialObject], StoredRun]] = []
     for dataset_id, table, rows in overlapped:
-        covered = info is not None and dataset_id in decision.covered_datasets
-        runs: list[StoredRun] = []
-        for row in rows[table.n_records[rows] > 0].tolist():
-            key = table.keys[row]
-            if covered and info.has_segment(key, dataset_id):
-                merged.append((dataset_id, info.segment(key, dataset_id)))
-            else:
-                runs.append(table.runs[row])
+        occupied = rows[table.n_records[rows] > 0].tolist()
+        if dataset_id in covered:
+            runs: list[StoredRun] = []
+            for row in occupied:
+                key = table.keys[row]
+                if info.has_segment(key, dataset_id):
+                    segment = info.segment(key, dataset_id)
+                    merged.append((segment.extents, dataset_id, segment))
+                else:
+                    runs.append(table.runs[row])
+        else:
+            runs = list(map(table.runs.__getitem__, occupied))
         if runs:
-            runs.sort(key=run_start)
+            # Runs of one file never share a page, so their extents order
+            # them by their first page, with no Python call per run.
+            runs.sort(key=_extents)
             file = tree_file(dataset_id)
-            plan.extend((dataset_id, file, run) for run in runs)
+            plan += [(dataset_id, file, run) for run in runs]
     if merged:
-        merged.sort(key=lambda item: run_start(item[1]))
+        merged.sort(key=_first)
         file = merge_file(info)
-        plan[:0] = [(dataset_id, file, run) for dataset_id, run in merged]
+        plan[:0] = [(dataset_id, file, run) for _, dataset_id, run in merged]
     return plan
+
+
+_extents = attrgetter("extents")
+_first = itemgetter(0)
 
 
 def _extended_window(tree, box: Box) -> Box:
@@ -119,9 +126,14 @@ class QueryReport:
     """Diagnostics of one executed query.
 
     ``cache`` reports the buffer-pool counter deltas (byte layer and
-    decoded-array layer) attributed to this query; for batched execution
-    the attribution is approximate (reads are shared across the batch) and
-    the field is excluded from the batch-vs-sequential identity guarantee.
+    decoded-array layer) attributed to this query.  They are differences
+    of the pool's raw counter tallies (``BufferPool.tally``, plain
+    integers) taken at the query's boundaries: around ``query()`` as a
+    whole, and in a batch around the query's read plus around its commit,
+    one ``BufferCounters`` built per report from the summed differences.
+    For batched execution the attribution is approximate (reads are shared
+    across the batch) and the field is excluded from the
+    batch-vs-sequential identity guarantee.
 
     A query that recovery replays runs the writer half only: ``route``, the
     partition counts, ``refinements`` and the merge fields are filled,
@@ -236,6 +248,11 @@ class QueryProcessor:
         return self._catalog
 
     @property
+    def adaptor(self) -> Adaptor:
+        """The Adaptor."""
+        return self._adaptor
+
+    @property
     def statistics(self) -> StatisticsCollector:
         """The statistics collector."""
         return self._statistics
@@ -298,42 +315,52 @@ class QueryProcessor:
         report: QueryReport,
         overlapped: Mapping[int, np.ndarray] | None = None,
         decision: RoutingDecision | None = None,
+        candidates: Mapping[int, Sequence[int]] | None = None,
     ) -> None:
         """The writer half of one query, under the gate, against the *current* state.
 
-        Resolves the rows ``overlapped`` lacks and routes unless given a
-        ``decision``, but reads no partition: recovery replays a query
-        through this alone.  The rows' keys enter the statistics, which
-        advances the logical clock; the rows the Adaptor picks are refined,
-        in search order, each shifted by the rows the splits before it
-        added; the merge file routed to (if any) is stamped as used; the
-        merger gets its chance; the query counts as executed.
+        Resolves the rows ``overlapped`` lacks, routes unless given a
+        ``decision`` and picks the rows to refine (:meth:`Adaptor.candidates`)
+        in each tree ``candidates`` lacks, but reads no partition: recovery
+        replays a query through this alone.  The rows' keys enter the
+        statistics, which advances the logical clock; the rows the Adaptor
+        picks are refined, in search order, each shifted by the rows the
+        splits before it added; the merge file routed to (if any) is
+        stamped as used; the merger gets its chance; the query counts as
+        executed.  A caller that passes rows or candidates for a tree
+        vouches that they were taken from the tree's current table.
         """
         with self._gate:
             given = overlapped or {}
-            overlapped = {
-                d: given[d] if d in given else self._overlapped_rows(box, d)
-                for d in sorted(requested)
-            }
+            picked = candidates or {}
             if decision is None:
                 decision = choose_route(self._directory, requested)
             report.route = decision.kind.value
             info = decision.merge_info
-            keys = set()
-            for dataset_id, rows in overlapped.items():
-                table = self._trees[dataset_id].leaf_snapshot()
-                hit = [table.keys[row] for row in rows.tolist()]
+            covered = decision.covered_datasets if info is not None else ()
+            volume = box.volume()
+            keys: set = set()
+            refining = []
+            for dataset_id in sorted(requested):
+                tree = self._trees[dataset_id]
+                table = tree.leaf_snapshot()
+                rows = given.get(dataset_id)
+                if rows is None:
+                    rows = self._overlapped_rows(box, dataset_id)
+                hit = list(map(table.keys.__getitem__, rows.tolist()))
                 keys.update(hit)
                 report.partitions_read += len(hit)
-                if info is not None and dataset_id in decision.covered_datasets:
+                if dataset_id in covered:
                     report.partitions_from_merge += sum(
                         info.has_segment(key, dataset_id) for key in hit
                     )
-            volume = box.volume()
-            for dataset_id, rows in overlapped.items():
-                tree = self._trees[dataset_id]
-                table = tree.leaf_snapshot()
-                for row in self._adaptor.candidates(table, rows, volume):
+                chosen = picked.get(dataset_id)
+                if chosen is None:
+                    chosen = self._adaptor.candidates(table, rows, volume)
+                if chosen:
+                    refining.append((tree, table, chosen))
+            for tree, table, chosen in refining:
+                for row in chosen:
                     shift = len(tree.leaf_snapshot()) - len(table)
                     if self._adaptor.maybe_refine(tree, row + shift, box).refined:
                         report.refinements += 1
@@ -454,7 +481,8 @@ class QueryProcessor:
         requested = self.check_query(box, dataset_ids)
         ordered = tuple(sorted(requested))
         report = QueryReport(query_index=self._queries_executed, requested=ordered)
-        cache_start = self._disk.buffer_pool.counters()
+        pool = self._disk.buffer_pool
+        cache_start = pool.tally
         retries_start = self._disk.stats.retries
         report.initialized_datasets = self.initialize_trees(ordered)
 
@@ -479,7 +507,7 @@ class QueryProcessor:
 
         # 5-6. Refinement, statistics and merging.
         self.commit_query(box, requested, report, overlapped, decision)
-        report.cache = self._disk.buffer_pool.counters().delta_since(cache_start)
+        report.cache = BufferCounters.between(cache_start, pool.tally)
         report.retries = self._disk.stats.retries - retries_start
         return results
 

@@ -80,7 +80,9 @@ class StatisticsCollector:
         combo = frozenset(combination)
         if not combo:
             raise ValueError("a query must request at least one dataset")
-        stats = self._combinations.setdefault(combo, CombinationStats())
+        stats = self._combinations.get(combo)
+        if stats is None:  # not setdefault: that builds a fresh record every query
+            stats = self._combinations[combo] = CombinationStats()
         stats.count += 1
         stats.total_query_volume += max(query_volume, 0.0)
         query_keys = set(keys)

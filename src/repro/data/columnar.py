@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.data.spatial_object import SpatialObject
+from repro.data.spatial_object import SpatialObject, trusted_objects
 from repro.geometry.box import Box
 from repro.geometry.vectorized import intersect_mask
 from repro.storage.pagedfile import frozen_concat
@@ -92,17 +92,14 @@ class DecodedGroup:
         # corners convert column by column and zip straight into tuples: a
         # row-by-row ``tolist()`` would leave two short-lived lists per hit,
         # which in a batch-sized call push the cyclic collector into an
-        # extra full collection mid-batch.
-        trusted = Box._trusted
-        return [
-            SpatialObject(oid=oid, dataset_id=dataset_id, box=trusted(low, high))
-            for oid, dataset_id, low, high in zip(
-                self.oids[rows].tolist(),
-                self.dataset_ids[rows].tolist(),
-                zip(*lo.T.tolist()),
-                zip(*hi.T.tolist()),
-            )
-        ]
+        # extra full collection mid-batch.  The objects are built column
+        # by column too, with no Python frame per hit.
+        return trusted_objects(
+            self.oids[rows].tolist(),
+            self.dataset_ids[rows].tolist(),
+            zip(*lo.T.tolist()),
+            zip(*hi.T.tolist()),
+        )
 
 
 def filter_groups(

@@ -10,7 +10,10 @@ files can filter by dataset.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
+from typing import Iterable
 
 import numpy as np
 
@@ -66,6 +69,36 @@ class SpatialObject:
 _set_oid = SpatialObject.oid.__set__
 _set_dataset_id = SpatialObject.dataset_id.__set__
 _set_box = SpatialObject.box.__set__
+_set_lo = Box.lo.__set__
+_set_hi = Box.hi.__set__
+_new = object.__new__
+#: Runs an iterator to its end and keeps nothing.
+_drain = deque(maxlen=0).extend
+
+
+def trusted_objects(
+    oids: list[int],
+    dataset_ids: Iterable[int],
+    lows: Iterable[tuple[float, ...]],
+    highs: Iterable[tuple[float, ...]],
+) -> list[SpatialObject]:
+    """``SpatialObject(oid, dataset_id, Box._trusted(low, high))`` per row, column by column.
+
+    ``object.__new__`` and the slots' member descriptors are mapped over
+    the columns (each ``map`` drained into a zero-length ``deque``), so
+    no Python frame runs per object and the fields hold exactly what the
+    two constructors store.  The caller vouches for the corners
+    (``low <= high`` on every axis), as for ``Box._trusted``.
+    """
+    n = len(oids)
+    objects = list(map(_new, repeat(SpatialObject, n)))
+    boxes = list(map(_new, repeat(Box, n)))
+    _drain(map(_set_lo, boxes, lows))
+    _drain(map(_set_hi, boxes, highs))
+    _drain(map(_set_oid, objects, oids))
+    _drain(map(_set_dataset_id, objects, dataset_ids))
+    _drain(map(_set_box, objects, boxes))
+    return objects
 
 
 def spatial_object_codec(dimension: int) -> FixedRecordCodec[SpatialObject]:

@@ -313,6 +313,13 @@ class FileSystemBackend(StorageBackend):
         return os.path.exists(self._path(name))
 
     def clone(self) -> "FileSystemBackend":
+        """A copy of the page files in a new directory under the system temp directory.
+
+        The caller owns that directory (``clone().root``): nothing deletes
+        it, not even when the clone is garbage-collected, because a caller
+        may drop the clone's engine on purpose and reopen the directory
+        (crash recovery does exactly that).  Remove it when done.
+        """
         import shutil
         import tempfile
 

@@ -31,6 +31,28 @@ also keeps epoch-snapshot readers honest — pre-images retained by the
 MVCC layer (:mod:`repro.core.epoch`) are distinct bytes objects, so they
 can never alias a decoding of the live page.
 
+Run-level calls
+---------------
+A group read asks the pool once per run of consecutive pages
+(:meth:`BufferPool.get_run`), not once per page and layer.  The call
+walks the byte layer page by page and stops at the first page it does
+not hold: each page before it counts a hit (and moves to the LRU tail)
+and that page counts the miss one :meth:`BufferPool.get` would have
+counted, so a run whose first page misses costs the one call a per-page
+read would have made.  A fully cached run's decodings come from the same
+call.  A run read partly from the backend gets its decodings from one
+:meth:`BufferPool.decode_run` after its last page, which is where the
+per-page reader consulted the decoded layer too.
+
+Counter order under failure is the per-page reader's: the byte counters
+of a run all move before its first decoded-layer lookup, and each
+decoded miss is counted *before* its page is decoded, so a page whose
+decode raises (a failed checksum) has counted its miss, the pages before
+it in the run have their decoded hits, misses and entries, and the pages
+after it are untouched.  :attr:`BufferPool.tally` reads every counter as
+one plain tuple; a query's ``cache`` report is built from the tallies
+taken at its boundaries (:meth:`BufferCounters.between`).
+
 Lock ordering
 -------------
 The pool has no lock of its own and sits strictly *below* the
@@ -47,7 +69,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from collections import OrderedDict
-from operator import add, attrgetter, sub
+from operator import attrgetter, sub
 from typing import Any
 
 
@@ -79,12 +101,17 @@ class BufferCounters:
         """Counter increments between ``earlier`` and this snapshot."""
         return BufferCounters(*map(sub, _counters(self), _counters(earlier)))
 
-    def __add__(self, other: "BufferCounters") -> "BufferCounters":
-        return BufferCounters(*map(add, _counters(self), _counters(other)))
+    @classmethod
+    def between(cls, start, end) -> "BufferCounters":
+        """The increments from the :attr:`BufferPool.tally` ``start`` to ``end``."""
+        return cls(*map(sub, end, start))
 
 
 #: Every field of a :class:`BufferCounters`, in field order, in one call.
 _counters = attrgetter(*(f.name for f in fields(BufferCounters)))
+
+#: The same counters read off a live pool, as one plain tuple.
+_tally = attrgetter(*(f"_{f.name}" for f in fields(BufferCounters)))
 
 
 class BufferPool:
@@ -134,7 +161,7 @@ class BufferPool:
             self._pages.move_to_end(key)
         # Any overwrite OR insert invalidates a decoding of older bytes.
         # For fresh inserts the pop is normally a no-op ("decoded only
-        # while resident"), but under concurrency a put_decoded can race
+        # while resident"), but under concurrency a decode_run can race
         # with eviction or file invalidation and orphan an entry; popping
         # here guarantees such an orphan can never serve a stale decode
         # after the page is re-cached (possibly with new bytes).
@@ -146,35 +173,63 @@ class BufferPool:
             if self._decoded.pop(victim, None) is not None:
                 self._decoded_evictions += 1
 
-    def get_decoded(self, file_name: str, page_no: int, page_bytes: bytes) -> Any | None:
-        """The cached decoding of exactly ``page_bytes``, or ``None``.
+    def get_run(
+        self, file_name: str, start: int, count: int, decode=None, dtype=None
+    ) -> tuple[list[bytes], list | None]:
+        """The cached prefix of pages ``[start, start + count)``, and its decodings.
 
-        The caller passes the bytes object it is about to decode; the
-        lookup hits only when the cached entry was decoded from that same
-        object (identity comparison), so a decoding of different bytes —
-        a concurrent overwrite, or an MVCC pre-image — can never be
-        served by mistake.
+        Returns the bytes of the pages held before the first one that is
+        not, each counted as a hit and moved to the LRU tail; the page
+        that ends the prefix counts a miss, as :meth:`get` would, so the
+        caller reads it from the backend next without asking again.  When
+        the whole run is held and ``decode`` is given, the second item is
+        :meth:`decode_run` of the run, else ``None``.
         """
-        entry = self._decoded.get((file_name, page_no))
-        if entry is None or entry[0] is not page_bytes:
+        pages = self._pages
+        found: list[bytes] = []
+        for page_no in range(start, start + count):
+            key = (file_name, page_no)
+            data = pages.get(key)
+            if data is None:
+                self._hits += len(found)
+                self._misses += 1
+                return found, None
+            pages.move_to_end(key)
+            found.append(data)
+        self._hits += count
+        if decode is None:
+            return found, None
+        return found, self.decode_run(file_name, start, found, decode, dtype)
+
+    def decode_run(self, file_name: str, start: int, pages: list[bytes], decode, dtype) -> list:
+        """``decode(dtype, page)`` of consecutive pages, through the decoded layer.
+
+        Page by page: a cached decoding is served (a decoded hit) only if
+        it was decoded from exactly the bytes object passed in (identity,
+        so a decoding of different bytes — a concurrent overwrite, or an
+        MVCC pre-image — is never served); otherwise the miss is counted,
+        the page decoded, and the decoding attached to the byte-cached page
+        only if the resident page *is* those bytes (covering the
+        not-resident and capacity-zero cases, so the decoded layer never
+        outlives or mismatches its bytes).  The miss is counted before the
+        decode, so a decode that raises leaves the counts and entries of
+        the pages before it and its own miss.
+        """
+        decoded, resident = self._decoded, self._pages
+        values = []
+        for page_no, page_bytes in enumerate(pages, start):
+            key = (file_name, page_no)
+            entry = decoded.get(key)
+            if entry is not None and entry[0] is page_bytes:
+                self._decoded_hits += 1
+                values.append(entry[1])
+                continue
             self._decoded_misses += 1
-            return None
-        self._decoded_hits += 1
-        return entry[1]
-
-    def put_decoded(
-        self, file_name: str, page_no: int, page_bytes: bytes, value: Any
-    ) -> None:
-        """Attach the decoding of ``page_bytes`` to its byte-cached page.
-
-        Silently ignored unless the resident byte page *is* ``page_bytes``
-        (identity, covering the not-resident and capacity-zero cases): the
-        decoded layer never outlives — or mismatches — the bytes it was
-        decoded from, so every byte-invalidation path also covers it.
-        """
-        key = (file_name, page_no)
-        if self._pages.get(key) is page_bytes:
-            self._decoded[key] = (page_bytes, value)
+            value = decode(dtype, page_bytes)
+            if resident.get(key) is page_bytes:
+                decoded[key] = (page_bytes, value)
+            values.append(value)
+        return values
 
     def invalidate_file(self, file_name: str) -> None:
         """Drop every cached page belonging to one file (used on delete).
@@ -254,14 +309,10 @@ class BufferPool:
         """Decoded arrays dropped because their file was invalidated."""
         return self._decoded_invalidations
 
+    #: Every counter as one tuple in :class:`BufferCounters` field order:
+    #: what a query boundary records (no object, no Python frame).
+    tally = property(_tally)
+
     def counters(self) -> BufferCounters:
         """A snapshot of all counters (byte layer and decoded layer)."""
-        return BufferCounters(
-            hits=self._hits,
-            misses=self._misses,
-            evictions=self._evictions,
-            decoded_hits=self._decoded_hits,
-            decoded_misses=self._decoded_misses,
-            decoded_evictions=self._decoded_evictions,
-            decoded_invalidations=self._decoded_invalidations,
-        )
+        return BufferCounters(*_tally(self))

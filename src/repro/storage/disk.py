@@ -22,11 +22,11 @@ Every page access and every cost charge runs under one internal lock, so
 concurrent readers (the threaded read phases of
 :mod:`repro.core.batch`) can never corrupt the head position, the
 :class:`~repro.storage.cost_model.IOStats` accumulators or the buffer
-pool's byte layer.  A group read holds the lock for its whole plan: the
-group reader (:func:`~repro.storage.pagedfile.read_groups`) decodes each
-run's pages before :meth:`Disk.read_runs` reads the next run, so both
-pool layers see exactly the order of one read per group.  Filtering
-happens outside the lock.  Page-addressed reads consult the pool's decoded-array
+pool's byte layer.  A group read holds the lock for its whole plan: for
+the group reader (:func:`~repro.storage.pagedfile.read_groups`) the page
+loop decodes each run's pages before it reads the next run, so both pool
+layers see exactly the order of one read per group.  Filtering happens
+outside the lock.  Page-addressed reads consult the pool's decoded-array
 layer after the lock is released; its lookups verify byte identity (see
 :mod:`repro.storage.buffer`), so a race can cost a re-decode but never a
 stale answer.
@@ -48,7 +48,8 @@ Every read goes through one page loop, :meth:`Disk.read_runs`, which
 reads a sequence of runs under one lock acquisition and charges each run
 on its own; :meth:`read_page`, :meth:`read_run` and the pinned
 :meth:`read_run_at` are one-run calls into it, and a query's whole plan
-is one call (:func:`~repro.storage.pagedfile.read_groups`).  A pinned
+is one call (:func:`~repro.storage.pagedfile.read_groups`).  A run the
+buffer pool holds whole costs one pool call, its decodings included.  A pinned
 read only adds the snapshot's overlay ``lookup`` in front of the buffer
 pool, so the pages that still come from the live file are charged
 exactly as live reads.
@@ -268,62 +269,92 @@ class Disk:
         return pages
 
     def read_runs(
-        self, runs: Iterable[tuple[str, int, int]], lookup=None, event: str | None = None
-    ) -> Iterator[list[bytes]]:
+        self,
+        runs: Iterable[tuple],
+        lookup=None,
+        event: str | None = None,
+        decode=None,
+    ) -> Iterator[list]:
         """The one page loop: yields the pages of each ``(name, start, count)`` run in turn.
 
         The disk lock is held from the first run to the last, so a caller
-        that works between runs (the group reader decodes each run's
-        pages before the next run is read) must exhaust or close the
-        iterator.  Per page: the overlay ``lookup`` (pinned reads only),
-        then the buffer pool (a hit is free and recorded), then the
-        backend.  Each run is charged on its own, after its pages: its
-        uncached pages as one positioning operation at the first of them
-        plus sequential transfers, and the head moves to the run's last
-        page — so a sequence of runs costs exactly what one
-        :meth:`read_run` per run costs.  A failed backend read leaves no
-        pool entry for that page, charges nothing for its run and leaves
-        the runs before it charged.  ``event`` names the tracer event each
-        run records.
+        that works between runs must exhaust or close the iterator.  With
+        ``decode``, each run is ``(name, start, count, dtype)`` and yields
+        its pages' ``decode(dtype, page)`` instead of their bytes, through
+        the buffer pool's decoded-array layer: a group reader's decoding
+        happens before the next run is read.  Per page: the overlay
+        ``lookup`` (pinned reads only), then the buffer pool (a hit is
+        free and recorded), then the backend.  Without an overlay the pool
+        serves a run's cached prefix in one call
+        (:meth:`~repro.storage.buffer.BufferPool.get_run`), decodings
+        included when that prefix is the whole run.  Each run is charged
+        on its own, after its pages: its uncached pages as one positioning
+        operation at the first of them plus sequential transfers, and the
+        head moves to the run's last page — so a sequence of runs costs
+        exactly what one :meth:`read_run` per run costs.  A failed backend
+        read leaves no pool entry for that page, charges nothing for its
+        run and leaves the runs before it charged.  ``event`` names the
+        tracer event each run records.
         """
         pool, stats, backend = self._buffer, self._stats, self._backend
         with self._lock:
-            for name, start, count in runs:
+            for run in runs:
+                if decode is None:
+                    name, start, count = run
+                    dtype = None
+                else:
+                    name, start, count, dtype = run
                 if count < 0:
                     raise ValueError("count must be non-negative")
-                pages: list[bytes] = []
+                if lookup is None:
+                    pages, decoded = pool.get_run(name, start, count, decode, dtype)
+                    if pages:
+                        stats.record_cache_hit(len(pages))
+                else:
+                    pages, decoded = [], None
                 uncached = 0
-                first_uncached = start
-                for page_no in range(start, start + count):
-                    if lookup is not None:
-                        retained = lookup(name, page_no)
-                        if retained is not None:
-                            pages.append(retained)
-                            continue
-                    cached = pool.get(name, page_no)
-                    if cached is not None:
-                        stats.record_cache_hit()
-                        pages.append(cached)
-                        continue
-                    try:
-                        data = backend.read(name, page_no)
-                    except StorageError:
-                        # Nothing was read: make sure no layer of the pool
-                        # keeps an entry for a page we just failed to
-                        # materialise.
-                        pool.invalidate_page(name, page_no)
-                        raise
-                    if not uncached:
-                        first_uncached = page_no
-                    uncached += 1
-                    pages.append(data)
-                    pool.put(name, page_no, data)
-                if uncached:
-                    self._charge_read(self._classify(name, first_uncached), uncached)
-                    self._advance_head(name, start + count - 1)
+                if len(pages) < count:
+                    first_uncached = start + len(pages)
+                    # Without an overlay, get_run has counted this page's miss.
+                    asked = lookup is None
+                    for page_no in range(first_uncached, start + count):
+                        if lookup is not None:
+                            retained = lookup(name, page_no)
+                            if retained is not None:
+                                pages.append(retained)
+                                continue
+                        if asked:
+                            asked = False
+                        else:
+                            cached = pool.get(name, page_no)
+                            if cached is not None:
+                                stats.record_cache_hit()
+                                pages.append(cached)
+                                continue
+                        try:
+                            data = backend.read(name, page_no)
+                        except StorageError:
+                            # Nothing was read: make sure no layer of the pool
+                            # keeps an entry for a page we just failed to
+                            # materialise.
+                            pool.invalidate_page(name, page_no)
+                            raise
+                        if not uncached:
+                            first_uncached = page_no
+                        uncached += 1
+                        pages.append(data)
+                        pool.put(name, page_no, data)
+                    if uncached:
+                        self._charge_read(self._classify(name, first_uncached), uncached)
+                        self._advance_head(name, start + count - 1)
                 if event is not None and self._tracer is not None:
                     self._tracer.event(event, file=name, pages=count, uncached=uncached)
-                yield pages
+                if decode is None:
+                    yield pages
+                elif decoded is not None:
+                    yield decoded
+                else:
+                    yield pool.decode_run(name, start, pages, decode, dtype)
 
     def write_page(self, name: str, page_no: int, data: bytes) -> None:
         """Overwrite one page in place (write-through to the backend)."""

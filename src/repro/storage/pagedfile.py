@@ -22,7 +22,9 @@ the group reader :func:`read_groups`, the page-addressed
 pages with ``np.frombuffer`` (no per-record Python objects), and
 :meth:`PagedFile.append_group_array` / :meth:`PagedFile.write_groups_array`
 encode straight from arrays.  Reads are backed by the buffer pool's
-decoded-array layer: a page whose bytes are cached is decoded at most once.
+decoded-array layer (one :meth:`~repro.storage.buffer.BufferPool.decode_run`
+or :meth:`~repro.storage.buffer.BufferPool.get_run` call per run): a page
+whose bytes are cached is decoded at most once.
 Every group read — a query's whole plan, across files, live or as of a
 pinned snapshot — is one call of :func:`read_groups`: one
 :meth:`Disk.read_runs` page loop over every extent of every group, and one
@@ -172,15 +174,6 @@ def frozen_concat(parts: Sequence[np.ndarray], dtype: np.dtype) -> np.ndarray:
     return np.frombuffer(b"".join(parts), dtype=dtype)
 
 
-def _decode_cached(pool, name: str, dtype: np.dtype, page_no: int, page_bytes: bytes):
-    """One page's records through the buffer pool's decoded-array layer."""
-    decoded = pool.get_decoded(name, page_no, page_bytes)
-    if decoded is None:
-        decoded = decode_page_array(dtype, page_bytes)
-        pool.put_decoded(name, page_no, page_bytes, decoded)
-    return decoded
-
-
 def read_groups(
     groups: Sequence[tuple["PagedFile", "StoredRun"]], lookup=None
 ) -> list[np.ndarray]:
@@ -188,35 +181,40 @@ def read_groups(
 
     The files share one disk, and every extent of every group is one run
     of one :meth:`Disk.read_runs` call (with a snapshot ``lookup``, pages
-    destroyed since the pin come from their pre-images).  Each run's pages
-    are decoded through the buffer pool's decoded-array layer before the
-    next run is read, as one read per group decoded one extent at a time,
-    so hits, decodings and evictions on both pool layers happen exactly as
-    with one read per group.  A group is its first ``run.n_records``
-    records, and fewer decoded is corruption.
+    destroyed since the pin come from their pre-images).  The page loop
+    decodes each run's pages through the buffer pool's decoded-array
+    layer before it reads the next run, as one read per group decoded one
+    extent at a time, so hits, decodings and evictions on both pool
+    layers happen exactly as with one read per group; a run the pool
+    holds whole is one pool call.  A group is its first
+    ``run.n_records`` records, and fewer decoded is corruption.
     """
     if not groups:
         return []
     disk = groups[0][0].disk
-    pool = disk.buffer_pool
-    runs = [(file._name, start, count) for file, run in groups for start, count in run.extents]
+    runs = [
+        (file._name, start, count, file._dtype)
+        for file, run in groups
+        for start, count in run.extents
+    ]
     event = "disk.read_run" if lookup is None else "disk.read_run_at"
     arrays: list[np.ndarray] = []
-    with closing(disk.read_runs(runs, lookup, event)) as reads:
+    with closing(disk.read_runs(runs, lookup, event, decode_page_array)) as reads:
         for file, run in groups:
-            name, dtype = file._name, file._dtype
+            dtype = file._dtype
             if dtype is None:
-                file._require_dtype()  # raises
-            parts: list[np.ndarray] = []
-            for start, _ in run.extents:
-                for page_no, page_bytes in enumerate(next(reads), start):
-                    decoded = _decode_cached(pool, name, dtype, page_no, page_bytes)
-                    if len(decoded):
-                        parts.append(decoded)
-            records, n = frozen_concat(parts, dtype), run.n_records
+                file._require_dtype()  # raises before the group is read
+            parts = []
+            for _ in run.extents:
+                for page in next(reads):
+                    if len(page):
+                        parts.append(page)
+            records = parts[0] if len(parts) == 1 else frozen_concat(parts, dtype)
+            n = run.n_records
             if len(records) < n:
                 raise ValueError(
-                    f"group in {name!r} is corrupt: expected {n} records, decoded {len(records)}"
+                    f"group in {file._name!r} is corrupt: expected {n} records, "
+                    f"decoded {len(records)}"
                 )
             arrays.append(records if len(records) == n else records[:n])
     return arrays
@@ -404,9 +402,10 @@ class PagedFile(Generic[RecordT]):
         a :class:`StoredRun` around; the per-page record-count header makes
         the page self-describing.
         """
-        self._require_dtype()
+        dtype = self._require_dtype()
         page_bytes = self._disk.read_page(self._name, page_no)
-        return _decode_cached(self._disk.buffer_pool, self._name, self._dtype, page_no, page_bytes)
+        pool = self._disk.buffer_pool
+        return pool.decode_run(self._name, page_no, [page_bytes], decode_page_array, dtype)[0]
 
     def scan_arrays(self, chunk_pages: int = 256) -> Iterator[np.ndarray]:
         """Yield the file's records in columnar chunks (one sequential pass).
@@ -424,12 +423,8 @@ class PagedFile(Generic[RecordT]):
         pool = self._disk.buffer_pool
         for start in range(0, total, chunk_pages):
             count = min(chunk_pages, total - start)
-            parts = [
-                _decode_cached(pool, self._name, dtype, page_no, page_bytes)
-                for page_no, page_bytes in enumerate(
-                    self._disk.read_run(self._name, start, count), start
-                )
-            ]
+            pages = self._disk.read_run(self._name, start, count)
+            parts = pool.decode_run(self._name, start, pages, decode_page_array, dtype)
             parts = [part for part in parts if len(part)]
             if not parts:
                 continue

@@ -8,6 +8,8 @@ for data generation repeatedly.
 
 from __future__ import annotations
 
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,21 @@ from repro.data.suite import BenchmarkSuite, build_benchmark_suite
 from repro.geometry.box import Box
 from repro.storage.cost_model import DiskModel
 from repro.storage.disk import Disk
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _session_temp_dir(tmp_path_factory):
+    """Temporary directories made through ``tempfile`` go under pytest's base temp.
+
+    ``FileSystemBackend.clone()`` (every ``fork()`` of a filesystem suite)
+    leaves its directory to the caller; inside the suite that directory
+    lands in the session's own temp tree, which pytest rotates, instead of
+    the system temp directory.
+    """
+    previous = tempfile.tempdir
+    tempfile.tempdir = str(tmp_path_factory.mktemp("tempfile"))
+    yield
+    tempfile.tempdir = previous
 
 
 @pytest.fixture

@@ -10,6 +10,9 @@ it replaced (ROADMAP ground rule iv), one call per group and one lock
 acquisition per extent:
 
 * :func:`read_pages` — the former ``Disk._read_pages`` loop over one run;
+* :func:`get_decoded` and :func:`put_decoded` — the former per-page
+  ``BufferPool`` methods of the decoded-array layer, which
+  ``BufferPool.decode_run`` and ``BufferPool.get_run`` replaced;
 * :func:`read_array` — the former ``PagedFile._read_array``: per extent,
   one :func:`read_pages` and then its pages through the decoded-array
   layer; then the record-count check;
@@ -78,6 +81,30 @@ def read_pages(
         return pages
 
 
+def get_decoded(pool, name: str, page_no: int, page_bytes: bytes):
+    """The former ``BufferPool.get_decoded``: the cached decoding of exactly ``page_bytes``.
+
+    A hit only when the entry was decoded from that same bytes object
+    (identity); ``None`` and a counted miss otherwise.
+    """
+    entry = pool._decoded.get((name, page_no))
+    if entry is None or entry[0] is not page_bytes:
+        pool._decoded_misses += 1
+        return None
+    pool._decoded_hits += 1
+    return entry[1]
+
+
+def put_decoded(pool, name: str, page_no: int, page_bytes: bytes, value) -> None:
+    """The former ``BufferPool.put_decoded``: attach a decoding to its byte-cached page.
+
+    Ignored unless the resident byte page *is* ``page_bytes``.
+    """
+    key = (name, page_no)
+    if pool._pages.get(key) is page_bytes:
+        pool._decoded[key] = (page_bytes, value)
+
+
 def read_array(file: PagedFile, run: StoredRun, lookup=None) -> np.ndarray:
     """One group: per extent, one :func:`read_pages`, then its pages decoded."""
     disk, name, dtype = file.disk, file.name, file.dtype
@@ -87,10 +114,10 @@ def read_array(file: PagedFile, run: StoredRun, lookup=None) -> np.ndarray:
         event = "disk.read_run" if lookup is None else "disk.read_run_at"
         pages = read_pages(disk, name, extent.start, extent.count, lookup, event)
         for page_no, page_bytes in enumerate(pages, extent.start):
-            decoded = pool.get_decoded(name, page_no, page_bytes)
+            decoded = get_decoded(pool, name, page_no, page_bytes)
             if decoded is None:
                 decoded = decode_page_array(dtype, page_bytes)
-                pool.put_decoded(name, page_no, page_bytes, decoded)
+                put_decoded(pool, name, page_no, page_bytes, decoded)
             if len(decoded):
                 parts.append(decoded)
     if not parts:

@@ -48,7 +48,7 @@ from repro.core.merge import MergeFileInfo, choose_route, merge_file_name
 from repro.core.merger import Merger, MergeOutcome
 from repro.core.odyssey import SpaceOdyssey
 from repro.core.partition import PartitionKey, PartitionTree, partition_file_name
-from repro.core.query_processor import QueryProcessor, QueryReport, run_start
+from repro.core.query_processor import QueryProcessor, QueryReport
 from repro.data.spatial_object import SpatialObject, spatial_object_codec
 from repro.geometry.box import Box
 from repro.obs.trace import maybe_span
@@ -79,6 +79,11 @@ def scan_objects(dataset) -> Iterator[SpatialObject]:
         count = min(SCAN_CHUNK_PAGES, total - start)
         for page_bytes in file.disk.read_run(file.name, start, count):
             yield from page_codec.decode_page(file.codec, page_bytes)
+
+
+def run_start(run: StoredRun) -> int:
+    """First page of a stored run (0 when empty), for on-disk-order planning."""
+    return run.extents[0].start if run.extents else 0
 
 
 def read_group(file: PagedFile, run: StoredRun) -> list:

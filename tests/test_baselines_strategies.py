@@ -13,6 +13,7 @@ from repro.baselines.interface import BruteForceScan, result_keys
 from repro.baselines.strategies import AllInOne, OneForEach
 from repro.bench.approaches import APPROACHES, make_approach
 from repro.bench.scales import get_scale
+from repro.data import spatial_object as spatial_object_module
 from repro.data.spatial_object import SpatialObject
 from repro.geometry import vectorized
 from repro.geometry.box import Box
@@ -178,12 +179,14 @@ class CallCounter:
         self.counts: Counter = Counter()
         self._monkeypatch = monkeypatch
 
-    def count(self, label: str, owner, attribute: str) -> None:
+    def count(self, label: str, owner, attribute: str, weight=None) -> None:
+        """Count each call, or add ``weight(result)`` per call when given."""
         original = getattr(owner, attribute)
 
         def wrapper(*args, **kwargs):
-            self.counts[label] += 1
-            return original(*args, **kwargs)
+            result = original(*args, **kwargs)
+            self.counts[label] += 1 if weight is None else weight(result)
+            return result
 
         owners = [owner]
         if isinstance(owner, types.ModuleType):
@@ -218,6 +221,8 @@ def test_baselines_decode_no_record_and_build_only_returned_objects(master_suite
     calls.count("unpack", FixedRecordCodec, "unpack")
     calls.count("intersect_mask", vectorized, "intersect_mask")
     calls.count("objects", SpatialObject, "__init__")
+    # Hits are built column by column, without a constructor call each.
+    calls.count("objects", spatial_object_module, "trusted_objects", weight=len)
     approach.build()
     assert calls.counts["objects"] == 0
     universe = suite.universe

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -15,6 +16,7 @@ from repro.core.statistics import StatisticsCollector
 from repro.geometry.box import Box
 
 from tests.conftest import make_catalog
+from tests.test_incremental_bookkeeping import make_suite, mixed_workload
 from tests.scalar_reference import read_group, read_partition, reference_tree, row_of
 
 
@@ -100,6 +102,33 @@ class TestMergerTriggers:
         record_queries(statistics, trees, combo, keys, times=1)
         assert merger.maybe_merge(combo, trees).merged
         assert directory.get(combo).n_partitions == len(keys)
+
+    def test_threshold_zero_runs_exactly_as_threshold_one(self):
+        """``mt = 0`` is accepted (journals may carry it) and acts as
+        ``max(mt, 1)``: on a seeded workload that merges, ``mt`` 0 and 1
+        give equal ``summary()``, reports and page bytes."""
+        suite = make_suite(41)
+        queries = mixed_workload(suite, 41, n_triples=24, n_pairs=16)
+        runs = []
+        for threshold in (0, 1):
+            config = OdysseyConfig(
+                partitions_per_level=8, refinement_threshold=2.0, merge_threshold=threshold
+            )
+            engine = SpaceOdyssey(suite.fork().catalog, config)
+            reports = []
+            for box, ids in queries * 2:
+                engine.query(box, ids)
+                reports.append(engine.last_report)
+            backend = engine.disk.backend
+            pages = {
+                name: hashlib.sha256(
+                    b"".join(backend.read(name, page) for page in range(backend.num_pages(name)))
+                ).hexdigest()
+                for name in backend.list_files()
+            }
+            runs.append((engine.summary(), reports, pages))
+        assert sum(report.merged for report in runs[1][1]) > 0, "the workload never merged"
+        assert runs[0] == runs[1]
 
     def test_small_combination_skipped(self, setup):
         _, _, trees, statistics, _, merger = setup

@@ -252,8 +252,15 @@ class TestTrustedConstructionProperties:
     def test_scalar_and_array_windows_equal_the_box_reference_bit_for_bit(self, case):
         """Windows partly or wholly outside the universe, zero extents, degenerate boxes."""
         tree, windows = case
+        # The batch gathers each window's tree bounds into rows of their own.
+        bounds = np.array(
+            [(tree.max_extent, tree.universe.lo, tree.universe.hi)] * len(windows),
+            dtype=np.float64,
+        )
         lo, hi = _extended_windows(
-            tree,
+            bounds[:, 0],
+            bounds[:, 1],
+            bounds[:, 2],
             np.array([window.lo for window in windows], dtype=np.float64),
             np.array([window.hi for window in windows], dtype=np.float64),
         )

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import astuple, fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.storage.buffer import BufferCounters, BufferPool
+
+from tests.read_reference import get_decoded, put_decoded
 
 
 class TestBasicOperations:
@@ -90,12 +92,12 @@ class TestDecodedLayer:
     def test_decoded_entry_requires_resident_byte_page(self):
         pool = BufferPool(4)
         page = b"bytes"
-        pool.put_decoded("f", 0, page, [1, 2, 3])  # no byte page: ignored
-        assert pool.get_decoded("f", 0, page) is None
+        put_decoded(pool, "f", 0, page, [1, 2, 3])  # no byte page: ignored
+        assert get_decoded(pool, "f", 0, page) is None
         assert pool.decoded_misses == 1
         pool.put("f", 0, page)
-        pool.put_decoded("f", 0, page, [1, 2, 3])
-        assert pool.get_decoded("f", 0, page) == [1, 2, 3]
+        put_decoded(pool, "f", 0, page, [1, 2, 3])
+        assert get_decoded(pool, "f", 0, page) == [1, 2, 3]
         assert pool.decoded_hits == 1
 
     def test_decoded_hit_requires_byte_identity(self):
@@ -105,11 +107,11 @@ class TestDecodedLayer:
         pool = BufferPool(4)
         page = b"bytes"
         pool.put("f", 0, page)
-        pool.put_decoded("f", 0, page, "decoded")
+        put_decoded(pool, "f", 0, page, "decoded")
         equal_copy = bytes(bytearray(page))
         assert equal_copy == page and equal_copy is not page
-        assert pool.get_decoded("f", 0, equal_copy) is None
-        assert pool.get_decoded("f", 0, page) == "decoded"
+        assert get_decoded(pool, "f", 0, equal_copy) is None
+        assert get_decoded(pool, "f", 0, page) == "decoded"
 
     def test_stale_put_decoded_is_ignored(self):
         """put_decoded for bytes no longer resident must not resurrect a
@@ -119,20 +121,20 @@ class TestDecodedLayer:
         new = b"new!"
         pool.put("f", 0, old)
         pool.put("f", 0, new)  # old decode-source bytes are gone
-        pool.put_decoded("f", 0, old, "decoded-old")  # late: ignored
-        assert pool.get_decoded("f", 0, new) is None
-        assert pool.get_decoded("f", 0, old) is None
+        put_decoded(pool, "f", 0, old, "decoded-old")  # late: ignored
+        assert get_decoded(pool, "f", 0, new) is None
+        assert get_decoded(pool, "f", 0, old) is None
 
     def test_eviction_drops_decoded_array_with_its_byte_page(self):
         pool = BufferPool(2)
         page = b"a"
         pool.put("f", 0, page)
-        pool.put_decoded("f", 0, page, "decoded-0")
+        put_decoded(pool, "f", 0, page, "decoded-0")
         pool.put("f", 1, b"b")
         pool.put("f", 2, b"c")  # evicts page 0 and its decoded entry
         assert pool.evictions == 1
         assert pool.decoded_evictions == 1
-        assert pool.get_decoded("f", 0, page) is None
+        assert get_decoded(pool, "f", 0, page) is None
 
     def test_eviction_of_undecoded_page_counts_no_decoded_eviction(self):
         pool = BufferPool(1)
@@ -145,23 +147,23 @@ class TestDecodedLayer:
         pool = BufferPool(4)
         old = b"old"
         pool.put("f", 0, old)
-        pool.put_decoded("f", 0, old, "decoded-old")
+        put_decoded(pool, "f", 0, old, "decoded-old")
         new = b"new"
         pool.put("f", 0, new)  # refresh: the old decoding is stale
-        assert pool.get_decoded("f", 0, new) is None
-        assert pool.get_decoded("f", 0, old) is None
+        assert get_decoded(pool, "f", 0, new) is None
+        assert get_decoded(pool, "f", 0, old) is None
 
     def test_invalidate_file_and_clear_drop_decoded_entries(self):
         pool = BufferPool(4)
         page = b"a"
         for name in ("f", "g"):
             pool.put(name, 0, page)
-            pool.put_decoded(name, 0, page, name)
+            put_decoded(pool, name, 0, page, name)
         pool.invalidate_file("f")
-        assert pool.get_decoded("f", 0, page) is None
-        assert pool.get_decoded("g", 0, page) == "g"
+        assert get_decoded(pool, "f", 0, page) is None
+        assert get_decoded(pool, "g", 0, page) == "g"
         pool.clear()
-        assert pool.get_decoded("g", 0, page) is None
+        assert get_decoded(pool, "g", 0, page) is None
 
     def test_invalidation_counts_decoded_drops(self):
         """Regression: file invalidation used to drop decoded entries
@@ -170,10 +172,10 @@ class TestDecodedLayer:
         pool = BufferPool(8)
         page_a, page_c = b"a", b"c"
         pool.put("merge", 0, page_a)
-        pool.put_decoded("merge", 0, page_a, "d0")
+        put_decoded(pool, "merge", 0, page_a, "d0")
         pool.put("merge", 1, b"b")  # byte page without a decoded entry
         pool.put("other", 0, page_c)
-        pool.put_decoded("other", 0, page_c, "d1")
+        put_decoded(pool, "other", 0, page_c, "d1")
         pool.invalidate_file("merge")
         # Exactly the one decoded entry of the invalidated file is counted,
         # on its own counter — the eviction counter stays untouched.
@@ -188,15 +190,15 @@ class TestDecodedLayer:
         page_a, page_b = b"a", b"b"
         decoded_added = 0
         pool.put("f", 0, page_a)
-        pool.put_decoded("f", 0, page_a, "d0")
+        put_decoded(pool, "f", 0, page_a, "d0")
         decoded_added += 1
         pool.put("g", 0, page_b)
-        pool.put_decoded("g", 0, page_b, "d1")
+        put_decoded(pool, "g", 0, page_b, "d1")
         decoded_added += 1
         pool.put("f", 1, b"c")  # evicts ("f", 0) and its decoded entry
         pool.invalidate_file("g")  # drops ("g", 0) and its decoded entry
-        assert pool.get_decoded("f", 0, page_a) is None
-        assert pool.get_decoded("g", 0, page_b) is None
+        assert get_decoded(pool, "f", 0, page_a) is None
+        assert get_decoded(pool, "g", 0, page_b) is None
         dropped = pool.decoded_evictions + pool.decoded_invalidations
         assert dropped == decoded_added
         assert pool.decoded_evictions == 1
@@ -206,11 +208,11 @@ class TestDecodedLayer:
         pool = BufferPool(2)
         page = b"a"
         pool.put("f", 0, page)
-        pool.put_decoded("f", 0, page, "d0")
+        put_decoded(pool, "f", 0, page, "d0")
         pool.get("f", 0)
         pool.get("f", 1)  # miss
-        pool.get_decoded("f", 0, page)
-        pool.get_decoded("f", 1, page)  # miss
+        get_decoded(pool, "f", 0, page)
+        get_decoded(pool, "f", 1, page)  # miss
         pool.put("f", 1, b"b")
         pool.put("f", 2, b"c")  # evicts page 0 (+ decoded entry)
         snapshot = pool.counters()
@@ -239,15 +241,95 @@ counters = st.builds(
 
 @settings(max_examples=100, deadline=None)
 @given(counters, counters)
-def test_delta_and_sum_match_the_field_by_field_expression(later, earlier):
-    """``delta_since`` and ``+`` equal the per-field expression over ``dataclasses.fields``."""
+def test_delta_and_between_match_the_field_by_field_expression(later, earlier):
+    """``delta_since``, and ``between`` over plain tallies, equal the per-field
+    expression over ``dataclasses.fields``."""
     names = [f.name for f in fields(BufferCounters)]
-    assert later.delta_since(earlier) == BufferCounters(
+    expected = BufferCounters(
         **{name: getattr(later, name) - getattr(earlier, name) for name in names}
     )
-    assert later + earlier == BufferCounters(
-        **{name: getattr(later, name) + getattr(earlier, name) for name in names}
-    )
+    assert later.delta_since(earlier) == expected
+    assert BufferCounters.between(astuple(earlier), astuple(later)) == expected
+
+
+def test_tally_is_the_counters_as_a_tuple():
+    pool = BufferPool(1)
+    pool.put("f", 0, b"a")
+    pool.get("f", 0)
+    pool.get("f", 1)
+    pool.put("f", 1, b"b")  # evicts page 0
+    assert pool.tally == astuple(pool.counters()) == (1, 1, 1, 0, 0, 0, 0)
+
+
+def decoder(log: list, fail_on=()):
+    """A page decoder that records what it decodes and raises on ``fail_on``."""
+
+    def decode(dtype, page):
+        log.append(page)
+        if page in fail_on:
+            raise ValueError(f"cannot decode {page!r}")
+        return (dtype, page)
+
+    return decode
+
+
+class TestRunCalls:
+    """The run-level calls the page loop makes: one per run."""
+
+    def test_get_run_serves_the_cached_prefix_and_counts_the_miss_ending_it(self):
+        pool = BufferPool(8)
+        for page_no in (1, 2, 4):
+            pool.put("f", page_no, bytes([page_no]))
+        pool.put("g", 0, b"g")
+        pages, decoded = pool.get_run("f", 1, 4)
+        assert pages == [b"\x01", b"\x02"] and decoded is None
+        assert (pool.hits, pool.misses) == (2, 1)
+        assert list(pool._pages)[-2:] == [("f", 1), ("f", 2)]  # moved to the LRU tail
+        assert pool.get_run("f", 0, 2) == ([], None)  # a first-page miss: one miss
+        assert (pool.hits, pool.misses) == (2, 2)
+
+    def test_a_whole_cached_run_is_decoded_in_the_same_call(self):
+        pool = BufferPool(8)
+        pool.put("f", 0, b"a")
+        pool.put("f", 1, b"b")
+        log: list = []
+        pages, decoded = pool.get_run("f", 0, 2, decoder(log), "dt")
+        assert pages == [b"a", b"b"] and decoded == [("dt", b"a"), ("dt", b"b")]
+        assert (pool.decoded_hits, pool.decoded_misses) == (0, 2)
+        _, again = pool.get_run("f", 0, 2, decoder(log), "dt")
+        assert again == decoded and log == [b"a", b"b"]  # served, not decoded again
+        assert (pool.hits, pool.decoded_hits, pool.decoded_misses) == (4, 2, 2)
+        pool.put("f", 2, b"c")
+        assert pool.get_run("f", 1, 3, decoder(log), "dt") == ([b"b", b"c"], None)
+        assert pool.decoded_hits == 2  # a partial prefix is not decoded
+
+    def test_decode_run_serves_only_the_same_resident_bytes(self):
+        pool = BufferPool(4)
+        page = b"bytes"
+        log: list = []
+        pool.decode_run("f", 0, [page], decoder(log), None)  # not resident: not kept
+        pool.put("f", 0, page)
+        equal_copy = bytes(bytearray(page))
+        pool.decode_run("f", 0, [equal_copy], decoder(log), None)  # not the resident object
+        assert ("f", 0) not in pool._decoded
+        pool.decode_run("f", 0, [page], decoder(log), None)
+        assert pool.decode_run("f", 0, [page], decoder(log), None) == [(None, page)]
+        pool.decode_run("f", 0, [equal_copy], decoder(log), None)  # identity, not equality
+        assert log == [page, equal_copy, page, equal_copy]
+        assert (pool.decoded_hits, pool.decoded_misses) == (1, 4)
+        pool.put("f", 0, b"new!")  # the old decoding is stale
+        pool.decode_run("f", 0, [page], decoder(log), None)  # late: not kept
+        assert ("f", 0) not in pool._decoded
+
+    def test_a_decode_that_raises_has_counted_its_miss(self):
+        pool = BufferPool(4)
+        pages = [b"a", b"b", b"c"]
+        for page_no, page in enumerate(pages):
+            pool.put("f", page_no, page)
+        with pytest.raises(ValueError):
+            pool.get_run("f", 0, 3, decoder([], fail_on=(b"b",)), None)
+        assert (pool.hits, pool.decoded_misses) == (3, 2)
+        assert sorted(pool._decoded) == [("f", 0)]
 
 
 class TestInvalidatePage:
@@ -258,11 +340,11 @@ class TestInvalidatePage:
         pool = BufferPool(4)
         page = b"bytes"
         pool.put("f", 0, page)
-        pool.put_decoded("f", 0, page, "decoded")
+        put_decoded(pool, "f", 0, page, "decoded")
         pool.put("f", 1, b"other")
         pool.invalidate_page("f", 0)
         assert pool.get("f", 0) is None
-        assert pool.get_decoded("f", 0, page) is None
+        assert get_decoded(pool, "f", 0, page) is None
         assert pool.get("f", 1) == b"other"  # untouched sibling
         assert pool.decoded_invalidations == 1
 
