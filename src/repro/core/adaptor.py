@@ -22,6 +22,12 @@ runs only for occupied children, and a table row and nothing else for an
 empty one (``tests/test_refine_path.py`` counts).  Leaves are rows of the
 tree's leaf table, so which of a query's leaves to refine is one
 expression over its columns (:meth:`Adaptor.candidates`).
+
+The storage half of both operations — scan, assign, encode, write — is
+one step run through :attr:`Adaptor.facts` (:mod:`repro.core.facts`):
+an engine with a journal keeps each step's runs for the query's journal
+entry, and recovery's fast path installs the journaled runs instead of
+reading or writing a page.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.config import OdysseyConfig
+from repro.core.facts import NO_FACTS
 from repro.core.partition import LeafSnapshot, PartitionTree
 from repro.data.dataset import Dataset
 from repro.geometry.box import Box
@@ -60,6 +67,9 @@ class Adaptor:
 
     def __init__(self, config: OdysseyConfig) -> None:
         self._config = config
+        #: Runs the storage steps (:mod:`repro.core.facts`); set by the
+        #: query processor.
+        self.facts = NO_FACTS
 
     @property
     def config(self) -> OdysseyConfig:
@@ -87,6 +97,14 @@ class Adaptor:
         """
         if tree.is_initialized:
             raise RuntimeError(f"dataset {tree.dataset.name!r} is already initialised")
+        runs, max_extent, n_objects = self.facts.step(
+            "init", tree.dataset.dataset_id, lambda: self._first_level(tree)
+        )
+        tree.install_first_level(runs, max_extent, n_objects)
+
+    @staticmethod
+    def _first_level(tree: PartitionTree) -> tuple:
+        """Scan, assign and write: the first level's runs, max extent and object count."""
         dataset = tree.dataset
         empty = np.empty(0, dtype=tree.file.dtype)
         records = np.concatenate([empty, *dataset.scan_arrays()])
@@ -99,7 +117,7 @@ class Adaptor:
         groups = tree.assign_array_to_children(tree.universe, records)
         runs = tree.file.write_groups_array(groups)
         dataset.disk.charge_cpu_records(len(records))
-        tree.install_first_level(runs, tuple(max_extent.tolist()), len(records))
+        return runs, tuple(max_extent.tolist()), len(records)
 
     # ------------------------------------------------------------------ #
     # Refinement
@@ -186,8 +204,18 @@ class Adaptor:
         take rows ``[row, row + ppl)`` of the tree's next table.
         """
         table = tree.leaf_snapshot()
+        runs = self.facts.step(
+            "refine",
+            [tree.dataset.dataset_id, list(table.keys[row])],
+            lambda: self._split(tree, table, row),
+        )
+        tree.replace_with_children(row, runs)
+
+    @staticmethod
+    def _split(tree: PartitionTree, table: LeafSnapshot, row: int) -> list:
+        """Read, assign and write one leaf's records: its children's runs."""
         records = tree.read_partition_array(table.keys[row])
         groups = tree.assign_array_to_children(table.box(row), records)
         runs = tree.file.write_groups_array(groups, reuse=table.runs[row].extents)
         tree.dataset.disk.charge_cpu_records(len(records))
-        tree.replace_with_children(row, runs)
+        return runs

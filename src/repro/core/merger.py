@@ -21,6 +21,13 @@ append-only merge file:
 The Merger is incremental: if a hot combination later touches partitions
 that are not yet in its merge file, they are appended (the file is
 append-only, as in the paper).
+
+The copies of one merge are one storage step run through
+:attr:`Merger.facts` (:mod:`repro.core.facts`): an engine with a journal
+keeps their segment runs for the query's journal entry, and recovery's
+fast path registers the journaled runs without reading or appending a
+page — and, since it keeps every file as the crash left it, evicts
+without deleting one.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from typing import Collection, Mapping
 
 from repro.core.adaptor import oversized
 from repro.core.config import OdysseyConfig
+from repro.core.facts import NO_FACTS, FactMismatch
 from repro.core.merge import MergeDirectory, MergeFileInfo, merge_file_name
 from repro.core.partition import PartitionKey, PartitionTree
 from repro.core.statistics import Combination, CombinationStats, StatisticsCollector
@@ -68,6 +76,9 @@ class Merger:
         self._open_files: dict[Combination, PagedFile[SpatialObject]] = {}
         self._merges_performed = 0
         self._evictions = 0
+        #: Runs the storage steps (:mod:`repro.core.facts`); set by the
+        #: query processor.
+        self.facts = NO_FACTS
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -119,10 +130,20 @@ class Merger:
 
         info = existing or MergeFileInfo(combination, merge_file_name(combination))
         file = self.merge_file(combination)
-        for key in new_keys:
-            for dataset_id in sorted(combination):
-                run = file.append_group_array(trees[dataset_id].read_partition_array(key))
-                info.add_segment(key, dataset_id, run)
+        members = sorted(combination)
+        copies = [(key, dataset_id) for key in new_keys for dataset_id in members]
+        runs = self.facts.step(
+            "merge",
+            [members, [list(key) for key in new_keys]],
+            lambda: [
+                file.append_group_array(trees[dataset_id].read_partition_array(key))
+                for key, dataset_id in copies
+            ],
+        )
+        if len(runs) != len(copies):
+            raise FactMismatch(f"{len(copies)} copies, {len(runs)} journaled segments")
+        for (key, dataset_id), run in zip(copies, runs):
+            info.add_segment(key, dataset_id, run)
         info.last_used = self._statistics.logical_clock
         self._directory.register(info)
         self._merges_performed += 1
@@ -204,8 +225,11 @@ class Merger:
     def _evict(self, info: MergeFileInfo) -> None:
         self._directory.remove(info.combination)
         file = self._open_files.pop(info.combination, None)
-        if file is not None:
-            file.delete()
-        elif self._disk.file_exists(info.file_name):
-            self._disk.delete_file(info.file_name)
+        # A replay of journaled facts keeps the files as the run that
+        # journaled them left them: it deleted this one (or re-created it).
+        if not self.facts.replaying:
+            if file is not None:
+                file.delete()
+            elif self._disk.file_exists(info.file_name):
+                self._disk.delete_file(info.file_name)
         self._evictions += 1

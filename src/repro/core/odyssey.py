@@ -188,14 +188,17 @@ class SpaceOdyssey(MultiDatasetIndex):
     ) -> "SpaceOdyssey":
         """Rebuild an engine after a crash from its manifest journal.
 
-        Re-opens the raw dataset files (which survive any crash intact),
-        deletes every derived file (partition and merge files may be torn)
+        Re-opens the raw dataset files (which survive any crash intact)
         and deterministically replays the committed query log through the
         writer half only — first touch, refinement, statistics, merging;
         no answer is recomputed — yielding an engine whose adaptive state,
         derived on-disk bytes and subsequent answers are bit-identical to a
-        never-crashed engine that executed the same committed prefix.  See
-        :mod:`repro.core.recovery`.
+        never-crashed engine that executed the same committed prefix.
+        After a crash between commits, in the same boot, the derived files
+        are kept and every storage step takes the runs its journal entry
+        recorded, so no page is read or written; otherwise every derived
+        file is deleted (partition and merge files may be torn) and
+        rebuilt.  See :mod:`repro.core.recovery`.
         """
         from repro.core.recovery import recover
 

@@ -25,6 +25,13 @@ query check, the first-touch routine (step 1), the read planner (step 4)
 and the writer half (steps 5–6, :meth:`QueryProcessor.commit_query`).
 Recovery replays a committed query through the check, the first touch
 and the writer half alone.
+
+Those two are the only parts that change files, and both run under the
+gate.  Their storage steps run through the processor's facts
+(:mod:`repro.core.facts`): with a journal attached, the writer half
+seals each query's facts for its journal entry, and one that raises
+drops them and taints the log if a file may have changed
+(:meth:`~repro.core.recovery.DurabilityLog.abort`).
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.core.adaptor import Adaptor
+from repro.core.facts import NO_FACTS
 from repro.core.merge import MergeDirectory, MergeFileInfo, RouteKind, RoutingDecision
 from repro.core.merge import choose_route
 from repro.core.merger import Merger
@@ -213,6 +221,7 @@ class QueryProcessor:
         self._last_report: QueryReport | None = None
         self._gate = threading.RLock()
         self._durability = None
+        self._facts = NO_FACTS
         self._tracer = None
         self._epochs = None
 
@@ -292,16 +301,27 @@ class QueryProcessor:
         return requested
 
     def initialize_trees(self, dataset_ids: Iterable[int]) -> list[int]:
-        """Step 1, first touch: build the missing trees, in order; returns their ids."""
+        """Step 1, first touch: build the missing trees, in order; returns their ids.
+
+        Called with the gate held.
+        """
         initialized = []
-        for dataset_id in dataset_ids:
-            if dataset_id not in self._trees:
-                with maybe_span(self._tracer, "query.init_tree", dataset=dataset_id):
-                    tree = self._adaptor.create_tree(self._catalog.get(dataset_id))
-                    self._adaptor.initialize(tree)
-                    self._trees[dataset_id] = tree
-                initialized.append(dataset_id)
+        try:
+            for dataset_id in dataset_ids:
+                if dataset_id not in self._trees:
+                    with maybe_span(self._tracer, "query.init_tree", dataset=dataset_id):
+                        tree = self._adaptor.create_tree(self._catalog.get(dataset_id))
+                        self._adaptor.initialize(tree)
+                        self._trees[dataset_id] = tree
+                    initialized.append(dataset_id)
+        except Exception:
+            self._writer_raised()
+            raise
         return initialized
+
+    def _writer_raised(self) -> None:
+        if self._durability is not None:
+            self._durability.abort()
 
     def _overlapped_rows(self, box: Box, dataset_id: int) -> np.ndarray:
         """Step 2: the rows of the dataset's current leaf table its extended window overlaps."""
@@ -328,50 +348,56 @@ class QueryProcessor:
         splits before it added; the merge file routed to (if any) is
         stamped as used; the merger gets its chance; the query counts as
         executed.  A caller that passes rows or candidates for a tree
-        vouches that they were taken from the tree's current table.
+        vouches that they were taken from the tree's current table.  The
+        query's storage facts are sealed last.
         """
         with self._gate:
-            given = overlapped or {}
-            picked = candidates or {}
-            if decision is None:
-                decision = choose_route(self._directory, requested)
-            report.route = decision.kind.value
-            info = decision.merge_info
-            covered = decision.covered_datasets if info is not None else ()
-            volume = box.volume()
-            keys: set = set()
-            refining = []
-            for dataset_id in sorted(requested):
-                tree = self._trees[dataset_id]
-                table = tree.leaf_snapshot()
-                rows = given.get(dataset_id)
-                if rows is None:
-                    rows = self._overlapped_rows(box, dataset_id)
-                hit = list(map(table.keys.__getitem__, rows.tolist()))
-                keys.update(hit)
-                report.partitions_read += len(hit)
-                if dataset_id in covered:
-                    report.partitions_from_merge += sum(
-                        info.has_segment(key, dataset_id) for key in hit
-                    )
-                chosen = picked.get(dataset_id)
-                if chosen is None:
-                    chosen = self._adaptor.candidates(table, rows, volume)
-                if chosen:
-                    refining.append((tree, table, chosen))
-            for tree, table, chosen in refining:
-                for row in chosen:
-                    shift = len(tree.leaf_snapshot()) - len(table)
-                    if self._adaptor.maybe_refine(tree, row + shift, box).refined:
-                        report.refinements += 1
-            self._statistics.record_query(requested, keys, query_volume=volume)
-            if info is not None:
-                self._merger.mark_used(info.combination)
-            merge_outcome = self._merger.maybe_merge(requested, self._trees)
-            report.merged = merge_outcome.merged
-            report.merge_new_partitions = merge_outcome.new_partitions
-            report.evicted_merge_files = len(merge_outcome.evicted_combinations)
-            self.note_executed(report)
+            try:
+                given = overlapped or {}
+                picked = candidates or {}
+                if decision is None:
+                    decision = choose_route(self._directory, requested)
+                report.route = decision.kind.value
+                info = decision.merge_info
+                covered = decision.covered_datasets if info is not None else ()
+                volume = box.volume()
+                keys: set = set()
+                refining = []
+                for dataset_id in sorted(requested):
+                    tree = self._trees[dataset_id]
+                    table = tree.leaf_snapshot()
+                    rows = given.get(dataset_id)
+                    if rows is None:
+                        rows = self._overlapped_rows(box, dataset_id)
+                    hit = list(map(table.keys.__getitem__, rows.tolist()))
+                    keys.update(hit)
+                    report.partitions_read += len(hit)
+                    if dataset_id in covered:
+                        report.partitions_from_merge += sum(
+                            info.has_segment(key, dataset_id) for key in hit
+                        )
+                    chosen = picked.get(dataset_id)
+                    if chosen is None:
+                        chosen = self._adaptor.candidates(table, rows, volume)
+                    if chosen:
+                        refining.append((tree, table, chosen))
+                for tree, table, chosen in refining:
+                    for row in chosen:
+                        shift = len(tree.leaf_snapshot()) - len(table)
+                        if self._adaptor.maybe_refine(tree, row + shift, box).refined:
+                            report.refinements += 1
+                self._statistics.record_query(requested, keys, query_volume=volume)
+                if info is not None:
+                    self._merger.mark_used(info.combination)
+                merge_outcome = self._merger.maybe_merge(requested, self._trees)
+                report.merged = merge_outcome.merged
+                report.merge_new_partitions = merge_outcome.new_partitions
+                report.evicted_merge_files = len(merge_outcome.evicted_combinations)
+                self._facts.seal(requested)
+                self.note_executed(report)
+            except Exception:
+                self._writer_raised()
+                raise
 
     # ------------------------------------------------------------------ #
     # Telemetry (observation only)
@@ -402,6 +428,12 @@ class QueryProcessor:
     def attach_durability(self, log) -> None:
         """Journal a manifest at every commit point from now on."""
         self._durability = log
+        self.attach_facts(log.facts)
+
+    def attach_facts(self, facts) -> None:
+        """Run the Adaptor's and Merger's storage steps through ``facts``
+        (:mod:`repro.core.facts`) from now on."""
+        self._facts = self._adaptor.facts = self._merger.facts = facts
 
     def commit_durable(self, entries) -> None:
         """Journal newly committed queries (``(box, dataset_ids)`` pairs).

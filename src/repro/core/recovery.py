@@ -11,42 +11,92 @@ durable manifest is not a physical redo log but a **logical query log**.
 
 At every commit point (each :meth:`QueryProcessor.execute`, and each
 batch's gated writer phase) the engine commits its manifest — the
-catalog and disk geometry, the configuration, and the ordered list of
-committed queries — to a :class:`~repro.storage.journal.ManifestJournal`.
-The journal writes the whole manifest only when it compacts; a commit
-appends just the queries committed since the previous record and the
-running committed count, so journaling a query costs one small record,
-not the history.  The journal is checksummed and torn-tail tolerant, so
-a crash mid-commit simply re-exposes the previous commit point.
+catalog and disk geometry, the configuration, the boot it runs in, a
+taint flag, and the ordered list of committed queries — to a
+:class:`~repro.storage.journal.ManifestJournal`.  The journal writes the
+whole manifest only when it compacts; a commit appends just the queries
+committed since the previous record and the running committed count, so
+journaling a query costs one small record, not the history.  The journal
+is checksummed and torn-tail tolerant, so a crash mid-commit simply
+re-exposes the previous commit point.
+
+Each committed query's entry also carries its **storage facts**
+(manifest version 4; :mod:`repro.core.facts`): the runs its first
+touches, refinements and merge copies returned, in call order.  And
+before the first file mutation after each commit the disk's mutation
+hook appends an *intent* to the journal, so the log tells a crash
+between commits (files as the last commit left them) from a crash
+mid-query (files changed beyond it).
 
 :func:`recover` rebuilds an engine from the last intact manifest (the
 journal's last intact base with every intact, contiguous delta folded
 in; a journal written before deltas existed, every record a full
-version-1 manifest, reads the same way):
+version-1 manifest, reads the same way), on one of two paths.
+
+**The fast path** keeps every file as it is.  It is taken when all of
+these hold:
+
+* the fold ends at a commit with no intact intent after it (a torn tail
+  is fine: a torn append never preceded a mutation);
+* the manifest's boot id (``/proc/sys/kernel/random/boot_id`` when the
+  engine ran) equals the current one.  An intent is not ``fsync`` ed, so
+  only a crash of the process, not of the machine, is known to keep it:
+  after a reboot or a power loss, and wherever no boot id can be read,
+  recovery always replays in full;
+* the manifest is not *tainted*: no writer half — first touch or commit
+  — has raised after its intent since the last full replay.  Such a
+  writer half may have left files half written while the engine ran on,
+  and the taint is kept in the header across compaction until a full
+  replay clears it;
+* every committed entry carries facts.
+
+It opens the raw files (reading no page) and runs every committed entry
+through the same first touch and writer half
+(:meth:`QueryProcessor.commit_query`) as the full path, so statistics,
+routes, refinement and merge decisions, LRU stamps and ``summary()`` are
+recomputed — but each storage step takes its journaled runs instead of
+reading, assigning, encoding or writing a page, and an eviction deletes
+nothing.  Each step checks that its fact names the dataset or key it is
+splitting or merging, every fact of an entry must be taken, no file may
+change (the disk's mutation hook refuses), and at the end the derived
+files on disk must be exactly those the rebuilt state names; anything
+else falls back to the full path.  A clean crash's recovery therefore
+reads and writes no page and creates or deletes no file; it costs the
+bookkeeping of the history, not its I/O.
+
+**The full path** is the replay of the committed log from the raw files:
 
 1. re-open the raw dataset files (they are append-once and never touched
    after creation, so they survive any crash intact).  Opening reads no
    page: a raw file is read when replay first touches its dataset, so a
    log that touches k of n datasets reads k raw files, and a damaged raw
    page raises its ``CorruptPageError`` at that first touch;
-2. **delete every derived file** — partition files and merge files may be
+2. rewrite the journal down to the manifest being recovered, marked
+   tainted (which also heals a torn tail), so that a crash during the
+   replay leaves a log that is replayed in full again;
+3. **delete every derived file** — partition files and merge files may be
    torn by the crash, and all of them can be regenerated;
-3. construct a fresh engine and replay the committed queries in order
+4. construct a fresh engine and replay the committed queries in order
    with journaling disabled, through the writer half only
    (:meth:`QueryProcessor.commit_query` after the first touch): no
    answer is recomputed, since answers never feed adaptation.
    Determinism makes the replayed state — including on-disk partition
    and merge bytes — bit-identical to the state of a never-crashed
-   engine after the same committed prefix;
-4. re-attach the journal so subsequent commits extend the same log.
+   engine after the same committed prefix.  The replay records every
+   entry's facts.
 
-A crash *during* recovery is harmless: replay writes nothing to the
-journal, so recovery can simply be run again.
+Both paths end the same way: the journal is rewritten down to the
+recovered manifest (in today's layout, with facts, the current boot id
+and no taint: the files now match it), and re-attached so subsequent
+commits extend the same log.  A crash *during* recovery is harmless:
+until that last rewrite the journal says what it said before (or, on the
+full path, that a full replay is due), so recovery can simply be run
+again.
 
-The physical cost is replaying the committed workload's adaptation —
-first touches, refinements, merges — but none of its answer reads;
-compacting the log against a checkpoint of the derived files is future
-work recorded in ROADMAP.md.
+The fast path still costs the bookkeeping of every committed query —
+O(history) CPU; a checkpoint of the adaptive state at compaction, so
+that recovery costs the suffix after it, is future work recorded in
+ROADMAP.md.
 """
 
 from __future__ import annotations
@@ -57,6 +107,7 @@ from dataclasses import asdict
 from typing import TYPE_CHECKING, Iterable
 
 from repro.core.config import OdysseyConfig
+from repro.core.facts import FactMismatch, FactPlayer, FactRecorder
 from repro.core.query_processor import QueryReport
 from repro.data.dataset import Dataset, DatasetCatalog, raw_file_name
 from repro.geometry.box import Box
@@ -69,13 +120,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
     from repro.core.odyssey import SpaceOdyssey
 
 #: Manifest schema version (bumped on incompatible layout changes).
-#: Version 3 records a filesystem store's root relative to the journal's
-#: directory, so a store and its journal can be copied or moved together.
-#: Versions 1 and 2 (an absolute root; version 1 also holds one full
-#: manifest per commit instead of a base plus per-commit deltas) are still
-#: read, and their absolute root is honoured.
-MANIFEST_VERSION = 3
-READABLE_VERSIONS = (1, 2, MANIFEST_VERSION)
+#: Version 4 gives every committed entry its storage facts and the header
+#: the boot id and taint flag recovery's fast path tests.  Version 3
+#: records a filesystem store's root relative to the journal's directory,
+#: so a store and its journal can be copied or moved together.  Versions
+#: 1 to 3 are still read (and replayed in full); the absolute root of
+#: versions 1 and 2 (version 1 also holds one full manifest per commit
+#: instead of a base plus per-commit deltas) is honoured.
+MANIFEST_VERSION = 4
+READABLE_VERSIONS = (1, 2, 3, MANIFEST_VERSION)
+
+#: Where Linux names the current boot (a fresh UUID on every boot).
+BOOT_ID_PATH = "/proc/sys/kernel/random/boot_id"
 
 #: Header keys of retired options, ignored when an older journal carries
 #: them.  A sharded buffer pool comes back as one pool of the same
@@ -105,6 +161,15 @@ logger = logging.getLogger("repro.recovery")
 
 class RecoveryError(RuntimeError):
     """Recovery cannot proceed (no intact manifest, missing raw files, ...)."""
+
+
+def boot_id() -> str | None:
+    """The current boot's id, or ``None`` where none can be read."""
+    try:
+        with open(BOOT_ID_PATH) as handle:
+            return handle.read().strip() or None
+    except OSError:
+        return None
 
 
 # ---------------------------------------------------------------------- #
@@ -158,7 +223,10 @@ class DurabilityLog:
 
     Attached to a :class:`~repro.core.query_processor.QueryProcessor`;
     :meth:`record` must be called with the processor's gate held so the
-    journal order equals the commit order.
+    journal order equals the commit order.  It owns the
+    :class:`~repro.core.facts.FactRecorder` whose sealed facts each
+    recorded entry carries, and arms the disk's mutation hook after every
+    commit: the first mutation after it appends an intent to the journal.
     """
 
     def __init__(
@@ -170,13 +238,21 @@ class DurabilityLog:
         committed: list[dict] | None = None,
     ) -> None:
         self._journal = journal
-        # Catalog and config are immutable: the header never changes.
+        # Catalog, config and boot are immutable; only a taint changes
+        # the header (and so compacts the journal once).
         self._header = {
             "version": MANIFEST_VERSION,
             "config": asdict(config),
             "catalog": _encode_catalog(catalog, _journal_dir(journal)),
+            "boot_id": boot_id(),
+            "tainted": False,
         }
         self._committed: list[dict] = list(committed or [])
+        # The hook is the journal's own method: a disk never refers back
+        # to its engine, so a dropped engine is freed at once.
+        self._disk = catalog.datasets()[0].disk
+        self.facts = FactRecorder()
+        self._disk.arm_mutation_hook(journal.intent)
 
     @property
     def journal(self) -> ManifestJournal:
@@ -195,12 +271,16 @@ class DurabilityLog:
     def record(self, entries: Iterable[tuple[Box, Iterable[int]]]) -> None:
         """Extend the log with newly committed queries and journal it.
 
-        ``entries`` may be empty (e.g. an empty batch), in which case the
-        state did not change and nothing is written.
+        Each entry carries the facts its writer half sealed.  ``entries``
+        may be empty (e.g. an empty batch), in which case the state did not
+        change and nothing is written.
         """
         appended = [encode_query(box, ids) for box, ids in entries]
         if not appended:
             return
+        for entry, facts in zip(appended, self.facts.take(len(appended))):
+            if facts is not None:
+                entry["facts"] = facts
         self._committed.extend(appended)
         self.checkpoint()
 
@@ -209,6 +289,16 @@ class DurabilityLog:
         # The journal only reads the queries it does not cover yet, so it
         # is handed the live list, not a copy of the history.
         self._journal.commit({**self._header, "queries": self._committed})
+        self._disk.arm_mutation_hook(self._journal.intent)
+
+    def abort(self) -> None:
+        """A writer half raised (gate held): drop its facts, and taint the
+        log if a file may have changed since the last commit.  The taint
+        reaches the journal with the next commit; a crash before it finds
+        the intent."""
+        self.facts.abort()
+        if self._journal.dirty:
+            self._header["tainted"] = True
 
 
 # ---------------------------------------------------------------------- #
@@ -241,15 +331,77 @@ def _rebuild_disk(
     )
 
 
-def _wipe_derived_files(disk: Disk, raw_names: set[str]) -> list[str]:
+def _derived_files(disk: Disk, raw_names: set[str]) -> list[str]:
     # A filesystem backend lists files under their flattened names.
     keep = raw_names | {flat_file_name(name) for name in raw_names}
-    dropped = []
-    for name in disk.list_files():
-        if name not in keep:
-            disk.delete_file(name)
-            dropped.append(name)
-    return dropped
+    return [name for name in disk.list_files() if name not in keep]
+
+
+def _fast_path_refusal(manifest: dict, dirty: bool) -> str | None:
+    """Why the files cannot be kept as they are, or ``None`` when they can."""
+    if dirty:
+        return "a file changed after the last commit"
+    if manifest.get("version") != MANIFEST_VERSION:
+        return f"a version-{manifest.get('version')} journal carries no facts"
+    current = boot_id()
+    if current is None or manifest.get("boot_id") != current:
+        return "the journal was written before the last boot"
+    if manifest.get("tainted"):
+        return "a writer half raised since the last full replay"
+    if not all("facts" in entry for entry in manifest["queries"]):
+        return "an entry carries no facts"
+    return None
+
+
+def _refuse_mutation() -> None:
+    raise FactMismatch("replaying journaled facts would change a file")
+
+
+def _replay(
+    disk: Disk, manifest: dict, config: OdysseyConfig, facts: FactPlayer | FactRecorder
+) -> "SpaceOdyssey":
+    """A fresh engine that ran every committed entry's first touch and
+    writer half, its storage steps run by ``facts``."""
+    from repro.core.odyssey import SpaceOdyssey
+
+    datasets = [
+        Dataset.open(
+            disk, spec["id"], spec["name"], universe=_decode_box(spec["universe"])
+        )
+        for spec in manifest["catalog"]["datasets"]
+    ]
+    engine = SpaceOdyssey(DatasetCatalog(datasets), config)
+    processor = engine._processor
+    processor.attach_facts(facts)
+    for entry in manifest["queries"]:
+        if facts.replaying:
+            facts.begin(entry["facts"])
+        box = _decode_box(entry)
+        requested = processor.check_query(box, entry["ids"])
+        ordered = tuple(sorted(requested))
+        report = QueryReport(query_index=processor.queries_executed, requested=ordered)
+        report.initialized_datasets = processor.initialize_trees(ordered)
+        processor.commit_query(box, requested, report)
+    return engine
+
+
+def _replay_facts(
+    disk: Disk, manifest: dict, config: OdysseyConfig, raw_names: set[str]
+) -> "SpaceOdyssey":
+    """The fast path: the journaled facts over the files as they are."""
+    disk.arm_mutation_hook(_refuse_mutation)
+    try:
+        engine = _replay(disk, manifest, config, FactPlayer())
+    finally:
+        disk.arm_mutation_hook(None)
+    named = {tree.file.name for tree in engine.trees.values()}
+    named.update(info.file_name for info in engine.merge_directory.all_files())
+    # Listed under their flattened names by a filesystem backend.
+    named = {flat_file_name(name) for name in named}
+    found = {flat_file_name(name) for name in _derived_files(disk, raw_names)}
+    if found != named:
+        raise FactMismatch(f"the derived files are {sorted(found)}, the facts name {sorted(named)}")
+    return engine
 
 
 def recover(
@@ -281,12 +433,12 @@ def recover(
 
     Returns an engine whose adaptive state, on-disk derived bytes and
     subsequent answers are bit-identical to an engine that executed the
-    committed query prefix without crashing.  Raises
+    committed query prefix without crashing — on the fast path by
+    keeping the files, on the full path by rebuilding them (see the
+    module docstring for which one runs).  Raises
     :class:`RecoveryError` if the journal holds no intact manifest or a
     raw dataset file is missing.
     """
-    from repro.core.odyssey import SpaceOdyssey
-
     if isinstance(journal_path, ManifestJournal):
         journal = journal_path
     else:
@@ -317,21 +469,18 @@ def recover(
     journal_dir = _journal_dir(journal)
     if disk is None:
         disk = _rebuild_disk(manifest_catalog, backend, journal_dir)
+    else:
+        disk.arm_mutation_hook(None)  # the crashed engine's intents end here
+    refusal = _fast_path_refusal(manifest, journal.dirty)
 
-    # Heal the journal before re-using it: a torn tail left by the crash
-    # would swallow every post-recovery append (records() stops at the
-    # first torn record).  Atomically rewriting the file down to the
-    # manifest being recovered from truncates the tail; a crash during
-    # the rewrite leaves either the old or the new journal, both of which
-    # expose this same manifest.  (The new base is in today's layout
-    # whatever the version read, naming the store recovery runs on, so
-    # the deltas that follow it belong.)
+    # The manifest in today's layout: whatever the version read, the
+    # journal's next base names the store recovery runs on and no retired
+    # option, so the deltas that follow it belong.
     manifest["version"] = MANIFEST_VERSION
     for section, keys in _RETIRED_KEYS.items():
         for key in keys:
             manifest[section].pop(key, None)
     manifest_catalog["store"] = _encode_store(disk.backend, journal_dir)
-    journal.rewrite(manifest)
 
     config = OdysseyConfig(**manifest["config"])
 
@@ -340,30 +489,43 @@ def recover(
     for name in raw_names:
         if not disk.file_exists(name):
             raise RecoveryError(f"raw dataset file {name!r} is missing")
-    dropped = _wipe_derived_files(disk, raw_names)
-    logger.info(
-        "derived files wiped", extra={"dropped_files": len(dropped)}
-    )
 
-    datasets = [
-        Dataset.open(
-            disk, spec["id"], spec["name"], universe=_decode_box(spec["universe"])
-        )
-        for spec in specs
-    ]
-    engine = SpaceOdyssey(DatasetCatalog(datasets), config)
-    processor = engine._processor
-    for entry in manifest["queries"]:
-        box = _decode_box(entry)
-        requested = processor.check_query(box, entry["ids"])
-        ordered = tuple(sorted(requested))
-        report = QueryReport(query_index=processor.queries_executed, requested=ordered)
-        report.initialized_datasets = processor.initialize_trees(ordered)
-        processor.commit_query(box, requested, report)
+    engine = None
+    if refusal is None:
+        try:
+            engine = _replay_facts(disk, manifest, config, raw_names)
+        except FactMismatch as mismatch:
+            refusal = str(mismatch)
+    if engine is None:
+        # Heal the journal before touching a file: a torn tail left by
+        # the crash would swallow every post-recovery append (records()
+        # stops at the first torn record), and the taint makes a crash
+        # during the replay replay in full again.  A crash during the
+        # rewrite leaves either the old or the new journal, both of which
+        # expose this same manifest.
+        journal.rewrite({**manifest, "tainted": True})
+        dropped = _derived_files(disk, raw_names)
+        for name in dropped:
+            disk.delete_file(name)
+        logger.info("derived files wiped", extra={"dropped_files": len(dropped)})
+        recorder = FactRecorder()
+        engine = _replay(disk, manifest, config, recorder)
+        queries = manifest["queries"]
+        manifest["queries"] = [
+            {**entry, "facts": facts}
+            for entry, facts in zip(queries, recorder.take(len(queries)))
+        ]
+    manifest["boot_id"] = boot_id()
+    manifest["tainted"] = False
+    journal.rewrite(manifest)
 
     engine.attach_journal(journal, committed=list(manifest["queries"]))
     logger.info(
         "recovery complete",
-        extra={"replayed_queries": len(manifest["queries"])},
+        extra={
+            "replayed_queries": len(manifest["queries"]),
+            "path": "full" if refusal else "fast",
+            "full_replay_reason": refusal,
+        },
     )
     return engine

@@ -379,9 +379,11 @@ class FileSystemBackend(StorageBackend):
             fd = self._fd(name)
             data = self._check_page_data(data)
             try:
-                end = os.fstat(fd).st_size
-                _pwrite_all(fd, data, end)
+                # A failed append may have left a partial page at the end:
+                # the new page overwrites it, so every page stays aligned.
+                page_no = os.fstat(fd).st_size // self._page_size
+                _pwrite_all(fd, data, page_no * self._page_size)
             except OSError as error:
                 raise TransientIOError(f"append failed for {name!r}: {error}") from error
-        return end // self._page_size
+        return page_no
 

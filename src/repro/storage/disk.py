@@ -44,6 +44,18 @@ destructive write.  Appends never destroy data and are not retained.
 Pre-image capture is pure bookkeeping: it reads the backend directly and
 charges nothing, so it cannot perturb the simulated I/O trace.
 
+Mutation hook (journal intents)
+-------------------------------
+An engine with a journal arms a one-shot *mutation hook*
+(:meth:`Disk.arm_mutation_hook`) after every commit: the next call that
+changes a file — :meth:`create_file`, :meth:`write_page`,
+:meth:`append_page`, :meth:`append_run` or :meth:`delete_file` — first
+calls it, under the disk lock, and disarms it once it returns.  The
+journal's hook appends an *intent* record, so a crash after that
+mutation is known to have left files the last commit does not describe
+(:mod:`repro.core.recovery`).  A hook that raises stays armed and the
+mutation does not happen.  Without one a mutation checks one attribute.
+
 Every read goes through one page loop, :meth:`Disk.read_runs`, which
 reads a sequence of runs under one lock acquisition and charges each run
 on its own; :meth:`read_page`, :meth:`read_run` and the pinned
@@ -97,6 +109,7 @@ class Disk:
         self._head: tuple[str, int] | None = None
         self._lock = threading.RLock()
         self._snapshot_sinks: list = []
+        self._mutation_hook = None
         self._tracer = None
         # A retry-capable backend (repro.storage.retry.RetryingBackend)
         # exposes add_retry_listener; fold its activity into IOStats so
@@ -197,16 +210,40 @@ class Disk:
             sink.retain(name, page_no, data)
 
     # ------------------------------------------------------------------ #
+    # Mutation hook
+    # ------------------------------------------------------------------ #
+
+    def arm_mutation_hook(self, hook) -> None:
+        """Call ``hook()`` before the next change to any file, once.
+
+        Replaces an armed hook; ``None`` disarms.  The hook runs under the
+        disk lock and is disarmed when it returns: a hook that raises
+        stops the mutation and stays armed for the next one.
+        """
+        with self._lock:
+            self._mutation_hook = hook
+
+    def _before_mutation(self) -> None:
+        """Run the armed hook (disk lock held)."""
+        self._mutation_hook()
+        self._mutation_hook = None
+
+    # ------------------------------------------------------------------ #
     # File lifecycle
     # ------------------------------------------------------------------ #
 
     def create_file(self, name: str) -> None:
         """Create an empty file."""
-        self._backend.create(name)
+        with self._lock:
+            if self._mutation_hook is not None:
+                self._before_mutation()
+            self._backend.create(name)
 
     def delete_file(self, name: str) -> None:
         """Delete a file, dropping any cached pages it had."""
         with self._lock:
+            if self._mutation_hook is not None:
+                self._before_mutation()
             if self._snapshot_sinks:
                 for page_no in range(self._backend.num_pages(name)):
                     self._retain_pre_image(name, page_no)
@@ -359,6 +396,8 @@ class Disk:
     def write_page(self, name: str, page_no: int, data: bytes) -> None:
         """Overwrite one page in place (write-through to the backend)."""
         with self._lock:
+            if self._mutation_hook is not None:
+                self._before_mutation()
             if self._snapshot_sinks and page_no < self._backend.num_pages(name):
                 self._retain_pre_image(name, page_no)
             kind = self._classify(name, page_no)
@@ -376,6 +415,8 @@ class Disk:
     def append_page(self, name: str, data: bytes) -> int:
         """Append one page to the end of the file and return its number."""
         with self._lock:
+            if self._mutation_hook is not None:
+                self._before_mutation()
             next_page = self._backend.num_pages(name)
             kind = self._classify(name, next_page)
             page_no = self._backend.append(name, data)
@@ -389,6 +430,8 @@ class Disk:
         with self._lock:
             if not pages:
                 return self._backend.num_pages(name)
+            if self._mutation_hook is not None:
+                self._before_mutation()
             first = self._backend.num_pages(name)
             kind = self._classify(name, first)
             for data in pages:

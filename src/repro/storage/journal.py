@@ -31,6 +31,24 @@ owns the on-disk format and its crash-consistency discipline:
   journal in the version-1 layout — every record a full manifest — is a
   sequence of bases and folds to its last record.
 
+* An **intent**, ``{"intent": n}``, says that files are about to change
+  beyond what the ``n`` queries folded so far describe.  The engine
+  appends one (:meth:`ManifestJournal.intent`, *without* ``fsync``)
+  before the first derived-file mutation after each commit; the next
+  commit covers it.  The fold is **dirty** (:attr:`ManifestJournal.
+  dirty`) when an intact intent follows its last base or delta: a crash
+  came after a mutation the log does not describe.  A torn intent does
+  not count — the process died writing it, before the mutation it
+  announced — and since an intent is flushed to the operating system
+  before its mutation is, only a power loss can keep the mutation and
+  lose the intent (recovery refuses its fast path across a reboot for
+  that reason).  Intents are not records of the manifest: they do not
+  advance the ``compact_every`` cadence, :meth:`ManifestJournal.records`
+  skips them and a rewrite drops them.  Whatever else the manifest says
+  about the files — the engine keeps a *taint* in its header once a
+  writer half has raised after its intent — is the caller's, and a
+  rewrite keeps it like any header field.
+
 * When the file already holds ``compact_every`` records (and on demand
   via :meth:`ManifestJournal.rewrite`, and whenever the file has no base
   a delta could continue: empty, torn at the tail, another header) the
@@ -92,12 +110,16 @@ class ManifestJournal:
         self._tracer = None
         # What an appended delta would continue, as last folded from (or
         # written to) the file: the base's header, how many queries base
-        # plus deltas cover, and how many records that is.  ``_header`` is
-        # None when the file has no base or ends in bytes a reader stops
-        # at; ``_stale`` when the file may have changed since.
+        # plus deltas cover, how many records that is, where the last
+        # intact record ends and whether an intent follows the last
+        # commit.  ``_header`` is None when the file has no base or ends
+        # in bytes a reader stops at; ``_stale`` when the file may have
+        # changed since.
         self._header: dict[str, Any] | None = None
         self._covered = 0
         self._records = 0
+        self._end = 0
+        self._dirty = False
         self._stale = True
 
     def attach_tracer(self, tracer) -> None:
@@ -114,6 +136,14 @@ class ManifestJournal:
     def exists(self) -> bool:
         """Whether any journal bytes exist yet."""
         return self._path.exists()
+
+    @property
+    def dirty(self) -> bool:
+        """Whether an intact intent follows the last commit the file holds
+        (as last read or written)."""
+        if self._stale:
+            self.read_last()
+        return self._dirty
 
     def _crash_point(self, name: str) -> None:
         if self._crash_hook is not None:
@@ -168,8 +198,35 @@ class ManifestJournal:
                 os.fsync(handle.fileno())
             self._covered = len(queries)
             self._records += 1
+            self._end += len(encoded)
+            self._dirty = False
             self._stale = False
             self._crash_point("journal.commit.end")
+
+    def intent(self) -> None:
+        """Append an intent record: files are about to change beyond the
+        last commit.  Not ``fsync`` ed.
+
+        Written where the last intact record ends, so that a torn tail
+        left by a failed commit cannot hide it from the fold: the bytes
+        after it, which no reader reaches anyway, are cut off.
+        """
+        if self._stale:
+            self.read_last()
+        encoded = self._encode({"intent": self._covered})
+        self._stale = True  # until the whole record is known to be down
+        fd = os.open(self._path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            written = 0
+            while written < len(encoded):
+                written += os.pwrite(fd, encoded[written:], self._end + written)
+            if self._header is None:
+                os.ftruncate(fd, self._end + len(encoded))
+        finally:
+            os.close(fd)
+        self._end += len(encoded)
+        self._dirty = True
+        self._stale = False
 
     def rewrite(self, manifest: dict[str, Any]) -> None:
         """Atomically replace the whole journal with one base record."""
@@ -188,6 +245,8 @@ class ManifestJournal:
             self._header = _header_of(manifest)
             self._covered = len(manifest["queries"])
             self._records = 1
+            self._end = len(encoded)
+            self._dirty = False
             self._stale = False
             self._crash_point("journal.rewrite.end")
 
@@ -240,22 +299,30 @@ class ManifestJournal:
         """Yield every intact record — bases and deltas, unfolded — in
         order, stopping at the first torn/corrupt one (anything after it
         is unreachable by design: appends are sequential, so bytes after a
-        torn record can only be more of the same interrupted write)."""
+        torn record can only be more of the same interrupted write).
+        Intents are skipped."""
         for record, _end in self._scan(self._read_bytes()):
-            yield record
+            if "intent" not in record:
+                yield record
 
     def read_last(self) -> dict[str, Any] | None:
         """The most recent intact manifest, or ``None`` for an empty or
         wholly-corrupt journal: the last intact base with the queries of
         every intact delta that continues it folded in.  Reading stops at
         the first torn or corrupt record and at a delta whose committed
-        count is not its predecessor's plus its own queries."""
+        count is not its predecessor's plus its own queries.  Whether an
+        intact intent follows the last record folded is :attr:`dirty`."""
         blob = self._read_bytes()
         base: dict[str, Any] | None = None
         queries: list = []
         records = 0
         reached = 0
+        dirty = False
         for record, end in self._scan(blob):
+            if "intent" in record:
+                dirty = True
+                reached = end
+                continue
             added = record.get("queries")
             if not isinstance(added, list):
                 break
@@ -267,10 +334,13 @@ class ManifestJournal:
             else:
                 break
             reached = end
+            dirty = False
         clean = base is not None and reached == len(blob)
         self._header = _header_of(base) if clean else None
         self._covered = len(queries)
         self._records = records
+        self._end = reached
+        self._dirty = dirty
         self._stale = False
         if base is None:
             return None

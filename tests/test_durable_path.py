@@ -236,6 +236,8 @@ class TestDescriptorHygiene:
         del engine  # the crash: no shutdown, nothing closed by hand
         recovered = SpaceOdyssey.recover(path)
         assert recovered.summary() == summary
+        # A clean crash's recovery opens no page file; the next query does.
+        recovered.query(workload[0].box, workload[0].dataset_ids)
         held = open_descriptors() - start
         assert 0 < held <= len(recovered.disk.list_files())
         del recovered

@@ -6,14 +6,20 @@ state, on-disk derived bytes, and the answers of every subsequent query —
 to an engine that executed the same committed query prefix without ever
 crashing.  The sweep drives a simulated crash into every journaled write
 site (all six named journal crash points, plus scheduled crashes on the
-Nth backend page mutation with torn-page persistence) and proves the
-contract holds from each.
+Nth backend page mutation with torn-page persistence), proves the
+contract holds from each, and checks which path recovery took: the fast
+path that keeps the files after a crash between commits, or the full
+replay after a crash mid-query.
+
+Every test runs in one pretended boot (the boot-id reader is patched), so
+whether the fast path is taken never depends on the host.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import math
 import shutil
 import struct
@@ -24,9 +30,11 @@ import pytest
 
 import repro.core.batch as batch_module
 import repro.core.query_processor as query_processor_module
+import repro.core.recovery as recovery_module
 from repro.bench.runner import generate_workload
 from repro.core.adaptor import Adaptor
 from repro.core.config import OdysseyConfig
+from repro.core.facts import NO_FACTS
 from repro.core.odyssey import SpaceOdyssey
 from repro.core.recovery import MANIFEST_VERSION, RecoveryError, encode_query, recover
 from repro.data.columnar import DecodedGroup
@@ -48,6 +56,21 @@ from tests.test_incremental_bookkeeping import check_tree
 CONFIG = OdysseyConfig(merge_threshold=1, min_merge_combination=2)
 
 N_QUERIES = 12
+
+
+@pytest.fixture(autouse=True)
+def one_boot(monkeypatch):
+    """Every engine and recovery of a test runs in the same pretended boot."""
+    monkeypatch.setattr(recovery_module, "boot_id", lambda: "boot-1")
+
+
+def recover_logged(caplog, *args, **kwargs) -> tuple[SpaceOdyssey, str, str | None]:
+    """``SpaceOdyssey.recover(*args, **kwargs)``, the path it took and why."""
+    with caplog.at_level(logging.INFO, logger="repro.recovery"):
+        caplog.clear()
+        engine = SpaceOdyssey.recover(*args, **kwargs)
+    (done,) = [record for record in caplog.records if record.message == "recovery complete"]
+    return engine, done.path, done.full_replay_reason
 
 
 @pytest.fixture(scope="module")
@@ -458,11 +481,19 @@ class TestWriterHalfReplay:
 
 
 class TestRawFilesReadAtFirstTouch:
-    """Opening a raw file reads nothing: replay reads the raw files it touches."""
+    """Opening a raw file reads nothing: a full replay reads the raw files it touches.
+
+    Each test recovers through a dirty journal (an intent after the last
+    commit: the crash came mid-query), so recovery replays in full.  After
+    a clean crash recovery reads no page at all, raw or derived:
+    ``TestFastPath.test_clean_crash_reads_writes_creates_and_deletes_nothing``
+    succeeds the first test there, and the other two cannot arise — a
+    fast recovery never reads a raw page, intact or not.
+    """
 
     @pytest.fixture
     def journaled(self, base_suite, tmp_path):
-        """A journal whose queries touch datasets 0 and 1 of three; its survivor."""
+        """A dirty journal whose queries touch datasets 0 and 1 of three; its survivor."""
         path = tmp_path / "journal.log"
         engine = SpaceOdyssey(base_suite.fork().catalog, CONFIG, journal=path)
         for query in generate_workload(
@@ -471,6 +502,7 @@ class TestRawFilesReadAtFirstTouch:
             engine.query(query.box, query.dataset_ids)
         survivor = engine.disk.backend.clone()
         del engine
+        ManifestJournal(path).intent()  # the crash came after the next query's first write
         return path, survivor, base_suite.datasets
 
     @staticmethod
@@ -544,10 +576,17 @@ JOURNAL_CRASH_POINTS = (
 )
 
 
+#: The sites after which the in-flight query is durable: nothing changed
+#: after its commit, so recovery keeps the files.
+DURABLE_SITES = ("journal.commit.end", "journal.rewrite.end")
+
+
 class TestCrashPointSweep:
     @pytest.mark.parametrize("point", JOURNAL_CRASH_POINTS)
-    def test_crash_at_every_journal_site(self, base_suite, reference, tmp_path, point):
-        workload = reference[0]
+    def test_crash_at_every_journal_site(
+        self, base_suite, reference, tmp_path, point, caplog
+    ):
+        workload, _engine, snapshots, _hits = reference
         holder: dict[str, FaultInjectingBackend] = {}
 
         def wrap(backend):
@@ -575,8 +614,8 @@ class TestCrashPointSweep:
         del engine
 
         fault.disarm()  # restart on healthy hardware
-        recovered = SpaceOdyssey.recover(
-            ManifestJournal(path, compact_every=3), backend=fault
+        recovered, taken, _why = recover_logged(
+            caplog, ManifestJournal(path, compact_every=3), backend=fault
         )
         committed = recovered.summary().queries_executed
         # Crashing before durability loses the in-flight query; crashing
@@ -584,11 +623,17 @@ class TestCrashPointSweep:
         assert committed in (crashed_on, crashed_on + 1), (
             f"{point}: crash on query {crashed_on} recovered {committed} queries"
         )
+        # The files are kept unless the in-flight query changed one and
+        # then died before its commit was down.
+        mutated = snapshots[crashed_on][1] != snapshots[crashed_on + 1][1]
+        expected = "full" if mutated and point not in DURABLE_SITES else "fast"
+        assert taken == expected, f"{point}: crash on query {crashed_on}"
         assert_matches_reference(recovered, reference, committed=committed)
+
 
     @pytest.mark.parametrize("nth_mutation", (1, 3, 10, 25, 60))
     def test_crash_on_nth_page_mutation(
-        self, base_suite, reference, tmp_path, nth_mutation
+        self, base_suite, reference, tmp_path, nth_mutation, caplog
     ):
         # Power loss mid-write: the Nth page mutation persists a torn page
         # (checksum-detectable) and kills the process.
@@ -619,14 +664,303 @@ class TestCrashPointSweep:
         del engine
         fault.disarm()
 
-        recovered = SpaceOdyssey.recover(path, backend=fault)
+        recovered, taken, _why = recover_logged(caplog, path, backend=fault)
         committed = recovered.summary().queries_executed
         if crashed_on is None:
             # The workload performed fewer mutations than the schedule.
             assert committed == len(workload)
+            assert taken == "fast"
         else:
             # Page mutations happen strictly before the query commits.
             assert committed == crashed_on
+            assert taken == "full"
+        assert_matches_reference(recovered, reference, committed=committed)
+
+
+# ---------------------------------------------------------------------- #
+# The fast path: a crash between commits keeps the files
+# ---------------------------------------------------------------------- #
+
+
+def crash_between_commits(directory, workload, config=EVICTING):
+    """A journaled filesystem engine under ``directory`` runs ``workload``
+    and crashes after its last commit; the journal ends in a torn record.
+    Returns the pre-crash summary."""
+    suite = filesystem_suite(directory)
+    engine = SpaceOdyssey(suite.catalog, config, journal=directory / "journal.log")
+    for query in workload:
+        engine.query(query.box, query.dataset_ids)
+    summary = engine.summary()
+    del engine
+    with (directory / "journal.log").open("ab") as handle:
+        handle.write(struct.pack("<II", 4096, 0) + b"\0" * 2048)
+    return summary
+
+
+def journal_records(path) -> list[dict]:
+    """Every intact record of a journal, intents included, framed by hand."""
+    blob, offset, records = path.read_bytes(), 0, []
+    while offset + 8 <= len(blob):
+        length, checksum = struct.unpack_from("<II", blob, offset)
+        payload = blob[offset + 8 : offset + 8 + length]
+        if len(payload) < length or zlib.crc32(payload) != checksum:
+            break
+        records.append(json.loads(payload))
+        offset += 8 + length
+    return records
+
+
+class TestFastPath:
+    def test_clean_crash_reads_writes_creates_and_deletes_nothing(
+        self, tmp_path, caplog, monkeypatch
+    ):
+        store = tmp_path / "store"
+        workload = make_workload(filesystem_suite(tmp_path / "probe"), n=16)
+        summary = crash_between_commits(store, workload)
+        # The same crash, to be replayed in full: its journal is dirty.
+        replay = tmp_path / "replay"
+        shutil.copytree(store, replay)
+        ManifestJournal(replay / "journal.log").intent()
+        pages = tree_digests(store / "pages")
+
+        calls: Counter = Counter()
+        for name in ("read", "write", "append", "create", "delete"):
+            real = getattr(FileSystemBackend, name)
+
+            def counted(self, *args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(FileSystemBackend, name, counted)
+        recovered, taken, why = recover_logged(caplog, store / "journal.log")
+        assert (taken, why) == ("fast", None)
+        assert calls == Counter(), f"a clean crash's recovery touched pages: {dict(calls)}"
+        stats = recovered.disk.stats_snapshot()
+        assert stats.pages_read == stats.pages_written == stats.seeks == 0
+        assert tree_digests(store / "pages") == pages  # same files, same bytes
+        assert recovered.summary() == summary
+        monkeypatch.undo()
+
+        monkeypatch.setattr(recovery_module, "boot_id", lambda: "boot-1")
+        full, taken, why = recover_logged(caplog, replay / "journal.log")
+        assert taken == "full" and why == "a file changed after the last commit"
+        assert leaf_tables(recovered) == leaf_tables(full)
+        assert adaptive_state(recovered) == adaptive_state(full)
+        assert recovered.summary() == full.summary()
+        assert file_digests(recovered) == file_digests(full)
+        assert tree_digests(replay / "pages") == pages
+        # The two go on alike.
+        for query in make_workload(filesystem_suite(tmp_path / "more"), n=8, seed=11):
+            assert packed_hits(recovered, recovered.query(query.box, query.dataset_ids)) == (
+                packed_hits(full, full.query(query.box, query.dataset_ids))
+            )
+        assert file_digests(recovered) == file_digests(full)
+        assert journal_records(store / "journal.log") == journal_records(replay / "journal.log")
+
+    def test_each_mutating_query_writes_one_intent_before_its_commit(self, tmp_path):
+        suite = filesystem_suite(tmp_path)
+        path = tmp_path / "journal.log"
+        engine = SpaceOdyssey(suite.catalog, EVICTING, journal=path)
+        changed = []
+        for query in make_workload(suite, n=16):
+            before = {name: engine.disk.num_pages(name) for name in engine.disk.list_files()}
+            written = engine.disk.stats.pages_written
+            engine.query(query.box, query.dataset_ids)
+            after = {name: engine.disk.num_pages(name) for name in engine.disk.list_files()}
+            changed.append(after != before or engine.disk.stats.pages_written > written)
+        assert any(changed) and not all(changed)
+        kinds = [
+            "intent" if "intent" in record else "commit"
+            for record in journal_records(path)[1:]  # after the first base
+        ]
+        expected = [kind for mutated in changed for kind in ("intent",) * mutated + ("commit",)]
+        assert kinds == expected
+
+    def test_concurrent_snapshot_batches_journal_facts_a_fast_recovery_replays(
+        self, base_suite, tmp_path, caplog
+    ):
+        # Snapshot batches first-touch their datasets before their commits
+        # and commit in arrival order, so a first touch's facts may land
+        # in another batch's entry: the one the replay initialises it in.
+        import sys
+        import threading
+
+        workload = make_workload(base_suite, n=48, seed=21)
+        path = tmp_path / "journal.log"
+        engine = SpaceOdyssey(base_suite.fork().catalog, EVICTING, journal=path)
+        slices = [workload[i::6] for i in range(6)]
+        failures = []
+
+        def client(queries):
+            try:
+                for start in range(0, len(queries), 2):
+                    engine.query_batch(queries[start : start + 2], snapshot=True)
+            except BaseException as error:  # reported below
+                failures.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(part,)) for part in slices]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and failures == []
+        survivor = engine.disk.backend.clone()
+        del engine
+
+        dirty = tmp_path / "dirty.log"
+        shutil.copyfile(path, dirty)
+        ManifestJournal(dirty).intent()
+        fast, taken, why = recover_logged(caplog, path, backend=survivor.clone())
+        assert (taken, why) == ("fast", None)
+        full, taken, _why = recover_logged(caplog, dirty, backend=survivor.clone())
+        assert taken == "full"
+        assert fast.summary().queries_executed == len(workload)
+        assert leaf_tables(fast) == leaf_tables(full)
+        assert adaptive_state(fast) == adaptive_state(full)
+        assert file_digests(fast) == file_digests(full)
+
+    def test_an_engine_without_a_journal_keeps_no_facts(self, base_suite):
+        engine = SpaceOdyssey(base_suite.fork().catalog, CONFIG)
+        for query in make_workload(base_suite, n=4):
+            engine.query(query.box, query.dataset_ids)
+        assert engine._processor.adaptor.facts is NO_FACTS and engine.merger.facts is NO_FACTS
+
+    def test_a_changed_boot_replays_in_full(self, tmp_path, caplog, monkeypatch):
+        store = tmp_path / "store"
+        workload = make_workload(filesystem_suite(tmp_path / "w"), n=10)
+        summary = crash_between_commits(store, workload)
+        for other in ("boot-2", None):  # a reboot; no boot id to read
+            monkeypatch.setattr(recovery_module, "boot_id", lambda other=other: other)
+            recovered, taken, why = recover_logged(caplog, store / "journal.log")
+            assert (taken, why) == ("full", "the journal was written before the last boot")
+            assert recovered.summary() == summary
+            del recovered
+        # The full replay wrote the boot it ran in: the next clean crash
+        # in that boot keeps the files.
+        monkeypatch.setattr(recovery_module, "boot_id", lambda: "boot-3")
+        recovered, taken, _why = recover_logged(caplog, store / "journal.log")
+        assert taken == "full"
+        del recovered
+        recovered, taken, _why = recover_logged(caplog, store / "journal.log")
+        assert taken == "fast" and recovered.summary() == summary
+
+    def test_a_taint_replays_in_full_until_a_full_replay_clears_it(
+        self, tmp_path, caplog, monkeypatch
+    ):
+        from repro.core.statistics import StatisticsCollector
+
+        suite = filesystem_suite(tmp_path / "store")
+        workload = make_workload(suite, n=12)
+        # The first query after the first whose writer half writes a page.
+        probe = SpaceOdyssey(suite.fork().catalog, EVICTING)
+        written = []
+        for query in workload:
+            probe.query(query.box, query.dataset_ids)
+            written.append(probe.disk.stats.pages_written)
+        failing_at = next(i for i in range(1, len(workload)) if written[i] > written[i - 1])
+        path = tmp_path / "store" / "journal.log"
+        engine = SpaceOdyssey(suite.catalog, EVICTING, journal=path)
+        for query in workload[:failing_at]:
+            engine.query(query.box, query.dataset_ids)
+        # That query's writer half refines or merges (its intent is down),
+        # then raises: the pages it wrote belong to no committed query.
+        record_query = StatisticsCollector.record_query
+
+        def failing(self, *args, **kwargs):
+            raise RuntimeError("injected writer-half failure")
+
+        monkeypatch.setattr(StatisticsCollector, "record_query", failing)
+        pages_written = engine.disk.stats.pages_written
+        with pytest.raises(RuntimeError, match="injected"):
+            engine.query(workload[failing_at].box, workload[failing_at].dataset_ids)
+        assert engine.disk.stats.pages_written > pages_written
+        monkeypatch.setattr(StatisticsCollector, "record_query", record_query)
+        assert ManifestJournal(path).dirty
+        for query in workload[failing_at + 1 :]:
+            engine.query(query.box, query.dataset_ids)
+        # The next commit carried the taint; compaction keeps it.
+        assert ManifestJournal(path).read_last()["tainted"] is True
+        engine.journal.rewrite(engine.journal.read_last())
+        assert ManifestJournal(path).read_last()["tainted"] is True
+        del engine
+
+        committed = ManifestJournal(path).read_last()["queries"]
+        recovered, taken, why = recover_logged(caplog, path)
+        assert (taken, why) == ("full", "a writer half raised since the last full replay")
+        assert recovered.summary().queries_executed == len(committed) == len(workload) - 1
+        state, digests = adaptive_state(recovered), file_digests(recovered)
+        del recovered
+        assert ManifestJournal(path).read_last()["tainted"] is False
+        again, taken, _why = recover_logged(caplog, path)
+        assert taken == "fast"
+        assert (adaptive_state(again), file_digests(again)) == (state, digests)
+
+    def test_version_3_journal_replays_in_full_and_heals_to_version_4(
+        self, base_suite, reference, tmp_path, caplog
+    ):
+        workload = reference[0]
+        committed = 7
+        engine = SpaceOdyssey(base_suite.fork().catalog, CONFIG, journal=tmp_path / "today.log")
+        for query in workload[:committed]:
+            engine.query(query.box, query.dataset_ids)
+        today = engine.journal.read_last()
+        survivor = engine.disk.backend.clone()
+        del engine
+        assert all("facts" in entry for entry in today["queries"])
+
+        header = {key: today[key] for key in ("config", "catalog")}
+        queries = [{k: v for k, v in entry.items() if k != "facts"} for entry in today["queries"]]
+        path = tmp_path / "v3.log"
+        path.write_bytes(framed({**header, "version": 3, "queries": queries}))
+
+        recovered, taken, why = recover_logged(caplog, path, backend=survivor)
+        assert (taken, why) == ("full", "a version-3 journal carries no facts")
+        (base,) = recovered.journal.records()
+        assert base["version"] == MANIFEST_VERSION and base["tainted"] is False
+        assert [entry["facts"] for entry in base["queries"]] == [
+            entry["facts"] for entry in today["queries"]
+        ]
+        del recovered
+        again, taken, _why = recover_logged(caplog, path, backend=survivor)
+        assert taken == "fast"
+        assert_matches_reference(again, reference, committed=committed)
+
+    @pytest.mark.parametrize("damage", ["renamed", "dropped", "extra", "stray file"])
+    def test_a_fact_mismatch_falls_back_to_the_full_replay(
+        self, base_suite, reference, tmp_path, caplog, damage
+    ):
+        workload = reference[0]
+        committed = 11
+        engine = SpaceOdyssey(base_suite.fork().catalog, CONFIG, journal=tmp_path / "ok.log")
+        for query in workload[:committed]:
+            engine.query(query.box, query.dataset_ids)
+        manifest = engine.journal.read_last()
+        survivor = engine.disk.backend.clone()
+        del engine
+
+        entry = next(e for e in manifest["queries"] if any(f[0] == "refine" for f in e["facts"]))
+        index = next(i for i, fact in enumerate(entry["facts"]) if fact[0] == "refine")
+        fact = entry["facts"][index]
+        if damage == "renamed":  # the journal names another leaf
+            entry["facts"][index] = [fact[0], [fact[1][0], fact[1][1] + [0]], fact[2]]
+        elif damage == "dropped":
+            del entry["facts"][index]
+        elif damage == "extra":
+            entry["facts"].append(fact)
+        else:  # a derived file no committed query explains
+            survivor.create("odyssey_stray.dat")
+            survivor.append("odyssey_stray.dat", b"stray")
+        path = tmp_path / "damaged.log"
+        path.write_bytes(framed(manifest))
+
+        recovered, taken, why = recover_logged(caplog, path, backend=survivor)
+        assert taken == "full", why
+        assert "odyssey_stray.dat" not in recovered.disk.list_files()
         assert_matches_reference(recovered, reference, committed=committed)
 
 

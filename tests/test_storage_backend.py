@@ -165,6 +165,19 @@ class TestFileSystemErrorPaths:
         os.truncate(tmp_path / "f.pages", 128 + 13)
         assert fs.num_pages("f") == 1
 
+    def test_append_overwrites_a_partial_trailing_page(self, tmp_path):
+        """A failed append (say ENOSPC mid-write) may leave a partial page:
+        the next append lands on its page boundary, not after it."""
+        fs = FileSystemBackend(tmp_path, page_size=64)
+        fs.create("f")
+        assert fs.append("f", b"A" * 64) == 0
+        with open(tmp_path / "f.pages", "ab") as handle:
+            handle.write(b"B" * 32)  # the partial page of the failed append
+        assert fs.append("f", b"C" * 64) == 1
+        assert fs.read("f", 1) == b"C" * 64
+        assert fs.num_pages("f") == 2
+        assert (tmp_path / "f.pages").stat().st_size == 2 * 64
+
     def test_create_collides_with_sanitised_sibling(self, fs):
         """Two names sanitising to the same OS file cannot coexist."""
         fs.create("a/b")

@@ -263,3 +263,115 @@ class TestBaseAndDeltas:
             most = max(most, sum(1 for _ in ManifestJournal(path).records()))
         assert most == compact_every
         assert ManifestJournal(path).read_last() == manifest(3 * compact_every - 1)
+
+
+class TestIntents:
+    """An intent announces a file mutation beyond the last commit."""
+
+    def test_intact_intent_after_the_last_delta_marks_the_fold_dirty(self, tmp_path):
+        path = tmp_path / "j.log"
+        journal = ManifestJournal(path)
+        journal.commit(manifest(1))
+        journal.commit(manifest(2))
+        assert not ManifestJournal(path).dirty
+        journal.intent()
+        reopened = ManifestJournal(path)
+        assert reopened.read_last() == manifest(2)
+        assert reopened.dirty
+        # The next commit covers it.
+        journal.commit(manifest(3))
+        reopened = ManifestJournal(path)
+        assert reopened.read_last() == manifest(3) and not reopened.dirty
+
+    def test_torn_intent_does_not(self, tmp_path):
+        path = tmp_path / "j.log"
+        journal = ManifestJournal(path)
+        journal.commit(manifest(2))
+        whole = ManifestJournal._encode({"intent": 2})
+        with path.open("ab") as handle:
+            handle.write(whole[: len(whole) - 1])  # the process died writing it
+        reopened = ManifestJournal(path)
+        assert reopened.read_last() == manifest(2)
+        assert not reopened.dirty
+
+    def test_intent_after_a_torn_commit_is_not_hidden_by_it(self, tmp_path):
+        # A commit that failed half way leaves a tail no reader passes; the
+        # intent is written where the intact records end, over that tail.
+        path = tmp_path / "j.log"
+        ManifestJournal(path).commit(manifest(1))
+        journal = ManifestJournal(path, crash_hook=crash_at("journal.commit.torn"))
+        with pytest.raises(SimulatedCrash):
+            journal.commit(manifest(2))
+        ManifestJournal(path).intent()
+        reopened = ManifestJournal(path)
+        assert reopened.read_last() == manifest(1)
+        assert reopened.dirty
+
+    def test_intents_do_not_advance_the_compaction_cadence(self, tmp_path):
+        path = tmp_path / "j.log"
+        journal = ManifestJournal(path, compact_every=3)
+        for n in range(3):
+            journal.intent()
+            journal.commit(manifest(n))
+        # Three records and three intents: the next commit compacts, as it
+        # would without the intents.
+        assert [covered(r) for r in journal.records()] == [0, 1, 2]
+        journal.intent()
+        journal.commit(manifest(3))
+        assert [covered(r) for r in ManifestJournal(path).records()] == [3]
+
+    def test_records_skip_intents(self, tmp_path):
+        path = tmp_path / "j.log"
+        journal = ManifestJournal(path)
+        journal.commit(manifest(0))
+        journal.intent()
+        journal.commit(manifest(1))
+        journal.intent()
+        assert list(journal.records()) == [manifest(0), {"committed": 1, "queries": [0]}]
+
+    def test_rewrite_drops_intents_and_keeps_the_taint(self, tmp_path):
+        path = tmp_path / "j.log"
+        journal = ManifestJournal(path)
+        tainted = {**manifest(2), "tainted": True}
+        journal.commit(tainted)
+        journal.intent()
+        assert journal.dirty
+        journal.rewrite(tainted)
+        reopened = ManifestJournal(path)
+        assert reopened.read_last() == tainted and not reopened.dirty
+        assert path.stat().st_size == len(ManifestJournal._encode(tainted))
+
+
+class TestFacts:
+    """Entries are the caller's: the journal folds whatever they carry."""
+
+    @staticmethod
+    def entry(n: int, facts=None) -> dict:
+        query = {"lo": [0.0, 0.0], "hi": [1.0, float(n)], "ids": [0, 1]}
+        if facts is not None:
+            query["facts"] = facts
+        return query
+
+    def test_version_4_fold_returns_facts(self, tmp_path):
+        facts = [
+            ["init", 0, [[3, 0, 1], [0]], [0.5, 0.5], 3],
+            ["refine", [0, [2]], [[2, 1, 1], [1, 4, 1]]],
+            ["merge", [[0, 1], [[2, 1]]], [[2, 0, 1], [1, 1, 1]]],
+        ]
+        path = tmp_path / "j.log"
+        journal = ManifestJournal(path)
+        header = {"version": 4, "boot_id": "b", "tainted": False}
+        journal.commit({**header, "queries": [self.entry(0, facts)]})
+        journal.commit({**header, "queries": [self.entry(0, facts), self.entry(1, [])]})
+        folded = ManifestJournal(path).read_last()
+        assert [query.get("facts") for query in folded["queries"]] == [facts, []]
+
+    def test_version_3_journal_folds_with_none(self, tmp_path):
+        path = tmp_path / "j.log"
+        path.write_bytes(
+            ManifestJournal._encode({"version": 3, "queries": [self.entry(0)]})
+            + ManifestJournal._encode({"committed": 2, "queries": [self.entry(1)]})
+        )
+        folded = ManifestJournal(path).read_last()
+        assert len(folded["queries"]) == 2
+        assert all("facts" not in query for query in folded["queries"])
