@@ -261,8 +261,8 @@ def test_sequential_columnar_speedup(batch_suite, batch_workload):
 
     Both engines start from identical converged state (forks of the same
     suite, each warmed by one pass — the reference and the engine produce
-    byte-identical adaptive state, which the differential oracle in
-    ``tests/test_columnar_differential.py`` enforces); the timed region is
+    byte-identical adaptive state, which the engine oracle in
+    ``tests/test_engine_fuzz.py`` enforces); the timed region is
     a full sequential pass over the 64-query uniform workload, best of
     three.
     """

@@ -11,9 +11,9 @@ every answer back through its per-request future.
 
 The determinism contract: whatever the thread interleaving, each client
 receives byte-for-byte the answers it would get by issuing the same
-queries sequentially in arrival order.  ``tests/test_serve_differential.py``
-enforces this with a differential oracle; here we just demonstrate it by
-replaying one client's queries on a fresh fork.
+queries sequentially in arrival order.  The serve row of the engine
+oracle (``tests/test_engine_fuzz.py``) enforces this; here we just
+demonstrate it by replaying one client's queries on a fresh fork.
 
 Run it with:
 

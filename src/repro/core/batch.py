@@ -56,7 +56,10 @@ A batch runs the Query Processor's per-query pipeline in four phases.
    same page reuse, same merge files, same eviction decisions.  Nothing a
    commit owns changes before it runs, so a batch whose read half raises
    leaves the CPU clock, the query count, the statistics, the trees (past
-   first touch) and the journal as they were.
+   first touch) and the journal as they were.  A batch whose writer half
+   raises at query ``k`` leaves the first ``k`` committed and journaled,
+   as sequential execution would, and the error carries their answers as
+   ``committed_results``.
 
 Two choices
 -----------
@@ -613,9 +616,18 @@ class BatchExecutor:
             with processor.gate:
                 for query in queries:
                     disk.charge_cpu_records(prepared.examined[query.index])
-                reports = self._replay_updates(prepared)
+                reports: list[QueryReport] = []
+                failure = None
+                try:
+                    self._replay_updates(prepared, reports)
+                except Exception as error:
+                    failure = error
+                committed = queries[: len(reports)]
                 processor.publish_epoch()
-                processor.commit_durable((query.box, query.requested) for query in queries)
+                processor.commit_durable((query.box, query.requested) for query in committed)
+                if failure is not None:
+                    failure.committed_results = prepared.results[: len(committed)]
+                    raise failure
         return BatchResult(
             results=prepared.results,
             reports=reports,
@@ -623,7 +635,7 @@ class BatchExecutor:
             group_reads_deduped=prepared.dedup_hits,
         )
 
-    def _replay_updates(self, prepared: PreparedBatch) -> list[QueryReport]:
+    def _replay_updates(self, prepared: PreparedBatch, reports: list[QueryReport]) -> None:
         """Apply statistics, refinement and merging in sequential order.
 
         Works on the *current* trees: each query goes through the sequential
@@ -635,7 +647,8 @@ class BatchExecutor:
         every refinement decision, statistics update, LRU stamp and merge
         trigger identical to sequential execution.  A query's ``cache`` is
         its read's tally difference plus its commit's, taken at the query
-        boundaries of the replay.
+        boundaries of the replay.  Each committed query's report is appended
+        to ``reports``, so after a raise they count the committed prefix.
         """
         processor = self._processor
         trees = processor.live_trees
@@ -643,7 +656,6 @@ class BatchExecutor:
         pool = processor.catalog.datasets()[0].disk.buffer_pool
         first_touch, tables0 = prepared.first_touch, prepared.tables0
         needed0, candidates0 = prepared.needed0, prepared.candidates0
-        reports: list[QueryReport] = []
         start = pool.tally
         for query, (read_start, read_end) in zip(prepared.batch.queries, prepared.read_tallies):
             index = query.index
@@ -669,4 +681,3 @@ class BatchExecutor:
             )
             start = end
             reports.append(report)
-        return reports

@@ -52,7 +52,7 @@ reader pinned to a slightly older epoch returns bit-identical hits.  The
 commits of concurrent batches still serialize on the gate in arrival
 order, so the adaptive state evolves exactly as sequential execution.
 In isolation a snapshot batch is bit-identical to a live one, reports and
-``objects_examined`` included; the fuzz oracle
+``objects_examined`` included; the epoch row of the engine oracle
 (``tests/test_engine_fuzz.py``) enforces this.
 """
 

@@ -152,9 +152,9 @@ class FactRecorder:
 
     def abort(self) -> None:
         """Forget the steps of a writer half that raised (first touches stay:
-        their trees do)."""
+        their trees do, and so do the queries a batch sealed before it: they
+        commit)."""
         self._steps = []
-        self._sealed = []
 
 
 class FactPlayer:

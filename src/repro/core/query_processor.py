@@ -482,8 +482,12 @@ class QueryProcessor:
                 if self._epochs is None:
                     from repro.core.epoch import EpochManager
 
-                    self._epochs = EpochManager(self._disk, self._catalog.dimension)
-                    self.publish_epoch()
+                    # Seen only once published: a pin outside the gate must
+                    # never find the manager without an epoch.
+                    epochs = EpochManager(self._disk, self._catalog.dimension)
+                    with maybe_span(self._tracer, "epoch.publish"):
+                        epochs.publish(self._trees, self._directory)
+                    self._epochs = epochs
         return self._epochs.pin()
 
     # ------------------------------------------------------------------ #

@@ -3,10 +3,10 @@
 Space Odyssey's adaptive state — partition trees, merge files, statistics
 — is entirely *derived*: it is a deterministic function of the immutable
 raw dataset files and the ordered sequence of executed queries.  The
-engines prove this continuously (the differential oracles in
-``tests/test_batch_differential.py`` and ``tests/test_engine_fuzz.py``
-show all four execution modes produce bit-identical adaptive state and
-on-disk bytes from the same query sequence).  Recovery exploits it: the
+engines prove this continuously (the oracle in ``tests/test_engine_fuzz.py``
+holds every execution mode, recovery after a seeded crash included, to
+the same adaptive state and on-disk bytes from the same query
+sequence).  Recovery exploits it: the
 durable manifest is not a physical redo log but a **logical query log**.
 
 At every commit point (each :meth:`QueryProcessor.execute`, and each

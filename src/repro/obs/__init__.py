@@ -15,10 +15,10 @@ The observability layer has three parts, all zero-dependency:
 The contract throughout is **observation only**: telemetry never feeds
 back into any engine decision, and with tracing disabled every
 instrumentation site costs a single ``is None`` branch
-(:func:`repro.obs.trace.maybe_span`).  The differential fuzz oracle
-(``tests/test_engine_fuzz.py``) runs engines with tracing fully enabled
-against untraced references to prove results, reports, adaptive state
-and on-disk bytes stay bit-identical.
+(:func:`repro.obs.trace.maybe_span`).  The engine oracle
+(``tests/test_engine_fuzz.py``) runs every execution mode traced against
+the untraced reference to prove results, reports, adaptive state and
+on-disk bytes stay bit-identical.
 """
 
 from repro.obs.export import (

@@ -20,15 +20,16 @@ sequential-equivalent by the engine's own guarantee (see
 serial schedule "all accepted queries, in arrival order" — every client's
 results are identical to issuing the same queries sequentially in arrival
 order on a private engine, and the served engine's post-run adaptive
-state equals that sequential run's.  ``tests/test_serve_differential.py``
-enforces this with the same packed-bytes/adaptive-state/on-disk oracle as
-the batch differential suite.
+state equals that sequential run's.  The serve and mixed rows of the
+engine oracle (``tests/test_engine_fuzz.py``) enforce this with the same
+packed-bytes/adaptive-state/on-disk checks as every other mode.
 
 Failure isolation & graceful degradation
 ----------------------------------------
 A batch whose execution raises (e.g. one query requests an unknown
-dataset id — the batch executor validates ids before doing any work)
-falls back to executing its queries one by one through
+dataset id — the batch executor validates ids before doing any work;
+or a writer half raises, which keeps the queries before it committed,
+answered from the batch) falls back to executing its queries one by one through
 :meth:`~repro.core.odyssey.SpaceOdyssey.query`: only the offending
 queries' futures receive the exception, every other query in the batch
 still completes with its exact answer, and the arrival-order schedule is
@@ -439,13 +440,23 @@ class QueryService:
         ) as span:
             try:
                 result = self._odyssey.query_batch([(s.box, s.dataset_ids) for s in batch])
-            except BaseException:
+            except BaseException as error:
                 # Failure isolation: replay the batch sequentially (same
                 # arrival order) so only the offending queries fail.  The
                 # batch executor validates every dataset id before doing
-                # any work, so a validation failure left no partial state.
+                # any work, so a validation failure left no partial state;
+                # a writer half that raised committed the queries before
+                # the one it raised at, and that one already ran.  The
+                # prefix is taken off the error, so a re-raise of the same
+                # instance never passes for a later batch's.
                 fallbacks = 1
-                failed = self._replay_sequentially(batch)
+                committed = vars(error).pop("committed_results", None)
+                if committed is None or len(committed) >= len(batch):
+                    failed = self._replay_sequentially(batch)
+                else:
+                    for submission, hits in zip(batch, committed):
+                        self._resolve(submission, hits=hits)
+                    failed = self._replay_sequentially(batch[len(committed) :], error)
             else:
                 for submission, hits in zip(batch, result.results):
                     self._resolve(submission, hits=hits)
@@ -454,11 +465,15 @@ class QueryService:
         self._breaker_record(failed)
         self._note_batch(batch, reason, fallbacks=fallbacks)
 
-    def _replay_sequentially(self, batch: list[Submission]) -> int:
+    def _replay_sequentially(
+        self, batch: list[Submission], failure: BaseException | None = None
+    ) -> int:
         """The failure-isolation fallback: one engine call per submission.
 
         Each query that fails transiently is retried with backoff before
-        its error is surfaced.  Returns how many queries failed.
+        its error is surfaced.  ``failure``, if given, is the first
+        query's error from the batch: it already ran, so it is run again
+        only as a retry.  Returns how many queries failed.
         """
         failed = 0
         for submission in batch:
@@ -466,41 +481,49 @@ class QueryService:
                 hits = self._retry_transient(
                     lambda: self._odyssey.query(
                         submission.box, submission.dataset_ids
-                    )
+                    ),
+                    failure,
                 )
             except BaseException as exc:
                 failed += 1
                 self._resolve(submission, error=exc)
             else:
                 self._resolve(submission, hits=hits)
+            failure = None
         return failed
 
     # ------------------------------------------------------------------ #
     # Graceful degradation
     # ------------------------------------------------------------------ #
 
-    def _retry_transient(self, call):
-        """Run ``call``, retrying transient storage errors with backoff."""
+    def _retry_transient(self, call, failure: BaseException | None = None):
+        """Run ``call``, retrying transient storage errors with backoff.
+
+        ``failure``, if given, is the error of a first attempt already made.
+        """
         attempt = 0
         while True:
-            try:
-                return call()
-            except BaseException as exc:
-                if attempt >= self._batch_retries or not is_transient(exc):
-                    raise
-                with self._stats_lock:
-                    self._counts["retries"] += 1
-                self._sleep(
-                    min(
-                        self._retry_backoff_s * (2**attempt),
-                        self._retry_backoff_max_s,
-                    )
+            if failure is None:
+                try:
+                    return call()
+                except BaseException as exc:
+                    failure = exc
+            if attempt >= self._batch_retries or not is_transient(failure):
+                raise failure
+            with self._stats_lock:
+                self._counts["retries"] += 1
+            self._sleep(
+                min(
+                    self._retry_backoff_s * (2**attempt),
+                    self._retry_backoff_max_s,
                 )
-                if self._abort_event.is_set():
-                    # Aborted mid-backoff: surface the original failure
-                    # instead of burning more attempts during shutdown.
-                    raise
-                attempt += 1
+            )
+            if self._abort_event.is_set():
+                # Aborted mid-backoff: surface the original failure
+                # instead of burning more attempts during shutdown.
+                raise failure
+            attempt += 1
+            failure = None
 
     def _breaker_is_open(self) -> bool:
         """Whether the breaker currently sheds load (handles half-open)."""

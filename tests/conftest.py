@@ -49,12 +49,6 @@ def disk(model: DiskModel) -> Disk:
 
 
 @pytest.fixture
-def cached_disk(model: DiskModel) -> Disk:
-    """A fresh in-memory simulated disk with a small buffer pool."""
-    return Disk(model=model, buffer_pages=64)
-
-
-@pytest.fixture
 def universe() -> Box:
     """A cubic 3-D universe used by most index tests."""
     return Box((0.0, 0.0, 0.0), (100.0, 100.0, 100.0))

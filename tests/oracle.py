@@ -1,0 +1,317 @@
+"""What the oracles compare, and the scenarios several test files run.
+
+Not a test module, so retiring a test file never breaks another: the
+observables two engines are held to (:data:`REPORT_FIELDS`,
+:func:`packed_hits`, :func:`adaptive_state`, :func:`disk_files`), the leaf
+table check (:func:`check_tree`), suite forks with a wrapped backend, the
+journal's crash sites and :func:`recover_logged`, and seeded workloads.
+"""
+
+from __future__ import annotations
+
+import logging
+import random
+
+import numpy as np
+
+from repro.bench.runner import generate_workload
+from repro.core.config import OdysseyConfig
+from repro.core.odyssey import SpaceOdyssey
+from repro.core.partition import PartitionTree
+from repro.data.dataset import Dataset, DatasetCatalog
+from repro.data.spatial_object import spatial_object_codec
+from repro.data.suite import BenchmarkSuite, build_benchmark_suite
+from repro.geometry.vectorized import boxes_to_arrays
+from repro.storage.cost_model import DiskModel
+from repro.storage.disk import Disk
+from repro.storage.pagedfile import PagedFile
+
+from tests.scalar_reference import leaf_listing, reference_tree
+
+# ---------------------------------------------------------------------- #
+# The observables
+# ---------------------------------------------------------------------- #
+
+#: QueryReport fields every execution mode reproduces exactly.
+REPORT_FIELDS = (
+    "query_index",
+    "requested",
+    "route",
+    "initialized_datasets",
+    "partitions_read",
+    "partitions_from_merge",
+    "results",
+    "refinements",
+    "merged",
+    "merge_new_partitions",
+    "evicted_merge_files",
+)
+
+#: The fields of the pairs that also read the same partitions: a batch may
+#: examine coarser partitions than a sequential query, so
+#: ``objects_examined`` is equal only between like executors.
+STRICT_REPORT_FIELDS = REPORT_FIELDS + ("objects_examined",)
+
+
+def packed_hits(odyssey: SpaceOdyssey, hits) -> frozenset[bytes]:
+    """The order-insensitive byte identity of one query answer."""
+    codec = spatial_object_codec(odyssey.catalog.dimension)
+    packed = sorted(codec.pack(obj) for obj in hits)
+    assert len(set(packed)) == len(packed), "duplicate objects in a query answer"
+    return frozenset(packed)
+
+
+def adaptive_state(odyssey: SpaceOdyssey):
+    """A comparable snapshot of everything the adaptive machinery mutated.
+
+    The statistics are compared as the collector keeps them: per
+    combination the count, the keys seen, the hot keys and the query
+    volume, plus the logical clock the LRU stamps are taken from.
+    """
+    trees = {
+        dataset_id: leaf_listing(tree) for dataset_id, tree in sorted(odyssey.trees.items())
+    }
+    merge_files = {}
+    for info in odyssey.merge_directory.all_files():
+        entries = {
+            key: {
+                dataset_id: (run.extents, run.n_records)
+                for dataset_id, run in per_dataset.items()
+            }
+            for key, per_dataset in info.entries.items()
+        }
+        merge_files[tuple(sorted(info.combination))] = (
+            info.file_name,
+            entries,
+            info.last_used,
+        )
+    combinations = {
+        tuple(sorted(combo)): (
+            stats.count,
+            frozenset(stats.seen_keys),
+            frozenset(stats.hot_keys),
+            stats.total_query_volume,
+        )
+        for combo, stats in odyssey.statistics.combinations().items()
+    }
+    return (
+        trees,
+        merge_files,
+        combinations,
+        odyssey.statistics.logical_clock,
+        odyssey.merger.merges_performed,
+        odyssey.merger.evictions,
+        odyssey.summary(),
+    )
+
+
+def disk_files(odyssey: SpaceOdyssey) -> dict[str, list[bytes]]:
+    """Every on-disk file's raw pages (the ultimate byte-identity check)."""
+    disk = odyssey.disk
+    return {
+        name: [disk.backend.read(name, page) for page in range(disk.num_pages(name))]
+        for name in sorted(disk.list_files())
+    }
+
+
+def check_tree(tree: PartitionTree, tag: str = "") -> None:
+    """Every column of one tree's leaf table against the node tree of its keys.
+
+    Keys, runs, record counts, levels, corners and volumes (bit for bit:
+    ``Box.volume()`` of each region found from the universe through the
+    grid edges), in the reference walk's order; then the reductions and
+    the lookups by key.  The node tree comes from ``leaf_keys`` and
+    ``occupied_runs``, so the leaf set is not checked here.
+    """
+    leaves = reference_tree(tree).leaves()
+    table = tree.leaf_snapshot()
+    assert table.version == tree.version, tag
+    assert len(table) == len(leaves), tag
+    assert table.keys == tuple(leaf.key for leaf in leaves), tag
+    assert table.runs == tuple(leaf.run for leaf in leaves), tag
+    assert table.n_records.tolist() == [leaf.run.n_records for leaf in leaves], tag
+    assert table.level.tolist() == [leaf.level for leaf in leaves], tag
+    assert table.volume.tolist() == [leaf.box.volume() for leaf in leaves], tag
+    lo, hi = boxes_to_arrays([leaf.box for leaf in leaves], dimension=tree.universe.dimension)
+    assert np.array_equal(table.lo, lo) and np.array_equal(table.hi, hi), tag
+    # One layout, fixed where the table is spliced: (n, d) column-major,
+    # so the overlap kernels' per-axis slices are contiguous.
+    for corners in (table.lo, table.hi):
+        assert corners.shape == lo.shape and corners.dtype == np.float64, tag
+        assert corners.flags.f_contiguous, tag
+        assert all(corners[:, axis].flags.c_contiguous for axis in range(lo.shape[1])), tag
+    assert table.n_records.dtype == table.level.dtype == np.int64, tag
+    assert table.volume.dtype == np.float64, tag
+    assert tree.n_partitions == len(leaves), tag
+    assert tree.depth == max(leaf.level for leaf in leaves), tag
+    assert all(run.n_records for run in tree.occupied_runs.values()), tag
+    for leaf in leaves[:: max(1, len(leaves) // 16)]:
+        assert tree.volume(leaf.key) == leaf.box.volume(), tag
+    capture = tree.epoch_snapshot()
+    assert capture.snapshot is table, tag
+
+
+# ---------------------------------------------------------------------- #
+# Suites and workloads
+# ---------------------------------------------------------------------- #
+
+
+def fork_with(suite: BenchmarkSuite, wrap) -> BenchmarkSuite:
+    """`BenchmarkSuite.fork`, but with the cloned backend wrapped first."""
+    disk = Disk(
+        backend=wrap(suite.disk.backend.clone()),
+        model=suite.disk.model,
+        buffer_pages=suite.disk.buffer_pool.capacity_pages,
+    )
+    datasets = [
+        Dataset(
+            dataset_id=dataset.dataset_id,
+            name=dataset.name,
+            universe=dataset.universe,
+            n_objects=dataset.n_objects,
+            disk=disk,
+            file=PagedFile(
+                disk, dataset.file.name, spatial_object_codec(dataset.dimension)
+            ),
+        )
+        for dataset in suite.datasets
+    ]
+    return BenchmarkSuite(
+        disk=disk,
+        catalog=DatasetCatalog(datasets),
+        generator=suite.generator,
+        seed=suite.seed,
+    )
+
+
+#: The journal's named crash sites, in write order.
+JOURNAL_CRASH_POINTS = (
+    "journal.commit.start",
+    "journal.commit.torn",
+    "journal.commit.end",
+    "journal.rewrite.start",
+    "journal.rewrite.before_rename",
+    "journal.rewrite.end",
+)
+
+#: The sites after which the in-flight commit is durable: nothing changed
+#: after it, so recovery keeps the files.
+DURABLE_SITES = ("journal.commit.end", "journal.rewrite.end")
+
+
+def recover_logged(*args, **kwargs) -> tuple[SpaceOdyssey, str, str | None]:
+    """``SpaceOdyssey.recover(*args, **kwargs)``, the path it took and why,
+    read from its "recovery complete" log record."""
+    records: list[logging.LogRecord] = []
+    handler = logging.Handler(logging.INFO)
+    handler.emit = records.append
+    logger = logging.getLogger("repro.recovery")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        engine = SpaceOdyssey.recover(*args, **kwargs)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    (done,) = [record for record in records if record.getMessage() == "recovery complete"]
+    return engine, done.path, done.full_replay_reason
+
+
+def after_retired_draws(rng: random.Random) -> random.Random:
+    """``rng`` after the two draws that once chose the retired merge-policy
+    settings, so every seed still derives the scenario it always has."""
+    rng.choice((1, 2))
+    rng.choice((True, False))
+    return rng
+
+
+def make_suite(seed: int, n_datasets: int = 4, objects: int = 350):
+    return build_benchmark_suite(
+        n_datasets=n_datasets,
+        objects_per_dataset=objects,
+        seed=seed,
+        buffer_pages=64,
+        model=DiskModel(seek_time_s=1e-4),
+    )
+
+
+def mixed_workload(suite, seed: int, n_triples: int, n_pairs: int, dataset_ids=None):
+    """Zipf triples on clustered ranges interleaved with uniform pairs."""
+    ids = list(dataset_ids if dataset_ids is not None else suite.catalog.dataset_ids())
+    triples = list(
+        generate_workload(
+            suite.universe,
+            ids,
+            n_triples,
+            seed=seed,
+            volume_fraction=2e-2,
+            datasets_per_query=3,
+            ranges="clustered",
+            ids_distribution="zipf",
+            # Three populated hot spots, so regions are revisited and merged.
+            cluster_centers=suite.generator.microcircuit_centers[:3],
+        )
+    )
+    pairs = list(
+        generate_workload(
+            suite.universe,
+            ids,
+            n_pairs,
+            seed=seed + 17,
+            volume_fraction=2e-2,
+            datasets_per_query=2,
+            ranges="uniform",
+            ids_distribution="uniform",
+        )
+    )
+    queries = [(query.box, tuple(query.dataset_ids)) for query in triples + pairs]
+    random.Random(seed).shuffle(queries)
+    return queries
+
+
+def make_workload(suite: BenchmarkSuite, n: int = 12, seed: int = 5):
+    """``n`` uniform pairs of small windows."""
+    return list(
+        generate_workload(
+            suite.universe,
+            suite.catalog.dataset_ids(),
+            n,
+            seed=seed,
+            datasets_per_query=2,
+            volume_fraction=5e-3,
+        )
+    )
+
+
+def hot_workload(suite: BenchmarkSuite, n: int, seed: int = 61):
+    """``n`` clustered triples over heavy-hitter combinations."""
+    return list(
+        generate_workload(
+            suite.universe,
+            suite.catalog.dataset_ids(),
+            n,
+            seed=seed,
+            datasets_per_query=3,
+            volume_fraction=5e-3,
+            ranges="clustered",
+            ids_distribution="heavy_hitter",
+        )
+    )
+
+
+#: The configuration :func:`explore` drives to a fixed point quickly.
+EXPLORE_CONFIG = OdysseyConfig(partitions_per_level=8, refinement_threshold=2.0, merge_threshold=1)
+
+
+def explore(engine: SpaceOdyssey, queries) -> None:
+    """Replay ``queries`` until a whole pass neither refines nor merges."""
+    for _ in range(20):
+        changed = 0
+        for box, ids in queries:
+            engine.query(box, ids)
+            report = engine.last_report
+            changed += report.refinements + report.merged
+        if not changed:
+            return
+    raise AssertionError("the workload never converged")

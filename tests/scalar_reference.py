@@ -51,6 +51,7 @@ from repro.core.partition import PartitionKey, PartitionTree, partition_file_nam
 from repro.core.query_processor import QueryProcessor, QueryReport
 from repro.data.spatial_object import SpatialObject, spatial_object_codec
 from repro.geometry.box import Box
+from repro.geometry.vectorized import grid_child_indices
 from repro.obs.trace import maybe_span
 from repro.storage import codec as page_codec
 from repro.storage.pagedfile import PageExtent, PagedFile, StoredRun
@@ -346,6 +347,17 @@ def assign_to_children(
     for obj in objects:
         groups[child_index(parent_box, obj.center, tree.splits_per_dim)].append(obj)
     return groups
+
+
+def reference_assign_array(
+    parent_box: Box, records: np.ndarray, splits: int, ppl: int
+) -> list[np.ndarray]:
+    """The former array assignment: one boolean mask over the records per child slot."""
+    if not len(records):
+        return [records[:0] for _ in range(ppl)]
+    centers = (records["lo"] + records["hi"]) / 2.0
+    indices = grid_child_indices(centers, parent_box.lo, parent_box.hi, splits)
+    return [records[indices == child] for child in range(ppl)]
 
 
 def read_partition(tree, node: ReferenceNode) -> list[SpatialObject]:

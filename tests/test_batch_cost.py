@@ -18,6 +18,8 @@ from repro.core.odyssey import SpaceOdyssey
 from repro.geometry.box import Box
 from repro.storage.cost_model import IOStats
 
+from tests.oracle import hot_workload
+
 
 def _run_sequential(suite, workload, config) -> tuple[IOStats, SpaceOdyssey]:
     odyssey = SpaceOdyssey(suite.fork().catalog, config)
@@ -87,16 +89,7 @@ def test_overlapping_batch_strictly_saves_pages(master_suite):
 
 @pytest.mark.parametrize("batch_size", [3, 10])
 def test_batch_cost_bound_holds_under_eviction_pressure(master_suite, batch_size):
-    workload = generate_workload(
-        master_suite.universe,
-        master_suite.catalog.dataset_ids(),
-        30,
-        seed=41,
-        datasets_per_query=3,
-        volume_fraction=5e-3,
-        ranges="clustered",
-        ids_distribution="heavy_hitter",
-    )
+    workload = hot_workload(master_suite, 30, seed=41)
     config = OdysseyConfig(
         merge_threshold=1,
         min_merge_combination=2,

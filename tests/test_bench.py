@@ -143,7 +143,7 @@ class TestRunner:
         from repro.storage.faults import FaultInjectingBackend, FaultPlan
         from repro.storage.retry import RetryingBackend, RetryPolicy
 
-        from tests.test_recovery import fork_with
+        from tests.oracle import fork_with
 
         injector = {}
 

@@ -1,7 +1,7 @@
 """Unit tests of the batched execution engine's building blocks.
 
 The end-to-end guarantees (batch == sequential, batch == brute force,
-batch never costs more pages) live in ``test_batch_differential.py``,
+batch never costs more pages) live in ``test_engine_fuzz.py``,
 ``test_properties.py`` and ``test_batch_cost.py``; this module covers the
 pieces in isolation: batch normalisation, the leaf snapshot cache, the
 vectorized overlap search, the columnar page decode and the shared read
@@ -18,7 +18,6 @@ from repro.core.batch import BatchReadSet, QueryBatch
 from repro.core.config import OdysseyConfig
 from repro.core.odyssey import SpaceOdyssey
 from repro.data.columnar import DecodedGroup
-from repro.data.dataset import DatasetCatalog
 from repro.data.spatial_object import spatial_object_codec, spatial_object_dtype
 from repro.geometry.box import Box
 from repro.geometry.vectorized import boxes_to_arrays
@@ -235,7 +234,7 @@ class TestFailedReadHalf:
         from repro.bench.runner import generate_workload
         from repro.storage import pagedfile as pagedfile_module
 
-        from tests.test_batch_differential import adaptive_state, packed_hits
+        from tests.oracle import adaptive_state, packed_hits
 
         workload = list(
             generate_workload(
@@ -296,3 +295,44 @@ class TestFailedReadHalf:
             packed_hits(reference, hits) for hits in expected
         ]
         assert odyssey.disk.stats.cpu_seconds == reference.disk.stats.cpu_seconds
+
+
+class TestFailedWriterHalf:
+    """A batch whose writer half raises at query ``k`` keeps the first ``k``
+    committed and journaled, in every mode, as sequential execution does."""
+
+    @pytest.mark.parametrize(
+        "options", [{}, {"workers": 2}, {"snapshot": True}], ids=["serial", "thread", "snapshot"]
+    )
+    def test_the_committed_prefix_is_journaled(self, suite, tmp_path, monkeypatch, options):
+        from repro.core.statistics import StatisticsCollector
+        from repro.storage.errors import CorruptPageError
+        from repro.storage.journal import ManifestJournal
+
+        from tests.oracle import adaptive_state, make_workload, packed_hits
+
+        workload = make_workload(suite, n=4, seed=29)
+        real, calls = StatisticsCollector.record_query, []
+
+        def record_query(collector, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise CorruptPageError("injected writer-half failure")
+            return real(collector, *args, **kwargs)
+
+        monkeypatch.setattr(StatisticsCollector, "record_query", record_query)
+        reference = SpaceOdyssey(suite.fork().catalog, journal=tmp_path / "reference.log")
+        expected = [reference.query(q.box, q.dataset_ids) for q in workload[:2]]
+        with pytest.raises(CorruptPageError):
+            reference.query(workload[2].box, workload[2].dataset_ids)
+
+        calls.clear()
+        odyssey = SpaceOdyssey(suite.fork().catalog, journal=tmp_path / "batch.log")
+        with pytest.raises(CorruptPageError) as raised:
+            odyssey.query_batch(workload, **options)
+        assert [packed_hits(odyssey, hits) for hits in raised.value.committed_results] == [
+            packed_hits(reference, hits) for hits in expected
+        ]
+        assert adaptive_state(odyssey) == adaptive_state(reference)
+        for name in ("reference.log", "batch.log"):
+            assert len(ManifestJournal(tmp_path / name).read_last()["queries"]) == 2

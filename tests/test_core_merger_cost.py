@@ -16,7 +16,7 @@ from repro.core.statistics import StatisticsCollector
 from repro.geometry.box import Box
 
 from tests.conftest import make_catalog
-from tests.test_incremental_bookkeeping import make_suite, mixed_workload
+from tests.oracle import make_suite, mixed_workload
 from tests.scalar_reference import read_group, read_partition, reference_tree, row_of
 
 

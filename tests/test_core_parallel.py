@@ -1,8 +1,10 @@
 """Unit tests for batches whose read phases run on threads.
 
-The heavy equivalence checking lives in the fuzz harness
-(``tests/test_engine_fuzz.py``); this file covers ``query_batch(workers=)``
-and the thread-safe read set directly.
+Bit-identity with the serial batch (answers in order, reports, group
+reads, CPU seconds, adaptive state and page bytes) is the thread row of
+the engine oracle, ``tests/test_engine_fuzz.py``; this file covers
+``query_batch(workers=)``'s edge cases and the thread-safe read set
+directly.
 """
 
 from __future__ import annotations
@@ -11,9 +13,7 @@ import threading
 
 import pytest
 
-from repro.bench.runner import generate_workload
 from repro.core.batch import BatchReadSet, QueryBatch
-from repro.core.config import OdysseyConfig
 from repro.core.odyssey import SpaceOdyssey
 from repro.core.parallel import ParallelReadSet
 from repro.data.spatial_object import spatial_object_codec
@@ -22,66 +22,12 @@ from repro.storage.disk import Disk
 from repro.storage.pagedfile import PagedFile
 
 from tests.conftest import make_random_objects
-from tests.test_batch_differential import (
-    REPORT_FIELDS,
-    adaptive_state,
-    disk_files,
-)
-
-
-MERGE_CONFIG = OdysseyConfig(
-    merge_threshold=1,
-    min_merge_combination=2,
-)
-
-
-def _workload(suite, n=24, seed=61):
-    return list(
-        generate_workload(
-            suite.universe,
-            suite.catalog.dataset_ids(),
-            n,
-            seed=seed,
-            datasets_per_query=3,
-            volume_fraction=5e-3,
-            ranges="clustered",
-            ids_distribution="heavy_hitter",
-        )
-    )
+from tests.oracle import hot_workload
 
 
 class TestParallelExecutor:
-    def test_bit_identical_to_serial_batch(self, suite):
-        workload = _workload(suite)
-        serial = SpaceOdyssey(suite.fork().catalog, MERGE_CONFIG)
-        parallel = SpaceOdyssey(suite.fork().catalog, MERGE_CONFIG)
-        serial_result = serial.query_batch(workload)
-        parallel_result = parallel.query_batch(workload, workers=4)
-        assert parallel_result.results == serial_result.results  # order included
-        for expected, actual in zip(serial_result.reports, parallel_result.reports):
-            for field in REPORT_FIELDS + ("objects_examined",):
-                assert getattr(actual, field) == getattr(expected, field)
-        assert parallel_result.group_reads == serial_result.group_reads
-        assert (
-            parallel_result.group_reads_deduped == serial_result.group_reads_deduped
-        )
-        assert adaptive_state(parallel) == adaptive_state(serial)
-        assert disk_files(parallel) == disk_files(serial)
-
-    def test_cpu_seconds_match_serial_batch(self, suite):
-        windows = _workload(suite, n=16)
-        workload = windows + windows  # every window twice, so keys turn hot and merge
-        serial = SpaceOdyssey(suite.fork().catalog, MERGE_CONFIG)
-        parallel = SpaceOdyssey(suite.fork().catalog, MERGE_CONFIG)
-        serial.query_batch(workload)
-        parallel.query_batch(workload, workers=3)
-        assert serial.summary().merges_performed > 0, "the workload never merged"
-        # The deterministic writer phase charges CPU in submission order,
-        # so the accumulated float is the identical sum.
-        assert parallel.disk.stats.cpu_seconds == serial.disk.stats.cpu_seconds
-
     def test_workers_one_uses_serial_engine(self, suite):
-        workload = _workload(suite, n=4)
+        workload = hot_workload(suite, 4)
         for workers, label, reads in ((None, "serial", 0), (1, "serial", 0), (8, "thread", 4)):
             odyssey = SpaceOdyssey(suite.fork().catalog)
             tracer = odyssey.enable_tracing()
@@ -97,7 +43,7 @@ class TestParallelExecutor:
 
     def test_invalid_workers_rejected(self, suite):
         odyssey = SpaceOdyssey(suite.fork().catalog)
-        workload = _workload(suite, n=2)
+        workload = hot_workload(suite, 2)
         with pytest.raises(ValueError):
             odyssey.query_batch([], workers=0)
         with pytest.raises(ValueError):
@@ -112,13 +58,13 @@ class TestParallelExecutor:
         odyssey = SpaceOdyssey(suite.fork().catalog)
         empty = odyssey.query_batch([], workers=4)
         assert len(empty) == 0 and empty.reports == []
-        workload = _workload(suite, n=1)
+        workload = hot_workload(suite, 1)
         single = odyssey.query_batch(workload, workers=4)
         assert len(single) == 1
         assert odyssey.summary().queries_executed == 1
 
     def test_accepts_prebuilt_query_batch(self, suite):
-        workload = _workload(suite, n=6)
+        workload = hot_workload(suite, 6)
         batch = QueryBatch(workload)
         odyssey = SpaceOdyssey(suite.fork().catalog)
         result = odyssey.query_batch(batch, workers=2)
@@ -126,7 +72,7 @@ class TestParallelExecutor:
 
     def test_invalid_dataset_id_fails_before_any_work(self, suite):
         odyssey = SpaceOdyssey(suite.fork().catalog)
-        workload = _workload(suite, n=4)
+        workload = hot_workload(suite, 4)
         bad = [(workload[0].box, (0, 99))] + [
             (q.box, q.dataset_ids) for q in workload[1:]
         ]

@@ -35,8 +35,8 @@ from repro.storage.cost_model import DiskModel
 from repro.storage.disk import Disk
 from repro.storage.journal import ManifestJournal
 
+from tests.oracle import make_workload
 from tests.scalar_reference import scan_objects
-from tests.test_recovery import make_workload
 
 CONFIG = OdysseyConfig(merge_threshold=1, min_merge_combination=2)
 

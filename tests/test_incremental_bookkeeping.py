@@ -25,9 +25,9 @@ incremental summary equals its reference.  The node tree is built from
 the key summaries, so it checks the table's columns for consistency with
 them, not the leaf set itself; that set is checked independently by
 ``tests/test_properties.py::TestSpliceProperties`` (the engine against a
-node-by-node refinement) and the differential suite
-``tests/test_columnar_differential.py`` (answers, adaptive state and page
-bytes against the scalar engine).  The other references read only
+node-by-node refinement) and the engine oracle
+``tests/test_engine_fuzz.py`` (answers, adaptive state and page bytes
+against the scalar engine).  The other references read only
 primary state (the recorded keys, the live infos), never a table column.
 
 A quick grid of configurations runs in tier-1; ``REPRO_FUZZ_ITERATIONS=N``
@@ -41,20 +41,15 @@ import os
 import random
 from collections import Counter
 
-import numpy as np
 import pytest
 
-from repro.bench.runner import generate_workload
 from repro.core import partition as partition_module
 from repro.core.config import OdysseyConfig
 from repro.core.odyssey import SpaceOdyssey
 from repro.core.partition import PartitionTree
-from repro.data.suite import build_benchmark_suite
-from repro.geometry.vectorized import boxes_to_arrays
-from repro.storage.cost_model import DiskModel
 
+from tests.oracle import after_retired_draws, check_tree, make_suite, mixed_workload
 from tests.scalar_reference import reference_tree
-from tests.test_engine_fuzz import after_retired_draws
 
 DEEP_ITERATIONS = int(os.environ.get("REPRO_FUZZ_ITERATIONS", "0"))
 
@@ -116,43 +111,6 @@ def reference_directory(directory) -> dict:
 # ---------------------------------------------------------------------- #
 # The checks, run after every query
 # ---------------------------------------------------------------------- #
-
-
-def check_tree(tree: PartitionTree, tag: str = "") -> None:
-    """Every column of one tree's leaf table against the node tree of its keys.
-
-    Keys, runs, record counts, levels, corners and volumes (bit for bit:
-    ``Box.volume()`` of each region found from the universe through the
-    grid edges), in the reference walk's order; then the reductions and
-    the lookups by key.  The node tree comes from ``leaf_keys`` and
-    ``occupied_runs``, so the leaf set is not checked here.
-    """
-    leaves = reference_tree(tree).leaves()
-    table = tree.leaf_snapshot()
-    assert table.version == tree.version, tag
-    assert len(table) == len(leaves), tag
-    assert table.keys == tuple(leaf.key for leaf in leaves), tag
-    assert table.runs == tuple(leaf.run for leaf in leaves), tag
-    assert table.n_records.tolist() == [leaf.run.n_records for leaf in leaves], tag
-    assert table.level.tolist() == [leaf.level for leaf in leaves], tag
-    assert table.volume.tolist() == [leaf.box.volume() for leaf in leaves], tag
-    lo, hi = boxes_to_arrays([leaf.box for leaf in leaves], dimension=tree.universe.dimension)
-    assert np.array_equal(table.lo, lo) and np.array_equal(table.hi, hi), tag
-    # One layout, fixed where the table is spliced: (n, d) column-major,
-    # so the overlap kernels' per-axis slices are contiguous.
-    for corners in (table.lo, table.hi):
-        assert corners.shape == lo.shape and corners.dtype == np.float64, tag
-        assert corners.flags.f_contiguous, tag
-        assert all(corners[:, axis].flags.c_contiguous for axis in range(lo.shape[1])), tag
-    assert table.n_records.dtype == table.level.dtype == np.int64, tag
-    assert table.volume.dtype == np.float64, tag
-    assert tree.n_partitions == len(leaves), tag
-    assert tree.depth == max(leaf.level for leaf in leaves), tag
-    assert all(run.n_records for run in tree.occupied_runs.values()), tag
-    for leaf in leaves[:: max(1, len(leaves) // 16)]:
-        assert tree.volume(leaf.key) == leaf.box.volume(), tag
-    capture = tree.epoch_snapshot()
-    assert capture.snapshot is table, tag
 
 
 class BookkeepingChecker:
@@ -227,50 +185,6 @@ class BookkeepingChecker:
 # ---------------------------------------------------------------------- #
 # Scenarios
 # ---------------------------------------------------------------------- #
-
-
-def make_suite(seed: int, n_datasets: int = 4, objects: int = 350):
-    return build_benchmark_suite(
-        n_datasets=n_datasets,
-        objects_per_dataset=objects,
-        seed=seed,
-        buffer_pages=64,
-        model=DiskModel(seek_time_s=1e-4),
-    )
-
-
-def mixed_workload(suite, seed: int, n_triples: int, n_pairs: int, dataset_ids=None):
-    """Zipf triples on clustered ranges interleaved with uniform pairs."""
-    ids = list(dataset_ids if dataset_ids is not None else suite.catalog.dataset_ids())
-    triples = list(
-        generate_workload(
-            suite.universe,
-            ids,
-            n_triples,
-            seed=seed,
-            volume_fraction=2e-2,
-            datasets_per_query=3,
-            ranges="clustered",
-            ids_distribution="zipf",
-            # Three populated hot spots, so regions are revisited and merged.
-            cluster_centers=suite.generator.microcircuit_centers[:3],
-        )
-    )
-    pairs = list(
-        generate_workload(
-            suite.universe,
-            ids,
-            n_pairs,
-            seed=seed + 17,
-            volume_fraction=2e-2,
-            datasets_per_query=2,
-            ranges="uniform",
-            ids_distribution="uniform",
-        )
-    )
-    queries = [(query.box, tuple(query.dataset_ids)) for query in triples + pairs]
-    random.Random(seed).shuffle(queries)
-    return queries
 
 
 def start_epochs(engine: SpaceOdyssey, query) -> None:

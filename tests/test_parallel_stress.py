@@ -28,7 +28,7 @@ from repro.core.odyssey import SpaceOdyssey
 from repro.data.suite import build_benchmark_suite
 from repro.storage.cost_model import DiskModel
 
-from tests.test_batch_differential import packed_hits
+from tests.oracle import packed_hits
 
 N_THREADS = 4
 QUERIES_PER_THREAD = 12

@@ -40,7 +40,6 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import itertools
-import math
 import os
 import pickle
 import random
@@ -73,6 +72,7 @@ from repro.storage.disk import Disk
 from repro.storage.pagedfile import PagedFile
 
 from tests.conftest import make_random_objects
+from tests.oracle import check_tree
 from tests.scalar_reference import (
     ScalarAdaptor,
     assign_to_children,
@@ -80,11 +80,10 @@ from tests.scalar_reference import (
     leaves_overlapping,
     read_group,
     read_partition,
+    reference_assign_array,
     reference_tree,
     write_groups,
 )
-from tests.test_incremental_bookkeeping import check_tree
-from tests.test_refine_path import reference_assign_array
 
 UNIVERSE = Box((0.0, 0.0, 0.0), (100.0, 100.0, 100.0))
 #: Deep mode (CI's deep-oracles job sets 25) draws more splice cases.
@@ -918,40 +917,6 @@ class TestBatchProperties:
 
         check()
         assert sum(merges) > 0, "no batch merged"
-
-    @given(
-        object_lists(min_size=1, max_size=80),
-        st.lists(st.one_of(boxes(), maybe_degenerate_boxes()), min_size=1, max_size=5),
-        st.integers(min_value=1, max_value=5),
-    )
-    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_chunked_batches_match_one_engine_run_sequentially(
-        self, objects, windows, batch_size
-    ):
-        """Splitting a stream into batches must not change any answer."""
-        objects = _dedupe(objects)
-
-        def fresh_engine() -> SpaceOdyssey:
-            disk = Disk(model=DiskModel(), buffer_pages=0)
-            dataset = Dataset.create(disk, 0, "prop_chunk", objects, UNIVERSE)
-            return SpaceOdyssey(
-                DatasetCatalog([dataset]), OdysseyConfig(partitions_per_level=8)
-            )
-
-        queries = [(window, [0]) for window in windows]
-        sequential = fresh_engine()
-        expected = [
-            result_keys(sequential.query(window, ids)) for window, ids in queries
-        ]
-        batched = fresh_engine()
-        actual: list[set] = []
-        for start in range(0, len(queries), batch_size):
-            chunk = queries[start : start + batch_size]
-            actual.extend(
-                result_keys(hits) for hits in batched.query_batch(chunk).results
-            )
-        assert actual == expected
-        assert batched.summary() == sequential.summary()
 
 
 class TestEpochProperties:

@@ -56,10 +56,8 @@ from repro.storage import pagedfile as pagedfile_module
 from repro.storage.disk import Disk
 from repro.storage.pagedfile import PagedFile
 
+from tests.oracle import EXPLORE_CONFIG as CONFIG, explore, make_suite, mixed_workload
 from tests.scalar_reference import ScalarOdyssey, leaves_overlapping, reference_tree
-from tests.test_incremental_bookkeeping import make_suite, mixed_workload
-
-CONFIG = OdysseyConfig(partitions_per_level=8, refinement_threshold=2.0, merge_threshold=1)
 
 
 # ---------------------------------------------------------------------- #
@@ -222,19 +220,6 @@ def calls(monkeypatch) -> Counter:
 
     monkeypatch.setattr(Adaptor, "maybe_refine", checked_maybe_refine)
     return counts
-
-
-def explore(engine: SpaceOdyssey, queries) -> None:
-    """Replay ``queries`` until a whole pass neither refines nor merges."""
-    for _ in range(20):
-        changed = 0
-        for box, ids in queries:
-            engine.query(box, ids)
-            report = engine.last_report
-            changed += report.refinements + report.merged
-        if not changed:
-            return
-    raise AssertionError("the workload never converged")
 
 
 @pytest.fixture(scope="module")

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import math
 import shutil
 import struct
@@ -39,7 +38,6 @@ from repro.core.odyssey import SpaceOdyssey
 from repro.core.recovery import MANIFEST_VERSION, RecoveryError, encode_query, recover
 from repro.data.columnar import DecodedGroup
 from repro.data.dataset import Dataset, DatasetCatalog, raw_file_name
-from repro.data.spatial_object import spatial_object_codec
 from repro.data.suite import BenchmarkSuite, build_benchmark_suite
 from repro.geometry.box import Box
 from repro.storage.backend import FileSystemBackend
@@ -48,29 +46,27 @@ from repro.storage.disk import Disk
 from repro.storage.errors import CorruptPageError, SimulatedCrash
 from repro.storage.faults import FaultInjectingBackend, FaultPlan
 from repro.storage.journal import ManifestJournal
-from repro.storage.pagedfile import PagedFile
 
-from tests.test_batch_differential import REPORT_FIELDS, adaptive_state, disk_files, packed_hits
-from tests.test_incremental_bookkeeping import check_tree
+from tests.oracle import (
+    DURABLE_SITES,
+    JOURNAL_CRASH_POINTS,
+    REPORT_FIELDS,
+    adaptive_state,
+    check_tree,
+    disk_files,
+    fork_with,
+    make_workload,
+    packed_hits,
+    recover_logged,
+)
 
 CONFIG = OdysseyConfig(merge_threshold=1, min_merge_combination=2)
-
-N_QUERIES = 12
 
 
 @pytest.fixture(autouse=True)
 def one_boot(monkeypatch):
     """Every engine and recovery of a test runs in the same pretended boot."""
     monkeypatch.setattr(recovery_module, "boot_id", lambda: "boot-1")
-
-
-def recover_logged(caplog, *args, **kwargs) -> tuple[SpaceOdyssey, str, str | None]:
-    """``SpaceOdyssey.recover(*args, **kwargs)``, the path it took and why."""
-    with caplog.at_level(logging.INFO, logger="repro.recovery"):
-        caplog.clear()
-        engine = SpaceOdyssey.recover(*args, **kwargs)
-    (done,) = [record for record in caplog.records if record.message == "recovery complete"]
-    return engine, done.path, done.full_replay_reason
 
 
 @pytest.fixture(scope="module")
@@ -81,47 +77,6 @@ def base_suite() -> BenchmarkSuite:
         seed=13,
         buffer_pages=64,
         model=DiskModel(seek_time_s=1e-4),
-    )
-
-
-def make_workload(suite: BenchmarkSuite, n: int = N_QUERIES, seed: int = 5):
-    return list(
-        generate_workload(
-            suite.universe,
-            suite.catalog.dataset_ids(),
-            n,
-            seed=seed,
-            datasets_per_query=2,
-            volume_fraction=5e-3,
-        )
-    )
-
-
-def fork_with(suite: BenchmarkSuite, wrap) -> BenchmarkSuite:
-    """`BenchmarkSuite.fork`, but with the cloned backend wrapped first."""
-    disk = Disk(
-        backend=wrap(suite.disk.backend.clone()),
-        model=suite.disk.model,
-        buffer_pages=suite.disk.buffer_pool.capacity_pages,
-    )
-    datasets = [
-        Dataset(
-            dataset_id=dataset.dataset_id,
-            name=dataset.name,
-            universe=dataset.universe,
-            n_objects=dataset.n_objects,
-            disk=disk,
-            file=PagedFile(
-                disk, dataset.file.name, spatial_object_codec(dataset.dimension)
-            ),
-        )
-        for dataset in suite.datasets
-    ]
-    return BenchmarkSuite(
-        disk=disk,
-        catalog=DatasetCatalog(datasets),
-        generator=suite.generator,
-        seed=suite.seed,
     )
 
 
@@ -168,28 +123,42 @@ def assert_matches_reference(recovered, reference, committed: int) -> None:
     assert disk_files(recovered) == snapshots[-1][1]
 
 
+def journal_today(suite, queries, directory):
+    """Today's last journal record after ``queries`` on a fork of ``suite``,
+    the page files that survive them and the engine's summary."""
+    engine = SpaceOdyssey(suite.fork().catalog, CONFIG, journal=directory / "today.log")
+    for query in queries:
+        engine.query(query.box, query.dataset_ids)
+    return engine.journal.read_last(), engine.disk.backend.clone(), engine.summary()
+
+
+def version_2_log(path, today: dict, catalog=(), config=()):
+    """``today``'s queries as a version-2 log, built by hand: a base of three
+    under a header with ``catalog`` and ``config`` merged in, then one delta
+    per commit."""
+    header = {
+        **today,
+        "version": 2,
+        "catalog": {**today["catalog"], **dict(catalog)},
+        "config": {**today["config"], **dict(config)},
+    }
+    queries = today["queries"]
+    path.write_bytes(
+        framed({**header, "queries": queries[:3]})
+        + b"".join(
+            framed({"committed": n, "queries": [queries[n - 1]]})
+            for n in range(4, len(queries) + 1)
+        )
+    )
+    return path
+
+
 # ---------------------------------------------------------------------- #
 # Differential parity
 # ---------------------------------------------------------------------- #
 
 
 class TestRecoveryParity:
-    def test_recover_memory_backend(self, base_suite, reference, tmp_path):
-        workload = reference[0]
-        path = tmp_path / "journal.log"
-        engine = SpaceOdyssey(base_suite.fork().catalog, CONFIG, journal=path)
-        for query in workload[:8]:
-            engine.query(query.box, query.dataset_ids)
-        survivor = engine.disk.backend.clone()  # the bytes a crash leaves
-        del engine
-
-        recovered = SpaceOdyssey.recover(path, backend=survivor)
-        assert recovered.summary().queries_executed == 8
-        assert_matches_reference(recovered, reference, committed=8)
-        # The recovered engine keeps journaling: the log now covers the
-        # continuation queries too.
-        assert len(ManifestJournal(path).read_last()["queries"]) == len(workload)
-
     def test_recover_filesystem_backend_argument_free(self, tmp_path):
         model = DiskModel(seek_time_s=1e-4)
         disk = Disk(
@@ -217,38 +186,6 @@ class TestRecoveryParity:
         assert recovered.summary().queries_executed == len(workload)
         assert adaptive_state(recovered) == adaptive_state(ref)
         assert disk_files(recovered) == disk_files(ref)
-
-    def test_batch_and_epoch_paths_are_journaled(self, base_suite, tmp_path):
-        workload = make_workload(base_suite)
-        path = tmp_path / "journal.log"
-        engine = SpaceOdyssey(base_suite.fork().catalog, CONFIG, journal=path)
-        engine.query_batch(workload[:4])
-        engine.query_batch(workload[4:8], snapshot=True, workers=2)
-        engine.query_batch(workload[8:])
-
-        recovered = SpaceOdyssey.recover(path, backend=engine.disk.backend.clone())
-        assert recovered.summary().queries_executed == len(workload)
-        assert adaptive_state(recovered) == adaptive_state(engine)
-        assert disk_files(recovered) == disk_files(engine)
-
-    def test_recovery_is_idempotent(self, base_suite, tmp_path):
-        # A crash *during* recovery just means recovery runs again: replay
-        # writes nothing to the journal, so a second pass over the same
-        # survivor bytes lands on the same state.
-        workload = make_workload(base_suite, n=6)
-        path = tmp_path / "journal.log"
-        engine = SpaceOdyssey(base_suite.fork().catalog, CONFIG, journal=path)
-        for query in workload:
-            engine.query(query.box, query.dataset_ids)
-        survivor = engine.disk.backend.clone()
-        del engine
-
-        first = SpaceOdyssey.recover(path, backend=survivor)
-        state, files = adaptive_state(first), disk_files(first)
-        del first
-        again = SpaceOdyssey.recover(path, backend=survivor)
-        assert adaptive_state(again) == state
-        assert disk_files(again) == files
 
 
 # ---------------------------------------------------------------------- #
@@ -566,25 +503,10 @@ class TestRawFilesReadAtFirstTouch:
 # Crash-point sweep
 # ---------------------------------------------------------------------- #
 
-JOURNAL_CRASH_POINTS = (
-    "journal.commit.start",
-    "journal.commit.torn",
-    "journal.commit.end",
-    "journal.rewrite.start",
-    "journal.rewrite.before_rename",
-    "journal.rewrite.end",
-)
-
-
-#: The sites after which the in-flight query is durable: nothing changed
-#: after its commit, so recovery keeps the files.
-DURABLE_SITES = ("journal.commit.end", "journal.rewrite.end")
-
-
 class TestCrashPointSweep:
     @pytest.mark.parametrize("point", JOURNAL_CRASH_POINTS)
     def test_crash_at_every_journal_site(
-        self, base_suite, reference, tmp_path, point, caplog
+        self, base_suite, reference, tmp_path, point
     ):
         workload, _engine, snapshots, _hits = reference
         holder: dict[str, FaultInjectingBackend] = {}
@@ -615,7 +537,7 @@ class TestCrashPointSweep:
 
         fault.disarm()  # restart on healthy hardware
         recovered, taken, _why = recover_logged(
-            caplog, ManifestJournal(path, compact_every=3), backend=fault
+            ManifestJournal(path, compact_every=3), backend=fault
         )
         committed = recovered.summary().queries_executed
         # Crashing before durability loses the in-flight query; crashing
@@ -633,7 +555,7 @@ class TestCrashPointSweep:
 
     @pytest.mark.parametrize("nth_mutation", (1, 3, 10, 25, 60))
     def test_crash_on_nth_page_mutation(
-        self, base_suite, reference, tmp_path, nth_mutation, caplog
+        self, base_suite, reference, tmp_path, nth_mutation
     ):
         # Power loss mid-write: the Nth page mutation persists a torn page
         # (checksum-detectable) and kills the process.
@@ -664,7 +586,7 @@ class TestCrashPointSweep:
         del engine
         fault.disarm()
 
-        recovered, taken, _why = recover_logged(caplog, path, backend=fault)
+        recovered, taken, _why = recover_logged(path, backend=fault)
         committed = recovered.summary().queries_executed
         if crashed_on is None:
             # The workload performed fewer mutations than the schedule.
@@ -712,7 +634,7 @@ def journal_records(path) -> list[dict]:
 
 class TestFastPath:
     def test_clean_crash_reads_writes_creates_and_deletes_nothing(
-        self, tmp_path, caplog, monkeypatch
+        self, tmp_path, monkeypatch
     ):
         store = tmp_path / "store"
         workload = make_workload(filesystem_suite(tmp_path / "probe"), n=16)
@@ -732,7 +654,7 @@ class TestFastPath:
                 return _real(self, *args, **kwargs)
 
             monkeypatch.setattr(FileSystemBackend, name, counted)
-        recovered, taken, why = recover_logged(caplog, store / "journal.log")
+        recovered, taken, why = recover_logged(store / "journal.log")
         assert (taken, why) == ("fast", None)
         assert calls == Counter(), f"a clean crash's recovery touched pages: {dict(calls)}"
         stats = recovered.disk.stats_snapshot()
@@ -742,7 +664,7 @@ class TestFastPath:
         monkeypatch.undo()
 
         monkeypatch.setattr(recovery_module, "boot_id", lambda: "boot-1")
-        full, taken, why = recover_logged(caplog, replay / "journal.log")
+        full, taken, why = recover_logged(replay / "journal.log")
         assert taken == "full" and why == "a file changed after the last commit"
         assert leaf_tables(recovered) == leaf_tables(full)
         assert adaptive_state(recovered) == adaptive_state(full)
@@ -777,7 +699,7 @@ class TestFastPath:
         assert kinds == expected
 
     def test_concurrent_snapshot_batches_journal_facts_a_fast_recovery_replays(
-        self, base_suite, tmp_path, caplog
+        self, base_suite, tmp_path
     ):
         # Snapshot batches first-touch their datasets before their commits
         # and commit in arrival order, so a first touch's facts may land
@@ -815,9 +737,9 @@ class TestFastPath:
         dirty = tmp_path / "dirty.log"
         shutil.copyfile(path, dirty)
         ManifestJournal(dirty).intent()
-        fast, taken, why = recover_logged(caplog, path, backend=survivor.clone())
+        fast, taken, why = recover_logged(path, backend=survivor.clone())
         assert (taken, why) == ("fast", None)
-        full, taken, _why = recover_logged(caplog, dirty, backend=survivor.clone())
+        full, taken, _why = recover_logged(dirty, backend=survivor.clone())
         assert taken == "full"
         assert fast.summary().queries_executed == len(workload)
         assert leaf_tables(fast) == leaf_tables(full)
@@ -830,27 +752,27 @@ class TestFastPath:
             engine.query(query.box, query.dataset_ids)
         assert engine._processor.adaptor.facts is NO_FACTS and engine.merger.facts is NO_FACTS
 
-    def test_a_changed_boot_replays_in_full(self, tmp_path, caplog, monkeypatch):
+    def test_a_changed_boot_replays_in_full(self, tmp_path, monkeypatch):
         store = tmp_path / "store"
         workload = make_workload(filesystem_suite(tmp_path / "w"), n=10)
         summary = crash_between_commits(store, workload)
         for other in ("boot-2", None):  # a reboot; no boot id to read
             monkeypatch.setattr(recovery_module, "boot_id", lambda other=other: other)
-            recovered, taken, why = recover_logged(caplog, store / "journal.log")
+            recovered, taken, why = recover_logged(store / "journal.log")
             assert (taken, why) == ("full", "the journal was written before the last boot")
             assert recovered.summary() == summary
             del recovered
         # The full replay wrote the boot it ran in: the next clean crash
         # in that boot keeps the files.
         monkeypatch.setattr(recovery_module, "boot_id", lambda: "boot-3")
-        recovered, taken, _why = recover_logged(caplog, store / "journal.log")
+        recovered, taken, _why = recover_logged(store / "journal.log")
         assert taken == "full"
         del recovered
-        recovered, taken, _why = recover_logged(caplog, store / "journal.log")
+        recovered, taken, _why = recover_logged(store / "journal.log")
         assert taken == "fast" and recovered.summary() == summary
 
     def test_a_taint_replays_in_full_until_a_full_replay_clears_it(
-        self, tmp_path, caplog, monkeypatch
+        self, tmp_path, monkeypatch
     ):
         from repro.core.statistics import StatisticsCollector
 
@@ -890,18 +812,18 @@ class TestFastPath:
         del engine
 
         committed = ManifestJournal(path).read_last()["queries"]
-        recovered, taken, why = recover_logged(caplog, path)
+        recovered, taken, why = recover_logged(path)
         assert (taken, why) == ("full", "a writer half raised since the last full replay")
         assert recovered.summary().queries_executed == len(committed) == len(workload) - 1
         state, digests = adaptive_state(recovered), file_digests(recovered)
         del recovered
         assert ManifestJournal(path).read_last()["tainted"] is False
-        again, taken, _why = recover_logged(caplog, path)
+        again, taken, _why = recover_logged(path)
         assert taken == "fast"
         assert (adaptive_state(again), file_digests(again)) == (state, digests)
 
     def test_version_3_journal_replays_in_full_and_heals_to_version_4(
-        self, base_suite, reference, tmp_path, caplog
+        self, base_suite, reference, tmp_path
     ):
         workload = reference[0]
         committed = 7
@@ -918,7 +840,7 @@ class TestFastPath:
         path = tmp_path / "v3.log"
         path.write_bytes(framed({**header, "version": 3, "queries": queries}))
 
-        recovered, taken, why = recover_logged(caplog, path, backend=survivor)
+        recovered, taken, why = recover_logged(path, backend=survivor)
         assert (taken, why) == ("full", "a version-3 journal carries no facts")
         (base,) = recovered.journal.records()
         assert base["version"] == MANIFEST_VERSION and base["tainted"] is False
@@ -926,13 +848,13 @@ class TestFastPath:
             entry["facts"] for entry in today["queries"]
         ]
         del recovered
-        again, taken, _why = recover_logged(caplog, path, backend=survivor)
+        again, taken, _why = recover_logged(path, backend=survivor)
         assert taken == "fast"
         assert_matches_reference(again, reference, committed=committed)
 
     @pytest.mark.parametrize("damage", ["renamed", "dropped", "extra", "stray file"])
     def test_a_fact_mismatch_falls_back_to_the_full_replay(
-        self, base_suite, reference, tmp_path, caplog, damage
+        self, base_suite, reference, tmp_path, damage
     ):
         workload = reference[0]
         committed = 11
@@ -958,7 +880,7 @@ class TestFastPath:
         path = tmp_path / "damaged.log"
         path.write_bytes(framed(manifest))
 
-        recovered, taken, why = recover_logged(caplog, path, backend=survivor)
+        recovered, taken, why = recover_logged(path, backend=survivor)
         assert taken == "full", why
         assert "odyssey_stray.dat" not in recovered.disk.list_files()
         assert_matches_reference(recovered, reference, committed=committed)
@@ -1021,17 +943,8 @@ class TestRecoveryEdgeCases:
     def test_version_1_journal_recovers(self, base_suite, reference, tmp_path):
         # The layout before deltas: every commit appended one full
         # manifest.  Built here byte for byte, not written by today's code.
-        workload = reference[0]
-        committed = 7
-        engine = SpaceOdyssey(
-            base_suite.fork().catalog, CONFIG, journal=tmp_path / "today.log"
-        )
-        for query in workload[:committed]:
-            engine.query(query.box, query.dataset_ids)
-        today = engine.journal.read_last()
-        survivor = engine.disk.backend.clone()
-        summary = engine.summary()
-        del engine
+        workload, committed = reference[0], 7
+        today, survivor, summary = journal_today(base_suite, workload[:committed], tmp_path)
 
         path = tmp_path / "v1.log"
         path.write_bytes(
@@ -1061,34 +974,14 @@ class TestRecoveryEdgeCases:
         # pool's shard count in the catalog and the batch executor in the
         # config.  Recovery ignores both; the sharded pool comes back as
         # one pool of the same ``buffer_pages``.
-        workload = reference[0]
-        committed = 7
-        engine = SpaceOdyssey(
-            base_suite.fork().catalog, CONFIG, journal=tmp_path / "today.log"
-        )
-        for query in workload[:committed]:
-            engine.query(query.box, query.dataset_ids)
-        today = engine.journal.read_last()
-        survivor = engine.disk.backend.clone()
-        summary = engine.summary()
-        del engine
+        workload, committed = reference[0], 7
+        today, survivor, summary = journal_today(base_suite, workload[:committed], tmp_path)
         assert "buffer_shards" not in today["catalog"]
         assert "batch_executor" not in today["config"]
 
-        header = {
-            **today,
-            "version": 2,
-            "catalog": {**today["catalog"], "buffer_shards": 4},
-            "config": {**today["config"], "batch_executor": "thread"},
-        }
-        queries = today["queries"]
-        path = tmp_path / "sharded.log"
-        path.write_bytes(
-            framed({**header, "queries": queries[:3]})
-            + b"".join(
-                framed({"committed": n, "queries": [queries[n - 1]]})
-                for n in range(4, committed + 1)
-            )
+        path = version_2_log(
+            tmp_path / "sharded.log", today,
+            catalog={"buffer_shards": 4}, config={"batch_executor": "thread"},
         )
         assert ManifestJournal(path).read_last()["catalog"]["buffer_shards"] == 4
 
@@ -1111,29 +1004,11 @@ class TestRecoveryEdgeCases:
         # A version-2 header written while ``OdysseyConfig`` still had the
         # ``columnar`` switch, by an engine running the per-record path.
         # Every engine computes the same state, so recovery ignores the key.
-        workload = reference[0]
-        committed = 7
-        engine = SpaceOdyssey(
-            base_suite.fork().catalog, CONFIG, journal=tmp_path / "today.log"
-        )
-        for query in workload[:committed]:
-            engine.query(query.box, query.dataset_ids)
-        today = engine.journal.read_last()
-        survivor = engine.disk.backend.clone()
-        summary = engine.summary()
-        del engine
+        workload, committed = reference[0], 7
+        today, survivor, summary = journal_today(base_suite, workload[:committed], tmp_path)
         assert "columnar" not in today["config"]
 
-        header = {**today, "version": 2, "config": {**today["config"], "columnar": False}}
-        queries = today["queries"]
-        path = tmp_path / "scalar.log"
-        path.write_bytes(
-            framed({**header, "queries": queries[:3]})
-            + b"".join(
-                framed({"committed": n, "queries": [queries[n - 1]]})
-                for n in range(4, committed + 1)
-            )
-        )
+        path = version_2_log(tmp_path / "scalar.log", today, config={"columnar": False})
         assert ManifestJournal(path).read_last()["config"]["columnar"] is False
 
         recovered = SpaceOdyssey.recover(path, backend=survivor)
@@ -1162,29 +1037,11 @@ class TestRecoveryEdgeCases:
         # them.  Recovery drops the keys and replays under the one policy
         # left: the adaptive state is that of a fresh engine running the
         # same committed queries, and the answers never depended on it.
-        workload = reference[0]
-        committed = 7
-        engine = SpaceOdyssey(
-            base_suite.fork().catalog, CONFIG, journal=tmp_path / "today.log"
-        )
-        for query in workload[:committed]:
-            engine.query(query.box, query.dataset_ids)
-        today = engine.journal.read_last()
-        survivor = engine.disk.backend.clone()
-        summary = engine.summary()
-        del engine
+        workload, committed = reference[0], 7
+        today, survivor, summary = journal_today(base_suite, workload[:committed], tmp_path)
         assert not retired.keys() & today["config"].keys()
 
-        header = {**today, "version": 2, "config": {**today["config"], **retired}}
-        queries = today["queries"]
-        path = tmp_path / "policies.log"
-        path.write_bytes(
-            framed({**header, "queries": queries[:3]})
-            + b"".join(
-                framed({"committed": n, "queries": [queries[n - 1]]})
-                for n in range(4, committed + 1)
-            )
-        )
+        path = version_2_log(tmp_path / "policies.log", today, config=retired)
         assert ManifestJournal(path).read_last()["config"].items() >= retired.items()
 
         recovered = SpaceOdyssey.recover(path, backend=survivor)
@@ -1202,32 +1059,12 @@ class TestRecoveryEdgeCases:
         # epoch switch, either way.  Epochs now start with the first
         # snapshot read, so recovery ignores the key and replays into an
         # engine that has none.
-        workload = reference[0]
-        committed = 7
-        engine = SpaceOdyssey(
-            base_suite.fork().catalog, CONFIG, journal=tmp_path / "today.log"
-        )
-        for query in workload[:committed]:
-            engine.query(query.box, query.dataset_ids)
-        today = engine.journal.read_last()
-        survivor = engine.disk.backend.clone()
-        summary = engine.summary()
-        del engine
+        workload, committed = reference[0], 7
+        today, survivor, summary = journal_today(base_suite, workload[:committed], tmp_path)
         assert "snapshot_reads" not in today["config"]
 
-        header = {
-            **today,
-            "version": 2,
-            "config": {**today["config"], "snapshot_reads": snapshot_reads},
-        }
-        queries = today["queries"]
-        path = tmp_path / "epochs.log"
-        path.write_bytes(
-            framed({**header, "queries": queries[:3]})
-            + b"".join(
-                framed({"committed": n, "queries": [queries[n - 1]]})
-                for n in range(4, committed + 1)
-            )
+        path = version_2_log(
+            tmp_path / "epochs.log", today, config={"snapshot_reads": snapshot_reads}
         )
         assert ManifestJournal(path).read_last()["config"]["snapshot_reads"] is snapshot_reads
 

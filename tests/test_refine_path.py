@@ -40,8 +40,8 @@ from repro.storage import pagedfile as pagedfile_module
 from repro.storage.disk import Disk
 from repro.storage.pagedfile import PagedFile, StoredRun
 
-from tests.scalar_reference import ScalarAdaptor, ScalarOdyssey, child_box
-from tests.test_incremental_bookkeeping import check_tree, make_suite
+from tests.oracle import check_tree, make_suite
+from tests.scalar_reference import ScalarAdaptor, ScalarOdyssey, child_box, reference_assign_array
 
 DEEP_ITERATIONS = int(os.environ.get("REPRO_FUZZ_ITERATIONS", "0"))
 
@@ -49,17 +49,6 @@ DEEP_ITERATIONS = int(os.environ.get("REPRO_FUZZ_ITERATIONS", "0"))
 # ---------------------------------------------------------------------- #
 # Reference models (the code the refinement path replaced)
 # ---------------------------------------------------------------------- #
-
-
-def reference_assign_array(
-    parent_box: Box, records: np.ndarray, splits: int, ppl: int
-) -> list[np.ndarray]:
-    """The former assignment: one boolean mask over the records per child slot."""
-    if not len(records):
-        return [records[:0] for _ in range(ppl)]
-    centers = (records["lo"] + records["hi"]) / 2.0
-    indices = grid_child_indices(centers, parent_box.lo, parent_box.hi, splits)
-    return [records[indices == child] for child in range(ppl)]
 
 
 def reference_splice(

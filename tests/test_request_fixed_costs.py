@@ -44,8 +44,7 @@ from repro.storage.buffer import BufferPool
 from repro.storage.cost_model import DiskModel
 from repro.storage.disk import Disk
 
-from tests.test_incremental_bookkeeping import mixed_workload
-from tests.test_read_path_kernels import CONFIG, explore
+from tests.oracle import EXPLORE_CONFIG as CONFIG, explore, mixed_workload
 
 #: Every BufferPool method that looks up or stores a page, on either layer.
 POOL_CALLS = ("get", "get_run", "decode_run", "put", "invalidate_page")

@@ -3,8 +3,8 @@
 Covers the dynamic batcher's two flush triggers, per-request
 result/exception routing, backpressure, clean shutdown in both drain and
 abort modes, and the service's bookkeeping invariants.  The determinism
-contract (served results == sequential arrival-order execution) has its
-own oracle in ``tests/test_serve_differential.py``.
+contract (served results == sequential arrival-order execution) is the
+serve row of the engine oracle, ``tests/test_engine_fuzz.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.core.odyssey import SpaceOdyssey
 from repro.geometry.box import Box
 from repro.serve import QueryService, ServiceClosed
 
-from tests.test_batch_differential import packed_hits
 
 
 @pytest.fixture
@@ -31,28 +30,10 @@ def window(suite, side: float = 60.0, center=(4000.0, 3000.0, 2500.0)) -> Box:
 
 
 class TestSubmission:
-    def test_submit_returns_future_with_exact_answer(self, suite, engine):
-        reference = SpaceOdyssey(suite.fork().catalog, OdysseyConfig())
-        box = window(suite)
-        with engine.serve(max_batch=4, max_delay_ms=2) as service:
-            submission = service.submit(box, [0, 1])
-            hits = submission.result(timeout=30)
-        expected = reference.query(box, [0, 1])
-        assert packed_hits(engine, hits) == packed_hits(reference, expected)
-        assert submission.done()
-        assert submission.exception() is None
-
     def test_query_convenience_blocks_for_result(self, suite, engine):
         with engine.serve(max_batch=2, max_delay_ms=1) as service:
             hits = service.query(window(suite), [0], timeout=30)
         assert isinstance(hits, list)
-
-    def test_sequence_numbers_are_arrival_ordered(self, suite, engine):
-        with engine.serve(max_batch=8, max_delay_ms=1) as service:
-            submissions = [service.submit(window(suite), [0]) for _ in range(5)]
-            for submission in submissions:
-                submission.result(timeout=30)
-        assert [s.seq for s in submissions] == [0, 1, 2, 3, 4]
 
     def test_invalid_parameters_rejected(self, engine):
         with pytest.raises(ValueError):
@@ -185,40 +166,6 @@ class TestShutdown:
 
 
 class TestConcurrentClients:
-    def test_many_clients_all_get_answers(self, suite, engine):
-        n_clients, per_client = 4, 10
-        box = window(suite)
-        errors: list[BaseException] = []
-        barrier = threading.Barrier(n_clients)
-
-        with engine.serve(max_batch=8, max_delay_ms=2) as service:
-
-            def client(index: int) -> None:
-                try:
-                    barrier.wait(timeout=30)
-                    for round_no in range(per_client):
-                        hits = service.query(box, [index % 4, (index + round_no) % 4], timeout=60)
-                        assert isinstance(hits, list)
-                except BaseException as exc:  # pragma: no cover - failure path
-                    errors.append(exc)
-
-            threads = [
-                threading.Thread(target=client, args=(index,))
-                for index in range(n_clients)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-                assert not thread.is_alive(), "client thread hung"
-        assert not errors, f"clients raised: {errors!r}"
-        stats = service.stats
-        assert stats.submitted == n_clients * per_client
-        assert stats.completed == n_clients * per_client
-        assert stats.failed == 0
-        assert stats.queries_batched == stats.submitted
-        assert engine.summary().queries_executed == n_clients * per_client
-
     def test_every_stats_snapshot_balances_under_concurrent_clients(self, suite, engine):
         """``submitted == completed + failed + cancelled + pending`` in every snapshot.
 

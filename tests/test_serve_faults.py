@@ -6,6 +6,8 @@ deterministic: transient errors must be retried with backoff, repeated
 failures must open the circuit breaker (typed ``ServiceDegraded`` shed,
 never a hang), a cooled-down breaker must close again on a successful
 probe, and ``close()``/``submit()`` must behave deterministically.
+A batch whose writer half raises partway through must leave the service
+exactly where sequential execution in arrival order leaves the engine.
 """
 
 from __future__ import annotations
@@ -14,15 +16,20 @@ import time
 
 import pytest
 
+from repro.bench.runner import generate_workload
 from repro.core.config import OdysseyConfig
 from repro.core.odyssey import SpaceOdyssey
+from repro.core.statistics import StatisticsCollector
+from repro.data.suite import build_benchmark_suite
 from repro.geometry.box import Box
 from repro.serve.service import (
     QueryService,
     ServiceClosed,
     ServiceDegraded,
 )
-from repro.storage.errors import TransientIOError
+from repro.storage.errors import CorruptPageError, TransientIOError
+
+from tests.oracle import adaptive_state, disk_files, packed_hits
 
 
 class FlakyEngine:
@@ -277,3 +284,119 @@ class TestParameterValidation:
             QueryService(engine, breaker_threshold=0)
         with pytest.raises(ValueError):
             QueryService(engine, breaker_cooldown_ms=-1.0)
+
+
+# ---------------------------------------------------------------------- #
+# A batch whose writer half raises partway through
+# ---------------------------------------------------------------------- #
+
+
+class TestWriterHalfFailure:
+    """The third of four served queries fails in its writer half: the two
+    before it keep their batch answers, it runs again only as a retry, and
+    the service ends as sequential execution in arrival order does."""
+
+    @staticmethod
+    def setup_failure(monkeypatch, n_queries, error):
+        """The suite, ``n_queries`` queries on datasets 0 and 1, and
+        ``StatisticsCollector.record_query`` raising ``error`` on its third
+        call; returns the suite, the queries and the call list to clear."""
+        suite = build_benchmark_suite(n_datasets=3, objects_per_dataset=400, seed=3)
+        queries = [
+            (query.box, query.dataset_ids)
+            for query in generate_workload(
+                suite.universe, [0, 1], n_queries, seed=7, datasets_per_query=2,
+                volume_fraction=5e-2,
+            )
+        ]
+        real, calls = StatisticsCollector.record_query, []
+
+        def record_query(collector, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise error
+            return real(collector, *args, **kwargs)
+
+        monkeypatch.setattr(StatisticsCollector, "record_query", record_query)
+        return suite, queries, calls
+
+    @staticmethod
+    def outcome(engine, call):
+        try:
+            return packed_hits(engine, call())
+        except CorruptPageError:
+            return None
+
+    def answer(self, engine, submission):
+        return self.outcome(engine, lambda: submission.result(timeout=30))
+
+    def sequential(self, engine, queries, retries=0):
+        outcomes = []
+        for box, ids in queries:
+            outcomes.append(self.outcome(engine, lambda: engine.query(box, ids)))
+            if outcomes[-1] is None and retries:
+                outcomes[-1] = self.outcome(engine, lambda: engine.query(box, ids))
+        return outcomes
+
+    @pytest.mark.parametrize("retries", [0, 2])
+    @pytest.mark.parametrize("journaled", [False, True])
+    def test_served_batch_equals_sequential_arrival_order(
+        self, tmp_path, monkeypatch, retries, journaled
+    ):
+        error = CorruptPageError("injected writer-half failure")
+        suite, queries, calls = self.setup_failure(monkeypatch, 4, error)
+
+        def observed(name, run):
+            """The outcomes and end state of ``run`` on a fresh engine."""
+            calls.clear()
+            journal = tmp_path / name if journaled else None
+            engine = SpaceOdyssey(suite.fork().catalog, journal=journal)
+            outcomes, log = run(engine), engine._processor.durability
+            committed = log and log.committed_queries
+            return outcomes, adaptive_state(engine), disk_files(engine), committed
+
+        def served(engine):
+            with engine.serve(
+                max_batch=len(queries), max_delay_ms=1000, breaker_threshold=None,
+                batch_retries=retries, sleep=lambda _s: None,
+            ) as service:
+                submissions = [service.submit(box, ids) for box, ids in queries]
+                outcomes = [self.answer(engine, s) for s in submissions]
+            assert (service.stats.fallbacks, service.stats.retries) == (1, min(retries, 1))
+            return outcomes
+
+        expected = observed("sequential.log", lambda e: self.sequential(e, queries, retries))
+        assert [hits is None for hits in expected[0]] == [False, False, not retries, False]
+        assert observed("served.log", served) == expected
+
+    def test_a_reraised_error_carries_no_earlier_prefix(self, monkeypatch):
+        """The writer half's error instance, raised again before the next
+        batch does any work: that batch takes no answer of the first and
+        is replayed whole."""
+        error = CorruptPageError("injected writer-half failure")
+        suite, queries, calls = self.setup_failure(monkeypatch, 8, error)
+        reference = SpaceOdyssey(suite.fork().catalog)
+        expected = self.sequential(reference, queries)
+        assert [hits is None for hits in expected] == [False, False, True] + [False] * 5
+
+        calls.clear()
+        engine = SpaceOdyssey(suite.fork().catalog)
+        batches = []
+
+        def query_batch(*args, **kwargs):
+            batches.append(None)
+            if len(batches) == 2:
+                raise error
+            return SpaceOdyssey.query_batch(engine, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "query_batch", query_batch)
+        outcomes = []
+        with engine.serve(
+            max_batch=4, max_delay_ms=1000, breaker_threshold=None, batch_retries=0
+        ) as service:
+            for first in (0, 4):
+                submissions = [service.submit(box, ids) for box, ids in queries[first : first + 4]]
+                outcomes += [self.answer(engine, s) for s in submissions]
+        assert (len(batches), service.stats.fallbacks) == (2, 2)
+        assert outcomes == expected
+        assert adaptive_state(engine) == adaptive_state(reference)
