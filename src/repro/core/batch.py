@@ -40,10 +40,10 @@ A batch runs the Query Processor's per-query pipeline in four phases.
 
 :meth:`BatchExecutor.commit` is the write half, under the engine gate:
 
-4. **Ordered commit** — the simulated CPU charges for the records each
-   query examined, in submission order, then statistics, refinement and
-   merging, replayed through the sequential writer half
-   (``QueryProcessor.commit_query``) in submission order against the
+4. **Ordered commit** — per query, in submission order, the simulated
+   CPU charge for the records it examined, then statistics, refinement
+   and merging, replayed through the sequential writer half
+   (``QueryProcessor.commit_query``) against the
    evolving trees, handed each tree's rows and candidates while the tree
    is unrefined and each combination's route while the merge directory is
    unchanged; then the next epoch is published (once a snapshot read
@@ -598,15 +598,14 @@ class BatchExecutor:
     def commit(self, prepared: PreparedBatch) -> BatchResult:
         """The ordered commit, under the gate; publishes and journals the batch.
 
-        CPU charges for the examined records apply first, in submission
-        order — one float sum whatever the read half's choices — then the
-        replay.  Concurrent snapshot batches commit in gate-acquisition
-        (arrival) order, so the adaptive state evolves exactly as
-        sequential execution.
+        The replay charges each query's examined records just before its
+        writer half, as sequential ``query()`` does, so the queries after
+        one whose writer half raises are not charged.  Concurrent
+        snapshot batches commit in gate-acquisition (arrival) order, so
+        the adaptive state evolves exactly as sequential execution.
         """
         processor = self._processor
         queries = prepared.batch.queries
-        disk = processor.catalog.datasets()[0].disk
         with maybe_span(
             processor.tracer,
             "epoch.commit" if self._snapshot else "batch.replay",
@@ -614,8 +613,6 @@ class BatchExecutor:
             epoch=prepared.epoch_id,
         ):
             with processor.gate:
-                for query in queries:
-                    disk.charge_cpu_records(prepared.examined[query.index])
                 reports: list[QueryReport] = []
                 failure = None
                 try:
@@ -653,7 +650,8 @@ class BatchExecutor:
         processor = self._processor
         trees = processor.live_trees
         directory = processor.directory
-        pool = processor.catalog.datasets()[0].disk.buffer_pool
+        disk = processor.catalog.datasets()[0].disk
+        pool = disk.buffer_pool
         first_touch, tables0 = prepared.first_touch, prepared.tables0
         needed0, candidates0 = prepared.needed0, prepared.candidates0
         start = pool.tally
@@ -674,6 +672,7 @@ class BatchExecutor:
             decision = None
             if directory.version == prepared.route_version:
                 decision = prepared.routes[query.requested]
+            disk.charge_cpu_records(prepared.examined[index])
             processor.commit_query(query.box, query.requested, report, rows, decision, picked)
             end = pool.tally
             report.cache = BufferCounters.between(

@@ -42,9 +42,11 @@ class OdysseyConfig:
         Minimum combination size ``|C|`` eligible for merging; the paper
         merges only combinations of three or more datasets.
     merge_space_budget_pages:
-        Maximum number of disk pages all merge files may occupy together;
-        least-recently-used merge files are dropped when exceeded.
-        ``None`` means unbounded.
+        After each merge, least-recently-used merge files other than the
+        one just merged are deleted while all merge files occupy more
+        than this many pages.  It is not a bound: the file just merged
+        can grow past it.  ``None`` (the default, and every figure's
+        setting) means no eviction.
     enable_merging:
         Master switch for the merging machinery (Figure 5c runs Space
         Odyssey with merging disabled to isolate its effect).

@@ -14,9 +14,13 @@ append-only merge file:
   read any subset of the merged datasets sequentially and skip the rest;
 * only partitions at the same refinement level in *all* member datasets are
   merged (equal partition keys guarantee this);
-* the originals are kept — merge files hold copies — and all merge files
-  together are kept under a space budget by evicting the least recently
-  used file.
+* the originals are kept — merge files hold copies.
+
+A space budget (``merge_space_budget_pages``) is this repository's
+addition, not one of Section 3.2's rules: after a merge it evicts
+least-recently-used files while all files exceed it, but never the file
+just merged, so it does not bound space (README: "The merge space
+budget, swept against its keep-condition").
 
 The Merger is incremental: if a hot combination later touches partitions
 that are not yet in its merge file, they are appended (the file is

@@ -258,9 +258,10 @@ class SpaceOdyssey(MultiDatasetIndex):
         the epoch layer) with no lock held, so the reads overlap other
         batches' commits; under concurrency per-batch results stay exact
         (answers depend only on the data and the query window) while
-        commits serialize in arrival order.  Either way the commit — CPU
-        charges, then statistics, refinement and merging in submission
-        order — runs single-threaded under the engine's gate.
+        commits serialize in arrival order.  Either way the commit — per
+        query in submission order, its CPU charge, then statistics,
+        refinement and merging — runs single-threaded under the engine's
+        gate.
         """
         return self._processor.execute_batch(
             queries, workers=workers, snapshot=snapshot

@@ -369,6 +369,37 @@ class TestWriterHalfFailure:
         assert [hits is None for hits in expected[0]] == [False, False, not retries, False]
         assert observed("served.log", served) == expected
 
+    def test_only_queries_that_ran_are_charged(self, tmp_path, monkeypatch):
+        """A batch charges each query's simulated CPU as its writer half
+        runs: one that stops at query 3 has charged what sequential
+        ``query()`` charged through query 3, and the served run (the batch,
+        then query 4 alone) what the whole sequential run charged."""
+        error = CorruptPageError("injected writer-half failure")
+        suite, queries, calls = self.setup_failure(monkeypatch, 4, error)
+        reference = SpaceOdyssey(suite.fork().catalog)
+        self.sequential(reference, queries[:3])
+        through_third = reference.disk.stats.cpu_seconds
+        self.sequential(reference, queries[3:])
+        whole = reference.disk.stats.cpu_seconds
+        assert 0 < through_third < whole
+
+        calls.clear()
+        engine = SpaceOdyssey(suite.fork().catalog, journal=tmp_path / "batch.log")
+        with pytest.raises(CorruptPageError):
+            engine.query_batch(queries)
+        assert engine.disk.stats.cpu_seconds == through_third
+
+        calls.clear()
+        engine = SpaceOdyssey(suite.fork().catalog)
+        with engine.serve(
+            max_batch=len(queries), max_delay_ms=1000, breaker_threshold=None,
+            batch_retries=0, sleep=lambda _s: None,
+        ) as service:
+            submissions = [service.submit(box, ids) for box, ids in queries]
+            outcomes = [self.answer(engine, s) for s in submissions]
+        assert [hits is None for hits in outcomes] == [False, False, True, False]
+        assert engine.disk.stats.cpu_seconds == whole
+
     def test_a_reraised_error_carries_no_earlier_prefix(self, monkeypatch):
         """The writer half's error instance, raised again before the next
         batch does any work: that batch takes no answer of the first and

@@ -93,6 +93,16 @@ MUTANTS = (
         "if True:",
     ),
     Mutant(
+        "cpu-charged-up-front",
+        "the batch replay charges every query's CPU before the first writer half",
+        "repro/core/batch.py",
+        "disk.charge_cpu_records(prepared.examined[index])",
+        "if query is prepared.batch.queries[0]:\n"
+        "                for each in prepared.batch.queries:\n"
+        "                    disk.charge_cpu_records(prepared.examined[each.index])",
+        ("tests/test_serve_faults.py::TestWriterHalfFailure",),
+    ),
+    Mutant(
         "journal-any-delta",
         "ManifestJournal.read_last accepts a delta that does not continue its base",
         "repro/storage/journal.py",
