@@ -114,7 +114,7 @@ def test_merging_policy(benchmark, environment, scale, merging):
 @pytest.mark.benchmark(group="ablation-budget")
 @pytest.mark.parametrize("budget_pages", [8, 1024, None])
 def test_merge_space_budget(benchmark, environment, scale, budget_pages):
-    """Merge-file space budget: tight, generous, unbounded (LRU eviction)."""
+    """Merge-file space budget: tight, generous, unbounded (copies past it refused)."""
     base = odyssey_config_for(scale)
     config = OdysseyConfig(
         refinement_threshold=base.refinement_threshold,

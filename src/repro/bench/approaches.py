@@ -68,7 +68,6 @@ def odyssey_config_for(scale: ExperimentScale, enable_merging: bool = True) -> O
         partitions_per_level=64,
         merge_threshold=2,
         min_merge_combination=3,
-        merge_space_budget_pages=scale.merge_space_budget_pages,
         enable_merging=enable_merging,
     )
 

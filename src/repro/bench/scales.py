@@ -49,7 +49,6 @@ class ExperimentScale:
     buffer_pages: int = 512
     build_memory_pages: int = 128
     grid_build_buffer_objects: int = 20_000
-    merge_space_budget_pages: int | None = None
     seek_time_s: float = 5e-5
     transfer_rate_bytes_per_s: float = 150e6
     seed: int = 7

@@ -11,7 +11,7 @@ The package mirrors the architecture of Figure 1 in the paper:
   queries retrieve;
 * the **Merger** (:mod:`repro.core.merger`) copies partitions that are
   frequently retrieved together into append-only merge files whose layout
-  allows sequential retrieval, under an LRU-evicted space budget;
+  allows sequential retrieval, within an optional space budget;
 * the **Query Processor** (:mod:`repro.core.query_processor`) orchestrates a
   query: routing between merge files and individual partition files,
   filtering, triggering refinement and merging;

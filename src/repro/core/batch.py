@@ -53,7 +53,7 @@ A batch runs the Query Processor's per-query pipeline in four phases.
    decisions depend only on (tree state, query window) and both start
    from the same state, the replay reproduces
    the sequential evolution exactly — same refinements in the same order,
-   same page reuse, same merge files, same eviction decisions.  Nothing a
+   same page reuse, same merge files, same budget refusals.  Nothing a
    commit owns changes before it runs, so a batch whose read half raises
    leaves the CPU clock, the query count, the statistics, the trees (past
    first touch) and the journal as they were.  A batch whose writer half
@@ -641,8 +641,8 @@ class BatchExecutor:
         (the writer half re-resolves the others), and the route planned
         for its combination while the merge directory is at the version it
         was planned at (the writer half re-routes otherwise).  That makes
-        every refinement decision, statistics update, LRU stamp and merge
-        trigger identical to sequential execution.  A query's ``cache`` is
+        every refinement decision, statistics update and merge trigger
+        identical to sequential execution.  A query's ``cache`` is
         its read's tally difference plus its commit's, taken at the query
         boundaries of the replay.  Each committed query's report is appended
         to ``reports``, so after a raise they count the committed prefix.

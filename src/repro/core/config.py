@@ -42,11 +42,10 @@ class OdysseyConfig:
         Minimum combination size ``|C|`` eligible for merging; the paper
         merges only combinations of three or more datasets.
     merge_space_budget_pages:
-        After each merge, least-recently-used merge files other than the
-        one just merged are deleted while all merge files occupy more
-        than this many pages.  It is not a bound: the file just merged
-        can grow past it.  ``None`` (the default, and every figure's
-        setting) means no eviction.
+        A bound on the pages all merge files occupy: a merge copies, in
+        key order, only the partitions whose copies still fit and skips
+        the rest; nothing is ever evicted.  ``None`` (the default, and
+        every figure's setting) means no bound.
     enable_merging:
         Master switch for the merging machinery (Figure 5c runs Space
         Odyssey with merging disabled to isolate its effect).

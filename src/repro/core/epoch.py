@@ -27,10 +27,10 @@ changed directory hands out the copies it took of the infos as they
 were registered, so a publish costs what changed, not what exists.
 
 **Retained pre-images (undo pages).**  The paper's in-place refinement
-overwrites partition pages, and merge eviction deletes files; both would
-tear a pinned reader's view.  The manager registers as a *snapshot sink*
-on the :class:`~repro.storage.disk.Disk`: under the disk lock, the
-pre-image bytes of every destructively written page are retained into the
+overwrites partition pages, which would tear a pinned reader's view
+(merge files are append-only and never deleted).  The manager registers
+as a *snapshot sink* on the :class:`~repro.storage.disk.Disk`: under the
+disk lock, the pre-image bytes of every destructively written page are retained into the
 **latest published** epoch (first pre-image wins, so an epoch's overlay
 holds each page's value as of its publish).  A reader pinned at epoch
 ``e`` resolves a page by walking the chain ``e → e.next → ...`` and
@@ -159,7 +159,7 @@ class EpochManager:
         """Keep a destroyed page's pre-image for pinned readers.
 
         Called by the disk, under the disk lock, immediately before an
-        in-place overwrite or file delete.  The pre-image goes into the
+        in-place overwrite.  The pre-image goes into the
         latest *published* epoch; ``setdefault`` keeps the first
         pre-image per epoch — later overwrites of the same page destroy
         bytes no published epoch ever exposed.

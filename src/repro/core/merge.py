@@ -42,7 +42,6 @@ class MergeFileInfo:
     combination: Combination
     file_name: str
     entries: dict[PartitionKey, dict[int, StoredRun]] = field(default_factory=dict)
-    last_used: int = 0
     _total_pages: int | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -94,7 +93,6 @@ class MergeFileInfo:
             combination=self.combination,
             file_name=self.file_name,
             entries=dict(self.entries),
-            last_used=self.last_used,
             _total_pages=self._total_pages,
         )
 
@@ -131,9 +129,9 @@ class MergeDirectory:
     """Registry of all existing merge files, keyed by combination.
 
     The directory carries a :attr:`version` counter bumped on every
-    :meth:`register`/:meth:`remove` — the merger re-registers an info
-    after extending it in place, so any observable change to the merge
-    map bumps the version.  The epoch layer uses it for copy-on-write:
+    :meth:`register` — the merger re-registers an info after extending it
+    in place, and nothing removes one, so any observable change to the
+    merge map bumps the version.  The epoch layer uses it for copy-on-write:
     an epoch's frozen directory copy is reused as long as the version is
     unchanged.  Registration is also where the directory keeps its own
     books, so neither needs a pass over the files later: the frozen copy
@@ -160,16 +158,6 @@ class MergeDirectory:
         self._total_pages += info.total_pages
         self._version += 1
 
-    def remove(self, combination: Combination) -> MergeFileInfo:
-        """Forget a combination's merge file and return its entry."""
-        try:
-            info = self._files.pop(combination)
-        except KeyError:
-            raise KeyError(f"no merge file for combination {sorted(combination)}") from None
-        self._total_pages -= self._frozen.pop(combination).total_pages
-        self._version += 1
-        return info
-
     @property
     def version(self) -> int:
         """Monotone change counter (see class docstring)."""
@@ -182,10 +170,8 @@ class MergeDirectory:
         when it was last registered, so later in-place ``add_segment``
         mutations of the live infos are invisible to holders of the
         frozen copy, and infos not registered since the previous freeze
-        are shared with it, not copied again.  (``last_used`` of a frozen
-        info is therefore as of its registration — LRU order is a concern
-        of the live directory alone.)  The copy keeps the live version so
-        staleness checks compare directly.
+        are shared with it, not copied again.  The copy keeps the live
+        version so staleness checks compare directly.
         """
         frozen = MergeDirectory()
         frozen._files = dict(self._frozen)
@@ -211,15 +197,13 @@ class MergeDirectory:
         return list(self._files.values())
 
     def total_pages(self) -> int:
-        """Total pages occupied by every merge file (the space budget metric).
+        """Total pages occupied by every merge file: what the space budget
+        bounds (the merger keeps it at or below
+        ``merge_space_budget_pages``).
 
         A running count, as of each file's latest :meth:`register`.
         """
         return self._total_pages
-
-    def lru_order(self) -> list[MergeFileInfo]:
-        """Merge files ordered from least to most recently used."""
-        return sorted(self._files.values(), key=lambda info: info.last_used)
 
     # -- routing ----------------------------------------------------------- #
 

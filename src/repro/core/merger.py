@@ -17,9 +17,9 @@ append-only merge file:
 * the originals are kept — merge files hold copies.
 
 A space budget (``merge_space_budget_pages``) is this repository's
-addition, not one of Section 3.2's rules: after a merge it evicts
-least-recently-used files while all files exceed it, but never the file
-just merged, so it does not bound space (README: "The merge space
+addition, not one of Section 3.2's rules, and it is a bound: a merge
+keeps, in key order, only the keys whose copies still fit under it and
+skips the rest, so no file is ever deleted (README: "The merge space
 budget, swept against its keep-condition").
 
 The Merger is incremental: if a hot combination later touches partitions
@@ -30,8 +30,7 @@ The copies of one merge are one storage step run through
 :attr:`Merger.facts` (:mod:`repro.core.facts`): an engine with a journal
 keeps their segment runs for the query's journal entry, and recovery's
 fast path registers the journaled runs without reading or appending a
-page — and, since it keeps every file as the crash left it, evicts
-without deleting one.
+page.
 """
 
 from __future__ import annotations
@@ -57,12 +56,11 @@ class MergeOutcome:
     merged: bool = False
     combination: Combination = frozenset()
     new_partitions: int = 0
-    evicted_combinations: tuple[Combination, ...] = ()
     skipped_reason: str = ""
 
 
 class Merger:
-    """Creates, extends and evicts merge files."""
+    """Creates and extends merge files."""
 
     def __init__(
         self,
@@ -79,7 +77,6 @@ class Merger:
         self._codec = spatial_object_codec(dimension)
         self._open_files: dict[Combination, PagedFile[SpatialObject]] = {}
         self._merges_performed = 0
-        self._evictions = 0
         #: Runs the storage steps (:mod:`repro.core.facts`); set by the
         #: query processor.
         self.facts = NO_FACTS
@@ -92,11 +89,6 @@ class Merger:
     def merges_performed(self) -> int:
         """Number of merge operations (file creations or extensions)."""
         return self._merges_performed
-
-    @property
-    def evictions(self) -> int:
-        """Number of merge files evicted to respect the space budget."""
-        return self._evictions
 
     def merge_file(self, combination: Combination) -> PagedFile[SpatialObject]:
         """The paged file of a combination's merge file (opened lazily)."""
@@ -126,15 +118,19 @@ class Merger:
         if stats.count <= self._config.merge_threshold:
             return MergeOutcome(skipped_reason="below merge threshold")
         existing = self._directory.get(combination)
-        # Whatever an evicted file held is unmerged again: no special case.
         merged = existing.entries if existing is not None else ()
         new_keys = sorted(self._qualifying_keys(combination, stats, trees, merged))
         if not new_keys:
             return MergeOutcome(skipped_reason="nothing new to merge")
+        members = sorted(combination)
+        budget = self._config.merge_space_budget_pages
+        if budget is not None:
+            new_keys = self._keys_that_fit(new_keys, members, trees, budget)
+            if not new_keys:
+                return MergeOutcome(skipped_reason="space budget")
 
         info = existing or MergeFileInfo(combination, merge_file_name(combination))
         file = self.merge_file(combination)
-        members = sorted(combination)
         copies = [(key, dataset_id) for key in new_keys for dataset_id in members]
         runs = self.facts.step(
             "merge",
@@ -148,16 +144,30 @@ class Merger:
             raise FactMismatch(f"{len(copies)} copies, {len(runs)} journaled segments")
         for (key, dataset_id), run in zip(copies, runs):
             info.add_segment(key, dataset_id, run)
-        info.last_used = self._statistics.logical_clock
         self._directory.register(info)
         self._merges_performed += 1
-        evicted = self._enforce_budget(protect=combination)
-        return MergeOutcome(
-            merged=True,
-            combination=combination,
-            new_partitions=len(new_keys),
-            evicted_combinations=tuple(evicted),
-        )
+        return MergeOutcome(merged=True, combination=combination, new_partitions=len(new_keys))
+
+    def _keys_that_fit(
+        self,
+        keys: list[PartitionKey],
+        members: list[int],
+        trees: Mapping[int, PartitionTree],
+        budget: int,
+    ) -> list[PartitionKey]:
+        """The keys, in order, whose copies keep all merge files within
+        ``budget`` pages; a key that does not fit is skipped and the next
+        one tried.  A copy takes the pages of its source run (an empty
+        leaf's copy takes none), so deciding reads no page."""
+        free = budget - self._directory.total_pages()
+        kept = []
+        for key in keys:
+            runs = (trees[dataset_id].occupied_runs.get(key) for dataset_id in members)
+            pages = sum(run.n_pages for run in runs if run is not None)
+            if pages <= free:
+                kept.append(key)
+                free -= pages
+        return kept
 
     def _qualifying_keys(
         self,
@@ -199,41 +209,3 @@ class Merger:
             rt, average = self._config.refinement_threshold, avg_query_volume
             keys = {key for key in keys if not oversized(volume(key), average, rt)}
         return keys
-
-    # ------------------------------------------------------------------ #
-    # Space budget
-    # ------------------------------------------------------------------ #
-
-    def mark_used(self, combination: Combination) -> None:
-        """Refresh a merge file's LRU position (called by the query processor)."""
-        info = self._directory.get(combination)
-        if info is not None:
-            info.last_used = self._statistics.logical_clock
-
-    def _enforce_budget(self, protect: Combination) -> list[Combination]:
-        budget = self._config.merge_space_budget_pages
-        if budget is None:
-            return []
-        evicted: list[Combination] = []
-        while self._directory.total_pages() > budget:
-            victims = [
-                info for info in self._directory.lru_order() if info.combination != protect
-            ]
-            if not victims:
-                break
-            victim = victims[0]
-            self._evict(victim)
-            evicted.append(victim.combination)
-        return evicted
-
-    def _evict(self, info: MergeFileInfo) -> None:
-        self._directory.remove(info.combination)
-        file = self._open_files.pop(info.combination, None)
-        # A replay of journaled facts keeps the files as the run that
-        # journaled them left them: it deleted this one (or re-created it).
-        if not self.facts.replaying:
-            if file is not None:
-                file.delete()
-            elif self._disk.file_exists(info.file_name):
-                self._disk.delete_file(info.file_name)
-        self._evictions += 1

@@ -73,7 +73,6 @@ class ExplorationSummary:
     merge_files: int
     merge_pages: int
     merges_performed: int
-    merge_evictions: int
 
 
 class SpaceOdyssey(MultiDatasetIndex):
@@ -387,7 +386,6 @@ class SpaceOdyssey(MultiDatasetIndex):
             merge_files=len(self._directory),
             merge_pages=self._directory.total_pages(),
             merges_performed=self._merger.merges_performed,
-            merge_evictions=self._merger.evictions,
         )
 
     # ------------------------------------------------------------------ #

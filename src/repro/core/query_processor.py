@@ -164,7 +164,6 @@ class QueryReport:
     refinements: int = 0
     merged: bool = False
     merge_new_partitions: int = 0
-    evicted_merge_files: int = 0
     cache: BufferCounters | None = None
     #: Transparent I/O retries absorbed while answering this query (only
     #: attributed on the sequential path; excluded, like ``cache``, from
@@ -343,13 +342,12 @@ class QueryProcessor:
         ``decision`` and picks the rows to refine (:meth:`Adaptor.candidates`)
         in each tree ``candidates`` lacks, but reads no partition: recovery
         replays a query through this alone.  The rows' keys enter the
-        statistics, which advances the logical clock; the rows the Adaptor
-        picks are refined, in search order, each shifted by the rows the
-        splits before it added; the merge file routed to (if any) is
-        stamped as used; the merger gets its chance; the query counts as
-        executed.  A caller that passes rows or candidates for a tree
-        vouches that they were taken from the tree's current table.  The
-        query's storage facts are sealed last.
+        statistics; the rows the Adaptor picks are refined, in search
+        order, each shifted by the rows the splits before it added; the
+        merger gets its chance; the query counts as executed.  A caller
+        that passes rows or candidates for a tree vouches that they were
+        taken from the tree's current table.  The query's storage facts
+        are sealed last.
         """
         with self._gate:
             try:
@@ -387,12 +385,9 @@ class QueryProcessor:
                         if self._adaptor.maybe_refine(tree, row + shift, box).refined:
                             report.refinements += 1
                 self._statistics.record_query(requested, keys, query_volume=volume)
-                if info is not None:
-                    self._merger.mark_used(info.combination)
                 merge_outcome = self._merger.maybe_merge(requested, self._trees)
                 report.merged = merge_outcome.merged
                 report.merge_new_partitions = merge_outcome.new_partitions
-                report.evicted_merge_files = len(merge_outcome.evicted_combinations)
                 self._facts.seal(requested)
                 self.note_executed(report)
             except Exception:

@@ -21,7 +21,7 @@ is checksummed and torn-tail tolerant, so a crash mid-commit simply
 re-exposes the previous commit point.
 
 Each committed query's entry also carries its **storage facts**
-(manifest version 4; :mod:`repro.core.facts`): the runs its first
+(since manifest version 4; :mod:`repro.core.facts`): the runs its first
 touches, refinements and merge copies returned, in call order.  And
 before the first file mutation after each commit the disk's mutation
 hook appends an *intent* to the journal, so the log tells a crash
@@ -48,19 +48,22 @@ these hold:
   writer half may have left files half written while the engine ran on,
   and the taint is kept in the header across compaction until a full
   replay clears it;
-* every committed entry carries facts.
+* the journal is of today's version, and every committed entry carries
+  facts.  A version-4 journal carries facts too, but under a merge space
+  budget they may record merges past the budget that were evicted after,
+  which a merger that refuses copies past its budget never makes.
 
 It opens the raw files (reading no page) and runs every committed entry
 through the same first touch and writer half
 (:meth:`QueryProcessor.commit_query`) as the full path, so statistics,
-routes, refinement and merge decisions, LRU stamps and ``summary()`` are
-recomputed — but each storage step takes its journaled runs instead of
-reading, assigning, encoding or writing a page, and an eviction deletes
-nothing.  Each step checks that its fact names the dataset or key it is
-splitting or merging, every fact of an entry must be taken, no file may
-change (the disk's mutation hook refuses), and at the end the derived
-files on disk must be exactly those the rebuilt state names; anything
-else falls back to the full path.  A clean crash's recovery therefore
+routes, refinement and merge decisions and ``summary()`` are recomputed
+— but each storage step takes its journaled runs instead of reading,
+assigning, encoding or writing a page.  Each step checks that its fact
+names the dataset or key it is splitting or merging, every fact of an
+entry must be taken, no file may change (the disk's mutation hook
+refuses), and at the end the derived files on disk must be exactly
+those the rebuilt state names; anything else falls back to the full
+path.  A clean crash's recovery therefore
 reads and writes no page and creates or deletes no file; it costs the
 bookkeeping of the history, not its I/O.
 
@@ -120,15 +123,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
     from repro.core.odyssey import SpaceOdyssey
 
 #: Manifest schema version (bumped on incompatible layout changes).
-#: Version 4 gives every committed entry its storage facts and the header
-#: the boot id and taint flag recovery's fast path tests.  Version 3
+#: Version 5 journals merges under a space budget that refuses the copies
+#: past it; a version-4 journal's budget evicted instead, so its facts are
+#: replayed in full.  Version 4 gives every committed entry its storage
+#: facts and the header the boot id and taint flag recovery's fast path
+#: tests.  Version 3
 #: records a filesystem store's root relative to the journal's directory,
 #: so a store and its journal can be copied or moved together.  Versions
-#: 1 to 3 are still read (and replayed in full); the absolute root of
+#: 1 to 4 are still read (and replayed in full); the absolute root of
 #: versions 1 and 2 (version 1 also holds one full manifest per commit
 #: instead of a base plus per-commit deltas) is honoured.
-MANIFEST_VERSION = 4
-READABLE_VERSIONS = (1, 2, 3, MANIFEST_VERSION)
+MANIFEST_VERSION = 5
+READABLE_VERSIONS = (1, 2, 3, 4, MANIFEST_VERSION)
 
 #: Where Linux names the current boot (a fresh UUID on every boot).
 BOOT_ID_PATH = "/proc/sys/kernel/random/boot_id"
@@ -341,8 +347,11 @@ def _fast_path_refusal(manifest: dict, dirty: bool) -> str | None:
     """Why the files cannot be kept as they are, or ``None`` when they can."""
     if dirty:
         return "a file changed after the last commit"
-    if manifest.get("version") != MANIFEST_VERSION:
-        return f"a version-{manifest.get('version')} journal carries no facts"
+    version = manifest.get("version")
+    if version != MANIFEST_VERSION:
+        if version == 4:
+            return "a version-4 journal's merges may have followed an evicting space budget"
+        return f"a version-{version} journal carries no facts"
     current = boot_id()
     if current is None or manifest.get("boot_id") != current:
         return "the journal was written before the last boot"

@@ -53,16 +53,10 @@ class StatisticsCollector:
 
     def __init__(self) -> None:
         self._combinations: dict[Combination, CombinationStats] = {}
-        self._logical_clock = 0
 
     # ------------------------------------------------------------------ #
     # Recording
     # ------------------------------------------------------------------ #
-
-    @property
-    def logical_clock(self) -> int:
-        """Current logical time: the number of queries recorded (for LRU decisions)."""
-        return self._logical_clock
 
     def record_query(
         self,
@@ -70,7 +64,7 @@ class StatisticsCollector:
         keys: Iterable[PartitionKey],
         query_volume: float = 0.0,
     ) -> CombinationStats:
-        """Record one executed query and advance the logical clock.
+        """Record one executed query.
 
         ``combination`` is the requested dataset ids, ``keys`` the partition
         keys the query retrieved from any of them (each counts once), and
@@ -89,7 +83,6 @@ class StatisticsCollector:
         # A key turns hot in the second query that retrieves it.
         stats.hot_keys |= query_keys & stats.seen_keys
         stats.seen_keys |= query_keys
-        self._logical_clock += 1
         return stats
 
     # ------------------------------------------------------------------ #

@@ -37,10 +37,13 @@ The epoch layer (:mod:`repro.core.epoch`) registers a *snapshot sink* via
 :meth:`Disk.add_snapshot_sink` when the engine's first snapshot read
 starts it; until then a disk has no sink and a destructive write reads
 nothing extra.  Once one is registered, before a page is overwritten in
-place (:meth:`write_page` on an existing page) or a file is deleted
-(:meth:`delete_file`), the disk hands each sink the page's *pre-image*
-bytes — still under the disk lock, so retention is atomic with the
-destructive write.  Appends never destroy data and are not retained.
+place (:meth:`write_page` on an existing page) the disk hands each sink
+the page's *pre-image* bytes — still under the disk lock, so retention
+is atomic with the overwrite.  Appends never destroy data and are not
+retained.  :meth:`delete_file` hands nothing over: no engine deletes a
+file while a sink is registered (merge files are never deleted, the
+baselines' files are never read through an epoch, and recovery wipes
+derived files before its engine exists).
 Pre-image capture is pure bookkeeping: it reads the backend directly and
 charges nothing, so it cannot perturb the simulated I/O trace.
 
@@ -192,22 +195,11 @@ class Disk:
     def add_snapshot_sink(self, sink) -> None:
         """Register an object whose ``retain(name, page_no, data)`` is
         called — under the disk lock — with the pre-image of every page
-        about to be destroyed by an in-place overwrite or a file delete.
+        about to be destroyed by an in-place overwrite.
         The engine registers one on its first snapshot read.
         """
         with self._lock:
             self._snapshot_sinks.append(sink)
-
-    def _retain_pre_image(self, name: str, page_no: int) -> None:
-        """Hand the current bytes of one page to every snapshot sink.
-
-        Called under the disk lock, immediately before the page is
-        destroyed.  The backend read is uncharged: retention is snapshot
-        bookkeeping, not simulated I/O.
-        """
-        data = self._backend.read(name, page_no)
-        for sink in self._snapshot_sinks:
-            sink.retain(name, page_no, data)
 
     # ------------------------------------------------------------------ #
     # Mutation hook
@@ -244,9 +236,6 @@ class Disk:
         with self._lock:
             if self._mutation_hook is not None:
                 self._before_mutation()
-            if self._snapshot_sinks:
-                for page_no in range(self._backend.num_pages(name)):
-                    self._retain_pre_image(name, page_no)
             self._backend.delete(name)
             self._buffer.invalidate_file(name)
             if self._head is not None and self._head[0] == name:
@@ -293,7 +282,7 @@ class Disk:
 
         ``lookup(name, page_no)`` consults the snapshot's retained
         pre-image overlay: when it returns bytes, the page was overwritten
-        or deleted after the snapshot was taken and the pre-image is used
+        after the snapshot was taken and the pre-image is used
         verbatim; when it returns ``None`` the live page is read with
         exactly :meth:`read_run`'s charging.  Overlay-served pages are
         snapshot bookkeeping — free, uncharged and not counted as cache
@@ -399,7 +388,11 @@ class Disk:
             if self._mutation_hook is not None:
                 self._before_mutation()
             if self._snapshot_sinks and page_no < self._backend.num_pages(name):
-                self._retain_pre_image(name, page_no)
+                # The pre-image read is uncharged: retention is snapshot
+                # bookkeeping, not simulated I/O.
+                pre_image = self._backend.read(name, page_no)
+                for sink in self._snapshot_sinks:
+                    sink.retain(name, page_no, pre_image)
             kind = self._classify(name, page_no)
             # Drop the cached pre-write bytes first: if the write (or the
             # re-read below) fails, the pool must fall back to the

@@ -442,7 +442,7 @@ class PagedFile(Generic[RecordT]):
         """Snapshot variant of :meth:`read_group_array`.
 
         Pages are fetched through the overlay ``lookup``, so any page
-        overwritten or deleted since the snapshot was pinned is served
+        overwritten since the snapshot was pinned is served
         from the snapshot's retained pre-image instead of the live file
         (see :meth:`Disk.read_run_at`).  Pre-image bytes are distinct
         objects from anything in the buffer pool, so the identity-checked

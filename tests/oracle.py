@@ -3,7 +3,8 @@
 Not a test module, so retiring a test file never breaks another: the
 observables two engines are held to (:data:`REPORT_FIELDS`,
 :func:`packed_hits`, :func:`adaptive_state`, :func:`disk_files`), the leaf
-table check (:func:`check_tree`), suite forks with a wrapped backend, the
+table check (:func:`check_tree`), the space budget's
+(:func:`check_merge_space`), suite forks with a wrapped backend, the
 journal's crash sites and :func:`recover_logged`, and seeded workloads.
 """
 
@@ -22,6 +23,7 @@ from repro.data.dataset import Dataset, DatasetCatalog
 from repro.data.spatial_object import spatial_object_codec
 from repro.data.suite import BenchmarkSuite, build_benchmark_suite
 from repro.geometry.vectorized import boxes_to_arrays
+from repro.storage.backend import flat_file_name
 from repro.storage.cost_model import DiskModel
 from repro.storage.disk import Disk
 from repro.storage.pagedfile import PagedFile
@@ -44,7 +46,6 @@ REPORT_FIELDS = (
     "refinements",
     "merged",
     "merge_new_partitions",
-    "evicted_merge_files",
 )
 
 #: The fields of the pairs that also read the same partitions: a batch may
@@ -66,7 +67,7 @@ def adaptive_state(odyssey: SpaceOdyssey):
 
     The statistics are compared as the collector keeps them: per
     combination the count, the keys seen, the hot keys and the query
-    volume, plus the logical clock the LRU stamps are taken from.
+    volume.
     """
     trees = {
         dataset_id: leaf_listing(tree) for dataset_id, tree in sorted(odyssey.trees.items())
@@ -80,11 +81,7 @@ def adaptive_state(odyssey: SpaceOdyssey):
             }
             for key, per_dataset in info.entries.items()
         }
-        merge_files[tuple(sorted(info.combination))] = (
-            info.file_name,
-            entries,
-            info.last_used,
-        )
+        merge_files[tuple(sorted(info.combination))] = (info.file_name, entries)
     combinations = {
         tuple(sorted(combo)): (
             stats.count,
@@ -98,9 +95,7 @@ def adaptive_state(odyssey: SpaceOdyssey):
         trees,
         merge_files,
         combinations,
-        odyssey.statistics.logical_clock,
         odyssey.merger.merges_performed,
-        odyssey.merger.evictions,
         odyssey.summary(),
     )
 
@@ -112,6 +107,24 @@ def disk_files(odyssey: SpaceOdyssey) -> dict[str, list[bytes]]:
         name: [disk.backend.read(name, page) for page in range(disk.num_pages(name))]
         for name in sorted(disk.list_files())
     }
+
+
+def check_merge_space(odyssey: SpaceOdyssey, tag: str = "") -> None:
+    """The space budget holds, and the directory's page total is the merge
+    files' pages on disk.  Also the budget's premise: a partition run and
+    a merge copy take ``pages_needed`` of their records."""
+    directory, disk = odyssey.merge_directory, odyssey.disk
+    total, budget = directory.total_pages(), odyssey.config.merge_space_budget_pages
+    assert budget is None or total <= budget, f"{tag}: {total} merge pages, budget {budget}"
+    # A filesystem backend lists them under flattened names ("merge_combo_...").
+    on_disk = [name for name in disk.list_files() if flat_file_name(name).startswith("merge_")]
+    assert (len(on_disk), sum(map(disk.num_pages, on_disk))) == (len(directory), total), tag
+    files = [(tree.file, tree.occupied_runs.values()) for tree in odyssey.trees.values()]
+    for info in directory.all_files():
+        runs = [run for per_dataset in info.entries.values() for run in per_dataset.values()]
+        files.append((odyssey.merger.merge_file(info.combination), runs))
+    for file, runs in files:
+        assert all(run.n_pages == file.pages_needed(run.n_records) for run in runs), tag
 
 
 def check_tree(tree: PartitionTree, tag: str = "") -> None:

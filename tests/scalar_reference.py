@@ -455,6 +455,23 @@ class ScalarMerger(Merger):
         new_keys = sorted(self._qualifying_keys(combination, stats, trees, merged))
         if not new_keys:
             return MergeOutcome(skipped_reason="nothing new to merge")
+        budget = self._config.merge_space_budget_pages
+        if budget is not None:
+            # Key by key, every merge file's pages recounted: a key whose
+            # copies would not fit is skipped.
+            used = sum(run.n_pages for info in self._directory.all_files()
+                       for per_dataset in info.entries.values() for run in per_dataset.values())
+            fitting = []
+            for key in new_keys:
+                pages = sum(
+                    trees[d].file.pages_needed(trees[d].node(key).n_objects) for d in combination
+                )
+                if used + pages <= budget:
+                    fitting.append(key)
+                    used += pages
+            new_keys = fitting
+            if not new_keys:
+                return MergeOutcome(skipped_reason="space budget")
         info = existing or MergeFileInfo(combination, merge_file_name(combination))
         file = self.merge_file(combination)
         for key in new_keys:
@@ -462,16 +479,9 @@ class ScalarMerger(Merger):
                 tree = trees[dataset_id]
                 run = file.append_group(read_partition(tree, tree.node(key)))
                 info.add_segment(key, dataset_id, run)
-        info.last_used = self._statistics.logical_clock
         self._directory.register(info)
         self._merges_performed += 1
-        evicted = self._enforce_budget(protect=combination)
-        return MergeOutcome(
-            merged=True,
-            combination=combination,
-            new_partitions=len(new_keys),
-            evicted_combinations=tuple(evicted),
-        )
+        return MergeOutcome(merged=True, combination=combination, new_partitions=len(new_keys))
 
 
 class ScalarProcessor(QueryProcessor):
@@ -554,14 +564,11 @@ class ScalarProcessor(QueryProcessor):
                 if self._adaptor.maybe_refine(tree, leaf, box).refined:
                     report.refinements += 1
 
-        # 6. Statistics (the logical clock's one advance), the LRU stamp, merging.
+        # 6. Statistics, then merging.
         self._statistics.record_query(requested, accessed_keys, query_volume=box.volume())
-        if info is not None:
-            self._merger.mark_used(info.combination)
         merge_outcome = self._merger.maybe_merge(requested, self._trees)
         report.merged = merge_outcome.merged
         report.merge_new_partitions = merge_outcome.new_partitions
-        report.evicted_merge_files = len(merge_outcome.evicted_combinations)
         report.cache = self._disk.buffer_pool.counters().delta_since(cache_start)
         report.retries = self._disk.stats.retries - retries_start
         self.note_executed(report)

@@ -18,7 +18,7 @@ from repro.core.odyssey import SpaceOdyssey
 from repro.geometry.box import Box
 from repro.storage.cost_model import IOStats
 
-from tests.oracle import hot_workload
+from tests.oracle import check_merge_space, hot_workload
 
 
 def _run_sequential(suite, workload, config) -> tuple[IOStats, SpaceOdyssey]:
@@ -88,7 +88,7 @@ def test_overlapping_batch_strictly_saves_pages(master_suite):
 
 
 @pytest.mark.parametrize("batch_size", [3, 10])
-def test_batch_cost_bound_holds_under_eviction_pressure(master_suite, batch_size):
+def test_batch_cost_bound_holds_under_a_tight_merge_budget(master_suite, batch_size):
     workload = hot_workload(master_suite, 30, seed=41)
     config = OdysseyConfig(
         merge_threshold=1,
@@ -99,3 +99,4 @@ def test_batch_cost_bound_holds_under_eviction_pressure(master_suite, batch_size
     batch_stats, batched = _run_batched(master_suite, workload, config, batch_size)
     assert batch_stats.pages_read <= seq_stats.pages_read
     assert batched.summary() == seq.summary()
+    check_merge_space(batched)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.merge import (
     MergeDirectory,
     MergeFileInfo,
@@ -18,9 +16,9 @@ def run(pages: int = 1, records: int = 10, start: int = 0) -> StoredRun:
     return StoredRun(extents=(PageExtent(start, pages),), n_records=records)
 
 
-def info(ids, entries=None, last_used=0) -> MergeFileInfo:
+def info(ids, entries=None) -> MergeFileInfo:
     combo = frozenset(ids)
-    result = MergeFileInfo(combination=combo, file_name=merge_file_name(combo), last_used=last_used)
+    result = MergeFileInfo(combination=combo, file_name=merge_file_name(combo))
     for key, dataset_id, stored in entries or []:
         result.add_segment(key, dataset_id, stored)
     return result
@@ -68,17 +66,14 @@ class TestMergeFileInfo:
 
 
 class TestMergeDirectory:
-    def test_register_lookup_remove(self):
+    def test_register_and_lookup(self):
         directory = MergeDirectory()
         merged = info([1, 2, 3])
         directory.register(merged)
         assert directory.get([3, 2, 1]) is merged
         assert [1, 2, 3] in directory
         assert len(directory) == 1
-        directory.remove(frozenset({1, 2, 3}))
-        assert directory.get([1, 2, 3]) is None
-        with pytest.raises(KeyError):
-            directory.remove(frozenset({1, 2, 3}))
+        assert directory.get([1, 2]) is None
 
     def test_total_pages(self):
         directory = MergeDirectory()
@@ -86,7 +81,7 @@ class TestMergeDirectory:
         directory.register(info([4, 5, 6], entries=[((0,), 4, run(5))]))
         assert directory.total_pages() == 7
 
-    def test_running_total_follows_register_and_remove(self):
+    def test_running_total_follows_register(self):
         def recomputed() -> int:
             return sum(recomputed_pages(entry) for entry in directory.all_files())
 
@@ -101,19 +96,7 @@ class TestMergeDirectory:
         # Replacing a combination's info counts the new one only.
         directory.register(info([4, 5, 6], entries=[((0,), 4, run(1))]))
         assert directory.total_pages() == recomputed() == 6
-        directory.remove(frozenset({1, 2, 3}))
-        assert directory.total_pages() == recomputed() == 1
-        assert directory.freeze().total_pages() == 1
-        directory.remove(frozenset({4, 5, 6}))
-        assert directory.total_pages() == 0
-
-    def test_lru_order(self):
-        directory = MergeDirectory()
-        old = info([1, 2, 3], last_used=1)
-        new = info([4, 5, 6], last_used=9)
-        directory.register(new)
-        directory.register(old)
-        assert directory.lru_order() == [old, new]
+        assert directory.freeze().total_pages() == 6
 
     def test_find_superset_prefers_smallest(self):
         directory = MergeDirectory()

@@ -9,8 +9,8 @@ import pytest
 
 from repro.core.adaptor import Adaptor
 from repro.core.config import OdysseyConfig
-from repro.core.merge import MergeDirectory
-from repro.core.merger import Merger
+from repro.core.merge import MergeDirectory, merge_file_name
+from repro.core.merger import Merger, MergeOutcome
 from repro.core.odyssey import SpaceOdyssey
 from repro.core.statistics import StatisticsCollector
 from repro.geometry.box import Box
@@ -201,27 +201,28 @@ class TestMergerTriggers:
 
 
 class TestBudget:
-    def test_eviction_keeps_most_recent(self, setup, disk):
-        catalog, _, trees, statistics, directory, _ = setup
+    def test_keys_past_the_budget_are_refused_in_key_order(self, setup, disk):
+        _, _, trees, statistics, directory, _ = setup
         config = OdysseyConfig(
             partitions_per_level=8,
             merge_threshold=1,
             min_merge_combination=2,
-            merge_space_budget_pages=2,
+            merge_space_budget_pages=3,
         )
         merger = Merger(disk, config, directory, statistics, dimension=3)
-        busiest = sorted(reference_tree(trees[0]).leaves(), key=lambda n: n.n_objects, reverse=True)
-        combo_a = frozenset({0, 1})
-        combo_b = frozenset({1, 2})
-        record_queries(statistics, trees, combo_a, [busiest[0].key], times=3)
-        merger.maybe_merge(combo_a, trees)
-        record_queries(statistics, trees, combo_b, [busiest[0].key], times=3)
-        outcome = merger.maybe_merge(combo_b, trees)
-        assert outcome.merged
-        # The newly created file is protected; the older one is the victim.
-        if merger.evictions:
-            assert directory.get(combo_b) is not None
-            assert directory.get(combo_a) is None
+        keys = sorted(set.intersection(*(set(tree.occupied_runs) for tree in trees.values())))
+        assert all(tree.occupied_runs[key].n_pages == 1 for tree in trees.values() for key in keys)
+        combo_a, combo_b = frozenset({0, 1}), frozenset({1, 2})
+        # Two qualifying keys of two pages each: the first fits, the second not.
+        record_queries(statistics, trees, combo_a, keys[:2])
+        outcome = merger.maybe_merge(combo_a, trees)
+        assert (outcome.merged, outcome.new_partitions) == (True, 1)
+        assert list(directory.get(combo_a).entries) == keys[:1]
+        # One page is left: nothing of another combination fits.
+        record_queries(statistics, trees, combo_b, keys[:1])
+        assert merger.maybe_merge(combo_b, trees) == MergeOutcome(skipped_reason="space budget")
+        assert combo_b not in directory and not disk.file_exists(merge_file_name(combo_b))
+        assert directory.total_pages() == disk.num_pages(merge_file_name(combo_a)) == 2
 
 
 class TestConvergedRule:

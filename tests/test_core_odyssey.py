@@ -9,9 +9,11 @@ from repro.core.config import OdysseyConfig
 from repro.core.odyssey import SpaceOdyssey
 from repro.geometry.box import Box
 from repro.storage import pagedfile as pagedfile_module
+from repro.storage.disk import Disk
 from repro.workload import ClusteredRangeGenerator, CombinationGenerator, WorkloadBuilder
 
 from tests.conftest import make_catalog
+from tests.oracle import check_merge_space
 
 
 @pytest.fixture
@@ -70,9 +72,9 @@ class TestBasics:
 class TestRejectedQueriesChangeNothing:
     """A malformed query is refused, and a failed read aborts, before any state changes.
 
-    Nothing of a query that never commits is journaled, so if it advanced
-    the logical clock or initialised a tree, a recovered engine (and its
-    LRU ``last_used`` stamps) would diverge from the one that crashed.
+    Nothing of a query that never commits is journaled, so if it entered
+    the statistics or initialised a tree, a recovered engine would diverge
+    from the one that crashed.
     """
 
     BAD_WINDOWS = [
@@ -97,7 +99,7 @@ class TestRejectedQueriesChangeNothing:
     @staticmethod
     def state(engine):
         return (
-            engine.statistics.logical_clock,
+            sum(stats.count for stats in engine.statistics.combinations().values()),
             sorted(engine.trees),
             engine.disk.stats.pages_written,
             engine.summary().queries_executed,
@@ -283,25 +285,36 @@ class TestMerging:
 
 
 class TestSpaceBudget:
-    def test_lru_eviction_respects_budget(self, catalog, universe):
+    @staticmethod
+    def explore(catalog, budget) -> SpaceOdyssey:
         config = OdysseyConfig(
             partitions_per_level=8,
             merge_threshold=1,
             min_merge_combination=3,
-            merge_space_budget_pages=4,
+            merge_space_budget_pages=budget,
         )
         odyssey = SpaceOdyssey(catalog, config)
-        query_a = Box.cube((30.0, 30.0, 30.0), 10.0)
-        query_b = Box.cube((70.0, 70.0, 70.0), 10.0)
-        for _ in range(4):
-            odyssey.query(query_a, [0, 1, 2])
-        for _ in range(4):
-            odyssey.query(query_b, [1, 2, 3])
-        assert odyssey.merge_directory.total_pages() <= 4 or len(odyssey.merge_directory) == 1
-        assert odyssey.merger.evictions >= 1
+        for box, ids in [(Box.cube((30.0,) * 3, 10.0), [0, 1, 2])] * 4 + [
+            (Box.cube((70.0,) * 3, 10.0), [1, 2, 3])
+        ] * 4:
+            odyssey.query(box, ids)
+            check_merge_space(odyssey)
+        return odyssey
 
-    def test_unbounded_budget_never_evicts(self, odyssey, universe):
-        query = Box.cube((50.0, 50.0, 50.0), 8.0)
+    def test_refuses_past_the_budget(self, catalog, model, universe):
+        bounded = self.explore(catalog, 4)
+        twin = make_catalog(Disk(model=model, buffer_pages=0), universe, 4, count=400, seed=41)
+        unbounded = self.explore(twin, None)
+        # Unbounded, the same queries copy more than the budget holds.
+        assert unbounded.summary().merge_pages > 4
+        assert 0 < bounded.summary().merge_pages <= 4
+
+    def test_an_unbounded_run_refuses_nothing(self, odyssey):
+        combination = frozenset({0, 1, 2})
         for _ in range(5):
-            odyssey.query(query, [0, 1, 2])
-        assert odyssey.merger.evictions == 0
+            odyssey.query(Box.cube((50.0, 50.0, 50.0), 8.0), sorted(combination))
+        # Every key that qualifies has been copied.
+        stats = odyssey.statistics.combination_stats(combination)
+        merged = odyssey.merge_directory.get(combination).entries
+        assert merged
+        assert not odyssey.merger._qualifying_keys(combination, stats, odyssey.trees, merged)

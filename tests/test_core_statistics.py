@@ -49,14 +49,4 @@ class TestRecording:
         stats = StatisticsCollector()
         with pytest.raises(ValueError):
             stats.record_query(set(), [])
-        assert stats.logical_clock == 0
-
-
-class TestLogicalClock:
-    def test_the_clock_counts_recorded_queries(self):
-        stats = StatisticsCollector()
-        assert stats.logical_clock == 0
-        stats.record_query({1, 2}, [(0,)])
-        assert stats.logical_clock == 1
-        stats.record_query({3}, [])
-        assert stats.logical_clock == 2
+        assert stats.combinations() == {}

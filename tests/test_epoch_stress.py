@@ -5,9 +5,8 @@ interleavings:
 
 * **stale but consistent** — a reader pinned to an old epoch sees exactly
   the engine state captured at pin time: leaf runs decode to the same
-  records even after refinement overwrote their pages in place, and merge
-  segments stay readable even after eviction deleted their file (both are
-  served from retained pre-image pages);
+  records even after refinement overwrote their pages in place (served
+  from retained pre-image pages);
 * **exactness under concurrency** — snapshot batches racing a
   sequentially-adapting mutator return precisely the answers a pristine
   engine gives for the same windows (query answers depend only on the
@@ -19,8 +18,7 @@ interleavings:
 
 The scenario parameters are chosen so adaptation actually churns: small
 windows over coarse initial partitions force refinement splits (in-place
-page overwrites), and a tight merge space budget forces merge-file
-evictions (file deletions).
+page overwrites).
 """
 
 from __future__ import annotations
@@ -111,48 +109,6 @@ class TestStaleButConsistent:
                 f"dataset {dataset_id} leaf {leaf_index}: pinned read diverged "
                 f"from pin-time content"
             )
-        manager.unpin(pinned)
-        assert manager.gauges()["live_epochs"] == 1
-        assert manager.gauges()["retained_pages"] == 0
-
-    def test_pin_survives_merge_file_eviction(self):
-        """Merge segments of a pinned epoch stay readable after eviction
-        deleted their merge file — the whole file is retained as
-        pre-images, so the pinned merge map is never torn."""
-        suite = _churny_suite(n_datasets=3)
-        # Every window twice, so keys turn hot and merge files churn.
-        windows = _workload(suite, 40, seed=5, datasets_per_query=2)
-        workload = windows + windows
-        config = OdysseyConfig(
-            refinement_threshold=2.0,
-            merge_threshold=1,
-            min_merge_combination=2,
-            merge_space_budget_pages=8,
-        )
-        engine = SpaceOdyssey(suite.fork().catalog, config)
-        manager = _start_epochs(engine, workload[0])
-        pinned = None
-        evictions_at_pin = 0
-        for query in workload[1:]:
-            engine.query(query.box, query.dataset_ids)
-            if pinned is None and len(engine.merge_directory) > 0:
-                pinned = manager.pin()  # holds a merge file that will die
-                evictions_at_pin = engine.merger.evictions
-        assert pinned is not None, "scenario produced no merge files; needs churn"
-        assert engine.merger.evictions > evictions_at_pin, (
-            "scenario evicted no merge file after the pin; needs a tighter budget"
-        )
-        # Every merge segment of the pinned directory must decode, even for
-        # files the merger has since deleted from the live disk.
-        segments = 0
-        for info in pinned.directory.all_files():
-            file = pinned.merge_files[info.combination]
-            for per_dataset in info.entries.values():
-                for run in per_dataset.values():
-                    records = file.read_group_array_at(run, pinned.lookup_page)
-                    assert len(records) == run.n_records
-                    segments += 1
-        assert segments > 0, "pinned directory had no segments to verify"
         manager.unpin(pinned)
         assert manager.gauges()["live_epochs"] == 1
         assert manager.gauges()["retained_pages"] == 0

@@ -48,7 +48,9 @@ from repro.core.config import OdysseyConfig
 from repro.core.odyssey import SpaceOdyssey
 from repro.core.partition import PartitionTree
 
-from tests.oracle import after_retired_draws, check_tree, make_suite, mixed_workload
+from tests.oracle import (
+    after_retired_draws, check_merge_space, check_tree, make_suite, mixed_workload,
+)
 from tests.scalar_reference import reference_tree
 
 DEEP_ITERATIONS = int(os.environ.get("REPRO_FUZZ_ITERATIONS", "0"))
@@ -93,11 +95,7 @@ def reference_qualifying_keys(config, combination, stats, key_hits, trees) -> se
 
 
 def reference_directory(directory) -> dict:
-    """A full deep copy of everything a frozen directory must preserve.
-
-    ``last_used`` is left out: LRU order is a concern of the live
-    directory alone, and a frozen info keeps the value of its own copy.
-    """
+    """A full deep copy of everything a frozen directory must preserve."""
     return {
         info.combination: (
             info.file_name,
@@ -160,6 +158,7 @@ class BookkeepingChecker:
             ), f"{tag}: candidates of {sorted(combination)}"
             self.candidates_seen += len(candidates)
         directory = engine.merge_directory
+        check_merge_space(engine, tag)
         reference = reference_directory(directory)
         assert directory.total_pages() == sum(entry[2] for entry in reference.values()), tag
         for info in directory.all_files():
@@ -242,9 +241,10 @@ def test_summaries_equal_references_after_every_query(threshold, merge_threshold
     assert summary.merges_performed > 0, "the scenario never merged"
 
 
-def test_tight_budget_forces_evictions_and_remerges():
-    """Evicted keys are unmerged again, and frozen copies survive the eviction."""
-    seed = 8  # two combinations turn hot, so the budget evicts one of them
+def test_tight_budget_refuses_holds_and_keeps_frozen_copies():
+    """A tight budget skips the copies past it, the merge files stay within
+    it after every query, and every frozen copy keeps its content."""
+    seed = 8  # two combinations turn hot, so both compete for the budget
     suite = make_suite(seed)
     config = OdysseyConfig(
         partitions_per_level=8,
@@ -254,24 +254,12 @@ def test_tight_budget_forces_evictions_and_remerges():
     )
     engine = SpaceOdyssey(suite.catalog, config)
     queries = mixed_workload(suite, seed, n_triples=40, n_pairs=4)
-    merged_again = 0
-    checker = BookkeepingChecker(engine, f"bookkeeping budget seed {seed}")
-    evicted: set = set()
-    start_epochs(engine, queries[0])
-    for box, ids in queries[1:]:
-        engine.query(box, ids)
-        checker.check()
-        report = engine.last_report
-        if report.merged and frozenset(ids) in evicted:
-            merged_again += 1
-        if report.evicted_merge_files:
-            evicted = {
-                combination
-                for combination in engine.statistics.combinations()
-                if len(combination) >= 3 and combination not in engine.merge_directory
-            }
-    assert engine.summary().merge_evictions > 0, "the budget never forced an eviction"
-    assert merged_again > 0, "no evicted combination was merged again"
+    outcomes, maybe_merge = [], engine.merger.maybe_merge
+    engine.merger.maybe_merge = lambda *args: outcomes.append(maybe_merge(*args)) or outcomes[-1]
+    run_checked(engine, queries, f"bookkeeping budget seed {seed}")
+    assert engine.summary().merges_performed > 0, "nothing fit the budget"
+    assert any(o.skipped_reason == "space budget" for o in outcomes), "the budget never refused"
+    assert 0 < engine.merge_directory.total_pages() <= 4
 
 
 def test_member_dataset_first_touched_late():
@@ -336,9 +324,6 @@ def test_frozen_info_ignores_later_add_segment():
     assert second.get(other) is first.get(other)
     assert second.get(combo) is not first.get(combo)
     assert first.get(combo).entries == {(0,): {1: run(0, 2)}}
-    directory.remove(combo)
-    assert directory.total_pages() == 1
-    assert combo not in directory.freeze() and combo in second
 
 
 def test_no_full_rebuild_after_initialisation():

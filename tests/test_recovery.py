@@ -52,6 +52,7 @@ from tests.oracle import (
     JOURNAL_CRASH_POINTS,
     REPORT_FIELDS,
     adaptive_state,
+    check_merge_space,
     check_tree,
     disk_files,
     fork_with,
@@ -304,8 +305,8 @@ class TestRelocatableStore:
 # ---------------------------------------------------------------------- #
 
 #: A merge-space budget of two pages: the 16-query workload below first
-#: touches every dataset, refines, merges three times and evicts once.
-EVICTING = OdysseyConfig(merge_threshold=1, min_merge_combination=2, merge_space_budget_pages=2)
+#: touches every dataset, refines, merges and refuses copies past the budget.
+REFUSING = OdysseyConfig(merge_threshold=1, min_merge_combination=2, merge_space_budget_pages=2)
 
 
 def decode_box(data: dict) -> Box:
@@ -371,7 +372,7 @@ class TestWriterHalfReplay:
     ):
         workload = make_workload(base_suite, n=16)
         path = tmp_path / "journal.log"
-        engine = SpaceOdyssey(base_suite.fork().catalog, EVICTING, journal=path)
+        engine = SpaceOdyssey(base_suite.fork().catalog, REFUSING, journal=path)
         reports = []
         for query in workload:
             engine.query(query.box, query.dataset_ids)
@@ -380,7 +381,11 @@ class TestWriterHalfReplay:
         assert sum(len(report.initialized_datasets) for report in reports) == 3
         assert sum(report.refinements for report in reports) > 0
         assert sum(report.merged for report in reports) > 0
-        assert sum(report.evicted_merge_files for report in reports) > 0
+        # ... and the budget refuses: unbounded (CONFIG), the same queries copy more.
+        unbounded = SpaceOdyssey(base_suite.fork().catalog, CONFIG)
+        for query in workload:
+            unbounded.query(query.box, query.dataset_ids)
+        assert unbounded.summary().merge_pages > 2 >= engine.summary().merge_pages
         survivor = engine.disk.backend.clone()
         del engine
 
@@ -408,6 +413,7 @@ class TestWriterHalfReplay:
         assert adaptive_state(recovered) == adaptive_state(replayed)
         assert recovered.summary() == replayed.summary()
         assert file_digests(recovered) == file_digests(replayed)
+        check_merge_space(recovered)
 
         # The last replayed report: the writer half's fields, no answer.
         report, reference = recovered.last_report, replayed.last_report
@@ -604,7 +610,7 @@ class TestCrashPointSweep:
 # ---------------------------------------------------------------------- #
 
 
-def crash_between_commits(directory, workload, config=EVICTING):
+def crash_between_commits(directory, workload, config=REFUSING):
     """A journaled filesystem engine under ``directory`` runs ``workload``
     and crashes after its last commit; the journal ends in a torn record.
     Returns the pre-crash summary."""
@@ -682,7 +688,7 @@ class TestFastPath:
     def test_each_mutating_query_writes_one_intent_before_its_commit(self, tmp_path):
         suite = filesystem_suite(tmp_path)
         path = tmp_path / "journal.log"
-        engine = SpaceOdyssey(suite.catalog, EVICTING, journal=path)
+        engine = SpaceOdyssey(suite.catalog, REFUSING, journal=path)
         changed = []
         for query in make_workload(suite, n=16):
             before = {name: engine.disk.num_pages(name) for name in engine.disk.list_files()}
@@ -709,7 +715,7 @@ class TestFastPath:
 
         workload = make_workload(base_suite, n=48, seed=21)
         path = tmp_path / "journal.log"
-        engine = SpaceOdyssey(base_suite.fork().catalog, EVICTING, journal=path)
+        engine = SpaceOdyssey(base_suite.fork().catalog, REFUSING, journal=path)
         slices = [workload[i::6] for i in range(6)]
         failures = []
 
@@ -779,14 +785,14 @@ class TestFastPath:
         suite = filesystem_suite(tmp_path / "store")
         workload = make_workload(suite, n=12)
         # The first query after the first whose writer half writes a page.
-        probe = SpaceOdyssey(suite.fork().catalog, EVICTING)
+        probe = SpaceOdyssey(suite.fork().catalog, REFUSING)
         written = []
         for query in workload:
             probe.query(query.box, query.dataset_ids)
             written.append(probe.disk.stats.pages_written)
         failing_at = next(i for i in range(1, len(workload)) if written[i] > written[i - 1])
         path = tmp_path / "store" / "journal.log"
-        engine = SpaceOdyssey(suite.catalog, EVICTING, journal=path)
+        engine = SpaceOdyssey(suite.catalog, REFUSING, journal=path)
         for query in workload[:failing_at]:
             engine.query(query.box, query.dataset_ids)
         # That query's writer half refines or merges (its intent is down),
@@ -822,7 +828,29 @@ class TestFastPath:
         assert taken == "fast"
         assert (adaptive_state(again), file_digests(again)) == (state, digests)
 
-    def test_version_3_journal_replays_in_full_and_heals_to_version_4(
+    def test_version_4_journal_replays_in_full_and_heals(self, base_suite, tmp_path):
+        """A version-4 journal's budget evicted where today's refuses, so it
+        replays in full once; at today's version it keeps its files."""
+        workload = make_workload(base_suite, n=16)
+        engine = SpaceOdyssey(base_suite.fork().catalog, REFUSING, journal=tmp_path / "ok.log")
+        truth = SpaceOdyssey(base_suite.fork().catalog, REFUSING)
+        for query in workload:
+            engine.query(query.box, query.dataset_ids)
+            truth.query(query.box, query.dataset_ids)
+        manifest, survivor = engine.journal.read_last(), engine.disk.backend.clone()
+        v4 = "a version-4 journal's merges may have followed an evicting space budget"
+        for version, first in ((4, ("full", v4)), (MANIFEST_VERSION, ("fast", None))):
+            path, backend = tmp_path / f"v{version}.log", survivor.clone()
+            path.write_bytes(framed({**manifest, "version": version}))
+            for expected in (first, ("fast", None)):  # healed: then the files are kept
+                recovered, *taken = recover_logged(path, backend=backend)
+                assert tuple(taken) == expected
+                assert adaptive_state(recovered) == adaptive_state(truth)
+                assert file_digests(recovered) == file_digests(truth)
+                assert recovered.journal.read_last()["version"] == MANIFEST_VERSION
+                del recovered
+
+    def test_version_3_journal_replays_in_full_and_heals_to_today(
         self, base_suite, reference, tmp_path
     ):
         workload = reference[0]

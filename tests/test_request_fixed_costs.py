@@ -186,7 +186,7 @@ def test_a_tree_that_refines_mid_batch_falls_back_per_query(scenario, calls):
         ):
             assert sorted(hit.key() for hit in hits) == expected_keys
             for field in ("route", "partitions_read", "partitions_from_merge", "refinements",
-                          "merged", "merge_new_partitions", "evicted_merge_files", "results"):
+                          "merged", "merge_new_partitions", "results"):
                 assert getattr(report, field) == getattr(expected_report, field), field
     assert any(report.merged for report in result.reports) or batched.summary().merge_files
     assert batched.summary() == sequential.summary()

@@ -16,8 +16,9 @@ failing test is printed), *survived* when the selection passes, and an
 Without ``PYTEST_ARGS`` every mutant runs against the selection that owns
 it (its ``killer``): the engine oracle, ``tests/test_engine_fuzz.py``,
 unless the bug is one the oracle cannot reach — a hand-crafted journal
-tail, a fact that names another step, the order of decodes inside one
-group read.  With ``PYTEST_ARGS`` every mutant runs against that one
+tail or header version, a fact that names another step, the order of
+decodes inside one group read, the CPU charges of a batch that stops
+early.  With ``PYTEST_ARGS`` every mutant runs against that one
 selection, which is how two test batteries are compared.
 
 Before any mutant, the unmutated copy must pass each selection used, or
@@ -136,6 +137,21 @@ MUTANTS = (
         "repro/serve/service.py",
         "for submission, hits in zip(batch, result.results):",
         "for submission, hits in zip(batch, result.results[::-1]):",
+    ),
+    Mutant(
+        "budget-admits-overshoot",
+        "the merger's budget fit test admits a merge's first key past the budget",
+        "repro/core/merger.py",
+        "            if pages <= free:",
+        "            if pages <= free or not kept:",
+    ),
+    Mutant(
+        "v4-journal-fast-path",
+        "_fast_path_refusal keeps the files of a version-4 journal",
+        "repro/core/recovery.py",
+        "    if version != MANIFEST_VERSION:",
+        "    if version not in (4, MANIFEST_VERSION):",
+        ("tests/test_recovery.py::TestFastPath::test_version_4_journal_replays_in_full_and_heals",),
     ),
     Mutant(
         "facts-no-name-check",
