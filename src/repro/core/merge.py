@@ -131,9 +131,9 @@ class MergeDirectory:
     The directory carries a :attr:`version` counter bumped on every
     :meth:`register` — the merger re-registers an info after extending it
     in place, and nothing removes one, so any observable change to the
-    merge map bumps the version.  The epoch layer uses it for copy-on-write:
-    an epoch's frozen directory copy is reused as long as the version is
-    unchanged.  Registration is also where the directory keeps its own
+    merge map bumps the version.  The epoch layer uses it for
+    copy-on-write: an epoch's frozen directory copy is reused as long as
+    the version is unchanged.  Registration is also where the directory keeps its own
     books, so neither needs a pass over the files later: the frozen copy
     of the registered info and the running page total.
     """

@@ -49,9 +49,9 @@ these hold:
   and the taint is kept in the header across compaction until a full
   replay clears it;
 * the journal is of today's version, and every committed entry carries
-  facts.  A version-4 journal carries facts too, but under a merge space
-  budget they may record merges past the budget that were evicted after,
-  which a merger that refuses copies past its budget never makes.
+  facts.  A version-4 journal has facts too, but its merge space budget
+  evicted files where today's refuses copies, so its facts need not be
+  the ones a replay takes.
 
 It opens the raw files (reading no page) and runs every committed entry
 through the same first touch and writer half
@@ -63,9 +63,9 @@ names the dataset or key it is splitting or merging, every fact of an
 entry must be taken, no file may change (the disk's mutation hook
 refuses), and at the end the derived files on disk must be exactly
 those the rebuilt state names; anything else falls back to the full
-path.  A clean crash's recovery therefore
-reads and writes no page and creates or deletes no file; it costs the
-bookkeeping of the history, not its I/O.
+path.  A clean crash's recovery therefore reads and writes no page and
+creates or deletes no file; it costs the bookkeeping of the history,
+not its I/O.
 
 **The full path** is the replay of the committed log from the raw files:
 
@@ -127,12 +127,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
 #: past it; a version-4 journal's budget evicted instead, so its facts are
 #: replayed in full.  Version 4 gives every committed entry its storage
 #: facts and the header the boot id and taint flag recovery's fast path
-#: tests.  Version 3
-#: records a filesystem store's root relative to the journal's directory,
-#: so a store and its journal can be copied or moved together.  Versions
-#: 1 to 4 are still read (and replayed in full); the absolute root of
-#: versions 1 and 2 (version 1 also holds one full manifest per commit
-#: instead of a base plus per-commit deltas) is honoured.
+#: tests.  Version 3 records a filesystem store's root relative to the
+#: journal's directory, so a store and its journal can be copied or moved
+#: together.  Versions 1 to 4 are still read (and replayed in full); the
+#: absolute root of versions 1 and 2 (version 1 also holds one full
+#: manifest per commit instead of a base plus per-commit deltas) is
+#: honoured.
 MANIFEST_VERSION = 5
 READABLE_VERSIONS = (1, 2, 3, 4, MANIFEST_VERSION)
 
