@@ -63,9 +63,10 @@ from tests.oracle import (
 )
 from tests.scalar_reference import ScalarOdyssey
 
-#: Seeds fuzzed in every tier-1 run: between them they reach every regime
-#: ``test_tier1_seeds_cover_the_state_space`` names.
-QUICK_SEEDS = tuple(range(9))
+#: Seeds fuzzed in every tier-1 run: 0-8, which between them reach every
+#: regime ``test_tier1_seeds_cover_the_state_space`` names, plus 48, the
+#: seed that merges most (13 merges) against a budget that refuses keys.
+QUICK_SEEDS = tuple(range(9)) + (48,)
 
 #: Extra seeds fuzzed in deep mode (``REPRO_FUZZ_ITERATIONS=N``): the
 #: first N that are not tier-1 seeds.
