@@ -8,8 +8,8 @@ to its page files.  This example crashes it twice.
    the journal ends in a torn record.  Nothing changed after the last
    commit, so ``SpaceOdyssey.recover`` keeps every page file as it is: it
    replays the journal's bookkeeping from the runs each query recorded,
-   reading and writing no page, and its state equals the state before
-   the crash.
+   reading and writing no page and leaving the journal's intact records
+   as they were, and its state equals the state before the crash.
 2. In the middle of a query: a fault-injecting backend kills the process
    on a page write.  The journal knows a file changed after its last
    commit, so recovery wipes the derived files and replays the committed
@@ -57,6 +57,8 @@ def main() -> None:
         # Crash 1, between queries: no shutdown, and a record torn halfway
         # through its payload.
         del engine
+        with open(journal, "rb") as handle:
+            intact = handle.read()
         with open(journal, "ab") as handle:
             handle.write(struct.pack("<II", 4096, 0) + b"\0" * 2048)
 
@@ -69,6 +71,8 @@ def main() -> None:
         assert recovered.summary() == before, "recovery lost committed state"
         stats = recovered.disk.stats_snapshot()
         assert stats.pages_read == stats.pages_written == 0, "a clean crash's recovery did I/O"
+        with open(journal, "rb") as handle:
+            assert handle.read(len(intact)) == intact, "a clean crash's recovery rewrote the journal"
         print(
             f"clean crash: {recovered.summary().queries_executed} queries recovered, "
             f"{stats.pages_read} pages read, {stats.pages_written} written"

@@ -140,34 +140,22 @@ class SpaceOdyssey(MultiDatasetIndex):
                     "attaching a fresh engine"
                 )
             self.attach_journal(journal)
-            # Make the pre-first-query state durable immediately, so a
-            # crash before the first commit still recovers cleanly.
-            self._processor.durability.checkpoint()
 
     # ------------------------------------------------------------------ #
     # Durability & recovery
     # ------------------------------------------------------------------ #
 
-    def attach_journal(
-        self, journal: ManifestJournal, *, committed: list | None = None
-    ) -> None:
-        """Start journaling a crash-consistent manifest at every commit point.
-
-        ``committed`` seeds the durable query log (used by :meth:`recover`
-        after replaying it); a fresh engine leaves it empty.
-        """
+    def attach_journal(self, journal: ManifestJournal) -> None:
+        """Start journaling a crash-consistent manifest at every commit
+        point, and make the engine's header durable at once: a fresh
+        journal's first base, so a crash before the first commit recovers."""
         from repro.core.recovery import DurabilityLog
 
-        self._processor.attach_durability(
-            DurabilityLog(
-                journal,
-                catalog=self._catalog,
-                config=self._config,
-                committed=committed,
-            )
-        )
+        log = DurabilityLog(journal, catalog=self._catalog, config=self._config)
+        self._processor.attach_durability(log)
         if self.tracer is not None:
             journal.attach_tracer(self.tracer)
+        log.checkpoint()
 
     @property
     def journal(self) -> ManifestJournal | None:
@@ -182,7 +170,6 @@ class SpaceOdyssey(MultiDatasetIndex):
         *,
         backend: StorageBackend | None = None,
         disk: Disk | None = None,
-        compact_every: int = 64,
         crash_hook=None,
     ) -> "SpaceOdyssey":
         """Rebuild an engine after a crash from its manifest journal.
@@ -201,13 +188,7 @@ class SpaceOdyssey(MultiDatasetIndex):
         """
         from repro.core.recovery import recover
 
-        return recover(
-            journal_path,
-            backend=backend,
-            disk=disk,
-            compact_every=compact_every,
-            crash_hook=crash_hook,
-        )
+        return recover(journal_path, backend=backend, disk=disk, crash_hook=crash_hook)
 
     # ------------------------------------------------------------------ #
     # MultiDatasetIndex interface

@@ -14,11 +14,12 @@ batch's gated writer phase) the engine commits its manifest — the
 catalog and disk geometry, the configuration, the boot it runs in, a
 taint flag, and the ordered list of committed queries — to a
 :class:`~repro.storage.journal.ManifestJournal`.  The journal writes the
-whole manifest only when it compacts; a commit appends just the queries
-committed since the previous record and the running committed count, so
-journaling a query costs one small record, not the history.  The journal
-is checksummed and torn-tail tolerant, so a crash mid-commit simply
-re-exposes the previous commit point.
+whole manifest only when its header changes; a commit appends just the
+queries committed since the previous record and the running committed
+count, so journaling a query costs one small record, and the journal's
+file is the only copy of the history.  The journal is checksummed and
+torn-tail tolerant, so a crash mid-commit simply re-exposes the previous
+commit point.
 
 Each committed query's entry also carries its **storage facts**
 (since manifest version 4; :mod:`repro.core.facts`): the runs its first
@@ -46,8 +47,7 @@ these hold:
 * the manifest is not *tainted*: no writer half — first touch or commit
   — has raised after its intent since the last full replay.  Such a
   writer half may have left files half written while the engine ran on,
-  and the taint is kept in the header across compaction until a full
-  replay clears it;
+  and the taint is kept in the header until a full replay clears it;
 * the journal is of today's version, and every committed entry carries
   facts.  A version-4 journal has facts too, but its merge space budget
   evicted files where today's refuses copies, so its facts need not be
@@ -75,8 +75,8 @@ not its I/O.
    log that touches k of n datasets reads k raw files, and a damaged raw
    page raises its ``CorruptPageError`` at that first touch;
 2. rewrite the journal down to the manifest being recovered, marked
-   tainted (which also heals a torn tail), so that a crash during the
-   replay leaves a log that is replayed in full again;
+   tainted, so that a crash during the replay leaves a log that is
+   replayed in full again;
 3. **delete every derived file** — partition files and merge files may be
    torn by the crash, and all of them can be regenerated;
 4. construct a fresh engine and replay the committed queries in order
@@ -88,18 +88,19 @@ not its I/O.
    engine after the same committed prefix.  The replay records every
    entry's facts.
 
-Both paths end the same way: the journal is rewritten down to the
-recovered manifest (in today's layout, with facts, the current boot id
-and no taint: the files now match it), and re-attached so subsequent
-commits extend the same log.  A crash *during* recovery is harmless:
-until that last rewrite the journal says what it said before (or, on the
-full path, that a full replay is due), so recovery can simply be run
-again.
+The full path ends by rewriting the journal down to the recovered
+manifest (in today's layout, with facts, the current boot id and no
+taint: the files now match it).  The fast path writes nothing: its
+manifest already says all that, so a clean crash's recovery leaves the
+journal's intact records as they are (the next append cuts off a torn
+tail).  Either way the journal is re-attached, so subsequent commits
+extend the same log.  A crash *during* recovery is harmless: until that
+last rewrite the journal says what it said before (or, on the full
+path, that a full replay is due), so recovery can simply be run again.
 
 The fast path still costs the bookkeeping of every committed query —
-O(history) CPU; a checkpoint of the adaptive state at compaction, so
-that recovery costs the suffix after it, is future work recorded in
-ROADMAP.md.
+O(history) CPU; a checkpoint of the adaptive state, so that recovery
+costs the suffix after it, is future work recorded in ROADMAP.md.
 """
 
 from __future__ import annotations
@@ -225,7 +226,7 @@ def _encode_catalog(catalog: DatasetCatalog, journal_dir: str) -> dict:
 
 
 class DurabilityLog:
-    """Tracks the committed query log and journals the manifest.
+    """Journals the committed query log.
 
     Attached to a :class:`~repro.core.query_processor.QueryProcessor`;
     :meth:`record` must be called with the processor's gate held so the
@@ -233,19 +234,15 @@ class DurabilityLog:
     :class:`~repro.core.facts.FactRecorder` whose sealed facts each
     recorded entry carries, and arms the disk's mutation hook after every
     commit: the first mutation after it appends an intent to the journal.
+    The journal's file is the one copy of the history.
     """
 
     def __init__(
-        self,
-        journal: ManifestJournal,
-        *,
-        catalog: DatasetCatalog,
-        config: OdysseyConfig,
-        committed: list[dict] | None = None,
+        self, journal: ManifestJournal, *, catalog: DatasetCatalog, config: OdysseyConfig
     ) -> None:
         self._journal = journal
         # Catalog, config and boot are immutable; only a taint changes
-        # the header (and so compacts the journal once).
+        # the header (and so rewrites the journal once).
         self._header = {
             "version": MANIFEST_VERSION,
             "config": asdict(config),
@@ -253,7 +250,6 @@ class DurabilityLog:
             "boot_id": boot_id(),
             "tainted": False,
         }
-        self._committed: list[dict] = list(committed or [])
         # The hook is the journal's own method: a disk never refers back
         # to its engine, so a dropped engine is freed at once.
         self._disk = catalog.datasets()[0].disk
@@ -268,14 +264,10 @@ class DurabilityLog:
     @property
     def committed_queries(self) -> int:
         """How many queries the durable log covers."""
-        return len(self._committed)
-
-    def manifest(self) -> dict:
-        """The manifest describing the current committed state."""
-        return {**self._header, "queries": list(self._committed)}
+        return self._journal.committed
 
     def record(self, entries: Iterable[tuple[Box, Iterable[int]]]) -> None:
-        """Extend the log with newly committed queries and journal it.
+        """Journal newly committed queries.
 
         Each entry carries the facts its writer half sealed.  ``entries``
         may be empty (e.g. an empty batch), in which case the state did not
@@ -287,14 +279,13 @@ class DurabilityLog:
         for entry, facts in zip(appended, self.facts.take(len(appended))):
             if facts is not None:
                 entry["facts"] = facts
-        self._committed.extend(appended)
-        self.checkpoint()
+        self._journal.commit(self._header, appended)
+        self._disk.arm_mutation_hook(self._journal.intent)
 
     def checkpoint(self) -> None:
-        """Journal the current state now (used for the initial commit)."""
-        # The journal only reads the queries it does not cover yet, so it
-        # is handed the live list, not a copy of the history.
-        self._journal.commit({**self._header, "queries": self._committed})
+        """Make the header durable now: a journal's first base, or a
+        rewrite when the file's header is another."""
+        self._journal.commit(self._header, [])
         self._disk.arm_mutation_hook(self._journal.intent)
 
     def abort(self) -> None:
@@ -418,7 +409,6 @@ def recover(
     *,
     backend: StorageBackend | None = None,
     disk: Disk | None = None,
-    compact_every: int = 64,
     crash_hook=None,
 ) -> "SpaceOdyssey":
     """Rebuild an engine from the last intact manifest in the journal.
@@ -436,7 +426,7 @@ def recover(
         For an in-memory engine the surviving backend object must be
         passed (typically the fault injector's inner backend, or the
         injector itself disarmed).
-    compact_every / crash_hook:
+    crash_hook:
         Forwarded to the re-attached journal when ``journal_path`` is a
         path.
 
@@ -451,9 +441,7 @@ def recover(
     if isinstance(journal_path, ManifestJournal):
         journal = journal_path
     else:
-        journal = ManifestJournal(
-            journal_path, compact_every=compact_every, crash_hook=crash_hook
-        )
+        journal = ManifestJournal(journal_path, crash_hook=crash_hook)
     manifest = journal.read_last()
     if manifest is None:
         raise RecoveryError(
@@ -506,12 +494,10 @@ def recover(
         except FactMismatch as mismatch:
             refusal = str(mismatch)
     if engine is None:
-        # Heal the journal before touching a file: a torn tail left by
-        # the crash would swallow every post-recovery append (records()
-        # stops at the first torn record), and the taint makes a crash
-        # during the replay replay in full again.  A crash during the
-        # rewrite leaves either the old or the new journal, both of which
-        # expose this same manifest.
+        # Taint the journal before touching a file, so that a crash during
+        # the replay replays in full again.  A crash during the rewrite
+        # leaves either the old or the new journal, both of which expose
+        # this same manifest.
         journal.rewrite({**manifest, "tainted": True})
         dropped = _derived_files(disk, raw_names)
         for name in dropped:
@@ -524,11 +510,12 @@ def recover(
             {**entry, "facts": facts}
             for entry, facts in zip(queries, recorder.take(len(queries)))
         ]
-    manifest["boot_id"] = boot_id()
-    manifest["tainted"] = False
-    journal.rewrite(manifest)
-
-    engine.attach_journal(journal, committed=list(manifest["queries"]))
+    if refusal is not None or journal.committed != len(manifest["queries"]):
+        # The full path's entries carry the facts it recorded and its files
+        # match them; a journal object that kept the entries of a failed
+        # write holds queries the recovered engine never ran.
+        journal.rewrite({**manifest, "boot_id": boot_id(), "tainted": False})
+    engine.attach_journal(journal)
     logger.info(
         "recovery complete",
         extra={

@@ -17,8 +17,9 @@ owns the on-disk format and its crash-consistency discipline:
   committed count.  Bases are written only by :meth:`ManifestJournal.
   rewrite`, as the journal's first record; :meth:`ManifestJournal.commit`
   appends one delta, so a commit costs what changed, not the history,
-  and ``flush`` + ``fsync`` s before returning, so a record either
-  survives whole or is detectably torn.
+  and ``fsync`` s before returning, so a record either survives whole or
+  is detectably torn.  The file is the one copy of the history: the
+  journal keeps no entry it has written.
 
 * :meth:`ManifestJournal.read_last` scans forward and **folds**: the last
   intact base, extended by the queries of each intact delta after it.
@@ -42,23 +43,27 @@ owns the on-disk format and its crash-consistency discipline:
   announced — and since an intent is flushed to the operating system
   before its mutation is, only a power loss can keep the mutation and
   lose the intent (recovery refuses its fast path across a reboot for
-  that reason).  Intents are not records of the manifest: they do not
-  advance the ``compact_every`` cadence, :meth:`ManifestJournal.records`
-  skips them and a rewrite drops them.  Whatever else the manifest says
-  about the files — the engine keeps a *taint* in its header once a
-  writer half has raised after its intent — is the caller's, and a
-  rewrite keeps it like any header field.
+  that reason).  Intents are not records of the manifest:
+  :meth:`ManifestJournal.records` skips them and a rewrite drops them.
+  Whatever else the manifest says about the files — the engine keeps a
+  *taint* in its header once a writer half has raised after its intent —
+  is the caller's, and a rewrite keeps it like any header field.
 
-* When the file already holds ``compact_every`` records (and on demand
-  via :meth:`ManifestJournal.rewrite`, and whenever the file has no base
-  a delta could continue: empty, torn at the tail, another header) the
-  journal is compacted to a single base through the classic
-  write-temp/fsync/rename dance: the new content is written to
-  ``<path>.tmp``, fsync'd, atomically renamed over ``<path>``, and the
-  directory is fsync'd.  A crash at any step leaves either the complete
-  old journal or the complete new one.  The cadence is read from the
-  file, not counted per process, so a journal reopened after every
-  commit compacts exactly as often as one that never is.
+* Deltas and intents are appended where the last intact record ends, and
+  whatever follows it — a torn tail, or a delta that continues no fold —
+  is cut off, so the record is never hidden behind bytes no reader
+  passes.  The entries of a commit whose write raised are kept and
+  written ahead of the next commit's.
+
+* The journal is **rewritten** — one base, the history folded from the
+  file — only when the file has no base or a commit brings another
+  header (an engine's first base, a taint), and on demand via
+  :meth:`ManifestJournal.rewrite` (recovery's full path).  A rewrite goes
+  through the classic write-temp/fsync/rename dance: the new content is
+  written to ``<path>.tmp``, fsync'd, atomically renamed over ``<path>``,
+  and the directory is fsync'd.  A crash at any step leaves either the
+  complete old journal or the complete new one.  Between header changes
+  the file only grows.
 
 Crash points
 ------------
@@ -92,35 +97,30 @@ def _header_of(manifest: dict[str, Any]) -> dict[str, Any]:
 
 
 class ManifestJournal:
-    """An append-only, checksummed, atomically-compactable manifest log."""
+    """An append-only, checksummed manifest log, atomically rewritten when
+    its header changes."""
 
     def __init__(
         self,
         path: str | os.PathLike[str],
         *,
-        compact_every: int = 64,
         crash_hook: Callable[[str], None] | None = None,
     ) -> None:
-        if compact_every < 1:
-            raise ValueError("compact_every must be >= 1")
         self._path = Path(path)
         self._path.parent.mkdir(parents=True, exist_ok=True)
-        self._compact_every = compact_every
         self._crash_hook = crash_hook
         self._tracer = None
-        # What an appended delta would continue, as last folded from (or
-        # written to) the file: the base's header, how many queries base
-        # plus deltas cover, how many records that is, where the last
-        # intact record ends and whether an intent follows the last
-        # commit.  ``_header`` is None when the file has no base or ends
-        # in bytes a reader stops at; ``_stale`` when the file may have
-        # changed since.
+        # The file as last folded or written: the base's header (None
+        # without one), the queries base plus deltas cover, where the last
+        # intact record ends, whether bytes follow it and whether an intent
+        # follows the last commit; ``_stale`` when it may have changed since.
+        # ``_pending``: entries of commits whose write raised.
         self._header: dict[str, Any] | None = None
         self._covered = 0
-        self._records = 0
         self._end = 0
-        self._dirty = False
+        self._tail = self._dirty = False
         self._stale = True
+        self._pending: list = []
 
     def attach_tracer(self, tracer) -> None:
         """Attach (or with ``None``, detach) a tracer recording commit
@@ -145,6 +145,14 @@ class ManifestJournal:
             self.read_last()
         return self._dirty
 
+    @property
+    def committed(self) -> int:
+        """How many queries the journal's value holds, the entries of a
+        commit whose write raised included."""
+        if self._stale:
+            self.read_last()
+        return self._covered + len(self._pending)
+
     def _crash_point(self, name: str) -> None:
         if self._crash_hook is not None:
             self._crash_hook(name)
@@ -158,75 +166,63 @@ class ManifestJournal:
         payload = json.dumps(record, separators=(",", ":"), sort_keys=True).encode()
         return RECORD_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
-    def commit(self, manifest: dict[str, Any]) -> None:
-        """Durably make ``manifest`` the journal's value.
+    def commit(self, header: dict[str, Any], entries: list) -> None:
+        """Durably extend the journal's value by ``entries`` under ``header``.
 
-        Appends one delta — the queries the file does not cover yet and
-        the new committed count — when the file's base carries this
-        manifest's header and holds fewer than ``compact_every`` records;
-        otherwise compacts through :meth:`rewrite`.  ``manifest["queries"]``
-        may only ever grow by appending.
+        Appends one delta (none without entries) when the file's base
+        carries ``header``; otherwise :meth:`rewrite` s the history folded
+        from the file plus the entries under ``header``.  The entries of a
+        commit whose write raised are kept and written ahead of the next's.
         """
         if self._stale:
             self.read_last()
-        queries = manifest["queries"]
-        if (
-            self._header != _header_of(manifest)
-            or self._records >= self._compact_every
-            or len(queries) < self._covered
-        ):
-            self.rewrite(manifest)
-            return
-        encoded = self._encode(
-            {"committed": len(queries), "queries": queries[self._covered :]}
-        )
+        self._pending += entries
+        if self._header != header:
+            folded = self.read_last()["queries"] if self._covered else []
+            self.rewrite({**header, "queries": folded + self._pending})
+        elif self._pending:
+            committed = self._covered + len(self._pending)
+            encoded = self._encode({"committed": committed, "queries": self._pending})
+            with maybe_span(self._tracer, "journal.commit", bytes=len(encoded)):
+                self._crash_point("journal.commit.start")
+                self._append(encoded, sync=True)
+                self._covered = committed
+                self._pending = []
+                self._crash_point("journal.commit.end")
+
+    def intent(self) -> None:
+        """Append an intent record: files are about to change beyond the
+        last commit.  Not ``fsync`` ed."""
+        if self._stale:
+            self.read_last()
+        self._append(self._encode({"intent": self._covered}), sync=False)
+
+    def _append(self, encoded: bytes, *, sync: bool) -> None:
+        """Write a delta (``sync``) or an intent where the last intact record
+        ends, cutting off the bytes after it, which would hide it from the
+        fold.  A delta stops at the ``journal.commit.torn`` crash point."""
         self._stale = True  # until the whole record is known to be down
-        with maybe_span(self._tracer, "journal.commit", bytes=len(encoded)):
-            self._crash_point("journal.commit.start")
-            half = len(encoded) // 2
-            with self._path.open("ab") as handle:
-                handle.write(encoded[:half])
+        fd = os.open(self._path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            if self._tail:
+                os.ftruncate(fd, self._end)
+            written = 0
+            if sync:
+                written = os.pwrite(fd, encoded[: len(encoded) // 2], self._end)
                 try:
                     self._crash_point("journal.commit.torn")
                 except BaseException:
                     # Persist the torn prefix exactly as a power loss would.
-                    handle.flush()
-                    os.fsync(handle.fileno())
+                    os.fsync(fd)
                     raise
-                handle.write(encoded[half:])
-                handle.flush()
-                os.fsync(handle.fileno())
-            self._covered = len(queries)
-            self._records += 1
-            self._end += len(encoded)
-            self._dirty = False
-            self._stale = False
-            self._crash_point("journal.commit.end")
-
-    def intent(self) -> None:
-        """Append an intent record: files are about to change beyond the
-        last commit.  Not ``fsync`` ed.
-
-        Written where the last intact record ends, so that a torn tail
-        left by a failed commit cannot hide it from the fold: the bytes
-        after it, which no reader reaches anyway, are cut off.
-        """
-        if self._stale:
-            self.read_last()
-        encoded = self._encode({"intent": self._covered})
-        self._stale = True  # until the whole record is known to be down
-        fd = os.open(self._path, os.O_WRONLY | os.O_CREAT, 0o666)
-        try:
-            written = 0
             while written < len(encoded):
                 written += os.pwrite(fd, encoded[written:], self._end + written)
-            if self._header is None:
-                os.ftruncate(fd, self._end + len(encoded))
+            if sync:
+                os.fsync(fd)
         finally:
             os.close(fd)
         self._end += len(encoded)
-        self._dirty = True
-        self._stale = False
+        self._tail, self._dirty, self._stale = False, not sync, False
 
     def rewrite(self, manifest: dict[str, Any]) -> None:
         """Atomically replace the whole journal with one base record."""
@@ -244,9 +240,9 @@ class ManifestJournal:
             self._fsync_dir()
             self._header = _header_of(manifest)
             self._covered = len(manifest["queries"])
-            self._records = 1
             self._end = len(encoded)
-            self._dirty = False
+            self._tail = self._dirty = False
+            self._pending = []
             self._stale = False
             self._crash_point("journal.rewrite.end")
 
@@ -315,7 +311,6 @@ class ManifestJournal:
         blob = self._read_bytes()
         base: dict[str, Any] | None = None
         queries: list = []
-        records = 0
         reached = 0
         dirty = False
         for record, end in self._scan(blob):
@@ -327,19 +322,19 @@ class ManifestJournal:
             if not isinstance(added, list):
                 break
             if "committed" not in record:  # a base: a full manifest
-                base, queries, records = record, list(added), 1
+                base, queries = record, list(added)
             elif base is not None and record["committed"] == len(queries) + len(added):
                 queries.extend(added)
-                records += 1
             else:
                 break
             reached = end
             dirty = False
-        clean = base is not None and reached == len(blob)
-        self._header = _header_of(base) if clean else None
+        # Kept entries of a failed write that reached the file after all.
+        del self._pending[: max(0, len(queries) - self._covered)]
+        self._header = None if base is None else _header_of(base)
         self._covered = len(queries)
-        self._records = records
         self._end = reached
+        self._tail = reached < len(blob)
         self._dirty = dirty
         self._stale = False
         if base is None:

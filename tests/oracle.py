@@ -212,6 +212,20 @@ JOURNAL_CRASH_POINTS = (
 DURABLE_SITES = ("journal.commit.end", "journal.rewrite.end")
 
 
+def raise_once_at(point: str, nth: int, error: BaseException):
+    """A journal ``crash_hook`` that raises ``error`` the ``nth`` time
+    (counting from 1) the journal reaches ``point``, and never again."""
+    reached = [0]
+
+    def hook(name: str) -> None:
+        if name == point:
+            reached[0] += 1
+            if reached[0] == nth:
+                raise error
+
+    return hook
+
+
 def recover_logged(*args, **kwargs) -> tuple[SpaceOdyssey, str, str | None]:
     """``SpaceOdyssey.recover(*args, **kwargs)``, the path it took and why,
     read from its "recovery complete" log record."""

@@ -3,10 +3,11 @@
 Below the engine, a journaled filesystem run must cost what changed, not
 what exists: a page file is opened once per backend and then addressed
 through that descriptor (never an ``open`` per page), a commit appends one
-small delta however long the history is, and re-attaching to a raw file
-counts its records without building an object per record.  A per-page
-``open``, a manifest re-serialised per commit or a scalar recount is a
-regression these counts catch without a stopwatch.
+small delta however long the history is and keeps no copy of it, and
+re-attaching to a raw file counts its records without building an object
+per record.  A per-page ``open``, a manifest re-serialised per commit, a
+history kept in memory or a scalar recount is a regression these counts
+catch without a stopwatch.
 
 The second half is descriptor hygiene: long-lived descriptors must be
 given back — on ``delete``, on ``close()``, when a backend is dropped —
@@ -48,6 +49,11 @@ def fs_suite(root, buffer_pages=8):
         buffer_pages=buffer_pages,
     )
     return build_benchmark_suite(n_datasets=3, objects_per_dataset=250, seed=13, disk=disk)
+
+
+def held_lists(obj) -> list[str]:
+    """The attributes of ``obj`` that hold a non-empty list."""
+    return [name for name, value in vars(obj).items() if isinstance(value, list) and value]
 
 
 # ---------------------------------------------------------------------- #
@@ -99,7 +105,7 @@ class TestCostsPerChange:
     def test_commit_record_does_not_grow_with_the_history(self, tmp_path):
         suite = fs_suite(tmp_path / "pages")
         path = tmp_path / "journal.log"
-        journal = ManifestJournal(path, compact_every=10_000)
+        journal = ManifestJournal(path)
         engine = SpaceOdyssey(suite.catalog, CONFIG, journal=journal)
         query = make_workload(suite, n=1)[0]
         grown = []
@@ -109,6 +115,30 @@ class TestCostsPerChange:
             grown.append(path.stat().st_size - before)
         assert abs(grown[149] - grown[9]) <= 4  # the digits of the count
         assert grown[149] < 400
+        assert len(journal.read_last()["queries"]) == 150
+
+    def test_commits_append_to_the_first_base_and_keep_no_entry(self, tmp_path, monkeypatch):
+        # The file is the one copy of the history: after construction no
+        # commit rewrites it, and no object keeps a committed entry.
+        suite = fs_suite(tmp_path / "pages")
+        path = tmp_path / "journal.log"
+        engine = SpaceOdyssey(suite.catalog, CONFIG, journal=path)
+        log, journal = engine._processor.durability, engine.journal
+        rewrites = []
+        real_rewrite = ManifestJournal.rewrite
+
+        def counted(self, manifest):
+            rewrites.append(len(manifest["queries"]))
+            return real_rewrite(self, manifest)
+
+        monkeypatch.setattr(ManifestJournal, "rewrite", counted)
+        for query in make_workload(suite, n=150):
+            engine.query(query.box, query.dataset_ids)
+            assert held_lists(log) + held_lists(log.facts) + held_lists(journal) == []
+        assert rewrites == []
+        records = list(journal.records())
+        assert [record for record in records if "committed" not in record] == records[:1]
+        assert len(records) == 151 and log.committed_queries == 150
         assert len(journal.read_last()["queries"]) == 150
 
     def test_reattaching_counts_records_without_decoding_objects(

@@ -128,8 +128,8 @@ def _random_scenario(rng: random.Random) -> dict:
         "edit_seed": rng.randint(0, 2**31),
         "crash_site": rng.choice(JOURNAL_CRASH_POINTS + ("mutation",)),
         "crash_mutation": rng.randint(1, 12),
-        "compact_every": rng.choice((2, 3, 8)),
     }
+    rng.choice((2, 3, 8))  # the retired ``compact_every`` draw: every seed keeps its scenario
     n_total = scenario["n_queries"] + scenario["duplicates"]
     n_chunks = -(-n_total // scenario["batch_size"])
     scenario["crash_from"] = rng.randrange(n_total)
@@ -316,8 +316,7 @@ def recover_row(ctx: Context) -> Run:
         recovery_module, "boot_id", lambda: "fuzz-boot"
     ):
         path = Path(directory) / "journal.log"
-        every = scenario["compact_every"]
-        journal = ManifestJournal(path, compact_every=every, crash_hook=crash.maybe_crash)
+        journal = ManifestJournal(path, crash_hook=crash.maybe_crash)
         run = Run(SpaceOdyssey(forked.catalog, scenario["config"], journal=journal))
         crashed = None
         for index, (_start, chunk) in enumerate(ctx.chunks):
@@ -335,7 +334,7 @@ def recover_row(ctx: Context) -> Run:
                 break
         crash.disarm()  # restart on healthy hardware
         tag = f"{ctx.tag}: recover row, crash at {site} in queries {crashed}"
-        journal = ManifestJournal(path, compact_every=every)
+        journal = ManifestJournal(path)
         first, run.recovery, _why = recover_logged(journal, backend=forked.disk.backend)
         state = adaptive_state(first), disk_files(first)
         del first

@@ -58,6 +58,7 @@ from tests.oracle import (
     fork_with,
     make_workload,
     packed_hits,
+    raise_once_at,
     recover_logged,
 )
 
@@ -509,8 +510,18 @@ class TestRawFilesReadAtFirstTouch:
 # Crash-point sweep
 # ---------------------------------------------------------------------- #
 
+#: The crash sites of a commit's delta, and of a rewrite: a journal is
+#: rewritten only at its first base, a taint and a full replay.
+COMMIT_POINTS, REWRITE_POINTS = JOURNAL_CRASH_POINTS[:3], JOURNAL_CRASH_POINTS[3:]
+
+
+def first_writing_query(snapshots) -> int:
+    """The index of the first query after the first that changes a file."""
+    return next(i for i in range(1, len(snapshots) - 1) if snapshots[i][1] != snapshots[i + 1][1])
+
+
 class TestCrashPointSweep:
-    @pytest.mark.parametrize("point", JOURNAL_CRASH_POINTS)
+    @pytest.mark.parametrize("point", COMMIT_POINTS)
     def test_crash_at_every_journal_site(
         self, base_suite, reference, tmp_path, point
     ):
@@ -527,7 +538,7 @@ class TestCrashPointSweep:
         fault = holder["fault"]
         fault.disarm()  # construction commits the initial checkpoint cleanly
         path = tmp_path / "journal.log"
-        journal = ManifestJournal(path, compact_every=3, crash_hook=fault.maybe_crash)
+        journal = ManifestJournal(path, crash_hook=fault.maybe_crash)
         engine = SpaceOdyssey(forked.catalog, CONFIG, journal=journal)
         fault.rearm()
 
@@ -542,9 +553,7 @@ class TestCrashPointSweep:
         del engine
 
         fault.disarm()  # restart on healthy hardware
-        recovered, taken, _why = recover_logged(
-            ManifestJournal(path, compact_every=3), backend=fault
-        )
+        recovered, taken, _why = recover_logged(ManifestJournal(path), backend=fault)
         committed = recovered.summary().queries_executed
         # Crashing before durability loses the in-flight query; crashing
         # after keeps it.  Nothing else is acceptable.
@@ -558,6 +567,94 @@ class TestCrashPointSweep:
         assert taken == expected, f"{point}: crash on query {crashed_on}"
         assert_matches_reference(recovered, reference, committed=committed)
 
+
+    @pytest.mark.parametrize("point", REWRITE_POINTS)
+    def test_crash_at_a_rewrite_site_during_a_taint(
+        self, base_suite, reference, tmp_path, monkeypatch, point
+    ):
+        # A writer half raises after its intent: the next commit carries
+        # the taint, so it rewrites the journal, and crashes doing so.
+        from repro.core.statistics import StatisticsCollector
+
+        workload, _engine, snapshots, _hits = reference
+        failing = first_writing_query(snapshots)
+        armed = [False]
+
+        def hook(name):
+            if armed[0] and name == point:
+                raise SimulatedCrash(name)
+
+        forked = base_suite.fork()
+        path = tmp_path / "journal.log"
+        engine = SpaceOdyssey(forked.catalog, CONFIG, journal=ManifestJournal(path, crash_hook=hook))
+        for query in workload[:failing]:
+            engine.query(query.box, query.dataset_ids)
+        record_query = StatisticsCollector.record_query
+
+        def raising(self, *args, **kwargs):
+            raise RuntimeError("injected writer-half failure")
+
+        monkeypatch.setattr(StatisticsCollector, "record_query", raising)
+        with pytest.raises(RuntimeError, match="injected"):
+            engine.query(workload[failing].box, workload[failing].dataset_ids)
+        monkeypatch.setattr(StatisticsCollector, "record_query", record_query)
+        armed[0] = True
+        crashed_on = failing + 1
+        with pytest.raises(SimulatedCrash):
+            engine.query(workload[crashed_on].box, workload[crashed_on].dataset_ids)
+        del engine
+
+        recovered, taken, _why = recover_logged(path, backend=forked.disk.backend)
+        committed = recovered.summary().queries_executed
+        # ``failing`` queries were committed before the crashing commit.
+        assert committed in (failing, failing + 1), (
+            f"{point}: crash on query {crashed_on} recovered {committed} queries"
+        )
+        assert committed == failing + (point in DURABLE_SITES)
+        # Dirty before the rewrite, tainted after it: replayed in full.
+        assert taken == "full", f"{point}: crash on query {crashed_on}"
+        truth = SpaceOdyssey(base_suite.fork().catalog, CONFIG)
+        for query in (workload[:failing] + workload[crashed_on:])[:committed]:
+            truth.query(query.box, query.dataset_ids)
+        assert adaptive_state(recovered) == adaptive_state(truth)
+        assert disk_files(recovered) == disk_files(truth)
+
+    @pytest.mark.parametrize("nth", (1, 2), ids=("tainted-base", "healed-base"))
+    @pytest.mark.parametrize("point", REWRITE_POINTS)
+    def test_crash_at_a_rewrite_site_during_a_full_recovery(
+        self, base_suite, reference, tmp_path, point, nth
+    ):
+        # The engine crashes after query ``crashed_on`` changed a file and
+        # before its commit; the full replay that follows rewrites the
+        # journal twice (tainted, then healed) and crashes at the ``nth``.
+        workload, _engine, snapshots, _hits = reference
+        crashed_on = first_writing_query(snapshots)
+        forked = base_suite.fork()
+        path = tmp_path / "journal.log"
+        hook = raise_once_at("journal.commit.start", crashed_on + 1, SimulatedCrash("commit"))
+        engine = SpaceOdyssey(forked.catalog, CONFIG, journal=ManifestJournal(path, crash_hook=hook))
+        for query in workload[:crashed_on]:
+            engine.query(query.box, query.dataset_ids)
+        with pytest.raises(SimulatedCrash):
+            engine.query(workload[crashed_on].box, workload[crashed_on].dataset_ids)
+        del engine
+
+        with pytest.raises(SimulatedCrash):
+            SpaceOdyssey.recover(
+                path,
+                backend=forked.disk.backend,
+                crash_hook=raise_once_at(point, nth, SimulatedCrash(point)),
+            )
+        recovered, taken, _why = recover_logged(path, backend=forked.disk.backend)
+        committed = recovered.summary().queries_executed
+        assert committed in (crashed_on, crashed_on + 1), (
+            f"{point}: crash on query {crashed_on} recovered {committed} queries"
+        )
+        assert committed == crashed_on
+        # Only a crash after the healed base is down finds files it describes.
+        healed = nth == 2 and point in DURABLE_SITES
+        assert taken == ("fast" if healed else "full"), f"{point}, rewrite {nth}"
+        assert_matches_reference(recovered, reference, committed=committed)
 
     @pytest.mark.parametrize("nth_mutation", (1, 3, 10, 25, 60))
     def test_crash_on_nth_page_mutation(
@@ -603,6 +700,68 @@ class TestCrashPointSweep:
             assert committed == crashed_on
             assert taken == "full"
         assert_matches_reference(recovered, reference, committed=committed)
+
+
+class TestFailedJournalWrite:
+    @pytest.mark.parametrize("failing", (2, 6))
+    def test_a_commit_whose_write_raised_is_journaled_with_the_next(
+        self, tmp_path, failing
+    ):
+        # The journal write of query ``failing`` raises half way through
+        # its record: the query raises to its caller, whose state already
+        # holds it, and the queries after it commit.  The journal must
+        # still fold every query the engine executed.
+        suite = filesystem_suite(tmp_path)
+        workload = make_workload(suite, n=9)
+        path = tmp_path / "journal.log"
+        hook = raise_once_at("journal.commit.torn", failing + 1, OSError("disk full"))
+        engine = SpaceOdyssey(suite.catalog, CONFIG, journal=ManifestJournal(path, crash_hook=hook))
+        for index, query in enumerate(workload):
+            if index == failing:
+                with pytest.raises(OSError, match="disk full"):
+                    engine.query(query.box, query.dataset_ids)
+            else:
+                engine.query(query.box, query.dataset_ids)
+        folded = ManifestJournal(path).read_last()
+        assert [decode_box(entry) for entry in folded["queries"]] == [q.box for q in workload]
+        summary, state, files = engine.summary(), adaptive_state(engine), disk_files(engine)
+        assert summary.queries_executed == len(workload)
+        del engine
+
+        recovered, _taken, _why = recover_logged(path)
+        assert recovered.summary() == summary
+        assert (adaptive_state(recovered), disk_files(recovered)) == (state, files)
+
+    def test_recovering_through_the_journal_object_drops_what_it_kept(self, tmp_path):
+        # The kept entry belongs to the engine whose write raised; an
+        # engine recovered from the file never ran it, so the recovered
+        # engine's journal must not write it.
+        suite = filesystem_suite(tmp_path)
+        workload = make_workload(suite, n=12)
+        probe = SpaceOdyssey(suite.fork().catalog, CONFIG)
+        changed = []
+        for query in workload:
+            before = disk_files(probe)
+            probe.query(query.box, query.dataset_ids)
+            changed.append(disk_files(probe) != before)
+        failing = changed.index(False, 1)  # changes no file: recovery keeps them
+        path = tmp_path / "journal.log"
+        hook = raise_once_at("journal.commit.torn", failing + 1, OSError("disk full"))
+        engine = SpaceOdyssey(suite.catalog, CONFIG, journal=ManifestJournal(path, crash_hook=hook))
+        for query in workload[:failing]:
+            engine.query(query.box, query.dataset_ids)
+        with pytest.raises(OSError, match="disk full"):
+            engine.query(workload[failing].box, workload[failing].dataset_ids)
+        journal = engine.journal
+        del engine
+
+        recovered, taken, _why = recover_logged(journal)
+        assert taken == "fast"
+        after = workload[failing + 1]
+        recovered.query(after.box, after.dataset_ids)
+        folded = ManifestJournal(path).read_last()
+        expected = [query.box for query in workload[:failing]] + [after.box]
+        assert [decode_box(entry) for entry in folded["queries"]] == expected
 
 
 # ---------------------------------------------------------------------- #
@@ -683,7 +842,10 @@ class TestFastPath:
                 packed_hits(full, full.query(query.box, query.dataset_ids))
             )
         assert file_digests(recovered) == file_digests(full)
-        assert journal_records(store / "journal.log") == journal_records(replay / "journal.log")
+        # The fast path appended to the journal it found, the full path
+        # rewrote it: the two hold the same history.
+        folded = ManifestJournal(store / "journal.log").read_last()
+        assert folded == ManifestJournal(replay / "journal.log").read_last()
 
     def test_each_mutating_query_writes_one_intent_before_its_commit(self, tmp_path):
         suite = filesystem_suite(tmp_path)
@@ -1123,7 +1285,7 @@ class TestRecoveryEdgeCases:
 
     def test_unsupported_manifest_version_raises(self, tmp_path):
         path = tmp_path / "journal.log"
-        ManifestJournal(path).commit({"version": 999, "queries": []})
+        ManifestJournal(path).commit({"version": 999}, [])
         with pytest.raises(RecoveryError, match="version"):
             recover(path)
 

@@ -16,9 +16,9 @@ failing test is printed), *survived* when the selection passes, and an
 Without ``PYTEST_ARGS`` every mutant runs against the selection that owns
 it (its ``killer``): the engine oracle, ``tests/test_engine_fuzz.py``,
 unless the bug is one the oracle cannot reach — a hand-crafted journal
-tail or header version, a fact that names another step, the order of
-decodes inside one group read, the CPU charges of a batch that stops
-early.  With ``PYTEST_ARGS`` every mutant runs against that one
+tail or header version, an append behind a torn tail, a journal write
+that raised, a fact that names another step, the order of decodes inside
+one group read, the CPU charges of a batch that stops early.  With ``PYTEST_ARGS`` every mutant runs against that one
 selection, which is how two test batteries are compared.
 
 Before any mutant, the unmutated copy must pass each selection used, or
@@ -110,6 +110,22 @@ MUTANTS = (
         'elif base is not None and record["committed"] == len(queries) + len(added):',
         "elif base is not None:",
         ("tests/test_storage_journal.py",),
+    ),
+    Mutant(
+        "append-after-torn-tail",
+        "ManifestJournal appends at the end of the file, behind a torn tail",
+        "repro/storage/journal.py",
+        "            if self._tail:\n                os.ftruncate(fd, self._end)",
+        "            self._end = os.fstat(fd).st_size",
+        ("tests/test_storage_journal.py",),
+    ),
+    Mutant(
+        "failed-commit-forgotten",
+        "ManifestJournal.commit drops the entries of a write that raised",
+        "repro/storage/journal.py",
+        "        self._pending += entries",
+        "        self._pending = list(entries)",
+        ("tests/test_recovery.py::TestFailedJournalWrite",),
     ),
     Mutant(
         "no-crc",
