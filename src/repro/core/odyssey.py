@@ -169,8 +169,6 @@ class SpaceOdyssey(MultiDatasetIndex):
         journal_path: str | os.PathLike[str] | ManifestJournal,
         *,
         backend: StorageBackend | None = None,
-        disk: Disk | None = None,
-        crash_hook=None,
     ) -> "SpaceOdyssey":
         """Rebuild an engine after a crash from its manifest journal.
 
@@ -184,11 +182,12 @@ class SpaceOdyssey(MultiDatasetIndex):
         are kept and every storage step takes the runs its journal entry
         recorded, so no page is read or written; otherwise every derived
         file is deleted (partition and merge files may be torn) and
-        rebuilt.  See :mod:`repro.core.recovery`.
+        rebuilt.  A journal of another manifest version than the one this
+        engine writes is refused.  See :mod:`repro.core.recovery`.
         """
         from repro.core.recovery import recover
 
-        return recover(journal_path, backend=backend, disk=disk, crash_hook=crash_hook)
+        return recover(journal_path, backend=backend)
 
     # ------------------------------------------------------------------ #
     # MultiDatasetIndex interface

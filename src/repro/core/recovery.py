@@ -22,17 +22,17 @@ torn-tail tolerant, so a crash mid-commit simply re-exposes the previous
 commit point.
 
 Each committed query's entry also carries its **storage facts**
-(since manifest version 4; :mod:`repro.core.facts`): the runs its first
-touches, refinements and merge copies returned, in call order.  And
-before the first file mutation after each commit the disk's mutation
-hook appends an *intent* to the journal, so the log tells a crash
-between commits (files as the last commit left them) from a crash
-mid-query (files changed beyond it).
+(:mod:`repro.core.facts`): the runs its first touches, refinements and
+merge copies returned, in call order.  And before the first file mutation
+after each commit the disk's mutation hook appends an *intent* to the
+journal, so the log tells a crash between commits (files as the last
+commit left them) from a crash mid-query (files changed beyond it).
 
 :func:`recover` rebuilds an engine from the last intact manifest (the
 journal's last intact base with every intact, contiguous delta folded
-in; a journal written before deltas existed, every record a full
-version-1 manifest, reads the same way), on one of two paths.
+in), on one of two paths.  It reads a manifest of :data:`MANIFEST_VERSION`
+only and refuses any other before it touches a file: the engine of such
+a journal is rebuilt by opening the raw datasets afresh.
 
 **The fast path** keeps every file as it is.  It is taken when all of
 these hold:
@@ -48,10 +48,7 @@ these hold:
   — has raised after its intent since the last full replay.  Such a
   writer half may have left files half written while the engine ran on,
   and the taint is kept in the header until a full replay clears it;
-* the journal is of today's version, and every committed entry carries
-  facts.  A version-4 journal has facts too, but its merge space budget
-  evicted files where today's refuses copies, so its facts need not be
-  the ones a replay takes.
+* every committed entry carries facts.
 
 It opens the raw files (reading no page) and runs every committed entry
 through the same first touch and writer half
@@ -89,14 +86,14 @@ not its I/O.
    entry's facts.
 
 The full path ends by rewriting the journal down to the recovered
-manifest (in today's layout, with facts, the current boot id and no
-taint: the files now match it).  The fast path writes nothing: its
-manifest already says all that, so a clean crash's recovery leaves the
-journal's intact records as they are (the next append cuts off a torn
-tail).  Either way the journal is re-attached, so subsequent commits
-extend the same log.  A crash *during* recovery is harmless: until that
-last rewrite the journal says what it said before (or, on the full
-path, that a full replay is due), so recovery can simply be run again.
+manifest (with facts, the current boot id and no taint: the files now
+match it).  The fast path writes nothing: its manifest already says all
+that, so a clean crash's recovery leaves the journal's intact records as
+they are (the next append cuts off a torn tail).  Either way the journal
+is re-attached, so subsequent commits extend the same log.  A crash
+*during* recovery is harmless: until that last rewrite the journal says
+what it said before (or, on the full path, that a full replay is due), so
+recovery can simply be run again.
 
 The fast path still costs the bookkeeping of every committed query —
 O(history) CPU; a checkpoint of the adaptive state, so that recovery
@@ -124,42 +121,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
     from repro.core.odyssey import SpaceOdyssey
 
 #: Manifest schema version (bumped on incompatible layout changes).
-#: Version 5 journals merges under a space budget that refuses the copies
-#: past it; a version-4 journal's budget evicted instead, so its facts are
-#: replayed in full.  Version 4 gives every committed entry its storage
-#: facts and the header the boot id and taint flag recovery's fast path
-#: tests.  Version 3 records a filesystem store's root relative to the
-#: journal's directory, so a store and its journal can be copied or moved
-#: together.  Versions 1 to 4 are still read (and replayed in full); the
-#: absolute root of versions 1 and 2 (version 1 also holds one full
-#: manifest per commit instead of a base plus per-commit deltas) is
-#: honoured.
+#: Recovery reads this version only and refuses every other: the adaptive
+#: state is derived from the raw files, so a journal of another version
+#: costs re-adaptation from a fresh engine, never data.
 MANIFEST_VERSION = 5
-READABLE_VERSIONS = (1, 2, 3, 4, MANIFEST_VERSION)
 
 #: Where Linux names the current boot (a fresh UUID on every boot).
 BOOT_ID_PATH = "/proc/sys/kernel/random/boot_id"
-
-#: Header keys of retired options, ignored when an older journal carries
-#: them.  A sharded buffer pool comes back as one pool of the same
-#: ``buffer_pages``; the batch executor, per-record engine and epoch
-#: switches have no replacement — every engine computes the same state.
-#: A level budget above one, the adaptive merge trigger or a merge policy
-#: other than "hot once retrieved twice, only when converged" is dropped
-#: too: replay then runs the one policy left, whose adaptive state may
-#: differ from the journaling engine's but whose answers cannot.
-_RETIRED_KEYS = {
-    "config": (
-        "batch_executor",
-        "columnar",
-        "snapshot_reads",
-        "refine_levels_per_query",
-        "adaptive_merge_threshold",
-        "merge_partition_min_hits",
-        "merge_only_converged",
-    ),
-    "catalog": ("buffer_shards",),
-}
 
 #: Silent unless the embedding application configures handlers (e.g. via
 #: :func:`repro.obs.configure_json_logging`).
@@ -316,16 +284,11 @@ def _rebuild_disk(
         if store["kind"] != "filesystem":
             raise RecoveryError(
                 "the crashed engine ran on an in-memory backend; pass the "
-                "surviving backend (or a Disk) to recover()"
+                "surviving backend to recover()"
             )
-        # An absolute root (versions 1 and 2) ignores ``root_base``.
         root = os.path.normpath(os.path.join(root_base, store["root"]))
         backend = FileSystemBackend(root, page_size=model.page_size)
-    return Disk(
-        backend=backend,
-        model=model,
-        buffer_pages=manifest_catalog["buffer_pages"],
-    )
+    return Disk(backend=backend, model=model, buffer_pages=manifest_catalog["buffer_pages"])
 
 
 def _derived_files(disk: Disk, raw_names: set[str]) -> list[str]:
@@ -338,11 +301,6 @@ def _fast_path_refusal(manifest: dict, dirty: bool) -> str | None:
     """Why the files cannot be kept as they are, or ``None`` when they can."""
     if dirty:
         return "a file changed after the last commit"
-    version = manifest.get("version")
-    if version != MANIFEST_VERSION:
-        if version == 4:
-            return "a version-4 journal's merges may have followed an evicting space budget"
-        return f"a version-{version} journal carries no facts"
     current = boot_id()
     if current is None or manifest.get("boot_id") != current:
         return "the journal was written before the last boot"
@@ -408,8 +366,6 @@ def recover(
     journal_path: str | os.PathLike[str] | ManifestJournal,
     *,
     backend: StorageBackend | None = None,
-    disk: Disk | None = None,
-    crash_hook=None,
 ) -> "SpaceOdyssey":
     """Rebuild an engine from the last intact manifest in the journal.
 
@@ -417,40 +373,39 @@ def recover(
     ----------
     journal_path:
         The journal file (or an already-open :class:`ManifestJournal`).
-    backend / disk:
-        Where the page bytes survived.  For a filesystem-backed engine
-        both may be omitted — the manifest records the root directory,
-        relative to the journal's own directory (absolute in journals of
-        versions 1 and 2), so a store copied or moved together with its
-        journal recovers from its new place.
+    backend:
+        Where the page bytes survived.  For a filesystem-backed engine it
+        may be omitted — the manifest records the root directory relative
+        to the journal's own directory, so a store copied or moved
+        together with its journal recovers from its new place.
         For an in-memory engine the surviving backend object must be
         passed (typically the fault injector's inner backend, or the
         injector itself disarmed).
-    crash_hook:
-        Forwarded to the re-attached journal when ``journal_path`` is a
-        path.
 
     Returns an engine whose adaptive state, on-disk derived bytes and
     subsequent answers are bit-identical to an engine that executed the
     committed query prefix without crashing — on the fast path by
     keeping the files, on the full path by rebuilding them (see the
     module docstring for which one runs).  Raises
-    :class:`RecoveryError` if the journal holds no intact manifest or a
-    raw dataset file is missing.
+    :class:`RecoveryError` if the journal holds no intact manifest or one
+    of another version than :data:`MANIFEST_VERSION` (both before a file
+    is touched), or if a raw dataset file is missing.
     """
     if isinstance(journal_path, ManifestJournal):
         journal = journal_path
     else:
-        journal = ManifestJournal(journal_path, crash_hook=crash_hook)
+        journal = ManifestJournal(journal_path)
     manifest = journal.read_last()
     if manifest is None:
         raise RecoveryError(
             f"journal {journal.path} holds no intact manifest; nothing was "
             "ever durably committed, so rebuild the engine from scratch"
         )
-    if manifest.get("version") not in READABLE_VERSIONS:
+    if manifest.get("version") != MANIFEST_VERSION:
         raise RecoveryError(
-            f"unsupported manifest version {manifest.get('version')!r}"
+            f"journal {journal.path} holds a manifest of version "
+            f"{manifest.get('version')!r}; only version {MANIFEST_VERSION} is "
+            "read, so open the raw datasets and start a fresh engine"
         )
 
     logger.info(
@@ -464,19 +419,9 @@ def recover(
 
     manifest_catalog = manifest["catalog"]
     journal_dir = _journal_dir(journal)
-    if disk is None:
-        disk = _rebuild_disk(manifest_catalog, backend, journal_dir)
-    else:
-        disk.arm_mutation_hook(None)  # the crashed engine's intents end here
+    disk = _rebuild_disk(manifest_catalog, backend, journal_dir)
     refusal = _fast_path_refusal(manifest, journal.dirty)
-
-    # The manifest in today's layout: whatever the version read, the
-    # journal's next base names the store recovery runs on and no retired
-    # option, so the deltas that follow it belong.
-    manifest["version"] = MANIFEST_VERSION
-    for section, keys in _RETIRED_KEYS.items():
-        for key in keys:
-            manifest[section].pop(key, None)
+    # The journal's next base names the store recovery runs on.
     manifest_catalog["store"] = _encode_store(disk.backend, journal_dir)
 
     config = OdysseyConfig(**manifest["config"])

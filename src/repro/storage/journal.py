@@ -28,9 +28,9 @@ owns the on-disk format and its crash-consistency discipline:
   (``committed`` must equal the queries folded so far plus the delta's
   own; the count is in every delta so that a reader can tell, from the
   delta alone, that it extends *this* base and not some other history).
-  A crash mid-commit simply re-exposes the previous commit point.  A
-  journal in the version-1 layout — every record a full manifest — is a
-  sequence of bases and folds to its last record.
+  A crash mid-commit simply re-exposes the previous commit point, and a
+  sequence of bases folds to its last.  The fold reads no version: which
+  manifest versions recovery accepts is the caller's business.
 
 * An **intent**, ``{"intent": n}``, says that files are about to change
   beyond what the ``n`` queries folded so far describe.  The engine
@@ -107,7 +107,6 @@ class ManifestJournal:
         crash_hook: Callable[[str], None] | None = None,
     ) -> None:
         self._path = Path(path)
-        self._path.parent.mkdir(parents=True, exist_ok=True)
         self._crash_hook = crash_hook
         self._tracer = None
         # The file as last folded or written: the base's header (None
@@ -202,7 +201,11 @@ class ManifestJournal:
         ends, cutting off the bytes after it, which would hide it from the
         fold.  A delta stops at the ``journal.commit.torn`` crash point."""
         self._stale = True  # until the whole record is known to be down
-        fd = os.open(self._path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            fd = os.open(self._path, os.O_WRONLY | os.O_CREAT, 0o666)
+        except FileNotFoundError:  # made with the file: a reader creates nothing
+            self._path.parent.mkdir(parents=True, exist_ok=True)
+            fd = os.open(self._path, os.O_WRONLY | os.O_CREAT, 0o666)
         try:
             if self._tail:
                 os.ftruncate(fd, self._end)
@@ -230,6 +233,7 @@ class ManifestJournal:
         self._stale = True
         with maybe_span(self._tracer, "journal.rewrite", bytes=len(encoded)):
             self._crash_point("journal.rewrite.start")
+            self._path.parent.mkdir(parents=True, exist_ok=True)
             tmp = self._path.with_suffix(self._path.suffix + ".tmp")
             with tmp.open("wb") as handle:
                 handle.write(encoded)

@@ -3,7 +3,7 @@
 Scoring the mutants runs pytest once per mutant, so it stays outside
 tier-1; this guard keeps the set from rotting silently when the code it
 mutates moves: every anchor occurs exactly once, every mutated file still
-compiles, and ``--list`` runs.
+compiles, every owning selection still names tests, and ``--list`` runs.
 """
 
 from __future__ import annotations
@@ -43,3 +43,23 @@ def test_list_runs_and_names_each_mutant_once():
     listed = [line.split()[0] for line in done.stdout.splitlines()]
     assert listed == [mutant.name for mutant in mutants.MUTANTS]
     assert len(set(listed)) == len(listed)
+
+
+def test_every_owner_selection_collects():
+    # A renamed or retired owner id would otherwise fail only the scoring run.
+    # One collection for all: pytest exits 0 when a missing test's class is
+    # selected too, so each selection must also name a collected test.
+    selections = list(dict.fromkeys(arg for m in mutants.MUTANTS for arg in m.killer))
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider"]
+        + selections,
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+    collected = done.stdout.splitlines()
+    for selection in selections:
+        assert any(
+            test == selection or test.startswith((selection + "::", selection + "["))
+            for test in collected
+        ), f"{selection} selects no test"

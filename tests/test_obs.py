@@ -347,7 +347,7 @@ class TestJsonLogging:
         )
         engine.query(window, [0, 1])
         with caplog.at_level(logging.INFO, logger="repro.recovery"):
-            recovered = SpaceOdyssey.recover(engine.journal, disk=engine.disk)
+            recovered = SpaceOdyssey.recover(engine.journal, backend=engine.disk.backend)
         messages = [record.message for record in caplog.records]
         assert "recovery started" in messages
         assert "recovery complete" in messages

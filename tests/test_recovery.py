@@ -125,36 +125,6 @@ def assert_matches_reference(recovered, reference, committed: int) -> None:
     assert disk_files(recovered) == snapshots[-1][1]
 
 
-def journal_today(suite, queries, directory):
-    """Today's last journal record after ``queries`` on a fork of ``suite``,
-    the page files that survive them and the engine's summary."""
-    engine = SpaceOdyssey(suite.fork().catalog, CONFIG, journal=directory / "today.log")
-    for query in queries:
-        engine.query(query.box, query.dataset_ids)
-    return engine.journal.read_last(), engine.disk.backend.clone(), engine.summary()
-
-
-def version_2_log(path, today: dict, catalog=(), config=()):
-    """``today``'s queries as a version-2 log, built by hand: a base of three
-    under a header with ``catalog`` and ``config`` merged in, then one delta
-    per commit."""
-    header = {
-        **today,
-        "version": 2,
-        "catalog": {**today["catalog"], **dict(catalog)},
-        "config": {**today["config"], **dict(config)},
-    }
-    queries = today["queries"]
-    path.write_bytes(
-        framed({**header, "queries": queries[:3]})
-        + b"".join(
-            framed({"committed": n, "queries": [queries[n - 1]]})
-            for n in range(4, len(queries) + 1)
-        )
-    )
-    return path
-
-
 # ---------------------------------------------------------------------- #
 # Differential parity
 # ---------------------------------------------------------------------- #
@@ -274,31 +244,6 @@ class TestRelocatableStore:
         assert ManifestJournal(tmp_path / "a" / "journal.log").read_last()["catalog"][
             "store"
         ] == {"kind": "filesystem", "root": "pages"}
-
-    def test_version_2_journal_keeps_its_absolute_root(self, tmp_path):
-        directory = tmp_path / "store"
-        suite = filesystem_suite(directory)
-        workload = make_workload(suite, n=6, seed=9)
-        engine = SpaceOdyssey(suite.catalog, CONFIG, journal=tmp_path / "today.log")
-        for query in workload:
-            engine.query(query.box, query.dataset_ids)
-        today = engine.journal.read_last()
-        summary = engine.summary()
-        del engine
-
-        root = str(directory / "pages")
-        catalog = {**today["catalog"], "store": {"kind": "filesystem", "root": root}}
-        path = tmp_path / "elsewhere" / "v2.log"
-        path.parent.mkdir()
-        path.write_bytes(framed({**today, "version": 2, "catalog": catalog}))
-
-        recovered = SpaceOdyssey.recover(path)
-        assert recovered.summary() == summary
-        assert str(recovered.disk.backend.root) == root
-        # The healed base is today's layout: the root relative to the journal.
-        first, *rest = recovered.journal.records()
-        assert first["version"] == MANIFEST_VERSION and rest == []
-        assert first["catalog"]["store"]["root"] == "../store/pages"
 
 
 # ---------------------------------------------------------------------- #
@@ -639,12 +584,9 @@ class TestCrashPointSweep:
             engine.query(workload[crashed_on].box, workload[crashed_on].dataset_ids)
         del engine
 
+        crashing = ManifestJournal(path, crash_hook=raise_once_at(point, nth, SimulatedCrash(point)))
         with pytest.raises(SimulatedCrash):
-            SpaceOdyssey.recover(
-                path,
-                backend=forked.disk.backend,
-                crash_hook=raise_once_at(point, nth, SimulatedCrash(point)),
-            )
+            SpaceOdyssey.recover(crashing, backend=forked.disk.backend)
         recovered, taken, _why = recover_logged(path, backend=forked.disk.backend)
         committed = recovered.summary().queries_executed
         assert committed in (crashed_on, crashed_on + 1), (
@@ -990,58 +932,6 @@ class TestFastPath:
         assert taken == "fast"
         assert (adaptive_state(again), file_digests(again)) == (state, digests)
 
-    def test_version_4_journal_replays_in_full_and_heals(self, base_suite, tmp_path):
-        """A version-4 journal's budget evicted where today's refuses, so it
-        replays in full once; at today's version it keeps its files."""
-        workload = make_workload(base_suite, n=16)
-        engine = SpaceOdyssey(base_suite.fork().catalog, REFUSING, journal=tmp_path / "ok.log")
-        truth = SpaceOdyssey(base_suite.fork().catalog, REFUSING)
-        for query in workload:
-            engine.query(query.box, query.dataset_ids)
-            truth.query(query.box, query.dataset_ids)
-        manifest, survivor = engine.journal.read_last(), engine.disk.backend.clone()
-        v4 = "a version-4 journal's merges may have followed an evicting space budget"
-        for version, first in ((4, ("full", v4)), (MANIFEST_VERSION, ("fast", None))):
-            path, backend = tmp_path / f"v{version}.log", survivor.clone()
-            path.write_bytes(framed({**manifest, "version": version}))
-            for expected in (first, ("fast", None)):  # healed: then the files are kept
-                recovered, *taken = recover_logged(path, backend=backend)
-                assert tuple(taken) == expected
-                assert adaptive_state(recovered) == adaptive_state(truth)
-                assert file_digests(recovered) == file_digests(truth)
-                assert recovered.journal.read_last()["version"] == MANIFEST_VERSION
-                del recovered
-
-    def test_version_3_journal_replays_in_full_and_heals_to_today(
-        self, base_suite, reference, tmp_path
-    ):
-        workload = reference[0]
-        committed = 7
-        engine = SpaceOdyssey(base_suite.fork().catalog, CONFIG, journal=tmp_path / "today.log")
-        for query in workload[:committed]:
-            engine.query(query.box, query.dataset_ids)
-        today = engine.journal.read_last()
-        survivor = engine.disk.backend.clone()
-        del engine
-        assert all("facts" in entry for entry in today["queries"])
-
-        header = {key: today[key] for key in ("config", "catalog")}
-        queries = [{k: v for k, v in entry.items() if k != "facts"} for entry in today["queries"]]
-        path = tmp_path / "v3.log"
-        path.write_bytes(framed({**header, "version": 3, "queries": queries}))
-
-        recovered, taken, why = recover_logged(path, backend=survivor)
-        assert (taken, why) == ("full", "a version-3 journal carries no facts")
-        (base,) = recovered.journal.records()
-        assert base["version"] == MANIFEST_VERSION and base["tainted"] is False
-        assert [entry["facts"] for entry in base["queries"]] == [
-            entry["facts"] for entry in today["queries"]
-        ]
-        del recovered
-        again, taken, _why = recover_logged(path, backend=survivor)
-        assert taken == "fast"
-        assert_matches_reference(again, reference, committed=committed)
-
     @pytest.mark.parametrize("damage", ["renamed", "dropped", "extra", "stray file"])
     def test_a_fact_mismatch_falls_back_to_the_full_replay(
         self, base_suite, reference, tmp_path, damage
@@ -1085,6 +975,16 @@ class TestRecoveryEdgeCases:
     def test_empty_journal_raises(self, tmp_path):
         with pytest.raises(RecoveryError, match="no intact manifest"):
             recover(tmp_path / "journal.log")
+
+    def test_missing_journal_creates_no_directory(self, tmp_path):
+        with pytest.raises(RecoveryError, match="no intact manifest"):
+            recover(tmp_path / "a" / "b" / "manifest.journal")
+        assert list(tmp_path.iterdir()) == []
+        # The directory is made with the file, by an append or a rewrite.
+        ManifestJournal(tmp_path / "c" / "appended.journal").intent()
+        ManifestJournal(tmp_path / "d" / "rewritten.journal").rewrite({"queries": []})
+        assert (tmp_path / "c" / "appended.journal").exists()
+        assert (tmp_path / "d" / "rewritten.journal").exists()
 
     def test_wholly_torn_journal_raises(self, tmp_path):
         path = tmp_path / "journal.log"
@@ -1130,142 +1030,6 @@ class TestRecoveryEdgeCases:
         assert recovered.summary().queries_executed == 5
         assert_matches_reference(recovered, reference, committed=5)
 
-    def test_version_1_journal_recovers(self, base_suite, reference, tmp_path):
-        # The layout before deltas: every commit appended one full
-        # manifest.  Built here byte for byte, not written by today's code.
-        workload, committed = reference[0], 7
-        today, survivor, summary = journal_today(base_suite, workload[:committed], tmp_path)
-
-        path = tmp_path / "v1.log"
-        path.write_bytes(
-            b"".join(
-                framed({**today, "version": 1, "queries": today["queries"][:n]})
-                for n in range(committed + 1)
-            )
-        )
-        assert all("committed" not in r for r in ManifestJournal(path).records())
-
-        recovered = SpaceOdyssey.recover(path, backend=survivor)
-        assert recovered.summary() == summary
-        # The log it keeps writing is today's: one base, then deltas.
-        first, *rest = recovered.journal.records()
-        assert first["version"] == MANIFEST_VERSION and rest == []
-        assert_matches_reference(recovered, reference, committed=committed)
-        first, *rest = recovered.journal.records()
-        assert len(first["queries"]) == committed
-        assert [r["committed"] for r in rest] == list(
-            range(committed + 1, len(workload) + 1)
-        )
-
-    def test_version_2_journal_of_a_sharded_pool_recovers(
-        self, base_suite, reference, tmp_path
-    ):
-        # An older version-2 header also named two retired options: the
-        # pool's shard count in the catalog and the batch executor in the
-        # config.  Recovery ignores both; the sharded pool comes back as
-        # one pool of the same ``buffer_pages``.
-        workload, committed = reference[0], 7
-        today, survivor, summary = journal_today(base_suite, workload[:committed], tmp_path)
-        assert "buffer_shards" not in today["catalog"]
-        assert "batch_executor" not in today["config"]
-
-        path = version_2_log(
-            tmp_path / "sharded.log", today,
-            catalog={"buffer_shards": 4}, config={"batch_executor": "thread"},
-        )
-        assert ManifestJournal(path).read_last()["catalog"]["buffer_shards"] == 4
-
-        recovered = SpaceOdyssey.recover(path, backend=survivor)
-        assert recovered.summary() == summary
-        assert recovered.disk.buffer_pool.capacity_pages == 64
-        first, *rest = recovered.journal.records()
-        assert "buffer_shards" not in first["catalog"] and rest == []
-        assert_matches_reference(recovered, reference, committed=committed)
-        # The next commits continue that base as deltas.
-        first, *rest = recovered.journal.records()
-        assert len(first["queries"]) == committed
-        assert [r["committed"] for r in rest] == list(
-            range(committed + 1, len(workload) + 1)
-        )
-
-    def test_version_2_journal_of_the_per_record_engine_recovers(
-        self, base_suite, reference, tmp_path
-    ):
-        # A version-2 header written while ``OdysseyConfig`` still had the
-        # ``columnar`` switch, by an engine running the per-record path.
-        # Every engine computes the same state, so recovery ignores the key.
-        workload, committed = reference[0], 7
-        today, survivor, summary = journal_today(base_suite, workload[:committed], tmp_path)
-        assert "columnar" not in today["config"]
-
-        path = version_2_log(tmp_path / "scalar.log", today, config={"columnar": False})
-        assert ManifestJournal(path).read_last()["config"]["columnar"] is False
-
-        recovered = SpaceOdyssey.recover(path, backend=survivor)
-        assert recovered.summary() == summary
-        first, *rest = recovered.journal.records()
-        assert "columnar" not in first["config"] and rest == []
-        assert_matches_reference(recovered, reference, committed=committed)
-
-    @pytest.mark.parametrize(
-        "retired",
-        [
-            {"refine_levels_per_query": 1, "adaptive_merge_threshold": False},
-            {"refine_levels_per_query": 2, "adaptive_merge_threshold": True},
-            {"merge_partition_min_hits": 2, "merge_only_converged": True},
-            {"merge_partition_min_hits": 1, "merge_only_converged": False},
-        ],
-        ids=["defaults", "turned_on", "merge_policy_defaults", "merge_policy_every_key"],
-    )
-    def test_version_2_journal_of_the_retired_policies_recovers(
-        self, base_suite, reference, tmp_path, retired
-    ):
-        # A version-2 header written while ``OdysseyConfig`` still had a
-        # level budget and the adaptive merge trigger, or (later) the
-        # hot-key hit count and the converged-only switch: at their
-        # defaults, as every such journal names them, or turned away from
-        # them.  Recovery drops the keys and replays under the one policy
-        # left: the adaptive state is that of a fresh engine running the
-        # same committed queries, and the answers never depended on it.
-        workload, committed = reference[0], 7
-        today, survivor, summary = journal_today(base_suite, workload[:committed], tmp_path)
-        assert not retired.keys() & today["config"].keys()
-
-        path = version_2_log(tmp_path / "policies.log", today, config=retired)
-        assert ManifestJournal(path).read_last()["config"].items() >= retired.items()
-
-        recovered = SpaceOdyssey.recover(path, backend=survivor)
-        assert recovered.summary() == summary
-        assert recovered.config == CONFIG
-        first, *rest = recovered.journal.records()
-        assert not retired.keys() & first["config"].keys() and rest == []
-        assert_matches_reference(recovered, reference, committed=committed)
-
-    @pytest.mark.parametrize("snapshot_reads", [False, True])
-    def test_version_2_journal_with_the_epoch_switch_recovers(
-        self, base_suite, reference, tmp_path, snapshot_reads
-    ):
-        # A version-2 header written while ``OdysseyConfig`` still had the
-        # epoch switch, either way.  Epochs now start with the first
-        # snapshot read, so recovery ignores the key and replays into an
-        # engine that has none.
-        workload, committed = reference[0], 7
-        today, survivor, summary = journal_today(base_suite, workload[:committed], tmp_path)
-        assert "snapshot_reads" not in today["config"]
-
-        path = version_2_log(
-            tmp_path / "epochs.log", today, config={"snapshot_reads": snapshot_reads}
-        )
-        assert ManifestJournal(path).read_last()["config"]["snapshot_reads"] is snapshot_reads
-
-        recovered = SpaceOdyssey.recover(path, backend=survivor)
-        assert recovered.summary() == summary
-        assert recovered.config == CONFIG
-        assert recovered.epochs is None
-        first, *rest = recovered.journal.records()
-        assert "snapshot_reads" not in first["config"] and rest == []
-        assert_matches_reference(recovered, reference, committed=committed)
-
     def test_journal_with_a_nan_threshold_is_rejected(self, base_suite, tmp_path):
         # ``json`` writes and reads NaN, so a journal can carry one; the
         # configuration it rebuilds must refuse it like any other.
@@ -1283,11 +1047,27 @@ class TestRecoveryEdgeCases:
         with pytest.raises(ValueError, match="refinement_threshold"):
             recover(path, backend=survivor)
 
-    def test_unsupported_manifest_version_raises(self, tmp_path):
+    @pytest.mark.parametrize("version", (1, 2, 3, 4, 999))
+    def test_unsupported_manifest_version_raises(self, tmp_path, version):
+        # Today's journal of a store with derived files, its base relabelled.
+        # Any other version is refused before a file is touched: the journal,
+        # its directory and the store stay byte for byte as they were.
+        suite = filesystem_suite(tmp_path)
         path = tmp_path / "journal.log"
-        ManifestJournal(path).commit({"version": 999}, [])
-        with pytest.raises(RecoveryError, match="version"):
+        engine = SpaceOdyssey(suite.catalog, CONFIG, journal=path)
+        for query in make_workload(suite, n=6, seed=9):
+            engine.query(query.box, query.dataset_ids)
+        assert engine.summary().merges_performed > 0
+        manifest = engine.journal.read_last()
+        del engine
+        path.write_bytes(framed({**manifest, "version": version}))
+        files, before = sorted(suite.disk.list_files()), tree_digests(tmp_path)
+        assert len(files) > len(manifest["catalog"]["datasets"])  # derived files too
+
+        with pytest.raises(RecoveryError, match=f"version {version}; only version {MANIFEST_VERSION}"):
             recover(path)
+        assert sorted(suite.disk.list_files()) == files
+        assert tree_digests(tmp_path) == before
 
     def test_memory_backend_requires_survivor(self, base_suite, tmp_path):
         path = tmp_path / "journal.log"

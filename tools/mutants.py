@@ -16,7 +16,7 @@ failing test is printed), *survived* when the selection passes, and an
 Without ``PYTEST_ARGS`` every mutant runs against the selection that owns
 it (its ``killer``): the engine oracle, ``tests/test_engine_fuzz.py``,
 unless the bug is one the oracle cannot reach — a hand-crafted journal
-tail or header version, an append behind a torn tail, a journal write
+tail or another header version, an append behind a torn tail, a journal write
 that raised, a fact that names another step, the order of decodes inside
 one group read, the CPU charges of a batch that stops early.  With ``PYTEST_ARGS`` every mutant runs against that one
 selection, which is how two test batteries are compared.
@@ -162,12 +162,12 @@ MUTANTS = (
         "            if pages <= free or not kept:",
     ),
     Mutant(
-        "v4-journal-fast-path",
-        "_fast_path_refusal keeps the files of a version-4 journal",
+        "other-version-recovered",
+        "recover() admits a version-4 journal besides today's",
         "repro/core/recovery.py",
-        "    if version != MANIFEST_VERSION:",
-        "    if version not in (4, MANIFEST_VERSION):",
-        ("tests/test_recovery.py::TestFastPath::test_version_4_journal_replays_in_full_and_heals",),
+        '    if manifest.get("version") != MANIFEST_VERSION:',
+        '    if manifest.get("version") not in (4, MANIFEST_VERSION):',
+        ("tests/test_recovery.py::TestRecoveryEdgeCases::test_unsupported_manifest_version_raises",),
     ),
     Mutant(
         "facts-no-name-check",
