@@ -584,7 +584,8 @@ class TestCrashPointSweep:
             engine.query(workload[crashed_on].box, workload[crashed_on].dataset_ids)
         del engine
 
-        crashing = ManifestJournal(path, crash_hook=raise_once_at(point, nth, SimulatedCrash(point)))
+        hook = raise_once_at(point, nth, SimulatedCrash(point))
+        crashing = ManifestJournal(path, crash_hook=hook)
         with pytest.raises(SimulatedCrash):
             SpaceOdyssey.recover(crashing, backend=forked.disk.backend)
         recovered, taken, _why = recover_logged(path, backend=forked.disk.backend)
@@ -1064,7 +1065,8 @@ class TestRecoveryEdgeCases:
         files, before = sorted(suite.disk.list_files()), tree_digests(tmp_path)
         assert len(files) > len(manifest["catalog"]["datasets"])  # derived files too
 
-        with pytest.raises(RecoveryError, match=f"version {version}; only version {MANIFEST_VERSION}"):
+        refused = f"version {version}; only version {MANIFEST_VERSION} is read"
+        with pytest.raises(RecoveryError, match=refused):
             recover(path)
         assert sorted(suite.disk.list_files()) == files
         assert tree_digests(tmp_path) == before
