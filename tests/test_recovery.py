@@ -18,6 +18,7 @@ whether the fast path is taken never depends on the host.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 import shutil
@@ -981,11 +982,6 @@ class TestRecoveryEdgeCases:
         with pytest.raises(RecoveryError, match="no intact manifest"):
             recover(tmp_path / "a" / "b" / "manifest.journal")
         assert list(tmp_path.iterdir()) == []
-        # The directory is made with the file, by an append or a rewrite.
-        ManifestJournal(tmp_path / "c" / "appended.journal").intent()
-        ManifestJournal(tmp_path / "d" / "rewritten.journal").rewrite({"queries": []})
-        assert (tmp_path / "c" / "appended.journal").exists()
-        assert (tmp_path / "d" / "rewritten.journal").exists()
 
     def test_wholly_torn_journal_raises(self, tmp_path):
         path = tmp_path / "journal.log"
@@ -1070,6 +1066,32 @@ class TestRecoveryEdgeCases:
             recover(path)
         assert sorted(suite.disk.list_files()) == files
         assert tree_digests(tmp_path) == before
+
+    @pytest.mark.parametrize(
+        "entry", (recover, SpaceOdyssey.recover), ids=("module", "engine")
+    )
+    def test_recover_takes_a_journal_and_a_backend_only(self, entry):
+        params = inspect.signature(entry).parameters
+        assert list(params) == ["journal_path", "backend"]
+        assert params["backend"].kind is inspect.Parameter.KEYWORD_ONLY
+        assert params["backend"].default is None
+
+    def test_refusal_uses_no_backend(self, tmp_path):
+        class Untouchable:
+            def __getattr__(self, name):
+                raise AssertionError(f"the backend's {name} was used")
+
+        path = tmp_path / "journal.log"
+        path.write_bytes(framed({"version": 4, "queries": []}))
+        with pytest.raises(RecoveryError, match="version 4"):
+            recover(path, backend=Untouchable())
+
+    def test_the_engine_entry_point_refuses_another_version(self, tmp_path):
+        path = tmp_path / "journal.log"
+        path.write_bytes(framed({"version": MANIFEST_VERSION + 1, "queries": []}))
+        with pytest.raises(RecoveryError, match="open the raw datasets and start a fresh"):
+            SpaceOdyssey.recover(path)
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_memory_backend_requires_survivor(self, base_suite, tmp_path):
         path = tmp_path / "journal.log"

@@ -64,6 +64,40 @@ class TestCommitAndRead:
         assert path.stat().st_size == size
 
 
+class TestDirectory:
+    """The journal's directory is made with its file, and only then."""
+
+    def test_a_reader_creates_nothing(self, tmp_path):
+        journal = ManifestJournal(tmp_path / "a" / "b" / "j.log")
+        assert not journal.exists()
+        assert journal.read_last() is None
+        assert list(journal.records()) == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_append_creates_the_missing_directory(self, tmp_path):
+        path = tmp_path / "a" / "b" / "j.log"
+        ManifestJournal(path).intent()
+        assert list(ManifestJournal(path).records()) == []
+        assert path.exists()
+
+    def test_a_rewrite_creates_the_missing_directory(self, tmp_path):
+        path = tmp_path / "a" / "b" / "j.log"
+        ManifestJournal(path).commit(HEADER, [0, 1])
+        assert ManifestJournal(path).read_last() == manifest(2)
+
+    def test_appends_to_an_existing_file_make_no_directory(self, tmp_path, monkeypatch):
+        path = tmp_path / "j.log"
+        ManifestJournal(path).commit(HEADER, [0])
+        made = []
+        monkeypatch.setattr(type(path), "mkdir", lambda self, *a, **k: made.append(self))
+        journal = ManifestJournal(path)
+        for query in range(1, 6):
+            journal.intent()
+            journal.commit(HEADER, [query])
+        assert made == []
+        assert ManifestJournal(path).read_last() == manifest(6)
+
+
 class TestTornAndCorruptTails:
     def test_torn_tail_discarded(self, tmp_path):
         path = tmp_path / "j.log"
