@@ -97,14 +97,9 @@ def test_refinement_threshold(benchmark, environment, scale, rt):
 @pytest.mark.parametrize("merging", ["enabled", "disabled"])
 def test_merging_policy(benchmark, environment, scale, merging):
     """Static merging (paper) and no merging; Figure 5c owns the verdict."""
-    base = odyssey_config_for(scale)
-    config = OdysseyConfig(
-        refinement_threshold=base.refinement_threshold,
-        partitions_per_level=base.partitions_per_level,
-        merge_threshold=base.merge_threshold,
-        min_merge_combination=base.min_merge_combination,
-        enable_merging=merging == "enabled",
-    )
+    config = odyssey_config_for(scale)
+    if merging == "disabled":
+        config = config.without_merging()
     total = benchmark.pedantic(lambda: _run_odyssey(environment, config), rounds=1, iterations=1)
     benchmark.extra_info["merging"] = merging
     benchmark.extra_info["total_simulated_s"] = round(total, 4)

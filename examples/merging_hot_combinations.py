@@ -30,10 +30,12 @@ from repro.bench.scales import SCALES
 from repro.data.suite import build_benchmark_suite
 
 
-def run_session(suite, enable_merging: bool):
+def run_session(suite, merging: bool):
     """Query the same 3-dataset combination over 4 hot regions, 12 rounds."""
     scale = SCALES["small"]
-    config = odyssey_config_for(scale, enable_merging=enable_merging)
+    config = odyssey_config_for(scale)
+    if not merging:
+        config = config.without_merging()
     odyssey = SpaceOdyssey(suite.catalog, config)
     combination = [1, 4, 8]
     query_side = (suite.universe.volume() * 1e-4) ** (1 / 3)
@@ -67,7 +69,7 @@ def main() -> None:
 
     print("=== merging enabled (paper configuration: mt = 2, |C| >= 3) ===")
     suite = master.fork()
-    odyssey, with_merging, created_at = run_session(suite, enable_merging=True)
+    odyssey, with_merging, created_at = run_session(suite, merging=True)
     summary = odyssey.summary()
     print(f"merge file first created during round {created_at}")
     print(f"merge files: {summary.merge_files}, pages: {summary.merge_pages}, "
@@ -77,7 +79,7 @@ def main() -> None:
 
     print("\n=== merging disabled (ablation, as in Figure 5c) ===")
     suite = master.fork()
-    _, without_merging, _ = run_session(suite, enable_merging=False)
+    _, without_merging, _ = run_session(suite, merging=False)
 
     print("\nper-round simulated cost of the hot combination (seconds):")
     print(f"{'round':>6}{'with merging':>16}{'without merging':>18}")

@@ -84,7 +84,7 @@ def main() -> None:
         )
 
     # 3. Merging: off, and the paper's static trigger.
-    rows.append(evaluate(suite, workload, "merging off", OdysseyConfig(enable_merging=False)))
+    rows.append(evaluate(suite, workload, "merging off", OdysseyConfig().without_merging()))
     rows.append(evaluate(suite, workload, "merging static mt=2", OdysseyConfig()))
 
     header = (

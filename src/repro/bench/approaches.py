@@ -3,7 +3,7 @@
 The paper's Figure 4 compares FLAT-Ain1, FLAT-1fE, RTree-Ain1, Grid-1fE and
 Space Odyssey; Figure 5 uses the most competitive static approaches
 (FLAT-Ain1 and Grid-1fE) plus Odyssey, and Figure 5c adds Odyssey with
-merging disabled.  The registry also exposes RTree-1fE and Grid-Ain1 so the
+merging disabled (a merge space budget of 0 pages).  The registry also exposes RTree-1fE and Grid-Ain1 so the
 full strategy matrix can be explored.
 """
 
@@ -61,14 +61,13 @@ def _flat_factory(suite: BenchmarkSuite, scale: ExperimentScale):
     return factory
 
 
-def odyssey_config_for(scale: ExperimentScale, enable_merging: bool = True) -> OdysseyConfig:
+def odyssey_config_for(scale: ExperimentScale) -> OdysseyConfig:
     """The paper's Space Odyssey configuration, bound to a scale preset."""
     return OdysseyConfig(
         refinement_threshold=4.0,
         partitions_per_level=64,
         merge_threshold=2,
         min_merge_combination=3,
-        enable_merging=enable_merging,
     )
 
 
@@ -92,10 +91,10 @@ APPROACHES: dict[str, ApproachFactory] = {
         suite.catalog, _grid_factory(suite, scale), "Grid-Ain1"
     ),
     "Odyssey": lambda suite, scale: SpaceOdyssey(
-        suite.catalog, odyssey_config_for(scale, enable_merging=True)
+        suite.catalog, odyssey_config_for(scale)
     ),
     "Odyssey-NoMerge": lambda suite, scale: SpaceOdyssey(
-        suite.catalog, odyssey_config_for(scale, enable_merging=False)
+        suite.catalog, odyssey_config_for(scale).without_merging()
     ),
 }
 

@@ -412,17 +412,17 @@ def figure5c(
     runs: dict[bool, list[float]] = {}
     merges_performed = 0
     merge_files = 0
-    for enable_merging in (True, False):
+    for merging in (True, False):
         suite = master_suite.fork()
-        approach_name = "Odyssey" if enable_merging else "Odyssey-NoMerge"
+        approach_name = "Odyssey" if merging else "Odyssey-NoMerge"
         approach = make_approach(approach_name, suite, scale)
         run = run_approach(approach, workload, suite.disk)
-        runs[enable_merging] = [
+        runs[merging] = [
             timing.simulated_seconds
             for timing in run.query_timings
             if timing.qid in popular_qids
         ]
-        if enable_merging:
+        if merging:
             merges_performed = approach.merger.merges_performed
             merge_files = len(approach.merge_directory)
     return Figure5cResult(

@@ -6,9 +6,10 @@ level, merging threshold ``mt = 2``, and merging only for combinations of at
 least three datasets (Section 3.2.1).
 
 Which partitions a hot combination merges is not configurable: a partition
-qualifies once two queries of the combination retrieved it and it is no
-longer a refinement candidate for the combination's typical query volume
-(:mod:`repro.core.statistics` and :mod:`repro.core.merger` own that rule).
+qualifies once two queries of the combination read it (never an empty one)
+and it is no longer a refinement candidate for the combination's typical
+query volume (:mod:`repro.core.statistics` and :mod:`repro.core.merger` own
+that rule).  A merge space budget of 0 pages turns merging off.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ class OdysseyConfig:
     merge_threshold:
         ``mt`` — a combination of datasets becomes a merge candidate once
         it has been retrieved strictly more than this many times.  A
-        partition turns hot only in the second query that retrieves it,
+        partition turns hot only in the second query that reads it,
         so nothing can merge before a combination's second retrieval: the
         effective trigger is ``max(mt, 1)``, and ``mt = 0`` runs exactly
         as ``mt = 1``.  0 stays accepted because journals may carry it.
@@ -45,10 +46,8 @@ class OdysseyConfig:
         A bound on the pages all merge files occupy: a merge copies, in
         key order, only the partitions whose copies still fit and skips
         the rest; nothing is ever evicted.  ``None`` (the default, and
-        every figure's setting) means no bound.
-    enable_merging:
-        Master switch for the merging machinery (Figure 5c runs Space
-        Odyssey with merging disabled to isolate its effect).
+        every figure's setting) means no bound, and 0 no merging (Figure
+        5c's engine without merging): every merged partition takes a page.
     max_depth:
         Safety bound on partition-tree depth, preventing runaway
         refinement for degenerate data (e.g. coincident centres) or query
@@ -60,7 +59,6 @@ class OdysseyConfig:
     merge_threshold: int = 2
     min_merge_combination: int = 3
     merge_space_budget_pages: int | None = None
-    enable_merging: bool = True
     max_depth: int = 16
 
     def __post_init__(self) -> None:
@@ -72,8 +70,8 @@ class OdysseyConfig:
             raise ValueError("merge_threshold must be non-negative")
         if self.min_merge_combination < 1:
             raise ValueError("min_merge_combination must be >= 1")
-        if self.merge_space_budget_pages is not None and self.merge_space_budget_pages < 1:
-            raise ValueError("merge_space_budget_pages must be >= 1 or None")
+        if self.merge_space_budget_pages is not None and self.merge_space_budget_pages < 0:
+            raise ValueError("merge_space_budget_pages must be >= 0 or None")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
 
@@ -112,7 +110,7 @@ class OdysseyConfig:
         return math.ceil(math.log(ratio, self.partitions_per_level))
 
     def without_merging(self) -> "OdysseyConfig":
-        """A copy of this configuration with merging disabled (Figure 5c)."""
+        """A copy with a merge space budget of 0 pages: no merging (Figure 5c)."""
         from dataclasses import replace
 
-        return replace(self, enable_merging=False)
+        return replace(self, merge_space_budget_pages=0)

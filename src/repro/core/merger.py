@@ -2,13 +2,13 @@
 
 Once a combination of datasets has been retrieved together more than ``mt``
 times (and contains at least ``min_merge_combination`` datasets), the
-Merger copies the partitions those queries retrieved into the combination's
+Merger copies the partitions those queries read into the combination's
 append-only merge file:
 
 * one policy, with no setting, decides which (the repo's answer to the
   paper's open issue of merging at the right moment): a partition that two
-  of the combination's queries retrieved, once its volume has converged
-  for their average query;
+  of the combination's queries read (so it holds records in some member),
+  once its volume has converged for their average query;
 * for every qualifying partition region it stores the objects of each
   member dataset as a separate, sequential segment, so future queries can
   read any subset of the merged datasets sequentially and skip the rest;
@@ -20,7 +20,8 @@ A space budget (``merge_space_budget_pages``) is this repository's
 addition, not one of Section 3.2's rules, and it is a bound: a merge
 keeps, in key order, only the keys whose copies still fit under it and
 skips the rest, so no file is ever deleted (README: "The merge space
-budget, swept against its keep-condition").
+budget, swept against its keep-condition").  A budget of 0 pages is the
+engine without merging.
 
 The Merger is incremental: if a hot combination later touches partitions
 that are not yet in its merge file, they are appended (the file is
@@ -108,8 +109,10 @@ class Merger:
         trees: Mapping[int, PartitionTree],
     ) -> MergeOutcome:
         """Merge the combination's hot partitions if the trigger conditions hold."""
-        if not self._config.enable_merging:
-            return MergeOutcome(skipped_reason="merging disabled")
+        budget = self._config.merge_space_budget_pages
+        if budget is not None and self._directory.total_pages() >= budget:
+            # Exact: a hot key holds records, so its copy takes a page.
+            return MergeOutcome(skipped_reason="space budget")
         if len(combination) < self._config.min_merge_combination:
             return MergeOutcome(skipped_reason="combination too small")
         stats = self._statistics.combination_stats(combination)
@@ -123,7 +126,6 @@ class Merger:
         if not new_keys:
             return MergeOutcome(skipped_reason="nothing new to merge")
         members = sorted(combination)
-        budget = self._config.merge_space_budget_pages
         if budget is not None:
             new_keys = self._keys_that_fit(new_keys, members, trees, budget)
             if not new_keys:
@@ -180,7 +182,7 @@ class Merger:
 
         A key qualifies when
 
-        * it has been retrieved by at least two queries of this combination
+        * it has been read by at least two queries of this combination
           (``stats.hot_keys``, kept by the collector as it records);
         * it is a *leaf* with the same key (and therefore the same
           refinement level) in every member dataset — the paper's "only

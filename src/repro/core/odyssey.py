@@ -127,7 +127,7 @@ class SpaceOdyssey(MultiDatasetIndex):
         )
         self._registry: MetricsRegistry | None = None
         self._services: "weakref.WeakSet[QueryService]" = weakref.WeakSet()
-        if not self._config.enable_merging:
+        if self._config.merge_space_budget_pages == 0:
             self.name = "Odyssey w/o merging"
         if journal is not None:
             if not isinstance(journal, ManifestJournal):

@@ -165,10 +165,6 @@ class QueryReport:
     merged: bool = False
     merge_new_partitions: int = 0
     cache: BufferCounters | None = None
-    #: Transparent I/O retries absorbed while answering this query (only
-    #: attributed on the sequential path; excluded, like ``cache``, from
-    #: the batch-vs-sequential identity guarantee).
-    retries: int = 0
 
     @property
     def used_merge_file(self) -> bool:
@@ -341,7 +337,8 @@ class QueryProcessor:
         Resolves the rows ``overlapped`` lacks, routes unless given a
         ``decision`` and picks the rows to refine (:meth:`Adaptor.candidates`)
         in each tree ``candidates`` lacks, but reads no partition: recovery
-        replays a query through this alone.  The rows' keys enter the
+        replays a query through this alone.  The keys of the rows that
+        hold records, the partitions the query reads, enter the
         statistics; the rows the Adaptor picks are refined, in search
         order, each shifted by the rows the splits before it added; the
         merger gets its chance; the query counts as executed.  A caller
@@ -368,8 +365,10 @@ class QueryProcessor:
                     if rows is None:
                         rows = self._overlapped_rows(box, dataset_id)
                     hit = list(map(table.keys.__getitem__, rows.tolist()))
-                    keys.update(hit)
                     report.partitions_read += len(hit)
+                    # Only the rows that hold records are read (plan_reads).
+                    occupied = rows[table.n_records[rows] > 0]
+                    keys.update(map(table.keys.__getitem__, occupied.tolist()))
                     if dataset_id in covered:
                         report.partitions_from_merge += sum(
                             info.has_segment(key, dataset_id) for key in hit
@@ -514,7 +513,6 @@ class QueryProcessor:
         report = QueryReport(query_index=self._queries_executed, requested=ordered)
         pool = self._disk.buffer_pool
         cache_start = pool.tally
-        retries_start = self._disk.stats.retries
         report.initialized_datasets = self.initialize_trees(ordered)
 
         # 2. The overlapped rows, in search order: one kernel call per tree.
@@ -539,7 +537,6 @@ class QueryProcessor:
         # 5-6. Refinement, statistics and merging.
         self.commit_query(box, requested, report, overlapped, decision)
         report.cache = BufferCounters.between(cache_start, pool.tally)
-        report.retries = self._disk.stats.retries - retries_start
         return results
 
     def _tree_file(self, dataset_id: int) -> PagedFile[SpatialObject]:

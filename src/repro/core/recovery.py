@@ -124,7 +124,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
 #: Recovery reads this version only and refuses every other: the adaptive
 #: state is derived from the raw files, so a journal of another version
 #: costs re-adaptation from a fresh engine, never data.
-MANIFEST_VERSION = 5
+MANIFEST_VERSION = 6
 
 #: Where Linux names the current boot (a fresh UUID on every boot).
 BOOT_ID_PATH = "/proc/sys/kernel/random/boot_id"

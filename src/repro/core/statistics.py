@@ -4,8 +4,9 @@ While queries execute, Space Odyssey records
 
 1. how often each *combination* of datasets ``C = {DS_1, ..., DS_N}`` is
    queried together, and
-2. which keys its queries retrieved: the keys seen at least once, and the
-   *hot* keys, seen by two queries or more.
+2. which partitions its queries read (the overlapped leaves that hold
+   records): the keys read at least once, and the *hot* keys, read by two
+   queries or more.
 
 The Merger consults these statistics to decide when a combination becomes
 hot enough (``> mt`` retrievals, ``|C| >= 3``) to copy its partitions into a
@@ -30,10 +31,10 @@ class CombinationStats:
     """Access statistics for one combination of datasets."""
 
     count: int = 0
-    #: The keys retrieved by at least one query of this combination.
+    #: The keys read by at least one query of this combination.
     seen_keys: set[PartitionKey] = field(default_factory=set)
-    #: The keys retrieved by at least two queries of this combination (a
-    #: key counts once per query, however many member datasets it was read
+    #: The keys read by at least two queries of this combination (a key
+    #: counts once per query, however many member datasets it was read
     #: from) — maintained as queries are recorded, so the merger never
     #: rescans the key history.
     hot_keys: set[PartitionKey] = field(default_factory=set)
@@ -67,7 +68,7 @@ class StatisticsCollector:
         """Record one executed query.
 
         ``combination`` is the requested dataset ids, ``keys`` the partition
-        keys the query retrieved from any of them (each counts once), and
+        keys the query read from any of them (each counts once), and
         ``query_volume`` the volume of its range (the merger's convergence
         check averages it).
         """
@@ -80,7 +81,7 @@ class StatisticsCollector:
         stats.count += 1
         stats.total_query_volume += max(query_volume, 0.0)
         query_keys = set(keys)
-        # A key turns hot in the second query that retrieves it.
+        # A key turns hot in the second query that reads it.
         stats.hot_keys |= query_keys & stats.seen_keys
         stats.seen_keys |= query_keys
         return stats

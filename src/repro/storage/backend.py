@@ -232,13 +232,15 @@ class FileSystemBackend(StorageBackend):
     (``os.pread``/``os.pwrite``/``os.fstat``) opened on first use.  At
     most :data:`MAX_OPEN_FILES` descriptors are held, the least recently
     used closed first; they are released by :meth:`delete` (that file's),
-    by :meth:`close` and when the backend is garbage-collected.
+    by :meth:`close` and when the backend is garbage-collected.  The root
+    directory is made by the first :meth:`create`, so a backend that is
+    only read from creates nothing.
     """
 
     def __init__(self, root: str | os.PathLike[str], page_size: int = PAGE_SIZE) -> None:
         super().__init__(page_size)
         self._root = Path(root)
-        self._root.mkdir(parents=True, exist_ok=True)
+        self._made_root = False
         self._paths: dict[str, str] = {}
         # path -> descriptor, least recently used first.  Keyed by path,
         # not name: two names may flatten to the same file.
@@ -292,6 +294,9 @@ class FileSystemBackend(StorageBackend):
     def create(self, name: str) -> None:
         path = self._path(name)
         with self._lock:
+            if not self._made_root:
+                self._root.mkdir(parents=True, exist_ok=True)
+                self._made_root = True
             try:
                 fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o666)
             except FileExistsError:

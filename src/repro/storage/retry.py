@@ -4,11 +4,10 @@
 StorageBackend` and absorbs :func:`~repro.storage.errors.is_transient`
 failures of page reads and writes by retrying with exponential backoff
 and deterministic seeded jitter.  It additionally verifies the page
-checksum trailer on every read (``verify_reads=True``): a corrupt page is
-re-read — in-flight corruption (a bit-flip on the bus) disappears on
-retry, while corruption persisted by a torn write survives every attempt
-and surfaces as :class:`~repro.storage.errors.CorruptPageError` after the
-budget is spent.
+checksum trailer on every read: a corrupt page is re-read — in-flight
+corruption (a bit-flip on the bus) disappears on retry, while corruption
+persisted by a torn write survives every attempt and surfaces as
+:class:`~repro.storage.errors.CorruptPageError` after the budget is spent.
 
 Retry scope
 -----------
@@ -103,13 +102,11 @@ class RetryingBackend(StorageBackend):
         inner: StorageBackend,
         policy: RetryPolicy | None = None,
         *,
-        verify_reads: bool = True,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         super().__init__(inner.page_size)
         self._inner = inner
         self._policy = policy or RetryPolicy()
-        self._verify_reads = verify_reads
         self._sleep = sleep
         self._rng = random.Random(self._policy.seed)
         self._retries = 0
@@ -193,20 +190,14 @@ class RetryingBackend(StorageBackend):
 
     def clone(self) -> "RetryingBackend":
         """A clone of the stored bytes under the same policy (fresh RNG)."""
-        return RetryingBackend(
-            self._inner.clone(),
-            self._policy,
-            verify_reads=self._verify_reads,
-            sleep=self._sleep,
-        )
+        return RetryingBackend(self._inner.clone(), self._policy, sleep=self._sleep)
 
     # -- page access (retried) --------------------------------------------- #
 
     def read(self, name: str, page_no: int) -> bytes:
         def operation() -> bytes:
             data = self._inner.read(name, page_no)
-            if self._verify_reads:
-                verify_page(data)
+            verify_page(data)
             return data
 
         return self._attempt(operation)

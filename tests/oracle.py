@@ -4,7 +4,8 @@ Not a test module, so retiring a test file never breaks another: the
 observables two engines are held to (:data:`REPORT_FIELDS`,
 :func:`packed_hits`, :func:`adaptive_state`, :func:`disk_files`), the leaf
 table check (:func:`check_tree`), the space budget's
-(:func:`check_merge_space`), suite forks with a wrapped backend, the
+(:func:`check_merge_space`) and the merge copies'
+(:func:`check_no_empty_merge`), suite forks with a wrapped backend, the
 journal's crash sites and :func:`recover_logged`, and seeded workloads.
 """
 
@@ -109,10 +110,26 @@ def disk_files(odyssey: SpaceOdyssey) -> dict[str, list[bytes]]:
     }
 
 
+def check_no_empty_merge(odyssey: SpaceOdyssey, tag: str = "") -> None:
+    """No merge copied an empty partition: every merged key holds records
+    in some member, so no registered merge file holds 0 pages.  Merge
+    files are append-only, so a check after a batch covers each of its
+    queries."""
+    for info in odyssey.merge_directory.all_files():
+        where = f"{tag}: merge file of {sorted(info.combination)}"
+        assert info.total_pages > 0, f"{where} holds 0 pages"
+        for key, per_dataset in info.entries.items():
+            assert any(run.n_records for run in per_dataset.values()), (
+                f"{where} copied the empty partition {key}"
+            )
+
+
 def check_merge_space(odyssey: SpaceOdyssey, tag: str = "") -> None:
     """The space budget holds, and the directory's page total is the merge
     files' pages on disk.  Also the budget's premise: a partition run and
-    a merge copy take ``pages_needed`` of their records."""
+    a merge copy take ``pages_needed`` of their records, and a merged
+    partition holds records (:func:`check_no_empty_merge`)."""
+    check_no_empty_merge(odyssey, tag)
     directory, disk = odyssey.merge_directory, odyssey.disk
     total, budget = directory.total_pages(), odyssey.config.merge_space_budget_pages
     assert budget is None or total <= budget, f"{tag}: {total} merge pages, budget {budget}"

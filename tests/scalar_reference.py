@@ -441,8 +441,6 @@ class ScalarMerger(Merger):
     def maybe_merge(
         self, combination: frozenset[int], trees: Mapping[int, PartitionTree]
     ) -> MergeOutcome:
-        if not self._config.enable_merging:
-            return MergeOutcome(skipped_reason="merging disabled")
         if len(combination) < self._config.min_merge_combination:
             return MergeOutcome(skipped_reason="combination too small")
         stats = self._statistics.combination_stats(combination)
@@ -496,7 +494,6 @@ class ScalarProcessor(QueryProcessor):
         ordered = tuple(sorted(requested))
         report = QueryReport(query_index=self.queries_executed, requested=ordered)
         cache_start = self._disk.buffer_pool.counters()
-        retries_start = self._disk.stats.retries
 
         # 1. Lazy initialisation of partition trees (in-situ first touch).
         for dataset_id in ordered:
@@ -526,9 +523,10 @@ class ScalarProcessor(QueryProcessor):
         info = decision.merge_info
         for dataset_id in ordered:
             leaves = needed[dataset_id]
-            accessed_keys.update(leaf.key for leaf in leaves)
             report.partitions_read += len(leaves)
             held = occupied[dataset_id] = [leaf for leaf in leaves if leaf.n_objects]
+            # The statistics record the partitions read: no empty leaf.
+            accessed_keys.update(leaf.key for leaf in held)
             if info is not None and dataset_id in decision.covered_datasets:
                 merge_plan.extend(
                     (dataset_id, info.segment(leaf.key, dataset_id))
@@ -570,7 +568,6 @@ class ScalarProcessor(QueryProcessor):
         report.merged = merge_outcome.merged
         report.merge_new_partitions = merge_outcome.new_partitions
         report.cache = self._disk.buffer_pool.counters().delta_since(cache_start)
-        report.retries = self._disk.stats.retries - retries_start
         self.note_executed(report)
         return results
 

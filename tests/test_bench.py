@@ -89,7 +89,12 @@ class TestApproaches:
         assert config.refinement_threshold == 4.0
         assert config.partitions_per_level == 64
         assert config.merge_threshold == 2
-        assert not odyssey_config_for(micro_scale, enable_merging=False).enable_merging
+        assert odyssey_config_for(micro_scale).merge_space_budget_pages is None
+
+    def test_no_merge_approach_has_a_zero_budget(self, micro_suite, micro_scale):
+        engine = make_approach("Odyssey-NoMerge", micro_suite, micro_scale)
+        assert engine.config == odyssey_config_for(micro_scale).without_merging()
+        assert engine.name == "Odyssey w/o merging"
 
     @pytest.mark.parametrize("name", sorted(APPROACHES))
     def test_every_approach_answers_correctly(self, name, micro_suite, micro_scale, micro_workload):

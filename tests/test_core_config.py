@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import OdysseyConfig
@@ -14,12 +16,22 @@ class TestDefaults:
         assert config.partitions_per_level == 64
         assert config.merge_threshold == 2
         assert config.min_merge_combination == 3
-        assert config.enable_merging
+        assert config.merge_space_budget_pages is None
 
     def test_without_merging(self):
         config = OdysseyConfig().without_merging()
-        assert not config.enable_merging
+        assert config.merge_space_budget_pages == 0
         assert config.refinement_threshold == 4.0
+
+    def test_six_fields(self):
+        assert [f.name for f in dataclasses.fields(OdysseyConfig)] == [
+            "refinement_threshold",
+            "partitions_per_level",
+            "merge_threshold",
+            "min_merge_combination",
+            "merge_space_budget_pages",
+            "max_depth",
+        ]
 
 
 class TestValidation:
@@ -31,7 +43,7 @@ class TestValidation:
             {"partitions_per_level": 1},
             {"merge_threshold": -1},
             {"min_merge_combination": 0},
-            {"merge_space_budget_pages": 0},
+            {"merge_space_budget_pages": -1},
             {"max_depth": 0},
         ],
     )

@@ -192,12 +192,20 @@ class TestMergerTriggers:
         outcome = merger.maybe_merge(combo, trees)
         assert not outcome.merged or key not in directory.get(combo).entries
 
-    def test_merging_disabled(self, setup, disk):
-        catalog, _, trees, statistics, directory, _ = setup
-        config = OdysseyConfig(partitions_per_level=8, enable_merging=False)
+    def test_a_zero_budget_refuses_before_deriving_a_key(self, setup, disk, monkeypatch):
+        _, _, trees, statistics, directory, _ = setup
+        config = OdysseyConfig(partitions_per_level=8).without_merging()
         merger = Merger(disk, config, directory, statistics, dimension=3)
-        outcome = merger.maybe_merge(frozenset({0, 1, 2}), trees)
-        assert outcome.skipped_reason == "merging disabled"
+        combo = frozenset({0, 1, 2})
+        record_queries(statistics, trees, combo, sorted(trees[0].occupied_runs))
+
+        def derived(*_args):
+            raise AssertionError("a full budget derived the qualifying keys")
+
+        monkeypatch.setattr(merger, "_qualifying_keys", derived)
+        outcome = merger.maybe_merge(combo, trees)
+        assert outcome == MergeOutcome(skipped_reason="space budget")
+        assert len(directory) == 0
 
 
 class TestBudget:

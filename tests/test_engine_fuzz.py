@@ -56,6 +56,7 @@ from tests.oracle import (
     STRICT_REPORT_FIELDS,
     adaptive_state,
     check_merge_space,
+    check_no_empty_merge,
     disk_files,
     fork_with,
     packed_hits,
@@ -109,8 +110,8 @@ def _random_scenario(rng: random.Random) -> dict:
             refinement_threshold=rng.choice((2.0, 4.0)),
             merge_threshold=rng.choice((1, 2)),
             min_merge_combination=rng.choice((2, 3)),
-            merge_space_budget_pages=rng.choice((None, 2, 8, 16)),
-            enable_merging=rng.random() > 0.15,
+            # One scenario in seven or so merges nothing: a budget of 0 pages.
+            merge_space_budget_pages=(rng.choice((None, 2, 8, 16)), 0)[rng.random() <= 0.15],
         ),
         "n_queries": rng.randint(10, 22),
         "workload_seed": rng.randint(0, 2**31),
@@ -242,6 +243,7 @@ class Run:
             self.reports += result.reports
             self.group_reads[index] = (result.group_reads, result.group_reads_deduped)
         self.modes += [mode] * len(unit)
+        check_no_empty_merge(engine, f"{mode} unit of {len(unit)} ending at query {len(self.hits)}")
 
 
 def run_chunks(ctx: Context, engine: SpaceOdyssey, modes) -> Run:

@@ -5,7 +5,7 @@ updated where the state it describes changes, so no query re-derives it
 from history:
 
 * the collector's seen and hot keys per combination, each query's keys
-  folded in as set algebra;
+  (the partitions it read) folded in as set algebra;
 * the merger's candidate keys: set algebra over the collector's hot-key
   sets and the trees' leaf-key sets;
 * every tree's leaf table (:class:`~repro.core.partition.LeafSnapshot`),
@@ -17,8 +17,9 @@ from history:
 
 This module owns the *from-scratch* versions — a node tree derived from
 a tree's key and run summaries (``tests/scalar_reference.py``), a count
-of how many queries of a combination retrieved each key (recorded here
-from the keys each query hands the collector) and the rescan of that
+of how many queries of a combination read each key (derived here, as
+each query's writer half begins, from the leaves of the node trees its
+extended window overlaps that hold records) and the rescan of that
 history, the full deep copy — and
 asserts, after every query of seeded random workloads, that each
 incremental summary equals its reference.  The node tree is built from
@@ -51,7 +52,7 @@ from repro.core.partition import PartitionTree
 from tests.oracle import (
     after_retired_draws, check_merge_space, check_tree, make_suite, mixed_workload,
 )
-from tests.scalar_reference import reference_tree
+from tests.scalar_reference import leaves_overlapping, reference_tree
 
 DEEP_ITERATIONS = int(os.environ.get("REPRO_FUZZ_ITERATIONS", "0"))
 
@@ -74,7 +75,7 @@ def reference_qualifying_keys(config, combination, stats, key_hits, trees) -> se
     """The merger's candidate keys, rescanning the combination's key history.
 
     ``key_hits`` counts, per key, the queries of the combination that
-    retrieved it.  A hot key is kept unless the Adaptor would refine it
+    read it.  A hot key is kept unless the Adaptor would refine it
     for the combination's average query: ``volume / average > rt``, on
     the region of the reference tree.
     """
@@ -114,9 +115,10 @@ def reference_directory(directory) -> dict:
 class BookkeepingChecker:
     """Asserts every incremental summary of one engine against its reference.
 
-    Records the keys of every query the collector is handed, counting per
-    combination how many queries retrieved each key (the reference for
-    the collector's seen and hot keys).  Also remembers each frozen
+    Derives the keys every query reads — the leaves its extended window
+    overlaps that hold records, from node trees built as its writer half
+    begins — and counts per combination how many queries read each key
+    (the reference for the collector's seen and hot keys).  Also remembers each frozen
     directory it has seen together with a deep copy taken at that moment,
     so a later in-place ``add_segment`` on a live info that leaked into an
     older frozen copy is caught.
@@ -128,16 +130,20 @@ class BookkeepingChecker:
         self._frozen_seen: list[tuple[object, dict]] = []
         self.candidates_seen = 0
         self.key_hits: dict[frozenset, Counter] = {}
-        statistics = engine.statistics
-        record_query = statistics.record_query
+        processor = engine._processor
+        commit_query = processor.commit_query
 
-        def recording(combination, keys, query_volume=0.0):
-            keys = list(keys)
-            combo = frozenset(combination)
-            self.key_hits.setdefault(combo, Counter()).update(set(keys))
-            return record_query(combination, keys, query_volume)
+        def committing(box, requested, *args, **kwargs):
+            read = set()
+            for dataset_id in requested:
+                tree = engine.trees[dataset_id]
+                window = box.expand(tree.max_extent).clamp(tree.universe)
+                leaves = leaves_overlapping(reference_tree(tree), window)
+                read.update(leaf.key for leaf in leaves if leaf.n_objects)
+            self.key_hits.setdefault(frozenset(requested), Counter()).update(read)
+            return commit_query(box, requested, *args, **kwargs)
 
-        statistics.record_query = recording
+        processor.commit_query = committing
 
     def check(self) -> None:
         engine, tag = self.engine, self.tag

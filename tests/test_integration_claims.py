@@ -138,11 +138,10 @@ class TestClaimC7MergingBenefit:
         combination = [0, 1, 2]
         warmup_rounds, measured_rounds = 4, 8
         totals = {}
-        for enable_merging in (True, False):
+        for merging in (True, False):
             fork = suite.fork()
-            odyssey = SpaceOdyssey(
-                fork.catalog, odyssey_config_for(scale, enable_merging=enable_merging)
-            )
+            config = odyssey_config_for(scale)
+            odyssey = SpaceOdyssey(fork.catalog, config if merging else config.without_merging())
             for _ in range(warmup_rounds):
                 for box in hot_boxes:
                     fork.disk.clear_cache()
@@ -154,8 +153,8 @@ class TestClaimC7MergingBenefit:
                     fork.disk.clear_cache()
                     fork.disk.reset_head()
                     odyssey.query(box, combination)
-            totals[enable_merging] = fork.disk.stats.delta_since(before).simulated_seconds
-            if enable_merging:
+            totals[merging] = fork.disk.stats.delta_since(before).simulated_seconds
+            if merging:
                 assert odyssey.merger.merges_performed >= 1
         assert totals[True] < totals[False]
 

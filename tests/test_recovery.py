@@ -186,6 +186,28 @@ def tree_digests(directory) -> dict[str, str]:
     }
 
 
+def journaled_store(directory):
+    """A filesystem store under ``directory`` with partition and merge files,
+    and the journal of the engine that made them: ``(suite, path, manifest)``."""
+    suite = filesystem_suite(directory)
+    path = directory / "journal.log"
+    engine = SpaceOdyssey(suite.catalog, CONFIG, journal=path)
+    for query in make_workload(suite, n=12, seed=9):
+        engine.query(query.box, query.dataset_ids)
+    assert engine.summary().merges_performed > 0
+    return suite, path, engine.journal.read_last()
+
+
+def assert_refused_untouched(directory, error, match, *args, **kwargs) -> None:
+    """``recover(*args, **kwargs)`` raises ``error`` and leaves every path
+    under ``directory`` (directories included) and every file's bytes as
+    they were."""
+    before = sorted(directory.rglob("*")), tree_digests(directory)
+    with pytest.raises(error, match=match):
+        recover(*args, **kwargs)
+    assert (sorted(directory.rglob("*")), tree_digests(directory)) == before
+
+
 class TestRelocatableStore:
     def crash(self, directory, suite, workload, crash_on: int) -> None:
         """Run a journaled engine on ``suite``, journal under ``directory``;
@@ -236,7 +258,7 @@ class TestRelocatableStore:
             directory = tmp_path / name
             suite = filesystem_suite(directory)
             engine = SpaceOdyssey(suite.catalog, CONFIG, journal=directory / "journal.log")
-            for query in make_workload(suite, n=8, seed=9):
+            for query in make_workload(suite, n=12, seed=9):
                 engine.query(query.box, query.dataset_ids)
             assert engine.summary().merges_performed > 0
             del engine
@@ -1044,28 +1066,42 @@ class TestRecoveryEdgeCases:
         with pytest.raises(ValueError, match="refinement_threshold"):
             recover(path, backend=survivor)
 
-    @pytest.mark.parametrize("version", (1, 2, 3, 4, 999))
+    @pytest.mark.parametrize("version", (1, 2, 3, 4, 5, 999))
     def test_unsupported_manifest_version_raises(self, tmp_path, version):
         # Today's journal of a store with derived files, its base relabelled.
         # Any other version is refused before a file is touched: the journal,
         # its directory and the store stay byte for byte as they were.
-        suite = filesystem_suite(tmp_path)
-        path = tmp_path / "journal.log"
-        engine = SpaceOdyssey(suite.catalog, CONFIG, journal=path)
-        for query in make_workload(suite, n=6, seed=9):
-            engine.query(query.box, query.dataset_ids)
-        assert engine.summary().merges_performed > 0
-        manifest = engine.journal.read_last()
-        del engine
+        suite, path, manifest = journaled_store(tmp_path)
         path.write_bytes(framed({**manifest, "version": version}))
-        files, before = sorted(suite.disk.list_files()), tree_digests(tmp_path)
+        files = sorted(suite.disk.list_files())
         assert len(files) > len(manifest["catalog"]["datasets"])  # derived files too
 
         refused = f"version {version}; only version {MANIFEST_VERSION} is read"
-        with pytest.raises(RecoveryError, match=refused):
-            recover(path)
+        assert_refused_untouched(tmp_path, RecoveryError, refused, path)
         assert sorted(suite.disk.list_files()) == files
-        assert tree_digests(tmp_path) == before
+
+    @pytest.mark.parametrize(
+        "case", ("journal-without-store", "missing-raw-file", "memory-store", "nan-threshold")
+    )
+    def test_every_refusal_leaves_the_file_system_as_it_found_it(self, tmp_path, case):
+        suite, path, manifest = journaled_store(tmp_path)
+        if case == "journal-without-store":  # copied without the store it names
+            (tmp_path / "moved").mkdir()
+            path = shutil.copy(path, tmp_path / "moved" / "journal.log")
+            refused = RecoveryError, "raw dataset file .* is missing"
+        elif case == "missing-raw-file":
+            raw = next(name for name in suite.disk.list_files() if name.startswith("raw"))
+            suite.disk.backend.delete(raw)
+            refused = RecoveryError, "raw dataset file .* is missing"
+        elif case == "memory-store":
+            catalog = {**manifest["catalog"], "store": {"kind": "memory"}}
+            path.write_bytes(framed({**manifest, "catalog": catalog}))
+            refused = RecoveryError, "in-memory"
+        else:
+            config = {**manifest["config"], "refinement_threshold": math.nan}
+            path.write_bytes(framed({**manifest, "config": config}))
+            refused = ValueError, "refinement_threshold"
+        assert_refused_untouched(tmp_path, *refused, path)
 
     @pytest.mark.parametrize(
         "entry", (recover, SpaceOdyssey.recover), ids=("module", "engine")

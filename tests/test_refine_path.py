@@ -270,7 +270,8 @@ def cold_start(seed: int, *, ppl: int, scalar: bool, n_triples: int = 28, levels
 @pytest.mark.parametrize("ppl", [8, 64])
 def test_a_refinement_costs_what_it_moves(guard, ppl):
     """Per split: one kernel, encodes and runs per *occupied* child, <= 1 append."""
-    engine, queries = cold_start(61 + ppl, ppl=ppl, scalar=False)
+    # At ppl = 64 the first merge comes after the 32nd triple.
+    engine, queries = cold_start(61 + ppl, ppl=ppl, scalar=False, n_triples=40)
     for box, ids in queries:
         engine.query(box, ids)
     assert guard.initializations == len(engine.trees)

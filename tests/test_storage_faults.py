@@ -372,13 +372,6 @@ class TestRetryingBackend:
             backend.read("f", 0)
         assert backend.counters().exhausted == 1
 
-    def test_verify_reads_off_passes_raw_pages(self):
-        inner = InMemoryBackend(page_size=PAGE)
-        inner.create("f")
-        inner.append("f", b"raw bytes, no trailer")
-        backend = RetryingBackend(inner, verify_reads=False, sleep=lambda _s: None)
-        assert backend.read("f", 0).startswith(b"raw bytes")
-
     def test_listener_sees_events(self):
         events = []
         backend, _ = flaky_retrying(failures=100)

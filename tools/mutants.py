@@ -80,6 +80,13 @@ MUTANTS = (
         "stats.hot_keys |= set()",
     ),
     Mutant(
+        "empty-keys-recorded",
+        "commit_query records every overlapped key, empty leaves included",
+        "repro/core/query_processor.py",
+        "keys.update(map(table.keys.__getitem__, occupied.tolist()))",
+        "keys.update(map(table.keys.__getitem__, rows.tolist()))",
+    ),
+    Mutant(
         "replay-reversed",
         "_replay_updates replays the batch in reverse",
         "repro/core/batch.py",
@@ -163,10 +170,10 @@ MUTANTS = (
     ),
     Mutant(
         "other-version-recovered",
-        "recover() admits a version-4 journal besides today's",
+        "recover() admits a version-5 journal besides today's",
         "repro/core/recovery.py",
         '    if manifest.get("version") != MANIFEST_VERSION:',
-        '    if manifest.get("version") not in (4, MANIFEST_VERSION):',
+        '    if manifest.get("version") not in (5, MANIFEST_VERSION):',
         ("tests/test_recovery.py::TestRecoveryEdgeCases::test_unsupported_manifest_version_raises",),
     ),
     Mutant(
