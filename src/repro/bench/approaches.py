@@ -3,8 +3,8 @@
 The paper's Figure 4 compares FLAT-Ain1, FLAT-1fE, RTree-Ain1, Grid-1fE and
 Space Odyssey; Figure 5 uses the most competitive static approaches
 (FLAT-Ain1 and Grid-1fE) plus Odyssey, and Figure 5c adds Odyssey with
-merging disabled (a merge space budget of 0 pages).  The registry also exposes RTree-1fE and Grid-Ain1 so the
-full strategy matrix can be explored.
+merging disabled (a merge space budget of 0 pages).  The registry also
+exposes RTree-1fE and Grid-Ain1 so the full strategy matrix can be explored.
 """
 
 from __future__ import annotations
