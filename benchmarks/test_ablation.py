@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.approaches import odyssey_config_for
 from repro.bench.experiments import build_suite, build_workload
 from repro.bench.runner import run_approach
 from repro.core.config import OdysseyConfig
@@ -54,16 +53,7 @@ PPL_64_COSTS_LESS_AT = frozenset({"bench-tiny", "tiny", "small"})
 def test_partitions_per_level(benchmark, environment, scale):
     """The paper's ppl = 64 converges faster than a plain Octree's 8, so it
     costs less -- asserted at the scales of ``PPL_64_COSTS_LESS_AT`` only."""
-    base = odyssey_config_for(scale)
-    configs = {
-        ppl: OdysseyConfig(
-            refinement_threshold=base.refinement_threshold,
-            partitions_per_level=ppl,
-            merge_threshold=base.merge_threshold,
-            min_merge_combination=base.min_merge_combination,
-        )
-        for ppl in (8, 64)
-    }
+    configs = {ppl: OdysseyConfig(partitions_per_level=ppl) for ppl in (8, 64)}
     totals = benchmark.pedantic(
         lambda: {ppl: _run_odyssey(environment, config) for ppl, config in configs.items()},
         rounds=1,
@@ -78,15 +68,9 @@ def test_partitions_per_level(benchmark, environment, scale):
 
 @pytest.mark.benchmark(group="ablation-rt")
 @pytest.mark.parametrize("rt", [1.0, 4.0, 16.0])
-def test_refinement_threshold(benchmark, environment, scale, rt):
+def test_refinement_threshold(benchmark, environment, rt):
     """Sweep the refinement threshold around the paper's rt = 4."""
-    base = odyssey_config_for(scale)
-    config = OdysseyConfig(
-        refinement_threshold=rt,
-        partitions_per_level=base.partitions_per_level,
-        merge_threshold=base.merge_threshold,
-        min_merge_combination=base.min_merge_combination,
-    )
+    config = OdysseyConfig(refinement_threshold=rt)
     total = benchmark.pedantic(lambda: _run_odyssey(environment, config), rounds=1, iterations=1)
     benchmark.extra_info["rt"] = rt
     benchmark.extra_info["total_simulated_s"] = round(total, 4)
@@ -95,9 +79,9 @@ def test_refinement_threshold(benchmark, environment, scale, rt):
 
 @pytest.mark.benchmark(group="ablation-merging")
 @pytest.mark.parametrize("merging", ["enabled", "disabled"])
-def test_merging_policy(benchmark, environment, scale, merging):
+def test_merging_policy(benchmark, environment, merging):
     """Static merging (paper) and no merging; Figure 5c owns the verdict."""
-    config = odyssey_config_for(scale)
+    config = OdysseyConfig()
     if merging == "disabled":
         config = config.without_merging()
     total = benchmark.pedantic(lambda: _run_odyssey(environment, config), rounds=1, iterations=1)
@@ -108,16 +92,9 @@ def test_merging_policy(benchmark, environment, scale, merging):
 
 @pytest.mark.benchmark(group="ablation-budget")
 @pytest.mark.parametrize("budget_pages", [8, 1024, None])
-def test_merge_space_budget(benchmark, environment, scale, budget_pages):
+def test_merge_space_budget(benchmark, environment, budget_pages):
     """Merge-file space budget: tight, generous, unbounded (copies past it refused)."""
-    base = odyssey_config_for(scale)
-    config = OdysseyConfig(
-        refinement_threshold=base.refinement_threshold,
-        partitions_per_level=base.partitions_per_level,
-        merge_threshold=base.merge_threshold,
-        min_merge_combination=base.min_merge_combination,
-        merge_space_budget_pages=budget_pages,
-    )
+    config = OdysseyConfig(merge_space_budget_pages=budget_pages)
     total = benchmark.pedantic(lambda: _run_odyssey(environment, config), rounds=1, iterations=1)
     benchmark.extra_info["budget_pages"] = budget_pages if budget_pages is not None else "unbounded"
     benchmark.extra_info["total_simulated_s"] = round(total, 4)

@@ -24,18 +24,14 @@ from __future__ import annotations
 
 from statistics import mean
 
-from repro import Box, SpaceOdyssey
-from repro.bench.approaches import odyssey_config_for
+from repro import Box, OdysseyConfig, SpaceOdyssey
 from repro.bench.scales import SCALES
 from repro.data.suite import build_benchmark_suite
 
 
 def run_session(suite, merging: bool):
     """Query the same 3-dataset combination over 4 hot regions, 12 rounds."""
-    scale = SCALES["small"]
-    config = odyssey_config_for(scale)
-    if not merging:
-        config = config.without_merging()
+    config = OdysseyConfig() if merging else OdysseyConfig().without_merging()
     odyssey = SpaceOdyssey(suite.catalog, config)
     combination = [1, 4, 8]
     query_side = (suite.universe.volume() * 1e-4) ** (1 / 3)

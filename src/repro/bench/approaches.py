@@ -61,16 +61,6 @@ def _flat_factory(suite: BenchmarkSuite, scale: ExperimentScale):
     return factory
 
 
-def odyssey_config_for(scale: ExperimentScale) -> OdysseyConfig:
-    """The paper's Space Odyssey configuration, bound to a scale preset."""
-    return OdysseyConfig(
-        refinement_threshold=4.0,
-        partitions_per_level=64,
-        merge_threshold=2,
-        min_merge_combination=3,
-    )
-
-
 APPROACHES: dict[str, ApproachFactory] = {
     "FLAT-Ain1": lambda suite, scale: AllInOne(
         suite.catalog, _flat_factory(suite, scale), "FLAT-Ain1"
@@ -90,11 +80,9 @@ APPROACHES: dict[str, ApproachFactory] = {
     "Grid-Ain1": lambda suite, scale: AllInOne(
         suite.catalog, _grid_factory(suite, scale), "Grid-Ain1"
     ),
-    "Odyssey": lambda suite, scale: SpaceOdyssey(
-        suite.catalog, odyssey_config_for(scale)
-    ),
+    "Odyssey": lambda suite, scale: SpaceOdyssey(suite.catalog, OdysseyConfig()),
     "Odyssey-NoMerge": lambda suite, scale: SpaceOdyssey(
-        suite.catalog, odyssey_config_for(scale).without_merging()
+        suite.catalog, OdysseyConfig().without_merging()
     ),
 }
 

@@ -57,7 +57,6 @@ class MergeOutcome:
     merged: bool = False
     combination: Combination = frozenset()
     new_partitions: int = 0
-    skipped_reason: str = ""
 
 
 class Merger:
@@ -110,26 +109,22 @@ class Merger:
     ) -> MergeOutcome:
         """Merge the combination's hot partitions if the trigger conditions hold."""
         budget = self._config.merge_space_budget_pages
+        # Exact: a hot key holds records, so its copy takes a page.
         if budget is not None and self._directory.total_pages() >= budget:
-            # Exact: a hot key holds records, so its copy takes a page.
-            return MergeOutcome(skipped_reason="space budget")
+            return MergeOutcome()
         if len(combination) < self._config.min_merge_combination:
-            return MergeOutcome(skipped_reason="combination too small")
+            return MergeOutcome()
         stats = self._statistics.combination_stats(combination)
-        if stats is None:
-            return MergeOutcome(skipped_reason="combination never queried")
-        if stats.count <= self._config.merge_threshold:
-            return MergeOutcome(skipped_reason="below merge threshold")
+        if stats is None or stats.count <= self._config.merge_threshold:
+            return MergeOutcome()
         existing = self._directory.get(combination)
         merged = existing.entries if existing is not None else ()
         new_keys = sorted(self._qualifying_keys(combination, stats, trees, merged))
-        if not new_keys:
-            return MergeOutcome(skipped_reason="nothing new to merge")
         members = sorted(combination)
-        if budget is not None:
+        if new_keys and budget is not None:
             new_keys = self._keys_that_fit(new_keys, members, trees, budget)
-            if not new_keys:
-                return MergeOutcome(skipped_reason="space budget")
+        if not new_keys:
+            return MergeOutcome()
 
         info = existing or MergeFileInfo(combination, merge_file_name(combination))
         file = self.merge_file(combination)

@@ -275,7 +275,6 @@ class SpaceOdyssey(MultiDatasetIndex):
         max_batch: int = 32,
         max_delay_ms: float = 5.0,
         max_pending: int | None = None,
-        **degradation,
     ) -> "QueryService":
         """Start a multi-tenant serving frontend over this engine.
 
@@ -292,10 +291,11 @@ class SpaceOdyssey(MultiDatasetIndex):
         afterwards, and direct ``query``/``query_batch`` calls made while
         the service runs simply interleave through the gate lock.
 
-        Extra keyword arguments (``batch_retries``, ``retry_backoff_ms``,
-        ``breaker_threshold``, ``breaker_cooldown_ms``) tune the
-        service's graceful-degradation machinery; see
-        :class:`~repro.serve.QueryService`.
+        The service runs each query at most once: transient storage
+        faults are retried by a :class:`~repro.storage.retry.RetryingBackend`
+        under the engine's disk, if it has one.  A circuit breaker with
+        fixed settings sheds load after repeated storage failures; see
+        :mod:`repro.serve.service`.
         """
         from repro.serve.service import QueryService
 
@@ -304,7 +304,6 @@ class SpaceOdyssey(MultiDatasetIndex):
             max_batch=max_batch,
             max_delay_ms=max_delay_ms,
             max_pending=max_pending,
-            **degradation,
         )
         # Weakly tracked so telemetry() can aggregate serving counters
         # without keeping closed services alive.

@@ -33,28 +33,29 @@ answered from the batch) falls back to executing its queries one by one through
 :meth:`~repro.core.odyssey.SpaceOdyssey.query`: only the offending
 queries' futures receive the exception, every other query in the batch
 still completes with its exact answer, and the arrival-order schedule is
-preserved.
+preserved.  A query whose writer half raised in the batch already ran,
+so its future receives that error and it is not run again.
 
 Under storage faults the service degrades gracefully instead of hanging
 or crash-looping:
 
-* **Transient errors retry with backoff.**  A batch that raises is
-  replayed query by query (above); each query of that replay that fails
-  with a transient storage error (:func:`repro.storage.errors.is_transient`)
-  is retried in place up to ``batch_retries`` times with bounded
-  exponential backoff before its error is surfaced.
-  (The backend usually absorbs transient faults itself via
-  :class:`~repro.storage.retry.RetryingBackend`; service-level retry is
-  the second line of defence once the backend's budget is exhausted.)
-* **A circuit breaker sheds load.**  ``breaker_threshold`` consecutive
-  batches ending with failed queries open the breaker: subsequent
+* **Transient errors are retried below the service.**  The service runs
+  each query at most once; :class:`~repro.storage.retry.RetryingBackend`
+  retries transient faults page by page, and it is the only layer that
+  can retry a writer half's writes.  On a store without it, a served
+  query surfaces its first transient fault.
+* **A circuit breaker sheds load.**  :data:`BREAKER_THRESHOLD`
+  consecutive batches with a query that failed on a
+  :class:`~repro.storage.errors.StorageError` open the breaker (a client
+  error such as an unknown dataset id does not count): subsequent
   batches are failed *immediately* with :class:`ServiceDegraded` — a
   typed error, never a hang — without touching the engine, until
-  ``breaker_cooldown_ms`` elapses.  The next batch is then let through
-  (half-open); success closes the breaker.
+  :data:`BREAKER_COOLDOWN_S` elapses.  The next batch is then let
+  through (half-open); a batch without a storage failure closes the
+  breaker.
 * **Health is observable.**  :attr:`QueryService.healthy` reports the
   breaker state and :class:`ServiceStats` carries the fault counters
-  (``retries``, ``degraded``, ``breaker_opens``).
+  (``degraded``, ``breaker_opens``).
 
 Shutdown semantics
 ------------------
@@ -82,7 +83,7 @@ from repro.data.spatial_object import SpatialObject
 from repro.geometry.box import Box
 from repro.obs.metrics import Histogram, HistogramSummary
 from repro.obs.trace import maybe_span
-from repro.storage.errors import is_transient
+from repro.storage.errors import StorageError
 
 
 class ServiceClosed(RuntimeError):
@@ -94,13 +95,19 @@ class ServiceDegraded(RuntimeError):
 
     Raised *to the submission's future* (a typed, immediate outcome —
     never a hang) while the service rides out a run of storage failures.
-    The breaker closes again after ``breaker_cooldown_ms`` once a batch
-    succeeds.
+    The breaker lets a probe batch through after :data:`BREAKER_COOLDOWN_S`
+    and closes again once a batch has no storage failure.
     """
 
 
 #: Queue sentinel that tells the dispatcher to exit after the current drain.
 _SHUTDOWN = object()
+
+#: The circuit breaker opens after this many consecutive batches with a
+#: storage failure...
+BREAKER_THRESHOLD = 5
+#: ...and sheds load for this many seconds before a probe batch.
+BREAKER_COOLDOWN_S = 0.1
 
 #: Flush-trigger labels, in ServiceStats order.
 FLUSH_SIZE = "size"
@@ -118,11 +125,10 @@ class ServiceStats:
     batches``.  ``fallbacks`` counts batches that raised and were replayed
     query-by-query for failure isolation.
 
-    The fault counters describe graceful degradation: ``retries`` counts
-    service-level retries of transiently-failed work (backoff included),
-    ``degraded`` counts queries shed with :class:`ServiceDegraded` while
-    the circuit breaker was open (each is also counted in ``failed``),
-    and ``breaker_opens`` counts open transitions.
+    The fault counters describe graceful degradation: ``degraded`` counts
+    queries shed with :class:`ServiceDegraded` while the circuit breaker
+    was open (each is also counted in ``failed``), and ``breaker_opens``
+    counts open transitions.
     """
 
     submitted: int = 0
@@ -136,7 +142,6 @@ class ServiceStats:
     drain_flushes: int = 0
     fallbacks: int = 0
     max_batch_size: int = 0
-    retries: int = 0
     degraded: int = 0
     breaker_opens: int = 0
     #: Submit→resolve latency digest (count/total/min/max/p50/p90/p99),
@@ -205,28 +210,6 @@ class QueryService:
         Optional backpressure bound: with a value, :meth:`submit` blocks
         once this many queries are queued undispatched (the queue is
         bounded).  ``None`` (default) never blocks.
-    batch_retries:
-        How many times each query of a sequential fallback is retried at
-        the service level after a transient failure before the failure is
-        surfaced.  ``0`` disables service-level retry.
-    retry_backoff_ms:
-        Base delay of the exponential backoff between service-level
-        retries (doubled per attempt, capped at ``retry_backoff_max_ms``).
-    retry_backoff_max_ms:
-        Ceiling of the exponential backoff.  The wait itself is
-        interruptible: it is an ``Event.wait``, so an abort
-        (``close(drain=False)``) wakes the dispatcher immediately
-        instead of letting it finish the full delay.
-    breaker_threshold:
-        Open the circuit breaker after this many *consecutive* batches
-        ended with failed queries; while open, queries are shed with
-        :class:`ServiceDegraded`.  ``None`` disables the breaker.
-    breaker_cooldown_ms:
-        How long the breaker sheds load before letting a probe batch
-        through (half-open).
-    sleep:
-        Injectable sleep function (tests use a recording stub so retry
-        backoff does not slow the suite).
     """
 
     def __init__(
@@ -236,12 +219,6 @@ class QueryService:
         max_batch: int = 32,
         max_delay_ms: float = 5.0,
         max_pending: int | None = None,
-        batch_retries: int = 2,
-        retry_backoff_ms: float = 1.0,
-        retry_backoff_max_ms: float = 100.0,
-        breaker_threshold: int | None = 5,
-        breaker_cooldown_ms: float = 100.0,
-        sleep=time.sleep,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
@@ -249,29 +226,9 @@ class QueryService:
             raise ValueError("max_delay_ms must be non-negative")
         if max_pending is not None and max_pending < 1:
             raise ValueError("max_pending must be >= 1 (or None)")
-        if batch_retries < 0:
-            raise ValueError("batch_retries must be non-negative")
-        if retry_backoff_ms < 0:
-            raise ValueError("retry_backoff_ms must be non-negative")
-        if retry_backoff_max_ms < 0:
-            raise ValueError("retry_backoff_max_ms must be non-negative")
-        if breaker_threshold is not None and breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be >= 1 (or None)")
-        if breaker_cooldown_ms < 0:
-            raise ValueError("breaker_cooldown_ms must be non-negative")
         self._odyssey = odyssey
         self._max_batch = max_batch
         self._max_delay_s = max_delay_ms / 1000.0
-        self._batch_retries = batch_retries
-        self._retry_backoff_s = retry_backoff_ms / 1000.0
-        self._retry_backoff_max_s = retry_backoff_max_ms / 1000.0
-        self._breaker_threshold = breaker_threshold
-        self._breaker_cooldown_s = breaker_cooldown_ms / 1000.0
-        # Backoff waits block on this event rather than sleeping, so an
-        # abort (close(drain=False)) wakes the dispatcher mid-backoff.
-        # An injected ``sleep`` stub (tests) is honoured as-is.
-        self._abort_event = threading.Event()
-        self._sleep = self._abort_event.wait if sleep is time.sleep else sleep
         # Breaker state: touched only by the dispatcher thread, except for
         # the read-only `healthy` property, which tolerates a stale glimpse.
         self._consecutive_failed_batches = 0
@@ -373,7 +330,6 @@ class QueryService:
             if first_close:
                 if not drain:
                     self._abort = True
-                    self._abort_event.set()
                 self._queue.put(_SHUTDOWN)
         self._dispatcher.join(timeout)
         if self._dispatcher.is_alive():
@@ -434,7 +390,7 @@ class QueryService:
         if self._shed_if_degraded(batch, reason):
             return
         fallbacks = 0
-        failed = 0
+        failures: list[BaseException] = []
         with maybe_span(
             self._odyssey.tracer, "serve.batch", queries=len(batch), flush=reason
         ) as span:
@@ -446,84 +402,47 @@ class QueryService:
                 # batch executor validates every dataset id before doing
                 # any work, so a validation failure left no partial state;
                 # a writer half that raised committed the queries before
-                # the one it raised at, and that one already ran.  The
-                # prefix is taken off the error, so a re-raise of the same
-                # instance never passes for a later batch's.
+                # the one it raised at, and that one already ran, so it
+                # takes the error.  The prefix is taken off the error, so a
+                # re-raise of the same instance never passes for a later
+                # batch's.
                 fallbacks = 1
                 committed = vars(error).pop("committed_results", None)
                 if committed is None or len(committed) >= len(batch):
-                    failed = self._replay_sequentially(batch)
+                    failures = self._replay_sequentially(batch)
                 else:
                     for submission, hits in zip(batch, committed):
                         self._resolve(submission, hits=hits)
-                    failed = self._replay_sequentially(batch[len(committed) :], error)
+                    self._resolve(batch[len(committed)], error=error)
+                    failures = [error]
+                    failures += self._replay_sequentially(batch[len(committed) + 1 :])
             else:
                 for submission, hits in zip(batch, result.results):
                     self._resolve(submission, hits=hits)
             if span is not None:
-                span.attributes.update(fallback=bool(fallbacks), failed=failed)
-        self._breaker_record(failed)
+                span.attributes.update(fallback=bool(fallbacks), failed=len(failures))
+        self._breaker_record(any(isinstance(error, StorageError) for error in failures))
         self._note_batch(batch, reason, fallbacks=fallbacks)
 
-    def _replay_sequentially(
-        self, batch: list[Submission], failure: BaseException | None = None
-    ) -> int:
+    def _replay_sequentially(self, batch: list[Submission]) -> list[BaseException]:
         """The failure-isolation fallback: one engine call per submission.
 
-        Each query that fails transiently is retried with backoff before
-        its error is surfaced.  ``failure``, if given, is the first
-        query's error from the batch: it already ran, so it is run again
-        only as a retry.  Returns how many queries failed.
+        Returns the errors of the queries that failed.
         """
-        failed = 0
+        failures = []
         for submission in batch:
             try:
-                hits = self._retry_transient(
-                    lambda: self._odyssey.query(
-                        submission.box, submission.dataset_ids
-                    ),
-                    failure,
-                )
+                hits = self._odyssey.query(submission.box, submission.dataset_ids)
             except BaseException as exc:
-                failed += 1
+                failures.append(exc)
                 self._resolve(submission, error=exc)
             else:
                 self._resolve(submission, hits=hits)
-            failure = None
-        return failed
+        return failures
 
     # ------------------------------------------------------------------ #
     # Graceful degradation
     # ------------------------------------------------------------------ #
-
-    def _retry_transient(self, call, failure: BaseException | None = None):
-        """Run ``call``, retrying transient storage errors with backoff.
-
-        ``failure``, if given, is the error of a first attempt already made.
-        """
-        attempt = 0
-        while True:
-            if failure is None:
-                try:
-                    return call()
-                except BaseException as exc:
-                    failure = exc
-            if attempt >= self._batch_retries or not is_transient(failure):
-                raise failure
-            with self._stats_lock:
-                self._counts["retries"] += 1
-            self._sleep(
-                min(
-                    self._retry_backoff_s * (2**attempt),
-                    self._retry_backoff_max_s,
-                )
-            )
-            if self._abort_event.is_set():
-                # Aborted mid-backoff: surface the original failure
-                # instead of burning more attempts during shutdown.
-                raise failure
-            attempt += 1
-            failure = None
 
     def _breaker_is_open(self) -> bool:
         """Whether the breaker currently sheds load (handles half-open)."""
@@ -550,17 +469,16 @@ class QueryService:
         self._note_batch(batch, reason, fallbacks=0)
         return True
 
-    def _breaker_record(self, failed_queries: int) -> None:
-        """Track consecutive failed batches; open/close the breaker."""
-        if self._breaker_threshold is None:
-            return
-        if failed_queries == 0:
+    def _breaker_record(self, storage_failed: bool) -> None:
+        """Track consecutive batches with a storage failure; open/close the
+        breaker."""
+        if not storage_failed:
             self._consecutive_failed_batches = 0
             self._breaker_open_until = None
             return
         self._consecutive_failed_batches += 1
-        if self._consecutive_failed_batches >= self._breaker_threshold:
-            self._breaker_open_until = time.monotonic() + self._breaker_cooldown_s
+        if self._consecutive_failed_batches >= BREAKER_THRESHOLD:
+            self._breaker_open_until = time.monotonic() + BREAKER_COOLDOWN_S
             with self._stats_lock:
                 self._counts["breaker_opens"] += 1
 

@@ -442,17 +442,17 @@ class ScalarMerger(Merger):
         self, combination: frozenset[int], trees: Mapping[int, PartitionTree]
     ) -> MergeOutcome:
         if len(combination) < self._config.min_merge_combination:
-            return MergeOutcome(skipped_reason="combination too small")
+            return MergeOutcome()
         stats = self._statistics.combination_stats(combination)
         if stats is None:
-            return MergeOutcome(skipped_reason="combination never queried")
+            return MergeOutcome()
         if stats.count <= self._config.merge_threshold:
-            return MergeOutcome(skipped_reason="below merge threshold")
+            return MergeOutcome()
         existing = self._directory.get(combination)
         merged = existing.entries if existing is not None else ()
         new_keys = sorted(self._qualifying_keys(combination, stats, trees, merged))
         if not new_keys:
-            return MergeOutcome(skipped_reason="nothing new to merge")
+            return MergeOutcome()
         budget = self._config.merge_space_budget_pages
         if budget is not None:
             # Key by key, every merge file's pages recounted: a key whose
@@ -469,7 +469,7 @@ class ScalarMerger(Merger):
                     used += pages
             new_keys = fitting
             if not new_keys:
-                return MergeOutcome(skipped_reason="space budget")
+                return MergeOutcome()
         info = existing or MergeFileInfo(combination, merge_file_name(combination))
         file = self.merge_file(combination)
         for key in new_keys:

@@ -12,12 +12,12 @@ from repro.bench.approaches import (
     FIGURE4_APPROACHES,
     FIGURE5_APPROACHES,
     make_approach,
-    odyssey_config_for,
 )
 from repro.bench.experiments import build_suite, build_workload
 from repro.bench.runner import run_approach
 from repro.bench.scales import SCALES, ExperimentScale, get_scale
 from repro.bench import reporting
+from repro.core.config import OdysseyConfig
 
 
 @pytest.fixture(scope="module")
@@ -84,16 +84,17 @@ class TestApproaches:
         with pytest.raises(ValueError):
             make_approach("BTree", micro_suite, micro_scale)
 
-    def test_odyssey_config_matches_paper(self, micro_scale):
-        config = odyssey_config_for(micro_scale)
+    def test_odyssey_config_matches_paper(self, micro_suite, micro_scale):
+        config = make_approach("Odyssey", micro_suite, micro_scale).config
         assert config.refinement_threshold == 4.0
         assert config.partitions_per_level == 64
         assert config.merge_threshold == 2
-        assert odyssey_config_for(micro_scale).merge_space_budget_pages is None
+        assert config.min_merge_combination == 3
+        assert config.merge_space_budget_pages is None
 
     def test_no_merge_approach_has_a_zero_budget(self, micro_suite, micro_scale):
         engine = make_approach("Odyssey-NoMerge", micro_suite, micro_scale)
-        assert engine.config == odyssey_config_for(micro_scale).without_merging()
+        assert engine.config == OdysseyConfig().without_merging()
         assert engine.name == "Odyssey w/o merging"
 
     @pytest.mark.parametrize("name", sorted(APPROACHES))

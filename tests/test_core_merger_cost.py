@@ -64,9 +64,8 @@ class TestMergerTriggers:
         combo = frozenset({0, 1, 2})
         keys = [next(iter(reference_tree(trees[0]).leaves())).key]
         record_queries(statistics, trees, combo, keys, times=1)
-        outcome = merger.maybe_merge(combo, trees)
-        assert not outcome.merged
-        assert outcome.skipped_reason == "below merge threshold"
+        assert merger.maybe_merge(combo, trees) == MergeOutcome()
+        assert combo not in directory
 
     @pytest.mark.parametrize("threshold", [1, 2, 5])
     def test_static_threshold_is_the_trigger(self, setup, disk, threshold):
@@ -79,9 +78,8 @@ class TestMergerTriggers:
         keys = [next(iter(reference_tree(trees[0]).leaves())).key]
         record_queries(statistics, trees, combo, keys, times=threshold)
         if threshold:
-            outcome = merger.maybe_merge(combo, trees)
-            assert not outcome.merged
-            assert outcome.skipped_reason == "below merge threshold"
+            assert merger.maybe_merge(combo, trees) == MergeOutcome()
+            assert combo not in directory
         record_queries(statistics, trees, combo, keys, times=1)
         assert merger.maybe_merge(combo, trees).merged
         assert directory.get(combo).n_partitions == len(keys)
@@ -96,9 +94,8 @@ class TestMergerTriggers:
         combo = frozenset({0, 1, 2})
         keys = [next(iter(reference_tree(trees[0]).leaves())).key]
         record_queries(statistics, trees, combo, keys, times=1)
-        outcome = merger.maybe_merge(combo, trees)
-        assert not outcome.merged
-        assert outcome.skipped_reason == "nothing new to merge"
+        assert merger.maybe_merge(combo, trees) == MergeOutcome()
+        assert combo not in directory
         record_queries(statistics, trees, combo, keys, times=1)
         assert merger.maybe_merge(combo, trees).merged
         assert directory.get(combo).n_partitions == len(keys)
@@ -131,27 +128,27 @@ class TestMergerTriggers:
         assert runs[0] == runs[1]
 
     def test_small_combination_skipped(self, setup):
-        _, _, trees, statistics, _, merger = setup
+        _, _, trees, statistics, directory, merger = setup
         combo = frozenset({0, 1})
         record_queries(statistics, trees, combo, [(0,)], times=5)
-        outcome = merger.maybe_merge(combo, trees)
-        assert not outcome.merged
-        assert outcome.skipped_reason == "combination too small"
+        assert merger.maybe_merge(combo, trees) == MergeOutcome()
+        assert len(directory) == 0
 
     def test_never_queried_combination(self, setup):
         _, _, trees, _, _, merger = setup
         outcome = merger.maybe_merge(frozenset({0, 1, 2}), trees)
         assert not outcome.merged
 
-    def test_nothing_new_to_merge_is_noop(self, setup):
-        _, _, trees, statistics, _, merger = setup
+    def test_nothing_new_to_merge_is_noop(self, setup, disk):
+        _, _, trees, statistics, directory, merger = setup
         combo = frozenset({0, 1, 2})
         keys = [next(iter(reference_tree(trees[0]).leaves())).key]
         record_queries(statistics, trees, combo, keys, times=3)
         assert merger.maybe_merge(combo, trees).merged
-        second = merger.maybe_merge(combo, trees)
-        assert not second.merged
-        assert second.skipped_reason == "nothing new to merge"
+        pages = disk.num_pages(merge_file_name(combo))
+        assert merger.maybe_merge(combo, trees) == MergeOutcome()
+        assert directory.get(combo).n_partitions == len(keys)
+        assert disk.num_pages(merge_file_name(combo)) == pages
 
     def test_extension_with_new_partitions(self, setup):
         _, _, trees, statistics, directory, merger = setup
@@ -203,8 +200,7 @@ class TestMergerTriggers:
             raise AssertionError("a full budget derived the qualifying keys")
 
         monkeypatch.setattr(merger, "_qualifying_keys", derived)
-        outcome = merger.maybe_merge(combo, trees)
-        assert outcome == MergeOutcome(skipped_reason="space budget")
+        assert merger.maybe_merge(combo, trees) == MergeOutcome()
         assert len(directory) == 0
 
 
@@ -228,7 +224,7 @@ class TestBudget:
         assert list(directory.get(combo_a).entries) == keys[:1]
         # One page is left: nothing of another combination fits.
         record_queries(statistics, trees, combo_b, keys[:1])
-        assert merger.maybe_merge(combo_b, trees) == MergeOutcome(skipped_reason="space budget")
+        assert merger.maybe_merge(combo_b, trees) == MergeOutcome()
         assert combo_b not in directory and not disk.file_exists(merge_file_name(combo_b))
         assert directory.total_pages() == disk.num_pages(merge_file_name(combo_a)) == 2
 

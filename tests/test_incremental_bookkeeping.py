@@ -41,6 +41,7 @@ import itertools
 import os
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -252,20 +253,23 @@ def test_tight_budget_refuses_holds_and_keeps_frozen_copies():
     it after every query, and every frozen copy keeps its content."""
     seed = 8  # two combinations turn hot, so both compete for the budget
     suite = make_suite(seed)
-    config = OdysseyConfig(
-        partitions_per_level=8,
-        refinement_threshold=2.0,
-        merge_threshold=1,
-        merge_space_budget_pages=4,
+    unbounded = SpaceOdyssey(
+        suite.fork().catalog,
+        OdysseyConfig(partitions_per_level=8, refinement_threshold=2.0, merge_threshold=1),
     )
+    config = replace(unbounded.config, merge_space_budget_pages=4)
     engine = SpaceOdyssey(suite.catalog, config)
     queries = mixed_workload(suite, seed, n_triples=40, n_pairs=4)
     outcomes, maybe_merge = [], engine.merger.maybe_merge
     engine.merger.maybe_merge = lambda *args: outcomes.append(maybe_merge(*args)) or outcomes[-1]
     run_checked(engine, queries, f"bookkeeping budget seed {seed}")
     assert engine.summary().merges_performed > 0, "nothing fit the budget"
-    assert any(o.skipped_reason == "space budget" for o in outcomes), "the budget never refused"
     assert 0 < engine.merge_directory.total_pages() <= 4
+    # The same queries without a budget copy more partitions: it refused some.
+    for box, ids in queries:
+        unbounded.query(box, ids)
+    copied = sum(info.n_partitions for info in unbounded.merge_directory.all_files())
+    assert sum(o.new_partitions for o in outcomes) < copied, "the budget never refused"
 
 
 def test_member_dataset_first_touched_late():

@@ -126,7 +126,7 @@ class TestClaimC7MergingBenefit:
         cheaper with merging than without (Fig. 5c), once the merge file has
         been populated (the paper likewise reports the gain on queries that
         access the merged partitions)."""
-        from repro.bench.approaches import odyssey_config_for
+        from repro.core.config import OdysseyConfig
         from repro.core.odyssey import SpaceOdyssey
         from repro.geometry.box import Box
 
@@ -140,7 +140,7 @@ class TestClaimC7MergingBenefit:
         totals = {}
         for merging in (True, False):
             fork = suite.fork()
-            config = odyssey_config_for(scale)
+            config = OdysseyConfig()
             odyssey = SpaceOdyssey(fork.catalog, config if merging else config.without_merging())
             for _ in range(warmup_rounds):
                 for box in hot_boxes:

@@ -18,8 +18,10 @@ it (its ``killer``): the engine oracle, ``tests/test_engine_fuzz.py``,
 unless the bug is one the oracle cannot reach — a hand-crafted journal
 tail or another header version, an append behind a torn tail, a journal write
 that raised, a fact that names another step, the order of decodes inside
-one group read, the CPU charges of a batch that stops early.  With ``PYTEST_ARGS`` every mutant runs against that one
-selection, which is how two test batteries are compared.
+one group read, the CPU charges of a batch that stops early, a circuit
+breaker that counts client errors.  With ``PYTEST_ARGS`` every mutant
+runs against that one selection, which is how two test batteries are
+compared.
 
 Before any mutant, the unmutated copy must pass each selection used, or
 every mutant would read as killed.  ``--list`` prints the mutants and
@@ -160,6 +162,14 @@ MUTANTS = (
         "repro/serve/service.py",
         "for submission, hits in zip(batch, result.results):",
         "for submission, hits in zip(batch, result.results[::-1]):",
+    ),
+    Mutant(
+        "breaker-counts-client-errors",
+        "the circuit breaker counts every batch with a failed query, client errors too",
+        "repro/serve/service.py",
+        "self._breaker_record(any(isinstance(error, StorageError) for error in failures))",
+        "self._breaker_record(bool(failures))",
+        ("tests/test_serve_faults.py",),
     ),
     Mutant(
         "budget-admits-overshoot",
