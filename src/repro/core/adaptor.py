@@ -126,8 +126,9 @@ class Adaptor:
     def candidates(self, table: LeafSnapshot, rows, query_volume: float) -> list[int]:
         """The rows among ``rows`` a query of ``query_volume`` makes :meth:`maybe_refine` split.
 
-        One expression over the table's columns: the leaf is
-        :func:`oversized` for the query, holds records and lies above
+        ``rows`` are rows the query reads (:meth:`LeafSnapshot.occupied`),
+        so each holds records.  One expression over the table's columns:
+        the leaf is :func:`oversized` for the query and lies above
         ``max_depth``.  The volume test runs first, on every row: in a
         converged region no leaf passes it, and the rest is then skipped.
         In the order of ``rows``.  The caller computes the query's
@@ -140,20 +141,21 @@ class Adaptor:
         rows = rows[oversized(table.volume[rows], query_volume, config.refinement_threshold)]
         if not len(rows):
             return []
-        return rows[(table.n_records[rows] > 0) & (table.level[rows] < config.max_depth)].tolist()
+        return rows[table.level[rows] < config.max_depth].tolist()
 
     def candidates_batch(
         self, table: LeafSnapshot, rows: Sequence[np.ndarray], volumes: np.ndarray
     ) -> list:
         """:meth:`candidates` of every window of a batch on one tree, as one program.
 
-        Window ``i`` overlaps ``rows[i]`` and has query volume
-        ``volumes[i]``.  The windows' rows are laid end to end, each row is
-        tested against its own window's volume with the same expression
-        (a window without a positive volume refines nothing: its volume
-        becomes infinite), and the survivors are dealt back per window in
-        row order: bit for bit the per-window calls' answer, for one set
-        of array calls.  A window with no candidate gets an empty tuple.
+        Window ``i`` reads ``rows[i]`` (one :meth:`LeafSnapshot.occupied`
+        for the tree) and has query volume ``volumes[i]``.  The windows'
+        rows are laid end to end, each row is tested against its own
+        window's volume with the same expression (a window without a
+        positive volume refines nothing: its volume becomes infinite), and
+        the survivors are dealt back per window in row order: bit for bit
+        the per-window calls' answer, for one set of array calls.  A window
+        with no candidate gets an empty tuple.
         """
         config = self._config
         picked: list = [()] * len(rows)
@@ -166,7 +168,7 @@ class Adaptor:
             return picked
         owner = np.arange(len(rows)).repeat(sizes)[keep]
         flat = flat[keep]
-        keep = (table.n_records[flat] > 0) & (table.level[flat] < config.max_depth)
+        keep = table.level[flat] < config.max_depth
         for window, row in zip(owner[keep].tolist(), flat[keep].tolist()):
             if not picked[window]:
                 picked[window] = []

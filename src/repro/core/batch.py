@@ -21,9 +21,11 @@ A batch runs the Query Processor's per-query pipeline in four phases.
    are extended and clamped as one array program, and per requested
    dataset their partition overlap tests are resolved in a single call to
    the vectorized :func:`~repro.geometry.vectorized.intersect_matrix`
-   kernel over the tree's leaf table.  The rows each query would refine
-   come from one candidate program per tree
-   (:meth:`~repro.core.adaptor.Adaptor.candidates_batch`).
+   kernel over the tree's leaf table.  The rows of those that hold
+   records, which the query reads, come from one
+   :meth:`~repro.core.partition.LeafSnapshot.occupied` call per tree, and
+   the rows each query would refine from one candidate program per tree
+   over them (:meth:`~repro.core.adaptor.Adaptor.candidates_batch`).
 3. **Retrieval and filtering** — routing is decided once per combination
    and every query's reads are planned in on-disk order; each query then
    hands its whole plan to a :class:`BatchReadSet`, a shared read set
@@ -43,9 +45,9 @@ A batch runs the Query Processor's per-query pipeline in four phases.
 4. **Ordered commit** — per query, in submission order, the simulated
    CPU charge for the records it examined, then statistics, refinement
    and merging, replayed through the sequential writer half
-   (``QueryProcessor.commit_query``) against the
-   evolving trees, handed each tree's rows and candidates while the tree
-   is unrefined and each combination's route while the merge directory is
+   (``QueryProcessor.commit_query``) against the evolving trees, handed
+   each tree's rows, occupied rows and candidates while the tree is
+   unrefined and each combination's route while the merge directory is
    unchanged; then the next epoch is published (once a snapshot read
    started the epoch layer) and the batch journaled.  Each query's
    ``cache`` report comes from the buffer pool's counter tallies at its
@@ -268,10 +270,10 @@ class PreparedBatch:
     batch: QueryBatch
     epoch_id: int = -1
     first_touch: dict[int, int] = field(default_factory=dict)
-    needed0: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
     tables0: dict[int, LeafSnapshot] = field(default_factory=dict)
-    #: Per ``(query, dataset)``: the rows of ``needed0`` the query refines.
-    candidates0: dict[tuple[int, int], Sequence[int]] = field(default_factory=dict)
+    #: Per ``(query, dataset)``: the rows of ``tables0`` it overlaps, those
+    #: of them that hold records (which it reads) and those it refines.
+    selected0: dict[tuple[int, int], tuple] = field(default_factory=dict)
     #: The route of each combination, decided at merge-directory version
     #: ``route_version``.
     routes: dict[frozenset[int], RoutingDecision] = field(default_factory=dict)
@@ -421,8 +423,8 @@ class BatchExecutor:
         q_lo = np.array([query.box.lo for query in queries], dtype=np.float64)
         q_hi = np.array([query.box.hi for query in queries], dtype=np.float64)
         with maybe_span(tracer, "batch.overlap"):
-            needed0, tables0, candidates0 = self._resolve_overlaps(queries, q_lo, q_hi, trees)
-        plans, routes = self._plans(batch, needed0, tables0, directory, epoch)
+            tables0, selected0 = self._resolve_overlaps(queries, q_lo, q_hi, trees)
+        plans, routes = self._plans(batch, tables0, selected0, directory, epoch)
         if pooled:
             from repro.core.parallel import ParallelReadSet
 
@@ -444,9 +446,8 @@ class BatchExecutor:
             batch=batch,
             epoch_id=-1 if epoch is None else epoch.epoch_id,
             first_touch=first_touch,
-            needed0=needed0,
             tables0=tables0,
-            candidates0=candidates0,
+            selected0=selected0,
             routes=routes,
             route_version=directory.version,
             results=results,
@@ -458,23 +459,20 @@ class BatchExecutor:
 
     def _resolve_overlaps(
         self, queries: Sequence[BatchQuery], q_lo: np.ndarray, q_hi: np.ndarray, trees: Mapping
-    ) -> tuple[
-        dict[tuple[int, int], np.ndarray],
-        dict[int, LeafSnapshot],
-        dict[tuple[int, int], Sequence[int]],
-    ]:
+    ) -> tuple[dict[int, LeafSnapshot], dict[tuple[int, int], tuple]]:
         """Phase 2: all windows as one array program, one kernel call per dataset.
 
         The extended windows of every ``(query, dataset)`` pair are built
         together, grouped by dataset, and each dataset's block is one
-        overlap kernel over its tree's leaf table.  Returns the
-        per-(query, dataset) overlapping rows against the start-of-batch
-        trees — live, or the pinned epoch's frozen tables, which the live
-        trees' refinements never touch — each tree's table then, which the
-        rows index, and the rows each query would refine, from one
-        candidate program per tree (:meth:`Adaptor.candidates_batch`): the
-        commit reuses rows and candidates while a tree is still at that
-        table's version.
+        overlap kernel over its tree's leaf table.  Returns each tree's
+        start-of-batch table — live, or the pinned epoch's frozen one,
+        which the live trees' refinements never touch — and per (query,
+        dataset) the rows of it the window overlaps, those of them that
+        hold records, from one :meth:`LeafSnapshot.occupied` call per tree,
+        and those the query would refine, from one candidate program per
+        tree over the occupied rows (:meth:`Adaptor.candidates_batch`).
+        The plans read the occupied rows, and the commit reuses all three
+        while a tree is still at that table's version.
         """
         requesting: dict[int, list[int]] = {}
         for query in queries:
@@ -496,9 +494,8 @@ class BatchExecutor:
         for axis in range(1, extents.shape[1]):
             volumes = volumes * extents[:, axis]
         adaptor = self._processor.adaptor
-        needed0: dict[tuple[int, int], np.ndarray] = {}
         tables0: dict[int, LeafSnapshot] = {}
-        candidates0: dict[tuple[int, int], Sequence[int]] = {}
+        selected0: dict[tuple[int, int], tuple] = {}
         stop = 0
         for (dataset_id, indices), tree in zip(requesting.items(), sources):
             start, stop = stop, stop + len(indices)
@@ -509,24 +506,24 @@ class BatchExecutor:
                 table = tree.leaf_snapshot()
                 per_window = tree.leaves_overlapping_batch(lo[start:stop], hi[start:stop])
             tables0[dataset_id] = table
+            occupied = table.occupied(per_window)
+            picked = adaptor.candidates_batch(table, occupied, volumes[indices])
             pair_keys = [(index, dataset_id) for index in indices]
-            needed0.update(zip(pair_keys, per_window))
-            picked = adaptor.candidates_batch(table, per_window, volumes[indices])
-            candidates0.update(zip(pair_keys, picked))
-        return needed0, tables0, candidates0
+            selected0.update(zip(pair_keys, zip(per_window, occupied, picked)))
+        return tables0, selected0
 
     def _plans(
         self,
         batch: QueryBatch,
-        needed0: dict[tuple[int, int], np.ndarray],
         tables0: Mapping[int, LeafSnapshot],
+        selected0: Mapping[tuple[int, int], tuple],
         directory,
         epoch: EngineEpoch | None,
     ) -> tuple[
         list[list[tuple[int, PagedFile[SpatialObject], StoredRun]]],
         dict[frozenset[int], RoutingDecision],
     ]:
-        """Each query's reads in on-disk order, and the route of each combination.
+        """Each query's reads (its occupied rows) in on-disk order, and the combinations' routes.
 
         Routing is decided once per combination: the merge directory cannot
         change before the commit, so every read of the batch sees one
@@ -553,7 +550,7 @@ class BatchExecutor:
 
         plans = [
             plan_reads(
-                [(d, tables0[d], needed0[(query.index, d)]) for d in sorted(query.requested)],
+                [(d, tables0[d], selected0[(query.index, d)][1]) for d in sorted(query.requested)],
                 routes[query.requested],
                 tree_file,
                 merge_file,
@@ -636,13 +633,14 @@ class BatchExecutor:
         """Apply statistics, refinement and merging in sequential order.
 
         Works on the *current* trees: each query goes through the sequential
-        writer half, handed the rows it retrieved and the rows it refines
-        from every tree that has not been refined since overlap resolution
-        (the writer half re-resolves the others), and the route planned
-        for its combination while the merge directory is at the version it
-        was planned at (the writer half re-routes otherwise).  That makes
-        every refinement decision, statistics update and merge trigger
-        identical to sequential execution.  A query's ``cache`` is
+        writer half, handed the rows it overlapped, the occupied rows it
+        read and the rows it refines from every tree that has not been
+        refined since overlap resolution (the writer half re-resolves the
+        others: stale rows index a table that is gone), and the route
+        planned for its combination while the merge directory is at the
+        version it was planned at (the writer half re-routes otherwise).
+        That makes every refinement decision, statistics update and merge
+        trigger identical to sequential execution.  A query's ``cache`` is
         its read's tally difference plus its commit's, taken at the query
         boundaries of the replay.  Each committed query's report is appended
         to ``reports``, so after a raise they count the committed prefix.
@@ -652,8 +650,7 @@ class BatchExecutor:
         directory = processor.directory
         disk = processor.catalog.datasets()[0].disk
         pool = disk.buffer_pool
-        first_touch, tables0 = prepared.first_touch, prepared.tables0
-        needed0, candidates0 = prepared.needed0, prepared.candidates0
+        first_touch, tables0, selected0 = prepared.first_touch, prepared.tables0, prepared.selected0
         start = pool.tally
         for query, (read_start, read_end) in zip(prepared.batch.queries, prepared.read_tallies):
             index = query.index
@@ -664,16 +661,17 @@ class BatchExecutor:
             report.objects_examined = prepared.examined[index]
             report.results = len(prepared.results[index])
             rows: dict[int, np.ndarray] = {}
+            held: dict[int, np.ndarray] = {}
             picked: dict[int, Sequence[int]] = {}
             for dataset_id in ordered:
                 if trees[dataset_id].version == tables0[dataset_id].version:
-                    rows[dataset_id] = needed0[(index, dataset_id)]
-                    picked[dataset_id] = candidates0[(index, dataset_id)]
+                    selection = selected0[(index, dataset_id)]
+                    rows[dataset_id], held[dataset_id], picked[dataset_id] = selection
             decision = None
             if directory.version == prepared.route_version:
                 decision = prepared.routes[query.requested]
             disk.charge_cpu_records(prepared.examined[index])
-            processor.commit_query(query.box, query.requested, report, rows, decision, picked)
+            processor.commit_query(query.box, query.requested, report, rows, held, decision, picked)
             end = pool.tally
             report.cache = BufferCounters.between(
                 map(add, read_start, start), map(add, read_end, end)

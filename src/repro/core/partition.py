@@ -106,6 +106,22 @@ class LeafSnapshot:
         rows = pairs % n
         return [rows[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
+    def occupied(self, rows: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """The rows of each window's ``rows`` that hold records: what a query reads.
+
+        The one selection the read plan, the statistics and the refinement
+        candidates share.  The windows are laid end to end, one mask keeps
+        the occupied rows, and one cumulative count deals them back per
+        window, in row order.
+        """
+        if len(rows) == 1:
+            return [rows[0][self.n_records[rows[0]] > 0]]
+        flat = np.concatenate(rows)
+        keep = self.n_records[flat] > 0
+        bounds = np.concatenate(([0], np.cumsum(keep)))[np.cumsum([0] + list(map(len, rows)))]
+        flat = flat[keep]
+        return [flat[start:stop] for start, stop in zip(bounds.tolist(), bounds[1:].tolist())]
+
 
 @dataclass(frozen=True, slots=True)
 class TreeEpochSnapshot:

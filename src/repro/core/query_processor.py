@@ -64,16 +64,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
 
 
 def plan_reads(
-    overlapped: Iterable[tuple[int, LeafSnapshot, np.ndarray]],
+    occupied: Iterable[tuple[int, LeafSnapshot, np.ndarray]],
     decision: RoutingDecision,
     tree_file: Callable[[int], PagedFile[SpatialObject]],
     merge_file: Callable[[MergeFileInfo], PagedFile[SpatialObject]],
 ) -> list[tuple[int, PagedFile[SpatialObject], StoredRun]]:
     """One query's ``(dataset_id, file, run)`` reads, in on-disk order (step 4).
 
-    ``overlapped`` gives each requested dataset, ascending, with the leaf
-    table its rows index (live, or a pinned epoch's) and its overlapped
-    rows; only the rows that hold records are planned.  Merge-file
+    ``occupied`` gives each requested dataset, ascending, with the leaf
+    table its rows index (live, or a pinned epoch's) and the overlapped
+    rows that hold records (:meth:`LeafSnapshot.occupied`, taken once per
+    query and tree by the caller; the writer half reuses it).  Merge-file
     segments come first in merge-file order (co-located partitions stream
     sequentially: the point of merging), then each dataset's uncovered
     runs, in partition-file order.
@@ -82,11 +83,11 @@ def plan_reads(
     covered = decision.covered_datasets if info is not None else ()
     merged: list[tuple[tuple, int, StoredRun]] = []
     plan: list[tuple[int, PagedFile[SpatialObject], StoredRun]] = []
-    for dataset_id, table, rows in overlapped:
-        occupied = rows[table.n_records[rows] > 0].tolist()
+    for dataset_id, table, rows in occupied:
+        rows = rows.tolist()
         if dataset_id in covered:
             runs: list[StoredRun] = []
-            for row in occupied:
+            for row in rows:
                 key = table.keys[row]
                 if info.has_segment(key, dataset_id):
                     segment = info.segment(key, dataset_id)
@@ -94,7 +95,7 @@ def plan_reads(
                 else:
                     runs.append(table.runs[row])
         else:
-            runs = list(map(table.runs.__getitem__, occupied))
+            runs = list(map(table.runs.__getitem__, rows))
         if runs:
             # Runs of one file never share a page, so their extents order
             # them by their first page, with no Python call per run.
@@ -329,26 +330,30 @@ class QueryProcessor:
         requested: frozenset[int],
         report: QueryReport,
         overlapped: Mapping[int, np.ndarray] | None = None,
+        occupied: Mapping[int, np.ndarray] | None = None,
         decision: RoutingDecision | None = None,
         candidates: Mapping[int, Sequence[int]] | None = None,
     ) -> None:
         """The writer half of one query, under the gate, against the *current* state.
 
-        Resolves the rows ``overlapped`` lacks, routes unless given a
-        ``decision`` and picks the rows to refine (:meth:`Adaptor.candidates`)
-        in each tree ``candidates`` lacks, but reads no partition: recovery
-        replays a query through this alone.  The keys of the rows that
-        hold records, the partitions the query reads, enter the
+        Resolves the rows ``overlapped`` lacks and the occupied rows
+        ``occupied`` lacks (:meth:`LeafSnapshot.occupied`, the selection
+        :func:`plan_reads` reads), routes unless given a ``decision`` and
+        picks the rows to refine (:meth:`Adaptor.candidates`, over the
+        occupied rows) in each tree ``candidates`` lacks, but reads no
+        partition: recovery replays a query through this alone.  The keys
+        of the occupied rows, the partitions the query reads, enter the
         statistics; the rows the Adaptor picks are refined, in search
         order, each shifted by the rows the splits before it added; the
         merger gets its chance; the query counts as executed.  A caller
-        that passes rows or candidates for a tree vouches that they were
-        taken from the tree's current table.  The query's storage facts
-        are sealed last.
+        that passes rows, occupied rows or candidates for a tree vouches
+        that they were taken from the tree's current table.  The query's
+        storage facts are sealed last.
         """
         with self._gate:
             try:
                 given = overlapped or {}
+                held = occupied or {}
                 picked = candidates or {}
                 if decision is None:
                     decision = choose_route(self._directory, requested)
@@ -364,18 +369,19 @@ class QueryProcessor:
                     rows = given.get(dataset_id)
                     if rows is None:
                         rows = self._overlapped_rows(box, dataset_id)
-                    hit = list(map(table.keys.__getitem__, rows.tolist()))
-                    report.partitions_read += len(hit)
-                    # Only the rows that hold records are read (plan_reads).
-                    occupied = rows[table.n_records[rows] > 0]
-                    keys.update(map(table.keys.__getitem__, occupied.tolist()))
+                    reads = held.get(dataset_id)
+                    if reads is None:
+                        (reads,) = table.occupied([rows])
+                    report.partitions_read += len(rows)
+                    keys.update(map(table.keys.__getitem__, reads.tolist()))
                     if dataset_id in covered:
+                        hit = map(table.keys.__getitem__, rows.tolist())
                         report.partitions_from_merge += sum(
                             info.has_segment(key, dataset_id) for key in hit
                         )
                     chosen = picked.get(dataset_id)
                     if chosen is None:
-                        chosen = self._adaptor.candidates(table, rows, volume)
+                        chosen = self._adaptor.candidates(table, reads, volume)
                     if chosen:
                         refining.append((tree, table, chosen))
                 for tree, table, chosen in refining:
@@ -518,12 +524,15 @@ class QueryProcessor:
         # 2. The overlapped rows, in search order: one kernel call per tree.
         overlapped = {dataset_id: self._overlapped_rows(box, dataset_id) for dataset_id in ordered}
 
-        # 3-4. Route and plan; the plan's groups are one storage read, and
-        # their records go through the batch filter as a batch of one: one
-        # window+dataset mask filters them all, and only hits become objects.
+        # 3-4. Route and plan the occupied rows (the writer half reuses
+        # them); the plan's groups are one storage read, and their records
+        # go through the batch filter as a batch of one: one window+dataset
+        # mask filters them all, and only hits become objects.
         decision = choose_route(self._directory, requested)
-        tables = [(d, self._trees[d].leaf_snapshot(), rows) for d, rows in overlapped.items()]
-        plan = plan_reads(tables, decision, self._tree_file, self._merge_file)
+        tables = {d: self._trees[d].leaf_snapshot() for d in ordered}
+        occupied = {d: tables[d].occupied([rows])[0] for d, rows in overlapped.items()}
+        selected = [(d, tables[d], rows) for d, rows in occupied.items()]
+        plan = plan_reads(selected, decision, self._tree_file, self._merge_file)
         records = read_groups([(file, run) for _, file, run in plan])
         (results,), (examined,) = filter_groups(
             [(0, dataset_id, group) for (dataset_id, _, _), group in zip(plan, records)],
@@ -535,7 +544,7 @@ class QueryProcessor:
         report.results = len(results)
 
         # 5-6. Refinement, statistics and merging.
-        self.commit_query(box, requested, report, overlapped, decision)
+        self.commit_query(box, requested, report, overlapped, occupied, decision)
         report.cache = BufferCounters.between(cache_start, pool.tally)
         return results
 

@@ -63,6 +63,7 @@ from repro.storage.codec import (
     records_per_page,
 )
 from repro.storage.disk import Disk
+from repro.storage.errors import CorruptPageError
 
 RecordT = TypeVar("RecordT")
 
@@ -187,7 +188,9 @@ def read_groups(
     extent at a time, so hits, decodings and evictions on both pool
     layers happen exactly as with one read per group; a run the pool
     holds whole is one pool call.  A group is its first
-    ``run.n_records`` records, and fewer decoded is corruption.
+    ``run.n_records`` records, and fewer decoded is corruption
+    (:class:`~repro.storage.errors.CorruptPageError`, a storage error like
+    a failed checksum).
     """
     if not groups:
         return []
@@ -212,7 +215,7 @@ def read_groups(
             records = parts[0] if len(parts) == 1 else frozen_concat(parts, dtype)
             n = run.n_records
             if len(records) < n:
-                raise ValueError(
+                raise CorruptPageError(
                     f"group in {file._name!r} is corrupt: expected {n} records, "
                     f"decoded {len(records)}"
                 )

@@ -33,6 +33,7 @@ import numpy as np
 from repro.storage.backend import StorageError
 from repro.storage.codec import decode_page_array
 from repro.storage.disk import Disk
+from repro.storage.errors import CorruptPageError
 from repro.storage.pagedfile import PagedFile, StoredRun
 
 
@@ -128,7 +129,7 @@ def read_array(file: PagedFile, run: StoredRun, lookup=None) -> np.ndarray:
         records = np.concatenate(parts)
     records.setflags(write=False)
     if len(records) < run.n_records:
-        raise ValueError(
+        raise CorruptPageError(
             f"group in {name!r} is corrupt: expected {run.n_records} "
             f"records, decoded {len(records)}"
         )

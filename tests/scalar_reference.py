@@ -54,6 +54,7 @@ from repro.geometry.box import Box
 from repro.geometry.vectorized import grid_child_indices
 from repro.obs.trace import maybe_span
 from repro.storage import codec as page_codec
+from repro.storage.errors import CorruptPageError
 from repro.storage.pagedfile import PageExtent, PagedFile, StoredRun
 
 # ---------------------------------------------------------------------- #
@@ -94,7 +95,7 @@ def read_group(file: PagedFile, run: StoredRun) -> list:
         for page_bytes in file.disk.read_run(file.name, extent.start, extent.count):
             records.extend(page_codec.decode_page(file.codec, page_bytes))
     if len(records) < run.n_records:
-        raise ValueError(
+        raise CorruptPageError(
             f"group in {file.name!r} is corrupt: expected {run.n_records} "
             f"records, decoded {len(records)}"
         )

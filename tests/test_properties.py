@@ -661,7 +661,7 @@ class TestSpliceProperties:
                 sides = [side * fraction for side in universe.extents]
                 window = Box.from_center(centres[pick % count], sides).clamp(universe)
                 table = tree.leaf_snapshot()
-                rows = tree.leaves_overlapping_vectorized(window)
+                (rows,) = table.occupied([tree.leaves_overlapping_vectorized(window)])
                 for row in engine.candidates(table, rows, window.volume()):
                     engine.maybe_refine(tree, row + len(tree.leaf_snapshot()) - len(table), window)
                 for node in leaves_overlapping(reference, window):

@@ -247,7 +247,7 @@ def test_group_k_of_n_fails_mid_plan(fault, sizes, data):
         error = {
             "backend": StorageError,
             "corrupt": CorruptPageError,
-            "short": ValueError,
+            "short": CorruptPageError,
         }[fault]
         with pytest.raises(error):
             if reader == "fused":

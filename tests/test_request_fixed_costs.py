@@ -4,6 +4,10 @@ At a fixed point a request should pay for the rows it reads, so the
 bookkeeping whose inputs stay fixed for a whole batch runs once per
 batch, once per query boundary or once per run:
 
+* the rows a query reads — the overlapped rows that hold records — are
+  selected once per query and tree by ``query()`` and once per tree by a
+  batch (:meth:`repro.core.partition.LeafSnapshot.occupied`); the read
+  plan, the statistics and the refinement test share that selection;
 * the rows each query would refine come from one candidate program per
   requested tree and batch (:meth:`repro.core.adaptor.Adaptor.
   candidates_batch`), not from one ``Adaptor.candidates`` per query and
@@ -36,6 +40,7 @@ from repro.core import batch as batch_module
 from repro.core import query_processor as query_processor_module
 from repro.core.adaptor import Adaptor
 from repro.core.odyssey import SpaceOdyssey
+from repro.core.partition import LeafSnapshot
 from repro.data import columnar as columnar_module
 from repro.data.spatial_object import SpatialObject, trusted_objects
 from repro.data.suite import build_benchmark_suite
@@ -77,6 +82,7 @@ def calls(monkeypatch) -> Counter:
 
     for name in ("candidates", "candidates_batch"):
         monkeypatch.setattr(Adaptor, name, counted(name, getattr(Adaptor, name)))
+    monkeypatch.setattr(LeafSnapshot, "occupied", counted("occupied", LeafSnapshot.occupied))
     for module in (batch_module, query_processor_module):
         monkeypatch.setattr(module, "choose_route", counted("route", module.choose_route))
     monkeypatch.setattr(BufferPool, "counters", counted("counters", BufferPool.counters))
@@ -126,8 +132,9 @@ def converged_engine(suite, queries) -> SpaceOdyssey:
 
 
 def test_a_fixed_point_batch_pays_its_bookkeeping_once(scenario, calls):
-    """Per batch: one candidate program per tree, one route per combination,
-    no counter snapshot, one pool call per cached run, no ``__init__`` frame."""
+    """Per batch: one row selection and one candidate program per tree, one
+    route per combination, no counter snapshot, one pool call per cached
+    run, no ``__init__`` frame."""
     suite, queries = scenario
     engine = converged_engine(suite, queries)
     pool = engine.disk.buffer_pool
@@ -141,6 +148,7 @@ def test_a_fixed_point_batch_pays_its_bookkeeping_once(scenario, calls):
         assert not any(report.refinements or report.merged for report in result.reports)
         trees = {d for _, ids in chunk for d in ids}
         combinations = {frozenset(ids) for _, ids in chunk}
+        assert calls["occupied"] == len(trees)
         assert calls["candidates_batch"] == len(trees)
         assert calls["candidates"] == 0
         assert calls["route"] == len(combinations)
@@ -165,6 +173,21 @@ def test_sequential_query_takes_no_counter_snapshot(scenario, calls):
     assert calls["init_in_materialize"] == 0 and calls["hits"] > 0
 
 
+def test_a_fixed_point_query_selects_its_rows_once_per_tree(scenario, calls):
+    """``query()`` selects each requested tree's occupied rows once: the
+    plan reads them and the writer half records and tests them, with no
+    second selection while no tree refines."""
+    suite, queries = scenario
+    engine = converged_engine(suite, queries)
+    for box, ids in queries:
+        calls.clear()
+        engine.query(box, ids)
+        report = engine.last_report
+        assert not report.refinements and not report.merged
+        assert calls["occupied"] == len(set(ids))
+        assert calls["candidates"] == len(set(ids))
+
+
 def test_a_tree_that_refines_mid_batch_falls_back_per_query(scenario, calls):
     """From a cold start the trees refine inside the batch (and the merge
     directory changes): the later queries re-resolve their candidates and
@@ -176,6 +199,7 @@ def test_a_tree_that_refines_mid_batch_falls_back_per_query(scenario, calls):
         calls.clear()
         result = batched.query_batch(queries)
         assert calls["candidates"] > 0, "no tree refined before a later query of the batch"
+        assert calls["occupied"] > len({d for _, ids in queries for d in ids})
         assert calls["route"] > len({frozenset(ids) for _, ids in queries})
         expected = []
         for box, ids in queries:

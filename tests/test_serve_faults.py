@@ -19,6 +19,7 @@ import threading
 
 import pytest
 
+from repro.baselines.interface import BruteForceScan
 from repro.bench.runner import generate_workload
 from repro.core.config import OdysseyConfig
 from repro.core.odyssey import SpaceOdyssey
@@ -31,11 +32,19 @@ from repro.serve.service import (
     ServiceClosed,
     ServiceDegraded,
 )
+from repro.storage.codec import decode_page_array, encode_page_array
 from repro.storage.errors import CorruptPageError, StorageError, TransientIOError
 from repro.storage.faults import FaultInjectingBackend, FaultPlan
 from repro.storage.retry import RetryingBackend, RetryPolicy
 
-from tests.oracle import adaptive_state, disk_files, fork_with, mixed_workload, packed_hits
+from tests.oracle import (
+    adaptive_state,
+    disk_files,
+    explore,
+    fork_with,
+    mixed_workload,
+    packed_hits,
+)
 
 
 class FlakyEngine:
@@ -179,6 +188,50 @@ class TestOneRetryLayer:
         assert disk_files(engine) == disk_files(reference)
 
 
+class TestFailedSplitWithoutRetry:
+    """On a store without ``RetryingBackend`` a split whose write raises has
+    already overwritten part of its parent's pages, so the partition file
+    disagrees with the tree until ``recover()``.  Leaving the file intact
+    (or tainting the engine) is not done; what holds is that no query
+    answers wrongly: each later answer is exact or a storage error."""
+
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        suite = build_benchmark_suite(
+            n_datasets=4, objects_per_dataset=3000, seed=7, buffer_pages=0
+        )
+        workload = generate_workload(
+            suite.universe,
+            [dataset.dataset_id for dataset in suite.datasets],
+            150,
+            seed=7,
+            volume_fraction=1e-3,
+            datasets_per_query=3,
+            ranges="clustered",
+        )
+        queries = [(query.box, query.dataset_ids) for query in workload]
+        brute = BruteForceScan(suite.fork().catalog)
+        return suite, queries, [hit_keys(brute.query(box, ids)) for box, ids in queries]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_answer_is_exact_or_a_storage_error(self, scenario, seed):
+        suite, queries, expected = scenario
+        plan = FaultPlan(seed=seed, write_error_rate=0.02)
+        faulty = fork_with(suite, lambda backend: FaultInjectingBackend(backend, plan))
+        engine = SpaceOdyssey(faulty.catalog, OdysseyConfig())
+        failures = []
+        for (box, ids), exact in zip(queries, expected):
+            try:
+                hits = engine.query(box, ids)
+            except StorageError as error:
+                failures.append(type(error))
+                continue
+            assert hit_keys(hits) == exact
+        # Some queries met a write fault, and some later ones read a group
+        # a failed split left short.
+        assert TransientIOError in failures and CorruptPageError in failures
+
+
 # ---------------------------------------------------------------------- #
 # Circuit breaker
 # ---------------------------------------------------------------------- #
@@ -269,6 +322,31 @@ class TestCircuitBreaker:
         assert [error for error, b in zip(errors, bad) if not b] == [None] * 30
         assert (svc.stats.degraded, svc.stats.breaker_opens) == (0, 0)
         assert svc.healthy
+
+
+class TestCorruptGroup:
+    def test_a_group_that_decodes_short_opens_the_breaker(self, engine, monkeypatch):
+        """A partition group whose page is rewritten, CRC-valid, with one
+        record fewer than its run claims is a storage failure: each query
+        that reads it fails with ``CorruptPageError``, and after
+        ``BREAKER_THRESHOLD`` such batches the breaker opens."""
+        monkeypatch.setattr(service_module, "BREAKER_COOLDOWN_S", 60.0)  # stays open
+        explore(engine, [(BOX, (0,))])
+        tree, disk = engine.trees[0], engine.disk
+        table = tree.leaf_snapshot()
+        rows = tree.leaves_overlapping_vectorized(BOX)
+        page = table.runs[rows[table.n_records[rows] > 0][0]].extents[0].start
+        name = tree.file.name
+        records = decode_page_array(tree.file.dtype, disk.backend.read(name, page))
+        disk.backend.write(name, page, encode_page_array(records[:-1], disk.page_size))
+        disk.buffer_pool.invalidate_page(name, page)
+        threshold = service_module.BREAKER_THRESHOLD
+        with service(engine) as svc:
+            failures = [svc.submit(BOX, (0,)).exception(timeout=10) for _ in range(threshold)]
+            assert [type(error) for error in failures] == [CorruptPageError] * threshold
+            assert isinstance(svc.submit(BOX, (0,)).exception(timeout=10), ServiceDegraded)
+            assert not svc.healthy
+        assert svc.stats.breaker_opens == 1
 
 
 class TestParameterValidation:

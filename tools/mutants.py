@@ -85,7 +85,7 @@ MUTANTS = (
         "empty-keys-recorded",
         "commit_query records every overlapped key, empty leaves included",
         "repro/core/query_processor.py",
-        "keys.update(map(table.keys.__getitem__, occupied.tolist()))",
+        "keys.update(map(table.keys.__getitem__, reads.tolist()))",
         "keys.update(map(table.keys.__getitem__, rows.tolist()))",
     ),
     Mutant(
@@ -94,6 +94,14 @@ MUTANTS = (
         "repro/core/batch.py",
         "in zip(prepared.batch.queries, prepared.read_tallies):",
         "in reversed(list(zip(prepared.batch.queries, prepared.read_tallies))):",
+    ),
+    Mutant(
+        "stale-occupied-rows",
+        "the batch replay hands commit_query the read half's occupied rows after the tree refined",
+        "repro/core/batch.py",
+        "                if trees[dataset_id].version == tables0[dataset_id].version:",
+        "                held[dataset_id] = selected0[(index, dataset_id)][1]\n"
+        "                if tables0[dataset_id].version == trees[dataset_id].version:",
     ),
     Mutant(
         "stale-route",
