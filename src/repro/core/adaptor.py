@@ -203,7 +203,7 @@ class Adaptor:
         centre, and writes the children back reusing the parent's pages
         (appending any overflow pages at the end of the partition file) —
         read, assignment and write all on structured arrays.  The children
-        take rows ``[row, row + ppl)`` of the tree's next table.
+        take the tree's next ``ppl`` rows and ``row`` is retired.
         """
         table = tree.leaf_snapshot()
         runs = self.facts.step(

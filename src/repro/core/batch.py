@@ -636,7 +636,7 @@ class BatchExecutor:
         writer half, handed the rows it overlapped, the occupied rows it
         read and the rows it refines from every tree that has not been
         refined since overlap resolution (the writer half re-resolves the
-        others: stale rows index a table that is gone), and the route
+        others: their read-half rows miss the children splits appended), and the route
         planned for its combination while the merge directory is at the
         version it was planned at (the writer half re-routes otherwise).
         That makes every refinement decision, statistics update and merge

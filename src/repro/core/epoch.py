@@ -17,14 +17,15 @@ merging every batch runs).
 Three mechanisms make a pinned epoch readable while adaptation runs:
 
 **Copy-on-write capture.**  :meth:`EpochManager.publish` (always called
-under the gate) captures each tree's immutable leaf table, runs included
-(:meth:`~repro.core.partition.PartitionTree.epoch_snapshot`), and a frozen
-copy of the merge directory, reusing the previous epoch's captures for
-any tree or directory whose version counter is unchanged — at
-convergence, publishing is a dictionary copy, not a rebuild.  A changed
-tree's capture is the table the tree spliced as it refined, and a
-changed directory hands out the copies it took of the infos as they
-were registered, so a publish costs what changed, not what exists.
+under the gate) captures a frozen copy of each tree's leaf table, runs
+included (:meth:`~repro.core.partition.PartitionTree.epoch_snapshot`:
+a split retires a live row in place), and a frozen copy of the merge
+directory, reusing the previous epoch's captures for any tree or
+directory whose version counter is unchanged — at convergence,
+publishing is a dictionary copy, not a rebuild.  A changed tree costs a
+copy of its table's columns, and a changed directory hands out the
+copies it took of the infos as they were registered, so a publish
+copies only what changed.
 
 **Retained pre-images (undo pages).**  The paper's in-place refinement
 overwrites partition pages, which would tear a pinned reader's view

@@ -18,17 +18,18 @@ across datasets and merge only partitions at the same refinement level
 
 The leaf table
 --------------
-A tree keeps no node objects.  Its state is one immutable
-:class:`LeafSnapshot`: a table with one row per leaf, in search order, whose
-columns are the key, the stored run, the record count, the level, the
-volume and the corners.  Internal nodes exist only as key prefixes.  A
-split replaces one row by ``ppl`` rows built from the grid edges of the
-parent's corners (:meth:`PartitionTree._splice`), so an empty child costs
-a row and nothing else, and overlap kernels, refinement candidates and
-read plans are expressions over columns at row indices.  Records are split
-by one sort (:meth:`PartitionTree.assign_array_to_children`).  Two key
-summaries are spliced alongside the table for lookups by key: the set of
-leaf keys and the runs of the leaves that hold records.
+A tree keeps no node objects.  Its state is one table with a row per
+region it has ever had as a leaf, whose columns are the key, the stored
+run, the record count, the level, the volume and the corners.  Internal
+nodes exist only as key prefixes.  The table only grows: a split appends
+``ppl`` rows built from the grid edges of the parent's corners
+(:meth:`PartitionTree._append`) to capacity-managed columns and *retires*
+the parent's row in place, so rows never move, an empty child costs a
+row and nothing else, and overlap kernels, refinement candidates and
+read plans are expressions over columns at row indices.  Records are
+split by one sort (:meth:`PartitionTree.assign_array_to_children`).  Two
+key summaries are kept alongside the table for lookups by key: the set
+of leaf keys and the runs of the leaves that hold records.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from repro.data.dataset import Dataset
 from repro.data.spatial_object import SpatialObject, spatial_object_codec
 from repro.geometry.box import Box
 from repro.geometry.vectorized import grid_child_indices, intersect_mask, intersect_matrix
-from repro.storage.pagedfile import PagedFile, StoredRun
+from repro.storage.pagedfile import _EMPTY_RUN, PagedFile, StoredRun
 
 #: A partition's identity: child indices along the path from the root.
 PartitionKey = tuple[int, ...]
@@ -56,30 +57,37 @@ def partition_file_name(dataset_name: str) -> str:
 
 @dataclass(frozen=True, slots=True)
 class LeafSnapshot:
-    """A tree's leaves as one immutable table: one row per leaf, in search order.
+    """A tree's leaf table at one structure version: its first ``len(self)`` rows.
 
-    Rows are in *search order* — the order an explicit-stack depth-first
-    walk from the first-level partitions visits the leaves, a node's
-    children pushed in index order and popped last first — so an overlap
-    test that filters the rows yields the leaves that walk would, in its
-    order, whatever the query window.  Every engine resolves overlaps this
-    way, which is what keeps them bit-identical.  ``version`` records the
-    tree structure version the table was spliced at; a refinement replaces
-    the table with a successor and never changes this one.
+    Rows are in *append order*: the first-level partitions, then each
+    split's ``ppl`` children, the last child first.  A split also
+    *retires* its parent's row: an empty box (``lo`` = +inf, ``hi`` =
+    -inf), 0 records and the shared empty run, its key kept in ``keys``
+    but gone from :attr:`PartitionTree.leaf_keys`.  No closed-box overlap
+    test selects an empty box, so the kernels skip retired rows with no
+    mask term of their own, and a row changes only when it is retired.
+    Overlap calls return rows ascending; the *search order* of the seed's
+    stack walk (children pushed in index order, the last popped first) is
+    key order, descending, because no leaf key is a prefix of another —
+    the order the writer half refines a query's candidates in.  Nothing
+    else depends on row order: a plan reads in on-disk order.
 
-    The columns, all of length ``n``: ``keys`` and ``runs`` (tuples of
-    :data:`PartitionKey` and :class:`~repro.storage.pagedfile.StoredRun`),
-    ``n_records`` and ``level`` (integers), ``volume`` (each region's
-    volume, equal bit for bit to ``Box.volume()`` of its corners) and the
-    corners ``lo``/``hi`` of shape ``(n, d)`` in **column-major** layout
-    (fixed in :meth:`PartitionTree._splice`), so the per-axis slices the
-    overlap kernels walk are contiguous.  Every consumer — live tree,
-    pinned epoch, batch worker threads — shares these arrays as they are.
+    ``version`` records the tree structure version the table was taken
+    at.  The live tree's snapshots share its columns (the newest is the
+    one to read); an epoch holds a frozen copy
+    (:meth:`PartitionTree.epoch_snapshot`).  The columns: ``keys`` and
+    ``runs`` (lists of :data:`PartitionKey` and
+    :class:`~repro.storage.pagedfile.StoredRun`, which may run past the
+    table's rows), and, of length ``n``, ``n_records`` and ``level``
+    (integers), ``volume`` (each region's volume, equal bit for bit to
+    ``Box.volume()`` of its corners) and the corners ``lo``/``hi`` of
+    shape ``(n, d)`` in **column-major** layout, so the per-axis slices
+    the overlap kernels walk are contiguous.
     """
 
     version: int
-    keys: tuple[PartitionKey, ...]
-    runs: tuple[StoredRun, ...]
+    keys: list[PartitionKey]
+    runs: list[StoredRun]
     n_records: np.ndarray
     level: np.ndarray
     volume: np.ndarray
@@ -87,7 +95,7 @@ class LeafSnapshot:
     hi: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.n_records)
 
     def box(self, row: int) -> Box:
         """The region of one row, built from its corners (the grid-edge floats)."""
@@ -100,7 +108,7 @@ class LeafSnapshot:
         pairs window by window, rows ascending, and one split deals them
         out (a two-dimensional ``nonzero`` costs several times more).
         """
-        n = len(self.keys)
+        n = len(self.n_records)
         pairs = intersect_matrix(lo, hi, self.lo, self.hi).ravel().nonzero()[0]
         bounds = np.searchsorted(pairs, np.arange(len(lo) + 1) * n).tolist()
         rows = pairs % n
@@ -127,12 +135,11 @@ class LeafSnapshot:
 class TreeEpochSnapshot:
     """A full immutable capture of one tree's read state for an epoch.
 
-    The leaf table (:class:`LeafSnapshot`) is immutable and a refinement
-    replaces it rather than changing it, so the capture simply holds the
-    table of the moment — runs included — plus everything a reader needs
-    without touching the live tree: the window-extension parameters and
-    the partition file handle.  Captured under the adaptation lock, so all
-    fields are mutually consistent.
+    A split retires a row of the live table in place, so the capture
+    holds a frozen copy of the table of the moment — runs included — plus
+    everything a reader needs without touching the live tree: the
+    window-extension parameters and the partition file handle.  Captured
+    under the adaptation lock, so all fields are mutually consistent.
     """
 
     snapshot: LeafSnapshot
@@ -148,16 +155,6 @@ class TreeEpochSnapshot:
         returned at capture time.
         """
         return self.snapshot.overlapping_batch(lo, hi)
-
-
-def _spliced(old: np.ndarray, start: int, stop: int, rows: np.ndarray) -> np.ndarray:
-    """``old`` with rows ``[start, stop)`` replaced by ``rows``: a fresh column-major array."""
-    end = start + len(rows)
-    out = np.empty((end + len(old) - stop,) + old.shape[1:], dtype=old.dtype, order="F")
-    out[:start] = old[:start]
-    out[start:end] = rows
-    out[end:] = old[stop:]
-    return out
 
 
 class PartitionTree:
@@ -177,7 +174,7 @@ class PartitionTree:
         # Index into a (d, splits) array of per-axis cell edges that gathers
         # the (ppl, d) corners of a region's children in search order (the
         # stack pops the last child first), and the key suffixes of the
-        # children in that order; see `_splice`.  `_child_cells[i]` is the
+        # children in that order; see `_append`.  `_child_cells[i]` is the
         # grid cell of child i (row-major), for lookups by key.
         shape = (splits_per_dim,) * dataset.dimension
         cells = np.indices(shape).reshape(len(shape), -1).T
@@ -192,22 +189,19 @@ class PartitionTree:
         self._n_objects = 0
         self._version = 0
         # Read-side summaries maintained at write time (install/refine), so
-        # no query ever re-walks the tree: the search-order table, the leaf
-        # keys as a real set (set-to-set algebra reuses stored hashes; a
-        # dict's key view re-hashes) and the runs of the leaves that hold
-        # records, by key.
-        no_corners = np.empty((0, dataset.dimension), dtype=np.float64)
-        no_rows = np.empty(0, dtype=np.int64)
-        self._leaf_snapshot = LeafSnapshot(
-            version=0,
-            keys=(),
-            runs=(),
-            n_records=no_rows,
-            level=no_rows,
-            volume=np.empty(0, dtype=np.float64),
-            lo=no_corners,
-            hi=no_corners,
-        )
+        # no query ever re-walks the tree: the leaf table's columns (the
+        # arrays' first `_rows` rows are the table, the rest is capacity),
+        # the leaf keys as a real set (set-to-set algebra reuses stored
+        # hashes; a dict's key view re-hashes) and the runs of the leaves
+        # that hold records, by key.
+        self._rows = 0
+        self._keys: list[PartitionKey] = []
+        self._runs: list[StoredRun] = []
+        self._n_records = np.empty(0, dtype=np.int64)
+        self._level = np.empty(0, dtype=np.int64)
+        self._volume = np.empty(0, dtype=np.float64)
+        self._lo = self._hi = np.empty((0, dataset.dimension), dtype=np.float64, order="F")
+        self._leaf_snapshot = self._table()
         self._leaf_keys: set[PartitionKey] = set()
         self._occupied_runs: dict[PartitionKey, StoredRun] = {}
         self._edges: dict[PartitionKey, tuple[list[list[float]], list[list[float]]]] = {}
@@ -244,7 +238,7 @@ class PartitionTree:
     @property
     def is_initialized(self) -> bool:
         """Whether the first-level partitioning has been performed."""
-        return self._version > 0  # the first-level splice is version 1
+        return self._version > 0  # the first level is version 1
 
     @property
     def max_extent(self) -> tuple[float, ...]:
@@ -258,8 +252,8 @@ class PartitionTree:
 
     @property
     def n_partitions(self) -> int:
-        """Number of leaf partitions currently in the tree."""
-        return len(self._leaf_snapshot)
+        """Number of leaf partitions currently in the tree (the table's live rows)."""
+        return len(self._leaf_keys)
 
     @property
     def version(self) -> int:
@@ -339,39 +333,38 @@ class PartitionTree:
         """Install the level-1 partitions produced by the initial raw scan."""
         if self.is_initialized:
             raise RuntimeError("partition tree is already initialised")
-        self._splice(0, 0, (), self._universe, runs)
+        self._append((), self._universe, runs)
         self._max_extent = max_extent
         self._n_objects = n_objects
 
     def replace_with_children(self, row: int, runs: Sequence[StoredRun]) -> None:
         """Turn the leaf at ``row`` into ``ppl`` children owning ``runs`` (child order).
 
-        The search stack visits an internal node's children exactly where
-        it used to visit the node itself: they take rows ``[row, row +
-        ppl)``, the last child first, and every later row moves down by
-        ``ppl - 1``.
+        The children take the next ``ppl`` rows, the last child first, and
+        the parent's row is retired: an empty box no overlap test selects,
+        0 records and the shared empty run.  No other row changes.
         """
-        table = self._leaf_snapshot
-        key = table.keys[row]
-        self._splice(row, row + 1, key, table.box(row), runs)
+        key = self._keys[row]
+        self._append(key, self._leaf_snapshot.box(row), runs)
+        self._runs[row] = _EMPTY_RUN
+        self._n_records[row] = 0
+        self._lo[row], self._hi[row] = np.inf, -np.inf
         self._leaf_keys.remove(key)
         self._occupied_runs.pop(key, None)
 
-    def _splice(
-        self, start: int, stop: int, prefix: PartitionKey, box: Box, runs: Sequence[StoredRun]
-    ) -> None:
-        """Put the children of ``box`` in place of rows ``[start, stop)`` of the table.
+    def _append(self, prefix: PartitionKey, box: Box, runs: Sequence[StoredRun]) -> None:
+        """Append the children of ``box`` to the table as its next ``ppl`` rows.
 
         Builds the ``ppl`` child rows (keys ``prefix + (i,)``, owning
-        ``runs``), bumps the structure version, replaces the table with a
-        spliced successor and enters the children into the key summaries —
-        a fixed number of ``ppl``-sized operations, never a walk over the
-        tree, and no object per child beyond its key.  The children's
-        corners are gathered, last child first, from the grid edges of
-        ``box``, and this is the one place the table's corner arrays are
-        laid out: written into a fresh column-major buffer.  Volumes
-        multiply the per-axis sides left to right, ``math.prod``'s order,
-        so each equals ``Box.volume()`` of its corners.
+        ``runs``), bumps the structure version, takes the successor table
+        and enters the children into the key summaries — a fixed number
+        of ``ppl``-sized operations, never a walk over the tree, and no
+        object per child beyond its key.  A full column doubles
+        (:meth:`_grow`), so an append is amortised O(``ppl``).  The
+        children's corners are gathered, last child first, from the grid
+        edges of ``box``.  Volumes multiply the per-axis sides left to
+        right, ``math.prod``'s order, so each equals ``Box.volume()`` of
+        its corners.
         """
         ppl = self.partitions_per_level
         if len(runs) != ppl:
@@ -382,40 +375,67 @@ class PartitionTree:
         for axis in range(1, sides.shape[1]):
             volume *= sides[:, axis]
         keys = tuple(map(prefix.__add__, self._child_suffixes))
-        ordered = tuple(runs[::-1])
-        n_records = np.array([run.n_records for run in ordered], dtype=np.int64)
-        level = np.full(ppl, len(prefix) + 1, dtype=np.int64)
-        old = self._leaf_snapshot
+        ordered = runs[::-1]
+        start = self._rows
+        stop = self._rows = start + ppl
+        if stop > len(self._volume):
+            self._grow(stop)
+        self._keys += keys
+        self._runs += ordered
+        n_records = self._n_records[start:stop]
+        n_records[:] = [run.n_records for run in ordered]
+        self._level[start:stop] = len(prefix) + 1
+        self._volume[start:stop] = volume
+        self._lo[start:stop] = lo
+        self._hi[start:stop] = hi
         self._version += 1
-        self._leaf_snapshot = LeafSnapshot(
-            version=self._version,
-            keys=old.keys[:start] + keys + old.keys[stop:],
-            runs=old.runs[:start] + ordered + old.runs[stop:],
-            n_records=_spliced(old.n_records, start, stop, n_records),
-            level=_spliced(old.level, start, stop, level),
-            volume=_spliced(old.volume, start, stop, volume),
-            lo=_spliced(old.lo, start, stop, lo),
-            hi=_spliced(old.hi, start, stop, hi),
-        )
+        self._leaf_snapshot = self._table()
         self._leaf_keys.update(keys)
         occupied = np.flatnonzero(n_records).tolist()
         self._occupied_runs.update((keys[child], ordered[child]) for child in occupied)
+
+    def _grow(self, rows: int) -> None:
+        """Reallocate the array columns for at least ``rows`` rows, doubling at least.
+
+        The one place the columns are laid out: the corners go into
+        column-major buffers, so every view of their first rows keeps
+        contiguous per-axis slices.
+        """
+        capacity = max(rows, 2 * len(self._volume))
+        columns = []
+        for old in (self._n_records, self._level, self._volume, self._lo, self._hi):
+            new = np.empty((capacity,) + old.shape[1:], dtype=old.dtype, order="F")
+            new[: len(old)] = old
+            columns.append(new)
+        self._n_records, self._level, self._volume, self._lo, self._hi = columns
+
+    def _table(self) -> LeafSnapshot:
+        """The current table: views of the columns' first rows."""
+        rows = self._rows
+        return LeafSnapshot(
+            self._version,
+            self._keys,
+            self._runs,
+            self._n_records[:rows],
+            self._level[:rows],
+            self._volume[:rows],
+            self._lo[:rows],
+            self._hi[:rows],
+        )
 
     # ------------------------------------------------------------------ #
     # Search
     # ------------------------------------------------------------------ #
 
     def leaf_snapshot(self) -> LeafSnapshot:
-        """The leaf table: leaves in search order, one row each.
+        """The leaf table: one row per leaf, and one per retired parent.
 
-        The rows are ordered as an explicit-stack depth-first walk visits
-        the leaves when nothing is pruned.  Pruning a node from a stack walk
-        removes its whole subtree without reordering the remaining visits,
-        so the walk's result for any query box is exactly this sequence
-        filtered by the overlap predicate.  The table is built by the
-        initial partitioning and spliced by every refinement, never
-        re-derived from the tree; :attr:`version` ties it to the structure
-        it describes.
+        An overlap test that filters the rows yields every leaf the
+        seed's stack walk would, whatever the query window (retired rows
+        are never selected); sorted by key, descending, they are in the
+        walk's order.  The table is built by the initial partitioning and
+        appended to by every refinement, never re-derived from the tree;
+        :attr:`version` ties it to the structure it describes.
         """
         if not self.is_initialized:
             raise RuntimeError("partition tree has not been initialised yet")
@@ -425,18 +445,26 @@ class PartitionTree:
         """Capture the tree's full read state for an engine epoch.
 
         Must be called under the adaptation lock (no concurrent
-        refinement).  The leaf table is immutable, so the capture holds
-        the current one as it is — see :class:`TreeEpochSnapshot`.
+        refinement).  A later split retires a row of the live columns in
+        place, so the capture is a frozen copy of the current table, O(rows)
+        per publish of a changed tree — see :class:`TreeEpochSnapshot`.
         """
+        table = self.leaf_snapshot()
+        columns = (table.n_records, table.level, table.volume, table.lo, table.hi)
         return TreeEpochSnapshot(
-            snapshot=self.leaf_snapshot(),
+            snapshot=LeafSnapshot(
+                table.version,
+                table.keys[: len(table)],
+                table.runs[: len(table)],
+                *(column.copy(order="F") for column in columns),
+            ),
             max_extent=self._max_extent,
             universe=self._universe,
             file=self._file,
         )
 
     def leaves_overlapping_vectorized(self, box: Box) -> np.ndarray:
-        """The rows of the leaves intersecting ``box``, in search order.
+        """The rows of the leaves intersecting ``box``, ascending.
 
         One :func:`~repro.geometry.vectorized.intersect_mask` call filters
         the current table — the sequential engine's per-query overlap

@@ -343,9 +343,9 @@ class QueryProcessor:
         occupied rows) in each tree ``candidates`` lacks, but reads no
         partition: recovery replays a query through this alone.  The keys
         of the occupied rows, the partitions the query reads, enter the
-        statistics; the rows the Adaptor picks are refined, in search
-        order, each shifted by the rows the splits before it added; the
-        merger gets its chance; the query counts as executed.  A caller
+        statistics; the rows the Adaptor picks are refined in search order
+        (key order, descending: no leaf key is a prefix of another, and a
+        split moves no row); the merger gets its chance; the query counts as executed.  A caller
         that passes rows, occupied rows or candidates for a tree vouches
         that they were taken from the tree's current table.  The query's
         storage facts are sealed last.
@@ -383,11 +383,11 @@ class QueryProcessor:
                     if chosen is None:
                         chosen = self._adaptor.candidates(table, reads, volume)
                     if chosen:
-                        refining.append((tree, table, chosen))
-                for tree, table, chosen in refining:
+                        chosen = sorted(chosen, key=table.keys.__getitem__, reverse=True)
+                        refining.append((tree, chosen))
+                for tree, chosen in refining:
                     for row in chosen:
-                        shift = len(tree.leaf_snapshot()) - len(table)
-                        if self._adaptor.maybe_refine(tree, row + shift, box).refined:
+                        if self._adaptor.maybe_refine(tree, row, box).refined:
                             report.refinements += 1
                 self._statistics.record_query(requested, keys, query_volume=volume)
                 merge_outcome = self._merger.maybe_merge(requested, self._trees)
@@ -521,7 +521,7 @@ class QueryProcessor:
         cache_start = pool.tally
         report.initialized_datasets = self.initialize_trees(ordered)
 
-        # 2. The overlapped rows, in search order: one kernel call per tree.
+        # 2. The overlapped rows: one kernel call per tree.
         overlapped = {dataset_id: self._overlapped_rows(box, dataset_id) for dataset_id in ordered}
 
         # 3-4. Route and plan the occupied rows (the writer half reuses

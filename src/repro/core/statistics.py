@@ -18,7 +18,7 @@ no per-key count is stored once the threshold of two is fixed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import AbstractSet, Iterable
 
 from repro.core.partition import PartitionKey
 
@@ -62,15 +62,17 @@ class StatisticsCollector:
     def record_query(
         self,
         combination: Iterable[int],
-        keys: Iterable[PartitionKey],
+        keys: AbstractSet[PartitionKey],
         query_volume: float = 0.0,
     ) -> CombinationStats:
         """Record one executed query.
 
-        ``combination`` is the requested dataset ids, ``keys`` the partition
-        keys the query read from any of them (each counts once), and
-        ``query_volume`` the volume of its range (the merger's convergence
-        check averages it).
+        ``combination`` is the requested dataset ids, ``keys`` the set of
+        partition keys the query read from any of them (a set, so each
+        counts once), and ``query_volume`` the volume of its range (the
+        merger's convergence check averages it).  ``keys`` is kept as it
+        is given: it is read in place, never copied, and the caller must
+        not change it during the call.
         """
         combo = frozenset(combination)
         if not combo:
@@ -80,10 +82,9 @@ class StatisticsCollector:
             stats = self._combinations[combo] = CombinationStats()
         stats.count += 1
         stats.total_query_volume += max(query_volume, 0.0)
-        query_keys = set(keys)
         # A key turns hot in the second query that reads it.
-        stats.hot_keys |= query_keys & stats.seen_keys
-        stats.seen_keys |= query_keys
+        stats.hot_keys |= keys & stats.seen_keys
+        stats.seen_keys |= keys
         return stats
 
     # ------------------------------------------------------------------ #

@@ -27,9 +27,9 @@ from repro.geometry.vectorized import boxes_to_arrays
 from repro.storage.backend import flat_file_name
 from repro.storage.cost_model import DiskModel
 from repro.storage.disk import Disk
-from repro.storage.pagedfile import PagedFile
+from repro.storage.pagedfile import _EMPTY_RUN, PagedFile
 
-from tests.scalar_reference import leaf_listing, reference_tree
+from tests.scalar_reference import leaf_listing, reference_tree, search_ordered_table
 
 # ---------------------------------------------------------------------- #
 # The observables
@@ -145,40 +145,79 @@ def check_merge_space(odyssey: SpaceOdyssey, tag: str = "") -> None:
 
 
 def check_tree(tree: PartitionTree, tag: str = "") -> None:
-    """Every column of one tree's leaf table against the node tree of its keys.
+    """Every row of one tree's leaf table against two references.
 
-    Keys, runs, record counts, levels, corners and volumes (bit for bit:
-    ``Box.volume()`` of each region found from the universe through the
-    grid edges), in the reference walk's order; then the reductions and
-    the lookups by key.  The node tree comes from ``leaf_keys`` and
+    The live rows (those whose key is a leaf), put in search order, equal
+    both the node tree of the tree's keys, in its walk's order, and the
+    former search-ordered table, rebuilt by replaying every split
+    (``search_ordered_table``): keys, runs, record counts, levels, corners
+    and volumes (bit for bit: ``Box.volume()`` of each region found from
+    the universe through the grid edges).  The walk's order is key order,
+    descending.  Every other row is retired: an empty box, 0 records, the
+    shared empty run, a key that is no leaf; one per split.  Then the
+    layout, the reductions, the lookups by key and the epoch capture, a
+    frozen copy.  The node tree comes from ``leaf_keys`` and
     ``occupied_runs``, so the leaf set is not checked here.
     """
     leaves = reference_tree(tree).leaves()
+    rebuilt = search_ordered_table(tree)
     table = tree.leaf_snapshot()
+    n, ppl = len(table), tree.partitions_per_level
     assert table.version == tree.version, tag
-    assert len(table) == len(leaves), tag
-    assert table.keys == tuple(leaf.key for leaf in leaves), tag
-    assert table.runs == tuple(leaf.run for leaf in leaves), tag
-    assert table.n_records.tolist() == [leaf.run.n_records for leaf in leaves], tag
-    assert table.level.tolist() == [leaf.level for leaf in leaves], tag
-    assert table.volume.tolist() == [leaf.box.volume() for leaf in leaves], tag
+    assert len(table.keys) == len(table.runs) == n, tag
+    keys = table.keys
+    rows = {key: row for row, key in enumerate(keys)}
+    assert len(rows) == n, tag  # a key names one row for the tree's life
+    order = [rows[leaf.key] for leaf in leaves]
+    live = [row for row in range(n) if keys[row] in tree.leaf_keys]
+    assert order == sorted(live, key=keys.__getitem__, reverse=True), tag
+    at = np.array(order, dtype=np.intp)
+    assert [keys[row] for row in order] == [leaf.key for leaf in leaves], tag
+    assert tuple(keys[row] for row in order) == rebuilt.keys, tag
+    assert [table.runs[row] for row in order] == [leaf.run for leaf in leaves], tag
+    assert tuple(table.runs[row] for row in order) == rebuilt.runs, tag
+    assert table.n_records[at].tolist() == [leaf.run.n_records for leaf in leaves], tag
+    assert table.level[at].tolist() == [leaf.level for leaf in leaves], tag
+    assert table.volume[at].tolist() == [leaf.box.volume() for leaf in leaves], tag
     lo, hi = boxes_to_arrays([leaf.box for leaf in leaves], dimension=tree.universe.dimension)
-    assert np.array_equal(table.lo, lo) and np.array_equal(table.hi, hi), tag
-    # One layout, fixed where the table is spliced: (n, d) column-major,
+    assert np.array_equal(table.lo[at], lo) and np.array_equal(table.hi[at], hi), tag
+    for column in ("n_records", "level", "volume", "lo", "hi"):
+        assert np.array_equal(getattr(table, column)[at], getattr(rebuilt, column)), tag
+    retired = sorted(set(range(n)) - set(live))
+    assert len(retired) * ppl == n - ppl, tag  # one per split after the first level
+    assert all(table.runs[row] is _EMPTY_RUN for row in retired), tag
+    assert not table.n_records[retired].any(), tag
+    assert np.isposinf(table.lo[retired]).all() and np.isneginf(table.hi[retired]).all(), tag
+    # One layout, fixed where the columns are allocated: (n, d) column-major,
     # so the overlap kernels' per-axis slices are contiguous.
     for corners in (table.lo, table.hi):
-        assert corners.shape == lo.shape and corners.dtype == np.float64, tag
-        assert corners.flags.f_contiguous, tag
+        assert corners.shape == (n, tree.universe.dimension), tag
+        assert corners.dtype == np.float64 and corners.strides[0] == corners.itemsize, tag
         assert all(corners[:, axis].flags.c_contiguous for axis in range(lo.shape[1])), tag
     assert table.n_records.dtype == table.level.dtype == np.int64, tag
     assert table.volume.dtype == np.float64, tag
-    assert tree.n_partitions == len(leaves), tag
+    assert tree.n_partitions == len(live) == len(leaves), tag
     assert tree.depth == max(leaf.level for leaf in leaves), tag
     assert all(run.n_records for run in tree.occupied_runs.values()), tag
     for leaf in leaves[:: max(1, len(leaves) // 16)]:
         assert tree.volume(leaf.key) == leaf.box.volume(), tag
-    capture = tree.epoch_snapshot()
-    assert capture.snapshot is table, tag
+    check_frozen_copy(tree.epoch_snapshot().snapshot, table, tag)
+
+
+def check_frozen_copy(capture, table, tag: str = "") -> None:
+    """An epoch's leaf table is a copy of ``table``: equal rows, nothing shared.
+
+    A later split retires a row of the live columns in place, so a capture
+    that shared a column with them would change under a pinned reader.
+    """
+    assert capture is not table and capture.version == table.version, tag
+    assert capture.keys == table.keys and capture.runs == table.runs, tag
+    assert capture.keys is not table.keys and capture.runs is not table.runs, tag
+    for column in ("n_records", "level", "volume", "lo", "hi"):
+        live, frozen = getattr(table, column), getattr(capture, column)
+        assert np.array_equal(frozen, live) and frozen.dtype == live.dtype, tag
+        assert not np.shares_memory(frozen, live), tag
+        assert frozen.flags.f_contiguous, tag
 
 
 # ---------------------------------------------------------------------- #

@@ -12,8 +12,12 @@ refine-path tests hold every engine to it:
   from the universe through ``Box.grid_edges``.  It is the seed engine's
   own tree, and :func:`reference_tree` derives one from an engine tree's
   leaf keys to check the engine's leaf table against;
+* :class:`SearchOrderedTable` and :func:`splice` — the engine's former
+  leaf table, one immutable table per structure version with its rows in
+  search order, which every split rebuilt; :func:`search_ordered_table`
+  replays an engine tree's splits through it;
 * :func:`leaves_overlapping` — the explicit-stack depth-first walk whose
-  visiting order *defines* the search order of every leaf table;
+  visiting order *defines* search order (key order, descending);
 * :func:`assign_to_children` and :func:`read_partition` — a split and a
   partition read on ``SpatialObject`` instances;
 * :class:`ScalarAdaptor`, :class:`ScalarMerger` and :class:`ScalarProcessor`
@@ -39,6 +43,7 @@ variable selects it.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -303,6 +308,115 @@ def reference_tree(tree) -> ReferenceTree:
 def row_of(tree: PartitionTree, key: PartitionKey) -> int:
     """The row of ``key`` in an engine tree's current leaf table."""
     return tree.leaf_snapshot().keys.index(key)
+
+
+def search_order(tree: PartitionTree) -> list[int]:
+    """The rows of an engine tree's leaves, in search order.
+
+    The walk's order is key order, descending, because no leaf key is a
+    prefix of another (``tests/oracle.py::check_tree`` holds the two equal).
+    Retired rows, whose keys are internal nodes now, are left out.
+    """
+    table = tree.leaf_snapshot()
+    live = [row for row, key in enumerate(table.keys[: len(table)]) if key in tree.leaf_keys]
+    return sorted(live, key=table.keys.__getitem__, reverse=True)
+
+
+# ---------------------------------------------------------------------- #
+# The search-ordered leaf table (the engine's former layout)
+# ---------------------------------------------------------------------- #
+
+
+@dataclass(frozen=True)
+class SearchOrderedTable:
+    """The leaf table as the engine kept it before it grew by appending.
+
+    One immutable table per structure version, one row per leaf, in search
+    order: a split rebuilt the whole table (:func:`splice`), putting the
+    ``ppl`` children where their parent was and moving every later row by
+    ``ppl - 1``.  The columns are those of
+    :class:`~repro.core.partition.LeafSnapshot`, with ``keys`` and ``runs``
+    as tuples.
+    """
+
+    keys: tuple
+    runs: tuple
+    n_records: np.ndarray
+    level: np.ndarray
+    volume: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def box(self, row: int) -> Box:
+        return Box(tuple(self.lo[row].tolist()), tuple(self.hi[row].tolist()))
+
+
+def _spliced(old: np.ndarray, start: int, stop: int, rows: np.ndarray) -> np.ndarray:
+    """``old`` with rows ``[start, stop)`` replaced by ``rows``: a fresh column-major array."""
+    end = start + len(rows)
+    out = np.empty((end + len(old) - stop,) + old.shape[1:], dtype=old.dtype, order="F")
+    out[:start] = old[:start]
+    out[start:end] = rows
+    out[end:] = old[stop:]
+    return out
+
+
+def splice(
+    old: SearchOrderedTable, start: int, stop: int, prefix: PartitionKey, box: Box,
+    runs: Sequence[StoredRun], splits: int,
+) -> SearchOrderedTable:
+    """The former ``PartitionTree._splice``: the children of ``box`` in place of rows ``[start, stop)``.
+
+    Keys ``prefix + (i,)`` owning ``runs`` (child order), the last child
+    first, with corners gathered from the grid edges of ``box`` and volumes
+    multiplied left to right; the whole table is rebuilt around them.
+    """
+    dimension = box.dimension
+    cells = np.indices((splits,) * dimension).reshape(dimension, -1).T
+    ppl = len(cells)
+    if len(runs) != ppl:
+        raise ValueError("expected one run per child partition")
+    lo, hi = np.array(box.grid_edges(splits))[:, np.arange(dimension), cells[::-1]]
+    sides = hi - lo
+    volume = sides[:, 0].copy()
+    for axis in range(1, dimension):
+        volume *= sides[:, axis]
+    keys = tuple(prefix + (index,) for index in range(ppl - 1, -1, -1))
+    ordered = tuple(runs[::-1])
+    n_records = np.array([run.n_records for run in ordered], dtype=np.int64)
+    level = np.full(ppl, len(prefix) + 1, dtype=np.int64)
+    return SearchOrderedTable(
+        keys=old.keys[:start] + keys + old.keys[stop:],
+        runs=old.runs[:start] + ordered + old.runs[stop:],
+        n_records=_spliced(old.n_records, start, stop, n_records),
+        level=_spliced(old.level, start, stop, level),
+        volume=_spliced(old.volume, start, stop, volume),
+        lo=_spliced(old.lo, start, stop, lo),
+        hi=_spliced(old.hi, start, stop, hi),
+    )
+
+
+def search_ordered_table(tree: PartitionTree) -> SearchOrderedTable:
+    """An engine tree's leaves as the former table: every split replayed by :func:`splice`.
+
+    The first level, then each internal node of the tree's keys, shallow
+    first, is spliced at its row; a leaf owns its run from
+    ``occupied_runs`` (the shared empty run when it holds no record).
+    """
+    splits, ppl = tree.splits_per_dim, tree.partitions_per_level
+    no_rows = np.empty(0, dtype=np.int64)
+    no_corners = np.empty((0, tree.universe.dimension), dtype=np.float64)
+    table = SearchOrderedTable((), (), no_rows, no_rows, no_rows.astype(np.float64), no_corners, no_corners)
+
+    def runs(prefix: PartitionKey) -> list[StoredRun]:
+        return [tree.occupied_runs.get(prefix + (index,), EMPTY_RUN) for index in range(ppl)]
+
+    table = splice(table, 0, 0, (), tree.universe, runs(()), splits)
+    internal = {key[:depth] for key in tree.leaf_keys for depth in range(1, len(key))}
+    for key in sorted(internal, key=len):
+        row = table.keys.index(key)
+        table = splice(table, row, row + 1, key, table.box(row), runs(key), splits)
+    return table
 
 
 def leaf_listing(tree) -> tuple:

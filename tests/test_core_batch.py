@@ -24,7 +24,9 @@ from repro.geometry.vectorized import boxes_to_arrays
 from repro.workload.query import RangeQuery
 
 from tests.conftest import make_catalog, make_dataset, make_random_objects
-from tests.scalar_reference import leaves_overlapping, read_partition, reference_tree, row_of
+from tests.scalar_reference import (
+    leaves_overlapping, read_partition, reference_tree, row_of, search_order,
+)
 
 
 class TestQueryBatch:
@@ -76,13 +78,17 @@ class TestLeafSnapshot:
         second = tree.leaf_snapshot()
         assert second is not first
         assert second.version == tree.version > first.version
-        assert len(second) == len(first) + tree.partitions_per_level - 1
+        # ppl rows appended; the parent's row stays, retired.
+        assert len(second) == len(first) + tree.partitions_per_level
+        assert tree.n_partitions == len(first) + tree.partitions_per_level - 1
 
     def test_snapshot_arrays_match_leaf_boxes(self, disk, universe):
-        tree, _ = self._tree(disk, universe)
+        tree, adaptor = self._tree(disk, universe)
+        adaptor.refine(tree, int(np.argmax(tree.leaf_snapshot().n_records)))
         snapshot = tree.leaf_snapshot()
         assert snapshot.lo.shape == (len(snapshot), universe.dimension)
-        for row, leaf in enumerate(reference_tree(tree).leaves()):
+        rows = search_order(tree)
+        for row, leaf in zip(rows, reference_tree(tree).leaves(), strict=True):
             assert snapshot.keys[row] == leaf.key
             assert tuple(snapshot.lo[row]) == leaf.box.lo
             assert tuple(snapshot.hi[row]) == leaf.box.hi
@@ -104,7 +110,10 @@ class TestLeafSnapshot:
         keys = tree.leaf_snapshot().keys
         for box, rows in zip(queries, batched):
             scalar = leaves_overlapping(tree, box)
-            assert [keys[row] for row in rows] == [leaf.key for leaf in scalar]
+            # Rows ascending; in key order, descending, they are the walk's order.
+            assert rows.tolist() == sorted(rows.tolist())
+            ordered = sorted((keys[row] for row in rows), reverse=True)
+            assert ordered == [leaf.key for leaf in scalar]
 
     def test_uninitialised_tree_raises(self, disk, universe):
         dataset = make_dataset(disk, universe, count=10, seed=1)

@@ -46,7 +46,7 @@ def record_queries(statistics, trees, combination, keys, times=3):
     # for them, so the merger's convergence test never holds a key back.
     volume = next(iter(trees.values())).universe.volume()
     for _ in range(times):
-        statistics.record_query(combination, keys, query_volume=volume)
+        statistics.record_query(combination, set(keys), query_volume=volume)
 
 
 class TestMergerTriggers:

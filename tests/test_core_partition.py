@@ -12,6 +12,7 @@ from repro.core.config import OdysseyConfig
 from repro.core.partition import PartitionTree, partition_file_name
 from repro.geometry.box import Box
 from repro.storage.disk import Disk
+from repro.storage.pagedfile import _EMPTY_RUN
 
 from tests.conftest import make_dataset
 from tests.scalar_reference import (
@@ -20,6 +21,7 @@ from tests.scalar_reference import (
     read_group,
     read_partition,
     reference_tree,
+    search_order,
 )
 
 
@@ -36,16 +38,17 @@ def row_objects(tree: PartitionTree, row: int) -> list:
 def refine_overlapped(adaptor, tree, query: Box) -> list[bool]:
     """Offer every leaf the query overlaps to ``maybe_refine``, in search order.
 
-    An engine tree goes by rows, each shifted by the rows earlier splits
-    added; a reference tree by its nodes.
+    An engine tree goes by rows, put in key order, descending (a split
+    moves no row); a reference tree by its nodes.
     """
     if not isinstance(tree, PartitionTree):
         outcomes = [adaptor.maybe_refine(tree, node, query) for node in leaves_overlapping(tree, query)]
     else:
-        start = len(tree.leaf_snapshot())
+        keys = tree.leaf_snapshot().keys
+        rows = tree.leaves_overlapping_vectorized(query).tolist()
         outcomes = [
-            adaptor.maybe_refine(tree, row + len(tree.leaf_snapshot()) - start, query)
-            for row in tree.leaves_overlapping_vectorized(query).tolist()
+            adaptor.maybe_refine(tree, row, query)
+            for row in sorted(rows, key=keys.__getitem__, reverse=True)
         ]
     return [outcome.refined for outcome in outcomes]
 
@@ -96,10 +99,12 @@ class TestInitialization:
             for obj in read_partition(tree, leaf):
                 assert leaf.box.contains_point(obj.center)
 
-    def test_partitions_cover_universe(self, tree, universe):
+    def test_partitions_cover_universe(self, adaptor, tree, universe):
+        adaptor.refine(tree, fullest_row(tree))
         table = tree.leaf_snapshot()
-        assert Box.bounding([table.box(row) for row in range(len(table))]) == universe
-        assert table.volume.sum() == pytest.approx(universe.volume())
+        rows = search_order(tree)
+        assert Box.bounding([table.box(row) for row in rows]) == universe
+        assert table.volume[rows].sum() == pytest.approx(universe.volume())
 
     def test_max_extent_positive(self, tree):
         assert all(extent > 0 for extent in tree.max_extent)
@@ -122,18 +127,22 @@ class TestInitialization:
 
 
 class TestSearch:
-    def test_leaves_overlapping_small_query(self, tree):
+    def test_leaves_overlapping_small_query(self, adaptor, tree):
         query = Box.cube((25.0, 25.0, 25.0), 10.0)
+        adaptor.refine(tree, tree.leaves_overlapping_vectorized(query)[0])
         table = tree.leaf_snapshot()
         rows = tree.leaves_overlapping_vectorized(query).tolist()
         assert rows
-        assert [table.keys[row] for row in rows] == [
+        assert sorted((table.keys[row] for row in rows), reverse=True) == [
             leaf.key for leaf in leaves_overlapping(tree, query)
         ]
         assert all(table.box(row).intersects(query) for row in rows)
 
-    def test_leaves_overlapping_universe_returns_all(self, tree, universe):
-        assert len(tree.leaves_overlapping_vectorized(universe)) == tree.n_partitions
+    def test_leaves_overlapping_universe_returns_all(self, adaptor, tree, universe):
+        adaptor.refine(tree, fullest_row(tree))
+        rows = tree.leaves_overlapping_vectorized(universe)
+        assert len(rows) == tree.n_partitions
+        assert sorted(rows.tolist()) == sorted(search_order(tree))
 
     def test_key_lookup(self, tree):
         table = tree.leaf_snapshot()
@@ -145,6 +154,10 @@ class TestSearch:
             tree.read_partition_array((99, 99))
 
 
+#: The rows a first split of the 8 first-level leaves appends.
+CHILDREN = slice(8, 16)
+
+
 class TestRefinement:
     def test_refine_splits_leaf_into_children(self, adaptor, tree):
         row = fullest_row(tree)
@@ -152,10 +165,9 @@ class TestRefinement:
         n_before = int(tree.leaf_snapshot().n_records[row])
         adaptor.refine(tree, row)
         table = tree.leaf_snapshot()
-        children = slice(row, row + tree.partitions_per_level)
-        assert table.keys[children] == tuple(parent + (i,) for i in reversed(range(8)))
+        assert table.keys[CHILDREN] == [parent + (i,) for i in reversed(range(8))]
         assert parent not in tree.leaf_keys
-        assert int(table.n_records[children].sum()) == n_before
+        assert int(table.n_records[CHILDREN].sum()) == n_before
         assert tree.depth == 2
 
     def test_refine_preserves_objects(self, adaptor, tree):
@@ -163,15 +175,16 @@ class TestRefinement:
         before = {o.key() for o in row_objects(tree, row)}
         adaptor.refine(tree, row)
         after = {
-            o.key() for child in range(row, row + 8) for o in row_objects(tree, child)
+            o.key() for child in range(CHILDREN.start, CHILDREN.stop) for o in row_objects(tree, child)
         }
         assert after == before
+        assert row_objects(tree, row) == []  # the retired row holds nothing
 
     def test_refine_assigns_children_by_center(self, adaptor, tree):
         row = fullest_row(tree)
         adaptor.refine(tree, row)
         table = tree.leaf_snapshot()
-        for child in range(row, row + 8):
+        for child in range(CHILDREN.start, CHILDREN.stop):
             for obj in row_objects(tree, child):
                 assert table.box(child).contains_point(obj.center)
 
@@ -180,23 +193,32 @@ class TestRefinement:
         pages_before = tree.file.num_pages()
         parent_pages = set(tree.leaf_snapshot().runs[row].page_numbers())
         adaptor.refine(tree, row)
-        runs = tree.leaf_snapshot().runs[row : row + 8]
+        runs = tree.leaf_snapshot().runs[CHILDREN]
         child_pages = {page for run in runs for page in run.page_numbers()}
         # The parent's pages are reused by the children (in-place update).
         assert parent_pages & child_pages
         # The file grows by at most the extra pages needed for per-child slack.
         assert tree.file.num_pages() >= pages_before
 
-    def test_refine_moves_later_rows_down(self, adaptor, tree):
+    def test_refine_appends_children_and_retires_the_parent(self, adaptor, tree):
         row = fullest_row(tree)
         old = tree.leaf_snapshot()
+        keys, runs = list(old.keys), list(old.runs)
+        columns = [column.copy() for column in (old.n_records, old.level, old.lo, old.hi)]
         adaptor.refine(tree, row)
         new = tree.leaf_snapshot()
-        assert len(new) == len(old) + 7
-        assert new.keys[:row] == old.keys[:row]
-        assert new.keys[row + 8 :] == old.keys[row + 1 :]
-        assert new.runs[row + 8 :] == old.runs[row + 1 :]
-        assert np.array_equal(new.lo[row + 8 :], old.lo[row + 1 :])
+        assert len(new) == len(old) + 8
+        assert new.keys[: len(old)] == keys  # no row moves
+        others = [index for index in range(len(old)) if index != row]
+        assert [new.runs[index] for index in others] == [runs[index] for index in others]
+        for column, before in zip((new.n_records, new.level, new.lo, new.hi), columns):
+            assert np.array_equal(column[others], before[others])
+        # The parent's row is retired: no overlap test selects an empty box.
+        assert new.runs[row] is _EMPTY_RUN and new.n_records[row] == 0
+        assert np.isposinf(new.lo[row]).all() and np.isneginf(new.hi[row]).all()
+        assert new.level[row] == 1 and new.volume[row] == old.volume[row]
+        assert row not in tree.leaves_overlapping_vectorized(tree.universe).tolist()
+        assert tree.n_partitions == len(old) + 7
 
     def test_total_objects_invariant_after_many_refinements(self, adaptor, tree, dataset):
         for _ in range(3):
@@ -275,8 +297,8 @@ class TestMaybeRefine:
     def test_one_level_per_query_matches_the_reference(self, universe, model, threshold):
         """Same splits, order and bytes as the per-node rule of the reference.
 
-        The engine goes by rows, each shifted by the rows earlier splits of
-        the query added; the reference by the nodes of
+        The engine goes by rows, put in key order, descending; the
+        reference by the nodes of
         ``tests/scalar_reference.py``.  Two engines over identical data must
         refine the same partitions in the same order, reuse the same pages
         and end with byte-identical partition files.  The higher threshold

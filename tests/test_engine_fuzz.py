@@ -15,8 +15,10 @@ arrival (``seq``) order.  The columnar row charges the reference's
 simulated I/O, the thread and epoch rows the batch row's CPU seconds.
 
 Each row of each plain seed is a test of its own (``test_fuzz[seed-row]``,
-the reference and batch rows run once per seed); the variants and the
-fault campaign run every row of a seed in one test.  Messages carry the
+the reference and batch rows run once per seed); the variants, the
+two-level cold starts (:func:`two_level_context`: queries that refine
+leaves whose rows are not in search order) and the fault campaign run
+every row of a seed in one test.  Messages carry the
 seed: ``run_fuzz_scenario(seed)`` replays one.
 ``REPRO_FUZZ_ITERATIONS=N`` adds N slow-marked seeds::
 
@@ -40,8 +42,10 @@ import pytest
 
 import repro.core.recovery as recovery_module
 from repro.bench.runner import generate_workload
+from repro.core.adaptor import Adaptor
 from repro.core.config import OdysseyConfig
 from repro.core.odyssey import SpaceOdyssey
+from repro.core.query_processor import QueryProcessor
 from repro.data.suite import BenchmarkSuite, build_benchmark_suite
 from repro.geometry.box import Box
 from repro.storage.cost_model import DiskModel
@@ -60,6 +64,7 @@ from tests.oracle import (
     disk_files,
     fork_with,
     packed_hits,
+    make_suite,
     recover_logged,
 )
 from tests.scalar_reference import ScalarOdyssey
@@ -481,6 +486,75 @@ def test_fuzz(seed, row):
     if row == "recover":
         RECOVERY_PATHS[seed] = runs[row].recovery
     assert_row(ctx.tag, row, runs)
+
+
+#: Seeds of the two-level cold starts (:func:`two_level_context`).
+TWO_LEVEL_SEEDS = (61, 64)
+
+
+def two_level_context(seed: int) -> Context:
+    """A cold start whose windows keep two levels of leaves above the threshold.
+
+    Zipf triples on three clustered hot spots, ``ppl`` = 8, windows of
+    ``0.16 / ppl**2`` of the universe: one query can refine leaves of two
+    levels, or children of two parents that earlier queries split in the
+    other order.  Those rows are not in search order, so refining them in
+    row order moves overflow pages.  The plain seeds' windows refine
+    first-level leaves, whose rows are in search order, and cannot tell the
+    two orders apart.  Modes, crash and clients come from seed ``seed``'s
+    plain scenario.
+    """
+    scenario = _random_scenario(random.Random(seed))
+    scenario["config"] = OdysseyConfig(
+        partitions_per_level=8, refinement_threshold=2.0, merge_threshold=1
+    )
+    suite = make_suite(seed)
+    workload = list(
+        generate_workload(
+            suite.universe,
+            list(suite.catalog.dataset_ids()),
+            40,
+            seed=seed,
+            volume_fraction=0.16 / 8**2,
+            datasets_per_query=3,
+            ranges="clustered",
+            ids_distribution="zipf",
+            cluster_centers=suite.generator.microcircuit_centers[:3],
+        )
+    )
+    n_chunks = -(-len(workload) // scenario["batch_size"])
+    for key in ("mixed_modes", "recover_modes"):
+        scenario[key] = [scenario[key][index % len(scenario[key])] for index in range(n_chunks)]
+    scenario["crash_from"] %= len(workload)
+    return Context(f"two-level seed {seed}", scenario, suite, workload)
+
+
+@pytest.mark.parametrize("seed", TWO_LEVEL_SEEDS)
+def test_two_level_cold_start(seed, monkeypatch):
+    """Every row of a two-level cold start, after checking that one of its
+    queries refines rows of one tree whose row order is not search order."""
+    ctx = two_level_context(seed)
+    refined: list = []
+    commit_query, refine = QueryProcessor.commit_query, Adaptor.refine
+
+    def committing(processor, *args, **kwargs):
+        refined.append({})
+        return commit_query(processor, *args, **kwargs)
+
+    def refining(adaptor, tree, row):
+        refined[-1].setdefault(id(tree), []).append((row, tree.leaf_snapshot().keys[row]))
+        return refine(adaptor, tree, row)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(QueryProcessor, "commit_query", committing)
+        patch.setattr(Adaptor, "refine", refining)
+        ROWS["columnar"](ctx)
+    assert any(
+        sorted(splits) != sorted(splits, key=lambda split: split[1], reverse=True)
+        for per_tree in refined
+        for splits in per_tree.values()
+    ), f"{ctx.tag}: no query refined rows of one tree whose row order is not search order"
+    assert_oracle(ctx.tag, {name: row(ctx) for name, row in ROWS.items()})
 
 
 def refuses(ctx: Context) -> bool:

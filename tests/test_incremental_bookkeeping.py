@@ -9,14 +9,15 @@ from history:
 * the merger's candidate keys: set algebra over the collector's hot-key
   sets and the trees' leaf-key sets;
 * every tree's leaf table (:class:`~repro.core.partition.LeafSnapshot`),
-  spliced by each refinement, with its key summaries (the leaf-key set
-  and the runs of occupied leaves by key);
-* the per-tree epoch capture, which holds the table of its moment;
+  appended to by each refinement, with its key summaries (the leaf-key
+  set and the runs of occupied leaves by key);
+* the per-tree epoch capture, a frozen copy of the table of its moment;
 * the frozen merge directory, which re-copies only re-registered infos,
   and the directory's running page count.
 
 This module owns the *from-scratch* versions — a node tree derived from
-a tree's key and run summaries (``tests/scalar_reference.py``), a count
+a tree's key and run summaries and the search-ordered table rebuilt from
+them (``tests/scalar_reference.py``), a count
 of how many queries of a combination read each key (derived here, as
 each query's writer half begins, from the leaves of the node trees its
 extended window overlaps that hold records) and the rescan of that
@@ -51,7 +52,8 @@ from repro.core.odyssey import SpaceOdyssey
 from repro.core.partition import PartitionTree
 
 from tests.oracle import (
-    after_retired_draws, check_merge_space, check_tree, make_suite, mixed_workload,
+    after_retired_draws, check_frozen_copy, check_merge_space, check_tree, make_suite,
+    mixed_workload,
 )
 from tests.scalar_reference import leaves_overlapping, reference_tree
 
@@ -184,8 +186,7 @@ class BookkeepingChecker:
         assert reference_directory(epoch.directory) == reference, tag
         assert set(epoch.merge_files) == set(reference), tag
         for dataset_id, tree in trees.items():
-            capture = epoch.trees[dataset_id]
-            assert capture.snapshot is tree.leaf_snapshot(), tag
+            check_frozen_copy(epoch.trees[dataset_id].snapshot, tree.leaf_snapshot(), tag)
 
 
 # ---------------------------------------------------------------------- #
@@ -339,10 +340,10 @@ def test_frozen_info_ignores_later_add_segment():
 def test_no_full_rebuild_after_initialisation():
     """Structural guard: once a tree exists, nothing walks or re-stacks all of it.
 
-    The from-scratch snapshot build lives only in this file.  In the
-    engine, the one place leaf boxes become arrays is the splice, ``ppl``
-    rows at a time from the parent's grid edges; the partition module does
-    not even import the ``Box``-to-array bridge, so nothing there can
+    The from-scratch table builds live only in the tests.  In the engine,
+    the one place leaf boxes become arrays is the append, ``ppl`` rows at
+    a time from the parent's grid edges; the partition module does not
+    even import the ``Box``-to-array bridge, so nothing there can
     re-derive the table from the whole tree.
     """
     seed = 59

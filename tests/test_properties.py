@@ -72,7 +72,7 @@ from repro.storage.disk import Disk
 from repro.storage.pagedfile import PagedFile
 
 from tests.conftest import make_random_objects
-from tests.oracle import check_tree
+from tests.oracle import check_frozen_copy, check_tree
 from tests.scalar_reference import (
     ScalarAdaptor,
     assign_to_children,
@@ -82,6 +82,7 @@ from tests.scalar_reference import (
     read_partition,
     reference_assign_array,
     reference_tree,
+    search_order,
     write_groups,
 )
 
@@ -563,9 +564,10 @@ class TestPartitionTreeProperties:
         tree = adaptor.create_tree(dataset)
         adaptor.initialize(tree)
         for query in queries:
-            start = len(tree.leaf_snapshot())
-            for row in tree.leaves_overlapping_vectorized(query).tolist():
-                adaptor.maybe_refine(tree, row + len(tree.leaf_snapshot()) - start, query)
+            keys = tree.leaf_snapshot().keys
+            rows = tree.leaves_overlapping_vectorized(query).tolist()
+            for row in sorted(rows, key=keys.__getitem__, reverse=True):
+                adaptor.maybe_refine(tree, row, query)
         assert tree.total_stored_objects() == len(objects)
         # Every object is stored in the leaf whose region contains its centre.
         for leaf in reference_tree(tree).leaves():
@@ -578,11 +580,11 @@ class TestPartitionTreeProperties:
     )
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_spliced_snapshot_equals_the_walk(self, objects, picks):
-        """Any refinement sequence: the spliced summaries equal a fresh walk.
+        """Any refinement sequence: the appended table and summaries equal a fresh walk.
 
         Each pick refines one current leaf (empty ones included), chosen by
-        position in search order, so splices land at the head, the tail
-        and inside earlier splices.
+        position in search order, so splits land at the head, the tail
+        and inside earlier splits of the walk.
         """
         objects = _dedupe(objects)
         disk = Disk(model=DiskModel(), buffer_pages=0)
@@ -592,7 +594,8 @@ class TestPartitionTreeProperties:
         adaptor.initialize(tree)
         check_tree(tree)
         for pick in picks:
-            adaptor.refine(tree, pick % len(tree.leaf_snapshot()))
+            rows = search_order(tree)
+            adaptor.refine(tree, rows[pick % len(rows)])
             check_tree(tree)
         assert tree.total_stored_objects() == len(objects)
 
@@ -633,12 +636,14 @@ class TestSpliceProperties:
         """Splits and queries: the table equals the reference node tree, bytes included.
 
         The engine splits rows and offers a query's candidates in search
-        order, each shifted by the rows earlier splits added; the
-        reference (``ScalarAdaptor``) does the same on node objects.  After
-        every step every column equals the node tree derived from the
-        engine's keys (``check_tree``: volumes bit for bit), the two trees
-        list the same leaves with the same runs, and the partition files
-        are byte-identical at the end.
+        order (key order, descending: rows never move); the reference
+        (``ScalarAdaptor``) does the same on node objects.  After every
+        step the table has only grown (every earlier row keeps its key),
+        its live rows in search order equal the node tree derived from the
+        engine's keys and the former search-ordered table rebuilt by
+        replaying every split (``check_tree``: volumes bit for bit), the
+        two trees list the same leaves with the same runs, and the
+        partition files are byte-identical at the end.
         """
         universe, ppl, count, seed, steps = case
         config = OdysseyConfig(partitions_per_level=ppl, refinement_threshold=2.0)
@@ -652,20 +657,23 @@ class TestSpliceProperties:
         (engine, tree, disk), (scalar, reference, reference_disk) = trees
         centres = [obj.center for obj in objects]
         for split, pick, fraction in steps:
+            keys = list(tree.leaf_snapshot().keys)
             if split:
-                row = pick % len(tree.leaf_snapshot())
-                key = tree.leaf_snapshot().keys[row]
+                rows = search_order(tree)
+                row = rows[pick % len(rows)]
                 engine.refine(tree, row)
-                scalar.refine(reference, reference.node(key))
+                scalar.refine(reference, reference.node(keys[row]))
             else:
                 sides = [side * fraction for side in universe.extents]
                 window = Box.from_center(centres[pick % count], sides).clamp(universe)
                 table = tree.leaf_snapshot()
                 (rows,) = table.occupied([tree.leaves_overlapping_vectorized(window)])
-                for row in engine.candidates(table, rows, window.volume()):
-                    engine.maybe_refine(tree, row + len(tree.leaf_snapshot()) - len(table), window)
+                chosen = engine.candidates(table, rows, window.volume())
+                for row in sorted(chosen, key=keys.__getitem__, reverse=True):
+                    engine.maybe_refine(tree, row, window)
                 for node in leaves_overlapping(reference, window):
                     scalar.maybe_refine(reference, node, window)
+            assert tree.leaf_snapshot().keys[: len(keys)] == keys
             check_tree(tree)
             assert leaf_listing(tree) == leaf_listing(reference)
         assert tree.total_stored_objects() == count
@@ -951,10 +959,8 @@ class TestEpochProperties:
                 # Epoch ids grow strictly monotonically across publishes.
                 assert current.epoch_id > last_id
                 last_id = current.epoch_id
-                # The fresh capture equals the live tree at capture time.
-                tree = engine.trees[0]
-                capture = current.trees[0]
-                assert capture.snapshot is tree.leaf_snapshot()
+                # The fresh capture is a frozen copy of the live table.
+                check_frozen_copy(current.trees[0].snapshot, engine.trees[0].leaf_snapshot())
             elif op == "pin":
                 pins.append(manager.pin())
             elif pins:

@@ -8,18 +8,23 @@ per such child (the empty ones share a single run), at most one bulk
 ``append_run``, a row of the leaf table and no object for an empty child
 (at most two boxes per split, both the parent's).  A per-child mask, an
 encode per child *slot*, a box or run object per empty child is a
-regression these counts catch without a stopwatch.
+regression these counts catch without a stopwatch.  The table only grows:
+a split appends exactly ``ppl`` rows, retires its parent's row and leaves
+every other row as it was, the columns are reallocated O(log rows) times
+over a cold start, and a pinned epoch's table does not change.
 
 The module also keeps the code this path replaced as its reference models
-(ROADMAP ground rule iv) — the mask-per-child assignment and the
-``concatenate`` + ``asfortranarray`` corner splice — and compares the
-engine with them on every refinement of seeded cold-start runs on Zipf
-triples.  A quick grid runs in tier-1; ``REPRO_FUZZ_ITERATIONS=N`` adds N
+(ROADMAP ground rule iv) — the mask-per-child assignment, and the
+children's corners read back from their boxes — and compares the engine
+with them on every refinement of seeded cold-start runs on Zipf triples;
+after every split the whole table is checked against the node tree and
+the former search-ordered table (``tests/oracle.py::check_tree``).  A quick grid runs in tier-1; ``REPRO_FUZZ_ITERATIONS=N`` adds N
 randomly derived scenarios (CI's deep-oracles job sets 25).
 """
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from collections import Counter
@@ -38,10 +43,13 @@ from repro.geometry.vectorized import boxes_to_arrays, grid_child_indices
 from repro.storage import codec as codec_module
 from repro.storage import pagedfile as pagedfile_module
 from repro.storage.disk import Disk
-from repro.storage.pagedfile import PagedFile, StoredRun
+from repro.storage.pagedfile import _EMPTY_RUN, PagedFile, StoredRun
 
 from tests.oracle import check_tree, make_suite
 from tests.scalar_reference import ScalarAdaptor, ScalarOdyssey, child_box, reference_assign_array
+
+#: The leaf table's array columns.
+COLUMNS = ("n_records", "level", "volume", "lo", "hi")
 
 DEEP_ITERATIONS = int(os.environ.get("REPRO_FUZZ_ITERATIONS", "0"))
 
@@ -51,16 +59,9 @@ DEEP_ITERATIONS = int(os.environ.get("REPRO_FUZZ_ITERATIONS", "0"))
 # ---------------------------------------------------------------------- #
 
 
-def reference_splice(
-    old: LeafSnapshot, start: int, stop: int, parent: Box, splits: int, ppl: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The former splice: corners read back from the child boxes, two copies each."""
-    children = [child_box(parent, index, splits) for index in reversed(range(ppl))]
-    lo, hi = boxes_to_arrays(children)  # the search stack pops the last child first
-    return (
-        np.asfortranarray(np.concatenate((old.lo[:start], lo, old.lo[stop:]))),
-        np.asfortranarray(np.concatenate((old.hi[:start], hi, old.hi[stop:]))),
-    )
+def reference_child_corners(parent: Box, splits: int, ppl: int) -> tuple[np.ndarray, np.ndarray]:
+    """The children's corners read back from their boxes, the last child first."""
+    return boxes_to_arrays([child_box(parent, index, splits) for index in reversed(range(ppl))])
 
 
 # ---------------------------------------------------------------------- #
@@ -79,6 +80,7 @@ class RefineGuard:
         self.overflowed = 0
         self.candidate_filters = 0
         self.outcomes: list[tuple[bool, int, int]] = []  # (refined, splits, filters) per call
+        self.grows: Counter = Counter()  # column reallocations per dataset
         self._in_maybe_refine = 0
         self._patch = monkeypatch.setattr
         self._count(partition_module, "grid_child_indices", "grid")
@@ -101,6 +103,7 @@ class RefineGuard:
             self._wrap(adaptor_class, "maybe_refine", self._maybe_refine)
         self._wrap(Box, "intersects", self._intersects)
         self._wrap(partition_module, "intersect_mask", self._filter_rows)
+        self._wrap(PartitionTree, "_grow", self._grow)
 
     def _wrap(self, owner, name, replacement) -> None:
         original = getattr(owner, name)
@@ -171,23 +174,33 @@ class RefineGuard:
             self._split_costs(tree, [child.run for child in children], before, f"refine {leaf.key}")
             return children
         old = tree.leaf_snapshot()
-        tag = f"refine {tree.dataset.name} {old.keys[leaf]}"
+        n, parent = len(old), old.keys[leaf]
+        tag = f"refine {tree.dataset.name} {parent}"
         ppl = tree.partitions_per_level
-        lo, hi = reference_splice(old, leaf, leaf + 1, old.box(leaf), tree.splits_per_dim, ppl)
+        lo, hi = reference_child_corners(old.box(leaf), tree.splits_per_dim, ppl)
+        keys, runs = list(old.keys), list(old.runs)
+        columns = {column: getattr(old, column).copy() for column in COLUMNS}
         before = Counter(self.counts)
         result = original(adaptor, tree, leaf)
         new = tree.leaf_snapshot()
         self.refinements += 1
-        self._split_costs(tree, new.runs[leaf : leaf + ppl], before, tag)
+        self._split_costs(tree, new.runs[n:], before, tag)
         assert new.version == old.version + 1, tag
-        assert new.keys == (
-            old.keys[:leaf]
-            + tuple(old.keys[leaf] + (index,) for index in reversed(range(ppl)))
-            + old.keys[leaf + 1 :]
-        ), tag
-        for spliced, reference in ((new.lo, lo), (new.hi, hi)):
-            assert np.array_equal(spliced, reference), tag
-            assert spliced.flags.f_contiguous and spliced.dtype == reference.dtype, tag
+        # Exactly ppl new rows, the last child first, with the children's corners.
+        assert len(new) == n + ppl, tag
+        assert new.keys == keys + [parent + (index,) for index in reversed(range(ppl))], tag
+        assert np.array_equal(new.lo[n:], lo) and np.array_equal(new.hi[n:], hi), tag
+        # One retirement: the parent's row, in place.
+        assert new.runs[leaf] is _EMPTY_RUN and new.n_records[leaf] == 0, tag
+        assert np.isposinf(new.lo[leaf]).all() and np.isneginf(new.hi[leaf]).all(), tag
+        assert parent not in tree.leaf_keys, tag
+        # Every other existing row is as it was, in every column.
+        others = np.delete(np.arange(n), leaf)
+        assert [new.runs[row] for row in others.tolist()] == runs[:leaf] + runs[leaf + 1 :], tag
+        for column, values in columns.items():
+            assert np.array_equal(getattr(new, column)[others], values[others]), tag
+        for column in ("level", "volume"):
+            assert getattr(new, column)[leaf] == columns[column][leaf], tag
         check_tree(tree, tag)
         return result
 
@@ -221,6 +234,10 @@ class RefineGuard:
         if self._in_maybe_refine:
             self.candidate_filters += 1
         return original(box, other)
+
+    def _grow(self, original, tree, rows):
+        self.grows[tree.dataset.name] += 1
+        return original(tree, rows)
 
     def _filter_rows(self, original, lo, hi, los, his):
         if self._in_maybe_refine:
@@ -281,6 +298,35 @@ def test_a_refinement_costs_what_it_moves(guard, ppl):
     assert guard.candidate_filters == 0, "maybe_refine filtered candidates for a level it never runs"
     assert engine.summary().merges_performed > 0, "the scenario never merged"
     assert not hasattr(partition_module, "PartitionNode"), "leaves are rows, not node objects"
+    # The columns double when full: O(log rows) reallocations per tree.
+    for tree in engine.trees.values():
+        grows = guard.grows[tree.dataset.name]
+        assert 1 <= grows <= 1 + math.ceil(math.log2(len(tree.leaf_snapshot()) / ppl))
+    assert max(guard.grows.values()) >= 3, "no tree grew past its first doublings"
+
+
+def test_a_pinned_epoch_keeps_its_table():
+    """A split retires a live row in place; an epoch pinned before it reads its
+    own frozen copy, row for row as it was captured, and so do later captures."""
+    engine, queries = cold_start(71, ppl=8, scalar=False)
+    engine.query_batch([queries[0]], snapshot=True)  # starts the epochs
+    pinned = engine.epochs.pin()
+    tables = {dataset_id: capture.snapshot for dataset_id, capture in pinned.trees.items()}
+    frozen = {
+        dataset_id: (list(table.keys), list(table.runs), [getattr(table, c).copy() for c in COLUMNS])
+        for dataset_id, table in tables.items()
+    }
+    for box, ids in queries[1:]:
+        engine.query(box, ids)
+    refined = [d for d, table in tables.items() if engine.trees[d].version > table.version]
+    assert refined, "no pinned tree was refined afterwards"
+    for dataset_id, table in tables.items():
+        keys, runs, columns = frozen[dataset_id]
+        assert table.keys == keys and table.runs == runs
+        assert all(np.array_equal(getattr(table, c), v) for c, v in zip(COLUMNS, columns))
+        current = engine.epochs.current.trees[dataset_id].snapshot
+        assert current.version == engine.trees[dataset_id].version
+    engine.epochs.unpin(pinned)
 
 
 @pytest.mark.parametrize("scalar", [False, True], ids=["columnar", "scalar"])

@@ -78,7 +78,7 @@ MUTANTS = (
         "no-hot-keys",
         "record_query skips the hot-key update",
         "repro/core/statistics.py",
-        "stats.hot_keys |= query_keys & stats.seen_keys",
+        "stats.hot_keys |= keys & stats.seen_keys",
         "stats.hot_keys |= set()",
     ),
     Mutant(
@@ -87,6 +87,23 @@ MUTANTS = (
         "repro/core/query_processor.py",
         "keys.update(map(table.keys.__getitem__, reads.tolist()))",
         "keys.update(map(table.keys.__getitem__, rows.tolist()))",
+    ),
+    Mutant(
+        "retired-row-keeps-its-box",
+        "a split leaves its parent's row as it was: the parent is overlapped again "
+        "and its records are read twice",
+        "repro/core/partition.py",
+        "        self._runs[row] = _EMPTY_RUN\n"
+        "        self._n_records[row] = 0\n"
+        "        self._lo[row], self._hi[row] = np.inf, -np.inf\n",
+        "",
+    ),
+    Mutant(
+        "refine-in-row-order",
+        "commit_query refines a query's candidates in append (row) order, not search order",
+        "repro/core/query_processor.py",
+        "chosen = sorted(chosen, key=table.keys.__getitem__, reverse=True)",
+        "chosen = list(chosen)",
     ),
     Mutant(
         "replay-reversed",
@@ -256,7 +273,7 @@ def main(argv=None) -> int:
 
     if args.list:
         for mutant in MUTANTS:
-            print(f"{mutant.name:22} {mutant.description}  [{' '.join(mutant.killer)}]")
+            print(f"{mutant.name:26} {mutant.description}  [{' '.join(mutant.killer)}]")
         return 0
     repo = os.path.abspath(args.repo)
     src = os.path.join(repo, "src")
