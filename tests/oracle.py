@@ -144,6 +144,10 @@ def check_merge_space(odyssey: SpaceOdyssey, tag: str = "") -> None:
         assert all(run.n_pages == file.pages_needed(run.n_records) for run in runs), tag
 
 
+#: The leaf table's array columns.
+TABLE_COLUMNS = ("n_records", "level", "volume", "lo", "hi")
+
+
 def check_tree(tree: PartitionTree, tag: str = "") -> None:
     """Every row of one tree's leaf table against two references.
 
@@ -181,7 +185,7 @@ def check_tree(tree: PartitionTree, tag: str = "") -> None:
     assert table.volume[at].tolist() == [leaf.box.volume() for leaf in leaves], tag
     lo, hi = boxes_to_arrays([leaf.box for leaf in leaves], dimension=tree.universe.dimension)
     assert np.array_equal(table.lo[at], lo) and np.array_equal(table.hi[at], hi), tag
-    for column in ("n_records", "level", "volume", "lo", "hi"):
+    for column in TABLE_COLUMNS:
         assert np.array_equal(getattr(table, column)[at], getattr(rebuilt, column)), tag
     retired = sorted(set(range(n)) - set(live))
     assert len(retired) * ppl == n - ppl, tag  # one per split after the first level
@@ -213,7 +217,7 @@ def check_frozen_copy(capture, table, tag: str = "") -> None:
     assert capture is not table and capture.version == table.version, tag
     assert capture.keys == table.keys and capture.runs == table.runs, tag
     assert capture.keys is not table.keys and capture.runs is not table.runs, tag
-    for column in ("n_records", "level", "volume", "lo", "hi"):
+    for column in TABLE_COLUMNS:
         live, frozen = getattr(table, column), getattr(capture, column)
         assert np.array_equal(frozen, live) and frozen.dtype == live.dtype, tag
         assert not np.shares_memory(frozen, live), tag

@@ -365,7 +365,7 @@ def splice(
     old: SearchOrderedTable, start: int, stop: int, prefix: PartitionKey, box: Box,
     runs: Sequence[StoredRun], splits: int,
 ) -> SearchOrderedTable:
-    """The former ``PartitionTree._splice``: the children of ``box`` in place of rows ``[start, stop)``.
+    """The former ``PartitionTree._splice``: ``box``'s children in place of rows ``[start, stop)``.
 
     Keys ``prefix + (i,)`` owning ``runs`` (child order), the last child
     first, with corners gathered from the grid edges of ``box`` and volumes
@@ -406,7 +406,8 @@ def search_ordered_table(tree: PartitionTree) -> SearchOrderedTable:
     splits, ppl = tree.splits_per_dim, tree.partitions_per_level
     no_rows = np.empty(0, dtype=np.int64)
     no_corners = np.empty((0, tree.universe.dimension), dtype=np.float64)
-    table = SearchOrderedTable((), (), no_rows, no_rows, no_rows.astype(np.float64), no_corners, no_corners)
+    no_volumes = no_rows.astype(np.float64)
+    table = SearchOrderedTable((), (), no_rows, no_rows, no_volumes, no_corners, no_corners)
 
     def runs(prefix: PartitionKey) -> list[StoredRun]:
         return [tree.occupied_runs.get(prefix + (index,), EMPTY_RUN) for index in range(ppl)]

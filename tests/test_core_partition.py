@@ -174,9 +174,8 @@ class TestRefinement:
         row = fullest_row(tree)
         before = {o.key() for o in row_objects(tree, row)}
         adaptor.refine(tree, row)
-        after = {
-            o.key() for child in range(CHILDREN.start, CHILDREN.stop) for o in row_objects(tree, child)
-        }
+        children = range(CHILDREN.start, CHILDREN.stop)
+        after = {o.key() for child in children for o in row_objects(tree, child)}
         assert after == before
         assert row_objects(tree, row) == []  # the retired row holds nothing
 

@@ -18,8 +18,9 @@ The module also keeps the code this path replaced as its reference models
 children's corners read back from their boxes — and compares the engine
 with them on every refinement of seeded cold-start runs on Zipf triples;
 after every split the whole table is checked against the node tree and
-the former search-ordered table (``tests/oracle.py::check_tree``).  A quick grid runs in tier-1; ``REPRO_FUZZ_ITERATIONS=N`` adds N
-randomly derived scenarios (CI's deep-oracles job sets 25).
+the former search-ordered table (``tests/oracle.py::check_tree``).  A
+quick grid runs in tier-1; ``REPRO_FUZZ_ITERATIONS=N`` adds N randomly
+derived scenarios (CI's deep-oracles job sets 25).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from repro.core import partition as partition_module
 from repro.core.adaptor import Adaptor
 from repro.core.config import OdysseyConfig
 from repro.core.odyssey import SpaceOdyssey
-from repro.core.partition import LeafSnapshot, PartitionTree
+from repro.core.partition import PartitionTree
 from repro.geometry.box import Box
 from repro.geometry.vectorized import boxes_to_arrays, grid_child_indices
 from repro.storage import codec as codec_module
@@ -45,11 +46,8 @@ from repro.storage import pagedfile as pagedfile_module
 from repro.storage.disk import Disk
 from repro.storage.pagedfile import _EMPTY_RUN, PagedFile, StoredRun
 
-from tests.oracle import check_tree, make_suite
+from tests.oracle import TABLE_COLUMNS, check_tree, make_suite
 from tests.scalar_reference import ScalarAdaptor, ScalarOdyssey, child_box, reference_assign_array
-
-#: The leaf table's array columns.
-COLUMNS = ("n_records", "level", "volume", "lo", "hi")
 
 DEEP_ITERATIONS = int(os.environ.get("REPRO_FUZZ_ITERATIONS", "0"))
 
@@ -179,7 +177,7 @@ class RefineGuard:
         ppl = tree.partitions_per_level
         lo, hi = reference_child_corners(old.box(leaf), tree.splits_per_dim, ppl)
         keys, runs = list(old.keys), list(old.runs)
-        columns = {column: getattr(old, column).copy() for column in COLUMNS}
+        columns = {column: getattr(old, column).copy() for column in TABLE_COLUMNS}
         before = Counter(self.counts)
         result = original(adaptor, tree, leaf)
         new = tree.leaf_snapshot()
@@ -313,7 +311,9 @@ def test_a_pinned_epoch_keeps_its_table():
     pinned = engine.epochs.pin()
     tables = {dataset_id: capture.snapshot for dataset_id, capture in pinned.trees.items()}
     frozen = {
-        dataset_id: (list(table.keys), list(table.runs), [getattr(table, c).copy() for c in COLUMNS])
+        dataset_id: (
+            list(table.keys), list(table.runs), [getattr(table, c).copy() for c in TABLE_COLUMNS]
+        )
         for dataset_id, table in tables.items()
     }
     for box, ids in queries[1:]:
@@ -323,7 +323,7 @@ def test_a_pinned_epoch_keeps_its_table():
     for dataset_id, table in tables.items():
         keys, runs, columns = frozen[dataset_id]
         assert table.keys == keys and table.runs == runs
-        assert all(np.array_equal(getattr(table, c), v) for c, v in zip(COLUMNS, columns))
+        assert all(np.array_equal(getattr(table, c), v) for c, v in zip(TABLE_COLUMNS, columns))
         current = engine.epochs.current.trees[dataset_id].snapshot
         assert current.version == engine.trees[dataset_id].version
     engine.epochs.unpin(pinned)
